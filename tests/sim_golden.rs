@@ -1,0 +1,626 @@
+//! Golden pin of the simulated numbers: a fixed scenario matrix whose
+//! full [`RunStats`] — plus per-device stats, exchange traffic, per-query
+//! batch stats and the outputs — is folded into FNV-1a digests and
+//! compared with a table generated at the commit *before* the three
+//! iteration drivers were merged into one.
+//!
+//! The differential harnesses compare `Engine` with a 1-device
+//! `ShardedEngine` and a 1-query batch with a solo run; once those share
+//! one driver they compare a function with itself. This table is the
+//! remaining oracle: any change to a simulated number, on any knob the
+//! matrix reaches, shows up here as a changed cell.
+//!
+//! Matrix, per graph (one small Kronecker, one uniform):
+//! {Naive, Merged, Merged+Aligned, Hybrid, UVM placement} ×
+//! `frontier_reorder` off/on × `pipelined` off/on (one table row each) ×
+//! the ten [`SHAPES`] (one column each): all four programs solo, BFS and
+//! SSSP through `run_batch` at 1, 3 and 8 queries, all four programs
+//! sharded at 1, 2 and 4 devices under both partitioners.
+//!
+//! **Re-pinning.** The simulator is deterministic, so a mismatch is a
+//! modelling change, never noise. If the change is intended and declared,
+//! run `cargo test --test sim_golden -- --nocapture`, and paste the
+//! printed table over the `const` of the failing graph.
+
+use emogi_repro::core::sharded::{ShardedConfig, ShardedEngine};
+use emogi_repro::graph::datasets::generate_weights;
+use emogi_repro::prelude::*;
+use emogi_repro::sim::interconnect::LinkStats;
+
+/// The table's columns, in order.
+const SHAPES: [&str; 10] = [
+    "solo",
+    "batch1",
+    "batch3",
+    "batch8",
+    "shard1-contiguous",
+    "shard1-degree",
+    "shard2-contiguous",
+    "shard2-degree",
+    "shard4-contiguous",
+    "shard4-degree",
+];
+
+type Row = (&'static str, [u64; 10]);
+
+/// `kronecker(9, 16, 21)`, generated at the parent commit.
+#[rustfmt::skip]
+const KRONECKER: &[Row] = &[
+    ("Naive reorder=0 pipelined=0", [
+        0x6482343512b3165e, 0xe39da78537ca464b,
+        0x548919aca557b1f1, 0xbbad6382ef572d62,
+        0xa5473f4e26492163, 0xa5473f4e26492163,
+        0x4aaa3151c21a6f00, 0x93250475d7782d2c,
+        0xa92295465258ab27, 0x58a673ca34c53aa1,
+    ]),
+    ("Naive reorder=0 pipelined=1", [
+        0x6482343512b3165e, 0xe39da78537ca464b,
+        0x548919aca557b1f1, 0xbbad6382ef572d62,
+        0xa5473f4e26492163, 0xa5473f4e26492163,
+        0x4aaa3151c21a6f00, 0x93250475d7782d2c,
+        0xa92295465258ab27, 0x58a673ca34c53aa1,
+    ]),
+    ("Naive reorder=1 pipelined=0", [
+        0x6482343512b3165e, 0xe39da78537ca464b,
+        0x548919aca557b1f1, 0xbbad6382ef572d62,
+        0xa5473f4e26492163, 0xa5473f4e26492163,
+        0x4aaa3151c21a6f00, 0x93250475d7782d2c,
+        0xa92295465258ab27, 0x58a673ca34c53aa1,
+    ]),
+    ("Naive reorder=1 pipelined=1", [
+        0x6482343512b3165e, 0xe39da78537ca464b,
+        0x548919aca557b1f1, 0xbbad6382ef572d62,
+        0xa5473f4e26492163, 0xa5473f4e26492163,
+        0x4aaa3151c21a6f00, 0x93250475d7782d2c,
+        0xa92295465258ab27, 0x58a673ca34c53aa1,
+    ]),
+    ("Merged reorder=0 pipelined=0", [
+        0xc646e463f6c1bda6, 0xc5cd262754ff4717,
+        0xf7205746d15f0275, 0xc735052961312a56,
+        0xfb6a1fb787feb4c3, 0xfb6a1fb787feb4c3,
+        0x7bd276553cc39897, 0x56895ce9fae3b215,
+        0xd00ab071f54a3d32, 0x3c52f8faf4c8ab4c,
+    ]),
+    ("Merged reorder=0 pipelined=1", [
+        0xc646e463f6c1bda6, 0xc5cd262754ff4717,
+        0xf7205746d15f0275, 0xc735052961312a56,
+        0xfb6a1fb787feb4c3, 0xfb6a1fb787feb4c3,
+        0x7bd276553cc39897, 0x56895ce9fae3b215,
+        0xd00ab071f54a3d32, 0x3c52f8faf4c8ab4c,
+    ]),
+    ("Merged reorder=1 pipelined=0", [
+        0xc646e463f6c1bda6, 0xc5cd262754ff4717,
+        0xf7205746d15f0275, 0xc735052961312a56,
+        0xfb6a1fb787feb4c3, 0xfb6a1fb787feb4c3,
+        0x7bd276553cc39897, 0x56895ce9fae3b215,
+        0xd00ab071f54a3d32, 0x3c52f8faf4c8ab4c,
+    ]),
+    ("Merged reorder=1 pipelined=1", [
+        0xc646e463f6c1bda6, 0xc5cd262754ff4717,
+        0xf7205746d15f0275, 0xc735052961312a56,
+        0xfb6a1fb787feb4c3, 0xfb6a1fb787feb4c3,
+        0x7bd276553cc39897, 0x56895ce9fae3b215,
+        0xd00ab071f54a3d32, 0x3c52f8faf4c8ab4c,
+    ]),
+    ("Merged+Aligned reorder=0 pipelined=0", [
+        0xc5e22dc274bf9c46, 0x08ba277965af6e2b,
+        0x8c646b5f667ac5d1, 0xcc24437e66b13eb9,
+        0x26ad24e78daf57cf, 0x26ad24e78daf57cf,
+        0x9d1903af1bf966a5, 0x6a1ecda8dd328490,
+        0xdb69b997c2be297f, 0x4232c4cedc57caf2,
+    ]),
+    ("Merged+Aligned reorder=0 pipelined=1", [
+        0xc5e22dc274bf9c46, 0x08ba277965af6e2b,
+        0x8c646b5f667ac5d1, 0xcc24437e66b13eb9,
+        0x26ad24e78daf57cf, 0x26ad24e78daf57cf,
+        0x9d1903af1bf966a5, 0x6a1ecda8dd328490,
+        0xdb69b997c2be297f, 0x4232c4cedc57caf2,
+    ]),
+    ("Merged+Aligned reorder=1 pipelined=0", [
+        0xc5e22dc274bf9c46, 0x08ba277965af6e2b,
+        0x8c646b5f667ac5d1, 0xcc24437e66b13eb9,
+        0x26ad24e78daf57cf, 0x26ad24e78daf57cf,
+        0x9d1903af1bf966a5, 0x6a1ecda8dd328490,
+        0xdb69b997c2be297f, 0x4232c4cedc57caf2,
+    ]),
+    ("Merged+Aligned reorder=1 pipelined=1", [
+        0xc5e22dc274bf9c46, 0x08ba277965af6e2b,
+        0x8c646b5f667ac5d1, 0xcc24437e66b13eb9,
+        0x26ad24e78daf57cf, 0x26ad24e78daf57cf,
+        0x9d1903af1bf966a5, 0x6a1ecda8dd328490,
+        0xdb69b997c2be297f, 0x4232c4cedc57caf2,
+    ]),
+    ("Hybrid reorder=0 pipelined=0", [
+        0x574821cb908bcc63, 0x65ab5dffaae37d7b,
+        0xbb3fc4afffd0cfc1, 0xa37474d54fe07df4,
+        0xf58d92e6760ca703, 0xf58d92e6760ca703,
+        0xe76a6ed5143f4ea1, 0x42bea676e2f9344e,
+        0x763a835a9a8cc525, 0xb2c3827506350ab1,
+    ]),
+    ("Hybrid reorder=0 pipelined=1", [
+        0x3f9b2eb2fa81e46d, 0x544897e37f56f96b,
+        0xab8d460adb0af351, 0xbd078818bc97d248,
+        0x4ed72dfd53d69517, 0x4ed72dfd53d69517,
+        0x71e5fde6c2d838a9, 0x8a016a77d77d50bd,
+        0x910a39ba58def923, 0x07a60172c7497edf,
+    ]),
+    ("Hybrid reorder=1 pipelined=0", [
+        0x6b0d9c483adcdd66, 0x57de325dce063d57,
+        0xbb3fc4afffd0cfc1, 0xa37474d54fe07df4,
+        0x691fcf7aa71a6cd7, 0x691fcf7aa71a6cd7,
+        0x364b47d0972a7503, 0x8cefab530d056857,
+        0xdcb18f589c3834ad, 0x13f26bedadf79216,
+    ]),
+    ("Hybrid reorder=1 pipelined=1", [
+        0xc5e8a8356cd55505, 0x0f79a3720746c7d7,
+        0xab8d460adb0af351, 0xbd078818bc97d248,
+        0x751c8de7ebd58a57, 0x751c8de7ebd58a57,
+        0x702888ae1e6531fc, 0x48d5e628335822ea,
+        0x86a85eef50d3b664, 0x7f4d44de83c9f0f2,
+    ]),
+    ("UVM reorder=0 pipelined=0", [
+        0x105717d3bf063413, 0x8f90ca3846dba9d7,
+        0xae0e45711a215a1d, 0xec9306c007731b62,
+        0x8c35cb4e787a12c3, 0x8c35cb4e787a12c3,
+        0x2614e24bc917f056, 0x81b07c5bfa59d7e9,
+        0xc9d52ded6e2e78f4, 0xd0de5d5db66d3800,
+    ]),
+    ("UVM reorder=0 pipelined=1", [
+        0x105717d3bf063413, 0x8f90ca3846dba9d7,
+        0xae0e45711a215a1d, 0xec9306c007731b62,
+        0x8c35cb4e787a12c3, 0x8c35cb4e787a12c3,
+        0x2614e24bc917f056, 0x81b07c5bfa59d7e9,
+        0xc9d52ded6e2e78f4, 0xd0de5d5db66d3800,
+    ]),
+    ("UVM reorder=1 pipelined=0", [
+        0x105717d3bf063413, 0x8f90ca3846dba9d7,
+        0xae0e45711a215a1d, 0xec9306c007731b62,
+        0x8c35cb4e787a12c3, 0x8c35cb4e787a12c3,
+        0x2614e24bc917f056, 0x81b07c5bfa59d7e9,
+        0xc9d52ded6e2e78f4, 0xd0de5d5db66d3800,
+    ]),
+    ("UVM reorder=1 pipelined=1", [
+        0x105717d3bf063413, 0x8f90ca3846dba9d7,
+        0xae0e45711a215a1d, 0xec9306c007731b62,
+        0x8c35cb4e787a12c3, 0x8c35cb4e787a12c3,
+        0x2614e24bc917f056, 0x81b07c5bfa59d7e9,
+        0xc9d52ded6e2e78f4, 0xd0de5d5db66d3800,
+    ]),
+];
+
+/// `uniform_random(400, 6, 5)`, generated at the parent commit.
+#[rustfmt::skip]
+const UNIFORM: &[Row] = &[
+    ("Naive reorder=0 pipelined=0", [
+        0x00736c5128148500, 0xd05daeccd3720d06,
+        0x0c7f1e26d62b6bfb, 0xec1586bef83b3c1c,
+        0xfd88866587aded32, 0xfd88866587aded32,
+        0xf604a4628bbbeb04, 0xdd8949c54994ba9d,
+        0x23ffabf890fd79e0, 0x777ad96c8f5463a8,
+    ]),
+    ("Naive reorder=0 pipelined=1", [
+        0x00736c5128148500, 0xd05daeccd3720d06,
+        0x0c7f1e26d62b6bfb, 0xec1586bef83b3c1c,
+        0xfd88866587aded32, 0xfd88866587aded32,
+        0xf604a4628bbbeb04, 0xdd8949c54994ba9d,
+        0x23ffabf890fd79e0, 0x777ad96c8f5463a8,
+    ]),
+    ("Naive reorder=1 pipelined=0", [
+        0x00736c5128148500, 0xd05daeccd3720d06,
+        0x0c7f1e26d62b6bfb, 0xec1586bef83b3c1c,
+        0xfd88866587aded32, 0xfd88866587aded32,
+        0xf604a4628bbbeb04, 0xdd8949c54994ba9d,
+        0x23ffabf890fd79e0, 0x777ad96c8f5463a8,
+    ]),
+    ("Naive reorder=1 pipelined=1", [
+        0x00736c5128148500, 0xd05daeccd3720d06,
+        0x0c7f1e26d62b6bfb, 0xec1586bef83b3c1c,
+        0xfd88866587aded32, 0xfd88866587aded32,
+        0xf604a4628bbbeb04, 0xdd8949c54994ba9d,
+        0x23ffabf890fd79e0, 0x777ad96c8f5463a8,
+    ]),
+    ("Merged reorder=0 pipelined=0", [
+        0x00ff1192d2309e6c, 0x0acdce82b6a95802,
+        0xa95d31f961ed33ba, 0xe2776de6981f12e4,
+        0x240530307a5a5d3e, 0x240530307a5a5d3e,
+        0x156ee46064146948, 0x60dc67d44d9fd3af,
+        0x7b51f9bf235ba7f1, 0x1ac8127042111116,
+    ]),
+    ("Merged reorder=0 pipelined=1", [
+        0x00ff1192d2309e6c, 0x0acdce82b6a95802,
+        0xa95d31f961ed33ba, 0xe2776de6981f12e4,
+        0x240530307a5a5d3e, 0x240530307a5a5d3e,
+        0x156ee46064146948, 0x60dc67d44d9fd3af,
+        0x7b51f9bf235ba7f1, 0x1ac8127042111116,
+    ]),
+    ("Merged reorder=1 pipelined=0", [
+        0x00ff1192d2309e6c, 0x0acdce82b6a95802,
+        0xa95d31f961ed33ba, 0xe2776de6981f12e4,
+        0x240530307a5a5d3e, 0x240530307a5a5d3e,
+        0x156ee46064146948, 0x60dc67d44d9fd3af,
+        0x7b51f9bf235ba7f1, 0x1ac8127042111116,
+    ]),
+    ("Merged reorder=1 pipelined=1", [
+        0x00ff1192d2309e6c, 0x0acdce82b6a95802,
+        0xa95d31f961ed33ba, 0xe2776de6981f12e4,
+        0x240530307a5a5d3e, 0x240530307a5a5d3e,
+        0x156ee46064146948, 0x60dc67d44d9fd3af,
+        0x7b51f9bf235ba7f1, 0x1ac8127042111116,
+    ]),
+    ("Merged+Aligned reorder=0 pipelined=0", [
+        0x00ff1192d2309e6c, 0x0acdce82b6a95802,
+        0xa95d31f961ed33ba, 0xe2776de6981f12e4,
+        0x240530307a5a5d3e, 0x240530307a5a5d3e,
+        0x156ee46064146948, 0x60dc67d44d9fd3af,
+        0x7b51f9bf235ba7f1, 0x1ac8127042111116,
+    ]),
+    ("Merged+Aligned reorder=0 pipelined=1", [
+        0x00ff1192d2309e6c, 0x0acdce82b6a95802,
+        0xa95d31f961ed33ba, 0xe2776de6981f12e4,
+        0x240530307a5a5d3e, 0x240530307a5a5d3e,
+        0x156ee46064146948, 0x60dc67d44d9fd3af,
+        0x7b51f9bf235ba7f1, 0x1ac8127042111116,
+    ]),
+    ("Merged+Aligned reorder=1 pipelined=0", [
+        0x00ff1192d2309e6c, 0x0acdce82b6a95802,
+        0xa95d31f961ed33ba, 0xe2776de6981f12e4,
+        0x240530307a5a5d3e, 0x240530307a5a5d3e,
+        0x156ee46064146948, 0x60dc67d44d9fd3af,
+        0x7b51f9bf235ba7f1, 0x1ac8127042111116,
+    ]),
+    ("Merged+Aligned reorder=1 pipelined=1", [
+        0x00ff1192d2309e6c, 0x0acdce82b6a95802,
+        0xa95d31f961ed33ba, 0xe2776de6981f12e4,
+        0x240530307a5a5d3e, 0x240530307a5a5d3e,
+        0x156ee46064146948, 0x60dc67d44d9fd3af,
+        0x7b51f9bf235ba7f1, 0x1ac8127042111116,
+    ]),
+    ("Hybrid reorder=0 pipelined=0", [
+        0xe133e320c7fa91f0, 0xab8f418761cf9246,
+        0xcf27a4550e29e0d3, 0x9b380c2756bccb9e,
+        0x53e76453bdc520f2, 0x53e76453bdc520f2,
+        0xbc711c8e6e7b689f, 0x612b84ca7c2b0d84,
+        0x07a6059df5901c20, 0x35d695802be36ff0,
+    ]),
+    ("Hybrid reorder=0 pipelined=1", [
+        0x915b55ad021b74d9, 0x6f1175365392c5ea,
+        0x2106b6442b5c757d, 0x26e9314441f353c7,
+        0xcd86e9d83e86416a, 0xcd86e9d83e86416a,
+        0x675d709f029dc861, 0x9775e4c1ec69ce69,
+        0x69aa504d317a8039, 0xd88a5d9bb31ad17f,
+    ]),
+    ("Hybrid reorder=1 pipelined=0", [
+        0x50c8dfb61c11222a, 0xe8ee2ec70a382aaa,
+        0xcf27a4550e29e0d3, 0x194216a8b1bf077e,
+        0xf657043a18d78f22, 0xf657043a18d78f22,
+        0x6c85038956564880, 0x091d2e9cdb177487,
+        0xf8199eede8377b62, 0x473fe57f96b1e4ee,
+    ]),
+    ("Hybrid reorder=1 pipelined=1", [
+        0x7797a268d05dba58, 0xf1516d1a60d0d7b6,
+        0x2106b6442b5c757d, 0x40f24bde4ff32f71,
+        0x59993614e1d8a16e, 0x59993614e1d8a16e,
+        0xd1cdcccbb1dd2796, 0xcfc00241dd6d0df2,
+        0xaeedd4408a7ed213, 0xc2bf6cf1fb294394,
+    ]),
+    ("UVM reorder=0 pipelined=0", [
+        0x2587ea171dd0ff8e, 0x45e4d1ff7400ead2,
+        0xc358b98346907388, 0x2523ac7899aeadee,
+        0x0874fdc2202fe452, 0x0874fdc2202fe452,
+        0x4a689ae160ab2872, 0x042f96fe78a0b556,
+        0xc2d66812c60f7dea, 0xede47599871cdd51,
+    ]),
+    ("UVM reorder=0 pipelined=1", [
+        0x2587ea171dd0ff8e, 0x45e4d1ff7400ead2,
+        0xc358b98346907388, 0x2523ac7899aeadee,
+        0x0874fdc2202fe452, 0x0874fdc2202fe452,
+        0x4a689ae160ab2872, 0x042f96fe78a0b556,
+        0xc2d66812c60f7dea, 0xede47599871cdd51,
+    ]),
+    ("UVM reorder=1 pipelined=0", [
+        0x2587ea171dd0ff8e, 0x45e4d1ff7400ead2,
+        0xc358b98346907388, 0x2523ac7899aeadee,
+        0x0874fdc2202fe452, 0x0874fdc2202fe452,
+        0x4a689ae160ab2872, 0x042f96fe78a0b556,
+        0xc2d66812c60f7dea, 0xede47599871cdd51,
+    ]),
+    ("UVM reorder=1 pipelined=1", [
+        0x2587ea171dd0ff8e, 0x45e4d1ff7400ead2,
+        0xc358b98346907388, 0x2523ac7899aeadee,
+        0x0874fdc2202fe452, 0x0874fdc2202fe452,
+        0x4a689ae160ab2872, 0x042f96fe78a0b556,
+        0xc2d66812c60f7dea, 0xede47599871cdd51,
+    ]),
+];
+
+/// Batch sources; the first `k` serve a `k`-query batch. All distinct,
+/// all below both graphs' vertex counts.
+const SOURCES: [u32; 8] = [1, 3, 17, 40, 99, 150, 222, 301];
+
+/// FNV-1a over 64-bit words (little-endian bytes).
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, x: u64) {
+        for b in x.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn words(&mut self, xs: impl IntoIterator<Item = u64>) {
+        for x in xs {
+            self.word(x);
+        }
+    }
+
+    /// Every field of `s`. The exhaustive destructuring makes a counter
+    /// that is added to [`RunStats`] but not pinned here a compile error.
+    fn stats(&mut self, s: &RunStats) {
+        let RunStats {
+            elapsed_ns,
+            kernel_launches,
+            pcie_read_requests,
+            request_sizes,
+            host_bytes,
+            avg_pcie_gbps,
+            page_faults,
+            pages_migrated,
+            host_dram_bytes,
+            l2_sector_hits,
+            l2_sector_misses,
+            lane_bytes,
+            txn_bytes,
+            cxl_read_requests,
+            cxl_bytes,
+            transfer,
+            prefetch,
+            shared_fetch,
+        } = s;
+        let TransferStats {
+            staged_regions,
+            staged_bytes,
+            pool_fallbacks,
+            staging_rounds,
+            cxl_staged_regions,
+            cxl_staged_bytes,
+            demoted_regions,
+        } = transfer;
+        let PrefetchStats {
+            prefetched_regions,
+            prefetched_bytes,
+            hit_regions,
+            hit_bytes,
+            wasted_bytes,
+            stall_ns,
+            hidden_ns,
+        } = prefetch;
+        self.words([
+            *elapsed_ns,
+            *kernel_launches,
+            *pcie_read_requests,
+            *host_bytes,
+            avg_pcie_gbps.to_bits(),
+            *page_faults,
+            *pages_migrated,
+            *host_dram_bytes,
+            *l2_sector_hits,
+            *l2_sector_misses,
+            *lane_bytes,
+            *txn_bytes,
+            *cxl_read_requests,
+            *cxl_bytes,
+            u64::from(*shared_fetch),
+        ]);
+        self.words(request_sizes.buckets);
+        self.word(request_sizes.other);
+        self.words([
+            *staged_regions,
+            *staged_bytes,
+            *pool_fallbacks,
+            *staging_rounds,
+            *cxl_staged_regions,
+            *cxl_staged_bytes,
+            *demoted_regions,
+        ]);
+        self.words([
+            *prefetched_regions,
+            *prefetched_bytes,
+            *hit_regions,
+            *hit_bytes,
+            *wasted_bytes,
+            *stall_ns,
+            *hidden_ns,
+        ]);
+    }
+
+    fn run<O: Pinned>(&mut self, run: &Run<O>) {
+        run.output.pin(self);
+        self.stats(&run.stats);
+    }
+
+    fn batch<O: Pinned>(&mut self, batch: &BatchRun<O>) {
+        self.stats(&batch.stats);
+        self.word(batch.runs.len() as u64);
+        for run in &batch.runs {
+            self.run(run);
+        }
+    }
+
+    fn sharded<O: Pinned>(&mut self, run: &ShardedRun<O>) {
+        run.output.pin(self);
+        self.stats(&run.stats);
+        for s in &run.per_device {
+            self.stats(s);
+        }
+        let LinkStats {
+            bytes,
+            transfers,
+            busy_ns,
+        } = run.exchange;
+        self.words([bytes, transfers, busy_ns, run.iterations]);
+    }
+}
+
+/// A program output the digest covers in full.
+trait Pinned {
+    fn pin(&self, h: &mut Fnv);
+}
+
+impl Pinned for BfsOutput {
+    fn pin(&self, h: &mut Fnv) {
+        h.words(self.levels.iter().map(|&l| u64::from(l)));
+    }
+}
+
+impl Pinned for SsspOutput {
+    fn pin(&self, h: &mut Fnv) {
+        h.words(self.dist.iter().map(|&d| u64::from(d)));
+    }
+}
+
+impl Pinned for CcOutput {
+    fn pin(&self, h: &mut Fnv) {
+        h.words(self.comp.iter().map(|&c| u64::from(c)));
+        h.word(self.hook_passes);
+    }
+}
+
+impl Pinned for PageRankOutput {
+    fn pin(&self, h: &mut Fnv) {
+        h.words(self.ranks.iter().map(|r| r.to_bits()));
+        h.word(u64::from(self.iterations));
+    }
+}
+
+/// The five access configurations, on a machine whose cache (16 KiB) and
+/// transfer regions (4 KiB) are shrunk below the test graphs' edge lists
+/// so that misses, staging, prefetching and segment reordering all fire.
+fn configs() -> Vec<(&'static str, EngineConfig)> {
+    let mut out: Vec<(&'static str, EngineConfig)> = AccessMode::all()
+        .into_iter()
+        .map(|mode| (mode.name(), EngineConfig::emogi_v100().with_mode(mode)))
+        .collect();
+    out.push(("UVM", EngineConfig::uvm_v100()));
+    for (_, cfg) in &mut out {
+        cfg.machine.gpu.cache.capacity_bytes = 16 << 10;
+        if let Some(t) = cfg.transfer.as_mut() {
+            t.region_bytes = 4 << 10;
+        }
+    }
+    out
+}
+
+/// One table cell. Every shape starts from a fresh placement and runs
+/// SSSP first: a UVM engine must place the weight array before its first
+/// managed kernel.
+fn cell(shape: usize, cfg: &EngineConfig, g: &CsrGraph, w: &[u32]) -> u64 {
+    let mut h = Fnv::new();
+    match shape {
+        0 => {
+            let mut e = Engine::load(cfg.clone(), g);
+            h.run(&e.sssp(w, 3));
+            h.run(&e.bfs(3));
+            h.run(&e.cc());
+            h.run(&e.pagerank(0.85, 4));
+        }
+        1..=3 => {
+            let k = [1, 3, 8][shape - 1];
+            let mut e = Engine::load(cfg.clone(), g);
+            let sssp = SOURCES[..k].iter().map(|&s| SsspProgram::new(g, w, s));
+            h.batch(&e.run_batch(sssp.collect()));
+            let bfs = SOURCES[..k].iter().map(|&s| BfsProgram::new(g, s));
+            h.batch(&e.run_batch(bfs.collect()));
+        }
+        _ => {
+            let devices = [1, 2, 4][(shape - 4) / 2];
+            let partition = PartitionStrategy::all()[(shape - 4) % 2];
+            let mut scfg = ShardedConfig::emogi_v100(devices).with_partition(partition);
+            scfg.engine = cfg.clone();
+            let mut e = ShardedEngine::load(scfg, g);
+            h.sharded(&e.sssp(w, 3));
+            h.sharded(&e.bfs(3));
+            h.sharded(&e.cc());
+            h.sharded(&e.pagerank(0.85, 4));
+        }
+    }
+    h.0
+}
+
+/// Compute the whole matrix for `g` and compare it with `want`; on any
+/// mismatch print the full actual table, paste-ready.
+fn check(name: &str, g: &CsrGraph, want: &[Row]) {
+    let w = generate_weights(g.num_edges(), 11);
+    let mut got: Vec<(String, [u64; 10])> = Vec::new();
+    for (mode, base) in configs() {
+        for reorder in [false, true] {
+            for pipelined in [false, true] {
+                let mut cfg = base.clone().with_frontier_reorder(reorder);
+                if pipelined {
+                    cfg = cfg.pipelined();
+                }
+                let label = format!(
+                    "{mode} reorder={} pipelined={}",
+                    u8::from(reorder),
+                    u8::from(pipelined)
+                );
+                let mut cells = [0u64; 10];
+                for (shape, c) in cells.iter_mut().enumerate() {
+                    *c = cell(shape, &cfg, g, &w);
+                }
+                got.push((label, cells));
+            }
+        }
+    }
+    let mut diffs = Vec::new();
+    for (i, (label, cells)) in got.iter().enumerate() {
+        match want.get(i) {
+            Some((wl, wc)) if wl == label => {
+                for (s, (a, b)) in cells.iter().zip(wc).enumerate() {
+                    if a != b {
+                        diffs.push(format!("{label} / {}", SHAPES[s]));
+                    }
+                }
+            }
+            _ => diffs.push(format!("{label} / (row missing from the table)")),
+        }
+    }
+    if diffs.is_empty() && want.len() == got.len() {
+        return;
+    }
+    println!("// actual table for {name}:");
+    for (label, cells) in &got {
+        println!("    (\"{label}\", [");
+        for pair in cells.chunks(2) {
+            let line: Vec<String> = pair.iter().map(|c| format!("{c:#018x}")).collect();
+            println!("        {},", line.join(", "));
+        }
+        println!("    ]),");
+    }
+    panic!(
+        "{name}: {} simulated cells differ from the pinned table \
+         (actual table printed above): {diffs:#?}",
+        diffs.len()
+    );
+}
+
+#[test]
+fn kronecker_matrix_matches_the_table_pinned_at_the_parent_commit() {
+    let g = generators::kronecker(9, 16, 21);
+    let max_degree = (0..g.num_vertices() as u32).map(|v| g.degree(v)).max();
+    assert!(
+        max_degree >= Some(emogi_repro::core::sharded::HUB_SPLIT_DEGREE),
+        "the pin must cover cooperative hub splitting: {max_degree:?}"
+    );
+    check("KRONECKER", &g, KRONECKER);
+}
+
+#[test]
+fn uniform_matrix_matches_the_table_pinned_at_the_parent_commit() {
+    let g = generators::uniform_random(400, 6, 5);
+    check("UNIFORM", &g, UNIFORM);
+}
