@@ -7,8 +7,8 @@
 //! them one at a time on one engine (so it still enjoys the warm cache
 //! and, in hybrid mode, previously staged regions); batched execution
 //! submits the burst to a [`QueryServer`], whose scheduler groups the
-//! compatible queries into one [`emogi_core::BatchKernel`] run per
-//! iteration — each edge-list region crosses PCIe once and serves every
+//! compatible queries into one [`emogi_core::Engine::run_batch`] launch
+//! per iteration — each edge-list region crosses PCIe once and serves every
 //! query touching it.
 //!
 //! The skewed GK graph makes the case: after a level or two every BFS

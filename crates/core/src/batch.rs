@@ -4,33 +4,30 @@
 //! EMOGI's premise is that every PCIe cache line counts; once an
 //! [`Engine`](crate::engine::Engine) serves many queries against one
 //! placement, concurrent queries whose frontiers overlap should *share*
-//! those cache lines instead of re-fetching them per query. A
-//! [`BatchKernel`] runs one launch over the **union** of the batch's
-//! per-query frontiers: each union vertex's neighbour list crosses the
-//! link once and is handed to every query that has the vertex active,
-//! while each query keeps its own device-resident status array, its own
-//! program state and its own next frontier.
+//! those cache lines instead of re-fetching them per query. A batched
+//! iteration launches the one [`ProgramKernel`](crate::kernel::ProgramKernel)
+//! over the **union** of the batch's per-query frontiers
+//! (`merge_frontiers`): each union vertex's neighbour list crosses the
+//! link once and is handed to every member query that has the vertex
+//! active, while each query keeps its own device-resident status array,
+//! its own program state and its own next frontier.
 //!
-//! Correctness contract: per-task contexts are captured at iteration
-//! start ([`VertexProgram::source_ctx`]), and the shipped frontier-driven
-//! programs' per-edge updates are commutative within an iteration
-//! (BFS marks, SSSP takes mins), so a query's frontier sequence — and
-//! therefore its output *and* its iteration count — is identical whether
-//! it runs alone or inside any batch. [`Engine::run_batch`] is the
-//! driver; `tests/serve_proptests.rs` checks the equivalence on random
-//! graphs, query mixes and access modes.
+//! Correctness contract: per-member contexts are captured at iteration
+//! start ([`VertexProgram::source_ctx`](crate::program::VertexProgram::source_ctx)),
+//! and the shipped frontier-driven programs' per-edge updates are
+//! commutative within an iteration (BFS marks, SSSP takes mins), so a
+//! query's frontier sequence — and therefore its output *and* its
+//! iteration count — is identical whether it runs alone or inside any
+//! batch. [`Engine::run_batch`] is the front end;
+//! `tests/serve_proptests.rs` checks the equivalence on random graphs,
+//! query mixes and access modes.
 //!
 //! [`Engine::run_batch`]: crate::engine::Engine::run_batch
 
-use crate::layout::GraphLayout;
-use crate::program::{EdgeEffect, VertexProgram};
-use crate::strategy::AccessStrategy;
-use crate::walk::{LaneWalk, WarpWalk};
-use emogi_gpu::access::{AccessBatch, Space, WARP_SIZE};
-use emogi_graph::{CsrGraph, VertexId};
-use emogi_runtime::{Kernel, RunStats, StepOutcome};
+use emogi_graph::VertexId;
+use emogi_runtime::RunStats;
 
-/// Maximum queries one batch may hold: per-vertex membership is a `u64`
+/// Maximum queries one batch may hold: per-item membership is a `u64`
 /// bitset over the batch's query slots.
 pub const MAX_BATCH_QUERIES: usize = 64;
 
@@ -53,7 +50,9 @@ pub struct BatchRun<O> {
 
 /// Merge per-query frontiers (each sorted and deduplicated) into one
 /// sorted union worklist plus a parallel membership bitset per union
-/// vertex (bit `q` set ⇔ vertex is on query `q`'s frontier).
+/// vertex (bit `q` set ⇔ vertex is on query `q`'s frontier). A single
+/// query's frontier is its own union; its masks stay empty (every vertex
+/// has the one member, slot 0).
 pub(crate) fn merge_frontiers(
     frontiers: &[Vec<VertexId>],
     union: &mut Vec<VertexId>,
@@ -61,6 +60,10 @@ pub(crate) fn merge_frontiers(
 ) {
     union.clear();
     masks.clear();
+    if let [only] = frontiers {
+        union.extend_from_slice(only);
+        return;
+    }
     let mut pairs: Vec<(VertexId, u32)> = frontiers
         .iter()
         .enumerate()
@@ -73,255 +76,6 @@ pub(crate) fn merge_frontiers(
         } else {
             union.push(v);
             masks.push(1 << q);
-        }
-    }
-}
-
-/// Task state of one batched launch: like
-/// [`ProgramTask`](crate::kernel::ProgramTask), but work items are union
-/// frontier positions rather than per-query vertices.
-#[allow(clippy::large_enum_variant)]
-pub enum BatchTask {
-    /// Merged/aligned: a warp on one union vertex.
-    Warp {
-        /// Index into the union worklist.
-        u: usize,
-        /// Neighbour-list sweep state (`None` until the offsets loaded).
-        walk: Option<WarpWalk>,
-    },
-    /// Naive: 32 lanes on 32 union vertices.
-    Lanes {
-        /// Indices into the union worklist, one per lane.
-        us: Vec<usize>,
-        /// Per-lane cursor state (`None` until the offsets loaded).
-        walk: Option<LaneWalk>,
-    },
-}
-
-/// One launch of a batch of same-type programs over the union of their
-/// frontiers.
-///
-/// The *shared* traffic — CSR offset loads, the edge-list stream and (for
-/// edge-data programs) the weight stream — is emitted once per union
-/// vertex. The *per-query* traffic — the own-status load at task start,
-/// the destination-status gather and the conditional status store per
-/// edge — is emitted once per member query against that query's own
-/// status array.
-pub struct BatchKernel<'a, P: VertexProgram> {
-    graph: &'a CsrGraph,
-    layout: &'a GraphLayout,
-    strategy: AccessStrategy,
-    programs: &'a mut [P],
-    /// Device base address of each query's status array.
-    status_bases: &'a [u64],
-    /// The merged frontier, sorted and deduplicated.
-    union: &'a [VertexId],
-    /// CSR over the union: vertex `u`'s members are
-    /// `members[member_off[u]..member_off[u + 1]]`.
-    member_off: Vec<u32>,
-    /// `(query slot, iteration-start context)` pairs.
-    members: Vec<(u32, P::Ctx)>,
-    /// Per-query next frontiers (activations).
-    next: &'a mut [Vec<VertexId>],
-    pos: usize,
-    loaded_scratch: Vec<(u64, u8)>,
-    edge_data: bool,
-    source_status: bool,
-}
-
-impl<'a, P: VertexProgram> BatchKernel<'a, P> {
-    /// Build one batched launch. `masks` is parallel to `union` (bit `q`
-    /// set ⇔ the vertex is on query `q`'s frontier); contexts are
-    /// captured here, at iteration start, exactly like the single-query
-    /// kernel does.
-    // A kernel launch wires one borrow per engine-owned resource; a
-    // params struct would only rename the argument list.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        graph: &'a CsrGraph,
-        layout: &'a GraphLayout,
-        strategy: AccessStrategy,
-        programs: &'a mut [P],
-        status_bases: &'a [u64],
-        union: &'a [VertexId],
-        masks: &[u64],
-        next: &'a mut [Vec<VertexId>],
-    ) -> Self {
-        assert!(!programs.is_empty() && programs.len() <= MAX_BATCH_QUERIES);
-        assert_eq!(union.len(), masks.len(), "masks parallel the union");
-        assert!(status_bases.len() >= programs.len());
-        assert_eq!(next.len(), programs.len());
-        let edge_data = programs[0].uses_edge_data();
-        if edge_data {
-            assert!(
-                layout.weight_base.is_some(),
-                "programs need edge data but none is placed"
-            );
-        }
-        let source_status = programs[0].reads_source_status();
-        let mut member_off = Vec::with_capacity(union.len() + 1);
-        let mut members = Vec::new();
-        member_off.push(0u32);
-        for (&v, &mask) in union.iter().zip(masks) {
-            let mut m = mask;
-            while m != 0 {
-                let q = m.trailing_zeros();
-                m &= m - 1;
-                members.push((q, programs[q as usize].source_ctx(v)));
-            }
-            member_off.push(members.len() as u32);
-        }
-        Self {
-            graph,
-            layout,
-            strategy,
-            programs,
-            status_bases,
-            union,
-            member_off,
-            members,
-            next,
-            pos: 0,
-            loaded_scratch: Vec::with_capacity(WARP_SIZE),
-            edge_data,
-            source_status,
-        }
-    }
-
-    /// Task-start loads for union vertex `u`: the two CSR offsets once
-    /// (the vertex list is shared), plus each member query's own status
-    /// entry for programs that read it.
-    fn open_vertex(&mut self, u: usize, batch: &mut AccessBatch) -> (u64, u64) {
-        let v = self.union[u];
-        batch.load(self.layout.vertex_addr(u64::from(v)), 8, Space::Device);
-        batch.load(self.layout.vertex_addr(u64::from(v) + 1), 8, Space::Device);
-        if self.source_status {
-            for idx in self.member_off[u]..self.member_off[u + 1] {
-                let q = self.members[idx as usize].0 as usize;
-                self.status_addr_load(q, u64::from(v), batch);
-            }
-        }
-        (self.graph.neighbor_start(v), self.graph.neighbor_end(v))
-    }
-
-    fn status_addr(&self, q: usize, v: u64) -> u64 {
-        self.status_bases[q] + v * 4
-    }
-
-    fn status_addr_load(&self, q: usize, v: u64, batch: &mut AccessBatch) {
-        batch.load(self.status_addr(q, v), 4, Space::Device);
-    }
-
-    /// Process edge-list element `i` of union vertex `u` for every member
-    /// query: one destination-status gather per member (each against its
-    /// own array), then the member program's update and the traffic of
-    /// its effect. The edge element itself was already loaded once for
-    /// the whole batch.
-    fn visit_edge(&mut self, u: usize, i: u64, instr: u8, batch: &mut AccessBatch) {
-        let src = self.union[u];
-        let dst = self.graph.edge_dst(i);
-        for idx in self.member_off[u]..self.member_off[u + 1] {
-            let (q, ctx) = self.members[idx as usize];
-            let q = q as usize;
-            batch.load_instr(self.status_addr(q, u64::from(dst)), 4, Space::Device, instr);
-            match self.programs[q].edge(i, src, dst, ctx) {
-                EdgeEffect::None => {}
-                EdgeEffect::UpdateDst { activate } => {
-                    batch.store(self.status_addr(q, u64::from(dst)), 4, Space::Device);
-                    if activate {
-                        self.next[q].push(dst);
-                    }
-                }
-                EdgeEffect::UpdateSrc => {
-                    batch.store(self.status_addr(q, u64::from(src)), 4, Space::Device);
-                }
-            }
-        }
-    }
-}
-
-impl<P: VertexProgram> Kernel for BatchKernel<'_, P> {
-    type Task = BatchTask;
-
-    fn next_task(&mut self) -> Option<Self::Task> {
-        let n = self.union.len();
-        if self.pos >= n {
-            return None;
-        }
-        if self.strategy.warp_per_vertex() {
-            let u = self.pos;
-            self.pos += 1;
-            Some(BatchTask::Warp { u, walk: None })
-        } else {
-            let hi = (self.pos + WARP_SIZE).min(n);
-            let us: Vec<usize> = (self.pos..hi).collect();
-            self.pos = hi;
-            Some(BatchTask::Lanes { us, walk: None })
-        }
-    }
-
-    fn step(&mut self, task: &mut Self::Task, batch: &mut AccessBatch) -> StepOutcome {
-        match task {
-            BatchTask::Warp { u, walk } => {
-                let Some(w) = walk else {
-                    let (start, end) = self.open_vertex(*u, batch);
-                    if start == end {
-                        return StepOutcome::Done;
-                    }
-                    *walk = Some(WarpWalk::new(start, end, self.strategy, self.layout));
-                    return StepOutcome::Continue;
-                };
-                let (lo, hi) = w.emit_edges(self.layout, batch);
-                if self.edge_data {
-                    WarpWalk::emit_weights(self.layout, batch, lo, hi);
-                }
-                let u = *u;
-                for i in lo..hi {
-                    self.visit_edge(u, i, 128, batch);
-                }
-                if w.is_done() {
-                    StepOutcome::Done
-                } else {
-                    StepOutcome::Continue
-                }
-            }
-            BatchTask::Lanes { us, walk } => {
-                let Some(w) = walk else {
-                    let mut ranges = Vec::with_capacity(us.len());
-                    for &u in us.iter() {
-                        ranges.push(self.open_vertex(u, batch));
-                    }
-                    let lw = LaneWalk::new(&ranges);
-                    if lw.is_done() {
-                        return StepOutcome::Done;
-                    }
-                    *walk = Some(lw);
-                    return StepOutcome::Continue;
-                };
-                let mut loaded = std::mem::take(&mut self.loaded_scratch);
-                loaded.clear();
-                w.emit_edges(self.layout, batch, &mut loaded);
-                if self.edge_data {
-                    LaneWalk::emit_weights(self.layout, batch, &loaded);
-                }
-                for &(i, iter) in &loaded {
-                    let lane = us
-                        .iter()
-                        .position(|&u| {
-                            let v = self.union[u];
-                            i >= self.graph.neighbor_start(v) && i < self.graph.neighbor_end(v)
-                        })
-                        .expect("element belongs to some lane");
-                    self.visit_edge(us[lane], i, 128 + iter, batch);
-                }
-                let done = w.is_done();
-                self.loaded_scratch = loaded;
-                if done {
-                    StepOutcome::Done
-                } else {
-                    StepOutcome::Continue
-                }
-            }
         }
     }
 }
@@ -343,6 +97,10 @@ mod tests {
         merge_frontiers(&fs, &mut union, &mut masks);
         assert_eq!(union, vec![1, 5, 7, 9]);
         assert_eq!(masks, vec![0b001, 0b011, 0b010, 0b001]);
+        // A single query is its own union and materialises no masks.
+        merge_frontiers(&fs[..1], &mut union, &mut masks);
+        assert_eq!(union, vec![1, 5, 9]);
+        assert!(masks.is_empty());
     }
 
     #[test]
@@ -489,10 +247,17 @@ mod tests {
         let batch = engine.run_batch(vec![BfsProgram::new(&g, 3), BfsProgram::new(&g, 9)]);
         assert_eq!(batch.runs[0].levels, algo::bfs_levels(&g, 3));
         assert_eq!(batch.runs[1].levels, algo::bfs_levels(&g, 9));
-        assert!(
-            !batch.runs[0].stats.shared_fetch,
-            "solo fallback shares nothing"
-        );
+        // The fallback IS the solo path: every per-query stat equals a
+        // twin engine's back-to-back solo runs, and the batch total is
+        // their sequential fold.
+        let mut twin = Engine::load(EngineConfig::uvm_v100(), &g);
+        let _ = twin.bfs(0);
+        let (a, b) = (twin.bfs(3), twin.bfs(9));
+        assert_eq!(batch.runs[0].stats, a.stats, "solo fallback shares nothing");
+        assert_eq!(batch.runs[1].stats, b.stats);
+        let mut total = a.stats.clone();
+        total.accumulate(&b.stats);
+        assert_eq!(batch.stats, total);
     }
 
     #[test]

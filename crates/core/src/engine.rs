@@ -9,29 +9,29 @@
 //! (in hybrid mode) the already-staged regions, which is what makes
 //! multi-query scenarios (analytics serving, multi-source BFS) cheap.
 //!
-//! Between launches the engine charges the device-side vertex scan that
-//! selects active vertices (the kernels iterate over all vertices and
-//! test their status, §2.1 Algorithm 1), plans hybrid transfers from the
-//! program's declared [`AccessPattern`] — frontier-driven programs
-//! predict exactly the neighbour lists the next launch reads, full-sweep
-//! programs the whole edge list — and applies the program's device-side
-//! inter-launch work (CC's pointer-jumping shortcut).
+//! `Engine` is the N = 1 front of the one iteration driver
+//! (`driver.rs`): between launches the driver charges the
+//! device-side vertex scan that selects active vertices (the kernels
+//! iterate over all vertices and test their status, §2.1 Algorithm 1),
+//! plans hybrid transfers from the program's declared
+//! [`AccessPattern`] — frontier-driven programs predict exactly the
+//! neighbour lists the next launch reads, full-sweep programs the whole
+//! edge list — and applies the program's device-side inter-launch work
+//! (CC's pointer-jumping shortcut).
 
 use crate::batch::BatchRun;
 use crate::bfs::{BfsOutput, BfsProgram};
 use crate::cc::{CcOutput, CcProgram};
-use crate::kernel::{ProgramKernel, WorkList};
+use crate::driver::Driver;
 use crate::layout::{EdgePlacement, GraphLayout};
 use crate::pagerank::{PageRankOutput, PageRankProgram};
-use crate::program::{AccessPattern, DeviceWork, VertexProgram};
+use crate::program::{AccessPattern, VertexProgram};
 use crate::sssp::{SsspOutput, SsspProgram};
 use crate::strategy::{AccessMode, AccessStrategy};
-use emogi_graph::{CsrGraph, VertexId};
-use emogi_runtime::exec::run_kernel;
+use emogi_graph::{CsrGraph, VertexId, VertexPartition};
 use emogi_runtime::machine::MachineConfig;
 use emogi_runtime::report::RunStats;
-use emogi_runtime::{Machine, PrefetchConfig, Prefetcher, TransferConfig, TransferManager};
-use emogi_sim::pipeline::CopyEngineConfig;
+use emogi_runtime::{Machine, PrefetchConfig, TransferConfig};
 
 /// How to build an [`Engine`].
 #[derive(Debug, Clone)]
@@ -65,9 +65,6 @@ pub struct EngineConfig {
     /// timing may differ. Off by default.
     pub frontier_reorder: bool,
 }
-
-/// Pre-redesign name of [`EngineConfig`], kept for downstream code.
-pub type TraversalConfig = EngineConfig;
 
 impl EngineConfig {
     /// EMOGI as evaluated: V100, PCIe 3.0, merged + aligned zero-copy.
@@ -171,94 +168,6 @@ impl EngineConfig {
     }
 }
 
-/// Build the hybrid transfer manager for a placed edge list, if the
-/// configuration asks for one. Shared by the single-device and sharded
-/// engines so the placement discipline can never diverge between them.
-/// The layout's host/CXL split becomes the manager's tier homes, so a
-/// spilled tail is promoted over the CXL link rather than the PCIe lane.
-pub(crate) fn build_transfer(
-    machine: &Machine,
-    graph: &CsrGraph,
-    elem_bytes: u64,
-    placement: EdgePlacement,
-    layout: &GraphLayout,
-    cfg: Option<TransferConfig>,
-) -> Option<TransferManager> {
-    cfg.map(|tcfg| {
-        assert_eq!(
-            placement,
-            EdgePlacement::ZeroCopyHost,
-            "hybrid transfers manage the pinned-host edge list"
-        );
-        TransferManager::with_tiers(
-            machine,
-            graph.edge_list_bytes(elem_bytes),
-            layout.host_edge_bytes,
-            tcfg,
-        )
-    })
-}
-
-/// Build the speculative prefetcher for a pipelined engine, if both the
-/// pipeline knob and a transfer manager are present (the knob is inert
-/// without one — there is nothing to stage asynchronously). The copy
-/// lane defaults to the machine's PCIe cost model so hidden-latency
-/// estimates match the synchronous DMA path. Shared by the
-/// single-device and sharded engines.
-pub(crate) fn build_prefetcher(
-    machine: &Machine,
-    transfer: Option<&TransferManager>,
-    cfg: Option<PrefetchConfig>,
-) -> Option<Prefetcher> {
-    match (transfer, cfg) {
-        (Some(tm), Some(pcfg)) => {
-            let copy = pcfg
-                .copy
-                .clone()
-                .unwrap_or_else(|| CopyEngineConfig::from_pcie(&machine.cfg.pcie));
-            Some(Prefetcher::new(tm.num_regions(), pcfg, copy))
-        }
-        _ => None,
-    }
-}
-
-/// Place the auxiliary 4-byte-per-edge data array in the edge list's
-/// space, if not already placed. The edge-space bump allocator is
-/// independent of the device one, so the array lands at the same
-/// address it would have at load time. Shared by the single-device and
-/// sharded engines.
-pub(crate) fn ensure_edge_data(
-    machine: &mut Machine,
-    layout: &mut GraphLayout,
-    graph: &CsrGraph,
-    placement: EdgePlacement,
-) {
-    if layout.weight_base.is_some() {
-        return;
-    }
-    let bytes = graph.num_edges() as u64 * 4;
-    let base = match placement {
-        EdgePlacement::ZeroCopyHost => machine.alloc_host_pinned(bytes),
-        EdgePlacement::Uvm => {
-            assert!(
-                machine.uvm.is_none(),
-                "place edge data before the first managed kernel runs \
-                 (the UVM driver's span is fixed at initialization)"
-            );
-            machine.alloc_managed(bytes)
-        }
-    };
-    layout.weight_base = Some(base);
-}
-
-/// Charge the device-side active-vertex scan before a launch (the
-/// kernels iterate over all vertices and test their status, §2.1
-/// Algorithm 1). Shared by the single-device and sharded engines.
-pub(crate) fn charge_vertex_scan(machine: &mut Machine, num_vertices: usize) {
-    let bytes = num_vertices as u64 * 4;
-    machine.now = machine.hbm.read_bulk(machine.now, bytes);
-}
-
 /// Result of one program execution: the program's output plus the run's
 /// measurements (which carry their own transfer counters — hybrid runs
 /// fill [`RunStats::transfer`], everything else leaves it zeroed).
@@ -309,21 +218,8 @@ pub type PageRankRun = Run<PageRankOutput>;
 pub struct Engine<'g> {
     /// The simulated machine the graph is placed on.
     pub machine: Machine,
-    graph: &'g CsrGraph,
-    layout: GraphLayout,
-    strategy: AccessStrategy,
-    placement: EdgePlacement,
-    /// Hybrid mode: the per-region zero-copy / DMA transfer manager.
-    transfer: Option<TransferManager>,
-    /// Pipelined execution: the speculative prefetcher feeding the
-    /// asynchronous copy lane (present only when `transfer` is too).
-    prefetcher: Option<Prefetcher>,
-    /// Frontier access reordering: segment size to sort each iteration's
-    /// work by, or `None` when the knob is off.
-    reorder_segment: Option<u64>,
-    /// Device status arrays for batched multi-query execution, one per
-    /// query slot, allocated on first use and reused across batches.
-    batch_status: Vec<u64>,
+    /// The placement and the iteration driver, on one device.
+    core: Driver<'g>,
 }
 
 impl<'g> Engine<'g> {
@@ -332,46 +228,25 @@ impl<'g> Engine<'g> {
     /// that declares it — weights are a program input, not an engine
     /// field.
     pub fn load(cfg: EngineConfig, graph: &'g CsrGraph) -> Self {
-        let reorder_segment = cfg
-            .frontier_reorder
-            .then_some(cfg.machine.gpu.cache.capacity_bytes);
-        let mut machine = Machine::new(cfg.machine);
-        let layout = GraphLayout::place(&mut machine, graph, cfg.elem_bytes, cfg.placement, false);
-        let transfer = build_transfer(
-            &machine,
-            graph,
-            cfg.elem_bytes,
-            cfg.placement,
-            &layout,
-            cfg.transfer,
-        );
-        let prefetcher = build_prefetcher(&machine, transfer.as_ref(), cfg.pipeline);
-        Self {
-            machine,
-            graph,
-            layout,
-            strategy: cfg.strategy,
-            placement: cfg.placement,
-            transfer,
-            prefetcher,
-            reorder_segment,
-            batch_status: Vec::new(),
-        }
+        let mut machine = Machine::new(cfg.machine.clone());
+        let whole = VertexPartition::contiguous(graph.num_vertices(), 1);
+        let core = Driver::load(&cfg, graph, std::slice::from_mut(&mut machine), whole);
+        Self { machine, core }
     }
 
     /// The placed graph.
     pub fn graph(&self) -> &'g CsrGraph {
-        self.graph
+        self.core.graph
     }
 
     /// Where the graph's arrays live on the machine.
     pub fn layout(&self) -> &GraphLayout {
-        &self.layout
+        &self.core.places[0].layout
     }
 
     /// The kernel-level access strategy every run uses.
     pub fn strategy(&self) -> AccessStrategy {
-        self.strategy
+        self.core.strategy
     }
 
     /// Effective host-link payload bandwidth in bytes per simulated
@@ -385,199 +260,30 @@ impl<'g> Engine<'g> {
 
     /// Edge-list bytes as placed (the Figure 10 denominator).
     pub fn dataset_bytes(&self) -> u64 {
-        let mut b = self.graph.edge_list_bytes(self.layout.elem_bytes);
-        if self.layout.weight_base.is_some() {
-            b += self.graph.num_edges() as u64 * 4;
+        let graph = self.core.graph;
+        let mut b = graph.edge_list_bytes(self.layout().elem_bytes);
+        if self.layout().weight_base.is_some() {
+            b += graph.num_edges() as u64 * 4;
         }
         b
-    }
-
-    /// Place the auxiliary 4-byte-per-edge data array on demand (see
-    /// [`ensure_edge_data`]).
-    fn ensure_edge_data(&mut self) {
-        ensure_edge_data(
-            &mut self.machine,
-            &mut self.layout,
-            self.graph,
-            self.placement,
-        );
-    }
-
-    /// Device-side active-vertex scan before each launch.
-    fn charge_vertex_scan(&mut self) {
-        charge_vertex_scan(&mut self.machine, self.graph.num_vertices());
-    }
-
-    /// Hybrid planning before a launch: predict the launch's edge-list
-    /// byte ranges from the program's access pattern — the frontier
-    /// determines them precisely for frontier-driven programs, full
-    /// sweeps read everything — let the transfer manager stage regions
-    /// (advancing the machine clock by the bulk-copy time), and refresh
-    /// the layout's staged-region table for the kernels' address
-    /// computation.
-    fn plan_transfers(&mut self, pattern: AccessPattern, frontier: &[VertexId]) {
-        let Some(tm) = self.transfer.as_mut() else {
-            return;
-        };
-        let elem = self.layout.elem_bytes;
-        let graph = self.graph;
-        let pf = self.prefetcher.as_mut();
-        let changed = match pattern {
-            AccessPattern::FrontierDriven => {
-                let ranges = frontier
-                    .iter()
-                    .map(|&v| (graph.neighbor_start(v) * elem, graph.neighbor_end(v) * elem));
-                match pf {
-                    Some(p) => tm.plan_iteration_pipelined(&mut self.machine, ranges, p),
-                    None => tm.plan_iteration(&mut self.machine, ranges),
-                }
-            }
-            AccessPattern::FullSweep => {
-                let ranges = std::iter::once((0, graph.edge_list_bytes(elem)));
-                match pf {
-                    Some(p) => tm.plan_iteration_pipelined(&mut self.machine, ranges, p),
-                    None => tm.plan_iteration(&mut self.machine, ranges),
-                }
-            }
-        };
-        // Refresh the layout's table only when it changed: a run that
-        // never stages keeps `staged_edges == None` and the address path
-        // free of region lookups.
-        if changed {
-            self.layout.staged_edges = Some(tm.region_map());
-        }
-        // Double-buffering: feed the asynchronous lane with next
-        // iteration's predicted regions so their copies overlap the
-        // kernel launched right after this planning round.
-        if let Some(p) = self.prefetcher.as_mut() {
-            tm.prefetch_for_next(self.machine.now, p);
-        }
-    }
-
-    /// Charge the program's inter-launch device-side work.
-    fn apply_device_work<P: VertexProgram>(&mut self, program: &mut P, work: &mut DeviceWork) {
-        program.post_iteration(work);
-        for bytes in work.drain() {
-            self.machine.now = self.machine.hbm.read_bulk(self.machine.now, bytes);
-        }
     }
 
     /// Run `program` to convergence against the placed graph. One generic
     /// driver serves every program; there are no per-algorithm branches —
     /// only pattern dispatch on the program's declared [`AccessPattern`].
-    pub fn run<P: VertexProgram>(&mut self, mut program: P) -> Run<P::Output> {
-        if program.uses_edge_data() {
-            self.ensure_edge_data();
-        }
-        let snap = self.machine.snapshot();
-        let transfer_base = self.transfer.as_ref().map(|t| t.stats);
-        let prefetch_base = self.prefetcher.as_ref().map(|p| p.stats);
-        let pattern = program.pattern();
-        let mut launches = 0u64;
-        let mut work = DeviceWork::default();
-        let mut next: Vec<VertexId> = Vec::new();
-        match pattern {
-            AccessPattern::FrontierDriven => {
-                let mut frontier = program.initial_frontier();
-                frontier.sort_unstable();
-                frontier.dedup();
-                while !frontier.is_empty() {
-                    if let Some(seg) = self.reorder_segment {
-                        crate::reorder::reorder_frontier(
-                            &self.layout,
-                            self.graph,
-                            &mut frontier,
-                            seg,
-                        );
-                    }
-                    self.charge_vertex_scan();
-                    self.plan_transfers(pattern, &frontier);
-                    program.begin_iteration();
-                    next.clear();
-                    let mut kernel = ProgramKernel::new(
-                        self.graph,
-                        &self.layout,
-                        self.strategy,
-                        &mut program,
-                        WorkList::Frontier(&frontier),
-                        &mut next,
-                    );
-                    run_kernel(&mut self.machine, &mut kernel);
-                    launches += 1;
-                    self.apply_device_work(&mut program, &mut work);
-                    next.sort_unstable();
-                    next.dedup();
-                    std::mem::swap(&mut frontier, &mut next);
-                }
-            }
-            AccessPattern::FullSweep => {
-                let n = self.graph.num_vertices() as u32;
-                loop {
-                    self.charge_vertex_scan();
-                    self.plan_transfers(pattern, &[]);
-                    program.begin_iteration();
-                    next.clear();
-                    let mut kernel = ProgramKernel::new(
-                        self.graph,
-                        &self.layout,
-                        self.strategy,
-                        &mut program,
-                        WorkList::All(n),
-                        &mut next,
-                    );
-                    run_kernel(&mut self.machine, &mut kernel);
-                    launches += 1;
-                    self.apply_device_work(&mut program, &mut work);
-                    if program.converged() {
-                        break;
-                    }
-                }
-            }
-        }
-        let mut stats = self.machine.finish_run(&snap, launches);
-        if let (Some(tm), Some(base)) = (&self.transfer, transfer_base) {
-            stats.transfer = tm.stats - base;
-        }
-        if let (Some(p), Some(base)) = (&self.prefetcher, prefetch_base) {
-            stats.prefetch = p.stats - base;
-        }
+    pub fn run<P: VertexProgram>(&mut self, program: P) -> Run<P::Output> {
+        let mut driven = self.core.drive(&mut self.machine, vec![program], false);
         Run {
-            output: program.finish(),
-            stats,
+            output: driven.outputs.pop().expect("one program, one output"),
+            stats: driven.per_device.pop().expect("one device"),
         }
-    }
-
-    /// Ensure up to `want` device status arrays for batched execution,
-    /// reused across batches (the simulated allocator never frees). In
-    /// hybrid mode the transfer manager's staging pool is shrunk by the
-    /// same amount, so staging can never outrun the real device
-    /// capacity. Best-effort: allocation stops when device memory is
-    /// exhausted (e.g. staging already filled it) or when the UVM driver
-    /// has pinned the device layout; returns the number of usable slots,
-    /// possibly less than `want` — [`run_batch`](Self::run_batch) splits
-    /// the batch or falls back to solo runs accordingly.
-    fn ensure_batch_status(&mut self, want: usize) -> usize {
-        let bytes = self.graph.num_vertices() as u64 * 4;
-        let need = bytes.div_ceil(128) * 128;
-        while self.batch_status.len() < want {
-            if self.machine.uvm.is_some() || self.machine.spaces.device_free() < need {
-                break;
-            }
-            let base = self.machine.alloc_device(bytes);
-            if let Some(tm) = self.transfer.as_mut() {
-                tm.reserve(bytes);
-            }
-            self.batch_status.push(base);
-        }
-        self.batch_status.len().min(want)
     }
 
     /// Run a batch of same-type frontier-driven programs concurrently
-    /// over the shared placement: each iteration launches one
-    /// [`BatchKernel`](crate::batch::BatchKernel) over the **union** of
-    /// the still-active queries'
-    /// frontiers, so an edge-list region crosses PCIe once per iteration
-    /// no matter how many queries read it.
+    /// over the shared placement: each iteration launches one kernel over
+    /// the **union** of the still-active queries' frontiers, so an
+    /// edge-list region crosses PCIe once per iteration no matter how
+    /// many queries read it.
     ///
     /// Per-query results (outputs *and* iteration counts) are
     /// bit-identical to running the same programs one at a time via
@@ -602,7 +308,7 @@ impl<'g> Engine<'g> {
     /// contains a [`AccessPattern::FullSweep`] program (full sweeps read
     /// everything every launch — there is no frontier to merge; run them
     /// solo).
-    pub fn run_batch<P: VertexProgram>(&mut self, programs: Vec<P>) -> BatchRun<P::Output> {
+    pub fn run_batch<P: VertexProgram>(&mut self, mut programs: Vec<P>) -> BatchRun<P::Output> {
         assert!(!programs.is_empty(), "empty batch");
         assert!(
             programs.len() <= crate::batch::MAX_BATCH_QUERIES,
@@ -616,170 +322,46 @@ impl<'g> Engine<'g> {
                 "batched execution requires frontier-driven programs"
             );
         }
-        if programs[0].uses_edge_data() {
-            self.ensure_edge_data();
-        }
-        // Best-effort slot acquisition: device memory may already be
-        // exhausted (hybrid staging on an oversubscribed graph) or
-        // frozen (UVM driver initialized). Degrade instead of crashing:
-        // split the batch into groups that fit, or — with no slot at
-        // all — serve the queries back-to-back through the solo path.
-        // Results stay bit-identical either way; only the sharing (and
-        // its savings) shrinks.
-        let slots = self.ensure_batch_status(programs.len());
-
-        let batch_snap = self.machine.snapshot();
-        let batch_transfer_base = self.transfer.as_ref().map(|t| t.stats);
-        let batch_prefetch_base = self.prefetcher.as_ref().map(|p| p.stats);
-        let mut runs: Vec<Run<P::Output>> = Vec::with_capacity(programs.len());
-        let mut total_launches = 0u64;
-        if slots == 0 {
-            for p in programs {
-                let run = self.run(p);
-                total_launches += run.stats.kernel_launches;
-                runs.push(run);
-            }
-        } else {
-            let mut programs = programs;
-            while !programs.is_empty() {
-                let rest = programs.split_off(slots.min(programs.len()));
-                runs.extend(self.run_batch_group(programs, &mut total_launches));
-                programs = rest;
-            }
-        }
-        let mut stats = self.machine.finish_run(&batch_snap, total_launches);
-        if let (Some(tm), Some(base)) = (&self.transfer, batch_transfer_base) {
-            stats.transfer = tm.stats - base;
-        }
-        if let (Some(p), Some(base)) = (&self.prefetcher, batch_prefetch_base) {
-            stats.prefetch = p.stats - base;
+        let n = self.core.graph.num_vertices();
+        let slots = self.core.places[0].ensure_batch_status(&mut self.machine, n, programs.len());
+        let mut runs = Vec::with_capacity(programs.len());
+        let mut stats = RunStats::default();
+        while !programs.is_empty() {
+            // With no slot at all a "group" is one query on the layout's
+            // own status array: the solo path.
+            let rest = programs.split_off(slots.clamp(1, programs.len()));
+            let driven = self.core.drive(&mut self.machine, programs, slots > 0);
+            // Groups run back to back on one machine, so their diffs
+            // tile the batch's: the fold is the batch-level machine diff.
+            stats.accumulate(&driven.per_device[0]);
+            let per_query = driven.outputs.into_iter().zip(driven.per_query);
+            runs.extend(per_query.map(|(output, stats)| Run { output, stats }));
+            programs = rest;
         }
         BatchRun { runs, stats }
     }
 
-    /// One group of the batch, sized to the available status slots: the
-    /// per-iteration union-frontier loop behind
-    /// [`run_batch`](Self::run_batch).
-    fn run_batch_group<P: VertexProgram>(
-        &mut self,
-        mut programs: Vec<P>,
-        total_launches: &mut u64,
-    ) -> Vec<Run<P::Output>> {
-        let nq = programs.len();
-        let mut frontiers: Vec<Vec<VertexId>> = programs
-            .iter()
-            .map(|p| {
-                let mut f = p.initial_frontier();
-                f.sort_unstable();
-                f.dedup();
-                f
-            })
-            .collect();
-        let mut next: Vec<Vec<VertexId>> = vec![Vec::new(); nq];
-        // A batch of one shares its fetches with nobody; only real
-        // multi-query batches flag their per-query stats.
-        let mut per_stats: Vec<RunStats> = vec![
-            RunStats {
-                shared_fetch: nq > 1,
-                ..RunStats::default()
-            };
-            nq
-        ];
-        let mut work = DeviceWork::default();
-        let mut union: Vec<VertexId> = Vec::new();
-        let mut masks: Vec<u64> = Vec::new();
-        loop {
-            crate::batch::merge_frontiers(&frontiers, &mut union, &mut masks);
-            if union.is_empty() {
-                break;
-            }
-            if let Some(seg) = self.reorder_segment {
-                crate::reorder::reorder_union(
-                    &self.layout,
-                    self.graph,
-                    &mut union,
-                    &mut masks,
-                    seg,
-                );
-            }
-            let active: Vec<usize> = (0..nq).filter(|&q| !frontiers[q].is_empty()).collect();
-            let iter_snap = self.machine.snapshot();
-            let iter_transfer_base = self.transfer.as_ref().map(|t| t.stats);
-            let iter_prefetch_base = self.prefetcher.as_ref().map(|p| p.stats);
-            // The active-vertex scan runs per query (each query's status
-            // array is scanned for its own frontier), exactly as many
-            // times as the sequential runs would pay it — batching saves
-            // edge fetches, not bookkeeping.
-            for _ in &active {
-                self.charge_vertex_scan();
-            }
-            self.plan_transfers(AccessPattern::FrontierDriven, &union);
-            for &q in &active {
-                programs[q].begin_iteration();
-            }
-            let mut kernel = crate::batch::BatchKernel::new(
-                self.graph,
-                &self.layout,
-                self.strategy,
-                &mut programs,
-                &self.batch_status,
-                &union,
-                &masks,
-                &mut next,
-            );
-            run_kernel(&mut self.machine, &mut kernel);
-            *total_launches += 1;
-            for &q in &active {
-                self.apply_device_work(&mut programs[q], &mut work);
-            }
-            let mut iter_stats = self.machine.finish_run(&iter_snap, 1);
-            if let (Some(tm), Some(base)) = (&self.transfer, iter_transfer_base) {
-                iter_stats.transfer = tm.stats - base;
-            }
-            if let (Some(p), Some(base)) = (&self.prefetcher, iter_prefetch_base) {
-                iter_stats.prefetch = p.stats - base;
-            }
-            for &q in &active {
-                per_stats[q].accumulate(&iter_stats);
-            }
-            for &q in &active {
-                next[q].sort_unstable();
-                next[q].dedup();
-                std::mem::swap(&mut frontiers[q], &mut next[q]);
-                next[q].clear();
-            }
-        }
-        programs
-            .into_iter()
-            .zip(per_stats)
-            .map(|(p, stats)| Run {
-                output: p.finish(),
-                stats,
-            })
-            .collect()
-    }
-
     /// Full BFS from `src`; one kernel launch per level.
     pub fn bfs(&mut self, src: VertexId) -> BfsRun {
-        self.run(BfsProgram::new(self.graph, src))
+        self.run(BfsProgram::new(self.core.graph, src))
     }
 
     /// Full SSSP from `src` with per-edge `weights`; relaxation rounds
     /// until no distance changes.
     pub fn sssp(&mut self, weights: &[u32], src: VertexId) -> SsspRun {
-        self.run(SsspProgram::new(self.graph, weights, src))
+        self.run(SsspProgram::new(self.core.graph, weights, src))
     }
 
     /// Full CC; hook passes over the whole edge list until stable, with a
     /// device-side pointer-jumping shortcut after each pass.
     pub fn cc(&mut self) -> CcRun {
-        self.run(CcProgram::new(self.graph))
+        self.run(CcProgram::new(self.core.graph))
     }
 
     /// PageRank: `iterations` damped power iterations over the full edge
     /// list.
     pub fn pagerank(&mut self, damping: f64, iterations: u32) -> PageRankRun {
-        self.run(PageRankProgram::new(self.graph, damping, iterations))
+        self.run(PageRankProgram::new(self.core.graph, damping, iterations))
     }
 }
 

@@ -24,10 +24,18 @@
 //!   access pattern (frontier-driven vs full-sweep), whether it streams
 //!   auxiliary edge data, and its per-edge / per-iteration logic;
 //! * [`kernel`] — one generic kernel ([`kernel::ProgramKernel`]) that
-//!   runs any program under any [`AccessStrategy`];
+//!   runs any program under any [`AccessStrategy`], for one query or
+//!   for the member queries of a batch sharing each fetch;
+//! * `driver` (private) — the one iteration loop over N ≥ 1 machines ×
+//!   Q ≥ 1 same-type programs: merge → shard → reorder → scan + plan →
+//!   capture → launch → post → exchange → stats. [`Engine`],
+//!   [`Engine::run_batch`] and [`ShardedEngine`] are its fronts;
 //! * [`engine`] — the place-once, query-many [`Engine`]: it owns the
-//!   placed graph, machine and (hybrid mode) transfer manager, and runs
-//!   any number of programs against one placement;
+//!   machine and the graph's placement on it (layout and, in hybrid
+//!   mode, transfer manager), and runs any number of programs against
+//!   that one placement;
+//! * [`batch`] — batched multi-query execution: frontier merging and
+//!   the [`BatchRun`] result of [`Engine::run_batch`];
 //! * [`bfs`] / [`sssp`] / [`cc`] / [`pagerank`] — the four shipped
 //!   programs. The first three are the paper's applications; PageRank is
 //!   the generality proof: a fourth program with zero driver, kernel or
@@ -71,6 +79,7 @@ pub mod batch;
 pub mod bfs;
 pub mod cc;
 pub mod compressed;
+mod driver;
 pub mod engine;
 pub mod kernel;
 pub mod layout;
@@ -83,11 +92,11 @@ pub mod strategy;
 pub mod toy;
 pub mod walk;
 
-pub use batch::{BatchKernel, BatchRun, MAX_BATCH_QUERIES};
+pub use batch::{BatchRun, MAX_BATCH_QUERIES};
 pub use bfs::{BfsOutput, BfsProgram};
 pub use cc::{CcOutput, CcProgram};
-pub use engine::{BfsRun, CcRun, Engine, EngineConfig, PageRankRun, Run, SsspRun, TraversalConfig};
-pub use kernel::{ProgramKernel, WorkList};
+pub use engine::{BfsRun, CcRun, Engine, EngineConfig, PageRankRun, Run, SsspRun};
+pub use kernel::{ProgramKernel, Work, WorkList};
 pub use layout::{EdgePlacement, GraphLayout};
 pub use pagerank::{PageRankOutput, PageRankProgram};
 pub use program::{AccessPattern, DeviceWork, EdgeEffect, VertexProgram};

@@ -12,9 +12,9 @@
 //! # Determinism
 //!
 //! Reordering happens in the *driver loop*, before kernel construction,
-//! and is a pure function of iteration-start state: the frontier (or
-//! merged batch union, or per-device slice list), the immutable
-//! [`GraphLayout`] and a fixed segment size. [`segment_key`] is the
+//! and is a pure function of iteration-start state: the device's work
+//! items (with their member masks), the immutable [`GraphLayout`] and a
+//! fixed segment size. [`segment_key`] is the
 //! kernel-purity hook emogi-lint audits — its body may read only the
 //! layout's address arithmetic, never live machine state, so the sort
 //! order cannot depend on how previous warps interleaved. Because every
@@ -25,8 +25,8 @@
 //! traffic statistics move. `tests/layout_differential.rs` asserts
 //! exactly that.
 
+use crate::kernel::WorkSlice;
 use crate::layout::GraphLayout;
-use emogi_graph::{CsrGraph, VertexId};
 
 /// Sort key of an edge-region access that begins at edge-list element
 /// `start`: the cache segment the first byte lands in, then the exact
@@ -38,71 +38,51 @@ pub fn segment_key(layout: &GraphLayout, start: u64, segment_bytes: u64) -> (u64
     (addr / segment_bytes.max(1), addr)
 }
 
-/// Sort a frontier by the cache segment of each vertex's neighbour-list
-/// start, ties broken by address then vertex id. Call at the top of an
-/// iteration, before kernel construction.
-pub fn reorder_frontier(
+/// Sort one device's work items `(vertex, lo, hi)` by the cache segment
+/// of each item's first edge-list element, ties broken by address, then
+/// vertex, then `lo` (hub splitting can hand a device several slices of
+/// one vertex). Call at the top of an iteration, before contexts are
+/// captured. `masks` is empty (single query) or parallel to `items`;
+/// members move with their item.
+pub fn reorder_slices(
     layout: &GraphLayout,
-    graph: &CsrGraph,
-    frontier: &mut [VertexId],
-    segment_bytes: u64,
-) {
-    frontier.sort_by_key(|&v| {
-        let (seg, addr) = segment_key(layout, graph.neighbor_start(v), segment_bytes);
-        (seg, addr, v)
-    });
-}
-
-/// Lockstep variant for batched execution: permute the merged frontier
-/// `union` and its per-vertex membership `masks` together, preserving
-/// the `union[i] ↔ masks[i]` pairing the [`BatchKernel`](crate::batch::BatchKernel)
-/// relies on.
-pub fn reorder_union(
-    layout: &GraphLayout,
-    graph: &CsrGraph,
-    union: &mut Vec<VertexId>,
+    items: &mut Vec<WorkSlice>,
     masks: &mut Vec<u64>,
     segment_bytes: u64,
 ) {
-    debug_assert_eq!(union.len(), masks.len(), "one mask per union vertex");
-    let mut order: Vec<usize> = (0..union.len()).collect();
-    order.sort_by_key(|&i| {
-        let v = union[i];
-        let (seg, addr) = segment_key(layout, graph.neighbor_start(v), segment_bytes);
-        (seg, addr, v)
-    });
-    let permuted_union: Vec<VertexId> = order.iter().map(|&i| union[i]).collect();
-    let permuted_masks: Vec<u64> = order.iter().map(|&i| masks[i]).collect();
-    *union = permuted_union;
-    *masks = permuted_masks;
-}
-
-/// Sharded variant: sort one device's work slices `(vertex, lo, hi)` by
-/// the cache segment of each slice's first edge-list element. Hub
-/// splitting can hand a device several slices of one vertex; the
-/// per-slice `lo` keeps those distinct and address-ordered.
-pub fn reorder_slices(
-    layout: &GraphLayout,
-    items: &mut [(VertexId, u64, u64)],
-    segment_bytes: u64,
-) {
-    items.sort_by_key(|&(v, lo, _)| {
+    let key = |&(v, lo, _): &WorkSlice| {
         let (seg, addr) = segment_key(layout, lo, segment_bytes);
         (seg, addr, v, lo)
-    });
+    };
+    if masks.is_empty() {
+        items.sort_by_key(key);
+        return;
+    }
+    debug_assert_eq!(items.len(), masks.len(), "one mask per work item");
+    let mut paired: Vec<(WorkSlice, u64)> = items.drain(..).zip(masks.drain(..)).collect();
+    paired.sort_by_key(|(item, _)| key(item));
+    (*items, *masks) = paired.into_iter().unzip();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::layout::EdgePlacement;
-    use emogi_graph::generators;
+    use emogi_graph::{generators, VertexId};
     use emogi_runtime::machine::MachineConfig;
     use emogi_runtime::Machine;
 
     fn layout_for(graph: &emogi_graph::CsrGraph) -> GraphLayout {
         let mut m = Machine::new(MachineConfig::v100_gen3());
         GraphLayout::place(&mut m, graph, 8, EdgePlacement::ZeroCopyHost, false)
+    }
+
+    /// Every vertex `0..n` with its whole list, in descending id order.
+    fn reversed_items(g: &emogi_graph::CsrGraph, n: VertexId) -> Vec<WorkSlice> {
+        (0..n)
+            .rev()
+            .map(|v| (v, g.neighbor_start(v), g.neighbor_end(v)))
+            .collect()
     }
 
     #[test]
@@ -127,48 +107,54 @@ mod tests {
     }
 
     #[test]
-    fn reorder_frontier_is_a_permutation_in_segment_order() {
+    fn reorder_is_a_permutation_in_segment_order() {
         let g = generators::uniform_random(500, 6, 3);
         let l = layout_for(&g);
-        let mut frontier: Vec<VertexId> = (0..500).rev().collect();
-        let mut expected = frontier.clone();
+        let mut items = reversed_items(&g, 500);
+        let mut expected = items.clone();
         expected.sort_unstable();
-        reorder_frontier(&l, &g, &mut frontier, 4096);
-        let mut sorted = frontier.clone();
+        reorder_slices(&l, &mut items, &mut Vec::new(), 4096);
+        let mut sorted = items.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, expected, "reorder permutes, never drops");
-        for w in frontier.windows(2) {
-            let ka = segment_key(&l, g.neighbor_start(w[0]), 4096);
-            let kb = segment_key(&l, g.neighbor_start(w[1]), 4096);
+        for w in items.windows(2) {
+            let ka = segment_key(&l, w[0].1, 4096);
+            let kb = segment_key(&l, w[1].1, 4096);
             assert!(ka <= kb, "non-decreasing segment keys");
         }
     }
 
     #[test]
-    fn reorder_union_keeps_masks_in_lockstep() {
+    fn members_move_with_their_item() {
         let g = generators::uniform_random(200, 5, 7);
         let l = layout_for(&g);
-        let mut union: Vec<VertexId> = (0..200).rev().collect();
-        let mut masks: Vec<u64> = union.iter().map(|&v| u64::from(v) << 1 | 1).collect();
-        reorder_union(&l, &g, &mut union, &mut masks, 2048);
-        assert_eq!(union.len(), masks.len());
-        for (&v, &m) in union.iter().zip(&masks) {
-            assert_eq!(m, u64::from(v) << 1 | 1, "mask moved with its vertex");
+        let mut items = reversed_items(&g, 200);
+        let mut masks: Vec<u64> = items.iter().map(|&(v, ..)| u64::from(v) << 1 | 1).collect();
+        let mut unmasked = items.clone();
+        reorder_slices(&l, &mut items, &mut masks, 2048);
+        assert_eq!(items.len(), masks.len());
+        for (&(v, ..), &m) in items.iter().zip(&masks) {
+            assert_eq!(m, u64::from(v) << 1 | 1, "mask moved with its item");
         }
+        // The masks never influence the order.
+        reorder_slices(&l, &mut unmasked, &mut Vec::new(), 2048);
+        assert_eq!(items, unmasked);
     }
 
     #[test]
-    fn reorder_slices_orders_by_slice_start() {
+    fn slices_of_one_vertex_stay_distinct_and_address_ordered() {
         let g = generators::uniform_random(100, 8, 5);
         let l = layout_for(&g);
-        let mut items: Vec<(VertexId, u64, u64)> = (0..100u32)
-            .rev()
-            .map(|v| {
-                let lo = g.neighbor_start(v);
-                (v, lo, lo + g.degree(v))
+        // Split every list in two, as hub splitting would.
+        let mut items: Vec<WorkSlice> = reversed_items(&g, 100)
+            .into_iter()
+            .flat_map(|(v, lo, hi)| {
+                let mid = lo + (hi - lo) / 2;
+                [(v, mid, hi), (v, lo, mid)]
             })
             .collect();
-        reorder_slices(&l, &mut items, 4096);
+        reorder_slices(&l, &mut items, &mut Vec::new(), 4096);
+        assert_eq!(items.len(), 200);
         for w in items.windows(2) {
             assert!(
                 l.edge_addr(w[0].1) <= l.edge_addr(w[1].1),

@@ -31,25 +31,24 @@
 //! (contexts are captured for the **whole** frontier before any shard's
 //! kernel runs, BFS/SSSP updates are commutative mins, CC hooks against
 //! an iteration-start snapshot, and PageRank folds its sums in
-//! canonical edge order). With **one** device the machine instruction
-//! stream is identical too, so outputs, iteration counts *and* every
-//! per-run statistic (including hybrid transfer counters) equal the
-//! single-device engine's tick for tick. `tests/sharded_differential.rs`
-//! checks both properties on random graphs.
+//! canonical edge order). With **one** device this *is* the
+//! single-device engine — both are fronts of the same iteration driver
+//! (`driver.rs`), nothing splits and the exchange is a no-op — so
+//! outputs, iteration counts *and* every per-run statistic (including
+//! hybrid transfer counters) are equal tick for tick.
+//! `tests/sharded_differential.rs` checks both properties on random
+//! graphs.
 //!
 //! [`DeviceGroup`]: emogi_runtime::DeviceGroup
 
+use crate::driver::Driver;
 use crate::engine::EngineConfig;
-use crate::kernel::{ProgramKernel, WorkList, WorkSlice};
-use crate::layout::{EdgePlacement, GraphLayout};
-use crate::program::{AccessPattern, DeviceWork, VertexProgram};
-use crate::strategy::{AccessMode, AccessStrategy};
+use crate::program::VertexProgram;
+use crate::strategy::AccessMode;
 use emogi_graph::{CsrGraph, PartitionStrategy, VertexId, VertexPartition};
-use emogi_runtime::exec::run_kernel;
 use emogi_runtime::group::{DeviceGroup, DeviceGroupConfig};
 use emogi_runtime::machine::MachineConfig;
 use emogi_runtime::report::RunStats;
-use emogi_runtime::{PrefetchStats, Prefetcher, TransferManager, TransferStats};
 use emogi_sim::interconnect::{LinkStats, PeerLinkConfig};
 
 /// Bytes per frontier-update record exchanged between devices: a 4-byte
@@ -200,20 +199,9 @@ impl<O> std::ops::Deref for ShardedRun<O> {
 pub struct ShardedEngine<'g> {
     /// The device group (machines + interconnect) the shards run on.
     pub group: DeviceGroup,
-    graph: &'g CsrGraph,
-    /// Per-device placements; identical bases on every device.
-    layouts: Vec<GraphLayout>,
-    /// Per-device hybrid transfer managers (hybrid mode only).
-    transfers: Vec<Option<TransferManager>>,
-    /// Per-device speculative prefetchers (pipelined hybrid mode only);
-    /// each device overlaps its own copy lane with its own kernels.
-    prefetchers: Vec<Option<Prefetcher>>,
-    partition: VertexPartition,
-    strategy: AccessStrategy,
-    placement: EdgePlacement,
-    /// Frontier access reordering: segment size each device sorts its
-    /// work slices by, or `None` when the knob is off.
-    reorder_segment: Option<u64>,
+    /// The per-device placements, the vertex partition and the iteration
+    /// driver.
+    core: Driver<'g>,
 }
 
 impl<'g> ShardedEngine<'g> {
@@ -222,51 +210,18 @@ impl<'g> ShardedEngine<'g> {
     /// [`Engine`](crate::engine::Engine) would build.
     pub fn load(cfg: ShardedConfig, graph: &'g CsrGraph) -> Self {
         let partition = cfg.partition.partition(graph, cfg.devices);
-        let reorder_segment = cfg
-            .engine
-            .frontier_reorder
-            .then_some(cfg.engine.machine.gpu.cache.capacity_bytes);
         let mut group = DeviceGroup::new(DeviceGroupConfig {
             devices: cfg.devices,
             machine: cfg.engine.machine.clone(),
             peer: cfg.peer,
         });
-        let mut layouts = Vec::with_capacity(cfg.devices);
-        let mut transfers = Vec::with_capacity(cfg.devices);
-        let mut prefetchers = Vec::with_capacity(cfg.devices);
-        for m in &mut group.machines {
-            let layout =
-                GraphLayout::place(m, graph, cfg.engine.elem_bytes, cfg.engine.placement, false);
-            let transfer = crate::engine::build_transfer(
-                m,
-                graph,
-                cfg.engine.elem_bytes,
-                cfg.engine.placement,
-                &layout,
-                cfg.engine.transfer.clone(),
-            );
-            let prefetcher =
-                crate::engine::build_prefetcher(m, transfer.as_ref(), cfg.engine.pipeline.clone());
-            layouts.push(layout);
-            transfers.push(transfer);
-            prefetchers.push(prefetcher);
-        }
-        Self {
-            group,
-            graph,
-            layouts,
-            transfers,
-            prefetchers,
-            partition,
-            strategy: cfg.engine.strategy,
-            placement: cfg.engine.placement,
-            reorder_segment,
-        }
+        let core = Driver::load(&cfg.engine, graph, &mut group.machines, partition);
+        Self { group, core }
     }
 
     /// The placed graph.
     pub fn graph(&self) -> &'g CsrGraph {
-        self.graph
+        self.core.graph
     }
 
     /// Devices in the group.
@@ -292,323 +247,45 @@ impl<'g> ShardedEngine<'g> {
 
     /// The vertex partition shards are derived from.
     pub fn partition(&self) -> &VertexPartition {
-        &self.partition
-    }
-
-    /// Place the auxiliary 4-byte-per-edge data array on device `d`, if
-    /// not already placed (the same shared helper the single-device
-    /// engine uses).
-    fn ensure_edge_data(&mut self, d: usize) {
-        crate::engine::ensure_edge_data(
-            &mut self.group.machines[d],
-            &mut self.layouts[d],
-            self.graph,
-            self.placement,
-        );
-    }
-
-    /// Device-side active-vertex scan on device `d` before its launch
-    /// (each device scans its own full status array, like the
-    /// single-device engine).
-    fn charge_vertex_scan(&mut self, d: usize) {
-        crate::engine::charge_vertex_scan(&mut self.group.machines[d], self.graph.num_vertices());
-    }
-
-    /// Hybrid planning on device `d` before a frontier-driven launch:
-    /// the device's work items predict exactly the edge-list byte
-    /// ranges its kernel will read.
-    fn plan_transfers_slices(&mut self, d: usize, items: &[WorkSlice]) {
-        let Some(tm) = self.transfers[d].as_mut() else {
-            return;
-        };
-        let elem = self.layouts[d].elem_bytes;
-        let machine = &mut self.group.machines[d];
-        let ranges = items.iter().map(|&(_, lo, hi)| (lo * elem, hi * elem));
-        let changed = match self.prefetchers[d].as_mut() {
-            Some(p) => tm.plan_iteration_pipelined(machine, ranges, p),
-            None => tm.plan_iteration(machine, ranges),
-        };
-        if changed {
-            self.layouts[d].staged_edges = Some(tm.region_map());
-        }
-        // Double-buffering, per device: the device's copy lane streams
-        // next iteration's predicted regions while this iteration's
-        // kernel computes.
-        if let Some(p) = self.prefetchers[d].as_mut() {
-            tm.prefetch_for_next(self.group.machines[d].now, p);
-        }
-    }
-
-    /// Hybrid planning on device `d` before a full-sweep launch: the
-    /// device reads its whole owned edge-list range.
-    fn plan_transfers_sweep(&mut self, d: usize) {
-        let Some(tm) = self.transfers[d].as_mut() else {
-            return;
-        };
-        let elem = self.layouts[d].elem_bytes;
-        let r = self.partition.range(d);
-        let range = if r.is_empty() {
-            (0, 0)
-        } else {
-            (
-                self.graph.neighbor_start(r.start) * elem,
-                self.graph.neighbor_end(r.end - 1) * elem,
-            )
-        };
-        let machine = &mut self.group.machines[d];
-        let ranges = std::iter::once(range);
-        let changed = match self.prefetchers[d].as_mut() {
-            Some(p) => tm.plan_iteration_pipelined(machine, ranges, p),
-            None => tm.plan_iteration(machine, ranges),
-        };
-        if changed {
-            self.layouts[d].staged_edges = Some(tm.region_map());
-        }
-        // Double-buffering, per device (see `plan_transfers_slices`).
-        if let Some(p) = self.prefetchers[d].as_mut() {
-            tm.prefetch_for_next(self.group.machines[d].now, p);
-        }
-    }
-
-    /// Build the per-device work lists for one frontier iteration:
-    /// every owned vertex becomes one work item on its owner, except
-    /// mega-hubs ([`HUB_SPLIT_DEGREE`]) whose lists are split into one
-    /// line-aligned slice per device (the owner keeps the first slice).
-    /// With a single device nothing ever splits, so the work list is
-    /// exactly the frontier.
-    fn build_work_items(
-        &self,
-        frontier: &[VertexId],
-        bounds: &[(usize, usize)],
-        items: &mut [Vec<WorkSlice>],
-    ) {
-        let ndev = items.len();
-        let line = self.layouts[0].elems_per_line();
-        for it in items.iter_mut() {
-            it.clear();
-        }
-        for (d, &(lo, hi)) in bounds.iter().enumerate() {
-            for &v in &frontier[lo..hi] {
-                let (s, e) = (self.graph.neighbor_start(v), self.graph.neighbor_end(v));
-                let deg = e - s;
-                if ndev > 1 && deg >= HUB_SPLIT_DEGREE {
-                    let chunk = deg.div_ceil(ndev as u64).div_ceil(line) * line;
-                    let mut start = s;
-                    let mut k = 0usize;
-                    while start < e {
-                        let end = (start + chunk).min(e);
-                        items[(d + k) % ndev].push((v, start, end));
-                        start = end;
-                        k += 1;
-                    }
-                } else {
-                    items[d].push((v, s, e));
-                }
-            }
-        }
-    }
-
-    /// Charge the program's inter-launch device-side work. The work is
-    /// semantic once (the program state updates a single time) but every
-    /// device performs it on its own copy of the arrays, so each machine
-    /// is charged the same bulk sweeps.
-    fn apply_device_work<P: VertexProgram>(&mut self, program: &mut P, work: &mut DeviceWork) {
-        program.post_iteration(work);
-        let bytes: Vec<u64> = work.drain().collect();
-        for m in &mut self.group.machines {
-            for &b in &bytes {
-                m.now = m.hbm.read_bulk(m.now, b);
-            }
-        }
+        &self.core.partition
     }
 
     /// Run `program` to convergence across all shards. One synchronous
     /// iteration = one kernel launch on every device that has work this
     /// iteration, followed by the inter-device update exchange and a
     /// barrier.
-    pub fn run<P: VertexProgram>(&mut self, mut program: P) -> ShardedRun<P::Output> {
-        let ndev = self.group.num_devices();
-        if program.uses_edge_data() {
-            for d in 0..ndev {
-                self.ensure_edge_data(d);
-            }
-        }
-        let snaps = self.group.snapshots();
-        let transfer_bases: Vec<Option<TransferStats>> = self
-            .transfers
-            .iter()
-            .map(|t| t.as_ref().map(|t| t.stats))
-            .collect();
-        let prefetch_bases: Vec<Option<PrefetchStats>> = self
-            .prefetchers
-            .iter()
-            .map(|p| p.as_ref().map(|p| p.stats))
-            .collect();
+    pub fn run<P: VertexProgram>(&mut self, program: P) -> ShardedRun<P::Output> {
         let exchange_base = self.group.interconnect.totals();
-        let pattern = program.pattern();
-        let mut launches = vec![0u64; ndev];
-        let mut iterations = 0u64;
-        let mut work = DeviceWork::default();
-        match pattern {
-            AccessPattern::FrontierDriven => {
-                let mut frontier = program.initial_frontier();
-                frontier.sort_unstable();
-                frontier.dedup();
-                let mut next: Vec<Vec<VertexId>> = vec![Vec::new(); ndev];
-                let mut items: Vec<Vec<WorkSlice>> = vec![Vec::new(); ndev];
-                while !frontier.is_empty() {
-                    iterations += 1;
-                    // Idle shards produce no activations this iteration.
-                    for nd in &mut next {
-                        nd.clear();
-                    }
-                    let bounds = self.partition.slice_bounds(&frontier);
-                    self.build_work_items(&frontier, &bounds, &mut items);
-                    // Reorder each device's slices, never the frontier
-                    // itself — `slice_bounds` needs it sorted.
-                    if let Some(seg) = self.reorder_segment {
-                        for (d, it) in items.iter_mut().enumerate() {
-                            crate::reorder::reorder_slices(&self.layouts[d], it, seg);
-                        }
-                    }
-                    for (d, it) in items.iter().enumerate() {
-                        if !it.is_empty() {
-                            self.charge_vertex_scan(d);
-                            self.plan_transfers_slices(d, it);
-                        }
-                    }
-                    program.begin_iteration();
-                    // Capture every device's contexts before any
-                    // shard's kernel runs — iteration-start state must
-                    // not depend on shard execution order.
-                    let ctxs: Vec<Vec<P::Ctx>> = items
-                        .iter()
-                        .map(|it| it.iter().map(|&(v, _, _)| program.source_ctx(v)).collect())
-                        .collect();
-                    for (d, ctx_vec) in ctxs.into_iter().enumerate() {
-                        if items[d].is_empty() {
-                            continue;
-                        }
-                        let mut kernel = ProgramKernel::with_ctxs(
-                            self.graph,
-                            &self.layouts[d],
-                            self.strategy,
-                            &mut program,
-                            WorkList::Slices(&items[d]),
-                            ctx_vec,
-                            &mut next[d],
-                        );
-                        run_kernel(&mut self.group.machines[d], &mut kernel);
-                        launches[d] += 1;
-                    }
-                    self.apply_device_work(&mut program, &mut work);
-                    // Every device broadcasts the (vertex, value) pairs
-                    // it activated; remote activations join their
-                    // owners' next shards, and every device's status
-                    // copy stays coherent.
-                    let mut update_bytes = vec![0u64; ndev];
-                    for (d, nd) in next.iter_mut().enumerate() {
-                        nd.sort_unstable();
-                        nd.dedup();
-                        update_bytes[d] = nd.len() as u64 * FRONTIER_UPDATE_BYTES;
-                    }
-                    if ndev > 1 {
-                        self.group.exchange(&update_bytes);
-                    }
-                    frontier.clear();
-                    for nd in &next {
-                        frontier.extend_from_slice(nd);
-                    }
-                    frontier.sort_unstable();
-                    frontier.dedup();
-                }
-            }
-            AccessPattern::FullSweep => {
-                let n = self.graph.num_vertices() as u32;
-                let mut sink: Vec<VertexId> = Vec::new();
-                // Full sweeps update owned entries (CC) or reduce into
-                // owners (PageRank): each device allgathers its owned
-                // status slice after every sweep.
-                let sweep_bytes: Vec<u64> = (0..ndev)
-                    .map(|d| self.partition.range(d).len() as u64 * 4)
-                    .collect();
-                loop {
-                    iterations += 1;
-                    for d in 0..ndev {
-                        if !self.partition.range(d).is_empty() {
-                            self.charge_vertex_scan(d);
-                            self.plan_transfers_sweep(d);
-                        }
-                    }
-                    program.begin_iteration();
-                    let ctxs: Vec<P::Ctx> = (0..n).map(|v| program.source_ctx(v)).collect();
-                    for (d, launched) in launches.iter_mut().enumerate() {
-                        let r = self.partition.range(d);
-                        if r.is_empty() {
-                            continue;
-                        }
-                        sink.clear();
-                        let mut kernel = ProgramKernel::with_ctxs(
-                            self.graph,
-                            &self.layouts[d],
-                            self.strategy,
-                            &mut program,
-                            WorkList::Range(r.start, r.end),
-                            ctxs[r.start as usize..r.end as usize].to_vec(),
-                            &mut sink,
-                        );
-                        run_kernel(&mut self.group.machines[d], &mut kernel);
-                        *launched += 1;
-                    }
-                    self.apply_device_work(&mut program, &mut work);
-                    if ndev > 1 {
-                        self.group.exchange(&sweep_bytes);
-                    }
-                    if program.converged() {
-                        break;
-                    }
-                }
-            }
-        }
-        let mut per_device = self.group.finish_run(&snaps, &launches);
-        for (d, stats) in per_device.iter_mut().enumerate() {
-            if let (Some(tm), Some(base)) = (&self.transfers[d], transfer_bases[d]) {
-                stats.transfer = tm.stats - base;
-            }
-            if let (Some(pf), Some(base)) = (&self.prefetchers[d], prefetch_bases[d]) {
-                stats.prefetch = pf.stats - base;
-            }
-        }
-        let mut stats = RunStats::aggregate_concurrent(&per_device);
+        let mut driven = self.core.drive(&mut self.group, vec![program], false);
+        let mut stats = RunStats::aggregate_concurrent(&driven.per_device);
         // The group-level launch count is the *logical* one: each
         // synchronous iteration is one launch wave, however many devices
         // participated — so `stats.kernel_launches` compares directly
         // with a single-device run's (physical per-device launches stay
         // in `per_device`).
-        stats.kernel_launches = iterations;
-        let exchange = self.group.interconnect.totals() - exchange_base;
+        stats.kernel_launches = driven.iterations;
         ShardedRun {
-            output: program.finish(),
+            output: driven.outputs.pop().expect("one program, one output"),
             stats,
-            per_device,
-            exchange,
-            iterations,
+            per_device: driven.per_device,
+            exchange: self.group.interconnect.totals() - exchange_base,
+            iterations: driven.iterations,
         }
     }
 
     /// Sharded BFS from `src`.
     pub fn bfs(&mut self, src: VertexId) -> ShardedRun<crate::bfs::BfsOutput> {
-        self.run(crate::bfs::BfsProgram::new(self.graph, src))
+        self.run(crate::bfs::BfsProgram::new(self.core.graph, src))
     }
 
     /// Sharded SSSP from `src` with per-edge `weights`.
     pub fn sssp(&mut self, weights: &[u32], src: VertexId) -> ShardedRun<crate::sssp::SsspOutput> {
-        self.run(crate::sssp::SsspProgram::new(self.graph, weights, src))
+        self.run(crate::sssp::SsspProgram::new(self.core.graph, weights, src))
     }
 
     /// Sharded CC.
     pub fn cc(&mut self) -> ShardedRun<crate::cc::CcOutput> {
-        self.run(crate::cc::CcProgram::new(self.graph))
+        self.run(crate::cc::CcProgram::new(self.core.graph))
     }
 
     /// Sharded PageRank.
@@ -617,8 +294,9 @@ impl<'g> ShardedEngine<'g> {
         damping: f64,
         iterations: u32,
     ) -> ShardedRun<crate::pagerank::PageRankOutput> {
+        let graph = self.core.graph;
         self.run(crate::pagerank::PageRankProgram::new(
-            self.graph, damping, iterations,
+            graph, damping, iterations,
         ))
     }
 }

@@ -17,8 +17,7 @@
 //! one-device sharded run stay tick-for-tick identical to a
 //! single-machine run.
 
-use crate::machine::{Machine, MachineConfig, Snapshot};
-use crate::report::RunStats;
+use crate::machine::{Machine, MachineConfig};
 use emogi_sim::interconnect::{Interconnect, InterconnectConfig, PeerLinkConfig};
 use emogi_sim::time::Time;
 
@@ -122,24 +121,6 @@ impl DeviceGroup {
             m.now = done;
         }
         done
-    }
-
-    /// Begin a measured run on every device.
-    pub fn snapshots(&self) -> Vec<Snapshot> {
-        self.machines.iter().map(|m| m.snapshot()).collect()
-    }
-
-    /// Close a measured run: per-device stats diffed against `snaps`,
-    /// with `launches[d]` kernel launches attributed to device `d`.
-    pub fn finish_run(&self, snaps: &[Snapshot], launches: &[u64]) -> Vec<RunStats> {
-        assert_eq!(snaps.len(), self.machines.len());
-        assert_eq!(launches.len(), self.machines.len());
-        self.machines
-            .iter()
-            .zip(snaps)
-            .zip(launches)
-            .map(|((m, s), &l)| m.finish_run(s, l))
-            .collect()
     }
 }
 

@@ -127,67 +127,78 @@ impl RunStats {
         }
     }
 
-    /// Fold one iteration's measurements into a running per-query total
-    /// (batched execution attributes each iteration's machine diff to
-    /// every query active in it). Counters add, the size histogram
-    /// merges, and the average bandwidth is re-derived from the summed
-    /// bytes and time.
-    pub fn accumulate(&mut self, iteration: &RunStats) {
-        self.elapsed_ns += iteration.elapsed_ns;
-        self.kernel_launches += iteration.kernel_launches;
-        self.pcie_read_requests += iteration.pcie_read_requests;
-        self.request_sizes.merge(&iteration.request_sizes);
-        self.host_bytes += iteration.host_bytes;
-        self.page_faults += iteration.page_faults;
-        self.pages_migrated += iteration.pages_migrated;
-        self.host_dram_bytes += iteration.host_dram_bytes;
-        self.l2_sector_hits += iteration.l2_sector_hits;
-        self.l2_sector_misses += iteration.l2_sector_misses;
-        self.lane_bytes += iteration.lane_bytes;
-        self.txn_bytes += iteration.txn_bytes;
-        self.cxl_read_requests += iteration.cxl_read_requests;
-        self.cxl_bytes += iteration.cxl_bytes;
-        self.transfer += iteration.transfer;
-        self.prefetch += iteration.prefetch;
+    /// Fold `other` into this running total: counters add, the size
+    /// histogram merges, and the average bandwidth is re-derived from the
+    /// summed bytes and time. Batched execution folds each iteration's
+    /// machine diff into every query active in it this way; back-to-back
+    /// runs on one machine fold into their combined diff.
+    /// [`shared_fetch`](Self::shared_fetch) describes how a total was
+    /// attributed, not what it counts, so it is left alone.
+    ///
+    /// `other` is destructured exhaustively: a counter added to
+    /// [`RunStats`] but not folded here is a compile error.
+    pub fn accumulate(&mut self, other: &RunStats) {
+        let RunStats {
+            elapsed_ns,
+            kernel_launches,
+            pcie_read_requests,
+            request_sizes,
+            host_bytes,
+            avg_pcie_gbps: _,
+            page_faults,
+            pages_migrated,
+            host_dram_bytes,
+            l2_sector_hits,
+            l2_sector_misses,
+            lane_bytes,
+            txn_bytes,
+            cxl_read_requests,
+            cxl_bytes,
+            transfer,
+            prefetch,
+            shared_fetch: _,
+        } = other;
+        self.elapsed_ns += elapsed_ns;
+        self.kernel_launches += kernel_launches;
+        self.pcie_read_requests += pcie_read_requests;
+        self.request_sizes.merge(request_sizes);
+        self.host_bytes += host_bytes;
+        self.page_faults += page_faults;
+        self.pages_migrated += pages_migrated;
+        self.host_dram_bytes += host_dram_bytes;
+        self.l2_sector_hits += l2_sector_hits;
+        self.l2_sector_misses += l2_sector_misses;
+        self.lane_bytes += lane_bytes;
+        self.txn_bytes += txn_bytes;
+        self.cxl_read_requests += cxl_read_requests;
+        self.cxl_bytes += cxl_bytes;
+        self.transfer += *transfer;
+        self.prefetch += *prefetch;
+        self.derive_avg_pcie_gbps();
+    }
+
+    /// Fold the per-device stats of one multi-GPU run into a group
+    /// total: [`accumulate`](Self::accumulate) every device, except that
+    /// the devices ran *concurrently* — their clocks are barrier-aligned
+    /// each iteration — so elapsed time is the maximum, not the sum, and
+    /// the average bandwidth is aggregate bytes over that shared wall
+    /// clock.
+    pub fn aggregate_concurrent(per_device: &[RunStats]) -> RunStats {
+        let mut total = RunStats::default();
+        for s in per_device {
+            total.accumulate(s);
+        }
+        total.elapsed_ns = per_device.iter().map(|s| s.elapsed_ns).max().unwrap_or(0);
+        total.derive_avg_pcie_gbps();
+        total
+    }
+
+    fn derive_avg_pcie_gbps(&mut self) {
         self.avg_pcie_gbps = if self.elapsed_ns == 0 {
             0.0
         } else {
             self.host_bytes as f64 / self.elapsed_ns as f64
         };
-    }
-
-    /// Fold the per-device stats of one multi-GPU run into a group
-    /// total. The devices ran *concurrently*, so elapsed time is the
-    /// maximum (the devices' clocks are barrier-aligned each iteration);
-    /// every traffic counter sums across links, the size histograms
-    /// merge, and the average bandwidth is re-derived as aggregate bytes
-    /// over the shared wall clock.
-    pub fn aggregate_concurrent(per_device: &[RunStats]) -> RunStats {
-        let mut total = RunStats::default();
-        for s in per_device {
-            total.elapsed_ns = total.elapsed_ns.max(s.elapsed_ns);
-            total.kernel_launches += s.kernel_launches;
-            total.pcie_read_requests += s.pcie_read_requests;
-            total.request_sizes.merge(&s.request_sizes);
-            total.host_bytes += s.host_bytes;
-            total.page_faults += s.page_faults;
-            total.pages_migrated += s.pages_migrated;
-            total.host_dram_bytes += s.host_dram_bytes;
-            total.l2_sector_hits += s.l2_sector_hits;
-            total.l2_sector_misses += s.l2_sector_misses;
-            total.lane_bytes += s.lane_bytes;
-            total.txn_bytes += s.txn_bytes;
-            total.cxl_read_requests += s.cxl_read_requests;
-            total.cxl_bytes += s.cxl_bytes;
-            total.transfer += s.transfer;
-            total.prefetch += s.prefetch;
-        }
-        total.avg_pcie_gbps = if total.elapsed_ns == 0 {
-            0.0
-        } else {
-            total.host_bytes as f64 / total.elapsed_ns as f64
-        };
-        total
     }
 }
 
@@ -209,5 +220,30 @@ mod tests {
         };
         assert!((s.amplification(100) - 1.5).abs() < 1e-12);
         assert_eq!(s.amplification(0), 0.0);
+    }
+
+    #[test]
+    fn sequential_fold_sums_time_and_concurrent_fold_takes_the_slowest() {
+        let device = |elapsed_ns, host_bytes| RunStats {
+            elapsed_ns,
+            host_bytes,
+            kernel_launches: 2,
+            ..Default::default()
+        };
+        let (a, b) = (device(100, 300), device(400, 500));
+        let mut seq = a.clone();
+        seq.accumulate(&b);
+        assert_eq!(
+            (seq.elapsed_ns, seq.host_bytes, seq.kernel_launches),
+            (500, 800, 4)
+        );
+        assert_eq!(seq.avg_pcie_gbps, 800.0 / 500.0);
+        let con = RunStats::aggregate_concurrent(&[a, b]);
+        assert_eq!(
+            (con.elapsed_ns, con.host_bytes, con.kernel_launches),
+            (400, 800, 4)
+        );
+        assert_eq!(con.avg_pcie_gbps, 800.0 / 400.0);
+        assert_eq!(RunStats::aggregate_concurrent(&[]), RunStats::default());
     }
 }

@@ -29,4 +29,4 @@ pub mod transfer;
 pub use driver::{BatchResult, PageId, PageState, UvmDriver, UvmStats};
 pub use policy::UvmConfig;
 pub use tier::{MemoryTier, TierDecision};
-pub use transfer::{TransferDecision, TransferPolicy, TransferPolicyConfig};
+pub use transfer::{TransferPolicy, TransferPolicyConfig};

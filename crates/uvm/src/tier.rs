@@ -7,8 +7,7 @@
 //! into HBM. The CXL external-memory follow-up paper adds a third level
 //! below host DRAM: a microsecond-latency CXL tier holding the cold tail
 //! of graphs larger than host memory. [`MemoryTier`] names the levels and
-//! [`TierDecision`] is the three-way generalization of the old two-way
-//! staging decision.
+//! [`TierDecision`] is the per-region staging decision over them.
 //!
 //! The decision logic stays a ski-rental argument, applied per tier:
 //!
@@ -21,11 +20,11 @@
 //!   (`cxl_stage_threshold`) sits *lower*: promote to HBM sooner, and
 //!   serve only genuinely cold traffic in place.
 //!
-//! Crucially, with no CXL tier configured every region is host-homed and
-//! [`decide_tiered`](crate::transfer::TransferPolicy::decide_tiered)
-//! reduces *exactly* to the two-way
-//! [`decide`](crate::transfer::TransferPolicy::decide) — the N-tier
-//! engine is bit-identical to the two-tier one (witness:
+//! One function makes the call:
+//! [`decide_tiered`](crate::transfer::TransferPolicy::decide_tiered).
+//! With no CXL tier configured every region is host-homed and only the
+//! original two-tier rule ever runs, so an idle CXL tier leaves the
+//! engine tick-identical to one without it (witness:
 //! `tests/tiering_differential.rs`).
 //!
 //! ```
@@ -89,10 +88,8 @@ impl MemoryTier {
     }
 }
 
-/// The three-way generalization of
-/// [`TransferDecision`](crate::transfer::TransferDecision): what the
-/// runtime should do with one region for the next iteration, given the
-/// tier it is homed in.
+/// What the runtime should do with one region for the next iteration,
+/// given the tier it is homed in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TierDecision {
     /// Bulk-copy (promote) the region into HBM before the kernel.
@@ -107,7 +104,7 @@ pub enum TierDecision {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transfer::{TransferDecision, TransferPolicy, TransferPolicyConfig};
+    use crate::transfer::{TransferPolicy, TransferPolicyConfig};
 
     fn policy(n: usize) -> TransferPolicy {
         TransferPolicy::new(n, TransferPolicyConfig::default())
@@ -135,21 +132,27 @@ mod tests {
         );
     }
 
-    /// The bit-identity anchor: for host-homed regions the three-way rule
-    /// IS the two-way rule, for every history and density.
+    /// Host and CXL homes run one rule against two thresholds: with the
+    /// thresholds set equal they agree on every history and density, up
+    /// to the name of the stay-in-place outcome.
     #[test]
-    fn host_homed_decision_equals_two_tier_decision() {
-        let mut p = policy(1);
+    fn host_and_cxl_homes_share_one_rent_buy_rule() {
+        let cfg = TransferPolicyConfig {
+            cxl_stage_threshold: TransferPolicyConfig::default().stage_threshold,
+            ..Default::default()
+        };
+        let mut p = TransferPolicy::new(1, cfg);
         for step in 0..40 {
             let upcoming = f64::from(step % 11) / 10.0;
-            let two_way = p.decide(0, upcoming);
-            let n_way = p.decide_tiered(0, upcoming, MemoryTier::Host);
-            match two_way {
-                TransferDecision::Stage => assert_eq!(n_way, TierDecision::StageToHbm),
-                TransferDecision::ZeroCopy => assert_eq!(n_way, TierDecision::ZeroCopyHost),
-            }
-            if n_way != TierDecision::StageToHbm {
-                p.note_zero_copy(0, upcoming);
+            let host = p.decide_tiered(0, upcoming, MemoryTier::Host);
+            let cxl = p.decide_tiered(0, upcoming, MemoryTier::Cxl);
+            match host {
+                TierDecision::StageToHbm => assert_eq!(cxl, TierDecision::StageToHbm),
+                _ => {
+                    assert_eq!(host, TierDecision::ZeroCopyHost);
+                    assert_eq!(cxl, TierDecision::ServeCxl);
+                    p.note_zero_copy(0, upcoming);
+                }
             }
         }
     }

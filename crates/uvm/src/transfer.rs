@@ -31,14 +31,7 @@
 //! one-shot traversal stays pure zero-copy and pays nothing for the
 //! hybrid machinery.
 
-/// What the runtime should do with one region for the next iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransferDecision {
-    /// Bulk-copy the whole region into device memory before the kernel.
-    Stage,
-    /// Keep reading the region zero-copy over PCIe.
-    ZeroCopy,
-}
+use crate::tier::{MemoryTier, TierDecision};
 
 /// Tunables of the staging rule.
 #[derive(Debug, Clone)]
@@ -51,7 +44,7 @@ pub struct TransferPolicyConfig {
     /// many region-sizes (the ski-rental rent/buy point).
     pub stage_threshold: f64,
     /// Rent/buy point for regions homed in the CXL external tier
-    /// ([`MemoryTier::Cxl`](crate::tier::MemoryTier::Cxl)). Serving a byte
+    /// ([`MemoryTier::Cxl`]). Serving a byte
     /// from CXL costs more than serving it from host DRAM (µs-class round
     /// trips, lower bandwidth), so the promotion threshold sits *below*
     /// [`stage_threshold`](Self::stage_threshold): a CXL-homed region buys
@@ -99,67 +92,45 @@ impl TransferPolicy {
         self.cumulative[r]
     }
 
-    /// Decide region `r`'s transport for an iteration about to read
-    /// `upcoming` of it (density in `[0, 1]`). Pure: commit the outcome
-    /// with [`note_zero_copy`](Self::note_zero_copy) if the region stays
-    /// (or is forced to stay) zero-copy.
-    pub fn decide(&self, r: usize, upcoming: f64) -> TransferDecision {
-        debug_assert!((0.0..=1.0).contains(&upcoming), "density {upcoming}");
-        if upcoming <= 0.0 {
-            return TransferDecision::ZeroCopy;
-        }
-        if upcoming >= self.cfg.dense_now
-            || self.cumulative[r] + upcoming >= self.cfg.stage_threshold
-        {
-            TransferDecision::Stage
-        } else {
-            TransferDecision::ZeroCopy
-        }
-    }
-
     /// Record that region `r` moved `density` region-sizes zero-copy this
     /// iteration (because it was not staged, by decision or by budget).
     pub fn note_zero_copy(&mut self, r: usize, density: f64) {
         self.cumulative[r] += density;
     }
 
-    /// Three-way tier decision for region `r`, homed in `home`, with an
-    /// iteration about to read `upcoming` of it. Pure, like
-    /// [`decide`](Self::decide) — commit a stay-in-place outcome with
-    /// [`note_zero_copy`](Self::note_zero_copy).
+    /// Has region `r` crossed the rent/buy point at `threshold` for an
+    /// iteration about to read `upcoming` of it? An untouched region never
+    /// buys; a (near-)fully dense one buys outright; otherwise recurring
+    /// traffic must have reached `threshold` region-sizes.
+    fn buys(&self, r: usize, upcoming: f64, threshold: f64) -> bool {
+        debug_assert!((0.0..=1.0).contains(&upcoming), "density {upcoming}");
+        upcoming > 0.0
+            && (upcoming >= self.cfg.dense_now || self.cumulative[r] + upcoming >= threshold)
+    }
+
+    /// Decide region `r`'s transport, given the tier it is homed in, for
+    /// an iteration about to read `upcoming` of it (density in `[0, 1]`).
+    /// Pure: commit a stay-in-place outcome with
+    /// [`note_zero_copy`](Self::note_zero_copy) if the region stays (or is
+    /// forced to stay) where it is.
     ///
-    /// For [`MemoryTier::Host`](crate::tier::MemoryTier::Host) homes this
-    /// is *exactly* [`decide`](Self::decide) mapped onto the three-way
-    /// enum, which is what makes a CXL-disabled N-tier engine tick-identical
-    /// to the two-tier one. [`MemoryTier::Hbm`](crate::tier::MemoryTier::Hbm)
-    /// homes are already resident. CXL homes apply the same ski-rental rule
-    /// against the lower [`cxl_stage_threshold`](TransferPolicyConfig::cxl_stage_threshold).
-    pub fn decide_tiered(
-        &self,
-        r: usize,
-        upcoming: f64,
-        home: crate::tier::MemoryTier,
-    ) -> crate::tier::TierDecision {
-        use crate::tier::{MemoryTier, TierDecision};
-        match home {
-            MemoryTier::Hbm => TierDecision::StageToHbm,
-            MemoryTier::Host => match self.decide(r, upcoming) {
-                TransferDecision::Stage => TierDecision::StageToHbm,
-                TransferDecision::ZeroCopy => TierDecision::ZeroCopyHost,
-            },
-            MemoryTier::Cxl => {
-                debug_assert!((0.0..=1.0).contains(&upcoming), "density {upcoming}");
-                if upcoming <= 0.0 {
-                    return TierDecision::ServeCxl;
-                }
-                if upcoming >= self.cfg.dense_now
-                    || self.cumulative[r] + upcoming >= self.cfg.cxl_stage_threshold
-                {
-                    TierDecision::StageToHbm
-                } else {
-                    TierDecision::ServeCxl
-                }
-            }
+    /// [`MemoryTier::Hbm`] homes are already resident.
+    /// [`MemoryTier::Host`] homes apply the ski-rental rule against
+    /// [`stage_threshold`](TransferPolicyConfig::stage_threshold) — the
+    /// original two-tier rule, which is what makes a CXL-disabled engine
+    /// tick-identical to the two-tier one. [`MemoryTier::Cxl`] homes apply
+    /// the same rule against the lower
+    /// [`cxl_stage_threshold`](TransferPolicyConfig::cxl_stage_threshold).
+    pub fn decide_tiered(&self, r: usize, upcoming: f64, home: MemoryTier) -> TierDecision {
+        let (threshold, stay) = match home {
+            MemoryTier::Hbm => return TierDecision::StageToHbm,
+            MemoryTier::Host => (self.cfg.stage_threshold, TierDecision::ZeroCopyHost),
+            MemoryTier::Cxl => (self.cfg.cxl_stage_threshold, TierDecision::ServeCxl),
+        };
+        if self.buys(r, upcoming, threshold) {
+            TierDecision::StageToHbm
+        } else {
+            stay
         }
     }
 
@@ -175,15 +146,21 @@ impl TransferPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use TierDecision::{StageToHbm, ZeroCopyHost};
 
     fn policy(n: usize) -> TransferPolicy {
         TransferPolicy::new(n, TransferPolicyConfig::default())
     }
 
+    /// The two-tier rule: a host-homed region's decision.
+    fn host(p: &TransferPolicy, r: usize, upcoming: f64) -> TierDecision {
+        p.decide_tiered(r, upcoming, MemoryTier::Host)
+    }
+
     #[test]
     fn untouched_region_is_never_staged() {
         let p = policy(4);
-        assert_eq!(p.decide(0, 0.0), TransferDecision::ZeroCopy);
+        assert_eq!(host(&p, 0, 0.0), ZeroCopyHost);
     }
 
     #[test]
@@ -191,8 +168,8 @@ mod tests {
         // A region about to be read end-to-end: bulk copy is no worse
         // than zero-copying the same bytes, so stage even with no history.
         let p = policy(4);
-        assert_eq!(p.decide(2, 1.0), TransferDecision::Stage);
-        assert_eq!(p.decide(2, 0.99), TransferDecision::ZeroCopy);
+        assert_eq!(host(&p, 2, 1.0), StageToHbm);
+        assert_eq!(host(&p, 2, 0.99), ZeroCopyHost);
     }
 
     #[test]
@@ -202,7 +179,7 @@ mod tests {
         // staging decision may fire.
         let mut p = policy(1);
         for _ in 0..10 {
-            assert_eq!(p.decide(0, 0.1), TransferDecision::ZeroCopy);
+            assert_eq!(host(&p, 0, 0.1), ZeroCopyHost);
             p.note_zero_copy(0, 0.1);
         }
         assert!((p.cumulative_density(0) - 1.0).abs() < 1e-9);
@@ -214,9 +191,9 @@ mod tests {
         // the first pass, so a 0.5-dense iteration tips the rule.
         let mut p = policy(1);
         p.note_zero_copy(0, 1.0);
-        assert_eq!(p.decide(0, 0.4), TransferDecision::ZeroCopy);
+        assert_eq!(host(&p, 0, 0.4), ZeroCopyHost);
         p.note_zero_copy(0, 0.4);
-        assert_eq!(p.decide(0, 0.1), TransferDecision::Stage);
+        assert_eq!(host(&p, 0, 0.1), StageToHbm);
     }
 
     #[test]
@@ -229,19 +206,19 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert_eq!(eager.decide(0, 0.5), TransferDecision::Stage);
-        assert_eq!(eager.decide(1, 0.4), TransferDecision::ZeroCopy);
+        assert_eq!(host(&eager, 0, 0.5), StageToHbm);
+        assert_eq!(host(&eager, 1, 0.4), ZeroCopyHost);
         let mut eager = eager;
         eager.note_zero_copy(1, 0.4);
-        assert_eq!(eager.decide(1, 0.4), TransferDecision::Stage);
+        assert_eq!(host(&eager, 1, 0.4), StageToHbm);
     }
 
     #[test]
     fn regions_are_independent() {
         let mut p = policy(3);
         p.note_zero_copy(1, 1.4);
-        assert_eq!(p.decide(0, 0.2), TransferDecision::ZeroCopy);
-        assert_eq!(p.decide(1, 0.2), TransferDecision::Stage);
-        assert_eq!(p.decide(2, 0.2), TransferDecision::ZeroCopy);
+        assert_eq!(host(&p, 0, 0.2), ZeroCopyHost);
+        assert_eq!(host(&p, 1, 0.2), StageToHbm);
+        assert_eq!(host(&p, 2, 0.2), ZeroCopyHost);
     }
 }

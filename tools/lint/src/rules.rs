@@ -292,7 +292,7 @@ pub fn check_purity(ctx: &FileCtx<'_>, cfg: &Config, out: &mut Vec<Diagnostic>) 
                     rules::KERNEL_PURITY,
                     format!(
                         "kernel hook `{}` touches `{}`; hook bodies may only read contexts \
-                         captured at iteration start (see ProgramKernel::with_ctxs)",
+                         captured at iteration start (see kernel::Work::capture)",
                         f.name, t.s
                     ),
                 ));
