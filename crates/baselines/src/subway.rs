@@ -136,7 +136,9 @@ impl<'g> SubwaySystem<'g> {
             }
         }
         self.machine.memcpy_to_device(bytes);
-        // Device kernel: stream the subgraph + status-array traffic.
+        // Device kernel: stream the subgraph + status-array traffic. The
+        // launch is modelled analytically, so it is counted here.
+        self.machine.kernel_launches += 1;
         let t0 = self.machine.now;
         let kernel_done = self.machine.hbm.read_bulk(t0, bytes + bytes / 2);
         self.machine.now = kernel_done + self.machine.kernel_launch_ns;
@@ -145,16 +147,14 @@ impl<'g> SubwaySystem<'g> {
 
     /// BFS per Subway: the frontier's lists move to the GPU each level.
     pub fn bfs(&mut self, src: VertexId) -> BfsRun {
-        let snap = self.machine.snapshot();
+        let base = self.machine.counters();
         let n = self.graph.num_vertices();
         let mut levels = vec![UNVISITED; n];
         levels[src as usize] = 0;
         let mut frontier = vec![src];
-        let mut launches = 0;
         let mut prev_kernel = 0;
         while !frontier.is_empty() {
             prev_kernel = self.iteration(&frontier, prev_kernel);
-            launches += 1;
             let mut next = Vec::new();
             let cur = levels[frontier[0] as usize];
             for &v in &frontier {
@@ -170,23 +170,21 @@ impl<'g> SubwaySystem<'g> {
         }
         BfsRun {
             output: BfsOutput { levels },
-            stats: self.machine.finish_run(&snap, launches),
+            stats: self.machine.counters() - base,
         }
     }
 
     /// SSSP per Subway (Bellman-Ford rounds over active subgraphs).
     pub fn sssp(&mut self, src: VertexId) -> SsspRun {
         let weights = self.weights.expect("SSSP needs weights");
-        let snap = self.machine.snapshot();
+        let base = self.machine.counters();
         let n = self.graph.num_vertices();
         let mut dist = vec![INF; n];
         dist[src as usize] = 0;
         let mut frontier = vec![src];
-        let mut launches = 0;
         let mut prev_kernel = 0;
         while !frontier.is_empty() {
             prev_kernel = self.iteration(&frontier, prev_kernel);
-            launches += 1;
             let mut next = Vec::new();
             for &v in &frontier {
                 let start = self.graph.neighbor_start(v);
@@ -204,23 +202,21 @@ impl<'g> SubwaySystem<'g> {
         }
         SsspRun {
             output: SsspOutput { dist },
-            stats: self.machine.finish_run(&snap, launches),
+            stats: self.machine.counters() - base,
         }
     }
 
     /// CC per Subway: every vertex active each pass until stable.
     pub fn cc(&mut self) -> CcRun {
         assert!(self.graph.is_undirected(), "CC needs an undirected graph");
-        let snap = self.machine.snapshot();
+        let base = self.machine.counters();
         let n = self.graph.num_vertices();
         let mut comp: Vec<u32> = (0..n as u32).collect();
         let all: Vec<u32> = (0..n as u32).collect();
-        let mut launches = 0;
         let mut passes = 0;
         let mut prev_kernel = 0;
         loop {
             prev_kernel = self.iteration(&all, prev_kernel);
-            launches += 1;
             passes += 1;
             let mut changed = false;
             for v in 0..n as u32 {
@@ -241,7 +237,7 @@ impl<'g> SubwaySystem<'g> {
                 comp,
                 hook_passes: passes,
             },
-            stats: self.machine.finish_run(&snap, launches),
+            stats: self.machine.counters() - base,
         }
     }
 }
@@ -324,5 +320,21 @@ mod tests {
         assert!(run.stats.host_bytes >= reachable_edges * 4);
         // And not wildly more (metadata + flag scans only).
         assert!(run.stats.host_bytes < reachable_edges * 4 + 500 * 16 * run.stats.kernel_launches);
+    }
+
+    /// Subway's kernels are analytic — `run_kernel` never executes — so
+    /// `iteration()` bumps the machine's launch counter itself: one
+    /// launch per level, per pass, and per-run (a diff, not a lifetime).
+    #[test]
+    fn analytic_iterations_still_report_one_launch_each() {
+        let g = generators::uniform_random(500, 6, 4);
+        let mut s = SubwaySystem::new(v100(), &g, None, SubwayMode::Async);
+        for src in [3u32, 9] {
+            let run = s.bfs(src);
+            let depth = run.levels.iter().filter(|&&l| l != UNVISITED).max();
+            assert_eq!(run.stats.kernel_launches, u64::from(*depth.unwrap()) + 1);
+        }
+        let cc = s.cc();
+        assert_eq!(cc.stats.kernel_launches, cc.hook_passes);
     }
 }

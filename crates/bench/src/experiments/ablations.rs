@@ -1,4 +1,4 @@
-//! Ablation sweeps over the design parameters DESIGN.md calls out.
+//! Ablation sweeps over the design parameters ARCHITECTURE.md calls out.
 //!
 //! These go beyond the paper's figures: they quantify how the simulated
 //! machine's key parameters produce the paper's effects, which doubles as

@@ -99,7 +99,7 @@ impl BfsMatrix {
                     cell.avg_pcie_gbps += run.stats.avg_pcie_gbps;
                     cell.avg_amplification += run.stats.amplification(dataset);
                     cell.requests += run.stats.pcie_read_requests;
-                    cell.sizes.merge(&run.stats.request_sizes);
+                    cell.sizes += &run.stats.request_sizes;
                 }
                 let n = sources.len() as f64;
                 cell.avg_ns /= n;

@@ -93,9 +93,8 @@ pub fn measure(ctx: &Context) -> ScalingResults {
                 devices,
                 strategy.name()
             );
-            let cfg = ShardedConfig::emogi_v100(devices)
-                .with_machine(scaled_machine(ctx.scale))
-                .with_partition(strategy);
+            let mut cfg = ShardedConfig::emogi_v100(devices).with_partition(strategy);
+            cfg.engine = cfg.engine.with_machine(scaled_machine(ctx.scale));
             let mut engine = ShardedEngine::load(cfg, &gk.graph);
             let mut total_ns = 0u64;
             let mut host_bytes = 0u64;

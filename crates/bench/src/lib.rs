@@ -11,8 +11,9 @@
 //!
 //! Figures that share measurements are derived from one run matrix (the
 //! BFS case study behind Figures 5, 7, 8, 9, 10 runs each graph × engine
-//! combination once). Criterion micro-benchmarks for the simulator's own
-//! components live in `benches/`.
+//! combination once). `benches/figures.rs` times each experiment end to
+//! end on the host clock; the simulator's per-component micro-benchmarks
+//! are the layer drivers of the `benchmark/` package.
 
 #![forbid(unsafe_code)]
 

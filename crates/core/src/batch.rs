@@ -256,7 +256,7 @@ mod tests {
         assert_eq!(batch.runs[0].stats, a.stats, "solo fallback shares nothing");
         assert_eq!(batch.runs[1].stats, b.stats);
         let mut total = a.stats.clone();
-        total.accumulate(&b.stats);
+        total += &b.stats;
         assert_eq!(batch.stats, total);
     }
 

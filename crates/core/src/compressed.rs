@@ -143,12 +143,11 @@ impl<'g> CompressedBfs<'g> {
 
     /// Full BFS from `src` over the compressed stream.
     pub fn bfs(&mut self, src: VertexId) -> (Vec<u32>, RunStats) {
-        let snap = self.machine.snapshot();
+        let base = self.machine.counters();
         let n = self.graph.num_vertices();
         let mut levels = vec![UNVISITED; n];
         levels[src as usize] = 0;
         let mut frontier = vec![src];
-        let mut launches = 0u64;
         let mut level = 0u32;
         while !frontier.is_empty() {
             let mut next = Vec::new();
@@ -165,12 +164,11 @@ impl<'g> CompressedBfs<'g> {
                 scratch: Vec::new(),
             };
             run_kernel(&mut self.machine, &mut kernel);
-            launches += 1;
             level += 1;
             next.sort_unstable();
             frontier = next;
         }
-        (levels, self.machine.finish_run(&snap, launches))
+        (levels, self.machine.counters() - base)
     }
 }
 

@@ -44,9 +44,8 @@ use crate::strategy::AccessStrategy;
 use emogi_graph::{CsrGraph, VertexId, VertexPartition};
 use emogi_runtime::exec::run_kernel;
 use emogi_runtime::group::DeviceGroup;
-use emogi_runtime::machine::Snapshot;
 use emogi_runtime::report::RunStats;
-use emogi_runtime::{Machine, PrefetchStats, Prefetcher, TransferManager, TransferStats};
+use emogi_runtime::{Machine, Prefetcher, TransferManager};
 use emogi_sim::pipeline::CopyEngineConfig;
 
 /// The machines a drive runs on: one [`Machine`], or a [`DeviceGroup`]
@@ -97,9 +96,9 @@ pub(crate) struct Placement {
 impl Placement {
     /// Place `graph` on `machine`. The layout's host/CXL split becomes
     /// the transfer manager's tier homes, so a spilled tail is promoted
-    /// over the CXL link rather than the PCIe lane; the copy lane
-    /// defaults to the machine's PCIe cost model so hidden-latency
-    /// estimates match the synchronous DMA path.
+    /// over the CXL link rather than the PCIe lane; the copy lane takes
+    /// the machine's PCIe cost model so hidden-latency estimates match
+    /// the synchronous DMA path.
     fn place(machine: &mut Machine, graph: &CsrGraph, cfg: &EngineConfig) -> Self {
         let layout = GraphLayout::place(machine, graph, cfg.elem_bytes, cfg.placement, false);
         let transfer = cfg.transfer.clone().map(|tcfg| {
@@ -115,10 +114,7 @@ impl Placement {
             .as_ref()
             .zip(cfg.pipeline.clone())
             .map(|(tm, pcfg)| {
-                let copy = pcfg
-                    .copy
-                    .clone()
-                    .unwrap_or_else(|| CopyEngineConfig::from_pcie(&machine.cfg.pcie));
+                let copy = CopyEngineConfig::from_pcie(&machine.cfg.pcie);
                 Prefetcher::new(tm.num_regions(), pcfg, copy)
             });
         Self {
@@ -204,45 +200,38 @@ impl Placement {
         }
     }
 
-    /// Lifetime transfer and prefetch counters (zero without a manager).
-    fn counters(&self) -> (TransferStats, PrefetchStats) {
-        (
-            self.transfer
-                .as_ref()
-                .map_or_else(Default::default, |t| t.stats),
-            self.prefetcher
-                .as_ref()
-                .map_or_else(Default::default, |p| p.stats),
-        )
+    /// The device's cumulative counters: the machine's own, plus the
+    /// transfer manager's and prefetcher's, which live outside it.
+    fn counters(&self, machine: &Machine) -> RunStats {
+        let mut c = machine.counters();
+        if let Some(t) = &self.transfer {
+            c.transfer = t.stats;
+        }
+        if let Some(p) = &self.prefetcher {
+            c.prefetch = p.stats;
+        }
+        c
     }
 }
 
-/// An open measurement on every device: machine snapshots plus the
-/// transfer-manager and prefetcher counters that live outside the
-/// machine. Closing it yields per-device [`RunStats`] diffs.
-struct Meter(Vec<(Snapshot, TransferStats, PrefetchStats)>);
+/// An open measurement: every device's counters when it was opened.
+/// Closing it yields the per-device [`RunStats`] diffs.
+struct Meter(Vec<RunStats>);
 
 impl Meter {
-    fn open(machines: &[Machine], places: &[Placement]) -> Self {
-        let open_one = |(m, p): (&Machine, &Placement)| {
-            let (transfer, prefetch) = p.counters();
-            (m.snapshot(), transfer, prefetch)
-        };
-        Meter(machines.iter().zip(places).map(open_one).collect())
+    fn read(machines: &[Machine], places: &[Placement]) -> Vec<RunStats> {
+        let each = machines.iter().zip(places);
+        each.map(|(m, p)| p.counters(m)).collect()
     }
 
-    /// Per-device stats since `open`, with `launches[d]` kernel launches
-    /// attributed to device `d`.
-    fn close(&self, machines: &[Machine], places: &[Placement], launches: &[u64]) -> Vec<RunStats> {
-        let mut per_device = Vec::with_capacity(self.0.len());
-        for (d, (snap, transfer_base, prefetch_base)) in self.0.iter().enumerate() {
-            let mut stats = machines[d].finish_run(snap, launches[d]);
-            let (transfer, prefetch) = places[d].counters();
-            stats.transfer = transfer - *transfer_base;
-            stats.prefetch = prefetch - *prefetch_base;
-            per_device.push(stats);
-        }
-        per_device
+    fn open(machines: &[Machine], places: &[Placement]) -> Self {
+        Meter(Self::read(machines, places))
+    }
+
+    /// Per-device stats since `open`.
+    fn close(self, machines: &[Machine], places: &[Placement]) -> Vec<RunStats> {
+        let now = Self::read(machines, places);
+        now.into_iter().zip(self.0).map(|(n, b)| n - b).collect()
     }
 }
 
@@ -254,8 +243,8 @@ pub(crate) struct Driven<O> {
     /// Per-query totals of the iterations each query was active in
     /// (flagged [`RunStats::shared_fetch`] when Q > 1).
     pub per_query: Vec<RunStats>,
-    /// Per-device machine diffs over the whole drive, with each device's
-    /// physical launch count.
+    /// Per-device counter diffs over the whole drive (`kernel_launches`
+    /// is each device's physical launch count).
     pub per_device: Vec<RunStats>,
     /// Synchronous iterations executed (logical launch waves).
     pub iterations: u64,
@@ -373,7 +362,6 @@ impl<'g> Driver<'g> {
             }
         }
         let run_meter = Meter::open(devices.machines(), &self.places);
-        let mut launches = vec![0u64; ndev];
         let mut iterations = 0u64;
         // A batch of one shares its fetches with nobody; only real
         // multi-query batches flag their per-query stats.
@@ -436,8 +424,6 @@ impl<'g> Driver<'g> {
                     }
                 })
                 .collect();
-            // Devices whose shard is empty this iteration stay idle.
-            let launched: Vec<u64> = works.iter().map(|w| u64::from(!w.is_empty())).collect();
             let iter_meter = Meter::open(devices.machines(), &self.places);
 
             for (d, (m, p)) in devices
@@ -446,6 +432,7 @@ impl<'g> Driver<'g> {
                 .zip(&mut self.places)
                 .enumerate()
             {
+                // Devices whose shard is empty this iteration stay idle.
                 if works[d].is_empty() {
                     continue;
                 }
@@ -498,7 +485,6 @@ impl<'g> Driver<'g> {
                     &mut next[d * nq..(d + 1) * nq],
                 );
                 run_kernel(&mut devices.machines()[d], &mut kernel);
-                launches[d] += 1;
             }
 
             // The work is semantic once (program state updates a single
@@ -541,11 +527,11 @@ impl<'g> Driver<'g> {
                 f.dedup();
             }
 
-            let per_device = iter_meter.close(devices.machines(), &self.places, &launched);
+            let per_device = iter_meter.close(devices.machines(), &self.places);
             let mut iteration = RunStats::aggregate_concurrent(&per_device);
             iteration.kernel_launches = 1;
             for &q in &active {
-                per_query[q].accumulate(&iteration);
+                per_query[q] += &iteration;
             }
             if !frontier_driven && programs[0].converged() {
                 break;
@@ -554,7 +540,7 @@ impl<'g> Driver<'g> {
         Driven {
             outputs: programs.into_iter().map(P::finish).collect(),
             per_query,
-            per_device: run_meter.close(devices.machines(), &self.places, &launches),
+            per_device: run_meter.close(devices.machines(), &self.places),
             iterations,
         }
     }
@@ -565,12 +551,21 @@ mod tests {
     use super::*;
     use crate::bfs::BfsProgram;
     use emogi_graph::{generators, PartitionStrategy};
+    use emogi_runtime::group::DeviceGroupConfig;
     use emogi_runtime::machine::MachineConfig;
+    use emogi_sim::cxl::CxlConfig;
 
     fn driver(graph: &CsrGraph, devices: usize) -> (Vec<Machine>, Driver<'_>) {
-        let cfg = EngineConfig::emogi_v100();
+        driver_with(EngineConfig::emogi_v100(), graph, devices)
+    }
+
+    fn driver_with(
+        cfg: EngineConfig,
+        graph: &CsrGraph,
+        devices: usize,
+    ) -> (Vec<Machine>, Driver<'_>) {
         let mut machines: Vec<Machine> = (0..devices)
-            .map(|_| Machine::new(MachineConfig::v100_gen3()))
+            .map(|_| Machine::new(cfg.machine.clone()))
             .collect();
         let partition = PartitionStrategy::Contiguous.partition(graph, devices);
         let driver = Driver::load(&cfg, graph, &mut machines, partition);
@@ -655,5 +650,84 @@ mod tests {
             assert_eq!(driven.per_query[0], driven.per_device[0], "source {src}");
             assert_eq!(driven.per_device[0].kernel_launches, driven.iterations);
         }
+    }
+
+    /// Ledger algebra on real counters: three readings of one device
+    /// around two pipelined hybrid BFS runs on a CXL-attached machine
+    /// whose host DRAM holds half the edge list, so PCIe, histogram,
+    /// CXL, transfer and prefetch counters all move.
+    #[test]
+    fn counter_diffs_of_adjacent_spans_fold_into_the_diff_of_the_whole() {
+        let g = generators::kronecker(12, 16, 7);
+        let mut cfg = EngineConfig::pipelined_v100();
+        cfg.machine = cfg
+            .machine
+            .with_cxl(CxlConfig::external_x8())
+            .with_host_capacity(g.edge_list_bytes(cfg.elem_bytes) / 2);
+        cfg.transfer.as_mut().unwrap().region_bytes = 4 << 10;
+        let (mut machines, mut one) = driver_with(cfg, &g, 1);
+        let hub = (0..g.num_vertices() as u32)
+            .max_by_key(|&v| g.degree(v))
+            .unwrap();
+
+        let c0 = one.places[0].counters(&machines[0]);
+        one.drive(&mut machines[0], vec![BfsProgram::new(&g, hub)], false);
+        let c1 = one.places[0].counters(&machines[0]);
+        let second = one.drive(&mut machines[0], vec![BfsProgram::new(&g, 1)], false);
+        let c2 = one.places[0].counters(&machines[0]);
+
+        let whole = c2.clone() - c0.clone();
+        for (name, moved) in [
+            ("pcie reads", whole.pcie_read_requests),
+            ("request sizes", whole.request_sizes.total()),
+            ("cxl bytes", whole.cxl_bytes),
+            ("cxl promotions", whole.transfer.cxl_staged_bytes),
+            (
+                "host staging",
+                whole.transfer.staged_bytes - whole.transfer.cxl_staged_bytes,
+            ),
+            ("prefetch hits", whole.prefetch.hit_bytes),
+            ("prefetch stalls", whole.prefetch.stall_ns),
+        ] {
+            assert!(moved > 0, "the scenario must move {name}");
+        }
+        assert_eq!(whole.elapsed_ns, c2.elapsed_ns - c0.elapsed_ns);
+        assert_eq!(whole.elapsed_ns, machines[0].now, "c0 was read at time 0");
+
+        let later = c2 - c1.clone();
+        assert_eq!(later, second.per_device[0]);
+        let mut folded = c1 - c0;
+        assert!(folded.elapsed_ns > 0 && folded != whole);
+        folded += &later;
+        assert_eq!(folded, whole, "(c1 - c0) + (c2 - c1) == c2 - c0");
+    }
+
+    /// The machine counts its own launches: one per `run_kernel`, per
+    /// device. On one device every iteration launches; on two, a device
+    /// whose shard is empty that iteration stays idle and counts nothing.
+    #[test]
+    fn per_device_launches_come_from_each_machines_own_counter() {
+        let g = generators::uniform_random(600, 8, 9);
+        let (mut machines, mut one) = driver(&g, 1);
+        let driven = one.drive(&mut machines[0], vec![BfsProgram::new(&g, 4)], false);
+        assert_eq!(machines[0].kernel_launches, driven.iterations);
+
+        let mut group = DeviceGroup::new(DeviceGroupConfig {
+            devices: 2,
+            machine: MachineConfig::v100_gen3(),
+            peer: None,
+        });
+        let partition = PartitionStrategy::Contiguous.partition(&g, 2);
+        let cfg = EngineConfig::emogi_v100();
+        let mut two = Driver::load(&cfg, &g, &mut group.machines, partition);
+        let driven = two.drive(&mut group, vec![BfsProgram::new(&g, 4)], false);
+        for (d, m) in group.machines.iter().enumerate() {
+            assert_eq!(driven.per_device[d].kernel_launches, m.kernel_launches);
+            assert!(m.kernel_launches <= driven.iterations, "device {d}");
+        }
+        // Iteration 1 expands the lone source on its owner only.
+        let owner = two.partition.owner(4);
+        assert!(group.machines[1 - owner].kernel_launches < driven.iterations);
+        assert_eq!(group.machines[owner].kernel_launches, driven.iterations);
     }
 }

@@ -333,7 +333,7 @@ impl<'g> Engine<'g> {
             let driven = self.core.drive(&mut self.machine, programs, slots > 0);
             // Groups run back to back on one machine, so their diffs
             // tile the batch's: the fold is the batch-level machine diff.
-            stats.accumulate(&driven.per_device[0]);
+            stats += &driven.per_device[0];
             let per_query = driven.outputs.into_iter().zip(driven.per_query);
             runs.extend(per_query.map(|(output, stats)| Run { output, stats }));
             programs = rest;

@@ -44,10 +44,8 @@
 use crate::driver::Driver;
 use crate::engine::EngineConfig;
 use crate::program::VertexProgram;
-use crate::strategy::AccessMode;
 use emogi_graph::{CsrGraph, PartitionStrategy, VertexId, VertexPartition};
 use emogi_runtime::group::{DeviceGroup, DeviceGroupConfig};
-use emogi_runtime::machine::MachineConfig;
 use emogi_runtime::report::RunStats;
 use emogi_sim::interconnect::{LinkStats, PeerLinkConfig};
 
@@ -93,58 +91,9 @@ impl ShardedConfig {
         }
     }
 
-    /// Like [`emogi_v100`](Self::emogi_v100) with per-device hybrid
-    /// zero-copy/DMA transfer management.
-    pub fn hybrid_v100(devices: usize) -> Self {
-        Self {
-            engine: EngineConfig::hybrid_v100(),
-            ..Self::emogi_v100(devices)
-        }
-    }
-
     /// Replace the vertex partitioner.
     pub fn with_partition(mut self, partition: PartitionStrategy) -> Self {
         self.partition = partition;
-        self
-    }
-
-    /// Select a full access mode on the per-device engines.
-    pub fn with_mode(mut self, mode: AccessMode) -> Self {
-        self.engine = self.engine.with_mode(mode);
-        self
-    }
-
-    /// Enable pipelined (overlapped DMA/kernel) execution on every
-    /// device, with default prefetch settings. Inert unless the
-    /// per-device engines run in hybrid mode.
-    pub fn pipelined(mut self) -> Self {
-        self.engine = self.engine.pipelined();
-        self
-    }
-
-    /// Replace the per-device simulated platform.
-    pub fn with_machine(mut self, machine: MachineConfig) -> Self {
-        self.engine = self.engine.with_machine(machine);
-        self
-    }
-
-    /// Set the simulated edge element size on every device.
-    pub fn with_elem_bytes(mut self, bytes: u64) -> Self {
-        self.engine = self.engine.with_elem_bytes(bytes);
-        self
-    }
-
-    /// Route iteration-end exchanges through host memory instead of a
-    /// peer link.
-    pub fn without_peer(mut self) -> Self {
-        self.peer = None;
-        self
-    }
-
-    /// Toggle frontier access reordering on every device (see
-    /// [`EngineConfig::frontier_reorder`]).
-    pub fn with_frontier_reorder(mut self, on: bool) -> Self {
-        self.engine = self.engine.with_frontier_reorder(on);
         self
     }
 }
@@ -305,11 +254,14 @@ impl<'g> ShardedEngine<'g> {
 mod tests {
     use super::*;
     use crate::engine::{Engine, EngineConfig};
+    use crate::strategy::AccessMode;
     use emogi_graph::datasets::generate_weights;
     use emogi_graph::{algo, generators};
 
     fn sharded_cfg(devices: usize, mode: AccessMode) -> ShardedConfig {
-        ShardedConfig::emogi_v100(devices).with_mode(mode)
+        let mut cfg = ShardedConfig::emogi_v100(devices);
+        cfg.engine = cfg.engine.with_mode(mode);
+        cfg
     }
 
     #[test]

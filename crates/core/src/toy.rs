@@ -169,9 +169,9 @@ pub fn run_zero_copy(
         // either way 4 KiB of work per task.
         task_bytes: 4096,
     };
-    let snap = m.snapshot();
+    let base = m.counters();
     run_kernel(&mut m, &mut kernel);
-    let stats = m.finish_run(&snap, 1);
+    let stats = m.counters() - base;
     ToyRun {
         label: pattern.name(),
         pcie_gbps: stats.avg_pcie_gbps,
@@ -196,9 +196,9 @@ pub fn run_uvm_reference(machine_cfg: emogi_runtime::MachineConfig, array_bytes:
         cursor: 0,
         task_bytes: 4096,
     };
-    let snap = m.snapshot();
+    let base = m.counters();
     run_kernel(&mut m, &mut kernel);
-    let stats = m.finish_run(&snap, 1);
+    let stats = m.counters() - base;
     ToyRun {
         label: "UVM",
         pcie_gbps: stats.avg_pcie_gbps,

@@ -111,6 +111,7 @@ pub fn run_kernel<K: Kernel>(machine: &mut Machine, kernel: &mut K) -> KernelRep
     if machine.spaces.managed_used() > 0 {
         machine.ensure_uvm();
     }
+    machine.kernel_launches += 1;
     let start = machine.now + machine.kernel_launch_ns;
     let mut ex = Executor {
         m: machine,
@@ -254,6 +255,41 @@ impl<K: Kernel> Executor<'_, K> {
         }
     }
 
+    /// Probe the L2 for `txn`'s sectors, charge warp `w` the hit latency
+    /// if any hit, and return the mask of sectors that missed.
+    fn probe(&mut self, w: u32, txn: &Transaction, at: Time) -> u8 {
+        let mask = txn.sector_mask();
+        let hit = self.m.cache.probe(txn.line(), mask);
+        if hit != 0 {
+            let slot = &mut self.slots[w as usize];
+            slot.resume_at = slot.resume_at.max(at + self.m.cache.hit_latency_ns);
+        }
+        mask & !hit
+    }
+
+    /// The one synchronous cached-load path: probe the L2, then for each
+    /// run of missing sectors, ascending, `read` it from the backing
+    /// memory, fill the cache and hold the warp until the data arrives.
+    /// The spaces differ only in the backing (and so in latency): HBM for
+    /// device loads and resident managed pages, the CXL link for the
+    /// external tier.
+    fn cached_load(
+        &mut self,
+        w: u32,
+        txn: &Transaction,
+        at: Time,
+        read: impl Fn(&mut Machine, Time, u64, u32) -> Time,
+    ) {
+        let line = txn.line();
+        for (first, run) in sector_runs(self.probe(w, txn, at)) {
+            let addr = line + first * SECTOR_BYTES;
+            let done = read(self.m, at, addr, (run * SECTOR_BYTES) as u32);
+            self.m.cache.fill(line, run_mask(first, run));
+            let slot = &mut self.slots[w as usize];
+            slot.resume_at = slot.resume_at.max(done);
+        }
+    }
+
     /// Device-space access: cache in front of HBM, fully synchronous.
     fn access_device(&mut self, w: u32, txn: &Transaction, at: Time) {
         self.report.device_txns += 1;
@@ -261,25 +297,7 @@ impl<K: Kernel> Executor<'_, K> {
             self.m.hbm.write(at, txn.addr, txn.size);
             return;
         }
-        let line = txn.line();
-        let mask = txn.sector_mask();
-        let hit = self.m.cache.probe(line, mask);
-        let slot = &mut self.slots[w as usize];
-        if hit != 0 {
-            slot.resume_at = slot.resume_at.max(at + self.m.cache.hit_latency_ns);
-        }
-        let mut miss = mask & !hit;
-        while miss != 0 {
-            let first = miss.trailing_zeros() as u64;
-            let run = (miss >> first).trailing_ones() as u64;
-            let addr = line + first * SECTOR_BYTES;
-            let size = (run * SECTOR_BYTES) as u32;
-            let done = self.m.hbm.read(at, addr, size);
-            self.m.cache.fill(line, run_mask(first, run));
-            let slot = &mut self.slots[w as usize];
-            slot.resume_at = slot.resume_at.max(done);
-            miss &= !run_mask(first, run);
-        }
+        self.cached_load(w, txn, at, hbm_read);
     }
 
     /// CXL external-tier access: cache in front of a synchronous CXL.mem
@@ -293,30 +311,12 @@ impl<K: Kernel> Executor<'_, K> {
             "the evaluated kernels never store to the CXL tier"
         );
         self.report.cxl_txns += 1;
-        let line = txn.line();
-        let mask = txn.sector_mask();
-        let hit = self.m.cache.probe(line, mask);
-        if hit != 0 {
-            let slot = &mut self.slots[w as usize];
-            slot.resume_at = slot.resume_at.max(at + self.m.cache.hit_latency_ns);
-        }
-        let mut miss = mask & !hit;
-        while miss != 0 {
-            let first = miss.trailing_zeros() as u64;
-            let run = (miss >> first).trailing_ones() as u64;
-            let addr = line + first * SECTOR_BYTES;
-            let size = (run * SECTOR_BYTES) as u32;
-            let done = self
-                .m
-                .cxl
+        self.cached_load(w, txn, at, |m, at, addr, size| {
+            m.cxl
                 .as_mut()
                 .expect("CXL-space access on a machine without a CXL tier")
-                .read(at, addr, size);
-            self.m.cache.fill(line, run_mask(first, run));
-            let slot = &mut self.slots[w as usize];
-            slot.resume_at = slot.resume_at.max(done);
-            miss &= !run_mask(first, run);
-        }
+                .read(at, addr, size)
+        });
     }
 
     /// Pinned-host access: cache, then MSHR merge, then a PCIe read.
@@ -327,13 +327,7 @@ impl<K: Kernel> Executor<'_, K> {
         );
         self.report.host_txns += 1;
         let line = txn.line();
-        let mask = txn.sector_mask();
-        let hit = self.m.cache.probe(line, mask);
-        if hit != 0 {
-            let slot = &mut self.slots[w as usize];
-            slot.resume_at = slot.resume_at.max(at + self.m.cache.hit_latency_ns);
-        }
-        let mut miss = mask & !hit;
+        let mut miss = self.probe(w, txn, at);
         if miss == 0 {
             return;
         }
@@ -360,12 +354,9 @@ impl<K: Kernel> Executor<'_, K> {
         // Remaining runs become new PCIe reads. The request is created
         // (and MSHR-visible) immediately; it only goes on the link when
         // the warp has an in-flight slot free.
-        while miss != 0 {
-            let first = miss.trailing_zeros() as u64;
-            let run = (miss >> first).trailing_ones() as u64;
+        for (first, run) in sector_runs(miss) {
             let addr = line + first * SECTOR_BYTES;
             let size = (run * SECTOR_BYTES) as u32;
-            miss &= !run_mask(first, run);
             let slot = &mut self.slots[w as usize];
             slot.outstanding += 1;
             let r = self.create_request(w, addr, size);
@@ -516,30 +507,7 @@ impl<K: Kernel> Executor<'_, K> {
             return;
         }
         // Fully resident: normal cached device-side access.
-        self.access_resident_managed(w, txn, at);
-    }
-
-    fn access_resident_managed(&mut self, w: u32, txn: &Transaction, at: Time) {
-        let line = txn.line();
-        let mask = txn.sector_mask();
-        let hit = self.m.cache.probe(line, mask);
-        let slot = &mut self.slots[w as usize];
-        if hit != 0 {
-            slot.resume_at = slot.resume_at.max(at + self.m.cache.hit_latency_ns);
-        }
-        let mut miss = mask & !hit;
-        while miss != 0 {
-            let first = miss.trailing_zeros() as u64;
-            let run = (miss >> first).trailing_ones() as u64;
-            let done =
-                self.m
-                    .hbm
-                    .read(at, line + first * SECTOR_BYTES, (run * SECTOR_BYTES) as u32);
-            self.m.cache.fill(line, run_mask(first, run));
-            let slot = &mut self.slots[w as usize];
-            slot.resume_at = slot.resume_at.max(done);
-            miss &= !run_mask(first, run);
-        }
+        self.cached_load(w, txn, at, hbm_read);
     }
 
     fn maybe_start_uvm_batch(&mut self, at: Time) {
@@ -592,9 +560,29 @@ impl<K: Kernel> Executor<'_, K> {
     }
 }
 
+/// The HBM backing of [`Executor::cached_load`].
+#[inline]
+fn hbm_read(m: &mut Machine, at: Time, addr: u64, size: u32) -> Time {
+    m.hbm.read(at, addr, size)
+}
+
 #[inline]
 fn run_mask(first: u64, run: u64) -> u8 {
     (((1u16 << run) - 1) << first) as u8
+}
+
+/// The runs of consecutive set bits in a sector mask, ascending, as
+/// `(first sector, run length)`.
+#[inline]
+fn sector_runs(mut mask: u8) -> impl Iterator<Item = (u64, u64)> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let first = mask.trailing_zeros() as u64;
+            let run = (mask >> first).trailing_ones() as u64;
+            mask &= !run_mask(first, run);
+            (first, run)
+        })
+    })
 }
 
 #[cfg(test)]
@@ -602,6 +590,8 @@ mod tests {
     use super::*;
     use crate::machine::MachineConfig;
     use emogi_gpu::access::WARP_SIZE;
+    use emogi_gpu::cache::SectoredCache;
+    use emogi_sim::cxl::CxlConfig;
 
     /// A kernel whose warps each stream over one contiguous host range,
     /// warp-per-range, coalesced (the "merged" toy pattern).
@@ -968,5 +958,101 @@ mod tests {
             "second warp must merge onto the in-flight line"
         );
         assert_eq!(r.mshr_merges, 1);
+    }
+
+    /// One task per 128-byte line of `[base, base + lines * 128)`, one
+    /// step each, loading 8 bytes from every sector in `sectors`.
+    struct SectorKernel {
+        base: u64,
+        lines: u64,
+        sectors: &'static [u64],
+        space: Space,
+        next: u64,
+    }
+
+    impl Kernel for SectorKernel {
+        type Task = u64;
+
+        fn next_task(&mut self) -> Option<u64> {
+            let line = self.next;
+            self.next += 1;
+            (line < self.lines).then_some(self.base + line * LINE_BYTES)
+        }
+
+        fn step(&mut self, line: &mut u64, batch: &mut AccessBatch) -> StepOutcome {
+            for &s in self.sectors {
+                batch.load(*line + s * SECTOR_BYTES, 8, self.space);
+            }
+            StepOutcome::Done
+        }
+    }
+
+    /// The same sector stream through the one cached-load path, three
+    /// backings: identical L2 behaviour, and only the memory that served
+    /// the misses differs.
+    #[test]
+    fn one_sector_stream_three_backings_differ_only_in_who_serves_the_misses() {
+        const LINES: u64 = 64;
+        let run = |space: Space| {
+            let mut m = Machine::new(MachineConfig::v100_gen3().with_cxl(CxlConfig::external_x8()));
+            let base = match space {
+                Space::Device => m.alloc_device(LINES * LINE_BYTES),
+                Space::Cxl => m.alloc_cxl(LINES * LINE_BYTES),
+                Space::Managed => m.alloc_managed(LINES * LINE_BYTES),
+                Space::HostPinned => unreachable!("zero-copy loads are asynchronous"),
+            };
+            let sweep = |m: &mut Machine, sectors| {
+                let mut k = SectorKernel {
+                    base,
+                    lines: LINES,
+                    sectors,
+                    space,
+                    next: 0,
+                };
+                run_kernel(m, &mut k)
+            };
+            if space == Space::Managed {
+                // Fault the pages in, then start from a cold cache like
+                // the other two spaces.
+                sweep(&mut m, &[0]);
+                m.cache = SectoredCache::new(&m.cfg.gpu.cache);
+            }
+            let base_counters = m.counters();
+            let hbm_base = m.hbm.bytes_read;
+            // Sector 1 misses alone; the full line then hits it and
+            // misses around it as two runs (sector 0, then sectors 2-3).
+            let cold = sweep(&mut m, &[1]);
+            let warm = sweep(&mut m, &[0, 1, 2, 3]);
+            let stats = m.counters() - base_counters;
+            let txns = |r: &KernelReport| (r.device_txns, r.cxl_txns, r.managed_txns);
+            assert_eq!(txns(&cold), txns(&warm));
+            assert_eq!(warm.page_faults, 0, "{space:?}: pages are resident");
+            (stats, m.hbm.bytes_read - hbm_base, txns(&warm))
+        };
+        let (device, device_hbm, device_txns) = run(Space::Device);
+        let (cxl, cxl_hbm, cxl_txns) = run(Space::Cxl);
+        let (managed, managed_hbm, managed_txns) = run(Space::Managed);
+
+        assert_eq!(device_txns, (LINES, 0, 0));
+        assert_eq!(cxl_txns, (0, LINES, 0));
+        assert_eq!(managed_txns, (0, 0, LINES));
+        for (name, s) in [("device", &device), ("cxl", &cxl), ("managed", &managed)] {
+            assert_eq!(s.kernel_launches, 2, "{name}: one launch per run_kernel");
+            assert_eq!(s.l2_sector_hits, LINES, "{name}");
+            assert_eq!(s.l2_sector_misses, 4 * LINES, "{name}");
+            assert_eq!(s.pcie_read_requests, 0, "{name}: nothing crosses PCIe");
+        }
+        // Every missed sector was read from the backing exactly once, one
+        // read per miss run.
+        assert_eq!(device_hbm, 4 * SECTOR_BYTES * LINES);
+        assert_eq!(managed_hbm, device_hbm);
+        assert_eq!((device.cxl_bytes, managed.cxl_bytes), (0, 0));
+        assert_eq!(cxl_hbm, 0, "the CXL tier is not HBM");
+        assert_eq!(cxl.cxl_bytes, 4 * SECTOR_BYTES * LINES);
+        assert_eq!(cxl.cxl_read_requests, 3 * LINES, "one read per miss run");
+        assert!(
+            cxl.elapsed_ns > device.elapsed_ns,
+            "same stream, slower backing"
+        );
     }
 }

@@ -8,7 +8,7 @@ use emogi_gpu::config::{GpuConfig, GpuPreset};
 use emogi_sim::cxl::{CxlConfig, CxlLink};
 use emogi_sim::dma::{DmaEngine, MEMCPY_LAUNCH_OVERHEAD_NS};
 use emogi_sim::dram::{Dram, DramConfig};
-use emogi_sim::monitor::{SizeHistogram, TrafficMonitor};
+use emogi_sim::monitor::TrafficMonitor;
 use emogi_sim::pcie::{PcieConfig, PcieGen, PcieLink};
 use emogi_sim::time::Time;
 use emogi_uvm::{UvmConfig, UvmDriver};
@@ -132,25 +132,10 @@ pub struct Machine {
     /// transaction sizes). `lane_bytes / txn_bytes` is the coalescing
     /// efficiency the layout experiments report.
     pub txn_bytes: u64,
-}
-
-/// Scalar counter snapshot used to diff per-run statistics.
-#[derive(Debug, Clone)]
-pub struct Snapshot {
-    at: Time,
-    reads: u64,
-    sizes: SizeHistogram,
-    zero_copy: u64,
-    dma: u64,
-    dram_read: u64,
-    faults: u64,
-    migrated: u64,
-    l2_hits: u64,
-    l2_misses: u64,
-    lane_bytes: u64,
-    txn_bytes: u64,
-    cxl_reads: u64,
-    cxl_bytes: u64,
+    /// Kernels launched since construction; bumped by
+    /// [`run_kernel`](crate::exec::run_kernel) (and by analytic baselines
+    /// that model a launch without executing one).
+    pub kernel_launches: u64,
 }
 
 impl Machine {
@@ -167,9 +152,10 @@ impl Machine {
             cxl: cfg.cxl.clone().map(CxlLink::new),
             uvm: None,
             now: 0,
-            kernel_launch_ns: 100, // scaled with the datasets (see DESIGN.md)
+            kernel_launch_ns: 100, // scaled with the datasets (see ARCHITECTURE.md)
             lane_bytes: 0,
             txn_bytes: 0,
+            kernel_launches: 0,
             cfg,
         }
     }
@@ -284,85 +270,32 @@ impl Machine {
         self.now = self.hbm.write_bulk(start, bytes).max(arrived);
     }
 
-    /// Synchronous `cudaMemcpy` device→host; advances the clock.
-    pub fn memcpy_to_host(&mut self, bytes: u64) {
-        self.now = self.dma.copy_to_host(
-            self.now,
-            bytes,
-            &mut self.link,
-            &mut self.host_dram,
-            &mut self.hbm,
-            &mut self.monitor,
-        );
-    }
-
-    /// Begin a measured run (BFS/SSSP/CC execution).
-    pub fn snapshot(&self) -> Snapshot {
-        let (faults, migrated) = self
-            .uvm
-            .as_ref()
-            .map(|u| (u.stats.faults, u.stats.pages_migrated))
-            .unwrap_or((0, 0));
-        Snapshot {
-            at: self.now,
-            reads: self.monitor.read_requests,
-            sizes: self.monitor.sizes.clone(),
-            zero_copy: self.monitor.zero_copy_bytes,
-            dma: self.monitor.dma_bytes,
-            dram_read: self.host_dram.bytes_read,
-            faults,
-            migrated,
-            l2_hits: self.cache.stats.sector_hits,
-            l2_misses: self.cache.stats.sector_misses,
+    /// Every counter a run reports, cumulative since construction
+    /// (`elapsed_ns` is the clock itself). A run's stats are the
+    /// difference of two readings: `machine.counters() - base`. The
+    /// transfer manager and prefetcher live outside the machine; whoever
+    /// owns them (the engine's placement) fills `transfer` / `prefetch`.
+    pub fn counters(&self) -> RunStats {
+        let uvm = self.uvm.as_ref().map(|u| &u.stats);
+        let mut stats = RunStats {
+            elapsed_ns: self.now,
+            kernel_launches: self.kernel_launches,
+            pcie_read_requests: self.monitor.read_requests,
+            request_sizes: self.monitor.sizes.clone(),
+            host_bytes: self.monitor.host_to_gpu_bytes(),
+            page_faults: uvm.map_or(0, |s| s.faults),
+            pages_migrated: uvm.map_or(0, |s| s.pages_migrated),
+            host_dram_bytes: self.host_dram.bytes_read,
+            l2_sector_hits: self.cache.stats.sector_hits,
+            l2_sector_misses: self.cache.stats.sector_misses,
             lane_bytes: self.lane_bytes,
             txn_bytes: self.txn_bytes,
-            cxl_reads: self.cxl.as_ref().map_or(0, |c| c.read_requests),
+            cxl_read_requests: self.cxl.as_ref().map_or(0, |c| c.read_requests),
             cxl_bytes: self.cxl.as_ref().map_or(0, CxlLink::total_bytes),
-        }
-    }
-
-    /// Close a measured run, diffing counters against `base`.
-    pub fn finish_run(&self, base: &Snapshot, kernel_launches: u64) -> RunStats {
-        let elapsed = self.now - base.at;
-        let mut sizes = self.monitor.sizes.clone();
-        for (b, old) in sizes.buckets.iter_mut().zip(base.sizes.buckets) {
-            *b -= old;
-        }
-        sizes.other -= base.sizes.other;
-        let (faults, migrated) = self
-            .uvm
-            .as_ref()
-            .map(|u| (u.stats.faults, u.stats.pages_migrated))
-            .unwrap_or((0, 0));
-        let host_bytes =
-            (self.monitor.zero_copy_bytes - base.zero_copy) + (self.monitor.dma_bytes - base.dma);
-        RunStats {
-            elapsed_ns: elapsed,
-            kernel_launches,
-            pcie_read_requests: self.monitor.read_requests - base.reads,
-            request_sizes: sizes,
-            host_bytes,
-            avg_pcie_gbps: if elapsed == 0 {
-                0.0
-            } else {
-                host_bytes as f64 / elapsed as f64
-            },
-            page_faults: faults - base.faults,
-            pages_migrated: migrated - base.migrated,
-            host_dram_bytes: self.host_dram.bytes_read - base.dram_read,
-            l2_sector_hits: self.cache.stats.sector_hits - base.l2_hits,
-            l2_sector_misses: self.cache.stats.sector_misses - base.l2_misses,
-            lane_bytes: self.lane_bytes - base.lane_bytes,
-            txn_bytes: self.txn_bytes - base.txn_bytes,
-            cxl_read_requests: self.cxl.as_ref().map_or(0, |c| c.read_requests) - base.cxl_reads,
-            cxl_bytes: self.cxl.as_ref().map_or(0, CxlLink::total_bytes) - base.cxl_bytes,
-            // The transfer manager and prefetcher live outside the
-            // machine; whoever owns them (the engine) overwrites these
-            // with the per-run diffs.
-            transfer: crate::transfer::TransferStats::default(),
-            prefetch: crate::prefetch::PrefetchStats::default(),
-            shared_fetch: false,
-        }
+            ..RunStats::default()
+        };
+        stats.derive_avg_pcie_gbps();
+        stats
     }
 }
 
@@ -422,9 +355,9 @@ mod tests {
         m.alloc_host_pinned(1 << 20);
         assert_eq!(m.host_free(), 0, "host cap is exhausted");
         m.alloc_cxl(1 << 20);
-        let snap = m.snapshot();
+        let base = m.counters();
         m.memcpy_cxl_to_device(1 << 20);
-        let stats = m.finish_run(&snap, 0);
+        let stats = m.counters() - base;
         assert_eq!(stats.cxl_bytes, 1 << 20);
         assert_eq!(stats.host_bytes, 0, "CXL traffic must not count as PCIe");
         assert_eq!(m.monitor.dma_bytes, 0);
@@ -442,12 +375,17 @@ mod tests {
     fn run_stats_diffing() {
         let mut m = Machine::new(MachineConfig::v100_gen3());
         m.memcpy_to_device(1 << 20);
-        let snap = m.snapshot();
+        let base = m.counters();
+        assert_eq!((base.elapsed_ns, base.host_bytes), (m.now, 1 << 20));
         m.memcpy_to_device(2 << 20);
-        let stats = m.finish_run(&snap, 3);
+        let stats = m.counters() - base.clone();
         assert_eq!(stats.host_bytes, 2 << 20);
-        assert_eq!(stats.kernel_launches, 3);
-        assert!(stats.elapsed_ns > 0);
-        assert!(stats.avg_pcie_gbps > 0.0);
+        assert_eq!(stats.kernel_launches, 0, "a memcpy is not a launch");
+        assert_eq!(stats.elapsed_ns, m.now - base.elapsed_ns);
+        assert_eq!(
+            stats.avg_pcie_gbps,
+            (2u64 << 20) as f64 / stats.elapsed_ns as f64,
+            "the rate is re-derived from the diff, not diffed"
+        );
     }
 }

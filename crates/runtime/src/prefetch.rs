@@ -48,9 +48,6 @@ pub struct PrefetchConfig {
     /// reach to be worth speculating on. Lower values prefetch earlier
     /// but waste more bytes on mispredictions.
     pub margin: f64,
-    /// Copy-lane cost parameters; `None` derives them from the machine's
-    /// PCIe configuration so the lane matches the synchronous DMA path.
-    pub copy: Option<CopyEngineConfig>,
 }
 
 impl Default for PrefetchConfig {
@@ -59,62 +56,33 @@ impl Default for PrefetchConfig {
             slice_bytes: 4 << 20,
             max_regions_per_round: 16,
             margin: 0.7,
-            copy: None,
         }
     }
 }
 
-/// Monotonic prefetch counters; snapshot and diff for per-run reporting
-/// (the same protocol as [`crate::transfer::TransferStats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PrefetchStats {
-    /// Regions speculatively issued onto the copy lane.
-    pub prefetched_regions: u64,
-    /// Bytes speculatively issued onto the copy lane.
-    pub prefetched_bytes: u64,
-    /// Prefetched regions later adopted by a demand staging decision.
-    pub hit_regions: u64,
-    /// Bytes of adopted prefetches — staging traffic whose latency was
-    /// (partially or fully) hidden behind kernel compute.
-    pub hit_bytes: u64,
-    /// Bytes of evicted prefetches that were never adopted — the cost of
-    /// misprediction.
-    pub wasted_bytes: u64,
-    /// Ns the clock stalled waiting for adopted copies still in flight.
-    pub stall_ns: u64,
-    /// Estimated ns of staging latency hidden behind compute: the
-    /// synchronous marginal copy cost of adopted bytes minus the stall
-    /// actually paid. A diagnostic estimate, not a clock input.
-    pub hidden_ns: u64,
-}
-
-impl std::ops::Sub for PrefetchStats {
-    type Output = PrefetchStats;
-
-    /// Diff two snapshots of the (monotonically growing) counters.
-    fn sub(self, base: PrefetchStats) -> PrefetchStats {
-        PrefetchStats {
-            prefetched_regions: self.prefetched_regions - base.prefetched_regions,
-            prefetched_bytes: self.prefetched_bytes - base.prefetched_bytes,
-            hit_regions: self.hit_regions - base.hit_regions,
-            hit_bytes: self.hit_bytes - base.hit_bytes,
-            wasted_bytes: self.wasted_bytes - base.wasted_bytes,
-            stall_ns: self.stall_ns - base.stall_ns,
-            hidden_ns: self.hidden_ns - base.hidden_ns,
-        }
-    }
-}
-
-impl std::ops::AddAssign for PrefetchStats {
-    /// Accumulate per-run diffs (across queries, devices, iterations).
-    fn add_assign(&mut self, other: PrefetchStats) {
-        self.prefetched_regions += other.prefetched_regions;
-        self.prefetched_bytes += other.prefetched_bytes;
-        self.hit_regions += other.hit_regions;
-        self.hit_bytes += other.hit_bytes;
-        self.wasted_bytes += other.wasted_bytes;
-        self.stall_ns += other.stall_ns;
-        self.hidden_ns += other.hidden_ns;
+emogi_sim::ledger! {
+    /// Monotonic prefetch counters; read and diff for per-run reporting
+    /// (the same protocol as [`crate::transfer::TransferStats`]).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct PrefetchStats {
+        /// Regions speculatively issued onto the copy lane.
+        pub prefetched_regions: u64,
+        /// Bytes speculatively issued onto the copy lane.
+        pub prefetched_bytes: u64,
+        /// Prefetched regions later adopted by a demand staging decision.
+        pub hit_regions: u64,
+        /// Bytes of adopted prefetches — staging traffic whose latency was
+        /// (partially or fully) hidden behind kernel compute.
+        pub hit_bytes: u64,
+        /// Bytes of evicted prefetches that were never adopted — the cost
+        /// of misprediction.
+        pub wasted_bytes: u64,
+        /// Ns the clock stalled waiting for adopted copies still in flight.
+        pub stall_ns: u64,
+        /// Estimated ns of staging latency hidden behind compute: the
+        /// synchronous marginal copy cost of adopted bytes minus the stall
+        /// actually paid. A diagnostic estimate, not a clock input.
+        pub hidden_ns: u64,
     }
 }
 
@@ -156,7 +124,9 @@ pub struct Prefetcher {
 
 impl Prefetcher {
     /// A prefetcher over `num_regions` regions with lane parameters
-    /// `copy` (see [`PrefetchConfig::copy`]).
+    /// `copy` — derived from the machine's PCIe configuration
+    /// ([`CopyEngineConfig::from_pcie`]) so the lane matches the
+    /// synchronous DMA path.
     pub fn new(num_regions: usize, cfg: PrefetchConfig, copy: CopyEngineConfig) -> Self {
         Self {
             cfg,

@@ -39,60 +39,71 @@ impl KernelReport {
     }
 }
 
-/// Cumulative measurements for a whole traversal run (all kernel launches
-/// of one BFS/SSSP/CC execution), diffed off the machine's monitors.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RunStats {
-    /// Total simulated wall time.
-    pub elapsed_ns: Time,
-    /// Kernel launches ("the total number of kernels launched ... is equal
-    /// to the distance from the source vertex", §4.2).
-    pub kernel_launches: u64,
-    /// Zero-copy PCIe read requests (Figure 5).
-    pub pcie_read_requests: u64,
-    /// Their size mix (Figure 7).
-    pub request_sizes: SizeHistogram,
-    /// Host→GPU payload bytes: zero-copy reads plus DMA/migrations
-    /// (Figure 10's numerator).
-    pub host_bytes: u64,
-    /// Average achieved PCIe bandwidth over the run, GB/s (Figure 8).
-    pub avg_pcie_gbps: f64,
-    /// UVM page faults (zero for EMOGI engines).
-    pub page_faults: u64,
-    /// UVM pages migrated to the device (zero for EMOGI engines).
-    pub pages_migrated: u64,
-    /// Host DRAM traffic (Figure 4's DRAM lane).
-    pub host_dram_bytes: u64,
-    /// L2 sectors that hit during this run's kernels (the cache-aware
-    /// `layout` experiment's numerator).
-    pub l2_sector_hits: u64,
-    /// L2 sectors that missed during this run's kernels.
-    pub l2_sector_misses: u64,
-    /// Bytes the kernels' lanes requested, before coalescing.
-    pub lane_bytes: u64,
-    /// Bytes the coalesced transactions moved for those lanes.
-    pub txn_bytes: u64,
-    /// Demand read requests served by the CXL external tier; zero on
-    /// two-tier machines.
-    pub cxl_read_requests: u64,
-    /// Payload bytes the CXL tier served — zero-copy demand reads plus
-    /// bulk promotions into HBM. Kept separate from
-    /// [`host_bytes`](Self::host_bytes), which stays PCIe-only.
-    pub cxl_bytes: u64,
-    /// Hybrid transfer-manager counters for this run; all-zero for runs
-    /// that never stage (pure zero-copy, UVM).
-    pub transfer: TransferStats,
-    /// Pipelined-execution prefetch counters for this run (speculative
-    /// bytes issued, adoption hits, mispredicted waste, residual stall
-    /// and hidden staging latency); all-zero for synchronous runs.
-    pub prefetch: PrefetchStats,
-    /// `true` when these counters describe traffic *shared* with other
-    /// queries of a batched multi-query execution: the merged edge fetch
-    /// is accounted once globally (in the batch-level stats) and every
-    /// query that was active in an iteration absorbs that iteration's
-    /// totals, so summing flagged stats across queries double-counts the
-    /// shared bytes by design. Always `false` for solo runs.
-    pub shared_fetch: bool,
+emogi_sim::ledger! {
+    /// Cumulative measurements for a whole traversal run (all kernel
+    /// launches of one BFS/SSSP/CC execution): the difference of two
+    /// [`Machine::counters`](crate::Machine::counters) readings. `-`
+    /// diffs two readings and `+=` folds diffs — back-to-back runs on one
+    /// machine into their combined diff, a batch iteration's diff into
+    /// every query active in it; both re-derive the average bandwidth
+    /// from the new bytes and time.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct RunStats {
+        /// Total simulated wall time.
+        pub elapsed_ns: Time,
+        /// Kernel launches ("the total number of kernels launched ... is
+        /// equal to the distance from the source vertex", §4.2).
+        pub kernel_launches: u64,
+        /// Zero-copy PCIe read requests (Figure 5).
+        pub pcie_read_requests: u64,
+        /// Their size mix (Figure 7).
+        pub request_sizes: SizeHistogram,
+        /// Host→GPU payload bytes: zero-copy reads plus DMA/migrations
+        /// (Figure 10's numerator).
+        pub host_bytes: u64,
+        /// UVM page faults (zero for EMOGI engines).
+        pub page_faults: u64,
+        /// UVM pages migrated to the device (zero for EMOGI engines).
+        pub pages_migrated: u64,
+        /// Host DRAM traffic (Figure 4's DRAM lane).
+        pub host_dram_bytes: u64,
+        /// L2 sectors that hit during this run's kernels (the cache-aware
+        /// `layout` experiment's numerator).
+        pub l2_sector_hits: u64,
+        /// L2 sectors that missed during this run's kernels.
+        pub l2_sector_misses: u64,
+        /// Bytes the kernels' lanes requested, before coalescing.
+        pub lane_bytes: u64,
+        /// Bytes the coalesced transactions moved for those lanes.
+        pub txn_bytes: u64,
+        /// Demand read requests served by the CXL external tier; zero on
+        /// two-tier machines.
+        pub cxl_read_requests: u64,
+        /// Payload bytes the CXL tier served — zero-copy demand reads plus
+        /// bulk promotions into HBM. Kept separate from
+        /// [`host_bytes`](Self::host_bytes), which stays PCIe-only.
+        pub cxl_bytes: u64,
+        /// Hybrid transfer-manager counters for this run; all-zero for
+        /// runs that never stage (pure zero-copy, UVM).
+        pub transfer: TransferStats,
+        /// Pipelined-execution prefetch counters for this run (speculative
+        /// bytes issued, adoption hits, mispredicted waste, residual stall
+        /// and hidden staging latency); all-zero for synchronous runs.
+        pub prefetch: PrefetchStats,
+    }
+    carried {
+        /// Average achieved PCIe bandwidth over the run, GB/s (Figure 8).
+        pub avg_pcie_gbps: f64,
+        /// `true` when these counters describe traffic *shared* with other
+        /// queries of a batched multi-query execution: the merged edge
+        /// fetch is accounted once globally (in the batch-level stats) and
+        /// every query that was active in an iteration absorbs that
+        /// iteration's totals, so summing flagged stats across queries
+        /// double-counts the shared bytes by design. Always `false` for
+        /// solo runs. It describes how a total was attributed, not what it
+        /// counts, so `-` and `+=` leave it alone.
+        pub shared_fetch: bool,
+    } settled by RunStats::derive_avg_pcie_gbps
 }
 
 impl RunStats {
@@ -127,73 +138,23 @@ impl RunStats {
         }
     }
 
-    /// Fold `other` into this running total: counters add, the size
-    /// histogram merges, and the average bandwidth is re-derived from the
-    /// summed bytes and time. Batched execution folds each iteration's
-    /// machine diff into every query active in it this way; back-to-back
-    /// runs on one machine fold into their combined diff.
-    /// [`shared_fetch`](Self::shared_fetch) describes how a total was
-    /// attributed, not what it counts, so it is left alone.
-    ///
-    /// `other` is destructured exhaustively: a counter added to
-    /// [`RunStats`] but not folded here is a compile error.
-    pub fn accumulate(&mut self, other: &RunStats) {
-        let RunStats {
-            elapsed_ns,
-            kernel_launches,
-            pcie_read_requests,
-            request_sizes,
-            host_bytes,
-            avg_pcie_gbps: _,
-            page_faults,
-            pages_migrated,
-            host_dram_bytes,
-            l2_sector_hits,
-            l2_sector_misses,
-            lane_bytes,
-            txn_bytes,
-            cxl_read_requests,
-            cxl_bytes,
-            transfer,
-            prefetch,
-            shared_fetch: _,
-        } = other;
-        self.elapsed_ns += elapsed_ns;
-        self.kernel_launches += kernel_launches;
-        self.pcie_read_requests += pcie_read_requests;
-        self.request_sizes.merge(request_sizes);
-        self.host_bytes += host_bytes;
-        self.page_faults += page_faults;
-        self.pages_migrated += pages_migrated;
-        self.host_dram_bytes += host_dram_bytes;
-        self.l2_sector_hits += l2_sector_hits;
-        self.l2_sector_misses += l2_sector_misses;
-        self.lane_bytes += lane_bytes;
-        self.txn_bytes += txn_bytes;
-        self.cxl_read_requests += cxl_read_requests;
-        self.cxl_bytes += cxl_bytes;
-        self.transfer += *transfer;
-        self.prefetch += *prefetch;
-        self.derive_avg_pcie_gbps();
-    }
-
     /// Fold the per-device stats of one multi-GPU run into a group
-    /// total: [`accumulate`](Self::accumulate) every device, except that
-    /// the devices ran *concurrently* — their clocks are barrier-aligned
-    /// each iteration — so elapsed time is the maximum, not the sum, and
-    /// the average bandwidth is aggregate bytes over that shared wall
-    /// clock.
+    /// total: `+=` every device, except that the devices ran
+    /// *concurrently* — their clocks are barrier-aligned each iteration —
+    /// so elapsed time is the maximum, not the sum, and the average
+    /// bandwidth is aggregate bytes over that shared wall clock.
     pub fn aggregate_concurrent(per_device: &[RunStats]) -> RunStats {
         let mut total = RunStats::default();
         for s in per_device {
-            total.accumulate(s);
+            total += s;
         }
         total.elapsed_ns = per_device.iter().map(|s| s.elapsed_ns).max().unwrap_or(0);
         total.derive_avg_pcie_gbps();
         total
     }
 
-    fn derive_avg_pcie_gbps(&mut self) {
+    /// Average bandwidth is bytes over time, never a sum of averages.
+    pub(crate) fn derive_avg_pcie_gbps(&mut self) {
         self.avg_pcie_gbps = if self.elapsed_ns == 0 {
             0.0
         } else {
@@ -232,7 +193,7 @@ mod tests {
         };
         let (a, b) = (device(100, 300), device(400, 500));
         let mut seq = a.clone();
-        seq.accumulate(&b);
+        seq += &b;
         assert_eq!(
             (seq.elapsed_ns, seq.host_bytes, seq.kernel_launches),
             (500, 800, 4)

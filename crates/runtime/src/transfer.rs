@@ -101,56 +101,27 @@ impl RegionMap {
     }
 }
 
-/// Counters for reporting and tests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TransferStats {
-    /// Regions staged into device memory so far.
-    pub staged_regions: u64,
-    /// Bytes bulk-copied for staging.
-    pub staged_bytes: u64,
-    /// Stage decisions that fell back to zero-copy because the device
-    /// pool was exhausted.
-    pub pool_fallbacks: u64,
-    /// Planning rounds that staged at least one region.
-    pub staging_rounds: u64,
-    /// Staged regions whose home is the CXL tier (promotions); a subset
-    /// of [`staged_regions`](Self::staged_regions).
-    pub cxl_staged_regions: u64,
-    /// Bytes bulk-copied out of the CXL tier for those promotions; a
-    /// subset of [`staged_bytes`](Self::staged_bytes).
-    pub cxl_staged_bytes: u64,
-    /// Staged regions demoted back to their home tier after going cold.
-    pub demoted_regions: u64,
-}
-
-impl std::ops::Sub for TransferStats {
-    type Output = TransferStats;
-
-    /// Diff two snapshots of the (monotonically growing) counters, for
-    /// per-run reporting.
-    fn sub(self, base: TransferStats) -> TransferStats {
-        TransferStats {
-            staged_regions: self.staged_regions - base.staged_regions,
-            staged_bytes: self.staged_bytes - base.staged_bytes,
-            pool_fallbacks: self.pool_fallbacks - base.pool_fallbacks,
-            staging_rounds: self.staging_rounds - base.staging_rounds,
-            cxl_staged_regions: self.cxl_staged_regions - base.cxl_staged_regions,
-            cxl_staged_bytes: self.cxl_staged_bytes - base.cxl_staged_bytes,
-            demoted_regions: self.demoted_regions - base.demoted_regions,
-        }
-    }
-}
-
-impl std::ops::AddAssign for TransferStats {
-    /// Accumulate per-run diffs (e.g. across the queries of a scenario).
-    fn add_assign(&mut self, other: TransferStats) {
-        self.staged_regions += other.staged_regions;
-        self.staged_bytes += other.staged_bytes;
-        self.pool_fallbacks += other.pool_fallbacks;
-        self.staging_rounds += other.staging_rounds;
-        self.cxl_staged_regions += other.cxl_staged_regions;
-        self.cxl_staged_bytes += other.cxl_staged_bytes;
-        self.demoted_regions += other.demoted_regions;
+emogi_sim::ledger! {
+    /// Counters for reporting and tests.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct TransferStats {
+        /// Regions staged into device memory so far.
+        pub staged_regions: u64,
+        /// Bytes bulk-copied for staging.
+        pub staged_bytes: u64,
+        /// Stage decisions that fell back to zero-copy because the device
+        /// pool was exhausted.
+        pub pool_fallbacks: u64,
+        /// Planning rounds that staged at least one region.
+        pub staging_rounds: u64,
+        /// Staged regions whose home is the CXL tier (promotions); a
+        /// subset of [`staged_regions`](Self::staged_regions).
+        pub cxl_staged_regions: u64,
+        /// Bytes bulk-copied out of the CXL tier for those promotions; a
+        /// subset of [`staged_bytes`](Self::staged_bytes).
+        pub cxl_staged_bytes: u64,
+        /// Staged regions demoted back to their home tier after going cold.
+        pub demoted_regions: u64,
     }
 }
 
@@ -761,31 +732,26 @@ mod tests {
 
     #[test]
     fn stats_diff_and_accumulate() {
-        let a = TransferStats {
-            staged_regions: 3,
-            staged_bytes: 300,
-            pool_fallbacks: 1,
-            staging_rounds: 2,
-            cxl_staged_regions: 2,
-            cxl_staged_bytes: 200,
-            demoted_regions: 1,
-        };
-        let b = TransferStats {
-            staged_regions: 1,
-            staged_bytes: 100,
-            pool_fallbacks: 0,
-            staging_rounds: 1,
-            cxl_staged_regions: 1,
-            cxl_staged_bytes: 100,
-            demoted_regions: 0,
-        };
-        let d = a - b;
-        assert_eq!(d.staged_regions, 2);
-        assert_eq!(d.staged_bytes, 200);
-        let mut acc = TransferStats::default();
-        acc += d;
-        acc += b;
-        assert_eq!(acc, a);
+        // Real counters: read the manager's lifetime stats around two
+        // planning rounds, one staging from host DRAM and one from CXL.
+        let mut m = Machine::new(
+            MachineConfig::v100_gen3().with_cxl(emogi_sim::cxl::CxlConfig::external_x8()),
+        );
+        let mut tm = TransferManager::with_tiers(&m, 128 << 10, 64 << 10, cfg(64 << 10, None));
+        let c0 = tm.stats;
+        tm.plan_iteration(&mut m, [(0u64, 64 << 10)]);
+        let c1 = tm.stats;
+        tm.plan_iteration(&mut m, [(64u64 << 10, 128 << 10)]);
+        let c2 = tm.stats;
+
+        let (first, second) = (c1 - c0, c2 - c1);
+        assert_eq!((first.staged_regions, first.cxl_staged_regions), (1, 0));
+        assert_eq!((second.staged_regions, second.cxl_staged_regions), (1, 1));
+        assert_eq!(second.cxl_staged_bytes, 64 << 10);
+        let mut acc = first;
+        acc += second;
+        assert_eq!(acc, c2 - c0);
+        assert_eq!(acc.staging_rounds, 2);
     }
 
     #[test]

@@ -60,35 +60,16 @@ pub struct InterconnectConfig {
     pub peer: Option<PeerLinkConfig>,
 }
 
-/// Lifetime counters of one lane (or an aggregate over lanes).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LinkStats {
-    /// Payload bytes carried.
-    pub bytes: u64,
-    /// Individual transfers carried.
-    pub transfers: u64,
-    /// Time the lane spent busy, ns.
-    pub busy_ns: u64,
-}
-
-impl std::ops::Sub for LinkStats {
-    type Output = LinkStats;
-
-    /// Diff two snapshots of the monotonically growing counters.
-    fn sub(self, base: LinkStats) -> LinkStats {
-        LinkStats {
-            bytes: self.bytes - base.bytes,
-            transfers: self.transfers - base.transfers,
-            busy_ns: self.busy_ns - base.busy_ns,
-        }
-    }
-}
-
-impl std::ops::AddAssign for LinkStats {
-    fn add_assign(&mut self, other: LinkStats) {
-        self.bytes += other.bytes;
-        self.transfers += other.transfers;
-        self.busy_ns += other.busy_ns;
+crate::ledger! {
+    /// Lifetime counters of one lane (or an aggregate over lanes).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct LinkStats {
+        /// Payload bytes carried.
+        pub bytes: u64,
+        /// Individual transfers carried.
+        pub transfers: u64,
+        /// Time the lane spent busy, ns.
+        pub busy_ns: u64,
     }
 }
 

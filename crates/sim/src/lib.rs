@@ -24,6 +24,7 @@ pub mod dma;
 pub mod dram;
 pub mod events;
 pub mod interconnect;
+pub mod ledger;
 pub mod monitor;
 pub mod pcie;
 pub mod pipeline;

@@ -51,8 +51,24 @@ impl SizeHistogram {
         };
         count as f64 / total as f64
     }
+}
 
-    pub fn merge(&mut self, other: &SizeHistogram) {
+/// A histogram is a ledger field (see [`ledger!`](crate::ledger!)): its
+/// buckets diff and fold like any other counter.
+impl std::ops::Sub for SizeHistogram {
+    type Output = SizeHistogram;
+
+    fn sub(mut self, base: SizeHistogram) -> SizeHistogram {
+        for (a, b) in self.buckets.iter_mut().zip(base.buckets) {
+            *a -= b;
+        }
+        self.other -= base.other;
+        self
+    }
+}
+
+impl std::ops::AddAssign<&SizeHistogram> for SizeHistogram {
+    fn add_assign(&mut self, other: &SizeHistogram) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets) {
             *a += b;
         }
@@ -246,13 +262,16 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge() {
+    fn histogram_folds_and_diffs_bucket_by_bucket() {
         let mut a = SizeHistogram::default();
         a.record(32);
         let mut b = SizeHistogram::default();
         b.record(128);
-        a.merge(&b);
-        assert_eq!(a.total(), 2);
+        b.record(40);
+        let base = a.clone();
+        a += &b;
+        assert_eq!(a.total(), 3);
+        assert_eq!(a - base, b);
     }
 
     #[test]

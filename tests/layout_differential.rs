@@ -192,9 +192,8 @@ proptest! {
             let solo_cc = solo.cc();
             for devices in [1usize, 2, 4] {
                 let tag = format!("{mode:?}/reorder={reorder}/{name}/{devices}dev");
-                let scfg = ShardedConfig::emogi_v100(devices)
-                    .with_mode(mode)
-                    .with_frontier_reorder(reorder);
+                let mut scfg = ShardedConfig::emogi_v100(devices);
+                scfg.engine = scfg.engine.with_mode(mode).with_frontier_reorder(reorder);
                 let mut e = ShardedEngine::load(scfg, &relabeled);
 
                 let run = e.bfs(plan.map_vertex(src));

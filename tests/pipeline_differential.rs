@@ -154,7 +154,8 @@ proptest! {
 
         for devices in DEVICE_COUNTS {
             let tag = format!("{mode:?}/{devices}dev");
-            let cfg = ShardedConfig::emogi_v100(devices).with_mode(mode).pipelined();
+            let mut cfg = ShardedConfig::emogi_v100(devices);
+            cfg.engine = cfg.engine.with_mode(mode).pipelined();
             let mut e = ShardedEngine::load(cfg, &g);
 
             let run = e.bfs(src);

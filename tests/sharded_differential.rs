@@ -30,9 +30,8 @@ fn sharded(
     mode: AccessMode,
     graph: &CsrGraph,
 ) -> ShardedEngine<'_> {
-    let cfg = ShardedConfig::emogi_v100(devices)
-        .with_mode(mode)
-        .with_partition(partition);
+    let mut cfg = ShardedConfig::emogi_v100(devices).with_partition(partition);
+    cfg.engine = cfg.engine.with_mode(mode);
     ShardedEngine::load(cfg, graph)
 }
 

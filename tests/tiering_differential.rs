@@ -198,8 +198,8 @@ proptest! {
 
         for devices in DEVICE_COUNTS {
             let tag = format!("{mode:?}/{devices}dev");
-            let mut cfg = ShardedConfig::emogi_v100(devices).with_mode(mode);
-            cfg.engine = spilled(cfg.engine);
+            let mut cfg = ShardedConfig::emogi_v100(devices);
+            cfg.engine = spilled(cfg.engine.with_mode(mode));
             let mut e = ShardedEngine::load(cfg, &g);
 
             let run = e.bfs(src);
