@@ -16,7 +16,8 @@
 
 use emogi_core::bfs::BfsOutput;
 use emogi_core::{BfsRun, Engine, EngineConfig};
-use emogi_graph::{algo, CsrGraph, VertexId, UNVISITED};
+use emogi_graph::reorder::LayoutPlan;
+use emogi_graph::{CsrGraph, VertexId, UNVISITED};
 
 /// Compute the HALO-style permutation: `perm[old] = new`.
 ///
@@ -54,44 +55,18 @@ pub fn locality_reorder(g: &CsrGraph) -> Vec<VertexId> {
 /// A graph pre-processed with the locality reordering, traversed via UVM.
 pub struct HaloSystem {
     reordered: CsrGraph,
-    perm: Vec<VertexId>,
-    weights: Option<Vec<u32>>,
+    plan: LayoutPlan,
     cfg: EngineConfig,
 }
 
 impl HaloSystem {
     /// Reorder `graph` (preprocessing) and prepare a UVM traversal
     /// configuration on the given machine.
-    pub fn new(cfg: EngineConfig, graph: &CsrGraph, weights: Option<&[u32]>) -> Self {
-        let perm = locality_reorder(graph);
-        let reordered = graph.relabel(&perm);
-        // Weights follow their edges: rebuild per reordered edge. The
-        // relabel sorts neighbour lists, so recover the mapping by
-        // matching (src, dst) pairs through the permutation.
-        let weights = weights.map(|w| {
-            let mut out = vec![0u32; w.len()];
-            for v in 0..graph.num_vertices() as u32 {
-                let nv = perm[v as usize];
-                let new_start = reordered.neighbor_start(nv);
-                // Old neighbours mapped to new ids, with their weights.
-                let start = graph.neighbor_start(v);
-                let mut pairs: Vec<(u32, u32)> = graph
-                    .neighbors(v)
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &d)| (perm[d as usize], w[start as usize + k]))
-                    .collect();
-                pairs.sort_unstable_by_key(|&(d, _)| d);
-                for (k, (_, wt)) in pairs.into_iter().enumerate() {
-                    out[new_start as usize + k] = wt;
-                }
-            }
-            out
-        });
+    pub fn new(cfg: EngineConfig, graph: &CsrGraph) -> Self {
+        let plan = LayoutPlan::from_perm(locality_reorder(graph));
         Self {
-            reordered,
-            perm,
-            weights,
+            reordered: plan.apply(graph),
+            plan,
             cfg,
         }
     }
@@ -100,28 +75,17 @@ impl HaloSystem {
         &self.reordered
     }
 
-    /// The weight array in reordered edge space (when built with one).
-    pub fn reordered_weights(&self) -> Option<&[u32]> {
-        self.weights.as_deref()
-    }
-
     /// Run BFS from `src` (an *original* vertex id); levels come back in
     /// original id space.
     pub fn bfs(&self, src: VertexId) -> BfsRun {
         let mut engine = Engine::load(self.cfg.clone(), &self.reordered);
-        let run = engine.bfs(self.perm[src as usize]);
-        let levels = (0..self.perm.len())
-            .map(|v| run.levels[self.perm[v] as usize])
-            .collect();
+        let run = engine.bfs(self.plan.map_vertex(src));
         BfsRun {
-            output: BfsOutput { levels },
+            output: BfsOutput {
+                levels: self.plan.unmap_values(&run.levels),
+            },
             stats: run.stats,
         }
-    }
-
-    /// Check the reordering preserved reachability (test helper).
-    pub fn verify_against(&self, original: &CsrGraph, src: VertexId) -> bool {
-        self.bfs(src).levels == algo::bfs_levels(original, src)
     }
 }
 
@@ -129,7 +93,7 @@ impl HaloSystem {
 mod tests {
     use super::*;
     use emogi_core::EdgePlacement;
-    use emogi_graph::generators;
+    use emogi_graph::{algo, generators};
 
     fn uvm_cfg() -> EngineConfig {
         EngineConfig::uvm_v100()
@@ -148,8 +112,8 @@ mod tests {
     #[test]
     fn bfs_results_map_back_to_original_ids() {
         let g = generators::uniform_random(400, 6, 9);
-        let halo = HaloSystem::new(uvm_cfg(), &g, None);
-        assert!(halo.verify_against(&g, 7));
+        let halo = HaloSystem::new(uvm_cfg(), &g);
+        assert_eq!(halo.bfs(7).levels, algo::bfs_levels(&g, 7));
     }
 
     #[test]
@@ -169,7 +133,7 @@ mod tests {
             by_degree.sort_unstable_by_key(|&v| std::cmp::Reverse(g.degree(v)));
             by_degree[0]
         };
-        let levels = emogi_graph::algo::bfs_levels(&g, root);
+        let levels = algo::bfs_levels(&g, root);
         let pages = |g: &CsrGraph, members: &[u32]| {
             let mut p: Vec<u64> = members
                 .iter()
@@ -183,7 +147,7 @@ mod tests {
             p.dedup();
             p.len()
         };
-        let halo = HaloSystem::new(uvm_cfg(), &g, None);
+        let halo = HaloSystem::new(uvm_cfg(), &g);
         let perm = locality_reorder(&g);
         let max_level = levels
             .iter()
@@ -207,35 +171,9 @@ mod tests {
     }
 
     #[test]
-    fn weights_follow_their_edges() {
-        let g = generators::uniform_random(200, 4, 11);
-        let w = emogi_graph::datasets::generate_weights(g.num_edges(), 11);
-        let cfg = EngineConfig::uvm_v100();
-        let halo = HaloSystem::new(cfg, &g, Some(&w));
-        let perm = locality_reorder(&g);
-        let rg = halo.reordered_graph();
-        let rw = halo.reordered_weights().unwrap();
-        // Edge (v, d) with weight x must appear as (perm[v], perm[d], x).
-        for v in 0..200u32 {
-            let start = g.neighbor_start(v) as usize;
-            for (k, &d) in g.neighbors(v).iter().enumerate() {
-                let nv = perm[v as usize];
-                let nd = perm[d as usize];
-                let pos = rg
-                    .neighbors(nv)
-                    .iter()
-                    .position(|&x| x == nd)
-                    .expect("edge preserved");
-                let nstart = rg.neighbor_start(nv) as usize;
-                assert_eq!(rw[nstart + pos], w[start + k]);
-            }
-        }
-    }
-
-    #[test]
     fn halo_uses_uvm_not_zero_copy() {
         let g = generators::uniform_random(300, 6, 2);
-        let halo = HaloSystem::new(uvm_cfg(), &g, None);
+        let halo = HaloSystem::new(uvm_cfg(), &g);
         let run = halo.bfs(0);
         assert_eq!(run.stats.pcie_read_requests, 0);
         assert!(run.stats.pages_migrated > 0);

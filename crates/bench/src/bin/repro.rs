@@ -69,13 +69,13 @@ fn main() {
     );
     let started = Instant::now();
     let mut tables = Vec::new();
-    for id in &ids {
+    let expanded = ids.iter().flat_map(|id| match id.as_str() {
+        "all" => experiments::ALL_IDS.to_vec(),
+        one => vec![one],
+    });
+    for id in expanded {
         let t0 = Instant::now();
-        let out = if id == "all" {
-            experiments::run_all(&ctx)
-        } else {
-            experiments::run(id, &ctx)
-        };
+        let out = experiments::run(id, &ctx);
         for t in &out {
             println!("{t}");
         }

@@ -1,6 +1,7 @@
 //! Figures 11 and 12: beyond BFS (SSSP, CC) and PCIe 4.0 scaling.
 
-use super::matrix::{BfsMatrix, EngineKind};
+use super::matrix::EngineKind;
+use crate::cell::{self, Series};
 use crate::table::f;
 use crate::{Context, Table};
 use emogi_core::{Engine, EngineConfig};
@@ -37,29 +38,19 @@ impl App {
 /// graph is placed once; every source reuses the placement.
 pub fn run_app(cfg: EngineConfig, d: &Dataset, app: App, n: usize) -> f64 {
     let mut engine = Engine::load(cfg, &d.graph);
-    match app {
-        App::Cc => engine.cc().stats.elapsed_ns as f64,
-        App::Bfs | App::Sssp => {
-            let sources = d.sources(n);
-            let total: u64 = sources
-                .iter()
-                .map(|&s| match app {
-                    App::Bfs => engine.bfs(s).stats.elapsed_ns,
-                    _ => engine.sssp(&d.weights, s).stats.elapsed_ns,
-                })
-                .sum();
-            total as f64 / sources.len() as f64
-        }
-    }
+    let sources = d.sources(n);
+    let (series, runs) = match app {
+        App::Cc => (Series::Cc, 1),
+        App::Bfs => (Series::MultiBfs(&sources), sources.len()),
+        App::Sssp => (Series::MultiSssp(&sources), sources.len()),
+    };
+    let total = cell::run(&mut engine, series, d, None).stats.elapsed_ns;
+    total as f64 / runs as f64
 }
 
-/// Figure 11: EMOGI vs UVM across SSSP / BFS / CC.
+/// Figure 11: EMOGI vs UVM across SSSP / BFS / CC. The BFS rows come
+/// from the context's case-study matrix.
 pub fn fig11(ctx: &Context) -> Table {
-    fig11_with_bfs(ctx, None)
-}
-
-/// Like [`fig11`], reusing an already-computed BFS matrix if available.
-pub fn fig11_with_bfs(ctx: &Context, bfs: Option<&BfsMatrix>) -> Table {
     let mut t = Table::new(
         "fig11",
         "EMOGI speedup over UVM across applications",
@@ -70,11 +61,14 @@ pub fn fig11_with_bfs(ctx: &Context, bfs: Option<&BfsMatrix>) -> Table {
     for app in [App::Sssp, App::Bfs, App::Cc] {
         for g in app.graphs() {
             let d = ctx.store.get(g);
-            let (uvm_ns, emogi_ns) = match (app, bfs) {
-                (App::Bfs, Some(m)) => (
-                    m.get(g, EngineKind::Uvm).avg_ns,
-                    m.get(g, EngineKind::MergedAligned).avg_ns,
-                ),
+            let (uvm_ns, emogi_ns) = match app {
+                App::Bfs => {
+                    let m = ctx.bfs_matrix();
+                    (
+                        m.get(g, EngineKind::Uvm).avg_ns,
+                        m.get(g, EngineKind::MergedAligned).avg_ns,
+                    )
+                }
                 _ => {
                     eprintln!("  [fig11] {} / {} ...", app.name(), d.spec.symbol);
                     (

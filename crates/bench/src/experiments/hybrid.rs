@@ -22,12 +22,13 @@
 //! trade-off survive reduced-scale runs.
 
 use super::scaled_machine;
+use crate::cell::{self, Series};
 use crate::table::{f, ms};
-use crate::{Context, Table};
+use crate::{Context, Results, Table};
 use emogi_baselines::{SubwayMode, SubwaySystem};
 use emogi_core::{AccessMode, Engine, EngineConfig};
 use emogi_graph::DatasetKey;
-use emogi_runtime::TransferStats;
+use emogi_runtime::RunStats;
 
 /// Sources per reuse-multi-bfs cell (the scenario is about cross-
 /// traversal reuse, so it is fixed rather than taken from the context).
@@ -36,49 +37,11 @@ const MULTI_BFS_SOURCES: usize = 4;
 /// One (scenario, engine) measurement.
 #[derive(Debug, Clone)]
 pub struct Measurement {
-    pub scenario: &'static str,
     pub graph: &'static str,
-    pub engine: &'static str,
-    pub total_ns: u64,
-    /// Transfer counters accumulated over the scenario's runs (each run
-    /// carries its own diff in `RunStats::transfer`); zero for
-    /// non-hybrid engines.
-    pub transfer: TransferStats,
+    /// The scenario's runs, folded; `stats.transfer` stays all-zero for
+    /// the engines that never stage.
+    pub stats: RunStats,
 }
-
-/// All measurements of one experiment run.
-#[derive(Debug, Clone)]
-pub struct HybridResults {
-    pub rows: Vec<Measurement>,
-}
-
-impl HybridResults {
-    /// Look up one cell; panics naming the missing scenario/engine
-    /// *and* the cells that were measured, so a bench failure is
-    /// diagnosable at a glance.
-    pub fn get(&self, scenario: &str, engine: &str) -> &Measurement {
-        self.rows
-            .iter()
-            .find(|m| m.scenario == scenario && m.engine == engine)
-            .unwrap_or_else(|| {
-                let have: Vec<String> = self
-                    .rows
-                    .iter()
-                    .map(|m| format!("{}/{}", m.scenario, m.engine))
-                    .collect();
-                panic!(
-                    "no hybrid measurement for scenario {scenario:?} / engine \
-                     {engine:?}; measured cells: {have:?}"
-                )
-            })
-    }
-}
-
-/// EMOGI-family engines of this experiment (Subway is driven separately).
-const MODES: &[(&str, AccessMode)] = &[
-    ("Hybrid", AccessMode::Hybrid),
-    ("Merged+Aligned", AccessMode::MergedAligned),
-];
 
 fn emogi_cfg(ctx: &Context, mode: AccessMode) -> EngineConfig {
     EngineConfig::emogi_v100()
@@ -93,177 +56,48 @@ fn uvm_cfg(ctx: &Context) -> EngineConfig {
         .with_elem_bytes(4)
 }
 
-fn push(
-    rows: &mut Vec<Measurement>,
-    scenario: &'static str,
-    graph: &'static str,
-    engine: &'static str,
-    total_ns: u64,
-    transfer: TransferStats,
-) {
-    rows.push(Measurement {
-        scenario,
-        graph,
-        engine,
-        total_ns,
-        transfer,
-    });
-}
-
 /// Run every (scenario, engine) cell.
-pub fn measure(ctx: &Context) -> HybridResults {
+pub fn measure(ctx: &Context) -> Results<(&'static str, &'static str), Measurement> {
     let mut rows = Vec::new();
-
-    // --- reuse-cc on ML --------------------------------------------------
-    let ml = ctx.store.get(DatasetKey::Ml);
-    eprintln!("  [hybrid] reuse-cc ML ...");
-    for &(name, mode) in MODES {
-        let mut engine = Engine::load(emogi_cfg(ctx, mode), &ml.graph);
-        let run = engine.cc();
-        push(
-            &mut rows,
-            "reuse-cc",
-            "ML",
-            name,
-            run.stats.elapsed_ns,
-            run.stats.transfer,
-        );
-    }
-    {
-        let mut engine = Engine::load(uvm_cfg(ctx), &ml.graph);
-        let ns = engine.cc().stats.elapsed_ns;
-        push(
-            &mut rows,
-            "reuse-cc",
-            "ML",
-            "UVM",
-            ns,
-            TransferStats::default(),
-        );
-    }
-    {
-        // ML is one of the undirected Table 2 graphs (SubwaySystem::cc
-        // asserts this itself).
-        let mut sub = SubwaySystem::new(
-            scaled_machine(ctx.scale),
-            &ml.graph,
-            None,
-            SubwayMode::Async,
-        );
-        let ns = sub.cc().stats.elapsed_ns;
-        push(
-            &mut rows,
-            "reuse-cc",
-            "ML",
-            "Subway-async",
-            ns,
-            TransferStats::default(),
-        );
-    }
-
-    // --- reuse-multi-bfs on GK -------------------------------------------
-    let gk = ctx.store.get(DatasetKey::Gk);
-    let sources = gk.sources(MULTI_BFS_SOURCES);
-    eprintln!(
-        "  [hybrid] reuse-multi-bfs GK ({} sources) ...",
-        sources.len()
-    );
-    for &(name, mode) in MODES {
-        let mut engine = Engine::load(emogi_cfg(ctx, mode), &gk.graph);
-        let mut ns = 0u64;
-        let mut transfer = TransferStats::default();
-        for &s in &sources {
-            let run = engine.bfs(s);
-            ns += run.stats.elapsed_ns;
-            transfer += run.stats.transfer;
+    // (scenario, graph, BFS sources — `None` runs CC instead).
+    for (scenario, key, bfs_sources) in [
+        ("reuse-cc", DatasetKey::Ml, None),
+        ("reuse-multi-bfs", DatasetKey::Gk, Some(MULTI_BFS_SOURCES)),
+        ("sparse-bfs", DatasetKey::Gu, Some(1)),
+    ] {
+        let d = ctx.store.get(key);
+        let graph = d.spec.symbol;
+        let sources = d.sources(bfs_sources.unwrap_or(0));
+        let series = match bfs_sources {
+            Some(_) => Series::MultiBfs(&sources),
+            None => Series::Cc,
+        };
+        eprintln!("  [hybrid] {scenario} {graph} ...");
+        for (engine, cfg) in [
+            ("Hybrid", emogi_cfg(ctx, AccessMode::Hybrid)),
+            ("Merged+Aligned", emogi_cfg(ctx, AccessMode::MergedAligned)),
+            ("UVM", uvm_cfg(ctx)),
+        ] {
+            let mut e = Engine::load(cfg, &d.graph);
+            let stats = cell::run(&mut e, series, &d, None).stats;
+            rows.push(((scenario, engine), Measurement { graph, stats }));
         }
-        push(&mut rows, "reuse-multi-bfs", "GK", name, ns, transfer);
+        // Subway is its own system, not an `Engine` (ML, the CC graph,
+        // is undirected — `SubwaySystem::cc` asserts that itself).
+        let mut sub =
+            SubwaySystem::new(scaled_machine(ctx.scale), &d.graph, None, SubwayMode::Async);
+        let mut stats = RunStats::default();
+        match series {
+            Series::Cc => stats += sub.cc().stats,
+            _ => sources.iter().for_each(|&s| stats += sub.bfs(s).stats),
+        }
+        rows.push(((scenario, "Subway-async"), Measurement { graph, stats }));
     }
-    {
-        let mut engine = Engine::load(uvm_cfg(ctx), &gk.graph);
-        let ns: u64 = sources
-            .iter()
-            .map(|&s| engine.bfs(s).stats.elapsed_ns)
-            .sum();
-        push(
-            &mut rows,
-            "reuse-multi-bfs",
-            "GK",
-            "UVM",
-            ns,
-            TransferStats::default(),
-        );
-    }
-    {
-        let mut sub = SubwaySystem::new(
-            scaled_machine(ctx.scale),
-            &gk.graph,
-            None,
-            SubwayMode::Async,
-        );
-        let ns: u64 = sources.iter().map(|&s| sub.bfs(s).stats.elapsed_ns).sum();
-        push(
-            &mut rows,
-            "reuse-multi-bfs",
-            "GK",
-            "Subway-async",
-            ns,
-            TransferStats::default(),
-        );
-    }
-
-    // --- sparse-bfs on GU -------------------------------------------------
-    let gu = ctx.store.get(DatasetKey::Gu);
-    let src = gu.sources(1)[0];
-    eprintln!("  [hybrid] sparse-bfs GU ...");
-    for &(name, mode) in MODES {
-        let mut engine = Engine::load(emogi_cfg(ctx, mode), &gu.graph);
-        let run = engine.bfs(src);
-        push(
-            &mut rows,
-            "sparse-bfs",
-            "GU",
-            name,
-            run.stats.elapsed_ns,
-            run.stats.transfer,
-        );
-    }
-    {
-        let mut engine = Engine::load(uvm_cfg(ctx), &gu.graph);
-        let ns = engine.bfs(src).stats.elapsed_ns;
-        push(
-            &mut rows,
-            "sparse-bfs",
-            "GU",
-            "UVM",
-            ns,
-            TransferStats::default(),
-        );
-    }
-    {
-        let mut sub = SubwaySystem::new(
-            scaled_machine(ctx.scale),
-            &gu.graph,
-            None,
-            SubwayMode::Async,
-        );
-        let ns = sub.bfs(src).stats.elapsed_ns;
-        push(
-            &mut rows,
-            "sparse-bfs",
-            "GU",
-            "Subway-async",
-            ns,
-            TransferStats::default(),
-        );
-    }
-
-    HybridResults { rows }
+    Results { rows }
 }
 
 /// The printable table.
-pub fn hybrid(ctx: &Context) -> Table {
-    let r = measure(ctx);
+pub fn table(r: &Results<(&'static str, &'static str), Measurement>) -> Table {
     let mut t = Table::new(
         "hybrid",
         "Hybrid zero-copy/DMA vs Merged+Aligned vs UVM vs Subway (4-byte elements)",
@@ -277,16 +111,16 @@ pub fn hybrid(ctx: &Context) -> Table {
             "pool fallbacks",
         ],
     );
-    for m in &r.rows {
-        let hybrid_ns = r.get(m.scenario, "Hybrid").total_ns;
+    for ((scenario, engine), m) in &r.rows {
+        let hybrid_ns = r.get((scenario, "Hybrid")).stats.elapsed_ns;
         t.row(vec![
-            m.scenario.into(),
+            (*scenario).into(),
             m.graph.into(),
-            m.engine.into(),
-            ms(m.total_ns),
-            f(m.total_ns as f64 / hybrid_ns as f64),
-            m.transfer.staged_regions.to_string(),
-            m.transfer.pool_fallbacks.to_string(),
+            (*engine).into(),
+            ms(m.stats.elapsed_ns),
+            f(m.stats.elapsed_ns as f64 / hybrid_ns as f64),
+            m.stats.transfer.staged_regions.to_string(),
+            m.stats.transfer.pool_fallbacks.to_string(),
         ]);
     }
     t.note(
@@ -302,29 +136,23 @@ mod tests {
     use super::*;
 
     #[test]
-    #[should_panic(expected = "measured cells")]
-    fn missing_cell_lookup_names_the_key_and_the_available_cells() {
-        let r = HybridResults { rows: Vec::new() };
-        let _ = r.get("reuse-cc", "Hybrid");
-    }
-
-    #[test]
     fn hybrid_wins_reuse_and_ties_sparse() {
         let ctx = Context::new(1, 32);
         let r = measure(&ctx);
+        let ns = |scenario, engine| r.get((scenario, engine)).stats.elapsed_ns;
 
         // Dense + recurring: hybrid must beat pure zero-copy outright.
-        let hy_cc = r.get("reuse-cc", "Hybrid").total_ns;
-        let zc_cc = r.get("reuse-cc", "Merged+Aligned").total_ns;
+        let hy_cc = ns("reuse-cc", "Hybrid");
+        let zc_cc = ns("reuse-cc", "Merged+Aligned");
         assert!(
             hy_cc < zc_cc,
             "reuse-cc: hybrid {hy_cc} vs zero-copy {zc_cc}"
         );
-        assert!(r.get("reuse-cc", "Hybrid").transfer.staged_regions > 0);
+        assert!(r.get(("reuse-cc", "Hybrid")).stats.transfer.staged_regions > 0);
 
         // Recurring across traversals: hybrid must beat zero-copy too.
-        let hy_mb = r.get("reuse-multi-bfs", "Hybrid").total_ns;
-        let zc_mb = r.get("reuse-multi-bfs", "Merged+Aligned").total_ns;
+        let hy_mb = ns("reuse-multi-bfs", "Hybrid");
+        let zc_mb = ns("reuse-multi-bfs", "Merged+Aligned");
         assert!(
             hy_mb < zc_mb,
             "multi-bfs: hybrid {hy_mb} vs zero-copy {zc_mb}"
@@ -332,17 +160,17 @@ mod tests {
 
         // Sparse one-shot: no staging, and never worse than the better of
         // zero-copy and Subway.
-        let hy_sp = r.get("sparse-bfs", "Hybrid");
-        let zc_sp = r.get("sparse-bfs", "Merged+Aligned").total_ns;
-        let sub_sp = r.get("sparse-bfs", "Subway-async").total_ns;
+        let hy_sp = &r.get(("sparse-bfs", "Hybrid")).stats;
+        let zc_sp = ns("sparse-bfs", "Merged+Aligned");
+        let sub_sp = ns("sparse-bfs", "Subway-async");
         assert_eq!(
             hy_sp.transfer.staged_regions, 0,
             "sparse case must not stage"
         );
         assert!(
-            hy_sp.total_ns <= zc_sp.min(sub_sp),
+            hy_sp.elapsed_ns <= zc_sp.min(sub_sp),
             "sparse: hybrid {} vs zero-copy {zc_sp} / subway {sub_sp}",
-            hy_sp.total_ns
+            hy_sp.elapsed_ns
         );
     }
 }

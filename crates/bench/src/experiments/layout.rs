@@ -16,100 +16,20 @@
 //! merge into fewer, fuller transactions.
 
 use super::scaled_machine;
+use crate::cell::{self, Series};
 use crate::table::{f, ms, pct};
-use crate::{Context, Table};
+use crate::{Context, Results, Table};
 use emogi_core::{Engine, EngineConfig};
 use emogi_graph::reorder::LayoutPlan;
 use emogi_graph::{CsrGraph, DatasetKey};
+use emogi_runtime::RunStats;
 
 /// Sources per BFS/SSSP cell (multi-query, like the `overlap`
 /// experiment, so frontier reuse resembles a serving workload).
 const SOURCES: usize = 4;
 
-/// Power iterations and damping for the PageRank cell.
-const PR_ITERATIONS: u32 = 10;
-const PR_DAMPING: f64 = 0.85;
-
 /// Simulated edge element size (4, matching the other GK experiments).
 const ELEM_BYTES: u64 = 4;
-
-/// One program × layout measurement.
-#[derive(Debug, Clone)]
-pub struct Measurement {
-    pub program: &'static str,
-    pub layout: &'static str,
-    /// L2 sectors that hit, summed over the cell's runs.
-    pub l2_hits: u64,
-    /// L2 sectors that missed.
-    pub l2_misses: u64,
-    /// Lane-requested bytes before coalescing.
-    pub lane_bytes: u64,
-    /// Bytes the coalesced transactions moved.
-    pub txn_bytes: u64,
-    /// Total simulated wall time of the cell, ns.
-    pub elapsed_ns: u64,
-}
-
-impl Measurement {
-    /// Fraction of probed L2 sectors that hit.
-    pub fn l2_hit_rate(&self) -> f64 {
-        let total = self.l2_hits + self.l2_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.l2_hits as f64 / total as f64
-        }
-    }
-
-    /// Requested bytes over moved bytes; 1.0 means no overfetch.
-    pub fn coalescing_efficiency(&self) -> f64 {
-        if self.txn_bytes == 0 {
-            0.0
-        } else {
-            self.lane_bytes as f64 / self.txn_bytes as f64
-        }
-    }
-}
-
-/// All measurements of one experiment run.
-#[derive(Debug, Clone)]
-pub struct LayoutResults {
-    pub rows: Vec<Measurement>,
-}
-
-impl LayoutResults {
-    /// Look up one cell; panics naming the cells that exist.
-    pub fn get(&self, program: &str, layout: &str) -> &Measurement {
-        self.rows
-            .iter()
-            .find(|m| m.program == program && m.layout == layout)
-            .unwrap_or_else(|| {
-                let have: Vec<(&str, &str)> =
-                    self.rows.iter().map(|m| (m.program, m.layout)).collect();
-                panic!("no layout measurement for {program:?}/{layout:?}; measured: {have:?}")
-            })
-    }
-}
-
-/// Order-sensitive digest of an output sequence: position-mixed FNV-ish
-/// fold, so two layouts agree iff their *unmapped* outputs agree
-/// element for element.
-fn digest(values: impl Iterator<Item = u64>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in values {
-        h ^= v;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
-fn fold(m: &mut Measurement, stats: &emogi_runtime::RunStats) {
-    m.l2_hits += stats.l2_sector_hits;
-    m.l2_misses += stats.l2_sector_misses;
-    m.lane_bytes += stats.lane_bytes;
-    m.txn_bytes += stats.txn_bytes;
-    m.elapsed_ns += stats.elapsed_ns;
-}
 
 /// The three layouts under comparison, built for `graph` with cache
 /// segments of `segment_bytes`.
@@ -124,8 +44,9 @@ fn plans(graph: &CsrGraph, segment_bytes: u64) -> [(&'static str, LayoutPlan); 3
     ]
 }
 
-/// Run every program over every layout of GK on the same platform.
-pub fn measure(ctx: &Context) -> LayoutResults {
+/// Run every program over every layout of GK on the same platform; each
+/// (program, layout) cell is its runs' folded stats.
+pub fn measure(ctx: &Context) -> Results<(&'static str, &'static str), RunStats> {
     let gk = ctx.store.get(DatasetKey::Gk);
     let sources = gk.sources(SOURCES);
     let mut machine = scaled_machine(ctx.scale);
@@ -139,8 +60,9 @@ pub fn measure(ctx: &Context) -> LayoutResults {
     let segment_bytes = machine.gpu.cache.capacity_bytes;
     let mut rows = Vec::new();
 
-    for program in ["multi-bfs", "multi-sssp", "cc", "pagerank"] {
-        let mut outputs: Vec<(&'static str, u64)> = Vec::new();
+    for series in Series::all(&sources) {
+        let program = series.name();
+        let mut base = None;
         for (layout_name, plan) in plans(&gk.graph, segment_bytes) {
             eprintln!("  [layout] {program} GK / {layout_name} ...");
             let graph = plan.apply(&gk.graph);
@@ -148,79 +70,24 @@ pub fn measure(ctx: &Context) -> LayoutResults {
                 .with_machine(machine.clone())
                 .with_elem_bytes(ELEM_BYTES);
             let mut engine = Engine::load(cfg, &graph);
-            let mut m = Measurement {
-                program,
-                layout: layout_name,
-                l2_hits: 0,
-                l2_misses: 0,
-                lane_bytes: 0,
-                txn_bytes: 0,
-                elapsed_ns: 0,
-            };
-            let out = match program {
-                "multi-bfs" => {
-                    let mut d = 0u64;
-                    for &s in &sources {
-                        let run = engine.bfs(plan.map_vertex(s));
-                        fold(&mut m, &run.stats);
-                        let levels = plan.unmap_values(&run.levels);
-                        d ^= digest(
-                            std::iter::once(run.stats.kernel_launches)
-                                .chain(levels.iter().map(|&l| u64::from(l))),
-                        );
-                    }
-                    d
-                }
-                "multi-sssp" => {
-                    let weights = plan.apply_edge_data(&gk.graph, &gk.weights);
-                    let mut d = 0u64;
-                    for &s in &sources {
-                        let run = engine.sssp(&weights, plan.map_vertex(s));
-                        fold(&mut m, &run.stats);
-                        let dist = plan.unmap_values(&run.dist);
-                        d ^= digest(
-                            std::iter::once(run.stats.kernel_launches)
-                                .chain(dist.iter().map(|&x| u64::from(x))),
-                        );
-                    }
-                    d
-                }
-                "cc" => {
-                    // Hook-pass counts are layout-dependent (CC labels
-                    // are vertex ids), so only the canonically unmapped
-                    // components enter the digest.
-                    let run = engine.cc();
-                    fold(&mut m, &run.stats);
-                    let comp = plan.unmap_components(&run.comp);
-                    digest(comp.iter().map(|&c| u64::from(c)))
-                }
-                _ => {
-                    let run = engine.pagerank(PR_DAMPING, PR_ITERATIONS);
-                    fold(&mut m, &run.stats);
-                    let ranks = plan.unmap_values(&run.ranks);
-                    digest(
-                        std::iter::once(run.stats.kernel_launches)
-                            .chain(ranks.iter().map(|&r| r.to_bits())),
-                    )
-                }
-            };
-            outputs.push((layout_name, out));
-            rows.push(m);
-        }
-        let (_, base) = outputs[0];
-        for &(name, d) in &outputs[1..] {
+            let cell = cell::run(&mut engine, series, &gk, Some(&plan));
+            // Iteration counts are layout-independent too — except CC's,
+            // whose labels are vertex ids.
+            let launches = (series != Series::Cc).then_some(cell.stats.kernel_launches);
+            let witness = (cell.digest, launches);
             assert_eq!(
-                d, base,
-                "{program}: {name} output diverged from the original layout"
+                *base.get_or_insert(witness),
+                witness,
+                "{program}: {layout_name} output diverged from the original layout"
             );
+            rows.push(((program, layout_name), cell.stats));
         }
     }
-    LayoutResults { rows }
+    Results { rows }
 }
 
 /// The printable table.
-pub fn layout(ctx: &Context) -> Table {
-    let r = measure(ctx);
+pub fn table(r: &Results<(&'static str, &'static str), RunStats>) -> Table {
     let mut t = Table::new(
         "layout",
         "Cache-aware vertex reordering (degree-sorted, hub-clustered) vs original ids on GK",
@@ -235,15 +102,15 @@ pub fn layout(ctx: &Context) -> Table {
         ],
     );
     let mib = |b: u64| f(b as f64 / (1 << 20) as f64);
-    for m in &r.rows {
+    for ((program, layout), stats) in &r.rows {
         t.row(vec![
-            m.program.into(),
-            m.layout.into(),
-            pct(m.l2_hit_rate()),
-            f(m.coalescing_efficiency()),
-            mib(m.lane_bytes),
-            mib(m.txn_bytes),
-            ms(m.elapsed_ns),
+            (*program).into(),
+            (*layout).into(),
+            pct(stats.l2_hit_rate()),
+            f(stats.coalescing_efficiency()),
+            mib(stats.lane_bytes),
+            mib(stats.txn_bytes),
+            ms(stats.elapsed_ns),
         ]);
     }
     t.note(
@@ -262,26 +129,13 @@ mod tests {
     use super::*;
 
     #[test]
-    #[should_panic(expected = "measured")]
-    fn missing_cell_lookup_names_the_cell_and_the_available_rows() {
-        let r = LayoutResults { rows: Vec::new() };
-        let _ = r.get("cc", "original");
-    }
-
-    #[test]
-    fn digest_is_order_sensitive() {
-        assert_ne!(digest([1, 2].into_iter()), digest([2, 1].into_iter()));
-        assert_eq!(digest([1, 2].into_iter()), digest([1, 2].into_iter()));
-    }
-
-    #[test]
     fn reordering_improves_cache_behavior_for_every_program() {
         let ctx = Context::new(1, 32);
         let r = measure(&ctx);
         for program in ["multi-bfs", "multi-sssp", "cc", "pagerank"] {
-            let base = r.get(program, "original");
+            let base = r.get((program, "original"));
             let improved = ["degree-sorted", "hub-clustered"].iter().any(|layout| {
-                let m = r.get(program, layout);
+                let m = r.get((program, *layout));
                 m.l2_hit_rate() > base.l2_hit_rate()
                     && m.coalescing_efficiency() > base.coalescing_efficiency()
             });
@@ -292,10 +146,10 @@ mod tests {
                  hub-clustered hit {:.4} eff {:.4}",
                 base.l2_hit_rate(),
                 base.coalescing_efficiency(),
-                r.get(program, "degree-sorted").l2_hit_rate(),
-                r.get(program, "degree-sorted").coalescing_efficiency(),
-                r.get(program, "hub-clustered").l2_hit_rate(),
-                r.get(program, "hub-clustered").coalescing_efficiency(),
+                r.get((program, "degree-sorted")).l2_hit_rate(),
+                r.get((program, "degree-sorted")).coalescing_efficiency(),
+                r.get((program, "hub-clustered")).l2_hit_rate(),
+                r.get((program, "hub-clustered")).coalescing_efficiency(),
             );
         }
     }

@@ -1,5 +1,5 @@
-//! One module per group of related experiments; `run` dispatches on the
-//! experiment id used by the `repro` binary.
+//! One module per group of related experiments; [`REGISTRY`] lists them
+//! under the ids the `repro` binary takes.
 
 pub mod ablations;
 pub mod apps;
@@ -32,94 +32,94 @@ pub(crate) fn scaled_machine(scale: usize) -> MachineConfig {
     m
 }
 
-/// All experiment ids: the paper's, in paper order, then this repo's own
-/// extensions.
-pub const ALL_IDS: &[&str] = &[
-    "table1",
-    "table2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "table3",
-    "ablations",
-    "hybrid",
-    "pagerank",
-    "overlap",
-    "layout",
-    "serve",
-    "sla",
-    "scaling",
-    "tiering",
+/// One experiment: everything `repro <id>` prints.
+pub type Experiment = fn(&Context) -> Vec<Table>;
+
+/// Every experiment, once: the paper's in paper order, then this repo's
+/// own extensions. [`ALL_IDS`], [`run`], [`run_all`] and `repro`'s usage
+/// text all derive from this list.
+pub const REGISTRY: &[(&str, Experiment)] = &[
+    ("table1", |_| vec![misc::table1()]),
+    ("table2", |ctx| vec![misc::table2(ctx)]),
+    ("fig3", |ctx| vec![toy::fig3(ctx)]),
+    ("fig4", |ctx| vec![toy::fig4(ctx)]),
+    ("fig5", |ctx| vec![case_study::fig5(ctx.bfs_matrix())]),
+    ("fig6", |ctx| vec![misc::fig6(ctx)]),
+    ("fig7", |ctx| vec![case_study::fig7(ctx.bfs_matrix())]),
+    ("fig8", |ctx| vec![case_study::fig8(ctx, ctx.bfs_matrix())]),
+    ("fig9", |ctx| vec![case_study::fig9(ctx.bfs_matrix())]),
+    ("fig10", |ctx| vec![case_study::fig10(ctx.bfs_matrix())]),
+    ("fig11", |ctx| vec![apps::fig11(ctx)]),
+    ("fig12", |ctx| vec![apps::fig12(ctx)]),
+    ("table3", |ctx| vec![prior::table3(ctx)]),
+    ("ablations", ablations::all),
+    ("hybrid", |ctx| vec![hybrid::table(&hybrid::measure(ctx))]),
+    ("pagerank", |ctx| {
+        vec![pagerank::table(&pagerank::measure(ctx))]
+    }),
+    ("overlap", |ctx| {
+        vec![overlap::table(&overlap::measure(ctx))]
+    }),
+    ("layout", |ctx| vec![layout::table(&layout::measure(ctx))]),
+    ("serve", |ctx| vec![serve::table(&serve::measure(ctx))]),
+    ("sla", |ctx| vec![sla::table(&sla::measure(ctx))]),
+    ("scaling", |ctx| {
+        vec![scaling::table(&scaling::measure(ctx))]
+    }),
+    ("tiering", |ctx| {
+        vec![tiering::table(&tiering::measure(ctx))]
+    }),
 ];
 
-/// Run one experiment by id. The BFS case-study figures (5, 7–10) share
-/// one measurement matrix; when invoked individually each recomputes it.
+/// The registry's ids, in its order.
+pub const ALL_IDS: [&str; REGISTRY.len()] = {
+    let mut ids = [""; REGISTRY.len()];
+    let mut i = 0;
+    while i < ids.len() {
+        ids[i] = REGISTRY[i].0;
+        i += 1;
+    }
+    ids
+};
+
+/// Run one experiment by id. The BFS case-study figures (5, 7–11) share
+/// the context's measurement matrix.
 pub fn run(id: &str, ctx: &Context) -> Vec<Table> {
-    match id {
-        "table1" => vec![misc::table1()],
-        "table2" => vec![misc::table2(ctx)],
-        "fig3" => vec![toy::fig3(ctx)],
-        "fig4" => vec![toy::fig4(ctx)],
-        "fig6" => vec![misc::fig6(ctx)],
-        "fig5" | "fig7" | "fig8" | "fig9" | "fig10" => {
-            let m = matrix::BfsMatrix::compute(ctx);
-            vec![match id {
-                "fig5" => case_study::fig5(&m),
-                "fig7" => case_study::fig7(&m),
-                "fig8" => case_study::fig8(ctx, &m),
-                "fig9" => case_study::fig9(&m),
-                _ => case_study::fig10(&m),
-            }]
-        }
-        "fig11" => vec![apps::fig11(ctx)],
-        "fig12" => vec![apps::fig12(ctx)],
-        "table3" => vec![prior::table3(ctx)],
-        "ablations" => ablations::all(ctx),
-        "hybrid" => vec![hybrid::hybrid(ctx)],
-        "pagerank" => vec![pagerank::pagerank(ctx)],
-        "overlap" => vec![overlap::overlap(ctx)],
-        "layout" => vec![layout::layout(ctx)],
-        "serve" => vec![serve::serve(ctx)],
-        "sla" => vec![sla::sla(ctx)],
-        "scaling" => vec![scaling::scaling(ctx)],
-        "tiering" => vec![tiering::tiering(ctx)],
-        other => panic!("unknown experiment id {other:?} (known: {ALL_IDS:?})"),
+    match REGISTRY.iter().find(|(known, _)| *known == id) {
+        Some((_, experiment)) => experiment(ctx),
+        None => panic!("unknown experiment id {id:?} (known: {ALL_IDS:?})"),
     }
 }
 
-/// Run the full evaluation, computing the shared matrix once.
+/// Run the full evaluation, in registry order.
 pub fn run_all(ctx: &Context) -> Vec<Table> {
-    let mut out = vec![
-        misc::table1(),
-        misc::table2(ctx),
-        toy::fig3(ctx),
-        toy::fig4(ctx),
-    ];
-    let m = matrix::BfsMatrix::compute(ctx);
-    out.push(case_study::fig5(&m));
-    out.push(misc::fig6(ctx));
-    out.push(case_study::fig7(&m));
-    out.push(case_study::fig8(ctx, &m));
-    out.push(case_study::fig9(&m));
-    out.push(case_study::fig10(&m));
-    out.push(apps::fig11_with_bfs(ctx, Some(&m)));
-    out.push(apps::fig12(ctx));
-    out.push(prior::table3(ctx));
-    out.extend(ablations::all(ctx));
-    out.push(hybrid::hybrid(ctx));
-    out.push(pagerank::pagerank(ctx));
-    out.push(overlap::overlap(ctx));
-    out.push(layout::layout(ctx));
-    out.push(serve::serve(ctx));
-    out.push(sla::sla(ctx));
-    out.push(scaling::scaling(ctx));
-    out.push(tiering::tiering(ctx));
-    out
+    REGISTRY.iter().flat_map(|(_, e)| e(ctx)).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ids_are_unique_and_all_ids_is_the_registry_order() {
+        let ids: Vec<&str> = REGISTRY.iter().map(|&(id, _)| id).collect();
+        assert_eq!(ALL_IDS.to_vec(), ids);
+        for (i, id) in ids.iter().enumerate() {
+            assert!(!ids[..i].contains(id), "duplicate experiment id {id}");
+        }
+    }
+
+    #[test]
+    fn run_is_a_slice_of_run_all() {
+        // The property is structural, so the smallest scale every
+        // experiment still runs at will do.
+        let ctx = Context::new(1, 256);
+        let all: Vec<String> = run_all(&ctx).iter().map(Table::to_string).collect();
+        for id in ["table1", "table2", "fig3", "fig4", "fig6"] {
+            let at = ALL_IDS.iter().position(|&known| known == id).unwrap();
+            // Every id before `ablations` yields exactly one table.
+            let one: Vec<String> = run(id, &ctx).iter().map(Table::to_string).collect();
+            assert_eq!(one, all[at..=at], "{id}");
+        }
+    }
 }

@@ -18,69 +18,43 @@
 //! oversubscribes cache and device memory even at reduced scale.
 
 use super::scaled_machine;
+use crate::cell::{self, Series};
 use crate::table::{f, ms, pct};
-use crate::{Context, Table};
+use crate::{Context, Results, Table};
 use emogi_core::{Engine, EngineConfig};
 use emogi_graph::DatasetKey;
-use emogi_runtime::{PrefetchStats, RunStats};
+use emogi_runtime::RunStats;
 
 /// Sources per BFS/SSSP cell: traversal programs only re-read regions
 /// across runs, so each cell is a small multi-query scenario (the same
 /// cross-traversal reuse pattern as the `hybrid` experiment).
 const SOURCES: usize = 4;
 
-/// Power iterations for the PageRank cell (matches the `pagerank`
-/// experiment's damping).
-const PR_ITERATIONS: u32 = 10;
-const PR_DAMPING: f64 = 0.85;
-
-/// One program's synchronous-vs-pipelined measurement.
+/// One program's synchronous-vs-pipelined measurement: the folded stats
+/// of the synchronous hybrid runs and of the pipelined ones.
 #[derive(Debug, Clone)]
 pub struct Measurement {
-    pub program: &'static str,
-    /// Total wall time of the synchronous hybrid runs, ns.
-    pub sync_ns: u64,
-    /// Total wall time of the pipelined hybrid runs, ns.
-    pub pipe_ns: u64,
-    /// Prefetch counters accumulated over the pipelined runs.
-    pub prefetch: PrefetchStats,
+    pub sync: RunStats,
+    pub pipe: RunStats,
 }
 
 impl Measurement {
     /// Synchronous time over pipelined time; > 1 means overlap won.
     pub fn speedup(&self) -> f64 {
-        self.sync_ns as f64 / self.pipe_ns as f64
+        self.sync.elapsed_ns as f64 / self.pipe.elapsed_ns as f64
     }
 
     /// Fraction of the adopted stagings' copy latency that the copy
     /// lane hid behind kernel compute (the rest surfaced as residual
     /// in-flight stalls).
     pub fn hidden_frac(&self) -> f64 {
-        let total = self.prefetch.hidden_ns + self.prefetch.stall_ns;
+        let p = &self.pipe.prefetch;
+        let total = p.hidden_ns + p.stall_ns;
         if total == 0 {
             0.0
         } else {
-            self.prefetch.hidden_ns as f64 / total as f64
+            p.hidden_ns as f64 / total as f64
         }
-    }
-}
-
-/// All measurements of one experiment run.
-#[derive(Debug, Clone)]
-pub struct OverlapResults {
-    pub rows: Vec<Measurement>,
-}
-
-impl OverlapResults {
-    /// Look up one program's row; panics naming the rows that exist.
-    pub fn get(&self, program: &str) -> &Measurement {
-        self.rows
-            .iter()
-            .find(|m| m.program == program)
-            .unwrap_or_else(|| {
-                let have: Vec<&str> = self.rows.iter().map(|m| m.program).collect();
-                panic!("no overlap measurement for program {program:?}; measured: {have:?}")
-            })
     }
 }
 
@@ -95,79 +69,34 @@ fn cfg(ctx: &Context, pipelined: bool) -> EngineConfig {
     }
 }
 
-/// Fold one run's stats into a cell total, asserting along the way that
-/// the pipelined path moved exactly the bytes the synchronous one did
-/// (the determinism contract this experiment rides on).
-fn fold(total_ns: &mut u64, prefetch: &mut PrefetchStats, stats: &RunStats) {
-    *total_ns += stats.elapsed_ns;
-    *prefetch += stats.prefetch;
-}
-
 /// Run every program twice — synchronous hybrid, then pipelined hybrid —
-/// on the same GK placement protocol.
-pub fn measure(ctx: &Context) -> OverlapResults {
+/// on the same GK placement protocol, keyed by program name.
+pub fn measure(ctx: &Context) -> Results<&'static str, Measurement> {
     let gk = ctx.store.get(DatasetKey::Gk);
     let sources = gk.sources(SOURCES);
     let mut rows = Vec::new();
-
-    for program in ["multi-bfs", "multi-sssp", "cc", "pagerank"] {
+    for series in Series::all(&sources) {
+        let program = series.name();
         eprintln!("  [overlap] {program} GK ...");
-        let mut cell = [
-            (0u64, PrefetchStats::default()),
-            (0u64, PrefetchStats::default()),
-        ];
-        let mut outputs: Vec<String> = Vec::new();
-        for (i, pipelined) in [false, true].into_iter().enumerate() {
-            let (total_ns, prefetch) = &mut cell[i];
+        let [sync, pipe] = [false, true].map(|pipelined| {
             let mut engine = Engine::load(cfg(ctx, pipelined), &gk.graph);
-            match program {
-                "multi-bfs" => {
-                    let mut digest = Vec::new();
-                    for &s in &sources {
-                        let run = engine.bfs(s);
-                        fold(total_ns, prefetch, &run.stats);
-                        digest.push(run.levels.iter().map(|&l| u64::from(l)).sum::<u64>());
-                    }
-                    outputs.push(format!("{digest:?}"));
-                }
-                "multi-sssp" => {
-                    let mut digest = Vec::new();
-                    for &s in &sources {
-                        let run = engine.sssp(&gk.weights, s);
-                        fold(total_ns, prefetch, &run.stats);
-                        digest.push(run.dist.iter().map(|&d| u64::from(d)).sum::<u64>());
-                    }
-                    outputs.push(format!("{digest:?}"));
-                }
-                "cc" => {
-                    let run = engine.cc();
-                    fold(total_ns, prefetch, &run.stats);
-                    outputs.push(format!("{:?}/{}", run.hook_passes, run.comp.len()));
-                }
-                _ => {
-                    let run = engine.pagerank(PR_DAMPING, PR_ITERATIONS);
-                    fold(total_ns, prefetch, &run.stats);
-                    outputs.push(format!("{:?}", run.ranks.iter().sum::<f64>().to_bits()));
-                }
-            }
-        }
+            cell::run(&mut engine, series, &gk, None)
+        });
         assert_eq!(
-            outputs[0], outputs[1],
+            sync.digest, pipe.digest,
             "{program}: pipelined output diverged from synchronous"
         );
-        rows.push(Measurement {
-            program,
-            sync_ns: cell[0].0,
-            pipe_ns: cell[1].0,
-            prefetch: cell[1].1,
-        });
+        let m = Measurement {
+            sync: sync.stats,
+            pipe: pipe.stats,
+        };
+        rows.push((program, m));
     }
-    OverlapResults { rows }
+    Results { rows }
 }
 
 /// The printable table.
-pub fn overlap(ctx: &Context) -> Table {
-    let r = measure(ctx);
+pub fn table(r: &Results<&'static str, Measurement>) -> Table {
     let mut t = Table::new(
         "overlap",
         "Pipelined (overlapped DMA/kernel) vs synchronous hybrid on GK",
@@ -183,15 +112,16 @@ pub fn overlap(ctx: &Context) -> Table {
         ],
     );
     let mib = |b: u64| f(b as f64 / (1 << 20) as f64);
-    for m in &r.rows {
+    for (program, m) in &r.rows {
+        let p = &m.pipe.prefetch;
         t.row(vec![
-            m.program.into(),
-            ms(m.sync_ns),
-            ms(m.pipe_ns),
+            (*program).into(),
+            ms(m.sync.elapsed_ns),
+            ms(m.pipe.elapsed_ns),
             f(m.speedup()),
-            mib(m.prefetch.prefetched_bytes),
-            mib(m.prefetch.hit_bytes),
-            mib(m.prefetch.wasted_bytes),
+            mib(p.prefetched_bytes),
+            mib(p.hit_bytes),
+            mib(p.wasted_bytes),
             pct(m.hidden_frac()),
         ]);
     }
@@ -210,51 +140,38 @@ mod tests {
     use super::*;
 
     #[test]
-    #[should_panic(expected = "measured")]
-    fn missing_row_lookup_names_the_program_and_the_available_rows() {
-        let r = OverlapResults { rows: Vec::new() };
-        let _ = r.get("cc");
-    }
-
-    #[test]
     fn pipelining_beats_synchronous_staging_on_reuse() {
         let ctx = Context::new(1, 32);
         let r = measure(&ctx);
 
         // The tentpole claim: at least one reuse scenario must show a
         // real end-to-end win, and no program may get slower.
-        let best = r
+        let (_, winner) = r
             .rows
             .iter()
-            .map(|m| m.speedup())
-            .fold(f64::NEG_INFINITY, f64::max);
+            .max_by(|a, b| a.1.speedup().total_cmp(&b.1.speedup()))
+            .unwrap();
         assert!(
-            best > 1.0,
+            winner.speedup() > 1.0,
             "no program sped up: {:?}",
             r.rows
                 .iter()
-                .map(|m| (m.program, m.speedup()))
+                .map(|(program, m)| (program, m.speedup()))
                 .collect::<Vec<_>>()
         );
-        for m in &r.rows {
+        for (program, m) in &r.rows {
             assert!(
-                m.pipe_ns <= m.sync_ns,
-                "{}: pipelined {} ns slower than synchronous {} ns",
-                m.program,
-                m.pipe_ns,
-                m.sync_ns
+                m.pipe.elapsed_ns <= m.sync.elapsed_ns,
+                "{program}: pipelined {} ns slower than synchronous {} ns",
+                m.pipe.elapsed_ns,
+                m.sync.elapsed_ns
             );
         }
 
         // The win must come from actual adopted speculation, with some
         // staging latency genuinely hidden behind kernel compute.
-        let winner = r
-            .rows
-            .iter()
-            .max_by(|a, b| a.speedup().total_cmp(&b.speedup()))
-            .unwrap();
-        assert!(winner.prefetch.hit_regions > 0, "winner never adopted");
-        assert!(winner.prefetch.hidden_ns > 0, "winner hid no latency");
+        assert!(winner.pipe.prefetch.hit_regions > 0, "winner never adopted");
+        assert!(winner.pipe.prefetch.hidden_ns > 0, "winner hid no latency");
         assert!(winner.hidden_frac() > 0.0);
     }
 }

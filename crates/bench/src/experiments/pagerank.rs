@@ -11,41 +11,36 @@
 //! oversubscribes cache and device memory even at reduced scale.
 
 use super::scaled_machine;
+use crate::cell::{self, Series, PR_DAMPING, PR_ITERATIONS};
 use crate::table::ms;
-use crate::{Context, Table};
+use crate::{Context, Results, Table};
 use emogi_core::{AccessMode, Engine, EngineConfig};
 use emogi_graph::{algo, DatasetKey};
-
-/// Power iterations per cell (enough to spread rank mass a few hops).
-const ITERATIONS: u32 = 10;
-const DAMPING: f64 = 0.85;
+use emogi_runtime::RunStats;
 
 /// One (graph, mode) measurement.
 #[derive(Debug, Clone)]
-pub struct PrMeasurement {
-    pub graph: &'static str,
-    pub mode: AccessMode,
-    pub total_ns: u64,
-    pub staged_regions: u64,
+pub struct Measurement {
+    pub stats: RunStats,
     /// Largest absolute rank deviation from the CPU reference.
     pub max_abs_err: f64,
 }
 
 /// Run PageRank on the skewed (GK) and dense (ML) graphs under all four
 /// access modes, verifying every cell against [`algo::pagerank`].
-pub fn measure(ctx: &Context) -> Vec<PrMeasurement> {
+pub fn measure(ctx: &Context) -> Results<(&'static str, AccessMode), Measurement> {
     let mut rows = Vec::new();
     for key in [DatasetKey::Gk, DatasetKey::Ml] {
         let d = ctx.store.get(key);
-        let want = algo::pagerank(&d.graph, DAMPING, ITERATIONS);
+        let want = algo::pagerank(&d.graph, PR_DAMPING, PR_ITERATIONS);
         for mode in AccessMode::all() {
             eprintln!("  [pagerank] {} / {} ...", d.spec.symbol, mode.name());
             let cfg = EngineConfig::emogi_v100()
                 .with_mode(mode)
                 .with_machine(scaled_machine(ctx.scale));
             let mut engine = Engine::load(cfg, &d.graph);
-            let run = engine.pagerank(DAMPING, ITERATIONS);
-            let max_abs_err = run
+            let cell = cell::run(&mut engine, Series::PageRank, &d, None);
+            let max_abs_err = cell
                 .ranks
                 .iter()
                 .zip(&want)
@@ -57,39 +52,36 @@ pub fn measure(ctx: &Context) -> Vec<PrMeasurement> {
                 d.spec.symbol,
                 mode.name()
             );
-            rows.push(PrMeasurement {
-                graph: d.spec.symbol,
-                mode,
-                total_ns: run.stats.elapsed_ns,
-                staged_regions: run.stats.transfer.staged_regions,
+            let m = Measurement {
+                stats: cell.stats,
                 max_abs_err,
-            });
+            };
+            rows.push(((d.spec.symbol, mode), m));
         }
     }
-    rows
+    Results { rows }
 }
 
 /// The printable table.
-pub fn pagerank(ctx: &Context) -> Table {
-    let rows = measure(ctx);
+pub fn table(r: &Results<(&'static str, AccessMode), Measurement>) -> Table {
     let mut t = Table::new(
         "pagerank",
         "PageRank through the vertex-program engine (10 iterations, verified vs CPU)",
         &["graph", "mode", "time (ms)", "staged regions", "max |err|"],
     );
-    for m in &rows {
+    for ((graph, mode), m) in &r.rows {
         t.row(vec![
-            m.graph.into(),
-            m.mode.name().into(),
-            ms(m.total_ns),
-            m.staged_regions.to_string(),
+            (*graph).into(),
+            mode.name().into(),
+            ms(m.stats.elapsed_ns),
+            m.stats.transfer.staged_regions.to_string(),
             format!("{:.1e}", m.max_abs_err),
         ]);
     }
     t.note(format!(
         "a fourth vertex program with zero driver/kernel/transfer-planner changes; \
          full sweeps every iteration make it the hybrid transport's best case \
-         (damping {DAMPING}, every cell checked against the CPU reference)"
+         (damping {PR_DAMPING}, every cell checked against the CPU reference)"
     ));
     t
 }
@@ -101,28 +93,23 @@ mod tests {
     #[test]
     fn all_modes_verified_and_hybrid_stages() {
         let ctx = Context::new(1, 32);
-        let rows = measure(&ctx);
-        assert_eq!(rows.len(), 2 * AccessMode::all().len());
-        for m in &rows {
-            assert!(m.max_abs_err < 1e-9, "{} / {}", m.graph, m.mode.name());
-            if m.mode.is_hybrid() {
+        let r = measure(&ctx);
+        assert_eq!(r.rows.len(), 2 * AccessMode::all().len());
+        for ((graph, mode), m) in &r.rows {
+            assert!(m.max_abs_err < 1e-9, "{graph} / {}", mode.name());
+            let staged = m.stats.transfer.staged_regions;
+            if mode.is_hybrid() {
                 assert!(
-                    m.staged_regions > 0,
-                    "{}: full sweeps must stage on the oversubscribed machine",
-                    m.graph
+                    staged > 0,
+                    "{graph}: full sweeps must stage on the oversubscribed machine"
                 );
             } else {
-                assert_eq!(m.staged_regions, 0);
+                assert_eq!(staged, 0);
             }
         }
         // Hybrid must beat pure zero-copy on repeated full sweeps.
         for graph in ["GK", "ML"] {
-            let ns = |mode: AccessMode| {
-                rows.iter()
-                    .find(|m| m.graph == graph && m.mode == mode)
-                    .unwrap()
-                    .total_ns
-            };
+            let ns = |mode: AccessMode| r.get((graph, mode)).stats.elapsed_ns;
             assert!(
                 ns(AccessMode::Hybrid) < ns(AccessMode::MergedAligned),
                 "{graph}: hybrid must win repeated sweeps"

@@ -75,7 +75,6 @@ pub fn table3(ctx: &Context) -> Table {
             let halo = HaloSystem::new(
                 EngineConfig::uvm_v100().with_machine(MachineConfig::titan_xp_gen3()),
                 &d.graph,
-                None,
             );
             let sources = d.sources(ctx.sources);
             let ht: u64 = sources.iter().map(|&s| halo.bfs(s).stats.elapsed_ns).sum();

@@ -17,9 +17,10 @@
 
 use super::scaled_machine;
 use crate::table::{f, ms};
-use crate::{Context, Table};
+use crate::{Context, Results, Table};
 use emogi_core::sharded::{ShardedConfig, ShardedEngine};
 use emogi_graph::{algo, DatasetKey, PartitionStrategy};
+use emogi_runtime::RunStats;
 
 /// BFS traversals per (devices, partitioner) cell.
 const BURST: usize = 4;
@@ -30,59 +31,29 @@ pub const DEVICE_COUNTS: &[usize] = &[1, 2, 4];
 /// One (devices, partitioner) measurement.
 #[derive(Debug, Clone)]
 pub struct Measurement {
-    /// Simulated GPUs.
-    pub devices: usize,
-    /// Partitioner display name.
-    pub partition: &'static str,
-    /// Total simulated time for the burst, ns (barrier-aligned wall
-    /// clock per traversal, summed over the burst).
-    pub total_ns: u64,
-    /// Host→GPU payload bytes summed over every device's link.
-    pub host_bytes: u64,
+    /// The burst's group-level stats, folded: barrier-aligned wall clock
+    /// per traversal summed over the burst, `host_bytes` summed over
+    /// every device's link.
+    pub stats: RunStats,
     /// Busiest single link's payload bytes (the imbalance witness).
     pub max_link_bytes: u64,
     /// Inter-device exchange bytes over the burst.
     pub exchange_bytes: u64,
 }
 
-/// All measurements of one experiment run.
-#[derive(Debug, Clone)]
-pub struct ScalingResults {
-    /// Every (devices, partitioner) cell.
-    pub rows: Vec<Measurement>,
-}
+/// Cells keyed by (simulated GPUs, partitioner display name).
+pub type Cells = Results<(usize, &'static str), Measurement>;
 
-impl ScalingResults {
-    /// Look up one cell; panics with the missing key *and* the available
-    /// cells so a bench failure is diagnosable at a glance.
-    pub fn get(&self, devices: usize, partition: &str) -> &Measurement {
-        self.rows
-            .iter()
-            .find(|m| m.devices == devices && m.partition == partition)
-            .unwrap_or_else(|| {
-                let have: Vec<String> = self
-                    .rows
-                    .iter()
-                    .map(|m| format!("{}x/{}", m.devices, m.partition))
-                    .collect();
-                panic!(
-                    "no scaling measurement for {devices} devices / partitioner \
-                     {partition:?}; measured cells: {have:?}"
-                )
-            })
-    }
-
-    /// Burst speedup of `devices` GPUs over the same partitioner's
-    /// single-GPU baseline.
-    pub fn speedup(&self, devices: usize, partition: &str) -> f64 {
-        let base = self.get(1, partition).total_ns;
-        base as f64 / self.get(devices, partition).total_ns as f64
-    }
+/// Burst speedup of `devices` GPUs over the same partitioner's
+/// single-GPU baseline.
+pub fn speedup(r: &Cells, devices: usize, partition: &'static str) -> f64 {
+    let base = r.get((1, partition)).stats.elapsed_ns;
+    base as f64 / r.get((devices, partition)).stats.elapsed_ns as f64
 }
 
 /// Run every (devices, partitioner) cell, asserting output bit-identity
 /// against the CPU reference as it goes.
-pub fn measure(ctx: &Context) -> ScalingResults {
+pub fn measure(ctx: &Context) -> Cells {
     let gk = ctx.store.get(DatasetKey::Gk);
     let sources = gk.sources(BURST);
     let mut rows = Vec::new();
@@ -96,8 +67,7 @@ pub fn measure(ctx: &Context) -> ScalingResults {
             let mut cfg = ShardedConfig::emogi_v100(devices).with_partition(strategy);
             cfg.engine = cfg.engine.with_machine(scaled_machine(ctx.scale));
             let mut engine = ShardedEngine::load(cfg, &gk.graph);
-            let mut total_ns = 0u64;
-            let mut host_bytes = 0u64;
+            let mut stats = RunStats::default();
             let mut per_link = vec![0u64; devices];
             let mut exchange_bytes = 0u64;
             for &s in &sources {
@@ -107,29 +77,25 @@ pub fn measure(ctx: &Context) -> ScalingResults {
                     algo::bfs_levels(&gk.graph, s),
                     "sharded BFS from {s} on {devices} devices diverged"
                 );
-                total_ns += run.stats.elapsed_ns;
-                host_bytes += run.stats.host_bytes;
+                stats += &run.stats;
                 for (d, stats) in run.per_device.iter().enumerate() {
                     per_link[d] += stats.host_bytes;
                 }
                 exchange_bytes += run.exchange.bytes;
             }
-            rows.push(Measurement {
-                devices,
-                partition: strategy.name(),
-                total_ns,
-                host_bytes,
+            let m = Measurement {
+                stats,
                 max_link_bytes: per_link.iter().copied().max().unwrap_or(0),
                 exchange_bytes,
-            });
+            };
+            rows.push(((devices, strategy.name()), m));
         }
     }
-    ScalingResults { rows }
+    Results { rows }
 }
 
 /// The printable table.
-pub fn scaling(ctx: &Context) -> Table {
-    let r = measure(ctx);
+pub fn table(r: &Cells) -> Table {
     let mut t = Table::new(
         "scaling",
         "Multi-GPU sharded BFS on GK: 1/2/4 simulated V100s, both partitioners",
@@ -143,13 +109,13 @@ pub fn scaling(ctx: &Context) -> Table {
             "exchange MB",
         ],
     );
-    for m in &r.rows {
+    for ((devices, partition), m) in &r.rows {
         t.row(vec![
-            m.devices.to_string(),
-            m.partition.into(),
-            ms(m.total_ns),
-            f(r.speedup(m.devices, m.partition)),
-            format!("{:.2}", m.host_bytes as f64 / 1e6),
+            devices.to_string(),
+            (*partition).into(),
+            ms(m.stats.elapsed_ns),
+            f(speedup(r, *devices, partition)),
+            format!("{:.2}", m.stats.host_bytes as f64 / 1e6),
             format!("{:.2}", m.max_link_bytes as f64 / 1e6),
             format!("{:.2}", m.exchange_bytes as f64 / 1e6),
         ]);
@@ -173,16 +139,16 @@ mod tests {
         let ctx = Context::new(1, 32);
         let r = measure(&ctx); // bit-identity asserted inside
         let db = PartitionStrategy::DegreeBalanced.name();
-        let s2 = r.speedup(2, db);
-        let s4 = r.speedup(4, db);
+        let s2 = speedup(&r, 2, db);
+        let s4 = speedup(&r, 4, db);
         assert!(s2 >= 1.6, "2-device speedup {s2:.2} below the 1.6x bar");
         assert!(s4 >= 2.5, "4-device speedup {s4:.2} below the 2.5x bar");
         assert!(s4 > s2, "scaling must keep improving with devices");
         // The exchange is the price of sharding: present, but small
         // relative to the edge-list traffic it parallelizes.
-        let m4 = r.get(4, db);
+        let m4 = r.get((4, db));
         assert!(m4.exchange_bytes > 0);
-        assert!(m4.exchange_bytes < m4.host_bytes / 2);
+        assert!(m4.exchange_bytes < m4.stats.host_bytes / 2);
     }
 
     #[test]
@@ -194,21 +160,14 @@ mod tests {
         // The busiest link carries less of the load when shards are
         // edge-balanced rather than vertex-balanced.
         assert!(
-            r.get(4, db).max_link_bytes <= r.get(4, ct).max_link_bytes,
+            r.get((4, db)).max_link_bytes <= r.get((4, ct)).max_link_bytes,
             "degree-balanced busiest link must not exceed contiguous"
         );
         assert!(
-            r.speedup(4, db) >= r.speedup(4, ct),
+            speedup(&r, 4, db) >= speedup(&r, 4, ct),
             "degree-balanced speedup {:.2} vs contiguous {:.2}",
-            r.speedup(4, db),
-            r.speedup(4, ct)
+            speedup(&r, 4, db),
+            speedup(&r, 4, ct)
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "measured cells")]
-    fn missing_cell_lookup_names_the_key_and_the_available_cells() {
-        let r = ScalingResults { rows: Vec::new() };
-        let _ = r.get(2, "degree-balanced");
     }
 }

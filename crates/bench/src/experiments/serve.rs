@@ -19,7 +19,7 @@
 
 use super::scaled_machine;
 use crate::table::{f, ms};
-use crate::{Context, Table};
+use crate::{Context, Results, Table};
 use emogi_core::{AccessMode, Engine, EngineConfig};
 use emogi_graph::DatasetKey;
 use emogi_runtime::RunStats;
@@ -38,20 +38,12 @@ const MODES: &[(&str, AccessMode)] = &[
 /// One (scenario, mode, execution) measurement.
 #[derive(Debug, Clone)]
 pub struct Measurement {
-    /// Workload name (`bfs-burst`, `sssp-burst`).
-    pub scenario: &'static str,
-    /// Engine mode name.
-    pub mode: &'static str,
-    /// `Sequential` or `Batched`.
-    pub execution: &'static str,
     /// Queries in the burst.
     pub queries: usize,
     /// Total simulated time serving the burst, ns.
     pub total_ns: u64,
     /// Host→GPU payload bytes (shared fetches counted once).
     pub host_bytes: u64,
-    /// Zero-copy PCIe read requests.
-    pub pcie_read_requests: u64,
 }
 
 impl Measurement {
@@ -61,34 +53,8 @@ impl Measurement {
     }
 }
 
-/// All measurements of one experiment run.
-#[derive(Debug, Clone)]
-pub struct ServeResults {
-    /// Every (scenario, mode, execution) cell.
-    pub rows: Vec<Measurement>,
-}
-
-impl ServeResults {
-    /// Look up one cell; panics naming the missing
-    /// scenario/mode/execution *and* the cells that were measured, so a
-    /// bench failure is diagnosable at a glance.
-    pub fn get(&self, scenario: &str, mode: &str, execution: &str) -> &Measurement {
-        self.rows
-            .iter()
-            .find(|m| m.scenario == scenario && m.mode == mode && m.execution == execution)
-            .unwrap_or_else(|| {
-                let have: Vec<String> = self
-                    .rows
-                    .iter()
-                    .map(|m| format!("{}/{}/{}", m.scenario, m.mode, m.execution))
-                    .collect();
-                panic!(
-                    "no serve measurement for scenario {scenario:?} / mode {mode:?} / \
-                     execution {execution:?}; measured cells: {have:?}"
-                )
-            })
-    }
-}
+/// Cells keyed by (scenario, engine mode, `Sequential` | `Batched`).
+pub type Cells = Results<(&'static str, &'static str, &'static str), Measurement>;
 
 fn cfg(ctx: &Context, mode: AccessMode) -> EngineConfig {
     EngineConfig::emogi_v100()
@@ -98,11 +64,11 @@ fn cfg(ctx: &Context, mode: AccessMode) -> EngineConfig {
 
 /// Run every (scenario, mode, execution) cell, asserting per-query
 /// bit-identity between sequential and batched execution as it goes.
-pub fn measure(ctx: &Context) -> ServeResults {
+pub fn measure(ctx: &Context) -> Cells {
     let gk = ctx.store.get(DatasetKey::Gk);
     let sources = gk.sources(BURST);
     let weights = Arc::new(gk.weights.clone());
-    let mut rows = Vec::new();
+    let mut cells = Results { rows: Vec::new() };
 
     for &(mode_name, mode) in MODES {
         let engine_cfg = cfg(ctx, mode);
@@ -114,7 +80,7 @@ pub fn measure(ctx: &Context) -> ServeResults {
                 graph: &gk.graph,
                 sources: &sources,
             },
-            &mut rows,
+            &mut cells,
             |engine, s| {
                 let run = engine.bfs(s);
                 (run.output.levels, run.stats)
@@ -134,7 +100,7 @@ pub fn measure(ctx: &Context) -> ServeResults {
                 graph: &gk.graph,
                 sources: &sources,
             },
-            &mut rows,
+            &mut cells,
             |engine, s| {
                 let run = engine.sssp(&weights, s);
                 (run.output.dist, run.stats)
@@ -150,7 +116,7 @@ pub fn measure(ctx: &Context) -> ServeResults {
             },
         );
     }
-    ServeResults { rows }
+    cells
 }
 
 /// One (scenario, mode) cell's fixed inputs.
@@ -170,7 +136,7 @@ struct Cell<'a> {
 /// to a `Vec<u32>` output (levels / distances).
 fn measure_scenario<'g>(
     cell: Cell<'g>,
-    rows: &mut Vec<Measurement>,
+    cells: &mut Cells,
     mut solo: impl FnMut(&mut Engine<'g>, emogi_graph::VertexId) -> (Vec<u32>, RunStats),
     mut submit: impl FnMut(&mut QueryServer<'g>, emogi_graph::VertexId) -> emogi_serve::QueryId,
     mut take: impl FnMut(emogi_serve::QueryOutcome) -> (Vec<u32>, RunStats),
@@ -182,29 +148,23 @@ fn measure_scenario<'g>(
         cell.sources.len()
     );
     let mut seq = Engine::load(cell.engine_cfg.clone(), cell.graph);
-    let mut seq_ns = 0u64;
-    let mut seq_bytes = 0u64;
-    let mut seq_reqs = 0u64;
+    let mut seq_total = RunStats::default();
     let seq_runs: Vec<(Vec<u32>, RunStats)> = cell
         .sources
         .iter()
         .map(|&s| {
             let (out, stats) = solo(&mut seq, s);
-            seq_ns += stats.elapsed_ns;
-            seq_bytes += stats.host_bytes;
-            seq_reqs += stats.pcie_read_requests;
+            seq_total += &stats;
             (out, stats)
         })
         .collect();
-    rows.push(Measurement {
-        scenario: cell.scenario,
-        mode: cell.mode,
-        execution: "Sequential",
+    let sequential = Measurement {
         queries: cell.sources.len(),
-        total_ns: seq_ns,
-        host_bytes: seq_bytes,
-        pcie_read_requests: seq_reqs,
-    });
+        total_ns: seq_total.elapsed_ns,
+        host_bytes: seq_total.host_bytes,
+    };
+    let key = (cell.scenario, cell.mode, "Sequential");
+    cells.rows.push((key, sequential));
 
     let mut server = QueryServer::new(
         ServerConfig {
@@ -229,23 +189,17 @@ fn measure_scenario<'g>(
         assert_eq!(got_stats.kernel_launches, want_stats.kernel_launches);
     }
     let st = server.stats();
-    // The server's engine is fresh and served only this burst, so its
-    // lifetime monitor equals the burst's request count.
-    let reqs = server.engine().machine.monitor.read_requests;
-    rows.push(Measurement {
-        scenario: cell.scenario,
-        mode: cell.mode,
-        execution: "Batched",
+    let batched = Measurement {
         queries: cell.sources.len(),
         total_ns: st.busy_ns,
         host_bytes: st.host_bytes,
-        pcie_read_requests: reqs,
-    });
+    };
+    let key = (cell.scenario, cell.mode, "Batched");
+    cells.rows.push((key, batched));
 }
 
 /// The printable table.
-pub fn serve(ctx: &Context) -> Table {
-    let r = measure(ctx);
+pub fn table(r: &Cells) -> Table {
     let mut t = Table::new(
         "serve",
         "Concurrent query serving: batched multi-query execution vs sequential (GK burst)",
@@ -260,9 +214,9 @@ pub fn serve(ctx: &Context) -> Table {
             "PCIe bytes saved",
         ],
     );
-    for m in &r.rows {
-        let seq_bytes = r.get(m.scenario, m.mode, "Sequential").host_bytes;
-        let saved = if m.execution == "Batched" && seq_bytes > 0 {
+    for ((scenario, mode, execution), m) in &r.rows {
+        let seq_bytes = r.get((scenario, mode, "Sequential")).host_bytes;
+        let saved = if *execution == "Batched" && seq_bytes > 0 {
             format!(
                 "{:.1}%",
                 100.0 * (seq_bytes.saturating_sub(m.host_bytes)) as f64 / seq_bytes as f64
@@ -271,9 +225,9 @@ pub fn serve(ctx: &Context) -> Table {
             "—".to_string()
         };
         t.row(vec![
-            m.scenario.into(),
-            m.mode.into(),
-            m.execution.into(),
+            (*scenario).into(),
+            (*mode).into(),
+            (*execution).into(),
             m.queries.to_string(),
             ms(m.total_ns),
             f(m.queries_per_sec()),
@@ -295,20 +249,13 @@ mod tests {
     use super::*;
 
     #[test]
-    #[should_panic(expected = "measured cells")]
-    fn missing_cell_lookup_names_the_key_and_the_available_cells() {
-        let r = ServeResults { rows: Vec::new() };
-        let _ = r.get("bfs-burst", "Hybrid", "Batched");
-    }
-
-    #[test]
     fn batching_saves_pcie_bytes_and_raises_throughput() {
         let ctx = Context::new(1, 32);
         let r = measure(&ctx); // bit-identity asserted inside
         for &(mode_name, _) in MODES {
             for scenario in ["bfs-burst", "sssp-burst"] {
-                let seq = r.get(scenario, mode_name, "Sequential");
-                let bat = r.get(scenario, mode_name, "Batched");
+                let seq = r.get((scenario, mode_name, "Sequential"));
+                let bat = r.get((scenario, mode_name, "Batched"));
                 assert!(
                     bat.host_bytes < seq.host_bytes,
                     "{scenario}/{mode_name}: batched {} bytes must beat sequential {}",

@@ -17,7 +17,7 @@
 
 use super::scaled_machine;
 use crate::table::{f, ms};
-use crate::{Context, Table};
+use crate::{cell, Context, Results, Table};
 use emogi_core::{AccessMode, Engine, EngineConfig};
 use emogi_graph::DatasetKey;
 use emogi_serve::{
@@ -35,9 +35,7 @@ const LATENCY_BFS: usize = 3;
 
 /// One policy's serving outcome over the shared workload.
 #[derive(Debug, Clone)]
-pub struct PolicyMeasurement {
-    /// Scheduler name (`FIFO`, `EDF`).
-    pub policy: &'static str,
+pub struct Measurement {
     /// Queries admitted.
     pub queries: usize,
     /// Deadline-carrying queries that completed on time.
@@ -53,7 +51,7 @@ pub struct PolicyMeasurement {
     pub busy_ns: u64,
 }
 
-impl PolicyMeasurement {
+impl Measurement {
     /// Fraction of deadline-carrying queries that met their deadline.
     pub fn hit_rate(&self) -> f64 {
         let total = self.deadline_met + self.deadline_missed + self.deadline_cancelled;
@@ -65,47 +63,15 @@ impl PolicyMeasurement {
     }
 }
 
-/// Both policies' measurements over the identical workload.
-#[derive(Debug, Clone)]
-pub struct SlaResults {
-    /// One row per scheduling policy.
-    pub rows: Vec<PolicyMeasurement>,
-}
-
-impl SlaResults {
-    /// Look up one policy's measurement by name.
-    pub fn get(&self, policy: &str) -> &PolicyMeasurement {
-        self.rows
-            .iter()
-            .find(|m| m.policy == policy)
-            .unwrap_or_else(|| panic!("no sla measurement for policy {policy:?}"))
-    }
-}
-
-fn fold(h: &mut u64, w: u64) {
-    *h ^= w;
-    *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-}
-
-/// FNV-1a over a result's output words (f64 ranks folded by bit
-/// pattern), so "same answer" is a single comparable number.
+/// The cell runner's digest of a result's output words, so "same
+/// answer" is a single comparable number.
 fn digest(r: &QueryResult) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
     match r {
-        QueryResult::Bfs(run) => run
-            .output
-            .levels
-            .iter()
-            .for_each(|&w| fold(&mut h, w.into())),
-        QueryResult::Sssp(run) => run.output.dist.iter().for_each(|&w| fold(&mut h, w.into())),
-        QueryResult::Cc(run) => run.output.comp.iter().for_each(|&w| fold(&mut h, w.into())),
-        QueryResult::PageRank(run) => run
-            .output
-            .ranks
-            .iter()
-            .for_each(|&w| fold(&mut h, w.to_bits())),
+        QueryResult::Bfs(run) => cell::digest(cell::words(&run.output.levels)),
+        QueryResult::Sssp(run) => cell::digest(cell::words(&run.output.dist)),
+        QueryResult::Cc(run) => cell::digest(cell::words(&run.output.comp)),
+        QueryResult::PageRank(run) => cell::digest(run.output.ranks.iter().map(|r| r.to_bits())),
     }
-    h
 }
 
 /// The mixed burst, in submission order: bulk prefix then latency
@@ -131,7 +97,7 @@ fn workload(sources: &[u32], weights: &Arc<Vec<u32>>) -> Vec<(Query, bool)> {
 
 /// Run the identical workload under FIFO and EDF, asserting every
 /// executed output digest-equal to a solo run as it goes.
-pub fn measure(ctx: &Context) -> SlaResults {
+pub fn measure(ctx: &Context) -> Results<&'static str, Measurement> {
     let gk = ctx.store.get(DatasetKey::Gk);
     let sources = gk.sources(BULK_BFS + LATENCY_BFS + 1);
     let weights = Arc::new(gk.weights.clone());
@@ -213,22 +179,21 @@ pub fn measure(ctx: &Context) -> SlaResults {
         completions.sort_unstable();
         let p99 = completions[((completions.len() * 99).div_ceil(100)).saturating_sub(1)];
         let st = server.stats();
-        rows.push(PolicyMeasurement {
-            policy: name,
+        let m = Measurement {
             queries: st.submitted as usize,
             deadline_met: st.deadline_met,
             deadline_missed: st.deadline_missed,
             deadline_cancelled: st.deadline_cancelled,
             p99_latency_ns: p99,
             busy_ns: st.busy_ns,
-        });
+        };
+        rows.push((name, m));
     }
-    SlaResults { rows }
+    Results { rows }
 }
 
 /// The printable table.
-pub fn sla(ctx: &Context) -> Table {
-    let r = measure(ctx);
+pub fn table(r: &Results<&'static str, Measurement>) -> Table {
     let mut t = Table::new(
         "sla",
         "SLA scheduling: deadline-hit rate and p99 latency, EDF vs FIFO (mixed GK burst)",
@@ -243,9 +208,9 @@ pub fn sla(ctx: &Context) -> Table {
             "busy (ms)",
         ],
     );
-    for m in &r.rows {
+    for (policy, m) in &r.rows {
         t.row(vec![
-            m.policy.into(),
+            (*policy).into(),
             m.queries.to_string(),
             m.deadline_met.to_string(),
             m.deadline_missed.to_string(),

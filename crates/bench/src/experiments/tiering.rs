@@ -18,13 +18,14 @@
 //!   host DRAM big enough to hold everything, i.e. what losing host
 //!   capacity costs in the first place.
 //!
-//! Every engine's BFS levels are folded into an FNV-1a digest and the
-//! digests are asserted equal in-run: tier placement may move bytes,
-//! never results.
+//! Every engine's BFS levels are folded into the cell runner's FNV-1a
+//! digest and the digests are asserted equal in-run: tier placement may
+//! move bytes, never results.
 
 use super::scaled_machine;
+use crate::cell::{self, Folded, Series};
 use crate::table::{f, ms};
-use crate::{Context, Table};
+use crate::{Context, Results, Table};
 use emogi_core::layout::SPILL_ALIGN;
 use emogi_core::{AccessMode, Engine, EngineConfig};
 use emogi_graph::DatasetKey;
@@ -34,78 +35,22 @@ use emogi_sim::CxlConfig;
 /// promoted regions, so it is fixed rather than taken from the context.
 const SOURCES: usize = 4;
 
-/// One engine's measurement over the whole traversal series.
-#[derive(Debug, Clone)]
-pub struct Measurement {
-    pub engine: &'static str,
-    pub total_ns: u64,
-    /// Zero-copy + DMA payload bytes over the PCIe lane.
-    pub pcie_bytes: u64,
-    /// Demand reads + bulk promotions served by the CXL tier.
-    pub cxl_bytes: u64,
-    /// Regions the transfer manager staged into the HBM pool.
-    pub staged_regions: u64,
-    /// FNV-1a digest of every BFS level array, in source order.
-    pub digest: u64,
-}
-
 /// All measurements of one experiment run.
 #[derive(Debug, Clone)]
-pub struct TieringResults {
+pub struct Tiering {
     /// Bytes of the edge list homed in pinned host DRAM.
     pub host_home_bytes: u64,
     /// Bytes of the edge list spilled to the CXL tier.
     pub cxl_home_bytes: u64,
-    pub rows: Vec<Measurement>,
-}
-
-impl TieringResults {
-    /// Look up one engine's row; panics naming the rows that exist.
-    pub fn get(&self, engine: &str) -> &Measurement {
-        self.rows
-            .iter()
-            .find(|m| m.engine == engine)
-            .unwrap_or_else(|| {
-                let have: Vec<&str> = self.rows.iter().map(|m| m.engine).collect();
-                panic!("no tiering measurement for engine {engine:?}; have {have:?}")
-            })
-    }
-}
-
-fn fnv1a(digest: &mut u64, words: &[u32]) {
-    for &w in words {
-        *digest ^= w as u64;
-        *digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
-
-fn run_series(mut engine: Engine, sources: &[u32]) -> Measurement {
-    let mut total_ns = 0u64;
-    let mut pcie_bytes = 0u64;
-    let mut cxl_bytes = 0u64;
-    let mut staged = 0u64;
-    let mut digest = 0xCBF2_9CE4_8422_2325u64;
-    for &s in sources {
-        let run = engine.bfs(s);
-        total_ns += run.stats.elapsed_ns;
-        pcie_bytes += run.stats.host_bytes;
-        cxl_bytes += run.stats.cxl_bytes;
-        staged += run.stats.transfer.staged_regions;
-        fnv1a(&mut digest, &run.levels);
-    }
-    Measurement {
-        engine: "",
-        total_ns,
-        pcie_bytes,
-        cxl_bytes,
-        staged_regions: staged,
-        digest,
-    }
+    /// Each engine's traversal series, folded: `host_bytes` is the
+    /// zero-copy + DMA payload over the PCIe lane, `cxl_bytes` the
+    /// demand reads + bulk promotions the CXL tier served.
+    pub engines: Results<&'static str, Folded>,
 }
 
 /// Run every engine over the same traversal series and check the
 /// digests agree.
-pub fn measure(ctx: &Context) -> TieringResults {
+pub fn measure(ctx: &Context) -> Tiering {
     let gk = ctx.store.get(DatasetKey::Gk);
     let sources = gk.sources(SOURCES);
     let edge_bytes = gk.graph.num_edges() as u64 * 8;
@@ -129,48 +74,44 @@ pub fn measure(ctx: &Context) -> TieringResults {
         sources.len()
     );
 
-    let mut rows = Vec::new();
+    let rows: Vec<(&'static str, Folded)> = [
+        ("host-spill", AccessMode::MergedAligned, spilled.clone()),
+        ("three-tier", AccessMode::Hybrid, spilled),
+        (
+            "two-tier (unbounded)",
+            AccessMode::MergedAligned,
+            scaled_machine(ctx.scale),
+        ),
+    ]
+    .into_iter()
+    .map(|(engine, mode, machine)| {
+        let cfg = EngineConfig::emogi_v100()
+            .with_mode(mode)
+            .with_machine(machine);
+        let mut e = Engine::load(cfg, &gk.graph);
+        (
+            engine,
+            cell::run(&mut e, Series::MultiBfs(&sources), &gk, None),
+        )
+    })
+    .collect();
 
-    let baseline_cfg = EngineConfig::emogi_v100()
-        .with_mode(AccessMode::MergedAligned)
-        .with_machine(spilled.clone());
-    let mut m = run_series(Engine::load(baseline_cfg, &gk.graph), &sources);
-    m.engine = "host-spill";
-    rows.push(m);
-
-    let tiered_cfg = EngineConfig::emogi_v100()
-        .with_mode(AccessMode::Hybrid)
-        .with_machine(spilled);
-    let mut m = run_series(Engine::load(tiered_cfg, &gk.graph), &sources);
-    m.engine = "three-tier";
-    rows.push(m);
-
-    let two_tier_cfg = EngineConfig::emogi_v100()
-        .with_mode(AccessMode::MergedAligned)
-        .with_machine(scaled_machine(ctx.scale));
-    let mut m = run_series(Engine::load(two_tier_cfg, &gk.graph), &sources);
-    m.engine = "two-tier (unbounded)";
-    rows.push(m);
-
-    let digest = rows[0].digest;
-    for m in &rows {
+    for (engine, m) in &rows {
         assert_eq!(
-            m.digest, digest,
-            "{} produced different BFS levels than the baseline",
-            m.engine
+            m.digest, rows[0].1.digest,
+            "{engine} produced different BFS levels than the baseline"
         );
     }
 
-    TieringResults {
+    Tiering {
         host_home_bytes: host_cap.min(edge_bytes),
         cxl_home_bytes: edge_bytes - host_cap.min(edge_bytes),
-        rows,
+        engines: Results { rows },
     }
 }
 
 /// The printable table.
-pub fn tiering(ctx: &Context) -> Table {
-    let r = measure(ctx);
+pub fn table(r: &Tiering) -> Table {
     let mut t = Table::new(
         "tiering",
         "Three-tier memory (HBM / host / CXL) vs naive host-spill, GK multi-BFS",
@@ -184,16 +125,16 @@ pub fn tiering(ctx: &Context) -> Table {
             "output digest",
         ],
     );
-    let base_ns = r.get("host-spill").total_ns;
+    let base_ns = r.engines.get("host-spill").stats.elapsed_ns;
     let mib = |b: u64| f(b as f64 / (1 << 20) as f64);
-    for m in &r.rows {
+    for (engine, m) in &r.engines.rows {
         t.row(vec![
-            m.engine.into(),
-            ms(m.total_ns),
-            f(base_ns as f64 / m.total_ns as f64),
-            mib(m.pcie_bytes),
-            mib(m.cxl_bytes),
-            m.staged_regions.to_string(),
+            (*engine).into(),
+            ms(m.stats.elapsed_ns),
+            f(base_ns as f64 / m.stats.elapsed_ns as f64),
+            mib(m.stats.host_bytes),
+            mib(m.stats.cxl_bytes),
+            m.stats.transfer.staged_regions.to_string(),
             format!("{:016x}", m.digest),
         ]);
     }
@@ -206,20 +147,4 @@ pub fn tiering(ctx: &Context) -> Table {
         r.cxl_home_bytes as f64 / (1 << 20) as f64,
     ));
     t
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    #[should_panic(expected = "no tiering measurement")]
-    fn missing_engine_lookup_names_the_available_rows() {
-        let r = TieringResults {
-            host_home_bytes: 0,
-            cxl_home_bytes: 0,
-            rows: Vec::new(),
-        };
-        let _ = r.get("three-tier");
-    }
 }

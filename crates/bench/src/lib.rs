@@ -10,19 +10,31 @@
 //! ```
 //!
 //! Figures that share measurements are derived from one run matrix (the
-//! BFS case study behind Figures 5, 7, 8, 9, 10 runs each graph × engine
-//! combination once). `benches/figures.rs` times each experiment end to
-//! end on the host clock; the simulator's per-component micro-benchmarks
-//! are the layer drivers of the `benchmark/` package.
+//! BFS case study behind Figures 5, 7–11 runs each graph × engine
+//! combination once per [`Context`]). `repro` reports each experiment's
+//! host wall time; the simulator's per-component micro-benchmarks are
+//! the layer drivers of the `benchmark/` package.
+//!
+//! The harness is three pieces: [`cell::run`] (one program series on one
+//! engine, folded into a `RunStats` and an output digest), [`Results`]
+//! (what every `measure(&Context)` returns and every `table(&results)`
+//! renders) and [`experiments::REGISTRY`] (the one list of ids).
 
 #![forbid(unsafe_code)]
 
+pub mod cell;
 pub mod experiments;
+pub mod results;
 pub mod store;
 pub mod table;
 
+pub use results::Results;
 pub use store::DatasetStore;
 pub use table::Table;
+
+use experiments::matrix::BfsMatrix;
+use std::cell::OnceCell;
+use std::rc::Rc;
 
 /// Shared experiment parameters.
 #[derive(Debug, Clone)]
@@ -34,6 +46,7 @@ pub struct Context {
     /// Dataset scale divisor (1 = the standard ~1/1000-of-paper scale).
     pub scale: usize,
     pub store: DatasetStore,
+    bfs_matrix: Rc<OnceCell<BfsMatrix>>,
 }
 
 impl Context {
@@ -42,7 +55,14 @@ impl Context {
             sources,
             scale,
             store: DatasetStore::new(scale),
+            bfs_matrix: Rc::default(),
         }
+    }
+
+    /// The BFS case-study matrix behind Figures 5 and 7–11, computed on
+    /// first use and shared by every clone of this context.
+    pub fn bfs_matrix(&self) -> &BfsMatrix {
+        self.bfs_matrix.get_or_init(|| BfsMatrix::compute(self))
     }
 }
 

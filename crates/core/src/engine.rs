@@ -128,12 +128,6 @@ impl EngineConfig {
         self
     }
 
-    /// Install a custom hybrid transfer configuration.
-    pub fn with_transfer(mut self, transfer: TransferConfig) -> Self {
-        self.transfer = Some(transfer);
-        self
-    }
-
     /// Enable pipelined execution with `pipeline` (see
     /// [`EngineConfig::pipeline`]; inert unless a transfer manager is
     /// configured too). [`with_mode`](Self::with_mode) does not clear

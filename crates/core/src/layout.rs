@@ -188,12 +188,6 @@ impl GraphLayout {
     pub fn vertex_addr(&self, v: u64) -> u64 {
         self.vertex_base + v * 8
     }
-
-    /// Device address of the status entry for vertex `v`.
-    #[inline]
-    pub fn status_addr(&self, v: u64) -> u64 {
-        self.status_base + v * 4
-    }
 }
 
 #[cfg(test)]

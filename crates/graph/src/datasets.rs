@@ -12,7 +12,6 @@
 //! `generate()` is deterministic per dataset; the same graph is produced
 //! for every experiment.
 
-use crate::analysis::DegreeSummary;
 use crate::csr::CsrGraph;
 use crate::generators;
 use crate::VertexId;
@@ -223,11 +222,6 @@ impl Dataset {
             }
         }
         out
-    }
-
-    /// Degree summary (Table 2 commentary).
-    pub fn degree_summary(&self) -> DegreeSummary {
-        DegreeSummary::new(&self.graph)
     }
 
     /// Scaled edge-list bytes at the given element size.

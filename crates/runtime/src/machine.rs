@@ -10,7 +10,7 @@ use emogi_sim::dma::{DmaEngine, MEMCPY_LAUNCH_OVERHEAD_NS};
 use emogi_sim::dram::{Dram, DramConfig};
 use emogi_sim::monitor::TrafficMonitor;
 use emogi_sim::pcie::{PcieConfig, PcieGen, PcieLink};
-use emogi_sim::time::Time;
+use emogi_sim::time::{framed_wire_bytes, Time};
 use emogi_uvm::{UvmConfig, UvmDriver};
 
 /// Everything needed to assemble a [`Machine`].
@@ -244,8 +244,11 @@ impl Machine {
             return;
         }
         self.dma.bytes_to_device += bytes;
-        let chunks = bytes.div_ceil(u64::from(self.cfg.pcie.dma_payload_bytes));
-        let wire = bytes + chunks * u64::from(self.cfg.pcie.completion_header_bytes);
+        let wire = framed_wire_bytes(
+            bytes,
+            self.cfg.pcie.dma_payload_bytes,
+            self.cfg.pcie.completion_header_bytes,
+        );
         self.monitor.on_dma(self.now, bytes, wire);
         self.host_dram.account_bulk_read(bytes);
         self.hbm.account_bulk_write(bytes);

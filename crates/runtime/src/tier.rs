@@ -97,18 +97,13 @@ impl TierBudget {
     /// Credit every speculative charge back to the free pool and return
     /// the previous charge. Run before a decision round so demand
     /// decisions see exactly the pool a speculation-free manager would;
-    /// survivors are re-charged afterwards with [`set_spec`](Self::set_spec).
+    /// survivors are re-charged afterwards with
+    /// [`move_free_to_spec`](Self::move_free_to_spec).
     pub fn settle(&mut self) -> u64 {
         let was = self.spec;
         self.free += was;
         self.spec = 0;
         was
-    }
-
-    /// Record `spec` as the surviving speculative charge after a recharge
-    /// pass (the recharge itself already debited `free`).
-    pub fn set_spec(&mut self, spec: u64) {
-        self.spec = spec;
     }
 
     /// Permanently reserve `bytes` out of this ledger.

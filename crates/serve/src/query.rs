@@ -155,12 +155,6 @@ impl Query {
         }
     }
 
-    /// Replace the whole QoS contract.
-    pub fn with_qos(mut self, qos: QoS) -> Self {
-        self.qos = qos;
-        self
-    }
-
     /// Set the scheduling class.
     pub fn with_priority(mut self, priority: Priority) -> Self {
         self.qos.priority = priority;

@@ -418,12 +418,6 @@ impl<B: ServeBackend> Server<B> {
     pub fn engine(&self) -> &B {
         &self.backend
     }
-
-    /// Mutable access to the wrapped backend (e.g. for running solo
-    /// programs against the same placement).
-    pub fn engine_mut(&mut self) -> &mut B {
-        &mut self.backend
-    }
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@
 //! ```
 
 use crate::dram::{Dram, DramConfig};
-use crate::time::{bytes_over_bandwidth_ns, Time};
+use crate::time::{bytes_over_bandwidth_ns, framed_wire_bytes, Time};
 
 /// Static parameters of one CXL-class external-memory link.
 #[derive(Debug, Clone)]
@@ -159,8 +159,11 @@ impl CxlLink {
         self.bulk_bytes += bytes;
         let start = now + self.cfg.request_latency_ns;
         let dram_done = self.dram.read_bulk(start, bytes);
-        let chunks = bytes.div_ceil(u64::from(self.cfg.flit_payload_bytes));
-        let wire = bytes + chunks * u64::from(self.cfg.flit_header_bytes);
+        let wire = framed_wire_bytes(
+            bytes,
+            self.cfg.flit_payload_bytes,
+            self.cfg.flit_header_bytes,
+        );
         let wire_start = start.max(self.wire_free);
         let wire_end = wire_start + bytes_over_bandwidth_ns(wire, self.cfg.usable_gbps());
         self.wire_free = wire_end;

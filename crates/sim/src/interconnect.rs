@@ -119,11 +119,6 @@ impl Interconnect {
         }
     }
 
-    /// Devices (= host links) in the interconnect.
-    pub fn num_links(&self) -> usize {
-        self.cfg.links
-    }
-
     /// Whether an inter-GPU peer link is configured.
     pub fn has_peer(&self) -> bool {
         self.cfg.peer.is_some()

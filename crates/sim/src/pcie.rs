@@ -21,7 +21,7 @@
 
 use crate::dram::Dram;
 use crate::monitor::TrafficMonitor;
-use crate::time::{bytes_over_bandwidth_ns, Time};
+use crate::time::{bytes_over_bandwidth_ns, framed_wire_bytes, Time};
 use std::collections::VecDeque;
 
 /// Identifier the *caller* attaches to a read so it can recognize it when
@@ -267,8 +267,11 @@ impl PcieLink {
         if bytes == 0 {
             return now;
         }
-        let chunks = bytes.div_ceil(u64::from(self.cfg.dma_payload_bytes));
-        let wire_bytes = bytes + chunks * u64::from(self.cfg.completion_header_bytes);
+        let wire_bytes = framed_wire_bytes(
+            bytes,
+            self.cfg.dma_payload_bytes,
+            self.cfg.completion_header_bytes,
+        );
         let start = now.max(self.downlink_free);
         let dram_done = host_dram.read_bulk(start, bytes);
         let wire_end = start + bytes_over_bandwidth_ns(wire_bytes, self.cfg.usable_gbps());
@@ -290,8 +293,11 @@ impl PcieLink {
         if bytes == 0 {
             return now;
         }
-        let chunks = bytes.div_ceil(u64::from(self.cfg.dma_payload_bytes));
-        let wire_bytes = bytes + chunks * u64::from(self.cfg.completion_header_bytes);
+        let wire_bytes = framed_wire_bytes(
+            bytes,
+            self.cfg.dma_payload_bytes,
+            self.cfg.completion_header_bytes,
+        );
         let start = now.max(self.uplink_free);
         let wire_end = start + bytes_over_bandwidth_ns(wire_bytes, self.cfg.usable_gbps());
         let dram_done = host_dram.write_bulk(start, bytes);

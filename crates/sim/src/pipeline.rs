@@ -21,7 +21,7 @@
 
 use crate::dma::MEMCPY_LAUNCH_OVERHEAD_NS;
 use crate::pcie::PcieConfig;
-use crate::time::{bytes_over_bandwidth_ns, Time};
+use crate::time::{bytes_over_bandwidth_ns, framed_wire_bytes, Time};
 use std::collections::VecDeque;
 
 /// Wire-cost parameters of the asynchronous copy lane.
@@ -115,19 +115,17 @@ impl CopyEngine {
         if bytes == 0 {
             return 0;
         }
-        let chunks = bytes.div_ceil(u64::from(self.cfg.payload_bytes));
-        let wire = bytes + chunks * u64::from(self.cfg.completion_header_bytes);
+        let wire = framed_wire_bytes(
+            bytes,
+            self.cfg.payload_bytes,
+            self.cfg.completion_header_bytes,
+        );
         bytes_over_bandwidth_ns(wire, self.cfg.gbps)
     }
 
     /// Full marginal cost of one submission on an idle lane.
     pub fn cost(&self, bytes: u64) -> Time {
         self.cfg.launch_overhead_ns + self.wire_time(bytes)
-    }
-
-    /// Earliest time a new submission could start.
-    pub fn lane_free_at(&self) -> Time {
-        self.lane_free
     }
 
     /// Submitted copies not yet drained.

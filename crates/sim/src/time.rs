@@ -27,6 +27,17 @@ pub fn bytes_over_bandwidth_ns(bytes: u64, gbps: f64) -> Time {
     ns.max(1)
 }
 
+/// Wire bytes of a bulk copy of `bytes` payload bytes framed into
+/// `payload_bytes`-sized packets (PCIe completion TLPs, CXL flits) that
+/// each carry a `header_bytes` header. Every bulk path — synchronous DMA
+/// in both directions, the asynchronous copy lane, its retro-accounting
+/// and CXL bulk promotion — frames through this one function, which is
+/// what keeps pipelined staging byte-identical to the demand path.
+#[inline]
+pub fn framed_wire_bytes(bytes: u64, payload_bytes: u32, header_bytes: u32) -> u64 {
+    bytes + bytes.div_ceil(u64::from(payload_bytes)) * u64::from(header_bytes)
+}
+
 /// Achieved bandwidth in GB/s for `bytes` moved over `elapsed` nanoseconds.
 /// Returns 0.0 for an empty interval.
 #[inline]
@@ -81,6 +92,18 @@ mod tests {
         assert_eq!(bytes_over_bandwidth_ns(1, 16.0), 1);
         assert_eq!(bytes_over_bandwidth_ns(17, 16.0), 2);
         assert_eq!(bytes_over_bandwidth_ns(0, 16.0), 0);
+    }
+
+    #[test]
+    fn framing_adds_one_header_per_started_packet() {
+        // 256 KiB in 128 B packets: 2048 headers of 20 B.
+        assert_eq!(
+            framed_wire_bytes(256 << 10, 128, 20),
+            (256 << 10) + 2048 * 20
+        );
+        // A partial trailing packet still pays a whole header.
+        assert_eq!(framed_wire_bytes(129, 128, 20), 129 + 2 * 20);
+        assert_eq!(framed_wire_bytes(0, 128, 20), 0);
     }
 
     #[test]

@@ -136,7 +136,6 @@ fn halo_and_subway_agree_with_reference() {
     let halo = HaloSystem::new(
         EngineConfig::uvm_v100().with_machine(MachineConfig::titan_xp_gen3()),
         &g,
-        None,
     );
     assert_eq!(halo.bfs(src).levels, want, "halo");
 

@@ -3,10 +3,19 @@
 //! (Full-scale numbers come from `repro all` in release mode and are
 //! recorded in EXPERIMENTS.md.)
 
-use emogi_bench::{experiments, Context};
+use emogi_bench::{experiments, Context, Table};
 
 fn ctx() -> Context {
     Context::new(1, 32)
+}
+
+/// One well-formed table under `id` with `rows` full-width rows.
+fn assert_shape(t: &Table, id: &str, rows: usize) {
+    assert_eq!(t.id, id);
+    assert_eq!(t.rows.len(), rows);
+    for row in &t.rows {
+        assert_eq!(row.len(), t.headers.len());
+    }
 }
 
 #[test]
@@ -27,17 +36,14 @@ fn quick_experiments_produce_tables() {
 
 #[test]
 fn bfs_case_study_figures_share_one_matrix() {
-    // fig5/7/8/9/10 all derive from the BFS matrix; run them through the
-    // dispatcher once each to cover the id paths.
+    // fig5/7/8/9/10 all derive from the context's BFS matrix; run them
+    // through the dispatcher once each to cover the id paths.
     let ctx = ctx();
-    let m = experiments::matrix::BfsMatrix::compute(&ctx);
-    let tables = vec![
-        experiments::case_study::fig5(&m),
-        experiments::case_study::fig7(&m),
-        experiments::case_study::fig8(&ctx, &m),
-        experiments::case_study::fig9(&m),
-        experiments::case_study::fig10(&m),
-    ];
+    let tables: Vec<Table> = ["fig5", "fig7", "fig8", "fig9", "fig10"]
+        .iter()
+        .flat_map(|id| experiments::run(id, &ctx))
+        .collect();
+    assert_eq!(tables.len(), 5);
     for t in &tables {
         assert!(!t.rows.is_empty(), "{}", t.id);
     }
@@ -57,23 +63,16 @@ fn ablations_run_and_report() {
 
 #[test]
 fn hybrid_experiment_produces_table_and_hybrid_wins_reuse() {
-    let tables = experiments::run("hybrid", &ctx());
-    assert_eq!(tables.len(), 1);
-    let t = &tables[0];
-    assert_eq!(t.id, "hybrid");
+    let r = experiments::hybrid::measure(&ctx());
     // 3 scenarios x 4 engines.
-    assert_eq!(t.rows.len(), 12);
-    for row in &t.rows {
-        assert_eq!(row.len(), t.headers.len());
-    }
+    assert_shape(&experiments::hybrid::table(&r), "hybrid", 12);
     // Assert on the raw measurements, not the table's rounded cells: a
     // strict win over pure zero-copy on both reuse scenarios, and on
     // the sparse one-shot case never worse than the better of zero-copy
     // and Subway. (UVM may win tiny reuse scenarios where its page pool
     // holds the whole scaled edge list; that is the caching baseline
     // working, not a hybrid regression.)
-    let r = experiments::hybrid::measure(&ctx());
-    let ns = |scenario: &str, engine: &str| r.get(scenario, engine).total_ns;
+    let ns = |scenario, engine| r.get((scenario, engine)).stats.elapsed_ns;
     assert!(ns("reuse-cc", "Hybrid") < ns("reuse-cc", "Merged+Aligned"));
     assert!(ns("reuse-multi-bfs", "Hybrid") < ns("reuse-multi-bfs", "Merged+Aligned"));
     let sparse = ns("sparse-bfs", "Hybrid");
@@ -85,66 +84,49 @@ fn hybrid_experiment_produces_table_and_hybrid_wins_reuse() {
 fn pagerank_experiment_verifies_all_modes() {
     let tables = experiments::run("pagerank", &ctx());
     assert_eq!(tables.len(), 1);
-    let t = &tables[0];
-    assert_eq!(t.id, "pagerank");
     // 2 graphs x 4 access modes, every cell verified against the CPU
     // reference inside measure() itself.
-    assert_eq!(t.rows.len(), 8);
-    for row in &t.rows {
-        assert_eq!(row.len(), t.headers.len());
-    }
+    assert_shape(&tables[0], "pagerank", 8);
 }
 
 #[test]
 fn overlap_experiment_produces_table_and_pipelining_wins() {
-    let tables = experiments::run("overlap", &ctx());
-    assert_eq!(tables.len(), 1);
-    let t = &tables[0];
-    assert_eq!(t.id, "overlap");
+    let r = experiments::overlap::measure(&ctx());
     // 4 programs, one pipelined-vs-synchronous row each.
-    assert_eq!(t.rows.len(), 4);
-    for row in &t.rows {
-        assert_eq!(row.len(), t.headers.len());
-    }
+    assert_shape(&experiments::overlap::table(&r), "overlap", 4);
     // Assert on the raw measurements, not the table's rounded cells:
     // the pipelined engine must show a real end-to-end win on at least
     // one program, never lose on any, and the win must come from
     // adopted speculation whose staging latency was genuinely hidden.
-    let r = experiments::overlap::measure(&ctx());
-    let best = r
+    let (_, best) = r
         .rows
         .iter()
-        .max_by(|a, b| a.speedup().total_cmp(&b.speedup()))
+        .max_by(|a, b| a.1.speedup().total_cmp(&b.1.speedup()))
         .unwrap();
     assert!(
         best.speedup() > 1.0,
         "best overlap speedup {}",
         best.speedup()
     );
-    assert!(best.prefetch.hit_regions > 0);
-    assert!(best.prefetch.hidden_ns > 0);
-    for m in &r.rows {
-        assert!(m.pipe_ns <= m.sync_ns, "{} got slower pipelined", m.program);
+    assert!(best.pipe.prefetch.hit_regions > 0);
+    assert!(best.pipe.prefetch.hidden_ns > 0);
+    for (program, m) in &r.rows {
+        assert!(
+            m.pipe.elapsed_ns <= m.sync.elapsed_ns,
+            "{program} got slower pipelined"
+        );
     }
 }
 
 #[test]
 fn sla_experiment_produces_table_and_edf_beats_fifo() {
-    let ctx = ctx();
-    let tables = experiments::run("sla", &ctx);
-    assert_eq!(tables.len(), 1);
-    let t = &tables[0];
-    assert_eq!(t.id, "sla");
+    let r = experiments::sla::measure(&ctx());
     // One row per scheduling policy; digest-equality of every executed
     // output against solo runs is asserted inside measure() itself.
-    assert_eq!(t.rows.len(), 2);
-    for row in &t.rows {
-        assert_eq!(row.len(), t.headers.len());
-    }
+    assert_shape(&experiments::sla::table(&r), "sla", 2);
     // The acceptance bar: on the identical mixed burst, EDF must beat
     // FIFO on deadline-hit rate — and meet every deadline outright,
     // since the latency class runs first under EDF.
-    let r = experiments::sla::measure(&ctx);
     let (fifo, edf) = (r.get("FIFO"), r.get("EDF"));
     assert!(
         edf.hit_rate() > fifo.hit_rate(),
@@ -161,13 +143,9 @@ fn scaling_experiment_produces_table_and_scales() {
     let tables = experiments::run("scaling", &ctx());
     assert_eq!(tables.len(), 1);
     let t = &tables[0];
-    assert_eq!(t.id, "scaling");
     // 3 device counts x 2 partitioners, outputs verified against the
     // CPU reference inside measure() itself.
-    assert_eq!(t.rows.len(), 6);
-    for row in &t.rows {
-        assert_eq!(row.len(), t.headers.len());
-    }
+    assert_shape(t, "scaling", 6);
     // Assert the acceptance bars on the table's speedup column (one
     // measure() run serves both checks): ≥1.6x at 2 devices and ≥2.5x
     // at 4 with degree-balanced shards on GK.
@@ -186,24 +164,17 @@ fn scaling_experiment_produces_table_and_scales() {
 
 #[test]
 fn layout_experiment_produces_table_and_reordering_wins() {
-    let tables = experiments::run("layout", &ctx());
-    assert_eq!(tables.len(), 1);
-    let t = &tables[0];
-    assert_eq!(t.id, "layout");
+    let r = experiments::layout::measure(&ctx());
     // 4 programs x 3 layouts; bit-identity across layouts is asserted
     // inside measure() itself.
-    assert_eq!(t.rows.len(), 12);
-    for row in &t.rows {
-        assert_eq!(row.len(), t.headers.len());
-    }
+    assert_shape(&experiments::layout::table(&r), "layout", 12);
     // Assert on the raw measurements, not the table's rounded cells:
     // for every program at least one reordered layout must beat the
     // original ids on BOTH cache metrics.
-    let r = experiments::layout::measure(&ctx());
     for program in ["multi-bfs", "multi-sssp", "cc", "pagerank"] {
-        let base = r.get(program, "original");
+        let base = r.get((program, "original"));
         let improved = ["degree-sorted", "hub-clustered"].iter().any(|layout| {
-            let m = r.get(program, layout);
+            let m = r.get((program, *layout));
             m.l2_hit_rate() > base.l2_hit_rate()
                 && m.coalescing_efficiency() > base.coalescing_efficiency()
         });
@@ -216,33 +187,29 @@ fn layout_experiment_produces_table_and_reordering_wins() {
 
 #[test]
 fn tiering_experiment_beats_the_host_spill_baseline() {
-    let tables = experiments::run("tiering", &ctx());
-    assert_eq!(tables.len(), 1);
-    let t = &tables[0];
-    assert_eq!(t.id, "tiering");
+    let r = experiments::tiering::measure(&ctx());
     // 3 engines; digest equality across engines is asserted inside
     // measure() itself.
-    assert_eq!(t.rows.len(), 3);
-    for row in &t.rows {
-        assert_eq!(row.len(), t.headers.len());
-    }
+    assert_shape(&experiments::tiering::table(&r), "tiering", 3);
     // Assert on the raw measurements, not the table's rounded cells.
-    let r = experiments::tiering::measure(&ctx());
-    let spill = r.get("host-spill");
-    let tiered = r.get("three-tier");
-    let two_tier = r.get("two-tier (unbounded)");
+    let spill = &r.engines.get("host-spill").stats;
+    let tiered = &r.engines.get("three-tier").stats;
+    let two_tier = &r.engines.get("two-tier (unbounded)").stats;
     assert!(r.cxl_home_bytes > 0, "nothing spilled to the CXL tier");
     assert!(
         spill.cxl_bytes > 0,
         "the baseline never touched the CXL tier"
     );
     assert!(
-        tiered.total_ns < spill.total_ns,
+        tiered.elapsed_ns < spill.elapsed_ns,
         "three-tier {} must beat host-spill {}",
-        tiered.total_ns,
-        spill.total_ns
+        tiered.elapsed_ns,
+        spill.elapsed_ns
     );
-    assert!(tiered.staged_regions > 0, "the tiered run never staged");
+    assert!(
+        tiered.transfer.staged_regions > 0,
+        "the tiered run never staged"
+    );
     assert!(
         two_tier.cxl_bytes == 0,
         "the unbounded-host reference touched the CXL tier"
