@@ -12,24 +12,25 @@
 //!    a member mask per vertex (Q = 1: the frontier itself, no masks);
 //! 2. **shard** the union into per-device `(vertex, lo, hi)` work items —
 //!    each vertex on its owner, mega-hub lists split cooperatively
-//!    (N = 1 never splits). Full sweeps skip 1–3: a device's work is its
-//!    owned vertex range, never materialised;
-//! 3. optional segment **reorder** of each device's items (members move
-//!    with their item);
-//! 4. per device with work: the active-vertex **scan**, once per active
+//!    (N = 1 never splits). Full sweeps skip 1–2: a device's work is its
+//!    owned vertex range, never materialised. Each device's items come
+//!    out in ascending edge-list address order (the union is sorted and
+//!    CSR offsets are monotone in the vertex id), so there is no reorder
+//!    stage: the stream is already sequential;
+//! 3. per device with work: the active-vertex **scan**, once per active
 //!    query, and the hybrid transfer **plan** over exactly the edge-list
 //!    byte ranges the launch will read;
-//! 5. `begin_iteration` on every active program;
-//! 6. **capture** every device's member contexts — before any launch, so
+//! 4. `begin_iteration` on every active program;
+//! 5. **capture** every device's member contexts — before any launch, so
 //!    iteration-start state cannot depend on device order;
-//! 7. **launch** one [`ProgramKernel`] per device with work;
-//! 8. `post_iteration` device work, charged on every machine (each holds
+//! 6. **launch** one [`ProgramKernel`] per device with work;
+//! 7. `post_iteration` device work, charged on every machine (each holds
 //!    its own copy of the arrays);
-//! 9. sort/dedup the activations, **exchange** them across devices and
+//! 8. sort/dedup the activations, **exchange** them across devices and
 //!    barrier (a no-op on one machine), rebuild the per-query frontiers;
-//! 10. fold the iteration's machine diff into every active query's stats.
+//! 9. fold the iteration's machine diff into every active query's stats.
 //!
-//! Every stage before 7 is a pure function of iteration-start state,
+//! Every stage before 6 is a pure function of iteration-start state,
 //! which is what keeps batched and sharded runs bit-identical to solo
 //! ones (`tests/sim_golden.rs` pins the numbers).
 
@@ -38,7 +39,6 @@ use crate::engine::EngineConfig;
 use crate::kernel::{ProgramKernel, Work, WorkList, WorkSlice};
 use crate::layout::{EdgePlacement, GraphLayout};
 use crate::program::{AccessPattern, DeviceWork, VertexProgram};
-use crate::reorder::reorder_slices;
 use crate::sharded::{FRONTIER_UPDATE_BYTES, HUB_SPLIT_DEGREE};
 use crate::strategy::AccessStrategy;
 use emogi_graph::{CsrGraph, VertexId, VertexPartition};
@@ -257,9 +257,6 @@ pub(crate) struct Driver<'g> {
     /// The kernel-level access strategy every launch uses.
     pub strategy: AccessStrategy,
     placement: EdgePlacement,
-    /// Frontier access reordering: segment size to sort each device's
-    /// work items by, or `None` when the knob is off.
-    reorder_segment: Option<u64>,
     /// Vertex ownership, one shard per device.
     pub partition: VertexPartition,
     /// Per-device placements; identical bases on every device.
@@ -284,9 +281,6 @@ impl<'g> Driver<'g> {
             graph,
             strategy: cfg.strategy,
             placement: cfg.placement,
-            reorder_segment: cfg
-                .frontier_reorder
-                .then_some(cfg.machine.gpu.cache.capacity_bytes),
             partition,
             places: machines
                 .iter_mut()
@@ -403,13 +397,6 @@ impl<'g> Driver<'g> {
                 }
                 merge_frontiers(&frontiers, &mut union, &mut masks);
                 self.shard(&union, &masks, &mut items, &mut item_masks);
-                // Reorder each device's items, never the union itself —
-                // `slice_bounds` needs it sorted.
-                if let Some(seg) = self.reorder_segment {
-                    for ((p, it), im) in self.places.iter().zip(&mut items).zip(&mut item_masks) {
-                        reorder_slices(&p.layout, it, im, seg);
-                    }
-                }
             } else {
                 active.push(0);
             }
@@ -556,19 +543,21 @@ mod tests {
     use emogi_sim::cxl::CxlConfig;
 
     fn driver(graph: &CsrGraph, devices: usize) -> (Vec<Machine>, Driver<'_>) {
-        driver_with(EngineConfig::emogi_v100(), graph, devices)
+        let contiguous = PartitionStrategy::Contiguous;
+        driver_with(&EngineConfig::emogi_v100(), graph, devices, contiguous)
     }
 
-    fn driver_with(
-        cfg: EngineConfig,
-        graph: &CsrGraph,
+    fn driver_with<'g>(
+        cfg: &EngineConfig,
+        graph: &'g CsrGraph,
         devices: usize,
-    ) -> (Vec<Machine>, Driver<'_>) {
+        strategy: PartitionStrategy,
+    ) -> (Vec<Machine>, Driver<'g>) {
         let mut machines: Vec<Machine> = (0..devices)
             .map(|_| Machine::new(cfg.machine.clone()))
             .collect();
-        let partition = PartitionStrategy::Contiguous.partition(graph, devices);
-        let driver = Driver::load(&cfg, graph, &mut machines, partition);
+        let partition = strategy.partition(graph, devices);
+        let driver = Driver::load(cfg, graph, &mut machines, partition);
         (machines, driver)
     }
 
@@ -637,6 +626,67 @@ mod tests {
         }
     }
 
+    /// Why the driver has no reorder stage: every device's work items
+    /// already arrive in ascending edge-list address order — the union is
+    /// sorted, `shard` walks it owner by owner, and CSR offsets are
+    /// monotone in the vertex id — through hub splitting, batch unions
+    /// and a CXL-spilled tail alike. A change to `shard` or
+    /// `merge_frontiers` that breaks the order fails here.
+    #[test]
+    fn work_items_arrive_in_edge_address_order() {
+        let g = generators::kronecker(9, 16, 21);
+        let n = g.num_vertices() as u32;
+        assert!(
+            (0..n).any(|v| g.degree(v) >= HUB_SPLIT_DEGREE),
+            "scenario needs a hub"
+        );
+        let all: Vec<VertexId> = (0..n).filter(|&v| g.degree(v) > 0).collect();
+        let every =
+            |k: u32| -> Vec<VertexId> { all.iter().copied().filter(|v| v % k == 0).collect() };
+        let queries = [vec![all.clone()], vec![every(2), every(3), all.clone()]];
+
+        let check = |cfg: &EngineConfig, devices: usize, strategy: PartitionStrategy| {
+            let (_, driver) = driver_with(cfg, &g, devices, strategy);
+            for frontiers in &queries {
+                let (mut union, mut masks) = (Vec::new(), Vec::new());
+                merge_frontiers(frontiers, &mut union, &mut masks);
+                let mut items = vec![Vec::new(); devices];
+                let mut item_masks = vec![Vec::new(); devices];
+                driver.shard(&union, &masks, &mut items, &mut item_masks);
+                assert_eq!(
+                    items.iter().flatten().count() > union.len(),
+                    devices > 1,
+                    "the hub splits exactly when it has peers"
+                );
+                for (p, its) in driver.places.iter().zip(&items) {
+                    assert!(p.layout.staged_edges.is_none(), "nothing staged");
+                    assert!(
+                        its.is_sorted_by_key(|&(_, lo, _)| p.layout.edge_addr(lo)),
+                        "{devices} devices, {strategy:?}, {} queries",
+                        frontiers.len()
+                    );
+                }
+            }
+            driver
+        };
+        let plain = EngineConfig::emogi_v100();
+        for devices in [1, 2, 4] {
+            for strategy in PartitionStrategy::all() {
+                check(&plain, devices, strategy);
+            }
+        }
+        // Host DRAM holds one spill unit of the 76 KB edge list; the tail
+        // lives in the CXL window, above every host address.
+        let mut spilled = plain.clone();
+        spilled.machine = spilled
+            .machine
+            .with_cxl(CxlConfig::external_x8())
+            .with_host_capacity(crate::layout::SPILL_ALIGN);
+        let driver = check(&spilled, 1, PartitionStrategy::Contiguous);
+        let layout = &driver.places[0].layout;
+        assert!(layout.cxl_edge_base.is_some() && layout.host_edge_bytes > 0);
+    }
+
     /// On one device the iterations tile the run, so a lone query's
     /// per-iteration fold equals the device's whole-run diff. This is
     /// what lets `Engine::run_batch` serve its no-slot fallback through
@@ -665,7 +715,7 @@ mod tests {
             .with_cxl(CxlConfig::external_x8())
             .with_host_capacity(g.edge_list_bytes(cfg.elem_bytes) / 2);
         cfg.transfer.as_mut().unwrap().region_bytes = 4 << 10;
-        let (mut machines, mut one) = driver_with(cfg, &g, 1);
+        let (mut machines, mut one) = driver_with(&cfg, &g, 1, PartitionStrategy::Contiguous);
         let hub = (0..g.num_vertices() as u32)
             .max_by_key(|&v| g.degree(v))
             .unwrap();

@@ -56,14 +56,6 @@ pub struct EngineConfig {
     /// traffic counters are bit-identical to the synchronous path; only
     /// elapsed time (and the [`RunStats::prefetch`] counters) change.
     pub pipeline: Option<PrefetchConfig>,
-    /// Frontier access reordering: sort each iteration's work by the
-    /// cache segment (one L2 capacity's worth of edge-list bytes) its
-    /// first edge-list access lands in, grouping warps whose reads share
-    /// lines. A pure function of iteration-start state (see
-    /// [`crate::reorder`]), so outputs and iteration counts are
-    /// bit-identical with the knob on or off; traffic statistics and
-    /// timing may differ. Off by default.
-    pub frontier_reorder: bool,
 }
 
 impl EngineConfig {
@@ -76,7 +68,6 @@ impl EngineConfig {
             elem_bytes: 8,
             transfer: None,
             pipeline: None,
-            frontier_reorder: false,
         }
     }
 
@@ -90,7 +81,6 @@ impl EngineConfig {
             elem_bytes: 8,
             transfer: None,
             pipeline: None,
-            frontier_reorder: false,
         }
     }
 
@@ -140,13 +130,6 @@ impl EngineConfig {
     /// Enable pipelined execution with the default prefetcher.
     pub fn pipelined(self) -> Self {
         self.with_pipeline(PrefetchConfig::default())
-    }
-
-    /// Toggle frontier access reordering (see
-    /// [`EngineConfig::frontier_reorder`]).
-    pub fn with_frontier_reorder(mut self, on: bool) -> Self {
-        self.frontier_reorder = on;
-        self
     }
 
     /// Replace the simulated platform.

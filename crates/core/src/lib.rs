@@ -27,8 +27,8 @@
 //!   runs any program under any [`AccessStrategy`], for one query or
 //!   for the member queries of a batch sharing each fetch;
 //! * `driver` (private) — the one iteration loop over N ≥ 1 machines ×
-//!   Q ≥ 1 same-type programs: merge → shard → reorder → scan + plan →
-//!   capture → launch → post → exchange → stats. [`Engine`],
+//!   Q ≥ 1 same-type programs: merge → shard → scan + plan → capture →
+//!   launch → post → exchange → stats. [`Engine`],
 //!   [`Engine::run_batch`] and [`ShardedEngine`] are its fronts;
 //! * [`engine`] — the place-once, query-many [`Engine`]: it owns the
 //!   machine and the graph's placement on it (layout and, in hybrid
@@ -40,10 +40,6 @@
 //!   programs. The first three are the paper's applications; PageRank is
 //!   the generality proof: a fourth program with zero driver, kernel or
 //!   transfer-planner changes;
-//! * [`reorder`] — optional frontier access reordering: sort each
-//!   iteration's work by the cache segment of its first edge-list
-//!   access (off by default; a pure iteration-start transform, so
-//!   outputs stay bit-identical either way);
 //! * [`sharded`] — the multi-GPU [`ShardedEngine`]: the same programs
 //!   over a device group, vertices partitioned across devices, each
 //!   device reading only its frontier shard's edge-list ranges over its
@@ -85,7 +81,6 @@ pub mod kernel;
 pub mod layout;
 pub mod pagerank;
 pub mod program;
-pub mod reorder;
 pub mod sharded;
 pub mod sssp;
 pub mod strategy;

@@ -17,7 +17,6 @@
 //! * [`exec`] — the discrete-event executor and the [`Kernel`] trait;
 //! * [`transfer`] — the hybrid N-tier transfer manager (zero-copy / DMA
 //!   staging / CXL promotion and demotion);
-//! * [`tier`] — per-tier byte budgets backing the transfer manager;
 //! * [`prefetch`] — the speculative prefetcher feeding the pipelined
 //!   (overlapped DMA/kernel) staging path;
 //! * [`report`] — per-kernel and per-run statistics;
@@ -32,7 +31,6 @@ pub mod group;
 pub mod machine;
 pub mod prefetch;
 pub mod report;
-pub mod tier;
 pub mod transfer;
 pub mod util;
 
@@ -42,5 +40,4 @@ pub use group::{DeviceGroup, DeviceGroupConfig};
 pub use machine::{Machine, MachineConfig};
 pub use prefetch::{PrefetchConfig, PrefetchStats, Prefetcher};
 pub use report::{KernelReport, RunStats};
-pub use tier::{TierBudget, TierBudgets};
 pub use transfer::{RegionMap, TransferConfig, TransferManager, TransferStats};

@@ -21,7 +21,7 @@
 //! Determinism: prediction inputs are exactly the planner's own
 //! iteration-start state (last touch set, policy densities, staging
 //! table), the ranking is totally ordered (score then region index), and
-//! speculative charges are settled back before every decision round — so
+//! speculative charges are never debited from the manager's pool — so
 //! staging decisions, device addresses and all reported traffic counters
 //! are bit-identical to the synchronous path.
 
@@ -37,9 +37,8 @@ use crate::transfer::UNMAPPED;
 pub struct PrefetchConfig {
     /// Bound on speculative device-pool usage (rounded allocation
     /// charges), carved out of the transfer manager's pool slack. The
-    /// slice never blocks a demand staging: speculative charges are
-    /// credited back before every decision round and only re-charged
-    /// from what remains.
+    /// slice never blocks a demand staging: demand decisions see the
+    /// whole pool, and speculation keeps only what they leave over.
     pub slice_bytes: u64,
     /// Most regions issued per planning round (the lane is one copy
     /// engine; flooding it would just queue copies behind each other).
@@ -101,7 +100,8 @@ struct Slot {
 ///
 /// Owned by the engine next to its `TransferManager`; all interaction
 /// goes through the manager's `plan_pipelined` / `prefetch_for_next`
-/// hooks so pool accounting stays in one place.
+/// hooks. [`slice_used`](Self::slice_used) is the only record of the
+/// speculative charge; the manager reads it against its pool.
 #[derive(Debug)]
 pub struct Prefetcher {
     cfg: PrefetchConfig,
@@ -227,7 +227,7 @@ impl Prefetcher {
 
     /// Issue a speculative stage of `region` (`len` payload bytes,
     /// `charge` rounded pool bytes) onto the copy lane at time `at`.
-    /// The caller has already charged `charge` against the device pool.
+    /// The caller has checked that `charge` fits the pool's slack.
     pub(crate) fn issue(&mut self, region: u32, len: u64, charge: u64, at: Time) {
         debug_assert!(self.slots[region as usize].is_none(), "region {region}");
         let ticket = self.lane.submit(at, len);
@@ -255,43 +255,40 @@ impl Prefetcher {
     }
 
     /// Evict the oldest live speculative stage (stale prediction),
-    /// counting its bytes as wasted. Returns the freed pool charge.
-    pub(crate) fn evict_oldest(&mut self) -> Option<u64> {
+    /// counting its bytes as wasted. `false` when none is live.
+    pub(crate) fn evict_oldest(&mut self) -> bool {
         while let Some(region) = self.order.pop_front() {
             if let Some(slot) = self.slots[region as usize].take() {
                 self.slice_used -= slot.charge;
                 self.stats.wasted_bytes += slot.len;
-                return Some(slot.charge);
+                return true;
             }
             // Stale queue entry: the region was adopted earlier.
         }
-        None
+        false
     }
 
-    /// Re-charge every surviving speculative stage against the pool, in
-    /// issue order, evicting those that no longer fit (demand stagings
-    /// or permanent reservations ate their headroom since last round).
-    /// Returns the total re-charged, which the caller records as its
-    /// speculative charge.
-    pub(crate) fn recharge(&mut self, pool_left: &mut u64) -> u64 {
-        let mut kept = VecDeque::new();
-        let mut charged = 0u64;
-        while let Some(region) = self.order.pop_front() {
+    /// Fit the live speculative stages into `pool` — what the demand
+    /// decisions and permanent reservations have left: walk them in
+    /// issue order, keep each one that still fits beside the ones kept
+    /// before it, evict the rest as wasted. Afterwards
+    /// `slice_used() <= pool`.
+    pub(crate) fn evict_to_fit(&mut self, pool: u64) {
+        let mut left = pool;
+        self.order.retain(|&region| {
             let Some(slot) = self.slots[region as usize] else {
-                continue; // adopted earlier this round
+                return false; // adopted earlier this round
             };
-            if *pool_left >= slot.charge {
-                *pool_left -= slot.charge;
-                charged += slot.charge;
-                kept.push_back(region);
+            let fits = left >= slot.charge;
+            if fits {
+                left -= slot.charge;
             } else {
                 self.slots[region as usize] = None;
                 self.slice_used -= slot.charge;
                 self.stats.wasted_bytes += slot.len;
             }
-        }
-        self.order = kept;
-        charged
+            fits
+        });
     }
 
     /// Marginal cost a synchronous round would have paid to copy
@@ -372,22 +369,20 @@ mod tests {
         assert_eq!(p.stats.hit_bytes, 10);
 
         // Oldest-first eviction skips the adopted region's stale entry.
-        assert_eq!(p.evict_oldest(), Some(64 << 10));
-        assert_eq!(p.evict_oldest(), None);
+        assert!(p.evict_oldest());
+        assert!(!p.evict_oldest());
         assert_eq!(p.slice_used(), 0);
         assert_eq!(p.stats.wasted_bytes, 64 << 10);
     }
 
     #[test]
-    fn recharge_keeps_what_fits_and_evicts_the_rest_in_issue_order() {
+    fn evict_to_fit_keeps_what_fits_and_evicts_the_rest_in_issue_order() {
         let mut p = pf(3);
         p.issue(0, 100, 128, 0);
         p.issue(1, 100, 128, 0);
         p.issue(2, 100, 128, 0);
-        let mut pool = 300u64; // room for two of the three charges
-        let charged = p.recharge(&mut pool);
-        assert_eq!(charged, 256);
-        assert_eq!(pool, 44);
+        p.evict_to_fit(300); // room for two of the three charges
+        assert_eq!(p.slice_used(), 256);
         assert!(p.is_speculative(0) && p.is_speculative(1));
         assert!(!p.is_speculative(2), "newest eviction victim");
         assert_eq!(p.stats.wasted_bytes, 100);

@@ -16,9 +16,11 @@
 //! of the machine's free device capacity ([`crate::alloc`]); when the
 //! pool runs dry the manager falls back to zero-copy for the remaining
 //! regions (and keeps feeding the policy, so accounting stays truthful).
-//! Nothing is ever un-staged: the simulated workloads only grow hotter
-//! with iteration count, and a bounded pool plus fallback keeps the model
-//! honest without an eviction clock.
+//! By default nothing is ever un-staged: the simulated workloads only
+//! grow hotter with iteration count, and a bounded pool plus fallback
+//! keeps the model honest without an eviction clock. With
+//! [`TransferConfig::demote_cold_after`] set, a staged region untouched
+//! for that many rounds is demoted and its pool slot reused.
 //!
 //! The **pipelined path** ([`plan_pipelined`](TransferManager::plan_pipelined),
 //! [`prefetch_for_next`](TransferManager::prefetch_for_next)) pairs the
@@ -26,13 +28,17 @@
 //! round it speculatively stages predicted-reuse regions onto an
 //! asynchronous copy lane, and a later round that decides to stage such a
 //! region *adopts* the in-flight copy instead of paying a demand copy on
-//! the critical path. Decisions, allocation order and traffic counters
-//! stay bit-identical to the synchronous path; only the clock (and the
-//! new prefetch counters) differ.
+//! the critical path. A pipelined round is *decide (adopting) →
+//! evict-to-fit → prefetch*: decisions charge the pool exactly as the
+//! synchronous path does, because speculation never lowers it — the
+//! speculative charge lives only in the prefetcher
+//! ([`Prefetcher::slice_used`]) and is kept within whatever the
+//! decisions leave over. Decisions, allocation order and traffic
+//! counters stay bit-identical to the synchronous path; only the clock
+//! (and the new prefetch counters) differ.
 
 use crate::machine::Machine;
 use crate::prefetch::Prefetcher;
-use crate::tier::{TierBudget, TierBudgets};
 use emogi_sim::time::Time;
 use emogi_uvm::{MemoryTier, TierDecision, TransferPolicy, TransferPolicyConfig};
 
@@ -142,10 +148,10 @@ pub struct TransferManager {
     /// The previous round's `(region, upcoming bytes)` pairs, sorted by
     /// region — the prefetcher's prediction input.
     last_touched: Vec<(u32, u64)>,
-    /// Per-tier byte ledgers. `budgets.hbm` is the staging pool the old
-    /// `pool_left`/`spec_charged` pair used to track; `budgets.host` and
-    /// `budgets.cxl` record how many watched bytes are homed in each tier.
-    budgets: TierBudgets,
+    /// Device-pool bytes not yet consumed by demand stagings or permanent
+    /// reservations. Speculative stages are not debited here: their
+    /// charge is [`Prefetcher::slice_used`], kept `<= pool`.
+    pool: u64,
     /// Bytes of the watched array homed in pinned host DRAM; offsets past
     /// this are homed in the CXL tier. Equal to `len_bytes` on a two-tier
     /// machine.
@@ -211,11 +217,7 @@ impl TransferManager {
             upcoming: vec![0; regions],
             touched: Vec::new(),
             last_touched: Vec::new(),
-            budgets: TierBudgets {
-                hbm: TierBudget::new(pool),
-                host: TierBudget::new(host_bytes),
-                cxl: TierBudget::new(len_bytes - host_bytes),
-            },
+            pool,
             host_bytes,
             demote_cold_after: cfg.demote_cold_after,
             round: 0,
@@ -236,11 +238,6 @@ impl TransferManager {
         }
     }
 
-    /// The per-tier byte ledgers (HBM staging pool, host/CXL placement).
-    pub fn tier_budgets(&self) -> &TierBudgets {
-        &self.budgets
-    }
-
     /// Regions the watched array is divided into.
     pub fn num_regions(&self) -> usize {
         self.table.len()
@@ -251,9 +248,12 @@ impl TransferManager {
         self.region_bytes
     }
 
-    /// Device-pool bytes still available for staging.
+    /// The demand budget: device-pool bytes not yet consumed by demand
+    /// stagings or permanent reservations — what a synchronous manager
+    /// would hold. Live speculative stages occupy up to this much of it
+    /// ([`Prefetcher::slice_used`]) until adopted or evicted.
     pub fn pool_left(&self) -> u64 {
-        self.budgets.hbm.free()
+        self.pool
     }
 
     /// Inform the manager that `bytes` of device memory were allocated
@@ -262,23 +262,10 @@ impl TransferManager {
     /// combined usage never exceeds the device capacity. Saturates at
     /// zero — staging then simply falls back to zero-copy.
     ///
-    /// Accounting invariant: at this reservation site, the HBM ledger's
-    /// `free + spec` is the budget not yet consumed by *demand*
-    /// allocations or permanent reservations — exactly what a
-    /// pipeline-free manager holds in `free`. A speculative stage charges
-    /// the ledger once when issued and is credited back exactly once:
-    /// either at adoption (where the demand allocation takes over the
-    /// charge) or at eviction before first use. The reservation therefore
-    /// deducts from the *combined* budget via [`TierBudget::reserve`] —
-    /// free pool first, speculative headroom second — so an evicted
-    /// speculation never stays charged (the double-count the old
-    /// `pool_left`-only special case allowed). Shortfalls pushed onto the
-    /// speculative side are realized as deterministic evictions at the
-    /// next planning round's recharge pass, which re-charges survivors in
-    /// issue order and evicts whatever no longer fits.
+    /// Live speculative stages the shrunken pool no longer covers are
+    /// evicted at the next planning round, before any new speculation.
     pub fn reserve(&mut self, bytes: u64) {
-        let need = bytes.div_ceil(128) * 128;
-        self.budgets.hbm.reserve(need);
+        self.pool = self.pool.saturating_sub(bytes.div_ceil(128) * 128);
     }
 
     /// Whether `region` has been staged into device memory.
@@ -350,12 +337,7 @@ impl TransferManager {
             self.last_hot[r as usize] = self.round;
         }
         let demoted = self.demote_cold();
-        // Settle: credit every speculative charge back so the decision
-        // loop below sees exactly the pool a synchronous manager would —
-        // the stage-vs-fallback outcomes must be bit-identical. Survivors
-        // are re-charged after the loop.
         if pf.is_some() {
-            self.budgets.hbm.settle();
             // Record the touch set for the predictor before the loop
             // consumes the per-region byte counts.
             self.last_touched.clear();
@@ -382,7 +364,8 @@ impl TransferManager {
             let density = bytes as f64 / len as f64;
             let home = self.home(r);
             match self.policy.decide_tiered(r, density.min(1.0), home) {
-                TierDecision::StageToHbm if self.budgets.hbm.try_charge(need) => {
+                TierDecision::StageToHbm if self.pool >= need => {
+                    self.pool -= need;
                     self.table[r] = self.alloc_slot(machine, len, need);
                     self.stats.staged_regions += 1;
                     self.stats.staged_bytes += len;
@@ -443,13 +426,10 @@ impl TransferManager {
                 }
                 p.stats.hidden_ns += hidden_estimate.saturating_sub(wait);
             }
-            // Re-charge surviving speculative stages from what the
-            // demand decisions left over; evict the rest. `recharge`
-            // debits the free pool by exactly the surviving charge, which
-            // the ledger then records as speculative.
-            let mut free = self.budgets.hbm.free();
-            let surviving = p.recharge(&mut free);
-            self.budgets.hbm.move_free_to_spec(surviving);
+            // Speculative stages keep what the demand decisions (and any
+            // reservation since last round) left over; the rest are evicted.
+            p.evict_to_fit(self.pool);
+            debug_assert!(p.slice_used() <= self.pool);
         }
         staged_count > 0 || demoted > 0
     }
@@ -476,7 +456,7 @@ impl TransferManager {
             let need = len.div_ceil(128) * 128;
             self.free_slots.push((self.table[r], need));
             self.table[r] = UNMAPPED;
-            self.budgets.hbm.credit(need);
+            self.pool += need;
             self.policy.reset(r);
             self.stats.demoted_regions += 1;
         }
@@ -517,21 +497,18 @@ impl TransferManager {
             let len = self.region_len(r as usize);
             let charge = len.div_ceil(128) * 128;
             // Make room in the bounded slice: evict the oldest
-            // speculative stages (stale predictions), crediting their
-            // pool charges back.
+            // speculative stages (stale predictions).
             while pf.slice_used() + charge > pf.slice_bytes() {
-                let Some(freed) = pf.evict_oldest() else {
+                if !pf.evict_oldest() {
                     break;
-                };
-                self.budgets.hbm.move_spec_to_free(freed);
+                }
             }
             if pf.slice_used() + charge > pf.slice_bytes() {
                 break; // a region larger than the whole slice
             }
-            if self.budgets.hbm.free() < charge {
+            if self.pool.saturating_sub(pf.slice_used()) < charge {
                 break; // speculate only into real pool slack
             }
-            self.budgets.hbm.move_free_to_spec(charge);
             pf.issue(r, len, charge, at);
         }
     }
@@ -777,12 +754,9 @@ mod tests {
         assert_eq!(tm.home(1), MemoryTier::Host);
         assert_eq!(tm.home(2), MemoryTier::Cxl);
         assert_eq!(tm.home(3), MemoryTier::Cxl);
-        assert_eq!(tm.tier_budgets().host.free(), 128 << 10);
-        assert_eq!(tm.tier_budgets().cxl.free(), 128 << 10);
         // A fully host-resident array has no CXL-homed regions.
         let tm = TransferManager::new(&m, 256 << 10, cfg(64 << 10, None));
-        assert_eq!(tm.home(3), MemoryTier::Host);
-        assert_eq!(tm.tier_budgets().cxl.free(), 0);
+        assert!((0..4).all(|r| tm.home(r) == MemoryTier::Host));
     }
 
     #[test]
@@ -953,15 +927,16 @@ mod tests {
         assert_eq!(mp.monitor.wire_bytes, ms.monitor.wire_bytes);
         assert_eq!(mp.host_dram.bytes_read, ms.host_dram.bytes_read);
         assert_eq!(mp.hbm.bytes_written, ms.hbm.bytes_written);
-        // Pool accounting settles back to the synchronous value once the
-        // speculative charge is consumed by the adoption.
+        // The pool equals the synchronous one, and the adoption released
+        // the speculative charge.
         assert_eq!(tmp.pool_left(), tms.pool_left());
+        assert_eq!(pf.slice_used(), 0);
     }
 
     /// Speculative charges never change staging decisions: with a pool of
-    /// exactly one region, a speculative stage of the *wrong* region is
-    /// settled back before the decision round, so the dense region still
-    /// wins the pool and the misprediction only costs wasted bytes.
+    /// exactly one region, a speculative stage of the *wrong* region never
+    /// lowers the demand budget, so the dense region still wins the pool
+    /// and the misprediction only costs wasted bytes.
     #[test]
     fn speculative_charge_never_steals_the_pool_from_demand_staging() {
         let mut m = machine();
@@ -974,20 +949,29 @@ mod tests {
             tm.prefetch_for_next(m.now, &mut pf);
         }
         assert!(pf.is_speculative(1), "region 1 speculated");
-        assert_eq!(tm.pool_left(), 0, "slack fully charged to the speculation");
+        assert_eq!(
+            tm.pool_left(),
+            64 << 10,
+            "speculation leaves the demand budget alone"
+        );
+        assert_eq!(
+            pf.slice_used(),
+            64 << 10,
+            "slack fully held by the speculation"
+        );
         // Now region 0 arrives fully dense: it must stage exactly as it
         // would synchronously; the speculation is evicted, not the stage.
         tm.note_upcoming(0, 64 << 10);
         assert!(tm.plan_pipelined(&mut m, &mut pf));
         assert!(tm.is_staged(0));
-        assert!(!pf.is_speculative(1), "speculation evicted at recharge");
+        assert!(!pf.is_speculative(1), "speculation evicted to fit");
         assert_eq!(pf.stats.wasted_bytes, 64 << 10);
-        assert_eq!(tm.pool_left(), 0);
+        assert_eq!((tm.pool_left(), pf.slice_used()), (0, 0));
     }
 
-    /// The `reserve` double-count fix: a permanent reservation consumes
-    /// speculative headroom, and the evicted speculation's charge must
-    /// not resurrect pool budget at the next settle.
+    /// A permanent reservation consumes the headroom a speculation was
+    /// holding, and the evicted speculation's charge must not resurrect
+    /// pool budget at the next round.
     #[test]
     fn reserve_consumes_speculative_headroom_without_double_counting() {
         let mut m = machine();
@@ -999,23 +983,58 @@ mod tests {
             tm.prefetch_for_next(m.now, &mut pf);
         }
         assert!(pf.is_speculative(1));
-        assert_eq!(tm.pool_left(), 0);
-        assert_eq!(tm.budgets.hbm.spec(), 64 << 10);
-        // Reserve the whole pool: the speculative charge is the only
-        // headroom left, so it must be consumed — not just `pool_left`
-        // saturated to zero with the charge still outstanding.
+        assert_eq!((tm.pool_left(), pf.slice_used()), (64 << 10, 64 << 10));
+        // Reserve the whole pool: the headroom the speculation holds is
+        // the only headroom left, so it is consumed.
         tm.reserve(64 << 10);
-        assert_eq!(tm.budgets.hbm.spec(), 0);
         assert_eq!(tm.pool_left(), 0);
-        // The next round settles: the speculation is evicted (its budget
-        // is gone) and — the regression this guards — no pool bytes
-        // reappear from the stale charge.
+        // The next round evicts the speculation (its budget is gone) and
+        // — the regression this guards — no pool bytes reappear from the
+        // stale charge.
         tm.note_upcoming(0, 64 << 10);
         tm.plan_pipelined(&mut m, &mut pf);
         assert!(!tm.is_staged(0), "pool is fully reserved");
         assert!(!pf.is_speculative(1), "orphaned speculation evicted");
         assert_eq!(tm.pool_left(), 0, "no budget resurrected");
+        assert_eq!(pf.slice_used(), 0);
         assert_eq!(pf.stats.wasted_bytes, 64 << 10);
+    }
+
+    /// A `reserve` between rounds can leave `slice_used > pool`; the next
+    /// round's evict-to-fit repairs it — oldest speculation kept, newest
+    /// evicted — before `prefetch_for_next` may speculate again.
+    #[test]
+    fn reserve_overhang_is_repaired_before_any_new_speculation() {
+        let mut m = machine();
+        let mut tm = TransferManager::new(&m, 256 << 10, cfg(64 << 10, Some(128 << 10)));
+        let mut pf = prefetcher(&m, &tm);
+        // Regions 1, 2 and 3 look equally hot: the first two are
+        // speculated, filling the pool; region 3 stays a candidate.
+        for _ in 0..3 {
+            for r in 1..4u64 {
+                tm.note_upcoming(r * (64 << 10), r * (64 << 10) + (26 << 10));
+            }
+            tm.plan_pipelined(&mut m, &mut pf);
+            tm.prefetch_for_next(m.now, &mut pf);
+        }
+        assert!(pf.is_speculative(1) && pf.is_speculative(2) && !pf.is_speculative(3));
+        assert_eq!((tm.pool_left(), pf.slice_used()), (128 << 10, 128 << 10));
+        tm.reserve(64 << 10);
+        assert!(pf.slice_used() > tm.pool_left(), "the overhang");
+        // Speculation into the overhang is refused, not underflowed ...
+        let issued = pf.stats.prefetched_regions;
+        tm.prefetch_for_next(m.now, &mut pf);
+        assert_eq!(pf.stats.prefetched_regions, issued);
+        // ... and the next round evicts in issue order until it fits.
+        tm.plan_pipelined(&mut m, &mut pf);
+        assert!(pf.is_speculative(1) && !pf.is_speculative(2));
+        assert_eq!((tm.pool_left(), pf.slice_used()), (64 << 10, 64 << 10));
+        assert_eq!(pf.stats.wasted_bytes, 64 << 10);
+        tm.prefetch_for_next(m.now, &mut pf);
+        assert_eq!(
+            pf.stats.prefetched_regions, issued,
+            "no slack, no speculation"
+        );
     }
 
     /// With no prefetcher in the loop the pipelined entry points are the

@@ -65,7 +65,7 @@ pub mod prelude {
     };
     pub use emogi_runtime::{
         DeviceGroup, DeviceGroupConfig, Machine, MachineConfig, PrefetchConfig, PrefetchStats,
-        Prefetcher, RunStats, TierBudget, TierBudgets, TransferConfig, TransferStats,
+        Prefetcher, RunStats, TransferConfig, TransferStats,
     };
     pub use emogi_serve::{
         Priority, QoS, Query, QueryId, QueryKind, QueryOutcome, QueryResult, QueryServer,

@@ -12,10 +12,6 @@
 //! layout-dependent by design (it still equals across solo and sharded
 //! execution of the *same* layout, asserted below).
 //!
-//! The frontier-reorder knob ([`EngineConfig::frontier_reorder`]) is
-//! swept alongside the layouts: it is a pure iteration-start transform,
-//! so it must never move an output or an iteration count either.
-//!
 //! The proptest shim derives each test's seed from its name, so every
 //! failure reproduces locally with a plain `cargo test --test
 //! layout_differential`; CI pins `EMOGI_PROPTEST_SEED` explicitly (see
@@ -51,25 +47,21 @@ fn layouts(g: &CsrGraph) -> Vec<(&'static str, LayoutPlan)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Solo engine, every access mode (including Hybrid), pipelined
-    /// execution and the frontier-reorder knob swept: all four programs
-    /// are bit-identical after unmapping, for every structured layout
-    /// and a random permutation.
+    /// Solo engine, every access mode (including Hybrid) and pipelined
+    /// execution swept: all four programs are bit-identical after
+    /// unmapping, for every structured layout and a random permutation.
     #[test]
     fn solo_runs_are_bit_identical_after_unmapping(
         edges in common::edges(72, 350),
         src in 0u32..72,
         mode_idx in 0usize..4,
         pipelined in any::<bool>(),
-        reorder in any::<bool>(),
         perm_seed in any::<u64>(),
     ) {
         let g = build_graph(&edges, 72);
         let w = generate_weights(g.num_edges(), 11);
         let mode = AccessMode::all()[mode_idx];
-        let mut cfg = EngineConfig::emogi_v100()
-            .with_mode(mode)
-            .with_frontier_reorder(reorder);
+        let mut cfg = EngineConfig::emogi_v100().with_mode(mode);
         if pipelined {
             cfg = cfg.pipelined();
         }
@@ -79,61 +71,21 @@ proptest! {
             LayoutPlan::from_perm(common::random_permutation(g.num_vertices(), perm_seed)),
         ));
         for (name, plan) in &plans {
-            let tag = format!("{mode:?}/pipelined={pipelined}/reorder={reorder}/{name}");
+            let tag = format!("{mode:?}/pipelined={pipelined}/{name}");
             assert_permutation_invariant(&cfg, &g, &w, src, plan, &tag);
         }
     }
 
-    /// The frontier-reorder knob alone (no relabeling) never changes an
-    /// output, an iteration count, or CC's hook-pass count — it only
-    /// permutes work within an iteration.
-    #[test]
-    fn frontier_reorder_never_changes_results(
-        edges in common::edges(64, 300),
-        src in 0u32..64,
-        mode_idx in 0usize..4,
-        pipelined in any::<bool>(),
-    ) {
-        let g = build_graph(&edges, 64);
-        let w = generate_weights(g.num_edges(), 5);
-        let mode = AccessMode::all()[mode_idx];
-        let cfg = |reorder: bool| {
-            let mut c = EngineConfig::emogi_v100()
-                .with_mode(mode)
-                .with_frontier_reorder(reorder);
-            if pipelined {
-                c = c.pipelined();
-            }
-            c
-        };
-        let mut off = Engine::load(cfg(false), &g);
-        let mut on = Engine::load(cfg(true), &g);
-        let tag = format!("{mode:?}/pipelined={pipelined}");
-
-        let (a, b) = (off.bfs(src), on.bfs(src));
-        prop_assert_eq!(&a.levels, &b.levels, "{} bfs levels", &tag);
-        prop_assert_eq!(a.stats.kernel_launches, b.stats.kernel_launches,
-            "{} bfs iterations", &tag);
-        let (a, b) = (off.sssp(&w, src), on.sssp(&w, src));
-        prop_assert_eq!(&a.dist, &b.dist, "{} sssp dist", &tag);
-        let (a, b) = (off.cc(), on.cc());
-        prop_assert_eq!(&a.comp, &b.comp, "{} cc labels", &tag);
-        prop_assert_eq!(a.hook_passes, b.hook_passes, "{} cc passes", &tag);
-        let (a, b) = (off.pagerank(0.85, 6), on.pagerank(0.85, 6));
-        prop_assert_eq!(&a.ranks, &b.ranks, "{} pagerank ranks", &tag);
-    }
-
     /// Batched multi-query execution over a relabeled graph: every
     /// query's unmapped levels and iteration count equal its solo run
-    /// on the original graph, for every layout, knob on and off.
+    /// on the original graph, for every layout.
     #[test]
     fn batched_runs_are_bit_identical_after_unmapping(
         edges in common::edges(64, 300),
         srcs in common::sources(64, 5),
-        reorder in any::<bool>(),
     ) {
         let g = build_graph(&edges, 64);
-        let cfg = EngineConfig::emogi_v100().with_frontier_reorder(reorder);
+        let cfg = EngineConfig::emogi_v100();
         let mut base = Engine::load(cfg.clone(), &g);
         let want: Vec<(Vec<u32>, u64)> = srcs
             .iter()
@@ -151,7 +103,7 @@ proptest! {
                 .collect();
             let batch = engine.run_batch(programs);
             for (q, run) in batch.runs.iter().enumerate() {
-                let tag = format!("reorder={reorder}/{name}/query {q}");
+                let tag = format!("{name}/query {q}");
                 prop_assert_eq!(
                     plan.unmap_values(&run.levels), want[q].0.clone(),
                     "{} levels", &tag
@@ -174,13 +126,10 @@ proptest! {
         edges in common::edges(64, 300),
         src in 0u32..64,
         mode_idx in 0usize..4,
-        reorder in any::<bool>(),
     ) {
         let g = build_graph(&edges, 64);
         let mode = AccessMode::all()[mode_idx];
-        let cfg = EngineConfig::emogi_v100()
-            .with_mode(mode)
-            .with_frontier_reorder(reorder);
+        let cfg = EngineConfig::emogi_v100().with_mode(mode);
         let mut base = Engine::load(cfg.clone(), &g);
         let bfs = base.bfs(src);
         let pr = base.pagerank(0.85, 6);
@@ -191,9 +140,9 @@ proptest! {
             let mut solo = Engine::load(cfg.clone(), &relabeled);
             let solo_cc = solo.cc();
             for devices in [1usize, 2, 4] {
-                let tag = format!("{mode:?}/reorder={reorder}/{name}/{devices}dev");
+                let tag = format!("{mode:?}/{name}/{devices}dev");
                 let mut scfg = ShardedConfig::emogi_v100(devices);
-                scfg.engine = scfg.engine.with_mode(mode).with_frontier_reorder(reorder);
+                scfg.engine = scfg.engine.with_mode(mode);
                 let mut e = ShardedEngine::load(scfg, &relabeled);
 
                 let run = e.bfs(plan.map_vertex(src));

@@ -11,7 +11,9 @@
 //!
 //! In non-hybrid modes the pipeline knob must be completely inert
 //! (there is no transfer manager to feed), so those cases pin the
-//! stronger claim: the stats are equal *including* the clock.
+//! stronger claim: the stats are equal *including* the clock. The solo
+//! test pins the same for UVM placement, which is why `sim_golden` keeps
+//! a pipelined row for Hybrid only.
 //!
 //! The proptest shim derives each test's seed from its name, so every
 //! failure reproduces locally with a plain `cargo test --test
@@ -84,15 +86,38 @@ proptest! {
         let (a, b) = (sync.sssp(&w, src), pipe.sssp(&w, src));
         prop_assert_eq!(&a.dist, &b.dist, "{} sssp dist", &tag);
         prop_assert_eq!(semantic(&a.stats), semantic(&b.stats), "{} sssp stats", &tag);
+        if !hybrid {
+            prop_assert_eq!(&a.stats, &b.stats, "{} sssp inert-knob stats", &tag);
+        }
 
         let (a, b) = (sync.cc(), pipe.cc());
         prop_assert_eq!(&a.comp, &b.comp, "{} cc labels", &tag);
         prop_assert_eq!(a.hook_passes, b.hook_passes, "{} cc passes", &tag);
         prop_assert_eq!(semantic(&a.stats), semantic(&b.stats), "{} cc stats", &tag);
+        if !hybrid {
+            prop_assert_eq!(&a.stats, &b.stats, "{} cc inert-knob stats", &tag);
+        }
 
         let (a, b) = (sync.pagerank(0.85, 7), pipe.pagerank(0.85, 7));
         prop_assert_eq!(&a.ranks, &b.ranks, "{} pagerank ranks", &tag);
         prop_assert_eq!(semantic(&a.stats), semantic(&b.stats), "{} pagerank stats", &tag);
+        if !hybrid {
+            prop_assert_eq!(&a.stats, &b.stats, "{} pagerank inert-knob stats", &tag);
+        }
+
+        // UVM placement is not an access mode, so it gets one fixed pair:
+        // no transfer manager, hence an inert knob, clock included (SSSP
+        // first — its weights must be placed before a managed kernel).
+        let mut sync = Engine::load(EngineConfig::uvm_v100(), &g);
+        let mut pipe = Engine::load(EngineConfig::uvm_v100().pipelined(), &g);
+        let (a, b) = (sync.sssp(&w, src), pipe.sssp(&w, src));
+        prop_assert_eq!((&a.dist, &a.stats), (&b.dist, &b.stats), "UVM sssp");
+        let (a, b) = (sync.bfs(src), pipe.bfs(src));
+        prop_assert_eq!((&a.levels, &a.stats), (&b.levels, &b.stats), "UVM bfs");
+        let (a, b) = (sync.cc(), pipe.cc());
+        prop_assert_eq!((&a.comp, &a.stats), (&b.comp, &b.stats), "UVM cc");
+        let (a, b) = (sync.pagerank(0.85, 7), pipe.pagerank(0.85, 7));
+        prop_assert_eq!((&a.ranks, &a.stats), (&b.ranks, &b.stats), "UVM pagerank");
     }
 
     /// Batched multi-query execution: per-query outputs, per-query

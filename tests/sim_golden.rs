@@ -11,11 +11,15 @@
 //! matrix reaches, shows up here as a changed cell.
 //!
 //! Matrix, per graph (one small Kronecker, one uniform):
-//! {Naive, Merged, Merged+Aligned, Hybrid, UVM placement} ×
-//! `pipelined` off/on (one table row each) ×
-//! the ten [`SHAPES`] (one column each): all four programs solo, BFS and
-//! SSSP through `run_batch` at 1, 3 and 8 queries, all four programs
-//! sharded at 1, 2 and 4 devices under both partitioners.
+//! {Naive, Merged, Merged+Aligned, Hybrid, Hybrid pipelined, UVM
+//! placement} (one table row each) × the ten [`SHAPES`] (one column
+//! each): all four programs solo, BFS and SSSP through `run_batch` at 1,
+//! 3 and 8 queries, all four programs sharded at 1, 2 and 4 devices under
+//! both partitioners. One row per configuration that differs: the
+//! pipeline knob is inert without a transfer manager, clock included
+//! (`tests/pipeline_differential.rs` pins that), so only Hybrid has a
+//! pipelined row, and `rows_are_pairwise_distinct` keeps an axis that
+//! moves no pinned number out of the table.
 //!
 //! **Re-pinning.** The simulator is deterministic, so a mismatch is a
 //! modelling change, never noise. If the change is intended and declared,
@@ -46,70 +50,42 @@ type Row = (&'static str, [u64; 10]);
 /// `kronecker(9, 16, 21)`, generated at the parent commit.
 #[rustfmt::skip]
 const KRONECKER: &[Row] = &[
-    ("Naive pipelined=0", [
+    ("Naive", [
         0x6482343512b3165e, 0xe39da78537ca464b,
         0x548919aca557b1f1, 0xbbad6382ef572d62,
         0xa5473f4e26492163, 0xa5473f4e26492163,
         0x4aaa3151c21a6f00, 0x93250475d7782d2c,
         0xa92295465258ab27, 0x58a673ca34c53aa1,
     ]),
-    ("Naive pipelined=1", [
-        0x6482343512b3165e, 0xe39da78537ca464b,
-        0x548919aca557b1f1, 0xbbad6382ef572d62,
-        0xa5473f4e26492163, 0xa5473f4e26492163,
-        0x4aaa3151c21a6f00, 0x93250475d7782d2c,
-        0xa92295465258ab27, 0x58a673ca34c53aa1,
-    ]),
-    ("Merged pipelined=0", [
+    ("Merged", [
         0xc646e463f6c1bda6, 0xc5cd262754ff4717,
         0xf7205746d15f0275, 0xc735052961312a56,
         0xfb6a1fb787feb4c3, 0xfb6a1fb787feb4c3,
         0x7bd276553cc39897, 0x56895ce9fae3b215,
         0xd00ab071f54a3d32, 0x3c52f8faf4c8ab4c,
     ]),
-    ("Merged pipelined=1", [
-        0xc646e463f6c1bda6, 0xc5cd262754ff4717,
-        0xf7205746d15f0275, 0xc735052961312a56,
-        0xfb6a1fb787feb4c3, 0xfb6a1fb787feb4c3,
-        0x7bd276553cc39897, 0x56895ce9fae3b215,
-        0xd00ab071f54a3d32, 0x3c52f8faf4c8ab4c,
-    ]),
-    ("Merged+Aligned pipelined=0", [
+    ("Merged+Aligned", [
         0xc5e22dc274bf9c46, 0x08ba277965af6e2b,
         0x8c646b5f667ac5d1, 0xcc24437e66b13eb9,
         0x26ad24e78daf57cf, 0x26ad24e78daf57cf,
         0x9d1903af1bf966a5, 0x6a1ecda8dd328490,
         0xdb69b997c2be297f, 0x4232c4cedc57caf2,
     ]),
-    ("Merged+Aligned pipelined=1", [
-        0xc5e22dc274bf9c46, 0x08ba277965af6e2b,
-        0x8c646b5f667ac5d1, 0xcc24437e66b13eb9,
-        0x26ad24e78daf57cf, 0x26ad24e78daf57cf,
-        0x9d1903af1bf966a5, 0x6a1ecda8dd328490,
-        0xdb69b997c2be297f, 0x4232c4cedc57caf2,
-    ]),
-    ("Hybrid pipelined=0", [
+    ("Hybrid", [
         0x574821cb908bcc63, 0x65ab5dffaae37d7b,
         0xbb3fc4afffd0cfc1, 0xa37474d54fe07df4,
         0xf58d92e6760ca703, 0xf58d92e6760ca703,
         0xe76a6ed5143f4ea1, 0x42bea676e2f9344e,
         0x763a835a9a8cc525, 0xb2c3827506350ab1,
     ]),
-    ("Hybrid pipelined=1", [
+    ("Hybrid pipelined", [
         0x3f9b2eb2fa81e46d, 0x544897e37f56f96b,
         0xab8d460adb0af351, 0xbd078818bc97d248,
         0x4ed72dfd53d69517, 0x4ed72dfd53d69517,
         0x71e5fde6c2d838a9, 0x8a016a77d77d50bd,
         0x910a39ba58def923, 0x07a60172c7497edf,
     ]),
-    ("UVM pipelined=0", [
-        0x105717d3bf063413, 0x8f90ca3846dba9d7,
-        0xae0e45711a215a1d, 0xec9306c007731b62,
-        0x8c35cb4e787a12c3, 0x8c35cb4e787a12c3,
-        0x2614e24bc917f056, 0x81b07c5bfa59d7e9,
-        0xc9d52ded6e2e78f4, 0xd0de5d5db66d3800,
-    ]),
-    ("UVM pipelined=1", [
+    ("UVM", [
         0x105717d3bf063413, 0x8f90ca3846dba9d7,
         0xae0e45711a215a1d, 0xec9306c007731b62,
         0x8c35cb4e787a12c3, 0x8c35cb4e787a12c3,
@@ -121,70 +97,42 @@ const KRONECKER: &[Row] = &[
 /// `uniform_random(400, 6, 5)`, generated at the parent commit.
 #[rustfmt::skip]
 const UNIFORM: &[Row] = &[
-    ("Naive pipelined=0", [
+    ("Naive", [
         0x00736c5128148500, 0xd05daeccd3720d06,
         0x0c7f1e26d62b6bfb, 0xec1586bef83b3c1c,
         0xfd88866587aded32, 0xfd88866587aded32,
         0xf604a4628bbbeb04, 0xdd8949c54994ba9d,
         0x23ffabf890fd79e0, 0x777ad96c8f5463a8,
     ]),
-    ("Naive pipelined=1", [
-        0x00736c5128148500, 0xd05daeccd3720d06,
-        0x0c7f1e26d62b6bfb, 0xec1586bef83b3c1c,
-        0xfd88866587aded32, 0xfd88866587aded32,
-        0xf604a4628bbbeb04, 0xdd8949c54994ba9d,
-        0x23ffabf890fd79e0, 0x777ad96c8f5463a8,
-    ]),
-    ("Merged pipelined=0", [
+    ("Merged", [
         0x00ff1192d2309e6c, 0x0acdce82b6a95802,
         0xa95d31f961ed33ba, 0xe2776de6981f12e4,
         0x240530307a5a5d3e, 0x240530307a5a5d3e,
         0x156ee46064146948, 0x60dc67d44d9fd3af,
         0x7b51f9bf235ba7f1, 0x1ac8127042111116,
     ]),
-    ("Merged pipelined=1", [
+    ("Merged+Aligned", [
         0x00ff1192d2309e6c, 0x0acdce82b6a95802,
         0xa95d31f961ed33ba, 0xe2776de6981f12e4,
         0x240530307a5a5d3e, 0x240530307a5a5d3e,
         0x156ee46064146948, 0x60dc67d44d9fd3af,
         0x7b51f9bf235ba7f1, 0x1ac8127042111116,
     ]),
-    ("Merged+Aligned pipelined=0", [
-        0x00ff1192d2309e6c, 0x0acdce82b6a95802,
-        0xa95d31f961ed33ba, 0xe2776de6981f12e4,
-        0x240530307a5a5d3e, 0x240530307a5a5d3e,
-        0x156ee46064146948, 0x60dc67d44d9fd3af,
-        0x7b51f9bf235ba7f1, 0x1ac8127042111116,
-    ]),
-    ("Merged+Aligned pipelined=1", [
-        0x00ff1192d2309e6c, 0x0acdce82b6a95802,
-        0xa95d31f961ed33ba, 0xe2776de6981f12e4,
-        0x240530307a5a5d3e, 0x240530307a5a5d3e,
-        0x156ee46064146948, 0x60dc67d44d9fd3af,
-        0x7b51f9bf235ba7f1, 0x1ac8127042111116,
-    ]),
-    ("Hybrid pipelined=0", [
+    ("Hybrid", [
         0xe133e320c7fa91f0, 0xab8f418761cf9246,
         0xcf27a4550e29e0d3, 0x9b380c2756bccb9e,
         0x53e76453bdc520f2, 0x53e76453bdc520f2,
         0xbc711c8e6e7b689f, 0x612b84ca7c2b0d84,
         0x07a6059df5901c20, 0x35d695802be36ff0,
     ]),
-    ("Hybrid pipelined=1", [
+    ("Hybrid pipelined", [
         0x915b55ad021b74d9, 0x6f1175365392c5ea,
         0x2106b6442b5c757d, 0x26e9314441f353c7,
         0xcd86e9d83e86416a, 0xcd86e9d83e86416a,
         0x675d709f029dc861, 0x9775e4c1ec69ce69,
         0x69aa504d317a8039, 0xd88a5d9bb31ad17f,
     ]),
-    ("UVM pipelined=0", [
-        0x2587ea171dd0ff8e, 0x45e4d1ff7400ead2,
-        0xc358b98346907388, 0x2523ac7899aeadee,
-        0x0874fdc2202fe452, 0x0874fdc2202fe452,
-        0x4a689ae160ab2872, 0x042f96fe78a0b556,
-        0xc2d66812c60f7dea, 0xede47599871cdd51,
-    ]),
-    ("UVM pipelined=1", [
+    ("UVM", [
         0x2587ea171dd0ff8e, 0x45e4d1ff7400ead2,
         0xc358b98346907388, 0x2523ac7899aeadee,
         0x0874fdc2202fe452, 0x0874fdc2202fe452,
@@ -357,14 +305,15 @@ impl Pinned for PageRankOutput {
     }
 }
 
-/// The five access configurations, on a machine whose cache (16 KiB) and
-/// transfer regions (4 KiB) are shrunk below the test graphs' edge lists
-/// so that misses, staging and prefetching all fire.
+/// The six configurations (one table row each), on a machine whose cache
+/// (16 KiB) and transfer regions (4 KiB) are shrunk below the test
+/// graphs' edge lists so that misses, staging and prefetching all fire.
 fn configs() -> Vec<(&'static str, EngineConfig)> {
     let mut out: Vec<(&'static str, EngineConfig)> = AccessMode::all()
         .into_iter()
         .map(|mode| (mode.name(), EngineConfig::emogi_v100().with_mode(mode)))
         .collect();
+    out.push(("Hybrid pipelined", EngineConfig::pipelined_v100()));
     out.push(("UVM", EngineConfig::uvm_v100()));
     for (_, cfg) in &mut out {
         cfg.machine.gpu.cache.capacity_bytes = 16 << 10;
@@ -415,20 +364,13 @@ fn cell(shape: usize, cfg: &EngineConfig, g: &CsrGraph, w: &[u32]) -> u64 {
 /// mismatch print the full actual table, paste-ready.
 fn check(name: &str, g: &CsrGraph, want: &[Row]) {
     let w = generate_weights(g.num_edges(), 11);
-    let mut got: Vec<(String, [u64; 10])> = Vec::new();
-    for (mode, base) in configs() {
-        for pipelined in [false, true] {
-            let mut cfg = base.clone();
-            if pipelined {
-                cfg = cfg.pipelined();
-            }
-            let label = format!("{mode} pipelined={}", u8::from(pipelined));
-            let mut cells = [0u64; 10];
-            for (shape, c) in cells.iter_mut().enumerate() {
-                *c = cell(shape, &cfg, g, &w);
-            }
-            got.push((label, cells));
+    let mut got: Vec<Row> = Vec::new();
+    for (label, cfg) in configs() {
+        let mut cells = [0u64; 10];
+        for (shape, c) in cells.iter_mut().enumerate() {
+            *c = cell(shape, &cfg, g, &w);
         }
+        got.push((label, cells));
     }
     let mut diffs = Vec::new();
     for (i, (label, cells)) in got.iter().enumerate() {
@@ -477,4 +419,27 @@ fn kronecker_matrix_matches_the_table_pinned_at_the_parent_commit() {
 fn uniform_matrix_matches_the_table_pinned_at_the_parent_commit() {
     let g = generators::uniform_random(400, 6, 5);
     check("UNIFORM", &g, UNIFORM);
+}
+
+/// No two rows agree in all twenty cells: a row that copies another
+/// pins nothing, and an axis that moves no pinned number would double
+/// the matrix (and its run time) for no coverage. The check spans both
+/// graphs because one graph alone may not exercise a real axis — every
+/// UNIFORM list (maximum degree 11) fits in its warp's first 32-lane
+/// window with or without the alignment shift, so its Merged and
+/// Merged+Aligned rows coincide.
+#[test]
+fn rows_are_pairwise_distinct() {
+    let labels = |t: &[Row]| t.iter().map(|r| r.0).collect::<Vec<_>>();
+    assert_eq!(labels(KRONECKER), labels(UNIFORM), "one row set per graph");
+    for i in 0..KRONECKER.len() {
+        for j in 0..i {
+            assert!(
+                KRONECKER[i].1 != KRONECKER[j].1 || UNIFORM[i].1 != UNIFORM[j].1,
+                "rows {:?} and {:?} are copies on both graphs",
+                KRONECKER[i].0,
+                KRONECKER[j].0
+            );
+        }
+    }
 }

@@ -1,7 +1,7 @@
 // Known-bad: a copy lane tracking its in-flight tickets in a hash map
 // and draining completions in hash order — the completion order would
-// leak into adoption stalls and, through the settle/recharge protocol,
-// into every downstream device-pool charge.
+// leak into adoption stalls and, through the evict-to-fit pass, into
+// which speculative stages survive a round.
 use std::collections::HashMap;
 
 pub struct Lane {

@@ -36,8 +36,6 @@ modules = [
     "purity_good.rs",
     "prefetch_purity_bad.rs",
     "prefetch_purity_good.rs",
-    "reorder_purity_bad.rs",
-    "reorder_purity_good.rs",
     "tier_purity_bad.rs",
     "tier_purity_good.rs",
 ]
@@ -47,7 +45,6 @@ hooks = [
     "visit_edge",
     "open_vertex",
     "rank_candidates",
-    "segment_key",
     "decide_tiered",
 ]
 disallowed = ["source_ctx", "begin_iteration", "post_iteration", "Machine", "now", "monitor"]
@@ -212,58 +209,6 @@ fn prefetch_purity_good_is_clean() {
     let d = lint_source(
         "prefetch_purity_good.rs",
         &fixture("prefetch_purity_good.rs"),
-        &fixture_cfg(),
-    );
-    assert!(d.is_empty(), "{}", render(&d));
-}
-
-#[test]
-fn reorder_purity_bad_fires() {
-    let d = lint_source(
-        "reorder_purity_bad.rs",
-        &fixture("reorder_purity_bad.rs"),
-        &fixture_cfg(),
-    );
-    assert_eq!(
-        fired(&d, rules::KERNEL_PURITY),
-        2,
-        "live clock + monitor read in segment_key should both fire:\n{}",
-        render(&d)
-    );
-    assert_eq!(d.len(), 2, "no other rule should fire:\n{}", render(&d));
-}
-
-#[test]
-fn reorder_purity_good_is_clean() {
-    let d = lint_source(
-        "reorder_purity_good.rs",
-        &fixture("reorder_purity_good.rs"),
-        &fixture_cfg(),
-    );
-    assert!(d.is_empty(), "{}", render(&d));
-}
-
-#[test]
-fn reorder_unordered_bad_fires() {
-    let d = lint_source(
-        "reorder_unordered_bad.rs",
-        &fixture("reorder_unordered_bad.rs"),
-        &fixture_cfg(),
-    );
-    assert_eq!(
-        fired(&d, rules::UNORDERED_ITER),
-        2,
-        "drain + keys over the segment map should both fire:\n{}",
-        render(&d)
-    );
-    assert_eq!(d.len(), 2, "no other rule should fire:\n{}", render(&d));
-}
-
-#[test]
-fn reorder_unordered_good_is_clean() {
-    let d = lint_source(
-        "reorder_unordered_good.rs",
-        &fixture("reorder_unordered_good.rs"),
         &fixture_cfg(),
     );
     assert!(d.is_empty(), "{}", render(&d));
@@ -509,29 +454,6 @@ fn machine_clock_write_in_copy_lane_hook_fires() {
     assert!(
         fired(&d, rules::KERNEL_PURITY) >= 1,
         "clock write in a copy-lane hook must fire:\n{}",
-        render(&d)
-    );
-}
-
-/// The frontier-reorder module is purity-gated too: re-introducing a
-/// live machine read into a `segment_key` body fires kernel-purity on
-/// the real reorder module.
-#[test]
-fn live_machine_read_in_segment_key_fires() {
-    let cfg = workspace_cfg();
-    let path = "crates/core/src/reorder.rs";
-    let src = real(path);
-    assert!(
-        lint_source(path, &src, &cfg).is_empty(),
-        "intact reorder module clean"
-    );
-    let mutated = format!(
-        "{src}\nimpl Regress {{ fn segment_key(&self, m: &Machine) -> u64 {{ m.now }} }}\n"
-    );
-    let d = lint_source(path, &mutated, &cfg);
-    assert!(
-        fired(&d, rules::KERNEL_PURITY) >= 1,
-        "live machine read in the reorder key must fire:\n{}",
         render(&d)
     );
 }
