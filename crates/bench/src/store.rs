@@ -1,23 +1,31 @@
 //! Lazy, cached dataset generation shared across experiments.
 
 use emogi_graph::{Dataset, DatasetKey};
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::sync::{Arc, LazyLock, Mutex, OnceLock};
 
-/// Generates each Table 2 dataset at most once per harness run.
+/// One slot per `(dataset, scale)`; the slot outlives the map lock so two
+/// datasets can generate at once while a second asker of the same one
+/// waits for the first.
+type Slot = Arc<OnceLock<Arc<Dataset>>>;
+
+/// Every dataset generated by this process. Generation is a pure function
+/// of `(key, scale)`, so every [`DatasetStore`] — one per [`Context`], one
+/// `Context` per test — shares it.
+///
+/// [`Context`]: crate::Context
+static GENERATED: LazyLock<Mutex<HashMap<(DatasetKey, usize), Slot>>> =
+    LazyLock::new(Default::default);
+
+/// Generates each Table 2 dataset at most once per process and scale.
 #[derive(Debug, Clone)]
 pub struct DatasetStore {
     scale: usize,
-    cache: Rc<RefCell<HashMap<DatasetKey, Rc<Dataset>>>>,
 }
 
 impl DatasetStore {
     pub fn new(scale: usize) -> Self {
-        Self {
-            scale,
-            cache: Rc::new(RefCell::new(HashMap::new())),
-        }
+        Self { scale }
     }
 
     pub fn scale(&self) -> usize {
@@ -25,13 +33,14 @@ impl DatasetStore {
     }
 
     /// Fetch (generating on first use) one dataset.
-    pub fn get(&self, key: DatasetKey) -> Rc<Dataset> {
-        if let Some(d) = self.cache.borrow().get(&key) {
-            return Rc::clone(d);
-        }
-        let d = Rc::new(key.spec().generate_scaled(self.scale));
-        self.cache.borrow_mut().insert(key, Rc::clone(&d));
-        d
+    pub fn get(&self, key: DatasetKey) -> Arc<Dataset> {
+        let slot = {
+            let mut generated = GENERATED
+                .lock()
+                .expect("nothing panics while holding the map lock");
+            Arc::clone(generated.entry((key, self.scale)).or_default())
+        };
+        Arc::clone(slot.get_or_init(|| Arc::new(key.spec().generate_scaled(self.scale))))
     }
 }
 
@@ -41,10 +50,12 @@ mod tests {
 
     #[test]
     fn store_generates_once_and_shares() {
-        let store = DatasetStore::new(64);
-        let a = store.get(DatasetKey::Gu);
-        let b = store.get(DatasetKey::Gu);
-        assert!(Rc::ptr_eq(&a, &b), "second fetch must reuse the first");
+        // Across stores and threads: the cache is the process's.
+        let a = DatasetStore::new(64).get(DatasetKey::Gu);
+        let b = std::thread::spawn(|| DatasetStore::new(64).get(DatasetKey::Gu))
+            .join()
+            .expect("generation does not panic");
+        assert!(Arc::ptr_eq(&a, &b), "second fetch must reuse the first");
     }
 
     #[test]

@@ -35,27 +35,44 @@ impl WarpWalk {
         self.cursor >= self.end
     }
 
-    /// Emit this iteration's edge loads (one per active lane) and advance.
+    /// Emit this iteration's edge loads (one lane per element, one span
+    /// per run of address-contiguous elements) and advance. Every element
+    /// is still translated on its own, so a staged-region or CXL-spill
+    /// boundary ends a span exactly where it separates two lanes.
     /// Returns the `[lo, hi)` range of *real* elements covered (the
     /// aligned prefix below `start_org` is fetched but carries no edges).
     pub fn emit_edges(&mut self, layout: &GraphLayout, batch: &mut AccessBatch) -> (u64, u64) {
         debug_assert!(!self.is_done());
         let chunk_end = (self.cursor + WARP_SIZE as u64).min(self.end);
         let lo = self.cursor.max(self.start_org);
-        for i in lo..chunk_end {
+        let elem = layout.elem_bytes;
+        // The open span: first address, lanes so far.
+        let (mut first, mut lanes) = (layout.edge_addr(lo), 1u8);
+        for i in lo + 1..chunk_end {
             let addr = layout.edge_addr(i);
-            batch.load(addr, layout.elem_bytes as u8, layout.edge_addr_space(addr));
+            if addr == first + u64::from(lanes) * elem {
+                lanes += 1;
+            } else {
+                batch.load_span(first, elem as u8, lanes, layout.edge_addr_space(first));
+                (first, lanes) = (addr, 1);
+            }
         }
+        batch.load_span(first, elem as u8, lanes, layout.edge_addr_space(first));
         self.cursor = chunk_end;
         (lo, chunk_end)
     }
 
     /// Emit weight loads for the same element range (SSSP reads the
-    /// 4-byte weight array in lock-step with the edge array).
+    /// 4-byte weight array in lock-step with the edge array): one span,
+    /// the weight array is never staged or spilled.
     pub fn emit_weights(layout: &GraphLayout, batch: &mut AccessBatch, lo: u64, hi: u64) {
-        for i in lo..hi {
-            batch.load(layout.weight_addr(i), 4, layout.edge_space);
-        }
+        debug_assert!(lo < hi && hi - lo <= WARP_SIZE as u64);
+        batch.load_span(
+            layout.weight_addr(lo),
+            4,
+            (hi - lo) as u8,
+            layout.edge_space,
+        );
     }
 }
 
@@ -168,14 +185,13 @@ mod tests {
         let (lo, hi) = w.emit_edges(&l, &mut b);
         // The first chunk is the aligned 16..48 window clipped to the list.
         assert_eq!((lo, hi), (19, 40));
-        assert_eq!(
-            b.len(),
-            (40 - 19) as usize,
-            "lanes 16..19 masked, 40..48 beyond end"
-        );
-        // First load address is element 19, but the *chunk* covers the
-        // aligned line; the coalescer sees loads from 19 to 39.
+        // One span: lanes 16..19 masked, 40..48 beyond end. Its first
+        // address is element 19, but the *chunk* covers the aligned line;
+        // the coalescer sees loads from 19 to 39.
+        assert_eq!(b.len(), 1);
         assert_eq!(b.items()[0].addr, l.edge_addr(19));
+        assert_eq!(b.items()[0].count, 40 - 19);
+        assert_eq!(b.lane_bytes(), (40 - 19) * 8);
         assert!(w.is_done());
     }
 
@@ -186,11 +202,47 @@ mod tests {
         let mut b = AccessBatch::new();
         let (lo, hi) = w.emit_edges(&l, &mut b);
         assert_eq!((lo, hi), (19, 51));
-        assert_eq!(b.len(), 32);
+        assert_eq!((b.len(), b.items()[0].count), (1, 32));
         assert!(!w.is_done());
         b.clear();
         let (lo2, _) = w.emit_edges(&l, &mut b);
         assert_eq!(lo2, 51);
+    }
+
+    /// Spans end where the address translation jumps: the element past
+    /// the host-resident prefix opens a new span in the CXL window, and
+    /// lane for lane the spans are the per-element loads.
+    #[test]
+    fn a_spill_boundary_splits_the_span() {
+        use emogi_runtime::CXL_BASE;
+        let l = GraphLayout {
+            host_edge_bytes: 24 * 8,
+            cxl_edge_base: Some(CXL_BASE),
+            ..layout()
+        };
+        let mut w = WarpWalk::new(19, 100, AccessStrategy::Merged, &l);
+        let mut b = AccessBatch::new();
+        let (lo, hi) = w.emit_edges(&l, &mut b);
+        assert_eq!((lo, hi), (19, 51));
+        let spans: Vec<_> = b
+            .items()
+            .iter()
+            .map(|a| (a.addr, a.size, a.count, a.space))
+            .collect();
+        assert_eq!(
+            spans,
+            vec![
+                (l.edge_addr(19), 8, 5, Space::HostPinned),
+                (CXL_BASE, 8, 27, Space::Cxl),
+            ]
+        );
+        let per_lane: Vec<u64> = b
+            .items()
+            .iter()
+            .flat_map(|a| (0..u64::from(a.count)).map(move |k| a.addr + k * 8))
+            .collect();
+        let want: Vec<u64> = (lo..hi).map(|i| l.edge_addr(i)).collect();
+        assert_eq!(per_lane, want);
     }
 
     #[test]
@@ -245,7 +297,7 @@ mod tests {
         let l = layout();
         let mut b = AccessBatch::new();
         WarpWalk::emit_weights(&l, &mut b, 5, 8);
-        assert_eq!(b.len(), 3);
+        assert_eq!((b.len(), b.items()[0].count), (1, 3));
         assert_eq!(b.items()[0].addr, l.weight_addr(5));
         assert_eq!(b.items()[0].size, 4);
         assert_eq!(b.items()[0].space, Space::HostPinned);

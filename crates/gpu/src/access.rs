@@ -35,6 +35,10 @@ pub struct LaneAccess {
     pub addr: u64,
     /// Access width in bytes (4 or 8 for CSR elements).
     pub size: u8,
+    /// Adjacent lanes of the same instruction reading `count` consecutive
+    /// `size`-byte elements from `addr` up — a *span*, equal by
+    /// definition to those `count` single-lane accesses. 1 for one lane.
+    pub count: u8,
     /// Instruction group: the hardware coalescing unit merges lane
     /// accesses of the *same load instruction*; accesses from different
     /// loop iterations issued together (memory-level parallelism within a
@@ -49,26 +53,31 @@ pub struct LaneAccess {
 }
 
 impl LaneAccess {
+    #[inline]
     pub fn load(addr: u64, size: u8, space: Space) -> Self {
         Self {
             addr,
             size,
+            count: 1,
             instr: 0,
             space,
             store: false,
         }
     }
 
+    #[inline]
     pub fn store(addr: u64, size: u8, space: Space) -> Self {
         Self {
             addr,
             size,
+            count: 1,
             instr: 0,
             space,
             store: true,
         }
     }
 
+    #[inline]
     pub fn with_instr(mut self, instr: u8) -> Self {
         self.instr = instr;
         self
@@ -80,6 +89,8 @@ impl LaneAccess {
 #[derive(Debug, Default, Clone)]
 pub struct AccessBatch {
     items: Vec<LaneAccess>,
+    /// Bytes the lanes asked for: `size x count` over `items`.
+    lane_bytes: u64,
     /// Compute time consumed by the step before the accesses issue, ns.
     pub compute_ns: u32,
 }
@@ -88,34 +99,60 @@ impl AccessBatch {
     pub fn new() -> Self {
         Self {
             items: Vec::with_capacity(2 * WARP_SIZE),
+            lane_bytes: 0,
             compute_ns: 0,
         }
     }
 
+    #[inline]
     pub fn clear(&mut self) {
         self.items.clear();
+        self.lane_bytes = 0;
         self.compute_ns = 0;
     }
 
+    #[inline]
     pub fn push(&mut self, access: LaneAccess) {
+        self.lane_bytes += u64::from(access.size) * u64::from(access.count);
         self.items.push(access);
     }
 
+    #[inline]
     pub fn load(&mut self, addr: u64, size: u8, space: Space) {
         self.push(LaneAccess::load(addr, size, space));
     }
 
+    /// `count` adjacent lanes of one load instruction reading consecutive
+    /// `size`-byte elements from `addr` up, as one item.
+    #[inline]
+    pub fn load_span(&mut self, addr: u64, size: u8, count: u8, space: Space) {
+        self.push(LaneAccess {
+            count,
+            ..LaneAccess::load(addr, size, space)
+        });
+    }
+
     /// Load belonging to a specific instruction group (loop iteration).
+    #[inline]
     pub fn load_instr(&mut self, addr: u64, size: u8, space: Space, instr: u8) {
         self.push(LaneAccess::load(addr, size, space).with_instr(instr));
     }
 
+    #[inline]
     pub fn store(&mut self, addr: u64, size: u8, space: Space) {
         self.push(LaneAccess::store(addr, size, space));
     }
 
+    #[inline]
     pub fn items(&self) -> &[LaneAccess] {
         &self.items
+    }
+
+    /// Bytes the lanes asked for since the last `clear` (the numerator
+    /// of coalescing efficiency).
+    #[inline]
+    pub fn lane_bytes(&self) -> u64 {
+        self.lane_bytes
     }
 
     pub fn is_empty(&self) -> bool {
@@ -140,9 +177,21 @@ mod tests {
         assert_eq!(b.len(), 2);
         assert!(!b.items()[0].store);
         assert!(b.items()[1].store);
+        assert_eq!(b.lane_bytes(), 12);
         b.clear();
         assert!(b.is_empty());
-        assert_eq!(b.compute_ns, 0);
+        assert_eq!((b.compute_ns, b.lane_bytes()), (0, 0));
+    }
+
+    #[test]
+    fn a_span_is_one_item_of_count_lanes() {
+        let mut b = AccessBatch::new();
+        b.load_span(0x1000, 8, 21, Space::HostPinned);
+        assert_eq!(b.len(), 1);
+        assert_eq!(b.lane_bytes(), 8 * 21);
+        let a = b.items()[0];
+        assert_eq!((a.addr, a.size, a.count, a.instr), (0x1000, 8, 21, 0));
+        assert!(!a.store);
     }
 
     #[test]

@@ -44,15 +44,41 @@ impl Transaction {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct EntryKey {
-    space_rank: u8,
-    store: bool,
-    instr: u8,
-    line: u64,
-}
+/// One touched line of one instruction group, packed so that plain `u64`
+/// order is the emission order (space, store, instr, line, sector):
+///
+/// ```text
+/// [ space 2 | store 1 | instr 8 | line index 49 | sector mask 4 ]
+/// ```
+///
+/// The line index is `addr / 128`, so addresses must stay below 2^56 (the
+/// address windows top out at 2^51).
+type Entry = u64;
 
-fn space_rank(s: Space) -> u8 {
+const MASK_BITS: u32 = 4;
+const LINE_INDEX_BITS: u32 = 49;
+const INSTR_SHIFT: u32 = MASK_BITS + LINE_INDEX_BITS;
+const STORE_SHIFT: u32 = INSTR_SHIFT + 8;
+const SPACE_SHIFT: u32 = STORE_SHIFT + 1;
+/// One past the highest byte address an entry can name.
+const ADDR_LIMIT: u64 = LINE_BYTES << LINE_INDEX_BITS;
+
+/// `SECTOR_RUN[lo][hi]`: the mask of sectors `lo..=hi` of a line.
+const SECTOR_RUN: [[u64; 4]; 4] = {
+    let mut runs = [[0; 4]; 4];
+    let mut lo = 0;
+    while lo < 4 {
+        let mut hi = lo;
+        while hi < 4 {
+            runs[lo][hi] = ((1 << (hi - lo + 1)) - 1) << lo;
+            hi += 1;
+        }
+        lo += 1;
+    }
+    runs
+};
+
+fn space_rank(s: Space) -> u64 {
     match s {
         Space::Device => 0,
         Space::HostPinned => 1,
@@ -61,7 +87,7 @@ fn space_rank(s: Space) -> u8 {
     }
 }
 
-fn rank_space(r: u8) -> Space {
+fn rank_space(r: u64) -> Space {
     match r {
         0 => Space::Device,
         1 => Space::HostPinned,
@@ -74,7 +100,7 @@ fn rank_space(r: u8) -> Space {
 /// not allocate; one per executor.
 #[derive(Debug, Default)]
 pub struct Coalescer {
-    entries: Vec<(EntryKey, u8)>,
+    entries: Vec<Entry>,
 }
 
 impl Coalescer {
@@ -83,73 +109,92 @@ impl Coalescer {
     }
 
     /// Coalesce a warp's lane accesses into transactions, appended to
-    /// `out` in deterministic (space, store, address) order.
+    /// `out` in deterministic (space, store, instr, address) order.
     pub fn coalesce(&mut self, accesses: &[LaneAccess], out: &mut Vec<Transaction>) {
         self.entries.clear();
+        // Warps mostly touch lines in ascending order within one
+        // instruction group; then the entries need no sort.
+        let mut ordered = true;
+        // The entry being built. Consecutive lanes usually extend it, so it
+        // lives in a register, not in `entries`; 0 means none (a real entry
+        // has mask bits), and an entry that merges into 0 is itself.
+        let mut open: Entry = 0;
+        let mut add = |entry: Entry| {
+            if (open ^ entry) >> MASK_BITS == 0 {
+                open |= entry;
+            } else {
+                if open != 0 {
+                    self.entries.push(open);
+                }
+                ordered &= open < entry;
+                open = entry;
+            }
+        };
         for a in accesses {
-            if a.size == 0 {
+            let bytes = u64::from(a.size) * u64::from(a.count);
+            if bytes == 0 {
                 continue;
             }
-            let first_sector = a.addr / SECTOR_BYTES;
-            let last_sector = (a.addr + u64::from(a.size) - 1) / SECTOR_BYTES;
-            for s in first_sector..=last_sector {
-                let line = (s * SECTOR_BYTES) & !(LINE_BYTES - 1);
-                let bit = 1u8 << (s % SECTORS_PER_LINE_U64);
-                let key = EntryKey {
-                    space_rank: space_rank(a.space),
-                    store: a.store,
-                    instr: a.instr,
-                    line,
-                };
-                // Fast path: warps usually touch lines in address order,
-                // so the previous entry is a frequent match.
-                if let Some(last) = self.entries.last_mut() {
-                    if last.0 == key {
-                        last.1 |= bit;
-                        continue;
-                    }
+            let end = a.addr.saturating_add(bytes);
+            assert!(end <= ADDR_LIMIT, "address {end:#x} beyond the packed key");
+            let group = space_rank(a.space) << SPACE_SHIFT
+                | u64::from(a.store) << STORE_SHIFT
+                | u64::from(a.instr) << INSTR_SHIFT;
+            // A span's elements are byte-contiguous, so the sectors it
+            // touches are exactly those of its whole byte range.
+            let (first, last) = (a.addr / SECTOR_BYTES, (end - 1) / SECTOR_BYTES);
+            let (first_line, last_line) =
+                (first / SECTORS_PER_LINE_U64, last / SECTORS_PER_LINE_U64);
+            let (lo, hi) = (
+                (first % SECTORS_PER_LINE_U64) as usize,
+                (last % SECTORS_PER_LINE_U64) as usize,
+            );
+            if first_line == last_line {
+                add(group | first_line << MASK_BITS | SECTOR_RUN[lo][hi]);
+            } else {
+                add(group | first_line << MASK_BITS | SECTOR_RUN[lo][3]);
+                for line in first_line + 1..last_line {
+                    add(group | line << MASK_BITS | SECTOR_RUN[0][3]);
                 }
-                self.entries.push((key, bit));
+                add(group | last_line << MASK_BITS | SECTOR_RUN[0][hi]);
             }
         }
-        if self.entries.is_empty() {
-            return;
+        if open != 0 {
+            self.entries.push(open);
         }
-        self.entries.sort_unstable_by_key(|(k, _)| *k);
+        if !ordered {
+            self.entries.sort_unstable();
+        }
         // Merge duplicate lines, then emit contiguous sector runs.
         let mut i = 0;
         while i < self.entries.len() {
-            let (key, mut mask) = self.entries[i];
-            let mut j = i + 1;
-            while j < self.entries.len() && self.entries[j].0 == key {
-                mask |= self.entries[j].1;
-                j += 1;
+            let mut entry = self.entries[i];
+            i += 1;
+            while i < self.entries.len() && (self.entries[i] ^ entry) >> MASK_BITS == 0 {
+                entry |= self.entries[i];
+                i += 1;
             }
-            i = j;
-            emit_runs(key, mask, out);
+            emit_runs(entry, out);
         }
     }
 }
 
-fn emit_runs(key: EntryKey, mask: u8, out: &mut Vec<Transaction>) {
-    debug_assert!(mask != 0 && mask < 16, "line sector mask out of range");
-    let mut sector = 0u64;
-    let mut m = mask;
-    while m != 0 {
-        // Skip to the next set bit.
-        let skip = m.trailing_zeros() as u64;
-        sector += skip;
-        m >>= skip;
-        // Measure the run of set bits.
-        let run = m.trailing_ones() as u64;
+fn emit_runs(entry: Entry, out: &mut Vec<Transaction>) {
+    let line = (entry >> MASK_BITS & ((1 << LINE_INDEX_BITS) - 1)) * LINE_BYTES;
+    let space = rank_space(entry >> SPACE_SHIFT);
+    let store = entry >> STORE_SHIFT & 1 == 1;
+    let mut mask = entry & 0b1111;
+    debug_assert!(mask != 0, "an entry touches at least one sector");
+    while mask != 0 {
+        let first = mask.trailing_zeros() as usize;
+        let run = (mask >> first).trailing_ones() as usize;
         out.push(Transaction {
-            addr: key.line + sector * SECTOR_BYTES,
-            size: (run * SECTOR_BYTES) as u32,
-            space: rank_space(key.space_rank),
-            store: key.store,
+            addr: line + first as u64 * SECTOR_BYTES,
+            size: run as u32 * SECTOR_BYTES as u32,
+            space,
+            store,
         });
-        sector += run;
-        m = m.checked_shr(run as u32).unwrap_or(0);
+        mask &= !SECTOR_RUN[first][first + run - 1];
     }
 }
 
@@ -157,6 +202,130 @@ fn emit_runs(key: EntryKey, mask: u8, out: &mut Vec<Transaction>) {
 mod tests {
     use super::*;
     use crate::access::AccessBatch;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The coalescer this one replaced, kept as the oracle: one entry per
+    /// lane per sector under a four-field key, sorted by that key.
+    fn reference_coalesce(accesses: &[LaneAccess]) -> Vec<Transaction> {
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+        struct EntryKey {
+            space_rank: u64,
+            store: bool,
+            instr: u8,
+            line: u64,
+        }
+        let mut entries: Vec<(EntryKey, u8)> = Vec::new();
+        for a in accesses {
+            assert_eq!(a.count, 1, "the reference takes single lanes");
+            if a.size == 0 {
+                continue;
+            }
+            let first_sector = a.addr / SECTOR_BYTES;
+            let last_sector = (a.addr + u64::from(a.size) - 1) / SECTOR_BYTES;
+            for s in first_sector..=last_sector {
+                let key = EntryKey {
+                    space_rank: space_rank(a.space),
+                    store: a.store,
+                    instr: a.instr,
+                    line: (s * SECTOR_BYTES) & !(LINE_BYTES - 1),
+                };
+                entries.push((key, 1u8 << (s % SECTORS_PER_LINE_U64)));
+            }
+        }
+        entries.sort_unstable_by_key(|(k, _)| *k);
+        let mut out = Vec::new();
+        let mut i = 0;
+        while i < entries.len() {
+            let (key, mut mask) = entries[i];
+            while i < entries.len() && entries[i].0 == key {
+                mask |= entries[i].1;
+                i += 1;
+            }
+            let mut sector = 0u64;
+            while mask != 0 {
+                let skip = u64::from(mask.trailing_zeros());
+                sector += skip;
+                mask >>= skip;
+                let run = u64::from(mask.trailing_ones());
+                out.push(Transaction {
+                    addr: key.line + sector * SECTOR_BYTES,
+                    size: (run * SECTOR_BYTES) as u32,
+                    space: rank_space(key.space_rank),
+                    store: key.store,
+                });
+                sector += run;
+                mask = mask.checked_shr(run as u32).unwrap_or(0);
+            }
+        }
+        out
+    }
+
+    /// A span, lane by lane.
+    fn lanes(a: &LaneAccess) -> impl Iterator<Item = LaneAccess> + '_ {
+        (0..u64::from(a.count)).map(|k| LaneAccess {
+            addr: a.addr + k * u64::from(a.size),
+            count: 1,
+            ..*a
+        })
+    }
+
+    /// Random batches mixing spaces, stores, instruction groups, sizes
+    /// 0–16 B, line-straddling accesses and spans: the packed-key
+    /// coalescer, fed spans or their per-lane expansion, emits exactly
+    /// the reference's transactions in the reference's order.
+    #[test]
+    fn packed_keys_and_spans_equal_the_per_lane_reference() {
+        const SPACES: [Space; 4] = [Space::Device, Space::HostPinned, Space::Managed, Space::Cxl];
+        let mut rng = StdRng::seed_from_u64(20260928);
+        let mut c = Coalescer::new();
+        for case in 0..2_000 {
+            // A few windows per batch so lanes collide on lines, the
+            // highest ending at the top of the packed address range.
+            let windows: Vec<u64> = (0..3)
+                .map(|w| match (case + w) % 3 {
+                    0 => rng.gen_range(0..4u64) * 0x1_0000_0000_0000,
+                    1 => rng.gen_range(0..1u64 << 40),
+                    _ => ADDR_LIMIT - 4096,
+                })
+                .collect();
+            let batch: Vec<LaneAccess> = (0..rng.gen_range(0..48usize))
+                .map(|_| {
+                    let size = rng.gen_range(0..=16u64);
+                    let count = if rng.gen_bool(0.3) {
+                        rng.gen_range(0..=32u64)
+                    } else {
+                        1
+                    };
+                    let window = windows[rng.gen_range(0..windows.len())];
+                    LaneAccess {
+                        addr: window + rng.gen_range(0..4096 - size * count + 1),
+                        size: size as u8,
+                        count: count as u8,
+                        instr: [0, 1, 7, 128, 255][rng.gen_range(0..5usize)],
+                        space: SPACES[rng.gen_range(0..SPACES.len())],
+                        store: rng.gen_bool(0.2),
+                    }
+                })
+                .collect();
+            let expanded: Vec<LaneAccess> = batch.iter().flat_map(lanes).collect();
+            let want = reference_coalesce(&expanded);
+            let mut spans = Vec::new();
+            c.coalesce(&batch, &mut spans);
+            assert_eq!(spans, want, "case {case}: {batch:?}");
+            let mut per_lane = Vec::new();
+            c.coalesce(&expanded, &mut per_lane);
+            assert_eq!(per_lane, want, "case {case}, expanded: {batch:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the packed key")]
+    fn addresses_past_the_packed_range_are_refused() {
+        let mut b = AccessBatch::new();
+        b.load(ADDR_LIMIT - 4, 8, Space::Cxl);
+        coalesce(&b);
+    }
 
     fn coalesce(batch: &AccessBatch) -> Vec<Transaction> {
         let mut c = Coalescer::new();

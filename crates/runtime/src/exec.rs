@@ -22,7 +22,8 @@ use crate::machine::Machine;
 use crate::report::KernelReport;
 use crate::util::FastMap;
 use emogi_gpu::access::{AccessBatch, Space};
-use emogi_gpu::coalesce::{Coalescer, Transaction, LINE_BYTES, SECTOR_BYTES};
+use emogi_gpu::cache::SECTORS_PER_LINE;
+use emogi_gpu::coalesce::{Coalescer, Transaction, SECTOR_BYTES};
 use emogi_sim::events::EventQueue;
 use emogi_sim::pcie::ReadOutcome;
 use emogi_sim::time::Time;
@@ -82,10 +83,11 @@ struct Slot<T> {
 }
 
 struct ReqState {
-    addr: u64,
-    size: u32,
+    /// The sector run this request reads.
+    txn: Transaction,
     owner: u32,
-    /// Warp slots to wake on completion (owner included).
+    /// Warp slots to wake on completion (owner included). The buffer
+    /// stays with the slab entry when the request is freed.
     waiters: Vec<u32>,
     active: bool,
     /// Deferred requests exist (and merge waiters) before they are put on
@@ -94,15 +96,35 @@ struct ReqState {
     submitted: bool,
 }
 
-impl ReqState {
-    fn line(&self) -> u64 {
-        self.addr & !(LINE_BYTES - 1)
+/// The in-flight requests of one line (slab indices, oldest first). A
+/// request is only created for sectors no in-flight request of the line
+/// covers, so their sector masks are disjoint and there are at most four.
+#[derive(Debug, Clone, Copy, Default)]
+struct PendingLine {
+    ids: [u32; SECTORS_PER_LINE],
+    len: u8,
+}
+
+impl PendingLine {
+    fn ids(&self) -> &[u32] {
+        &self.ids[..usize::from(self.len)]
     }
 
-    fn sector_mask(&self) -> u8 {
-        let first = (self.addr % LINE_BYTES) / SECTOR_BYTES;
-        let count = u64::from(self.size) / SECTOR_BYTES;
-        (((1u16 << count) - 1) << first) as u8
+    fn push(&mut self, r: u32) {
+        debug_assert!(
+            usize::from(self.len) < SECTORS_PER_LINE,
+            "more in-flight requests than sectors in a line"
+        );
+        self.ids[usize::from(self.len)] = r;
+        self.len += 1;
+    }
+
+    fn remove(&mut self, r: u32) {
+        let n = usize::from(self.len);
+        if let Some(i) = self.ids[..n].iter().position(|&x| x == r) {
+            self.ids.copy_within(i + 1..n, i);
+            self.len -= 1;
+        }
     }
 }
 
@@ -148,8 +170,8 @@ struct Executor<'a, K: Kernel> {
     slots: Vec<Slot<K::Task>>,
     reqs: Vec<ReqState>,
     free_reqs: Vec<u32>,
-    /// line address -> indices of in-flight requests touching it.
-    pending_lines: FastMap<u64, Vec<u32>>,
+    /// line address -> in-flight requests touching it.
+    pending_lines: FastMap<u64, PendingLine>,
     /// page id -> warps stalled on it.
     page_waiters: FastMap<u64, Vec<u32>>,
     uvm_batch_inflight: bool,
@@ -227,17 +249,12 @@ impl<K: Kernel> Executor<'_, K> {
         self.coalescer.coalesce(self.batch.items(), &mut self.txns);
         // Coalescing-efficiency accounting: bytes the lanes asked for
         // vs bytes the merged transactions move.
-        self.m.lane_bytes += self
-            .batch
-            .items()
-            .iter()
-            .map(|a| u64::from(a.size))
-            .sum::<u64>();
-        self.m.txn_bytes += self.txns.iter().map(|t| u64::from(t.size)).sum::<u64>();
+        self.m.lane_bytes += self.batch.lane_bytes();
         // Move the transactions out to appease the borrow checker; the
         // buffer is swapped back afterwards so its capacity is reused.
         let mut txns = std::mem::take(&mut self.txns);
         for txn in &txns {
+            self.m.txn_bytes += u64::from(txn.size);
             match txn.space {
                 Space::Device => self.access_device(w, txn, compute_done),
                 Space::HostPinned => self.access_host(w, txn, compute_done),
@@ -332,14 +349,11 @@ impl<K: Kernel> Executor<'_, K> {
             return;
         }
         // MSHR: ride along on in-flight requests covering missing sectors.
-        if let Some(ids) = self.pending_lines.get(&line) {
-            let ids = ids.clone();
-            for r in ids {
+        if let Some(&pending) = self.pending_lines.get(&line) {
+            for &r in pending.ids() {
                 let req = &mut self.reqs[r as usize];
-                if !req.active {
-                    continue;
-                }
-                let overlap = req.sector_mask() & miss;
+                debug_assert!(req.active, "a pending line lists live requests");
+                let overlap = req.txn.sector_mask() & miss;
                 if overlap != 0 {
                     req.waiters.push(w);
                     self.slots[w as usize].outstanding += 1;
@@ -355,11 +369,14 @@ impl<K: Kernel> Executor<'_, K> {
         // (and MSHR-visible) immediately; it only goes on the link when
         // the warp has an in-flight slot free.
         for (first, run) in sector_runs(miss) {
-            let addr = line + first * SECTOR_BYTES;
-            let size = (run * SECTOR_BYTES) as u32;
+            let read = Transaction {
+                addr: line + first * SECTOR_BYTES,
+                size: (run * SECTOR_BYTES) as u32,
+                ..*txn
+            };
             let slot = &mut self.slots[w as usize];
             slot.outstanding += 1;
-            let r = self.create_request(w, addr, size);
+            let r = self.create_request(w, read);
             let slot = &mut self.slots[w as usize];
             if slot.own_inflight >= self.m.cfg.gpu.max_pending_per_warp {
                 slot.deferred.push_back(r);
@@ -370,47 +387,48 @@ impl<K: Kernel> Executor<'_, K> {
     }
 
     /// Allocate a request and register it for MSHR merging.
-    fn create_request(&mut self, w: u32, addr: u64, size: u32) -> u32 {
-        let state = ReqState {
-            addr,
-            size,
-            owner: w,
-            waiters: vec![w],
-            active: true,
-            submitted: false,
-        };
+    fn create_request(&mut self, w: u32, txn: Transaction) -> u32 {
         let r = match self.free_reqs.pop() {
             Some(r) => {
-                self.reqs[r as usize] = state;
+                let req = &mut self.reqs[r as usize];
+                debug_assert!(!req.active && req.waiters.is_empty());
+                req.txn = txn;
+                req.owner = w;
+                req.waiters.push(w);
+                req.active = true;
+                req.submitted = false;
                 r
             }
             None => {
-                self.reqs.push(state);
+                self.reqs.push(ReqState {
+                    txn,
+                    owner: w,
+                    waiters: vec![w],
+                    active: true,
+                    submitted: false,
+                });
                 (self.reqs.len() - 1) as u32
             }
         };
-        self.pending_lines
-            .entry(addr & !(LINE_BYTES - 1))
-            .or_default()
-            .push(r);
+        self.pending_lines.entry(txn.line()).or_default().push(r);
         r
     }
 
     /// Put a created request on the link (consumes one of the owner's
     /// in-flight slots).
     fn submit_request(&mut self, r: u32, at: Time) {
-        let (addr, size, owner) = {
+        let (txn, owner) = {
             let req = &mut self.reqs[r as usize];
             debug_assert!(!req.submitted);
             req.submitted = true;
-            (req.addr, req.size, req.owner)
+            (req.txn, req.owner)
         };
         self.slots[owner as usize].own_inflight += 1;
         match self.m.link.read(
             at,
             u64::from(r),
-            addr,
-            size,
+            txn.addr,
+            txn.size,
             &mut self.m.host_dram,
             &mut self.m.monitor,
         ) {
@@ -427,7 +445,12 @@ impl<K: Kernel> Executor<'_, K> {
         let (line, mask, size, owner) = {
             let req = &self.reqs[r as usize];
             debug_assert!(req.active);
-            (req.line(), req.sector_mask(), req.size, req.owner)
+            (
+                req.txn.line(),
+                req.txn.sector_mask(),
+                req.txn.size,
+                req.owner,
+            )
         };
         // Retiring the tag may release link-queued reads.
         self.released.clear();
@@ -447,9 +470,9 @@ impl<K: Kernel> Executor<'_, K> {
         self.m.cache.fill(line, mask);
 
         // Unlink from the pending map.
-        if let Some(ids) = self.pending_lines.get_mut(&line) {
-            ids.retain(|&x| x != r);
-            if ids.is_empty() {
+        if let Some(pending) = self.pending_lines.get_mut(&line) {
+            pending.remove(r);
+            if pending.len == 0 {
                 self.pending_lines.remove(&line);
             }
         }
@@ -463,13 +486,14 @@ impl<K: Kernel> Executor<'_, K> {
             self.submit_request(r, t);
         }
 
-        // Wake the waiters.
+        // Wake the waiters; their buffer goes back to the slab entry.
         let req = &mut self.reqs[r as usize];
         req.active = false;
-        let waiters = std::mem::take(&mut req.waiters);
-        for w in waiters {
+        let mut waiters = std::mem::take(&mut req.waiters);
+        for w in waiters.drain(..) {
             self.complete_wait(w, t);
         }
+        self.reqs[r as usize].waiters = waiters;
         self.free_reqs.push(r);
     }
 
@@ -591,6 +615,7 @@ mod tests {
     use crate::machine::MachineConfig;
     use emogi_gpu::access::WARP_SIZE;
     use emogi_gpu::cache::SectoredCache;
+    use emogi_gpu::coalesce::LINE_BYTES;
     use emogi_sim::cxl::CxlConfig;
 
     /// A kernel whose warps each stream over one contiguous host range,
@@ -854,14 +879,13 @@ mod tests {
 
     #[test]
     fn uvm_eviction_invalidates_cached_sectors() {
-        // A managed working set twice the pool size: pages must be
-        // evicted mid-kernel, and their cached sectors must go with them
-        // (re-access faults again rather than hitting stale cache).
-        let mut m = machine();
-        // Shrink the device pool: allocate most of device memory away.
-        let cap = m.spaces.device_capacity();
-        m.alloc_device(cap - (64 << 10)); // leave 64 KiB = 16 pages
-        let base = m.alloc_managed(256 << 10); // 64 pages of managed data
+        // A managed working set four times the pool size, swept twice by
+        // a single warp: pages must be evicted mid-kernel, and their
+        // cached sectors must go with them — the second sweep re-faults
+        // and re-reads instead of hitting stale L2 sectors. The 6 MiB L2
+        // holds the whole 256 KiB, so only invalidation stands between
+        // the second sweep and a hit on every sector.
+        const BYTES: u64 = 256 << 10; // 64 pages
         struct Sweep {
             base: u64,
             rounds: u32,
@@ -873,7 +897,7 @@ mod tests {
                     return None;
                 }
                 self.rounds -= 1;
-                Some((self.base, self.base + (256 << 10)))
+                Some((self.base, self.base + BYTES))
             }
             fn step(&mut self, t: &mut (u64, u64), batch: &mut AccessBatch) -> StepOutcome {
                 for lane in 0..32u64 {
@@ -887,21 +911,42 @@ mod tests {
                 }
             }
         }
-        // Two sequential sweeps by a single warp: the second sweep must
-        // re-fault the evicted early pages.
-        m.cfg.gpu.resident_warps = 1;
-        let r = run_kernel(&mut m, &mut Sweep { base, rounds: 2 });
-        let uvm = m.uvm.as_ref().unwrap();
-        assert!(uvm.stats.pages_evicted > 0, "pool must overflow");
+        // `pool` bytes of device memory left for managed pages.
+        let sweep_twice = |pool: u64| {
+            let mut m = machine();
+            m.cfg.gpu.resident_warps = 1;
+            let cap = m.spaces.device_capacity();
+            m.alloc_device(cap - pool);
+            let base = m.alloc_managed(BYTES);
+            let first = run_kernel(&mut m, &mut Sweep { base, rounds: 1 });
+            let warm = m.counters();
+            let second = run_kernel(&mut m, &mut Sweep { base, rounds: 1 });
+            let stats = m.counters() - warm;
+            assert_eq!(m.monitor.read_requests, 0, "no zero-copy traffic in UVM");
+            (first, second, stats, m.uvm.as_ref().unwrap().stats)
+        };
+
+        let (first, second, stats, uvm) = sweep_twice(64 << 10); // 16 pages
+        assert!(uvm.pages_evicted > 0, "pool must overflow");
         assert!(
-            uvm.stats.pages_migrated > 64,
+            uvm.pages_migrated > 64,
             "second sweep re-migrates evicted pages (got {})",
-            uvm.stats.pages_migrated
+            uvm.pages_migrated
         );
-        assert!(r.page_faults > 4);
+        assert!(first.page_faults > 4);
+        assert!(second.page_faults > 4, "evicted pages fault again");
+        assert_eq!(stats.l2_sector_hits, 0, "a hit here is a stale sector");
+        assert!(stats.l2_sector_misses > 0);
+
+        // Control: with room for every page nothing is evicted, and the
+        // same second sweep is served from the L2 (bar the sectors of the
+        // first sweep's faulting steps, which stalled instead of loading).
+        let (_, second, stats, uvm) = sweep_twice(2 * BYTES);
+        assert_eq!((uvm.pages_evicted, second.page_faults), (0, 0));
+        assert!(stats.l2_sector_hits > stats.l2_sector_misses);
         assert_eq!(
-            m.monitor.read_requests, 0,
-            "no zero-copy traffic in a UVM sweep"
+            stats.l2_sector_hits + stats.l2_sector_misses,
+            BYTES / SECTOR_BYTES
         );
     }
 

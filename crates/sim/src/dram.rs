@@ -79,11 +79,20 @@ impl DramConfig {
     }
 }
 
+/// Spans with a memoised transfer time: the multiples of 32 B up to 512 B,
+/// which is every span a sector-granular transaction can touch.
+const TABLE_STEP: u64 = 32;
+const TABLE_MAX_SPAN: u64 = 512;
+
 /// A DRAM device: a bandwidth resource with busy-until semantics plus
 /// cumulative traffic counters.
 #[derive(Debug, Clone)]
 pub struct Dram {
     cfg: DramConfig,
+    /// `bytes_over_bandwidth_ns(i * TABLE_STEP, bandwidth)`, computed once:
+    /// the per-transaction path would otherwise pay a float divide and a
+    /// `ceil` per access. The table *is* the formula, memoised.
+    xfer_table: [Time; (TABLE_MAX_SPAN / TABLE_STEP) as usize + 1],
     busy_until: Time,
     /// Total bytes read from the array, after granularity rounding.
     pub bytes_read: u64,
@@ -93,8 +102,12 @@ pub struct Dram {
 
 impl Dram {
     pub fn new(cfg: DramConfig) -> Self {
+        let xfer_table = std::array::from_fn(|i| {
+            bytes_over_bandwidth_ns(i as u64 * TABLE_STEP, cfg.bandwidth_gbps)
+        });
         Self {
             cfg,
+            xfer_table,
             busy_until: 0,
             bytes_read: 0,
             bytes_written: 0,
@@ -108,6 +121,7 @@ impl Dram {
     /// Service a read of `[addr, addr + size)` arriving at `arrive`.
     /// Returns the time the data is available. Charges the 64-byte-aligned
     /// span against bandwidth and the traffic counter.
+    #[inline]
     pub fn read(&mut self, arrive: Time, addr: u64, size: u32) -> Time {
         let span = aligned_span(addr, size, self.cfg.access_granularity);
         self.bytes_read += span;
@@ -116,6 +130,7 @@ impl Dram {
 
     /// Service a write (same cost model as a read; the simulated workloads
     /// are read-dominated so we do not model write combining).
+    #[inline]
     pub fn write(&mut self, arrive: Time, addr: u64, size: u32) -> Time {
         let span = aligned_span(addr, size, self.cfg.access_granularity);
         self.bytes_written += span;
@@ -153,9 +168,20 @@ impl Dram {
         self.bytes_written += crate::time::align_up(bytes.max(1), self.cfg.access_granularity);
     }
 
+    /// Transfer time of `span` bytes at this device's bandwidth.
+    #[inline]
+    fn xfer_ns(&self, span: u64) -> Time {
+        if span.is_multiple_of(TABLE_STEP) && span <= TABLE_MAX_SPAN {
+            self.xfer_table[(span / TABLE_STEP) as usize]
+        } else {
+            bytes_over_bandwidth_ns(span, self.cfg.bandwidth_gbps)
+        }
+    }
+
+    #[inline]
     fn occupy(&mut self, arrive: Time, span: u64) -> Time {
         let start = self.busy_until.max(arrive);
-        let xfer = bytes_over_bandwidth_ns(span, self.cfg.bandwidth_gbps);
+        let xfer = self.xfer_ns(span);
         self.busy_until = start + xfer;
         start + xfer + self.cfg.latency_ns
     }
@@ -223,6 +249,27 @@ mod tests {
         let mut d = dram();
         d.read_bulk(0, 100);
         assert_eq!(d.bytes_read, 128);
+    }
+
+    #[test]
+    fn memoised_transfer_times_equal_the_formula_on_every_preset() {
+        for cfg in [
+            DramConfig::ddr4_2933_quad(),
+            DramConfig::ddr4_3200_octa(),
+            DramConfig::hbm2_v100(),
+            DramConfig::hbm2e_a100(),
+            DramConfig::gddr5x_titan_xp(),
+        ] {
+            let d = Dram::new(cfg);
+            for span in 0..=2 * TABLE_MAX_SPAN {
+                assert_eq!(
+                    d.xfer_ns(span),
+                    bytes_over_bandwidth_ns(span, d.cfg.bandwidth_gbps),
+                    "{}: {span} B",
+                    d.cfg.name
+                );
+            }
+        }
     }
 
     #[test]

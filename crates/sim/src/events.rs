@@ -5,21 +5,45 @@
 //! bit-reproducible regardless of the event payload type.
 
 use crate::time::Time;
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Key {
+/// A heap entry carries its event; only `(at, seq)` orders it, so the
+/// payload type needs no ordering (nor `Copy`).
+#[derive(Debug)]
+struct Entry<E> {
     at: Time,
     seq: u64,
+    ev: E,
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    /// Reversed: `BinaryHeap` is a max-heap and the earliest entry pops
+    /// first.
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
 }
 
 /// Min-heap of timestamped events with FIFO tie-breaking.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<(Key, usize)>>,
-    slots: Vec<Option<E>>,
-    free: Vec<usize>,
+    heap: BinaryHeap<Entry<E>>,
     seq: u64,
 }
 
@@ -33,40 +57,27 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         Self {
             heap: BinaryHeap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
             seq: 0,
         }
     }
 
     /// Schedule `event` to fire at absolute time `at`.
+    #[inline]
     pub fn push(&mut self, at: Time, event: E) {
-        let key = Key { at, seq: self.seq };
+        let seq = self.seq;
         self.seq += 1;
-        let slot = match self.free.pop() {
-            Some(i) => {
-                self.slots[i] = Some(event);
-                i
-            }
-            None => {
-                self.slots.push(Some(event));
-                self.slots.len() - 1
-            }
-        };
-        self.heap.push(Reverse((key, slot)));
+        self.heap.push(Entry { at, seq, ev: event });
     }
 
     /// Remove and return the earliest event (FIFO among equal timestamps).
+    #[inline]
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        let Reverse((key, slot)) = self.heap.pop()?;
-        let ev = self.slots[slot].take().expect("event slot occupied");
-        self.free.push(slot);
-        Some((key.at, ev))
+        self.heap.pop().map(|e| (e.at, e.ev))
     }
 
     /// Timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|Reverse((k, _))| k.at)
+        self.heap.peek().map(|e| e.at)
     }
 
     pub fn len(&self) -> usize {
@@ -81,6 +92,8 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn pops_in_time_order() {
@@ -105,19 +118,37 @@ mod tests {
         }
     }
 
+    /// Random interleaved pushes and pops against the definition: a pop
+    /// returns the pending event that is first in a stable sort by
+    /// `(at, push order)`. The payload is neither `Copy` nor `Ord`.
     #[test]
-    fn slots_are_recycled() {
+    fn random_interleaving_equals_a_stable_sort() {
+        #[derive(Debug, PartialEq)]
+        struct Payload(String);
+        let mut rng = StdRng::seed_from_u64(20260928);
         let mut q = EventQueue::new();
-        for round in 0..10u64 {
-            for i in 0..8u64 {
-                q.push(round * 10 + i, i);
+        let mut pending: Vec<(Time, u64)> = Vec::new();
+        let mut pushed = 0u64;
+        for _ in 0..20_000 {
+            if pending.is_empty() || rng.gen_bool(0.55) {
+                // Few distinct times, so ties are the common case.
+                let at = rng.gen_range(0..64u64);
+                q.push(at, Payload(pushed.to_string()));
+                pending.push((at, pushed));
+                pushed += 1;
+            } else {
+                let first = *pending.iter().min().expect("non-empty");
+                pending.retain(|&p| p != first);
+                assert_eq!(q.peek_time(), Some(first.0));
+                assert_eq!(q.pop(), Some((first.0, Payload(first.1.to_string()))));
             }
-            for _ in 0..8 {
-                q.pop().unwrap();
-            }
+            assert_eq!(q.len(), pending.len());
         }
-        // 8 live slots at most, reused across rounds.
-        assert!(q.slots.len() <= 8, "slots grew to {}", q.slots.len());
+        pending.sort_unstable();
+        for (at, id) in pending {
+            assert_eq!(q.pop(), Some((at, Payload(id.to_string()))));
+        }
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -144,10 +144,20 @@ struct WaitingRead {
     size: u32,
 }
 
+/// Largest read with a memoised completion time; zero-copy reads are one
+/// to four 32-byte sectors.
+const MAX_SECTOR_READ: u32 = 128;
+
 /// The link itself: tag pool + two busy-until wire resources.
 #[derive(Debug, Clone)]
 pub struct PcieLink {
     cfg: PcieConfig,
+    /// Wire time of one read-request TLP, and of the completion TLP of a
+    /// read of `i` sectors: `bytes_over_bandwidth_ns` of exactly the bytes
+    /// `issue` would pass it, computed once instead of per read. The
+    /// tables *are* the formula, memoised.
+    request_ns: Time,
+    completion_ns: [Time; (MAX_SECTOR_READ / 32) as usize + 1],
     tags_free: u32,
     waiting: VecDeque<WaitingRead>,
     uplink_free: Time,
@@ -157,7 +167,12 @@ pub struct PcieLink {
 impl PcieLink {
     pub fn new(cfg: PcieConfig) -> Self {
         let tags_free = cfg.max_tags;
+        let wire_ns = |bytes: u32| bytes_over_bandwidth_ns(u64::from(bytes), cfg.usable_gbps());
         Self {
+            request_ns: wire_ns(cfg.request_header_bytes),
+            completion_ns: std::array::from_fn(|i| {
+                wire_ns(i as u32 * 32 + cfg.completion_header_bytes)
+            }),
             cfg,
             tags_free,
             waiting: VecDeque::new(),
@@ -178,7 +193,21 @@ impl PcieLink {
         self.waiting.len()
     }
 
+    /// Wire time of the completion TLP of a `size`-byte read.
+    #[inline]
+    fn completion_ns(&self, size: u32) -> Time {
+        if size.is_multiple_of(32) && size <= MAX_SECTOR_READ {
+            self.completion_ns[(size / 32) as usize]
+        } else {
+            bytes_over_bandwidth_ns(
+                u64::from(size + self.cfg.completion_header_bytes),
+                self.cfg.usable_gbps(),
+            )
+        }
+    }
+
     /// Submit a zero-copy read of `[addr, addr+size)` from host memory.
+    #[inline]
     pub fn read(
         &mut self,
         now: Time,
@@ -200,6 +229,7 @@ impl PcieLink {
     /// completion with the monitor, and issues as many waiting reads as
     /// newly possible; each is appended to `released` with its completion
     /// time so the caller can schedule events for them.
+    #[inline]
     pub fn complete(
         &mut self,
         now: Time,
@@ -220,6 +250,7 @@ impl PcieLink {
         }
     }
 
+    #[inline]
     fn issue(
         &mut self,
         now: Time,
@@ -233,11 +264,7 @@ impl PcieLink {
         monitor.on_read_issued(now, size);
         // GPU -> host: request TLP (header only) serializes on the uplink.
         let up_start = now.max(self.uplink_free);
-        let up_end = up_start
-            + bytes_over_bandwidth_ns(
-                u64::from(self.cfg.request_header_bytes),
-                self.cfg.usable_gbps(),
-            );
+        let up_end = up_start + self.request_ns;
         self.uplink_free = up_end;
         monitor.wire_bytes += u64::from(self.cfg.request_header_bytes);
         // Root complex reads host DRAM.
@@ -245,11 +272,7 @@ impl PcieLink {
         let data_ready = host_dram.read(arrive, addr, size);
         // host -> GPU: completion TLP serializes on the downlink.
         let down_start = data_ready.max(self.downlink_free);
-        let down_end = down_start
-            + bytes_over_bandwidth_ns(
-                u64::from(size + self.cfg.completion_header_bytes),
-                self.cfg.usable_gbps(),
-            );
+        let down_end = down_start + self.completion_ns(size);
         self.downlink_free = down_end;
         down_end + self.cfg.propagation_ns
     }
@@ -334,6 +357,24 @@ mod tests {
             (1_000..=1_800).contains(&complete_at),
             "unloaded RTT {complete_at} ns outside the plausible window"
         );
+    }
+
+    #[test]
+    fn memoised_wire_times_equal_the_formula_on_every_preset() {
+        for gen in [PcieGen::Gen3x16, PcieGen::Gen4x16] {
+            let link = PcieLink::new(gen.config());
+            let cfg = link.config();
+            let wire_ns = |bytes: u32| bytes_over_bandwidth_ns(u64::from(bytes), cfg.usable_gbps());
+            assert_eq!(link.request_ns, wire_ns(cfg.request_header_bytes));
+            for size in 0..=512 {
+                assert_eq!(
+                    link.completion_ns(size),
+                    wire_ns(size + cfg.completion_header_bytes),
+                    "{}: {size} B",
+                    gen.name()
+                );
+            }
+        }
     }
 
     #[test]
