@@ -92,7 +92,7 @@ impl HaloSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emogi_core::EdgePlacement;
+    use emogi_core::Transport;
     use emogi_graph::{algo, generators};
 
     fn uvm_cfg() -> EngineConfig {
@@ -177,6 +177,6 @@ mod tests {
         let run = halo.bfs(0);
         assert_eq!(run.stats.pcie_read_requests, 0);
         assert!(run.stats.pages_migrated > 0);
-        assert_eq!(halo.cfg.placement, EdgePlacement::Uvm);
+        assert!(matches!(halo.cfg.transport, Transport::Uvm));
     }
 }

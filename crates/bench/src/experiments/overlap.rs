@@ -58,17 +58,6 @@ impl Measurement {
     }
 }
 
-fn cfg(ctx: &Context, pipelined: bool) -> EngineConfig {
-    let c = EngineConfig::hybrid_v100()
-        .with_machine(scaled_machine(ctx.scale))
-        .with_elem_bytes(4);
-    if pipelined {
-        c.pipelined()
-    } else {
-        c
-    }
-}
-
 /// Run every program twice — synchronous hybrid, then pipelined hybrid —
 /// on the same GK placement protocol, keyed by program name.
 pub fn measure(ctx: &Context) -> Results<&'static str, Measurement> {
@@ -78,8 +67,12 @@ pub fn measure(ctx: &Context) -> Results<&'static str, Measurement> {
     for series in Series::all(&sources) {
         let program = series.name();
         eprintln!("  [overlap] {program} GK ...");
-        let [sync, pipe] = [false, true].map(|pipelined| {
-            let mut engine = Engine::load(cfg(ctx, pipelined), &gk.graph);
+        let presets = [EngineConfig::hybrid_v100(), EngineConfig::pipelined_v100()];
+        let [sync, pipe] = presets.map(|preset| {
+            let cfg = preset
+                .with_machine(scaled_machine(ctx.scale))
+                .with_elem_bytes(4);
+            let mut engine = Engine::load(cfg, &gk.graph);
             cell::run(&mut engine, series, &gk, None)
         });
         assert_eq!(

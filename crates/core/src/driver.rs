@@ -37,10 +37,11 @@
 use crate::batch::merge_frontiers;
 use crate::engine::EngineConfig;
 use crate::kernel::{ProgramKernel, Work, WorkList, WorkSlice};
-use crate::layout::{EdgePlacement, GraphLayout};
+use crate::layout::{GraphLayout, Transport};
 use crate::program::{AccessPattern, DeviceWork, VertexProgram};
 use crate::sharded::{FRONTIER_UPDATE_BYTES, HUB_SPLIT_DEGREE};
 use crate::strategy::AccessStrategy;
+use emogi_gpu::access::Space;
 use emogi_graph::{CsrGraph, VertexId, VertexPartition};
 use emogi_runtime::exec::run_kernel;
 use emogi_runtime::group::DeviceGroup;
@@ -77,17 +78,21 @@ impl Devices for DeviceGroup {
     }
 }
 
+/// Hybrid transport state: the per-region zero-copy / DMA transfer
+/// manager and, when pipelined, the speculative prefetcher feeding its
+/// asynchronous copy lane.
+struct Staging {
+    manager: TransferManager,
+    prefetcher: Option<Prefetcher>,
+}
+
 /// Everything placed on one device: the graph's arrays and the state
 /// that manages them across runs.
 pub(crate) struct Placement {
     /// Where the graph's arrays live on the machine.
     pub layout: GraphLayout,
-    /// Hybrid mode: the per-region zero-copy / DMA transfer manager.
-    transfer: Option<TransferManager>,
-    /// Pipelined execution: the speculative prefetcher feeding the
-    /// asynchronous copy lane (present only when `transfer` is too — the
-    /// knob is inert without one, there is nothing to stage).
-    prefetcher: Option<Prefetcher>,
+    /// Present exactly under [`Transport::Hybrid`].
+    staging: Option<Staging>,
     /// Device status arrays for batched multi-query execution, one per
     /// query slot, allocated on first use and reused across batches.
     batch_status: Vec<u64>,
@@ -100,27 +105,26 @@ impl Placement {
     /// the machine's PCIe cost model so hidden-latency estimates match
     /// the synchronous DMA path.
     fn place(machine: &mut Machine, graph: &CsrGraph, cfg: &EngineConfig) -> Self {
-        let layout = GraphLayout::place(machine, graph, cfg.elem_bytes, cfg.placement, false);
-        let transfer = cfg.transfer.clone().map(|tcfg| {
-            assert_eq!(
-                cfg.placement,
-                EdgePlacement::ZeroCopyHost,
-                "hybrid transfers manage the pinned-host edge list"
-            );
-            let bytes = graph.edge_list_bytes(cfg.elem_bytes);
-            TransferManager::with_tiers(machine, bytes, layout.host_edge_bytes, tcfg)
-        });
-        let prefetcher = transfer
-            .as_ref()
-            .zip(cfg.pipeline.clone())
-            .map(|(tm, pcfg)| {
-                let copy = CopyEngineConfig::from_pcie(&machine.cfg.pcie);
-                Prefetcher::new(tm.num_regions(), pcfg, copy)
-            });
+        let layout = GraphLayout::place(machine, graph, cfg.elem_bytes, &cfg.transport);
+        let staging = match &cfg.transport {
+            Transport::Hybrid { transfer, prefetch } => {
+                let bytes = graph.edge_list_bytes(cfg.elem_bytes);
+                let host = layout.host_edge_bytes;
+                let manager = TransferManager::with_tiers(machine, bytes, host, transfer.clone());
+                let prefetcher = prefetch.clone().map(|pcfg| {
+                    let copy = CopyEngineConfig::from_pcie(&machine.cfg.pcie);
+                    Prefetcher::new(manager.num_regions(), pcfg, copy)
+                });
+                Some(Staging {
+                    manager,
+                    prefetcher,
+                })
+            }
+            Transport::ZeroCopy | Transport::Uvm => None,
+        };
         Self {
             layout,
-            transfer,
-            prefetcher,
+            staging,
             batch_status: Vec::new(),
         }
     }
@@ -129,21 +133,20 @@ impl Placement {
     /// space, if not already placed. The edge-space bump allocator is
     /// independent of the device one, so the array lands at the same
     /// address it would have at load time.
-    fn ensure_edge_data(&mut self, machine: &mut Machine, graph: &CsrGraph, at: EdgePlacement) {
+    fn ensure_edge_data(&mut self, machine: &mut Machine, graph: &CsrGraph) {
         if self.layout.weight_base.is_some() {
             return;
         }
         let bytes = graph.num_edges() as u64 * 4;
-        self.layout.weight_base = Some(match at {
-            EdgePlacement::ZeroCopyHost => machine.alloc_host_pinned(bytes),
-            EdgePlacement::Uvm => {
-                assert!(
-                    machine.uvm.is_none(),
-                    "place edge data before the first managed kernel runs \
-                     (the UVM driver's span is fixed at initialization)"
-                );
-                machine.alloc_managed(bytes)
-            }
+        self.layout.weight_base = Some(if self.layout.edge_space == Space::Managed {
+            assert!(
+                machine.uvm.is_none(),
+                "place edge data before the first managed kernel runs \
+                 (the UVM driver's span is fixed at initialization)"
+            );
+            machine.alloc_managed(bytes)
+        } else {
+            machine.alloc_host_pinned(bytes)
         });
     }
 
@@ -168,8 +171,8 @@ impl Placement {
                 break;
             }
             let base = machine.alloc_device(bytes);
-            if let Some(tm) = self.transfer.as_mut() {
-                tm.reserve(bytes);
+            if let Some(st) = self.staging.as_mut() {
+                st.manager.reserve(bytes);
             }
             self.batch_status.push(base);
         }
@@ -183,20 +186,20 @@ impl Placement {
     /// the asynchronous lane with the next iteration's predicted regions
     /// so their copies overlap the kernel launched right after.
     fn plan(&mut self, machine: &mut Machine, ranges: impl IntoIterator<Item = (u64, u64)>) {
-        let Some(tm) = self.transfer.as_mut() else {
+        let Some(st) = self.staging.as_mut() else {
             return;
         };
-        let changed = match self.prefetcher.as_mut() {
-            Some(p) => tm.plan_iteration_pipelined(machine, ranges, p),
-            None => tm.plan_iteration(machine, ranges),
+        let changed = match st.prefetcher.as_mut() {
+            Some(p) => st.manager.plan_iteration_pipelined(machine, ranges, p),
+            None => st.manager.plan_iteration(machine, ranges),
         };
         // Refresh only on change: a run that never stages keeps
         // `staged_edges == None` and the address path free of lookups.
         if changed {
-            self.layout.staged_edges = Some(tm.region_map());
+            self.layout.staged_edges = Some(st.manager.region_map());
         }
-        if let Some(p) = self.prefetcher.as_mut() {
-            tm.prefetch_for_next(machine.now, p);
+        if let Some(p) = st.prefetcher.as_mut() {
+            st.manager.prefetch_for_next(machine.now, p);
         }
     }
 
@@ -204,11 +207,11 @@ impl Placement {
     /// transfer manager's and prefetcher's, which live outside it.
     fn counters(&self, machine: &Machine) -> RunStats {
         let mut c = machine.counters();
-        if let Some(t) = &self.transfer {
-            c.transfer = t.stats;
-        }
-        if let Some(p) = &self.prefetcher {
-            c.prefetch = p.stats;
+        if let Some(st) = &self.staging {
+            c.transfer = st.manager.stats;
+            if let Some(p) = &st.prefetcher {
+                c.prefetch = p.stats;
+            }
         }
         c
     }
@@ -256,7 +259,6 @@ pub(crate) struct Driver<'g> {
     pub graph: &'g CsrGraph,
     /// The kernel-level access strategy every launch uses.
     pub strategy: AccessStrategy,
-    placement: EdgePlacement,
     /// Vertex ownership, one shard per device.
     pub partition: VertexPartition,
     /// Per-device placements; identical bases on every device.
@@ -280,7 +282,6 @@ impl<'g> Driver<'g> {
         Self {
             graph,
             strategy: cfg.strategy,
-            placement: cfg.placement,
             partition,
             places: machines
                 .iter_mut()
@@ -352,7 +353,7 @@ impl<'g> Driver<'g> {
         );
         if programs[0].uses_edge_data() {
             for (m, p) in devices.machines().iter_mut().zip(&mut self.places) {
-                p.ensure_edge_data(m, self.graph, self.placement);
+                p.ensure_edge_data(m, self.graph);
             }
         }
         let run_meter = Meter::open(devices.machines(), &self.places);
@@ -540,6 +541,7 @@ mod tests {
     use emogi_graph::{generators, PartitionStrategy};
     use emogi_runtime::group::DeviceGroupConfig;
     use emogi_runtime::machine::MachineConfig;
+    use emogi_runtime::{PrefetchConfig, TransferConfig};
     use emogi_sim::cxl::CxlConfig;
 
     fn driver(graph: &CsrGraph, devices: usize) -> (Vec<Machine>, Driver<'_>) {
@@ -709,12 +711,17 @@ mod tests {
     #[test]
     fn counter_diffs_of_adjacent_spans_fold_into_the_diff_of_the_whole() {
         let g = generators::kronecker(12, 16, 7);
-        let mut cfg = EngineConfig::pipelined_v100();
+        let mut cfg = EngineConfig::emogi_v100().with_transport(Transport::Hybrid {
+            transfer: TransferConfig {
+                region_bytes: 4 << 10,
+                ..TransferConfig::default()
+            },
+            prefetch: Some(PrefetchConfig::default()),
+        });
         cfg.machine = cfg
             .machine
             .with_cxl(CxlConfig::external_x8())
             .with_host_capacity(g.edge_list_bytes(cfg.elem_bytes) / 2);
-        cfg.transfer.as_mut().unwrap().region_bytes = 4 << 10;
         let (mut machines, mut one) = driver_with(&cfg, &g, 1, PartitionStrategy::Contiguous);
         let hub = (0..g.num_vertices() as u32)
             .max_by_key(|&v| g.degree(v))

@@ -23,7 +23,7 @@ use crate::batch::BatchRun;
 use crate::bfs::{BfsOutput, BfsProgram};
 use crate::cc::{CcOutput, CcProgram};
 use crate::driver::Driver;
-use crate::layout::{EdgePlacement, GraphLayout};
+use crate::layout::{GraphLayout, Transport};
 use crate::pagerank::{PageRankOutput, PageRankProgram};
 use crate::program::{AccessPattern, VertexProgram};
 use crate::sssp::{SsspOutput, SsspProgram};
@@ -40,22 +40,11 @@ pub struct EngineConfig {
     pub machine: MachineConfig,
     /// Kernel-level access strategy (Naive / Merged / Merged+Aligned).
     pub strategy: AccessStrategy,
-    /// Where the edge list lives (pinned host vs managed memory).
-    pub placement: EdgePlacement,
+    /// Where the edge list lives and how it reaches the GPU.
+    pub transport: Transport,
     /// Simulated edge element size: 8 by default, 4 for the Subway
     /// comparison (§5.6).
     pub elem_bytes: u64,
-    /// Hybrid mode: stage hot edge-list regions into device memory via
-    /// the runtime's transfer manager. Requires `ZeroCopyHost` placement.
-    pub transfer: Option<TransferConfig>,
-    /// Pipelined execution: overlap hybrid staging DMA with kernel
-    /// compute by speculatively prefetching predicted-reuse regions onto
-    /// an asynchronous copy lane. Inert unless `transfer` is also set —
-    /// the knob can therefore stay on while sweeping access modes, and
-    /// only the hybrid mode pipelines. Outputs, iteration counts and
-    /// traffic counters are bit-identical to the synchronous path; only
-    /// elapsed time (and the [`RunStats::prefetch`] counters) change.
-    pub pipeline: Option<PrefetchConfig>,
 }
 
 impl EngineConfig {
@@ -64,24 +53,17 @@ impl EngineConfig {
         Self {
             machine: MachineConfig::v100_gen3(),
             strategy: AccessStrategy::MergedAligned,
-            placement: EdgePlacement::ZeroCopyHost,
+            transport: Transport::ZeroCopy,
             elem_bytes: 8,
-            transfer: None,
-            pipeline: None,
         }
     }
 
     /// The paper's optimized UVM baseline: same kernels, edge list in
     /// managed memory with read-duplication (§5.1.2 (a)).
     pub fn uvm_v100() -> Self {
-        Self {
-            machine: MachineConfig::v100_gen3(),
-            strategy: AccessStrategy::Merged,
-            placement: EdgePlacement::Uvm,
-            elem_bytes: 8,
-            transfer: None,
-            pipeline: None,
-        }
+        Self::emogi_v100()
+            .with_strategy(AccessStrategy::Merged)
+            .with_transport(Transport::Uvm)
     }
 
     /// Hybrid transport on the V100 platform: merged + aligned kernels,
@@ -95,7 +77,10 @@ impl EngineConfig {
     /// [`hybrid_v100`](Self::hybrid_v100) with staging DMA overlapped
     /// behind kernel compute via the default prefetcher.
     pub fn pipelined_v100() -> Self {
-        Self::hybrid_v100().with_pipeline(PrefetchConfig::default())
+        Self::emogi_v100().with_transport(Transport::Hybrid {
+            transfer: TransferConfig::default(),
+            prefetch: Some(PrefetchConfig::default()),
+        })
     }
 
     /// Replace only the kernel-level access strategy.
@@ -104,32 +89,26 @@ impl EngineConfig {
         self
     }
 
-    /// Select a full access mode. A mode bundles kernel strategy *and*
-    /// transport, so this always sets `ZeroCopyHost` placement —
-    /// overwriting a previously configured UVM placement — and clears
-    /// any transfer manager for the three pure zero-copy modes;
-    /// `Hybrid` installs the default one. To vary only the kernel
-    /// strategy of a UVM configuration, use
-    /// [`with_strategy`](Self::with_strategy) instead.
-    pub fn with_mode(mut self, mode: AccessMode) -> Self {
-        self.strategy = mode.strategy();
-        self.placement = EdgePlacement::ZeroCopyHost;
-        self.transfer = mode.is_hybrid().then(TransferConfig::default);
+    /// Replace only the transport.
+    pub fn with_transport(mut self, t: Transport) -> Self {
+        self.transport = t;
         self
     }
 
-    /// Enable pipelined execution with `pipeline` (see
-    /// [`EngineConfig::pipeline`]; inert unless a transfer manager is
-    /// configured too). [`with_mode`](Self::with_mode) does not clear
-    /// this knob, so it composes with mode sweeps.
-    pub fn with_pipeline(mut self, pipeline: PrefetchConfig) -> Self {
-        self.pipeline = Some(pipeline);
-        self
-    }
-
-    /// Enable pipelined execution with the default prefetcher.
-    pub fn pipelined(self) -> Self {
-        self.with_pipeline(PrefetchConfig::default())
+    /// Select a full access mode: its kernel strategy, over
+    /// [`Transport::ZeroCopy`] for the three pure zero-copy modes and
+    /// the default synchronous [`Transport::Hybrid`] for `Hybrid`.
+    pub fn with_mode(self, mode: AccessMode) -> Self {
+        let transport = if mode.is_hybrid() {
+            Transport::Hybrid {
+                transfer: TransferConfig::default(),
+                prefetch: None,
+            }
+        } else {
+            Transport::ZeroCopy
+        };
+        self.with_strategy(mode.strategy())
+            .with_transport(transport)
     }
 
     /// Replace the simulated platform.
@@ -348,6 +327,53 @@ mod tests {
     use crate::sssp::INF;
     use emogi_graph::datasets::generate_weights;
     use emogi_graph::{algo, generators};
+
+    /// Every way of choosing a transport, and what it leaves behind.
+    #[test]
+    fn presets_and_modes_select_the_expected_strategy_and_transport() {
+        use AccessStrategy::{Merged, MergedAligned, Naive};
+        fn shape(cfg: &EngineConfig) -> (AccessStrategy, &'static str) {
+            let transport = match &cfg.transport {
+                Transport::ZeroCopy => "zero-copy",
+                Transport::Uvm => "uvm",
+                Transport::Hybrid { prefetch: None, .. } => "hybrid",
+                Transport::Hybrid {
+                    prefetch: Some(_), ..
+                } => "hybrid+prefetch",
+            };
+            (cfg.strategy, transport)
+        }
+        let presets: [(fn() -> EngineConfig, _); 4] = [
+            (EngineConfig::emogi_v100, (MergedAligned, "zero-copy")),
+            (EngineConfig::uvm_v100, (Merged, "uvm")),
+            (EngineConfig::hybrid_v100, (MergedAligned, "hybrid")),
+            (
+                EngineConfig::pipelined_v100,
+                (MergedAligned, "hybrid+prefetch"),
+            ),
+        ];
+        for (i, (preset, want)) in presets.into_iter().enumerate() {
+            assert_eq!(shape(&preset()), want, "preset {i}");
+            // A strategy is only a strategy ...
+            let cfg = preset().with_strategy(Naive);
+            assert_eq!(shape(&cfg), (Naive, want.1), "preset {i}.with_strategy");
+            // ... a mode is strategy *and* transport: it replaces both,
+            // whatever was configured — UVM and a prefetcher included.
+            for mode in AccessMode::all() {
+                let transport = if mode.is_hybrid() {
+                    "hybrid"
+                } else {
+                    "zero-copy"
+                };
+                let cfg = preset().with_mode(mode);
+                assert_eq!(
+                    shape(&cfg),
+                    (mode.strategy(), transport),
+                    "preset {i}.with_mode({mode:?})"
+                );
+            }
+        }
+    }
 
     #[test]
     fn emogi_bfs_matches_reference_end_to_end() {

@@ -369,7 +369,7 @@ impl<P: VertexProgram> Kernel for ProgramKernel<'_, P> {
 mod tests {
     use super::*;
     use crate::bfs::BfsProgram;
-    use crate::layout::EdgePlacement;
+    use crate::layout::Transport;
     use emogi_graph::{algo, generators};
     use emogi_runtime::machine::MachineConfig;
     use emogi_runtime::{exec, Machine};
@@ -408,7 +408,7 @@ mod tests {
         for strategy in AccessStrategy::all() {
             let g = generators::uniform_random(500, 6, 42);
             let mut m = Machine::new(MachineConfig::v100_gen3());
-            let layout = GraphLayout::place(&mut m, &g, 8, EdgePlacement::ZeroCopyHost, false);
+            let layout = GraphLayout::place(&mut m, &g, 8, &Transport::ZeroCopy);
             let mut progs = [BfsProgram::new(&g, 3)];
             let mut frontier = vec![3u32];
             while !frontier.is_empty() {
@@ -451,7 +451,7 @@ mod tests {
             let items = full_items(&g, &[5]);
             let launch = |progs: &mut [BfsProgram], masks: &[u64], bases: &[u64]| {
                 let mut m = Machine::new(MachineConfig::v100_gen3());
-                let layout = GraphLayout::place(&mut m, &g, 8, EdgePlacement::ZeroCopyHost, false);
+                let layout = GraphLayout::place(&mut m, &g, 8, &Transport::ZeroCopy);
                 for p in progs.iter_mut() {
                     p.begin_iteration();
                 }
@@ -485,7 +485,7 @@ mod tests {
         let w = vec![1u32; g.num_edges()];
         let mut m = Machine::new(MachineConfig::v100_gen3());
         // Placed *without* the weight array.
-        let layout = GraphLayout::place(&mut m, &g, 8, EdgePlacement::ZeroCopyHost, false);
+        let layout = GraphLayout::place(&mut m, &g, 8, &Transport::ZeroCopy);
         let mut progs = [SsspProgram::new(&g, &w, 0)];
         let items = full_items(&g, &[0]);
         let work = Work::capture(WorkList::Slices(&items), &[], &progs, &g);

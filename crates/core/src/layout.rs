@@ -4,11 +4,13 @@
 //! memory as it doesn't fit in GPU memory, but other small data structures
 //! such as buffers and the vertex list are allocated in GPU memory." The
 //! UVM baseline (§5.1.2) differs only in putting the edge list (and the
-//! weight list, for SSSP) into the managed space.
+//! weight list, for SSSP) into the managed space. That one decision —
+//! where the edge list lives and how it reaches the GPU — is a
+//! [`Transport`].
 
 use emogi_gpu::access::Space;
 use emogi_graph::CsrGraph;
-use emogi_runtime::{Machine, RegionMap, CXL_BASE, HOST_BASE};
+use emogi_runtime::{Machine, PrefetchConfig, RegionMap, TransferConfig, CXL_BASE, HOST_BASE};
 
 /// Granularity of the host/CXL split when the edge list spills past a
 /// bounded host DRAM: the host-resident prefix is aligned down to 64 KiB
@@ -18,31 +20,29 @@ use emogi_runtime::{Machine, RegionMap, CXL_BASE, HOST_BASE};
 /// boundary assertion.
 pub const SPILL_ALIGN: u64 = 64 << 10;
 
-/// Which memory mechanism serves the edge list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EdgePlacement {
+/// Where the edge list lives and how it reaches the GPU. Every value is
+/// a complete, legal configuration: staging exists only over pinned host
+/// memory, and a prefetcher only next to the transfer manager it feeds.
+#[derive(Debug, Clone)]
+pub enum Transport {
     /// EMOGI: pinned host memory, zero-copy cache-line reads.
-    ZeroCopyHost,
+    ZeroCopy,
     /// Baseline: UVM-managed memory, 4 KiB page migration on fault.
     Uvm,
-}
-
-impl EdgePlacement {
-    /// The simulated address space this placement maps to.
-    pub fn space(self) -> Space {
-        match self {
-            EdgePlacement::ZeroCopyHost => Space::HostPinned,
-            EdgePlacement::Uvm => Space::Managed,
-        }
-    }
-
-    /// Display name of the placement.
-    pub fn name(self) -> &'static str {
-        match self {
-            EdgePlacement::ZeroCopyHost => "zero-copy",
-            EdgePlacement::Uvm => "UVM",
-        }
-    }
+    /// Pinned host memory, with dense / recurring regions bulk-staged
+    /// into device memory by the runtime's transfer manager and the rest
+    /// read zero-copy.
+    Hybrid {
+        /// The transfer manager's region size, pool budget and policy.
+        transfer: TransferConfig,
+        /// Pipelined execution: overlap the staging DMA with kernel
+        /// compute by speculatively prefetching predicted-reuse regions
+        /// onto an asynchronous copy lane; `None` stages synchronously.
+        /// Outputs, iteration counts and traffic counters are
+        /// bit-identical either way; only elapsed time (and the
+        /// `RunStats::prefetch` counters) change.
+        prefetch: Option<PrefetchConfig>,
+    },
 }
 
 /// Simulated addresses of every array a traversal kernel touches.
@@ -50,8 +50,8 @@ impl EdgePlacement {
 pub struct GraphLayout {
     /// Edge list base (host-pinned or managed).
     pub edge_base: u64,
-    /// Edge weights base (same space as the edge list); only present when
-    /// the layout was built with weights.
+    /// Edge weights base (same space as the edge list); placed by the
+    /// driver when the first program that streams edge data runs.
     pub weight_base: Option<u64>,
     /// Vertex list (CSR offsets) in device memory, 8-byte entries.
     pub vertex_base: u64,
@@ -77,28 +77,22 @@ pub struct GraphLayout {
 
 impl GraphLayout {
     /// Allocate the arrays for `graph` on `machine` per the placement
-    /// discipline above.
+    /// discipline above. A pinned-host edge list that exceeds a bounded
+    /// host DRAM spills its tail into the CXL tier.
     pub fn place(
         machine: &mut Machine,
         graph: &CsrGraph,
         elem_bytes: u64,
-        placement: EdgePlacement,
-        with_weights: bool,
+        transport: &Transport,
     ) -> GraphLayout {
         assert!(
             elem_bytes == 4 || elem_bytes == 8,
             "CSR elements are 4 or 8 bytes"
         );
         let edge_bytes = graph.num_edges() as u64 * elem_bytes;
-        let weight_bytes = graph.num_edges() as u64 * 4;
-        let (edge_base, weight_base, host_edge_bytes, cxl_edge_base) = match placement {
-            EdgePlacement::ZeroCopyHost => {
-                // Weights (when present) stay host-resident: only the
-                // edge-list tail spills, so reserve their bytes up front.
-                let avail =
-                    machine
-                        .host_free()
-                        .saturating_sub(if with_weights { weight_bytes } else { 0 });
+        let (edge_space, edge_base, host_edge_bytes, cxl_edge_base) = match transport {
+            Transport::ZeroCopy | Transport::Hybrid { .. } => {
+                let avail = machine.host_free();
                 let host_part = if avail >= edge_bytes {
                     edge_bytes
                 } else {
@@ -113,25 +107,22 @@ impl GraphLayout {
                 );
                 let edge_base = machine.alloc_host_pinned(host_part);
                 let cxl_edge_base = (spill > 0).then(|| machine.alloc_cxl(spill));
-                let weight_base = with_weights.then(|| machine.alloc_host_pinned(weight_bytes));
-                (edge_base, weight_base, host_part, cxl_edge_base)
+                (Space::HostPinned, edge_base, host_part, cxl_edge_base)
             }
-            EdgePlacement::Uvm => (
-                machine.alloc_managed(edge_bytes),
-                with_weights.then(|| machine.alloc_managed(weight_bytes)),
-                edge_bytes,
-                None,
-            ),
+            Transport::Uvm => {
+                let edge_base = machine.alloc_managed(edge_bytes);
+                (Space::Managed, edge_base, edge_bytes, None)
+            }
         };
         let vertex_base = machine.alloc_device(graph.vertex_list_bytes());
         let status_base = machine.alloc_device(graph.num_vertices() as u64 * 4);
         GraphLayout {
             edge_base,
-            weight_base,
+            weight_base: None,
             vertex_base,
             status_base,
             elem_bytes,
-            edge_space: placement.space(),
+            edge_space,
             host_edge_bytes,
             cxl_edge_base,
             staged_edges: None,
@@ -201,20 +192,19 @@ mod tests {
     fn zero_copy_placement_uses_pinned_host() {
         let mut m = Machine::new(MachineConfig::v100_gen3());
         let g = generators::uniform_random(1000, 8, 1);
-        let l = GraphLayout::place(&mut m, &g, 8, EdgePlacement::ZeroCopyHost, true);
+        let l = GraphLayout::place(&mut m, &g, 8, &Transport::ZeroCopy);
         assert!(l.edge_base >= HOST_BASE);
-        assert!(l.weight_base.unwrap() >= HOST_BASE);
+        assert!(l.weight_base.is_none(), "weights are placed on demand");
         assert!(l.vertex_base >= DEVICE_BASE && l.vertex_base < HOST_BASE);
         assert_eq!(l.elems_per_line(), 16);
         assert_eq!(l.edge_addr(2), l.edge_base + 16);
-        assert_eq!(l.weight_addr(2), l.weight_base.unwrap() + 8);
     }
 
     #[test]
     fn uvm_placement_uses_managed_space() {
         let mut m = Machine::new(MachineConfig::v100_gen3());
         let g = generators::uniform_random(1000, 8, 1);
-        let l = GraphLayout::place(&mut m, &g, 8, EdgePlacement::Uvm, false);
+        let l = GraphLayout::place(&mut m, &g, 8, &Transport::Uvm);
         assert!(l.edge_base >= MANAGED_BASE);
         assert!(l.weight_base.is_none());
         assert_eq!(l.edge_space, Space::Managed);
@@ -224,7 +214,7 @@ mod tests {
     fn four_byte_elements() {
         let mut m = Machine::new(MachineConfig::v100_gen3());
         let g = generators::uniform_random(100, 4, 1);
-        let l = GraphLayout::place(&mut m, &g, 4, EdgePlacement::ZeroCopyHost, false);
+        let l = GraphLayout::place(&mut m, &g, 4, &Transport::ZeroCopy);
         assert_eq!(l.elems_per_line(), 32);
         assert_eq!(l.edge_addr(3), l.edge_base + 12);
     }
@@ -233,7 +223,7 @@ mod tests {
     fn unbounded_host_never_spills() {
         let mut m = Machine::new(MachineConfig::v100_gen3());
         let g = generators::uniform_random(1000, 8, 1);
-        let l = GraphLayout::place(&mut m, &g, 8, EdgePlacement::ZeroCopyHost, false);
+        let l = GraphLayout::place(&mut m, &g, 8, &Transport::ZeroCopy);
         assert_eq!(l.host_edge_bytes, g.num_edges() as u64 * 8);
         assert!(l.cxl_edge_base.is_none());
         assert_eq!(l.edge_addr_space(l.edge_base), Space::HostPinned);
@@ -249,7 +239,7 @@ mod tests {
                 .with_cxl(CxlConfig::external_x8())
                 .with_host_capacity(3 << 20),
         );
-        let l = GraphLayout::place(&mut m, &g, 8, EdgePlacement::ZeroCopyHost, false);
+        let l = GraphLayout::place(&mut m, &g, 8, &Transport::ZeroCopy);
         assert_eq!(l.host_edge_bytes, 3 << 20, "prefix aligned to SPILL_ALIGN");
         let cxl = l.cxl_edge_base.expect("tail spilled");
         assert!(cxl >= CXL_BASE);
@@ -269,33 +259,11 @@ mod tests {
     }
 
     #[test]
-    fn spill_reserves_weight_bytes_on_the_host() {
-        use emogi_sim::CxlConfig;
-        let g = generators::uniform_random(100_000, 10, 1);
-        let mut m = Machine::new(
-            MachineConfig::v100_gen3()
-                .with_cxl(CxlConfig::external_x8())
-                .with_host_capacity(6 << 20),
-        );
-        let l = GraphLayout::place(&mut m, &g, 8, EdgePlacement::ZeroCopyHost, true);
-        let weight_bytes = g.num_edges() as u64 * 4;
-        assert!(
-            l.weight_base.unwrap() >= HOST_BASE,
-            "weights stay host-resident"
-        );
-        assert!(
-            l.host_edge_bytes + weight_bytes <= 6 << 20,
-            "edge prefix leaves room for the weights"
-        );
-        assert!(l.cxl_edge_base.is_some());
-    }
-
-    #[test]
     #[should_panic(expected = "no CXL tier")]
     fn spill_without_cxl_tier_is_rejected() {
         let g = generators::uniform_random(100_000, 10, 1);
         let mut m = Machine::new(MachineConfig::v100_gen3().with_host_capacity(1 << 20));
-        let _ = GraphLayout::place(&mut m, &g, 8, EdgePlacement::ZeroCopyHost, false);
+        let _ = GraphLayout::place(&mut m, &g, 8, &Transport::ZeroCopy);
     }
 
     #[test]
@@ -303,6 +271,6 @@ mod tests {
     fn bad_element_size_rejected() {
         let mut m = Machine::new(MachineConfig::v100_gen3());
         let g = generators::uniform_random(10, 2, 1);
-        let _ = GraphLayout::place(&mut m, &g, 16, EdgePlacement::ZeroCopyHost, false);
+        let _ = GraphLayout::place(&mut m, &g, 16, &Transport::ZeroCopy);
     }
 }

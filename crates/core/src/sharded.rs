@@ -68,7 +68,7 @@ pub const HUB_SPLIT_DEGREE: u64 = 256;
 #[derive(Debug, Clone)]
 pub struct ShardedConfig {
     /// The per-device engine configuration (platform, kernel strategy,
-    /// placement, hybrid transfer); every device is identical.
+    /// transport); every device is identical.
     pub engine: EngineConfig,
     /// Simulated GPUs.
     pub devices: usize,

@@ -159,7 +159,6 @@ impl LaneWalk {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::EdgePlacement;
     use emogi_gpu::access::Space;
 
     fn layout() -> GraphLayout {
@@ -169,7 +168,7 @@ mod tests {
             vertex_base: 0x1_0000_0000_0000,
             status_base: 0x1_0000_1000_0000,
             elem_bytes: 8,
-            edge_space: EdgePlacement::ZeroCopyHost.space(),
+            edge_space: Space::HostPinned,
             host_edge_bytes: u64::MAX,
             cxl_edge_base: None,
             staged_edges: None,

@@ -136,16 +136,6 @@ pub fn pagerank(g: &CsrGraph, damping: f64, iterations: u32) -> Vec<f64> {
     rank
 }
 
-/// Eccentricity-ish helper: number of BFS levels from `src` (the paper's
-/// kernel-launch count for BFS, §4.2).
-pub fn bfs_depth(g: &CsrGraph, src: VertexId) -> u32 {
-    bfs_levels(g, src)
-        .into_iter()
-        .filter(|&l| l != UNVISITED)
-        .max()
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,7 +154,6 @@ mod tests {
     fn bfs_on_figure1() {
         let g = figure1();
         assert_eq!(bfs_levels(&g, 4), vec![2, 1, 1, 1, 0]);
-        assert_eq!(bfs_depth(&g, 4), 2);
     }
 
     #[test]

@@ -170,11 +170,6 @@ impl LayoutPlan {
         self.perm.is_empty()
     }
 
-    /// True if the plan leaves every vertex in place.
-    pub fn is_identity(&self) -> bool {
-        self.perm.iter().enumerate().all(|(v, &p)| v as u32 == p)
-    }
-
     /// The forward permutation (`perm[old] = new`).
     pub fn perm(&self) -> &[VertexId] {
         &self.perm
@@ -313,8 +308,6 @@ mod tests {
         assert_inverse(&LayoutPlan::degree_sorted(&g));
         assert_inverse(&LayoutPlan::hub_clustered(&g, 6 << 20, 4));
         assert_inverse(&LayoutPlan::hub_clustered(&g, 256, 4));
-        assert!(LayoutPlan::identity(g.num_vertices()).is_identity());
-        assert!(!LayoutPlan::degree_sorted(&g).is_identity());
     }
 
     #[test]

@@ -91,11 +91,6 @@ impl AddressSpaces {
         self.host_cursor - HOST_BASE
     }
 
-    /// Total CXL external-memory bytes allocated so far.
-    pub fn cxl_used(&self) -> u64 {
-        self.cxl_cursor - CXL_BASE
-    }
-
     /// Total managed bytes allocated so far.
     pub fn managed_used(&self) -> u64 {
         self.managed_cursor - MANAGED_BASE
@@ -165,7 +160,6 @@ mod tests {
         let c2 = a.alloc_cxl(1);
         assert_eq!(c1, CXL_BASE);
         assert_eq!(c2, CXL_BASE + 4096);
-        assert_eq!(a.cxl_used(), 8192);
         assert_eq!(a.host_used(), 0);
     }
 

@@ -44,18 +44,6 @@ impl DeviceGroupConfig {
             peer: Some(PeerLinkConfig::default()),
         }
     }
-
-    /// Replace the per-device platform.
-    pub fn with_machine(mut self, machine: MachineConfig) -> Self {
-        self.machine = machine;
-        self
-    }
-
-    /// Route exchanges through host memory instead of a peer link.
-    pub fn without_peer(mut self) -> Self {
-        self.peer = None;
-        self
-    }
 }
 
 /// One machine per simulated GPU plus the exchange interconnect.
@@ -169,7 +157,10 @@ mod tests {
 
     #[test]
     fn host_routed_exchange_works_without_a_peer_link() {
-        let mut g = DeviceGroup::new(DeviceGroupConfig::v100_gen3(2).without_peer());
+        let mut g = DeviceGroup::new(DeviceGroupConfig {
+            peer: None,
+            ..DeviceGroupConfig::v100_gen3(2)
+        });
         assert!(!g.interconnect.has_peer());
         let t = g.exchange(&[4096, 4096]);
         assert!(t > 0);

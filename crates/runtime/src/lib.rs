@@ -16,7 +16,7 @@
 //!   GPU plus the inter-device exchange interconnect;
 //! * [`exec`] — the discrete-event executor and the [`Kernel`] trait;
 //! * [`transfer`] — the hybrid N-tier transfer manager (zero-copy / DMA
-//!   staging / CXL promotion and demotion);
+//!   staging / CXL promotion);
 //! * [`prefetch`] — the speculative prefetcher feeding the pipelined
 //!   (overlapped DMA/kernel) staging path;
 //! * [`report`] — per-kernel and per-run statistics;

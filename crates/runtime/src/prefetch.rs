@@ -99,9 +99,10 @@ struct Slot {
 /// The speculative-staging side of the pipelined transfer manager.
 ///
 /// Owned by the engine next to its `TransferManager`; all interaction
-/// goes through the manager's `plan_pipelined` / `prefetch_for_next`
-/// hooks. [`slice_used`](Self::slice_used) is the only record of the
-/// speculative charge; the manager reads it against its pool.
+/// goes through the manager's `plan_iteration_pipelined` /
+/// `prefetch_for_next` hooks. [`slice_used`](Self::slice_used) is the
+/// only record of the speculative charge; the manager reads it against
+/// its pool.
 #[derive(Debug)]
 pub struct Prefetcher {
     cfg: PrefetchConfig,

@@ -2,12 +2,11 @@
 //!
 //! One [`TransferManager`] watches a pinned-host array (the edge list) in
 //! fixed-size regions. Before each kernel iteration the traversal driver
-//! reports exactly which byte ranges the iteration will read
-//! ([`note_upcoming`](TransferManager::note_upcoming) — the frontier
-//! determines this precisely), then calls
-//! [`plan`](TransferManager::plan): the [`emogi_uvm::TransferPolicy`]
-//! picks, per touched region, between staying zero-copy and staging the
-//! region into device memory with one bulk DMA copy through the machine's
+//! hands [`plan_iteration`](TransferManager::plan_iteration) exactly the
+//! byte ranges the iteration will read (the frontier determines this
+//! precisely): the [`emogi_uvm::TransferPolicy`] picks, per touched
+//! region, between staying in place and staging the region into device
+//! memory with one bulk DMA copy through the machine's
 //! [`emogi_sim::DmaEngine`]. Staged regions are recorded in a
 //! [`RegionMap`] that the kernel-side address computation consults, so
 //! their reads are priced as cache-fronted HBM instead of PCIe.
@@ -16,13 +15,14 @@
 //! of the machine's free device capacity ([`crate::alloc`]); when the
 //! pool runs dry the manager falls back to zero-copy for the remaining
 //! regions (and keeps feeding the policy, so accounting stays truthful).
-//! By default nothing is ever un-staged: the simulated workloads only
-//! grow hotter with iteration count, and a bounded pool plus fallback
-//! keeps the model honest without an eviction clock. With
-//! [`TransferConfig::demote_cold_after`] set, a staged region untouched
-//! for that many rounds is demoted and its pool slot reused.
+//! Nothing is ever un-staged: BFS re-touches a region with a period
+//! longer than any staleness bound that would demote anything, so a
+//! demotion only re-pays its copy (measured; ROADMAP item 4(b)), and a
+//! bounded pool plus fallback keeps the model honest without an eviction
+//! clock.
 //!
-//! The **pipelined path** ([`plan_pipelined`](TransferManager::plan_pipelined),
+//! The **pipelined path**
+//! ([`plan_iteration_pipelined`](TransferManager::plan_iteration_pipelined),
 //! [`prefetch_for_next`](TransferManager::prefetch_for_next)) pairs the
 //! manager with a [`Prefetcher`]: after each
 //! round it speculatively stages predicted-reuse regions onto an
@@ -40,7 +40,7 @@
 use crate::machine::Machine;
 use crate::prefetch::Prefetcher;
 use emogi_sim::time::Time;
-use emogi_uvm::{MemoryTier, TierDecision, TransferPolicy, TransferPolicyConfig};
+use emogi_uvm::{MemoryTier, TransferPolicy, TransferPolicyConfig};
 
 /// Sentinel in a [`RegionMap`] table: region not staged.
 pub const UNMAPPED: u64 = u64::MAX;
@@ -56,11 +56,6 @@ pub struct TransferConfig {
     pub pool_bytes: Option<u64>,
     /// The stage-or-stay-zero-copy decision policy.
     pub policy: TransferPolicyConfig,
-    /// Demote a staged region back to its home tier after this many
-    /// planning rounds without a touch, crediting its pool slot for
-    /// hotter regions. `None` (the default) never demotes — the two-tier
-    /// model's behaviour, bit-identical to the pre-tiering manager.
-    pub demote_cold_after: Option<u32>,
 }
 
 impl Default for TransferConfig {
@@ -69,7 +64,6 @@ impl Default for TransferConfig {
             region_bytes: 64 << 10,
             pool_bytes: None,
             policy: TransferPolicyConfig::default(),
-            demote_cold_after: None,
         }
     }
 }
@@ -126,7 +120,8 @@ emogi_sim::ledger! {
         /// Bytes bulk-copied out of the CXL tier for those promotions; a
         /// subset of [`staged_bytes`](Self::staged_bytes).
         pub cxl_staged_bytes: u64,
-        /// Staged regions demoted back to their home tier after going cold.
+        /// Always 0: nothing is ever un-staged. Kept because the frozen
+        /// benchmark reads the field by name.
         pub demoted_regions: u64,
     }
 }
@@ -156,17 +151,6 @@ pub struct TransferManager {
     /// this are homed in the CXL tier. Equal to `len_bytes` on a two-tier
     /// machine.
     host_bytes: u64,
-    /// Demote staged regions untouched for this many rounds; `None` never
-    /// demotes.
-    demote_cold_after: Option<u32>,
-    /// Planning rounds completed (drives cold-region demotion).
-    round: u32,
-    /// Per region: the round it was last touched in.
-    last_hot: Vec<u32>,
-    /// Device slots of demoted regions, `(address, rounded bytes)`,
-    /// coldest-demoted first; reused FIFO by later stagings so the bump
-    /// allocator's capacity is never re-consumed.
-    free_slots: Vec<(u64, u64)>,
     /// Monotonically growing lifetime counters; snapshot and diff for
     /// per-run reporting.
     pub stats: TransferStats,
@@ -219,10 +203,6 @@ impl TransferManager {
             last_touched: Vec::new(),
             pool,
             host_bytes,
-            demote_cold_after: cfg.demote_cold_after,
-            round: 0,
-            last_hot: vec![0; regions],
-            free_slots: Vec::new(),
             stats: TransferStats::default(),
         }
     }
@@ -284,10 +264,10 @@ impl TransferManager {
         self.region_bytes.min(self.len_bytes - start)
     }
 
-    /// Report that the upcoming iteration reads byte range `[lo, hi)` of
+    /// Record that the upcoming iteration reads byte range `[lo, hi)` of
     /// the watched array. Ranges may overlap region boundaries and each
     /// other; per-region bytes saturate at the region size.
-    pub fn note_upcoming(&mut self, lo: u64, hi: u64) {
+    fn note_upcoming(&mut self, lo: u64, hi: u64) {
         debug_assert!(lo <= hi && hi <= self.len_bytes, "range {lo}..{hi}");
         if lo == hi {
             return;
@@ -305,38 +285,33 @@ impl TransferManager {
         }
     }
 
-    /// Decide and execute this iteration's stagings: consult the policy
-    /// for every touched, not-yet-staged region, allocate device memory
-    /// for the winners while the pool lasts, and issue one batched bulk
-    /// copy for all of them (the copies queue back-to-back on the DMA
-    /// engine, so the launch overhead is paid once per round). Clears the
-    /// upcoming-iteration scratch. Returns whether any region was staged
-    /// this round (i.e. whether the translation table changed).
-    pub fn plan(&mut self, machine: &mut Machine) -> bool {
-        self.plan_with(machine, None)
-    }
-
-    /// [`plan`](Self::plan) with a [`Prefetcher`] in the loop: staging
-    /// decisions, allocation order and traffic counters are identical,
-    /// but a staged region whose speculative copy is already on the
-    /// asynchronous lane is *adopted* — its bytes are retro-accounted
-    /// instead of re-copied, and the clock waits only if the copy is
-    /// still in flight. Call [`prefetch_for_next`](Self::prefetch_for_next)
-    /// after each round to keep the lane fed.
-    pub fn plan_pipelined(&mut self, machine: &mut Machine, prefetcher: &mut Prefetcher) -> bool {
-        self.plan_with(machine, Some(prefetcher))
-    }
-
-    fn plan_with(&mut self, machine: &mut Machine, mut pf: Option<&mut Prefetcher>) -> bool {
-        self.round += 1;
+    /// Note `ranges`, then decide and execute this iteration's stagings:
+    /// consult the policy for every touched, not-yet-staged region,
+    /// allocate device memory for the winners while the pool lasts, and
+    /// issue one batched bulk copy for all of them (the copies queue
+    /// back-to-back on the DMA engine, so the launch overhead is paid
+    /// once per round). Clears the upcoming-iteration scratch. Returns
+    /// whether any region was staged this round (i.e. whether the
+    /// translation table changed).
+    ///
+    /// With a [`Prefetcher`] in the loop, staging decisions, allocation
+    /// order and traffic counters are identical, but a staged region
+    /// whose speculative copy is already on the asynchronous lane is
+    /// *adopted* — its bytes are retro-accounted instead of re-copied,
+    /// and the clock waits only if the copy is still in flight.
+    fn plan(
+        &mut self,
+        machine: &mut Machine,
+        ranges: impl IntoIterator<Item = (u64, u64)>,
+        mut pf: Option<&mut Prefetcher>,
+    ) -> bool {
+        for (lo, hi) in ranges {
+            self.note_upcoming(lo, hi);
+        }
         // First-touch order follows the frontier, which is sorted by the
         // traversal drivers — sort to be robust against unsorted callers
         // (determinism, and allocation order independent of touch order).
         self.touched.sort_unstable();
-        for &r in &self.touched {
-            self.last_hot[r as usize] = self.round;
-        }
-        let demoted = self.demote_cold();
         if pf.is_some() {
             // Record the touch set for the predictor before the loop
             // consumes the per-region byte counts.
@@ -363,41 +338,37 @@ impl TransferManager {
             let need = len.div_ceil(128) * 128;
             let density = bytes as f64 / len as f64;
             let home = self.home(r);
-            match self.policy.decide_tiered(r, density.min(1.0), home) {
-                TierDecision::StageToHbm if self.pool >= need => {
-                    self.pool -= need;
-                    self.table[r] = self.alloc_slot(machine, len, need);
-                    self.stats.staged_regions += 1;
-                    self.stats.staged_bytes += len;
-                    staged_count += 1;
-                    if home == MemoryTier::Cxl {
-                        // Promotions stream over the CXL link, never the
-                        // PCIe copy lane — and the prefetcher only ever
-                        // speculates host-homed regions, so there is no
-                        // adoption path here.
-                        self.stats.cxl_staged_regions += 1;
-                        self.stats.cxl_staged_bytes += len;
-                        cxl_copy_bytes += len;
-                        continue;
-                    }
-                    // A speculative copy of this region is already on (or
-                    // past) the async lane: adopt it instead of paying a
-                    // demand copy.
-                    match pf.as_deref_mut().and_then(|p| p.adopt(r as u32)) {
-                        Some(done_at) => {
-                            adopted_bytes += len;
-                            stall_until = stall_until.max(done_at);
-                        }
-                        None => copy_bytes += len,
-                    }
-                }
-                TierDecision::StageToHbm => {
+            let stage = self.policy.decide_tiered(r, density.min(1.0), home);
+            if !stage || self.pool < need {
+                // Stays in place, by decision or because the pool is dry.
+                if stage {
                     self.stats.pool_fallbacks += 1;
-                    self.policy.note_zero_copy(r, density);
                 }
-                TierDecision::ZeroCopyHost | TierDecision::ServeCxl => {
-                    self.policy.note_zero_copy(r, density);
+                self.policy.note_zero_copy(r, density);
+                continue;
+            }
+            self.pool -= need;
+            self.table[r] = machine.alloc_device(len);
+            self.stats.staged_regions += 1;
+            self.stats.staged_bytes += len;
+            staged_count += 1;
+            if home == MemoryTier::Cxl {
+                // Promotions stream over the CXL link, never the PCIe
+                // copy lane — and the prefetcher only ever speculates
+                // host-homed regions, so there is no adoption path here.
+                self.stats.cxl_staged_regions += 1;
+                self.stats.cxl_staged_bytes += len;
+                cxl_copy_bytes += len;
+                continue;
+            }
+            // A speculative copy of this region is already on (or past)
+            // the async lane: adopt it instead of paying a demand copy.
+            match pf.as_deref_mut().and_then(|p| p.adopt(r as u32)) {
+                Some(done_at) => {
+                    adopted_bytes += len;
+                    stall_until = stall_until.max(done_at);
                 }
+                None => copy_bytes += len,
             }
         }
         self.touched.clear();
@@ -431,55 +402,15 @@ impl TransferManager {
             p.evict_to_fit(self.pool);
             debug_assert!(p.slice_used() <= self.pool);
         }
-        staged_count > 0 || demoted > 0
-    }
-
-    /// Demote staged regions untouched for `demote_cold_after` rounds,
-    /// coldest first: the region's slot returns to the free list, its
-    /// pool charge is credited back, and its zero-copy history is reset
-    /// so re-promotion must be re-earned (no thrash loop). Demotion moves
-    /// no bytes — staging *copies*, it never migrates, so the home tier
-    /// still holds the data. Returns the number of regions demoted.
-    fn demote_cold(&mut self) -> u64 {
-        let Some(cold_after) = self.demote_cold_after else {
-            return 0;
-        };
-        let mut cold: Vec<(u32, u32)> = (0..self.table.len())
-            .filter(|&r| self.table[r] != UNMAPPED && self.round - self.last_hot[r] >= cold_after)
-            .map(|r| (self.last_hot[r], r as u32))
-            .collect();
-        // Coldest first, region index as the deterministic tiebreak.
-        cold.sort_unstable();
-        for &(_, r) in &cold {
-            let r = r as usize;
-            let len = self.region_len(r);
-            let need = len.div_ceil(128) * 128;
-            self.free_slots.push((self.table[r], need));
-            self.table[r] = UNMAPPED;
-            self.pool += need;
-            self.policy.reset(r);
-            self.stats.demoted_regions += 1;
-        }
-        cold.len() as u64
-    }
-
-    /// Device address for a staged region: reuse the oldest demoted slot
-    /// of the right size, or carve a fresh allocation. Slot reuse keeps
-    /// the bump allocator's capacity from being re-consumed across
-    /// demote/re-stage cycles.
-    fn alloc_slot(&mut self, machine: &mut Machine, len: u64, need: u64) -> u64 {
-        match self.free_slots.iter().position(|&(_, sz)| sz == need) {
-            Some(pos) => self.free_slots.remove(pos).0,
-            None => machine.alloc_device(len),
-        }
+        staged_count > 0
     }
 
     /// Feed the asynchronous copy lane for the next iteration: rank
     /// not-yet-staged regions by predicted reuse (a pure function of this
     /// round's planner state) and issue speculative stages into the
     /// prefetcher's bounded pool slice. Call right after
-    /// [`plan_pipelined`](Self::plan_pipelined), at iteration start, so
-    /// the copies overlap the kernel that follows.
+    /// [`plan_iteration_pipelined`](Self::plan_iteration_pipelined), at
+    /// iteration start, so the copies overlap the kernel that follows.
     pub fn prefetch_for_next(&mut self, at: Time, pf: &mut Prefetcher) {
         pf.observe_round(at, &self.last_touched);
         let mut wanted = pf.rank_candidates(
@@ -513,8 +444,8 @@ impl TransferManager {
         }
     }
 
-    /// One-call planning hook for a kernel launch: note every byte range
-    /// the launch will read (frontier-driven callers pass one range per
+    /// The planning hook for a kernel launch: note every byte range the
+    /// launch will read (frontier-driven callers pass one range per
     /// active neighbour list, full-sweep callers the whole array) and run
     /// the staging decision. Returns whether the translation table
     /// changed, i.e. whether callers must refresh their [`RegionMap`].
@@ -523,24 +454,21 @@ impl TransferManager {
         machine: &mut Machine,
         ranges: impl IntoIterator<Item = (u64, u64)>,
     ) -> bool {
-        for (lo, hi) in ranges {
-            self.note_upcoming(lo, hi);
-        }
-        self.plan(machine)
+        self.plan(machine, ranges, None)
     }
 
-    /// [`plan_iteration`](Self::plan_iteration) over the pipelined path:
-    /// identical noting, then [`plan_pipelined`](Self::plan_pipelined).
+    /// [`plan_iteration`](Self::plan_iteration) with `prefetcher` in the
+    /// loop: identical decisions and traffic, but stagings the lane
+    /// already copied are adopted instead of re-copied. Call
+    /// [`prefetch_for_next`](Self::prefetch_for_next) after each round to
+    /// keep the lane fed.
     pub fn plan_iteration_pipelined(
         &mut self,
         machine: &mut Machine,
         ranges: impl IntoIterator<Item = (u64, u64)>,
         prefetcher: &mut Prefetcher,
     ) -> bool {
-        for (lo, hi) in ranges {
-            self.note_upcoming(lo, hi);
-        }
-        self.plan_pipelined(machine, prefetcher)
+        self.plan(machine, ranges, Some(prefetcher))
     }
 
     /// Snapshot of the translation table for the kernel address path.
@@ -567,7 +495,6 @@ mod tests {
             region_bytes,
             pool_bytes: pool,
             policy: TransferPolicyConfig::default(),
-            demote_cold_after: None,
         }
     }
 
@@ -585,10 +512,9 @@ mod tests {
         let mut m = machine();
         m.alloc_host_pinned(128 << 10);
         let mut tm = TransferManager::new(&m, 128 << 10, cfg(64 << 10, None));
-        tm.note_upcoming(0, 64 << 10); // region 0 fully read next iteration
-        tm.note_upcoming(80 << 10, 81 << 10); // region 1 barely touched
         let before = m.now;
-        tm.plan(&mut m);
+        // Region 0 fully read next iteration, region 1 barely touched.
+        tm.plan_iteration(&mut m, [(0, 64 << 10), (80 << 10, 81 << 10)]);
         assert!(tm.is_staged(0));
         assert!(!tm.is_staged(1));
         assert_eq!(tm.stats.staged_bytes, 64 << 10);
@@ -613,8 +539,7 @@ mod tests {
         // cumulative + upcoming density reaches the ski-rental point
         // (1.5), i.e. on the fourth round (3 x 0.41 + 0.41 = 1.63).
         for round in 0..4 {
-            tm.note_upcoming(0, 26 << 10);
-            tm.plan(&mut m);
+            tm.plan_iteration(&mut m, [(0, 26 << 10)]);
             let staged = tm.is_staged(0);
             match round {
                 0..=2 => assert!(!staged, "round {round} must stay zero-copy"),
@@ -629,15 +554,13 @@ mod tests {
         let mut m = machine();
         // Pool holds exactly one region.
         let mut tm = TransferManager::new(&m, 256 << 10, cfg(64 << 10, Some(64 << 10)));
-        tm.note_upcoming(0, 256 << 10); // all four regions fully dense
-        tm.plan(&mut m);
+        tm.plan_iteration(&mut m, [(0, 256 << 10)]); // all four regions fully dense
         assert_eq!(tm.stats.staged_regions, 1);
         assert_eq!(tm.stats.pool_fallbacks, 3);
         assert_eq!(tm.pool_left(), 0);
         assert!(tm.is_staged(0) && !tm.is_staged(1));
         // The fallen-back regions keep accruing zero-copy history.
-        tm.note_upcoming(64 << 10, 128 << 10);
-        tm.plan(&mut m);
+        tm.plan_iteration(&mut m, [(64 << 10, 128 << 10)]);
         assert_eq!(tm.stats.pool_fallbacks, 4);
     }
 
@@ -648,15 +571,13 @@ mod tests {
         // 8000 bytes cannot hold its 8064-byte rounded allocation, so
         // staging must fall back rather than underflow the budget.
         let mut tm = TransferManager::new(&m, 8_000, cfg(64 << 10, Some(8_000)));
-        tm.note_upcoming(0, 8_000);
-        assert!(!tm.plan(&mut m));
+        assert!(!tm.plan_iteration(&mut m, [(0, 8_000)]));
         assert!(!tm.is_staged(0));
         assert_eq!(tm.stats.pool_fallbacks, 1);
         assert_eq!(tm.pool_left(), 8_000);
         // With the rounded size available the region stages fine.
         let mut tm = TransferManager::new(&m, 8_000, cfg(64 << 10, Some(8_064)));
-        tm.note_upcoming(0, 8_000);
-        assert!(tm.plan(&mut m));
+        assert!(tm.plan_iteration(&mut m, [(0, 8_000)]));
         assert!(tm.is_staged(0));
         assert_eq!(tm.pool_left(), 0);
     }
@@ -674,12 +595,10 @@ mod tests {
     fn staged_region_is_not_replanned() {
         let mut m = machine();
         let mut tm = TransferManager::new(&m, 64 << 10, cfg(64 << 10, None));
-        tm.note_upcoming(0, 64 << 10);
-        tm.plan(&mut m);
+        tm.plan_iteration(&mut m, [(0, 64 << 10)]);
         assert_eq!(tm.stats.staged_regions, 1);
         let copied = m.dma.bytes_to_device;
-        tm.note_upcoming(0, 64 << 10);
-        tm.plan(&mut m);
+        tm.plan_iteration(&mut m, [(0, 64 << 10)]);
         assert_eq!(tm.stats.staged_regions, 1, "no double staging");
         assert_eq!(m.dma.bytes_to_device, copied, "no repeat copy");
     }
@@ -776,9 +695,7 @@ mod tests {
         // crossed on the second round (0.41 + 0.41), where the host-homed
         // region 0 with identical traffic still rents (threshold 1.5).
         for _ in 0..2 {
-            tm.note_upcoming(0, 26 << 10);
-            tm.note_upcoming(64 << 10, 90 << 10);
-            tm.plan(&mut m);
+            tm.plan_iteration(&mut m, [(0, 26 << 10), (64 << 10, 90 << 10)]);
         }
         assert!(tm.is_staged(1), "CXL home promotes at the lower threshold");
         assert!(!tm.is_staged(0), "host home still rents");
@@ -787,78 +704,6 @@ mod tests {
         assert_eq!(m.dma.bytes_to_device, 0, "no PCIe copy for a promotion");
         assert_eq!(m.monitor.dma_bytes, 0);
         assert_eq!(m.cxl.as_ref().unwrap().bulk_bytes, 64 << 10);
-    }
-
-    /// Demotion is coldest-first and frees budget + slot for hot regions;
-    /// the demoted region's history resets so re-promotion is re-earned.
-    #[test]
-    fn demotion_is_coldest_first_and_credits_the_pool() {
-        let mut m = machine();
-        let mut tm = TransferManager::new(
-            &m,
-            256 << 10,
-            TransferConfig {
-                demote_cold_after: Some(2),
-                ..cfg(64 << 10, Some(128 << 10))
-            },
-        );
-        // Round 1: stage region 0. Round 2: stage region 1 (keeping 0
-        // cold from here on).
-        tm.note_upcoming(0, 64 << 10);
-        tm.plan(&mut m);
-        tm.note_upcoming(64 << 10, 128 << 10);
-        tm.plan(&mut m);
-        let slot0 = tm.table[0];
-        let slot1 = tm.table[1];
-        assert!(tm.is_staged(0) && tm.is_staged(1));
-        assert_eq!(tm.pool_left(), 0);
-        // Round 3: only region 1 stays hot; region 0 has now gone two
-        // rounds (2 and 3) without a touch and demotes.
-        let changed = tm.plan_iteration(&mut m, [(64u64 << 10, 128u64 << 10)]);
-        assert!(changed, "demotion must report a table change");
-        assert!(!tm.is_staged(0), "cold region demoted");
-        assert!(tm.is_staged(1), "hot region survives");
-        assert_eq!(tm.stats.demoted_regions, 1);
-        assert_eq!(tm.pool_left(), 64 << 10, "slot budget credited back");
-        assert_eq!(tm.policy.cumulative_density(0), 0.0, "history reset");
-        // Region 2 stages next and must reuse region 0's slot (coldest
-        // demoted first, FIFO reuse) — the bump allocator does not grow.
-        let used = m.spaces.device_used();
-        tm.note_upcoming(128 << 10, 192 << 10);
-        tm.plan(&mut m);
-        assert_eq!(tm.table[2], slot0, "coldest demoted slot reused first");
-        assert_ne!(tm.table[2], slot1);
-        assert_eq!(m.spaces.device_used(), used, "no fresh device allocation");
-    }
-
-    /// A single demotion pass over several equally cold regions orders
-    /// them deterministically by region index (the tiebreak after
-    /// staleness), which fixes the slot-reuse order.
-    #[test]
-    fn demotion_ordering_is_by_staleness_then_region() {
-        let mut m = machine();
-        let mut tm = TransferManager::new(
-            &m,
-            256 << 10,
-            TransferConfig {
-                demote_cold_after: Some(2),
-                ..cfg(64 << 10, None)
-            },
-        );
-        // Round 1: stage regions 0 and 1 together; rounds 2-3 keep only
-        // region 3 hot, so both go cold in the same round-3 pass.
-        tm.note_upcoming(0, 128 << 10);
-        tm.plan(&mut m);
-        tm.note_upcoming(192 << 10, 256 << 10);
-        tm.plan(&mut m);
-        assert!(tm.is_staged(0) && tm.is_staged(1));
-        tm.note_upcoming(192 << 10, 256 << 10);
-        tm.plan(&mut m);
-        assert!(!tm.is_staged(0) && !tm.is_staged(1), "both cold demoted");
-        assert_eq!(tm.stats.demoted_regions, 2);
-        // Equal staleness: region index orders the free list.
-        assert_eq!(tm.free_slots.len(), 2);
-        assert!(tm.free_slots[0].0 < tm.free_slots[1].0);
     }
 
     /// The prefetcher never speculates CXL-homed regions: the async copy
@@ -872,9 +717,8 @@ mod tests {
         // promotes on demand at its lower threshold and must never appear
         // on the speculative lane.
         for _ in 0..3 {
-            tm.note_upcoming(0, 26 << 10);
-            tm.note_upcoming(64 << 10, 80 << 10);
-            tm.plan_pipelined(&mut m, &mut pf);
+            let ranges = [(0, 26 << 10), (64 << 10, 80 << 10)];
+            tm.plan_iteration_pipelined(&mut m, ranges, &mut pf);
             tm.prefetch_for_next(m.now, &mut pf);
         }
         assert!(!pf.is_speculative(1), "CXL home never speculated");
@@ -907,10 +751,8 @@ mod tests {
         let mut pf = prefetcher(&mp, &tmp);
 
         for _ in 0..4 {
-            tms.note_upcoming(0, 26 << 10);
-            tms.plan(&mut ms);
-            tmp.note_upcoming(0, 26 << 10);
-            tmp.plan_pipelined(&mut mp, &mut pf);
+            tms.plan_iteration(&mut ms, [(0, 26 << 10)]);
+            tmp.plan_iteration_pipelined(&mut mp, [(0, 26 << 10)], &mut pf);
             tmp.prefetch_for_next(mp.now, &mut pf);
         }
         assert!(tms.is_staged(0) && tmp.is_staged(0));
@@ -944,8 +786,7 @@ mod tests {
         let mut pf = prefetcher(&m, &tm);
         // Make region 1 look hot so the prefetcher speculates it.
         for _ in 0..3 {
-            tm.note_upcoming(64 << 10, 90 << 10);
-            tm.plan_pipelined(&mut m, &mut pf);
+            tm.plan_iteration_pipelined(&mut m, [(64 << 10, 90 << 10)], &mut pf);
             tm.prefetch_for_next(m.now, &mut pf);
         }
         assert!(pf.is_speculative(1), "region 1 speculated");
@@ -961,8 +802,7 @@ mod tests {
         );
         // Now region 0 arrives fully dense: it must stage exactly as it
         // would synchronously; the speculation is evicted, not the stage.
-        tm.note_upcoming(0, 64 << 10);
-        assert!(tm.plan_pipelined(&mut m, &mut pf));
+        assert!(tm.plan_iteration_pipelined(&mut m, [(0, 64 << 10)], &mut pf));
         assert!(tm.is_staged(0));
         assert!(!pf.is_speculative(1), "speculation evicted to fit");
         assert_eq!(pf.stats.wasted_bytes, 64 << 10);
@@ -978,8 +818,7 @@ mod tests {
         let mut tm = TransferManager::new(&m, 128 << 10, cfg(64 << 10, Some(64 << 10)));
         let mut pf = prefetcher(&m, &tm);
         for _ in 0..3 {
-            tm.note_upcoming(64 << 10, 90 << 10);
-            tm.plan_pipelined(&mut m, &mut pf);
+            tm.plan_iteration_pipelined(&mut m, [(64 << 10, 90 << 10)], &mut pf);
             tm.prefetch_for_next(m.now, &mut pf);
         }
         assert!(pf.is_speculative(1));
@@ -991,8 +830,7 @@ mod tests {
         // The next round evicts the speculation (its budget is gone) and
         // — the regression this guards — no pool bytes reappear from the
         // stale charge.
-        tm.note_upcoming(0, 64 << 10);
-        tm.plan_pipelined(&mut m, &mut pf);
+        tm.plan_iteration_pipelined(&mut m, [(0, 64 << 10)], &mut pf);
         assert!(!tm.is_staged(0), "pool is fully reserved");
         assert!(!pf.is_speculative(1), "orphaned speculation evicted");
         assert_eq!(tm.pool_left(), 0, "no budget resurrected");
@@ -1011,10 +849,8 @@ mod tests {
         // Regions 1, 2 and 3 look equally hot: the first two are
         // speculated, filling the pool; region 3 stays a candidate.
         for _ in 0..3 {
-            for r in 1..4u64 {
-                tm.note_upcoming(r * (64 << 10), r * (64 << 10) + (26 << 10));
-            }
-            tm.plan_pipelined(&mut m, &mut pf);
+            let hot = (1..4u64).map(|r| (r * (64 << 10), r * (64 << 10) + (26 << 10)));
+            tm.plan_iteration_pipelined(&mut m, hot, &mut pf);
             tm.prefetch_for_next(m.now, &mut pf);
         }
         assert!(pf.is_speculative(1) && pf.is_speculative(2) && !pf.is_speculative(3));
@@ -1026,7 +862,7 @@ mod tests {
         tm.prefetch_for_next(m.now, &mut pf);
         assert_eq!(pf.stats.prefetched_regions, issued);
         // ... and the next round evicts in issue order until it fits.
-        tm.plan_pipelined(&mut m, &mut pf);
+        tm.plan_iteration_pipelined(&mut m, std::iter::empty(), &mut pf);
         assert!(pf.is_speculative(1) && !pf.is_speculative(2));
         assert_eq!((tm.pool_left(), pf.slice_used()), (64 << 10, 64 << 10));
         assert_eq!(pf.stats.wasted_bytes, 64 << 10);
@@ -1037,8 +873,8 @@ mod tests {
         );
     }
 
-    /// With no prefetcher in the loop the pipelined entry points are the
-    /// synchronous ones (same decisions, same clock).
+    /// With a prefetcher that never issues, the pipelined entry point is
+    /// the synchronous one (same decisions, same clock).
     #[test]
     fn plan_pipelined_without_speculation_matches_plan_exactly() {
         let mut ms = machine();

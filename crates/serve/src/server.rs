@@ -183,9 +183,9 @@ pub struct Server<B: ServeBackend> {
 /// same queries one at a time.
 ///
 /// Pipelined execution is configured on the engine, not the server:
-/// wrap an engine loaded with
-/// [`EngineConfig::pipelined`](emogi_core::EngineConfig::pipelined) (or
-/// the `pipelined_v100` preset) and every batch the server executes
+/// wrap an engine loaded with a prefetching
+/// [`Transport::Hybrid`](emogi_core::Transport::Hybrid) (the
+/// `pipelined_v100` preset) and every batch the server executes
 /// overlaps its DMA staging with kernel compute. Serving results stay
 /// bit-identical to a synchronous server's; only the wall clock and the
 /// [`prefetch`](emogi_runtime::RunStats::prefetch) counters differ.

@@ -20,8 +20,6 @@ pub const MEMCPY_LAUNCH_OVERHEAD_NS: Time = 8_000;
 pub struct DmaEngine {
     /// Total payload bytes copied host→device.
     pub bytes_to_device: u64,
-    /// Total payload bytes copied device→host.
-    pub bytes_to_host: u64,
     /// Number of copies issued.
     pub copies: u64,
 }
@@ -52,27 +50,6 @@ impl DmaEngine {
         // up in the completion time if HBM is slower than the link, which
         // it never is on these platforms, but we keep the accounting exact.
         device.write_bulk(start, bytes).max(arrived)
-    }
-
-    /// Synchronous device→host copy; returns completion time.
-    pub fn copy_to_host(
-        &mut self,
-        now: Time,
-        bytes: u64,
-        link: &mut PcieLink,
-        host: &mut Dram,
-        device: &mut Dram,
-        monitor: &mut TrafficMonitor,
-    ) -> Time {
-        if bytes == 0 {
-            return now;
-        }
-        self.copies += 1;
-        self.bytes_to_host += bytes;
-        let start = now + MEMCPY_LAUNCH_OVERHEAD_NS;
-        let read_done = device.read_bulk(start, bytes);
-        link.dma_gpu_to_host(start, bytes, host, monitor)
-            .max(read_done)
     }
 }
 
@@ -121,16 +98,6 @@ mod tests {
             42
         );
         assert_eq!(dma.copies, 0);
-    }
-
-    #[test]
-    fn copy_back_uses_uplink_and_counts() {
-        let (mut link, mut host, mut dev, mut mon, mut dma) = rig();
-        let done = dma.copy_to_host(0, 1 << 20, &mut link, &mut host, &mut dev, &mut mon);
-        assert!(done > 0);
-        assert_eq!(dma.bytes_to_host, 1 << 20);
-        assert_eq!(dev.bytes_read, 1 << 20);
-        assert_eq!(host.bytes_written, 1 << 20);
     }
 
     #[test]

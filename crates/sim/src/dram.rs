@@ -190,13 +190,6 @@ impl Dram {
     pub fn total_bytes(&self) -> u64 {
         self.bytes_read + self.bytes_written
     }
-
-    /// Reset traffic counters (busy-until is preserved; use between
-    /// measurement phases).
-    pub fn reset_counters(&mut self) {
-        self.bytes_read = 0;
-        self.bytes_written = 0;
-    }
 }
 
 #[cfg(test)]
@@ -273,12 +266,10 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate_and_reset() {
+    fn counters_accumulate() {
         let mut d = dram();
         d.read(0, 0, 64);
         d.write(0, 0, 64);
         assert_eq!(d.total_bytes(), 128);
-        d.reset_counters();
-        assert_eq!(d.total_bytes(), 0);
     }
 }

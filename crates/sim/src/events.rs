@@ -75,11 +75,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.at, e.ev))
     }
 
-    /// Timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|e| e.at)
-    }
-
     pub fn len(&self) -> usize {
         self.heap.len()
     }
@@ -139,7 +134,6 @@ mod tests {
             } else {
                 let first = *pending.iter().min().expect("non-empty");
                 pending.retain(|&p| p != first);
-                assert_eq!(q.peek_time(), Some(first.0));
                 assert_eq!(q.pop(), Some((first.0, Payload(first.1.to_string()))));
             }
             assert_eq!(q.len(), pending.len());
@@ -149,15 +143,6 @@ mod tests {
             assert_eq!(q.pop(), Some((at, Payload(id.to_string()))));
         }
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn peek_matches_pop() {
-        let mut q = EventQueue::new();
-        q.push(42, ());
-        assert_eq!(q.peek_time(), Some(42));
-        assert_eq!(q.pop(), Some((42, ())));
-        assert_eq!(q.peek_time(), None);
     }
 
     #[test]

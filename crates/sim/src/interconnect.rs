@@ -129,30 +129,6 @@ impl Interconnect {
         &self.cfg
     }
 
-    /// Deliver `bytes` from device `src` to device `dst`, starting no
-    /// earlier than `now`; returns the delivery time. With a peer link
-    /// the transfer serializes on `src`'s peer egress port; without one
-    /// it takes two PCIe hops through host memory — up on `src`'s host
-    /// link, then down on `dst`'s — each paying the link's propagation
-    /// latency.
-    pub fn send(&mut self, src: usize, dst: usize, now: Time, bytes: u64) -> Time {
-        assert!(src < self.cfg.links && dst < self.cfg.links, "device oob");
-        assert_ne!(src, dst, "a device does not send to itself");
-        if bytes == 0 {
-            return now;
-        }
-        if let Some(peer) = &self.cfg.peer {
-            let end = self.peer_out[src].carry(now, bytes, peer.bandwidth_gbps);
-            end + peer.latency_ns
-        } else {
-            let usable = self.cfg.host_link.usable_gbps();
-            let prop = self.cfg.host_link.propagation_ns;
-            let up = self.host_up[src].carry(now, bytes, usable);
-            let down = self.host_down[dst].carry(up + prop, bytes, usable);
-            down + prop
-        }
-    }
-
     /// Broadcast `bytes` from device `src` to every other device,
     /// starting no earlier than `now`; returns the last delivery time.
     /// With a peer link this is `links - 1` unicasts serialized on
@@ -230,11 +206,13 @@ mod tests {
         })
     }
 
+    // On two links a broadcast is one point-to-point transfer.
+
     #[test]
-    fn peer_send_achieves_configured_bandwidth() {
+    fn peer_transfer_achieves_configured_bandwidth() {
         let mut ic = rig(2, true);
         let bytes = 16 << 20;
-        let done = ic.send(0, 1, 0, bytes);
+        let done = ic.broadcast(0, 0, bytes);
         let gbps = bytes as f64 / done as f64;
         assert!(
             (70.0..76.0).contains(&gbps),
@@ -245,10 +223,10 @@ mod tests {
     }
 
     #[test]
-    fn host_routed_send_pays_two_pcie_hops() {
+    fn host_routed_transfer_pays_two_pcie_hops() {
         let mut ic = rig(2, false);
         let bytes = 16 << 20;
-        let done = ic.send(0, 1, 0, bytes);
+        let done = ic.broadcast(0, 0, bytes);
         let gbps = bytes as f64 / done as f64;
         // Two serialized ~14 GB/s hops: end-to-end well under one hop's
         // bandwidth, and both lanes carried the payload.
@@ -263,11 +241,11 @@ mod tests {
         let mut ic = rig(4, true);
         let bytes = 1 << 20;
         // Different sources overlap fully...
-        let a = ic.send(0, 1, 0, bytes);
-        let b = ic.send(2, 3, 0, bytes);
+        let a = ic.broadcast(0, 0, bytes);
+        let b = ic.broadcast(2, 0, bytes);
         assert_eq!(a, b, "distinct egress lanes do not contend");
-        // ...while the same source serializes its sends.
-        let c = ic.send(0, 2, 0, bytes);
+        // ...while the same source serializes its broadcasts.
+        let c = ic.broadcast(0, 0, bytes);
         assert!(c > a, "same egress lane must serialize");
         let lat = PeerLinkConfig::default().latency_ns;
         assert_eq!(c - lat, 2 * (a - lat), "back-to-back wire times add");
@@ -287,9 +265,8 @@ mod tests {
         }
         assert_eq!(ic.totals().bytes, 4 * bytes);
         // The peers download in parallel, so a 3-way broadcast costs
-        // barely more than a single point-to-point send.
-        let mut solo = rig(4, false);
-        let t1 = solo.send(0, 1, 0, bytes);
+        // barely more than a single point-to-point transfer.
+        let t1 = rig(2, false).broadcast(0, 0, bytes);
         assert!(t < t1 + t1 / 4, "broadcast {t} vs unicast {t1}");
     }
 
@@ -300,34 +277,26 @@ mod tests {
         let t = ic.broadcast(0, 0, bytes);
         assert_eq!(ic.peer_stats(0).bytes, 3 * bytes, "three unicasts");
         let lat = PeerLinkConfig::default().latency_ns;
-        let mut solo = rig(4, true);
-        let t1 = solo.send(0, 1, 0, bytes);
+        let t1 = rig(2, true).broadcast(0, 0, bytes);
         assert_eq!(t - lat, 3 * (t1 - lat), "egress wire times add");
     }
 
     #[test]
-    fn zero_byte_send_is_free() {
+    fn zero_byte_broadcast_is_free() {
         let mut ic = rig(2, true);
-        assert_eq!(ic.send(0, 1, 1234, 0), 1234);
+        assert_eq!(ic.broadcast(0, 1234, 0), 1234);
         assert_eq!(ic.totals(), LinkStats::default());
     }
 
     #[test]
     fn stats_diff_and_accumulate() {
         let mut ic = rig(2, true);
-        ic.send(0, 1, 0, 1000);
+        ic.broadcast(0, 0, 1000);
         let base = ic.totals();
-        ic.send(0, 1, 0, 500);
+        ic.broadcast(0, 0, 500);
         let d = ic.totals() - base;
         assert_eq!(d.bytes, 500);
         assert_eq!(d.transfers, 1);
         assert!(d.busy_ns > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not send to itself")]
-    fn self_send_rejected() {
-        let mut ic = rig(2, true);
-        let _ = ic.send(1, 1, 0, 64);
     }
 }

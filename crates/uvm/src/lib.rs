@@ -18,15 +18,20 @@
 //! The driver is a state machine: the executor in `emogi-runtime` records
 //! faults, starts handler batches, and commits them when the simulated
 //! migration completes.
+//!
+//! [`transfer`] is the crate's second resident: the hybrid engine's
+//! per-region stage-or-stay policy and its [`MemoryTier`] vocabulary.
+//! It is not UVM paging, but it is the same kind of thing — a pure
+//! policy the runtime consults about where edge-list bytes should live —
+//! and it must sit below `emogi_runtime`, which owns the mechanism
+//! (`TransferManager`); the frozen benchmark imports it from this path.
 
 #![forbid(unsafe_code)]
 
 pub mod driver;
 pub mod policy;
-pub mod tier;
 pub mod transfer;
 
 pub use driver::{BatchResult, PageId, PageState, UvmDriver, UvmStats};
 pub use policy::UvmConfig;
-pub use tier::{MemoryTier, TierDecision};
-pub use transfer::{TransferPolicy, TransferPolicyConfig};
+pub use transfer::{MemoryTier, TransferPolicy, TransferPolicyConfig};

@@ -30,8 +30,48 @@
 //! A region that never recurs never reaches the threshold, so a sparse
 //! one-shot traversal stays pure zero-copy and pays nothing for the
 //! hybrid machinery.
+//!
+//! **Home tiers.** The CXL external-memory follow-up adds a level below
+//! host DRAM: a microsecond-latency tier holding the cold tail of graphs
+//! larger than host memory. The rule stays one ski-rental argument with
+//! one threshold per [`MemoryTier`] a region is *homed* in: a CXL-homed
+//! region pays more per rented byte (µs-class round trips, lower
+//! bandwidth), so its rent/buy point (`cxl_stage_threshold`) sits
+//! *lower* — promote sooner, serve only genuinely cold traffic in place.
+//! With no CXL tier configured every region is host-homed and only the
+//! original two-tier rule ever runs, so an idle CXL tier leaves the
+//! engine tick-identical to one without it (witness:
+//! `tests/tiering_differential.rs`).
+//!
+//! ```
+//! use emogi_uvm::{MemoryTier, TransferPolicy, TransferPolicyConfig};
+//!
+//! let mut p = TransferPolicy::new(2, TransferPolicyConfig::default());
+//!
+//! // Sparse one-shot traffic stays where it is, on either home tier ...
+//! assert!(!p.decide_tiered(0, 0.2, MemoryTier::Host));
+//! assert!(!p.decide_tiered(1, 0.2, MemoryTier::Cxl));
+//! p.note_zero_copy(0, 0.6);
+//! p.note_zero_copy(1, 0.6);
+//! // ... 0.6 + 0.2 ≥ cxl_stage_threshold (0.75): the CXL region has
+//! // proven it recurs and is promoted, where its host-homed twin with
+//! // the same history still rents (stage_threshold is 1.5).
+//! assert!(p.decide_tiered(1, 0.2, MemoryTier::Cxl));
+//! assert!(!p.decide_tiered(0, 0.2, MemoryTier::Host));
+//! ```
 
-use crate::tier::{MemoryTier, TierDecision};
+/// The tier a region of the edge list is *homed* in — where its bytes
+/// live when it is not staged into HBM. The home determines the region's
+/// demand-access cost model (PCIe zero-copy / CXL.mem round trips) and
+/// its rent/buy threshold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum MemoryTier {
+    /// Pinned host DRAM reached zero-copy over PCIe — EMOGI's home tier.
+    Host,
+    /// CXL-class external memory: the cold spill tier for graphs larger
+    /// than host DRAM (microsecond latency, decent bandwidth).
+    Cxl,
+}
 
 /// Tunables of the staging rule.
 #[derive(Debug, Clone)]
@@ -98,69 +138,54 @@ impl TransferPolicy {
         self.cumulative[r] += density;
     }
 
-    /// Has region `r` crossed the rent/buy point at `threshold` for an
-    /// iteration about to read `upcoming` of it? An untouched region never
-    /// buys; a (near-)fully dense one buys outright; otherwise recurring
-    /// traffic must have reached `threshold` region-sizes.
-    fn buys(&self, r: usize, upcoming: f64, threshold: f64) -> bool {
-        debug_assert!((0.0..=1.0).contains(&upcoming), "density {upcoming}");
-        upcoming > 0.0
-            && (upcoming >= self.cfg.dense_now || self.cumulative[r] + upcoming >= threshold)
-    }
-
-    /// Decide region `r`'s transport, given the tier it is homed in, for
-    /// an iteration about to read `upcoming` of it (density in `[0, 1]`).
-    /// Pure: commit a stay-in-place outcome with
+    /// Should region `r`, homed in `home`, be staged into HBM for an
+    /// iteration about to read `upcoming` of it (density in `[0, 1]`)?
+    /// An untouched region never buys; a (near-)fully dense one buys
+    /// outright; otherwise recurring traffic must have reached the home
+    /// tier's threshold. `false` means the region stays in place —
+    /// zero-copy from host DRAM, or served from the CXL tier. Pure:
+    /// commit a stay-in-place outcome with
     /// [`note_zero_copy`](Self::note_zero_copy) if the region stays (or is
     /// forced to stay) where it is.
     ///
-    /// [`MemoryTier::Hbm`] homes are already resident.
     /// [`MemoryTier::Host`] homes apply the ski-rental rule against
     /// [`stage_threshold`](TransferPolicyConfig::stage_threshold) — the
     /// original two-tier rule, which is what makes a CXL-disabled engine
     /// tick-identical to the two-tier one. [`MemoryTier::Cxl`] homes apply
     /// the same rule against the lower
     /// [`cxl_stage_threshold`](TransferPolicyConfig::cxl_stage_threshold).
-    pub fn decide_tiered(&self, r: usize, upcoming: f64, home: MemoryTier) -> TierDecision {
-        let (threshold, stay) = match home {
-            MemoryTier::Hbm => return TierDecision::StageToHbm,
-            MemoryTier::Host => (self.cfg.stage_threshold, TierDecision::ZeroCopyHost),
-            MemoryTier::Cxl => (self.cfg.cxl_stage_threshold, TierDecision::ServeCxl),
+    pub fn decide_tiered(&self, r: usize, upcoming: f64, home: MemoryTier) -> bool {
+        let threshold = match home {
+            MemoryTier::Host => self.cfg.stage_threshold,
+            MemoryTier::Cxl => self.cfg.cxl_stage_threshold,
         };
-        if self.buys(r, upcoming, threshold) {
-            TierDecision::StageToHbm
-        } else {
-            stay
-        }
-    }
-
-    /// Forget region `r`'s zero-copy history. Called when a staged region
-    /// is demoted out of HBM: its next promotion must be re-earned from a
-    /// clean slate, otherwise stale density would re-promote it instantly
-    /// and the demotion loop would thrash.
-    pub fn reset(&mut self, r: usize) {
-        self.cumulative[r] = 0.0;
+        debug_assert!((0.0..=1.0).contains(&upcoming), "density {upcoming}");
+        upcoming > 0.0
+            && (upcoming >= self.cfg.dense_now || self.cumulative[r] + upcoming >= threshold)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use TierDecision::{StageToHbm, ZeroCopyHost};
 
     fn policy(n: usize) -> TransferPolicy {
         TransferPolicy::new(n, TransferPolicyConfig::default())
     }
 
-    /// The two-tier rule: a host-homed region's decision.
-    fn host(p: &TransferPolicy, r: usize, upcoming: f64) -> TierDecision {
+    /// The two-tier rule: does a host-homed region stage?
+    fn host(p: &TransferPolicy, r: usize, upcoming: f64) -> bool {
         p.decide_tiered(r, upcoming, MemoryTier::Host)
+    }
+
+    fn cxl(p: &TransferPolicy, r: usize, upcoming: f64) -> bool {
+        p.decide_tiered(r, upcoming, MemoryTier::Cxl)
     }
 
     #[test]
     fn untouched_region_is_never_staged() {
         let p = policy(4);
-        assert_eq!(host(&p, 0, 0.0), ZeroCopyHost);
+        assert!(!host(&p, 0, 0.0));
     }
 
     #[test]
@@ -168,8 +193,8 @@ mod tests {
         // A region about to be read end-to-end: bulk copy is no worse
         // than zero-copying the same bytes, so stage even with no history.
         let p = policy(4);
-        assert_eq!(host(&p, 2, 1.0), StageToHbm);
-        assert_eq!(host(&p, 2, 0.99), ZeroCopyHost);
+        assert!(host(&p, 2, 1.0));
+        assert!(!host(&p, 2, 0.99));
     }
 
     #[test]
@@ -179,7 +204,7 @@ mod tests {
         // staging decision may fire.
         let mut p = policy(1);
         for _ in 0..10 {
-            assert_eq!(host(&p, 0, 0.1), ZeroCopyHost);
+            assert!(!host(&p, 0, 0.1));
             p.note_zero_copy(0, 0.1);
         }
         assert!((p.cumulative_density(0) - 1.0).abs() < 1e-9);
@@ -191,9 +216,9 @@ mod tests {
         // the first pass, so a 0.5-dense iteration tips the rule.
         let mut p = policy(1);
         p.note_zero_copy(0, 1.0);
-        assert_eq!(host(&p, 0, 0.4), ZeroCopyHost);
+        assert!(!host(&p, 0, 0.4));
         p.note_zero_copy(0, 0.4);
-        assert_eq!(host(&p, 0, 0.1), StageToHbm);
+        assert!(host(&p, 0, 0.1));
     }
 
     #[test]
@@ -206,19 +231,62 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert_eq!(host(&eager, 0, 0.5), StageToHbm);
-        assert_eq!(host(&eager, 1, 0.4), ZeroCopyHost);
+        assert!(host(&eager, 0, 0.5));
+        assert!(!host(&eager, 1, 0.4));
         let mut eager = eager;
         eager.note_zero_copy(1, 0.4);
-        assert_eq!(host(&eager, 1, 0.4), StageToHbm);
+        assert!(host(&eager, 1, 0.4));
     }
 
     #[test]
     fn regions_are_independent() {
         let mut p = policy(3);
         p.note_zero_copy(1, 1.4);
-        assert_eq!(host(&p, 0, 0.2), ZeroCopyHost);
-        assert_eq!(host(&p, 1, 0.2), StageToHbm);
-        assert_eq!(host(&p, 2, 0.2), ZeroCopyHost);
+        assert!(!host(&p, 0, 0.2));
+        assert!(host(&p, 1, 0.2));
+        assert!(!host(&p, 2, 0.2));
+    }
+
+    /// Host and CXL homes run one rule against two thresholds: with the
+    /// thresholds set equal they agree on every history and density.
+    #[test]
+    fn host_and_cxl_homes_share_one_rent_buy_rule() {
+        let cfg = TransferPolicyConfig {
+            cxl_stage_threshold: TransferPolicyConfig::default().stage_threshold,
+            ..Default::default()
+        };
+        let mut p = TransferPolicy::new(1, cfg);
+        let mut staged = 0;
+        for step in 0..40 {
+            let upcoming = f64::from(step % 11) / 10.0;
+            let stage = host(&p, 0, upcoming);
+            assert_eq!(cxl(&p, 0, upcoming), stage, "step {step}");
+            if stage {
+                staged += 1;
+            } else {
+                p.note_zero_copy(0, upcoming);
+            }
+        }
+        assert!(staged > 0 && staged < 40, "both outcomes were compared");
+    }
+
+    #[test]
+    fn untouched_cxl_region_is_served_in_place() {
+        assert!(!cxl(&policy(1), 0, 0.0));
+    }
+
+    #[test]
+    fn fully_dense_iteration_promotes_from_cxl_immediately() {
+        assert!(cxl(&policy(1), 0, 1.0));
+    }
+
+    #[test]
+    fn cxl_promotes_at_the_lower_rent_buy_point() {
+        let mut p = policy(2);
+        p.note_zero_copy(0, 0.5);
+        p.note_zero_copy(1, 0.5);
+        // 0.5 + 0.3 = 0.8 ≥ 0.75: the CXL tier buys; host still rents.
+        assert!(cxl(&p, 0, 0.3));
+        assert!(!host(&p, 1, 0.3));
     }
 }

@@ -47,7 +47,7 @@ pub use emogi_uvm as uvm;
 /// Everything a typical engine user needs in one import: the engines
 /// (single-device and sharded multi-GPU) and their configs, the four
 /// shipped vertex programs (plus the trait to write your own), access
-/// strategies/modes/placements, vertex partitioners, graph types and
+/// strategies/modes/transports, vertex partitioners, graph types and
 /// generators, the CPU reference algorithms, machine presets and the
 /// comparison baselines.
 pub mod prelude {
@@ -55,9 +55,9 @@ pub mod prelude {
     pub use emogi_core::sssp::INF;
     pub use emogi_core::{
         AccessMode, AccessPattern, AccessStrategy, BatchRun, BfsOutput, BfsProgram, BfsRun,
-        CcOutput, CcProgram, CcRun, DeviceWork, EdgeEffect, EdgePlacement, Engine, EngineConfig,
-        PageRankOutput, PageRankProgram, PageRankRun, Run, ShardedConfig, ShardedEngine,
-        ShardedRun, SsspOutput, SsspProgram, SsspRun, VertexProgram,
+        CcOutput, CcProgram, CcRun, DeviceWork, EdgeEffect, Engine, EngineConfig, PageRankOutput,
+        PageRankProgram, PageRankRun, Run, ShardedConfig, ShardedEngine, ShardedRun, SsspOutput,
+        SsspProgram, SsspRun, Transport, VertexProgram,
     };
     pub use emogi_graph::{
         algo, datasets, generators, CsrGraph, Dataset, DatasetKey, EdgeListBuilder, LayoutPlan,
@@ -74,5 +74,11 @@ pub mod prelude {
     };
     pub use emogi_sim::interconnect::PeerLinkConfig;
     pub use emogi_sim::CxlConfig;
-    pub use emogi_uvm::{MemoryTier, TierDecision};
+    pub use emogi_uvm::MemoryTier;
 }
+
+/// README.md's Rust blocks, compiled (and the quickstart run) as
+/// doctests so a rename cannot strand a snippet.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

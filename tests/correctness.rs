@@ -171,11 +171,12 @@ fn all_machines_run_all_engines() {
         MachineConfig::a100_gen4(),
         MachineConfig::titan_xp_gen3(),
     ] {
-        for placement in [EdgePlacement::ZeroCopyHost, EdgePlacement::Uvm] {
-            let mut cfg = EngineConfig::emogi_v100().with_machine(machine.clone());
-            cfg.placement = placement;
+        for transport in [Transport::ZeroCopy, Transport::Uvm] {
+            let cfg = EngineConfig::emogi_v100()
+                .with_machine(machine.clone())
+                .with_transport(transport.clone());
             let mut engine = Engine::load(cfg, &g);
-            assert_eq!(engine.bfs(1).levels, want, "{placement:?}");
+            assert_eq!(engine.bfs(1).levels, want, "{transport:?}");
         }
     }
 }

@@ -47,31 +47,30 @@ fn layouts(g: &CsrGraph) -> Vec<(&'static str, LayoutPlan)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Solo engine, every access mode (including Hybrid) and pipelined
-    /// execution swept: all four programs are bit-identical after
-    /// unmapping, for every structured layout and a random permutation.
+    /// Solo engine, every access mode plus pipelined Hybrid (the one
+    /// mode that can pipeline) swept: all four programs are bit-identical
+    /// after unmapping, for every structured layout and a random
+    /// permutation.
     #[test]
     fn solo_runs_are_bit_identical_after_unmapping(
         edges in common::edges(72, 350),
         src in 0u32..72,
-        mode_idx in 0usize..4,
-        pipelined in any::<bool>(),
+        cfg_idx in 0usize..5,
         perm_seed in any::<u64>(),
     ) {
         let g = build_graph(&edges, 72);
         let w = generate_weights(g.num_edges(), 11);
-        let mode = AccessMode::all()[mode_idx];
-        let mut cfg = EngineConfig::emogi_v100().with_mode(mode);
-        if pipelined {
-            cfg = cfg.pipelined();
-        }
+        let (cfg_name, cfg) = match AccessMode::all().get(cfg_idx) {
+            Some(&mode) => (mode.name(), EngineConfig::emogi_v100().with_mode(mode)),
+            None => ("Hybrid pipelined", EngineConfig::pipelined_v100()),
+        };
         let mut plans = layouts(&g);
         plans.push((
             "random",
             LayoutPlan::from_perm(common::random_permutation(g.num_vertices(), perm_seed)),
         ));
         for (name, plan) in &plans {
-            let tag = format!("{mode:?}/pipelined={pipelined}/{name}");
+            let tag = format!("{cfg_name}/{name}");
             assert_permutation_invariant(&cfg, &g, &w, src, plan, &tag);
         }
     }

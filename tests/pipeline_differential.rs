@@ -1,19 +1,18 @@
 //! Pipelined-execution differential harness: on random graphs, the
-//! pipelined (overlapped DMA/kernel) engine is checked against the
-//! synchronous engine for every shipped program (BFS / SSSP / CC /
-//! PageRank), under **every** access mode, through all three execution
-//! fronts — the solo [`Engine`], batched [`run_batch`] execution, and
-//! the [`ShardedEngine`] at 1, 2 and 4 devices. Outputs and iteration
-//! counts must be **bit-identical**; every per-run statistic except the
-//! wall clock (`elapsed_ns`, the derived `avg_pcie_gbps`) and the
-//! prefetcher's own counters must be equal too — speculation is allowed
-//! to change *when* bytes move, never *which* bytes move.
+//! pipelined (overlapped DMA/kernel) hybrid engine is checked against
+//! the synchronous hybrid engine for every shipped program (BFS / SSSP /
+//! CC / PageRank), through all three execution fronts — the solo
+//! [`Engine`], batched [`run_batch`] execution, and the [`ShardedEngine`]
+//! at 1, 2 and 4 devices. Outputs and iteration counts must be
+//! **bit-identical**; every per-run statistic except the wall clock
+//! (`elapsed_ns`, the derived `avg_pcie_gbps`) and the prefetcher's own
+//! counters must be equal too — speculation is allowed to change *when*
+//! bytes move, never *which* bytes move.
 //!
-//! In non-hybrid modes the pipeline knob must be completely inert
-//! (there is no transfer manager to feed), so those cases pin the
-//! stronger claim: the stats are equal *including* the clock. The solo
-//! test pins the same for UVM placement, which is why `sim_golden` keeps
-//! a pipelined row for Hybrid only.
+//! A prefetcher exists only inside [`Transport::Hybrid`], so every case
+//! is a hybrid pair; what the cases draw instead of an access mode is
+//! the region size, small enough that the tiny random edge lists span
+//! several regions and the ranking has something to order.
 //!
 //! The proptest shim derives each test's seed from its name, so every
 //! failure reproduces locally with a plain `cargo test --test
@@ -27,18 +26,29 @@ use common::build_graph;
 use emogi_repro::core::sharded::{ShardedConfig, ShardedEngine};
 use emogi_repro::graph::datasets::generate_weights;
 use emogi_repro::prelude::*;
-use emogi_repro::runtime::RunStats;
 use proptest::prelude::*;
 
 /// The device counts the sharded front is checked at.
 const DEVICE_COUNTS: [usize; 3] = [1, 2, 4];
 
-fn sync_cfg(mode: AccessMode) -> EngineConfig {
-    EngineConfig::emogi_v100().with_mode(mode)
+/// Hybrid transport over `region_bytes` regions, synchronous or with the
+/// default prefetcher.
+fn hybrid(region_bytes: u64, prefetch: Option<PrefetchConfig>) -> EngineConfig {
+    EngineConfig::emogi_v100().with_transport(Transport::Hybrid {
+        transfer: TransferConfig {
+            region_bytes,
+            ..TransferConfig::default()
+        },
+        prefetch,
+    })
 }
 
-fn pipe_cfg(mode: AccessMode) -> EngineConfig {
-    sync_cfg(mode).pipelined()
+fn sync_cfg(region_bytes: u64) -> EngineConfig {
+    hybrid(region_bytes, None)
+}
+
+fn pipe_cfg(region_bytes: u64) -> EngineConfig {
+    hybrid(region_bytes, Some(PrefetchConfig::default()))
 }
 
 /// Strip the fields speculation is *allowed* to change: the wall clock,
@@ -57,84 +67,55 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Solo engine, all four programs: outputs, iteration counts and
-    /// every semantic statistic are bit-identical with the pipeline on,
-    /// in every access mode. In non-hybrid modes the knob is inert and
-    /// even the clock must match.
+    /// every semantic statistic are bit-identical with the pipeline on.
     #[test]
     fn solo_runs_are_bit_identical_with_the_pipeline_on(
         edges in common::edges(72, 350),
         src in 0u32..72,
-        mode_idx in 0usize..4,
+        region_shift in 8u32..12,
         weight_seed in 0u64..1_000,
     ) {
         let g = build_graph(&edges, 72);
         let w = generate_weights(g.num_edges(), weight_seed);
-        let mode = AccessMode::all()[mode_idx];
-        let tag = format!("{mode:?}");
-        let hybrid = mode == AccessMode::Hybrid;
+        let region = 1u64 << region_shift;
+        let tag = format!("{region} B regions");
 
-        let mut sync = Engine::load(sync_cfg(mode), &g);
-        let mut pipe = Engine::load(pipe_cfg(mode), &g);
+        let mut sync = Engine::load(sync_cfg(region), &g);
+        let mut pipe = Engine::load(pipe_cfg(region), &g);
 
         let (a, b) = (sync.bfs(src), pipe.bfs(src));
         prop_assert_eq!(&a.levels, &b.levels, "{} bfs levels", &tag);
         prop_assert_eq!(semantic(&a.stats), semantic(&b.stats), "{} bfs stats", &tag);
-        if !hybrid {
-            prop_assert_eq!(&a.stats, &b.stats, "{} bfs inert-knob stats", &tag);
-        }
 
         let (a, b) = (sync.sssp(&w, src), pipe.sssp(&w, src));
         prop_assert_eq!(&a.dist, &b.dist, "{} sssp dist", &tag);
         prop_assert_eq!(semantic(&a.stats), semantic(&b.stats), "{} sssp stats", &tag);
-        if !hybrid {
-            prop_assert_eq!(&a.stats, &b.stats, "{} sssp inert-knob stats", &tag);
-        }
 
         let (a, b) = (sync.cc(), pipe.cc());
         prop_assert_eq!(&a.comp, &b.comp, "{} cc labels", &tag);
         prop_assert_eq!(a.hook_passes, b.hook_passes, "{} cc passes", &tag);
         prop_assert_eq!(semantic(&a.stats), semantic(&b.stats), "{} cc stats", &tag);
-        if !hybrid {
-            prop_assert_eq!(&a.stats, &b.stats, "{} cc inert-knob stats", &tag);
-        }
 
         let (a, b) = (sync.pagerank(0.85, 7), pipe.pagerank(0.85, 7));
         prop_assert_eq!(&a.ranks, &b.ranks, "{} pagerank ranks", &tag);
         prop_assert_eq!(semantic(&a.stats), semantic(&b.stats), "{} pagerank stats", &tag);
-        if !hybrid {
-            prop_assert_eq!(&a.stats, &b.stats, "{} pagerank inert-knob stats", &tag);
-        }
-
-        // UVM placement is not an access mode, so it gets one fixed pair:
-        // no transfer manager, hence an inert knob, clock included (SSSP
-        // first — its weights must be placed before a managed kernel).
-        let mut sync = Engine::load(EngineConfig::uvm_v100(), &g);
-        let mut pipe = Engine::load(EngineConfig::uvm_v100().pipelined(), &g);
-        let (a, b) = (sync.sssp(&w, src), pipe.sssp(&w, src));
-        prop_assert_eq!((&a.dist, &a.stats), (&b.dist, &b.stats), "UVM sssp");
-        let (a, b) = (sync.bfs(src), pipe.bfs(src));
-        prop_assert_eq!((&a.levels, &a.stats), (&b.levels, &b.stats), "UVM bfs");
-        let (a, b) = (sync.cc(), pipe.cc());
-        prop_assert_eq!((&a.comp, &a.stats), (&b.comp, &b.stats), "UVM cc");
-        let (a, b) = (sync.pagerank(0.85, 7), pipe.pagerank(0.85, 7));
-        prop_assert_eq!((&a.ranks, &a.stats), (&b.ranks, &b.stats), "UVM pagerank");
     }
 
     /// Batched multi-query execution: per-query outputs, per-query
     /// iteration counts and the batch-level semantic stats are
-    /// bit-identical with the pipeline on, in every access mode.
+    /// bit-identical with the pipeline on.
     #[test]
     fn batched_runs_are_bit_identical_with_the_pipeline_on(
         edges in common::edges(64, 300),
         sources in common::sources(64, 5),
-        mode_idx in 0usize..4,
+        region_shift in 8u32..12,
     ) {
         let g = build_graph(&edges, 64);
-        let mode = AccessMode::all()[mode_idx];
-        let tag = format!("{mode:?}");
+        let region = 1u64 << region_shift;
+        let tag = format!("{region} B regions");
 
-        let mut sync = Engine::load(sync_cfg(mode), &g);
-        let mut pipe = Engine::load(pipe_cfg(mode), &g);
+        let mut sync = Engine::load(sync_cfg(region), &g);
+        let mut pipe = Engine::load(pipe_cfg(region), &g);
         let programs = |g: &CsrGraph| -> Vec<BfsProgram> {
             sources.iter().map(|&s| BfsProgram::new(g, s)).collect()
         };
@@ -164,23 +145,23 @@ proptest! {
     fn sharded_runs_are_bit_identical_with_the_pipeline_on(
         edges in common::edges(64, 300),
         src in 0u32..64,
-        mode_idx in 0usize..4,
+        region_shift in 8u32..12,
         weight_seed in 0u64..1_000,
     ) {
         let g = build_graph(&edges, 64);
         let w = generate_weights(g.num_edges(), weight_seed);
-        let mode = AccessMode::all()[mode_idx];
+        let region = 1u64 << region_shift;
 
-        let mut solo = Engine::load(sync_cfg(mode), &g);
+        let mut solo = Engine::load(sync_cfg(region), &g);
         let bfs = solo.bfs(src);
         let sssp = solo.sssp(&w, src);
         let cc = solo.cc();
         let pr = solo.pagerank(0.85, 5);
 
         for devices in DEVICE_COUNTS {
-            let tag = format!("{mode:?}/{devices}dev");
+            let tag = format!("{region} B regions/{devices}dev");
             let mut cfg = ShardedConfig::emogi_v100(devices);
-            cfg.engine = cfg.engine.with_mode(mode).pipelined();
+            cfg.engine = pipe_cfg(region);
             let mut e = ShardedEngine::load(cfg, &g);
 
             let run = e.bfs(src);
@@ -206,4 +187,29 @@ proptest! {
             );
         }
     }
+}
+
+/// The harness's own precondition, on a fixed scenario: the pipelined
+/// side really speculates and its copies really get adopted — two
+/// synchronous engines would satisfy every equality above.
+#[test]
+fn the_pipelined_side_actually_speculates() {
+    let g = generators::kronecker(9, 16, 21);
+    let shrink = |mut cfg: EngineConfig| {
+        cfg.machine.gpu.cache.capacity_bytes = 16 << 10;
+        cfg
+    };
+    let mut sync = Engine::load(shrink(sync_cfg(4 << 10)), &g);
+    let mut pipe = Engine::load(shrink(pipe_cfg(4 << 10)), &g);
+    let (mut prefetched, mut adopted) = (0, 0);
+    for src in [3u32, 11, 200] {
+        let (a, b) = (sync.bfs(src), pipe.bfs(src));
+        assert_eq!(a.levels, b.levels, "source {src}");
+        assert_eq!(semantic(&a.stats), semantic(&b.stats), "source {src}");
+        assert_eq!(a.stats.prefetch, Default::default(), "no lane, no counters");
+        prefetched += b.stats.prefetch.prefetched_regions;
+        adopted += b.stats.prefetch.hit_regions;
+    }
+    assert!(prefetched > 0, "the prefetcher never issued a region");
+    assert!(adopted > 0, "no speculative copy was ever adopted");
 }

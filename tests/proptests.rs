@@ -3,7 +3,7 @@
 
 mod common;
 
-use emogi_repro::core::{AccessStrategy, EdgePlacement, Engine, EngineConfig};
+use emogi_repro::core::{AccessStrategy, Engine, EngineConfig, Transport};
 use emogi_repro::gpu::access::{LaneAccess, Space};
 use emogi_repro::gpu::cache::{CacheConfig, SectoredCache};
 use emogi_repro::gpu::coalesce::{Coalescer, Transaction};
@@ -179,9 +179,10 @@ proptest! {
         let w = generate_weights(g.num_edges(), 7);
 
         let strategy = AccessStrategy::all()[strategy_idx];
-        let placement = [EdgePlacement::ZeroCopyHost, EdgePlacement::Uvm][placement_idx];
-        let mut cfg = EngineConfig::emogi_v100().with_strategy(strategy);
-        cfg.placement = placement;
+        let placement = [Transport::ZeroCopy, Transport::Uvm][placement_idx].clone();
+        let cfg = EngineConfig::emogi_v100()
+            .with_strategy(strategy)
+            .with_transport(placement.clone());
         let mut engine = Engine::load(cfg, &g);
 
         // SSSP first so UVM placements grow their managed span before

@@ -15,10 +15,9 @@
 //! placement} (one table row each) × the ten [`SHAPES`] (one column
 //! each): all four programs solo, BFS and SSSP through `run_batch` at 1,
 //! 3 and 8 queries, all four programs sharded at 1, 2 and 4 devices under
-//! both partitioners. One row per configuration that differs: the
-//! pipeline knob is inert without a transfer manager, clock included
-//! (`tests/pipeline_differential.rs` pins that), so only Hybrid has a
-//! pipelined row, and `rows_are_pairwise_distinct` keeps an axis that
+//! both partitioners. One row per configuration that differs: a
+//! prefetcher exists only inside `Transport::Hybrid`, so only Hybrid has
+//! a pipelined row, and `rows_are_pairwise_distinct` keeps an axis that
 //! moves no pinned number out of the table.
 //!
 //! **Re-pinning.** The simulator is deterministic, so a mismatch is a
@@ -317,8 +316,8 @@ fn configs() -> Vec<(&'static str, EngineConfig)> {
     out.push(("UVM", EngineConfig::uvm_v100()));
     for (_, cfg) in &mut out {
         cfg.machine.gpu.cache.capacity_bytes = 16 << 10;
-        if let Some(t) = cfg.transfer.as_mut() {
-            t.region_bytes = 4 << 10;
+        if let Transport::Hybrid { transfer, .. } = &mut cfg.transport {
+            transfer.region_bytes = 4 << 10;
         }
     }
     out

@@ -3,7 +3,7 @@
 //! program (BFS / SSSP / CC / PageRank), under **every** access mode,
 //! through all three execution fronts — the solo [`Engine`], batched
 //! [`run_batch`] execution, and the [`ShardedEngine`] at 1, 2 and 4
-//! devices. Three claims are pinned:
+//! devices. Two claims are pinned:
 //!
 //! 1. **Attached-but-unused CXL is invisible.** A machine with a CXL
 //!    tier attached but unbounded host DRAM never routes a byte to it,
@@ -15,10 +15,6 @@
 //!    zero, every edge byte homes in the CXL tier; outputs and
 //!    iteration counts still match the two-tier run bit-for-bit (timing
 //!    legitimately differs — the bytes move over a slower link).
-//! 3. **Demotion preserves semantics.** Hybrid mode with cold-region
-//!    demotion enabled still produces bit-identical outputs; demotion
-//!    may only change *where* bytes are served from, never the values
-//!    the kernels compute.
 //!
 //! The proptest shim derives each test's seed from its name, so every
 //! failure reproduces locally with a plain `cargo test --test
@@ -55,23 +51,13 @@ fn spilled(cfg: EngineConfig) -> EngineConfig {
     cfg
 }
 
-/// Spilled, with hybrid cold-region demotion on a short fuse so staged
-/// regions actually bounce back out of the pool during a traversal.
-fn spilled_demoting(cfg: EngineConfig) -> EngineConfig {
-    let mut cfg = spilled(cfg);
-    if let Some(t) = cfg.transfer.as_mut() {
-        t.demote_cold_after = Some(2);
-    }
-    cfg
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Solo engine, all four programs: an attached-but-unused CXL tier
     /// changes *nothing* (full stats equality, clock included, and zero
     /// CXL traffic); an all-CXL spill changes timing only (outputs and
-    /// iteration counts bit-identical); hybrid demotion likewise.
+    /// iteration counts bit-identical).
     #[test]
     fn solo_tiered_runs_match_the_two_tier_engine(
         edges in common::edges(72, 350),
@@ -126,17 +112,6 @@ proptest! {
         prop_assert_eq!(&a.ranks, &b.ranks, "{} idle-cxl pagerank ranks", &tag);
         prop_assert_eq!(&a.stats, &b.stats, "{} idle-cxl pagerank stats", &tag);
         prop_assert_eq!(&a.ranks, &s.ranks, "{} spill pagerank ranks", &tag);
-
-        if mode.is_hybrid() {
-            let mut demo = Engine::load(spilled_demoting(base_cfg(mode)), &g);
-            let d = demo.bfs(src);
-            prop_assert_eq!(&base.bfs(src).levels, &d.levels, "{} demotion bfs levels", &tag);
-            let d = demo.pagerank(0.85, 7);
-            prop_assert_eq!(
-                &base.pagerank(0.85, 7).ranks, &d.ranks,
-                "{} demotion pagerank ranks", &tag
-            );
-        }
     }
 
     /// Batched multi-query execution: per-query outputs and iteration

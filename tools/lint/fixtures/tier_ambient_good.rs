@@ -1,20 +1,7 @@
-// Known-good: the three-way placement decision is a pure function of
-// the region's accumulated density and the configured thresholds — no
+// Known-good: the stage-or-stay decision is a pure function of the
+// region's accumulated density and the configured thresholds — no
 // clocks, no machine state — so any tier configuration replays
 // identically from the same traversal inputs.
-pub enum TierDecision {
-    StageToHbm,
-    ZeroCopyHost,
-    ServeCxl,
-}
-
-pub fn decide_tiered(cumulative: f64, upcoming: f64, cxl_stage_threshold: f64) -> TierDecision {
-    if upcoming <= 0.0 {
-        return TierDecision::ServeCxl;
-    }
-    if cumulative + upcoming >= cxl_stage_threshold {
-        TierDecision::StageToHbm
-    } else {
-        TierDecision::ServeCxl
-    }
+pub fn decide_tiered(cumulative: f64, upcoming: f64, cxl_stage_threshold: f64) -> bool {
+    upcoming > 0.0 && cumulative + upcoming >= cxl_stage_threshold
 }
