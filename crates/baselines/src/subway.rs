@@ -35,31 +35,18 @@ pub enum SubwayMode {
     Async,
 }
 
-/// Cost knobs of the subgraph generator (scaled like the rest of the
-/// machine: these correspond to tens of milliseconds per iteration at the
-/// paper's graph sizes).
-#[derive(Debug, Clone)]
-pub struct SubwayCosts {
-    /// Per-vertex activeness scan (flag check + prefix-sum share), ns.
-    pub scan_ns_per_vertex: f64,
-    /// Per-active-vertex gather bookkeeping (offset rewrite), ns.
-    pub gather_ns_per_vertex: f64,
-    /// Effective bandwidth of gathering scattered neighbour lists into
-    /// the packed buffer, GB/s. Far below DRAM peak: the lists are short
-    /// and scattered, so the copy is cache-miss-bound (the paper's
-    /// Subway timings imply a few GB/s at their scale).
-    pub gather_gbps: f64,
-}
-
-impl Default for SubwayCosts {
-    fn default() -> Self {
-        Self {
-            scan_ns_per_vertex: 1.0,
-            gather_ns_per_vertex: 18.0,
-            gather_gbps: 4.0,
-        }
-    }
-}
+// Costs of the subgraph generator (scaled like the rest of the machine:
+// these correspond to tens of milliseconds per iteration at the paper's
+// graph sizes).
+/// Per-vertex activeness scan (flag check + prefix-sum share), ns.
+const SCAN_NS_PER_VERTEX: f64 = 1.0;
+/// Per-active-vertex gather bookkeeping (offset rewrite), ns.
+const GATHER_NS_PER_VERTEX: f64 = 18.0;
+/// Effective bandwidth of gathering scattered neighbour lists into the
+/// packed buffer, GB/s. Far below DRAM peak: the lists are short and
+/// scattered, so the copy is cache-miss-bound (the paper's Subway
+/// timings imply a few GB/s at their scale).
+const GATHER_GBPS: f64 = 4.0;
 
 /// The Subway-like engine bound to one graph.
 pub struct SubwaySystem<'g> {
@@ -67,7 +54,6 @@ pub struct SubwaySystem<'g> {
     graph: &'g CsrGraph,
     weights: Option<&'g [u32]>,
     mode: SubwayMode,
-    costs: SubwayCosts,
     /// 4-byte edge elements (the public implementation's format).
     elem_bytes: u64,
 }
@@ -88,7 +74,6 @@ impl<'g> SubwaySystem<'g> {
             graph,
             weights,
             mode,
-            costs: SubwayCosts::default(),
             elem_bytes: 4,
         }
     }
@@ -112,14 +97,14 @@ impl<'g> SubwaySystem<'g> {
 
     /// Charge one iteration's subgraph generation; returns its duration.
     fn generation_time(&mut self, active: &[VertexId], bytes: u64) -> Time {
-        let scan = (self.graph.num_vertices() as f64 * self.costs.scan_ns_per_vertex) as Time;
-        let gather = (active.len() as f64 * self.costs.gather_ns_per_vertex) as Time;
+        let scan = (self.graph.num_vertices() as f64 * SCAN_NS_PER_VERTEX) as Time;
+        let gather = (active.len() as f64 * GATHER_NS_PER_VERTEX) as Time;
         // The generator gathers the active lists out of host DRAM into
         // the packed buffer; the scattered copy, not DRAM peak bandwidth,
         // sets the pace.
         let t0 = self.machine.now;
         let dram_done = self.machine.host_dram.read_bulk(t0, bytes);
-        let copy = emogi_sim::time::bytes_over_bandwidth_ns(bytes, self.costs.gather_gbps);
+        let copy = emogi_sim::time::bytes_over_bandwidth_ns(bytes, GATHER_GBPS);
         (dram_done - t0).max(copy) + scan + gather
     }
 

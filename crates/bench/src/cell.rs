@@ -4,13 +4,18 @@
 //! Every experiment cell that drives an [`Engine`] is the same loop —
 //! BFS × sources | SSSP × sources | CC | PageRank, sum the stats, keep
 //! enough of the outputs to prove two cells computed the same thing —
-//! so it is written once, here. Stats fold with the ledger's `+=`;
-//! derived columns come from the folded `RunStats`' own methods.
+//! so it is written once, here: a [`Series`] is a list of
+//! [`ProgramSpec`]s run through the core dispatcher ([`spec::run`]),
+//! and `words` is the one run → digest-words mapping. Stats fold with
+//! the ledger's `+=`; derived columns come from the folded `RunStats`'
+//! own methods.
 
+use emogi_core::spec::{self, ProgramRun, ProgramSpec};
 use emogi_core::Engine;
 use emogi_graph::reorder::LayoutPlan;
 use emogi_graph::{Dataset, VertexId};
 use emogi_runtime::RunStats;
+use std::sync::Arc;
 
 /// Power iterations of the [`Series::PageRank`] cell (enough to spread
 /// rank mass a few hops).
@@ -51,6 +56,34 @@ impl<'a> Series<'a> {
             Series::PageRank => "pagerank",
         }
     }
+
+    /// The series as specs, in run order; sources and `d`'s SSSP weights
+    /// mapped into `plan`'s id space.
+    fn specs(self, d: &Dataset, plan: Option<&LayoutPlan>) -> Vec<ProgramSpec> {
+        let map = |&s: &VertexId| plan.map_or(s, |p| p.map_vertex(s));
+        match self {
+            Series::MultiBfs(sources) => sources
+                .iter()
+                .map(|s| ProgramSpec::Bfs { src: map(s) })
+                .collect(),
+            Series::MultiSssp(sources) => {
+                let weights = Arc::new(match plan {
+                    Some(p) => p.apply_edge_data(&d.graph, &d.weights),
+                    None => d.weights.clone(),
+                });
+                let spec = |s| ProgramSpec::Sssp {
+                    src: map(s),
+                    weights: Arc::clone(&weights),
+                };
+                sources.iter().map(spec).collect()
+            }
+            Series::Cc => vec![ProgramSpec::Cc],
+            Series::PageRank => vec![ProgramSpec::PageRank {
+                damping: PR_DAMPING,
+                iterations: PR_ITERATIONS,
+            }],
+        }
+    }
 }
 
 /// One cell's outcome.
@@ -68,33 +101,38 @@ pub struct Folded {
     pub ranks: Vec<f64>,
 }
 
-impl Folded {
-    fn absorb(&mut self, stats: &RunStats, words: impl Iterator<Item = u64>) {
-        self.stats += stats;
-        self.digest = fnv1a(self.digest, words);
-    }
-}
-
 /// Word-wise FNV-1a continuing from `h`, so digests chain.
 fn fnv1a(h: u64, words: impl Iterator<Item = u64>) -> u64 {
     words.fold(h, |h, w| (h ^ w).wrapping_mul(FNV_PRIME))
 }
 
-/// Order-sensitive digest of one output: what a [`Folded`] cell of that
-/// single run carries.
-pub fn digest(words: impl Iterator<Item = u64>) -> u64 {
-    fnv1a(FNV_OFFSET, words)
+/// Order-sensitive digest of one run's output: what a [`Folded`] cell of
+/// that single run carries, so "same answer" is one comparable number.
+pub fn digest(run: &ProgramRun) -> u64 {
+    fnv1a(FNV_OFFSET, words(run, None).into_iter())
 }
 
-/// A `u32` output array (levels, distances, labels) as digest words.
-pub fn words(values: &[u32]) -> impl Iterator<Item = u64> + '_ {
-    values.iter().map(|&w| u64::from(w))
-}
-
-fn unmap<T: Copy>(plan: Option<&LayoutPlan>, values: Vec<T>) -> Vec<T> {
+/// A finished run's output as digest words — levels, distances and
+/// labels widened, `f64` ranks by bit pattern — mapped back out of
+/// `plan`'s id space (CC labels canonicalized to the smallest original
+/// id per component), so the words are comparable across layouts.
+fn words(run: &ProgramRun, plan: Option<&LayoutPlan>) -> Vec<u64> {
+    let wide = |v: &[u32]| v.iter().map(|&w| u64::from(w)).collect::<Vec<_>>();
+    let words = match run {
+        ProgramRun::Bfs(r) => wide(&r.levels),
+        ProgramRun::Sssp(r) => wide(&r.dist),
+        // Labels are vertex ids: canonicalized, not permuted.
+        ProgramRun::Cc(r) => {
+            return match plan {
+                Some(p) => wide(&p.unmap_components(&r.comp)),
+                None => wide(&r.comp),
+            }
+        }
+        ProgramRun::PageRank(r) => r.ranks.iter().map(|x| x.to_bits()).collect(),
+    };
     match plan {
-        Some(p) => p.unmap_values(&values),
-        None => values,
+        Some(p) => p.unmap_values(&words),
+        None => words,
     }
 }
 
@@ -102,9 +140,8 @@ fn unmap<T: Copy>(plan: Option<&LayoutPlan>, values: Vec<T>) -> Vec<T> {
 ///
 /// With a `plan`, `engine` must hold `plan.apply(&d.graph)`: sources
 /// and weights are mapped into the relabeled id space and every output
-/// back out before it is digested (CC labels canonicalized to the
-/// smallest original id per component), so the digest is comparable
-/// across layouts.
+/// back out before it is digested, so the digest is comparable across
+/// layouts.
 pub fn run(
     engine: &mut Engine<'_>,
     series: Series<'_>,
@@ -116,35 +153,13 @@ pub fn run(
         digest: FNV_OFFSET,
         ranks: Vec::new(),
     };
-    let map = |s: VertexId| plan.map_or(s, |p| p.map_vertex(s));
-    match series {
-        Series::MultiBfs(sources) => {
-            for &s in sources {
-                let run = engine.bfs(map(s));
-                out.absorb(&run.stats, words(&unmap(plan, run.output.levels)));
-            }
-        }
-        Series::MultiSssp(sources) => {
-            let relabeled = plan.map(|p| p.apply_edge_data(&d.graph, &d.weights));
-            let weights = relabeled.as_deref().unwrap_or(&d.weights);
-            for &s in sources {
-                let run = engine.sssp(weights, map(s));
-                out.absorb(&run.stats, words(&unmap(plan, run.output.dist)));
-            }
-        }
-        Series::Cc => {
-            let run = engine.cc();
-            let comp = match plan {
-                Some(p) => p.unmap_components(&run.output.comp),
-                None => run.output.comp,
-            };
-            out.absorb(&run.stats, words(&comp));
-        }
-        Series::PageRank => {
-            let run = engine.pagerank(PR_DAMPING, PR_ITERATIONS);
-            let ranks = unmap(plan, run.output.ranks);
-            out.absorb(&run.stats, ranks.iter().map(|r| r.to_bits()));
-            out.ranks = ranks;
+    for spec in series.specs(d, plan) {
+        let run = spec::run(engine, &spec);
+        let words = words(&run, plan);
+        out.stats += run.stats();
+        out.digest = fnv1a(out.digest, words.iter().copied());
+        if let ProgramRun::PageRank(_) = run {
+            out.ranks = words.into_iter().map(f64::from_bits).collect();
         }
     }
     out
@@ -158,8 +173,9 @@ mod tests {
 
     #[test]
     fn digest_is_order_sensitive() {
-        assert_ne!(digest([1, 2].into_iter()), digest([2, 1].into_iter()));
-        assert_eq!(digest([1, 2].into_iter()), digest([1, 2].into_iter()));
+        let digest = |words: [u64; 2]| fnv1a(FNV_OFFSET, words.into_iter());
+        assert_ne!(digest([1, 2]), digest([2, 1]));
+        assert_eq!(digest([1, 2]), digest([1, 2]));
     }
 
     #[test]

@@ -4,45 +4,32 @@ use super::matrix::EngineKind;
 use crate::cell::{self, Series};
 use crate::table::f;
 use crate::{Context, Table};
-use emogi_core::{Engine, EngineConfig};
+use emogi_core::{Engine, EngineConfig, ProgramKind};
 use emogi_graph::{Dataset, DatasetKey};
 use emogi_runtime::MachineConfig;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum App {
-    Sssp,
-    Bfs,
-    Cc,
-}
+/// The paper's applications, in its figures' order.
+const APPS: [ProgramKind; 3] = [ProgramKind::Sssp, ProgramKind::Bfs, ProgramKind::Cc];
 
-impl App {
-    pub fn name(self) -> &'static str {
-        match self {
-            App::Sssp => "SSSP",
-            App::Bfs => "BFS",
-            App::Cc => "CC",
-        }
-    }
-
-    /// The graphs the paper evaluates this app on (§5.4: CC skips the
-    /// directed SK/UK5).
-    pub fn graphs(self) -> Vec<DatasetKey> {
-        match self {
-            App::Cc => DatasetKey::undirected().to_vec(),
-            _ => DatasetKey::all().to_vec(),
-        }
+/// The graphs the paper evaluates `app` on (§5.4: CC skips the directed
+/// SK/UK5).
+fn graphs(app: ProgramKind) -> Vec<DatasetKey> {
+    match app {
+        ProgramKind::Cc => DatasetKey::undirected().to_vec(),
+        _ => DatasetKey::all().to_vec(),
     }
 }
 
 /// Average elapsed ns of `app` on `d` under `cfg` over `n` sources. The
 /// graph is placed once; every source reuses the placement.
-pub fn run_app(cfg: EngineConfig, d: &Dataset, app: App, n: usize) -> f64 {
+pub fn run_app(cfg: EngineConfig, d: &Dataset, app: ProgramKind, n: usize) -> f64 {
     let mut engine = Engine::load(cfg, &d.graph);
     let sources = d.sources(n);
     let (series, runs) = match app {
-        App::Cc => (Series::Cc, 1),
-        App::Bfs => (Series::MultiBfs(&sources), sources.len()),
-        App::Sssp => (Series::MultiSssp(&sources), sources.len()),
+        ProgramKind::Bfs => (Series::MultiBfs(&sources), sources.len()),
+        ProgramKind::Sssp => (Series::MultiSssp(&sources), sources.len()),
+        ProgramKind::Cc => (Series::Cc, 1),
+        ProgramKind::PageRank => (Series::PageRank, 1),
     };
     let total = cell::run(&mut engine, series, d, None).stats.elapsed_ns;
     total as f64 / runs as f64
@@ -58,11 +45,11 @@ pub fn fig11(ctx: &Context) -> Table {
     );
     let mut total = 0.0;
     let mut count = 0usize;
-    for app in [App::Sssp, App::Bfs, App::Cc] {
-        for g in app.graphs() {
+    for app in APPS {
+        for g in graphs(app) {
             let d = ctx.store.get(g);
             let (uvm_ns, emogi_ns) = match app {
-                App::Bfs => {
+                ProgramKind::Bfs => {
                     let m = ctx.bfs_matrix();
                     (
                         m.get(g, EngineKind::Uvm).avg_ns,
@@ -124,8 +111,8 @@ pub fn fig12_inner(ctx: &Context) -> (Table, f64, f64) {
     let mut uvm_scale = 0.0;
     let mut emogi_scale = 0.0;
     let mut count = 0usize;
-    for app in [App::Sssp, App::Bfs, App::Cc] {
-        for g in app.graphs() {
+    for app in APPS {
+        for g in graphs(app) {
             let d = ctx.store.get(g);
             eprintln!("  [fig12] {} / {} ...", app.name(), d.spec.symbol);
             let run = |machine: MachineConfig, uvm: bool| {

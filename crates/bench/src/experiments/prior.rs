@@ -1,52 +1,31 @@
 //! Table 3: comparison with HALO (Titan Xp) and Subway (V100, 4-byte
 //! elements), row-for-row with the paper.
 
-use super::apps::App;
 use crate::table::{f, ms};
 use crate::{Context, Table};
 use emogi_baselines::{HaloSystem, SubwayMode, SubwaySystem};
 use emogi_core::EngineConfig;
-use emogi_graph::DatasetKey;
+use emogi_core::ProgramKind::{self, Bfs, Cc, Sssp};
+use emogi_graph::DatasetKey::{self, Fs, Gk, Ml, Sk, Uk5};
 use emogi_runtime::MachineConfig;
 
 /// Paper-reported (work, app, graph, their time s, EMOGI time s, speedup).
-const PAPER_ROWS: &[(&str, &str, &str, f64, f64, f64)] = &[
-    ("HALO", "BFS", "ML", 9.54, 4.43, 2.15),
-    ("HALO", "BFS", "FS", 8.27, 2.59, 3.19),
-    ("HALO", "BFS", "SK", 2.17, 1.62, 1.34),
-    ("HALO", "BFS", "UK5", 6.03, 4.00, 1.51),
-    ("Subway", "SSSP", "GK", 20.96, 7.94, 2.64),
-    ("Subway", "SSSP", "FS", 14.95, 6.97, 2.14),
-    ("Subway", "SSSP", "SK", 8.99, 3.92, 2.30),
-    ("Subway", "SSSP", "UK5", 25.78, 8.08, 3.19),
-    ("Subway", "BFS", "GK", 6.88, 1.66, 4.14),
-    ("Subway", "BFS", "FS", 4.22, 1.49, 2.83),
-    ("Subway", "BFS", "SK", 1.69, 0.85, 1.99),
-    ("Subway", "BFS", "UK5", 8.75, 1.85, 4.73),
-    ("Subway", "CC", "GK", 6.34, 3.11, 2.04),
-    ("Subway", "CC", "FS", 4.31, 2.75, 1.57),
+const PAPER_ROWS: &[(&str, ProgramKind, DatasetKey, f64, f64, f64)] = &[
+    ("HALO", Bfs, Ml, 9.54, 4.43, 2.15),
+    ("HALO", Bfs, Fs, 8.27, 2.59, 3.19),
+    ("HALO", Bfs, Sk, 2.17, 1.62, 1.34),
+    ("HALO", Bfs, Uk5, 6.03, 4.00, 1.51),
+    ("Subway", Sssp, Gk, 20.96, 7.94, 2.64),
+    ("Subway", Sssp, Fs, 14.95, 6.97, 2.14),
+    ("Subway", Sssp, Sk, 8.99, 3.92, 2.30),
+    ("Subway", Sssp, Uk5, 25.78, 8.08, 3.19),
+    ("Subway", Bfs, Gk, 6.88, 1.66, 4.14),
+    ("Subway", Bfs, Fs, 4.22, 1.49, 2.83),
+    ("Subway", Bfs, Sk, 1.69, 0.85, 1.99),
+    ("Subway", Bfs, Uk5, 8.75, 1.85, 4.73),
+    ("Subway", Cc, Gk, 6.34, 3.11, 2.04),
+    ("Subway", Cc, Fs, 4.31, 2.75, 1.57),
 ];
-
-fn key_of(sym: &str) -> DatasetKey {
-    match sym {
-        "GK" => DatasetKey::Gk,
-        "GU" => DatasetKey::Gu,
-        "FS" => DatasetKey::Fs,
-        "ML" => DatasetKey::Ml,
-        "SK" => DatasetKey::Sk,
-        "UK5" => DatasetKey::Uk5,
-        other => panic!("unknown dataset symbol {other}"),
-    }
-}
-
-fn app_of(name: &str) -> App {
-    match name {
-        "BFS" => App::Bfs,
-        "SSSP" => App::Sssp,
-        "CC" => App::Cc,
-        other => panic!("unknown app {other}"),
-    }
-}
 
 /// Table 3, regenerated: same rows, our measured times and speedups next
 /// to the paper's.
@@ -64,9 +43,8 @@ pub fn table3(ctx: &Context) -> Table {
             "paper speedup",
         ],
     );
-    for &(work, app_name, sym, _pt, _pe, pspeed) in PAPER_ROWS {
-        let key = key_of(sym);
-        let app = app_of(app_name);
+    for &(work, app, key, _pt, _pe, pspeed) in PAPER_ROWS {
+        let (app_name, sym) = (app.name(), key.spec().symbol);
         let d = ctx.store.get(key);
         eprintln!("  [table3] {work} {app_name} {sym} ...");
         let (their_ns, emogi_ns) = if work == "HALO" {
@@ -83,7 +61,7 @@ pub fn table3(ctx: &Context) -> Table {
             (ht as f64 / sources.len() as f64, et)
         } else {
             // Subway rows: V100 with 4-byte elements on both sides.
-            let weights = matches!(app, App::Sssp).then_some(d.weights.as_slice());
+            let weights = (app == Sssp).then_some(d.weights.as_slice());
             let mut sub = SubwaySystem::new(
                 MachineConfig::v100_gen3(),
                 &d.graph,
@@ -91,13 +69,13 @@ pub fn table3(ctx: &Context) -> Table {
                 SubwayMode::Async,
             );
             let st = match app {
-                App::Cc => sub.cc().stats.elapsed_ns as f64,
+                Cc => sub.cc().stats.elapsed_ns as f64,
                 _ => {
                     let sources = d.sources(ctx.sources);
                     let total: u64 = sources
                         .iter()
                         .map(|&s| match app {
-                            App::Bfs => sub.bfs(s).stats.elapsed_ns,
+                            Bfs => sub.bfs(s).stats.elapsed_ns,
                             _ => sub.sssp(s).stats.elapsed_ns,
                         })
                         .sum();

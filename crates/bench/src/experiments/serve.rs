@@ -15,15 +15,17 @@
 //! frontier contains the same hub vertices, so the union fetch is much
 //! smaller than N solo fetches. Measured: total PCIe bytes (saved),
 //! wall time and queries/second — with per-query results asserted
-//! bit-identical between the two executions on every run.
+//! bit-identical between the two executions on every run. Both
+//! executions run the same [`QuerySpec`]s: sequentially through the core
+//! dispatcher ([`spec::run`]), batched through the server.
 
 use super::scaled_machine;
 use crate::table::{f, ms};
-use crate::{Context, Results, Table};
-use emogi_core::{AccessMode, Engine, EngineConfig};
-use emogi_graph::DatasetKey;
+use crate::{cell, Context, Results, Table};
+use emogi_core::{spec, AccessMode, Engine, EngineConfig};
+use emogi_graph::{DatasetKey, VertexId};
 use emogi_runtime::RunStats;
-use emogi_serve::{Query, QueryServer, ServerConfig};
+use emogi_serve::{QoS, Query, QueryServer, QuerySpec, ServerConfig, ServerStats};
 use std::sync::Arc;
 
 /// Queries per burst.
@@ -35,32 +37,11 @@ const MODES: &[(&str, AccessMode)] = &[
     ("Hybrid", AccessMode::Hybrid),
 ];
 
-/// One (scenario, mode, execution) measurement.
-#[derive(Debug, Clone)]
-pub struct Measurement {
-    /// Queries in the burst.
-    pub queries: usize,
-    /// Total simulated time serving the burst, ns.
-    pub total_ns: u64,
-    /// Host→GPU payload bytes (shared fetches counted once).
-    pub host_bytes: u64,
-}
-
-impl Measurement {
-    /// Serving throughput, queries per simulated second.
-    pub fn queries_per_sec(&self) -> f64 {
-        self.queries as f64 / (self.total_ns as f64 * 1e-9)
-    }
-}
-
 /// Cells keyed by (scenario, engine mode, `Sequential` | `Batched`).
-pub type Cells = Results<(&'static str, &'static str, &'static str), Measurement>;
-
-fn cfg(ctx: &Context, mode: AccessMode) -> EngineConfig {
-    EngineConfig::emogi_v100()
-        .with_mode(mode)
-        .with_machine(scaled_machine(ctx.scale))
-}
+/// The value is the server's own [`ServerStats`]; a sequential cell is
+/// the same counters for a server that runs every query as its own
+/// batch.
+pub type Cells = Results<(&'static str, &'static str, &'static str), ServerStats>;
 
 /// Run every (scenario, mode, execution) cell, asserting per-query
 /// bit-identity between sequential and batched execution as it goes.
@@ -70,132 +51,74 @@ pub fn measure(ctx: &Context) -> Cells {
     let weights = Arc::new(gk.weights.clone());
     let mut cells = Results { rows: Vec::new() };
 
-    for &(mode_name, mode) in MODES {
-        let engine_cfg = cfg(ctx, mode);
-        measure_scenario(
-            Cell {
-                scenario: "bfs-burst",
-                mode: mode_name,
-                engine_cfg: engine_cfg.clone(),
-                graph: &gk.graph,
-                sources: &sources,
-            },
-            &mut cells,
-            |engine, s| {
-                let run = engine.bfs(s);
-                (run.output.levels, run.stats)
-            },
-            |server, s| server.submit(Query::bfs(s)).expect("admission"),
-            |result| {
-                let run = result.into_bfs();
-                (run.output.levels, run.stats)
-            },
-        );
-        let w = Arc::clone(&weights);
-        measure_scenario(
-            Cell {
-                scenario: "sssp-burst",
-                mode: mode_name,
-                engine_cfg,
-                graph: &gk.graph,
-                sources: &sources,
-            },
-            &mut cells,
-            |engine, s| {
-                let run = engine.sssp(&weights, s);
-                (run.output.dist, run.stats)
-            },
-            |server, s| {
-                server
-                    .submit(Query::sssp(s, Arc::clone(&w)))
-                    .expect("admission")
-            },
-            |result| {
-                let run = result.into_sssp();
-                (run.output.dist, run.stats)
-            },
-        );
+    for &(mode, access) in MODES {
+        let cfg = EngineConfig::emogi_v100()
+            .with_mode(access)
+            .with_machine(scaled_machine(ctx.scale));
+        let bfs: Vec<_> = sources.iter().map(|&src| QuerySpec::Bfs { src }).collect();
+        let sssp = |&src: &VertexId| QuerySpec::Sssp {
+            src,
+            weights: Arc::clone(&weights),
+        };
+        let sssp: Vec<_> = sources.iter().map(sssp).collect();
+        for (scenario, specs) in [("bfs-burst", bfs), ("sssp-burst", sssp)] {
+            eprintln!("  [serve] {scenario} {mode} ({} queries) ...", specs.len());
+            let (sequential, batched) = measure_scenario(&cfg, &gk.graph, &specs);
+            cells
+                .rows
+                .push(((scenario, mode, "Sequential"), sequential));
+            cells.rows.push(((scenario, mode, "Batched"), batched));
+        }
     }
     cells
 }
 
-/// One (scenario, mode) cell's fixed inputs.
-struct Cell<'a> {
-    scenario: &'static str,
-    mode: &'static str,
-    engine_cfg: EngineConfig,
-    graph: &'a emogi_graph::CsrGraph,
-    sources: &'a [emogi_graph::VertexId],
-}
-
 /// Measure one cell: the burst sequentially on a fresh engine, then
 /// batched on a fresh [`QueryServer`], asserting per-query bit-identity
-/// (output vector and iteration count) between the two. The three
-/// closures are the only program-kind-specific parts: run one query
-/// solo, submit one query, and unwrap one result — both programs reduce
-/// to a `Vec<u32>` output (levels / distances).
-fn measure_scenario<'g>(
-    cell: Cell<'g>,
-    cells: &mut Cells,
-    mut solo: impl FnMut(&mut Engine<'g>, emogi_graph::VertexId) -> (Vec<u32>, RunStats),
-    mut submit: impl FnMut(&mut QueryServer<'g>, emogi_graph::VertexId) -> emogi_serve::QueryId,
-    mut take: impl FnMut(emogi_serve::QueryOutcome) -> (Vec<u32>, RunStats),
-) {
-    eprintln!(
-        "  [serve] {} {} ({} queries) ...",
-        cell.scenario,
-        cell.mode,
-        cell.sources.len()
-    );
-    let mut seq = Engine::load(cell.engine_cfg.clone(), cell.graph);
+/// (output digest and iteration count) between the two.
+fn measure_scenario(
+    cfg: &EngineConfig,
+    graph: &emogi_graph::CsrGraph,
+    specs: &[QuerySpec],
+) -> (ServerStats, ServerStats) {
+    let mut seq = Engine::load(cfg.clone(), graph);
     let mut seq_total = RunStats::default();
-    let seq_runs: Vec<(Vec<u32>, RunStats)> = cell
-        .sources
-        .iter()
-        .map(|&s| {
-            let (out, stats) = solo(&mut seq, s);
-            seq_total += &stats;
-            (out, stats)
-        })
-        .collect();
-    let sequential = Measurement {
-        queries: cell.sources.len(),
-        total_ns: seq_total.elapsed_ns,
+    let seq_runs: Vec<_> = specs.iter().map(|s| spec::run(&mut seq, s)).collect();
+    seq_runs.iter().for_each(|r| seq_total += r.stats());
+    let queries = specs.len() as u64;
+    let sequential = ServerStats {
+        submitted: queries,
+        served: queries,
+        batches: queries,
+        busy_ns: seq_total.elapsed_ns,
         host_bytes: seq_total.host_bytes,
+        ..ServerStats::default()
     };
-    let key = (cell.scenario, cell.mode, "Sequential");
-    cells.rows.push((key, sequential));
 
     let mut server = QueryServer::new(
         ServerConfig {
             max_batch: BURST,
             ..ServerConfig::default()
         },
-        Engine::load(cell.engine_cfg, cell.graph),
+        Engine::load(cfg.clone(), graph),
     );
-    let ids: Vec<_> = cell
-        .sources
-        .iter()
-        .map(|&s| submit(&mut server, s))
-        .collect();
-    server.run_pending();
-    for (id, (want, want_stats)) in ids.into_iter().zip(&seq_runs) {
-        let (got, got_stats) = take(server.take(id).expect("served"));
-        assert_eq!(
-            &got, want,
-            "{}/{}: batched result must be bit-identical",
-            cell.scenario, cell.mode
-        );
-        assert_eq!(got_stats.kernel_launches, want_stats.kernel_launches);
-    }
-    let st = server.stats();
-    let batched = Measurement {
-        queries: cell.sources.len(),
-        total_ns: st.busy_ns,
-        host_bytes: st.host_bytes,
+    let submit = |spec: &QuerySpec| {
+        let (spec, qos) = (spec.clone(), QoS::default());
+        server.submit(Query { spec, qos }).expect("admission")
     };
-    let key = (cell.scenario, cell.mode, "Batched");
-    cells.rows.push((key, batched));
+    let ids: Vec<_> = specs.iter().map(submit).collect();
+    server.run_pending();
+    for (id, want) in ids.into_iter().zip(&seq_runs) {
+        let got = server.take(id).expect("served").into_result();
+        let got = got.expect("no deadline, so it ran");
+        assert_eq!(
+            cell::digest(&got),
+            cell::digest(want),
+            "batched result must be bit-identical"
+        );
+        assert_eq!(got.stats().kernel_launches, want.stats().kernel_launches);
+    }
+    (sequential, *server.stats())
 }
 
 /// The printable table.
@@ -228,8 +151,8 @@ pub fn table(r: &Cells) -> Table {
             (*scenario).into(),
             (*mode).into(),
             (*execution).into(),
-            m.queries.to_string(),
-            ms(m.total_ns),
+            m.served.to_string(),
+            ms(m.busy_ns),
             f(m.queries_per_sec()),
             format!("{:.2}", m.host_bytes as f64 / 1e6),
             saved,
@@ -263,10 +186,10 @@ mod tests {
                     seq.host_bytes
                 );
                 assert!(
-                    bat.total_ns < seq.total_ns,
+                    bat.busy_ns < seq.busy_ns,
                     "{scenario}/{mode_name}: batched {} ns must beat sequential {}",
-                    bat.total_ns,
-                    seq.total_ns
+                    bat.busy_ns,
+                    seq.busy_ns
                 );
                 assert!(bat.queries_per_sec() > seq.queries_per_sec());
             }

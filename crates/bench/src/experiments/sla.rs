@@ -11,18 +11,17 @@
 //!
 //! Scheduling must never change answers: for every executed query, of
 //! either policy, this experiment folds the output into an FNV-1a
-//! digest and asserts it equal to a solo run of the same query on a
-//! fresh engine — so the two schedulers' served outputs are
-//! digest-equal by transitivity, checked on every invocation.
+//! digest ([`cell::digest`]) and asserts it equal to a solo run of the
+//! same spec ([`spec::run`]) on a fresh engine — so the two schedulers'
+//! served outputs are digest-equal by transitivity, checked on every
+//! invocation.
 
 use super::scaled_machine;
 use crate::table::{f, ms};
 use crate::{cell, Context, Results, Table};
-use emogi_core::{AccessMode, Engine, EngineConfig};
+use emogi_core::{spec, AccessMode, Engine, EngineConfig};
 use emogi_graph::DatasetKey;
-use emogi_serve::{
-    Priority, Query, QueryOutcome, QueryResult, QueryServer, SchedPolicy, ServerConfig,
-};
+use emogi_serve::{Priority, Query, QueryServer, SchedPolicy, ServerConfig, ServerStats};
 use std::sync::Arc;
 
 /// Bulk-class BFS queries in the prefix (they share one batch).
@@ -36,42 +35,11 @@ const LATENCY_BFS: usize = 3;
 /// One policy's serving outcome over the shared workload.
 #[derive(Debug, Clone)]
 pub struct Measurement {
-    /// Queries admitted.
-    pub queries: usize,
-    /// Deadline-carrying queries that completed on time.
-    pub deadline_met: u64,
-    /// Deadline-carrying queries that executed but finished late.
-    pub deadline_missed: u64,
-    /// Deadline-carrying queries that expired in the queue, unexecuted.
-    pub deadline_cancelled: u64,
+    /// The server's own counters after the burst.
+    pub stats: ServerStats,
     /// p99 completion latency over executed queries, ns (simulated,
     /// from submission at clock zero).
     pub p99_latency_ns: u64,
-    /// Simulated time the engine spent executing batches, ns.
-    pub busy_ns: u64,
-}
-
-impl Measurement {
-    /// Fraction of deadline-carrying queries that met their deadline.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.deadline_met + self.deadline_missed + self.deadline_cancelled;
-        if total == 0 {
-            1.0
-        } else {
-            self.deadline_met as f64 / total as f64
-        }
-    }
-}
-
-/// The cell runner's digest of a result's output words, so "same
-/// answer" is a single comparable number.
-fn digest(r: &QueryResult) -> u64 {
-    match r {
-        QueryResult::Bfs(run) => cell::digest(cell::words(&run.output.levels)),
-        QueryResult::Sssp(run) => cell::digest(cell::words(&run.output.dist)),
-        QueryResult::Cc(run) => cell::digest(cell::words(&run.output.comp)),
-        QueryResult::PageRank(run) => cell::digest(run.output.ranks.iter().map(|r| r.to_bits())),
-    }
 }
 
 /// The mixed burst, in submission order: bulk prefix then latency
@@ -111,18 +79,8 @@ pub fn measure(ctx: &Context) -> Results<&'static str, Measurement> {
     let mut solo_digest = Vec::new();
     let mut latency_solo_ns = 0u64;
     for (query, is_latency) in workload(&sources, &weights) {
-        let result = match &query.spec {
-            emogi_serve::QuerySpec::Bfs { src } => QueryResult::Bfs(solo.bfs(*src)),
-            emogi_serve::QuerySpec::Sssp { src, weights } => {
-                QueryResult::Sssp(solo.sssp(weights, *src))
-            }
-            emogi_serve::QuerySpec::Cc => QueryResult::Cc(solo.cc()),
-            emogi_serve::QuerySpec::PageRank {
-                damping,
-                iterations,
-            } => QueryResult::PageRank(solo.pagerank(*damping, *iterations)),
-        };
-        solo_digest.push(digest(&result));
+        let result = spec::run(&mut solo, &query.spec);
+        solo_digest.push(cell::digest(&result));
         if is_latency {
             latency_solo_ns += result.stats().elapsed_ns;
         }
@@ -166,26 +124,20 @@ pub fn measure(ctx: &Context) -> Results<&'static str, Measurement> {
             if let Some(ns) = outcome.completed_ns() {
                 completions.push(ns);
             }
-            if let QueryOutcome::DeadlineCancelled { .. } = outcome {
-                continue;
+            // Deadline-cancelled queries never ran and carry no result.
+            if let Some(result) = outcome.result() {
+                assert_eq!(
+                    cell::digest(result),
+                    solo_digest[i],
+                    "{name}: query {i} output diverged from its solo run"
+                );
             }
-            let result = outcome.result().expect("executed queries carry results");
-            assert_eq!(
-                digest(result),
-                solo_digest[i],
-                "{name}: query {i} output diverged from its solo run"
-            );
         }
         completions.sort_unstable();
         let p99 = completions[((completions.len() * 99).div_ceil(100)).saturating_sub(1)];
-        let st = server.stats();
         let m = Measurement {
-            queries: st.submitted as usize,
-            deadline_met: st.deadline_met,
-            deadline_missed: st.deadline_missed,
-            deadline_cancelled: st.deadline_cancelled,
+            stats: *server.stats(),
             p99_latency_ns: p99,
-            busy_ns: st.busy_ns,
         };
         rows.push((name, m));
     }
@@ -211,13 +163,13 @@ pub fn table(r: &Results<&'static str, Measurement>) -> Table {
     for (policy, m) in &r.rows {
         t.row(vec![
             (*policy).into(),
-            m.queries.to_string(),
-            m.deadline_met.to_string(),
-            m.deadline_missed.to_string(),
-            m.deadline_cancelled.to_string(),
-            f(m.hit_rate()),
+            m.stats.submitted.to_string(),
+            m.stats.deadline_met.to_string(),
+            m.stats.deadline_missed.to_string(),
+            m.stats.deadline_cancelled.to_string(),
+            f(m.stats.deadline_hit_rate()),
             ms(m.p99_latency_ns),
-            ms(m.busy_ns),
+            ms(m.stats.busy_ns),
         ]);
     }
     t.note(

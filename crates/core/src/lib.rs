@@ -44,7 +44,13 @@
 //!   over a device group, vertices partitioned across devices, each
 //!   device reading only its frontier shard's edge-list ranges over its
 //!   own link — outputs and iteration counts bit-identical to the
-//!   single-device engine.
+//!   single-device engine;
+//! * [`spec`] — the closed vocabulary over those four programs
+//!   ([`ProgramSpec`] / [`ProgramKind`] / [`ProgramRun`]) and the one
+//!   dispatcher that runs a description — solo ([`spec::run`]) or as a
+//!   kind-pure group ([`spec::run_group`]) — on any [`Front`]: the
+//!   server, the experiment harness and the test suites all go through
+//!   it instead of re-deciding "which of the four".
 //!
 //! [`compressed`] adds the paper's §6 extension: traversal over
 //! delta-varint-compressed neighbour lists, trading idle-lane compute for
@@ -82,6 +88,7 @@ pub mod layout;
 pub mod pagerank;
 pub mod program;
 pub mod sharded;
+pub mod spec;
 pub mod sssp;
 pub mod strategy;
 pub mod toy;
@@ -96,5 +103,6 @@ pub use layout::{GraphLayout, Transport};
 pub use pagerank::{PageRankOutput, PageRankProgram};
 pub use program::{AccessPattern, DeviceWork, EdgeEffect, VertexProgram};
 pub use sharded::{ShardedConfig, ShardedEngine, ShardedRun};
+pub use spec::{Front, GroupRun, ProgramKind, ProgramRun, ProgramSpec};
 pub use sssp::{SsspOutput, SsspProgram};
 pub use strategy::{AccessMode, AccessStrategy};

@@ -2,8 +2,11 @@
 //!
 //! EMOGI ([`emogi_core`]) makes every PCIe cache line count; this crate
 //! makes *concurrent* queries share those cache lines — under service
-//! level objectives. One generic [`Server`] core fronts either backend
-//! (see [`ServeBackend`]):
+//! level objectives. One generic [`Server`] core fronts either engine
+//! (any [`ServeBackend`], the core's [`Front`](emogi_core::Front)). The
+//! program vocabulary — [`QuerySpec`], [`QueryKind`], [`QueryResult`] —
+//! and the dispatcher that executes a planned batch are
+//! [`emogi_core::spec`]'s; this crate adds what serving adds:
 //!
 //! * **admission control** — [`Server::submit`] bounds *outstanding*
 //!   queries (pending + unredeemed results), validates queries up front
@@ -51,17 +54,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod query;
 pub mod scheduler;
 pub mod server;
 pub mod sharded;
 
-pub use backend::{ExecutedBatch, ServeBackend};
 pub use query::{
     Priority, QoS, Query, QueryId, QueryKind, QueryOutcome, QueryResult, QuerySpec, SubmitError,
 };
-pub use scheduler::{
-    next_batch, plan_batches, sched_key, Pending, QueryBatch, SchedPolicy, SlaBatch,
-};
-pub use server::{QueryServer, Server, ServerConfig, ServerStats, ShardedServer};
+pub use scheduler::{plan_batches, sched_key, Pending, SchedPolicy, SlaBatch};
+pub use server::{QueryServer, ServeBackend, Server, ServerConfig, ServerStats, ShardedServer};

@@ -4,6 +4,12 @@ use emogi_core::{BfsOutput, CcOutput, PageRankOutput, Run, SsspOutput};
 use emogi_graph::VertexId;
 use std::sync::Arc;
 
+// The program vocabulary is `emogi_core::spec`'s; serving adds only the
+// QoS contract around a spec and the lifecycle around a run.
+pub use emogi_core::spec::{
+    ProgramKind as QueryKind, ProgramRun as QueryResult, ProgramSpec as QuerySpec,
+};
+
 /// Opaque handle returned by
 /// [`Server::submit`](crate::Server::submit); redeem it with
 /// [`Server::take`](crate::Server::take) once the query ran, or revoke
@@ -73,36 +79,6 @@ pub struct QoS {
     pub deadline_ns: Option<u64>,
 }
 
-/// What a query computes: a frontier-driven traversal from a source, or
-/// a solo full-sweep analytic over the whole graph.
-#[derive(Debug, Clone)]
-pub enum QuerySpec {
-    /// Breadth-first search from a source vertex.
-    Bfs {
-        /// The BFS root.
-        src: VertexId,
-    },
-    /// Single-source shortest paths from a source vertex with one 4-byte
-    /// weight per edge.
-    Sssp {
-        /// The SSSP root.
-        src: VertexId,
-        /// Per-edge weights, shared cheaply between queries over the
-        /// same weight assignment.
-        weights: Arc<Vec<u32>>,
-    },
-    /// Connected components over the whole graph (full sweep, runs
-    /// solo).
-    Cc,
-    /// PageRank over the whole graph (full sweep, runs solo).
-    PageRank {
-        /// Damping factor (the usual 0.85).
-        damping: f64,
-        /// Power iterations to run.
-        iterations: u32,
-    },
-}
-
 /// A query against the server's shared placement: a [`QuerySpec`] plus
 /// its [`QoS`] contract.
 ///
@@ -169,142 +145,12 @@ impl Query {
 
     /// The compatibility kind the scheduler groups by.
     pub fn kind(&self) -> QueryKind {
-        match &self.spec {
-            QuerySpec::Bfs { .. } => QueryKind::Bfs,
-            QuerySpec::Sssp { .. } => QueryKind::Sssp,
-            QuerySpec::Cc => QueryKind::Cc,
-            QuerySpec::PageRank { .. } => QueryKind::PageRank,
-        }
+        self.spec.kind()
     }
 
     /// The query's source vertex; `None` for full-sweep analytics.
     pub fn src(&self) -> Option<VertexId> {
-        match &self.spec {
-            QuerySpec::Bfs { src } | QuerySpec::Sssp { src, .. } => Some(*src),
-            QuerySpec::Cc | QuerySpec::PageRank { .. } => None,
-        }
-    }
-}
-
-/// Program type of a query — the scheduler's compatibility key: only
-/// queries of the same kind (and, by construction of a server, the same
-/// graph and placement) share a batch, and only
-/// [`batchable`](Self::batchable) kinds share at all.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum QueryKind {
-    /// Breadth-first search.
-    Bfs,
-    /// Single-source shortest paths.
-    Sssp,
-    /// Connected components (full sweep).
-    Cc,
-    /// PageRank (full sweep).
-    PageRank,
-}
-
-impl QueryKind {
-    /// Number of kinds (array-index bound for per-kind scheduler state).
-    pub(crate) const COUNT: usize = 4;
-
-    /// Dense index for per-kind scheduler state.
-    pub(crate) fn slot(self) -> usize {
-        match self {
-            QueryKind::Bfs => 0,
-            QueryKind::Sssp => 1,
-            QueryKind::Cc => 2,
-            QueryKind::PageRank => 3,
-        }
-    }
-
-    /// Whether queries of this kind share a batch. Frontier-driven
-    /// kinds batch (their frontiers merge); full-sweep kinds run solo.
-    pub fn batchable(self) -> bool {
-        match self {
-            QueryKind::Bfs | QueryKind::Sssp => true,
-            QueryKind::Cc | QueryKind::PageRank => false,
-        }
-    }
-
-    /// Human-readable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            QueryKind::Bfs => "BFS",
-            QueryKind::Sssp => "SSSP",
-            QueryKind::Cc => "CC",
-            QueryKind::PageRank => "PageRank",
-        }
-    }
-}
-
-/// A finished query: the program output plus the run's measurements.
-///
-/// Stats of batched queries are flagged
-/// [`shared_fetch`](emogi_runtime::RunStats::shared_fetch): their PCIe
-/// counters describe iteration traffic that also served the other
-/// queries of the batch.
-#[derive(Debug, Clone)]
-pub enum QueryResult {
-    /// A finished BFS.
-    Bfs(Run<BfsOutput>),
-    /// A finished SSSP.
-    Sssp(Run<SsspOutput>),
-    /// A finished connected-components sweep.
-    Cc(Run<CcOutput>),
-    /// A finished PageRank sweep.
-    PageRank(Run<PageRankOutput>),
-}
-
-impl QueryResult {
-    /// The kind of query this result came from.
-    pub fn kind(&self) -> QueryKind {
-        match self {
-            QueryResult::Bfs(_) => QueryKind::Bfs,
-            QueryResult::Sssp(_) => QueryKind::Sssp,
-            QueryResult::Cc(_) => QueryKind::Cc,
-            QueryResult::PageRank(_) => QueryKind::PageRank,
-        }
-    }
-
-    /// The run's measurements, whichever program produced them.
-    pub fn stats(&self) -> &emogi_runtime::RunStats {
-        match self {
-            QueryResult::Bfs(r) => &r.stats,
-            QueryResult::Sssp(r) => &r.stats,
-            QueryResult::Cc(r) => &r.stats,
-            QueryResult::PageRank(r) => &r.stats,
-        }
-    }
-
-    /// Unwrap a BFS result; panics on a different kind.
-    pub fn into_bfs(self) -> Run<BfsOutput> {
-        match self {
-            QueryResult::Bfs(r) => r,
-            other => panic!("expected a BFS result, got {:?}", other.kind()),
-        }
-    }
-
-    /// Unwrap an SSSP result; panics on a different kind.
-    pub fn into_sssp(self) -> Run<SsspOutput> {
-        match self {
-            QueryResult::Sssp(r) => r,
-            other => panic!("expected an SSSP result, got {:?}", other.kind()),
-        }
-    }
-
-    /// Unwrap a connected-components result; panics on a different kind.
-    pub fn into_cc(self) -> Run<CcOutput> {
-        match self {
-            QueryResult::Cc(r) => r,
-            other => panic!("expected a CC result, got {:?}", other.kind()),
-        }
-    }
-
-    /// Unwrap a PageRank result; panics on a different kind.
-    pub fn into_pagerank(self) -> Run<PageRankOutput> {
-        match self {
-            QueryResult::PageRank(r) => r,
-            other => panic!("expected a PageRank result, got {:?}", other.kind()),
-        }
+        self.spec.src()
     }
 }
 
@@ -388,33 +234,49 @@ impl QueryOutcome {
     /// Unwrap an executed BFS run; panics on a different kind or a
     /// deadline-cancelled query.
     pub fn into_bfs(self) -> Run<BfsOutput> {
-        self.into_result()
-            .expect("deadline-cancelled query has no result")
-            .into_bfs()
+        match self.into_result() {
+            Some(QueryResult::Bfs(run)) => run,
+            other => panic!(
+                "expected an executed BFS query, got {:?}",
+                other.map(|r| r.kind())
+            ),
+        }
     }
 
     /// Unwrap an executed SSSP run; panics on a different kind or a
     /// deadline-cancelled query.
     pub fn into_sssp(self) -> Run<SsspOutput> {
-        self.into_result()
-            .expect("deadline-cancelled query has no result")
-            .into_sssp()
+        match self.into_result() {
+            Some(QueryResult::Sssp(run)) => run,
+            other => panic!(
+                "expected an executed SSSP query, got {:?}",
+                other.map(|r| r.kind())
+            ),
+        }
     }
 
     /// Unwrap an executed connected-components run; panics on a
     /// different kind or a deadline-cancelled query.
     pub fn into_cc(self) -> Run<CcOutput> {
-        self.into_result()
-            .expect("deadline-cancelled query has no result")
-            .into_cc()
+        match self.into_result() {
+            Some(QueryResult::Cc(run)) => run,
+            other => panic!(
+                "expected an executed CC query, got {:?}",
+                other.map(|r| r.kind())
+            ),
+        }
     }
 
     /// Unwrap an executed PageRank run; panics on a different kind or a
     /// deadline-cancelled query.
     pub fn into_pagerank(self) -> Run<PageRankOutput> {
-        self.into_result()
-            .expect("deadline-cancelled query has no result")
-            .into_pagerank()
+        match self.into_result() {
+            Some(QueryResult::PageRank(run)) => run,
+            other => panic!(
+                "expected an executed PageRank query, got {:?}",
+                other.map(|r| r.kind())
+            ),
+        }
     }
 }
 

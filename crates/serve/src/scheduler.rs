@@ -1,76 +1,27 @@
 //! The compatibility scheduler: group pending queries into batches.
 //!
-//! Two layers share one batching rule (kind-pure groups, capped size,
-//! full-sweep kinds solo):
+//! [`plan_batches`] orders [`Pending`] entries by a deterministic
+//! earliest-deadline-first-within-priority key ([`sched_key`]) —
+//! latency class before bulk, earlier absolute deadline first,
+//! submission id breaking every tie — and forms kind-pure batches of
+//! capped size (full-sweep kinds solo) in one `O(n log n)` pass: the
+//! plan repeated anchor selection would produce, where the smallest
+//! pending key anchors a batch, later queries of its kind join in key
+//! order until the cap, and queries of other kinds keep their queue
+//! positions, so a burst of one kind cannot starve the other. Under
+//! [`SchedPolicy::Fifo`] (or when every query carries the default QoS)
+//! the key degenerates to the submission id and the plan is the
+//! FIFO-fair one; the incremental reference scheduler it is checked
+//! against lives beside its test, `fifo_plan_equals_incremental_next_batch`
+//! in `tests/sla_proptests.rs`.
 //!
-//! * [`next_batch`] is the original FIFO-fair primitive over a plain
-//!   `(QueryId, Query)` queue: the oldest pending query anchors the
-//!   batch, then every other pending query of the same kind joins in
-//!   submission order until the cap. Queries of other kinds keep their
-//!   queue positions, so a burst of one kind cannot starve the other.
-//! * [`plan_batches`] is the SLA scheduler the servers run on: it
-//!   orders [`Pending`] entries by a deterministic
-//!   earliest-deadline-first-within-priority key ([`sched_key`]) —
-//!   latency class before bulk, earlier absolute deadline first,
-//!   submission id breaking every tie — and forms batches behind each
-//!   anchor exactly like repeated [`next_batch`] selection would, in
-//!   one `O(n log n)` pass. Under [`SchedPolicy::Fifo`] (or when every
-//!   query carries the default QoS) the key degenerates to the
-//!   submission id and the plan is exactly the FIFO-fair plan.
-//!
-//! Both layers are pure functions of queue state: no wall clock, no
+//! The plan is a pure function of queue state: no wall clock, no
 //! randomness — deadlines are absolute points on the *server's
 //! simulated clock*, assigned at admission. `emogi-lint`'s
 //! `ambient-nondet` rule (see `tools/lint/fixtures/deadline_clock_bad.rs`)
 //! guards exactly this property.
 
 use crate::query::{Query, QueryId, QueryKind};
-use std::collections::VecDeque;
-
-/// A group of compatible queries scheduled to execute together.
-#[derive(Debug, Clone)]
-pub struct QueryBatch {
-    /// The common program kind.
-    pub kind: QueryKind,
-    /// The member queries with their handles, in submission order.
-    pub queries: Vec<(QueryId, Query)>,
-}
-
-impl QueryBatch {
-    /// Number of queries in the batch.
-    pub fn len(&self) -> usize {
-        self.queries.len()
-    }
-
-    /// Whether the batch is empty (never produced by the scheduler).
-    pub fn is_empty(&self) -> bool {
-        self.queries.is_empty()
-    }
-}
-
-/// Pop the next batch off `queue`: the oldest query plus up to
-/// `max_batch - 1` later queries of the same kind, preserving order.
-/// Returns `None` when the queue is empty.
-///
-/// Single pass: each element is popped once and either joins the batch
-/// or rotates back to the queue's tail, so the survivors keep their
-/// relative order in place — no rebuild allocation, and a full drain
-/// via repeated calls moves each element O(batches-per-drain) times
-/// instead of the O(n) per call a rebuild costs.
-pub fn next_batch(queue: &mut VecDeque<(QueryId, Query)>, max_batch: usize) -> Option<QueryBatch> {
-    let max_batch = max_batch.max(1);
-    let kind = queue.front()?.1.kind();
-    let mut queries = Vec::new();
-    for _ in 0..queue.len() {
-        let (id, q) = queue.pop_front().expect("iterating within queue length");
-        if q.kind() == kind && queries.len() < max_batch {
-            queries.push((id, q));
-        } else {
-            queue.push_back((id, q));
-        }
-    }
-    Some(QueryBatch { kind, queries })
-}
 
 /// How a server orders its pending queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -145,19 +96,19 @@ pub fn plan_batches(
 ) -> Vec<SlaBatch> {
     let max_batch = max_batch.max(1);
     pending.sort_by_key(|p| sched_key(policy, p));
-    let mut open: [Option<usize>; QueryKind::COUNT] = [None; QueryKind::COUNT];
+    let mut open = [None::<usize>; QueryKind::ALL.len()];
     let mut batches: Vec<SlaBatch> = Vec::new();
     for p in pending {
         let kind = p.query.kind();
         let cap = if kind.batchable() { max_batch } else { 1 };
-        let idx = match open[kind.slot()] {
+        let idx = match open[kind as usize] {
             Some(i) if batches[i].entries.len() < cap => i,
             _ => {
                 batches.push(SlaBatch {
                     kind,
                     entries: Vec::with_capacity(cap.min(16)),
                 });
-                open[kind.slot()] = Some(batches.len() - 1);
+                open[kind as usize] = Some(batches.len() - 1);
                 batches.len() - 1
             }
         };
@@ -176,99 +127,8 @@ mod tests {
     use crate::query::Priority;
     use std::sync::Arc;
 
-    fn q(id: u64, query: Query) -> (QueryId, Query) {
-        (QueryId(id), query)
-    }
-
     fn weights() -> Arc<Vec<u32>> {
         Arc::new(vec![1, 2, 3])
-    }
-
-    #[test]
-    fn batches_group_by_kind_preserving_fifo_order() {
-        let mut queue: VecDeque<_> = vec![
-            q(0, Query::bfs(1)),
-            q(1, Query::sssp(2, weights())),
-            q(2, Query::bfs(3)),
-            q(3, Query::bfs(4)),
-            q(4, Query::sssp(5, weights())),
-        ]
-        .into();
-        let b = next_batch(&mut queue, 16).unwrap();
-        assert_eq!(b.kind, QueryKind::Bfs);
-        assert_eq!(
-            b.queries.iter().map(|(id, _)| id.0).collect::<Vec<_>>(),
-            vec![0, 2, 3]
-        );
-        let b = next_batch(&mut queue, 16).unwrap();
-        assert_eq!(b.kind, QueryKind::Sssp);
-        assert_eq!(
-            b.queries.iter().map(|(id, _)| id.0).collect::<Vec<_>>(),
-            vec![1, 4]
-        );
-        assert!(next_batch(&mut queue, 16).is_none());
-    }
-
-    #[test]
-    fn batch_cap_leaves_overflow_queued_in_order() {
-        let mut queue: VecDeque<_> = (0..5).map(|i| q(i, Query::bfs(i as u32))).collect();
-        let b = next_batch(&mut queue, 2).unwrap();
-        assert_eq!(b.len(), 2);
-        assert_eq!(queue.len(), 3);
-        assert_eq!(queue.front().unwrap().0, QueryId(2));
-        let b = next_batch(&mut queue, 2).unwrap();
-        assert_eq!(
-            b.queries.iter().map(|(id, _)| id.0).collect::<Vec<_>>(),
-            vec![2, 3]
-        );
-    }
-
-    #[test]
-    fn saturating_alternating_burst_alternates_batch_kinds() {
-        // A saturating burst of strictly alternating kinds: every batch
-        // anchors on the globally oldest pending query, so the kinds
-        // alternate instead of one kind draining the queue first.
-        let mut queue: VecDeque<_> = (0..12u64)
-            .map(|i| {
-                if i % 2 == 0 {
-                    q(i, Query::bfs(i as u32))
-                } else {
-                    q(i, Query::sssp(i as u32, weights()))
-                }
-            })
-            .collect();
-        let mut anchors = Vec::new();
-        while let Some(batch) = next_batch(&mut queue, 3) {
-            assert!(batch.len() <= 3);
-            // FIFO anchoring: the first member is the oldest pending id.
-            anchors.push((batch.kind, batch.queries[0].0));
-        }
-        assert_eq!(
-            anchors,
-            vec![
-                (QueryKind::Bfs, QueryId(0)),
-                (QueryKind::Sssp, QueryId(1)),
-                (QueryKind::Bfs, QueryId(6)),
-                (QueryKind::Sssp, QueryId(7)),
-            ],
-            "kinds must alternate under a saturating alternating burst"
-        );
-    }
-
-    #[test]
-    fn interleaved_kinds_do_not_starve() {
-        let mut queue: VecDeque<_> = vec![
-            q(0, Query::sssp(0, weights())),
-            q(1, Query::bfs(1)),
-            q(2, Query::sssp(2, weights())),
-        ]
-        .into();
-        // The oldest query anchors the batch even when a later kind has
-        // more members.
-        let b = next_batch(&mut queue, 16).unwrap();
-        assert_eq!(b.kind, QueryKind::Sssp);
-        assert_eq!(b.len(), 2);
-        assert_eq!(queue.front().unwrap().0, QueryId(1));
     }
 
     fn pending(id: u64, query: Query, deadline_ns: Option<u64>) -> Pending {
@@ -281,6 +141,87 @@ mod tests {
 
     fn ids(b: &SlaBatch) -> Vec<u64> {
         b.entries.iter().map(|p| p.id.0).collect()
+    }
+
+    /// The FIFO plan of `queries` (ids = positions) as `(kind, ids)`.
+    fn fifo_plan(queries: Vec<Query>, max_batch: usize) -> Vec<(QueryKind, Vec<u64>)> {
+        let entries = queries
+            .into_iter()
+            .enumerate()
+            .map(|(i, q)| pending(i as u64, q, None))
+            .collect();
+        plan_batches(entries, SchedPolicy::Fifo, max_batch)
+            .iter()
+            .map(|b| (b.kind, ids(b)))
+            .collect()
+    }
+
+    #[test]
+    fn batches_group_by_kind_preserving_fifo_order() {
+        let queue = vec![
+            Query::bfs(1),
+            Query::sssp(2, weights()),
+            Query::bfs(3),
+            Query::bfs(4),
+            Query::sssp(5, weights()),
+        ];
+        assert_eq!(
+            fifo_plan(queue, 16),
+            vec![
+                (QueryKind::Bfs, vec![0, 2, 3]),
+                (QueryKind::Sssp, vec![1, 4])
+            ]
+        );
+    }
+
+    #[test]
+    fn batch_cap_leaves_overflow_queued_in_order() {
+        let queue = (0..5).map(Query::bfs).collect();
+        let plan = fifo_plan(queue, 2);
+        let members: Vec<_> = plan.into_iter().map(|(_, ids)| ids).collect();
+        assert_eq!(members, vec![vec![0, 1], vec![2, 3], vec![4]]);
+    }
+
+    #[test]
+    fn saturating_alternating_burst_alternates_batch_kinds() {
+        // A saturating burst of strictly alternating kinds: every batch
+        // anchors on the globally oldest pending query, so the kinds
+        // alternate instead of one kind draining the queue first.
+        let queue = (0..12u32)
+            .map(|i| match i % 2 {
+                0 => Query::bfs(i),
+                _ => Query::sssp(i, weights()),
+            })
+            .collect();
+        let plan = fifo_plan(queue, 3);
+        assert!(plan.iter().all(|(_, ids)| ids.len() <= 3));
+        // FIFO anchoring: the first member is the oldest pending id.
+        let anchors: Vec<_> = plan.iter().map(|(kind, ids)| (*kind, ids[0])).collect();
+        assert_eq!(
+            anchors,
+            vec![
+                (QueryKind::Bfs, 0),
+                (QueryKind::Sssp, 1),
+                (QueryKind::Bfs, 6),
+                (QueryKind::Sssp, 7),
+            ],
+            "kinds must alternate under a saturating alternating burst"
+        );
+    }
+
+    #[test]
+    fn interleaved_kinds_do_not_starve() {
+        let queue = vec![
+            Query::sssp(0, weights()),
+            Query::bfs(1),
+            Query::sssp(2, weights()),
+        ];
+        // The oldest query anchors the first batch even when a later
+        // kind could run sooner; the other kind keeps its place.
+        assert_eq!(
+            fifo_plan(queue, 16),
+            vec![(QueryKind::Sssp, vec![0, 2]), (QueryKind::Bfs, vec![1])]
+        );
     }
 
     #[test]
@@ -333,40 +274,6 @@ mod tests {
                 (QueryKind::Bfs, 2),
             ]
         );
-    }
-
-    #[test]
-    fn fifo_plan_matches_repeated_next_batch_on_a_large_mixed_queue() {
-        // Dedicated regression test for the quadratic-drain fix: the
-        // one-pass plan must equal the batch sequence the original
-        // repeated-selection primitive produces, on a queue large
-        // enough that a rebuild-per-call drain would be visibly
-        // quadratic.
-        let n = 4_096u64;
-        let entries: Vec<Pending> = (0..n)
-            .map(|i| {
-                let query = match i % 3 {
-                    0 => Query::bfs((i % 97) as u32),
-                    1 => Query::sssp((i % 89) as u32, weights()),
-                    _ => Query::bfs((i % 53) as u32),
-                };
-                pending(i, query, None)
-            })
-            .collect();
-        let mut queue: VecDeque<(QueryId, Query)> =
-            entries.iter().map(|p| (p.id, p.query.clone())).collect();
-        let plan = plan_batches(entries, SchedPolicy::Fifo, 7);
-        let mut i = 0;
-        while let Some(b) = next_batch(&mut queue, 7) {
-            assert_eq!(b.kind, plan[i].kind, "batch {i} kind");
-            assert_eq!(
-                b.queries.iter().map(|(id, _)| id.0).collect::<Vec<_>>(),
-                ids(&plan[i]),
-                "batch {i} members"
-            );
-            i += 1;
-        }
-        assert_eq!(i, plan.len(), "same number of batches");
     }
 
     #[test]

@@ -1,11 +1,17 @@
 //! The query server: admission control, SLA scheduling, batched
 //! execution, and the query lifecycle (serve / cancel / deadline).
 
-use crate::backend::ServeBackend;
-use crate::query::{self, Query, QueryId, QueryOutcome, SubmitError};
+use crate::query::{self, Query, QueryId, QueryOutcome, QuerySpec, SubmitError};
 use crate::scheduler::{plan_batches, Pending, SchedPolicy};
 use emogi_core::sharded::ShardedEngine;
-use emogi_core::Engine;
+use emogi_core::{spec, Engine};
+
+/// What a [`Server`] needs from an execution engine: the core's
+/// [`Front`](emogi_core::Front) — the placed graph, the link bandwidth
+/// for cost-model admission, and "run one program". Both shipped
+/// engines implement it; the server executes every planned batch
+/// through the one dispatcher, [`emogi_core::spec::run_group`].
+pub use emogi_core::Front as ServeBackend;
 use emogi_graph::analysis::{CostEstimate, CostModel};
 use std::collections::BTreeMap;
 
@@ -122,12 +128,13 @@ impl ServerStats {
 
 /// An SLA-aware concurrent-query front end over one execution backend.
 ///
-/// One implementation serves both shipped backends —
+/// One implementation and one execution path
+/// ([`emogi_core::spec::run_group`]) serve both shipped engines —
 /// [`QueryServer`] batches frontier-driven queries on a single
 /// [`Engine`] (overlapping frontiers share PCIe cache lines), while
 /// [`ShardedServer`] runs every query sharded across a device group —
 /// so admission, QoS scheduling, cancellation, deadlines and
-/// accounting cannot drift between the two paths.
+/// accounting cannot drift between the two.
 ///
 /// **Lifecycle.** [`submit`](Self::submit) validates the query
 /// (structure, capacity, and — when it carries a deadline — the cost
@@ -165,7 +172,7 @@ impl ServerStats {
 /// assert!(server.take(b).is_some());
 /// assert_eq!(server.stats().batches, 1, "both queries shared one batch");
 /// ```
-pub struct Server<B: ServeBackend> {
+pub struct Server<B> {
     backend: B,
     cfg: ServerConfig,
     cost: CostModel,
@@ -198,7 +205,7 @@ pub type QueryServer<'g> = Server<Engine<'g>>;
 /// same admission, QoS and lifecycle machinery.
 pub type ShardedServer<'g> = Server<ShardedEngine<'g>>;
 
-impl<B: ServeBackend> Server<B> {
+impl<'g, B: ServeBackend<'g>> Server<B> {
     /// Wrap an already-loaded backend. The backend's placement is the
     /// shared resource every accepted query runs against; the config
     /// passes through one shared normalization (`max_batch` clamped to
@@ -278,10 +285,10 @@ impl<B: ServeBackend> Server<B> {
     /// picking deadline budgets that admission will accept.
     pub fn estimate_ns(&self, query: &Query) -> u64 {
         let est = match &query.spec {
-            crate::query::QuerySpec::Bfs { src } => self
+            QuerySpec::Bfs { src } => self
                 .cost
                 .frontier_cost(self.backend.graph().degree(*src), 8),
-            crate::query::QuerySpec::Sssp { src, .. } => {
+            QuerySpec::Sssp { src, .. } => {
                 // Weighted relaxation converges in more rounds than BFS
                 // and streams the 4-byte weight beside each 8-byte edge
                 // element.
@@ -293,8 +300,8 @@ impl<B: ServeBackend> Server<B> {
                     bytes: base.bytes.saturating_mul(2),
                 }
             }
-            crate::query::QuerySpec::Cc => self.cost.full_sweep_cost(self.cost.est_depth(), 8),
-            crate::query::QuerySpec::PageRank { iterations, .. } => {
+            QuerySpec::Cc => self.cost.full_sweep_cost(self.cost.est_depth(), 8),
+            QuerySpec::PageRank { iterations, .. } => {
                 self.cost.full_sweep_cost(u64::from(*iterations), 8)
             }
         };
@@ -360,17 +367,18 @@ impl<B: ServeBackend> Server<B> {
             if live.is_empty() {
                 continue;
             }
-            let exec = self.backend.execute(batch.kind, &live);
-            debug_assert_eq!(exec.results.len(), live.len(), "one result per entry");
-            self.clock_ns += exec.elapsed_ns;
+            let specs: Vec<&QuerySpec> = live.iter().map(|p| &p.query.spec).collect();
+            let group = spec::run_group(&mut self.backend, &specs);
+            debug_assert_eq!(group.runs.len(), live.len(), "one result per entry");
+            self.clock_ns += group.stats.elapsed_ns;
             self.stats.batches += 1;
-            self.stats.busy_ns += exec.elapsed_ns;
-            self.stats.host_bytes += exec.host_bytes;
-            if exec.shared && live.len() > 1 {
+            self.stats.busy_ns += group.stats.elapsed_ns;
+            self.stats.host_bytes += group.stats.host_bytes;
+            if group.shared && live.len() > 1 {
                 self.stats.batched_queries += live.len() as u64;
             }
             let completed_ns = self.clock_ns;
-            for (p, result) in live.into_iter().zip(exec.results) {
+            for (p, result) in live.into_iter().zip(group.runs) {
                 executed += 1;
                 match p.deadline_ns {
                     Some(deadline_ns) if completed_ns > deadline_ns => {
@@ -599,10 +607,11 @@ mod tests {
             assert_eq!(a.stats().kernel_launches, b.stats().kernel_launches);
             assert_eq!(a.stats().host_bytes, b.stats().host_bytes);
         }
-        for (a, b) in sync.iter().zip(pipe.iter().cloned()) {
-            if let QueryResult::Bfs(want) = a {
-                assert_eq!(want.levels, b.into_bfs().levels);
-            }
+        for pair in sync.iter().zip(pipe) {
+            let (QueryResult::Bfs(want), QueryResult::Bfs(got)) = pair else {
+                panic!("BFS queries answered by {pair:?}");
+            };
+            assert_eq!(want.levels, got.levels);
         }
     }
 

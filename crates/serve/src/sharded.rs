@@ -10,11 +10,12 @@
 //!
 //! Both front ends are the *same* [`Server`](crate::Server) type over
 //! different [`ServeBackend`](crate::ServeBackend)s, so admission
-//! control, QoS scheduling, cancellation, deadlines and accounting are
-//! literally shared code — a workload moves between the two paths
-//! without changing its submission logic, and scheduler groups form
-//! exactly the same way. Each group's queries execute back-to-back on
-//! the sharded engine (sharing devices, not fetches).
+//! control, QoS scheduling, cancellation, deadlines, accounting and
+//! the execution path itself are literally shared code — a workload
+//! moves between the two without changing its submission logic, and
+//! scheduler groups form exactly the same way. Each group's queries
+//! execute back-to-back on the sharded engine (sharing devices, not
+//! fetches).
 //!
 //! Results are bit-identical — outputs and iteration counts — to solo
 //! [`Engine`](emogi_core::Engine) runs of the same queries, because

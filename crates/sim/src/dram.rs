@@ -185,11 +185,6 @@ impl Dram {
         self.busy_until = start + xfer;
         start + xfer + self.cfg.latency_ns
     }
-
-    /// Total traffic in both directions.
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes_read + self.bytes_written
-    }
 }
 
 #[cfg(test)]
@@ -270,6 +265,6 @@ mod tests {
         let mut d = dram();
         d.read(0, 0, 64);
         d.write(0, 0, 64);
-        assert_eq!(d.total_bytes(), 128);
+        assert_eq!((d.bytes_read, d.bytes_written), (64, 64));
     }
 }

@@ -304,31 +304,6 @@ impl PcieLink {
         monitor.on_dma(end, bytes, wire_bytes);
         end + self.cfg.propagation_ns
     }
-
-    /// Carry a bulk GPU→host DMA (result copy-back). Occupies the uplink.
-    pub fn dma_gpu_to_host(
-        &mut self,
-        now: Time,
-        bytes: u64,
-        host_dram: &mut Dram,
-        monitor: &mut TrafficMonitor,
-    ) -> Time {
-        if bytes == 0 {
-            return now;
-        }
-        let wire_bytes = framed_wire_bytes(
-            bytes,
-            self.cfg.dma_payload_bytes,
-            self.cfg.completion_header_bytes,
-        );
-        let start = now.max(self.uplink_free);
-        let wire_end = start + bytes_over_bandwidth_ns(wire_bytes, self.cfg.usable_gbps());
-        let dram_done = host_dram.write_bulk(start, bytes);
-        let end = wire_end.max(dram_done);
-        self.uplink_free = end;
-        monitor.wire_bytes += wire_bytes;
-        end + self.cfg.propagation_ns
-    }
 }
 
 #[cfg(test)]

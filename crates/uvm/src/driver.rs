@@ -224,14 +224,9 @@ impl UvmDriver {
                     spans.push(self.page_span(self.base_page + r));
                 }
             }
-            for s in spans {
-                evicted.push(s);
-                if !self.cfg.read_mostly {
-                    // Without read-duplication the page may be dirty and
-                    // must be written back over the uplink.
-                    link.dma_gpu_to_host(now, self.cfg.page_bytes, host_dram, monitor);
-                }
-            }
+            // Pages are read-duplicated (`cudaMemAdviseSetReadMostly`, the
+            // paper's baseline, §5.1.2 (a)): eviction never writes back.
+            evicted.extend(spans);
         }
 
         // Serialized handler: per-page CPU work, then its wire time. The
@@ -556,35 +551,6 @@ mod tests {
             (1.35..1.75).contains(&scaling),
             "UVM gen3→gen4 scaling {scaling}, paper measured 1.53x"
         );
-    }
-
-    #[test]
-    fn writeback_traffic_only_without_read_mostly() {
-        let mk = |read_mostly: bool| {
-            let cfg = UvmConfig {
-                pool_bytes: 2 * PAGE,
-                read_mostly,
-                prefetch: false,
-                ..Default::default()
-            };
-            UvmDriver::new(cfg, BASE, 1 << 22)
-        };
-        for (read_mostly, expect_writeback) in [(true, false), (false, true)] {
-            let mut d = mk(read_mostly);
-            let mut l = PcieLink::new(PcieConfig::gen3_x16());
-            let mut h = Dram::new(DramConfig::ddr4_2933_quad());
-            let mut m = TrafficMonitor::new(100_000);
-            for i in 0..3 {
-                d.record_fault(d.page_of(BASE + i * PAGE));
-                let r = d
-                    .start_batch(i * 1_000_000, &mut l, &mut h, &mut m)
-                    .unwrap();
-                d.complete_batch();
-                drop(r);
-            }
-            let wrote_back = h.bytes_written > 0;
-            assert_eq!(wrote_back, expect_writeback, "read_mostly={read_mostly}");
-        }
     }
 
     #[test]

@@ -48,10 +48,6 @@ pub struct UvmConfig {
     /// along with cold ones — a major source of thrashing under
     /// oversubscription (§2.2).
     pub evict_block_pages: u64,
-    /// `cudaMemAdviseSetReadMostly`: pages are duplicated rather than
-    /// moved, so eviction never writes back. The paper's UVM baseline
-    /// sets this hint (§5.1.2); it is the best-performing configuration.
-    pub read_mostly: bool,
 }
 
 impl Default for UvmConfig {
@@ -68,7 +64,6 @@ impl Default for UvmConfig {
             promote_threshold_blocks: 4,
             promote_factor: 16,
             evict_block_pages: 16,
-            read_mostly: true,
         }
     }
 }

@@ -123,10 +123,6 @@ impl TransferPolicy {
         &self.cfg
     }
 
-    pub fn num_regions(&self) -> usize {
-        self.cumulative.len()
-    }
-
     /// Zero-copy density region `r` has accumulated so far.
     pub fn cumulative_density(&self, r: usize) -> f64 {
         self.cumulative[r]

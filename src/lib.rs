@@ -12,8 +12,9 @@
 //! * [`graph`] — CSR graphs and the Table 2 dataset generators
 //! * [`core`] — EMOGI itself: the place-once, query-many [`core::Engine`]
 //!   and the [`core::VertexProgram`] algorithms (BFS / SSSP / CC /
-//!   PageRank), batched multi-query execution, and the sharded
-//!   multi-GPU [`core::ShardedEngine`]
+//!   PageRank), the [`core::spec`] vocabulary and dispatcher over those
+//!   four, batched multi-query execution, and the sharded multi-GPU
+//!   [`core::ShardedEngine`]
 //! * [`serve`] — the SLA-aware concurrent-query front end:
 //!   [`serve::QueryServer`] with cost-model admission control, deadline
 //!   classes scheduled earliest-deadline-first within priority,
@@ -46,18 +47,24 @@ pub use emogi_uvm as uvm;
 
 /// Everything a typical engine user needs in one import: the engines
 /// (single-device and sharded multi-GPU) and their configs, the four
-/// shipped vertex programs (plus the trait to write your own), access
+/// shipped vertex programs (plus the trait to write your own), the
+/// [`spec`](emogi_core::spec) vocabulary and dispatcher that run one
+/// from a description (serving's `QuerySpec` / `QueryKind` /
+/// `QueryResult` are re-exports of `ProgramSpec` / `ProgramKind` /
+/// `ProgramRun`), access
 /// strategies/modes/transports, vertex partitioners, graph types and
 /// generators, the CPU reference algorithms, machine presets and the
 /// comparison baselines.
 pub mod prelude {
     pub use emogi_baselines::{HaloSystem, SubwayMode, SubwaySystem};
+    pub use emogi_core::spec;
     pub use emogi_core::sssp::INF;
     pub use emogi_core::{
         AccessMode, AccessPattern, AccessStrategy, BatchRun, BfsOutput, BfsProgram, BfsRun,
-        CcOutput, CcProgram, CcRun, DeviceWork, EdgeEffect, Engine, EngineConfig, PageRankOutput,
-        PageRankProgram, PageRankRun, Run, ShardedConfig, ShardedEngine, ShardedRun, SsspOutput,
-        SsspProgram, SsspRun, Transport, VertexProgram,
+        CcOutput, CcProgram, CcRun, DeviceWork, EdgeEffect, Engine, EngineConfig, Front, GroupRun,
+        PageRankOutput, PageRankProgram, PageRankRun, ProgramKind, ProgramRun, ProgramSpec, Run,
+        ShardedConfig, ShardedEngine, ShardedRun, SsspOutput, SsspProgram, SsspRun, Transport,
+        VertexProgram,
     };
     pub use emogi_graph::{
         algo, datasets, generators, CsrGraph, Dataset, DatasetKey, EdgeListBuilder, LayoutPlan,

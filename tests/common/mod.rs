@@ -1,15 +1,19 @@
 //! Shared generators for the integration-test suites: random graphs,
 //! query mixes and vertex permutations used by `proptests.rs`,
-//! `serve_proptests.rs`, `sharded_differential.rs` and
-//! `layout_differential.rs`.
+//! `serve_proptests.rs` and the `*_differential.rs` harnesses, plus the
+//! harnesses' one "all four programs on any front → comparable answers"
+//! helper ([`four_programs`] / [`answers`]).
 //!
 //! Each integration test binary compiles this module independently
 //! (`mod common;`), so not every helper is used by every binary.
 #![allow(dead_code)]
 
+use emogi_repro::core::spec::{self, Front, ProgramKind, ProgramRun, ProgramSpec};
 use emogi_repro::core::{Engine, EngineConfig};
 use emogi_repro::graph::{CsrGraph, EdgeListBuilder, LayoutPlan};
+use emogi_repro::runtime::RunStats;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Build a symmetrized CSR graph over `n` vertices from arbitrary edge
 /// pairs (endpoints taken modulo `n`). Symmetrization keeps every graph
@@ -65,6 +69,100 @@ pub fn permutation(n: usize) -> impl Strategy<Value = Vec<u32>> {
     any::<u64>().prop_map(move |seed| random_permutation(n, seed))
 }
 
+/// The four shipped programs as specs — SSSP, BFS, CC, PageRank. SSSP
+/// runs first so a UVM placement grows its managed span before its
+/// driver initializes.
+pub fn four_programs(src: u32, weights: &[u32], pr_iterations: u32) -> [ProgramSpec; 4] {
+    [
+        ProgramSpec::Sssp {
+            src,
+            weights: Arc::new(weights.to_vec()),
+        },
+        ProgramSpec::Bfs { src },
+        ProgramSpec::Cc,
+        ProgramSpec::PageRank {
+            damping: 0.85,
+            iterations: pr_iterations,
+        },
+    ]
+}
+
+/// One finished program in comparable form, whichever front ran it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Answer {
+    pub kind: ProgramKind,
+    /// The output array as words: levels, distances and labels widened,
+    /// `f64` ranks by bit pattern.
+    pub words: Vec<u64>,
+    /// CC's hook passes / PageRank's power iterations; 0 for traversals.
+    pub passes: u64,
+    /// The full measurements; `kernel_launches` is the iteration count
+    /// on every front (a sharded run reports its logical launch waves).
+    pub stats: RunStats,
+}
+
+impl Answer {
+    fn new(run: ProgramRun) -> Self {
+        let wide = |v: &[u32]| v.iter().map(|&x| u64::from(x)).collect();
+        let (words, passes) = match &run {
+            ProgramRun::Bfs(r) => (wide(&r.levels), 0),
+            ProgramRun::Sssp(r) => (wide(&r.dist), 0),
+            ProgramRun::Cc(r) => (wide(&r.comp), r.hook_passes),
+            ProgramRun::PageRank(r) => (
+                r.ranks.iter().map(|x| x.to_bits()).collect(),
+                u64::from(r.iterations),
+            ),
+        };
+        Self {
+            kind: run.kind(),
+            words,
+            passes,
+            stats: run.stats().clone(),
+        }
+    }
+
+    pub fn iterations(&self) -> u64 {
+        self.stats.kernel_launches
+    }
+
+    /// The output mapped back to original vertex ids; CC's labels *are*
+    /// vertex ids, so they go through the canonical min-old-id mapping.
+    pub fn unmapped(mut self, plan: &LayoutPlan) -> Self {
+        self.words = match self.kind {
+            ProgramKind::Cc => {
+                let comp: Vec<u32> = self.words.iter().map(|&w| w as u32).collect();
+                let comp = plan.unmap_components(&comp);
+                comp.into_iter().map(u64::from).collect()
+            }
+            _ => plan.unmap_values(&self.words),
+        };
+        self
+    }
+}
+
+/// Run `specs` back to back on any front — the solo engine, the sharded
+/// engine at any device count — through the one dispatcher.
+pub fn answers<'g>(front: &mut impl Front<'g>, specs: &[ProgramSpec]) -> Vec<Answer> {
+    let run = |s| Answer::new(spec::run(front, s));
+    specs.iter().map(run).collect()
+}
+
+/// Outputs, iteration counts and pass counts agree run for run; traffic
+/// and timing may differ.
+pub fn assert_same_results(got: &[Answer], want: &[Answer], tag: &str) {
+    assert_eq!(got.len(), want.len(), "{tag}: run count");
+    for (g, w) in got.iter().zip(want) {
+        let program = w.kind.name();
+        assert_eq!(g.words, w.words, "{tag}: {program} output");
+        assert_eq!(
+            g.iterations(),
+            w.iterations(),
+            "{tag}: {program} iterations"
+        );
+        assert_eq!(g.passes, w.passes, "{tag}: {program} passes");
+    }
+}
+
 /// Metamorphic check: running every shipped program on a relabeled copy
 /// of `graph` (sources mapped through `plan`, results mapped back
 /// through its inverse) must reproduce the identity-layout run
@@ -75,9 +173,6 @@ pub fn permutation(n: usize) -> impl Strategy<Value = Vec<u32>> {
 /// its hook-pass count is layout-dependent by design (within one
 /// layout it still equals the solo/sharded counts, which
 /// `sharded_differential.rs` pins).
-///
-/// SSSP runs first so UVM placements grow their managed span before the
-/// driver initializes, mirroring `proptests.rs`.
 pub fn assert_permutation_invariant(
     cfg: &EngineConfig,
     graph: &CsrGraph,
@@ -88,43 +183,24 @@ pub fn assert_permutation_invariant(
 ) {
     let relabeled = plan.apply(graph);
     let relabeled_weights = plan.apply_edge_data(graph, weights);
-    let mut base = Engine::load(cfg.clone(), graph);
-    let mut permuted = Engine::load(cfg.clone(), &relabeled);
-
-    let b = base.sssp(weights, src);
-    let p = permuted.sssp(&relabeled_weights, plan.map_vertex(src));
-    assert_eq!(plan.unmap_values(&p.dist), b.dist, "{tag}: sssp distances");
-    assert_eq!(
-        p.stats.kernel_launches, b.stats.kernel_launches,
-        "{tag}: sssp iterations"
+    let base = answers(
+        &mut Engine::load(cfg.clone(), graph),
+        &four_programs(src, weights, 7),
     );
-
-    let b = base.bfs(src);
-    let p = permuted.bfs(plan.map_vertex(src));
-    assert_eq!(plan.unmap_values(&p.levels), b.levels, "{tag}: bfs levels");
-    assert_eq!(
-        p.stats.kernel_launches, b.stats.kernel_launches,
-        "{tag}: bfs iterations"
+    let permuted = answers(
+        &mut Engine::load(cfg.clone(), &relabeled),
+        &four_programs(plan.map_vertex(src), &relabeled_weights, 7),
     );
-
-    let b = base.cc();
-    let p = permuted.cc();
-    assert_eq!(
-        plan.unmap_components(&p.comp),
-        b.comp,
-        "{tag}: cc components"
-    );
-
-    let b = base.pagerank(0.85, 7);
-    let p = permuted.pagerank(0.85, 7);
-    let bits = |ranks: &[f64]| ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
-    assert_eq!(
-        bits(&plan.unmap_values(&p.ranks)),
-        bits(&b.ranks),
-        "{tag}: pagerank ranks"
-    );
-    assert_eq!(
-        p.stats.kernel_launches, b.stats.kernel_launches,
-        "{tag}: pagerank iterations"
-    );
+    for (b, p) in base.iter().zip(permuted) {
+        let program = b.kind.name();
+        let p = p.unmapped(plan);
+        assert_eq!(p.words, b.words, "{tag}: {program} output");
+        if b.kind != ProgramKind::Cc {
+            assert_eq!(
+                p.iterations(),
+                b.iterations(),
+                "{tag}: {program} iterations"
+            );
+        }
+    }
 }

@@ -127,12 +127,12 @@ fn sla_experiment_produces_table_and_edf_beats_fifo() {
     // The acceptance bar: on the identical mixed burst, EDF must beat
     // FIFO on deadline-hit rate — and meet every deadline outright,
     // since the latency class runs first under EDF.
-    let (fifo, edf) = (r.get("FIFO"), r.get("EDF"));
+    let (fifo, edf) = (&r.get("FIFO").stats, &r.get("EDF").stats);
     assert!(
-        edf.hit_rate() > fifo.hit_rate(),
+        edf.deadline_hit_rate() > fifo.deadline_hit_rate(),
         "EDF hit rate {} must beat FIFO {}",
-        edf.hit_rate(),
-        fifo.hit_rate()
+        edf.deadline_hit_rate(),
+        fifo.deadline_hit_rate()
     );
     assert_eq!(edf.deadline_missed + edf.deadline_cancelled, 0);
     assert!(fifo.deadline_met < fifo.deadline_met + fifo.deadline_missed + fifo.deadline_cancelled);

@@ -20,7 +20,7 @@
 
 mod common;
 
-use common::{assert_permutation_invariant, build_graph};
+use common::{answers, assert_permutation_invariant, build_graph, four_programs};
 use emogi_repro::core::sharded::{ShardedConfig, ShardedEngine};
 use emogi_repro::core::BfsProgram;
 use emogi_repro::graph::datasets::generate_weights;
@@ -129,50 +129,37 @@ proptest! {
         let g = build_graph(&edges, 64);
         let mode = AccessMode::all()[mode_idx];
         let cfg = EngineConfig::emogi_v100().with_mode(mode);
-        let mut base = Engine::load(cfg.clone(), &g);
-        let bfs = base.bfs(src);
-        let pr = base.pagerank(0.85, 6);
-        let cc = base.cc();
+        // BFS, CC, PageRank (SSSP's relabeled weights are the solo
+        // test's business).
+        let want = answers(&mut Engine::load(cfg.clone(), &g), &four_programs(src, &[], 6)[1..]);
 
         for (name, plan) in layouts(&g) {
             let relabeled = plan.apply(&g);
-            let mut solo = Engine::load(cfg.clone(), &relabeled);
-            let solo_cc = solo.cc();
+            let specs = &four_programs(plan.map_vertex(src), &[], 6)[1..];
+            let solo = answers(&mut Engine::load(cfg.clone(), &relabeled), specs);
             for devices in [1usize, 2, 4] {
                 let tag = format!("{mode:?}/{name}/{devices}dev");
                 let mut scfg = ShardedConfig::emogi_v100(devices);
                 scfg.engine = scfg.engine.with_mode(mode);
-                let mut e = ShardedEngine::load(scfg, &relabeled);
-
-                let run = e.bfs(plan.map_vertex(src));
-                prop_assert_eq!(
-                    plan.unmap_values(&run.levels), bfs.levels.clone(),
-                    "{} bfs levels", &tag
-                );
-                prop_assert_eq!(
-                    run.iterations, bfs.stats.kernel_launches,
-                    "{} bfs iterations", &tag
-                );
-
-                let run = e.pagerank(0.85, 6);
-                prop_assert_eq!(
-                    plan.unmap_values(&run.ranks), pr.ranks.clone(),
-                    "{} pagerank ranks", &tag
-                );
-                prop_assert_eq!(
-                    run.iterations, pr.stats.kernel_launches,
-                    "{} pagerank iterations", &tag
-                );
-
-                let run = e.cc();
-                prop_assert_eq!(
-                    plan.unmap_components(&run.comp), cc.comp.clone(),
-                    "{} cc components", &tag
-                );
-                prop_assert_eq!(
-                    run.hook_passes, solo_cc.hook_passes,
-                    "{} cc passes vs solo on the same layout", &tag
-                );
+                let got = answers(&mut ShardedEngine::load(scfg, &relabeled), specs);
+                for ((run, want), solo) in got.into_iter().zip(&want).zip(&solo) {
+                    let program = want.kind.name();
+                    if want.kind == ProgramKind::Cc {
+                        prop_assert_eq!(
+                            run.passes, solo.passes,
+                            "{} cc passes vs solo on the same layout", &tag
+                        );
+                    } else {
+                        prop_assert_eq!(
+                            run.iterations(), want.iterations(),
+                            "{} {} iterations", &tag, program
+                        );
+                    }
+                    prop_assert_eq!(
+                        run.unmapped(&plan).words, want.words.clone(),
+                        "{} {} output", &tag, program
+                    );
+                }
             }
         }
     }

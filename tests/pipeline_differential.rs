@@ -22,7 +22,7 @@
 
 mod common;
 
-use common::build_graph;
+use common::{answers, assert_same_results, build_graph, four_programs};
 use emogi_repro::core::sharded::{ShardedConfig, ShardedEngine};
 use emogi_repro::graph::datasets::generate_weights;
 use emogi_repro::prelude::*;
@@ -76,29 +76,19 @@ proptest! {
         weight_seed in 0u64..1_000,
     ) {
         let g = build_graph(&edges, 72);
-        let w = generate_weights(g.num_edges(), weight_seed);
+        let specs = four_programs(src, &generate_weights(g.num_edges(), weight_seed), 7);
         let region = 1u64 << region_shift;
         let tag = format!("{region} B regions");
 
-        let mut sync = Engine::load(sync_cfg(region), &g);
-        let mut pipe = Engine::load(pipe_cfg(region), &g);
-
-        let (a, b) = (sync.bfs(src), pipe.bfs(src));
-        prop_assert_eq!(&a.levels, &b.levels, "{} bfs levels", &tag);
-        prop_assert_eq!(semantic(&a.stats), semantic(&b.stats), "{} bfs stats", &tag);
-
-        let (a, b) = (sync.sssp(&w, src), pipe.sssp(&w, src));
-        prop_assert_eq!(&a.dist, &b.dist, "{} sssp dist", &tag);
-        prop_assert_eq!(semantic(&a.stats), semantic(&b.stats), "{} sssp stats", &tag);
-
-        let (a, b) = (sync.cc(), pipe.cc());
-        prop_assert_eq!(&a.comp, &b.comp, "{} cc labels", &tag);
-        prop_assert_eq!(a.hook_passes, b.hook_passes, "{} cc passes", &tag);
-        prop_assert_eq!(semantic(&a.stats), semantic(&b.stats), "{} cc stats", &tag);
-
-        let (a, b) = (sync.pagerank(0.85, 7), pipe.pagerank(0.85, 7));
-        prop_assert_eq!(&a.ranks, &b.ranks, "{} pagerank ranks", &tag);
-        prop_assert_eq!(semantic(&a.stats), semantic(&b.stats), "{} pagerank stats", &tag);
+        let sync = answers(&mut Engine::load(sync_cfg(region), &g), &specs);
+        let pipe = answers(&mut Engine::load(pipe_cfg(region), &g), &specs);
+        assert_same_results(&pipe, &sync, &tag);
+        for (a, b) in sync.iter().zip(&pipe) {
+            prop_assert_eq!(
+                semantic(&a.stats), semantic(&b.stats),
+                "{} {} stats", &tag, a.kind.name()
+            );
+        }
     }
 
     /// Batched multi-query execution: per-query outputs, per-query
@@ -149,42 +139,15 @@ proptest! {
         weight_seed in 0u64..1_000,
     ) {
         let g = build_graph(&edges, 64);
-        let w = generate_weights(g.num_edges(), weight_seed);
+        let specs = four_programs(src, &generate_weights(g.num_edges(), weight_seed), 5);
         let region = 1u64 << region_shift;
-
-        let mut solo = Engine::load(sync_cfg(region), &g);
-        let bfs = solo.bfs(src);
-        let sssp = solo.sssp(&w, src);
-        let cc = solo.cc();
-        let pr = solo.pagerank(0.85, 5);
+        let want = answers(&mut Engine::load(sync_cfg(region), &g), &specs);
 
         for devices in DEVICE_COUNTS {
-            let tag = format!("{region} B regions/{devices}dev");
             let mut cfg = ShardedConfig::emogi_v100(devices);
             cfg.engine = pipe_cfg(region);
-            let mut e = ShardedEngine::load(cfg, &g);
-
-            let run = e.bfs(src);
-            prop_assert_eq!(&run.levels, &bfs.levels, "{} bfs levels", &tag);
-            prop_assert_eq!(
-                run.iterations, bfs.stats.kernel_launches,
-                "{} bfs iterations", &tag
-            );
-            let run = e.sssp(&w, src);
-            prop_assert_eq!(&run.dist, &sssp.dist, "{} sssp dist", &tag);
-            prop_assert_eq!(
-                run.iterations, sssp.stats.kernel_launches,
-                "{} sssp iterations", &tag
-            );
-            let run = e.cc();
-            prop_assert_eq!(&run.comp, &cc.comp, "{} cc labels", &tag);
-            prop_assert_eq!(run.hook_passes, cc.hook_passes, "{} cc passes", &tag);
-            let run = e.pagerank(0.85, 5);
-            prop_assert_eq!(&run.ranks, &pr.ranks, "{} pagerank ranks", &tag);
-            prop_assert_eq!(
-                run.iterations, pr.stats.kernel_launches,
-                "{} pagerank iterations", &tag
-            );
+            let got = answers(&mut ShardedEngine::load(cfg, &g), &specs);
+            assert_same_results(&got, &want, &format!("{region} B regions/{devices}dev"));
         }
     }
 }

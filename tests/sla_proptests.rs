@@ -15,10 +15,32 @@ mod common;
 use common::build_graph;
 use emogi_repro::graph::datasets::generate_weights;
 use emogi_repro::prelude::*;
-use emogi_repro::serve::{next_batch, plan_batches, sched_key, Pending};
+use emogi_repro::serve::{plan_batches, sched_key, Pending};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 use std::sync::Arc;
+
+/// The reference scheduler `plan_batches(.., SchedPolicy::Fifo, ..)` is
+/// checked against: pop the next FIFO-fair batch off `queue` — the
+/// oldest query anchors it, every later query of the same kind joins in
+/// submission order until `max_batch`, everything else keeps its place.
+/// Returns the batch's kind and member ids; `None` on an empty queue.
+fn next_batch(
+    queue: &mut VecDeque<(QueryId, Query)>,
+    max_batch: usize,
+) -> Option<(QueryKind, Vec<u64>)> {
+    let kind = queue.front()?.1.kind();
+    let mut members = Vec::new();
+    for _ in 0..queue.len() {
+        let (id, q) = queue.pop_front().expect("iterating within queue length");
+        if q.kind() == kind && members.len() < max_batch.max(1) {
+            members.push(id.raw());
+        } else {
+            queue.push_back((id, q));
+        }
+    }
+    Some((kind, members))
+}
 
 /// Strategy: one raw query descriptor — kind, source, priority flag and
 /// an optional deadline bucket (tiny deadlines exercise OverBudget
@@ -63,28 +85,15 @@ fn make_query(
 /// Solo-run the query's spec on a fresh engine and compare bitwise
 /// against the served result.
 fn assert_matches_solo(solo: &mut Engine<'_>, query: &Query, got: &QueryResult) {
-    match (&query.spec, got) {
-        (QuerySpec::Bfs { src }, QueryResult::Bfs(run)) => {
-            assert_eq!(run.levels, solo.bfs(*src).levels, "bfs {src}");
+    match (spec::run(solo, &query.spec), got) {
+        (ProgramRun::Bfs(want), ProgramRun::Bfs(run)) => assert_eq!(run.levels, want.levels),
+        (ProgramRun::Sssp(want), ProgramRun::Sssp(run)) => assert_eq!(run.dist, want.dist),
+        (ProgramRun::Cc(want), ProgramRun::Cc(run)) => assert_eq!(run.comp, want.comp),
+        (ProgramRun::PageRank(want), ProgramRun::PageRank(run)) => {
+            assert_eq!(run.ranks, want.ranks, "pagerank");
+            assert_eq!(run.iterations, want.iterations);
         }
-        (QuerySpec::Sssp { src, weights }, QueryResult::Sssp(run)) => {
-            assert_eq!(run.dist, solo.sssp(weights, *src).dist, "sssp {src}");
-        }
-        (QuerySpec::Cc, QueryResult::Cc(run)) => {
-            assert_eq!(run.output.comp, solo.cc().output.comp, "cc");
-        }
-        (
-            QuerySpec::PageRank {
-                damping,
-                iterations,
-            },
-            QueryResult::PageRank(run),
-        ) => {
-            let want = solo.pagerank(*damping, *iterations);
-            assert_eq!(run.output.ranks, want.output.ranks, "pagerank");
-            assert_eq!(run.output.iterations, want.output.iterations);
-        }
-        (spec, result) => panic!("kind mismatch: {spec:?} answered by {result:?}"),
+        (want, run) => panic!("kind mismatch: {:?} answered by {run:?}", want.kind()),
     }
 }
 
@@ -273,10 +282,9 @@ proptest! {
         }
 
         prop_assert_eq!(plan.len(), incremental.len(), "same batch count");
-        for (planned, inc) in plan.iter().zip(&incremental) {
-            prop_assert_eq!(planned.kind, inc.kind);
+        for (planned, (kind, inc_ids)) in plan.iter().zip(incremental) {
+            prop_assert_eq!(planned.kind, kind);
             let planned_ids: Vec<u64> = planned.entries.iter().map(|p| p.id.raw()).collect();
-            let inc_ids: Vec<u64> = inc.queries.iter().map(|(id, _)| id.raw()).collect();
             prop_assert_eq!(planned_ids, inc_ids);
         }
     }

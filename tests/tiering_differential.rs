@@ -24,7 +24,7 @@
 
 mod common;
 
-use common::build_graph;
+use common::{answers, assert_same_results, build_graph, four_programs};
 use emogi_repro::core::sharded::{ShardedConfig, ShardedEngine};
 use emogi_repro::graph::datasets::generate_weights;
 use emogi_repro::prelude::*;
@@ -66,52 +66,30 @@ proptest! {
         weight_seed in 0u64..1_000,
     ) {
         let g = build_graph(&edges, 72);
-        let w = generate_weights(g.num_edges(), weight_seed);
+        let specs = four_programs(src, &generate_weights(g.num_edges(), weight_seed), 7);
         let mode = AccessMode::all()[mode_idx];
         let tag = format!("{mode:?}");
 
-        let mut base = Engine::load(base_cfg(mode), &g);
-        let mut idle = Engine::load(cxl_attached(base_cfg(mode)), &g);
-        let mut spill = Engine::load(spilled(base_cfg(mode)), &g);
+        let base = answers(&mut Engine::load(base_cfg(mode), &g), &specs);
+        let idle = answers(&mut Engine::load(cxl_attached(base_cfg(mode)), &g), &specs);
+        let spill = answers(&mut Engine::load(spilled(base_cfg(mode)), &g), &specs);
 
-        let (a, b, s) = (base.bfs(src), idle.bfs(src), spill.bfs(src));
-        prop_assert_eq!(&a.levels, &b.levels, "{} idle-cxl bfs levels", &tag);
-        prop_assert_eq!(&a.stats, &b.stats, "{} idle-cxl bfs stats (clock included)", &tag);
-        prop_assert_eq!(b.stats.cxl_read_requests, 0, "{} idle tier served reads", &tag);
-        prop_assert_eq!(b.stats.cxl_bytes, 0, "{} idle tier served bytes", &tag);
-        prop_assert_eq!(&a.levels, &s.levels, "{} spill bfs levels", &tag);
-        prop_assert_eq!(
-            a.stats.kernel_launches, s.stats.kernel_launches,
-            "{} spill bfs iterations", &tag
-        );
-        if a.stats.pcie_read_requests > 0 {
-            // The base run read edges over PCIe, so the spill run must
-            // have served (or promoted) them from the CXL tier.
+        prop_assert_eq!(&idle, &base, "{} idle-cxl outputs and stats (clock included)", &tag);
+        for b in &idle {
+            prop_assert_eq!(b.stats.cxl_read_requests, 0, "{} idle tier served reads", &tag);
+            prop_assert_eq!(b.stats.cxl_bytes, 0, "{} idle tier served bytes", &tag);
+        }
+        assert_same_results(&spill, &base, &format!("{tag} spill"));
+        // The first program runs on cold engines: whatever the base run
+        // read over PCIe, the spill run must have served (or promoted)
+        // from the CXL tier.
+        let (a, s) = (&base[0].stats, &spill[0].stats);
+        if a.pcie_read_requests > 0 {
             prop_assert!(
-                s.stats.cxl_read_requests + s.stats.cxl_bytes > 0,
+                s.cxl_read_requests + s.cxl_bytes > 0,
                 "{} spill run never touched the CXL tier", &tag
             );
         }
-
-        let (a, b, s) = (base.sssp(&w, src), idle.sssp(&w, src), spill.sssp(&w, src));
-        prop_assert_eq!(&a.dist, &b.dist, "{} idle-cxl sssp dist", &tag);
-        prop_assert_eq!(&a.stats, &b.stats, "{} idle-cxl sssp stats", &tag);
-        prop_assert_eq!(&a.dist, &s.dist, "{} spill sssp dist", &tag);
-        prop_assert_eq!(
-            a.stats.kernel_launches, s.stats.kernel_launches,
-            "{} spill sssp iterations", &tag
-        );
-
-        let (a, b, s) = (base.cc(), idle.cc(), spill.cc());
-        prop_assert_eq!(&a.comp, &b.comp, "{} idle-cxl cc labels", &tag);
-        prop_assert_eq!(&a.stats, &b.stats, "{} idle-cxl cc stats", &tag);
-        prop_assert_eq!(&a.comp, &s.comp, "{} spill cc labels", &tag);
-        prop_assert_eq!(a.hook_passes, s.hook_passes, "{} spill cc passes", &tag);
-
-        let (a, b, s) = (base.pagerank(0.85, 7), idle.pagerank(0.85, 7), spill.pagerank(0.85, 7));
-        prop_assert_eq!(&a.ranks, &b.ranks, "{} idle-cxl pagerank ranks", &tag);
-        prop_assert_eq!(&a.stats, &b.stats, "{} idle-cxl pagerank stats", &tag);
-        prop_assert_eq!(&a.ranks, &s.ranks, "{} spill pagerank ranks", &tag);
     }
 
     /// Batched multi-query execution: per-query outputs and iteration
@@ -162,42 +140,15 @@ proptest! {
         weight_seed in 0u64..1_000,
     ) {
         let g = build_graph(&edges, 64);
-        let w = generate_weights(g.num_edges(), weight_seed);
+        let specs = four_programs(src, &generate_weights(g.num_edges(), weight_seed), 5);
         let mode = AccessMode::all()[mode_idx];
-
-        let mut solo = Engine::load(base_cfg(mode), &g);
-        let bfs = solo.bfs(src);
-        let sssp = solo.sssp(&w, src);
-        let cc = solo.cc();
-        let pr = solo.pagerank(0.85, 5);
+        let want = answers(&mut Engine::load(base_cfg(mode), &g), &specs);
 
         for devices in DEVICE_COUNTS {
-            let tag = format!("{mode:?}/{devices}dev");
             let mut cfg = ShardedConfig::emogi_v100(devices);
             cfg.engine = spilled(cfg.engine.with_mode(mode));
-            let mut e = ShardedEngine::load(cfg, &g);
-
-            let run = e.bfs(src);
-            prop_assert_eq!(&run.levels, &bfs.levels, "{} bfs levels", &tag);
-            prop_assert_eq!(
-                run.iterations, bfs.stats.kernel_launches,
-                "{} bfs iterations", &tag
-            );
-            let run = e.sssp(&w, src);
-            prop_assert_eq!(&run.dist, &sssp.dist, "{} sssp dist", &tag);
-            prop_assert_eq!(
-                run.iterations, sssp.stats.kernel_launches,
-                "{} sssp iterations", &tag
-            );
-            let run = e.cc();
-            prop_assert_eq!(&run.comp, &cc.comp, "{} cc labels", &tag);
-            prop_assert_eq!(run.hook_passes, cc.hook_passes, "{} cc passes", &tag);
-            let run = e.pagerank(0.85, 5);
-            prop_assert_eq!(&run.ranks, &pr.ranks, "{} pagerank ranks", &tag);
-            prop_assert_eq!(
-                run.iterations, pr.stats.kernel_launches,
-                "{} pagerank iterations", &tag
-            );
+            let got = answers(&mut ShardedEngine::load(cfg, &g), &specs);
+            assert_same_results(&got, &want, &format!("{mode:?}/{devices}dev"));
         }
     }
 }
