@@ -1,11 +1,17 @@
 //! Edge-list → CSR construction.
 //!
-//! Two-pass counting sort: O(V + E), no comparison sort of the full edge
-//! list. Neighbour lists come out grouped by source; per-list ordering is
-//! optionally sorted/deduplicated (the SuiteSparse / LAW graphs the paper
-//! uses ship with sorted, duplicate-free adjacencies).
+//! A two-pass least-significant-key-first radix sort of the edges, the
+//! key being `(source, destination)` with one vertex id per digit:
+//! scatter the edges into destination buckets, then walk the buckets in
+//! ascending order and scatter into source buckets. The second pass is
+//! stable, so every neighbour list comes out sorted — O(V + E), no
+//! comparison sort — and duplicates are adjacent, which makes dedup one
+//! linear compaction (the SuiteSparse / LAW graphs the paper uses ship
+//! with sorted, duplicate-free adjacencies). Dropping self loops and
+//! mirroring edges for an undirected graph happen inside the sweeps over
+//! the pairs as pushed; the mirrored pairs are never materialised.
 
-use crate::csr::CsrGraph;
+use crate::csr::{CsrError, CsrGraph};
 use crate::VertexId;
 
 /// Accumulates directed edges and builds a [`CsrGraph`].
@@ -74,46 +80,66 @@ impl EdgeListBuilder {
     }
 
     /// Consume the builder and produce the CSR graph.
-    pub fn build(mut self) -> CsrGraph {
-        if self.drop_self_loops {
-            self.edges.retain(|&(s, d)| s != d);
-        }
-        if self.symmetrize {
-            let fwd = self.edges.len();
-            self.edges.reserve(fwd);
-            for i in 0..fwd {
-                let (s, d) = self.edges[i];
-                self.edges.push((d, s));
-            }
-        }
+    ///
+    /// # Panics
+    /// If an endpoint is not below the vertex count
+    /// ([`EdgeListBuilder::try_build`] returns that as an error).
+    pub fn build(self) -> CsrGraph {
+        self.try_build().expect("edge list is not a graph")
+    }
+
+    /// Consume the builder and produce the CSR graph, or
+    /// [`CsrError::VertexOutOfRange`] naming the first endpoint that is
+    /// not below the vertex count.
+    pub fn try_build(self) -> Result<CsrGraph, CsrError> {
         let n = self.num_vertices;
-        // Counting sort by source.
-        let mut offsets = vec![0u64; n + 1];
-        for &(s, _) in &self.edges {
-            offsets[s as usize + 1] += 1;
+        if let Some(&(s, d)) = self.edges.iter().find(|&&(s, d)| s.max(d) as usize >= n) {
+            return Err(CsrError::VertexOutOfRange {
+                vertex: if s as usize >= n { s } else { d },
+                num_vertices: n,
+            });
         }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut cursor = offsets.clone();
-        let mut dsts = vec![0 as VertexId; self.edges.len()];
-        for &(s, d) in &self.edges {
-            let c = &mut cursor[s as usize];
-            dsts[*c as usize] = d;
+        // Bucket starts by source (the CSR vertex list, unless dedup
+        // shortens lists) and by destination; a symmetrized edge set has
+        // the same degrees both ways.
+        let mut offsets = self.bucket_starts(|s, _| s);
+        let mut bucket_ends = if self.symmetrize {
+            offsets.clone()
+        } else {
+            self.bucket_starts(|_, d| d)
+        };
+        let num_edges = offsets[n] as usize;
+        // Pass 1: scatter sources into destination buckets. Each cursor
+        // starts at its bucket's start and stops at its end.
+        let mut srcs = vec![0 as VertexId; num_edges];
+        self.sweep(|s, d| {
+            let c = &mut bucket_ends[d as usize];
+            srcs[*c as usize] = s;
             *c += 1;
-        }
+        });
         drop(self.edges);
-        // Per-list sort (+ dedup): lists are short on average, so this is
-        // cheap relative to the counting passes.
+        // Pass 2: walk destinations ascending and scatter them into
+        // source buckets, so each list fills in sorted order.
+        let mut cursor = offsets.clone();
+        let mut dsts = vec![0 as VertexId; num_edges];
+        let mut bucket_start = 0usize;
+        for (d, &bucket_end) in bucket_ends[..n].iter().enumerate() {
+            let bucket_end = bucket_end as usize;
+            for &s in &srcs[bucket_start..bucket_end] {
+                let c = &mut cursor[s as usize];
+                dsts[*c as usize] = d as VertexId;
+                *c += 1;
+            }
+            bucket_start = bucket_end;
+        }
+        drop(srcs);
         if self.dedup {
-            // Sort each list, then compact unique values in place; the
-            // write cursor never overtakes the read cursor.
-            let mut new_offsets = vec![0u64; n + 1];
+            // Compact unique values in place; the write cursor never
+            // overtakes the read cursor.
             let mut write = 0usize;
             let mut list_start = 0usize;
             for v in 0..n {
                 let end = offsets[v + 1] as usize;
-                dsts[list_start..end].sort_unstable();
                 let mut prev: Option<VertexId> = None;
                 for i in list_start..end {
                     let d = dsts[i];
@@ -123,26 +149,150 @@ impl EdgeListBuilder {
                         prev = Some(d);
                     }
                 }
-                new_offsets[v + 1] = write as u64;
+                offsets[v + 1] = write as u64;
                 list_start = end;
             }
             dsts.truncate(write);
-            CsrGraph::from_parts(new_offsets, dsts, self.symmetrize)
-        } else {
-            let mut list_start = 0usize;
-            for v in 0..n {
-                let end = offsets[v + 1] as usize;
-                dsts[list_start..end].sort_unstable();
-                list_start = end;
-            }
-            CsrGraph::from_parts(offsets, dsts, self.symmetrize)
         }
+        CsrGraph::try_from_parts(offsets, dsts, self.symmetrize)
+    }
+
+    /// Call `edge(src, dst)` for every edge of the graph being built, in
+    /// push order: each pushed pair unless it is a dropped self loop,
+    /// followed by its mirror image when symmetrizing.
+    fn sweep(&self, mut edge: impl FnMut(VertexId, VertexId)) {
+        for &(s, d) in &self.edges {
+            if self.drop_self_loops && s == d {
+                continue;
+            }
+            edge(s, d);
+            if self.symmetrize {
+                edge(d, s);
+            }
+        }
+    }
+
+    /// Histogram the edges by `key` and prefix-sum: entry `v` is where
+    /// `v`'s bucket starts, entry `num_vertices` the edge count.
+    fn bucket_starts(&self, key: impl Fn(VertexId, VertexId) -> VertexId) -> Vec<u64> {
+        let mut starts = vec![0u64; self.num_vertices + 1];
+        self.sweep(|s, d| starts[key(s, d) as usize + 1] += 1);
+        for v in 0..self.num_vertices {
+            starts[v + 1] += starts[v];
+        }
+        starts
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    impl EdgeListBuilder {
+        /// `build` as it was before the radix passes — filter, append the
+        /// mirrored pairs, group by source, comparison-sort (and dedup)
+        /// every list — kept as the reference the new one must equal.
+        fn build_by_sorting_each_list(mut self) -> CsrGraph {
+            if self.drop_self_loops {
+                self.edges.retain(|&(s, d)| s != d);
+            }
+            if self.symmetrize {
+                let mirrored: Vec<_> = self.edges.iter().map(|&(s, d)| (d, s)).collect();
+                self.edges.extend(mirrored);
+            }
+            let mut lists = vec![Vec::new(); self.num_vertices];
+            for &(s, d) in &self.edges {
+                lists[s as usize].push(d);
+            }
+            let mut offsets = vec![0u64];
+            for list in &mut lists {
+                list.sort_unstable();
+                if self.dedup {
+                    list.dedup();
+                }
+                offsets.push(offsets[offsets.len() - 1] + list.len() as u64);
+            }
+            CsrGraph::from_parts(offsets, lists.concat(), self.symmetrize)
+        }
+    }
+
+    /// Seeded edge lists over `n` vertices: endpoints drawn from a small
+    /// range so duplicates, mutual pairs and self loops are common, the
+    /// top third of the vertices left isolated, and one long list.
+    fn random_pairs(n: u32, len: usize, rng: &mut StdRng) -> Vec<(VertexId, VertexId)> {
+        let live = (n - n / 3).max(1);
+        let mut pairs: Vec<_> = (0..len)
+            .map(|_| (rng.gen_range(0..live), rng.gen_range(0..live)))
+            .collect();
+        let hub = rng.gen_range(0..live);
+        pairs.extend((0..len / 2).map(|_| (hub, rng.gen_range(0..live))));
+        pairs
+    }
+
+    // Mutations this fails on (each run once by hand): the two passes
+    // swapped, i.e. bucket by source first — the directed cases come out
+    // transposed, the symmetrized ones cannot tell; pass 2 walking the
+    // buckets in descending order, or not advancing `bucket_start`
+    // (unsorted lists); a directed build reusing the out-degree bucket
+    // starts; the mirror edge emitted before the self-loop filter; the
+    // compaction comparing with a list's first entry instead of the
+    // previous one.
+    #[test]
+    fn build_equals_the_sort_each_list_reference() {
+        let mut rng = StdRng::seed_from_u64(0xB1D);
+        for (n, len) in [
+            (0, 0),
+            (1, 0),
+            (1, 5),
+            (2, 9),
+            (7, 40),
+            (40, 300),
+            (300, 900),
+        ] {
+            let pairs = if n == 0 {
+                Vec::new()
+            } else {
+                random_pairs(n, len, &mut rng)
+            };
+            for flags in 0..8 {
+                let (symmetrize, dedup, drop_self_loops) =
+                    (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
+                let mut b = EdgeListBuilder::new(n as usize)
+                    .symmetrize(symmetrize)
+                    .dedup(dedup)
+                    .drop_self_loops(drop_self_loops);
+                b.extend(pairs.iter().copied());
+                let tag = format!(
+                    "n = {n}, {} pairs, symmetrize {symmetrize}, dedup {dedup}, \
+                     drop_self_loops {drop_self_loops}",
+                    pairs.len()
+                );
+                let want = b.clone().build_by_sorting_each_list();
+                assert_eq!(b.build(), want, "{tag}");
+                if !dedup {
+                    // Every kept pair is an edge, once or (mirrored) twice.
+                    let kept = pairs.iter().filter(|(s, d)| !drop_self_loops || s != d);
+                    let per_pair = if symmetrize { 2 } else { 1 };
+                    assert_eq!(want.num_edges(), kept.count() * per_pair, "{tag}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_endpoints_are_a_typed_error() {
+        for (pair, vertex) in [((3, 0), 3), ((0, 9), 9), ((7, 7), 7)] {
+            let mut b = EdgeListBuilder::new(3);
+            b.extend([(0, 1), pair]);
+            let want = CsrError::VertexOutOfRange {
+                vertex,
+                num_vertices: 3,
+            };
+            assert_eq!(b.try_build(), Err(want));
+        }
+    }
 
     #[test]
     fn builds_figure1_from_undirected_half() {

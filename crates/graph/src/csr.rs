@@ -20,34 +20,96 @@ pub struct CsrGraph {
     undirected: bool,
 }
 
+/// Why a set of raw parts (or a builder's edge list) is not a CSR graph.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CsrError {
+    /// The offset array has no entries; even an empty graph holds `[0]`.
+    EmptyOffsets,
+    /// The first offset is not 0.
+    FirstOffsetNotZero { first: u64 },
+    /// The last offset is not the number of edge-list entries.
+    LastOffsetMismatch { last: u64, num_edges: usize },
+    /// `offsets[at] > offsets[at + 1]`.
+    OffsetsNotMonotone { at: usize },
+    /// An edge endpoint names a vertex the graph does not have.
+    VertexOutOfRange {
+        vertex: VertexId,
+        num_vertices: usize,
+    },
+}
+
+impl std::fmt::Display for CsrError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            CsrError::EmptyOffsets => write!(f, "offsets must hold at least [0]"),
+            CsrError::FirstOffsetNotZero { first } => {
+                write!(f, "first offset is {first}, not 0")
+            }
+            CsrError::LastOffsetMismatch { last, num_edges } => {
+                write!(f, "last offset is {last} but there are {num_edges} edges")
+            }
+            CsrError::OffsetsNotMonotone { at } => {
+                write!(f, "offsets decrease after index {at}")
+            }
+            CsrError::VertexOutOfRange {
+                vertex,
+                num_vertices,
+            } => {
+                write!(
+                    f,
+                    "vertex {vertex} out of range (graph has {num_vertices} vertices)"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for CsrError {}
+
 impl CsrGraph {
     /// Build from raw parts, validating every CSR invariant.
     ///
     /// # Panics
-    /// If the offsets are not monotonic, do not start at 0 / end at
-    /// `edges.len()`, or any destination is out of range.
+    /// With the [`CsrError`] that [`CsrGraph::try_from_parts`] returns.
     pub fn from_parts(offsets: Vec<u64>, edges: Vec<VertexId>, undirected: bool) -> Self {
-        assert!(!offsets.is_empty(), "offsets must hold at least [0]");
-        assert_eq!(offsets[0], 0, "first offset must be 0");
-        assert_eq!(
-            *offsets.last().unwrap(),
-            edges.len() as u64,
-            "last offset must equal the edge count"
-        );
-        assert!(
-            offsets.windows(2).all(|w| w[0] <= w[1]),
-            "offsets must be non-decreasing"
-        );
-        let n = (offsets.len() - 1) as u64;
-        assert!(
-            edges.iter().all(|&d| u64::from(d) < n),
-            "edge destination out of range"
-        );
-        Self {
+        Self::try_from_parts(offsets, edges, undirected).expect("raw parts are not a CSR graph")
+    }
+
+    /// Build from raw parts: the offsets must start at 0, never decrease
+    /// and end at `edges.len()`, and every destination must be a vertex.
+    pub fn try_from_parts(
+        offsets: Vec<u64>,
+        edges: Vec<VertexId>,
+        undirected: bool,
+    ) -> Result<Self, CsrError> {
+        let (&first, &last) = match (offsets.first(), offsets.last()) {
+            (Some(first), Some(last)) => (first, last),
+            _ => return Err(CsrError::EmptyOffsets),
+        };
+        if first != 0 {
+            return Err(CsrError::FirstOffsetNotZero { first });
+        }
+        if last != edges.len() as u64 {
+            return Err(CsrError::LastOffsetMismatch {
+                last,
+                num_edges: edges.len(),
+            });
+        }
+        if let Some(at) = offsets.windows(2).position(|w| w[0] > w[1]) {
+            return Err(CsrError::OffsetsNotMonotone { at });
+        }
+        let num_vertices = offsets.len() - 1;
+        if let Some(&vertex) = edges.iter().find(|&&d| d as usize >= num_vertices) {
+            return Err(CsrError::VertexOutOfRange {
+                vertex,
+                num_vertices,
+            });
+        }
+        Ok(Self {
             offsets,
             edges,
             undirected,
-        }
+        })
     }
 
     /// An empty graph with `n` isolated vertices.
@@ -221,22 +283,50 @@ mod tests {
         assert_eq!(g.neighbors(2), &[] as &[VertexId]);
     }
 
+    // One test per `CsrError` variant `try_from_parts` can return.
+
     #[test]
-    #[should_panic(expected = "non-decreasing")]
+    fn rejects_empty_offsets() {
+        let got = CsrGraph::try_from_parts(vec![], vec![], false);
+        assert_eq!(got, Err(CsrError::EmptyOffsets));
+    }
+
+    #[test]
+    fn rejects_nonzero_first_offset() {
+        let got = CsrGraph::try_from_parts(vec![1, 1], vec![0], false);
+        assert_eq!(got, Err(CsrError::FirstOffsetNotZero { first: 1 }));
+    }
+
+    #[test]
     fn rejects_descending_offsets() {
-        let _ = CsrGraph::from_parts(vec![0, 3, 1, 4], vec![0, 1, 2, 0], false);
+        let got = CsrGraph::try_from_parts(vec![0, 3, 1, 4], vec![0, 1, 2, 0], false);
+        assert_eq!(got, Err(CsrError::OffsetsNotMonotone { at: 1 }));
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
     fn rejects_bad_destination() {
-        let _ = CsrGraph::from_parts(vec![0, 1], vec![7], false);
+        let got = CsrGraph::try_from_parts(vec![0, 1], vec![7], false);
+        let want = CsrError::VertexOutOfRange {
+            vertex: 7,
+            num_vertices: 1,
+        };
+        assert_eq!(got, Err(want));
     }
 
     #[test]
-    #[should_panic(expected = "edge count")]
     fn rejects_mismatched_total() {
-        let _ = CsrGraph::from_parts(vec![0, 3], vec![0], false);
+        let got = CsrGraph::try_from_parts(vec![0, 3], vec![0], false);
+        let want = CsrError::LastOffsetMismatch {
+            last: 3,
+            num_edges: 1,
+        };
+        assert_eq!(got, Err(want));
+    }
+
+    #[test]
+    #[should_panic(expected = "OffsetsNotMonotone { at: 1 }")]
+    fn from_parts_panics_with_the_typed_error() {
+        let _ = CsrGraph::from_parts(vec![0, 3, 1, 4], vec![0, 1, 2, 0], false);
     }
 
     #[test]

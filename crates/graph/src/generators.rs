@@ -20,7 +20,7 @@ use crate::builder::EdgeListBuilder;
 use crate::csr::CsrGraph;
 use crate::VertexId;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// GAP-urand-like: every vertex draws ~`avg_degree/2` undirected edges to
 /// uniform random targets; after symmetrization degrees concentrate in a
@@ -28,7 +28,7 @@ use rand::{Rng, SeedableRng};
 pub fn uniform_random(n: usize, avg_degree: usize, seed: u64) -> CsrGraph {
     let mut rng = StdRng::seed_from_u64(seed);
     let half = avg_degree / 2;
-    let mut b = EdgeListBuilder::with_capacity(n, n * half * 2).symmetrize(true);
+    let mut b = EdgeListBuilder::with_capacity(n, n * half).symmetrize(true);
     for src in 0..n as VertexId {
         for _ in 0..half {
             let dst = rng.gen_range(0..n as VertexId);
@@ -40,30 +40,56 @@ pub fn uniform_random(n: usize, avg_degree: usize, seed: u64) -> CsrGraph {
 
 /// R-MAT / Kronecker recursive generator (GAP-kron uses A=0.57, B=C=0.19).
 /// `scale` is log2 of the vertex count; `edge_factor` undirected edges are
-/// drawn per vertex and symmetrized.
+/// drawn per vertex and symmetrized. `a`, `b` and `c` are the
+/// probabilities of the top-left, top-right and bottom-left quadrants.
+///
+/// Each level draws one uniform `r` in `[0, 1)` and descends into the
+/// quadrant it selects: `r < a`, else `r < a + b`, else `r < a + b + c`,
+/// else the fourth. `rng.gen::<f64>()` is exactly `k · 2⁻⁵³` for the
+/// 53-bit integer `k = next_u64() >> 11`, so the three comparisons are
+/// made on `k` against integers computed once (`unit_threshold`) and
+/// the two quadrant bits are read off them without a branch.
+///
+/// # Panics
+/// If a probability is negative (or NaN).
 pub fn rmat(scale: u32, edge_factor: usize, a: f64, b: f64, c: f64, seed: u64) -> CsrGraph {
+    assert!(
+        a >= 0.0 && b >= 0.0 && c >= 0.0,
+        "R-MAT quadrant probabilities must be non-negative"
+    );
     let n = 1usize << scale;
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut builder = EdgeListBuilder::with_capacity(n, n * edge_factor * 2).symmetrize(true);
+    let mut builder = EdgeListBuilder::with_capacity(n, n * edge_factor).symmetrize(true);
+    let thresholds = [a, a + b, a + b + c].map(unit_threshold);
     for _ in 0..n * edge_factor {
-        let (mut src, mut dst) = (0u64, 0u64);
+        let (mut src, mut dst) = (0 as VertexId, 0 as VertexId);
         for _ in 0..scale {
-            let r: f64 = rng.gen();
-            let (sbit, dbit) = if r < a {
-                (0, 0)
-            } else if r < a + b {
-                (0, 1)
-            } else if r < a + b + c {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
+            let (sbit, dbit) = quadrant_bits(rng.next_u64() >> 11, thresholds);
             src = (src << 1) | sbit;
             dst = (dst << 1) | dbit;
         }
-        builder.push(src as VertexId, dst as VertexId);
+        builder.push(src, dst);
     }
     builder.build()
+}
+
+/// The integer `t` with `k < t` ⇔ `k · 2⁻⁵³ < x` for every 53-bit `k`:
+/// `⌈x · 2⁵³⌉`. Scaling by a power of two and `ceil` are exact, the cast
+/// saturates, and any `x ≥ 1` gives a `t` above every `k`.
+fn unit_threshold(x: f64) -> u64 {
+    (x * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// One R-MAT level: the (source, destination) bits of the quadrant the
+/// draw `k` falls in, for non-decreasing thresholds `[a, a+b, a+b+c]`.
+/// In threshold order the quadrants are (0,0) (0,1) (1,0) (1,1): the
+/// source bit rises at the middle threshold, the destination bit flips
+/// at every one.
+#[inline]
+fn quadrant_bits(k: u64, [t_a, t_ab, t_abc]: [u64; 3]) -> (VertexId, VertexId) {
+    let sbit = VertexId::from(k >= t_ab);
+    let dbit = VertexId::from(k >= t_a) - sbit + VertexId::from(k >= t_abc);
+    (sbit, dbit)
 }
 
 /// GAP-kron parameters.
@@ -245,6 +271,109 @@ mod tests {
         }
         let frac = local as f64 / g.num_edges() as f64;
         assert!(frac > 0.6, "local fraction {frac}");
+    }
+
+    /// The quadrant choice as the paper's generators write it: one float
+    /// draw through an if-chain. The reference for `quadrant_bits`.
+    fn quadrant_bits_by_float_chain(r: f64, a: f64, b: f64, c: f64) -> (VertexId, VertexId) {
+        if r < a {
+            (0, 0)
+        } else if r < a + b {
+            (0, 1)
+        } else if r < a + b + c {
+            (1, 0)
+        } else {
+            (1, 1)
+        }
+    }
+
+    /// `rmat` as it was before the integer thresholds.
+    fn rmat_by_float_chain(
+        scale: u32,
+        edge_factor: usize,
+        (a, b, c): (f64, f64, f64),
+        seed: u64,
+    ) -> CsrGraph {
+        let n = 1usize << scale;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut builder = EdgeListBuilder::new(n).symmetrize(true);
+        for _ in 0..n * edge_factor {
+            let (mut src, mut dst) = (0, 0);
+            for _ in 0..scale {
+                let (sbit, dbit) = quadrant_bits_by_float_chain(rng.gen(), a, b, c);
+                src = (src << 1) | sbit;
+                dst = (dst << 1) | dbit;
+            }
+            builder.push(src, dst);
+        }
+        builder.build()
+    }
+
+    /// Seeded `(a, b, c)` draws: ordinary mixes, sums at and above 1 (the
+    /// later quadrants become unreachable), a tiny `a` (threshold far
+    /// below 2⁵³, where `x · 2⁵³` is not an integer) and zeros.
+    fn quadrant_probabilities() -> Vec<(f64, f64, f64)> {
+        let mut rng = StdRng::seed_from_u64(0x0B17);
+        let mut out = vec![
+            (0.57, 0.19, 0.19),
+            (0.45, 0.22, 0.22),
+            (0.25, 0.25, 0.5),
+            (0.7, 0.5, 0.1),
+            (1.5, 0.0, 0.0),
+            (1e-9, 0.3, 0.3),
+            (0.0, 0.0, 0.0),
+            (0.0, 1.0 / 3.0, 0.0),
+        ];
+        for _ in 0..24 {
+            let (a, b, c): (f64, f64, f64) = (rng.gen(), rng.gen(), rng.gen());
+            out.push((a * 0.8, b * 0.6, c * 0.6));
+        }
+        out
+    }
+
+    // Mutations this fails on and `rmat_equals_the_float_chain` cannot (a
+    // random 53-bit draw never lands on a threshold): `>=` -> `>` on any
+    // of the three comparisons in `quadrant_bits`; `ceil` -> `floor` or
+    // `round` in `unit_threshold`.
+    #[test]
+    fn quadrant_bits_agree_with_the_float_chain_at_every_threshold() {
+        let unit = 1.0 / (1u64 << 53) as f64;
+        for (a, b, c) in quadrant_probabilities() {
+            let thresholds = [a, a + b, a + b + c].map(unit_threshold);
+            let near = thresholds
+                .into_iter()
+                .flat_map(|t| [t.saturating_sub(1), t, t + 1]);
+            for k in near.chain([0, (1 << 53) - 1]).filter(|&k| k < 1 << 53) {
+                assert_eq!(
+                    quadrant_bits(k, thresholds),
+                    quadrant_bits_by_float_chain(k as f64 * unit, a, b, c),
+                    "k = {k}, (a, b, c) = ({a}, {b}, {c})"
+                );
+            }
+        }
+    }
+
+    // Mutations this fails on: a different number of draws per level or
+    // per edge, a draw shifted by other than 11, a threshold dropped
+    // from the cumulative sums. (Swapping the source and destination
+    // bits does not — the graph is symmetrized — the test above does.)
+    #[test]
+    fn rmat_equals_the_float_chain() {
+        for (i, abc) in quadrant_probabilities().into_iter().enumerate() {
+            let (a, b, c) = abc;
+            let seed = 40 + i as u64;
+            assert_eq!(
+                rmat(8, 6, a, b, c, seed),
+                rmat_by_float_chain(8, 6, abc, seed),
+                "(a, b, c) = ({a}, {b}, {c})"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative")]
+    fn rmat_rejects_a_negative_probability() {
+        let _ = rmat(4, 2, 0.5, -0.1, 0.2, 1);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!
 //! * [`csr`] — the compressed-sparse-row representation of §2.1 (vertex
 //!   list of offsets + edge list of neighbours), with invariant checking;
-//! * [`builder`] — edge-list → CSR construction (counting sort,
-//!   symmetrization, dedup);
+//! * [`builder`] — edge-list → CSR construction (two-pass radix by
+//!   destination then source, symmetrization, dedup);
 //! * [`generators`] — random graph families (uniform, R-MAT/Kronecker,
 //!   log-normal dense, locality web crawl);
 //! * [`datasets`] — the six Table 2 stand-ins (GK, GU, FS, ML, SK, UK5),
@@ -41,7 +41,7 @@ pub mod reorder;
 
 pub use analysis::DegreeCdf;
 pub use builder::EdgeListBuilder;
-pub use csr::CsrGraph;
+pub use csr::{CsrError, CsrGraph};
 pub use datasets::{Dataset, DatasetKey, DatasetSpec};
 pub use partition::{PartitionStrategy, VertexPartition};
 pub use reorder::LayoutPlan;
