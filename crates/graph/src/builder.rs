@@ -93,9 +93,10 @@ impl EdgeListBuilder {
     /// not below the vertex count.
     pub fn try_build(self) -> Result<CsrGraph, CsrError> {
         let n = self.num_vertices;
-        if let Some(&(s, d)) = self.edges.iter().find(|&&(s, d)| s.max(d) as usize >= n) {
+        let mut endpoints = self.edges.iter().flat_map(|&(s, d)| [s, d]);
+        if let Some(vertex) = endpoints.find(|&v| v as usize >= n) {
             return Err(CsrError::VertexOutOfRange {
-                vertex: if s as usize >= n { s } else { d },
+                vertex,
                 num_vertices: n,
             });
         }
@@ -251,11 +252,7 @@ mod tests {
             (40, 300),
             (300, 900),
         ] {
-            let pairs = if n == 0 {
-                Vec::new()
-            } else {
-                random_pairs(n, len, &mut rng)
-            };
+            let pairs = random_pairs(n, len, &mut rng);
             for flags in 0..8 {
                 let (symmetrize, dedup, drop_self_loops) =
                     (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);

@@ -82,9 +82,8 @@ impl CsrGraph {
         edges: Vec<VertexId>,
         undirected: bool,
     ) -> Result<Self, CsrError> {
-        let (&first, &last) = match (offsets.first(), offsets.last()) {
-            (Some(first), Some(last)) => (first, last),
-            _ => return Err(CsrError::EmptyOffsets),
+        let (Some(&first), Some(&last)) = (offsets.first(), offsets.last()) else {
+            return Err(CsrError::EmptyOffsets);
         };
         if first != 0 {
             return Err(CsrError::FirstOffsetNotZero { first });

@@ -291,7 +291,9 @@ mod tests {
     fn rmat_by_float_chain(
         scale: u32,
         edge_factor: usize,
-        (a, b, c): (f64, f64, f64),
+        a: f64,
+        b: f64,
+        c: f64,
         seed: u64,
     ) -> CsrGraph {
         let n = 1usize << scale;
@@ -359,12 +361,11 @@ mod tests {
     // bits does not — the graph is symmetrized — the test above does.)
     #[test]
     fn rmat_equals_the_float_chain() {
-        for (i, abc) in quadrant_probabilities().into_iter().enumerate() {
-            let (a, b, c) = abc;
+        for (i, (a, b, c)) in quadrant_probabilities().into_iter().enumerate() {
             let seed = 40 + i as u64;
             assert_eq!(
                 rmat(8, 6, a, b, c, seed),
-                rmat_by_float_chain(8, 6, abc, seed),
+                rmat_by_float_chain(8, 6, a, b, c, seed),
                 "(a, b, c) = ({a}, {b}, {c})"
             );
         }

@@ -1,8 +1,9 @@
-//! Shared generators for the integration-test suites: random graphs,
-//! query mixes and vertex permutations used by `proptests.rs`,
-//! `serve_proptests.rs` and the `*_differential.rs` harnesses, plus the
-//! harnesses' one "all four programs on any front → comparable answers"
-//! helper ([`four_programs`] / [`answers`]).
+//! Shared generators for the integration-test suites: random graphs
+//! (with or without planted hubs), query mixes and vertex permutations
+//! used by `proptests.rs`, `serve_proptests.rs` and the
+//! `*_differential.rs` harnesses, plus the harnesses' one "all four
+//! programs on any front → comparable answers" helper
+//! ([`four_programs`] / [`answers`]).
 //!
 //! Each integration test binary compiles this module independently
 //! (`mod common;`), so not every helper is used by every binary.
@@ -30,6 +31,27 @@ pub fn build_graph(edges: &[(u32, u32)], n: u32) -> CsrGraph {
 /// entries, for [`build_graph`].
 pub fn edges(n: u32, max_len: usize) -> impl Strategy<Value = Vec<(u32, u32)>> {
     prop::collection::vec((0u32..n, 0u32..n), 1..max_len)
+}
+
+/// Strategy: [`edges`] plus one to three planted hubs, each joined to
+/// `degree` distinct other vertices, every such edge listed in both
+/// directions. After [`build_graph`] a hub's list holds at least
+/// `degree` entries — with `degree` at the sharded engine's
+/// `HUB_SPLIT_DEGREE` the random cases reach cooperative hub splitting —
+/// and the builder sees long lists in which every entry is a duplicate.
+pub fn hub_edges(n: u32, degree: u32, max_len: usize) -> impl Strategy<Value = Vec<(u32, u32)>> {
+    assert!(degree < n, "a hub needs {degree} other vertices");
+    let hubs = prop::collection::vec((0u32..n, 0u32..n), 1..4);
+    (edges(n, max_len), hubs).prop_map(move |(mut all, hubs)| {
+        for (hub, first) in hubs {
+            // `degree` consecutive steps around the other n - 1 vertices.
+            for step in (first..first + degree).map(|i| 1 + i % (n - 1)) {
+                let leaf = (hub + step) % n;
+                all.extend([(hub, leaf), (leaf, hub)]);
+            }
+        }
+        all
+    })
 }
 
 /// Strategy: `1..max_len` source vertices over `n` vertices (BFS/SSSP

@@ -83,6 +83,29 @@ proptest! {
         assert_sharding_invariant(&g, AccessMode::all()[mode_idx], &specs[2..]);
     }
 
+    /// All four programs again on graphs the generators above cannot
+    /// draw: planted hubs whose lists reach [`HUB_SPLIT_DEGREE`], so at
+    /// 2 and 4 devices every frontier and every sweep holding a hub
+    /// walks its list cooperatively (the fixed star below pins that the
+    /// split happens; this pins that it never changes an answer, SSSP,
+    /// CC and PageRank included). Mutation that fails it and none of the
+    /// three cases above: `at = upto + 1` in `Driver::shard`, one edge
+    /// skipped per slice boundary.
+    #[test]
+    fn planted_hubs_are_bit_identical_across_device_counts(
+        edges in common::hub_edges(320, HUB_SPLIT_DEGREE as u32, 200),
+        src in 0u32..320,
+        mode_idx in 0usize..4,
+        weight_seed in 0u64..1_000,
+    ) {
+        let g = build_graph(&edges, 320);
+        let longest = (0..320).map(|v| g.degree(v)).max();
+        prop_assert!(longest >= Some(HUB_SPLIT_DEGREE), "no list long enough to split");
+        let w = generate_weights(g.num_edges(), weight_seed);
+        let specs = four_programs(src, &w, 5);
+        assert_sharding_invariant(&g, AccessMode::all()[mode_idx], &specs);
+    }
+
     /// One-device sharded execution is the single-device engine, tick
     /// for tick: every per-run statistic — traffic, timing, request
     /// sizes, hybrid transfer counters — is equal, for all 4 programs
@@ -105,8 +128,7 @@ proptest! {
     }
 }
 
-/// The harness's own precondition, on a fixed scenario the random cases
-/// (≤ 350 edge pairs over ≤ 72 vertices) cannot reach: a directed star
+/// The harness's own precondition, on a fixed scenario: a directed star
 /// whose hub list is long enough to split. BFS from the hub reads only
 /// that list — the leaves have no edges — so every device carrying host
 /// traffic proves the list was walked cooperatively, and the next level
