@@ -20,12 +20,22 @@
 //! a pipelined row, and `rows_are_pairwise_distinct` keeps an axis that
 //! moves no pinned number out of the table.
 //!
+//! **Side systems.** The run loops that bypass the engine's driver — the
+//! §3.3 toy kernels with their UVM and `cudaMemcpy` references, the §6
+//! compressed BFS, the Subway baseline — and HALO (an `Engine` over a
+//! relabeled graph) are pinned the same way in [`TOY`] and the two
+//! `*_SIDE` tables, generated at the commit before those loops were
+//! routed through one measurement bracket.
+//!
 //! **Re-pinning.** The simulator is deterministic, so a mismatch is a
 //! modelling change, never noise. If the change is intended and declared,
 //! run `cargo test --test sim_golden -- --nocapture`, and paste the
 //! printed table over the `const` of the failing graph.
 
+use emogi_repro::core::compressed::CompressedBfs;
 use emogi_repro::core::sharded::{ShardedConfig, ShardedEngine};
+use emogi_repro::core::toy::{self, ToyPattern, ToyRun};
+use emogi_repro::graph::compress::CompressedCsr;
 use emogi_repro::graph::datasets::generate_weights;
 use emogi_repro::prelude::*;
 use emogi_repro::sim::interconnect::LinkStats;
@@ -138,6 +148,48 @@ const UNIFORM: &[Row] = &[
         0x4a689ae160ab2872, 0x042f96fe78a0b556,
         0xc2d66812c60f7dea, 0xede47599871cdd51,
     ]),
+];
+
+/// One side-system cell: its label and digest.
+type SideRow = (&'static str, u64);
+
+/// The §3.3 toy runs over [`TOY_BYTES`] (no graph involved), generated
+/// at the parent commit.
+#[rustfmt::skip]
+const TOY: &[SideRow] = &[
+    ("Strided", 0xcf486cc2de53c48f),
+    ("Merged and Aligned", 0x97560cf6f4a25665),
+    ("Merged but Misaligned", 0x6173e7d1670cc2d9),
+    ("UVM", 0x8ba2ca29f96eca6f),
+    ("cudaMemcpy", 0x402458b2aae0ec87),
+];
+
+/// The side systems on `kronecker(9, 16, 21)`, generated at the parent
+/// commit.
+#[rustfmt::skip]
+const KRONECKER_SIDE: &[SideRow] = &[
+    ("compressed-bfs", 0x3a3e76bde2e7e40c),
+    ("subway-sync-bfs", 0x0000784648682c07),
+    ("subway-sync-sssp", 0x0230808cf9978b89),
+    ("subway-sync-cc", 0xca5f4f74e6ff7e61),
+    ("subway-async-bfs", 0xf4fe5fe1315f92c3),
+    ("subway-async-sssp", 0x4bd14acc431e29e5),
+    ("subway-async-cc", 0xb6b3a64be2051849),
+    ("halo-bfs", 0x07cf49f593eaeeaa),
+];
+
+/// The side systems on `uniform_random(400, 6, 5)`, generated at the
+/// parent commit.
+#[rustfmt::skip]
+const UNIFORM_SIDE: &[SideRow] = &[
+    ("compressed-bfs", 0x7ad8ad29dde95ae4),
+    ("subway-sync-bfs", 0x24ca65aeb505472b),
+    ("subway-sync-sssp", 0xe1e634707919f2cc),
+    ("subway-sync-cc", 0xb79d3068a7cbfd21),
+    ("subway-async-bfs", 0x117604076b4b5a7b),
+    ("subway-async-sssp", 0xf13f91cf73856c9d),
+    ("subway-async-cc", 0x1873b677b6960145),
+    ("halo-bfs", 0x3a8aecc2ab52cbda),
 ];
 
 /// Batch sources; the first `k` serve a `k`-query batch. All distinct,
@@ -270,6 +322,18 @@ impl Fnv {
             busy_ns,
         } = run.exchange;
         self.words([bytes, transfers, busy_ns, run.iterations]);
+    }
+
+    /// A toy run: label, both bandwidths and the bandwidth-over-time
+    /// series by bit pattern, then the full stats.
+    fn toy(&mut self, run: &ToyRun) {
+        self.words(run.label.bytes().map(u64::from));
+        self.words([run.pcie_gbps.to_bits(), run.dram_gbps.to_bits()]);
+        self.word(run.series.len() as u64);
+        for &(t, gbps) in &run.series {
+            self.words([t, gbps.to_bits()]);
+        }
+        self.stats(&run.stats);
     }
 }
 
@@ -418,6 +482,117 @@ fn kronecker_matrix_matches_the_table_pinned_at_the_parent_commit() {
 fn uniform_matrix_matches_the_table_pinned_at_the_parent_commit() {
     let g = generators::uniform_random(400, 6, 5);
     check("UNIFORM", &g, UNIFORM);
+}
+
+/// Array size of the pinned toy runs: 128 pages, 4,096 cache lines.
+const TOY_BYTES: u64 = 512 << 10;
+
+/// The V100 with the 16 KiB cache of [`configs`].
+fn side_machine() -> MachineConfig {
+    let mut m = MachineConfig::v100_gen3();
+    m.gpu.cache.capacity_bytes = 16 << 10;
+    m
+}
+
+fn toy_cells() -> Vec<SideRow> {
+    let mut out: Vec<SideRow> = Vec::new();
+    for pattern in ToyPattern::all() {
+        let mut h = Fnv::new();
+        h.toy(&toy::run_zero_copy(side_machine(), pattern, TOY_BYTES));
+        out.push((pattern.name(), h.0));
+    }
+    let mut h = Fnv::new();
+    h.toy(&toy::run_uvm_reference(side_machine(), TOY_BYTES));
+    out.push(("UVM", h.0));
+    let gbps = toy::run_memcpy_reference(side_machine(), TOY_BYTES);
+    out.push(("cudaMemcpy", gbps.to_bits()));
+    out
+}
+
+/// Every graph-bound side system on `g`. Each system runs twice on one
+/// machine (sources 3 and 17, or two CC runs), so a per-run bracket that
+/// reported lifetime counters would move the second digest.
+fn side_cells(g: &CsrGraph) -> Vec<SideRow> {
+    let w = generate_weights(g.num_edges(), 11);
+    let mut out: Vec<SideRow> = Vec::new();
+
+    let compressed = CompressedCsr::encode(g);
+    let mut sys = CompressedBfs::new(side_machine(), &compressed);
+    let mut h = Fnv::new();
+    for src in [3, 17] {
+        let (levels, stats) = sys.bfs(src);
+        h.words(levels.iter().map(|&l| u64::from(l)));
+        h.stats(&stats);
+    }
+    out.push(("compressed-bfs", h.0));
+
+    for (mode, labels) in [
+        (
+            SubwayMode::Sync,
+            ["subway-sync-bfs", "subway-sync-sssp", "subway-sync-cc"],
+        ),
+        (
+            SubwayMode::Async,
+            ["subway-async-bfs", "subway-async-sssp", "subway-async-cc"],
+        ),
+    ] {
+        let mut sys = SubwaySystem::new(side_machine(), g, Some(&w), mode);
+        let [mut bfs, mut sssp, mut cc] = [Fnv::new(), Fnv::new(), Fnv::new()];
+        for src in [3, 17] {
+            bfs.run(&sys.bfs(src));
+            sssp.run(&sys.sssp(src));
+            cc.run(&sys.cc());
+        }
+        out.extend(labels.into_iter().zip([bfs.0, sssp.0, cc.0]));
+    }
+
+    let mut cfg = EngineConfig::uvm_v100();
+    cfg.machine = side_machine();
+    let halo = HaloSystem::new(cfg, g);
+    let mut h = Fnv::new();
+    for src in [3, 17] {
+        h.run(&halo.bfs(src));
+    }
+    out.push(("halo-bfs", h.0));
+    out
+}
+
+/// Compare a side-system table with `want`; on any mismatch print the
+/// actual table, paste-ready.
+fn check_side(name: &str, got: &[SideRow], want: &[SideRow]) {
+    if got == want {
+        return;
+    }
+    println!("// actual table for {name}:");
+    for (label, digest) in got {
+        println!("    ({label:?}, {digest:#018x}),");
+    }
+    let moved: Vec<&str> = got
+        .iter()
+        .filter(|row| !want.contains(row))
+        .map(|row| row.0)
+        .collect();
+    panic!(
+        "{name}: the side-system table differs from the pinned one \
+         (actual table printed above); moved or new cells: {moved:?}"
+    );
+}
+
+#[test]
+fn toy_runs_match_the_table_pinned_at_the_parent_commit() {
+    check_side("TOY", &toy_cells(), TOY);
+}
+
+#[test]
+fn kronecker_side_systems_match_the_table_pinned_at_the_parent_commit() {
+    let g = generators::kronecker(9, 16, 21);
+    check_side("KRONECKER_SIDE", &side_cells(&g), KRONECKER_SIDE);
+}
+
+#[test]
+fn uniform_side_systems_match_the_table_pinned_at_the_parent_commit() {
+    let g = generators::uniform_random(400, 6, 5);
+    check_side("UNIFORM_SIDE", &side_cells(&g), UNIFORM_SIDE);
 }
 
 /// No two rows agree in all twenty cells: a row that copies another
