@@ -20,11 +20,11 @@
 
 use emogi_core::bfs::BfsOutput;
 use emogi_core::cc::CcOutput;
-use emogi_core::sssp::SsspOutput;
-use emogi_core::sssp::INF;
+use emogi_core::sssp::{SsspOutput, INF};
 use emogi_core::{BfsRun, CcRun, SsspRun};
 use emogi_graph::{CsrGraph, VertexId, UNVISITED};
 use emogi_runtime::machine::MachineConfig;
+use emogi_runtime::report::RunStats;
 use emogi_runtime::Machine;
 use emogi_sim::time::Time;
 
@@ -78,72 +78,76 @@ impl<'g> SubwaySystem<'g> {
         }
     }
 
+    /// Bytes per edge: the 4-byte element, plus its weight if present.
+    fn per_edge_bytes(&self) -> u64 {
+        self.elem_bytes + if self.weights.is_some() { 4 } else { 0 }
+    }
+
     /// Edge-list bytes in Subway's 4-byte format (+weights if present).
     pub fn dataset_bytes(&self) -> u64 {
-        let mut b = self.graph.num_edges() as u64 * self.elem_bytes;
-        if self.weights.is_some() {
-            b += self.graph.num_edges() as u64 * 4;
-        }
-        b
+        self.graph.num_edges() as u64 * self.per_edge_bytes()
     }
 
-    /// Subgraph bytes for one active set.
-    fn subgraph_bytes(&self, active: &[VertexId]) -> u64 {
-        let per_edge = self.elem_bytes + if self.weights.is_some() { 4 } else { 0 };
-        let edges: u64 = active.iter().map(|&v| self.graph.degree(v)).sum();
-        // Packed lists + a (vertex, offset, degree) triple per active vertex.
-        edges * per_edge + active.len() as u64 * 12
-    }
+    /// The one traversal loop, inside the one measurement bracket. Each
+    /// round generates the active vertices' subgraph, transfers it and
+    /// runs it on the device, advancing the machine clock according to
+    /// the sync/async pipeline; then `expand` applies the round's updates
+    /// and leaves the next active set in place of the current one. An
+    /// empty set ends the run — tested after the round, so every run has
+    /// one (CC's single pass over a graph where no label moves).
+    fn rounds(
+        &mut self,
+        mut active: Vec<VertexId>,
+        mut expand: impl FnMut(&mut Vec<VertexId>),
+    ) -> RunStats {
+        let (graph, mode, per_edge) = (self.graph, self.mode, self.per_edge_bytes());
+        let scan = (graph.num_vertices() as f64 * SCAN_NS_PER_VERTEX) as Time;
+        let ((), stats) = self.machine.measure(|m| {
+            let mut prev_kernel_ns = 0;
+            loop {
+                // Generate: packed lists + a (vertex, offset, degree)
+                // triple per active vertex, gathered out of host DRAM;
+                // the scattered copy, not DRAM peak bandwidth, sets the
+                // pace.
+                let edges: u64 = active.iter().map(|&v| graph.degree(v)).sum();
+                let bytes = edges * per_edge + active.len() as u64 * 12;
+                let gather = (active.len() as f64 * GATHER_NS_PER_VERTEX) as Time;
+                let dram_ns = m.host_dram.read_bulk(m.now, bytes) - m.now;
+                let copy_ns = emogi_sim::time::bytes_over_bandwidth_ns(bytes, GATHER_GBPS);
+                let gen = dram_ns.max(copy_ns) + scan + gather;
+                m.now += match mode {
+                    SubwayMode::Sync => gen,
+                    // Generation overlapped with the previous kernel.
+                    SubwayMode::Async => gen.saturating_sub(prev_kernel_ns),
+                };
+                m.memcpy_to_device(bytes);
+                // Device kernel: stream the subgraph + status-array
+                // traffic. The launch is modelled analytically, so it is
+                // counted here.
+                m.kernel_launches += 1;
+                let kernel_done = m.hbm.read_bulk(m.now, bytes + bytes / 2);
+                prev_kernel_ns = kernel_done - m.now;
+                m.now = kernel_done + m.kernel_launch_ns;
 
-    /// Charge one iteration's subgraph generation; returns its duration.
-    fn generation_time(&mut self, active: &[VertexId], bytes: u64) -> Time {
-        let scan = (self.graph.num_vertices() as f64 * SCAN_NS_PER_VERTEX) as Time;
-        let gather = (active.len() as f64 * GATHER_NS_PER_VERTEX) as Time;
-        // The generator gathers the active lists out of host DRAM into
-        // the packed buffer; the scattered copy, not DRAM peak bandwidth,
-        // sets the pace.
-        let t0 = self.machine.now;
-        let dram_done = self.machine.host_dram.read_bulk(t0, bytes);
-        let copy = emogi_sim::time::bytes_over_bandwidth_ns(bytes, GATHER_GBPS);
-        (dram_done - t0).max(copy) + scan + gather
-    }
-
-    /// One iteration: generate, transfer, run on device. Advances the
-    /// machine clock according to the sync/async pipeline.
-    fn iteration(&mut self, active: &[VertexId], prev_kernel_ns: Time) -> Time {
-        let bytes = self.subgraph_bytes(active);
-        let gen = self.generation_time(active, bytes);
-        match self.mode {
-            SubwayMode::Sync => self.machine.now += gen,
-            SubwayMode::Async => {
-                // Generation overlapped with the previous kernel.
-                self.machine.now += gen.saturating_sub(prev_kernel_ns);
+                expand(&mut active);
+                if active.is_empty() {
+                    break;
+                }
             }
-        }
-        self.machine.memcpy_to_device(bytes);
-        // Device kernel: stream the subgraph + status-array traffic. The
-        // launch is modelled analytically, so it is counted here.
-        self.machine.kernel_launches += 1;
-        let t0 = self.machine.now;
-        let kernel_done = self.machine.hbm.read_bulk(t0, bytes + bytes / 2);
-        self.machine.now = kernel_done + self.machine.kernel_launch_ns;
-        kernel_done - t0
+        });
+        stats
     }
 
     /// BFS per Subway: the frontier's lists move to the GPU each level.
     pub fn bfs(&mut self, src: VertexId) -> BfsRun {
-        let base = self.machine.counters();
-        let n = self.graph.num_vertices();
-        let mut levels = vec![UNVISITED; n];
+        let graph = self.graph;
+        let mut levels = vec![UNVISITED; graph.num_vertices()];
         levels[src as usize] = 0;
-        let mut frontier = vec![src];
-        let mut prev_kernel = 0;
-        while !frontier.is_empty() {
-            prev_kernel = self.iteration(&frontier, prev_kernel);
+        let stats = self.rounds(vec![src], |frontier| {
             let mut next = Vec::new();
             let cur = levels[frontier[0] as usize];
-            for &v in &frontier {
-                for &d in self.graph.neighbors(v) {
+            for &v in frontier.iter() {
+                for &d in graph.neighbors(v) {
                     if levels[d as usize] == UNVISITED {
                         levels[d as usize] = cur + 1;
                         next.push(d);
@@ -151,29 +155,24 @@ impl<'g> SubwaySystem<'g> {
                 }
             }
             next.sort_unstable();
-            frontier = next;
-        }
+            *frontier = next;
+        });
         BfsRun {
             output: BfsOutput { levels },
-            stats: self.machine.counters() - base,
+            stats,
         }
     }
 
     /// SSSP per Subway (Bellman-Ford rounds over active subgraphs).
     pub fn sssp(&mut self, src: VertexId) -> SsspRun {
-        let weights = self.weights.expect("SSSP needs weights");
-        let base = self.machine.counters();
-        let n = self.graph.num_vertices();
-        let mut dist = vec![INF; n];
+        let (graph, weights) = (self.graph, self.weights.expect("SSSP needs weights"));
+        let mut dist = vec![INF; graph.num_vertices()];
         dist[src as usize] = 0;
-        let mut frontier = vec![src];
-        let mut prev_kernel = 0;
-        while !frontier.is_empty() {
-            prev_kernel = self.iteration(&frontier, prev_kernel);
+        let stats = self.rounds(vec![src], |frontier| {
             let mut next = Vec::new();
-            for &v in &frontier {
-                let start = self.graph.neighbor_start(v);
-                for (k, &d) in self.graph.neighbors(v).iter().enumerate() {
+            for &v in frontier.iter() {
+                let start = graph.neighbor_start(v);
+                for (k, &d) in graph.neighbors(v).iter().enumerate() {
                     let nd = dist[v as usize].saturating_add(weights[start as usize + k]);
                     if nd < dist[d as usize] {
                         dist[d as usize] = nd;
@@ -183,29 +182,25 @@ impl<'g> SubwaySystem<'g> {
             }
             next.sort_unstable();
             next.dedup();
-            frontier = next;
-        }
+            *frontier = next;
+        });
         SsspRun {
             output: SsspOutput { dist },
-            stats: self.machine.counters() - base,
+            stats,
         }
     }
 
     /// CC per Subway: every vertex active each pass until stable.
     pub fn cc(&mut self) -> CcRun {
-        assert!(self.graph.is_undirected(), "CC needs an undirected graph");
-        let base = self.machine.counters();
-        let n = self.graph.num_vertices();
-        let mut comp: Vec<u32> = (0..n as u32).collect();
-        let all: Vec<u32> = (0..n as u32).collect();
-        let mut passes = 0;
-        let mut prev_kernel = 0;
-        loop {
-            prev_kernel = self.iteration(&all, prev_kernel);
-            passes += 1;
+        let graph = self.graph;
+        assert!(graph.is_undirected(), "CC needs an undirected graph");
+        let mut comp: Vec<u32> = (0..graph.num_vertices() as u32).collect();
+        let mut hook_passes = 0;
+        let stats = self.rounds(comp.clone(), |all| {
+            hook_passes += 1;
             let mut changed = false;
-            for v in 0..n as u32 {
-                for &d in self.graph.neighbors(v) {
+            for &v in all.iter() {
+                for &d in graph.neighbors(v) {
                     if comp[d as usize] < comp[v as usize] {
                         comp[v as usize] = comp[d as usize];
                         changed = true;
@@ -214,15 +209,12 @@ impl<'g> SubwaySystem<'g> {
             }
             emogi_core::cc::shortcut(&mut comp);
             if !changed {
-                break;
+                all.clear();
             }
-        }
+        });
         CcRun {
-            output: CcOutput {
-                comp,
-                hook_passes: passes,
-            },
-            stats: self.machine.counters() - base,
+            output: CcOutput { comp, hook_passes },
+            stats,
         }
     }
 }
@@ -269,6 +261,19 @@ mod tests {
         let mut sys = SubwaySystem::new(v100(), &g, None, SubwayMode::Sync);
         let run = sys.cc();
         assert_eq!(run.comp, algo::cc_labels(&g));
+    }
+
+    /// The round loop tests for an empty active set *after* the round: a
+    /// `while !active.is_empty()` would skip CC's one pass over a graph
+    /// without vertices, and report no launch for it.
+    #[test]
+    fn cc_on_an_edgeless_graph_still_makes_one_pass_and_one_launch() {
+        for n in [0, 5] {
+            let g = CsrGraph::empty(n);
+            let run = SubwaySystem::new(v100(), &g, None, SubwayMode::Sync).cc();
+            assert_eq!((run.hook_passes, run.stats.kernel_launches), (1, 1), "{n}");
+            assert_eq!(run.comp, (0..n as u32).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -143,32 +143,32 @@ impl<'g> CompressedBfs<'g> {
 
     /// Full BFS from `src` over the compressed stream.
     pub fn bfs(&mut self, src: VertexId) -> (Vec<u32>, RunStats) {
-        let base = self.machine.counters();
-        let n = self.graph.num_vertices();
-        let mut levels = vec![UNVISITED; n];
+        let mut levels = vec![UNVISITED; self.graph.num_vertices()];
         levels[src as usize] = 0;
-        let mut frontier = vec![src];
-        let mut level = 0u32;
-        while !frontier.is_empty() {
-            let mut next = Vec::new();
-            let mut kernel = CompressedBfsKernel {
-                sys_graph: self.graph,
-                edge_base: self.edge_base,
-                status_base: self.layout_status,
-                vertex_base: self.layout_vertex,
-                levels: &mut levels,
-                next_level: level + 1,
-                frontier: &frontier,
-                next_frontier: &mut next,
-                pos: 0,
-                scratch: Vec::new(),
-            };
-            run_kernel(&mut self.machine, &mut kernel);
-            level += 1;
-            next.sort_unstable();
-            frontier = next;
-        }
-        (levels, self.machine.counters() - base)
+        self.machine.measure(|machine| {
+            let mut frontier = vec![src];
+            let mut level = 0u32;
+            while !frontier.is_empty() {
+                let mut next = Vec::new();
+                let mut kernel = CompressedBfsKernel {
+                    sys_graph: self.graph,
+                    edge_base: self.edge_base,
+                    status_base: self.layout_status,
+                    vertex_base: self.layout_vertex,
+                    levels: &mut levels,
+                    next_level: level + 1,
+                    frontier: &frontier,
+                    next_frontier: &mut next,
+                    pos: 0,
+                    scratch: Vec::new(),
+                };
+                run_kernel(machine, &mut kernel);
+                level += 1;
+                next.sort_unstable();
+                frontier = next;
+            }
+            levels
+        })
     }
 }
 

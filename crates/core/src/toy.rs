@@ -8,7 +8,7 @@
 use emogi_gpu::access::{AccessBatch, Space, WARP_SIZE};
 use emogi_runtime::exec::run_kernel;
 use emogi_runtime::report::RunStats;
-use emogi_runtime::{Kernel, Machine, StepOutcome};
+use emogi_runtime::{Kernel, Machine, MachineConfig, StepOutcome};
 
 const ELEM: u64 = 4;
 /// Elements per 128-byte block.
@@ -148,78 +148,63 @@ pub struct ToyRun {
     pub stats: RunStats,
 }
 
-/// Run one zero-copy toy pattern over a fresh machine.
-pub fn run_zero_copy(
-    machine_cfg: emogi_runtime::MachineConfig,
-    pattern: ToyPattern,
-    array_bytes: u64,
-) -> ToyRun {
-    let mut m = Machine::new(machine_cfg);
+/// One toy run on a fresh machine, inside the one measurement bracket:
+/// the copy kernel reads `array_bytes` out of `src_space` under `pattern`.
+fn run(cfg: MachineConfig, pattern: ToyPattern, src_space: Space, array_bytes: u64) -> ToyRun {
+    let mut m = Machine::new(cfg);
     // Reserve a misalignment shift's worth of slack at the end.
-    let src = m.alloc_host_pinned(array_bytes + 128);
+    let (label, src) = match src_space {
+        Space::Managed => ("UVM", m.alloc_managed(array_bytes + 128)),
+        _ => (pattern.name(), m.alloc_host_pinned(array_bytes + 128)),
+    };
     let dst = m.alloc_device(array_bytes.min(m.spaces.device_capacity() / 2));
     let mut kernel = ToyKernel {
         pattern,
         src_base: src,
         dst_base: dst,
         array_bytes,
-        src_space: Space::HostPinned,
+        src_space,
         cursor: 0,
         // One task covers 32 blocks (strided) or a 4 KiB sweep (merged):
         // either way 4 KiB of work per task.
         task_bytes: 4096,
     };
-    let base = m.counters();
-    run_kernel(&mut m, &mut kernel);
-    let stats = m.counters() - base;
+    let (_, stats) = m.measure(|m| run_kernel(m, &mut kernel));
     ToyRun {
-        label: pattern.name(),
+        label,
         pcie_gbps: stats.avg_pcie_gbps,
         dram_gbps: stats.host_dram_bytes as f64 / stats.elapsed_ns as f64,
         series: m.monitor.series.samples().collect(),
         stats,
     }
+}
+
+/// Run one zero-copy toy pattern over a fresh machine.
+pub fn run_zero_copy(machine_cfg: MachineConfig, pattern: ToyPattern, array_bytes: u64) -> ToyRun {
+    run(machine_cfg, pattern, Space::HostPinned, array_bytes)
 }
 
 /// The UVM reference of Figure 4: same merged sweep, but the array lives
 /// in managed memory and arrives via page migration.
-pub fn run_uvm_reference(machine_cfg: emogi_runtime::MachineConfig, array_bytes: u64) -> ToyRun {
-    let mut m = Machine::new(machine_cfg);
-    let src = m.alloc_managed(array_bytes + 128);
-    let dst = m.alloc_device(array_bytes.min(m.spaces.device_capacity() / 2));
-    let mut kernel = ToyKernel {
-        pattern: ToyPattern::MergedAligned,
-        src_base: src,
-        dst_base: dst,
+pub fn run_uvm_reference(machine_cfg: MachineConfig, array_bytes: u64) -> ToyRun {
+    run(
+        machine_cfg,
+        ToyPattern::MergedAligned,
+        Space::Managed,
         array_bytes,
-        src_space: Space::Managed,
-        cursor: 0,
-        task_bytes: 4096,
-    };
-    let base = m.counters();
-    run_kernel(&mut m, &mut kernel);
-    let stats = m.counters() - base;
-    ToyRun {
-        label: "UVM",
-        pcie_gbps: stats.avg_pcie_gbps,
-        dram_gbps: stats.host_dram_bytes as f64 / stats.elapsed_ns as f64,
-        series: m.monitor.series.samples().collect(),
-        stats,
-    }
+    )
 }
 
 /// The `cudaMemcpy` peak reference (Figure 8's dashed line).
-pub fn run_memcpy_reference(machine_cfg: emogi_runtime::MachineConfig, array_bytes: u64) -> f64 {
+pub fn run_memcpy_reference(machine_cfg: MachineConfig, array_bytes: u64) -> f64 {
     let mut m = Machine::new(machine_cfg);
-    let t0 = m.now;
-    m.memcpy_to_device(array_bytes);
-    array_bytes as f64 / (m.now - t0) as f64
+    let ((), stats) = m.measure(|m| m.memcpy_to_device(array_bytes));
+    array_bytes as f64 / stats.elapsed_ns as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emogi_runtime::MachineConfig;
 
     const MIB: u64 = 1 << 20;
 

@@ -919,9 +919,7 @@ mod tests {
             m.alloc_device(cap - pool);
             let base = m.alloc_managed(BYTES);
             let first = run_kernel(&mut m, &mut Sweep { base, rounds: 1 });
-            let warm = m.counters();
-            let second = run_kernel(&mut m, &mut Sweep { base, rounds: 1 });
-            let stats = m.counters() - warm;
+            let (second, stats) = m.measure(|m| run_kernel(m, &mut Sweep { base, rounds: 1 }));
             assert_eq!(m.monitor.read_requests, 0, "no zero-copy traffic in UVM");
             (first, second, stats, m.uvm.as_ref().unwrap().stats)
         };
@@ -1062,13 +1060,10 @@ mod tests {
                 sweep(&mut m, &[0]);
                 m.cache = SectoredCache::new(&m.cfg.gpu.cache);
             }
-            let base_counters = m.counters();
             let hbm_base = m.hbm.bytes_read;
             // Sector 1 misses alone; the full line then hits it and
             // misses around it as two runs (sector 0, then sectors 2-3).
-            let cold = sweep(&mut m, &[1]);
-            let warm = sweep(&mut m, &[0, 1, 2, 3]);
-            let stats = m.counters() - base_counters;
+            let ((cold, warm), stats) = m.measure(|m| (sweep(m, &[1]), sweep(m, &[0, 1, 2, 3])));
             let txns = |r: &KernelReport| (r.device_txns, r.cxl_txns, r.managed_txns);
             assert_eq!(txns(&cold), txns(&warm));
             assert_eq!(warm.page_faults, 0, "{space:?}: pages are resident");

@@ -275,7 +275,8 @@ impl Machine {
 
     /// Every counter a run reports, cumulative since construction
     /// (`elapsed_ns` is the clock itself). A run's stats are the
-    /// difference of two readings: `machine.counters() - base`. The
+    /// difference of two readings, taken by [`measure`](Self::measure)
+    /// (the engine's driver keeps its own multi-device meter). The
     /// transfer manager and prefetcher live outside the machine; whoever
     /// owns them (the engine's placement) fills `transfer` / `prefetch`.
     pub fn counters(&self) -> RunStats {
@@ -299,6 +300,16 @@ impl Machine {
         };
         stats.derive_avg_pcie_gbps();
         stats
+    }
+
+    /// The one bracket for a run that bypasses the engine's driver (§3.2:
+    /// read the monitor before and after): whatever `run` does to the
+    /// machine, with the counters it moved. Brackets nest and adjoin —
+    /// two adjacent ones `+=` to the one enclosing both.
+    pub fn measure<T>(&mut self, run: impl FnOnce(&mut Machine) -> T) -> (T, RunStats) {
+        let base = self.counters();
+        let out = run(self);
+        (out, self.counters() - base)
     }
 }
 
@@ -358,9 +369,7 @@ mod tests {
         m.alloc_host_pinned(1 << 20);
         assert_eq!(m.host_free(), 0, "host cap is exhausted");
         m.alloc_cxl(1 << 20);
-        let base = m.counters();
-        m.memcpy_cxl_to_device(1 << 20);
-        let stats = m.counters() - base;
+        let ((), stats) = m.measure(|m| m.memcpy_cxl_to_device(1 << 20));
         assert_eq!(stats.cxl_bytes, 1 << 20);
         assert_eq!(stats.host_bytes, 0, "CXL traffic must not count as PCIe");
         assert_eq!(m.monitor.dma_bytes, 0);
@@ -375,13 +384,18 @@ mod tests {
     }
 
     #[test]
-    fn run_stats_diffing() {
+    fn measure_returns_the_value_and_exactly_the_counters_moved() {
         let mut m = Machine::new(MachineConfig::v100_gen3());
         m.memcpy_to_device(1 << 20);
         let base = m.counters();
         assert_eq!((base.elapsed_ns, base.host_bytes), (m.now, 1 << 20));
-        m.memcpy_to_device(2 << 20);
-        let stats = m.counters() - base.clone();
+        let (end, stats) = m.measure(|m| {
+            m.memcpy_to_device(2 << 20);
+            m.now
+        });
+        assert_eq!(end, m.now, "the closure's value comes back");
+        let after = m.counters();
+        assert_eq!(stats, after - base.clone(), "after minus before, exactly");
         assert_eq!(stats.host_bytes, 2 << 20);
         assert_eq!(stats.kernel_launches, 0, "a memcpy is not a launch");
         assert_eq!(stats.elapsed_ns, m.now - base.elapsed_ns);
@@ -390,5 +404,23 @@ mod tests {
             (2u64 << 20) as f64 / stats.elapsed_ns as f64,
             "the rate is re-derived from the diff, not diffed"
         );
+    }
+
+    /// The ledger law the driver's `Meter` obeys: adjacent brackets add
+    /// up to the enclosing one, field for field.
+    #[test]
+    fn adjacent_measures_sum_to_the_enclosing_one() {
+        let mut m = Machine::new(MachineConfig::v100_gen3());
+        m.memcpy_to_device(4096);
+        let ((first, second), whole) = m.measure(|m| {
+            let ((), first) = m.measure(|m| m.memcpy_to_device(1 << 20));
+            let ((), second) = m.measure(|m| m.kernel_launches += 3);
+            (first, second)
+        });
+        assert_eq!((first.host_bytes, second.host_bytes), (1 << 20, 0));
+        assert_eq!((first.kernel_launches, second.kernel_launches), (0, 3));
+        let mut sum = first;
+        sum += &second;
+        assert_eq!(sum, whole);
     }
 }
