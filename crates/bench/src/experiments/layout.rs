@@ -2,8 +2,8 @@
 //! skewed Table 2 graph whose hubs dominate traffic — across all four
 //! vertex programs.
 //!
-//! Each cell places a *relabeled* copy of GK (identity, degree-sorted,
-//! or hub-clustered — see [`emogi_graph::reorder`]) on the same scaled
+//! Each cell places a *relabeled* copy of GK (identity or
+//! degree-sorted — see [`emogi_graph::reorder`]) on the same scaled
 //! V100 and runs the same queries, mapping sources into the relabeled
 //! id space and results back out through the plan's inverse. Outputs
 //! are bit-identical across layouts by construction
@@ -31,16 +31,11 @@ const SOURCES: usize = 4;
 /// Simulated edge element size (4, matching the other GK experiments).
 const ELEM_BYTES: u64 = 4;
 
-/// The three layouts under comparison, built for `graph` with cache
-/// segments of `segment_bytes`.
-fn plans(graph: &CsrGraph, segment_bytes: u64) -> [(&'static str, LayoutPlan); 3] {
+/// The two layouts under comparison, built for `graph`.
+fn plans(graph: &CsrGraph) -> [(&'static str, LayoutPlan); 2] {
     [
         ("original", LayoutPlan::identity(graph.num_vertices())),
         ("degree-sorted", LayoutPlan::degree_sorted(graph)),
-        (
-            "hub-clustered",
-            LayoutPlan::hub_clustered(graph, segment_bytes, ELEM_BYTES),
-        ),
     ]
 }
 
@@ -57,13 +52,12 @@ pub fn measure(ctx: &Context) -> Results<(&'static str, &'static str), RunStats>
     // keeps them resident under the edge stream's eviction pressure.
     let status_bytes = gk.graph.num_vertices() as u64 * 4;
     machine.gpu.cache.capacity_bytes = (status_bytes / 4).max(4 << 10);
-    let segment_bytes = machine.gpu.cache.capacity_bytes;
     let mut rows = Vec::new();
 
     for series in Series::all(&sources) {
         let program = series.name();
         let mut base = None;
-        for (layout_name, plan) in plans(&gk.graph, segment_bytes) {
+        for (layout_name, plan) in plans(&gk.graph) {
             eprintln!("  [layout] {program} GK / {layout_name} ...");
             let graph = plan.apply(&gk.graph);
             let cfg = EngineConfig::emogi_v100()
@@ -90,7 +84,7 @@ pub fn measure(ctx: &Context) -> Results<(&'static str, &'static str), RunStats>
 pub fn table(r: &Results<(&'static str, &'static str), RunStats>) -> Table {
     let mut t = Table::new(
         "layout",
-        "Cache-aware vertex reordering (degree-sorted, hub-clustered) vs original ids on GK",
+        "Cache-aware vertex reordering (degree-sorted) vs original ids on GK",
         &[
             "program",
             "layout",
@@ -134,22 +128,16 @@ mod tests {
         let r = measure(&ctx);
         for program in ["multi-bfs", "multi-sssp", "cc", "pagerank"] {
             let base = r.get((program, "original"));
-            let improved = ["degree-sorted", "hub-clustered"].iter().any(|layout| {
-                let m = r.get((program, *layout));
-                m.l2_hit_rate() > base.l2_hit_rate()
-                    && m.coalescing_efficiency() > base.coalescing_efficiency()
-            });
+            let sorted = r.get((program, "degree-sorted"));
             assert!(
-                improved,
-                "{program}: no reordered layout beat the original on both metrics; \
-                 original hit {:.4} eff {:.4}, degree-sorted hit {:.4} eff {:.4}, \
-                 hub-clustered hit {:.4} eff {:.4}",
+                sorted.l2_hit_rate() > base.l2_hit_rate()
+                    && sorted.coalescing_efficiency() > base.coalescing_efficiency(),
+                "{program}: degree-sorted did not beat the original on both metrics; \
+                 original hit {:.4} eff {:.4}, degree-sorted hit {:.4} eff {:.4}",
                 base.l2_hit_rate(),
                 base.coalescing_efficiency(),
-                r.get((program, "degree-sorted")).l2_hit_rate(),
-                r.get((program, "degree-sorted")).coalescing_efficiency(),
-                r.get((program, "hub-clustered")).l2_hit_rate(),
-                r.get((program, "hub-clustered")).coalescing_efficiency(),
+                sorted.l2_hit_rate(),
+                sorted.coalescing_efficiency(),
             );
         }
     }

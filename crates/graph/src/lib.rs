@@ -10,8 +10,8 @@
 //!   log-normal dense, locality web crawl);
 //! * [`datasets`] — the six Table 2 stand-ins (GK, GU, FS, ML, SK, UK5),
 //!   scaled ~1000× down with matched degree distributions;
-//! * [`reorder`] — cache-aware vertex relabelings (degree-sorted,
-//!   hub-clustered) with invertible [`LayoutPlan`] result mapping;
+//! * [`reorder`] — the cache-aware degree-sorted vertex relabeling, with
+//!   invertible [`LayoutPlan`] result mapping;
 //! * [`analysis`] — degree statistics and the edge-count CDF of Figure 6;
 //! * [`algo`] — CPU reference BFS / SSSP / CC used to verify every
 //!   simulated engine.

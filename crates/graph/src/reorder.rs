@@ -1,5 +1,4 @@
-//! Cache-aware vertex reordering: degree-sorted and hub-clustered
-//! (GraphCage-style cache-segment) layouts.
+//! Cache-aware vertex reordering: the degree-sorted layout.
 //!
 //! EMOGI runs over whatever vertex order the dataset shipped with, but
 //! the simulated L2 cache and coalescer reward locality: destination
@@ -24,10 +23,6 @@
 
 use crate::csr::CsrGraph;
 use crate::VertexId;
-
-/// Status-array bytes per vertex (the 4-byte level/label/rank-slot
-/// entries every shipped program gathers per edge).
-const STATUS_BYTES: u64 = 4;
 
 /// A bijective vertex relabeling with its inverse.
 ///
@@ -90,73 +85,6 @@ impl LayoutPlan {
     pub fn degree_sorted(graph: &CsrGraph) -> Self {
         let mut order: Vec<VertexId> = (0..graph.num_vertices() as VertexId).collect();
         order.sort_by_key(|&v| (std::cmp::Reverse(graph.degree(v)), v));
-        Self::from_order(order)
-    }
-
-    /// Hub-clustered layout (GraphCage-style): the top-degree *hubs* —
-    /// the maximal descending-degree prefix whose edge lists
-    /// (`degree × elem_bytes`) and status entries both fit one
-    /// `segment_bytes` cache segment — take new ids `0..h`, so they
-    /// share a segment. Each hub's still-unplaced neighbours follow
-    /// (descending degree, ties ascending id), clustering every hub's
-    /// community around it; the remaining vertices trail in descending
-    /// degree order.
-    ///
-    /// # Panics
-    /// If `segment_bytes` or `elem_bytes` is zero.
-    pub fn hub_clustered(graph: &CsrGraph, segment_bytes: u64, elem_bytes: u64) -> Self {
-        assert!(segment_bytes > 0, "segment_bytes must be positive");
-        assert!(elem_bytes > 0, "elem_bytes must be positive");
-        let n = graph.num_vertices();
-        let by_degree = {
-            let mut o: Vec<VertexId> = (0..n as VertexId).collect();
-            o.sort_by_key(|&v| (std::cmp::Reverse(graph.degree(v)), v));
-            o
-        };
-        let mut order: Vec<VertexId> = Vec::with_capacity(n);
-        let mut placed = vec![false; n];
-        // Phase 1: the hub prefix. Zero-degree vertices never qualify
-        // (an isolated vertex has no edge list to cluster).
-        let mut edge_bytes = 0u64;
-        for &v in &by_degree {
-            let deg = graph.degree(v);
-            let next_edges = edge_bytes + deg * elem_bytes;
-            let next_status = (order.len() as u64 + 1) * STATUS_BYTES;
-            if deg == 0 || next_edges > segment_bytes || next_status > segment_bytes {
-                break;
-            }
-            edge_bytes = next_edges;
-            placed[v as usize] = true;
-            order.push(v);
-        }
-        // Phase 2: each hub's unplaced neighbours, hottest first.
-        let hubs = order.clone();
-        let mut ring: Vec<VertexId> = Vec::new();
-        for &h in &hubs {
-            ring.clear();
-            ring.extend(
-                graph
-                    .neighbors(h)
-                    .iter()
-                    .copied()
-                    .filter(|&d| !placed[d as usize]),
-            );
-            ring.sort_unstable_by_key(|&d| (std::cmp::Reverse(graph.degree(d)), d));
-            ring.dedup();
-            for &d in &ring {
-                if !placed[d as usize] {
-                    placed[d as usize] = true;
-                    order.push(d);
-                }
-            }
-        }
-        // Phase 3: everything else, hottest first.
-        for &v in &by_degree {
-            if !placed[v as usize] {
-                placed[v as usize] = true;
-                order.push(v);
-            }
-        }
         Self::from_order(order)
     }
 
@@ -293,6 +221,11 @@ mod tests {
         generators::kronecker(8, 8, 42)
     }
 
+    /// A second plan unrelated to degree: ids reversed.
+    fn reversed(g: &CsrGraph) -> LayoutPlan {
+        LayoutPlan::from_perm((0..g.num_vertices() as VertexId).rev().collect())
+    }
+
     fn assert_inverse(plan: &LayoutPlan) {
         let n = plan.len();
         for v in 0..n as VertexId {
@@ -306,8 +239,6 @@ mod tests {
         let g = sample();
         assert_inverse(&LayoutPlan::identity(g.num_vertices()));
         assert_inverse(&LayoutPlan::degree_sorted(&g));
-        assert_inverse(&LayoutPlan::hub_clustered(&g, 6 << 20, 4));
-        assert_inverse(&LayoutPlan::hub_clustered(&g, 256, 4));
     }
 
     #[test]
@@ -326,10 +257,7 @@ mod tests {
     #[test]
     fn apply_produces_a_well_formed_csr_with_preserved_adjacency() {
         let g = sample();
-        for plan in [
-            LayoutPlan::degree_sorted(&g),
-            LayoutPlan::hub_clustered(&g, 4 << 10, 4),
-        ] {
+        for plan in [LayoutPlan::degree_sorted(&g), reversed(&g)] {
             let r = plan.apply(&g);
             assert_eq!(r.num_vertices(), g.num_vertices());
             assert_eq!(r.num_edges(), g.num_edges());
@@ -380,38 +308,9 @@ mod tests {
     }
 
     #[test]
-    fn hub_clustered_places_top_degree_vertices_in_one_cache_segment() {
-        let g = sample();
-        let segment = 4 << 10;
-        let plan = LayoutPlan::hub_clustered(&g, segment, 4);
-        // The hottest vertex leads the layout...
-        let mut by_degree: Vec<VertexId> = (0..g.num_vertices() as VertexId).collect();
-        by_degree.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
-        assert_eq!(plan.map_vertex(by_degree[0]), 0, "hottest vertex leads");
-        // ...and every hub the prefix admitted shares status segment 0.
-        let mut edge_bytes = 0u64;
-        let mut hubs = 0u64;
-        for &v in &by_degree {
-            let next = edge_bytes + g.degree(v) * 4;
-            if g.degree(v) == 0 || next > segment || (hubs + 1) * STATUS_BYTES > segment {
-                break;
-            }
-            edge_bytes = next;
-            hubs += 1;
-            let new = plan.map_vertex(v);
-            assert_eq!(
-                u64::from(new) * STATUS_BYTES / segment,
-                0,
-                "hub {v} left segment 0"
-            );
-        }
-        assert!(hubs >= 2, "test graph must admit several hubs");
-    }
-
-    #[test]
     fn unmap_values_inverts_positional_mapping() {
         let g = sample();
-        let plan = LayoutPlan::hub_clustered(&g, 1 << 10, 4);
+        let plan = LayoutPlan::degree_sorted(&g);
         let old_vals: Vec<u32> = (0..g.num_vertices() as u32).map(|v| v * 3 + 1).collect();
         // A relabeled run would see new_vals[new] = old_vals[old].
         let new_vals: Vec<u32> = plan
@@ -426,10 +325,7 @@ mod tests {
     fn unmap_components_restores_min_old_id_labels() {
         let g = sample();
         let want = algo::cc_labels(&g);
-        for plan in [
-            LayoutPlan::degree_sorted(&g),
-            LayoutPlan::hub_clustered(&g, 2 << 10, 4),
-        ] {
+        for plan in [LayoutPlan::degree_sorted(&g), reversed(&g)] {
             let r = plan.apply(&g);
             let comp_new = algo::cc_labels(&r);
             assert_eq!(plan.unmap_components(&comp_new), want);
@@ -450,7 +346,7 @@ mod tests {
         let empty = CsrGraph::empty(0);
         assert!(LayoutPlan::degree_sorted(&empty).is_empty());
         let isolated = CsrGraph::empty(5);
-        let plan = LayoutPlan::hub_clustered(&isolated, 1 << 10, 4);
+        let plan = LayoutPlan::degree_sorted(&isolated);
         assert_eq!(plan.len(), 5);
         assert_inverse(&plan);
     }

@@ -1,7 +1,7 @@
 //! Permutation-differential harness: on random graphs, every shipped
 //! program (BFS / SSSP / CC / PageRank) runs over cache-aware vertex
-//! relabelings — identity, degree-sorted, hub-clustered, and fully
-//! random permutations — under every access mode (including Hybrid and
+//! relabelings — identity, degree-sorted, and fully random
+//! permutations — under every access mode (including Hybrid and
 //! pipelined execution) and execution shape (solo, batched, sharded).
 //! Outputs and iteration counts, mapped back through the plan's inverse
 //! permutation, must be **bit-identical** to the identity-layout run.
@@ -27,20 +27,12 @@ use emogi_repro::graph::datasets::generate_weights;
 use emogi_repro::prelude::*;
 use proptest::prelude::*;
 
-/// Cache-segment size for hub clustering in these tests: small enough
-/// that the tiny random graphs produce a non-trivial hub prefix.
-const SEGMENT_BYTES: u64 = 4 << 10;
-
-/// The three structured layouts of the tentpole, plus slots for random
-/// permutations added per test case.
+/// The two structured layouts, plus slots for random permutations added
+/// per test case.
 fn layouts(g: &CsrGraph) -> Vec<(&'static str, LayoutPlan)> {
     vec![
         ("identity", LayoutPlan::identity(g.num_vertices())),
         ("degree-sorted", LayoutPlan::degree_sorted(g)),
-        (
-            "hub-clustered",
-            LayoutPlan::hub_clustered(g, SEGMENT_BYTES, 8),
-        ),
     ]
 }
 
