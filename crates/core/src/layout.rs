@@ -7,6 +7,55 @@
 //! weight list, for SSSP) into the managed space. That one decision —
 //! where the edge list lives and how it reaches the GPU — is a
 //! [`Transport`].
+//!
+//! # Memory hierarchy
+//!
+//! EMOGI's model is two-level: hot state in HBM, the edge list in pinned
+//! host DRAM behind zero-copy PCIe. The CXL external-memory follow-up
+//! (PAPERS.md) motivates a third level, and the machine carries an
+//! optional one: `MachineConfig::with_cxl(CxlConfig::external_x8())`
+//! attaches an `emogi_sim::cxl::CxlLink`, and `with_host_capacity(bytes)`
+//! bounds pinned host DRAM so [`GraphLayout::place`] spills the edge
+//! list's cold tail — the host-resident prefix aligned down to
+//! [`SPILL_ALIGN`] — into the external tier. Only the edge tail spills
+//! (SSSP's weights are placed on first use, in host DRAM, with no
+//! capacity check — a recorded defect, ROADMAP item 2(b)); spilling
+//! without a CXL tier is a placement error, not a silent truncation. Both
+//! knobs default off: an unconfigured machine is the two-tier machine,
+//! bit for bit.
+//!
+//! | tier | modelled as | unloaded latency | bandwidth |
+//! |---|---|---|---|
+//! | HBM (staged regions; never a home) | sectored L2 + device DRAM | tens of ns | ~900 GB/s class |
+//! | `MemoryTier::Host` | pinned memory over PCIe 3.0 ×16 (tags, split transactions, MSHR interplay) | 2 × 780 ns propagation + queueing | 15.75 GB/s raw × 0.90 efficiency ≈ 14 GB/s usable (~12 GB/s achieved bulk) |
+//! | `MemoryTier::Cxl` | `CxlLink` — a load/store flit protocol, deliberately *not* a `PcieLink`: one busy-until wire in front of far-memory DRAM | 2 × 900 ns fabric + 250 ns media ≈ 2.1 µs round trip | 25 GB/s raw × 0.85 efficiency ≈ 21 GB/s usable; 16 B flit header per access (256 B payload flits on bulk streams) |
+//!
+//! Under [`Transport::Hybrid`] the runtime's `TransferManager` watches the
+//! pinned edge list in fixed-size regions and before every launch asks
+//! `emogi_uvm::TransferPolicy::decide_tiered`, per touched region,
+//! whether to stay in place or bulk-stage the region into a bounded HBM
+//! pool (one rent/buy rule, one threshold per home tier — see
+//! `emogi_uvm::transfer`). `TransferManager::with_tiers` takes this
+//! layout's host/CXL split as `host_bytes`: a region is host-homed when
+//! it starts below that offset and CXL-homed otherwise. Dense, recurring
+//! regions end up in HBM; sparse one-shot regions stay zero-copy, and a
+//! traversal with no reuse is tick-identical to pure Merged+Aligned.
+//! Everything above the transfer manager is tier-agnostic: `Engine`,
+//! `run_batch`, `ShardedEngine` and the prefetcher run unchanged programs
+//! over any tier configuration; spilled addresses price as `Space::Cxl`
+//! in the executor (the coalescer splits transactions at the host/CXL
+//! boundary), and CXL traffic lands in its own `RunStats` counters
+//! (`cxl_read_requests`, `cxl_bytes`).
+//!
+//! | invariant | witnessed by |
+//! |---|---|
+//! | idle-CXL tick-identity: an attached-but-unused CXL tier gives full `RunStats` equality (clock included) with the two-tier engine; spilled configs keep outputs + iteration counts bit-identical across solo / batched / sharded | `tests/tiering_differential.rs` (CI reruns it seed-pinned) |
+//! | host and CXL homes run one rent/buy rule against two thresholds, for every history and density | `host_and_cxl_homes_share_one_rent_buy_rule` in `crates/uvm/src/transfer.rs` |
+//! | speculation never lowers the demand budget; a reservation that leaves `slice_used > pool` is repaired before the next speculation | `speculative_charge_never_steals_the_pool_from_demand_staging`, `reserve_consumes_speculative_headroom_without_double_counting`, `reserve_overhang_is_repaired_before_any_new_speculation` in `crates/runtime/src/transfer.rs` |
+//! | a spill splits the edge list on a [`SPILL_ALIGN`] boundary; spilling without a CXL tier is rejected | `bounded_host_spills_edge_tail_to_cxl`, `spill_without_cxl_tier_is_rejected` below |
+//! | tier decisions are pure (no `Machine`, clock or monitor reads) | `emogi-lint` kernel-purity over `crates/uvm` + the tier fixtures/guard in `tools/lint` |
+//!
+//! The `tiering` experiment runs the bigger-than-host-DRAM regime on GK.
 
 use emogi_gpu::access::Space;
 use emogi_graph::CsrGraph;

@@ -37,7 +37,13 @@
 //! outputs, iteration counts *and* every per-run statistic (including
 //! hybrid transfer counters) are equal tick for tick.
 //! `tests/sharded_differential.rs` checks both properties on random
-//! graphs.
+//! graphs × 4 programs × 1/2/4 devices × both partitioners × every access
+//! mode — including graphs with planted hubs (`tests/common::hub_edges`),
+//! whose lists reach [`HUB_SPLIT_DEGREE`] and are walked cooperatively —
+//! and the `scaling` experiment measures the payoff (near-linear BFS
+//! scaling on GK). `emogi_serve::ShardedServer` serves queries over the
+//! group: each query's iterations shard across it (latency-oriented)
+//! instead of sharing fetches with a batch (throughput-oriented).
 //!
 //! [`DeviceGroup`]: emogi_runtime::DeviceGroup
 

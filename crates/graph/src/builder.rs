@@ -10,6 +10,19 @@
 //! with sorted, duplicate-free adjacencies). Dropping self loops and
 //! mirroring edges for an undirected graph happen inside the sweeps over
 //! the pairs as pushed; the mirrored pairs are never materialised.
+//!
+//! Every experiment, test and benchmark repetition regenerates its
+//! graphs, so this is on the host clock of all of them. Bytes live at
+//! peak, for `P` pushed pairs of a symmetrized graph (`E = 2P` entries
+//! before dedup): the pairs (8 B × P) plus the destination buckets
+//! (4 B × E) during pass 1, then the buckets plus the edge list (4 B × E
+//! each) during pass 2 — 16 B × P either way, where materialising the
+//! mirrored pairs cost 24 B × P. Three `u64` arrays of `V + 1` bucket
+//! starts and cursors ride along. The output bytes are pinned by
+//! `tests/dataset_golden.rs` (a digest of `offsets ‖ edge_list ‖ weights`
+//! for every Table 2 stand-in and benchmark shape, taken before this
+//! routine and `generators::rmat` were rewritten); each keeps its previous
+//! form as a `#[cfg(test)]` reference.
 
 use crate::csr::{CsrError, CsrGraph};
 use crate::VertexId;

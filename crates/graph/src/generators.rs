@@ -14,7 +14,12 @@
 //! * [`web_crawl`] → sk-2005 / uk-2007-05: directed, host-local link
 //!   structure (consecutive ids link to nearby ids) plus hub pages.
 //!
-//! All generators are deterministic in their seed.
+//! All generators are deterministic in their seed. What they cost the
+//! host is draws: [`rmat`] spends one `next_u64` per level, `scale` per
+//! pushed pair (17 for the benchmark's GK shape: 42 M draws);
+//! [`uniform_random`] one per pair; the other families a handful per
+//! vertex plus one per pair; `datasets::generate_weights` one per CSR
+//! entry.
 
 use crate::builder::EdgeListBuilder;
 use crate::csr::CsrGraph;

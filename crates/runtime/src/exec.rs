@@ -17,6 +17,57 @@
 //!
 //! The warp resumes when every load of the step has arrived. Stores
 //! retire through a write buffer and never stall.
+//!
+//! # One cached-load path
+//!
+//! Three of the four spaces are the same synchronous routine,
+//! `cached_load`: probe the L2 (`probe` charges the hit latency and
+//! returns the missing sectors), then for every run of missing sectors,
+//! ascending (`sector_runs`), read the backing memory, fill the cache and
+//! hold the warp until the data arrives. The spaces differ only in the
+//! backing read they pass in, and therefore only in latency — far memory
+//! is one more backing behind the same load path:
+//!
+//! | space | backing read | besides |
+//! |---|---|---|
+//! | `Device` | `hbm.read` | stores bypass the cache into `hbm.write` |
+//! | `Managed` | `hbm.read` | only when every touched page is resident; otherwise the warp stalls behind the UVM fault batch |
+//! | `Cxl` | `cxl.read` | panics on a machine without a CXL tier |
+//! | `HostPinned` | none — asynchronous | shares `probe` and `sector_runs`, then merges onto in-flight requests (MSHR) and issues tagged PCIe reads for the runs left |
+//!
+//! The backing is a generic closure, monomorphised per call site: no
+//! `dyn` call and no allocation per transaction. Read/fill order is part
+//! of the model (the DRAM and CXL models are stateful), so the routine is
+//! pinned tick for tick by `tests/sim_golden.rs`.
+//!
+//! # What a step costs the host
+//!
+//! The simulated clock is the product; the representations below are
+//! choices about the *host* clock only, each documented where it lives
+//! and each pinned by a differential test against the plainer form it
+//! replaced (same events, same order, same simulated nanosecond —
+//! `sim_golden` and the benchmark's `compare` never move): lane *spans*
+//! (`LaneAccess::count`, closed by `WarpWalk::emit_edges` wherever the
+//! next address is not contiguous, so a staged-region or CXL-spill
+//! boundary splits a span exactly where it separated two lanes); the
+//! coalescer's packed `u64` key, whose integer order is the emission
+//! order (`emogi_gpu::coalesce`; the per-lane four-field-key coalescer
+//! survives as its `#[cfg(test)]` oracle); L2 invalidation by set
+//! (`SectoredCache::invalidate_range`); the MSHR line table below
+//! (in-flight requests of one line have disjoint sector masks, so a line
+//! has at most four: a fixed `[u32; 4]` + length per line, and a freed
+//! request keeps its `waiters` buffer for the next one); the event
+//! queue's payload-in-entry heap ordered on `(at, seq)` only
+//! (`emogi_sim::events`); the memoised serialisation-delay tables of
+//! `Dram` and `PcieLink` (never a second definition of a delay: unit
+//! tests compare table and formula for every size 0..=512 on every
+//! preset). The per-lane and per-transaction entry points (`AccessBatch`,
+//! `LaneAccess`, `SectoredCache::{probe, fill}`, `Dram::{read, write}`,
+//! `PcieLink::{read, complete}`) are `#[inline]` because the benchmark is
+//! a workspace of its own without LTO, where they were out-of-line calls
+//! per lane. To see where host time goes, profile the benchmark binary
+//! (README, "Profiling the simulator"); the root `[profile.release]
+//! debug = true` does not reach that workspace.
 
 use crate::machine::Machine;
 use crate::report::KernelReport;

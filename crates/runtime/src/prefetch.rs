@@ -18,12 +18,52 @@
 //! latency hid behind compute). Mispredicted regions are evicted from the
 //! slice and cost only wasted bytes, never correctness.
 //!
+//! ```text
+//! synchronous:   plan──copy━━━━━━━│ kernel i │ plan──copy━━━━│ kernel i+1 │
+//!                                                  (staging waits on the clock)
+//!
+//! pipelined:     plan─┬───────────│ kernel i │ plan(adopt)────│ kernel i+1 │
+//!                     └─copy lane: ━━━━━regions for i+1━━━━─┘
+//!                                  (copy overlaps kernel i; round i+1 pays
+//!                                   at most the residual in-flight wait)
+//! ```
+//!
+//! A pipelined round is *decide → evict-to-fit → prefetch*. Inside
+//! `plan_iteration_pipelined` the transfer manager **decides** — the
+//! unchanged ski-rental policy against its one `pool`, adopting an
+//! in-flight copy where it stages a prefetched region — and then
+//! **evicts to fit**: `Prefetcher::evict_to_fit` walks the surviving
+//! speculative stages in issue order, keeps what the leftover pool still
+//! covers and evicts the rest (as `wasted_bytes`). After the round,
+//! `prefetch_for_next` **prefetches**: it ranks candidates for the *next*
+//! round and issues them while `pool − slice_used` has room. A region
+//! qualifies when `cumulative_density + min(1, touch_density × growth)`
+//! reaches `margin × stage_threshold` (growth: a clamped frontier-growth
+//! ratio).
+//!
 //! Determinism: prediction inputs are exactly the planner's own
 //! iteration-start state (last touch set, policy densities, staging
 //! table), the ranking is totally ordered (score then region index), and
-//! speculative charges are never debited from the manager's pool — so
-//! staging decisions, device addresses and all reported traffic counters
-//! are bit-identical to the synchronous path.
+//! speculative charges are never debited from the manager's pool — the
+//! charge is stored once, as [`Prefetcher::slice_used`], so the decision
+//! loop reads exactly the budget a synchronous manager holds. Staging
+//! *decisions* therefore depend only on iteration-start state (only
+//! demand stagings and reservations ever move the pool; adoption
+//! allocates at exactly the point the synchronous path would). Traffic
+//! *counters* match because adopted copies are retro-accounted with the
+//! same alignment and per-TLP header arithmetic as the demand path (one
+//! function, `emogi_sim::time::framed_wire_bytes`, frames every bulk
+//! copy), and because all executor busy-until lanes are ≤ the kernel
+//! start in both paths, the kernel's coalescing/caching behaviour is
+//! translation-invariant in the clock. What may differ: `elapsed_ns` (the
+//! point), its derived `avg_pcie_gbps`, and the `RunStats::prefetch`
+//! counters themselves. `tests/pipeline_differential.rs` property-checks
+//! outputs, iteration counts and semantic stats of pipelined-vs-
+//! synchronous hybrid pairs across solo / batched / sharded execution ×
+//! 4 programs × small region sizes × 1/2/4 devices, plus one fixed case
+//! asserting the pipelined side really prefetched and adopted; the
+//! `overlap` experiment measures the payoff (speedup and the fraction of
+//! staging latency hidden behind compute).
 
 use emogi_sim::pipeline::{CopyEngine, CopyEngineConfig};
 use emogi_sim::time::Time;

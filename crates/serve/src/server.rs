@@ -1,5 +1,46 @@
 //! The query server: admission control, SLA scheduling, batched
 //! execution, and the query lifecycle (serve / cancel / deadline).
+//!
+//! One [`Server`] with one execution path: every planned batch goes to
+//! `emogi_core::spec::run_group`, which merges a BFS/SSSP group through
+//! `Engine::run_batch` and runs anything else — a full-sweep kind, any
+//! group on a `ShardedEngine` — back to back. Shipping a fifth program is
+//! a variant in each `spec` enum, an arm in `spec::run` and a cost arm in
+//! [`Server::estimate_ns`]. A deadline budget becomes an *absolute*
+//! deadline on the server's simulated clock at admission; the server
+//! never reads a wall clock — expiry compares two counters, so serving
+//! outcomes replay exactly.
+//!
+//! ```text
+//! submit(query)
+//!   │
+//!   ├─ admission ───────────── Err(QueueFull)    outstanding = pending +
+//!   │                                            unredeemed outcomes ≥ cap
+//!   │                          Err(OverBudget)   cost-model estimate
+//!   │                                            exceeds the deadline budget
+//!   ▼
+//! pending ── cancel(id) ─────► cancelled         slot freed, never runs,
+//!   │                                            no outcome stored
+//!   ▼  run_pending()
+//! plan_batches (EDF-within-priority, deterministic)
+//!   │
+//!   ├─ deadline already past ► DeadlineCancelled expired before its batch
+//!   │                                            started; never executed
+//!   ▼  execute batch, clock += elapsed
+//!   ├─ finished in time ─────► Served
+//!   └─ finished late ────────► DeadlineMissed    result still delivered,
+//!                                                lateness reported
+//! ```
+//!
+//! | invariant | witnessed by |
+//! |---|---|
+//! | executed outputs are bit-identical to solo runs, for every kind, QoS mix and access mode | `no_admitted_query_is_lost_and_served_outputs_match_solo` in `tests/sla_proptests.rs`; the `sla` experiment asserts cross-policy digest equality in-run |
+//! | no admitted query is lost: exactly one terminal state, stats partition the admitted set | the same proptest, plus the lifecycle unit tests below |
+//! | EDF plan ordering: kind-pure batches, caps (full sweeps solo), anchors and members in key order, exactly-once partition | `edf_plan_upholds_its_ordering_invariants` in `tests/sla_proptests.rs` |
+//! | the one-pass FIFO plan equals incremental oldest-anchor selection | `fifo_plan_equals_incremental_next_batch` in `tests/sla_proptests.rs`; FIFO unit tests in `scheduler.rs` |
+//! | unredeemed results count against capacity (no results-map leak) | `unredeemed_results_count_against_capacity` below |
+//! | both front ends normalize `ServerConfig` identically | `both_front_ends_normalize_max_batch_identically` in `sharded.rs` |
+//! | expiry is a function of the simulated clock, never the wall clock | `emogi-lint` ambient-nondet over `crates/serve` + the deadline-clock fixtures/guard in `tools/lint/tests/fixtures.rs` |
 
 use crate::query::{self, Query, QueryId, QueryOutcome, QuerySpec, SubmitError};
 use crate::scheduler::{plan_batches, Pending, SchedPolicy};

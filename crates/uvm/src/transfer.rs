@@ -41,7 +41,18 @@
 //! With no CXL tier configured every region is host-homed and only the
 //! original two-tier rule ever runs, so an idle CXL tier leaves the
 //! engine tick-identical to one without it (witness:
-//! `tests/tiering_differential.rs`).
+//! `tests/tiering_differential.rs`). Both arms are one expression
+//! evaluated against two thresholds:
+//!
+//! ```text
+//! stage  ⇔  upcoming > 0  AND ( upcoming ≥ dense_now (1.0)
+//!                               OR cumulative + upcoming ≥ threshold(home) )
+//!
+//! home   threshold                     stage                  stay
+//! Host   stage_threshold (1.5)         bulk DMA over PCIe     zero-copy reads
+//! Cxl    cxl_stage_threshold (0.75)    CxlLink::read_bulk,    demand reads pay µs
+//!                                      flit-accounted         round trips in place
+//! ```
 //!
 //! ```
 //! use emogi_uvm::{MemoryTier, TransferPolicy, TransferPolicyConfig};
