@@ -194,9 +194,10 @@ impl<'g> SubwaySystem<'g> {
     pub fn cc(&mut self) -> CcRun {
         let graph = self.graph;
         assert!(graph.is_undirected(), "CC needs an undirected graph");
-        let mut comp: Vec<u32> = (0..graph.num_vertices() as u32).collect();
+        let all: Vec<u32> = (0..graph.num_vertices() as u32).collect();
+        let mut comp = all.clone();
         let mut hook_passes = 0;
-        let stats = self.rounds(comp.clone(), |all| {
+        let stats = self.rounds(all, |all| {
             hook_passes += 1;
             let mut changed = false;
             for &v in all.iter() {

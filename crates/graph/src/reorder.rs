@@ -20,11 +20,8 @@
 //! ranks come back **bit-identical** to an unpermuted run
 //! (`tests/layout_differential.rs` pins this for every layout × program
 //! × access mode, solo / batched / sharded, pipelined included;
-//! `random_relabeling_never_changes_results` in `tests/proptests.rs` for
-//! random plans). PageRank is included because its folds sort their
-//! addends canonically; CC's labels are vertex ids, the one declared
-//! layout-dependent output, which is why they unmap through the
-//! component canonicalization.
+//! `random_relabeling_never_changes_results` in `tests/proptests.rs`) —
+//! PageRank's because its folds sort their addends canonically.
 //!
 //! What a layout *does* change is the address stream, and two `RunStats`
 //! derived metrics expose it: `l2_hit_rate()` (sector hits / sector
@@ -33,8 +30,7 @@
 //! quarter of the status array (the paper's oversubscribed regime — at
 //! reduced scale the whole array would fit the scaled L2, and no layout
 //! can improve a cache that never evicts) and shows degree-sorted beating
-//! original ids on *both* metrics for BFS, SSSP, CC and PageRank
-//! (`crates/bench/src/experiments/layout.rs`, rerun by
+//! original ids on *both* metrics for all four programs (rerun by
 //! `tests/experiments_smoke.rs`). There is no runtime half: the driver
 //! never reorders a device's work list, because it is already in
 //! edge-list address order (`work_items_arrive_in_edge_address_order` in

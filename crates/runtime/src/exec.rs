@@ -46,28 +46,34 @@
 //! choices about the *host* clock only, each documented where it lives
 //! and each pinned by a differential test against the plainer form it
 //! replaced (same events, same order, same simulated nanosecond —
-//! `sim_golden` and the benchmark's `compare` never move): lane *spans*
-//! (`LaneAccess::count`, closed by `WarpWalk::emit_edges` wherever the
-//! next address is not contiguous, so a staged-region or CXL-spill
-//! boundary splits a span exactly where it separated two lanes); the
-//! coalescer's packed `u64` key, whose integer order is the emission
-//! order (`emogi_gpu::coalesce`; the per-lane four-field-key coalescer
-//! survives as its `#[cfg(test)]` oracle); L2 invalidation by set
-//! (`SectoredCache::invalidate_range`); the MSHR line table below
-//! (in-flight requests of one line have disjoint sector masks, so a line
-//! has at most four: a fixed `[u32; 4]` + length per line, and a freed
-//! request keeps its `waiters` buffer for the next one); the event
-//! queue's payload-in-entry heap ordered on `(at, seq)` only
-//! (`emogi_sim::events`); the memoised serialisation-delay tables of
-//! `Dram` and `PcieLink` (never a second definition of a delay: unit
-//! tests compare table and formula for every size 0..=512 on every
-//! preset). The per-lane and per-transaction entry points (`AccessBatch`,
-//! `LaneAccess`, `SectoredCache::{probe, fill}`, `Dram::{read, write}`,
-//! `PcieLink::{read, complete}`) are `#[inline]` because the benchmark is
-//! a workspace of its own without LTO, where they were out-of-line calls
-//! per lane. To see where host time goes, profile the benchmark binary
-//! (README, "Profiling the simulator"); the root `[profile.release]
-//! debug = true` does not reach that workspace.
+//! `sim_golden` and the benchmark's `compare` never move):
+//!
+//! * lane *spans* — `LaneAccess::count`, closed by
+//!   `WarpWalk::emit_edges` wherever the next address is not contiguous,
+//!   so a staged-region or CXL-spill boundary splits a span exactly
+//!   where it separated two lanes;
+//! * the coalescer's packed `u64` key, whose integer order is the
+//!   emission order (`emogi_gpu::coalesce`; the per-lane four-field-key
+//!   coalescer survives as its `#[cfg(test)]` oracle);
+//! * L2 invalidation by set (`SectoredCache::invalidate_range`);
+//! * the MSHR line table below — in-flight requests of one line have
+//!   disjoint sector masks, so a line has at most four: a fixed
+//!   `[u32; 4]` + length per line, and a freed request keeps its
+//!   `waiters` buffer for the next one;
+//! * the event queue's payload-in-entry heap, ordered on `(at, seq)`
+//!   only (`emogi_sim::events`);
+//! * the memoised serialisation-delay tables of `Dram` and `PcieLink` —
+//!   never a second definition of a delay: unit tests compare table and
+//!   formula for every size 0..=512 on every preset;
+//! * `#[inline]` on the per-lane and per-transaction entry points
+//!   (`AccessBatch`, `LaneAccess`, `SectoredCache::{probe, fill}`,
+//!   `Dram::{read, write}`, `PcieLink::{read, complete}`): the benchmark
+//!   is a workspace of its own without LTO, where they were out-of-line
+//!   calls per lane.
+//!
+//! To see where host time goes, profile the benchmark binary (README,
+//! "Profiling the simulator"); the root `[profile.release] debug = true`
+//! does not reach that workspace.
 
 use crate::machine::Machine;
 use crate::report::KernelReport;
