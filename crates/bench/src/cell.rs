@@ -6,9 +6,9 @@
 //! enough of the outputs to prove two cells computed the same thing —
 //! so it is written once, here: a [`Series`] is a list of
 //! [`ProgramSpec`]s run through the core dispatcher ([`spec::run`]),
-//! and `words` is the one run → digest-words mapping. Stats fold with
-//! the ledger's `+=`; derived columns come from the folded `RunStats`'
-//! own methods.
+//! and [`ProgramRun::words`] is the one run → digest-words mapping.
+//! Stats fold with the ledger's `+=`; derived columns come from the
+//! folded `RunStats`' own methods.
 
 use emogi_core::spec::{self, ProgramRun, ProgramSpec};
 use emogi_core::Engine;
@@ -109,31 +109,7 @@ fn fnv1a(h: u64, words: impl Iterator<Item = u64>) -> u64 {
 /// Order-sensitive digest of one run's output: what a [`Folded`] cell of
 /// that single run carries, so "same answer" is one comparable number.
 pub fn digest(run: &ProgramRun) -> u64 {
-    fnv1a(FNV_OFFSET, words(run, None).into_iter())
-}
-
-/// A finished run's output as digest words — levels, distances and
-/// labels widened, `f64` ranks by bit pattern — mapped back out of
-/// `plan`'s id space (CC labels canonicalized to the smallest original
-/// id per component), so the words are comparable across layouts.
-fn words(run: &ProgramRun, plan: Option<&LayoutPlan>) -> Vec<u64> {
-    let wide = |v: &[u32]| v.iter().map(|&w| u64::from(w)).collect::<Vec<_>>();
-    let words = match run {
-        ProgramRun::Bfs(r) => wide(&r.levels),
-        ProgramRun::Sssp(r) => wide(&r.dist),
-        // Labels are vertex ids: canonicalized, not permuted.
-        ProgramRun::Cc(r) => {
-            return match plan {
-                Some(p) => wide(&p.unmap_components(&r.comp)),
-                None => wide(&r.comp),
-            }
-        }
-        ProgramRun::PageRank(r) => r.ranks.iter().map(|x| x.to_bits()).collect(),
-    };
-    match plan {
-        Some(p) => p.unmap_values(&words),
-        None => words,
-    }
+    fnv1a(FNV_OFFSET, run.words().into_iter())
 }
 
 /// Run `series` on `engine` and fold it. `d` supplies the SSSP weights.
@@ -155,7 +131,7 @@ pub fn run(
     };
     for spec in series.specs(d, plan) {
         let run = spec::run(engine, &spec);
-        let words = words(&run, plan);
+        let words = plan.map_or_else(|| run.words(), |p| run.unmapped_words(p));
         out.stats += run.stats();
         out.digest = fnv1a(out.digest, words.iter().copied());
         if let ProgramRun::PageRank(_) = run {

@@ -26,7 +26,7 @@ use crate::cell::{self, Series};
 use crate::table::{f, ms};
 use crate::{Context, Results, Table};
 use emogi_baselines::{SubwayMode, SubwaySystem};
-use emogi_core::{AccessMode, Engine, EngineConfig};
+use emogi_core::{Engine, EngineConfig};
 use emogi_graph::DatasetKey;
 use emogi_runtime::RunStats;
 
@@ -43,9 +43,8 @@ pub struct Measurement {
     pub stats: RunStats,
 }
 
-fn emogi_cfg(ctx: &Context, mode: AccessMode) -> EngineConfig {
-    EngineConfig::emogi_v100()
-        .with_mode(mode)
+fn emogi_cfg(ctx: &Context, preset: EngineConfig) -> EngineConfig {
+    preset
         .with_machine(scaled_machine(ctx.scale))
         .with_elem_bytes(4)
 }
@@ -74,8 +73,8 @@ pub fn measure(ctx: &Context) -> Results<(&'static str, &'static str), Measureme
         };
         eprintln!("  [hybrid] {scenario} {graph} ...");
         for (engine, cfg) in [
-            ("Hybrid", emogi_cfg(ctx, AccessMode::Hybrid)),
-            ("Merged+Aligned", emogi_cfg(ctx, AccessMode::MergedAligned)),
+            ("Hybrid", emogi_cfg(ctx, EngineConfig::hybrid_v100())),
+            ("Merged+Aligned", emogi_cfg(ctx, EngineConfig::emogi_v100())),
             ("UVM", uvm_cfg(ctx)),
         ] {
             let mut e = Engine::load(cfg, &d.graph);

@@ -22,7 +22,7 @@
 use super::scaled_machine;
 use crate::table::{f, ms};
 use crate::{cell, Context, Results, Table};
-use emogi_core::{spec, AccessMode, Engine, EngineConfig};
+use emogi_core::{spec, Engine, EngineConfig};
 use emogi_graph::{DatasetKey, VertexId};
 use emogi_runtime::RunStats;
 use emogi_serve::{QoS, Query, QueryServer, QuerySpec, ServerConfig, ServerStats};
@@ -32,10 +32,12 @@ use std::sync::Arc;
 const BURST: usize = 8;
 
 /// EMOGI-family engines of this experiment.
-const MODES: &[(&str, AccessMode)] = &[
-    ("Merged+Aligned", AccessMode::MergedAligned),
-    ("Hybrid", AccessMode::Hybrid),
-];
+fn modes() -> [(&'static str, EngineConfig); 2] {
+    [
+        ("Merged+Aligned", EngineConfig::emogi_v100()),
+        ("Hybrid", EngineConfig::hybrid_v100()),
+    ]
+}
 
 /// Cells keyed by (scenario, engine mode, `Sequential` | `Batched`).
 /// The value is the server's own [`ServerStats`]; a sequential cell is
@@ -51,10 +53,8 @@ pub fn measure(ctx: &Context) -> Cells {
     let weights = Arc::new(gk.weights.clone());
     let mut cells = Results { rows: Vec::new() };
 
-    for &(mode, access) in MODES {
-        let cfg = EngineConfig::emogi_v100()
-            .with_mode(access)
-            .with_machine(scaled_machine(ctx.scale));
+    for (mode, preset) in modes() {
+        let cfg = preset.with_machine(scaled_machine(ctx.scale));
         let bfs: Vec<_> = sources.iter().map(|&src| QuerySpec::Bfs { src }).collect();
         let sssp = |&src: &VertexId| QuerySpec::Sssp {
             src,
@@ -175,7 +175,7 @@ mod tests {
     fn batching_saves_pcie_bytes_and_raises_throughput() {
         let ctx = Context::new(1, 32);
         let r = measure(&ctx); // bit-identity asserted inside
-        for &(mode_name, _) in MODES {
+        for (mode_name, _) in modes() {
             for scenario in ["bfs-burst", "sssp-burst"] {
                 let seq = r.get((scenario, mode_name, "Sequential"));
                 let bat = r.get((scenario, mode_name, "Batched"));

@@ -19,7 +19,7 @@
 use super::scaled_machine;
 use crate::table::{f, ms};
 use crate::{cell, Context, Results, Table};
-use emogi_core::{spec, AccessMode, Engine, EngineConfig};
+use emogi_core::{spec, Engine, EngineConfig};
 use emogi_graph::DatasetKey;
 use emogi_serve::{Priority, Query, QueryServer, SchedPolicy, ServerConfig, ServerStats};
 use std::sync::Arc;
@@ -69,9 +69,7 @@ pub fn measure(ctx: &Context) -> Results<&'static str, Measurement> {
     let gk = ctx.store.get(DatasetKey::Gk);
     let sources = gk.sources(BULK_BFS + LATENCY_BFS + 1);
     let weights = Arc::new(gk.weights.clone());
-    let cfg = EngineConfig::emogi_v100()
-        .with_mode(AccessMode::Hybrid)
-        .with_machine(scaled_machine(ctx.scale));
+    let cfg = EngineConfig::hybrid_v100().with_machine(scaled_machine(ctx.scale));
 
     // Solo reference runs: per-query digests (the bit-identity oracle)
     // and elapsed times (the deadline calibration).

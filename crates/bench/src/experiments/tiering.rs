@@ -27,7 +27,7 @@ use crate::cell::{self, Folded, Series};
 use crate::table::{f, ms};
 use crate::{Context, Results, Table};
 use emogi_core::layout::SPILL_ALIGN;
-use emogi_core::{AccessMode, Engine, EngineConfig};
+use emogi_core::{Engine, EngineConfig};
 use emogi_graph::DatasetKey;
 use emogi_sim::CxlConfig;
 
@@ -75,20 +75,17 @@ pub fn measure(ctx: &Context) -> Tiering {
     );
 
     let rows: Vec<(&'static str, Folded)> = [
-        ("host-spill", AccessMode::MergedAligned, spilled.clone()),
-        ("three-tier", AccessMode::Hybrid, spilled),
+        ("host-spill", EngineConfig::emogi_v100(), spilled.clone()),
+        ("three-tier", EngineConfig::hybrid_v100(), spilled),
         (
             "two-tier (unbounded)",
-            AccessMode::MergedAligned,
+            EngineConfig::emogi_v100(),
             scaled_machine(ctx.scale),
         ),
     ]
     .into_iter()
-    .map(|(engine, mode, machine)| {
-        let cfg = EngineConfig::emogi_v100()
-            .with_mode(mode)
-            .with_machine(machine);
-        let mut e = Engine::load(cfg, &gk.graph);
+    .map(|(engine, preset, machine)| {
+        let mut e = Engine::load(preset.with_machine(machine), &gk.graph);
         (
             engine,
             cell::run(&mut e, Series::MultiBfs(&sources), &gk, None),

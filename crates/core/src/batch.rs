@@ -20,7 +20,7 @@
 //! iteration count — is identical whether it runs alone or inside any
 //! batch. [`Engine::run_batch`] is the front end;
 //! `tests/serve_proptests.rs` checks the equivalence on random graphs,
-//! query mixes and access modes.
+//! query mixes and named configurations.
 //!
 //! [`Engine::run_batch`]: crate::engine::Engine::run_batch
 
@@ -86,7 +86,7 @@ mod tests {
     use crate::bfs::BfsProgram;
     use crate::engine::{Engine, EngineConfig};
     use crate::sssp::SsspProgram;
-    use crate::strategy::AccessMode;
+    use crate::strategy::AccessStrategy;
     use emogi_graph::datasets::generate_weights;
     use emogi_graph::{algo, generators};
 
@@ -107,8 +107,9 @@ mod tests {
     fn batched_bfs_matches_sequential_for_every_mode() {
         let g = generators::kronecker(8, 8, 3);
         let sources = [0u32, 3, 17, 40];
-        for mode in AccessMode::all() {
-            let cfg = EngineConfig::emogi_v100().with_mode(mode);
+        let zero_copy = AccessStrategy::all().map(|s| EngineConfig::emogi_v100().with_strategy(s));
+        for cfg in zero_copy.into_iter().chain([EngineConfig::hybrid_v100()]) {
+            let mode = format!("{:?} over {:?}", cfg.strategy, cfg.transport);
             let mut seq = Engine::load(cfg.clone(), &g);
             let seq_runs: Vec<_> = sources.iter().map(|&s| seq.bfs(s)).collect();
             let mut bat = Engine::load(cfg, &g);
@@ -119,10 +120,10 @@ mod tests {
                     .collect::<Vec<_>>(),
             );
             for (q, (sr, br)) in seq_runs.iter().zip(&batch.runs).enumerate() {
-                assert_eq!(br.levels, sr.levels, "{mode:?} query {q}");
+                assert_eq!(br.levels, sr.levels, "{mode} query {q}");
                 assert_eq!(
                     br.stats.kernel_launches, sr.stats.kernel_launches,
-                    "{mode:?} query {q} iteration count"
+                    "{mode} query {q} iteration count"
                 );
                 assert!(br.stats.shared_fetch, "batched stats must be flagged");
                 assert!(!sr.stats.shared_fetch);

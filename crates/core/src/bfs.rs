@@ -27,9 +27,15 @@ pub struct BfsProgram {
 }
 
 impl BfsProgram {
-    /// A BFS from `src` over `graph`.
+    /// A BFS from `src` over `graph`. Panics if `src` is not a vertex
+    /// of `graph`.
     pub fn new(graph: &CsrGraph, src: VertexId) -> Self {
-        let mut levels = vec![UNVISITED; graph.num_vertices()];
+        let n = graph.num_vertices();
+        assert!(
+            (src as usize) < n,
+            "BFS source {src} out of range: the graph has {n} vertices"
+        );
+        let mut levels = vec![UNVISITED; n];
         levels[src as usize] = 0;
         Self {
             src,
@@ -93,6 +99,13 @@ mod tests {
         let run = engine.bfs(3);
         assert_eq!(run.levels, algo::bfs_levels(&g, 3), "{strategy:?}");
         assert!(run.stats.pcie_read_requests > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "BFS source 500 out of range: the graph has 500 vertices")]
+    fn out_of_range_source_is_named() {
+        let g = generators::uniform_random(500, 6, 42);
+        Engine::load(EngineConfig::emogi_v100(), &g).bfs(500);
     }
 
     #[test]

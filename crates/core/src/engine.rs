@@ -27,7 +27,7 @@ use crate::layout::{GraphLayout, Transport};
 use crate::pagerank::{PageRankOutput, PageRankProgram};
 use crate::program::{AccessPattern, VertexProgram};
 use crate::sssp::{SsspOutput, SsspProgram};
-use crate::strategy::{AccessMode, AccessStrategy};
+use crate::strategy::AccessStrategy;
 use emogi_graph::{CsrGraph, VertexId, VertexPartition};
 use emogi_runtime::machine::MachineConfig;
 use emogi_runtime::report::RunStats;
@@ -70,7 +70,10 @@ impl EngineConfig {
     /// with dense / recurring edge-list regions bulk-staged into device
     /// memory and the rest read zero-copy.
     pub fn hybrid_v100() -> Self {
-        Self::emogi_v100().with_mode(AccessMode::Hybrid)
+        Self::emogi_v100().with_transport(Transport::Hybrid {
+            transfer: TransferConfig::default(),
+            prefetch: None,
+        })
     }
 
     /// Pipelined hybrid transport on the V100 platform:
@@ -93,22 +96,6 @@ impl EngineConfig {
     pub fn with_transport(mut self, t: Transport) -> Self {
         self.transport = t;
         self
-    }
-
-    /// Select a full access mode: its kernel strategy, over
-    /// [`Transport::ZeroCopy`] for the three pure zero-copy modes and
-    /// the default synchronous [`Transport::Hybrid`] for `Hybrid`.
-    pub fn with_mode(self, mode: AccessMode) -> Self {
-        let transport = if mode.is_hybrid() {
-            Transport::Hybrid {
-                transfer: TransferConfig::default(),
-                prefetch: None,
-            }
-        } else {
-            Transport::ZeroCopy
-        };
-        self.with_strategy(mode.strategy())
-            .with_transport(transport)
     }
 
     /// Replace the simulated platform.
@@ -328,7 +315,8 @@ mod tests {
     use emogi_graph::datasets::generate_weights;
     use emogi_graph::{algo, generators};
 
-    /// Every way of choosing a transport, and what it leaves behind.
+    /// Every preset's strategy and transport, and that a strategy is
+    /// only a strategy.
     #[test]
     fn presets_and_modes_select_the_expected_strategy_and_transport() {
         use AccessStrategy::{Merged, MergedAligned, Naive};
@@ -354,24 +342,8 @@ mod tests {
         ];
         for (i, (preset, want)) in presets.into_iter().enumerate() {
             assert_eq!(shape(&preset()), want, "preset {i}");
-            // A strategy is only a strategy ...
             let cfg = preset().with_strategy(Naive);
             assert_eq!(shape(&cfg), (Naive, want.1), "preset {i}.with_strategy");
-            // ... a mode is strategy *and* transport: it replaces both,
-            // whatever was configured — UVM and a prefetcher included.
-            for mode in AccessMode::all() {
-                let transport = if mode.is_hybrid() {
-                    "hybrid"
-                } else {
-                    "zero-copy"
-                };
-                let cfg = preset().with_mode(mode);
-                assert_eq!(
-                    shape(&cfg),
-                    (mode.strategy(), transport),
-                    "preset {i}.with_mode({mode:?})"
-                );
-            }
         }
     }
 

@@ -105,4 +105,4 @@ pub use program::{AccessPattern, DeviceWork, EdgeEffect, VertexProgram};
 pub use sharded::{ShardedConfig, ShardedEngine, ShardedRun};
 pub use spec::{Front, GroupRun, ProgramKind, ProgramRun, ProgramSpec};
 pub use sssp::{SsspOutput, SsspProgram};
-pub use strategy::{AccessMode, AccessStrategy};
+pub use strategy::AccessStrategy;

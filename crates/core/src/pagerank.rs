@@ -173,7 +173,7 @@ impl VertexProgram for PageRankProgram<'_> {
 mod tests {
     use super::*;
     use crate::engine::{Engine, EngineConfig};
-    use crate::strategy::AccessMode;
+    use crate::strategy::AccessStrategy;
     use emogi_graph::{algo, generators};
 
     fn assert_close(got: &[f64], want: &[f64], tag: &str) {
@@ -190,10 +190,12 @@ mod tests {
     fn every_access_mode_matches_the_cpu_reference() {
         let g = generators::kronecker(9, 8, 21);
         let want = algo::pagerank(&g, 0.85, 15);
-        for mode in AccessMode::all() {
-            let mut engine = Engine::load(EngineConfig::emogi_v100().with_mode(mode), &g);
+        let zero_copy = AccessStrategy::all().map(|s| EngineConfig::emogi_v100().with_strategy(s));
+        for cfg in zero_copy.into_iter().chain([EngineConfig::hybrid_v100()]) {
+            let mode = format!("{:?} over {:?}", cfg.strategy, cfg.transport);
+            let mut engine = Engine::load(cfg, &g);
             let run = engine.pagerank(0.85, 15);
-            assert_close(&run.ranks, &want, mode.name());
+            assert_close(&run.ranks, &want, &mode);
             assert_eq!(run.iterations, 15);
             assert_eq!(run.stats.kernel_launches, 15, "one launch per sweep");
         }

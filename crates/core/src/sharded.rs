@@ -37,9 +37,9 @@
 //! outputs, iteration counts *and* every per-run statistic (including
 //! hybrid transfer counters) are equal tick for tick.
 //! `tests/sharded_differential.rs` checks both properties on random
-//! graphs × 4 programs × 1/2/4 devices × both partitioners × every access
-//! mode — including graphs with planted hubs (`tests/common::hub_edges`),
-//! whose lists reach [`HUB_SPLIT_DEGREE`] and are walked cooperatively —
+//! graphs × 4 programs × 1/2/4 devices × both partitioners × every named
+//! configuration — including graphs with planted hubs
+//! (`tests/common::hub_graph`), whose lists reach [`HUB_SPLIT_DEGREE`] and are walked cooperatively —
 //! and the `scaling` experiment measures the payoff (near-linear BFS
 //! scaling on GK). `emogi_serve::ShardedServer` serves queries over the
 //! group: each query's iterations shard across it (latency-oriented)
@@ -260,13 +260,12 @@ impl<'g> ShardedEngine<'g> {
 mod tests {
     use super::*;
     use crate::engine::{Engine, EngineConfig};
-    use crate::strategy::AccessMode;
     use emogi_graph::datasets::generate_weights;
     use emogi_graph::{algo, generators};
 
-    fn sharded_cfg(devices: usize, mode: AccessMode) -> ShardedConfig {
+    fn sharded_cfg(devices: usize, engine: EngineConfig) -> ShardedConfig {
         let mut cfg = ShardedConfig::emogi_v100(devices);
-        cfg.engine = cfg.engine.with_mode(mode);
+        cfg.engine = engine;
         cfg
     }
 
@@ -277,27 +276,31 @@ mod tests {
         // single-device engine exactly.
         let g = generators::kronecker(9, 8, 21);
         let w = generate_weights(g.num_edges(), 21);
-        for mode in [AccessMode::MergedAligned, AccessMode::Hybrid] {
-            let mut solo = Engine::load(EngineConfig::emogi_v100().with_mode(mode), &g);
-            let mut shard = ShardedEngine::load(sharded_cfg(1, mode), &g);
+        let presets = [
+            ("Merged+Aligned", EngineConfig::emogi_v100()),
+            ("Hybrid", EngineConfig::hybrid_v100()),
+        ];
+        for (mode, cfg) in presets {
+            let mut solo = Engine::load(cfg.clone(), &g);
+            let mut shard = ShardedEngine::load(sharded_cfg(1, cfg), &g);
 
             let (sr, dr) = (solo.bfs(1), shard.bfs(1));
-            assert_eq!(dr.levels, sr.levels, "{mode:?} bfs output");
+            assert_eq!(dr.levels, sr.levels, "{mode} bfs output");
             assert_eq!(dr.iterations, sr.stats.kernel_launches);
-            assert_eq!(dr.per_device[0], sr.stats, "{mode:?} bfs stats");
+            assert_eq!(dr.per_device[0], sr.stats, "{mode} bfs stats");
 
             let (sr, dr) = (solo.sssp(&w, 1), shard.sssp(&w, 1));
-            assert_eq!(dr.dist, sr.dist, "{mode:?} sssp output");
-            assert_eq!(dr.per_device[0], sr.stats, "{mode:?} sssp stats");
+            assert_eq!(dr.dist, sr.dist, "{mode} sssp output");
+            assert_eq!(dr.per_device[0], sr.stats, "{mode} sssp stats");
 
             let (sr, dr) = (solo.cc(), shard.cc());
-            assert_eq!(dr.comp, sr.comp, "{mode:?} cc output");
+            assert_eq!(dr.comp, sr.comp, "{mode} cc output");
             assert_eq!(dr.hook_passes, sr.hook_passes);
-            assert_eq!(dr.per_device[0], sr.stats, "{mode:?} cc stats");
+            assert_eq!(dr.per_device[0], sr.stats, "{mode} cc stats");
 
             let (sr, dr) = (solo.pagerank(0.85, 8), shard.pagerank(0.85, 8));
-            assert_eq!(dr.ranks, sr.ranks, "{mode:?} pagerank output");
-            assert_eq!(dr.per_device[0], sr.stats, "{mode:?} pagerank stats");
+            assert_eq!(dr.ranks, sr.ranks, "{mode} pagerank output");
+            assert_eq!(dr.per_device[0], sr.stats, "{mode} pagerank stats");
 
             assert_eq!(dr.exchange, LinkStats::default(), "no peers, no bytes");
         }
@@ -312,7 +315,7 @@ mod tests {
         let want_cc = algo::cc_labels(&g);
         for devices in [2usize, 4] {
             for partition in PartitionStrategy::all() {
-                let cfg = sharded_cfg(devices, AccessMode::MergedAligned).with_partition(partition);
+                let cfg = ShardedConfig::emogi_v100(devices).with_partition(partition);
                 let mut e = ShardedEngine::load(cfg, &g);
                 let tag = format!("{devices} devices / {partition:?}");
                 assert_eq!(e.bfs(3).levels, want_bfs, "{tag} bfs");
@@ -340,7 +343,7 @@ mod tests {
         let solo_bfs = solo.bfs(0);
         let solo_cc = solo.cc();
         for devices in [2usize, 4] {
-            let mut e = ShardedEngine::load(sharded_cfg(devices, AccessMode::MergedAligned), &g);
+            let mut e = ShardedEngine::load(ShardedConfig::emogi_v100(devices), &g);
             assert_eq!(e.bfs(0).iterations, solo_bfs.stats.kernel_launches);
             assert_eq!(e.cc().iterations, solo_cc.stats.kernel_launches);
         }
@@ -349,8 +352,8 @@ mod tests {
     #[test]
     fn devices_exchange_updates_and_split_the_pcie_traffic() {
         let g = generators::kronecker(10, 8, 5);
-        let mut solo = ShardedEngine::load(sharded_cfg(1, AccessMode::MergedAligned), &g);
-        let mut duo = ShardedEngine::load(sharded_cfg(2, AccessMode::MergedAligned), &g);
+        let mut solo = ShardedEngine::load(ShardedConfig::emogi_v100(1), &g);
+        let mut duo = ShardedEngine::load(ShardedConfig::emogi_v100(2), &g);
         let r1 = solo.bfs(0);
         let r2 = duo.bfs(0);
         assert_eq!(r2.levels, r1.levels);
@@ -379,7 +382,7 @@ mod tests {
     #[test]
     fn hybrid_sharded_runs_stage_per_device_and_stay_correct() {
         let g = generators::lognormal_dense(800, 60.0, 0.5, 16, 5);
-        let mut cfg = sharded_cfg(2, AccessMode::Hybrid);
+        let mut cfg = sharded_cfg(2, EngineConfig::hybrid_v100());
         cfg.engine.machine.gpu.cache.capacity_bytes = 64 << 10;
         let mut e = ShardedEngine::load(cfg, &g);
         let run = e.cc();
@@ -397,7 +400,7 @@ mod tests {
         // More devices than vertices: trailing shards own nothing and
         // must not launch kernels.
         let g = generators::uniform_random(3, 2, 1);
-        let mut e = ShardedEngine::load(sharded_cfg(8, AccessMode::MergedAligned), &g);
+        let mut e = ShardedEngine::load(ShardedConfig::emogi_v100(8), &g);
         let run = e.bfs(0);
         assert_eq!(run.levels, algo::bfs_levels(&g, 0));
         let launched: u64 = run.per_device.iter().map(|s| s.kernel_launches).sum();

@@ -43,7 +43,7 @@ use crate::pagerank::{PageRankOutput, PageRankProgram};
 use crate::program::VertexProgram;
 use crate::sharded::{ShardedEngine, ShardedRun};
 use crate::sssp::{SsspOutput, SsspProgram};
-use emogi_graph::{CsrGraph, VertexId};
+use emogi_graph::{CsrGraph, LayoutPlan, VertexId};
 use emogi_runtime::RunStats;
 use std::sync::Arc;
 
@@ -169,6 +169,44 @@ impl ProgramRun {
             ProgramRun::Sssp(r) => &r.stats,
             ProgramRun::Cc(r) => &r.stats,
             ProgramRun::PageRank(r) => &r.stats,
+        }
+    }
+
+    /// The output array as comparable words: levels, distances and
+    /// labels widened, `f64` ranks by bit pattern. Every digest and every
+    /// "same answer" comparison goes through this one mapping.
+    pub fn words(&self) -> Vec<u64> {
+        let wide = |v: &[u32]| v.iter().map(|&x| u64::from(x)).collect();
+        match self {
+            ProgramRun::Bfs(r) => wide(&r.levels),
+            ProgramRun::Sssp(r) => wide(&r.dist),
+            ProgramRun::Cc(r) => wide(&r.comp),
+            ProgramRun::PageRank(r) => r.ranks.iter().map(|x| x.to_bits()).collect(),
+        }
+    }
+
+    /// [`words`](Self::words) of a run over `plan.apply(graph)`, mapped
+    /// back to the original vertex ids so they compare across layouts.
+    /// CC's labels *are* vertex ids: they are canonicalized to each
+    /// component's smallest original id, not permuted.
+    pub fn unmapped_words(&self, plan: &LayoutPlan) -> Vec<u64> {
+        match self {
+            ProgramRun::Cc(r) => {
+                let canonical = plan.unmap_components(&r.comp);
+                canonical.into_iter().map(u64::from).collect()
+            }
+            _ => plan.unmap_values(&self.words()),
+        }
+    }
+
+    /// A full sweep's pass count — CC's hook passes, PageRank's power
+    /// iterations; `None` for the traversals, whose only count is the
+    /// launch count in [`stats`](Self::stats).
+    pub fn passes(&self) -> Option<u64> {
+        match self {
+            ProgramRun::Bfs(_) | ProgramRun::Sssp(_) => None,
+            ProgramRun::Cc(r) => Some(r.hook_passes),
+            ProgramRun::PageRank(r) => Some(u64::from(r.iterations)),
         }
     }
 }
@@ -320,14 +358,7 @@ mod tests {
 
     /// `(output words, stats)` of a run, whichever path produced it.
     fn flat(run: ProgramRun) -> (Vec<u64>, RunStats) {
-        let wide = |v: &[u32]| v.iter().map(|&x| u64::from(x)).collect();
-        let words = match &run {
-            ProgramRun::Bfs(r) => wide(&r.levels),
-            ProgramRun::Sssp(r) => wide(&r.dist),
-            ProgramRun::Cc(r) => wide(&r.comp),
-            ProgramRun::PageRank(r) => r.ranks.iter().map(|x| x.to_bits()).collect(),
-        };
-        (words, run.stats().clone())
+        (run.words(), run.stats().clone())
     }
 
     /// The refactor's own tick-identity proof: for every program, the

@@ -32,10 +32,16 @@ pub struct SsspProgram<'w> {
 }
 
 impl<'w> SsspProgram<'w> {
-    /// An SSSP from `src` over `graph`, with one weight per edge.
+    /// An SSSP from `src` over `graph`, with one weight per edge. Panics
+    /// if `src` is not a vertex of `graph`.
     pub fn new(graph: &CsrGraph, weights: &'w [u32], src: VertexId) -> Self {
         assert_eq!(weights.len(), graph.num_edges(), "one weight per edge");
-        let mut dist = vec![INF; graph.num_vertices()];
+        let n = graph.num_vertices();
+        assert!(
+            (src as usize) < n,
+            "SSSP source {src} out of range: the graph has {n} vertices"
+        );
+        let mut dist = vec![INF; n];
         dist[src as usize] = 0;
         Self { src, weights, dist }
     }
@@ -89,6 +95,14 @@ mod tests {
     use crate::strategy::AccessStrategy;
     use emogi_graph::datasets::generate_weights;
     use emogi_graph::{algo, generators};
+
+    #[test]
+    #[should_panic(expected = "SSSP source 400 out of range: the graph has 400 vertices")]
+    fn out_of_range_source_is_named() {
+        let g = generators::uniform_random(400, 6, 1);
+        let w = generate_weights(g.num_edges(), 1);
+        Engine::load(EngineConfig::emogi_v100(), &g).sssp(&w, 400);
+    }
 
     fn sssp_via_engine(strategy: AccessStrategy, seed: u64) {
         let g = generators::uniform_random(400, 6, seed);

@@ -1,7 +1,7 @@
 //! The three zero-copy access strategies evaluated in §5 (Naive, Merged,
-//! Merged+Aligned) — the paper's Figures 5, 7, 8, 9 compare exactly these
-//! — plus [`AccessMode`], which adds the hybrid zero-copy/DMA mode on top
-//! of them.
+//! Merged+Aligned) — the paper's Figures 5, 7, 8, 9 compare exactly
+//! these. How the bytes reach the GPU is the other axis,
+//! [`Transport`](crate::layout::Transport).
 
 /// How GPU threads are assigned to neighbour lists and how their accesses
 /// are laid out.
@@ -54,57 +54,6 @@ impl AccessStrategy {
     }
 }
 
-/// A full access mode: the three §5 zero-copy strategies plus the hybrid
-/// transport that keeps Merged+Aligned kernels but lets the runtime's
-/// transfer manager stage hot edge-list regions into device memory via
-/// bulk DMA (dense, recurring regions) while sparse regions stay
-/// zero-copy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AccessMode {
-    /// Pure zero-copy with the [`AccessStrategy::Naive`] kernels.
-    Naive,
-    /// Pure zero-copy with the [`AccessStrategy::Merged`] kernels.
-    Merged,
-    /// Pure zero-copy with the [`AccessStrategy::MergedAligned`] kernels.
-    MergedAligned,
-    /// Merged+Aligned kernels over a per-region zero-copy/DMA mix.
-    Hybrid,
-}
-
-impl AccessMode {
-    /// Every mode, the three §5 zero-copy strategies then Hybrid.
-    pub fn all() -> [AccessMode; 4] {
-        [
-            AccessMode::Naive,
-            AccessMode::Merged,
-            AccessMode::MergedAligned,
-            AccessMode::Hybrid,
-        ]
-    }
-
-    /// The kernel-level access strategy this mode runs with.
-    pub fn strategy(self) -> AccessStrategy {
-        match self {
-            AccessMode::Naive => AccessStrategy::Naive,
-            AccessMode::Merged => AccessStrategy::Merged,
-            AccessMode::MergedAligned | AccessMode::Hybrid => AccessStrategy::MergedAligned,
-        }
-    }
-
-    /// Does this mode mix transports via the transfer manager?
-    pub fn is_hybrid(self) -> bool {
-        matches!(self, AccessMode::Hybrid)
-    }
-
-    /// Display name of the mode.
-    pub fn name(self) -> &'static str {
-        match self {
-            AccessMode::Hybrid => "Hybrid",
-            other => other.strategy().name(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,15 +80,5 @@ mod tests {
         assert!(AccessStrategy::Merged.warp_per_vertex());
         assert!(!AccessStrategy::Naive.warp_per_vertex());
         assert_eq!(AccessStrategy::MergedAligned.name(), "Merged+Aligned");
-    }
-
-    #[test]
-    fn modes_map_onto_strategies() {
-        assert_eq!(AccessMode::Hybrid.strategy(), AccessStrategy::MergedAligned);
-        assert_eq!(AccessMode::Naive.strategy(), AccessStrategy::Naive);
-        assert!(AccessMode::Hybrid.is_hybrid());
-        assert!(!AccessMode::MergedAligned.is_hybrid());
-        assert_eq!(AccessMode::Hybrid.name(), "Hybrid");
-        assert_eq!(AccessMode::all().len(), 4);
     }
 }

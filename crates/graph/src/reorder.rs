@@ -19,7 +19,7 @@
 //! multisets are conserved, so BFS levels, SSSP distances and PageRank
 //! ranks come back **bit-identical** to an unpermuted run
 //! (`tests/layout_differential.rs` pins this for every layout × program
-//! × access mode, solo / batched / sharded, pipelined included;
+//! × named configuration, solo / batched / sharded, pipelined included;
 //! `random_relabeling_never_changes_results` in `tests/proptests.rs`) —
 //! PageRank's because its folds sort their addends canonically.
 //!

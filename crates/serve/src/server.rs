@@ -34,7 +34,7 @@
 //!
 //! | invariant | witnessed by |
 //! |---|---|
-//! | executed outputs are bit-identical to solo runs, for every kind, QoS mix and access mode | `no_admitted_query_is_lost_and_served_outputs_match_solo` in `tests/sla_proptests.rs`; the `sla` experiment asserts cross-policy digest equality in-run |
+//! | executed outputs are bit-identical to solo runs, for every kind, QoS mix and named configuration | `no_admitted_query_is_lost_and_served_outputs_match_solo` in `tests/sla_proptests.rs`; the `sla` experiment asserts cross-policy digest equality in-run |
 //! | no admitted query is lost: exactly one terminal state, stats partition the admitted set | the same proptest, plus the lifecycle unit tests below |
 //! | EDF plan ordering: kind-pure batches, caps (full sweeps solo), anchors and members in key order, exactly-once partition | `edf_plan_upholds_its_ordering_invariants` in `tests/sla_proptests.rs` |
 //! | the one-pass FIFO plan equals incremental oldest-anchor selection | `fifo_plan_equals_incremental_next_batch` in `tests/sla_proptests.rs`; FIFO unit tests in `scheduler.rs` |

@@ -5,8 +5,10 @@
 //! [`Strategy`] trait with `prop_map`, range / tuple / `Just` / `any` /
 //! `prop_oneof!` / `prop::collection::vec` strategies, the `proptest!`
 //! macro, and the `prop_assert*` family. No shrinking: a failing case
-//! panics with its seed-derived inputs printed by the assertion itself.
+//! panics with its seed-derived inputs printed by the assertion itself,
+//! and [`run_cases`] names the case index and seed as it unwinds.
 
+use std::io::Write;
 use std::ops::{Range, RangeInclusive};
 
 /// Deterministic per-test generator (splitmix64).
@@ -246,8 +248,49 @@ pub mod collection {
 /// The seed is derived from the test name (FNV-1a), so failures
 /// reproduce run-to-run with no flags. Setting `EMOGI_PROPTEST_SEED=<n>`
 /// mixes an explicit seed in on top — CI pins it so a red CI run is
-/// reproduced locally by exporting the same value.
-pub fn run_cases(name: &str, cfg: &ProptestConfig, mut case: impl FnMut(&mut TestRng)) {
+/// reproduced locally by exporting the same value. A case that panics
+/// is named on stderr as it unwinds: `proptest <name>: case <i>/<cases>,
+/// seed <seed>` (case `i` draws from `TestRng::new(seed ^ (i << 32))`).
+pub fn run_cases(name: &str, cfg: &ProptestConfig, case: impl FnMut(&mut TestRng)) {
+    // Runs inside a `Drop` during a panic: a failed write is ignored,
+    // never a second panic.
+    let stderr = &mut |line: &str| drop(writeln!(std::io::stderr(), "{line}"));
+    run_cases_reporting(name, cfg, case, stderr);
+}
+
+/// Names the running case to `report` if it is dropped by a panic.
+struct CaseGuard<'a> {
+    name: &'a str,
+    case: u32,
+    cases: u32,
+    seed: u64,
+    report: &'a mut dyn FnMut(&str),
+}
+
+impl Drop for CaseGuard<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let Self {
+                name,
+                case,
+                cases,
+                seed,
+                ..
+            } = self;
+            (self.report)(&format!(
+                "proptest {name}: case {case}/{cases}, seed {seed}"
+            ));
+        }
+    }
+}
+
+/// [`run_cases`] with the failing-case line sent to `report`.
+fn run_cases_reporting(
+    name: &str,
+    cfg: &ProptestConfig,
+    mut case: impl FnMut(&mut TestRng),
+    report: &mut dyn FnMut(&str),
+) {
     let mut seed = 0xcbf2_9ce4_8422_2325u64;
     for b in name.bytes() {
         seed ^= u64::from(b);
@@ -262,6 +305,13 @@ pub fn run_cases(name: &str, cfg: &ProptestConfig, mut case: impl FnMut(&mut Tes
     }
     for i in 0..cfg.cases {
         let mut rng = TestRng::new(seed ^ (u64::from(i) << 32));
+        let _guard = CaseGuard {
+            name,
+            case: i,
+            cases: cfg.cases,
+            seed,
+            report: &mut *report,
+        };
         case(&mut rng);
     }
 }
@@ -303,7 +353,7 @@ macro_rules! proptest {
     };
     (@impl ($cfg:expr); $(
         $(#[$meta:meta])*
-        fn $name:ident($($arg:ident in $strategy:expr),+ $(,)?) $body:block
+        fn $name:ident($($arg:pat in $strategy:expr),+ $(,)?) $body:block
     )*) => {$(
         #[test]
         fn $name() {
@@ -358,6 +408,30 @@ mod tests {
             seen.insert(s.generate(&mut rng));
         }
         assert_eq!(seen.into_iter().collect::<Vec<_>>(), vec![8, 16]);
+    }
+
+    /// A panicking case is named — index, case count, seed — exactly
+    /// once, and the cases before it are not.
+    #[test]
+    fn a_failing_case_is_named_while_unwinding() {
+        let mut lines = Vec::new();
+        let mut ran = 0;
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            crate::run_cases_reporting(
+                "demo",
+                &ProptestConfig::with_cases(5),
+                |_| {
+                    ran += 1;
+                    assert!(ran < 3, "third case fails");
+                },
+                &mut |line| lines.push(line.to_string()),
+            );
+        }));
+        assert!(outcome.is_err(), "the failure still propagates");
+        assert_eq!(lines.len(), 1, "{lines:?}");
+        let seed = lines[0].strip_prefix("proptest demo: case 2/5, seed ");
+        let seed = seed.expect("names test, case and case count");
+        assert!(seed.parse::<u64>().is_ok(), "seed is a plain u64: {seed}");
     }
 
     proptest! {

@@ -52,7 +52,7 @@ pub use emogi_uvm as uvm;
 /// from a description (serving's `QuerySpec` / `QueryKind` /
 /// `QueryResult` are re-exports of `ProgramSpec` / `ProgramKind` /
 /// `ProgramRun`), access
-/// strategies/modes/transports, vertex partitioners, graph types and
+/// strategies and transports, vertex partitioners, graph types and
 /// generators, the CPU reference algorithms, machine presets and the
 /// comparison baselines.
 pub mod prelude {
@@ -60,8 +60,8 @@ pub mod prelude {
     pub use emogi_core::spec;
     pub use emogi_core::sssp::INF;
     pub use emogi_core::{
-        AccessMode, AccessPattern, AccessStrategy, BatchRun, BfsOutput, BfsProgram, BfsRun,
-        CcOutput, CcProgram, CcRun, DeviceWork, EdgeEffect, Engine, EngineConfig, Front, GroupRun,
+        AccessPattern, AccessStrategy, BatchRun, BfsOutput, BfsProgram, BfsRun, CcOutput,
+        CcProgram, CcRun, DeviceWork, EdgeEffect, Engine, EngineConfig, Front, GroupRun,
         PageRankOutput, PageRankProgram, PageRankRun, ProgramKind, ProgramRun, ProgramSpec, Run,
         ShardedConfig, ShardedEngine, ShardedRun, SsspOutput, SsspProgram, SsspRun, Transport,
         VertexProgram,

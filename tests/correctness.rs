@@ -1,32 +1,28 @@
-//! Cross-engine correctness: every simulated engine (EMOGI's three access
-//! strategies, the UVM baseline, HALO, Subway) must produce results
+//! Cross-engine correctness: every simulated engine (the named
+//! configurations of `tests/common`, HALO, Subway) must produce results
 //! identical to the CPU reference algorithms on randomized graphs, for
 //! every vertex program.
 
-use emogi_repro::prelude::*;
+mod common;
 
-fn engines() -> Vec<(&'static str, EngineConfig)> {
-    vec![
-        (
-            "emogi-naive",
-            EngineConfig::emogi_v100().with_strategy(AccessStrategy::Naive),
-        ),
-        (
-            "emogi-merged",
-            EngineConfig::emogi_v100().with_strategy(AccessStrategy::Merged),
-        ),
-        ("emogi-aligned", EngineConfig::emogi_v100()),
-        ("emogi-hybrid", EngineConfig::hybrid_v100()),
-        ("uvm-merged", EngineConfig::uvm_v100()),
-        (
-            "uvm-naive",
-            EngineConfig::uvm_v100().with_strategy(AccessStrategy::Naive),
-        ),
-    ]
+use common::*;
+use emogi_repro::prelude::*;
+use std::sync::Arc;
+
+/// `specs` on `g` under every named configuration, against the CPU
+/// oracle.
+fn assert_every_engine_matches_the_oracle(g: &CsrGraph, specs: &[ProgramSpec], tag: &str) {
+    let want = reference_answers(g, specs);
+    for (name, cfg) in configs() {
+        let got = Shape::Solo.run(&Side::new(cfg, g, specs));
+        assert_outputs_match(&got, &want, &format!("{name} on {tag}"));
+    }
 }
 
-fn graph_zoo(seed: u64) -> Vec<(&'static str, CsrGraph)> {
-    vec![
+#[test]
+fn bfs_matches_reference_for_every_engine_and_graph_family() {
+    let seed = 11;
+    for (gname, g) in [
         ("uniform", generators::uniform_random(600, 8, seed)),
         ("kron", generators::kronecker(9, 6, seed)),
         ("web", generators::web_crawl(700, 10, 60, 0.8, seed)),
@@ -34,97 +30,46 @@ fn graph_zoo(seed: u64) -> Vec<(&'static str, CsrGraph)> {
             "dense",
             generators::lognormal_dense(150, 60.0, 0.5, 16, seed),
         ),
-    ]
-}
-
-#[test]
-fn bfs_matches_reference_for_every_engine_and_graph_family() {
-    for (gname, g) in graph_zoo(11) {
-        let src = (0..g.num_vertices() as u32)
-            .find(|&v| g.degree(v) > 0)
-            .unwrap();
-        let want = algo::bfs_levels(&g, src);
-        for (ename, cfg) in engines() {
-            let mut engine = Engine::load(cfg, &g);
-            let run = engine.bfs(src);
-            assert_eq!(run.levels, want, "{ename} on {gname}");
-        }
+    ] {
+        let src = (0..g.num_vertices() as u32).find(|&v| g.degree(v) > 0);
+        let bfs = ProgramSpec::Bfs {
+            src: src.expect("an edge"),
+        };
+        assert_every_engine_matches_the_oracle(&g, &[bfs], gname);
     }
 }
 
 #[test]
 fn sssp_matches_dijkstra_for_every_engine() {
     let g = generators::uniform_random(500, 6, 23);
-    let w = datasets::generate_weights(g.num_edges(), 23);
-    let want = algo::sssp_distances(&g, &w, 4);
-    for (ename, cfg) in engines() {
-        let mut engine = Engine::load(cfg, &g);
-        let run = engine.sssp(&w, 4);
-        for (v, &expect) in want.iter().enumerate() {
-            let got = if run.dist[v] == INF {
-                algo::UNREACHABLE
-            } else {
-                u64::from(run.dist[v])
-            };
-            assert_eq!(got, expect, "{ename}, vertex {v}");
-        }
-    }
+    let weights = Arc::new(datasets::generate_weights(g.num_edges(), 23));
+    let sssp = ProgramSpec::Sssp { src: 4, weights };
+    assert_every_engine_matches_the_oracle(&g, &[sssp], "uniform");
 }
 
 #[test]
 fn cc_matches_union_find_for_every_engine() {
     let g = generators::uniform_random(500, 4, 31);
-    let want = algo::cc_labels(&g);
-    for (ename, cfg) in engines() {
-        let mut engine = Engine::load(cfg, &g);
-        assert_eq!(engine.cc().comp, want, "{ename}");
-    }
+    assert_every_engine_matches_the_oracle(&g, &[ProgramSpec::Cc], "uniform");
 }
 
 #[test]
 fn pagerank_matches_reference_for_every_engine() {
     let g = generators::kronecker(9, 6, 13);
-    let want = algo::pagerank(&g, 0.85, 12);
-    for (ename, cfg) in engines() {
-        let mut engine = Engine::load(cfg, &g);
-        let run = engine.pagerank(0.85, 12);
-        for (v, (&got, &expect)) in run.ranks.iter().zip(&want).enumerate() {
-            assert!(
-                (got - expect).abs() < 1e-9,
-                "{ename}, vertex {v}: {got} vs {expect}"
-            );
-        }
-    }
+    let pagerank = ProgramSpec::PageRank {
+        damping: 0.85,
+        iterations: 12,
+    };
+    assert_every_engine_matches_the_oracle(&g, &[pagerank], "kron");
 }
 
+/// The place-once, query-many contract across program kinds: a single
+/// engine (per config) runs SSSP, BFS, CC and PageRank back to back.
 #[test]
 fn one_placement_serves_all_four_programs() {
-    // The place-once, query-many contract across program kinds: a single
-    // engine (per config) runs BFS, SSSP, CC and PageRank back to back.
     let g = generators::uniform_random(500, 4, 31);
     let w = datasets::generate_weights(g.num_edges(), 31);
-    for (ename, cfg) in engines() {
-        let mut engine = Engine::load(cfg, &g);
-        // SSSP first so UVM engines place the managed weight array
-        // before their driver initializes.
-        let sssp = engine.sssp(&w, 4);
-        let want = algo::sssp_distances(&g, &w, 4);
-        for (v, &expect) in want.iter().enumerate() {
-            let got = if sssp.dist[v] == INF {
-                algo::UNREACHABLE
-            } else {
-                u64::from(sssp.dist[v])
-            };
-            assert_eq!(got, expect, "{ename}, vertex {v}");
-        }
-        assert_eq!(engine.bfs(4).levels, algo::bfs_levels(&g, 4), "{ename}");
-        assert_eq!(engine.cc().comp, algo::cc_labels(&g), "{ename}");
-        let pr = engine.pagerank(0.85, 8);
-        let want = algo::pagerank(&g, 0.85, 8);
-        for (v, (&got, &expect)) in pr.ranks.iter().zip(&want).enumerate() {
-            assert!((got - expect).abs() < 1e-9, "{ename}, vertex {v}");
-        }
-    }
+    assert_every_engine_matches_the_oracle(&g, &four_programs(4, &w, 8), "uniform");
 }
 
 #[test]
@@ -146,37 +91,29 @@ fn halo_and_subway_agree_with_reference() {
 #[test]
 fn four_byte_elements_change_traffic_not_results() {
     let g = generators::uniform_random(400, 8, 7);
-    let want = algo::bfs_levels(&g, 0);
-    let mut sys8 = Engine::load(EngineConfig::emogi_v100(), &g);
-    let mut sys4 = Engine::load(EngineConfig::emogi_v100().with_elem_bytes(4), &g);
-    let r8 = sys8.bfs(0);
-    let r4 = sys4.bfs(0);
-    assert_eq!(r8.levels, want);
-    assert_eq!(r4.levels, want);
-    assert!(
-        r4.stats.host_bytes < r8.stats.host_bytes,
-        "4-byte edges must move fewer bytes: {} vs {}",
-        r4.stats.host_bytes,
-        r8.stats.host_bytes
-    );
+    let specs = [ProgramSpec::Bfs { src: 0 }];
+    let wide = Side::new(EngineConfig::emogi_v100(), &g, &specs);
+    let narrow = Side::new(EngineConfig::emogi_v100().with_elem_bytes(4), &g, &specs);
+    let (r8, r4) = assert_equivalent(&wide, &narrow, &Shape::SOLO, Strength::Results, "").remove(0);
+    assert_outputs_match(&r8, &reference_answers(&g, &specs), "8-byte elements");
+    let (b8, b4) = (r8.devices[0].host_bytes, r4.devices[0].host_bytes);
+    assert!(b4 < b8, "4-byte edges must move fewer bytes: {b4} vs {b8}");
 }
 
 #[test]
 fn all_machines_run_all_engines() {
     let g = generators::uniform_random(300, 6, 3);
-    let want = algo::bfs_levels(&g, 1);
+    let bfs = [ProgramSpec::Bfs { src: 1 }];
+    let want = reference_answers(&g, &bfs);
     for machine in [
         MachineConfig::v100_gen3(),
         MachineConfig::a100_gen3(),
         MachineConfig::a100_gen4(),
         MachineConfig::titan_xp_gen3(),
     ] {
-        for transport in [Transport::ZeroCopy, Transport::Uvm] {
-            let cfg = EngineConfig::emogi_v100()
-                .with_machine(machine.clone())
-                .with_transport(transport.clone());
-            let mut engine = Engine::load(cfg, &g);
-            assert_eq!(engine.bfs(1).levels, want, "{transport:?}");
+        for (name, cfg) in configs() {
+            let got = Shape::Solo.run(&Side::new(cfg.with_machine(machine.clone()), &g, &bfs));
+            assert_outputs_match(&got, &want, name);
         }
     }
 }

@@ -1,87 +1,98 @@
 //! Determinism meta-test: the runtime witness behind the static rules
 //! `emogi-lint` enforces (see `ARCHITECTURE.md`, "Determinism
-//! contract").
+//! contract"), and the equivalence harness's own self-check.
 //!
-//! Each test runs the *same* scenario twice on **fresh**, identically
-//! configured engines and asserts tick-identical [`RunStats`] and
-//! outputs — for the single-device [`Engine`], for batched multi-query
-//! execution, and for the [`ShardedEngine`] at two devices. Fresh
-//! engines matter: re-running a query on a warm engine legitimately
-//! differs (the page cache remembers), so the contract is about runs
-//! being pure functions of their inputs, not about engines being
-//! memoryless.
-//!
-//! If an ambient clock, a hash-order iteration or an unordered float
-//! fold ever slips past the lint, this is the test that catches it at
-//! runtime.
+//! **Mechanism:** none — each test runs the *same* scenario twice on
+//! **fresh**, identically configured placements and asserts
+//! tick-identical statistics and outputs (`Strength::Full`; see
+//! `tests/common`), for every named configuration, solo, batched and
+//! sharded. Fresh placements matter: re-running a query on a warm engine
+//! legitimately differs (the page cache remembers), so the contract is
+//! about runs being pure functions of their inputs, not about engines
+//! being memoryless. If an ambient clock, a hash-order iteration or an
+//! unordered float fold ever slips past the lint, this is the test that
+//! catches it at runtime. **Witness:**
+//! `the_comparator_rejects_sides_that_differ` — a harness whose two
+//! sides are accidentally the same side passes everything, so the shared
+//! comparator is shown to fail when they are not.
 
-use emogi_repro::core::sharded::{ShardedConfig, ShardedEngine};
+mod common;
+
+use common::*;
 use emogi_repro::graph::datasets::generate_weights;
 use emogi_repro::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
-fn graph() -> CsrGraph {
-    generators::uniform_random(900, 8, 20260808)
-}
-
-fn fresh(g: &CsrGraph) -> Engine<'_> {
-    Engine::load(EngineConfig::emogi_v100(), g)
-}
-
-/// Single-device engine: BFS, SSSP and PageRank (the float path) are
-/// tick-identical across fresh engines.
-#[test]
-fn engine_runs_are_tick_identical_across_fresh_engines() {
-    let g = graph();
-    let w = generate_weights(g.num_edges(), 7);
-
-    let (a, b) = (fresh(&g).bfs(3), fresh(&g).bfs(3));
-    assert_eq!(a.output.levels, b.output.levels);
-    assert_eq!(a.stats, b.stats, "bfs RunStats must be tick-identical");
-
-    let (a, b) = (fresh(&g).sssp(&w, 3), fresh(&g).sssp(&w, 3));
-    assert_eq!(a.output.dist, b.output.dist);
-    assert_eq!(a.stats, b.stats, "sssp RunStats must be tick-identical");
-
-    let (a, b) = (fresh(&g).pagerank(0.85, 12), fresh(&g).pagerank(0.85, 12));
-    assert_eq!(
-        a.output.ranks, b.output.ranks,
-        "ranks must be bit-identical (canonical-order fold)"
-    );
-    assert_eq!(a.output.iterations, b.output.iterations);
-    assert_eq!(a.stats, b.stats, "pagerank RunStats must be tick-identical");
-}
-
-/// Batched multi-query execution: per-query outputs, per-query
-/// attributed stats and batch-wide totals are all tick-identical.
-#[test]
-fn batched_runs_are_tick_identical_across_fresh_engines() {
-    let g = graph();
-    let batch = |g: &CsrGraph| {
-        fresh(g).run_batch(vec![
-            BfsProgram::new(g, 3),
-            BfsProgram::new(g, 41),
-            BfsProgram::new(g, 177),
-        ])
-    };
-    let (a, b) = (batch(&g), batch(&g));
-    assert_eq!(a.stats, b.stats, "batch totals must be tick-identical");
-    assert_eq!(a.runs.len(), b.runs.len());
-    for (q, (x, y)) in a.runs.iter().zip(&b.runs).enumerate() {
-        assert_eq!(x.output.levels, y.output.levels, "query {q} levels");
-        assert_eq!(x.stats, y.stats, "query {q} attributed stats");
+/// Every named configuration, twice over `specs(weights)` in `shapes`.
+fn assert_pure(specs: fn(&[u32]) -> Vec<ProgramSpec>, shapes: &[Shape]) {
+    let g = generators::uniform_random(450, 8, 20260808);
+    let specs = specs(&generate_weights(g.num_edges(), 7));
+    for (name, cfg) in configs() {
+        let side = Side::new(cfg, &g, &specs);
+        assert_equivalent(&side, &side, shapes, Strength::Full, name);
     }
 }
 
-/// Sharded engine at two devices: output, group totals, *per-device*
-/// stats and exchange traffic are all tick-identical.
+/// Single-device engine: all four programs (PageRank is the float path)
+/// are tick-identical across fresh engines.
+#[test]
+fn engine_runs_are_tick_identical_across_fresh_engines() {
+    assert_pure(|w| four_programs(3, w, 12), &Shape::SOLO);
+}
+
+/// Batched multi-query execution: per-query outputs, per-query
+/// attributed stats and the machine's totals are all tick-identical.
+#[test]
+fn batched_runs_are_tick_identical_across_fresh_engines() {
+    assert_pure(|w| traversals(&[3, 41, 177], w), &Shape::BATCHED);
+}
+
+/// Sharded engine at 1, 2 and 4 devices: outputs, group totals,
+/// *per-device* lifetime counters and exchange traffic are all
+/// tick-identical.
 #[test]
 fn sharded_runs_are_tick_identical_at_two_devices() {
-    let g = graph();
-    let run = |g: &CsrGraph| ShardedEngine::load(ShardedConfig::emogi_v100(2), g).bfs(3);
-    let (a, b) = (run(&g), run(&g));
-    assert_eq!(a.output.levels, b.output.levels);
-    assert_eq!(a.iterations, b.iterations);
-    assert_eq!(a.stats, b.stats, "group totals must be tick-identical");
-    assert_eq!(a.per_device, b.per_device, "per-device stats must match");
-    assert_eq!(a.exchange, b.exchange, "exchange traffic must match");
+    assert_pure(|w| four_programs(3, w, 4), &Shape::sharded());
+}
+
+/// The comparator's own precondition: handed two sides that differ at
+/// the asserted strength, `assert_equivalent` fails — Merged vs Naive
+/// move different traffic (`Semantic`), and a graph relabeled by one
+/// plan but unmapped through another gives different answers
+/// (`Results`). The same pairs pass where they should.
+#[test]
+fn the_comparator_rejects_sides_that_differ() {
+    let g = generators::kronecker(7, 8, 3);
+    let specs = four_programs(1, &generate_weights(g.num_edges(), 3), 3);
+    let fails = |reference: &Side, variant: &Side, strength| {
+        let theorem =
+            || assert_equivalent(reference, variant, &Shape::SOLO, strength, "self-check");
+        catch_unwind(AssertUnwindSafe(theorem)).is_err()
+    };
+
+    let strategy = |s| EngineConfig::emogi_v100().with_strategy(s);
+    let merged = Side::new(strategy(AccessStrategy::Merged), &g, &specs);
+    let naive = Side::new(strategy(AccessStrategy::Naive), &g, &specs);
+    assert!(
+        !fails(&merged, &naive, Strength::Results),
+        "strategies agree on results"
+    );
+    assert!(
+        fails(&merged, &naive, Strength::Semantic),
+        "Merged vs Naive at Semantic"
+    );
+
+    let plan = LayoutPlan::from_perm(common::random_permutation(g.num_vertices(), 5));
+    let mut relabeled = merged.relabeled(plan);
+    assert!(
+        !fails(&merged, &relabeled, Strength::Results),
+        "a relabeling unmaps exactly"
+    );
+    // Over an already relabeled graph, the plan maps back only half way.
+    let wrong = LayoutPlan::degree_sorted(&g).apply(&g);
+    relabeled.graph = &wrong;
+    assert!(
+        fails(&merged, &relabeled, Strength::Results),
+        "unmapped with the wrong plan"
+    );
 }

@@ -1,18 +1,20 @@
-//! Pipelined-execution differential harness: on random graphs, the
-//! pipelined (overlapped DMA/kernel) hybrid engine is checked against
-//! the synchronous hybrid engine for every shipped program (BFS / SSSP /
-//! CC / PageRank), through all three execution fronts — the solo
-//! [`Engine`], batched [`run_batch`] execution, and the [`ShardedEngine`]
-//! at 1, 2 and 4 devices. Outputs and iteration counts must be
-//! **bit-identical**; every per-run statistic except the wall clock
-//! (`elapsed_ns`, the derived `avg_pcie_gbps`) and the prefetcher's own
-//! counters must be equal too — speculation is allowed to change *when*
-//! bytes move, never *which* bytes move.
+//! Pipelined-execution differential harness. **Mechanism:** the
+//! prefetcher — staging DMA overlapped behind kernel compute — against
+//! the synchronous hybrid engine: outputs, iteration counts and every
+//! statistic except the clock and the prefetcher's own counters are
+//! bit-identical for all four programs, solo, batched and sharded
+//! (`Strength::Semantic`; see `tests/common` for the matrix).
+//! Speculation may change *when* bytes move, never *which* bytes move.
+//! **Generator:** a prefetcher exists only inside [`Transport::Hybrid`],
+//! so every case is a hybrid pair; what the cases draw instead of a
+//! configuration is the region size, small enough that the tiny random
+//! edge lists span several regions and the ranking has something to
+//! order. **Witness:** `the_pipelined_side_actually_speculates`.
 //!
-//! A prefetcher exists only inside [`Transport::Hybrid`], so every case
-//! is a hybrid pair; what the cases draw instead of an access mode is
-//! the region size, small enough that the tiny random edge lists span
-//! several regions and the ranking has something to order.
+//! Seeded mutation this file is known to catch: skipping
+//! `machine.account_async_stage` on adoption in `TransferManager::plan`
+//! fails `solo_runs_are_bit_identical_with_the_pipeline_on` and the
+//! witness.
 //!
 //! The proptest shim derives each test's seed from its name, so every
 //! failure reproduces locally with a plain `cargo test --test
@@ -22,133 +24,72 @@
 
 mod common;
 
-use common::{answers, assert_same_results, build_graph, four_programs};
-use emogi_repro::core::sharded::{ShardedConfig, ShardedEngine};
+use common::*;
 use emogi_repro::graph::datasets::generate_weights;
 use emogi_repro::prelude::*;
 use proptest::prelude::*;
 
-/// The device counts the sharded front is checked at.
-const DEVICE_COUNTS: [usize; 3] = [1, 2, 4];
-
-/// Hybrid transport over `region_bytes` regions, synchronous or with the
-/// default prefetcher.
-fn hybrid(region_bytes: u64, prefetch: Option<PrefetchConfig>) -> EngineConfig {
-    EngineConfig::emogi_v100().with_transport(Transport::Hybrid {
-        transfer: TransferConfig {
-            region_bytes,
-            ..TransferConfig::default()
-        },
-        prefetch,
+/// The synchronous / pipelined pair: hybrid transport over
+/// `region_bytes` regions, without and with the default prefetcher.
+fn pair<'a>(region_bytes: u64, g: &'a CsrGraph, specs: &'a [ProgramSpec]) -> [Side<'a>; 2] {
+    let transfer = TransferConfig {
+        region_bytes,
+        ..TransferConfig::default()
+    };
+    [None, Some(PrefetchConfig::default())].map(|prefetch| {
+        let transfer = transfer.clone();
+        let hybrid = Transport::Hybrid { transfer, prefetch };
+        Side::new(EngineConfig::emogi_v100().with_transport(hybrid), g, specs)
     })
 }
 
-fn sync_cfg(region_bytes: u64) -> EngineConfig {
-    hybrid(region_bytes, None)
-}
-
-fn pipe_cfg(region_bytes: u64) -> EngineConfig {
-    hybrid(region_bytes, Some(PrefetchConfig::default()))
-}
-
-/// Strip the fields speculation is *allowed* to change: the wall clock,
-/// the bandwidth average derived from it, and the prefetcher's own
-/// counters. Everything left must be bit-identical between the
-/// synchronous and pipelined paths.
-fn semantic(stats: &RunStats) -> RunStats {
-    let mut s = stats.clone();
-    s.elapsed_ns = 0;
-    s.avg_pcie_gbps = 0.0;
-    s.prefetch = Default::default();
-    s
+/// The theorem, in `shapes`: pipelined ≡ synchronous at `Semantic`.
+fn assert_pipeline_invariant(g: &CsrGraph, specs: &[ProgramSpec], shift: u32, shapes: &[Shape]) {
+    let [sync, pipe] = pair(1 << shift, g, specs);
+    let tag = format!("{} B regions", 1u64 << shift);
+    assert_equivalent(&sync, &pipe, shapes, Strength::Semantic, &tag);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Solo engine, all four programs: outputs, iteration counts and
-    /// every semantic statistic are bit-identical with the pipeline on.
+    /// Solo engine, all four programs.
     #[test]
     fn solo_runs_are_bit_identical_with_the_pipeline_on(
-        edges in common::edges(72, 350),
+        g in common::graph(72, 350),
         src in 0u32..72,
         region_shift in 8u32..12,
         weight_seed in 0u64..1_000,
     ) {
-        let g = build_graph(&edges, 72);
         let specs = four_programs(src, &generate_weights(g.num_edges(), weight_seed), 7);
-        let region = 1u64 << region_shift;
-        let tag = format!("{region} B regions");
-
-        let sync = answers(&mut Engine::load(sync_cfg(region), &g), &specs);
-        let pipe = answers(&mut Engine::load(pipe_cfg(region), &g), &specs);
-        assert_same_results(&pipe, &sync, &tag);
-        for (a, b) in sync.iter().zip(&pipe) {
-            prop_assert_eq!(
-                semantic(&a.stats), semantic(&b.stats),
-                "{} {} stats", &tag, a.kind.name()
-            );
-        }
+        assert_pipeline_invariant(&g, &specs, region_shift, &Shape::SOLO);
     }
 
-    /// Batched multi-query execution: per-query outputs, per-query
-    /// iteration counts and the batch-level semantic stats are
-    /// bit-identical with the pipeline on.
+    /// Batched multi-query execution, SSSP and BFS bursts: per-query
+    /// outputs, iteration counts and attributed stats, and the machine's
+    /// totals over the whole burst.
     #[test]
     fn batched_runs_are_bit_identical_with_the_pipeline_on(
-        edges in common::edges(64, 300),
+        g in common::graph(64, 300),
         sources in common::sources(64, 5),
         region_shift in 8u32..12,
     ) {
-        let g = build_graph(&edges, 64);
-        let region = 1u64 << region_shift;
-        let tag = format!("{region} B regions");
-
-        let mut sync = Engine::load(sync_cfg(region), &g);
-        let mut pipe = Engine::load(pipe_cfg(region), &g);
-        let programs = |g: &CsrGraph| -> Vec<BfsProgram> {
-            sources.iter().map(|&s| BfsProgram::new(g, s)).collect()
-        };
-
-        let a = sync.run_batch(programs(&g));
-        let b = pipe.run_batch(programs(&g));
-        prop_assert_eq!(semantic(&a.stats), semantic(&b.stats), "{} batch stats", &tag);
-        prop_assert_eq!(a.runs.len(), b.runs.len());
-        for (q, (ra, rb)) in a.runs.iter().zip(&b.runs).enumerate() {
-            prop_assert_eq!(&ra.levels, &rb.levels, "{} query {} levels", &tag, q);
-            prop_assert_eq!(
-                ra.stats.kernel_launches, rb.stats.kernel_launches,
-                "{} query {} iterations", &tag, q
-            );
-            prop_assert_eq!(
-                semantic(&ra.stats), semantic(&rb.stats),
-                "{} query {} stats", &tag, q
-            );
-        }
+        let specs = traversals(&sources, &generate_weights(g.num_edges(), 11));
+        assert_pipeline_invariant(&g, &specs, region_shift, &Shape::BATCHED);
     }
 
-    /// Sharded execution at 1, 2 and 4 devices: outputs and iteration
-    /// counts with the pipeline on equal the synchronous single-device
-    /// engine's, for all four programs (each device runs its own copy
-    /// lane, so this also pins cross-device prediction independence).
+    /// Sharded execution at 1, 2 and 4 devices, all four programs (each
+    /// device runs its own copy lane, so this also pins cross-device
+    /// prediction independence).
     #[test]
     fn sharded_runs_are_bit_identical_with_the_pipeline_on(
-        edges in common::edges(64, 300),
+        g in common::graph(64, 300),
         src in 0u32..64,
         region_shift in 8u32..12,
         weight_seed in 0u64..1_000,
     ) {
-        let g = build_graph(&edges, 64);
         let specs = four_programs(src, &generate_weights(g.num_edges(), weight_seed), 5);
-        let region = 1u64 << region_shift;
-        let want = answers(&mut Engine::load(sync_cfg(region), &g), &specs);
-
-        for devices in DEVICE_COUNTS {
-            let mut cfg = ShardedConfig::emogi_v100(devices);
-            cfg.engine = pipe_cfg(region);
-            let got = answers(&mut ShardedEngine::load(cfg, &g), &specs);
-            assert_same_results(&got, &want, &format!("{region} B regions/{devices}dev"));
-        }
+        assert_pipeline_invariant(&g, &specs, region_shift, &Shape::sharded());
     }
 }
 
@@ -158,21 +99,26 @@ proptest! {
 #[test]
 fn the_pipelined_side_actually_speculates() {
     let g = generators::kronecker(9, 16, 21);
-    let shrink = |mut cfg: EngineConfig| {
-        cfg.machine.gpu.cache.capacity_bytes = 16 << 10;
-        cfg
+    let specs = [3u32, 11, 200].map(|src| ProgramSpec::Bfs { src });
+    let mut sides = pair(4 << 10, &g, &specs);
+    sides
+        .iter_mut()
+        .for_each(|side| side.cfg.machine.gpu.cache.capacity_bytes = 16 << 10);
+    let [sync, pipe] = &sides;
+    let (a, b) =
+        assert_equivalent(sync, pipe, &Shape::SOLO, Strength::Semantic, "witness").remove(0);
+    let prefetch = |o: &Outcome| {
+        let mut sum = PrefetchStats::default();
+        o.runs.iter().for_each(|run| sum += &run.stats().prefetch);
+        sum
     };
-    let mut sync = Engine::load(shrink(sync_cfg(4 << 10)), &g);
-    let mut pipe = Engine::load(shrink(pipe_cfg(4 << 10)), &g);
-    let (mut prefetched, mut adopted) = (0, 0);
-    for src in [3u32, 11, 200] {
-        let (a, b) = (sync.bfs(src), pipe.bfs(src));
-        assert_eq!(a.levels, b.levels, "source {src}");
-        assert_eq!(semantic(&a.stats), semantic(&b.stats), "source {src}");
-        assert_eq!(a.stats.prefetch, Default::default(), "no lane, no counters");
-        prefetched += b.stats.prefetch.prefetched_regions;
-        adopted += b.stats.prefetch.hit_regions;
-    }
-    assert!(prefetched > 0, "the prefetcher never issued a region");
-    assert!(adopted > 0, "no speculative copy was ever adopted");
+    assert_eq!(prefetch(&a), Default::default(), "no lane, no counters");
+    assert!(
+        prefetch(&b).prefetched_regions > 0,
+        "the prefetcher never issued a region"
+    );
+    assert!(
+        prefetch(&b).hit_regions > 0,
+        "no speculative copy was ever adopted"
+    );
 }

@@ -3,11 +3,13 @@
 
 mod common;
 
-use emogi_repro::core::{AccessStrategy, Engine, EngineConfig, Transport};
+use common::*;
+use emogi_repro::core::{AccessStrategy, Engine, EngineConfig, ProgramSpec};
 use emogi_repro::gpu::access::{LaneAccess, Space};
 use emogi_repro::gpu::cache::{CacheConfig, SectoredCache};
 use emogi_repro::gpu::coalesce::{Coalescer, Transaction};
-use emogi_repro::graph::{algo, CsrGraph, EdgeListBuilder};
+use emogi_repro::graph::datasets::generate_weights;
+use emogi_repro::graph::{CsrGraph, EdgeListBuilder, LayoutPlan};
 use emogi_repro::sim::events::EventQueue;
 use proptest::prelude::*;
 
@@ -145,79 +147,42 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// End-to-end: EMOGI BFS equals reference BFS on arbitrary undirected
-    /// graphs, for every strategy. Expensive, so few cases.
+    /// End-to-end: BFS equals reference BFS on arbitrary undirected
+    /// graphs, for every named configuration. Expensive, so few cases.
     #[test]
     fn emogi_bfs_equals_reference_on_arbitrary_graphs(
         edges in common::edges(96, 500),
-        strategy_idx in 0usize..3,
+        (name, cfg) in common::any_config(),
     ) {
         let g: CsrGraph = common::build_graph(&edges, 96);
         let src = edges[0].0.min(edges[0].1);
         prop_assume!(g.degree(src) > 0);
-        let strategy = AccessStrategy::all()[strategy_idx];
-        let mut sys = Engine::load(EngineConfig::emogi_v100().with_strategy(strategy), &g);
-        let run = sys.bfs(src);
-        prop_assert_eq!(run.levels.clone(), algo::bfs_levels(&g, src));
+        let bfs = [ProgramSpec::Bfs { src }];
+        let got = Shape::Solo.run(&Side::new(cfg, &g, &bfs));
+        assert_outputs_match(&got, &reference_answers(&g, &bfs), name);
     }
 
-    /// Every program × every access strategy × every placement agrees
-    /// with the CPU references on arbitrary undirected weighted graphs —
-    /// the full engine matrix behind the vertex-program redesign, BFS,
-    /// SSSP, CC and PageRank alike.
+    /// Every program × every named configuration agrees with the CPU
+    /// references on arbitrary undirected weighted graphs — the full
+    /// engine matrix behind the vertex-program redesign, BFS, SSSP, CC
+    /// and PageRank alike, on one placement.
     #[test]
     fn every_program_strategy_placement_matches_the_cpu_references(
         edges in common::edges(80, 300),
-        strategy_idx in 0usize..3,
-        placement_idx in 0usize..2,
+        (name, cfg) in common::any_config(),
     ) {
-        use emogi_repro::graph::datasets::generate_weights;
-
         let g: CsrGraph = common::build_graph(&edges, 80);
         let src = edges[0].0.min(edges[0].1);
         prop_assume!(g.degree(src) > 0);
-        let w = generate_weights(g.num_edges(), 7);
-
-        let strategy = AccessStrategy::all()[strategy_idx];
-        let placement = [Transport::ZeroCopy, Transport::Uvm][placement_idx].clone();
-        let cfg = EngineConfig::emogi_v100()
-            .with_strategy(strategy)
-            .with_transport(placement.clone());
-        let mut engine = Engine::load(cfg, &g);
-
-        // SSSP first so UVM placements grow their managed span before
-        // the driver initializes; then the rest share the placement.
-        let sssp = engine.sssp(&w, src);
-        let want = algo::sssp_distances(&g, &w, src);
-        for (v, &expect) in want.iter().enumerate() {
-            let got = if sssp.dist[v] == u32::MAX {
-                algo::UNREACHABLE
-            } else {
-                u64::from(sssp.dist[v])
-            };
-            prop_assert_eq!(got, expect, "sssp {:?}/{:?} vertex {}", strategy, placement, v);
-        }
-
-        let bfs = engine.bfs(src);
-        prop_assert_eq!(bfs.levels.clone(), algo::bfs_levels(&g, src));
-
-        let cc = engine.cc();
-        prop_assert_eq!(cc.comp.clone(), algo::cc_labels(&g));
-
-        let pr = engine.pagerank(0.85, 8);
-        let want = algo::pagerank(&g, 0.85, 8);
-        for (v, (&got, &expect)) in pr.ranks.iter().zip(&want).enumerate() {
-            prop_assert!(
-                (got - expect).abs() < 1e-9,
-                "pagerank {:?}/{:?} vertex {}: {} vs {}",
-                strategy, placement, v, got, expect
-            );
-        }
+        let specs = four_programs(src, &generate_weights(g.num_edges(), 7), 8);
+        let got = Shape::Solo.run(&Side::new(cfg, &g, &specs));
+        assert_outputs_match(&got, &reference_answers(&g, &specs), name);
     }
 
     /// Hybrid mode is a pure transport optimization: on any graph, its
     /// results equal the Merged+Aligned zero-copy engine's on every
-    /// program, even as staging decisions diverge across the runs.
+    /// program, bit for bit, even as staging decisions diverge across
+    /// the runs.
     #[test]
     fn hybrid_transport_never_changes_results(
         edges in common::edges(64, 250),
@@ -225,50 +190,36 @@ proptest! {
         let g: CsrGraph = common::build_graph(&edges, 64);
         let src = edges[0].0.min(edges[0].1);
         prop_assume!(g.degree(src) > 0);
-
-        let mut zc = Engine::load(EngineConfig::emogi_v100(), &g);
-        let mut hy = Engine::load(EngineConfig::hybrid_v100(), &g);
-        prop_assert_eq!(hy.bfs(src).levels.clone(), zc.bfs(src).levels.clone());
-        prop_assert_eq!(hy.cc().comp.clone(), zc.cc().comp.clone());
-        let (a, b) = (hy.pagerank(0.85, 5), zc.pagerank(0.85, 5));
-        for (x, y) in a.ranks.iter().zip(&b.ranks) {
-            prop_assert!((x - y).abs() < 1e-12);
-        }
+        let specs = four_programs(src, &generate_weights(g.num_edges(), 7), 5);
+        let zero_copy = Side::new(EngineConfig::emogi_v100(), &g, &specs);
+        let hybrid = Side::new(EngineConfig::hybrid_v100(), &g, &specs);
+        assert_equivalent(&zero_copy, &hybrid, &Shape::SOLO, Strength::Results, "hybrid");
     }
 
     /// Metamorphic: a random vertex relabeling never changes any
     /// program's results — sources map in, outputs map back through the
     /// inverse permutation, bit for bit (the structured cache-aware
-    /// layouts get their own harness in `layout_differential.rs`).
+    /// layouts, the other configurations and the other shapes get their
+    /// own harness in `layout_differential.rs`).
     #[test]
     fn random_relabeling_never_changes_results(
-        edges in common::edges(64, 250),
+        g in common::graph(64, 250),
         src in 0u32..64,
-        perm in common::permutation(64),
+        perm_seed in any::<u64>(),
     ) {
-        use emogi_repro::graph::datasets::generate_weights;
-        use emogi_repro::graph::LayoutPlan;
-
-        let g: CsrGraph = common::build_graph(&edges, 64);
-        let w = generate_weights(g.num_edges(), 13);
-        let plan = LayoutPlan::from_perm(perm);
-        common::assert_permutation_invariant(
-            &EngineConfig::emogi_v100(),
-            &g,
-            &w,
-            src,
-            &plan,
-            "random permutation",
-        );
+        let specs = four_programs(src, &generate_weights(g.num_edges(), 13), 7);
+        let identity = Side::new(EngineConfig::emogi_v100(), &g, &specs);
+        let plan = LayoutPlan::from_perm(common::random_permutation(64, perm_seed));
+        let relabeled = identity.relabeled(plan);
+        assert_equivalent(&identity, &relabeled, &Shape::SOLO, Strength::Results, "random");
     }
 
     /// The aligned strategy can only reduce the number of PCIe requests
     /// relative to merged, never increase it, on any graph.
     #[test]
     fn alignment_never_increases_requests(
-        edges in common::edges(128, 400),
+        g in common::graph(128, 400),
     ) {
-        let g: CsrGraph = common::build_graph(&edges, 128);
         prop_assume!(g.degree(0) > 0);
         let reqs = |strategy| {
             let mut sys = Engine::load(EngineConfig::emogi_v100().with_strategy(strategy), &g);

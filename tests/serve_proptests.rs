@@ -1,81 +1,64 @@
-//! Property tests for batched multi-query execution: on random graphs
-//! and random query mixes, batched execution is bit-identical — outputs
-//! *and* iteration counts — to sequential per-query runs, across every
-//! access mode (including Hybrid).
+//! Batching differential harness. **Mechanism:** merged-frontier
+//! execution — `Engine::run_batch` through `spec::run_group`, and the
+//! full `QueryServer` path on top of it — against back-to-back solo runs
+//! on one engine under the same configuration: per-query outputs and
+//! iteration counts are bit-identical (`Strength::Results`), and a batch
+//! of one is the solo run tick for tick (`Strength::Full`; see
+//! `tests/common` for the matrix). **Generators:** random graphs, BFS /
+//! SSSP bursts and mixed query bursts under any named configuration.
+//! **Witness:** `the_batched_side_actually_shares_vertices_and_saves_bytes`.
+//!
+//! Seeded mutation this file is known to catch: `merge_frontiers`
+//! dropping the `|= 1 << q` for a vertex two queries share fails the
+//! witness (and `batch.rs`'s own unit test of the masks).
 
 mod common;
 
-use common::build_graph;
+use common::*;
 use emogi_repro::graph::datasets::generate_weights;
 use emogi_repro::prelude::*;
 use proptest::prelude::*;
 use std::sync::Arc;
 
+/// Both theorems for one burst, plus the shared-fetch flagging contract:
+/// a merged query's stats are flagged, a lone one's are not. Returns the
+/// solo and the merged outcome.
+fn assert_batching_invariant(side: &Side, tag: &str) -> (Outcome, Outcome) {
+    let (merged, n) = ([Shape::Batch(8)], side.specs.len());
+    let (solo, batch) = assert_equivalent(side, side, &merged, Strength::Results, tag).remove(0);
+    let flags = |o: &Outcome| Vec::from_iter(o.runs.iter().map(|run| run.stats().shared_fetch));
+    assert_eq!(flags(&solo), vec![false; n], "{tag}: solo flags");
+    assert_eq!(flags(&batch), vec![n > 1; n], "{tag}: batch flags");
+    assert_equivalent(side, side, &[Shape::Batch(1)], Strength::Full, tag);
+    (solo, batch)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Batched BFS bursts equal sequential runs on arbitrary graphs,
-    /// sources and access modes — outputs, iteration counts, and the
-    /// shared-fetch flagging contract.
+    /// sources and configurations.
     #[test]
     fn batched_bfs_is_bit_identical_to_sequential(
-        edges in common::edges(96, 400),
+        g in common::graph(96, 400),
         sources in common::sources(96, 9),
-        mode_idx in 0usize..4,
+        (name, cfg) in common::any_config(),
     ) {
-        let g = build_graph(&edges, 96);
-        let mode = AccessMode::all()[mode_idx];
-        let cfg = EngineConfig::emogi_v100().with_mode(mode);
-
-        let mut seq = Engine::load(cfg.clone(), &g);
-        let seq_runs: Vec<BfsRun> = sources.iter().map(|&s| seq.bfs(s)).collect();
-
-        let mut bat = Engine::load(cfg, &g);
-        let batch = bat.run_batch(
-            sources.iter().map(|&s| BfsProgram::new(&g, s)).collect::<Vec<_>>(),
-        );
-
-        for (q, (sr, br)) in seq_runs.iter().zip(&batch.runs).enumerate() {
-            prop_assert_eq!(&br.levels, &sr.levels, "{:?} query {}", mode, q);
-            prop_assert_eq!(
-                br.stats.kernel_launches, sr.stats.kernel_launches,
-                "{:?} query {} iteration count", mode, q
-            );
-            prop_assert_eq!(br.stats.shared_fetch, sources.len() > 1);
-            prop_assert!(!sr.stats.shared_fetch);
-        }
-        prop_assert!(!batch.stats.shared_fetch);
+        let specs: Vec<_> = sources.iter().map(|&src| ProgramSpec::Bfs { src }).collect();
+        assert_batching_invariant(&Side::new(cfg, &g, &specs), name);
     }
 
     /// Same property for SSSP bursts, which also exercise the shared
     /// auxiliary weight stream and per-query contexts.
     #[test]
     fn batched_sssp_is_bit_identical_to_sequential(
-        edges in common::edges(64, 300),
+        g in common::graph(64, 300),
         sources in common::sources(64, 7),
-        mode_idx in 0usize..4,
+        (name, cfg) in common::any_config(),
         weight_seed in 0u64..1_000,
     ) {
-        let g = build_graph(&edges, 64);
-        let w = generate_weights(g.num_edges(), weight_seed);
-        let mode = AccessMode::all()[mode_idx];
-        let cfg = EngineConfig::emogi_v100().with_mode(mode);
-
-        let mut seq = Engine::load(cfg.clone(), &g);
-        let seq_runs: Vec<SsspRun> = sources.iter().map(|&s| seq.sssp(&w, s)).collect();
-
-        let mut bat = Engine::load(cfg, &g);
-        let batch = bat.run_batch(
-            sources.iter().map(|&s| SsspProgram::new(&g, &w, s)).collect::<Vec<_>>(),
-        );
-
-        for (q, (sr, br)) in seq_runs.iter().zip(&batch.runs).enumerate() {
-            prop_assert_eq!(&br.dist, &sr.dist, "{:?} query {}", mode, q);
-            prop_assert_eq!(
-                br.stats.kernel_launches, sr.stats.kernel_launches,
-                "{:?} query {} iteration count", mode, q
-            );
-        }
+        let specs = traversals(&sources, &generate_weights(g.num_edges(), weight_seed));
+        assert_batching_invariant(&Side::new(cfg, &g, &specs[..sources.len()]), name);
     }
 
     /// The full server path — admission, scheduling, mixed BFS/SSSP
@@ -83,42 +66,52 @@ proptest! {
     /// engine runs return, in any submission order.
     #[test]
     fn query_server_matches_solo_runs_on_random_mixes(
-        edges in common::edges(64, 250),
+        g in common::graph(64, 250),
         mix in common::query_mix(64, 10),
-        mode_idx in 0usize..4,
+        (name, cfg) in common::any_config_placing_weights_late(),
         max_batch in 1usize..10,
     ) {
-        let g = build_graph(&edges, 64);
         let w = Arc::new(generate_weights(g.num_edges(), 3));
-        let mode = AccessMode::all()[mode_idx];
-        let cfg = EngineConfig::emogi_v100().with_mode(mode);
-
-        let mut server = QueryServer::new(
-            ServerConfig { max_batch, ..ServerConfig::default() },
-            Engine::load(cfg.clone(), &g),
-        );
-        let ids: Vec<QueryId> = mix
-            .iter()
-            .map(|&(is_bfs, s)| {
-                let q = if is_bfs { Query::bfs(s) } else { Query::sssp(s, Arc::clone(&w)) };
-                server.submit(q).expect("valid query admitted")
-            })
-            .collect();
+        let query = |&(is_bfs, s): &(bool, u32)| match is_bfs {
+            true => Query::bfs(s),
+            false => Query::sssp(s, Arc::clone(&w)),
+        };
+        let specs: Vec<ProgramSpec> = mix.iter().map(|q| query(q).spec).collect();
+        let config = ServerConfig { max_batch, ..ServerConfig::default() };
+        let mut server = QueryServer::new(config, Engine::load(cfg.clone(), &g));
+        let submit = |q| server.submit(query(q)).expect("valid query admitted");
+        let ids: Vec<QueryId> = mix.iter().map(submit).collect();
         prop_assert_eq!(server.run_pending(), mix.len());
-
-        let mut solo = Engine::load(cfg, &g);
-        for (&(is_bfs, s), id) in mix.iter().zip(ids) {
-            if is_bfs {
-                let got = server.take(id).expect("served").into_bfs();
-                let want = solo.bfs(s);
-                prop_assert_eq!(&got.levels, &want.levels, "bfs {}", s);
-                prop_assert_eq!(got.stats.kernel_launches, want.stats.kernel_launches);
-            } else {
-                let got = server.take(id).expect("served").into_sssp();
-                let want = solo.sssp(&w, s);
-                prop_assert_eq!(&got.dist, &want.dist, "sssp {}", s);
-                prop_assert_eq!(got.stats.kernel_launches, want.stats.kernel_launches);
-            }
-        }
+        let served = |id| server.take(id).and_then(QueryOutcome::into_result).expect("served");
+        let served = Outcome { runs: ids.into_iter().map(served).collect(), ..Outcome::default() };
+        compare(&Shape::Solo.run(&Side::new(cfg, &g, &specs)), &served, Strength::Results, name);
     }
+}
+
+/// The harness's own precondition, on a fixed scenario: two BFS queries
+/// from the two ends of one edge reach every other vertex at the same
+/// level, so from the second iteration on their frontiers are the same
+/// vertices — the union really has shared members, each shared list
+/// crosses the link once, and the burst moves fewer bytes than the two
+/// solo runs. A "batch" that ran its queries back to back would satisfy
+/// every equality above.
+#[test]
+fn the_batched_side_actually_shares_vertices_and_saves_bytes() {
+    let g = generators::kronecker(9, 16, 21);
+    let specs = [3, g.neighbors(3)[0]].map(|src| ProgramSpec::Bfs { src });
+    let mut cfg = EngineConfig::emogi_v100();
+    cfg.machine.gpu.cache.capacity_bytes = 16 << 10;
+    let (solo, batch) = assert_batching_invariant(&Side::new(cfg, &g, &specs), "witness");
+
+    let (la, lb) = (solo.words(0), solo.words(1));
+    let shared = (0..g.num_vertices()).filter(|&v| la[v] == lb[v] && g.degree(v as u32) > 0);
+    assert!(
+        shared.count() > 0,
+        "no vertex is on both frontiers in the same iteration"
+    );
+    let (alone, merged) = (solo.devices[0].host_bytes, batch.devices[0].host_bytes);
+    assert!(
+        merged < alone,
+        "the burst moved {merged} B, the solo runs {alone} B"
+    );
 }

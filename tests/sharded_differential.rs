@@ -1,10 +1,17 @@
-//! Cross-engine differential harness: on random graphs, the sharded
-//! multi-GPU engine is checked against the single-device engine for
-//! every shipped program (BFS / SSSP / CC / PageRank), at 1, 2 and 4
-//! devices, under both partitioners — outputs and iteration counts must
-//! be **bit-identical**, including in `AccessMode::Hybrid`. At one
-//! device the per-device stats (traffic, timing, hybrid transfer
-//! counters) must equal the single-device engine's tick for tick.
+//! Sharding differential harness. **Mechanism:** the `ShardedEngine` —
+//! one traversal split across 1, 2 and 4 simulated GPUs under both
+//! partitioners — against the single-device `Engine` under the same
+//! configuration: outputs, iteration counts and pass counts are
+//! bit-identical for all four programs, and at one device every
+//! statistic is equal tick for tick (see `tests/common` for the matrix).
+//! **Generators:** random graphs, and graphs with planted hubs whose
+//! lists reach `HUB_SPLIT_DEGREE`, under any named configuration.
+//! **Witness:** `the_sharded_side_actually_exchanges_and_splits`.
+//!
+//! Seeded mutation this file is known to catch: `at = upto + 1` in
+//! `Driver::shard` (one edge skipped per slice boundary) fails
+//! `planted_hubs_are_bit_identical_across_device_counts` and none of the
+//! other random cases, whose lists are too short to split.
 //!
 //! The proptest shim derives each test's seed from its name, so every
 //! failure reproduces locally with a plain `cargo test --test
@@ -14,59 +21,32 @@
 
 mod common;
 
-use common::{answers, assert_same_results, build_graph, four_programs};
+use common::*;
 use emogi_repro::core::sharded::{ShardedConfig, ShardedEngine, HUB_SPLIT_DEGREE};
 use emogi_repro::graph::datasets::generate_weights;
-use emogi_repro::graph::PartitionStrategy;
 use emogi_repro::prelude::*;
 use proptest::prelude::*;
 
-/// The device counts the tentpole targets.
-const DEVICE_COUNTS: [usize; 3] = [1, 2, 4];
-
-fn sharded(
-    devices: usize,
-    partition: PartitionStrategy,
-    mode: AccessMode,
-    graph: &CsrGraph,
-) -> ShardedEngine<'_> {
-    let mut cfg = ShardedConfig::emogi_v100(devices).with_partition(partition);
-    cfg.engine = cfg.engine.with_mode(mode);
-    ShardedEngine::load(cfg, graph)
-}
-
-/// `specs` on the single-device engine, then on a fresh sharded engine
-/// per device count × partitioner: outputs, iteration counts and pass
-/// counts must equal the single-device run's.
-fn assert_sharding_invariant(g: &CsrGraph, mode: AccessMode, specs: &[ProgramSpec]) {
-    let mut solo = Engine::load(EngineConfig::emogi_v100().with_mode(mode), g);
-    let want = answers(&mut solo, specs);
-    for devices in DEVICE_COUNTS {
-        for partition in PartitionStrategy::all() {
-            let tag = format!("{mode:?}/{devices}dev/{partition:?}");
-            let got = answers(&mut sharded(devices, partition, mode, g), specs);
-            assert_same_results(&got, &want, &tag);
-        }
-    }
+/// The theorem: at every device count × partitioner, `specs` answer as
+/// on the single-device engine.
+fn assert_sharding_invariant(cfg: EngineConfig, g: &CsrGraph, specs: &[ProgramSpec], tag: &str) {
+    let side = Side::new(cfg, g, specs);
+    assert_equivalent(&side, &side, &Shape::sharded(), Strength::Results, tag);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// BFS and SSSP: sharded outputs and iteration counts equal the
-    /// single-device engine's on arbitrary graphs, for every device
-    /// count × partitioner × access mode (including Hybrid).
+    /// BFS and SSSP on arbitrary graphs.
     #[test]
     fn frontier_programs_are_bit_identical_across_device_counts(
-        edges in common::edges(72, 350),
+        g in common::graph(72, 350),
         src in 0u32..72,
-        mode_idx in 0usize..4,
+        (name, cfg) in common::any_config(),
         weight_seed in 0u64..1_000,
     ) {
-        let g = build_graph(&edges, 72);
-        let w = generate_weights(g.num_edges(), weight_seed);
-        let specs = four_programs(src, &w, 7);
-        assert_sharding_invariant(&g, AccessMode::all()[mode_idx], &specs[..2]);
+        let specs = four_programs(src, &generate_weights(g.num_edges(), weight_seed), 7);
+        assert_sharding_invariant(cfg, &g, &specs[..2], name);
     }
 
     /// CC and PageRank: the full-sweep programs are bit-identical too —
@@ -75,12 +55,10 @@ proptest! {
     /// every f64 rank bit survive any sharding.
     #[test]
     fn full_sweep_programs_are_bit_identical_across_device_counts(
-        edges in common::edges(64, 300),
-        mode_idx in 0usize..4,
+        g in common::graph(64, 300),
+        (name, cfg) in common::any_config(),
     ) {
-        let g = build_graph(&edges, 64);
-        let specs = four_programs(0, &[], 7);
-        assert_sharding_invariant(&g, AccessMode::all()[mode_idx], &specs[2..]);
+        assert_sharding_invariant(cfg, &g, &four_programs(0, &[], 7)[2..], name);
     }
 
     /// All four programs again on graphs the generators above cannot
@@ -88,43 +66,34 @@ proptest! {
     /// 2 and 4 devices every frontier and every sweep holding a hub
     /// walks its list cooperatively (the fixed star below pins that the
     /// split happens; this pins that it never changes an answer, SSSP,
-    /// CC and PageRank included). Mutation that fails it and none of the
-    /// three cases above: `at = upto + 1` in `Driver::shard`, one edge
-    /// skipped per slice boundary.
+    /// CC and PageRank included).
     #[test]
     fn planted_hubs_are_bit_identical_across_device_counts(
-        edges in common::hub_edges(320, HUB_SPLIT_DEGREE as u32, 200),
+        g in common::hub_graph(320, HUB_SPLIT_DEGREE as u32, 200),
         src in 0u32..320,
-        mode_idx in 0usize..4,
+        (name, cfg) in common::any_config(),
         weight_seed in 0u64..1_000,
     ) {
-        let g = build_graph(&edges, 320);
         let longest = (0..320).map(|v| g.degree(v)).max();
         prop_assert!(longest >= Some(HUB_SPLIT_DEGREE), "no list long enough to split");
-        let w = generate_weights(g.num_edges(), weight_seed);
-        let specs = four_programs(src, &w, 5);
-        assert_sharding_invariant(&g, AccessMode::all()[mode_idx], &specs);
+        let specs = four_programs(src, &generate_weights(g.num_edges(), weight_seed), 5);
+        assert_sharding_invariant(cfg, &g, &specs, name);
     }
 
     /// One-device sharded execution is the single-device engine, tick
     /// for tick: every per-run statistic — traffic, timing, request
-    /// sizes, hybrid transfer counters — is equal, for all 4 programs
-    /// (one device's group total *is* that device's stats).
+    /// sizes, hybrid transfer counters — and the device's lifetime
+    /// counters are equal for all 4 programs, and nothing is exchanged.
     #[test]
     fn one_device_stats_equal_the_engine_exactly(
-        edges in common::edges(64, 300),
+        g in common::graph(64, 300),
         src in 0u32..64,
-        mode_idx in 0usize..4,
+        (name, cfg) in common::any_config(),
     ) {
-        let g = build_graph(&edges, 64);
         let specs = four_programs(src, &generate_weights(g.num_edges(), 5), 5);
-        let mode = AccessMode::all()[mode_idx];
-
-        let mut solo = Engine::load(EngineConfig::emogi_v100().with_mode(mode), &g);
-        let mut e = sharded(1, PartitionStrategy::DegreeBalanced, mode, &g);
-        prop_assert_eq!(answers(&mut e, &specs), answers(&mut solo, &specs), "{:?}", mode);
-        let exchanged = e.group.interconnect.totals().bytes;
-        prop_assert_eq!(exchanged, 0, "one device exchanges nothing");
+        let side = Side::new(cfg, &g, &specs);
+        let one_device = PartitionStrategy::all().map(|p| Shape::Sharded(1, p));
+        assert_equivalent(&side, &side, &one_device, Strength::Full, name);
     }
 }
 
@@ -149,11 +118,13 @@ fn the_sharded_side_actually_exchanges_and_splits() {
             run.exchange.bytes > 0,
             "{devices} devices exchanged nothing"
         );
-        for (d, stats) in run.per_device.iter().enumerate() {
-            assert!(
-                stats.host_bytes > 0,
-                "{devices} devices: device {d} read none of the hub's list"
-            );
-        }
+        let idle = run
+            .per_device
+            .iter()
+            .position(|stats| stats.host_bytes == 0);
+        assert_eq!(
+            idle, None,
+            "{devices} devices: one read none of the hub's list"
+        );
     }
 }

@@ -32,6 +32,8 @@
 //! run `cargo test --test sim_golden -- --nocapture`, and paste the
 //! printed table over the `const` of the failing graph.
 
+mod common;
+
 use emogi_repro::core::compressed::CompressedBfs;
 use emogi_repro::core::sharded::{ShardedConfig, ShardedEngine};
 use emogi_repro::core::toy::{self, ToyPattern, ToyRun};
@@ -297,31 +299,40 @@ impl Fnv {
         ]);
     }
 
-    fn run<O: Pinned>(&mut self, run: &Run<O>) {
-        run.output.pin(self);
-        self.stats(&run.stats);
+    /// A finished program: its output words, a full sweep's pass count,
+    /// then the full stats.
+    fn run(&mut self, run: &ProgramRun) {
+        self.words(run.words());
+        self.words(run.passes());
+        self.stats(run.stats());
     }
 
-    fn batch<O: Pinned>(&mut self, batch: &BatchRun<O>) {
+    fn batch<O>(&mut self, batch: BatchRun<O>, program: fn(Run<O>) -> ProgramRun) {
         self.stats(&batch.stats);
         self.word(batch.runs.len() as u64);
-        for run in &batch.runs {
-            self.run(run);
+        for run in batch.runs {
+            self.run(&program(run));
         }
     }
 
-    fn sharded<O: Pinned>(&mut self, run: &ShardedRun<O>) {
-        run.output.pin(self);
-        self.stats(&run.stats);
-        for s in &run.per_device {
+    fn sharded<O>(&mut self, run: ShardedRun<O>, program: fn(Run<O>) -> ProgramRun) {
+        let ShardedRun {
+            output,
+            stats,
+            per_device,
+            exchange,
+            iterations,
+        } = run;
+        self.run(&program(Run { output, stats }));
+        for s in &per_device {
             self.stats(s);
         }
         let LinkStats {
             bytes,
             transfers,
             busy_ns,
-        } = run.exchange;
-        self.words([bytes, transfers, busy_ns, run.iterations]);
+        } = exchange;
+        self.words([bytes, transfers, busy_ns, iterations]);
     }
 
     /// A toy run: label, both bandwidths and the bandwidth-over-time
@@ -337,47 +348,11 @@ impl Fnv {
     }
 }
 
-/// A program output the digest covers in full.
-trait Pinned {
-    fn pin(&self, h: &mut Fnv);
-}
-
-impl Pinned for BfsOutput {
-    fn pin(&self, h: &mut Fnv) {
-        h.words(self.levels.iter().map(|&l| u64::from(l)));
-    }
-}
-
-impl Pinned for SsspOutput {
-    fn pin(&self, h: &mut Fnv) {
-        h.words(self.dist.iter().map(|&d| u64::from(d)));
-    }
-}
-
-impl Pinned for CcOutput {
-    fn pin(&self, h: &mut Fnv) {
-        h.words(self.comp.iter().map(|&c| u64::from(c)));
-        h.word(self.hook_passes);
-    }
-}
-
-impl Pinned for PageRankOutput {
-    fn pin(&self, h: &mut Fnv) {
-        h.words(self.ranks.iter().map(|r| r.to_bits()));
-        h.word(u64::from(self.iterations));
-    }
-}
-
-/// The six configurations (one table row each), on a machine whose cache
+/// The six named configurations (one table row each), on a machine whose cache
 /// (16 KiB) and transfer regions (4 KiB) are shrunk below the test
 /// graphs' edge lists so that misses, staging and prefetching all fire.
 fn configs() -> Vec<(&'static str, EngineConfig)> {
-    let mut out: Vec<(&'static str, EngineConfig)> = AccessMode::all()
-        .into_iter()
-        .map(|mode| (mode.name(), EngineConfig::emogi_v100().with_mode(mode)))
-        .collect();
-    out.push(("Hybrid pipelined", EngineConfig::pipelined_v100()));
-    out.push(("UVM", EngineConfig::uvm_v100()));
+    let mut out = common::configs();
     for (_, cfg) in &mut out {
         cfg.machine.gpu.cache.capacity_bytes = 16 << 10;
         if let Transport::Hybrid { transfer, .. } = &mut cfg.transport {
@@ -395,18 +370,18 @@ fn cell(shape: usize, cfg: &EngineConfig, g: &CsrGraph, w: &[u32]) -> u64 {
     match shape {
         0 => {
             let mut e = Engine::load(cfg.clone(), g);
-            h.run(&e.sssp(w, 3));
-            h.run(&e.bfs(3));
-            h.run(&e.cc());
-            h.run(&e.pagerank(0.85, 4));
+            h.run(&ProgramRun::Sssp(e.sssp(w, 3)));
+            h.run(&ProgramRun::Bfs(e.bfs(3)));
+            h.run(&ProgramRun::Cc(e.cc()));
+            h.run(&ProgramRun::PageRank(e.pagerank(0.85, 4)));
         }
         1..=3 => {
             let k = [1, 3, 8][shape - 1];
             let mut e = Engine::load(cfg.clone(), g);
             let sssp = SOURCES[..k].iter().map(|&s| SsspProgram::new(g, w, s));
-            h.batch(&e.run_batch(sssp.collect()));
+            h.batch(e.run_batch(sssp.collect()), ProgramRun::Sssp);
             let bfs = SOURCES[..k].iter().map(|&s| BfsProgram::new(g, s));
-            h.batch(&e.run_batch(bfs.collect()));
+            h.batch(e.run_batch(bfs.collect()), ProgramRun::Bfs);
         }
         _ => {
             let devices = [1, 2, 4][(shape - 4) / 2];
@@ -414,10 +389,10 @@ fn cell(shape: usize, cfg: &EngineConfig, g: &CsrGraph, w: &[u32]) -> u64 {
             let mut scfg = ShardedConfig::emogi_v100(devices).with_partition(partition);
             scfg.engine = cfg.clone();
             let mut e = ShardedEngine::load(scfg, g);
-            h.sharded(&e.sssp(w, 3));
-            h.sharded(&e.bfs(3));
-            h.sharded(&e.cc());
-            h.sharded(&e.pagerank(0.85, 4));
+            h.sharded(e.sssp(w, 3), ProgramRun::Sssp);
+            h.sharded(e.bfs(3), ProgramRun::Bfs);
+            h.sharded(e.cc(), ProgramRun::Cc);
+            h.sharded(e.pagerank(0.85, 4), ProgramRun::PageRank);
         }
     }
     h.0
@@ -539,9 +514,9 @@ fn side_cells(g: &CsrGraph) -> Vec<SideRow> {
         let mut sys = SubwaySystem::new(side_machine(), g, Some(&w), mode);
         let [mut bfs, mut sssp, mut cc] = [Fnv::new(), Fnv::new(), Fnv::new()];
         for src in [3, 17] {
-            bfs.run(&sys.bfs(src));
-            sssp.run(&sys.sssp(src));
-            cc.run(&sys.cc());
+            bfs.run(&ProgramRun::Bfs(sys.bfs(src)));
+            sssp.run(&ProgramRun::Sssp(sys.sssp(src)));
+            cc.run(&ProgramRun::Cc(sys.cc()));
         }
         out.extend(labels.into_iter().zip([bfs.0, sssp.0, cc.0]));
     }
@@ -551,7 +526,7 @@ fn side_cells(g: &CsrGraph) -> Vec<SideRow> {
     let halo = HaloSystem::new(cfg, g);
     let mut h = Fnv::new();
     for src in [3, 17] {
-        h.run(&halo.bfs(src));
+        h.run(&ProgramRun::Bfs(halo.bfs(src)));
     }
     out.push(("halo-bfs", h.0));
     out
