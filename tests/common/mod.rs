@@ -22,15 +22,21 @@
 //!
 //! Every row holds for all four programs under every named configuration
 //! ([`configs`]; pipelining draws region sizes instead). The shapes are
-//! [`Shape::SOLO`], [`Shape::BATCHED`] (SSSP and BFS bursts) and
-//! [`Shape::sharded`] (1, 2, 4 devices × both partitioners). Which shape
-//! the *reference* runs in is decided once, by `Shape::reference`:
-//! results hold across shapes (that is the sharding and the batching
-//! theorem), so at `Results` every variant shape is held to the
-//! reference's solo run; statistics depend on the shape, so at
-//! `Semantic` / `Full` both sides run the same shape — except a
-//! one-device group and a one-query batch, which are the solo engine
-//! tick for tick and are held to it.
+//! `[Shape::Solo]`, [`Shape::BATCHED`] (SSSP and BFS bursts) and
+//! [`Shape::sharded`] (1, 2, 4 devices × both partitioners). Which run a
+//! variant run is held to is decided once, in [`assert_equivalent`]:
+//!
+//! - Results hold across shapes (that is the sharding and the batching
+//!   theorem), so at every strength every variant shape is held to the
+//!   reference's *solo* run at `Results`.
+//! - Statistics depend on the shape, so at `Semantic` / `Full` the
+//!   variant is also held to the reference in the *same* shape — a
+//!   one-device group and a one-query batch, which are the solo engine
+//!   tick for tick, to the solo run itself.
+//! - CC's launch and pass counts depend on the ids it starts from, so
+//!   across layouts they are not comparable ([`compare`] skips them);
+//!   a relabeled variant is instead also held, in every shape, to *its
+//!   own* solo run, where they are.
 //!
 //! No shape is illegal for any mechanism. The one illegal *order* — UVM
 //! freezes its managed span at the first kernel, so SSSP's weights must
@@ -135,22 +141,17 @@ pub fn configs() -> Vec<(&'static str, EngineConfig)> {
     all
 }
 
-/// Strategy: one of the first `n` named [`configs`].
-fn config_below(n: usize) -> impl Strategy<Value = (&'static str, EngineConfig)> {
-    (0..n).prop_map(|i| configs().swap_remove(i))
-}
-
 /// Strategy: one of the named [`configs`].
 pub fn any_config() -> impl Strategy<Value = (&'static str, EngineConfig)> {
-    config_below(configs().len())
+    (0..configs().len()).prop_map(|i| configs().swap_remove(i))
 }
 
 /// Strategy: [`any_config`] for cases that may run SSSP *after* another
-/// program — every configuration but UVM, which freezes its managed span
-/// at the first managed kernel and so cannot place a weight array late
-/// (every other case runs SSSP first; see [`traversals`]).
+/// program — every configuration but UVM (the last), which freezes its
+/// managed span at the first managed kernel and so cannot place a weight
+/// array late (every other case runs SSSP first; see [`traversals`]).
 pub fn any_config_placing_weights_late() -> impl Strategy<Value = (&'static str, EngineConfig)> {
-    config_below(configs().len() - 1)
+    (0..configs().len() - 1).prop_map(|i| configs().swap_remove(i))
 }
 
 /// SSSP from every source, then BFS from every source. SSSP runs first
@@ -245,8 +246,6 @@ pub enum Shape {
 }
 
 impl Shape {
-    /// The solo engine alone.
-    pub const SOLO: [Shape; 1] = [Shape::Solo];
     /// A batch of one (the solo engine, tick for tick) and batches wide
     /// enough to merge every burst the generators draw.
     pub const BATCHED: [Shape; 2] = [Shape::Batch(1), Shape::Batch(8)];
@@ -258,15 +257,10 @@ impl Shape {
         [1, 2, 4].into_iter().flat_map(both).collect()
     }
 
-    /// The shape of the reference side a variant run in `self` is held
-    /// to (see the module header).
-    fn reference(self, strength: Strength) -> Shape {
-        let solo_in_disguise = matches!(self, Shape::Batch(1) | Shape::Sharded(1, _));
-        if strength == Strength::Results || solo_in_disguise {
-            Shape::Solo
-        } else {
-            self
-        }
+    /// The solo engine, or one of its two disguises: a one-query batch
+    /// and a one-device group are the solo engine tick for tick.
+    fn is_solo(self) -> bool {
+        matches!(self, Shape::Solo | Shape::Batch(1) | Shape::Sharded(1, _))
     }
 
     /// Run `side`'s specs in this shape on a fresh placement.
@@ -350,7 +344,8 @@ impl Strength {
 /// outputs are compared through [`LayoutPlan::unmap_components`]'s
 /// canonical mapping (inside [`Outcome::words`]) and its launch and
 /// hook-pass counts, which depend on the ids it starts from, are not
-/// compared (within one layout they are, in every shape). A later
+/// compared (within one layout they are, in every shape: a relabeled
+/// variant meets its own solo run in [`assert_equivalent`]). A later
 /// conservation-law check over `got` lands here and nowhere else.
 pub fn compare(want: &Outcome, got: &Outcome, strength: Strength, tag: &str) {
     assert_eq!(got.runs.len(), want.runs.len(), "{tag}: run count");
@@ -376,8 +371,9 @@ pub fn compare(want: &Outcome, got: &Outcome, strength: Strength, tag: &str) {
 }
 
 /// The theorem: in every one of `shapes`, on fresh placements, `variant`
-/// agrees with `reference` at `strength`. Returns what the two sides left
-/// behind, `(reference, variant)` per shape, for a witness to inspect.
+/// agrees with `reference` at `strength` (which run is held to which is
+/// in the module header). Returns what the two sides left behind,
+/// `(reference, variant)` per shape, for a witness to inspect.
 pub fn assert_equivalent(
     reference: &Side,
     variant: &Side,
@@ -385,16 +381,26 @@ pub fn assert_equivalent(
     strength: Strength,
     tag: &str,
 ) -> Vec<(Outcome, Outcome)> {
-    let mut solo = None;
+    let solo = Shape::Solo.run(reference);
+    let relabeled = variant.layout != reference.layout;
+    let own_solo = relabeled.then(|| Shape::Solo.run(variant));
     let check = |&shape: &Shape| {
-        let want = match shape.reference(strength) {
-            Shape::Solo => solo
-                .get_or_insert_with(|| Shape::Solo.run(reference))
-                .clone(),
-            same => same.run(reference),
+        let (got, tag) = (shape.run(variant), format!("{tag}/{shape:?}"));
+        if let Some(own_solo) = &own_solo {
+            compare(
+                own_solo,
+                &got,
+                Strength::Results,
+                &format!("{tag} own layout"),
+            );
+        }
+        let want = if strength == Strength::Results || shape.is_solo() {
+            solo.clone()
+        } else {
+            compare(&solo, &got, Strength::Results, &format!("{tag} vs solo"));
+            shape.run(reference)
         };
-        let got = shape.run(variant);
-        compare(&want, &got, strength, &format!("{tag}/{shape:?}"));
+        compare(&want, &got, strength, &tag);
         (want, got)
     };
     shapes.iter().map(check).collect()

@@ -94,7 +94,8 @@ fn four_byte_elements_change_traffic_not_results() {
     let specs = [ProgramSpec::Bfs { src: 0 }];
     let wide = Side::new(EngineConfig::emogi_v100(), &g, &specs);
     let narrow = Side::new(EngineConfig::emogi_v100().with_elem_bytes(4), &g, &specs);
-    let (r8, r4) = assert_equivalent(&wide, &narrow, &Shape::SOLO, Strength::Results, "").remove(0);
+    let (r8, r4) =
+        assert_equivalent(&wide, &narrow, &[Shape::Solo], Strength::Results, "").remove(0);
     assert_outputs_match(&r8, &reference_answers(&g, &specs), "8-byte elements");
     let (b8, b4) = (r8.devices[0].host_bytes, r4.devices[0].host_bytes);
     assert!(b4 < b8, "4-byte edges must move fewer bytes: {b4} vs {b8}");

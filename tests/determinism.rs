@@ -25,7 +25,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Every named configuration, twice over `specs(weights)` in `shapes`.
 fn assert_pure(specs: fn(&[u32]) -> Vec<ProgramSpec>, shapes: &[Shape]) {
-    let g = generators::uniform_random(450, 8, 20260808);
+    let g = generators::uniform_random(900, 8, 20260808);
     let specs = specs(&generate_weights(g.num_edges(), 7));
     for (name, cfg) in configs() {
         let side = Side::new(cfg, &g, &specs);
@@ -37,7 +37,7 @@ fn assert_pure(specs: fn(&[u32]) -> Vec<ProgramSpec>, shapes: &[Shape]) {
 /// are tick-identical across fresh engines.
 #[test]
 fn engine_runs_are_tick_identical_across_fresh_engines() {
-    assert_pure(|w| four_programs(3, w, 12), &Shape::SOLO);
+    assert_pure(|w| four_programs(3, w, 12), &[Shape::Solo]);
 }
 
 /// Batched multi-query execution: per-query outputs, per-query
@@ -64,35 +64,28 @@ fn sharded_runs_are_tick_identical_at_two_devices() {
 fn the_comparator_rejects_sides_that_differ() {
     let g = generators::kronecker(7, 8, 3);
     let specs = four_programs(1, &generate_weights(g.num_edges(), 3), 3);
-    let fails = |reference: &Side, variant: &Side, strength| {
+    // The comparator's message when it rejects the pair; `None` when the
+    // theorem holds (any other panic fails the test here).
+    let rejection = |reference: &Side, variant: &Side, strength| {
         let theorem =
-            || assert_equivalent(reference, variant, &Shape::SOLO, strength, "self-check");
-        catch_unwind(AssertUnwindSafe(theorem)).is_err()
+            || assert_equivalent(reference, variant, &[Shape::Solo], strength, "self-check");
+        let panic = catch_unwind(AssertUnwindSafe(theorem)).err()?;
+        Some(*panic.downcast::<String>().expect("an assert_eq! message"))
     };
 
     let strategy = |s| EngineConfig::emogi_v100().with_strategy(s);
     let merged = Side::new(strategy(AccessStrategy::Merged), &g, &specs);
     let naive = Side::new(strategy(AccessStrategy::Naive), &g, &specs);
-    assert!(
-        !fails(&merged, &naive, Strength::Results),
-        "strategies agree on results"
-    );
-    assert!(
-        fails(&merged, &naive, Strength::Semantic),
-        "Merged vs Naive at Semantic"
-    );
+    assert_eq!(rejection(&merged, &naive, Strength::Results), None);
+    let stats = rejection(&merged, &naive, Strength::Semantic).expect("Merged vs Naive");
+    assert!(stats.contains("SSSP stats (Semantic)"), "{stats}");
 
     let plan = LayoutPlan::from_perm(common::random_permutation(g.num_vertices(), 5));
     let mut relabeled = merged.relabeled(plan);
-    assert!(
-        !fails(&merged, &relabeled, Strength::Results),
-        "a relabeling unmaps exactly"
-    );
+    assert_eq!(rejection(&merged, &relabeled, Strength::Results), None);
     // Over an already relabeled graph, the plan maps back only half way.
     let wrong = LayoutPlan::degree_sorted(&g).apply(&g);
     relabeled.graph = &wrong;
-    assert!(
-        fails(&merged, &relabeled, Strength::Results),
-        "unmapped with the wrong plan"
-    );
+    let output = rejection(&merged, &relabeled, Strength::Results).expect("the wrong plan");
+    assert!(output.contains("SSSP output"), "{output}");
 }

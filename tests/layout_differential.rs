@@ -3,11 +3,14 @@
 //! outputs mapped back through its inverse — against the identity
 //! layout under the same configuration: outputs and iteration counts
 //! are bit-identical for all four programs, solo, batched and sharded
-//! (`Strength::Results`; see `tests/common` for the matrix and for CC's
-//! one declared exception). **Generator:** random graphs under any named
-//! configuration, relabeled by the structured degree-sorted plan and by
-//! a random permutation. **Witness:**
-//! `the_relabeled_side_actually_moves_vertices_and_traffic`.
+//! (`Strength::Results`; see `tests/common` for the matrix). The one
+//! declared exception: CC's labels are vertex ids, so its components are
+//! compared through `LayoutPlan::unmap_components` and its launch and
+//! hook-pass counts, which depend on the ids it starts from, are held —
+//! in every shape — to the solo run on the *same* layout instead.
+//! **Generator:** random graphs under any named configuration, relabeled
+//! by the structured degree-sorted plan and by a random permutation.
+//! **Witness:** `the_relabeled_side_actually_moves_vertices_and_traffic`.
 //!
 //! Seeded mutation this file is known to catch:
 //! `LayoutPlan::unmap_values` returning its input fails
@@ -52,7 +55,7 @@ proptest! {
         perm_seed in any::<u64>(),
     ) {
         let specs = four_programs(src, &generate_weights(g.num_edges(), 11), 7);
-        assert_layout_invariant(&Side::new(cfg, &g, &specs), perm_seed, &Shape::SOLO, name);
+        assert_layout_invariant(&Side::new(cfg, &g, &specs), perm_seed, &[Shape::Solo], name);
     }
 
     /// Batched multi-query execution over a relabeled graph, SSSP and
@@ -107,7 +110,7 @@ fn the_relabeled_side_actually_moves_vertices_and_traffic() {
     let (a, b) = assert_equivalent(
         &identity,
         &variant,
-        &Shape::SOLO,
+        &[Shape::Solo],
         Strength::Results,
         "witness",
     )

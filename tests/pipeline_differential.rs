@@ -62,7 +62,7 @@ proptest! {
         weight_seed in 0u64..1_000,
     ) {
         let specs = four_programs(src, &generate_weights(g.num_edges(), weight_seed), 7);
-        assert_pipeline_invariant(&g, &specs, region_shift, &Shape::SOLO);
+        assert_pipeline_invariant(&g, &specs, region_shift, &[Shape::Solo]);
     }
 
     /// Batched multi-query execution, SSSP and BFS bursts: per-query
@@ -106,7 +106,7 @@ fn the_pipelined_side_actually_speculates() {
         .for_each(|side| side.cfg.machine.gpu.cache.capacity_bytes = 16 << 10);
     let [sync, pipe] = &sides;
     let (a, b) =
-        assert_equivalent(sync, pipe, &Shape::SOLO, Strength::Semantic, "witness").remove(0);
+        assert_equivalent(sync, pipe, &[Shape::Solo], Strength::Semantic, "witness").remove(0);
     let prefetch = |o: &Outcome| {
         let mut sum = PrefetchStats::default();
         o.runs.iter().for_each(|run| sum += &run.stats().prefetch);

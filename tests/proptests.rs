@@ -162,21 +162,27 @@ proptest! {
         assert_outputs_match(&got, &reference_answers(&g, &bfs), name);
     }
 
-    /// Every program × every named configuration agrees with the CPU
-    /// references on arbitrary undirected weighted graphs — the full
-    /// engine matrix behind the vertex-program redesign, BFS, SSSP, CC
-    /// and PageRank alike, on one placement.
+    /// Every program × every access strategy × every placement (the
+    /// named configurations' transports, each under a strategy drawn
+    /// independently of the one its name implies — UVM × Naive
+    /// included) agrees with the CPU references on arbitrary undirected
+    /// weighted graphs — the full engine matrix behind the
+    /// vertex-program redesign, BFS, SSSP, CC and PageRank alike, on one
+    /// placement.
     #[test]
     fn every_program_strategy_placement_matches_the_cpu_references(
         edges in common::edges(80, 300),
         (name, cfg) in common::any_config(),
+        strategy in 0usize..3,
     ) {
         let g: CsrGraph = common::build_graph(&edges, 80);
         let src = edges[0].0.min(edges[0].1);
         prop_assume!(g.degree(src) > 0);
         let specs = four_programs(src, &generate_weights(g.num_edges(), 7), 8);
-        let got = Shape::Solo.run(&Side::new(cfg, &g, &specs));
-        assert_outputs_match(&got, &reference_answers(&g, &specs), name);
+        let strategy = AccessStrategy::all()[strategy];
+        let got = Shape::Solo.run(&Side::new(cfg.with_strategy(strategy), &g, &specs));
+        let tag = format!("{name} as {}", strategy.name());
+        assert_outputs_match(&got, &reference_answers(&g, &specs), &tag);
     }
 
     /// Hybrid mode is a pure transport optimization: on any graph, its
@@ -193,7 +199,7 @@ proptest! {
         let specs = four_programs(src, &generate_weights(g.num_edges(), 7), 5);
         let zero_copy = Side::new(EngineConfig::emogi_v100(), &g, &specs);
         let hybrid = Side::new(EngineConfig::hybrid_v100(), &g, &specs);
-        assert_equivalent(&zero_copy, &hybrid, &Shape::SOLO, Strength::Results, "hybrid");
+        assert_equivalent(&zero_copy, &hybrid, &[Shape::Solo], Strength::Results, "hybrid");
     }
 
     /// Metamorphic: a random vertex relabeling never changes any
@@ -211,7 +217,7 @@ proptest! {
         let identity = Side::new(EngineConfig::emogi_v100(), &g, &specs);
         let plan = LayoutPlan::from_perm(common::random_permutation(64, perm_seed));
         let relabeled = identity.relabeled(plan);
-        assert_equivalent(&identity, &relabeled, &Shape::SOLO, Strength::Results, "random");
+        assert_equivalent(&identity, &relabeled, &[Shape::Solo], Strength::Results, "random");
     }
 
     /// The aligned strategy can only reduce the number of PCIe requests

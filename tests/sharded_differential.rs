@@ -118,13 +118,11 @@ fn the_sharded_side_actually_exchanges_and_splits() {
             run.exchange.bytes > 0,
             "{devices} devices exchanged nothing"
         );
-        let idle = run
-            .per_device
-            .iter()
-            .position(|stats| stats.host_bytes == 0);
-        assert_eq!(
-            idle, None,
-            "{devices} devices: one read none of the hub's list"
-        );
+        for (d, stats) in run.per_device.iter().enumerate() {
+            assert!(
+                stats.host_bytes > 0,
+                "{devices} devices: device {d} read none of the hub's list"
+            );
+        }
     }
 }

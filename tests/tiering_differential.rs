@@ -74,7 +74,7 @@ proptest! {
     ) {
         let specs = four_programs(src, &generate_weights(g.num_edges(), weight_seed), 7);
         let base = Side::new(cfg, &g, &specs);
-        let [(two_tier, idle), (_, spill)] = assert_tiering_invariant(&base, &Shape::SOLO, name);
+        let [(two_tier, idle), (_, spill)] = assert_tiering_invariant(&base, &[Shape::Solo], name);
         let [two_tier, idle, spill] = [two_tier, idle, spill].map(|o| o.devices[0].clone());
         prop_assert_eq!(idle.cxl_read_requests + idle.cxl_bytes, 0, "{} idle tier served", name);
         let served = spill.cxl_read_requests + spill.cxl_bytes;
@@ -120,7 +120,7 @@ fn the_spilled_side_actually_reads_from_cxl() {
     for cfg in [EngineConfig::emogi_v100(), EngineConfig::hybrid_v100()] {
         let name = format!("{:?}", cfg.transport);
         let [_, (two_tier, spill)] =
-            assert_tiering_invariant(&Side::new(cfg, &g, &specs), &Shape::SOLO, &name);
+            assert_tiering_invariant(&Side::new(cfg, &g, &specs), &[Shape::Solo], &name);
         let (a, s) = (&two_tier.devices[0], &spill.devices[0]);
         assert!(
             a.pcie_read_requests > 0 && a.cxl_bytes == 0,
