@@ -23,6 +23,7 @@ use emogi_core::cc::CcOutput;
 use emogi_core::sssp::{SsspOutput, INF};
 use emogi_core::{BfsRun, CcRun, SsspRun};
 use emogi_graph::{CsrGraph, VertexId, UNVISITED};
+use emogi_runtime::exec::KERNEL_LAUNCH_NS;
 use emogi_runtime::machine::MachineConfig;
 use emogi_runtime::report::RunStats;
 use emogi_runtime::Machine;
@@ -127,7 +128,7 @@ impl<'g> SubwaySystem<'g> {
                 m.kernel_launches += 1;
                 let kernel_done = m.hbm.read_bulk(m.now, bytes + bytes / 2);
                 prev_kernel_ns = kernel_done - m.now;
-                m.now = kernel_done + m.kernel_launch_ns;
+                m.now = kernel_done + KERNEL_LAUNCH_NS;
 
                 expand(&mut active);
                 if active.is_empty() {
@@ -223,45 +224,10 @@ impl<'g> SubwaySystem<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emogi_graph::datasets::generate_weights;
-    use emogi_graph::{algo, generators};
+    use emogi_graph::generators;
 
     fn v100() -> MachineConfig {
         MachineConfig::v100_gen3()
-    }
-
-    #[test]
-    fn bfs_matches_reference() {
-        let g = generators::uniform_random(500, 6, 4);
-        let mut s = SubwaySystem::new(v100(), &g, None, SubwayMode::Async);
-        let run = s.bfs(3);
-        assert_eq!(run.levels, algo::bfs_levels(&g, 3));
-        assert!(run.stats.elapsed_ns > 0);
-    }
-
-    #[test]
-    fn sssp_matches_reference() {
-        let g = generators::uniform_random(300, 6, 5);
-        let w = generate_weights(g.num_edges(), 5);
-        let mut s = SubwaySystem::new(v100(), &g, Some(&w), SubwayMode::Async);
-        let run = s.sssp(2);
-        let expect = algo::sssp_distances(&g, &w, 2);
-        for (v, &want) in expect.iter().enumerate() {
-            let got = if run.dist[v] == INF {
-                algo::UNREACHABLE
-            } else {
-                u64::from(run.dist[v])
-            };
-            assert_eq!(got, want, "vertex {v}");
-        }
-    }
-
-    #[test]
-    fn cc_matches_reference() {
-        let g = generators::uniform_random(300, 4, 6);
-        let mut sys = SubwaySystem::new(v100(), &g, None, SubwayMode::Sync);
-        let run = sys.cc();
-        assert_eq!(run.comp, algo::cc_labels(&g));
     }
 
     /// The round loop tests for an empty active set *after* the round: a

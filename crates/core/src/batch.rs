@@ -85,9 +85,6 @@ mod tests {
     use super::*;
     use crate::bfs::BfsProgram;
     use crate::engine::{Engine, EngineConfig};
-    use crate::sssp::SsspProgram;
-    use crate::strategy::AccessStrategy;
-    use emogi_graph::datasets::generate_weights;
     use emogi_graph::{algo, generators};
 
     #[test]
@@ -101,80 +98,6 @@ mod tests {
         merge_frontiers(&fs[..1], &mut union, &mut masks);
         assert_eq!(union, vec![1, 5, 9]);
         assert!(masks.is_empty());
-    }
-
-    #[test]
-    fn batched_bfs_matches_sequential_for_every_mode() {
-        let g = generators::kronecker(8, 8, 3);
-        let sources = [0u32, 3, 17, 40];
-        let zero_copy = AccessStrategy::all().map(|s| EngineConfig::emogi_v100().with_strategy(s));
-        for cfg in zero_copy.into_iter().chain([EngineConfig::hybrid_v100()]) {
-            let mode = format!("{:?} over {:?}", cfg.strategy, cfg.transport);
-            let mut seq = Engine::load(cfg.clone(), &g);
-            let seq_runs: Vec<_> = sources.iter().map(|&s| seq.bfs(s)).collect();
-            let mut bat = Engine::load(cfg, &g);
-            let batch = bat.run_batch(
-                sources
-                    .iter()
-                    .map(|&s| BfsProgram::new(&g, s))
-                    .collect::<Vec<_>>(),
-            );
-            for (q, (sr, br)) in seq_runs.iter().zip(&batch.runs).enumerate() {
-                assert_eq!(br.levels, sr.levels, "{mode} query {q}");
-                assert_eq!(
-                    br.stats.kernel_launches, sr.stats.kernel_launches,
-                    "{mode} query {q} iteration count"
-                );
-                assert!(br.stats.shared_fetch, "batched stats must be flagged");
-                assert!(!sr.stats.shared_fetch);
-            }
-            assert!(!batch.stats.shared_fetch, "batch total is not shared");
-        }
-    }
-
-    #[test]
-    fn batched_sssp_matches_sequential_and_reference() {
-        let g = generators::uniform_random(400, 8, 5);
-        let w = generate_weights(g.num_edges(), 5);
-        let sources = [2u32, 9, 31];
-        let mut seq = Engine::load(EngineConfig::emogi_v100(), &g);
-        let seq_runs: Vec<_> = sources.iter().map(|&s| seq.sssp(&w, s)).collect();
-        let mut bat = Engine::load(EngineConfig::emogi_v100(), &g);
-        let batch = bat.run_batch(
-            sources
-                .iter()
-                .map(|&s| SsspProgram::new(&g, &w, s))
-                .collect::<Vec<_>>(),
-        );
-        for ((q, sr), br) in seq_runs.iter().enumerate().zip(&batch.runs) {
-            assert_eq!(br.dist, sr.dist, "query {q}");
-            assert_eq!(br.stats.kernel_launches, sr.stats.kernel_launches);
-        }
-        // And against the CPU reference, belt and braces.
-        for (&s, br) in sources.iter().zip(&batch.runs) {
-            let want = algo::sssp_distances(&g, &w, s);
-            for (v, &expect) in want.iter().enumerate() {
-                let got = if br.dist[v] == crate::sssp::INF {
-                    algo::UNREACHABLE
-                } else {
-                    u64::from(br.dist[v])
-                };
-                assert_eq!(got, expect, "source {s} vertex {v}");
-            }
-        }
-    }
-
-    #[test]
-    fn single_query_batch_is_tick_identical_to_a_solo_run() {
-        let g = generators::uniform_random(600, 8, 9);
-        let mut solo = Engine::load(EngineConfig::emogi_v100(), &g);
-        let mut bat = Engine::load(EngineConfig::emogi_v100(), &g);
-        let sr = solo.bfs(4);
-        let br = bat.run_batch(vec![BfsProgram::new(&g, 4)]);
-        assert_eq!(br.runs[0].levels, sr.levels);
-        assert_eq!(br.stats.pcie_read_requests, sr.stats.pcie_read_requests);
-        assert_eq!(br.stats.host_bytes, sr.stats.host_bytes);
-        assert_eq!(br.stats.elapsed_ns, sr.stats.elapsed_ns);
     }
 
     #[test]

@@ -89,38 +89,13 @@ impl VertexProgram for BfsProgram {
 mod tests {
     use crate::engine::{Engine, EngineConfig};
     use crate::strategy::AccessStrategy;
-    use emogi_graph::{algo, generators};
-
-    /// Run a full BFS through the engine and compare with the CPU
-    /// reference, for every strategy.
-    fn bfs_via_engine(strategy: AccessStrategy) {
-        let g = generators::uniform_random(500, 6, 42);
-        let mut engine = Engine::load(EngineConfig::emogi_v100().with_strategy(strategy), &g);
-        let run = engine.bfs(3);
-        assert_eq!(run.levels, algo::bfs_levels(&g, 3), "{strategy:?}");
-        assert!(run.stats.pcie_read_requests > 0);
-    }
+    use emogi_graph::generators;
 
     #[test]
     #[should_panic(expected = "BFS source 500 out of range: the graph has 500 vertices")]
     fn out_of_range_source_is_named() {
         let g = generators::uniform_random(500, 6, 42);
         Engine::load(EngineConfig::emogi_v100(), &g).bfs(500);
-    }
-
-    #[test]
-    fn merged_aligned_matches_reference() {
-        bfs_via_engine(AccessStrategy::MergedAligned);
-    }
-
-    #[test]
-    fn merged_matches_reference() {
-        bfs_via_engine(AccessStrategy::Merged);
-    }
-
-    #[test]
-    fn naive_matches_reference() {
-        bfs_via_engine(AccessStrategy::Naive);
     }
 
     #[test]

@@ -136,31 +136,7 @@ pub fn shortcut(comp: &mut [u32]) -> u32 {
 mod tests {
     use super::*;
     use crate::engine::{Engine, EngineConfig};
-    use crate::strategy::AccessStrategy;
-    use emogi_graph::{algo, generators};
-
-    fn cc_via_engine(strategy: AccessStrategy, seed: u64) {
-        let g = generators::uniform_random(400, 4, seed);
-        let mut engine = Engine::load(EngineConfig::emogi_v100().with_strategy(strategy), &g);
-        let run = engine.cc();
-        assert_eq!(run.comp, algo::cc_labels(&g), "{strategy:?}");
-        assert_eq!(run.hook_passes, run.stats.kernel_launches);
-    }
-
-    #[test]
-    fn merged_aligned_matches_union_find() {
-        cc_via_engine(AccessStrategy::MergedAligned, 4);
-    }
-
-    #[test]
-    fn merged_matches_union_find() {
-        cc_via_engine(AccessStrategy::Merged, 5);
-    }
-
-    #[test]
-    fn naive_matches_union_find() {
-        cc_via_engine(AccessStrategy::Naive, 6);
-    }
+    use emogi_graph::generators;
 
     #[test]
     fn shortcut_compresses_chains() {

@@ -311,7 +311,6 @@ impl<'g> Engine<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sssp::INF;
     use emogi_graph::datasets::generate_weights;
     use emogi_graph::{algo, generators};
 
@@ -348,59 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn emogi_bfs_matches_reference_end_to_end() {
-        let g = generators::kronecker(9, 8, 21);
-        let mut engine = Engine::load(EngineConfig::emogi_v100(), &g);
-        let run = engine.bfs(1);
-        assert_eq!(run.levels, algo::bfs_levels(&g, 1));
-        assert!(run.stats.elapsed_ns > 0);
-        assert!(run.stats.kernel_launches > 0);
-        assert!(run.stats.pcie_read_requests > 0);
-        assert_eq!(run.stats.page_faults, 0, "zero-copy never faults");
-        assert_eq!(run.stats.transfer.staged_regions, 0, "no transfer manager");
-    }
-
-    #[test]
-    fn uvm_bfs_matches_reference_and_faults() {
-        let g = generators::kronecker(9, 8, 21);
-        let mut engine = Engine::load(EngineConfig::uvm_v100(), &g);
-        let run = engine.bfs(1);
-        assert_eq!(run.levels, algo::bfs_levels(&g, 1));
-        assert!(run.stats.page_faults > 0, "UVM must fault pages in");
-        assert!(run.stats.pages_migrated > 0);
-        assert_eq!(
-            run.stats.pcie_read_requests, 0,
-            "UVM traffic is migrations, not zero-copy reads"
-        );
-    }
-
-    #[test]
-    fn emogi_sssp_matches_reference() {
-        let g = generators::uniform_random(300, 8, 3);
-        let w = generate_weights(g.num_edges(), 3);
-        let mut engine = Engine::load(EngineConfig::emogi_v100(), &g);
-        let run = engine.sssp(&w, 5);
-        let expect = algo::sssp_distances(&g, &w, 5);
-        for (v, &want) in expect.iter().enumerate() {
-            let got = if run.dist[v] == INF {
-                algo::UNREACHABLE
-            } else {
-                u64::from(run.dist[v])
-            };
-            assert_eq!(got, want, "vertex {v}");
-        }
-    }
-
-    #[test]
-    fn emogi_cc_matches_reference() {
-        let g = generators::uniform_random(400, 4, 8);
-        let mut engine = Engine::load(EngineConfig::emogi_v100(), &g);
-        let run = engine.cc();
-        assert_eq!(run.comp, algo::cc_labels(&g));
-        assert!(run.hook_passes >= 2);
-    }
-
-    #[test]
     fn second_bfs_reuses_the_machine() {
         let g = generators::uniform_random(300, 6, 2);
         let mut engine = Engine::load(EngineConfig::emogi_v100(), &g);
@@ -415,74 +361,14 @@ mod tests {
             b.stats.host_bytes < a.stats.host_bytes,
             "second run should benefit from the warm cache"
         );
-    }
-
-    #[test]
-    fn one_engine_serves_many_programs() {
-        // The place-once, query-many promise: a single placement runs
-        // BFS, SSSP, CC and PageRank back to back, each matching its
-        // CPU reference, with edge data placed on demand by SSSP.
-        let g = generators::uniform_random(400, 4, 8);
-        let w = generate_weights(g.num_edges(), 8);
-        let mut engine = Engine::load(EngineConfig::emogi_v100(), &g);
-        assert!(engine.layout().weight_base.is_none());
-
-        let bfs = engine.bfs(0);
-        assert_eq!(bfs.levels, algo::bfs_levels(&g, 0));
-
-        let sssp = engine.sssp(&w, 0);
+        // Weights are a program input, not a load-time field: the first
+        // SSSP places them on the same placement.
+        assert!(engine.layout().weight_base.is_none(), "no SSSP yet");
+        engine.sssp(&generate_weights(g.num_edges(), 2), 0);
         assert!(
             engine.layout().weight_base.is_some(),
             "edge data placed on demand"
         );
-        let expect = algo::sssp_distances(&g, &w, 0);
-        for (v, &want) in expect.iter().enumerate() {
-            let got = if sssp.dist[v] == INF {
-                algo::UNREACHABLE
-            } else {
-                u64::from(sssp.dist[v])
-            };
-            assert_eq!(got, want, "vertex {v}");
-        }
-
-        let cc = engine.cc();
-        assert_eq!(cc.comp, algo::cc_labels(&g));
-
-        let pr = engine.pagerank(0.85, 15);
-        let want = algo::pagerank(&g, 0.85, 15);
-        for (v, &r) in pr.ranks.iter().enumerate() {
-            assert!((r - want[v]).abs() < 1e-9, "vertex {v}: {r} vs {}", want[v]);
-        }
-    }
-
-    #[test]
-    fn hybrid_bfs_matches_reference() {
-        let g = generators::kronecker(9, 8, 21);
-        let mut engine = Engine::load(EngineConfig::hybrid_v100(), &g);
-        let run = engine.bfs(1);
-        assert_eq!(run.levels, algo::bfs_levels(&g, 1));
-        assert_eq!(run.stats.page_faults, 0, "hybrid never touches UVM");
-        assert!(run.stats.elapsed_ns > 0);
-    }
-
-    #[test]
-    fn hybrid_sssp_and_cc_match_reference() {
-        let g = generators::uniform_random(300, 8, 3);
-        let w = generate_weights(g.num_edges(), 3);
-        let mut engine = Engine::load(EngineConfig::hybrid_v100(), &g);
-        let run = engine.sssp(&w, 5);
-        let expect = algo::sssp_distances(&g, &w, 5);
-        for (v, &want) in expect.iter().enumerate() {
-            let got = if run.dist[v] == INF {
-                algo::UNREACHABLE
-            } else {
-                u64::from(run.dist[v])
-            };
-            assert_eq!(got, want, "vertex {v}");
-        }
-        let g2 = generators::uniform_random(400, 4, 8);
-        let mut engine2 = Engine::load(EngineConfig::hybrid_v100(), &g2);
-        assert_eq!(engine2.cc().comp, algo::cc_labels(&g2));
     }
 
     #[test]
@@ -599,26 +485,6 @@ mod tests {
         // overfetch keep amplification a little above 1 (Figure 10 shows
         // ≤ 1.31 for EMOGI).
         assert!(amp > 0.8 && amp < 1.9, "amplification {amp}");
-    }
-
-    #[test]
-    fn uvm_engine_places_edge_data_lazily_before_first_kernel() {
-        // SSSP as the first program on a UVM engine: the managed weight
-        // array must land inside the UVM driver's span.
-        let g = generators::uniform_random(300, 8, 3);
-        let w = generate_weights(g.num_edges(), 3);
-        let mut engine = Engine::load(EngineConfig::uvm_v100(), &g);
-        let run = engine.sssp(&w, 5);
-        assert!(run.stats.page_faults > 0);
-        let expect = algo::sssp_distances(&g, &w, 5);
-        for (v, &want) in expect.iter().enumerate() {
-            let got = if run.dist[v] == INF {
-                algo::UNREACHABLE
-            } else {
-                u64::from(run.dist[v])
-            };
-            assert_eq!(got, want, "vertex {v}");
-        }
     }
 
     #[test]

@@ -353,80 +353,7 @@ mod tests {
     use super::*;
     use crate::engine::EngineConfig;
     use crate::sharded::ShardedConfig;
-    use emogi_graph::datasets::generate_weights;
     use emogi_graph::generators;
-
-    /// `(output words, stats)` of a run, whichever path produced it.
-    fn flat(run: ProgramRun) -> (Vec<u64>, RunStats) {
-        (run.words(), run.stats().clone())
-    }
-
-    /// The refactor's own tick-identity proof: for every program, the
-    /// dispatcher — solo and as a group of one — returns the output and
-    /// the full `RunStats` of the typed call on a fresh engine, on the
-    /// single-device engine and on the sharded engine at 1 and 2 devices.
-    #[test]
-    fn spec_path_equals_typed_path_on_every_front() {
-        let g = generators::kronecker(8, 8, 21);
-        let w = Arc::new(generate_weights(g.num_edges(), 21));
-        let specs = [
-            ProgramSpec::Bfs { src: 1 },
-            ProgramSpec::Sssp {
-                src: 1,
-                weights: Arc::clone(&w),
-            },
-            ProgramSpec::Cc,
-            ProgramSpec::PageRank {
-                damping: 0.85,
-                iterations: 6,
-            },
-        ];
-        for spec in &specs {
-            let kind = spec.kind();
-
-            let fresh = || Engine::load(EngineConfig::hybrid_v100(), &g);
-            let typed = match kind {
-                ProgramKind::Bfs => ProgramRun::Bfs(fresh().bfs(1)),
-                ProgramKind::Sssp => ProgramRun::Sssp(fresh().sssp(&w, 1)),
-                ProgramKind::Cc => ProgramRun::Cc(fresh().cc()),
-                ProgramKind::PageRank => ProgramRun::PageRank(fresh().pagerank(0.85, 6)),
-            };
-            let typed = flat(typed);
-            assert_eq!(flat(run(&mut fresh(), spec)), typed, "{kind:?} solo");
-            let mut group = run_group(&mut fresh(), &[spec]);
-            assert_eq!(group.shared, kind.batchable(), "{kind:?} group path");
-            assert_eq!(group.stats, typed.1, "{kind:?} group total");
-            let only = group.runs.pop().expect("one spec, one run");
-            assert_eq!(flat(only), typed, "{kind:?} group of one");
-
-            for devices in [1usize, 2] {
-                let fresh = || ShardedEngine::load(ShardedConfig::emogi_v100(devices), &g);
-                let (output, stats) = match kind {
-                    ProgramKind::Bfs => flat_sharded(fresh().bfs(1), ProgramRun::Bfs),
-                    ProgramKind::Sssp => flat_sharded(fresh().sssp(&w, 1), ProgramRun::Sssp),
-                    ProgramKind::Cc => flat_sharded(fresh().cc(), ProgramRun::Cc),
-                    ProgramKind::PageRank => {
-                        flat_sharded(fresh().pagerank(0.85, 6), ProgramRun::PageRank)
-                    }
-                };
-                let tag = format!("{kind:?} at {devices} devices");
-                assert_eq!(output, typed.0, "{tag}: sharding changes no output");
-                let typed = (output, stats);
-                assert_eq!(flat(run(&mut fresh(), spec)), typed, "{tag} solo");
-                let group = run_group(&mut fresh(), &[spec]);
-                assert!(!group.shared, "{tag}: sharded groups run back to back");
-                assert_eq!(group.stats, typed.1, "{tag} group total");
-                assert_eq!(flat(group.runs[0].clone()), typed, "{tag} group of one");
-            }
-        }
-    }
-
-    fn flat_sharded<O>(r: ShardedRun<O>, wrap: fn(Run<O>) -> ProgramRun) -> (Vec<u64>, RunStats) {
-        flat(wrap(Run {
-            output: r.output,
-            stats: r.stats,
-        }))
-    }
 
     #[test]
     fn groups_merge_on_the_engine_and_run_back_to_back_elsewhere() {
@@ -438,13 +365,18 @@ mod tests {
         let merged = run_group(&mut engine, &refs);
         assert!(merged.shared);
         assert!(merged.runs.iter().all(|r| r.stats().shared_fetch));
+        let sweep = run_group(&mut engine, &[&ProgramSpec::Cc]);
+        assert!(!sweep.shared, "full sweeps never merge");
+        let fresh = || Engine::load(EngineConfig::emogi_v100(), &g);
+        let one = run_group(&mut fresh(), &refs[..1]);
+        assert_eq!(one.stats, fresh().bfs(0).stats, "one-spec group vs solo");
 
         let mut sharded = ShardedEngine::load(ShardedConfig::emogi_v100(2), &g);
         let serial = run_group(&mut sharded, &refs);
         assert!(!serial.shared);
         let mut fold = RunStats::default();
         for (a, b) in merged.runs.iter().zip(&serial.runs) {
-            assert_eq!(flat(a.clone()).0, flat(b.clone()).0, "same answers");
+            assert_eq!(a.words(), b.words(), "same answers");
             fold += b.stats();
         }
         assert_eq!(serial.stats, fold, "a back-to-back total is the += fold");

@@ -92,9 +92,8 @@ impl VertexProgram for SsspProgram<'_> {
 mod tests {
     use super::*;
     use crate::engine::{Engine, EngineConfig};
-    use crate::strategy::AccessStrategy;
     use emogi_graph::datasets::generate_weights;
-    use emogi_graph::{algo, generators};
+    use emogi_graph::generators;
 
     #[test]
     #[should_panic(expected = "SSSP source 400 out of range: the graph has 400 vertices")]
@@ -102,37 +101,6 @@ mod tests {
         let g = generators::uniform_random(400, 6, 1);
         let w = generate_weights(g.num_edges(), 1);
         Engine::load(EngineConfig::emogi_v100(), &g).sssp(&w, 400);
-    }
-
-    fn sssp_via_engine(strategy: AccessStrategy, seed: u64) {
-        let g = generators::uniform_random(400, 6, seed);
-        let w = generate_weights(g.num_edges(), seed);
-        let mut engine = Engine::load(EngineConfig::emogi_v100().with_strategy(strategy), &g);
-        let run = engine.sssp(&w, 7);
-        let expect = algo::sssp_distances(&g, &w, 7);
-        for (v, &want) in expect.iter().enumerate() {
-            let got = if run.dist[v] == INF {
-                algo::UNREACHABLE
-            } else {
-                u64::from(run.dist[v])
-            };
-            assert_eq!(got, want, "vertex {v}, {strategy:?}");
-        }
-    }
-
-    #[test]
-    fn merged_aligned_matches_dijkstra() {
-        sssp_via_engine(AccessStrategy::MergedAligned, 1);
-    }
-
-    #[test]
-    fn merged_matches_dijkstra() {
-        sssp_via_engine(AccessStrategy::Merged, 2);
-    }
-
-    #[test]
-    fn naive_matches_dijkstra() {
-        sssp_via_engine(AccessStrategy::Naive, 3);
     }
 
     #[test]

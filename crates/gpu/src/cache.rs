@@ -46,17 +46,6 @@ pub struct CacheStats {
     pub fills: u64,
 }
 
-impl CacheStats {
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.sector_hits + self.sector_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.sector_hits as f64 / total as f64
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Way {
     tag: u64,
@@ -342,17 +331,6 @@ mod tests {
         c.clear();
         assert!(!c.contains(0, 0b0001));
         assert_eq!(c.stats.sector_hits, hits);
-    }
-
-    #[test]
-    fn hit_rate_math() {
-        let s = CacheStats {
-            sector_hits: 3,
-            sector_misses: 1,
-            ..Default::default()
-        };
-        assert!((s.hit_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(CacheStats::default().hit_rate(), 0.0);
     }
 
     #[test]

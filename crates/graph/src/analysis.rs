@@ -43,18 +43,6 @@ impl DegreeCdf {
         let upto: u64 = self.counts[..=d.min(self.counts.len() - 1)].iter().sum();
         upto as f64 / self.total as f64
     }
-
-    /// Sample the CDF at each degree in `points` (for table output).
-    pub fn sample(&self, points: &[usize]) -> Vec<(usize, f64)> {
-        points.iter().map(|&d| (d, self.cdf_at(d))).collect()
-    }
-
-    /// Smallest degree d with CDF(d) >= 0.5 (median edge's vertex degree).
-    pub fn median_degree(&self) -> usize {
-        (0..self.counts.len())
-            .find(|&d| self.cdf_at(d) >= 0.5)
-            .unwrap_or(self.counts.len() - 1)
-    }
 }
 
 /// Quick summary statistics used in Table 2 output.
@@ -217,7 +205,6 @@ mod tests {
         assert!((cdf.cdf_at(1) - 0.6).abs() < 1e-12);
         assert!((cdf.cdf_at(3) - 0.6).abs() < 1e-12);
         assert!((cdf.cdf_at(4) - 1.0).abs() < 1e-12);
-        assert_eq!(cdf.median_degree(), 1);
     }
 
     #[test]
@@ -299,14 +286,5 @@ mod tests {
         // 10 bytes/ns → 100 ns transfer + 4 × 50 ns overhead.
         assert_eq!(c.ns(10.0, 50), 300);
         assert_eq!(c.ns(0.0, 50), u64::MAX, "no link, no deadline met");
-    }
-
-    #[test]
-    fn sample_returns_requested_points() {
-        let g = star_plus_path();
-        let cdf = DegreeCdf::new(&g, 16);
-        let pts = cdf.sample(&[0, 1, 4]);
-        assert_eq!(pts.len(), 3);
-        assert_eq!(pts[2], (4, 1.0));
     }
 }

@@ -34,7 +34,6 @@ pub struct EdgeListBuilder {
     edges: Vec<(VertexId, VertexId)>,
     symmetrize: bool,
     dedup: bool,
-    drop_self_loops: bool,
 }
 
 impl EdgeListBuilder {
@@ -44,7 +43,6 @@ impl EdgeListBuilder {
             edges: Vec::new(),
             symmetrize: false,
             dedup: true,
-            drop_self_loops: true,
         }
     }
 
@@ -65,12 +63,6 @@ impl EdgeListBuilder {
     /// Remove duplicate (src, dst) pairs (default true).
     pub fn dedup(mut self, yes: bool) -> Self {
         self.dedup = yes;
-        self
-    }
-
-    /// Remove self loops (default true).
-    pub fn drop_self_loops(mut self, yes: bool) -> Self {
-        self.drop_self_loops = yes;
         self
     }
 
@@ -172,11 +164,11 @@ impl EdgeListBuilder {
     }
 
     /// Call `edge(src, dst)` for every edge of the graph being built, in
-    /// push order: each pushed pair unless it is a dropped self loop,
-    /// followed by its mirror image when symmetrizing.
+    /// push order: each pushed pair that is not a self loop, followed by
+    /// its mirror image when symmetrizing.
     fn sweep(&self, mut edge: impl FnMut(VertexId, VertexId)) {
         for &(s, d) in &self.edges {
-            if self.drop_self_loops && s == d {
+            if s == d {
                 continue;
             }
             edge(s, d);
@@ -209,9 +201,7 @@ mod tests {
         /// mirrored pairs, group by source, comparison-sort (and dedup)
         /// every list — kept as the reference the new one must equal.
         fn build_by_sorting_each_list(mut self) -> CsrGraph {
-            if self.drop_self_loops {
-                self.edges.retain(|&(s, d)| s != d);
-            }
+            self.edges.retain(|&(s, d)| s != d);
             if self.symmetrize {
                 let mirrored: Vec<_> = self.edges.iter().map(|&(s, d)| (d, s)).collect();
                 self.edges.extend(mirrored);
@@ -266,24 +256,21 @@ mod tests {
             (300, 900),
         ] {
             let pairs = random_pairs(n, len, &mut rng);
-            for flags in 0..8 {
-                let (symmetrize, dedup, drop_self_loops) =
-                    (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
+            for flags in 0..4 {
+                let (symmetrize, dedup) = (flags & 1 != 0, flags & 2 != 0);
                 let mut b = EdgeListBuilder::new(n as usize)
                     .symmetrize(symmetrize)
-                    .dedup(dedup)
-                    .drop_self_loops(drop_self_loops);
+                    .dedup(dedup);
                 b.extend(pairs.iter().copied());
                 let tag = format!(
-                    "n = {n}, {} pairs, symmetrize {symmetrize}, dedup {dedup}, \
-                     drop_self_loops {drop_self_loops}",
+                    "n = {n}, {} pairs, symmetrize {symmetrize}, dedup {dedup}",
                     pairs.len()
                 );
                 let want = b.clone().build_by_sorting_each_list();
                 assert_eq!(b.build(), want, "{tag}");
                 if !dedup {
                     // Every kept pair is an edge, once or (mirrored) twice.
-                    let kept = pairs.iter().filter(|(s, d)| !drop_self_loops || s != d);
+                    let kept = pairs.iter().filter(|(s, d)| s != d);
                     let per_pair = if symmetrize { 2 } else { 1 };
                     assert_eq!(want.num_edges(), kept.count() * per_pair, "{tag}");
                 }
@@ -340,20 +327,12 @@ mod tests {
     }
 
     #[test]
-    fn self_loops_dropped_by_default() {
+    fn self_loops_are_dropped() {
         let mut b = EdgeListBuilder::new(2);
         b.push(0, 0);
         b.push(0, 1);
         let g = b.build();
         assert_eq!(g.neighbors(0), &[1]);
-    }
-
-    #[test]
-    fn self_loops_kept_on_request() {
-        let mut b = EdgeListBuilder::new(2);
-        b.push(0, 0);
-        let g = b.drop_self_loops(false).build();
-        assert_eq!(g.neighbors(0), &[0]);
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! status gathers hit fewer cache lines — and merge into fewer, larger
 //! PCIe/HBM transactions — when the hot (high-degree) vertices sit next
 //! to each other in the status array. A [`LayoutPlan`] is a bijective
-//! relabeling `perm` (new id = `perm[old id]`) bundled with its inverse
-//! so a caller can
+//! relabeling `perm` (new id = `perm[old id]`) with which a caller can
 //!
 //! 1. build a relabeled graph with [`LayoutPlan::apply`] (and remap any
 //!    per-edge auxiliary data with [`LayoutPlan::apply_edge_data`]),
@@ -39,24 +38,19 @@
 use crate::csr::CsrGraph;
 use crate::VertexId;
 
-/// A bijective vertex relabeling with its inverse.
-///
-/// `perm[old] = new` and `inv_perm[new] = old`; composing them either
-/// way yields the identity (pinned by unit tests below).
+/// A bijective vertex relabeling, `perm[old] = new`; the `unmap_*`
+/// methods apply its inverse (pinned by unit tests below).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayoutPlan {
     perm: Vec<VertexId>,
-    inv_perm: Vec<VertexId>,
 }
 
 impl LayoutPlan {
     /// The identity layout over `n` vertices (the "original order"
     /// baseline of the `layout` experiment).
     pub fn identity(n: usize) -> Self {
-        let perm: Vec<VertexId> = (0..n as VertexId).collect();
         Self {
-            inv_perm: perm.clone(),
-            perm,
+            perm: (0..n as VertexId).collect(),
         }
     }
 
@@ -65,16 +59,14 @@ impl LayoutPlan {
     /// # Panics
     /// If `perm` is not a bijection of `0..perm.len()`.
     pub fn from_perm(perm: Vec<VertexId>) -> Self {
-        let n = perm.len();
-        let mut inv_perm = vec![VertexId::MAX; n];
-        for (old, &new) in perm.iter().enumerate() {
+        let mut seen = vec![false; perm.len()];
+        for &new in &perm {
             assert!(
-                (new as usize) < n && inv_perm[new as usize] == VertexId::MAX,
+                (new as usize) < seen.len() && !std::mem::replace(&mut seen[new as usize], true),
                 "perm is not a bijection"
             );
-            inv_perm[new as usize] = old as VertexId;
         }
-        Self { perm, inv_perm }
+        Self { perm }
     }
 
     /// Build a plan from a placement order (`order[new] = old`).
@@ -87,10 +79,7 @@ impl LayoutPlan {
             );
             perm[old as usize] = new as VertexId;
         }
-        Self {
-            perm,
-            inv_perm: order,
-        }
+        Self { perm }
     }
 
     /// Degree-sorted layout: vertices relabeled by descending degree
@@ -113,25 +102,10 @@ impl LayoutPlan {
         self.perm.is_empty()
     }
 
-    /// The forward permutation (`perm[old] = new`).
-    pub fn perm(&self) -> &[VertexId] {
-        &self.perm
-    }
-
-    /// The inverse permutation (`inv_perm[new] = old`).
-    pub fn inv_perm(&self) -> &[VertexId] {
-        &self.inv_perm
-    }
-
     /// New id of original vertex `old` (e.g. to translate BFS/SSSP
     /// sources before running over the relabeled graph).
     pub fn map_vertex(&self, old: VertexId) -> VertexId {
         self.perm[old as usize]
-    }
-
-    /// Original id of relabeled vertex `new`.
-    pub fn unmap_vertex(&self, new: VertexId) -> VertexId {
-        self.inv_perm[new as usize]
     }
 
     /// The relabeled graph. Delegates to [`CsrGraph::relabel`], which
@@ -241,12 +215,19 @@ mod tests {
         LayoutPlan::from_perm((0..g.num_vertices() as VertexId).rev().collect())
     }
 
+    /// `map_vertex` is a bijection and `unmap_values` its inverse:
+    /// scattering every old id to its new slot fills each slot once, and
+    /// unmapping the scatter gives the old ids back.
     fn assert_inverse(plan: &LayoutPlan) {
         let n = plan.len();
-        for v in 0..n as VertexId {
-            assert_eq!(plan.unmap_vertex(plan.map_vertex(v)), v, "perm ∘ inv");
-            assert_eq!(plan.map_vertex(plan.unmap_vertex(v)), v, "inv ∘ perm");
+        let mut by_new = vec![VertexId::MAX; n];
+        for old in 0..n as VertexId {
+            let slot = &mut by_new[plan.map_vertex(old) as usize];
+            assert_eq!(*slot, VertexId::MAX, "two vertices map to one id");
+            *slot = old;
         }
+        let ids: Vec<VertexId> = (0..n as VertexId).collect();
+        assert_eq!(plan.unmap_values(&by_new), ids, "unmap ∘ map");
     }
 
     #[test]
@@ -320,20 +301,6 @@ mod tests {
                 .collect();
             assert_eq!(got, want, "old vertex {old}");
         }
-    }
-
-    #[test]
-    fn unmap_values_inverts_positional_mapping() {
-        let g = sample();
-        let plan = LayoutPlan::degree_sorted(&g);
-        let old_vals: Vec<u32> = (0..g.num_vertices() as u32).map(|v| v * 3 + 1).collect();
-        // A relabeled run would see new_vals[new] = old_vals[old].
-        let new_vals: Vec<u32> = plan
-            .inv_perm()
-            .iter()
-            .map(|&o| old_vals[o as usize])
-            .collect();
-        assert_eq!(plan.unmap_values(&new_vals), old_vals);
     }
 
     #[test]

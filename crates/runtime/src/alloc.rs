@@ -8,8 +8,6 @@
 //! spaces. No data lives at these addresses — kernels keep real Rust
 //! arrays and use the addresses only for traffic modelling.
 
-use emogi_gpu::access::Space;
-
 /// Base of the device-memory region.
 pub const DEVICE_BASE: u64 = 0x1_0000_0000_0000;
 /// Base of the pinned-host (zero-copy) region.
@@ -18,8 +16,6 @@ pub const HOST_BASE: u64 = 0x2_0000_0000_0000;
 pub const MANAGED_BASE: u64 = 0x3_0000_0000_0000;
 /// Base of the CXL external-memory region (the cold spill tier).
 pub const CXL_BASE: u64 = 0x4_0000_0000_0000;
-
-const SPACE_SPAN: u64 = 0x1_0000_0000_0000;
 
 /// Bump allocators for the four spaces.
 #[derive(Debug, Clone)]
@@ -105,17 +101,6 @@ impl AddressSpaces {
     pub fn device_capacity(&self) -> u64 {
         self.device_capacity
     }
-
-    /// Which space does `addr` belong to?
-    pub fn space_of(addr: u64) -> Space {
-        match addr / SPACE_SPAN {
-            1 => Space::Device,
-            2 => Space::HostPinned,
-            3 => Space::Managed,
-            4 => Space::Cxl,
-            _ => panic!("address {addr:#x} outside all simulated spaces"),
-        }
-    }
 }
 
 fn align128(bytes: u64) -> u64 {
@@ -146,14 +131,6 @@ mod tests {
     }
 
     #[test]
-    fn space_classification() {
-        assert_eq!(AddressSpaces::space_of(DEVICE_BASE + 5), Space::Device);
-        assert_eq!(AddressSpaces::space_of(HOST_BASE), Space::HostPinned);
-        assert_eq!(AddressSpaces::space_of(MANAGED_BASE + 99), Space::Managed);
-        assert_eq!(AddressSpaces::space_of(CXL_BASE + 7), Space::Cxl);
-    }
-
-    #[test]
     fn cxl_allocations_are_page_aligned_and_tracked() {
         let mut a = AddressSpaces::new(1 << 20);
         let c1 = a.alloc_cxl(100);
@@ -161,12 +138,6 @@ mod tests {
         assert_eq!(c1, CXL_BASE);
         assert_eq!(c2, CXL_BASE + 4096);
         assert_eq!(a.host_used(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside all simulated spaces")]
-    fn null_pointerish_address_panics() {
-        let _ = AddressSpaces::space_of(42);
     }
 
     #[test]

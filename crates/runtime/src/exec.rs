@@ -185,13 +185,18 @@ impl PendingLine {
     }
 }
 
+/// Fixed cost of one kernel launch (driver + launch latency), paid before
+/// its first task starts; scaled with the datasets like the rest of the
+/// machine.
+pub const KERNEL_LAUNCH_NS: Time = 100;
+
 /// Run `kernel` to completion on `machine`, advancing its clock.
 pub fn run_kernel<K: Kernel>(machine: &mut Machine, kernel: &mut K) -> KernelReport {
     if machine.spaces.managed_used() > 0 {
         machine.ensure_uvm();
     }
     machine.kernel_launches += 1;
-    let start = machine.now + machine.kernel_launch_ns;
+    let start = machine.now + KERNEL_LAUNCH_NS;
     let mut ex = Executor {
         m: machine,
         kernel,
@@ -735,7 +740,7 @@ mod tests {
         let r = run_kernel(&mut m, &mut Empty);
         assert_eq!(r.tasks, 0);
         assert_eq!(r.elapsed(), 0);
-        assert_eq!(m.now, m.kernel_launch_ns);
+        assert_eq!(m.now, KERNEL_LAUNCH_NS);
     }
 
     #[test]

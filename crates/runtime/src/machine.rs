@@ -25,8 +25,6 @@ pub struct MachineConfig {
     /// Template for the UVM driver (pool size is filled in from leftover
     /// device memory when the first managed allocation is made).
     pub uvm: UvmConfig,
-    /// Resolution of the bandwidth time series.
-    pub monitor_window_ns: Time,
     /// Optional CXL-class external-memory tier. `None` (the default in
     /// every preset) reproduces the paper's two-level machine exactly.
     pub cxl: Option<CxlConfig>,
@@ -43,7 +41,6 @@ impl MachineConfig {
             pcie: PcieGen::Gen3x16.config(),
             host_dram: DramConfig::ddr4_2933_quad(),
             uvm: UvmConfig::default(),
-            monitor_window_ns: 50_000,
             cxl: None,
             host_capacity_bytes: None,
         }
@@ -56,7 +53,6 @@ impl MachineConfig {
             pcie: PcieGen::Gen3x16.config(),
             host_dram: DramConfig::ddr4_3200_octa(),
             uvm: UvmConfig::default(),
-            monitor_window_ns: 50_000,
             cxl: None,
             host_capacity_bytes: None,
         }
@@ -77,7 +73,6 @@ impl MachineConfig {
             pcie: PcieGen::Gen3x16.config(),
             host_dram: DramConfig::ddr4_2933_quad(),
             uvm: UvmConfig::default(),
-            monitor_window_ns: 50_000,
             cxl: None,
             host_capacity_bytes: None,
         }
@@ -96,6 +91,9 @@ impl MachineConfig {
         self
     }
 }
+
+/// Resolution of the monitor's bandwidth time series (§3.2).
+const MONITOR_WINDOW_NS: Time = 50_000;
 
 /// The assembled machine. The executor (`crate::exec`) mutates it in
 /// place; experiments read the monitors afterwards.
@@ -123,8 +121,6 @@ pub struct Machine {
     pub uvm: Option<UvmDriver>,
     /// Simulated wall clock, advanced by kernels and copies.
     pub now: Time,
-    /// Kernel launch fixed cost (driver + launch latency).
-    pub kernel_launch_ns: Time,
     /// Bytes the kernels' lanes actually requested (pre-coalescing);
     /// incremented by the executor per warp step.
     pub lane_bytes: u64,
@@ -146,13 +142,12 @@ impl Machine {
             host_dram: Dram::new(cfg.host_dram.clone()),
             hbm: Dram::new(cfg.gpu.hbm.clone()),
             cache: SectoredCache::new(&cfg.gpu.cache),
-            monitor: TrafficMonitor::new(cfg.monitor_window_ns),
+            monitor: TrafficMonitor::new(MONITOR_WINDOW_NS),
             dma: DmaEngine::new(),
             spaces: AddressSpaces::new(cfg.gpu.mem_bytes),
             cxl: cfg.cxl.clone().map(CxlLink::new),
             uvm: None,
             now: 0,
-            kernel_launch_ns: 100, // scaled with the datasets (see ARCHITECTURE.md)
             lane_bytes: 0,
             txn_bytes: 0,
             kernel_launches: 0,

@@ -191,11 +191,6 @@ impl Prefetcher {
         self.slice_used
     }
 
-    /// Most regions issued per planning round.
-    pub fn max_regions_per_round(&self) -> usize {
-        self.cfg.max_regions_per_round
-    }
-
     /// Whether `region` currently holds a live speculative stage.
     pub fn is_speculative(&self, region: usize) -> bool {
         self.slots[region].is_some()

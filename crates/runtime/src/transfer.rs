@@ -51,9 +51,6 @@ pub struct TransferConfig {
     /// Region granularity in bytes; a power of two, at least one 128-byte
     /// cache line (so no line ever straddles a region boundary).
     pub region_bytes: u64,
-    /// Device-pool budget for staged regions; `None` takes all device
-    /// memory still free after the explicit allocations.
-    pub pool_bytes: Option<u64>,
     /// The stage-or-stay-zero-copy decision policy.
     pub policy: TransferPolicyConfig,
 }
@@ -62,7 +59,6 @@ impl Default for TransferConfig {
     fn default() -> Self {
         Self {
             region_bytes: 64 << 10,
-            pool_bytes: None,
             policy: TransferPolicyConfig::default(),
         }
     }
@@ -88,16 +84,6 @@ impl RegionMap {
         } else {
             Some(dev + (offset & ((1u64 << self.shift) - 1)))
         }
-    }
-
-    /// Regions the watched array is divided into.
-    pub fn num_regions(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Regions currently staged on the device.
-    pub fn staged_regions(&self) -> usize {
-        self.table.iter().filter(|&&d| d != UNMAPPED).count()
     }
 }
 
@@ -158,7 +144,7 @@ pub struct TransferManager {
 
 impl TransferManager {
     /// Watch `len_bytes` of pinned host memory on `machine`. The pool
-    /// budget is capped by the device memory still free at this point.
+    /// budget is the device memory still free at this point.
     pub fn new(machine: &Machine, len_bytes: u64, cfg: TransferConfig) -> Self {
         Self::with_tiers(machine, len_bytes, len_bytes, cfg)
     }
@@ -167,8 +153,8 @@ impl TransferManager {
     /// pinned host DRAM and the rest in the CXL external tier (the
     /// spilled layout of a bigger-than-host-DRAM graph). `host_bytes`
     /// must land on a region boundary (or cover the whole array) so every
-    /// region has exactly one home tier. The pool budget is capped by the
-    /// device memory still free at this point.
+    /// region has exactly one home tier. The pool budget is the device
+    /// memory still free at this point.
     pub fn with_tiers(
         machine: &Machine,
         len_bytes: u64,
@@ -188,10 +174,6 @@ impl TransferManager {
             cfg.region_bytes
         );
         let regions = len_bytes.div_ceil(cfg.region_bytes) as usize;
-        let pool = cfg
-            .pool_bytes
-            .unwrap_or(u64::MAX)
-            .min(machine.spaces.device_free());
         Self {
             region_bytes: cfg.region_bytes,
             shift: cfg.region_bytes.trailing_zeros(),
@@ -201,7 +183,7 @@ impl TransferManager {
             upcoming: vec![0; regions],
             touched: Vec::new(),
             last_touched: Vec::new(),
-            pool,
+            pool: machine.spaces.device_free(),
             host_bytes,
             stats: TransferStats::default(),
         }
@@ -221,11 +203,6 @@ impl TransferManager {
     /// Regions the watched array is divided into.
     pub fn num_regions(&self) -> usize {
         self.table.len()
-    }
-
-    /// Region granularity in bytes.
-    pub fn region_bytes(&self) -> u64 {
-        self.region_bytes
     }
 
     /// The demand budget: device-pool bytes not yet consumed by demand
@@ -251,11 +228,6 @@ impl TransferManager {
     /// Whether `region` has been staged into device memory.
     pub fn is_staged(&self, region: usize) -> bool {
         self.table[region] != UNMAPPED
-    }
-
-    /// Regions staged so far over the manager's lifetime.
-    pub fn staged_regions(&self) -> usize {
-        self.stats.staged_regions as usize
     }
 
     /// Actual bytes of region `r` (the last region may be partial).
@@ -490,10 +462,20 @@ mod tests {
         Machine::new(MachineConfig::v100_gen3())
     }
 
-    fn cfg(region_bytes: u64, pool: Option<u64>) -> TransferConfig {
+    /// A V100 whose free device memory — the staging pool of the next
+    /// manager — is exactly `pool` bytes (a multiple of 128: device
+    /// allocations round up to whole lines).
+    fn machine_with_pool(pool: u64) -> Machine {
+        let mut m = machine();
+        let free = m.spaces.device_free();
+        m.alloc_device(free - pool);
+        assert_eq!(m.spaces.device_free(), pool);
+        m
+    }
+
+    fn cfg(region_bytes: u64) -> TransferConfig {
         TransferConfig {
             region_bytes,
-            pool_bytes: pool,
             policy: TransferPolicyConfig::default(),
         }
     }
@@ -501,7 +483,7 @@ mod tests {
     #[test]
     fn regions_cover_the_array() {
         let m = machine();
-        let tm = TransferManager::new(&m, 200 << 10, cfg(64 << 10, None));
+        let tm = TransferManager::new(&m, 200 << 10, cfg(64 << 10));
         assert_eq!(tm.num_regions(), 4);
         assert_eq!(tm.region_len(0), 64 << 10);
         assert_eq!(tm.region_len(3), 8 << 10, "last region is partial");
@@ -511,7 +493,7 @@ mod tests {
     fn dense_upcoming_region_is_staged_and_copied() {
         let mut m = machine();
         m.alloc_host_pinned(128 << 10);
-        let mut tm = TransferManager::new(&m, 128 << 10, cfg(64 << 10, None));
+        let mut tm = TransferManager::new(&m, 128 << 10, cfg(64 << 10));
         let before = m.now;
         // Region 0 fully read next iteration, region 1 barely touched.
         tm.plan_iteration(&mut m, [(0, 64 << 10), (80 << 10, 81 << 10)]);
@@ -534,7 +516,7 @@ mod tests {
     #[test]
     fn sparse_traffic_accumulates_then_stages() {
         let mut m = machine();
-        let mut tm = TransferManager::new(&m, 64 << 10, cfg(64 << 10, None));
+        let mut tm = TransferManager::new(&m, 64 << 10, cfg(64 << 10));
         // 0.41-dense iterations: decisions stay zero-copy until
         // cumulative + upcoming density reaches the ski-rental point
         // (1.5), i.e. on the fourth round (3 x 0.41 + 0.41 = 1.63).
@@ -551,9 +533,9 @@ mod tests {
 
     #[test]
     fn pool_exhaustion_falls_back_to_zero_copy() {
-        let mut m = machine();
         // Pool holds exactly one region.
-        let mut tm = TransferManager::new(&m, 256 << 10, cfg(64 << 10, Some(64 << 10)));
+        let mut m = machine_with_pool(64 << 10);
+        let mut tm = TransferManager::new(&m, 256 << 10, cfg(64 << 10));
         tm.plan_iteration(&mut m, [(0, 256 << 10)]); // all four regions fully dense
         assert_eq!(tm.stats.staged_regions, 1);
         assert_eq!(tm.stats.pool_fallbacks, 3);
@@ -566,35 +548,35 @@ mod tests {
 
     #[test]
     fn partial_region_budgets_its_rounded_allocation() {
-        let mut m = machine();
-        // One 8000-byte (non-128-multiple) region; a pool of exactly
-        // 8000 bytes cannot hold its 8064-byte rounded allocation, so
-        // staging must fall back rather than underflow the budget.
-        let mut tm = TransferManager::new(&m, 8_000, cfg(64 << 10, Some(8_000)));
+        // One 8000-byte (non-128-multiple) region; a pool of 7936 bytes
+        // (whole lines, under the region's own size) cannot hold its
+        // 8064-byte rounded allocation, so staging must fall back rather
+        // than underflow the budget.
+        let mut m = machine_with_pool(7_936);
+        let mut tm = TransferManager::new(&m, 8_000, cfg(64 << 10));
         assert!(!tm.plan_iteration(&mut m, [(0, 8_000)]));
         assert!(!tm.is_staged(0));
         assert_eq!(tm.stats.pool_fallbacks, 1);
-        assert_eq!(tm.pool_left(), 8_000);
+        assert_eq!(tm.pool_left(), 7_936);
         // With the rounded size available the region stages fine.
-        let mut tm = TransferManager::new(&m, 8_000, cfg(64 << 10, Some(8_064)));
+        let mut m = machine_with_pool(8_064);
+        let mut tm = TransferManager::new(&m, 8_000, cfg(64 << 10));
         assert!(tm.plan_iteration(&mut m, [(0, 8_000)]));
         assert!(tm.is_staged(0));
         assert_eq!(tm.pool_left(), 0);
     }
 
     #[test]
-    fn pool_is_capped_by_free_device_memory() {
-        let mut m = machine();
-        let free = m.spaces.device_free();
-        m.alloc_device(free - (64 << 10));
-        let tm = TransferManager::new(&m, 1 << 20, cfg(64 << 10, None));
+    fn pool_is_the_free_device_memory() {
+        let m = machine_with_pool(64 << 10);
+        let tm = TransferManager::new(&m, 1 << 20, cfg(64 << 10));
         assert_eq!(tm.pool_left(), 64 << 10);
     }
 
     #[test]
     fn staged_region_is_not_replanned() {
         let mut m = machine();
-        let mut tm = TransferManager::new(&m, 64 << 10, cfg(64 << 10, None));
+        let mut tm = TransferManager::new(&m, 64 << 10, cfg(64 << 10));
         tm.plan_iteration(&mut m, [(0, 64 << 10)]);
         assert_eq!(tm.stats.staged_regions, 1);
         let copied = m.dma.bytes_to_device;
@@ -606,7 +588,7 @@ mod tests {
     #[test]
     fn overlapping_notes_saturate_at_region_size() {
         let m = machine();
-        let mut tm = TransferManager::new(&m, 64 << 10, cfg(64 << 10, None));
+        let mut tm = TransferManager::new(&m, 64 << 10, cfg(64 << 10));
         for _ in 0..8 {
             tm.note_upcoming(0, 32 << 10);
         }
@@ -616,7 +598,7 @@ mod tests {
     #[test]
     fn plan_iteration_notes_then_plans() {
         let mut m = machine();
-        let mut tm = TransferManager::new(&m, 128 << 10, cfg(64 << 10, None));
+        let mut tm = TransferManager::new(&m, 128 << 10, cfg(64 << 10));
         let changed = tm.plan_iteration(&mut m, [(0u64, 64 << 10), (80 << 10, 81 << 10)]);
         assert!(changed, "dense region 0 must stage");
         assert!(tm.is_staged(0) && !tm.is_staged(1));
@@ -633,7 +615,7 @@ mod tests {
         let mut m = Machine::new(
             MachineConfig::v100_gen3().with_cxl(emogi_sim::cxl::CxlConfig::external_x8()),
         );
-        let mut tm = TransferManager::with_tiers(&m, 128 << 10, 64 << 10, cfg(64 << 10, None));
+        let mut tm = TransferManager::with_tiers(&m, 128 << 10, 64 << 10, cfg(64 << 10));
         let c0 = tm.stats;
         tm.plan_iteration(&mut m, [(0u64, 64 << 10)]);
         let c1 = tm.stats;
@@ -654,7 +636,7 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_region_rejected() {
         let m = machine();
-        let _ = TransferManager::new(&m, 1 << 20, cfg(48 << 10, None));
+        let _ = TransferManager::new(&m, 1 << 20, cfg(48 << 10));
     }
 
     // ----------------------------------------------- N-tier placement
@@ -668,13 +650,13 @@ mod tests {
     #[test]
     fn homes_split_at_the_host_byte_boundary() {
         let m = machine();
-        let tm = TransferManager::with_tiers(&m, 256 << 10, 128 << 10, cfg(64 << 10, None));
+        let tm = TransferManager::with_tiers(&m, 256 << 10, 128 << 10, cfg(64 << 10));
         assert_eq!(tm.home(0), MemoryTier::Host);
         assert_eq!(tm.home(1), MemoryTier::Host);
         assert_eq!(tm.home(2), MemoryTier::Cxl);
         assert_eq!(tm.home(3), MemoryTier::Cxl);
         // A fully host-resident array has no CXL-homed regions.
-        let tm = TransferManager::new(&m, 256 << 10, cfg(64 << 10, None));
+        let tm = TransferManager::new(&m, 256 << 10, cfg(64 << 10));
         assert!((0..4).all(|r| tm.home(r) == MemoryTier::Host));
     }
 
@@ -682,7 +664,7 @@ mod tests {
     #[should_panic(expected = "region boundary")]
     fn misaligned_host_split_is_rejected() {
         let m = machine();
-        let _ = TransferManager::with_tiers(&m, 256 << 10, 100 << 10, cfg(64 << 10, None));
+        let _ = TransferManager::with_tiers(&m, 256 << 10, 100 << 10, cfg(64 << 10));
     }
 
     /// A CXL-homed region promotes over the CXL link — at the *lower*
@@ -690,7 +672,7 @@ mod tests {
     #[test]
     fn cxl_homed_region_promotes_over_the_cxl_link() {
         let mut m = cxl_machine();
-        let mut tm = TransferManager::with_tiers(&m, 128 << 10, 64 << 10, cfg(64 << 10, None));
+        let mut tm = TransferManager::with_tiers(&m, 128 << 10, 64 << 10, cfg(64 << 10));
         // 0.41-dense rounds on the CXL-homed region 1: threshold 0.75 is
         // crossed on the second round (0.41 + 0.41), where the host-homed
         // region 0 with identical traffic still rents (threshold 1.5).
@@ -711,7 +693,7 @@ mod tests {
     #[test]
     fn prefetcher_skips_cxl_homed_regions() {
         let mut m = cxl_machine();
-        let mut tm = TransferManager::with_tiers(&m, 128 << 10, 64 << 10, cfg(64 << 10, None));
+        let mut tm = TransferManager::with_tiers(&m, 128 << 10, 64 << 10, cfg(64 << 10));
         let mut pf = prefetcher(&m, &tm);
         // Recurring sub-threshold traffic on both homes: region 1 (CXL)
         // promotes on demand at its lower threshold and must never appear
@@ -745,9 +727,9 @@ mod tests {
     #[test]
     fn adopted_prefetch_skips_the_demand_copy_but_counts_identical_traffic() {
         let mut ms = machine();
-        let mut tms = TransferManager::new(&ms, 64 << 10, cfg(64 << 10, None));
+        let mut tms = TransferManager::new(&ms, 64 << 10, cfg(64 << 10));
         let mut mp = machine();
-        let mut tmp = TransferManager::new(&mp, 64 << 10, cfg(64 << 10, None));
+        let mut tmp = TransferManager::new(&mp, 64 << 10, cfg(64 << 10));
         let mut pf = prefetcher(&mp, &tmp);
 
         for _ in 0..4 {
@@ -781,8 +763,8 @@ mod tests {
     /// and the misprediction only costs wasted bytes.
     #[test]
     fn speculative_charge_never_steals_the_pool_from_demand_staging() {
-        let mut m = machine();
-        let mut tm = TransferManager::new(&m, 128 << 10, cfg(64 << 10, Some(64 << 10)));
+        let mut m = machine_with_pool(64 << 10);
+        let mut tm = TransferManager::new(&m, 128 << 10, cfg(64 << 10));
         let mut pf = prefetcher(&m, &tm);
         // Make region 1 look hot so the prefetcher speculates it.
         for _ in 0..3 {
@@ -814,8 +796,8 @@ mod tests {
     /// pool budget at the next round.
     #[test]
     fn reserve_consumes_speculative_headroom_without_double_counting() {
-        let mut m = machine();
-        let mut tm = TransferManager::new(&m, 128 << 10, cfg(64 << 10, Some(64 << 10)));
+        let mut m = machine_with_pool(64 << 10);
+        let mut tm = TransferManager::new(&m, 128 << 10, cfg(64 << 10));
         let mut pf = prefetcher(&m, &tm);
         for _ in 0..3 {
             tm.plan_iteration_pipelined(&mut m, [(64 << 10, 90 << 10)], &mut pf);
@@ -843,8 +825,8 @@ mod tests {
     /// evicted — before `prefetch_for_next` may speculate again.
     #[test]
     fn reserve_overhang_is_repaired_before_any_new_speculation() {
-        let mut m = machine();
-        let mut tm = TransferManager::new(&m, 256 << 10, cfg(64 << 10, Some(128 << 10)));
+        let mut m = machine_with_pool(128 << 10);
+        let mut tm = TransferManager::new(&m, 256 << 10, cfg(64 << 10));
         let mut pf = prefetcher(&m, &tm);
         // Regions 1, 2 and 3 look equally hot: the first two are
         // speculated, filling the pool; region 3 stays a candidate.
@@ -878,9 +860,9 @@ mod tests {
     #[test]
     fn plan_pipelined_without_speculation_matches_plan_exactly() {
         let mut ms = machine();
-        let mut tms = TransferManager::new(&ms, 256 << 10, cfg(64 << 10, None));
+        let mut tms = TransferManager::new(&ms, 256 << 10, cfg(64 << 10));
         let mut mp = machine();
-        let mut tmp = TransferManager::new(&mp, 256 << 10, cfg(64 << 10, None));
+        let mut tmp = TransferManager::new(&mp, 256 << 10, cfg(64 << 10));
         // A prefetcher with a zero-byte slice can never issue.
         let mut pf = Prefetcher::new(
             tmp.num_regions(),

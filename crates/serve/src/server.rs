@@ -472,48 +472,13 @@ impl<'g, B: ServeBackend<'g>> Server<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{Priority, QueryResult};
+    use crate::query::Priority;
     use emogi_core::EngineConfig;
-    use emogi_graph::datasets::generate_weights;
-    use emogi_graph::{algo, generators};
+    use emogi_graph::generators;
     use std::sync::Arc;
 
     fn server(g: &emogi_graph::CsrGraph, cfg: ServerConfig) -> QueryServer<'_> {
         QueryServer::new(cfg, Engine::load(EngineConfig::emogi_v100(), g))
-    }
-
-    #[test]
-    fn serves_a_mixed_workload_correctly() {
-        let g = generators::uniform_random(500, 6, 11);
-        let w = Arc::new(generate_weights(g.num_edges(), 11));
-        let mut s = server(&g, ServerConfig::default());
-        let b0 = s.submit(Query::bfs(0)).unwrap();
-        let s0 = s.submit(Query::sssp(3, Arc::clone(&w))).unwrap();
-        let b1 = s.submit(Query::bfs(9)).unwrap();
-        assert_eq!(s.pending(), 3);
-        assert_eq!(s.run_pending(), 3);
-        assert_eq!(s.pending(), 0);
-
-        let r = s.take(b0).unwrap().into_bfs();
-        assert_eq!(r.levels, algo::bfs_levels(&g, 0));
-        let r = s.take(b1).unwrap().into_bfs();
-        assert_eq!(r.levels, algo::bfs_levels(&g, 9));
-        let r = s.take(s0).unwrap().into_sssp();
-        let want = algo::sssp_distances(&g, &w, 3);
-        for (v, &expect) in want.iter().enumerate() {
-            let got = if r.dist[v] == u32::MAX {
-                algo::UNREACHABLE
-            } else {
-                u64::from(r.dist[v])
-            };
-            assert_eq!(got, expect, "vertex {v}");
-        }
-
-        // Two batches: {bfs 0, bfs 9} and {sssp 3}.
-        assert_eq!(s.stats().batches, 2);
-        assert_eq!(s.stats().served, 3);
-        assert_eq!(s.stats().batched_queries, 2);
-        assert!(s.stats().queries_per_sec() > 0.0);
     }
 
     #[test]
@@ -627,36 +592,6 @@ mod tests {
     }
 
     #[test]
-    fn a_pipelined_engine_serves_bit_identically_to_a_synchronous_one() {
-        let g = generators::uniform_random(400, 8, 13);
-        let mut results: Vec<Vec<QueryResult>> = Vec::new();
-        for cfg in [EngineConfig::hybrid_v100(), EngineConfig::pipelined_v100()] {
-            let mut s = QueryServer::new(ServerConfig::default(), Engine::load(cfg, &g));
-            let ids: Vec<_> = [0u32, 7, 42, 301]
-                .iter()
-                .map(|&v| s.submit(Query::bfs(v)).unwrap())
-                .collect();
-            assert_eq!(s.run_pending(), 4);
-            results.push(
-                ids.into_iter()
-                    .map(|id| s.take(id).unwrap().into_result().unwrap())
-                    .collect(),
-            );
-        }
-        let (sync, pipe) = (&results[0], &results[1]);
-        for (a, b) in sync.iter().zip(pipe) {
-            assert_eq!(a.stats().kernel_launches, b.stats().kernel_launches);
-            assert_eq!(a.stats().host_bytes, b.stats().host_bytes);
-        }
-        for pair in sync.iter().zip(pipe) {
-            let (QueryResult::Bfs(want), QueryResult::Bfs(got)) = pair else {
-                panic!("BFS queries answered by {pair:?}");
-            };
-            assert_eq!(want.levels, got.levels);
-        }
-    }
-
-    #[test]
     fn max_batch_splits_a_burst_into_several_batches() {
         let g = generators::uniform_random(300, 6, 4);
         let mut s = server(
@@ -672,6 +607,7 @@ mod tests {
         assert_eq!(s.run_pending(), 7);
         assert_eq!(s.stats().batches, 3, "7 queries at cap 3 → 3+3+1");
         assert_eq!(s.stats().batched_queries, 6);
+        assert!(s.stats().queries_per_sec() > 0.0);
         for id in ids {
             assert!(s.take(id).is_some());
         }

@@ -124,11 +124,6 @@ impl Interconnect {
         self.cfg.peer.is_some()
     }
 
-    /// The configuration the interconnect was built from.
-    pub fn config(&self) -> &InterconnectConfig {
-        &self.cfg
-    }
-
     /// Broadcast `bytes` from device `src` to every other device,
     /// starting no earlier than `now`; returns the last delivery time.
     /// With a peer link this is `links - 1` unicasts serialized on

@@ -104,11 +104,6 @@ impl CopyEngine {
         }
     }
 
-    /// The lane's configuration.
-    pub fn config(&self) -> &CopyEngineConfig {
-        &self.cfg
-    }
-
     /// Wire time for `bytes` on this lane: payload plus per-chunk
     /// completion headers over the usable bandwidth.
     pub fn wire_time(&self, bytes: u64) -> Time {
@@ -126,11 +121,6 @@ impl CopyEngine {
     /// Full marginal cost of one submission on an idle lane.
     pub fn cost(&self, bytes: u64) -> Time {
         self.cfg.launch_overhead_ns + self.wire_time(bytes)
-    }
-
-    /// Submitted copies not yet drained.
-    pub fn pending(&self) -> usize {
-        self.inflight.len()
     }
 
     /// Submit a copy at simulated time `at`; returns its ticket. The
@@ -215,7 +205,6 @@ mod tests {
         let a = e.submit(0, 4 << 10);
         let b = e.submit(0, 4 << 10);
         let c = e.submit(0, 4 << 10);
-        assert_eq!(e.pending(), 3);
         assert!(e.drain_completed(a.done_at - 1).is_empty());
         let first = e.drain_completed(b.done_at);
         assert_eq!(
@@ -224,7 +213,7 @@ mod tests {
         );
         let rest = e.drain_completed(Time::MAX);
         assert_eq!(rest, vec![c]);
-        assert_eq!(e.pending(), 0);
+        assert!(e.drain_completed(Time::MAX).is_empty(), "drained once");
         assert_eq!(e.stats.copies, 3);
         assert_eq!(e.stats.bytes, 3 * (4 << 10));
     }

@@ -352,11 +352,6 @@ impl UvmDriver {
         }
         self.resident as f64 / self.states.len() as f64
     }
-
-    /// Base address of the managed region.
-    pub fn base_addr(&self) -> u64 {
-        self.base_addr
-    }
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 //! | CXL spill (`tiering_differential`) | two-tier → host capacity 0 | `Results` | `Results` | `Results` |
 //! | relabeling (`layout_differential`, `proptests`) | identity → any plan | `Results` | `Results` | `Results` |
 //! | purity (`determinism`) | cfg → same cfg again | `Full` | `Full` | `Full` |
-//! | CPU oracle (`correctness`, `proptests`) | `algo::*` → cfg | outputs | | |
+//! | CPU oracle (`correctness`, `proptests`) | `algo::*` → cfg | outputs; full sweeps launch once per pass | | |
 //!
 //! Every row holds for all four programs under every named configuration
 //! ([`configs`]; pipelining draws region sizes instead). The shapes are
@@ -430,10 +430,16 @@ pub fn reference_answers(graph: &CsrGraph, specs: &[ProgramSpec]) -> Vec<Vec<u64
 
 /// `got`'s outputs equal the oracle's, bit for bit — PageRank's too: the
 /// engine folds each vertex's addends in the canonical order
-/// `algo::pagerank` uses.
+/// `algo::pagerank` uses — and a full sweep's launch count is its pass
+/// count (one launch per CC hook pass, per PageRank power iteration).
 pub fn assert_outputs_match(got: &Outcome, want: &[Vec<u64>], tag: &str) {
     assert_eq!(got.runs.len(), want.len(), "{tag}: run count");
     for (i, (run, w)) in got.runs.iter().zip(want).enumerate() {
-        assert_eq!(&got.words(i), w, "{tag}: {:?} vs CPU reference", run.kind());
+        let kind = run.kind();
+        assert_eq!(&got.words(i), w, "{tag}: {kind:?} vs CPU reference");
+        if let Some(passes) = run.passes() {
+            let launches = run.stats().kernel_launches;
+            assert_eq!(launches, passes, "{tag}: {kind:?} launches vs passes");
+        }
     }
 }

@@ -2,6 +2,25 @@
 //! configurations of `tests/common`, HALO, Subway) must produce results
 //! identical to the CPU reference algorithms on randomized graphs, for
 //! every vertex program.
+//!
+//! Seeded mutations this file is known to catch:
+//!
+//! - `BfsProgram::new` starting `next_level` at 1 fails
+//!   `bfs_matches_reference_for_every_engine_and_graph_family`;
+//! - `SsspProgram::edge` reading the previous edge's weight
+//!   (`weights[i - 1]`) fails `sssp_matches_dijkstra_for_every_engine`;
+//! - `CcProgram::new` starting `hook_passes` at 1 — one pass more than it
+//!   launches — fails `cc_matches_union_find_for_every_engine`, through
+//!   `assert_outputs_match`'s launches-vs-passes check;
+//! - `PageRankProgram::converged` testing `>` (one sweep too many), and
+//!   `spec::run` building PageRank with `iterations + 1`, fail
+//!   `pagerank_matches_reference_for_every_engine`;
+//! - `Engine::run` driving its lone program on the batch status slots
+//!   (`batched = true`) fails every engine test here;
+//! - Subway's round loop dropping the last active vertex before each
+//!   `expand`, its SSSP reading `weights[k]` for `weights[start + k]`,
+//!   and its CC never setting `changed`, each fail
+//!   `halo_and_subway_agree_with_reference`.
 
 mod common;
 
@@ -72,20 +91,45 @@ fn one_placement_serves_all_four_programs() {
     assert_every_engine_matches_the_oracle(&g, &four_programs(4, &w, 8), "uniform");
 }
 
+/// HALO's BFS on a directed web graph, and Subway's three programs under
+/// both pipelines — SSSP and BFS on the directed graph and an undirected
+/// one, CC on the undirected one (it needs one).
 #[test]
 fn halo_and_subway_agree_with_reference() {
-    let g = generators::web_crawl(800, 8, 80, 0.85, 5);
-    let src = (0..800u32).find(|&v| g.degree(v) > 0).unwrap();
-    let want = algo::bfs_levels(&g, src);
-
+    let web = generators::web_crawl(800, 8, 80, 0.85, 5);
+    let src = (0..800u32).find(|&v| web.degree(v) > 0).unwrap();
     let halo = HaloSystem::new(
         EngineConfig::uvm_v100().with_machine(MachineConfig::titan_xp_gen3()),
-        &g,
+        &web,
     );
-    assert_eq!(halo.bfs(src).levels, want, "halo");
+    assert_eq!(halo.bfs(src).levels, algo::bfs_levels(&web, src), "halo");
 
-    let mut subway = SubwaySystem::new(MachineConfig::v100_gen3(), &g, None, SubwayMode::Async);
-    assert_eq!(subway.bfs(src).levels, want, "subway");
+    for g in [web, generators::uniform_random(500, 6, 4)] {
+        let src = (0..g.num_vertices() as u32).find(|&v| g.degree(v) > 0);
+        let weights = datasets::generate_weights(g.num_edges(), 5);
+        let mut specs = traversals(&[src.expect("an edge")], &weights);
+        if g.is_undirected() {
+            specs.push(ProgramSpec::Cc);
+        }
+        let want = reference_answers(&g, &specs);
+        for mode in [SubwayMode::Sync, SubwayMode::Async] {
+            let machine = MachineConfig::v100_gen3();
+            let mut subway = SubwaySystem::new(machine, &g, Some(&weights), mode);
+            let run = |spec: &ProgramSpec| match spec {
+                ProgramSpec::Bfs { src } => ProgramRun::Bfs(subway.bfs(*src)),
+                ProgramSpec::Sssp { src, .. } => ProgramRun::Sssp(subway.sssp(*src)),
+                ProgramSpec::Cc => ProgramRun::Cc(subway.cc()),
+                ProgramSpec::PageRank { .. } => unreachable!("Subway runs no PageRank"),
+            };
+            let runs = specs.iter().map(run).collect();
+            let got = Outcome {
+                runs,
+                ..Outcome::default()
+            };
+            let tag = format!("Subway {mode:?}, {} vertices", g.num_vertices());
+            assert_outputs_match(&got, &want, &tag);
+        }
+    }
 }
 
 #[test]

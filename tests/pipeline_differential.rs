@@ -13,8 +13,8 @@
 //!
 //! Seeded mutation this file is known to catch: skipping
 //! `machine.account_async_stage` on adoption in `TransferManager::plan`
-//! fails `solo_runs_are_bit_identical_with_the_pipeline_on` and the
-//! witness.
+//! fails `solo_runs_are_bit_identical_with_the_pipeline_on`,
+//! `batched_runs_are_bit_identical_with_the_pipeline_on` and the witness.
 //!
 //! The proptest shim derives each test's seed from its name, so every
 //! failure reproduces locally with a plain `cargo test --test

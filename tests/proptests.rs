@@ -1,5 +1,17 @@
 //! Property-based tests (proptest) over the core data structures and the
 //! end-to-end engines.
+//!
+//! Seeded mutations this file is known to catch:
+//! `every_program_strategy_placement_matches_the_cpu_references` fails
+//! under each of the program mutations listed in `tests/correctness.rs`
+//! (BFS levels one deep, SSSP's shifted weight, CC's extra hook pass,
+//! PageRank's extra sweep, `spec::run`'s extra PageRank iteration).
+//!
+//! The proptest shim derives each test's seed from its name, so every
+//! failure reproduces locally with a plain `cargo test --test
+//! proptests`; CI pins `EMOGI_PROPTEST_SEED` explicitly (see
+//! `.github/workflows/ci.yml`) and the same variable reproduces that
+//! exact run.
 
 mod common;
 

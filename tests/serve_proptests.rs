@@ -8,9 +8,18 @@
 //! SSSP bursts and mixed query bursts under any named configuration.
 //! **Witness:** `the_batched_side_actually_shares_vertices_and_saves_bytes`.
 //!
-//! Seeded mutation this file is known to catch: `merge_frontiers`
-//! dropping the `|= 1 << q` for a vertex two queries share fails the
-//! witness (and `batch.rs`'s own unit test of the masks).
+//! Seeded mutations this file is known to catch:
+//!
+//! - `merge_frontiers` dropping the `|= 1 << q` for a vertex two queries
+//!   share fails the witness (and `batch.rs`'s own unit test of the
+//!   masks);
+//! - `merge_frontiers` crediting a vertex's first member to slot 0
+//!   (`masks.push(1)`), and a batched launch scanning one status array
+//!   more than it has active queries (caught at `Batch(1)`, `Full`), each
+//!   fail `batched_bfs_is_bit_identical_to_sequential` and
+//!   `batched_sssp_is_bit_identical_to_sequential`;
+//! - `Server::run_pending` handing a batch's results to its queries in
+//!   reverse order fails `query_server_matches_solo_runs_on_random_mixes`.
 
 mod common;
 

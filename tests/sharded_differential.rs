@@ -8,10 +8,18 @@
 //! lists reach `HUB_SPLIT_DEGREE`, under any named configuration.
 //! **Witness:** `the_sharded_side_actually_exchanges_and_splits`.
 //!
-//! Seeded mutation this file is known to catch: `at = upto + 1` in
-//! `Driver::shard` (one edge skipped per slice boundary) fails
-//! `planted_hubs_are_bit_identical_across_device_counts` and none of the
-//! other random cases, whose lists are too short to split.
+//! Seeded mutations this file is known to catch:
+//!
+//! - `at = upto + 1` in `Driver::shard` (one edge skipped per slice
+//!   boundary) fails `planted_hubs_are_bit_identical_across_device_counts`
+//!   and none of the other random cases, whose lists are too short to
+//!   split;
+//! - `Driver::drive` counting an iteration before its empty-frontier exit
+//!   fails `one_device_stats_equal_the_engine_exactly` and
+//!   `frontier_programs_are_bit_identical_across_device_counts`;
+//! - `Driver::drive` rebuilding each frontier from device 0's activations
+//!   only fails `frontier_programs_are_bit_identical_across_device_counts`
+//!   and `planted_hubs_are_bit_identical_across_device_counts`.
 //!
 //! The proptest shim derives each test's seed from its name, so every
 //! failure reproduces locally with a plain `cargo test --test

@@ -27,6 +27,11 @@
 //! `*_SIDE` tables, generated at the commit before those loops were
 //! routed through one measurement bracket.
 //!
+//! Seeded mutation this file is known to catch: `Engine::load` placing
+//! every graph zero-copy whatever the configured transport fails both
+//! matrix tests — outputs do not move, the UVM and hybrid rows' faults,
+//! migrations and stagings do.
+//!
 //! **Re-pinning.** The simulator is deterministic, so a mismatch is a
 //! modelling change, never noise. If the change is intended and declared,
 //! run `cargo test --test sim_golden -- --nocapture`, and paste the
