@@ -10,7 +10,7 @@
 //! ```
 
 // The one binary that is *supposed* to measure wall-clock: opt out of
-// the workspace-wide ambient-clock ban (clippy.toml / ambient-nondet).
+// the workspace-wide ambient-clock ban (clippy.toml).
 #![allow(clippy::disallowed_methods, clippy::disallowed_types)]
 
 use emogi_bench::{experiments, Context};

@@ -53,7 +53,7 @@
 //! | host and CXL homes run one rent/buy rule against two thresholds, for every history and density | `host_and_cxl_homes_share_one_rent_buy_rule` in `crates/uvm/src/transfer.rs` |
 //! | speculation never lowers the demand budget; a reservation that leaves `slice_used > pool` is repaired before the next speculation | `speculative_charge_never_steals_the_pool_from_demand_staging`, `reserve_consumes_speculative_headroom_without_double_counting`, `reserve_overhang_is_repaired_before_any_new_speculation` in `crates/runtime/src/transfer.rs` |
 //! | a spill splits the edge list on a [`SPILL_ALIGN`] boundary; spilling without a CXL tier is rejected | `bounded_host_spills_edge_tail_to_cxl`, `spill_without_cxl_tier_is_rejected` below |
-//! | tier decisions are pure (no `Machine`, clock or monitor reads) | `emogi-lint` kernel-purity over `crates/uvm` + the tier fixtures/guard in `tools/lint` |
+//! | tier decisions are pure (no `Machine`, clock or monitor reads) | `cargo test --test sim_golden`: a live clock feeding `decide_tiered` fails both matrix tests (seed in its header) |
 //!
 //! The `tiering` experiment runs the bigger-than-host-DRAM regime on GK.
 

@@ -212,8 +212,9 @@ impl Prefetcher {
 
     /// Rank candidate regions for speculative staging, best first.
     ///
-    /// A **pure function of iteration-start state** (enforced by the
-    /// `kernel-purity` lint): the inputs are the planner's own staging
+    /// A **pure function of iteration-start state** (a live clock
+    /// feeding it fails `cargo test --test sim_golden`, seed in that
+    /// file's header): the inputs are the planner's own staging
     /// `table`, the policy's cumulative densities, and the round's sorted
     /// touch set — never live machine or clock state. A region's score is
     /// its accumulated zero-copy density plus its predicted next-round

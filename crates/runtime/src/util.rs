@@ -52,8 +52,8 @@ impl Hasher for IntHasher {
 /// Deterministic across processes (fixed seed), but iteration order is
 /// still a function of insertion history — so the determinism contract
 /// restricts `FastMap` to point lookups unless the iteration result is
-/// sorted or waived (`emogi-lint` rule `unordered-iter`; currently the
-/// runtime has no iteration site at all).
+/// sorted (`emogi-lint` rule `unordered-iter`; currently the runtime has
+/// no iteration site at all).
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 
 #[cfg(test)]

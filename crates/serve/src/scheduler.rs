@@ -17,9 +17,8 @@
 //!
 //! The plan is a pure function of queue state: no wall clock, no
 //! randomness — deadlines are absolute points on the *server's
-//! simulated clock*, assigned at admission. `emogi-lint`'s
-//! `ambient-nondet` rule (see `tools/lint/fixtures/deadline_clock_bad.rs`)
-//! guards exactly this property.
+//! simulated clock*, assigned at admission. `clippy.toml`'s wall-clock
+//! ban guards exactly this property (seed in its header).
 
 use crate::query::{Query, QueryId, QueryKind};
 

@@ -40,7 +40,7 @@
 //! | the one-pass FIFO plan equals incremental oldest-anchor selection | `fifo_plan_equals_incremental_next_batch` in `tests/sla_proptests.rs`; FIFO unit tests in `scheduler.rs` |
 //! | unredeemed results count against capacity (no results-map leak) | `unredeemed_results_count_against_capacity` below |
 //! | both front ends normalize `ServerConfig` identically | `both_front_ends_normalize_max_batch_identically` in `sharded.rs` |
-//! | expiry is a function of the simulated clock, never the wall clock | `emogi-lint` ambient-nondet over `crates/serve` + the deadline-clock fixtures/guard in `tools/lint/tests/fixtures.rs` |
+//! | expiry is a function of the simulated clock, never the wall clock | `clippy.toml`'s wall-clock ban under CI's `cargo clippy -D warnings` (seed in its header) |
 
 use crate::query::{self, Query, QueryId, QueryOutcome, QuerySpec, SubmitError};
 use crate::scheduler::{plan_batches, Pending, SchedPolicy};
@@ -193,7 +193,7 @@ impl ServerStats {
 /// batch execution; deadlines are absolute points on that clock fixed
 /// at admission. Scheduling, expiry and outcomes are pure functions of
 /// the submitted workload — no wall clock, no randomness (enforced by
-/// `emogi-lint`'s `ambient-nondet` rule).
+/// `clippy.toml`'s wall-clock ban).
 ///
 /// ```
 /// use emogi_core::{Engine, EngineConfig};

@@ -15,6 +15,10 @@
 //! - `PageRankProgram::converged` testing `>` (one sweep too many), and
 //!   `spec::run` building PageRank with `iterations + 1`, fail
 //!   `pagerank_matches_reference_for_every_engine`;
+//! - `PageRankProgram::edge` adding its contribution to `next[dst]` in
+//!   visit order, with `post_iteration`'s sorted fold removed, fails
+//!   `pagerank_matches_reference_for_every_engine` (this retired the
+//!   `float-fold` lint rule and PageRank's `canonical-order` waiver);
 //! - `Engine::run` driving its lone program on the batch status slots
 //!   (`batched = true`) fails every engine test here;
 //! - Subway's round loop dropping the last active vertex before each

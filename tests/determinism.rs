@@ -1,6 +1,6 @@
-//! Determinism meta-test: the runtime witness behind the static rules
-//! `emogi-lint` enforces (see `ARCHITECTURE.md`, "Determinism
-//! contract"), and the equivalence harness's own self-check.
+//! Determinism meta-test: the runtime witness behind the static gates
+//! (see `ARCHITECTURE.md`, "Determinism contract"), and the equivalence
+//! harness's own self-check.
 //!
 //! **Mechanism:** none — each test runs the *same* scenario twice on
 //! **fresh**, identically configured placements and asserts

@@ -12,9 +12,14 @@
 //! by the structured degree-sorted plan and by a random permutation.
 //! **Witness:** `the_relabeled_side_actually_moves_vertices_and_traffic`.
 //!
-//! Seeded mutation this file is known to catch:
-//! `LayoutPlan::unmap_values` returning its input fails
-//! `solo_runs_are_bit_identical_after_unmapping`.
+//! Seeded mutations this file is known to catch:
+//!
+//! - `LayoutPlan::unmap_values` returning its input fails
+//!   `solo_runs_are_bit_identical_after_unmapping`;
+//! - `ProgramKernel::visit_edge` passing the live
+//!   `self.programs[q].source_ctx(src)` instead of the captured context
+//!   fails `solo_runs_are_bit_identical_after_unmapping` and
+//!   `batched_runs_are_bit_identical_after_unmapping` at both seeds.
 //!
 //! The proptest shim derives each test's seed from its name, so every
 //! failure reproduces locally with a plain `cargo test --test

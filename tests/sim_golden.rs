@@ -27,10 +27,16 @@
 //! `*_SIDE` tables, generated at the commit before those loops were
 //! routed through one measurement bracket.
 //!
-//! Seeded mutation this file is known to catch: `Engine::load` placing
-//! every graph zero-copy whatever the configured transport fails both
-//! matrix tests — outputs do not move, the UVM and hybrid rows' faults,
-//! migrations and stagings do.
+//! Seeded mutations this file is known to catch:
+//!
+//! - `Engine::load` placing every graph zero-copy whatever the
+//!   configured transport fails both matrix tests — outputs do not move,
+//!   the UVM and hybrid rows' faults, migrations and stagings do;
+//! - `Prefetcher::rank_candidates` taking the round's clock and adding
+//!   `now % 2` to its threshold, and `TransferPolicy::decide_tiered`
+//!   taking `machine.now` and staging every touched region on odd
+//!   clocks, each fail both matrix tests (these took `rank_candidates`
+//!   and `decide_tiered` out of `emogi-lint`'s `kernel-purity` hooks).
 //!
 //! **Re-pinning.** The simulator is deterministic, so a mismatch is a
 //! modelling change, never noise. If the change is intended and declared,

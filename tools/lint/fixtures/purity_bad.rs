@@ -1,8 +1,9 @@
 // Known-bad: a kernel step hook that re-captures program state mid-launch
-// instead of reading the pre-captured iteration-start context. This is
-// the exact regression that would silently break batched/sharded
-// bit-identity: the context would depend on how earlier warp tasks of
-// the *same* iteration interleaved.
+// instead of reading the pre-captured iteration-start context, and a
+// program's edge hook reading the simulated machine. Either would make
+// results depend on how earlier warp tasks of the *same* iteration
+// interleaved — the exact regression that silently breaks
+// batched/sharded bit-identity.
 pub struct Kern;
 
 impl Kern {
@@ -10,8 +11,12 @@ impl Kern {
         let ctx = self.program.source_ctx(v); // live state, not iteration-start
         self.visit(v, ctx)
     }
+}
 
-    fn visit_edge(&mut self, m: &mut Machine) {
+pub struct Prog;
+
+impl Prog {
+    fn edge(&mut self, m: &mut Machine) {
         m.now += 1; // hooks must never touch the simulated machine
     }
 }

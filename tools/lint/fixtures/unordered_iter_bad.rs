@@ -1,7 +1,7 @@
 // Known-bad: the executor drains its in-flight map in hash order and
-// lets that order reach a stats counter — the bug class PR 3/4's
-// bit-identity work exists to prevent.
-use std::collections::HashMap;
+// lets that order reach a stats counter — the bug class the equivalence
+// suites can only see once a pinned number moves.
+use std::collections::{BinaryHeap, HashMap};
 
 pub struct Pending {
     lines: HashMap<u64, u32>,
@@ -16,5 +16,12 @@ impl Pending {
 
     pub fn waiters(&self) -> Vec<u32> {
         self.lines.values().copied().collect()
+    }
+
+    pub fn heap_order(&self) -> Vec<u32> {
+        // A heap's internal layout depends on insertion order: hash
+        // order leaks through `into_vec`.
+        let heap: BinaryHeap<u32> = self.lines.values().copied().collect();
+        heap.into_vec()
     }
 }

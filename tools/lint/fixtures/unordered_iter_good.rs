@@ -1,7 +1,7 @@
 // Known-good: point lookups are always fine; iteration is fine when the
-// result is explicitly sorted before the order can escape, or when a
-// reasoned waiver vouches for it.
-use std::collections::HashMap;
+// result is explicitly sorted, or collected into an ordered container,
+// before the order can escape.
+use std::collections::{BTreeMap, HashMap};
 
 pub struct Pending {
     lines: HashMap<u64, u32>,
@@ -19,8 +19,8 @@ impl Pending {
         self.lines.clear();
     }
 
-    pub fn total(&self) -> u64 {
-        // emogi-lint: allow(unordered-iter) — summing u64s is commutative; no order escapes
-        self.lines.values().map(|&v| u64::from(v)).sum()
+    pub fn waiters_by_addr(&self) -> Vec<u32> {
+        let by_addr: BTreeMap<u64, u32> = self.lines.iter().map(|(&a, &w)| (a, w)).collect();
+        by_addr.into_values().collect()
     }
 }

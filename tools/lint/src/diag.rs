@@ -2,29 +2,12 @@
 
 use std::fmt;
 
-/// The known rule ids, as they appear in `error[...]` and waivers.
+/// The rule ids, as they appear in `error[...]`.
 pub mod rules {
-    /// Iteration over a hash container without a sort or waiver.
+    /// Iteration over a hash container without a sort.
     pub const UNORDERED_ITER: &str = "unordered-iter";
-    /// Ambient nondeterminism: wall clocks or OS randomness.
-    pub const AMBIENT_NONDET: &str = "ambient-nondet";
     /// Kernel hook body touching live (non-iteration-start) state.
     pub const KERNEL_PURITY: &str = "kernel-purity";
-    /// Floating-point accumulation outside a canonical-order waiver.
-    pub const FLOAT_FOLD: &str = "float-fold";
-    /// Missing `#![forbid(unsafe_code)]` (or an `unsafe` token).
-    pub const FORBID_UNSAFE: &str = "forbid-unsafe";
-    /// A waiver that matched nothing (stale) or is malformed.
-    pub const BAD_WAIVER: &str = "bad-waiver";
-
-    /// Every real (waivable) rule id.
-    pub const ALL: &[&str] = &[
-        UNORDERED_ITER,
-        AMBIENT_NONDET,
-        KERNEL_PURITY,
-        FLOAT_FOLD,
-        FORBID_UNSAFE,
-    ];
 }
 
 /// One finding.
@@ -32,7 +15,7 @@ pub mod rules {
 pub struct Diagnostic {
     /// Workspace-relative path.
     pub path: String,
-    /// 1-based line (0 for file-level findings).
+    /// 1-based line.
     pub line: u32,
     /// Rule id (see [`rules`]).
     pub rule: &'static str,

@@ -4,307 +4,80 @@
 //! bit-identity with sequential execution, the sharded engine's
 //! bit-identity with the single-device engine — rests on one invariant:
 //! *each iteration is a pure function of iteration-start state*. The
-//! differential proptest harness witnesses that invariant at runtime,
-//! probabilistically and after the fact; this tool enforces its known
-//! static preconditions up front:
+//! equivalence suites witness that invariant at runtime, once a violation
+//! moves a number they compare; clippy (`clippy.toml`, `-F unsafe_code`)
+//! rejects wall clocks and `unsafe`. This tool enforces the two static
+//! preconditions neither reaches:
 //!
 //! * [`unordered-iter`](diag::rules::UNORDERED_ITER) — no iteration over
-//!   hash-ordered containers unless the result is sorted or waived;
-//! * [`ambient-nondet`](diag::rules::AMBIENT_NONDET) — no wall clocks or
-//!   OS randomness in deterministic crates;
+//!   hash-ordered containers unless the result is sorted;
 //! * [`kernel-purity`](diag::rules::KERNEL_PURITY) — kernel hook bodies
-//!   read only pre-captured iteration-start contexts;
-//! * [`float-fold`](diag::rules::FLOAT_FOLD) — floating-point
-//!   accumulation only under a declared `canonical-order` waiver;
-//! * [`forbid-unsafe`](diag::rules::FORBID_UNSAFE) — the workspace stays
-//!   `unsafe`-free and every library crate root says so.
+//!   read only pre-captured iteration-start contexts.
 //!
-//! The analyzer is a hand-rolled lexer (no external parser crate,
-//! consistent with the repo's offline-shims philosophy). Configuration
-//! and path waivers live in `emogi-lint.toml` at the workspace root;
-//! inline waivers are `// emogi-lint: allow(<rule>) — <reason>` comments.
-//! Every waiver must carry a reason, and stale waivers are errors.
+//! It scans every crate under `crates/` except `crates/bench`, which
+//! measures wall-clock time and is no part of a query's result. The
+//! analyzer is a hand-rolled lexer (no external parser crate, consistent
+//! with the repo's offline-shims philosophy), and it has no settings and
+//! no waivers: a finding is fixed, never suppressed.
 
-pub mod config;
 pub mod diag;
-pub mod rules;
-pub mod scrub;
+mod rules;
+mod scrub;
 
-use config::{Config, TomlWaiver};
-use diag::{rules as ids, Diagnostic};
+use diag::Diagnostic;
 use rules::FileCtx;
-use scrub::InlineWaiver;
 use std::path::{Path, PathBuf};
 
-/// Result of linting one file: surviving diagnostics plus which waivers
-/// were consumed (for stale-waiver detection at workspace level).
-struct FileOutcome {
-    diags: Vec<Diagnostic>,
-    /// Lines of inline waivers that never matched a finding.
-    stale_inline: Vec<(u32, String)>,
-    /// Indices into `cfg.waivers` that matched at least one finding.
-    used_toml: Vec<usize>,
-}
+/// The crate directory that is not scanned.
+const UNSCANNED_CRATE: &str = "bench";
 
-/// Lint a single in-memory source. Used by the fixture self-tests; the
-/// binary goes through [`lint_root`].
-pub fn lint_source(path: &str, source: &str, cfg: &Config) -> Vec<Diagnostic> {
-    lint_one(path, source, cfg).diags
-}
-
-fn lint_one(path: &str, source: &str, cfg: &Config) -> FileOutcome {
+/// Lint a single in-memory source; `path` is only reported.
+pub fn lint_source(path: &str, source: &str) -> Vec<Diagnostic> {
     let scrubbed = scrub::scrub(source);
     let ctx = FileCtx::new(path, &scrubbed);
-    let mut raw = Vec::new();
-    rules::check_all(&ctx, cfg, &mut raw);
-
-    let mut bad_waivers = Vec::new();
-    for w in &scrubbed.waivers {
-        if !ids::ALL.contains(&w.rule.as_str()) {
-            bad_waivers.push(Diagnostic {
-                path: path.to_string(),
-                line: w.line,
-                rule: ids::BAD_WAIVER,
-                message: format!("waiver names unknown rule `{}`", w.rule),
-            });
-        }
-        if w.reason.is_empty() {
-            bad_waivers.push(Diagnostic {
-                path: path.to_string(),
-                line: w.line,
-                rule: ids::BAD_WAIVER,
-                message: "waiver has no written reason — every waiver must say why".to_string(),
-            });
-        }
-        if w.rule == ids::FLOAT_FOLD && w.kind.as_deref() != Some("canonical-order") {
-            bad_waivers.push(Diagnostic {
-                path: path.to_string(),
-                line: w.line,
-                rule: ids::BAD_WAIVER,
-                message: "a float-fold waiver must declare the `canonical-order` kind: \
-                          `allow(float-fold, canonical-order) — <reason>`"
-                    .to_string(),
-            });
-        }
-    }
-
-    let mut used_inline = vec![false; scrubbed.waivers.len()];
-    let mut used_toml_flags = vec![false; cfg.waivers.len()];
     let mut diags = Vec::new();
-    for d in raw {
-        let inline_hit = scrubbed
-            .waivers
-            .iter()
-            .enumerate()
-            .find(|(_, w)| waiver_valid(w) && w.rule == d.rule && covers_line(w, d.line));
-        if let Some((i, _)) = inline_hit {
-            used_inline[i] = true;
-            continue;
+    rules::check_unordered(&ctx, &mut diags);
+    rules::check_purity(&ctx, &mut diags);
+    diags
+}
+
+/// Collect `p` if it is a `.rs` file, or every `.rs` file below it.
+fn rs_files(p: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+    if p.is_dir() {
+        for e in std::fs::read_dir(p)? {
+            rs_files(&e?.path(), out)?;
         }
-        let toml_hit = cfg.waivers.iter().enumerate().find(|(_, w)| {
-            toml_waiver_valid(w)
-                && w.path == d.path
-                && w.rule == d.rule
-                && (w.scope.is_empty()
-                    || ctx
-                        .enclosing_fn(d.line)
-                        .is_some_and(|f| w.scope.iter().any(|s| s == f)))
-        });
-        if let Some((i, _)) = toml_hit {
-            used_toml_flags[i] = true;
-            continue;
-        }
-        diags.push(d);
-    }
-    diags.extend(bad_waivers);
-
-    let stale_inline = scrubbed
-        .waivers
-        .iter()
-        .zip(&used_inline)
-        .filter(|(w, &used)| !used && waiver_valid(w))
-        .map(|(w, _)| (w.line, w.rule.clone()))
-        .collect();
-    FileOutcome {
-        diags,
-        stale_inline,
-        used_toml: used_toml_flags
-            .iter()
-            .enumerate()
-            .filter(|(_, &u)| u)
-            .map(|(i, _)| i)
-            .collect(),
-    }
-}
-
-fn waiver_valid(w: &InlineWaiver) -> bool {
-    !w.reason.is_empty()
-        && ids::ALL.contains(&w.rule.as_str())
-        && (w.rule != ids::FLOAT_FOLD || w.kind.as_deref() == Some("canonical-order"))
-}
-
-fn toml_waiver_valid(w: &TomlWaiver) -> bool {
-    w.rule != ids::FLOAT_FOLD || w.kind.as_deref() == Some("canonical-order")
-}
-
-/// Does inline waiver `w` cover a finding on `line`? Trailing waivers
-/// cover their own line; standalone comment lines cover the next line.
-fn covers_line(w: &InlineWaiver, line: u32) -> bool {
-    w.line == line || (w.standalone && w.line + 1 == line)
-}
-
-/// Recursively collect `.rs` files under `dir`, sorted for stable output.
-fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
-    let mut entries: Vec<_> = std::fs::read_dir(dir)?
-        .collect::<Result<Vec<_>, _>>()?
-        .into_iter()
-        .map(|e| e.path())
-        .collect();
-    entries.sort();
-    for p in entries {
-        if p.is_dir() {
-            // `target/` never appears inside crate dirs, but be safe.
-            if p.file_name().is_some_and(|n| n == "target") {
-                continue;
-            }
-            rs_files(&p, out)?;
-        } else if p.extension().is_some_and(|e| e == "rs") {
-            out.push(p);
-        }
+    } else if p.extension().is_some_and(|e| e == "rs") {
+        out.push(p.to_path_buf());
     }
     Ok(())
 }
 
-/// Lint the whole workspace rooted at `root` with `cfg`. Returns every
-/// surviving diagnostic, sorted by path and line — including stale
-/// waivers (a waiver that waives nothing must be deleted, so the audit
-/// trail stays truthful).
-pub fn lint_root(root: &Path, cfg: &Config) -> std::io::Result<Vec<Diagnostic>> {
+/// Every `.rs` file under `crates/*` of the workspace rooted at `root`,
+/// except `crates/bench`.
+pub fn scanned_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
-    for c in &cfg.crates {
-        rs_files(&root.join(c), &mut files)?;
-    }
-    // Crate roots checked for #![forbid(unsafe_code)] may live outside
-    // the scanned crates (emogi_bench is excluded from the determinism
-    // rules but must still be unsafe-free).
-    for extra in &cfg.unsafe_crates {
-        let p = root.join(extra);
-        if !files.contains(&p) {
-            files.push(p);
+    for c in std::fs::read_dir(root.join("crates"))? {
+        let c = c?.path();
+        if !c.ends_with(UNSCANNED_CRATE) {
+            rs_files(&c, &mut files)?;
         }
     }
+    Ok(files)
+}
 
+/// Lint every [`scanned_files`] file of the workspace rooted at `root`.
+/// Returns every diagnostic, sorted by path and line.
+pub fn lint_root(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
     let mut diags = Vec::new();
-    let mut toml_used = vec![false; cfg.waivers.len()];
-    for f in &files {
+    for f in &scanned_files(root)? {
         let rel = f
             .strip_prefix(root)
             .unwrap_or(f)
             .to_string_lossy()
             .replace('\\', "/");
-        let source = std::fs::read_to_string(f)?;
-        let outcome = lint_one(&rel, &source, cfg);
-        for i in outcome.used_toml {
-            toml_used[i] = true;
-        }
-        for (line, rule) in outcome.stale_inline {
-            diags.push(Diagnostic {
-                path: rel.clone(),
-                line,
-                rule: ids::BAD_WAIVER,
-                message: format!("stale waiver: no `{rule}` finding here — delete it"),
-            });
-        }
-        diags.extend(outcome.diags);
-    }
-    for (w, used) in cfg.waivers.iter().zip(&toml_used) {
-        if !used {
-            diags.push(Diagnostic {
-                path: w.path.clone(),
-                line: 0,
-                rule: ids::BAD_WAIVER,
-                message: format!(
-                    "stale emogi-lint.toml waiver for `{}`: it waives nothing — delete it",
-                    w.rule
-                ),
-            });
-        }
+        diags.extend(lint_source(&rel, &std::fs::read_to_string(f)?));
     }
     diags.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
     Ok(diags)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn cfg() -> Config {
-        Config {
-            hash_types: vec!["HashMap".into()],
-            ..Config::default()
-        }
-    }
-
-    #[test]
-    fn inline_waiver_suppresses_and_is_consumed() {
-        let src = "fn f(m: HashMap<u64, u32>) {\n  // emogi-lint: allow(unordered-iter) — order folded commutatively\n  for k in m { }\n}\n";
-        let d = lint_source("x.rs", src, &cfg());
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn trailing_waiver_covers_its_own_line() {
-        let src = "fn f(m: HashMap<u64, u32>) {\n  for k in m { } // emogi-lint: allow(unordered-iter) — commutative fold\n}\n";
-        let d = lint_source("x.rs", src, &cfg());
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn reasonless_waiver_does_not_suppress_and_is_flagged() {
-        let src = "fn f(m: HashMap<u64, u32>) {\n  // emogi-lint: allow(unordered-iter)\n  for k in m { }\n}\n";
-        let d = lint_source("x.rs", src, &cfg());
-        assert!(d.iter().any(|d| d.rule == diag::rules::UNORDERED_ITER));
-        assert!(d.iter().any(|d| d.rule == diag::rules::BAD_WAIVER));
-    }
-
-    #[test]
-    fn unknown_rule_waiver_is_flagged() {
-        let src = "// emogi-lint: allow(no-such-rule) — because\nfn f() {}\n";
-        let d = lint_source("x.rs", src, &cfg());
-        assert!(d.iter().any(|d| d.rule == diag::rules::BAD_WAIVER), "{d:?}");
-    }
-
-    #[test]
-    fn toml_waiver_scoped_to_function() {
-        let mut c = Config {
-            float_modules: vec!["x.rs".into()],
-            ..Config::default()
-        };
-        c.waivers.push(TomlWaiver {
-            path: "x.rs".into(),
-            rule: ids::FLOAT_FOLD.into(),
-            kind: Some("canonical-order".into()),
-            scope: vec!["post_iteration".into()],
-            reason: "canonical edge order".into(),
-        });
-        let inside = "struct S { a: f64 }\nimpl S {\n  fn post_iteration(&mut self, x: f64) { self.a += x; }\n}\n";
-        assert!(lint_source("x.rs", inside, &c).is_empty());
-        let outside =
-            "struct S { a: f64 }\nimpl S {\n  fn edge(&mut self, x: f64) { self.a += x; }\n}\n";
-        let d = lint_source("x.rs", outside, &c);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, ids::FLOAT_FOLD);
-    }
-
-    #[test]
-    fn float_waiver_without_canonical_order_kind_is_rejected() {
-        let c = Config {
-            float_modules: vec!["x.rs".into()],
-            ..Config::default()
-        };
-        let src = "struct S { a: f64 }\nimpl S {\n  fn f(&mut self, x: f64) { self.a += x; } // emogi-lint: allow(float-fold) — because\n}\n";
-        let d = lint_source("x.rs", src, &c);
-        assert!(d.iter().any(|d| d.rule == ids::FLOAT_FOLD), "{d:?}");
-        assert!(d.iter().any(|d| d.rule == ids::BAD_WAIVER), "{d:?}");
-    }
 }

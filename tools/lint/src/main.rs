@@ -1,61 +1,23 @@
 //! `cargo run -p emogi-lint` — lint the workspace against the
 //! determinism contract.
 //!
-//! Usage: `emogi-lint [--root <dir>] [--config <file>]`. With no
-//! arguments the workspace root is located from the binary's own
-//! manifest (`tools/lint/../..`), so the tool runs correctly from any
+//! Takes no arguments: the workspace root is located from the binary's
+//! own manifest (`tools/lint/../..`), so the tool runs correctly from any
 //! working directory inside the repo. Exit codes: 0 clean, 1 findings,
-//! 2 usage or configuration error.
+//! 2 usage or io error.
 
-use std::path::PathBuf;
+use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut root: Option<PathBuf> = None;
-    let mut config: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--root" => root = args.next().map(PathBuf::from),
-            "--config" => config = args.next().map(PathBuf::from),
-            "--help" | "-h" => {
-                println!("usage: emogi-lint [--root <dir>] [--config <file>]");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("emogi-lint: unknown argument `{other}`");
-                return ExitCode::from(2);
-            }
-        }
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("emogi-lint: takes no arguments, got `{arg}`");
+        return ExitCode::from(2);
     }
-    let root = root.unwrap_or_else(|| {
-        // tools/lint/ -> workspace root.
-        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("..")
-            .join("..")
-    });
-    let config = config.unwrap_or_else(|| root.join("emogi-lint.toml"));
-
-    let text = match std::fs::read_to_string(&config) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("emogi-lint: cannot read {}: {e}", config.display());
-            return ExitCode::from(2);
-        }
-    };
-    let cfg = match emogi_lint::config::parse(&text) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("emogi-lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    match emogi_lint::lint_root(&root, &cfg) {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    match emogi_lint::lint_root(&root) {
         Ok(diags) if diags.is_empty() => {
-            println!(
-                "emogi-lint: clean — {} crate(s) uphold the determinism contract",
-                cfg.crates.len()
-            );
+            println!("emogi-lint: clean — the scanned crates uphold the determinism contract");
             ExitCode::SUCCESS
         }
         Ok(diags) => {

@@ -3,64 +3,23 @@
 //! The analyzer never parses Rust properly; it works on a *scrubbed*
 //! copy of each file in which comments and string/char literals are
 //! replaced by spaces (newlines preserved, so line numbers survive).
-//! Waiver comments (`// emogi-lint: allow(<rule>[, <kind>]) — <reason>`)
-//! are extracted during scrubbing, before the comment text is erased.
-
-/// An inline waiver extracted from a `// emogi-lint: allow(...)` comment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InlineWaiver {
-    /// 1-based line the comment sits on.
-    pub line: u32,
-    /// Whether the comment was alone on its line (then it also covers
-    /// the next line) or trailed code (then it covers only its line).
-    pub standalone: bool,
-    /// The waived rule id, e.g. `unordered-iter`.
-    pub rule: String,
-    /// Optional waiver kind, e.g. `canonical-order` for `float-fold`.
-    pub kind: Option<String>,
-    /// The written reason. Empty means the waiver is invalid.
-    pub reason: String,
-}
-
-/// A scrubbed file: literal-free text plus the extracted waivers.
-#[derive(Debug)]
-pub struct Scrubbed {
-    /// The source with comments and literals blanked; same length and
-    /// line structure as the original.
-    pub text: String,
-    /// Inline waivers found in comments.
-    pub waivers: Vec<InlineWaiver>,
-}
-
-/// Marker prefix of a waiver comment (after the `//`).
-pub const WAIVER_MARK: &str = "emogi-lint:";
 
 /// Replace comments and string/char literals with spaces, keeping the
-/// line structure intact, and collect inline waiver comments.
-pub fn scrub(src: &str) -> Scrubbed {
+/// line structure intact.
+pub fn scrub(src: &str) -> String {
     let b = src.as_bytes();
     let mut out = vec![b' '; b.len()];
-    let mut waivers = Vec::new();
-    let mut line: u32 = 1;
-    // Does the current line contain any non-blank scrubbed output yet?
-    let mut line_has_code = false;
     let mut i = 0;
     while i < b.len() {
         let c = b[i];
         if c == b'\n' {
             out[i] = b'\n';
-            line += 1;
-            line_has_code = false;
             i += 1;
             continue;
         }
-        // Line comment: blank to end of line, but mine it for waivers.
+        // Line comment: blank to end of line.
         if c == b'/' && i + 1 < b.len() && b[i + 1] == b'/' {
-            let end = src[i..].find('\n').map_or(b.len(), |n| i + n);
-            if let Some(w) = parse_waiver(&src[i + 2..end], line, !line_has_code) {
-                waivers.push(w);
-            }
-            i = end;
+            i = src[i..].find('\n').map_or(b.len(), |n| i + n);
             continue;
         }
         // Block comment (Rust block comments nest).
@@ -70,7 +29,6 @@ pub fn scrub(src: &str) -> Scrubbed {
             while i < b.len() && depth > 0 {
                 if b[i] == b'\n' {
                     out[i] = b'\n';
-                    line += 1;
                 } else if b[i] == b'/' && i + 1 < b.len() && b[i + 1] == b'*' {
                     depth += 1;
                     i += 1;
@@ -102,7 +60,6 @@ pub fn scrub(src: &str) -> Scrubbed {
                 for (k, &bb) in b.iter().enumerate().take(body_end).skip(i) {
                     if bb == b'\n' {
                         out[k] = b'\n';
-                        line += 1;
                     }
                 }
                 i = body_end;
@@ -121,13 +78,11 @@ pub fn scrub(src: &str) -> Scrubbed {
                     }
                     b'\n' => {
                         out[i] = b'\n';
-                        line += 1;
                         i += 1;
                     }
                     _ => i += 1,
                 }
             }
-            line_has_code = true;
             continue;
         }
         // Char literal vs lifetime: 'x' / '\n' are literals, 'a (no
@@ -147,49 +102,13 @@ pub fn scrub(src: &str) -> Scrubbed {
             };
             if let Some(e) = lit_end {
                 i = e + 1;
-                line_has_code = true;
                 continue;
             }
         }
         out[i] = c;
-        if !c.is_ascii_whitespace() {
-            line_has_code = true;
-        }
         i += 1;
     }
-    Scrubbed {
-        text: String::from_utf8(out).expect("scrub output is ASCII-compatible"),
-        waivers,
-    }
-}
-
-/// Parse `emogi-lint: allow(rule[, kind]) <sep> reason` from the body of
-/// a `//` comment. Returns `None` for ordinary comments; a waiver with an
-/// empty `reason` is returned (and later rejected) so a reasonless waiver
-/// is an error, not silently ignored.
-fn parse_waiver(comment: &str, line: u32, standalone: bool) -> Option<InlineWaiver> {
-    let c = comment.trim_start_matches(['/', '!']).trim();
-    let rest = c.strip_prefix(WAIVER_MARK)?.trim();
-    let rest = rest.strip_prefix("allow")?.trim_start();
-    let rest = rest.strip_prefix('(')?;
-    let close = rest.find(')')?;
-    let args = &rest[..close];
-    let mut parts = args.split(',').map(str::trim);
-    let rule = parts.next().unwrap_or("").to_string();
-    let kind = parts.next().map(str::to_string);
-    // The reason follows the closing paren after a dash/em-dash/colon.
-    let reason = rest[close + 1..]
-        .trim_start()
-        .trim_start_matches(['—', '–', '-', ':'])
-        .trim()
-        .to_string();
-    Some(InlineWaiver {
-        line,
-        standalone,
-        rule,
-        kind,
-        reason,
-    })
+    String::from_utf8(out).expect("scrub output is ASCII-compatible")
 }
 
 /// One token of scrubbed source: an identifier/number or a (possibly
@@ -317,7 +236,7 @@ fn skip_attribute(toks: &[Tok<'_>], at: usize) -> usize {
 }
 
 /// Index of the `}` matching the `{` at `open` (or the last token).
-pub fn matching_brace(toks: &[Tok<'_>], open: usize) -> usize {
+fn matching_brace(toks: &[Tok<'_>], open: usize) -> usize {
     let mut depth = 0;
     let mut j = open;
     while j < toks.len() {
@@ -336,7 +255,7 @@ pub fn matching_brace(toks: &[Tok<'_>], open: usize) -> usize {
     toks.len() - 1
 }
 
-/// A named function body: token range of `{ ... }` plus line span.
+/// A named function body: token range of `{ ... }` plus first line.
 #[derive(Debug, Clone)]
 pub struct FnBody {
     /// The function's name.
@@ -345,10 +264,8 @@ pub struct FnBody {
     pub open: usize,
     /// Token index of the closing brace.
     pub close: usize,
-    /// 1-based first line.
+    /// 1-based line of the `fn` keyword.
     pub start_line: u32,
-    /// 1-based last line.
-    pub end_line: u32,
 }
 
 /// Find every `fn <name>` body in the token stream. The body is the
@@ -383,7 +300,6 @@ pub fn fn_bodies(toks: &[Tok<'_>]) -> Vec<FnBody> {
                     open,
                     close,
                     start_line: toks[i].line,
-                    end_line: toks[close].line,
                 });
                 // Continue scanning *inside* the body too (nested fns).
                 i = open + 1;
@@ -403,54 +319,25 @@ mod tests {
     fn scrub_blanks_comments_and_strings() {
         let src = "let x = \"a // not a comment\"; // real comment\nlet y = 'c';\n";
         let s = scrub(src);
-        assert!(!s.text.contains("not a comment"));
-        assert!(!s.text.contains("real comment"));
-        assert!(!s.text.contains('c'), "char literal scrubbed: {}", s.text);
-        assert!(s.text.contains("let x ="));
-        assert_eq!(s.text.matches('\n').count(), 2);
+        assert!(!s.contains("not a comment"));
+        assert!(!s.contains("real comment"));
+        assert!(!s.contains('c'), "char literal scrubbed: {s}");
+        assert!(s.contains("let x ="));
+        assert_eq!(s.matches('\n').count(), 2);
     }
 
     #[test]
     fn scrub_handles_nested_block_comments_and_raw_strings() {
         let src = "a /* outer /* inner */ still */ b r#\"raw \" here\"# c";
         let s = scrub(src);
-        assert!(s.text.contains('a') && s.text.contains('b') && s.text.contains('c'));
-        assert!(!s.text.contains("inner") && !s.text.contains("raw"));
+        assert!(s.contains('a') && s.contains('b') && s.contains('c'));
+        assert!(!s.contains("inner") && !s.contains("raw"));
     }
 
     #[test]
     fn scrub_keeps_lifetimes() {
         let s = scrub("fn f<'a>(x: &'a str) {}");
-        assert!(s.text.contains("'a"), "{}", s.text);
-    }
-
-    #[test]
-    fn waiver_comment_is_extracted() {
-        let src = "let k = m.keys(); // emogi-lint: allow(unordered-iter) — keys feed a sort\n";
-        let s = scrub(src);
-        assert_eq!(s.waivers.len(), 1);
-        let w = &s.waivers[0];
-        assert_eq!(w.rule, "unordered-iter");
-        assert_eq!(w.kind, None);
-        assert_eq!(w.reason, "keys feed a sort");
-        assert_eq!(w.line, 1);
-        assert!(!w.standalone);
-    }
-
-    #[test]
-    fn standalone_waiver_with_kind() {
-        let src = "    // emogi-lint: allow(float-fold, canonical-order) - folded in CSR order\n    x += y;\n";
-        let s = scrub(src);
-        let w = &s.waivers[0];
-        assert!(w.standalone);
-        assert_eq!(w.kind.as_deref(), Some("canonical-order"));
-        assert_eq!(w.reason, "folded in CSR order");
-    }
-
-    #[test]
-    fn reasonless_waiver_is_kept_with_empty_reason() {
-        let s = scrub("// emogi-lint: allow(ambient-nondet)\n");
-        assert_eq!(s.waivers[0].reason, "");
+        assert!(s.contains("'a"), "{s}");
     }
 
     #[test]
@@ -463,9 +350,7 @@ mod tests {
     #[test]
     fn test_regions_span_the_mod_block() {
         let src = "fn a() {}\n#[cfg(test)]\nmod tests {\n  fn b() {}\n}\nfn c() {}\n";
-        let s = scrub(src);
-        let toks = tokenize(&s.text);
-        let r = test_regions(&toks);
+        let r = test_regions(&tokenize(&scrub(src)));
         assert_eq!(r, vec![(2, 5)]);
     }
 
@@ -473,19 +358,16 @@ mod tests {
     fn fn_bodies_are_found_with_lines() {
         let src = "impl X {\n  fn step(&mut self) {\n    let y = 1;\n  }\n}\nfn free() { }\n";
         let s = scrub(src);
-        let toks = tokenize(&s.text);
-        let fns = fn_bodies(&toks);
+        let fns = fn_bodies(&tokenize(&s));
         let names: Vec<_> = fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["step", "free"]);
         assert_eq!(fns[0].start_line, 2);
-        assert_eq!(fns[0].end_line, 4);
     }
 
     #[test]
     fn trait_method_without_body_is_skipped() {
-        let src = "trait T { fn sig(&self) -> bool; fn with(&self) {} }";
-        let toks_src = scrub(src);
-        let fns = fn_bodies(&tokenize(&toks_src.text));
+        let s = scrub("trait T { fn sig(&self) -> bool; fn with(&self) {} }");
+        let fns = fn_bodies(&tokenize(&s));
         assert_eq!(fns.len(), 1);
         assert_eq!(fns[0].name, "with");
     }
