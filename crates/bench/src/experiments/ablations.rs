@@ -150,41 +150,3 @@ pub fn rtt_sweep(ctx: &Context) -> Table {
     t.note("the paper measured 1.0-1.6 us GPU-FPGA round trips; strided bandwidth is inversely proportional to RTT while merged traffic hides it");
     t
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tag_sweep_shows_tag_limit_on_strided_only() {
-        let ctx = Context::new(1, 16);
-        let t = tag_sweep(&ctx);
-        let strided: Vec<f64> = t.rows.iter().map(|r| r[1].parse().unwrap()).collect();
-        let aligned: Vec<f64> = t.rows.iter().map(|r| r[2].parse().unwrap()).collect();
-        assert!(
-            strided[3] > 1.8 * strided[0],
-            "strided scales with tags: {strided:?}"
-        );
-        let rel = (aligned[3] - aligned[1]).abs() / aligned[1];
-        assert!(rel < 0.25, "aligned mostly insensitive: {aligned:?}");
-    }
-
-    #[test]
-    fn rtt_sweep_hurts_strided_most() {
-        let ctx = Context::new(1, 16);
-        let t = rtt_sweep(&ctx);
-        let strided: Vec<f64> = t.rows.iter().map(|r| r[1].parse().unwrap()).collect();
-        assert!(strided[0] > 1.5 * strided[3], "{strided:?}");
-    }
-
-    #[test]
-    fn cache_sweep_amplification_monotone_decreasing() {
-        let ctx = Context::new(1, 16);
-        let t = cache_sweep(&ctx);
-        let amp: Vec<f64> = t.rows.iter().map(|r| r[2].parse().unwrap()).collect();
-        assert!(
-            amp[0] >= amp[3] - 0.05,
-            "smaller cache cannot amplify less: {amp:?}"
-        );
-    }
-}

@@ -3,7 +3,7 @@
 use super::matrix::EngineKind;
 use crate::cell::{self, Series};
 use crate::table::f;
-use crate::{Context, Table};
+use crate::{paper, Context, Table};
 use emogi_core::{Engine, EngineConfig, ProgramKind};
 use emogi_graph::{Dataset, DatasetKey};
 use emogi_runtime::MachineConfig;
@@ -83,19 +83,14 @@ pub fn fig11(ctx: &Context) -> Table {
         "-".into(),
         f(total / count as f64),
     ]);
-    t.note("paper: EMOGI is 2.92x faster than UVM on average; CC gains least because streaming the whole edge list gives UVM spatial locality too");
+    t.note(format!("paper: EMOGI is {}x faster than UVM on average; CC gains least because streaming the whole edge list gives UVM spatial locality too", paper::FIG11_AVG));
     t
 }
 
 /// Figure 12: PCIe 3.0 vs 4.0 on the A100 platform, UVM vs EMOGI,
-/// normalized to UVM+PCIe3.0 per (app, graph).
-pub fn fig12(ctx: &Context) -> Table {
-    fig12_inner(ctx).0
-}
-
-/// Implementation that also returns the (UVM, EMOGI) gen3→gen4 scaling
-/// factors for assertions.
-pub fn fig12_inner(ctx: &Context) -> (Table, f64, f64) {
+/// normalized to UVM+PCIe3.0 per (app, graph); also the (UVM, EMOGI)
+/// gen3→gen4 speedups averaged over the rows.
+pub fn fig12(ctx: &Context) -> (Table, f64, f64) {
     let mut t = Table::new(
         "fig12",
         "PCIe 3.0 vs 4.0 scaling on A100 (normalized to UVM+3.0)",
@@ -142,37 +137,11 @@ pub fn fig12_inner(ctx: &Context) -> (Table, f64, f64) {
     }
     let n = count as f64;
     let (u, e) = (uvm_scale / n, emogi_scale / n);
+    let (pu, pe) = paper::FIG12_GEN4;
     t.note(format!(
-        "measured gen3→gen4 scaling: UVM {}x, EMOGI {}x (paper: UVM 1.53x — fault handler bound; EMOGI 1.9x — scales with the link)",
+        "measured gen3→gen4 scaling: UVM {}x, EMOGI {}x (paper: UVM {pu}x — fault handler bound; EMOGI {pe}x — scales with the link)",
         f(u),
         f(e)
     ));
     (t, u, e)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fig11_has_16_combos_plus_average() {
-        let ctx = Context::new(1, 32);
-        let t = fig11(&ctx);
-        assert_eq!(t.rows.len(), 6 + 6 + 4 + 1);
-        // EMOGI wins on average even at tiny scale.
-        let avg: f64 = t.rows.last().unwrap()[4].parse().unwrap();
-        assert!(avg > 1.0, "average speedup {avg}");
-    }
-
-    #[test]
-    fn fig12_produces_positive_scaling_factors() {
-        // At 1/32 scale every graph fits in the A100 pool, so the
-        // absolute factors are not meaningful; the full-scale numbers are
-        // asserted by the release-mode repro run. Here: shape + sanity.
-        let ctx = Context::new(1, 32);
-        let (t, u, e) = fig12_inner(&ctx);
-        assert_eq!(t.rows.len(), 16);
-        assert!(u > 0.8, "UVM scaling {u}");
-        assert!(e > 0.8, "EMOGI scaling {e}");
-    }
 }

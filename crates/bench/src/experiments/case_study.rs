@@ -3,7 +3,7 @@
 
 use super::matrix::{BfsMatrix, EngineKind};
 use crate::table::{f, ms, pct};
-use crate::{Context, Table};
+use crate::{paper, Context, Table};
 use emogi_core::toy;
 use emogi_graph::DatasetKey;
 use emogi_runtime::MachineConfig;
@@ -28,7 +28,8 @@ pub fn fig5(m: &BfsMatrix) -> Table {
             ]);
         }
     }
-    t.note("paper: Naive is ~all 32B; Merged reaches ~40% 128B on average (46.7% on ML); +Aligned raises the 128B share further except on GU (uniform low degrees cannot amortize the alignment fix)");
+    let (avg, ml) = paper::FIG5_MERGED_128B;
+    t.note(format!("paper: Naive is ~all 32B; Merged reaches ~{avg}% 128B on average ({ml}% on ML); +Aligned raises the 128B share further except on GU (uniform low degrees cannot amortize the alignment fix)"));
     t
 }
 
@@ -59,7 +60,8 @@ pub fn fig7(m: &BfsMatrix) -> Table {
             pct(1.0 - al as f64 / mg as f64),
         ]);
     }
-    t.note("paper: merging cuts requests by up to 83.3% vs Naive; alignment by up to a further 28.8% (ML)");
+    let (merge, align) = paper::FIG7_CUTS;
+    t.note(format!("paper: merging cuts requests by up to {merge}% vs Naive; alignment by up to a further {align}% (ML)"));
     t
 }
 
@@ -81,10 +83,12 @@ pub fn fig8(ctx: &Context, m: &BfsMatrix) -> Table {
     }
     let peak = toy::run_memcpy_reference(MachineConfig::v100_gen3(), (64 << 20) / ctx.scale as u64);
     t.note(format!(
-        "cudaMemcpy peak on this link: {} GB/s (paper: 12.3)",
-        f(peak)
+        "cudaMemcpy peak on this link: {} GB/s (paper: {})",
+        f(peak),
+        paper::MEMCPY_PEAK
     ));
-    t.note("paper: UVM ~9, Naive up to 4.7, Merged ~11, +Aligned adds 0.5-1 GB/s; averages at 1/1000 scale sit lower because short kernel launches leave latency-bound phases unamortized");
+    let ([uvm, naive, merged], (lo, hi)) = (paper::FIG8, paper::FIG8_ALIGN_GAIN);
+    t.note(format!("paper: UVM ~{uvm}, Naive up to {naive}, Merged ~{merged}, +Aligned adds {lo}-{hi} GB/s; averages at 1/1000 scale sit lower because short kernel launches leave latency-bound phases unamortized"));
     t
 }
 
@@ -129,7 +133,8 @@ pub fn fig9(m: &BfsMatrix) -> Table {
         "-".into(),
         "-".into(),
     ]);
-    t.note("paper averages: Naive 0.73x, Merged 3.24x, Merged+Aligned 3.56x; SK stands out low because it almost fits in GPU memory");
+    let [naive, merged, aligned] = paper::FIG9_AVG;
+    t.note(format!("paper averages: Naive {naive}x, Merged {merged}x, Merged+Aligned {aligned}x; SK stands out low because it almost fits in GPU memory"));
     t
 }
 
@@ -147,32 +152,8 @@ pub fn fig10(m: &BfsMatrix) -> Table {
             f(m.get(g, EngineKind::MergedAligned).avg_amplification),
         ]);
     }
-    t.note("paper: UVM up to 5.16x (FS), 2.28x on ML, 1.14x on SK (almost fits); EMOGI never exceeds 1.31x. Scaled graphs have shallower BFS trees, so UVM re-migration (and thus its amplification) is milder here — the UVM baseline is, if anything, flattered");
+    let [(_, fs), (_, ml), (_, sk)] = paper::FIG10_UVM;
+    let emogi = paper::FIG10_EMOGI_MAX;
+    t.note(format!("paper: UVM up to {fs}x (FS), {ml}x on ML, {sk}x on SK (almost fits); EMOGI never exceeds {emogi}x. Scaled graphs have shallower BFS trees, so UVM re-migration (and thus its amplification) is milder here — the UVM baseline is, if anything, flattered"));
     t
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn case_study_tables_have_expected_shape() {
-        let ctx = Context::new(1, 32);
-        let m = BfsMatrix::compute(&ctx);
-        assert_eq!(fig5(&m).rows.len(), 18);
-        assert_eq!(fig7(&m).rows.len(), 6);
-        assert_eq!(fig8(&ctx, &m).rows.len(), 6);
-        assert_eq!(fig9(&m).rows.len(), 7); // 6 graphs + average
-        assert_eq!(fig10(&m).rows.len(), 6);
-    }
-
-    #[test]
-    fn emogi_amplification_stays_low_even_at_tiny_scale() {
-        let ctx = Context::new(1, 32);
-        let m = BfsMatrix::compute(&ctx);
-        for g in DatasetKey::all() {
-            let amp = m.get(g, EngineKind::MergedAligned).avg_amplification;
-            assert!(amp < 2.0, "{g:?} amplification {amp}");
-        }
-    }
 }

@@ -43,14 +43,9 @@ pub struct Measurement {
     pub stats: RunStats,
 }
 
-fn emogi_cfg(ctx: &Context, preset: EngineConfig) -> EngineConfig {
+/// `preset` on the scaled machine, with 4-byte edge elements.
+fn scaled(ctx: &Context, preset: EngineConfig) -> EngineConfig {
     preset
-        .with_machine(scaled_machine(ctx.scale))
-        .with_elem_bytes(4)
-}
-
-fn uvm_cfg(ctx: &Context) -> EngineConfig {
-    EngineConfig::uvm_v100()
         .with_machine(scaled_machine(ctx.scale))
         .with_elem_bytes(4)
 }
@@ -73,9 +68,9 @@ pub fn measure(ctx: &Context) -> Results<(&'static str, &'static str), Measureme
         };
         eprintln!("  [hybrid] {scenario} {graph} ...");
         for (engine, cfg) in [
-            ("Hybrid", emogi_cfg(ctx, EngineConfig::hybrid_v100())),
-            ("Merged+Aligned", emogi_cfg(ctx, EngineConfig::emogi_v100())),
-            ("UVM", uvm_cfg(ctx)),
+            ("Hybrid", scaled(ctx, EngineConfig::hybrid_v100())),
+            ("Merged+Aligned", scaled(ctx, EngineConfig::emogi_v100())),
+            ("UVM", scaled(ctx, EngineConfig::uvm_v100())),
         ] {
             let mut e = Engine::load(cfg, &d.graph);
             let stats = cell::run(&mut e, series, &d, None).stats;
@@ -128,48 +123,4 @@ pub fn table(r: &Results<(&'static str, &'static str), Measurement>) -> Table {
          nothing and hybrid ties pure zero-copy tick for tick",
     );
     t
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn hybrid_wins_reuse_and_ties_sparse() {
-        let ctx = Context::new(1, 32);
-        let r = measure(&ctx);
-        let ns = |scenario, engine| r.get((scenario, engine)).stats.elapsed_ns;
-
-        // Dense + recurring: hybrid must beat pure zero-copy outright.
-        let hy_cc = ns("reuse-cc", "Hybrid");
-        let zc_cc = ns("reuse-cc", "Merged+Aligned");
-        assert!(
-            hy_cc < zc_cc,
-            "reuse-cc: hybrid {hy_cc} vs zero-copy {zc_cc}"
-        );
-        assert!(r.get(("reuse-cc", "Hybrid")).stats.transfer.staged_regions > 0);
-
-        // Recurring across traversals: hybrid must beat zero-copy too.
-        let hy_mb = ns("reuse-multi-bfs", "Hybrid");
-        let zc_mb = ns("reuse-multi-bfs", "Merged+Aligned");
-        assert!(
-            hy_mb < zc_mb,
-            "multi-bfs: hybrid {hy_mb} vs zero-copy {zc_mb}"
-        );
-
-        // Sparse one-shot: no staging, and never worse than the better of
-        // zero-copy and Subway.
-        let hy_sp = &r.get(("sparse-bfs", "Hybrid")).stats;
-        let zc_sp = ns("sparse-bfs", "Merged+Aligned");
-        let sub_sp = ns("sparse-bfs", "Subway-async");
-        assert_eq!(
-            hy_sp.transfer.staged_regions, 0,
-            "sparse case must not stage"
-        );
-        assert!(
-            hy_sp.elapsed_ns <= zc_sp.min(sub_sp),
-            "sparse: hybrid {} vs zero-copy {zc_sp} / subway {sub_sp}",
-            hy_sp.elapsed_ns
-        );
-    }
 }

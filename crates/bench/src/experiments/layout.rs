@@ -117,28 +117,3 @@ pub fn table(r: &Results<(&'static str, &'static str), RunStats>) -> Table {
     );
     t
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn reordering_improves_cache_behavior_for_every_program() {
-        let ctx = Context::new(1, 32);
-        let r = measure(&ctx);
-        for program in ["multi-bfs", "multi-sssp", "cc", "pagerank"] {
-            let base = r.get((program, "original"));
-            let sorted = r.get((program, "degree-sorted"));
-            assert!(
-                sorted.l2_hit_rate() > base.l2_hit_rate()
-                    && sorted.coalescing_efficiency() > base.coalescing_efficiency(),
-                "{program}: degree-sorted did not beat the original on both metrics; \
-                 original hit {:.4} eff {:.4}, degree-sorted hit {:.4} eff {:.4}",
-                base.l2_hit_rate(),
-                base.coalescing_efficiency(),
-                sorted.l2_hit_rate(),
-                sorted.coalescing_efficiency(),
-            );
-        }
-    }
-}

@@ -70,7 +70,6 @@ pub struct Cell {
 #[derive(Debug)]
 pub struct BfsMatrix {
     pub cells: HashMap<(DatasetKey, EngineKind), Cell>,
-    pub sources: usize,
 }
 
 impl BfsMatrix {
@@ -108,28 +107,6 @@ impl BfsMatrix {
                 cells.insert((key, engine), cell);
             }
         }
-        BfsMatrix {
-            cells,
-            sources: ctx.sources,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn matrix_covers_all_cells_and_orders_engines() {
-        let ctx = Context::new(1, 32);
-        let m = BfsMatrix::compute(&ctx);
-        assert_eq!(m.cells.len(), 24);
-        // On tiny scaled graphs the absolute ratios shift, but the merged
-        // engines must still beat the naive one everywhere.
-        for g in DatasetKey::all() {
-            let naive = m.get(g, EngineKind::Naive).avg_ns;
-            let merged = m.get(g, EngineKind::MergedAligned).avg_ns;
-            assert!(merged < naive, "{g:?}: merged {merged} vs naive {naive}");
-        }
+        BfsMatrix { cells }
     }
 }

@@ -108,37 +108,3 @@ pub fn fig6(ctx: &Context) -> Table {
     t.note("paper: GU's edges all sit between degree 16 and 48; ML has nearly no edges below 96; GK is extremely skewed");
     t
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn table1_lists_platform() {
-        let t = table1();
-        assert!(t.rows.len() >= 5);
-        assert!(t.to_string().contains("V100"));
-    }
-
-    #[test]
-    fn table2_has_six_rows_with_ml_densest() {
-        let ctx = Context::new(1, 16);
-        let t = table2(&ctx);
-        assert_eq!(t.rows.len(), 6);
-        let deg: Vec<f64> = t.rows.iter().map(|r| r[4].parse().unwrap()).collect();
-        let ml = deg[3];
-        assert!(deg.iter().all(|&d| d <= ml), "ML must be densest: {deg:?}");
-    }
-
-    #[test]
-    fn fig6_gu_band_property() {
-        let ctx = Context::new(1, 16);
-        let t = fig6(&ctx);
-        // GU row: <=8 tiny, <=48 near 100%.
-        let gu = &t.rows[1];
-        let at8: f64 = gu[1].trim_end_matches('%').parse().unwrap();
-        let at48: f64 = gu[4].trim_end_matches('%').parse().unwrap();
-        assert!(at8 < 5.0, "GU <=8: {at8}");
-        assert!(at48 > 90.0, "GU <=48: {at48}");
-    }
-}

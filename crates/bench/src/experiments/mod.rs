@@ -50,7 +50,7 @@ pub const REGISTRY: &[(&str, Experiment)] = &[
     ("fig9", |ctx| vec![case_study::fig9(ctx.bfs_matrix())]),
     ("fig10", |ctx| vec![case_study::fig10(ctx.bfs_matrix())]),
     ("fig11", |ctx| vec![apps::fig11(ctx)]),
-    ("fig12", |ctx| vec![apps::fig12(ctx)]),
+    ("fig12", |ctx| vec![apps::fig12(ctx).0]),
     ("table3", |ctx| vec![prior::table3(ctx)]),
     ("ablations", ablations::all),
     ("hybrid", |ctx| vec![hybrid::table(&hybrid::measure(ctx))]),

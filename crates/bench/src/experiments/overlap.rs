@@ -127,44 +127,3 @@ pub fn table(r: &Results<&'static str, Measurement>) -> Table {
     );
     t
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pipelining_beats_synchronous_staging_on_reuse() {
-        let ctx = Context::new(1, 32);
-        let r = measure(&ctx);
-
-        // The tentpole claim: at least one reuse scenario must show a
-        // real end-to-end win, and no program may get slower.
-        let (_, winner) = r
-            .rows
-            .iter()
-            .max_by(|a, b| a.1.speedup().total_cmp(&b.1.speedup()))
-            .unwrap();
-        assert!(
-            winner.speedup() > 1.0,
-            "no program sped up: {:?}",
-            r.rows
-                .iter()
-                .map(|(program, m)| (program, m.speedup()))
-                .collect::<Vec<_>>()
-        );
-        for (program, m) in &r.rows {
-            assert!(
-                m.pipe.elapsed_ns <= m.sync.elapsed_ns,
-                "{program}: pipelined {} ns slower than synchronous {} ns",
-                m.pipe.elapsed_ns,
-                m.sync.elapsed_ns
-            );
-        }
-
-        // The win must come from actual adopted speculation, with some
-        // staging latency genuinely hidden behind kernel compute.
-        assert!(winner.pipe.prefetch.hit_regions > 0, "winner never adopted");
-        assert!(winner.pipe.prefetch.hidden_ns > 0, "winner hid no latency");
-        assert!(winner.hidden_frac() > 0.0);
-    }
-}

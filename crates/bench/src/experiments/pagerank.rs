@@ -91,35 +91,3 @@ pub fn table(r: &Results<(&'static str, &'static str), Measurement>) -> Table {
     ));
     t
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn all_modes_verified_and_hybrid_stages() {
-        let ctx = Context::new(1, 32);
-        let r = measure(&ctx);
-        assert_eq!(r.rows.len(), 2 * modes().len());
-        for ((graph, mode), m) in &r.rows {
-            assert!(m.max_abs_err < 1e-9, "{graph} / {mode}");
-            let staged = m.stats.transfer.staged_regions;
-            if *mode == "Hybrid" {
-                assert!(
-                    staged > 0,
-                    "{graph}: full sweeps must stage on the oversubscribed machine"
-                );
-            } else {
-                assert_eq!(staged, 0);
-            }
-        }
-        // Hybrid must beat pure zero-copy on repeated full sweeps.
-        for graph in ["GK", "ML"] {
-            let ns = |mode| r.get((graph, mode)).stats.elapsed_ns;
-            assert!(
-                ns("Hybrid") < ns("Merged+Aligned"),
-                "{graph}: hybrid must win repeated sweeps"
-            );
-        }
-    }
-}

@@ -2,30 +2,11 @@
 //! elements), row-for-row with the paper.
 
 use crate::table::{f, ms};
-use crate::{Context, Table};
+use crate::{paper, Context, Table};
 use emogi_baselines::{HaloSystem, SubwayMode, SubwaySystem};
 use emogi_core::EngineConfig;
-use emogi_core::ProgramKind::{self, Bfs, Cc, Sssp};
-use emogi_graph::DatasetKey::{self, Fs, Gk, Ml, Sk, Uk5};
+use emogi_core::ProgramKind::{Bfs, Cc, Sssp};
 use emogi_runtime::MachineConfig;
-
-/// Paper-reported (work, app, graph, their time s, EMOGI time s, speedup).
-const PAPER_ROWS: &[(&str, ProgramKind, DatasetKey, f64, f64, f64)] = &[
-    ("HALO", Bfs, Ml, 9.54, 4.43, 2.15),
-    ("HALO", Bfs, Fs, 8.27, 2.59, 3.19),
-    ("HALO", Bfs, Sk, 2.17, 1.62, 1.34),
-    ("HALO", Bfs, Uk5, 6.03, 4.00, 1.51),
-    ("Subway", Sssp, Gk, 20.96, 7.94, 2.64),
-    ("Subway", Sssp, Fs, 14.95, 6.97, 2.14),
-    ("Subway", Sssp, Sk, 8.99, 3.92, 2.30),
-    ("Subway", Sssp, Uk5, 25.78, 8.08, 3.19),
-    ("Subway", Bfs, Gk, 6.88, 1.66, 4.14),
-    ("Subway", Bfs, Fs, 4.22, 1.49, 2.83),
-    ("Subway", Bfs, Sk, 1.69, 0.85, 1.99),
-    ("Subway", Bfs, Uk5, 8.75, 1.85, 4.73),
-    ("Subway", Cc, Gk, 6.34, 3.11, 2.04),
-    ("Subway", Cc, Fs, 4.31, 2.75, 1.57),
-];
 
 /// Table 3, regenerated: same rows, our measured times and speedups next
 /// to the paper's.
@@ -43,7 +24,7 @@ pub fn table3(ctx: &Context) -> Table {
             "paper speedup",
         ],
     );
-    for &(work, app, key, _pt, _pe, pspeed) in PAPER_ROWS {
+    for (work, app, key, pspeed) in paper::TABLE3 {
         let (app_name, sym) = (app.name(), key.spec().symbol);
         let d = ctx.store.get(key);
         eprintln!("  [table3] {work} {app_name} {sym} ...");
@@ -96,28 +77,9 @@ pub fn table3(ctx: &Context) -> Table {
             f(pspeed),
         ]);
     }
-    t.note("paper: EMOGI is 1.34x-4.73x faster than the state of the art; HALO compared via published numbers (source unavailable), Subway re-run. Subway cannot run GU (OOM) or ML (>2^32 edges), so those rows do not exist");
+    let speedups = paper::TABLE3.map(|(.., s)| s);
+    let lo = speedups.into_iter().fold(f64::INFINITY, f64::min);
+    let hi = speedups.into_iter().fold(0.0, f64::max);
+    t.note(format!("paper: EMOGI is {lo}x-{hi}x faster than the state of the art; HALO compared via published numbers (source unavailable), Subway re-run. Subway cannot run GU (OOM) or ML (>2^32 edges), so those rows do not exist"));
     t
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn table3_rows_match_paper_layout_and_emogi_wins() {
-        let ctx = Context::new(1, 32);
-        let t = table3(&ctx);
-        assert_eq!(t.rows.len(), PAPER_ROWS.len());
-        for row in &t.rows {
-            let speedup: f64 = row[5].parse().unwrap();
-            assert!(
-                speedup > 1.0,
-                "EMOGI must beat {} on {} {} (got {speedup})",
-                row[0],
-                row[1],
-                row[2]
-            );
-        }
-    }
 }

@@ -129,45 +129,3 @@ pub fn table(r: &Cells) -> Table {
     );
     t
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bfs_scales_near_linearly_with_degree_balanced_shards() {
-        let ctx = Context::new(1, 32);
-        let r = measure(&ctx); // bit-identity asserted inside
-        let db = PartitionStrategy::DegreeBalanced.name();
-        let s2 = speedup(&r, 2, db);
-        let s4 = speedup(&r, 4, db);
-        assert!(s2 >= 1.6, "2-device speedup {s2:.2} below the 1.6x bar");
-        assert!(s4 >= 2.5, "4-device speedup {s4:.2} below the 2.5x bar");
-        assert!(s4 > s2, "scaling must keep improving with devices");
-        // The exchange is the price of sharding: present, but small
-        // relative to the edge-list traffic it parallelizes.
-        let m4 = r.get((4, db));
-        assert!(m4.exchange_bytes > 0);
-        assert!(m4.exchange_bytes < m4.stats.host_bytes / 2);
-    }
-
-    #[test]
-    fn degree_balanced_beats_contiguous_on_the_skewed_graph() {
-        let ctx = Context::new(1, 32);
-        let r = measure(&ctx);
-        let db = PartitionStrategy::DegreeBalanced.name();
-        let ct = PartitionStrategy::Contiguous.name();
-        // The busiest link carries less of the load when shards are
-        // edge-balanced rather than vertex-balanced.
-        assert!(
-            r.get((4, db)).max_link_bytes <= r.get((4, ct)).max_link_bytes,
-            "degree-balanced busiest link must not exceed contiguous"
-        );
-        assert!(
-            speedup(&r, 4, db) >= speedup(&r, 4, ct),
-            "degree-balanced speedup {:.2} vs contiguous {:.2}",
-            speedup(&r, 4, db),
-            speedup(&r, 4, ct)
-        );
-    }
-}

@@ -166,33 +166,3 @@ pub fn table(r: &Cells) -> Table {
     );
     t
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn batching_saves_pcie_bytes_and_raises_throughput() {
-        let ctx = Context::new(1, 32);
-        let r = measure(&ctx); // bit-identity asserted inside
-        for (mode_name, _) in modes() {
-            for scenario in ["bfs-burst", "sssp-burst"] {
-                let seq = r.get((scenario, mode_name, "Sequential"));
-                let bat = r.get((scenario, mode_name, "Batched"));
-                assert!(
-                    bat.host_bytes < seq.host_bytes,
-                    "{scenario}/{mode_name}: batched {} bytes must beat sequential {}",
-                    bat.host_bytes,
-                    seq.host_bytes
-                );
-                assert!(
-                    bat.busy_ns < seq.busy_ns,
-                    "{scenario}/{mode_name}: batched {} ns must beat sequential {}",
-                    bat.busy_ns,
-                    seq.busy_ns
-                );
-                assert!(bat.queries_per_sec() > seq.queries_per_sec());
-            }
-        }
-    }
-}

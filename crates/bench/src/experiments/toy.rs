@@ -1,7 +1,7 @@
 //! Figures 3 and 4: the §3.3 zero-copy toy experiment.
 
 use crate::table::{f, pct};
-use crate::{Context, Table};
+use crate::{paper, Context, Table};
 use emogi_core::toy::{self, ToyPattern};
 use emogi_runtime::MachineConfig;
 
@@ -50,12 +50,7 @@ pub fn fig4(ctx: &Context) -> Table {
             "paper DRAM",
         ],
     );
-    let paper = [
-        (ToyPattern::Strided, 4.74, 9.40),
-        (ToyPattern::MergedAligned, 12.23, 12.36),
-        (ToyPattern::MergedMisaligned, 9.61, 14.26),
-    ];
-    for (p, ppcie, pdram) in paper {
+    for (p, ppcie, pdram) in paper::FIG4 {
         let r = toy::run_zero_copy(MachineConfig::v100_gen3(), p, bytes);
         t.row(vec![
             p.name().into(),
@@ -70,7 +65,7 @@ pub fn fig4(ctx: &Context) -> Table {
         "UVM reference".into(),
         f(u.pcie_gbps),
         f(u.dram_gbps),
-        "9.11-9.26".into(),
+        format!("{}-{}", f(paper::FIG4_UVM.0), f(paper::FIG4_UVM.1)),
         "-".into(),
     ]);
     let m = toy::run_memcpy_reference(MachineConfig::v100_gen3(), bytes * 4);
@@ -78,37 +73,8 @@ pub fn fig4(ctx: &Context) -> Table {
         "cudaMemcpy peak".into(),
         f(m),
         "-".into(),
-        f(12.3),
+        f(paper::MEMCPY_PEAK),
         "-".into(),
     ]);
     t
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn quick() -> Context {
-        Context::new(1, 16)
-    }
-
-    #[test]
-    fn fig3_shapes_match_paper() {
-        let t = fig3(&quick());
-        assert_eq!(t.rows.len(), 3);
-        // Strided row: dominated by 32-byte requests.
-        assert!(t.rows[0][2].trim_end_matches('%').parse::<f64>().unwrap() > 95.0);
-        // Aligned row: dominated by 128-byte requests.
-        assert!(t.rows[1][5].trim_end_matches('%').parse::<f64>().unwrap() > 95.0);
-    }
-
-    #[test]
-    fn fig4_bandwidth_ordering() {
-        let t = fig4(&quick());
-        let bw: Vec<f64> = t.rows.iter().map(|r| r[1].parse().unwrap()).collect();
-        // strided < misaligned < aligned <= memcpy
-        assert!(bw[0] < bw[2]);
-        assert!(bw[2] < bw[1]);
-        assert!(bw[1] <= bw[4] + 0.5);
-    }
 }

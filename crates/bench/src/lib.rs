@@ -24,6 +24,7 @@
 
 pub mod cell;
 pub mod experiments;
+pub mod paper;
 pub mod results;
 pub mod store;
 pub mod table;

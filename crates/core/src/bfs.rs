@@ -27,15 +27,14 @@ pub struct BfsProgram {
 }
 
 impl BfsProgram {
-    /// A BFS from `src` over `graph`. Panics if `src` is not a vertex
-    /// of `graph`.
+    /// A BFS from `src` over `graph`. Panics with
+    /// [`ProgramSpec::check`](crate::ProgramSpec::check)'s error if
+    /// `src` is not a vertex of `graph`.
     pub fn new(graph: &CsrGraph, src: VertexId) -> Self {
-        let n = graph.num_vertices();
-        assert!(
-            (src as usize) < n,
-            "BFS source {src} out of range: the graph has {n} vertices"
-        );
-        let mut levels = vec![UNVISITED; n];
+        if let Err(e) = crate::spec::check(graph, Some(src), None) {
+            panic!("BFS {e}");
+        }
+        let mut levels = vec![UNVISITED; graph.num_vertices()];
         levels[src as usize] = 0;
         Self {
             src,

@@ -103,6 +103,6 @@ pub use layout::{GraphLayout, Transport};
 pub use pagerank::{PageRankOutput, PageRankProgram};
 pub use program::{AccessPattern, DeviceWork, EdgeEffect, VertexProgram};
 pub use sharded::{ShardedConfig, ShardedEngine, ShardedRun};
-pub use spec::{Front, GroupRun, ProgramKind, ProgramRun, ProgramSpec};
+pub use spec::{Front, GroupRun, ProgramKind, ProgramRun, ProgramSpec, SpecError};
 pub use sssp::{SsspOutput, SsspProgram};
 pub use strategy::AccessStrategy;

@@ -94,6 +94,76 @@ impl ProgramSpec {
             ProgramSpec::Cc | ProgramSpec::PageRank { .. } => None,
         }
     }
+
+    /// Whether this spec can run on `graph`: its source, if any, is a
+    /// vertex of `graph`, and its weights, if any, number one per edge.
+    /// Every run description is validated here and nowhere else: the
+    /// typed constructors ([`BfsProgram::new`], [`SsspProgram::new`])
+    /// panic with this error, a server refuses the query with it.
+    pub fn check(&self, graph: &CsrGraph) -> Result<(), SpecError> {
+        let weights = match self {
+            ProgramSpec::Sssp { weights, .. } => Some(weights.as_slice()),
+            _ => None,
+        };
+        check(graph, self.src(), weights)
+    }
+}
+
+/// Why a [`ProgramSpec`] cannot run on a graph.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SpecError {
+    /// The source vertex is not in the graph.
+    SourceOutOfRange {
+        /// The offending source.
+        src: VertexId,
+        /// The graph's vertex count.
+        num_vertices: usize,
+    },
+    /// An SSSP spec's weight array does not hold one weight per edge.
+    WeightCountMismatch {
+        /// Weights provided.
+        got: usize,
+        /// Edges in the graph.
+        want: usize,
+    },
+}
+
+impl std::fmt::Display for SpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SpecError::SourceOutOfRange { src, num_vertices } => {
+                write!(
+                    f,
+                    "source {src} out of range: the graph has {num_vertices} vertices"
+                )
+            }
+            SpecError::WeightCountMismatch { got, want } => {
+                write!(f, "one weight per edge: got {got} for {want} edges")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SpecError {}
+
+/// [`ProgramSpec::check`] over a spec's parts, for the typed
+/// constructors, which hold a borrowed weight slice rather than a spec.
+pub(crate) fn check(
+    graph: &CsrGraph,
+    src: Option<VertexId>,
+    weights: Option<&[u32]>,
+) -> Result<(), SpecError> {
+    let num_vertices = graph.num_vertices();
+    if let Some(src) = src.filter(|&s| s as usize >= num_vertices) {
+        return Err(SpecError::SourceOutOfRange { src, num_vertices });
+    }
+    match weights {
+        Some(w) if w.len() != graph.num_edges() => Err(SpecError::WeightCountMismatch {
+            got: w.len(),
+            want: graph.num_edges(),
+        }),
+        _ => Ok(()),
+    }
 }
 
 /// One of the four shipped programs — the compatibility key groups are
@@ -380,6 +450,33 @@ mod tests {
             fold += b.stats();
         }
         assert_eq!(serial.stats, fold, "a back-to-back total is the += fold");
+    }
+
+    #[test]
+    fn check_bounds_the_source_and_the_weight_count_on_both_sides() {
+        let g = generators::uniform_random(50, 4, 1);
+        let (n, e) = (g.num_vertices() as u32, g.num_edges());
+        let sssp = |src, len| ProgramSpec::Sssp {
+            src,
+            weights: Arc::new(vec![1; len]),
+        };
+        assert_eq!(ProgramSpec::Bfs { src: n - 1 }.check(&g), Ok(()));
+        for src in [n, u32::MAX] {
+            let out = SpecError::SourceOutOfRange {
+                src,
+                num_vertices: n as usize,
+            };
+            assert_eq!(ProgramSpec::Bfs { src }.check(&g), Err(out.clone()));
+            assert_eq!(sssp(src, e).check(&g), Err(out));
+        }
+        assert_eq!(sssp(0, e).check(&g), Ok(()));
+        for got in [e - 1, e + 1] {
+            let err = SpecError::WeightCountMismatch { got, want: e };
+            assert_eq!(sssp(0, got).check(&g), Err(err));
+        }
+        // An empty weight array is only valid on an edgeless graph.
+        assert_eq!(sssp(0, 0).check(&CsrGraph::empty(4)), Ok(()));
+        assert_eq!(ProgramSpec::Cc.check(&CsrGraph::empty(1)), Ok(()));
     }
 
     #[test]

@@ -33,15 +33,13 @@ pub struct SsspProgram<'w> {
 
 impl<'w> SsspProgram<'w> {
     /// An SSSP from `src` over `graph`, with one weight per edge. Panics
-    /// if `src` is not a vertex of `graph`.
+    /// with [`ProgramSpec::check`](crate::ProgramSpec::check)'s error if
+    /// `src` is not a vertex of `graph` or the weight count is wrong.
     pub fn new(graph: &CsrGraph, weights: &'w [u32], src: VertexId) -> Self {
-        assert_eq!(weights.len(), graph.num_edges(), "one weight per edge");
-        let n = graph.num_vertices();
-        assert!(
-            (src as usize) < n,
-            "SSSP source {src} out of range: the graph has {n} vertices"
-        );
-        let mut dist = vec![INF; n];
+        if let Err(e) = crate::spec::check(graph, Some(src), Some(weights)) {
+            panic!("SSSP {e}");
+        }
+        let mut dist = vec![INF; graph.num_vertices()];
         dist[src as usize] = 0;
         Self { src, weights, dist }
     }
@@ -120,7 +118,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one weight per edge")]
+    #[should_panic(expected = "SSSP one weight per edge: got 3 for")]
     fn wrong_weight_count_rejected() {
         let g = generators::uniform_random(100, 4, 1);
         let _ = SsspProgram::new(&g, &[1, 2, 3], 0);

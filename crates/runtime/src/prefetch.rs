@@ -38,7 +38,7 @@
 //! `prefetch_for_next` **prefetches**: it ranks candidates for the *next*
 //! round and issues them while `pool − slice_used` has room. A region
 //! qualifies when `cumulative_density + min(1, touch_density × growth)`
-//! reaches `margin × stage_threshold` (growth: a clamped frontier-growth
+//! reaches `MARGIN × stage_threshold` (growth: a clamped frontier-growth
 //! ratio).
 //!
 //! Determinism: prediction inputs are exactly the planner's own
@@ -80,24 +80,24 @@ pub struct PrefetchConfig {
     /// slice never blocks a demand staging: demand decisions see the
     /// whole pool, and speculation keeps only what they leave over.
     pub slice_bytes: u64,
-    /// Most regions issued per planning round (the lane is one copy
-    /// engine; flooding it would just queue copies behind each other).
-    pub max_regions_per_round: usize,
-    /// Fraction of the policy's `stage_threshold` a predicted score must
-    /// reach to be worth speculating on. Lower values prefetch earlier
-    /// but waste more bytes on mispredictions.
-    pub margin: f64,
 }
 
 impl Default for PrefetchConfig {
     fn default() -> Self {
         Self {
             slice_bytes: 4 << 20,
-            max_regions_per_round: 16,
-            margin: 0.7,
         }
     }
 }
+
+/// Most regions [`Prefetcher::rank_candidates`] returns per planning
+/// round (the lane is one copy engine; flooding it would just queue
+/// copies behind each other).
+const MAX_REGIONS_PER_ROUND: usize = 16;
+/// Fraction of the policy's `stage_threshold` a predicted score must
+/// reach to be worth speculating on. Lower values prefetch earlier but
+/// waste more bytes on mispredictions.
+const MARGIN: f64 = 0.7;
 
 emogi_sim::ledger! {
     /// Monotonic prefetch counters; read and diff for per-run reporting
@@ -220,7 +220,7 @@ impl Prefetcher {
     /// its accumulated zero-copy density plus its predicted next-round
     /// touch density (this round's density scaled by the frontier-growth
     /// ratio); regions already staged or already speculative are skipped,
-    /// and only scores within `margin` of the policy's staging threshold
+    /// and only scores within `MARGIN` of the policy's staging threshold
     /// qualify. Ties break on region index, so the ranking — and with it
     /// every downstream pool charge — is totally ordered.
     pub fn rank_candidates(
@@ -231,7 +231,7 @@ impl Prefetcher {
         region_bytes: u64,
         len_bytes: u64,
     ) -> Vec<u32> {
-        let threshold = policy.config().stage_threshold * self.cfg.margin;
+        let threshold = policy.config().stage_threshold * MARGIN;
         let mut scored: Vec<(f64, u32)> = Vec::new();
         let mut ti = 0usize;
         for (r, &mapped) in table.iter().enumerate() {
@@ -258,7 +258,7 @@ impl Prefetcher {
             }
         }
         scored.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        scored.truncate(self.cfg.max_regions_per_round);
+        scored.truncate(MAX_REGIONS_PER_ROUND);
         scored.into_iter().map(|(_, r)| r).collect()
     }
 

@@ -866,10 +866,7 @@ mod tests {
         // A prefetcher with a zero-byte slice can never issue.
         let mut pf = Prefetcher::new(
             tmp.num_regions(),
-            PrefetchConfig {
-                slice_bytes: 0,
-                ..PrefetchConfig::default()
-            },
+            PrefetchConfig { slice_bytes: 0 },
             CopyEngineConfig::from_pcie(&mp.cfg.pcie),
         );
         for _ in 0..3 {

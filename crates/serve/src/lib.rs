@@ -60,7 +60,8 @@ pub mod server;
 pub mod sharded;
 
 pub use query::{
-    Priority, QoS, Query, QueryId, QueryKind, QueryOutcome, QueryResult, QuerySpec, SubmitError,
+    Priority, QoS, Query, QueryId, QueryKind, QueryOutcome, QueryResult, QuerySpec, SpecError,
+    SubmitError,
 };
 pub use scheduler::{plan_batches, sched_key, Pending, SchedPolicy, SlaBatch};
 pub use server::{QueryServer, ServeBackend, Server, ServerConfig, ServerStats, ShardedServer};

@@ -7,7 +7,7 @@ use std::sync::Arc;
 // The program vocabulary is `emogi_core::spec`'s; serving adds only the
 // QoS contract around a spec and the lifecycle around a run.
 pub use emogi_core::spec::{
-    ProgramKind as QueryKind, ProgramRun as QueryResult, ProgramSpec as QuerySpec,
+    ProgramKind as QueryKind, ProgramRun as QueryResult, ProgramSpec as QuerySpec, SpecError,
 };
 
 /// Opaque handle returned by
@@ -74,8 +74,7 @@ pub struct QoS {
     /// Scheduling class.
     pub priority: Priority,
     /// Completion budget on the simulated clock, ns from admission;
-    /// `None` means the query may take arbitrarily long (subject to the
-    /// server-wide [`query_budget_ns`](crate::ServerConfig::query_budget_ns)).
+    /// `None` means the query may take arbitrarily long.
     pub deadline_ns: Option<u64>,
 }
 
@@ -291,28 +290,16 @@ pub enum SubmitError {
         /// The configured queue capacity.
         capacity: usize,
     },
-    /// The query's source vertex is not in the graph.
-    SourceOutOfRange {
-        /// The offending source.
-        src: VertexId,
-        /// The graph's vertex count.
-        num_vertices: usize,
-    },
-    /// An SSSP query's weight array does not have one weight per edge.
-    WeightCountMismatch {
-        /// Weights provided.
-        got: usize,
-        /// Edges in the graph.
-        want: usize,
-    },
+    /// The query's spec cannot run on the served graph
+    /// ([`QuerySpec::check`]).
+    Invalid(SpecError),
     /// The cost model's work estimate for the query exceeds its
     /// deadline budget: it would be admitted only to miss. Raise the
     /// budget or drop the deadline.
     OverBudget {
         /// Estimated completion time, simulated ns.
         estimated_ns: u64,
-        /// The query's budget (its own deadline, or the server-wide
-        /// default), simulated ns.
+        /// The query's deadline budget, simulated ns.
         budget_ns: u64,
     },
 }
@@ -323,15 +310,7 @@ impl std::fmt::Display for SubmitError {
             SubmitError::QueueFull { capacity } => {
                 write!(f, "outstanding queries at capacity ({capacity})")
             }
-            SubmitError::SourceOutOfRange { src, num_vertices } => {
-                write!(
-                    f,
-                    "source {src} out of range (graph has {num_vertices} vertices)"
-                )
-            }
-            SubmitError::WeightCountMismatch { got, want } => {
-                write!(f, "got {got} weights for {want} edges")
-            }
+            SubmitError::Invalid(e) => write!(f, "invalid query: {e}"),
             SubmitError::OverBudget {
                 estimated_ns,
                 budget_ns,
@@ -349,8 +328,8 @@ impl std::error::Error for SubmitError {}
 
 /// Shared structural admission control for every server front end:
 /// bound the outstanding queries (pending **plus** unredeemed results —
-/// `outstanding` is that total *before* this query), check the source
-/// range, and require one weight per edge for SSSP. Deadline-budget
+/// `outstanding` is that total *before* this query), then validate the
+/// spec against the graph ([`QuerySpec::check`]). Deadline-budget
 /// admission is layered on top by [`Server::submit`](crate::Server::submit).
 pub(crate) fn admit(
     graph: &emogi_graph::CsrGraph,
@@ -361,23 +340,5 @@ pub(crate) fn admit(
     if outstanding >= capacity {
         return Err(SubmitError::QueueFull { capacity });
     }
-    let nv = graph.num_vertices();
-    if let Some(src) = query.src() {
-        if src as usize >= nv {
-            return Err(SubmitError::SourceOutOfRange {
-                src,
-                num_vertices: nv,
-            });
-        }
-    }
-    if let QuerySpec::Sssp { weights, .. } = &query.spec {
-        let want = graph.num_edges();
-        if weights.len() != want {
-            return Err(SubmitError::WeightCountMismatch {
-                got: weights.len(),
-                want,
-            });
-        }
-    }
-    Ok(())
+    query.spec.check(graph).map_err(SubmitError::Invalid)
 }

@@ -79,10 +79,6 @@ pub struct ServerConfig {
     /// default (identical to FIFO while every query carries the
     /// default QoS).
     pub policy: SchedPolicy,
-    /// Server-wide completion budget applied to queries that carry no
-    /// deadline of their own, simulated ns from admission; `None` (the
-    /// default) leaves undated queries unbounded.
-    pub query_budget_ns: Option<u64>,
 }
 
 impl Default for ServerConfig {
@@ -91,7 +87,6 @@ impl Default for ServerConfig {
             max_batch: 16,
             queue_capacity: 1024,
             policy: SchedPolicy::Edf,
-            query_budget_ns: None,
         }
     }
 }
@@ -303,8 +298,7 @@ impl<'g, B: ServeBackend<'g>> Server<B> {
             self.cfg.queue_capacity,
             query,
         )?;
-        let budget = query.qos.deadline_ns.or(self.cfg.query_budget_ns);
-        match budget {
+        match query.qos.deadline_ns {
             None => Ok(None),
             Some(budget_ns) => {
                 let estimated_ns = self.estimate_ns(query);
@@ -475,51 +469,9 @@ mod tests {
     use crate::query::Priority;
     use emogi_core::EngineConfig;
     use emogi_graph::generators;
-    use std::sync::Arc;
 
     fn server(g: &emogi_graph::CsrGraph, cfg: ServerConfig) -> QueryServer<'_> {
         QueryServer::new(cfg, Engine::load(EngineConfig::emogi_v100(), g))
-    }
-
-    #[test]
-    fn admission_rejects_bad_queries_and_full_queues() {
-        let g = generators::uniform_random(100, 4, 1);
-        let mut s = server(
-            &g,
-            ServerConfig {
-                queue_capacity: 2,
-                ..ServerConfig::default()
-            },
-        );
-        assert_eq!(
-            s.submit(Query::bfs(1_000)),
-            Err(SubmitError::SourceOutOfRange {
-                src: 1_000,
-                num_vertices: 100
-            })
-        );
-        let short = Arc::new(vec![1u32; 3]);
-        assert!(matches!(
-            s.submit(Query::sssp(0, short)),
-            Err(SubmitError::WeightCountMismatch { got: 3, .. })
-        ));
-        let a = s.submit(Query::bfs(0)).unwrap();
-        let b = s.submit(Query::bfs(1)).unwrap();
-        assert_eq!(
-            s.submit(Query::bfs(2)),
-            Err(SubmitError::QueueFull { capacity: 2 })
-        );
-        assert_eq!(s.stats().rejected, 3);
-        assert_eq!(s.run_pending(), 2);
-        // Executed but unredeemed results still hold their slots.
-        assert_eq!(
-            s.submit(Query::bfs(2)),
-            Err(SubmitError::QueueFull { capacity: 2 })
-        );
-        s.take(a).unwrap();
-        s.take(b).unwrap();
-        // Redeemed: admission opens again.
-        s.submit(Query::bfs(2)).unwrap();
     }
 
     #[test]
@@ -753,17 +705,10 @@ mod tests {
             "{err:?}"
         );
         assert_eq!(s.stats().rejected, 1);
-        // The server-wide budget applies to undated queries too.
-        let mut tight = server(
-            &g,
-            ServerConfig {
-                query_budget_ns: Some(1),
-                ..ServerConfig::default()
-            },
-        );
+        // Every kind is estimated, so a dated full sweep is refused too.
         assert!(matches!(
-            tight.submit(Query::bfs(0)),
-            Err(SubmitError::OverBudget { .. })
+            s.submit(Query::cc().with_deadline_ns(1)),
+            Err(SubmitError::OverBudget { budget_ns: 1, .. })
         ));
         // A generous estimate-derived budget is accepted.
         let q = Query::bfs(0);

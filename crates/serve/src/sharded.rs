@@ -101,23 +101,16 @@ mod tests {
             },
             engine,
         );
-        assert_eq!(
-            server.submit(Query::bfs(100)),
-            Err(SubmitError::SourceOutOfRange {
-                src: 100,
-                num_vertices: 100
-            })
-        );
-        assert!(matches!(
-            server.submit(Query::sssp(0, Arc::new(vec![1, 2]))),
-            Err(SubmitError::WeightCountMismatch { got: 2, .. })
-        ));
+        // A spec `check` refuses is refused with its error.
+        let bad = Query::sssp(0, Arc::new(vec![1, 2]));
+        let why = bad.spec.check(&g).unwrap_err();
+        assert_eq!(server.submit(bad), Err(SubmitError::Invalid(why)));
         let a = server.submit(Query::bfs(0)).unwrap();
         assert_eq!(
             server.submit(Query::bfs(1)),
             Err(SubmitError::QueueFull { capacity: 1 })
         );
-        assert_eq!(server.stats().rejected, 3);
+        assert_eq!(server.stats().rejected, 2);
         assert_eq!(server.run_pending(), 1);
         // The unredeemed outcome still holds the only slot.
         assert_eq!(

@@ -17,6 +17,21 @@ use emogi_sim::pcie::PcieLink;
 use emogi_sim::time::Time;
 use std::collections::VecDeque;
 
+/// Per-page software cost of a handler pass (page-table updates, DMA
+/// descriptor), ns: the single-threaded CPU work that caps migration
+/// throughput.
+const PAGE_CPU_OVERHEAD_NS: Time = 105;
+/// Per-page cost of evicting a resident page, ns.
+const EVICT_OVERHEAD_NS: Time = 40;
+/// Prefetch block size in pages (16 pages = 64 KiB).
+const PREFETCH_BLOCK_PAGES: u64 = 16;
+/// Blocks per prefetch super-block (`PREFETCH_BLOCK_PAGES ×
+/// PROMOTE_FACTOR` pages, the 2 MiB level of the real tree prefetcher).
+const PROMOTE_FACTOR: u64 = 16;
+/// When a faulting page's super-block already has this many blocks
+/// partially resident, the whole super-block migrates.
+const PROMOTE_THRESHOLD_BLOCKS: u64 = 4;
+
 /// Absolute page number (address / page size).
 pub type PageId = u64;
 
@@ -207,7 +222,7 @@ impl UvmDriver {
         while done < need {
             let Some(span) = self.evict_one() else { break };
             done += 1;
-            evict_time += self.cfg.evict_overhead_ns;
+            evict_time += EVICT_OVERHEAD_NS;
             let mut spans = vec![span];
             // Take down the rest of the victim's block.
             let victim_rel = (span.0 - self.base_addr) / self.cfg.page_bytes;
@@ -220,7 +235,7 @@ impl UvmDriver {
                     self.resident -= 1;
                     self.stats.pages_evicted += 1;
                     done += 1;
-                    evict_time += self.cfg.evict_overhead_ns;
+                    evict_time += EVICT_OVERHEAD_NS;
                     spans.push(self.page_span(self.base_page + r));
                 }
             }
@@ -236,7 +251,7 @@ impl UvmDriver {
         let prop = link.config().propagation_ns;
         let mut t = now + self.cfg.batch_overhead_ns + evict_time;
         for _ in &batch {
-            t += self.cfg.page_cpu_overhead_ns;
+            t += PAGE_CPU_OVERHEAD_NS;
             let arrival = link.dma_host_to_gpu(t, self.cfg.page_bytes, host_dram, monitor);
             t = arrival - prop;
         }
@@ -271,9 +286,9 @@ impl UvmDriver {
     /// density, over-fetching heavily on scattered access patterns.
     fn expand_prefetch(&mut self, page: PageId, batch: &mut Vec<PageId>) {
         let rel = self.idx(page) as u64;
-        let block = rel / self.cfg.prefetch_block_pages;
-        let block_start = block * self.cfg.prefetch_block_pages;
-        let block_end = ((block + 1) * self.cfg.prefetch_block_pages).min(self.states.len() as u64);
+        let block = rel / PREFETCH_BLOCK_PAGES;
+        let block_start = block * PREFETCH_BLOCK_PAGES;
+        let block_end = ((block + 1) * PREFETCH_BLOCK_PAGES).min(self.states.len() as u64);
         let dense = (block_start..block_end).any(|r| {
             r != rel
                 && matches!(
@@ -288,29 +303,27 @@ impl UvmDriver {
         // level): if enough sibling blocks already show residency, the
         // whole super-block migrates — heavy over-fetch on scattered
         // access patterns, exactly the UVM behaviour the paper blames.
-        let (mut lo, mut hi) = (block_start, block_end);
-        if self.cfg.promote_threshold_blocks > 0 {
-            let sb_pages = self.cfg.prefetch_block_pages * self.cfg.promote_factor;
-            let sb = rel / sb_pages;
-            let sb_start = sb * sb_pages;
-            let sb_end = ((sb + 1) * sb_pages).min(self.states.len() as u64);
-            let dense_blocks = (sb_start..sb_end)
-                .step_by(self.cfg.prefetch_block_pages as usize)
-                .filter(|&b0| {
-                    let b1 = (b0 + self.cfg.prefetch_block_pages).min(sb_end);
-                    (b0..b1).any(|r| {
-                        matches!(
-                            self.states[r as usize],
-                            PageState::Resident | PageState::Migrating
-                        )
-                    })
+        let sb_pages = PREFETCH_BLOCK_PAGES * PROMOTE_FACTOR;
+        let sb = rel / sb_pages;
+        let sb_start = sb * sb_pages;
+        let sb_end = ((sb + 1) * sb_pages).min(self.states.len() as u64);
+        let dense_blocks = (sb_start..sb_end)
+            .step_by(PREFETCH_BLOCK_PAGES as usize)
+            .filter(|&b0| {
+                let b1 = (b0 + PREFETCH_BLOCK_PAGES).min(sb_end);
+                (b0..b1).any(|r| {
+                    matches!(
+                        self.states[r as usize],
+                        PageState::Resident | PageState::Migrating
+                    )
                 })
-                .count() as u64;
-            if dense_blocks >= self.cfg.promote_threshold_blocks {
-                lo = sb_start;
-                hi = sb_end;
-            }
-        }
+            })
+            .count() as u64;
+        let (lo, hi) = if dense_blocks >= PROMOTE_THRESHOLD_BLOCKS {
+            (sb_start, sb_end)
+        } else {
+            (block_start, block_end)
+        };
         for r in lo..hi {
             if self.states[r as usize] == PageState::NotResident {
                 self.states[r as usize] = PageState::Migrating;

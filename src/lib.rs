@@ -77,7 +77,7 @@ pub mod prelude {
     pub use emogi_serve::{
         Priority, QoS, Query, QueryId, QueryKind, QueryOutcome, QueryResult, QueryServer,
         QuerySpec, SchedPolicy, ServeBackend, Server, ServerConfig, ServerStats, ShardedServer,
-        SubmitError,
+        SpecError, SubmitError,
     };
     pub use emogi_sim::interconnect::PeerLinkConfig;
     pub use emogi_sim::CxlConfig;
