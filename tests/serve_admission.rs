@@ -1,12 +1,13 @@
 //! Admission-control edge cases and scheduler fairness for the serving
-//! layer — the paths a happy-path workload never touches: invalid specs,
-//! full queues, and fairness when a saturating burst of one query kind
-//! competes with a minority kind.
+//! layer — the paths a happy-path workload never touches: boundary
+//! sources, malformed weight arrays, full queues, and fairness when a
+//! saturating burst of one query kind competes with a minority kind.
+//! Admission refuses an invalid spec with `ProgramSpec::check`'s error.
 //!
 //! Seeded mutations it is known to catch: `ProgramSpec::check`'s source
 //! bound loosened to `>`, or `query::admit` skipping the check, fails
-//! `invalid_queries_are_refused_with_the_spec_check_error`; the capacity
-//! bound loosened to `>` fails the three queue-capacity tests.
+//! `source_range_is_checked_at_the_exact_boundary`; the capacity bound
+//! loosened to `>` fails the three queue-capacity tests.
 
 mod common;
 
@@ -21,22 +22,50 @@ fn server(g: &CsrGraph, cfg: ServerConfig) -> QueryServer<'_> {
     QueryServer::new(cfg, Engine::load(EngineConfig::emogi_v100(), g))
 }
 
-/// Admission delegates to `ProgramSpec::check` (whose unit test pins
-/// both sides of each bound): what it refuses is refused with its
-/// error, named, and counted; what it accepts is admitted.
 #[test]
-fn invalid_queries_are_refused_with_the_spec_check_error() {
+fn source_range_is_checked_at_the_exact_boundary() {
     let g = graph();
-    let mut s = server(&g, ServerConfig::default());
     let n = g.num_vertices() as u32;
-    let short = Arc::new(vec![1; g.num_edges() - 1]);
-    for bad in [Query::bfs(n), Query::sssp(0, short)] {
-        let why = bad.spec.check(&g).unwrap_err();
-        assert_eq!(s.submit(bad), Err(SubmitError::Invalid(why)));
-    }
+    let mut s = server(&g, ServerConfig::default());
+    // Last valid vertex is admitted; the first invalid one is refused
+    // with `ProgramSpec::check`'s error, the offending source named.
     assert!(s.submit(Query::bfs(n - 1)).is_ok());
+    for src in [n, u32::MAX] {
+        assert_eq!(
+            s.submit(Query::bfs(src)),
+            Err(SubmitError::Invalid(SpecError::SourceOutOfRange {
+                src,
+                num_vertices: n as usize
+            }))
+        );
+    }
     assert_eq!(s.stats().submitted, 1);
     assert_eq!(s.stats().rejected, 2);
+}
+
+#[test]
+fn weight_arity_is_checked_in_both_directions() {
+    let g = graph();
+    let e = g.num_edges();
+    let mut s = server(&g, ServerConfig::default());
+    // One weight short and one weight long are both refused; the exact
+    // count is admitted.
+    for got in [e - 1, e + 1] {
+        assert_eq!(
+            s.submit(Query::sssp(0, Arc::new(vec![1; got]))),
+            Err(SubmitError::Invalid(SpecError::WeightCountMismatch {
+                got,
+                want: e
+            }))
+        );
+    }
+    assert!(s.submit(Query::sssp(0, Arc::new(vec![1; e]))).is_ok());
+    assert_eq!(s.stats().submitted, 1);
+    assert_eq!(s.stats().rejected, 2);
+    // An empty weight array is only valid on an edgeless graph.
+    let lonely = CsrGraph::empty(4);
+    let mut s2 = server(&lonely, ServerConfig::default());
+    assert!(s2.submit(Query::sssp(0, Arc::new(Vec::new()))).is_ok());
 }
 
 #[test]
