@@ -500,6 +500,25 @@ mod tests {
     }
 
     #[test]
+    fn default_ceiling_matches_paper_uvm_bandwidth() {
+        // Analytic migration ceiling, GB/s: each page costs its wire time
+        // at the link's effective bulk bandwidth plus the driver's
+        // per-page CPU work.
+        let page = UvmConfig::default().page_bytes as f64;
+        let ceiling =
+            |link_bulk_gbps: f64| page / (page / link_bulk_gbps + PAGE_CPU_OVERHEAD_NS as f64);
+        // Effective gen3 bulk bandwidth with 128 B TLPs is ~12.26 GB/s.
+        let gen3 = ceiling(12.26);
+        assert!((8.7..9.4).contains(&gen3), "gen3 UVM ceiling {gen3}");
+        // Doubling the link must NOT double UVM (Figure 12: 1.53x).
+        let scaling = ceiling(24.52) / gen3;
+        assert!(
+            (1.45..1.65).contains(&scaling),
+            "UVM gen4 scaling {scaling}"
+        );
+    }
+
+    #[test]
     fn streaming_throughput_matches_uvm_measurements() {
         // Sequentially fault through 512 pages (2 MiB) the way the Fig. 4
         // toy example's UVM reference does, and check the achieved
