@@ -176,7 +176,10 @@ pub struct ProgramKernel<'a, P: VertexProgram> {
     next: &'a mut [Vec<VertexId>],
     pos: usize,
     next_ctx: usize,
-    loaded_scratch: Vec<(u64, u8)>,
+    /// The naive step's `(element, iteration, lane)` loads (scratch).
+    loaded_scratch: Vec<(u64, u8, u8)>,
+    /// A step's status-store addresses, emitted after its loads (scratch).
+    stores: Vec<u64>,
     /// Cached program capability flags (hot path).
     edge_data: bool,
     source_status: bool,
@@ -220,6 +223,7 @@ impl<'a, P: VertexProgram> ProgramKernel<'a, P> {
             pos: 0,
             next_ctx: 0,
             loaded_scratch: Vec::with_capacity(WARP_SIZE),
+            stores: Vec::new(),
             edge_data,
             source_status,
             collect_activations,
@@ -241,45 +245,79 @@ impl<'a, P: VertexProgram> ProgramKernel<'a, P> {
         lane
     }
 
-    /// Task-start loads for one item: the two CSR offsets once (the
-    /// vertex list is shared), plus each member's own status entry for
-    /// programs that read it.
-    fn open_vertex(&mut self, lane: &Lane, batch: &mut AccessBatch) {
-        let v = u64::from(lane.v);
-        batch.load(self.layout.vertex_addr(v), 8, Space::Device);
-        batch.load(self.layout.vertex_addr(v + 1), 8, Space::Device);
+    /// Task-start loads for the task's items: the two CSR offsets of each
+    /// item once (the vertex list is shared), then, for programs that read
+    /// it, each member's own status entries, member by member.
+    fn open_items(&mut self, lanes: &[Lane], batch: &mut AccessBatch) {
+        for lane in lanes {
+            let v = u64::from(lane.v);
+            batch.load(self.layout.vertex_addr(v), 8, Space::Device);
+            batch.load(self.layout.vertex_addr(v + 1), 8, Space::Device);
+        }
         if self.source_status {
-            for q in slots(lane.mask) {
-                batch.load(self.status_bases[q] + v * 4, 4, Space::Device);
+            for q in slots(members(lanes)) {
+                for lane in lanes.iter().filter(|l| l.mask >> q & 1 == 1) {
+                    let v = u64::from(lane.v);
+                    batch.load(self.status_bases[q] + v * 4, 4, Space::Device);
+                }
             }
         }
     }
 
-    /// Process edge-list element `i` of `lane`'s item for every member:
-    /// one destination-status gather per member (each against its own
-    /// array), then the member program's update and the traffic of its
-    /// effect. The edge element itself was loaded once for all members.
-    /// `instr` separates the gathers of different loop iterations.
-    fn visit_edge(&mut self, i: u64, lane: &Lane, instr: u8, batch: &mut AccessBatch) {
-        let (src, dst) = (lane.v, self.graph.edge_dst(i));
-        for (k, q) in slots(lane.mask).enumerate() {
-            let ctx = self.work.ctxs[lane.first_ctx + k];
+    /// Process a step's edge-list elements, given as `(element, lane,
+    /// instruction group)` with `lane` indexing `lanes`; the elements
+    /// themselves were loaded once for all members. Member by member, in
+    /// element order: one destination-status gather against the member's
+    /// own array, then the member program's update. The status stores
+    /// the updates call for follow all the step's loads. Each program
+    /// sees its edges in the order it always did, and each member's
+    /// gathers arrive as an ascending run when the list is
+    /// destination-sorted — the order the coalescer merges in one pass.
+    fn visit_edges(
+        &mut self,
+        lanes: &[Lane],
+        edges: impl Iterator<Item = (u64, usize, u8)> + Clone,
+        batch: &mut AccessBatch,
+    ) {
+        self.stores.clear();
+        for q in slots(members(lanes)) {
             let base = self.status_bases[q];
-            batch.load_instr(base + u64::from(dst) * 4, 4, Space::Device, instr);
-            match self.programs[q].edge(i, src, dst, ctx) {
-                EdgeEffect::None => {}
-                EdgeEffect::UpdateDst { activate } => {
-                    batch.store(base + u64::from(dst) * 4, 4, Space::Device);
-                    if activate && self.collect_activations {
-                        self.next[q].push(dst);
+            // `q`'s context in each lane's item (`None`: not a member); the
+            // members below `q` give its offset among the item's contexts.
+            let below = (1u64 << q) - 1;
+            let mut ctxs = [None; WARP_SIZE];
+            for (ctx, lane) in ctxs.iter_mut().zip(lanes) {
+                *ctx = (lane.mask >> q & 1 == 1).then(|| {
+                    self.work.ctxs[lane.first_ctx + (lane.mask & below).count_ones() as usize]
+                });
+            }
+            for (i, l, instr) in edges.clone() {
+                let Some(ctx) = ctxs[l] else {
+                    continue;
+                };
+                let (src, dst) = (lanes[l].v, self.graph.edge_dst(i));
+                batch.load_instr(base + u64::from(dst) * 4, 4, Space::Device, instr);
+                match self.programs[q].edge(i, src, dst, ctx) {
+                    EdgeEffect::None => {}
+                    EdgeEffect::UpdateDst { activate } => {
+                        self.stores.push(base + u64::from(dst) * 4);
+                        if activate && self.collect_activations {
+                            self.next[q].push(dst);
+                        }
                     }
-                }
-                EdgeEffect::UpdateSrc => {
-                    batch.store(base + u64::from(src) * 4, 4, Space::Device);
+                    EdgeEffect::UpdateSrc => self.stores.push(base + u64::from(src) * 4),
                 }
             }
         }
+        for &addr in &self.stores {
+            batch.store(addr, 4, Space::Device);
+        }
     }
+}
+
+/// Every member slot of the task's items.
+fn members(lanes: &[Lane]) -> u64 {
+    lanes.iter().fold(0, |m, l| m | l.mask)
 }
 
 impl<P: VertexProgram> Kernel for ProgramKernel<'_, P> {
@@ -303,9 +341,10 @@ impl<P: VertexProgram> Kernel for ProgramKernel<'_, P> {
     fn step(&mut self, task: &mut Self::Task, batch: &mut AccessBatch) -> StepOutcome {
         match task {
             ProgramTask::Warp { lane, walk } => {
+                let lanes = std::slice::from_ref(lane);
                 let Some(w) = walk else {
                     let (start, end) = lane.range;
-                    self.open_vertex(lane, batch);
+                    self.open_items(lanes, batch);
                     if start == end {
                         return StepOutcome::Done;
                     }
@@ -316,9 +355,7 @@ impl<P: VertexProgram> Kernel for ProgramKernel<'_, P> {
                 if self.edge_data {
                     WarpWalk::emit_weights(self.layout, batch, lo, hi);
                 }
-                for i in lo..hi {
-                    self.visit_edge(i, lane, 128, batch);
-                }
+                self.visit_edges(lanes, (lo..hi).map(|i| (i, 0, 128)), batch);
                 if w.is_done() {
                     StepOutcome::Done
                 } else {
@@ -327,9 +364,7 @@ impl<P: VertexProgram> Kernel for ProgramKernel<'_, P> {
             }
             ProgramTask::Lanes { lanes, walk } => {
                 let Some(w) = walk else {
-                    for lane in lanes.iter() {
-                        self.open_vertex(lane, batch);
-                    }
+                    self.open_items(lanes, batch);
                     let ranges: Vec<(u64, u64)> = lanes.iter().map(|l| l.range).collect();
                     let lw = LaneWalk::new(&ranges);
                     if lw.is_done() {
@@ -344,15 +379,10 @@ impl<P: VertexProgram> Kernel for ProgramKernel<'_, P> {
                 if self.edge_data {
                     LaneWalk::emit_weights(self.layout, batch, &loaded);
                 }
-                for &(i, iter) in &loaded {
-                    // Which lane (= which source vertex and members) the
-                    // element belongs to: lane ranges are disjoint.
-                    let lane = lanes
-                        .iter()
-                        .find(|l| i >= l.range.0 && i < l.range.1)
-                        .expect("element belongs to some lane");
-                    self.visit_edge(i, lane, 128 + iter, batch);
-                }
+                let edges = loaded
+                    .iter()
+                    .map(|&(i, iter, l)| (i, usize::from(l), 128 + iter));
+                self.visit_edges(lanes, edges, batch);
                 let done = w.is_done();
                 self.loaded_scratch = loaded;
                 if done {

@@ -40,6 +40,9 @@ pub struct PageRankProgram<'g> {
     iterations: u32,
     /// Out-degrees, fixed at construction.
     deg: Vec<u64>,
+    /// Where each destination's addends start in the fold's buckets
+    /// (in-degree prefix sums, `n + 1` entries), fixed at construction.
+    in_start: Vec<usize>,
     rank: Vec<f64>,
     /// This sweep's accumulators (the device-resident status array).
     next: Vec<f64>,
@@ -57,12 +60,22 @@ impl<'g> PageRankProgram<'g> {
         assert!(iterations > 0, "at least one iteration");
         let n = graph.num_vertices();
         assert!(n > 0, "PageRank needs a non-empty graph");
+        let mut in_start = vec![0usize; n + 1];
+        for v in 0..n as VertexId {
+            for &dst in graph.neighbors(v) {
+                in_start[dst as usize + 1] += 1;
+            }
+        }
+        for v in 0..n {
+            in_start[v + 1] += in_start[v];
+        }
         Self {
             graph,
             damping,
             max_iterations: iterations,
             iterations: 0,
             deg: (0..n as u32).map(|v| graph.degree(v)).collect(),
+            in_start,
             rank: vec![1.0 / n as f64; n],
             next: vec![0.0; n],
             contrib: vec![0.0; n],
@@ -125,9 +138,12 @@ impl VertexProgram for PageRankProgram<'_> {
 
     /// Between sweeps: fold every vertex's contribution into its
     /// neighbours' accumulators in **ascending value order per
-    /// destination** — each `(dst, contribution-bits)` pair is gathered
-    /// and sorted before the fold. Every contribution is positive, so
-    /// bit order equals numeric order, and the per-destination addend
+    /// destination** — each contribution's bits are bucketed under their
+    /// destination (one counting pass over the CSR, sized at
+    /// construction) and each bucket is sorted before its fold: the
+    /// addition sequence a global `(dst, contribution-bits)` sort gives.
+    /// Every contribution is positive, so bit order equals numeric
+    /// order, and the per-destination addend
     /// *multiset* (which any vertex relabeling preserves) fully
     /// determines the sum: ranks are bit-equal to
     /// [`emogi_graph::algo::pagerank`] (which folds the same way),
@@ -135,19 +151,24 @@ impl VertexProgram for PageRankProgram<'_> {
     /// relabelings (`tests/layout_differential.rs`). Then the rank
     /// update — one bulk pass over two per-vertex streams.
     fn post_iteration(&mut self, work: &mut DeviceWork) {
-        let mut addends: Vec<(VertexId, u64)> = Vec::with_capacity(self.graph.num_edges());
+        let mut addends = vec![0u64; self.graph.num_edges()];
+        let mut fill = self.in_start.clone();
         for v in 0..self.rank.len() {
             if self.deg[v] == 0 {
                 continue;
             }
             let bits = self.contrib[v].to_bits();
             for &dst in self.graph.neighbors(v as VertexId) {
-                addends.push((dst, bits));
+                addends[fill[dst as usize]] = bits;
+                fill[dst as usize] += 1;
             }
         }
-        addends.sort_unstable();
-        for &(dst, bits) in &addends {
-            self.next[dst as usize] += f64::from_bits(bits);
+        for (dst, next) in self.next.iter_mut().enumerate() {
+            let bucket = &mut addends[self.in_start[dst]..self.in_start[dst + 1]];
+            bucket.sort_unstable();
+            for &bits in bucket.iter() {
+                *next += f64::from_bits(bits);
+            }
         }
         let n = self.rank.len() as f64;
         let base = (1.0 - self.damping) / n + self.damping * self.dangling / n;

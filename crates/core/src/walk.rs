@@ -112,19 +112,19 @@ impl LaneWalk {
 
     /// Emit up to [`LANE_RUNAHEAD`] element loads per still-active lane,
     /// one instruction group per loop iteration, and record the
-    /// `(element, iteration)` pairs in `loaded`. Lanes whose lists are
-    /// exhausted idle — the §4.3.1 divergence cost of unequal list
-    /// lengths.
+    /// `(element, iteration, lane)` triples in `loaded`. Lanes whose
+    /// lists are exhausted idle — the §4.3.1 divergence cost of unequal
+    /// list lengths.
     pub fn emit_edges(
         &mut self,
         layout: &GraphLayout,
         batch: &mut AccessBatch,
-        loaded: &mut Vec<(u64, u8)>,
+        loaded: &mut Vec<(u64, u8, u8)>,
     ) {
         debug_assert!(!self.is_done());
         for k in 0..LANE_RUNAHEAD as u8 {
             let mut any = false;
-            for lane in &mut self.lanes {
+            for (l, lane) in (0u8..).zip(&mut self.lanes) {
                 if lane.0 < lane.1 {
                     let addr = layout.edge_addr(lane.0);
                     batch.load_instr(
@@ -133,7 +133,7 @@ impl LaneWalk {
                         layout.edge_addr_space(addr),
                         k,
                     );
-                    loaded.push((lane.0, k));
+                    loaded.push((lane.0, k, l));
                     lane.0 += 1;
                     if lane.0 == lane.1 {
                         self.active -= 1;
@@ -147,10 +147,10 @@ impl LaneWalk {
         }
     }
 
-    /// Weight loads matching the `(element, iteration)` pairs just loaded
-    /// (their own instruction groups, offset from the edge loads').
-    pub fn emit_weights(layout: &GraphLayout, batch: &mut AccessBatch, loaded: &[(u64, u8)]) {
-        for &(i, k) in loaded {
+    /// Weight loads matching the `(element, iteration, lane)` triples just
+    /// loaded (their own instruction groups, offset from the edge loads').
+    pub fn emit_weights(layout: &GraphLayout, batch: &mut AccessBatch, loaded: &[(u64, u8, u8)]) {
+        for &(i, k, _) in loaded {
             batch.load_instr(layout.weight_addr(i), 4, layout.edge_space, 64 + k);
         }
     }
@@ -272,7 +272,7 @@ mod tests {
         // One step drains both short lists thanks to the runahead;
         // iterations interleave lane-major within each instruction group.
         w.emit_edges(&l, &mut b, &mut loaded);
-        assert_eq!(loaded, vec![(0, 0), (10, 0), (1, 1), (2, 2)]);
+        assert_eq!(loaded, vec![(0, 0, 0), (10, 0, 1), (1, 1, 0), (2, 2, 0)]);
         assert!(w.is_done());
         // Per-iteration instruction ids keep same-lane consecutive
         // elements in separate groups.
@@ -302,7 +302,7 @@ mod tests {
         assert_eq!(b.items()[0].space, Space::HostPinned);
 
         let mut b2 = AccessBatch::new();
-        LaneWalk::emit_weights(&l, &mut b2, &[(5, 0), (6, 1)]);
+        LaneWalk::emit_weights(&l, &mut b2, &[(5, 0, 0), (6, 1, 0)]);
         assert_eq!(b2.items()[0].instr, 64);
         assert_eq!(b2.items()[1].instr, 65);
     }

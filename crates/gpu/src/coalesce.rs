@@ -8,6 +8,21 @@
 //! sizes, strided lane accesses degenerate into per-lane 32-byte requests,
 //! warp-contiguous aligned accesses merge into full 128-byte requests, and
 //! a 32-byte misalignment splits each line into a 96 + 32 byte pair.
+//!
+//! # What a kernel emits to get the linear path
+//!
+//! The output is a function of the *multiset* of accesses; their order
+//! only sets the host cost. Each access becomes one packed entry per
+//! touched line, whose integer order is the output order, and the
+//! coalescer records where the entry stream descends. Up to
+//! `MAX_MERGE_RUNS` ascending runs are merged (`merge_runs`, one linear
+//! pass when they do not interleave); a stream with more runs is sorted.
+//! So a kernel that wants the linear path emits each (space, store,
+//! instr) group as a few ascending runs and the groups in few blocks: a
+//! warp's edge spans in list order, a member's status gathers in
+//! destination order, member by member, and a step's stores after its
+//! loads. Which group comes first does not matter, and a run may
+//! straddle two groups.
 
 use crate::access::{LaneAccess, Space};
 
@@ -96,11 +111,20 @@ fn rank_space(r: u64) -> Space {
     }
 }
 
+/// Most ascending runs an entry stream may arrive in and still be merged;
+/// a stream with more is sorted.
+const MAX_MERGE_RUNS: usize = 8;
+
 /// The coalescing unit. Holds scratch buffers so per-step coalescing does
 /// not allocate; one per executor.
 #[derive(Debug, Default)]
 pub struct Coalescer {
     entries: Vec<Entry>,
+    /// Index in `entries` where each ascending run after the first starts.
+    run_starts: Vec<usize>,
+    /// Calls whose entries came in more than `MAX_MERGE_RUNS` ascending
+    /// runs and were sorted instead of merged.
+    pub sorts: u64,
 }
 
 impl Coalescer {
@@ -112,9 +136,8 @@ impl Coalescer {
     /// `out` in deterministic (space, store, instr, address) order.
     pub fn coalesce(&mut self, accesses: &[LaneAccess], out: &mut Vec<Transaction>) {
         self.entries.clear();
-        // Warps mostly touch lines in ascending order within one
-        // instruction group; then the entries need no sort.
-        let mut ordered = true;
+        self.run_starts.clear();
+        let (entries, run_starts) = (&mut self.entries, &mut self.run_starts);
         // The entry being built. Consecutive lanes usually extend it, so it
         // lives in a register, not in `entries`; 0 means none (a real entry
         // has mask bits), and an entry that merges into 0 is itself.
@@ -124,9 +147,11 @@ impl Coalescer {
                 open |= entry;
             } else {
                 if open != 0 {
-                    self.entries.push(open);
+                    entries.push(open);
+                    if entry < open {
+                        run_starts.push(entries.len());
+                    }
                 }
-                ordered &= open < entry;
                 open = entry;
             }
         };
@@ -160,23 +185,75 @@ impl Coalescer {
             }
         }
         if open != 0 {
-            self.entries.push(open);
+            entries.push(open);
         }
-        if !ordered {
-            self.entries.sort_unstable();
-        }
-        // Merge duplicate lines, then emit contiguous sector runs.
-        let mut i = 0;
-        while i < self.entries.len() {
-            let mut entry = self.entries[i];
-            i += 1;
-            while i < self.entries.len() && (self.entries[i] ^ entry) >> MASK_BITS == 0 {
-                entry |= self.entries[i];
-                i += 1;
+        // In ascending order the entries of one line are adjacent: merge
+        // their masks, then emit contiguous sector runs.
+        let mut line: Entry = 0;
+        let mut take = |ascending: &[Entry]| {
+            for &entry in ascending {
+                if (line ^ entry) >> MASK_BITS == 0 {
+                    line |= entry;
+                } else {
+                    if line != 0 {
+                        emit_runs(line, out);
+                    }
+                    line = entry;
+                }
             }
-            emit_runs(entry, out);
+        };
+        if run_starts.len() < MAX_MERGE_RUNS {
+            merge_runs(entries, run_starts, &mut take);
+        } else {
+            self.sorts += 1;
+            entries.sort_unstable();
+            take(entries);
+        }
+        if line != 0 {
+            emit_runs(line, out);
         }
     }
+}
+
+/// Hand the ascending runs of `entries` (the first starting at 0, the
+/// others at `starts`) to `take` as one ascending sequence, in slices.
+///
+/// Each round takes, from the run with the smallest head, every entry up
+/// to the smallest head of the other runs: runs that do not interleave go
+/// whole, one slice each, and interleaved ones cost a scan of the heads
+/// and a binary search per slice — O(n·(r + log n)) at worst for n
+/// entries in r runs.
+fn merge_runs(entries: &[Entry], starts: &[usize], take: &mut impl FnMut(&[Entry])) {
+    debug_assert!(starts.len() < MAX_MERGE_RUNS);
+    let mut runs: [&[Entry]; MAX_MERGE_RUNS] = [&[]; MAX_MERGE_RUNS];
+    let mut live = 0;
+    let mut lo = 0;
+    for &hi in starts.iter().chain(std::iter::once(&entries.len())) {
+        runs[live] = &entries[lo..hi];
+        live += 1;
+        lo = hi;
+    }
+    while live > 1 {
+        let mut min = 0;
+        for k in 1..live {
+            if runs[k][0] < runs[min][0] {
+                min = k;
+            }
+        }
+        let bound = (0..live)
+            .filter(|&k| k != min)
+            .map(|k| runs[k][0])
+            .min()
+            .expect("another run is live");
+        let n = runs[min].partition_point(|&e| e <= bound);
+        take(&runs[min][..n]);
+        runs[min] = &runs[min][n..];
+        if runs[min].is_empty() {
+            live -= 1;
+            runs[min] = runs[live];
+        }
+    }
+    take(runs[0]);
 }
 
 fn emit_runs(entry: Entry, out: &mut Vec<Transaction>) {
@@ -270,10 +347,65 @@ mod tests {
         })
     }
 
-    /// Random batches mixing spaces, stores, instruction groups, sizes
-    /// 0–16 B, line-straddling accesses and spans: the packed-key
-    /// coalescer, fed spans or their per-lane expansion, emits exactly
+    /// Coalesce `batch` as spans and lane by lane: both must emit exactly
     /// the reference's transactions in the reference's order.
+    fn assert_matches_reference(c: &mut Coalescer, batch: &[LaneAccess], tag: &str) {
+        let expanded: Vec<LaneAccess> = batch.iter().flat_map(lanes).collect();
+        let want = reference_coalesce(&expanded);
+        let mut spans = Vec::new();
+        c.coalesce(batch, &mut spans);
+        assert_eq!(spans, want, "{tag}: {batch:?}");
+        let mut per_lane = Vec::new();
+        c.coalesce(&expanded, &mut per_lane);
+        assert_eq!(per_lane, want, "{tag}, expanded: {batch:?}");
+    }
+
+    /// `len` accesses of one group, each at or past the end of the one
+    /// before: one ascending run of entries, starting at `from`.
+    fn ascending_run(
+        rng: &mut StdRng,
+        from: u64,
+        len: usize,
+        space: Space,
+        store: bool,
+        instr: u8,
+    ) -> Vec<LaneAccess> {
+        let mut addr = from;
+        (0..len)
+            .map(|_| {
+                let size = [4u8, 8][rng.gen_range(0..2usize)];
+                let count = if rng.gen_bool(0.3) {
+                    rng.gen_range(1..=32u8)
+                } else {
+                    1
+                };
+                let a = LaneAccess {
+                    addr,
+                    size,
+                    count,
+                    instr,
+                    space,
+                    store,
+                };
+                addr += u64::from(size) * u64::from(count) + rng.gen_range(0..200u64);
+                a
+            })
+            .collect()
+    }
+
+    /// Random batches mixing spaces, stores, instruction groups, sizes
+    /// 0–16 B, line-straddling accesses and spans, then batches shaped
+    /// like a kernel's emission: the packed-key coalescer, fed spans or
+    /// their per-lane expansion, emits exactly the reference's
+    /// transactions in the reference's order. Up to `MAX_MERGE_RUNS`
+    /// runs — disjoint, interleaved, straddling two groups, or meeting
+    /// on one line — take the merge, never the sort; more runs take the
+    /// sort.
+    ///
+    /// Seeded mutations: `merge_runs` taking each run whole instead of up
+    /// to the other runs' smallest head (concatenating the runs) fails
+    /// the reference comparison; `MAX_MERGE_RUNS = 1` (sorting every
+    /// multi-run stream) fails the merge witness.
     #[test]
     fn packed_keys_and_spans_equal_the_per_lane_reference() {
         const SPACES: [Space; 4] = [Space::Device, Space::HostPinned, Space::Managed, Space::Cxl];
@@ -308,14 +440,101 @@ mod tests {
                     }
                 })
                 .collect();
-            let expanded: Vec<LaneAccess> = batch.iter().flat_map(lanes).collect();
-            let want = reference_coalesce(&expanded);
-            let mut spans = Vec::new();
-            c.coalesce(&batch, &mut spans);
-            assert_eq!(spans, want, "case {case}: {batch:?}");
-            let mut per_lane = Vec::new();
-            c.coalesce(&expanded, &mut per_lane);
-            assert_eq!(per_lane, want, "case {case}, expanded: {batch:?}");
+            assert_matches_reference(&mut c, &batch, &format!("case {case}"));
+        }
+
+        const HOST: u64 = 0x2_0000_0000_0000;
+        const DEV: u64 = 0x1_0000_0000_0000;
+        for case in 0..2_000 {
+            let sorts = c.sorts;
+            let mut runs: Vec<Vec<LaneAccess>> = Vec::new();
+            let shape = case % 5;
+            match shape {
+                // A warp step: edge and weight spans, then each member's
+                // gathers from its own status array and the stores, in
+                // blocks that are disjoint but come in any order.
+                0 => {
+                    let len = rng.gen_range(1..6usize);
+                    runs.push(ascending_run(
+                        &mut rng,
+                        HOST,
+                        len,
+                        Space::HostPinned,
+                        false,
+                        0,
+                    ));
+                    runs.push(ascending_run(
+                        &mut rng,
+                        HOST + (1 << 30),
+                        len,
+                        Space::HostPinned,
+                        false,
+                        0,
+                    ));
+                    for q in 0..rng.gen_range(1..=3u64) {
+                        let base = DEV + (q << 24);
+                        let n = rng.gen_range(1..12usize);
+                        runs.push(ascending_run(&mut rng, base, n, Space::Device, false, 128));
+                        runs.push(ascending_run(&mut rng, base, n, Space::Device, true, 0));
+                    }
+                    let k = rng.gen_range(0..runs.len());
+                    runs.rotate_left(k);
+                    if rng.gen_bool(0.5) {
+                        runs.reverse();
+                    }
+                }
+                // Runs of one group over one window: they interleave.
+                1 => {
+                    for _ in 0..rng.gen_range(2..=MAX_MERGE_RUNS) {
+                        let from = DEV + rng.gen_range(0..2048u64);
+                        let n = rng.gen_range(1..10usize);
+                        runs.push(ascending_run(&mut rng, from, n, Space::Device, false, 128));
+                    }
+                }
+                // Runs that each climb from a staged (device) stretch into
+                // a host one: every run straddles two groups.
+                2 => {
+                    for _ in 0..rng.gen_range(2..=4usize) {
+                        let (from, n) = (DEV + rng.gen_range(0..4096u64), rng.gen_range(1..6usize));
+                        let mut run = ascending_run(&mut rng, from, n, Space::Device, false, 0);
+                        let n = rng.gen_range(1..6usize);
+                        let from = HOST + rng.gen_range(0..4096u64);
+                        run.extend(ascending_run(
+                            &mut rng,
+                            from,
+                            n,
+                            Space::HostPinned,
+                            false,
+                            0,
+                        ));
+                        runs.push(run);
+                    }
+                }
+                // Every run starts on one line, often with the same
+                // sectors: equal keys meet at the run heads.
+                3 => {
+                    let line = DEV + rng.gen_range(0..64u64) * LINE_BYTES;
+                    for _ in 0..rng.gen_range(2..=MAX_MERGE_RUNS) {
+                        let from = line + rng.gen_range(0..4u64) * SECTOR_BYTES;
+                        let n = rng.gen_range(1..6usize);
+                        runs.push(ascending_run(&mut rng, from, n, Space::Device, false, 7));
+                    }
+                }
+                // Many short runs, each starting below the one before.
+                _ => {
+                    let n = rng.gen_range(MAX_MERGE_RUNS + 1..40);
+                    for k in 0..n {
+                        let from = DEV + (n - k) as u64 * 512;
+                        let len = rng.gen_range(1..4usize);
+                        runs.push(ascending_run(&mut rng, from, len, Space::Device, false, 0));
+                    }
+                }
+            }
+            let batch: Vec<LaneAccess> = runs.concat();
+            assert_matches_reference(&mut c, &batch, &format!("shape {shape}, case {case}"));
+            // Two calls per batch: as spans and lane by lane.
+            let want = if shape < 4 { sorts } else { sorts + 2 };
+            assert_eq!(c.sorts, want, "shape {shape}, case {case}: merge or sort");
         }
     }
 

@@ -55,6 +55,18 @@
 //! * the coalescer's packed `u64` key, whose integer order is the
 //!   emission order (`emogi_gpu::coalesce`; the per-lane four-field-key
 //!   coalescer survives as its `#[cfg(test)]` oracle);
+//! * the emission contract and the run merge: a batch's order is free
+//!   (the coalescer's output depends only on the multiset of accesses),
+//!   so `ProgramKernel` emits a step's status gathers member by member
+//!   in list order and its status stores after its loads. Each (space,
+//!   store, instr) group then arrives as a few ascending runs, which the
+//!   coalescer merges in one linear pass instead of sorting; only a
+//!   stream of more than eight runs (a naive step's scattered gathers)
+//!   is sorted;
+//! * the L2 as a struct of arrays (`SectoredCache`): each set's tags are
+//!   one contiguous `u64` run matched without a branch per way, with the
+//!   sector masks and LRU stamps kept apart — 17 bytes per way, not 24
+//!   (the array-of-structs cache survives as its `#[cfg(test)]` oracle);
 //! * L2 invalidation by set (`SectoredCache::invalidate_range`);
 //! * the MSHR line table below — in-flight requests of one line have
 //!   disjoint sector masks, so a line has at most four: a fixed

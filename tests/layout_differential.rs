@@ -16,7 +16,7 @@
 //!
 //! - `LayoutPlan::unmap_values` returning its input fails
 //!   `solo_runs_are_bit_identical_after_unmapping`;
-//! - `ProgramKernel::visit_edge` passing the live
+//! - `ProgramKernel::visit_edges` passing the live
 //!   `self.programs[q].source_ctx(src)` instead of the captured context
 //!   fails `solo_runs_are_bit_identical_after_unmapping` and
 //!   `batched_runs_are_bit_identical_after_unmapping` at both seeds.

@@ -20,10 +20,10 @@
 //!   `batched_sssp_is_bit_identical_to_sequential`;
 //! - `Server::run_pending` handing a batch's results to its queries in
 //!   reverse order fails `query_server_matches_solo_runs_on_random_mixes`;
-//! - `ProgramKernel::visit_edge` passing the live
+//! - `ProgramKernel::visit_edges` passing the live
 //!   `self.programs[q].source_ctx(src)` instead of the captured context
 //!   fails `batched_sssp_is_bit_identical_to_sequential` at both seeds
-//!   (this took `visit_edge`/`open_vertex` out of `emogi-lint`'s
+//!   (this took the kernel's visit and open helpers out of `emogi-lint`'s
 //!   `kernel-purity` hooks).
 
 mod common;

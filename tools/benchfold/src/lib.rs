@@ -148,11 +148,22 @@ fn diff(path: &str, committed: &Value, fresh: &Value, out: &mut Vec<String>) {
 
 /// The host-clock end-to-end medians of two folded documents side by
 /// side, one `workload metric committed fresh` line each. Informational.
+///
+/// A `wall_s` line also gives its relative change and, as a host-noise
+/// canary, the workload's fresh/committed `setup_s` ratio: set-up code
+/// that a change leaves alone should not move, so a ratio far from 1
+/// says the host, not the change, moved the wall clock.
 pub fn host_medians(committed: &Value, fresh: &Value) -> Vec<String> {
     fn workloads(doc: &Value) -> Option<&[Value]> {
         doc.get("workloads").and_then(Value::as_arr)
     }
     let median = |metric: &Value| metric.get("value").and_then(Value::as_f64);
+    let setup_s = |workload: &Value| {
+        workload
+            .get("end_to_end")
+            .and_then(|e| e.get("setup_s"))
+            .and_then(median)
+    };
     let mut out = Vec::new();
     let (Some(old), Some(new)) = (workloads(committed), workloads(fresh)) else {
         return out;
@@ -165,7 +176,14 @@ pub fn host_medians(committed: &Value, fresh: &Value) -> Vec<String> {
         for (metric, va) in metrics.iter().filter(|(k, v)| informational(k, v)) {
             let vb = b.get("end_to_end").and_then(|e| e.get(metric));
             if let (Some(x), Some(y)) = (median(va), vb.and_then(median)) {
-                out.push(format!("{name:<14} {metric:<12} {x:>10.3} -> {y:>10.3}"));
+                let mut line = format!("{name:<14} {metric:<12} {x:>10.3} -> {y:>10.3}");
+                if metric == "wall_s" {
+                    line += &format!(" {:>+7.1} %", 100.0 * (y / x - 1.0));
+                    if let (Some(s0), Some(s1)) = (setup_s(a), setup_s(b)) {
+                        line += &format!("   setup_s ratio {:.2}", s1 / s0);
+                    }
+                }
+                out.push(line);
             }
         }
     }
@@ -268,5 +286,37 @@ mod tests {
             digest[0].starts_with("/workloads/w1/queries/gk.bfs.4/digest"),
             "{digest:?}"
         );
+    }
+
+    /// Each `wall_s` line carries its change and the same pair's
+    /// `setup_s` ratio; other host lines carry neither.
+    #[test]
+    fn wall_clock_lines_carry_the_setup_ratio_canary() {
+        let declaration = json::parse(
+            r#"{"workloads": [{"name": "w1"}],
+                "end_to_end": [{"name": "wall_s"}, {"name": "setup_s"}]}"#,
+        )
+        .unwrap();
+        let doc = |wall_s: &str, setup_s: &str| {
+            let text = result("w1", "1", wall_s, "ab").to_pretty().replace(
+                r#""gpu.cache.l2_hit_rate""#,
+                &format!(
+                    r#""setup_s": {{"value": {setup_s}, "unit": "s", "clock": "host"}},
+                       "gpu.cache.l2_hit_rate""#
+                ),
+            );
+            fold(1, &declaration, |_| json::parse(&text)).unwrap()
+        };
+        let lines = host_medians(&doc("2.0", "0.040"), &doc("1.5", "0.050"));
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert!(lines[0].starts_with("w1             wall_s"), "{lines:?}");
+        assert!(
+            lines[0].ends_with("-25.0 %   setup_s ratio 1.25"),
+            "{lines:?}"
+        );
+        assert!(!lines[1].contains('%') && !lines[1].contains("ratio"));
+        // Without a setup_s on both sides the change still prints.
+        let bare = host_medians(&folded(1, "1", "2.0", "ab"), &folded(2, "1", "1.0", "ab"));
+        assert!(bare[0].ends_with("-50.0 %"), "{bare:?}");
     }
 }

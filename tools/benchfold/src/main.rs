@@ -52,7 +52,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let committed = read(&path)?;
             let fresh = fold(pr, &out_dir(rest.first()))?;
             println!(
-                "host medians, {} -> fresh run (informational):",
+                "host medians, {} -> fresh run (informational; a setup_s ratio far from 1 flags a noisy host):",
                 path.display()
             );
             for line in benchfold::host_medians(&committed, &fresh) {

@@ -264,7 +264,7 @@ fn sorted_soon(ctx: &FileCtx<'_>, line: u32) -> bool {
 /// nothing today), and an `impl Kernel for` block appended to `toy.rs`
 /// or `compressed.rs` whose `step` reads `m.now`. Hooks whose seed a
 /// suite catches are not listed: a live `source_ctx` read feeding
-/// `ProgramKernel::visit_edge` (see the `serve_proptests` and
+/// `ProgramKernel::visit_edges` (see the `serve_proptests` and
 /// `layout_differential` headers), and a live clock feeding
 /// `rank_candidates` or `decide_tiered` (see the `sim_golden` header).
 pub fn check_purity(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
