@@ -6,10 +6,10 @@ use crate::Context;
 use emogi_core::{AccessStrategy, Engine, EngineConfig};
 use emogi_graph::DatasetKey;
 use emogi_sim::monitor::SizeHistogram;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One engine column of the §5.3 study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EngineKind {
     Uvm,
     Naive,
@@ -69,7 +69,7 @@ pub struct Cell {
 /// The full matrix.
 #[derive(Debug)]
 pub struct BfsMatrix {
-    pub cells: HashMap<(DatasetKey, EngineKind), Cell>,
+    pub cells: BTreeMap<(DatasetKey, EngineKind), Cell>,
 }
 
 impl BfsMatrix {
@@ -83,7 +83,7 @@ impl BfsMatrix {
     }
 
     pub fn compute(ctx: &Context) -> BfsMatrix {
-        let mut cells = HashMap::new();
+        let mut cells = BTreeMap::new();
         for key in DatasetKey::all() {
             let d = ctx.store.get(key);
             let sources = d.sources(ctx.sources);

@@ -1,8 +1,8 @@
 //! Lazy, cached dataset generation shared across experiments.
 
 use emogi_graph::{Dataset, DatasetKey};
-use std::collections::HashMap;
-use std::sync::{Arc, LazyLock, Mutex, OnceLock};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// One slot per `(dataset, scale)`; the slot outlives the map lock so two
 /// datasets can generate at once while a second asker of the same one
@@ -14,8 +14,7 @@ type Slot = Arc<OnceLock<Arc<Dataset>>>;
 /// `Context` per test — shares it.
 ///
 /// [`Context`]: crate::Context
-static GENERATED: LazyLock<Mutex<HashMap<(DatasetKey, usize), Slot>>> =
-    LazyLock::new(Default::default);
+static GENERATED: Mutex<BTreeMap<(DatasetKey, usize), Slot>> = Mutex::new(BTreeMap::new());
 
 /// Generates each Table 2 dataset at most once per process and scale.
 #[derive(Debug, Clone)]

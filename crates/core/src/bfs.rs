@@ -7,7 +7,7 @@
 //! discovered by the previous one, reading the edge list from host
 //! memory and checking/updating the 4-byte level array in device memory.
 
-use crate::program::{AccessPattern, EdgeEffect, VertexProgram};
+use crate::program::{AccessPattern, EdgeEffect, EdgeFn, VertexProgram};
 use emogi_graph::{CsrGraph, VertexId, UNVISITED};
 
 /// BFS result: per-vertex levels ([`UNVISITED`] when unreachable).
@@ -44,9 +44,28 @@ impl BfsProgram {
     }
 }
 
+/// One launch's edge view of a [`BfsProgram`]: the level array and the
+/// level this launch assigns.
+pub struct BfsEdges<'a> {
+    levels: &'a mut [u32],
+    level: u32,
+}
+
+impl EdgeFn<()> for BfsEdges<'_> {
+    fn edge(&mut self, _i: u64, _src: VertexId, dst: VertexId, _ctx: ()) -> EdgeEffect {
+        if self.levels[dst as usize] == UNVISITED {
+            self.levels[dst as usize] = self.level;
+            EdgeEffect::UpdateDst { activate: true }
+        } else {
+            EdgeEffect::None
+        }
+    }
+}
+
 impl VertexProgram for BfsProgram {
     type Ctx = ();
     type Output = BfsOutput;
+    type Edges<'a> = BfsEdges<'a>;
 
     fn pattern(&self) -> AccessPattern {
         AccessPattern::FrontierDriven
@@ -68,12 +87,10 @@ impl VertexProgram for BfsProgram {
 
     fn source_ctx(&self, _v: VertexId) -> Self::Ctx {}
 
-    fn edge(&mut self, _i: u64, _src: VertexId, dst: VertexId, _ctx: ()) -> EdgeEffect {
-        if self.levels[dst as usize] == UNVISITED {
-            self.levels[dst as usize] = self.next_level;
-            EdgeEffect::UpdateDst { activate: true }
-        } else {
-            EdgeEffect::None
+    fn edges(&mut self) -> BfsEdges<'_> {
+        BfsEdges {
+            levels: &mut self.levels,
+            level: self.next_level,
         }
     }
 

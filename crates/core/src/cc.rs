@@ -11,7 +11,7 @@
 //! shortcut (pointer-jumping) passes touch only the device-resident
 //! label array; the program reports them as inter-launch device work.
 
-use crate::program::{AccessPattern, DeviceWork, EdgeEffect, VertexProgram};
+use crate::program::{AccessPattern, DeviceWork, EdgeEffect, EdgeFn, VertexProgram};
 use emogi_graph::{CsrGraph, VertexId};
 
 /// CC result: per-vertex component labels (the smallest vertex id of the
@@ -53,9 +53,37 @@ impl CcProgram {
     }
 }
 
+/// One launch's edge view of a [`CcProgram`]: the live labels, their
+/// pass-start snapshot and the changed flag.
+pub struct CcEdges<'a> {
+    prev: &'a [u32],
+    comp: &'a mut [u32],
+    changed: &'a mut bool,
+}
+
+impl EdgeFn<()> for CcEdges<'_> {
+    /// Hook: the source adopts the smaller of its own live label and the
+    /// neighbour's **iteration-start** label. Reading the neighbour from
+    /// the pass-start snapshot makes the pass a commutative min-fold —
+    /// `comp'[v] = min(comp[v], min of start labels of N(v))` — so its
+    /// result (and the pass count to convergence) is identical no matter
+    /// how warps interleave or how the sweep is sharded across devices.
+    fn edge(&mut self, _i: u64, src: VertexId, dst: VertexId, _ctx: ()) -> EdgeEffect {
+        let cd = self.prev[dst as usize];
+        if cd < self.comp[src as usize] {
+            self.comp[src as usize] = cd;
+            *self.changed = true;
+            EdgeEffect::UpdateSrc
+        } else {
+            EdgeEffect::None
+        }
+    }
+}
+
 impl VertexProgram for CcProgram {
     type Ctx = ();
     type Output = CcOutput;
+    type Edges<'a> = CcEdges<'a>;
 
     fn pattern(&self) -> AccessPattern {
         AccessPattern::FullSweep
@@ -73,20 +101,11 @@ impl VertexProgram for CcProgram {
 
     fn source_ctx(&self, _v: VertexId) -> Self::Ctx {}
 
-    /// Hook: the source adopts the smaller of its own live label and the
-    /// neighbour's **iteration-start** label. Reading the neighbour from
-    /// the pass-start snapshot makes the pass a commutative min-fold —
-    /// `comp'[v] = min(comp[v], min of start labels of N(v))` — so its
-    /// result (and the pass count to convergence) is identical no matter
-    /// how warps interleave or how the sweep is sharded across devices.
-    fn edge(&mut self, _i: u64, src: VertexId, dst: VertexId, _ctx: ()) -> EdgeEffect {
-        let cd = self.prev[dst as usize];
-        if cd < self.comp[src as usize] {
-            self.comp[src as usize] = cd;
-            self.changed = true;
-            EdgeEffect::UpdateSrc
-        } else {
-            EdgeEffect::None
+    fn edges(&mut self) -> CcEdges<'_> {
+        CcEdges {
+            prev: &self.prev,
+            comp: &mut self.comp,
+            changed: &mut self.changed,
         }
     }
 

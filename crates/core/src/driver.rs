@@ -102,8 +102,9 @@ impl Placement {
     /// Place `graph` on `machine`. The layout's host/CXL split becomes
     /// the transfer manager's tier homes, so a spilled tail is promoted
     /// over the CXL link rather than the PCIe lane; the copy lane takes
-    /// the machine's PCIe cost model so hidden-latency estimates match
-    /// the synchronous DMA path.
+    /// the machine's PCIe overhead, bandwidth and framing, so its
+    /// hidden-latency estimates follow the synchronous DMA path without
+    /// its propagation term.
     fn place(machine: &mut Machine, graph: &CsrGraph, cfg: &EngineConfig) -> Self {
         let layout = GraphLayout::place(machine, graph, cfg.elem_bytes, &cfg.transport);
         let staging = match &cfg.transport {

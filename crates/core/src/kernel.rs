@@ -19,7 +19,7 @@
 //! batched kernel.
 
 use crate::layout::GraphLayout;
-use crate::program::{EdgeEffect, VertexProgram};
+use crate::program::{EdgeEffect, EdgeFn, VertexProgram};
 use crate::strategy::AccessStrategy;
 use crate::walk::{LaneWalk, WarpWalk};
 use emogi_gpu::access::{AccessBatch, Space, WARP_SIZE};
@@ -164,11 +164,17 @@ pub enum ProgramTask {
 /// destination-status gather and the conditional status store per edge —
 /// is emitted once per member query against that query's own status
 /// array. A solo run is the one-member case.
-pub struct ProgramKernel<'a, P: VertexProgram> {
+///
+/// The kernel holds each member's edge view ([`VertexProgram::edges`]),
+/// not the program: nothing a launch runs can call
+/// [`VertexProgram::source_ctx`] or a per-iteration hook, so contexts
+/// are read only as [`Work::capture`] took them.
+pub struct ProgramKernel<'a, P: VertexProgram + 'a> {
     graph: &'a CsrGraph,
     layout: &'a GraphLayout,
     strategy: AccessStrategy,
-    programs: &'a mut [P],
+    /// Each query slot's edge view, in slot order.
+    edges: Vec<P::Edges<'a>>,
     /// Device base address of each query slot's status array.
     status_bases: &'a [u64],
     work: Work<'a, P::Ctx>,
@@ -216,7 +222,7 @@ impl<'a, P: VertexProgram> ProgramKernel<'a, P> {
             graph,
             layout,
             strategy,
-            programs,
+            edges: programs.iter_mut().map(P::edges).collect(),
             status_bases,
             work,
             next,
@@ -297,7 +303,7 @@ impl<'a, P: VertexProgram> ProgramKernel<'a, P> {
                 };
                 let (src, dst) = (lanes[l].v, self.graph.edge_dst(i));
                 batch.load_instr(base + u64::from(dst) * 4, 4, Space::Device, instr);
-                match self.programs[q].edge(i, src, dst, ctx) {
+                match self.edges[q].edge(i, src, dst, ctx) {
                     EdgeEffect::None => {}
                     EdgeEffect::UpdateDst { activate } => {
                         self.stores.push(base + u64::from(dst) * 4);
@@ -320,7 +326,7 @@ fn members(lanes: &[Lane]) -> u64 {
     lanes.iter().fold(0, |m, l| m | l.mask)
 }
 
-impl<P: VertexProgram> Kernel for ProgramKernel<'_, P> {
+impl<'a, P: VertexProgram + 'a> Kernel for ProgramKernel<'a, P> {
     type Task = ProgramTask;
 
     fn next_task(&mut self) -> Option<Self::Task> {

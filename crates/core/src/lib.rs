@@ -22,7 +22,8 @@
 //!
 //! * [`program`] — the [`VertexProgram`] trait: an algorithm declares its
 //!   access pattern (frontier-driven vs full-sweep), whether it streams
-//!   auxiliary edge data, and its per-edge / per-iteration logic;
+//!   auxiliary edge data, and its per-iteration logic; its per-edge
+//!   logic lives on a per-launch edge view ([`EdgeFn`]);
 //! * [`kernel`] — one generic kernel ([`kernel::ProgramKernel`]) that
 //!   runs any program under any [`AccessStrategy`], for one query or
 //!   for the member queries of a batch sharing each fetch;
@@ -101,7 +102,7 @@ pub use engine::{BfsRun, CcRun, Engine, EngineConfig, PageRankRun, Run, SsspRun}
 pub use kernel::{ProgramKernel, Work, WorkList};
 pub use layout::{GraphLayout, Transport};
 pub use pagerank::{PageRankOutput, PageRankProgram};
-pub use program::{AccessPattern, DeviceWork, EdgeEffect, VertexProgram};
+pub use program::{AccessPattern, DeviceWork, EdgeEffect, EdgeFn, VertexProgram};
 pub use sharded::{ShardedConfig, ShardedEngine, ShardedRun};
 pub use spec::{Front, GroupRun, ProgramKind, ProgramRun, ProgramSpec, SpecError};
 pub use sssp::{SsspOutput, SsspProgram};

@@ -17,7 +17,7 @@
 //! ([`emogi_graph::algo::pagerank`]); the simulated traffic models the
 //! 4-byte per-vertex accumulator entries the paper's status arrays use.
 
-use crate::program::{AccessPattern, DeviceWork, EdgeEffect, VertexProgram};
+use crate::program::{AccessPattern, DeviceWork, EdgeEffect, EdgeFn, VertexProgram};
 use emogi_graph::{CsrGraph, VertexId};
 
 /// PageRank result: per-vertex ranks (summing to ~1) and the number of
@@ -84,10 +84,32 @@ impl<'g> PageRankProgram<'g> {
     }
 }
 
+/// One launch's edge view of a [`PageRankProgram`]: empty, because an
+/// edge update changes no semantic state.
+pub struct PageRankEdges;
+
+impl EdgeFn<f64> for PageRankEdges {
+    /// Models the kernel's atomicAdd into the destination's accumulator
+    /// entry. Traffic only: the *semantic* sum is applied in
+    /// [`PageRankProgram`]'s
+    /// [`post_iteration`](VertexProgram::post_iteration) in a canonical
+    /// value-sorted order, because floating-point addition is not
+    /// associative — summing in warp-interleaving (or shard) order
+    /// would make the ranks depend on simulation timing and device
+    /// count.
+    fn edge(&mut self, _i: u64, _src: VertexId, _dst: VertexId, _contrib: f64) -> EdgeEffect {
+        EdgeEffect::UpdateDst { activate: false }
+    }
+}
+
 impl VertexProgram for PageRankProgram<'_> {
     /// The source's out-contribution this sweep.
     type Ctx = f64;
     type Output = PageRankOutput;
+    type Edges<'a>
+        = PageRankEdges
+    where
+        Self: 'a;
 
     fn pattern(&self) -> AccessPattern {
         AccessPattern::FullSweep
@@ -125,15 +147,8 @@ impl VertexProgram for PageRankProgram<'_> {
         self.contrib[v as usize]
     }
 
-    /// Models the kernel's atomicAdd into the destination's accumulator
-    /// entry. Traffic only: the *semantic* sum is applied in
-    /// [`post_iteration`](VertexProgram::post_iteration) in a canonical
-    /// value-sorted order, because floating-point addition is not
-    /// associative — summing in warp-interleaving (or shard) order
-    /// would make the ranks depend on simulation timing and device
-    /// count.
-    fn edge(&mut self, _i: u64, _src: VertexId, _dst: VertexId, _contrib: f64) -> EdgeEffect {
-        EdgeEffect::UpdateDst { activate: false }
+    fn edges(&mut self) -> PageRankEdges {
+        PageRankEdges
     }
 
     /// Between sweeps: fold every vertex's contribution into its

@@ -19,7 +19,10 @@
 //!   distance, CC's label) or not (BFS);
 //! * its **per-edge logic** — the one real computation, expressed as a
 //!   state update plus an [`EdgeEffect`] describing the memory traffic it
-//!   caused;
+//!   caused. It lives on a per-launch **edge view** ([`EdgeFn`]), which
+//!   borrows only the arrays an edge update touches: a launch holds
+//!   views, not programs, so it cannot reach [`VertexProgram::source_ctx`]
+//!   or the per-iteration hooks;
 //! * its **per-iteration logic** — frontier seeding, iteration setup,
 //!   post-launch device-side work (CC's pointer-jumping shortcut,
 //!   PageRank's rank swap) and convergence.
@@ -35,7 +38,7 @@
 //! changes needed:
 //!
 //! ```
-//! use emogi_core::program::{AccessPattern, EdgeEffect, VertexProgram};
+//! use emogi_core::program::{AccessPattern, EdgeEffect, EdgeFn, VertexProgram};
 //! use emogi_core::{Engine, EngineConfig};
 //! use emogi_graph::{generators, VertexId};
 //!
@@ -45,9 +48,22 @@
 //!     done: bool,
 //! }
 //!
+//! /// One launch's view of `InDegree`: the counts, and nothing else.
+//! struct InDegreeEdges<'a> {
+//!     counts: &'a mut [u32],
+//! }
+//!
+//! impl EdgeFn<()> for InDegreeEdges<'_> {
+//!     fn edge(&mut self, _i: u64, _src: VertexId, dst: VertexId, _ctx: ()) -> EdgeEffect {
+//!         self.counts[dst as usize] += 1;
+//!         EdgeEffect::UpdateDst { activate: false } // atomicAdd on the status entry
+//!     }
+//! }
+//!
 //! impl VertexProgram for InDegree {
 //!     type Ctx = ();
 //!     type Output = Vec<u32>;
+//!     type Edges<'a> = InDegreeEdges<'a>;
 //!
 //!     fn pattern(&self) -> AccessPattern {
 //!         AccessPattern::FullSweep
@@ -59,9 +75,8 @@
 //!         self.done = true; // one sweep suffices
 //!     }
 //!     fn source_ctx(&self, _v: VertexId) -> Self::Ctx {}
-//!     fn edge(&mut self, _i: u64, _src: VertexId, dst: VertexId, _ctx: ()) -> EdgeEffect {
-//!         self.counts[dst as usize] += 1;
-//!         EdgeEffect::UpdateDst { activate: false } // atomicAdd on the status entry
+//!     fn edges(&mut self) -> InDegreeEdges<'_> {
+//!         InDegreeEdges { counts: &mut self.counts }
 //!     }
 //!     fn converged(&self) -> bool {
 //!         self.done
@@ -136,6 +151,20 @@ impl DeviceWork {
     }
 }
 
+/// One launch's per-edge update: a view of a [`VertexProgram`] that
+/// borrows only what an edge update touches, built by
+/// [`VertexProgram::edges`] when the launch is. The launch holds the
+/// view, never the program, so an update — and anything the kernel calls
+/// around it — can read only the captured context it is handed and the
+/// view's own arrays.
+pub trait EdgeFn<C> {
+    /// Process edge-list element `i` (`src → dst`, with the source's
+    /// captured context) and report what the update did. The kernel has
+    /// already emitted the destination-status gather; it emits the store
+    /// (and frontier push) the returned effect asks for.
+    fn edge(&mut self, i: u64, src: VertexId, dst: VertexId, ctx: C) -> EdgeEffect;
+}
+
 /// A pluggable traversal algorithm. See the [module docs](self) for the
 /// contract and a worked example of adding a new one.
 ///
@@ -145,7 +174,8 @@ impl DeviceWork {
 /// initial_frontier()                 (frontier-driven only)
 /// loop {
 ///     begin_iteration()
-///     — kernel launch: per task  source_ctx(v), then per edge  edge(..) —
+///     — kernel launch: per task  source_ctx(v), then edges(), then
+///       per edge  edge(..) on that view —
 ///     post_iteration(work)
 /// } until the frontier empties / converged()
 /// finish()
@@ -153,10 +183,14 @@ impl DeviceWork {
 pub trait VertexProgram {
     /// Per-source context captured once at task start (e.g. SSSP's
     /// distance of the source at launch time, PageRank's out-contribution)
-    /// and handed to every [`edge`](Self::edge) call of that task.
+    /// and handed to every [`edge`](EdgeFn::edge) call of that task.
     type Ctx: Copy;
     /// What [`finish`](Self::finish) extracts after convergence.
     type Output;
+    /// The per-launch edge view [`edges`](Self::edges) returns.
+    type Edges<'a>: EdgeFn<Self::Ctx>
+    where
+        Self: 'a;
 
     /// Frontier-driven or full-sweep (drives the launch loop *and* the
     /// hybrid transfer planning).
@@ -185,17 +219,16 @@ pub trait VertexProgram {
 
     /// Capture the per-source context for vertex `v`. Called once per
     /// work item at **iteration start** (kernel construction), before any
-    /// [`edge`](Self::edge) call of that iteration runs — so a launch's
+    /// [`edge`](EdgeFn::edge) call of that iteration runs — so a launch's
     /// semantics are a pure function of the iteration-start state, which
     /// is what lets batched multi-query execution reproduce sequential
     /// results bit for bit.
     fn source_ctx(&self, v: VertexId) -> Self::Ctx;
 
-    /// Process edge-list element `i` (`src → dst`, with the source's
-    /// captured context) and report what the update did. The kernel has
-    /// already emitted the destination-status gather; it emits the store
-    /// (and frontier push) the returned effect asks for.
-    fn edge(&mut self, i: u64, src: VertexId, dst: VertexId, ctx: Self::Ctx) -> EdgeEffect;
+    /// This launch's edge view, borrowing the state an edge update
+    /// touches. Built once per launch, after every context of the
+    /// iteration was captured.
+    fn edges(&mut self) -> Self::Edges<'_>;
 
     /// Device-side work after a launch (before the convergence check).
     fn post_iteration(&mut self, work: &mut DeviceWork) {

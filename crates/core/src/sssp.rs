@@ -9,7 +9,7 @@
 //! program that declares [`VertexProgram::uses_edge_data`], and the
 //! weights are its own input rather than an engine field.
 
-use crate::program::{AccessPattern, EdgeEffect, VertexProgram};
+use crate::program::{AccessPattern, EdgeEffect, EdgeFn, VertexProgram};
 use emogi_graph::{CsrGraph, VertexId};
 
 /// Distance marker for unreached vertices (4-byte device entries).
@@ -45,10 +45,62 @@ impl<'w> SsspProgram<'w> {
     }
 }
 
+/// One launch's edge view of an [`SsspProgram`]: the distance array and
+/// the weight stream.
+///
+/// A live context read planted in SSSP's edge update does not compile:
+/// the view has no program behind it, so there is no `source_ctx` to
+/// call.
+///
+/// ```compile_fail,E0599
+/// use emogi_core::program::{EdgeFn, VertexProgram};
+/// use emogi_core::sssp::SsspEdges;
+/// use emogi_graph::VertexId;
+///
+/// fn relax(edges: &mut SsspEdges<'_>, i: u64, src: VertexId, dst: VertexId, dist_v: u32) {
+///     let _live = edges.source_ctx(dst);
+///     edges.edge(i, src, dst, dist_v);
+/// }
+/// ```
+///
+/// Its twin, reading the captured context instead, compiles:
+///
+/// ```
+/// use emogi_core::program::{EdgeFn, VertexProgram};
+/// use emogi_core::sssp::SsspEdges;
+/// use emogi_graph::VertexId;
+///
+/// fn relax(edges: &mut SsspEdges<'_>, i: u64, src: VertexId, dst: VertexId, dist_v: u32) {
+///     let _live = dist_v;
+///     edges.edge(i, src, dst, dist_v);
+/// }
+/// ```
+pub struct SsspEdges<'a> {
+    dist: &'a mut [u32],
+    weights: &'a [u32],
+}
+
+impl EdgeFn<u32> for SsspEdges<'_> {
+    fn edge(&mut self, i: u64, _src: VertexId, dst: VertexId, dist_v: u32) -> EdgeEffect {
+        let nd = dist_v.saturating_add(self.weights[i as usize]);
+        if nd < self.dist[dst as usize] {
+            // atomicMin on the device distance array.
+            self.dist[dst as usize] = nd;
+            EdgeEffect::UpdateDst { activate: true }
+        } else {
+            EdgeEffect::None
+        }
+    }
+}
+
 impl VertexProgram for SsspProgram<'_> {
     /// The source's distance at task start.
     type Ctx = u32;
     type Output = SsspOutput;
+    type Edges<'a>
+        = SsspEdges<'a>
+    where
+        Self: 'a;
 
     fn pattern(&self) -> AccessPattern {
         AccessPattern::FrontierDriven
@@ -70,14 +122,10 @@ impl VertexProgram for SsspProgram<'_> {
         self.dist[v as usize]
     }
 
-    fn edge(&mut self, i: u64, _src: VertexId, dst: VertexId, dist_v: u32) -> EdgeEffect {
-        let nd = dist_v.saturating_add(self.weights[i as usize]);
-        if nd < self.dist[dst as usize] {
-            // atomicMin on the device distance array.
-            self.dist[dst as usize] = nd;
-            EdgeEffect::UpdateDst { activate: true }
-        } else {
-            EdgeEffect::None
+    fn edges(&mut self) -> SsspEdges<'_> {
+        SsspEdges {
+            dist: &mut self.dist,
+            weights: self.weights,
         }
     }
 

@@ -89,7 +89,7 @@
 
 use crate::machine::Machine;
 use crate::report::KernelReport;
-use crate::util::FastMap;
+use crate::util::PointMap;
 use emogi_gpu::access::{AccessBatch, Space};
 use emogi_gpu::cache::SECTORS_PER_LINE;
 use emogi_gpu::coalesce::{Coalescer, Transaction, SECTOR_BYTES};
@@ -115,6 +115,64 @@ pub enum StepOutcome {
 /// distances, labels — whatever the algorithm needs) and describe the
 /// memory traffic of that step in `batch`. The executor prices the traffic;
 /// the results stay in the kernel for verification.
+///
+/// A kernel cannot read the machine it runs on: [`run_kernel`] borrows
+/// the machine mutably for the whole launch, so a kernel holding
+/// `&Machine` to read its clock is refused at the launch (E0502).
+///
+/// ```compile_fail,E0502
+/// use emogi_gpu::access::AccessBatch;
+/// use emogi_runtime::exec::run_kernel;
+/// use emogi_runtime::{Kernel, Machine, MachineConfig, StepOutcome};
+///
+/// struct Clocked<'m> {
+///     m: &'m Machine,
+///     left: u32,
+/// }
+///
+/// impl Kernel for Clocked<'_> {
+///     type Task = ();
+///     fn next_task(&mut self) -> Option<()> {
+///         (self.left > 0).then(|| self.left -= 1)
+///     }
+///     fn step(&mut self, _: &mut (), _: &mut AccessBatch) -> StepOutcome {
+///         let _t = self.m.now;
+///         StepOutcome::Done
+///     }
+/// }
+///
+/// let mut m = Machine::new(MachineConfig::v100_gen3());
+/// let mut k = Clocked { m: &m, left: 1 };
+/// run_kernel(&mut m, &mut k);
+/// ```
+///
+/// Its twin, launching the same kernel on another machine, compiles:
+///
+/// ```
+/// use emogi_gpu::access::AccessBatch;
+/// use emogi_runtime::exec::run_kernel;
+/// use emogi_runtime::{Kernel, Machine, MachineConfig, StepOutcome};
+///
+/// struct Clocked<'m> {
+///     m: &'m Machine,
+///     left: u32,
+/// }
+///
+/// impl Kernel for Clocked<'_> {
+///     type Task = ();
+///     fn next_task(&mut self) -> Option<()> {
+///         (self.left > 0).then(|| self.left -= 1)
+///     }
+///     fn step(&mut self, _: &mut (), _: &mut AccessBatch) -> StepOutcome {
+///         let _t = self.m.now;
+///         StepOutcome::Done
+///     }
+/// }
+///
+/// let mut m = Machine::new(MachineConfig::v100_gen3());
+/// let mut k = Clocked { m: &m, left: 1 };
+/// run_kernel(&mut Machine::new(MachineConfig::v100_gen3()), &mut k);
+/// ```
 pub trait Kernel {
     /// Per-work-item state carried between steps.
     type Task;
@@ -216,8 +274,8 @@ pub fn run_kernel<K: Kernel>(machine: &mut Machine, kernel: &mut K) -> KernelRep
         slots: Vec::new(),
         reqs: Vec::new(),
         free_reqs: Vec::new(),
-        pending_lines: FastMap::default(),
-        page_waiters: FastMap::default(),
+        pending_lines: PointMap::default(),
+        page_waiters: PointMap::default(),
         uvm_batch_inflight: false,
         batch: AccessBatch::new(),
         coalescer: Coalescer::new(),
@@ -245,9 +303,9 @@ struct Executor<'a, K: Kernel> {
     reqs: Vec<ReqState>,
     free_reqs: Vec<u32>,
     /// line address -> in-flight requests touching it.
-    pending_lines: FastMap<u64, PendingLine>,
+    pending_lines: PointMap<u64, PendingLine>,
     /// page id -> warps stalled on it.
-    page_waiters: FastMap<u64, Vec<u32>>,
+    page_waiters: PointMap<u64, Vec<u32>>,
     uvm_batch_inflight: bool,
     batch: AccessBatch,
     coalescer: Coalescer,
@@ -484,7 +542,7 @@ impl<K: Kernel> Executor<'_, K> {
                 (self.reqs.len() - 1) as u32
             }
         };
-        self.pending_lines.entry(txn.line()).or_default().push(r);
+        self.pending_lines.slot(txn.line()).push(r);
         r
     }
 
@@ -595,7 +653,7 @@ impl<K: Kernel> Executor<'_, K> {
                     if uvm.record_fault(page) {
                         self.report.page_faults += 1;
                     }
-                    self.page_waiters.entry(page).or_default().push(w);
+                    self.page_waiters.slot(page).push(w);
                     self.slots[w as usize].outstanding += 1;
                 }
             }

@@ -120,7 +120,6 @@ mod tests {
     fn group_builds_identical_machines() {
         let g = DeviceGroup::new(DeviceGroupConfig::v100_gen3(4));
         assert_eq!(g.num_devices(), 4);
-        assert!(g.interconnect.has_peer());
         for m in &g.machines {
             assert_eq!(m.now, 0);
         }
@@ -161,7 +160,6 @@ mod tests {
             peer: None,
             ..DeviceGroupConfig::v100_gen3(2)
         });
-        assert!(!g.interconnect.has_peer());
         let t = g.exchange(&[4096, 4096]);
         assert!(t > 0);
         // Each payload hops twice (up + down), so totals double-count.

@@ -20,7 +20,8 @@
 //! * [`prefetch`] — the speculative prefetcher feeding the pipelined
 //!   (overlapped DMA/kernel) staging path;
 //! * [`report`] — per-kernel and per-run statistics;
-//! * [`util`] — small fast-hash map used on the hot path.
+//! * [`util`] — the hot path's point-lookup map ([`util::PointMap`]): a
+//!   fast integer hash with no iterator, so no hash order escapes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -166,8 +166,8 @@ pub struct Prefetcher {
 impl Prefetcher {
     /// A prefetcher over `num_regions` regions with lane parameters
     /// `copy` — derived from the machine's PCIe configuration
-    /// ([`CopyEngineConfig::from_pcie`]) so the lane matches the
-    /// synchronous DMA path.
+    /// ([`CopyEngineConfig::from_pcie`]): the synchronous DMA path's
+    /// overhead, bandwidth and framing, without its propagation term.
     pub fn new(num_regions: usize, cfg: PrefetchConfig, copy: CopyEngineConfig) -> Self {
         Self {
             cfg,
@@ -331,7 +331,8 @@ impl Prefetcher {
     /// Marginal cost a synchronous round would have paid to copy
     /// `extra_bytes` on top of `base_bytes` in its one batched memcpy —
     /// the amount of latency an adopted prefetch can hide. Uses the
-    /// lane's cost model, which mirrors the demand DMA path.
+    /// lane's cost model, which leaves out the demand DMA path's
+    /// propagation term and memory contention: an estimate.
     pub(crate) fn sync_cost_delta(&self, base_bytes: u64, extra_bytes: u64) -> Time {
         if extra_bytes == 0 {
             return 0;

@@ -20,8 +20,6 @@ pub const MEMCPY_LAUNCH_OVERHEAD_NS: Time = 8_000;
 pub struct DmaEngine {
     /// Total payload bytes copied host→device.
     pub bytes_to_device: u64,
-    /// Number of copies issued.
-    pub copies: u64,
 }
 
 impl DmaEngine {
@@ -42,7 +40,6 @@ impl DmaEngine {
         if bytes == 0 {
             return now;
         }
-        self.copies += 1;
         self.bytes_to_device += bytes;
         let start = now + MEMCPY_LAUNCH_OVERHEAD_NS;
         let arrived = link.dma_host_to_gpu(start, bytes, host, monitor);
@@ -97,7 +94,8 @@ mod tests {
             dma.copy_to_device(42, 0, &mut link, &mut host, &mut dev, &mut mon),
             42
         );
-        assert_eq!(dma.copies, 0);
+        assert_eq!(dma.bytes_to_device, 0);
+        assert_eq!(mon.dma_bytes, 0);
     }
 
     #[test]

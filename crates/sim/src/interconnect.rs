@@ -119,11 +119,6 @@ impl Interconnect {
         }
     }
 
-    /// Whether an inter-GPU peer link is configured.
-    pub fn has_peer(&self) -> bool {
-        self.cfg.peer.is_some()
-    }
-
     /// Broadcast `bytes` from device `src` to every other device,
     /// starting no earlier than `now`; returns the last delivery time.
     /// With a peer link this is `links - 1` unicasts serialized on

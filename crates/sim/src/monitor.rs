@@ -117,10 +117,6 @@ impl BandwidthSeries {
             .map(|&b| achieved_gbps(b, self.window_ns))
             .fold(0.0, f64::max)
     }
-
-    pub fn window_ns(&self) -> Time {
-        self.window_ns
-    }
 }
 
 /// Running statistics about the number of in-flight (tagged) requests.
@@ -234,15 +230,6 @@ impl TrafficMonitor {
     pub fn host_to_gpu_bytes(&self) -> u64 {
         self.zero_copy_bytes + self.dma_bytes
     }
-
-    /// The paper's I/O read amplification metric: bytes moved from host
-    /// memory divided by the dataset size (Figure 10).
-    pub fn amplification(&self, dataset_bytes: u64) -> f64 {
-        if dataset_bytes == 0 {
-            return 0.0;
-        }
-        self.host_to_gpu_bytes() as f64 / dataset_bytes as f64
-    }
 }
 
 #[cfg(test)]
@@ -301,13 +288,12 @@ mod tests {
     }
 
     #[test]
-    fn amplification_uses_all_host_to_gpu_traffic() {
+    fn host_to_gpu_bytes_counts_zero_copy_and_dma() {
         let mut m = TrafficMonitor::new(1000);
         m.on_read_issued(0, 128);
         m.on_read_completed(10, 128, 148);
         m.on_dma(20, 4096, 4416);
         assert_eq!(m.host_to_gpu_bytes(), 4224);
-        assert!((m.amplification(4224) - 1.0).abs() < 1e-12);
         assert_eq!(m.read_requests, 1);
     }
 }

@@ -6,9 +6,14 @@
 //! adds that lane to the discrete-event model. A [`CopyEngine`] owns its
 //! own busy-until horizon — submissions serialize against each other but
 //! *not* against the kernel's simulated clock — and every submission gets
-//! a deterministic completion time computed from the same wire model the
-//! synchronous DMA path uses (per-TLP completion headers over the usable
-//! link bandwidth, plus the fixed launch overhead).
+//! a deterministic completion time: the fixed launch overhead plus the
+//! framed wire time (per-TLP completion headers over the usable link
+//! bandwidth). That is only part of what the synchronous DMA path
+//! charges: `DmaEngine::copy_to_device` → `PcieLink::dma_host_to_gpu`
+//! also waits for the link's downlink, takes the max with the host-DRAM
+//! and HBM bulk times, and adds `propagation_ns` (780 ns on both
+//! presets). The lane's cost is a model of the synchronous cost with no
+//! propagation term, not a copy of it.
 //!
 //! Completions are totally ordered: the lane is FIFO, so `done_at` is
 //! non-decreasing in submission order, and ties against kernel events are
@@ -27,9 +32,12 @@ use std::collections::VecDeque;
 /// Wire-cost parameters of the asynchronous copy lane.
 ///
 /// Deliberately a value type decoupled from [`PcieConfig`]: the lane can
-/// be configured independently (e.g. a slower speculative class), but the
-/// default [`CopyEngineConfig::from_pcie`] mirrors the synchronous bulk
-/// DMA path exactly so hidden latency estimates are apples to apples.
+/// be configured independently (e.g. a slower speculative class). The
+/// default [`CopyEngineConfig::from_pcie`] takes the synchronous bulk DMA
+/// path's launch overhead, bandwidth and TLP framing, but not its
+/// downlink wait, memory bulk times or `propagation_ns` (see the
+/// [module docs](self)), so hidden-latency estimates built on it are
+/// estimates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CopyEngineConfig {
     /// Fixed per-submission launch overhead (driver + doorbell), ns.
@@ -43,8 +51,10 @@ pub struct CopyEngineConfig {
 }
 
 impl CopyEngineConfig {
-    /// Derive the lane from a PCIe configuration, matching the cost
-    /// model of the synchronous `DmaEngine` path chunk for chunk.
+    /// Derive the lane from a PCIe configuration: the synchronous
+    /// `DmaEngine` path's launch overhead, usable bandwidth and TLP
+    /// framing. The lane has no propagation term and no memory or
+    /// downlink contention, so its cost is below the synchronous one.
     pub fn from_pcie(pcie: &PcieConfig) -> Self {
         Self {
             launch_overhead_ns: MEMCPY_LAUNCH_OVERHEAD_NS,
@@ -167,7 +177,7 @@ mod tests {
     }
 
     #[test]
-    fn from_pcie_mirrors_the_sync_dma_cost_model() {
+    fn from_pcie_takes_the_sync_dma_overhead_and_framing() {
         let pcie = PcieConfig::gen3_x16();
         let cfg = CopyEngineConfig::from_pcie(&pcie);
         assert_eq!(cfg.launch_overhead_ns, MEMCPY_LAUNCH_OVERHEAD_NS);

@@ -59,8 +59,6 @@ pub struct UvmStats {
     pub pages_prefetched: u64,
     /// Pages evicted from the device pool.
     pub pages_evicted: u64,
-    /// Payload bytes migrated host→device.
-    pub bytes_migrated: u64,
 }
 
 /// Result of starting a handler batch.
@@ -259,7 +257,6 @@ impl UvmDriver {
 
         self.stats.batches += 1;
         self.stats.pages_migrated += batch.len() as u64;
-        self.stats.bytes_migrated += batch.len() as u64 * self.cfg.page_bytes;
         self.in_flight = Some(batch);
         Some(BatchResult { done_at, evicted })
     }
@@ -356,14 +353,6 @@ impl UvmDriver {
             return Some(self.page_span(page));
         }
         None
-    }
-
-    /// Fraction of the managed region currently resident (diagnostics).
-    pub fn residency(&self) -> f64 {
-        if self.states.is_empty() {
-            return 0.0;
-        }
-        self.resident as f64 / self.states.len() as f64
     }
 }
 
@@ -478,7 +467,7 @@ mod tests {
         assert!(d.record_fault(d.page_of(BASE)), "evicted page faults again");
         run_batch(&mut d, 40_000_000, &mut l, &mut h, &mut m);
         assert_eq!(d.stats.pages_migrated, 4, "page 0 moved twice: thrashing");
-        assert_eq!(d.stats.bytes_migrated, 4 * PAGE);
+        assert_eq!(m.dma_bytes, d.stats.pages_migrated * PAGE);
     }
 
     #[test]
@@ -626,11 +615,11 @@ mod tests {
     }
 
     #[test]
-    fn residency_fraction() {
+    fn resident_pages_count_migrations() {
         let (mut d, mut l, mut h, mut m) = rig(1024, false);
-        assert_eq!(d.residency(), 0.0);
+        assert_eq!(d.resident_pages(), 0);
         d.record_fault(d.page_of(BASE));
         run_batch(&mut d, 0, &mut l, &mut h, &mut m);
-        assert!((d.residency() - 1.0 / 1024.0).abs() < 1e-9);
+        assert_eq!(d.resident_pages(), 1);
     }
 }

@@ -61,7 +61,7 @@ pub mod prelude {
     pub use emogi_core::sssp::INF;
     pub use emogi_core::{
         AccessPattern, AccessStrategy, BatchRun, BfsOutput, BfsProgram, BfsRun, CcOutput,
-        CcProgram, CcRun, DeviceWork, EdgeEffect, Engine, EngineConfig, Front, GroupRun,
+        CcProgram, CcRun, DeviceWork, EdgeEffect, EdgeFn, Engine, EngineConfig, Front, GroupRun,
         PageRankOutput, PageRankProgram, PageRankRun, ProgramKind, ProgramRun, ProgramSpec, Run,
         ShardedConfig, ShardedEngine, ShardedRun, SsspOutput, SsspProgram, SsspRun, Transport,
         VertexProgram,

@@ -15,11 +15,7 @@
 //! Seeded mutations this file is known to catch:
 //!
 //! - `LayoutPlan::unmap_values` returning its input fails
-//!   `solo_runs_are_bit_identical_after_unmapping`;
-//! - `ProgramKernel::visit_edges` passing the live
-//!   `self.programs[q].source_ctx(src)` instead of the captured context
-//!   fails `solo_runs_are_bit_identical_after_unmapping` and
-//!   `batched_runs_are_bit_identical_after_unmapping` at both seeds.
+//!   `solo_runs_are_bit_identical_after_unmapping`.
 //!
 //! The proptest shim derives each test's seed from its name, so every
 //! failure reproduces locally with a plain `cargo test --test

@@ -19,12 +19,12 @@
 //!   fail `batched_bfs_is_bit_identical_to_sequential` and
 //!   `batched_sssp_is_bit_identical_to_sequential`;
 //! - `Server::run_pending` handing a batch's results to its queries in
-//!   reverse order fails `query_server_matches_solo_runs_on_random_mixes`;
-//! - `ProgramKernel::visit_edges` passing the live
-//!   `self.programs[q].source_ctx(src)` instead of the captured context
-//!   fails `batched_sssp_is_bit_identical_to_sequential` at both seeds
-//!   (this took the kernel's visit and open helpers out of `emogi-lint`'s
-//!   `kernel-purity` hooks).
+//!   reverse order fails `query_server_matches_solo_runs_on_random_mixes`.
+//!
+//! A live `source_ctx` read in `ProgramKernel::visit_edges` in place of
+//! the captured context is not a mutation this file needs to catch: it
+//! does not compile, because the kernel holds per-launch edge views, not
+//! programs.
 
 mod common;
 

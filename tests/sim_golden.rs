@@ -35,8 +35,9 @@
 //! - `Prefetcher::rank_candidates` taking the round's clock and adding
 //!   `now % 2` to its threshold, and `TransferPolicy::decide_tiered`
 //!   taking `machine.now` and staging every touched region on odd
-//!   clocks, each fail both matrix tests (these took `rank_candidates`
-//!   and `decide_tiered` out of `emogi-lint`'s `kernel-purity` hooks).
+//!   clocks, each fail both matrix tests. Neither is a kernel launch, so
+//!   the compiler's launch gates (edge views, `run_kernel`'s borrow of
+//!   the machine) do not reach them; this file does.
 //!
 //! **Re-pinning.** The simulator is deterministic, so a mismatch is a
 //! modelling change, never noise. If the change is intended and declared,
