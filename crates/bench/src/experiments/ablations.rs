@@ -126,7 +126,7 @@ pub fn tag_sweep(ctx: &Context) -> Table {
         cfg.pcie.max_tags = tags;
         let s = toy::run_zero_copy(cfg.clone(), ToyPattern::Strided, bytes);
         let a = toy::run_zero_copy(cfg, ToyPattern::MergedAligned, bytes);
-        t.row(vec![tags.to_string(), f(s.pcie_gbps), f(a.pcie_gbps)]);
+        t.row(vec![tags.to_string(), f(s.pcie_gbps()), f(a.pcie_gbps())]);
     }
     t.note("32-byte requests are tag-limited (bandwidth ~ tags x 32B / RTT); 128-byte requests saturate the wire long before the tag pool");
     t
@@ -145,7 +145,7 @@ pub fn rtt_sweep(ctx: &Context) -> Table {
         cfg.pcie.propagation_ns = prop;
         let s = toy::run_zero_copy(cfg.clone(), ToyPattern::Strided, bytes);
         let a = toy::run_zero_copy(cfg, ToyPattern::MergedAligned, bytes);
-        t.row(vec![prop.to_string(), f(s.pcie_gbps), f(a.pcie_gbps)]);
+        t.row(vec![prop.to_string(), f(s.pcie_gbps()), f(a.pcie_gbps())]);
     }
     t.note("the paper measured 1.0-1.6 us GPU-FPGA round trips; strided bandwidth is inversely proportional to RTT while merged traffic hides it");
     t

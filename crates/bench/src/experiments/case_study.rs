@@ -75,10 +75,10 @@ pub fn fig8(ctx: &Context, m: &BfsMatrix) -> Table {
     for g in DatasetKey::all() {
         t.row(vec![
             g.spec().symbol.into(),
-            f(m.get(g, EngineKind::Uvm).avg_pcie_gbps),
-            f(m.get(g, EngineKind::Naive).avg_pcie_gbps),
-            f(m.get(g, EngineKind::Merged).avg_pcie_gbps),
-            f(m.get(g, EngineKind::MergedAligned).avg_pcie_gbps),
+            f(m.get(g, EngineKind::Uvm).avg_gbps),
+            f(m.get(g, EngineKind::Naive).avg_gbps),
+            f(m.get(g, EngineKind::Merged).avg_gbps),
+            f(m.get(g, EngineKind::MergedAligned).avg_gbps),
         ]);
     }
     let peak = toy::run_memcpy_reference(MachineConfig::v100_gen3(), (64 << 20) / ctx.scale as u64);

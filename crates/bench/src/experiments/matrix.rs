@@ -59,7 +59,8 @@ impl EngineKind {
 #[derive(Debug, Clone, Default)]
 pub struct Cell {
     pub avg_ns: f64,
-    pub avg_pcie_gbps: f64,
+    /// Mean over sources of each run's `avg_pcie_gbps()`.
+    pub avg_gbps: f64,
     pub avg_amplification: f64,
     /// Total zero-copy read requests across all sources.
     pub requests: u64,
@@ -95,14 +96,14 @@ impl BfsMatrix {
                 for &s in &sources {
                     let run = eng.bfs(s);
                     cell.avg_ns += run.stats.elapsed_ns as f64;
-                    cell.avg_pcie_gbps += run.stats.avg_pcie_gbps;
+                    cell.avg_gbps += run.stats.avg_pcie_gbps();
                     cell.avg_amplification += run.stats.amplification(dataset);
                     cell.requests += run.stats.pcie_read_requests;
                     cell.sizes += &run.stats.request_sizes;
                 }
                 let n = sources.len() as f64;
                 cell.avg_ns /= n;
-                cell.avg_pcie_gbps /= n;
+                cell.avg_gbps /= n;
                 cell.avg_amplification /= n;
                 cells.insert((key, engine), cell);
             }

@@ -54,8 +54,8 @@ pub fn fig4(ctx: &Context) -> Table {
         let r = toy::run_zero_copy(MachineConfig::v100_gen3(), p, bytes);
         t.row(vec![
             p.name().into(),
-            f(r.pcie_gbps),
-            f(r.dram_gbps),
+            f(r.pcie_gbps()),
+            f(r.dram_gbps()),
             f(ppcie),
             f(pdram),
         ]);
@@ -63,8 +63,8 @@ pub fn fig4(ctx: &Context) -> Table {
     let u = toy::run_uvm_reference(MachineConfig::v100_gen3(), bytes);
     t.row(vec![
         "UVM reference".into(),
-        f(u.pcie_gbps),
-        f(u.dram_gbps),
+        f(u.pcie_gbps()),
+        f(u.dram_gbps()),
         format!("{}-{}", f(paper::FIG4_UVM.0), f(paper::FIG4_UVM.1)),
         "-".into(),
     ]);

@@ -28,7 +28,10 @@
 //!    its own copy of the arrays);
 //! 8. sort/dedup the activations, **exchange** them across devices and
 //!    barrier (a no-op on one machine), rebuild the per-query frontiers;
-//! 9. fold the iteration's machine diff into every active query's stats.
+//! 9. diff every device's running counter reading, fold the devices
+//!    (concurrent: slowest clock, summed traffic, one launch wave) and
+//!    add that into every active query's stats — the one fold a run's
+//!    stats come from, on every front.
 //!
 //! Every stage before 6 is a pure function of iteration-start state,
 //! which is what keeps batched and sharded runs bit-identical to solo
@@ -218,25 +221,15 @@ impl Placement {
     }
 }
 
-/// An open measurement: every device's counters when it was opened.
-/// Closing it yields the per-device [`RunStats`] diffs.
-struct Meter(Vec<RunStats>);
+/// Every device's cumulative counters, index = device id.
+fn read_counters(machines: &[Machine], places: &[Placement]) -> Vec<RunStats> {
+    let each = machines.iter().zip(places);
+    each.map(|(m, p)| p.counters(m)).collect()
+}
 
-impl Meter {
-    fn read(machines: &[Machine], places: &[Placement]) -> Vec<RunStats> {
-        let each = machines.iter().zip(places);
-        each.map(|(m, p)| p.counters(m)).collect()
-    }
-
-    fn open(machines: &[Machine], places: &[Placement]) -> Self {
-        Meter(Self::read(machines, places))
-    }
-
-    /// Per-device stats since `open`.
-    fn close(self, machines: &[Machine], places: &[Placement]) -> Vec<RunStats> {
-        let now = Self::read(machines, places);
-        now.into_iter().zip(self.0).map(|(n, b)| n - b).collect()
-    }
+/// Per-device stats between two readings.
+fn diff(now: &[RunStats], base: Vec<RunStats>) -> Vec<RunStats> {
+    now.iter().cloned().zip(base).map(|(n, b)| n - b).collect()
 }
 
 /// What one [`Driver::drive`] produced; the fronts shape it into
@@ -245,7 +238,8 @@ pub(crate) struct Driven<O> {
     /// Program outputs, in submission order.
     pub outputs: Vec<O>,
     /// Per-query totals of the iterations each query was active in
-    /// (flagged [`RunStats::shared_fetch`] when Q > 1).
+    /// (flagged [`RunStats::shared_fetch`] when Q > 1): the one fold
+    /// every front takes a run's stats from.
     pub per_query: Vec<RunStats>,
     /// Per-device counter diffs over the whole drive (`kernel_launches`
     /// is each device's physical launch count).
@@ -357,7 +351,10 @@ impl<'g> Driver<'g> {
                 p.ensure_edge_data(m, self.graph);
             }
         }
-        let run_meter = Meter::open(devices.machines(), &self.places);
+        // One running reading per device: iteration k's close is
+        // iteration k + 1's open.
+        let start = read_counters(devices.machines(), &self.places);
+        let mut reading = start.clone();
         let mut iterations = 0u64;
         // A batch of one shares its fetches with nobody; only real
         // multi-query batches flag their per-query stats.
@@ -413,7 +410,6 @@ impl<'g> Driver<'g> {
                     }
                 })
                 .collect();
-            let iter_meter = Meter::open(devices.machines(), &self.places);
 
             for (d, (m, p)) in devices
                 .machines()
@@ -516,8 +512,9 @@ impl<'g> Driver<'g> {
                 f.dedup();
             }
 
-            let per_device = iter_meter.close(devices.machines(), &self.places);
-            let mut iteration = RunStats::aggregate_concurrent(&per_device);
+            let now = read_counters(devices.machines(), &self.places);
+            let mut iteration = RunStats::aggregate_concurrent(&diff(&now, reading));
+            reading = now;
             iteration.kernel_launches = 1;
             for &q in &active {
                 per_query[q] += &iteration;
@@ -529,7 +526,7 @@ impl<'g> Driver<'g> {
         Driven {
             outputs: programs.into_iter().map(P::finish).collect(),
             per_query,
-            per_device: run_meter.close(devices.machines(), &self.places),
+            per_device: diff(&reading, start),
             iterations,
         }
     }
@@ -539,6 +536,7 @@ impl<'g> Driver<'g> {
 mod tests {
     use super::*;
     use crate::bfs::BfsProgram;
+    use crate::cc::CcProgram;
     use emogi_graph::{generators, PartitionStrategy};
     use emogi_runtime::group::DeviceGroupConfig;
     use emogi_runtime::machine::MachineConfig;
@@ -690,18 +688,48 @@ mod tests {
         assert!(layout.cxl_edge_base.is_some() && layout.host_edge_bytes > 0);
     }
 
-    /// On one device the iterations tile the run, so a lone query's
-    /// per-iteration fold equals the device's whole-run diff. This is
-    /// what lets `Engine::run_batch` serve its no-slot fallback through
-    /// the same result shaping as a real batch.
+    /// One fold per run: a lone query's per-iteration fold equals the
+    /// whole-run fold of the device diffs (slowest device, summed
+    /// traffic, one launch per iteration). On one device the iterations
+    /// tile the run; on N the exchange barrier-aligns every clock at each
+    /// iteration's end, so the slowest device per iteration sums to the
+    /// slowest device over the run. This is what lets `Engine::run` and
+    /// `ShardedEngine::run` both take the per-query fold, and
+    /// `Engine::run_batch` serve its no-slot fallback through the same
+    /// result shaping as a real batch.
     #[test]
     fn a_lone_querys_iteration_fold_equals_the_device_diff() {
+        fn whole_run_fold<O>(driven: &Driven<O>) -> RunStats {
+            let mut stats = RunStats::aggregate_concurrent(&driven.per_device);
+            stats.kernel_launches = driven.iterations;
+            stats
+        }
         let g = generators::uniform_random(600, 8, 9);
         let (mut machines, mut one) = driver(&g, 1);
         for src in [4u32, 77] {
             let driven = one.drive(&mut machines[0], vec![BfsProgram::new(&g, src)], false);
             assert_eq!(driven.per_query[0], driven.per_device[0], "source {src}");
             assert_eq!(driven.per_device[0].kernel_launches, driven.iterations);
+        }
+        for cfg in [EngineConfig::emogi_v100(), EngineConfig::pipelined_v100()] {
+            for devices in [2, 4] {
+                for strategy in PartitionStrategy::all() {
+                    let mut group = DeviceGroup::new(DeviceGroupConfig {
+                        devices,
+                        machine: cfg.machine.clone(),
+                        peer: None,
+                    });
+                    let partition = strategy.partition(&g, devices);
+                    let mut n = Driver::load(&cfg, &g, &mut group.machines, partition);
+                    let what = format!("{:?}, {devices} devices, {strategy:?}", cfg.transport);
+                    for src in [4u32, 77] {
+                        let bfs = n.drive(&mut group, vec![BfsProgram::new(&g, src)], false);
+                        assert_eq!(bfs.per_query[0], whole_run_fold(&bfs), "{what}, BFS {src}");
+                    }
+                    let cc = n.drive(&mut group, vec![CcProgram::new(&g)], false);
+                    assert_eq!(cc.per_query[0], whole_run_fold(&cc), "{what}, CC");
+                }
+            }
         }
     }
 

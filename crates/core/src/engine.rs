@@ -218,7 +218,7 @@ impl<'g> Engine<'g> {
         let mut driven = self.core.drive(&mut self.machine, vec![program], false);
         Run {
             output: driven.outputs.pop().expect("one program, one output"),
-            stats: driven.per_device.pop().expect("one device"),
+            stats: driven.per_query.pop().expect("one program, one fold"),
         }
     }
 

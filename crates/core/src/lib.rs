@@ -70,7 +70,7 @@
 //! // ... then run any vertex program against the placement, repeatedly.
 //! let run = engine.run(BfsProgram::new(&graph, 0));
 //! assert_eq!(run.levels, algo::bfs_levels(&graph, 0));
-//! assert!(run.stats.avg_pcie_gbps > 0.0);
+//! assert!(run.stats.avg_pcie_gbps() > 0.0);
 //! let pr = engine.pagerank(0.85, 10);
 //! assert!((pr.ranks.iter().sum::<f64>() - 1.0).abs() < 1e-9);
 //! ```

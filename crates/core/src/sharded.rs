@@ -113,11 +113,13 @@ pub struct ShardedRun<O> {
     /// The program's output (levels, distances, labels, ranks, ...) —
     /// bit-identical to a single-device run.
     pub output: O,
-    /// Group-level totals: elapsed time is the barrier-aligned wall
-    /// clock (max over devices), traffic counters sum across links, and
-    /// `kernel_launches` is the *logical* launch-wave count (equal to
-    /// [`iterations`](Self::iterations), hence directly comparable with
-    /// a single-device run's launch count).
+    /// Group-level totals, folded per iteration: elapsed time is the
+    /// barrier-aligned wall clock (slowest device each iteration),
+    /// traffic counters sum across links, and `kernel_launches` is the
+    /// *logical* launch-wave count, equal to
+    /// [`iterations`](Self::iterations) and so directly comparable with a
+    /// single-device run's (physical per-device launches stay in
+    /// [`per_device`](Self::per_device)).
     pub stats: RunStats,
     /// Per-device measurements, index = device id.
     pub per_device: Vec<RunStats>,
@@ -212,16 +214,9 @@ impl<'g> ShardedEngine<'g> {
     pub fn run<P: VertexProgram>(&mut self, program: P) -> ShardedRun<P::Output> {
         let exchange_base = self.group.interconnect.totals();
         let mut driven = self.core.drive(&mut self.group, vec![program], false);
-        let mut stats = RunStats::aggregate_concurrent(&driven.per_device);
-        // The group-level launch count is the *logical* one: each
-        // synchronous iteration is one launch wave, however many devices
-        // participated — so `stats.kernel_launches` compares directly
-        // with a single-device run's (physical per-device launches stay
-        // in `per_device`).
-        stats.kernel_launches = driven.iterations;
         ShardedRun {
             output: driven.outputs.pop().expect("one program, one output"),
-            stats,
+            stats: driven.per_query.pop().expect("one program, one fold"),
             per_device: driven.per_device,
             exchange: self.group.interconnect.totals() - exchange_base,
             iterations: driven.iterations,

@@ -137,15 +137,23 @@ impl Kernel for ToyKernel {
 pub struct ToyRun {
     /// The pattern's Figure 4 label.
     pub label: &'static str,
-    /// Average host→GPU payload bandwidth (Figure 4's "PCIe" number).
-    pub pcie_gbps: f64,
-    /// Host DRAM read bandwidth (Figure 4's "DRAM" number).
-    pub dram_gbps: f64,
     /// Host→GPU bandwidth over time, (window start ns, GB/s) — the
     /// VTune-style trace of Figure 4.
     pub series: Vec<(u64, f64)>,
     /// The run's full measurements.
     pub stats: RunStats,
+}
+
+impl ToyRun {
+    /// Average host→GPU payload bandwidth (Figure 4's "PCIe" number).
+    pub fn pcie_gbps(&self) -> f64 {
+        self.stats.avg_pcie_gbps()
+    }
+
+    /// Host DRAM read bandwidth (Figure 4's "DRAM" number).
+    pub fn dram_gbps(&self) -> f64 {
+        self.stats.host_dram_bytes as f64 / self.stats.elapsed_ns as f64
+    }
 }
 
 /// One toy run on a fresh machine, inside the one measurement bracket:
@@ -172,8 +180,6 @@ fn run(cfg: MachineConfig, pattern: ToyPattern, src_space: Space, array_bytes: u
     let (_, stats) = m.measure(|m| run_kernel(m, &mut kernel));
     ToyRun {
         label,
-        pcie_gbps: stats.avg_pcie_gbps,
-        dram_gbps: stats.host_dram_bytes as f64 / stats.elapsed_ns as f64,
         series: m.monitor.series.samples().collect(),
         stats,
     }
@@ -248,11 +254,11 @@ mod tests {
         let strided = run_zero_copy(cfg(), ToyPattern::Strided, 2 * MIB);
         let misaligned = run_zero_copy(cfg(), ToyPattern::MergedMisaligned, 2 * MIB);
         let aligned = run_zero_copy(cfg(), ToyPattern::MergedAligned, 2 * MIB);
-        assert!(strided.pcie_gbps < misaligned.pcie_gbps);
-        assert!(misaligned.pcie_gbps < aligned.pcie_gbps);
+        assert!(strided.pcie_gbps() < misaligned.pcie_gbps());
+        assert!(misaligned.pcie_gbps() < aligned.pcie_gbps());
         // Strided doubles DRAM traffic relative to PCIe (64 B words for
         // 32 B requests).
-        let ratio = strided.dram_gbps / strided.pcie_gbps;
+        let ratio = strided.dram_gbps() / strided.pcie_gbps();
         assert!((1.8..2.2).contains(&ratio), "DRAM/PCIe ratio {ratio}");
     }
 
@@ -261,7 +267,7 @@ mod tests {
         let r = run_uvm_reference(MachineConfig::v100_gen3(), 2 * MIB);
         assert!(r.stats.pages_migrated >= 512);
         assert!(r.stats.pcie_read_requests == 0);
-        assert!(r.pcie_gbps > 0.0);
+        assert!(r.pcie_gbps() > 0.0);
     }
 
     #[test]

@@ -281,11 +281,7 @@ pub fn run_kernel<K: Kernel>(machine: &mut Machine, kernel: &mut K) -> KernelRep
         coalescer: Coalescer::new(),
         txns: Vec::new(),
         released: Vec::new(),
-        report: KernelReport {
-            start,
-            end: start,
-            ..Default::default()
-        },
+        report: KernelReport::default(),
         now: start,
     };
     ex.seed(start);
@@ -350,9 +346,10 @@ impl<K: Kernel> Executor<'_, K> {
             self.pending_lines.is_empty() && self.page_waiters.is_empty(),
             "kernel drained with requests in flight"
         );
-        let mut report = self.report;
-        report.end = self.now;
-        report
+        KernelReport {
+            end: self.now,
+            ..self.report
+        }
     }
 
     fn step_warp(&mut self, w: u32, t: Time) {
@@ -650,9 +647,7 @@ impl<K: Kernel> Executor<'_, K> {
                 PageState::Resident => uvm.touch(page),
                 _ => {
                     faulted = true;
-                    if uvm.record_fault(page) {
-                        self.report.page_faults += 1;
-                    }
+                    uvm.record_fault(page);
                     self.page_waiters.slot(page).push(w);
                     self.slots[w as usize].outstanding += 1;
                 }
@@ -807,9 +802,9 @@ mod tests {
                 StepOutcome::Done
             }
         }
-        let r = run_kernel(&mut m, &mut Empty);
+        let (r, stats) = m.measure(|m| run_kernel(m, &mut Empty));
         assert_eq!(r.tasks, 0);
-        assert_eq!(r.elapsed(), 0);
+        assert_eq!(stats.elapsed_ns, KERNEL_LAUNCH_NS);
         assert_eq!(m.now, KERNEL_LAUNCH_NS);
     }
 
@@ -825,13 +820,13 @@ mod tests {
             elem: 8,
             sum_steps: 0,
         };
-        let r = run_kernel(&mut m, &mut k);
+        let (r, stats) = m.measure(|m| run_kernel(m, &mut k));
         assert_eq!(r.tasks, 64);
         // 64 ranges x 16384 B / 128 B = 8192 requests, all 128-byte.
         assert_eq!(m.monitor.read_requests, 8192);
         assert_eq!(m.monitor.sizes.buckets[3], 8192);
         assert_eq!(m.monitor.zero_copy_bytes, 1 << 20);
-        assert!(r.elapsed() > 0);
+        assert!(stats.elapsed_ns > KERNEL_LAUNCH_NS);
     }
 
     #[test]
@@ -953,11 +948,13 @@ mod tests {
             }
         }
         let mut k = ManagedKernel { inner: mk(base) };
-        let r = run_kernel(&mut m, &mut k);
+        let ((), stats) = m.measure(|m| {
+            run_kernel(m, &mut k);
+        });
         assert!(
-            r.page_faults >= 2,
+            stats.page_faults >= 2,
             "two pages must fault, got {}",
-            r.page_faults
+            stats.page_faults
         );
         let uvm = m.uvm.as_ref().unwrap();
         assert!(uvm.stats.pages_migrated >= 2);
@@ -970,8 +967,10 @@ mod tests {
         // Second pass: pages resident, no new faults.
         let faults_before = uvm.stats.faults;
         let mut k2 = ManagedKernel { inner: mk(base) };
-        let r2 = run_kernel(&mut m, &mut k2);
-        assert_eq!(r2.page_faults, 0);
+        let ((), stats) = m.measure(|m| {
+            run_kernel(m, &mut k2);
+        });
+        assert_eq!(stats.page_faults, 0);
         assert_eq!(m.uvm.as_ref().unwrap().stats.faults, faults_before);
     }
 
@@ -1050,13 +1049,16 @@ mod tests {
             let cap = m.spaces.device_capacity();
             m.alloc_device(cap - pool);
             let base = m.alloc_managed(BYTES);
-            let first = run_kernel(&mut m, &mut Sweep { base, rounds: 1 });
-            let (second, stats) = m.measure(|m| run_kernel(m, &mut Sweep { base, rounds: 1 }));
+            let sweep = |m: &mut Machine| {
+                m.measure(|m| run_kernel(m, &mut Sweep { base, rounds: 1 }))
+                    .1
+            };
+            let (first, second) = (sweep(&mut m), sweep(&mut m));
             assert_eq!(m.monitor.read_requests, 0, "no zero-copy traffic in UVM");
-            (first, second, stats, m.uvm.as_ref().unwrap().stats)
+            (first, second, m.uvm.as_ref().unwrap().stats)
         };
 
-        let (first, second, stats, uvm) = sweep_twice(64 << 10); // 16 pages
+        let (first, second, uvm) = sweep_twice(64 << 10); // 16 pages
         assert!(uvm.pages_evicted > 0, "pool must overflow");
         assert!(
             uvm.pages_migrated > 64,
@@ -1065,17 +1067,17 @@ mod tests {
         );
         assert!(first.page_faults > 4);
         assert!(second.page_faults > 4, "evicted pages fault again");
-        assert_eq!(stats.l2_sector_hits, 0, "a hit here is a stale sector");
-        assert!(stats.l2_sector_misses > 0);
+        assert_eq!(second.l2_sector_hits, 0, "a hit here is a stale sector");
+        assert!(second.l2_sector_misses > 0);
 
         // Control: with room for every page nothing is evicted, and the
         // same second sweep is served from the L2 (bar the sectors of the
         // first sweep's faulting steps, which stalled instead of loading).
-        let (_, second, stats, uvm) = sweep_twice(2 * BYTES);
+        let (_, second, uvm) = sweep_twice(2 * BYTES);
         assert_eq!((uvm.pages_evicted, second.page_faults), (0, 0));
-        assert!(stats.l2_sector_hits > stats.l2_sector_misses);
+        assert!(second.l2_sector_hits > second.l2_sector_misses);
         assert_eq!(
-            stats.l2_sector_hits + stats.l2_sector_misses,
+            second.l2_sector_hits + second.l2_sector_misses,
             BYTES / SECTOR_BYTES
         );
     }
@@ -1098,7 +1100,6 @@ mod tests {
         assert_eq!(r.steps, 4 * 32);
         assert_eq!(r.host_txns, 4 * 64, "two 128B txns per step");
         assert_eq!(r.device_txns, 0);
-        assert!(r.elapsed() > 0);
     }
 
     #[test]
@@ -1198,7 +1199,7 @@ mod tests {
             let ((cold, warm), stats) = m.measure(|m| (sweep(m, &[1]), sweep(m, &[0, 1, 2, 3])));
             let txns = |r: &KernelReport| (r.device_txns, r.cxl_txns, r.managed_txns);
             assert_eq!(txns(&cold), txns(&warm));
-            assert_eq!(warm.page_faults, 0, "{space:?}: pages are resident");
+            assert_eq!(stats.page_faults, 0, "{space:?}: pages are resident");
             (stats, m.hbm.bytes_read - hbm_base, txns(&warm))
         };
         let (device, device_hbm, device_txns) = run(Space::Device);

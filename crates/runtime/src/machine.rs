@@ -271,12 +271,12 @@ impl Machine {
     /// Every counter a run reports, cumulative since construction
     /// (`elapsed_ns` is the clock itself). A run's stats are the
     /// difference of two readings, taken by [`measure`](Self::measure)
-    /// (the engine's driver keeps its own multi-device meter). The
+    /// (the engine's driver keeps its own running per-device reading). The
     /// transfer manager and prefetcher live outside the machine; whoever
     /// owns them (the engine's placement) fills `transfer` / `prefetch`.
     pub fn counters(&self) -> RunStats {
         let uvm = self.uvm.as_ref().map(|u| &u.stats);
-        let mut stats = RunStats {
+        RunStats {
             elapsed_ns: self.now,
             kernel_launches: self.kernel_launches,
             pcie_read_requests: self.monitor.read_requests,
@@ -292,9 +292,7 @@ impl Machine {
             cxl_read_requests: self.cxl.as_ref().map_or(0, |c| c.read_requests),
             cxl_bytes: self.cxl.as_ref().map_or(0, CxlLink::total_bytes),
             ..RunStats::default()
-        };
-        stats.derive_avg_pcie_gbps();
-        stats
+        }
     }
 
     /// The one bracket for a run that bypasses the engine's driver (§3.2:
@@ -395,14 +393,14 @@ mod tests {
         assert_eq!(stats.kernel_launches, 0, "a memcpy is not a launch");
         assert_eq!(stats.elapsed_ns, m.now - base.elapsed_ns);
         assert_eq!(
-            stats.avg_pcie_gbps,
+            stats.avg_pcie_gbps(),
             (2u64 << 20) as f64 / stats.elapsed_ns as f64,
-            "the rate is re-derived from the diff, not diffed"
+            "the rate is derived from the diff, not diffed"
         );
     }
 
-    /// The ledger law the driver's `Meter` obeys: adjacent brackets add
-    /// up to the enclosing one, field for field.
+    /// The ledger law the driver's per-iteration diffs obey: adjacent
+    /// brackets add up to the enclosing one, field for field.
     #[test]
     fn adjacent_measures_sum_to_the_enclosing_one() {
         let mut m = Machine::new(MachineConfig::v100_gen3());

@@ -56,8 +56,10 @@
 //! copy), and because all executor busy-until lanes are ≤ the kernel
 //! start in both paths, the kernel's coalescing/caching behaviour is
 //! translation-invariant in the clock. What may differ: `elapsed_ns` (the
-//! point), its derived `avg_pcie_gbps`, and the `RunStats::prefetch`
-//! counters themselves. `tests/pipeline_differential.rs` property-checks
+//! point), the `avg_pcie_gbps()` divided by it, and the
+//! `RunStats::prefetch` counters themselves — which are also the one
+//! record of the copy lane's traffic (`prefetched_regions` /
+//! `prefetched_bytes`). `tests/pipeline_differential.rs` property-checks
 //! outputs, iteration counts and semantic stats of pipelined-vs-
 //! synchronous hybrid pairs across solo / batched / sharded execution ×
 //! 4 programs × small region sizes × 1/2/4 devices, plus one fixed case

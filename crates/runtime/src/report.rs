@@ -5,12 +5,14 @@ use crate::transfer::TransferStats;
 use emogi_sim::monitor::SizeHistogram;
 use emogi_sim::time::Time;
 
-/// What one kernel launch did, measured by the executor.
+/// What one kernel launch did, measured by the executor. Its elapsed
+/// time and page faults live in the machine clock and
+/// `UvmStats::faults`; [`Machine::measure`](crate::Machine::measure)
+/// diffs them.
 #[derive(Debug, Clone, Default)]
 pub struct KernelReport {
-    /// Launch time.
-    pub start: Time,
-    /// Completion time (all warps drained).
+    /// Completion time (all warps drained): the clock `run_kernel` leaves
+    /// on the machine. Kept because the frozen benchmark reads it.
     pub end: Time,
     /// Warp tasks executed.
     pub tasks: u64,
@@ -28,15 +30,6 @@ pub struct KernelReport {
     /// Host transactions that were satisfied by attaching to an already
     /// in-flight request (MSHR merges).
     pub mshr_merges: u64,
-    /// Page faults raised against the UVM driver.
-    pub page_faults: u64,
-}
-
-impl KernelReport {
-    /// Launch-to-drain time of the kernel.
-    pub fn elapsed(&self) -> Time {
-        self.end - self.start
-    }
 }
 
 emogi_sim::ledger! {
@@ -45,8 +38,12 @@ emogi_sim::ledger! {
     /// [`Machine::counters`](crate::Machine::counters) readings. `-`
     /// diffs two readings and `+=` folds diffs — back-to-back runs on one
     /// machine into their combined diff, a batch iteration's diff into
-    /// every query active in it; both re-derive the average bandwidth
-    /// from the new bytes and time.
+    /// every query active in it. Ratios are methods over the counters, so
+    /// they follow every diff and fold:
+    /// [`avg_pcie_gbps`](Self::avg_pcie_gbps),
+    /// [`l2_hit_rate`](Self::l2_hit_rate),
+    /// [`coalescing_efficiency`](Self::coalescing_efficiency) and
+    /// [`amplification`](Self::amplification).
     #[derive(Debug, Clone, Default, PartialEq)]
     pub struct RunStats {
         /// Total simulated wall time.
@@ -92,8 +89,6 @@ emogi_sim::ledger! {
         pub prefetch: PrefetchStats,
     }
     carried {
-        /// Average achieved PCIe bandwidth over the run, GB/s (Figure 8).
-        pub avg_pcie_gbps: f64,
         /// `true` when these counters describe traffic *shared* with other
         /// queries of a batched multi-query execution: the merged edge
         /// fetch is accounted once globally (in the batch-level stats) and
@@ -103,10 +98,20 @@ emogi_sim::ledger! {
         /// solo runs. It describes how a total was attributed, not what it
         /// counts, so `-` and `+=` leave it alone.
         pub shared_fetch: bool,
-    } settled by RunStats::derive_avg_pcie_gbps
+    }
 }
 
 impl RunStats {
+    /// Average achieved PCIe bandwidth over the run, GB/s (Figure 8):
+    /// bytes over time, never a sum of averages; 0 when no time passed.
+    pub fn avg_pcie_gbps(&self) -> f64 {
+        if self.elapsed_ns == 0 {
+            0.0
+        } else {
+            self.host_bytes as f64 / self.elapsed_ns as f64
+        }
+    }
+
     /// Fraction of probed L2 sectors that hit over this run; 0 when no
     /// sector was probed. Higher under cache-aware vertex layouts.
     pub fn l2_hit_rate(&self) -> f64 {
@@ -138,28 +143,17 @@ impl RunStats {
         }
     }
 
-    /// Fold the per-device stats of one multi-GPU run into a group
+    /// Fold the per-device diffs of one multi-GPU iteration into a group
     /// total: `+=` every device, except that the devices ran
-    /// *concurrently* — their clocks are barrier-aligned each iteration —
-    /// so elapsed time is the maximum, not the sum, and the average
-    /// bandwidth is aggregate bytes over that shared wall clock.
+    /// *concurrently* — the exchange barrier-aligns their clocks at the
+    /// iteration's end — so elapsed time is the maximum, not the sum.
     pub fn aggregate_concurrent(per_device: &[RunStats]) -> RunStats {
         let mut total = RunStats::default();
         for s in per_device {
             total += s;
         }
         total.elapsed_ns = per_device.iter().map(|s| s.elapsed_ns).max().unwrap_or(0);
-        total.derive_avg_pcie_gbps();
         total
-    }
-
-    /// Average bandwidth is bytes over time, never a sum of averages.
-    pub(crate) fn derive_avg_pcie_gbps(&mut self) {
-        self.avg_pcie_gbps = if self.elapsed_ns == 0 {
-            0.0
-        } else {
-            self.host_bytes as f64 / self.elapsed_ns as f64
-        };
     }
 }
 
@@ -168,19 +162,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn elapsed_and_amplification() {
-        let r = KernelReport {
-            start: 100,
-            end: 350,
-            ..Default::default()
-        };
-        assert_eq!(r.elapsed(), 250);
+    fn amplification_and_bandwidth_are_ratios_of_the_counters() {
         let s = RunStats {
             host_bytes: 150,
             ..Default::default()
         };
         assert!((s.amplification(100) - 1.5).abs() < 1e-12);
         assert_eq!(s.amplification(0), 0.0);
+        assert_eq!(s.avg_pcie_gbps(), 0.0, "no time passed");
     }
 
     #[test]
@@ -198,13 +187,46 @@ mod tests {
             (seq.elapsed_ns, seq.host_bytes, seq.kernel_launches),
             (500, 800, 4)
         );
-        assert_eq!(seq.avg_pcie_gbps, 800.0 / 500.0);
+        assert_eq!(seq.avg_pcie_gbps(), 800.0 / 500.0);
         let con = RunStats::aggregate_concurrent(&[a, b]);
         assert_eq!(
             (con.elapsed_ns, con.host_bytes, con.kernel_launches),
             (400, 800, 4)
         );
-        assert_eq!(con.avg_pcie_gbps, 800.0 / 400.0);
+        assert_eq!(con.avg_pcie_gbps(), 800.0 / 400.0);
         assert_eq!(RunStats::aggregate_concurrent(&[]), RunStats::default());
+    }
+
+    fn reading(host_bytes: u64, staged_bytes: u64) -> RunStats {
+        RunStats {
+            host_bytes,
+            transfer: TransferStats {
+                staged_bytes,
+                ..Default::default()
+            },
+            ..Default::default()
+        }
+    }
+
+    /// A backwards diff is a bookkeeping bug: it panics naming the field
+    /// in every build profile, never wraps to a huge count.
+    #[test]
+    #[should_panic(expected = "RunStats::host_bytes")]
+    fn a_counter_that_went_backwards_panics_by_name() {
+        let _ = reading(10, 0) - reading(11, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "TransferStats::staged_bytes")]
+    fn a_nested_counter_that_went_backwards_panics_by_its_own_name() {
+        let _ = reading(10, 5) - reading(10, 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "SizeHistogram::buckets")]
+    fn a_histogram_bucket_that_went_backwards_panics_by_name() {
+        let mut base = reading(0, 0);
+        base.request_sizes.record(128);
+        let _ = reading(0, 0) - base;
     }
 }

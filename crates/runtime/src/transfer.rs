@@ -372,7 +372,12 @@ impl TransferManager {
             // Speculative stages keep what the demand decisions (and any
             // reservation since last round) left over; the rest are evicted.
             p.evict_to_fit(self.pool);
-            debug_assert!(p.slice_used() <= self.pool);
+            assert!(
+                p.slice_used() <= self.pool,
+                "speculative slice {} B outgrew the device pool {} B",
+                p.slice_used(),
+                self.pool
+            );
         }
         staged_count > 0
     }

@@ -8,18 +8,25 @@
 //! (fold diffs across iterations, queries, devices). `LinkStats`,
 //! `TransferStats`, `PrefetchStats` and `RunStats` are all declared this
 //! way; `RunStats` nests the two middle ones and a `SizeHistogram`, and
-//! lists its two non-counters (`avg_pcie_gbps`, re-derived from bytes
-//! over time after every `-` and `+=`; `shared_fetch`, carried from the
-//! left operand) in the macro's `carried { .. } settled by` tail.
+//! lists its one non-counter (`shared_fetch`, carried from the left
+//! operand) in the macro's `carried { .. }` tail. Rates are never stored:
+//! `RunStats::avg_pcie_gbps()` divides the bytes by the time of whatever
+//! reading or fold it is called on.
+//!
+//! A diff that would go below zero is a bookkeeping bug, not a value: it
+//! panics in every build profile, naming the struct and field
+//! (`RunStats::host_bytes`, `TransferStats::staged_bytes`), instead of
+//! wrapping.
 //!
 //! `Machine::counters()` is the one cumulative reading — every counter
 //! since construction, `elapsed_ns` the clock itself, `kernel_launches`
 //! bumped by `run_kernel` — and a run's stats are born in exactly two
-//! places: the driver's `Meter::close` (N devices, whose
-//! `Placement::counters` adds the transfer manager's and prefetcher's
-//! lifetime counters, which live outside the machine) and
-//! `Machine::measure(|m| ..)`, the bracket every run loop outside the
-//! driver goes through (the toy kernels, `compressed.rs`, Subway).
+//! places: the driver's running per-device reading, diffed once per
+//! iteration (N devices, whose `Placement::counters` adds the transfer
+//! manager's and prefetcher's lifetime counters, which live outside the
+//! machine), and `Machine::measure(|m| ..)`, the bracket every run loop
+//! outside the driver goes through (the toy kernels, `compressed.rs`,
+//! Subway).
 //!
 //! # Adding a counter
 //!
@@ -37,16 +44,31 @@
 //!    the deliberate pin — a counter cannot be added without entering the
 //!    golden digest.
 
+/// A ledger field: diffed against an earlier reading of itself. `field`
+/// names it (`Struct::field`) in the panic when the counter went
+/// backwards.
+#[doc(hidden)]
+pub trait Counter {
+    fn diff(self, base: Self, field: &str) -> Self;
+}
+
+impl Counter for u64 {
+    fn diff(self, base: u64, field: &str) -> u64 {
+        match self.checked_sub(base) {
+            Some(d) => d,
+            None => panic!("ledger underflow: {field} went backwards ({base} -> {self})"),
+        }
+    }
+}
+
 /// Declare a counter struct together with its field-wise `Sub` and
 /// `AddAssign` (by value and by reference).
 ///
-/// Every listed field is a counter: its type only needs `Sub` and
+/// Every listed field is a counter: its type only needs `Counter` and
 /// `AddAssign<&Self>`, so `u64`, [`SizeHistogram`](crate::SizeHistogram)
-/// and other ledgers nest freely. Values that are *not* counters (a rate,
-/// a flag) go in the optional `carried { .. } settled by <fn>` tail: `-`
-/// and `+=` keep the left operand's value for them, then call the
-/// `fn(&mut Self)` so anything derived from the counters is re-derived
-/// from the new totals.
+/// and other ledgers nest freely. Values that are *not* counters (a flag)
+/// go in the optional `carried { .. }` tail: `-` and `+=` keep the left
+/// operand's value for them.
 #[macro_export]
 macro_rules! ledger {
     (
@@ -56,7 +78,7 @@ macro_rules! ledger {
         }
         $(carried {
             $($(#[$cmeta:meta])* pub $cfield:ident: $cty:ty,)+
-        } settled by $settle:path)?
+        })?
     ) => {
         $(#[$meta])*
         pub struct $name {
@@ -67,17 +89,25 @@ macro_rules! ledger {
         impl std::ops::Sub for $name {
             type Output = $name;
 
-            /// Diff two readings of the monotonically growing counters.
-            // Without a `carried` tail, `..self` has nothing left to
-            // carry and `diff` is never settled.
-            #[allow(clippy::needless_update, unused_mut)]
+            /// Diff two readings of the monotonically growing counters;
+            /// panics naming the first field that went backwards.
+            // Without a `carried` tail, `..self` has nothing left to carry.
+            #[allow(clippy::needless_update)]
             fn sub(self, base: $name) -> $name {
-                let mut diff = $name {
-                    $($field: self.$field - base.$field,)+
+                $name {
+                    $($field: $crate::ledger::Counter::diff(
+                        self.$field,
+                        base.$field,
+                        concat!(stringify!($name), "::", stringify!($field)),
+                    ),)+
                     ..self
-                };
-                $($settle(&mut diff);)?
-                diff
+                }
+            }
+        }
+
+        impl $crate::ledger::Counter for $name {
+            fn diff(self, base: $name, _field: &str) -> $name {
+                self - base
             }
         }
 
@@ -85,7 +115,6 @@ macro_rules! ledger {
             /// Fold another reading's counters into this total.
             fn add_assign(&mut self, other: &$name) {
                 $(self.$field += &other.$field;)+
-                $($settle(self);)?
             }
         }
 

@@ -37,5 +37,5 @@ pub use events::EventQueue;
 pub use interconnect::{Interconnect, InterconnectConfig, LinkStats, PeerLinkConfig};
 pub use monitor::{BandwidthSeries, SizeHistogram, TrafficMonitor};
 pub use pcie::{PcieConfig, PcieGen, PcieLink, ReadOutcome, ReqId};
-pub use pipeline::{CopyEngine, CopyEngineConfig, CopyLaneStats, CopyTicket};
+pub use pipeline::{CopyEngine, CopyEngineConfig, CopyTicket};
 pub use time::{bytes_over_bandwidth_ns, Time};

@@ -54,15 +54,14 @@ impl SizeHistogram {
 }
 
 /// A histogram is a ledger field (see [`ledger!`](crate::ledger!)): its
-/// buckets diff and fold like any other counter.
-impl std::ops::Sub for SizeHistogram {
-    type Output = SizeHistogram;
-
-    fn sub(mut self, base: SizeHistogram) -> SizeHistogram {
+/// buckets diff and fold like any other counter, and a bucket that went
+/// backwards panics by name.
+impl crate::ledger::Counter for SizeHistogram {
+    fn diff(mut self, base: SizeHistogram, _field: &str) -> SizeHistogram {
         for (a, b) in self.buckets.iter_mut().zip(base.buckets) {
-            *a -= b;
+            *a = a.diff(b, "SizeHistogram::buckets");
         }
-        self.other -= base.other;
+        self.other = self.other.diff(base.other, "SizeHistogram::other");
         self
     }
 }
@@ -235,6 +234,7 @@ impl TrafficMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ledger::Counter;
 
     #[test]
     fn histogram_buckets() {
@@ -258,7 +258,7 @@ mod tests {
         let base = a.clone();
         a += &b;
         assert_eq!(a.total(), 3);
-        assert_eq!(a - base, b);
+        assert_eq!(a.diff(base, "h"), b);
     }
 
     #[test]

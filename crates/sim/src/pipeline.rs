@@ -76,17 +76,6 @@ pub struct CopyTicket {
     pub done_at: Time,
 }
 
-/// Monotonic lane counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CopyLaneStats {
-    /// Copies submitted.
-    pub copies: u64,
-    /// Bytes submitted.
-    pub bytes: u64,
-    /// Total ns the lane spent busy (overhead + wire time).
-    pub busy_ns: u64,
-}
-
 /// An asynchronous copy lane: FIFO, deterministic, and isolated from the
 /// demand-path link state.
 #[derive(Debug, Clone)]
@@ -98,8 +87,6 @@ pub struct CopyEngine {
     /// Submitted copies not yet drained, in submission (= completion)
     /// order.
     inflight: VecDeque<CopyTicket>,
-    /// Monotonic counters.
-    pub stats: CopyLaneStats,
 }
 
 impl CopyEngine {
@@ -110,7 +97,6 @@ impl CopyEngine {
             lane_free: 0,
             next_id: 0,
             inflight: VecDeque::new(),
-            stats: CopyLaneStats::default(),
         }
     }
 
@@ -147,9 +133,6 @@ impl CopyEngine {
         };
         self.next_id += 1;
         self.inflight.push_back(ticket);
-        self.stats.copies += 1;
-        self.stats.bytes += bytes;
-        self.stats.busy_ns += done_at - start;
         ticket
     }
 
@@ -224,8 +207,6 @@ mod tests {
         let rest = e.drain_completed(Time::MAX);
         assert_eq!(rest, vec![c]);
         assert!(e.drain_completed(Time::MAX).is_empty(), "drained once");
-        assert_eq!(e.stats.copies, 3);
-        assert_eq!(e.stats.bytes, 3 * (4 << 10));
     }
 
     #[test]

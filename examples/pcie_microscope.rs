@@ -44,8 +44,8 @@ fn main() {
         );
         println!(
             "  PCIe {:>6.2} GB/s   host DRAM {:>6.2} GB/s   (paper: {} )",
-            r.pcie_gbps,
-            r.dram_gbps,
+            r.pcie_gbps(),
+            r.dram_gbps(),
             match pattern {
                 ToyPattern::Strided => "4.74 / 9.40",
                 ToyPattern::MergedAligned => "12.23 / 12.36",
@@ -59,7 +59,9 @@ fn main() {
     println!("== UVM reference ==");
     println!(
         "  migrated {} pages ({} faults), {:.2} GB/s  (paper: 9.11-9.26 GB/s)",
-        u.stats.pages_migrated, u.stats.page_faults, u.pcie_gbps
+        u.stats.pages_migrated,
+        u.stats.page_faults,
+        u.pcie_gbps()
     );
     let m = toy::run_memcpy_reference(MachineConfig::v100_gen3(), 64 << 20);
     println!("\n== cudaMemcpy peak ==\n  {m:.2} GB/s  (paper: 12.3 GB/s)");

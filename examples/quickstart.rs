@@ -43,7 +43,7 @@ fn main() {
         println!(
             "{name:>22}: {:>8.2} ms  |  {:>5.2} GB/s PCIe  |  amplification {:.2}  |  {} kernel launches",
             run.stats.elapsed_ns as f64 / 1e6,
-            run.stats.avg_pcie_gbps,
+            run.stats.avg_pcie_gbps(),
             run.stats.amplification(engine.dataset_bytes()),
             run.stats.kernel_launches,
         );

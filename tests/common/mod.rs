@@ -332,7 +332,6 @@ impl Strength {
         let mut s = stats.clone();
         if self == Strength::Semantic {
             s.elapsed_ns = 0;
-            s.avg_pcie_gbps = 0.0;
             s.prefetch = Default::default();
         }
         s

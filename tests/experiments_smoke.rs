@@ -164,7 +164,7 @@ fn bfs_case_study_figures_share_one_matrix() {
     let max = |f: &dyn Fn(DatasetKey) -> f64| graphs.map(f).into_iter().fold(0.0, f64::max);
     let pct128 = |g, e| 100.0 * m.get(g, e).sizes.fraction(128);
     let cut = |g, a, b| 100.0 * (1.0 - m.get(g, b).requests as f64 / m.get(g, a).requests as f64);
-    let gbps = |g, e| m.get(g, e).avg_pcie_gbps;
+    let gbps = |g, e| m.get(g, e).avg_gbps;
 
     let (p_avg, p_ml) = paper::FIG5_MERGED_128B;
     let share = avg(&|g| pct128(g, Merged));

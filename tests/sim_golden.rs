@@ -240,7 +240,6 @@ impl Fnv {
             pcie_read_requests,
             request_sizes,
             host_bytes,
-            avg_pcie_gbps,
             page_faults,
             pages_migrated,
             host_dram_bytes,
@@ -277,7 +276,7 @@ impl Fnv {
             *kernel_launches,
             *pcie_read_requests,
             *host_bytes,
-            avg_pcie_gbps.to_bits(),
+            s.avg_pcie_gbps().to_bits(),
             *page_faults,
             *pages_migrated,
             *host_dram_bytes,
@@ -351,7 +350,7 @@ impl Fnv {
     /// series by bit pattern, then the full stats.
     fn toy(&mut self, run: &ToyRun) {
         self.words(run.label.bytes().map(u64::from));
-        self.words([run.pcie_gbps.to_bits(), run.dram_gbps.to_bits()]);
+        self.words([run.pcie_gbps().to_bits(), run.dram_gbps().to_bits()]);
         self.word(run.series.len() as u64);
         for &(t, gbps) in &run.series {
             self.words([t, gbps.to_bits()]);
