@@ -9,12 +9,12 @@
 //! repro list                    # show available experiment ids
 //! ```
 
-// The one binary that is *supposed* to measure wall-clock: opt out of
-// the workspace-wide ambient-clock ban (clippy.toml).
-#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
-
 use emogi_bench::{experiments, Context};
 use std::io::Write;
+// The one binary that is *supposed* to measure wall-clock: the
+// workspace-wide ambient-clock ban (clippy.toml) is lifted for this
+// import and `main` only, so every other ban still holds here.
+#[allow(clippy::disallowed_types)]
 use std::time::Instant;
 
 const USAGE: &str =
@@ -79,6 +79,7 @@ fn parse(args: impl IntoIterator<Item = String>) -> Result<Opts, String> {
     Ok(opts)
 }
 
+#[allow(clippy::disallowed_methods, clippy::disallowed_types)]
 fn main() {
     let opts = parse(std::env::args().skip(1)).unwrap_or_else(|why| {
         eprintln!("repro: {why}");

@@ -145,18 +145,27 @@ mod tests {
             bat.machine.spaces.device_free() < sources.len() as u64 * g.num_vertices() as u64 * 4,
             "scenario must leave too little device memory for a full batch"
         );
-        let batch = bat.run_batch(
-            sources
-                .iter()
-                .map(|&s| BfsProgram::new(&g, s))
-                .collect::<Vec<_>>(),
-        );
-        let mut seq = Engine::load(cfg, &g);
-        let _ = seq.cc();
+        let bfs = || Vec::from_iter(sources.iter().map(|&s| BfsProgram::new(&g, s)));
+        let batch = bat.run_batch(bfs());
+        let mut seq = Engine::load(cfg.clone(), &g);
+        let seq_cc = seq.cc();
         for (&s, br) in sources.iter().zip(&batch.runs) {
             let sr = seq.bfs(s);
             assert_eq!(br.levels, sr.levels, "source {s}");
             assert_eq!(br.stats.kernel_launches, sr.stats.kernel_launches);
+        }
+        // The reverse order: the batch's status slots come first, and a
+        // later full sweep's staging finds them allocated — it falls back
+        // to zero-copy instead of outrunning the device capacity.
+        let mut rev = Engine::load(cfg, &g);
+        let slots_first = rev.run_batch(bfs());
+        let cc = rev.cc();
+        let shared = slots_first.runs.iter().all(|r| r.stats.shared_fetch);
+        assert!(shared, "the batch got its slots");
+        assert!(cc.stats.transfer.pool_fallbacks > 0, "staging falls back");
+        assert_eq!(cc.comp, seq_cc.comp);
+        for ((&s, a), b) in sources.iter().zip(&slots_first.runs).zip(&batch.runs) {
+            assert_eq!(a.levels, b.levels, "source {s}");
         }
     }
 

@@ -5,8 +5,13 @@
 //! single-device [`Engine`](crate::engine::Engine) (N = 1), its batched
 //! multi-query path (Q > 1) and the multi-GPU
 //! [`ShardedEngine`](crate::sharded::ShardedEngine) (N > 1) are fronts
-//! over [`Driver::drive`]; they only shape its result. One iteration is
-//! this ordered stage list, for every entry point:
+//! over [`Driver::drive`]; they only shape its result. Each device's
+//! placement is one [`GraphLayout`]: the arrays' addresses, the hybrid
+//! transfer manager and prefetcher, and the batch status slots. Device
+//! bytes have one ledger, the machine's allocator; staged regions have
+//! one record, the transfer manager's table, which the kernel's address
+//! path reads. One iteration is this ordered stage list, for every entry
+//! point:
 //!
 //! 1. **merge** the active queries' frontiers into one sorted union with
 //!    a member mask per vertex (Q = 1: the frontier itself, no masks);
@@ -40,17 +45,15 @@
 use crate::batch::merge_frontiers;
 use crate::engine::EngineConfig;
 use crate::kernel::{ProgramKernel, Work, WorkList, WorkSlice};
-use crate::layout::{GraphLayout, Transport};
+use crate::layout::GraphLayout;
 use crate::program::{AccessPattern, DeviceWork, VertexProgram};
 use crate::sharded::{FRONTIER_UPDATE_BYTES, HUB_SPLIT_DEGREE};
 use crate::strategy::AccessStrategy;
-use emogi_gpu::access::Space;
 use emogi_graph::{CsrGraph, VertexId, VertexPartition};
 use emogi_runtime::exec::run_kernel;
 use emogi_runtime::group::DeviceGroup;
 use emogi_runtime::report::RunStats;
-use emogi_runtime::{Machine, Prefetcher, TransferManager};
-use emogi_sim::pipeline::CopyEngineConfig;
+use emogi_runtime::Machine;
 
 /// The machines a drive runs on: one [`Machine`], or a [`DeviceGroup`]
 /// with its exchange fabric.
@@ -81,148 +84,8 @@ impl Devices for DeviceGroup {
     }
 }
 
-/// Hybrid transport state: the per-region zero-copy / DMA transfer
-/// manager and, when pipelined, the speculative prefetcher feeding its
-/// asynchronous copy lane.
-struct Staging {
-    manager: TransferManager,
-    prefetcher: Option<Prefetcher>,
-}
-
-/// Everything placed on one device: the graph's arrays and the state
-/// that manages them across runs.
-pub(crate) struct Placement {
-    /// Where the graph's arrays live on the machine.
-    pub layout: GraphLayout,
-    /// Present exactly under [`Transport::Hybrid`].
-    staging: Option<Staging>,
-    /// Device status arrays for batched multi-query execution, one per
-    /// query slot, allocated on first use and reused across batches.
-    batch_status: Vec<u64>,
-}
-
-impl Placement {
-    /// Place `graph` on `machine`. The layout's host/CXL split becomes
-    /// the transfer manager's tier homes, so a spilled tail is promoted
-    /// over the CXL link rather than the PCIe lane; the copy lane takes
-    /// the machine's PCIe overhead, bandwidth and framing, so its
-    /// hidden-latency estimates follow the synchronous DMA path without
-    /// its propagation term.
-    fn place(machine: &mut Machine, graph: &CsrGraph, cfg: &EngineConfig) -> Self {
-        let layout = GraphLayout::place(machine, graph, cfg.elem_bytes, &cfg.transport);
-        let staging = match &cfg.transport {
-            Transport::Hybrid { transfer, prefetch } => {
-                let bytes = graph.edge_list_bytes(cfg.elem_bytes);
-                let host = layout.host_edge_bytes;
-                let manager = TransferManager::with_tiers(machine, bytes, host, transfer.clone());
-                let prefetcher = prefetch.clone().map(|pcfg| {
-                    let copy = CopyEngineConfig::from_pcie(&machine.cfg.pcie);
-                    Prefetcher::new(manager.num_regions(), pcfg, copy)
-                });
-                Some(Staging {
-                    manager,
-                    prefetcher,
-                })
-            }
-            Transport::ZeroCopy | Transport::Uvm => None,
-        };
-        Self {
-            layout,
-            staging,
-            batch_status: Vec::new(),
-        }
-    }
-
-    /// Place the auxiliary 4-byte-per-edge data array in the edge list's
-    /// space, if not already placed. The edge-space bump allocator is
-    /// independent of the device one, so the array lands at the same
-    /// address it would have at load time.
-    fn ensure_edge_data(&mut self, machine: &mut Machine, graph: &CsrGraph) {
-        if self.layout.weight_base.is_some() {
-            return;
-        }
-        let bytes = graph.num_edges() as u64 * 4;
-        self.layout.weight_base = Some(if self.layout.edge_space == Space::Managed {
-            assert!(
-                machine.uvm.is_none(),
-                "place edge data before the first managed kernel runs \
-                 (the UVM driver's span is fixed at initialization)"
-            );
-            machine.alloc_managed(bytes)
-        } else {
-            machine.alloc_host_pinned(bytes)
-        });
-    }
-
-    /// Ensure up to `want` device status arrays of `num_vertices` entries
-    /// for batched execution, reused across batches (the simulated
-    /// allocator never frees). In hybrid mode the transfer manager's
-    /// staging pool is shrunk by the same amount, so staging can never
-    /// outrun the real device capacity. Best-effort: allocation stops
-    /// when device memory is exhausted (e.g. staging already filled it)
-    /// or when the UVM driver has pinned the device layout; returns the
-    /// number of usable slots, possibly less than `want`.
-    pub fn ensure_batch_status(
-        &mut self,
-        machine: &mut Machine,
-        num_vertices: usize,
-        want: usize,
-    ) -> usize {
-        let bytes = num_vertices as u64 * 4;
-        let need = bytes.div_ceil(128) * 128;
-        while self.batch_status.len() < want {
-            if machine.uvm.is_some() || machine.spaces.device_free() < need {
-                break;
-            }
-            let base = machine.alloc_device(bytes);
-            if let Some(st) = self.staging.as_mut() {
-                st.manager.reserve(bytes);
-            }
-            self.batch_status.push(base);
-        }
-        self.batch_status.len().min(want)
-    }
-
-    /// Hybrid planning before a launch that will read the edge-list byte
-    /// `ranges`: let the transfer manager stage regions (advancing the
-    /// machine clock by the bulk-copy time), refresh the layout's
-    /// staged-region table for the kernel's address computation, and feed
-    /// the asynchronous lane with the next iteration's predicted regions
-    /// so their copies overlap the kernel launched right after.
-    fn plan(&mut self, machine: &mut Machine, ranges: impl IntoIterator<Item = (u64, u64)>) {
-        let Some(st) = self.staging.as_mut() else {
-            return;
-        };
-        let changed = match st.prefetcher.as_mut() {
-            Some(p) => st.manager.plan_iteration_pipelined(machine, ranges, p),
-            None => st.manager.plan_iteration(machine, ranges),
-        };
-        // Refresh only on change: a run that never stages keeps
-        // `staged_edges == None` and the address path free of lookups.
-        if changed {
-            self.layout.staged_edges = Some(st.manager.region_map());
-        }
-        if let Some(p) = st.prefetcher.as_mut() {
-            st.manager.prefetch_for_next(machine.now, p);
-        }
-    }
-
-    /// The device's cumulative counters: the machine's own, plus the
-    /// transfer manager's and prefetcher's, which live outside it.
-    fn counters(&self, machine: &Machine) -> RunStats {
-        let mut c = machine.counters();
-        if let Some(st) = &self.staging {
-            c.transfer = st.manager.stats;
-            if let Some(p) = &st.prefetcher {
-                c.prefetch = p.stats;
-            }
-        }
-        c
-    }
-}
-
 /// Every device's cumulative counters, index = device id.
-fn read_counters(machines: &[Machine], places: &[Placement]) -> Vec<RunStats> {
+fn read_counters(machines: &[Machine], places: &[GraphLayout]) -> Vec<RunStats> {
     let each = machines.iter().zip(places);
     each.map(|(m, p)| p.counters(m)).collect()
 }
@@ -257,7 +120,7 @@ pub(crate) struct Driver<'g> {
     /// Vertex ownership, one shard per device.
     pub partition: VertexPartition,
     /// Per-device placements; identical bases on every device.
-    pub places: Vec<Placement>,
+    pub places: Vec<GraphLayout>,
 }
 
 impl<'g> Driver<'g> {
@@ -280,7 +143,7 @@ impl<'g> Driver<'g> {
             partition,
             places: machines
                 .iter_mut()
-                .map(|m| Placement::place(m, graph, cfg))
+                .map(|m| GraphLayout::place(m, graph, cfg.elem_bytes, &cfg.transport))
                 .collect(),
         }
     }
@@ -299,7 +162,7 @@ impl<'g> Driver<'g> {
         item_masks: &mut [Vec<u64>],
     ) {
         let ndev = items.len();
-        let line = self.places[0].layout.elems_per_line();
+        let line = self.places[0].elems_per_line();
         items.iter_mut().for_each(Vec::clear);
         item_masks.iter_mut().for_each(Vec::clear);
         let bounds = self.partition.slice_bounds(union);
@@ -328,7 +191,7 @@ impl<'g> Driver<'g> {
 
     /// Run `programs` (same type, same access pattern) to convergence.
     /// `batched` selects the per-slot status arrays: the
-    /// [`Placement::ensure_batch_status`] slots (the caller ensured one
+    /// [`GraphLayout::ensure_batch_status`] slots (the caller ensured one
     /// per program), or — for a single program — the layout's own.
     pub fn drive<P: VertexProgram>(
         &mut self,
@@ -428,7 +291,7 @@ impl<'g> Driver<'g> {
                 for _ in &active {
                     m.now = m.hbm.read_bulk(m.now, self.graph.num_vertices() as u64 * 4);
                 }
-                let elem = p.layout.elem_bytes;
+                let elem = p.elem_bytes;
                 match works[d] {
                     WorkList::Slices(s) => {
                         p.plan(m, s.iter().map(|&(_, lo, hi)| (lo * elem, hi * elem)))
@@ -458,11 +321,11 @@ impl<'g> Driver<'g> {
                 let status_bases = if batched {
                     &p.batch_status[..nq]
                 } else {
-                    std::slice::from_ref(&p.layout.status_base)
+                    std::slice::from_ref(&p.status_base)
                 };
                 let mut kernel = ProgramKernel::new(
                     self.graph,
-                    &p.layout,
+                    p,
                     self.strategy,
                     &mut programs,
                     status_bases,
@@ -537,6 +400,7 @@ mod tests {
     use super::*;
     use crate::bfs::BfsProgram;
     use crate::cc::CcProgram;
+    use crate::layout::Transport;
     use emogi_graph::{generators, PartitionStrategy};
     use emogi_runtime::group::DeviceGroupConfig;
     use emogi_runtime::machine::MachineConfig;
@@ -602,7 +466,7 @@ mod tests {
         let (mut items, mut item_masks) = (vec![Vec::new(); 4], vec![Vec::new(); 4]);
         four.shard(&union, &masks, &mut items, &mut item_masks);
         let owner = four.partition.owner(hub);
-        let line = four.places[0].layout.elems_per_line();
+        let line = four.places[0].elems_per_line();
         let mut slices: Vec<(u64, u64)> = Vec::new();
         for (d, (its, ms)) in items.iter().zip(&item_masks).enumerate() {
             assert_eq!(its.len(), ms.len(), "device {d}: one mask per item");
@@ -660,9 +524,9 @@ mod tests {
                     "the hub splits exactly when it has peers"
                 );
                 for (p, its) in driver.places.iter().zip(&items) {
-                    assert!(p.layout.staged_edges.is_none(), "nothing staged");
+                    assert!(p.transfer.is_none(), "zero-copy never stages");
                     assert!(
-                        its.is_sorted_by_key(|&(_, lo, _)| p.layout.edge_addr(lo)),
+                        its.is_sorted_by_key(|&(_, lo, _)| p.edge_addr(lo)),
                         "{devices} devices, {strategy:?}, {} queries",
                         frontiers.len()
                     );
@@ -684,7 +548,7 @@ mod tests {
             .with_cxl(CxlConfig::external_x8())
             .with_host_capacity(crate::layout::SPILL_ALIGN);
         let driver = check(&spilled, 1, PartitionStrategy::Contiguous);
-        let layout = &driver.places[0].layout;
+        let layout = &driver.places[0];
         assert!(layout.cxl_edge_base.is_some() && layout.host_edge_bytes > 0);
     }
 

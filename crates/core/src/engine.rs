@@ -182,9 +182,10 @@ impl<'g> Engine<'g> {
         self.core.graph
     }
 
-    /// Where the graph's arrays live on the machine.
+    /// The graph as placed on the machine: where its arrays live, and
+    /// (in hybrid mode) the staging state that manages them.
     pub fn layout(&self) -> &GraphLayout {
-        &self.core.places[0].layout
+        &self.core.places[0]
     }
 
     /// The kernel-level access strategy every run uses.

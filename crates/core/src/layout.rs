@@ -33,8 +33,8 @@
 //! Under [`Transport::Hybrid`] the runtime's `TransferManager` watches the
 //! pinned edge list in fixed-size regions and before every launch asks
 //! `emogi_uvm::TransferPolicy::decide_tiered`, per touched region,
-//! whether to stay in place or bulk-stage the region into a bounded HBM
-//! pool (one rent/buy rule, one threshold per home tier — see
+//! whether to stay in place or bulk-stage the region into free device
+//! memory (one rent/buy rule, one threshold per home tier — see
 //! `emogi_uvm::transfer`). `TransferManager::with_tiers` takes this
 //! layout's host/CXL split as `host_bytes`: a region is host-homed when
 //! it starts below that offset and CXL-homed otherwise. Dense, recurring
@@ -51,7 +51,7 @@
 //! |---|---|
 //! | idle-CXL tick-identity: an attached-but-unused CXL tier gives full `RunStats` equality (clock included) with the two-tier engine; spilled configs keep outputs + iteration counts bit-identical across solo / batched / sharded | `tests/tiering_differential.rs` (CI reruns it seed-pinned) |
 //! | host and CXL homes run one rent/buy rule against two thresholds, for every history and density | `host_and_cxl_homes_share_one_rent_buy_rule` in `crates/uvm/src/transfer.rs` |
-//! | speculation never lowers the demand budget; a reservation that leaves `slice_used > pool` is repaired before the next speculation | `speculative_charge_never_steals_the_pool_from_demand_staging`, `reserve_consumes_speculative_headroom_without_double_counting`, `reserve_overhang_is_repaired_before_any_new_speculation` in `crates/runtime/src/transfer.rs` |
+//! | speculation never allocates, so it never lowers the demand budget (the allocator's free device bytes); an outside allocation that leaves `slice_used` above them is repaired before the next speculation | `speculative_charge_never_steals_the_pool_from_demand_staging`, `outside_allocation_consumes_speculative_headroom_without_double_counting`, `outside_allocation_overhang_is_repaired_before_any_new_speculation` in `crates/runtime/src/transfer.rs` |
 //! | a spill splits the edge list on a [`SPILL_ALIGN`] boundary; spilling without a CXL tier is rejected | `bounded_host_spills_edge_tail_to_cxl`, `spill_without_cxl_tier_is_rejected` below |
 //! | tier decisions are pure (no `Machine`, clock or monitor reads) | `cargo test --test sim_golden`: a live clock feeding `decide_tiered` fails both matrix tests (seed in its header) |
 //!
@@ -59,7 +59,12 @@
 
 use emogi_gpu::access::Space;
 use emogi_graph::CsrGraph;
-use emogi_runtime::{Machine, PrefetchConfig, RegionMap, TransferConfig, CXL_BASE, HOST_BASE};
+use emogi_runtime::alloc::device_charge;
+use emogi_runtime::report::RunStats;
+use emogi_runtime::{
+    Machine, PrefetchConfig, Prefetcher, TransferConfig, TransferManager, CXL_BASE, HOST_BASE,
+};
+use emogi_sim::pipeline::CopyEngineConfig;
 
 /// Granularity of the host/CXL split when the edge list spills past a
 /// bounded host DRAM: the host-resident prefix is aligned down to 64 KiB
@@ -94,8 +99,10 @@ pub enum Transport {
     },
 }
 
-/// Simulated addresses of every array a traversal kernel touches.
-#[derive(Debug, Clone)]
+/// A graph placed on one device: the simulated addresses of every array
+/// a traversal kernel touches, and the state that manages them across
+/// runs.
+#[derive(Debug)]
 pub struct GraphLayout {
     /// Edge list base (host-pinned or managed).
     pub edge_base: u64,
@@ -119,15 +126,27 @@ pub struct GraphLayout {
     /// Base of the CXL-resident tail of the edge list; present only when
     /// host capacity forced a spill into the external tier.
     pub cxl_edge_base: Option<u64>,
-    /// Hybrid mode only: regions of the edge list staged into device
-    /// memory by the transfer manager; refreshed before each launch.
-    pub staged_edges: Option<RegionMap>,
+    /// Present exactly under [`Transport::Hybrid`]: the per-region
+    /// zero-copy / DMA transfer manager, the one record of staged regions.
+    pub(crate) transfer: Option<TransferManager>,
+    /// Pipelined hybrid only: the speculative prefetcher feeding the
+    /// manager's asynchronous copy lane.
+    pub(crate) prefetcher: Option<Prefetcher>,
+    /// Device status arrays for batched multi-query execution, one per
+    /// query slot, allocated on first use and reused across batches.
+    pub(crate) batch_status: Vec<u64>,
 }
 
 impl GraphLayout {
     /// Allocate the arrays for `graph` on `machine` per the placement
     /// discipline above. A pinned-host edge list that exceeds a bounded
-    /// host DRAM spills its tail into the CXL tier.
+    /// host DRAM spills its tail into the CXL tier. Under
+    /// [`Transport::Hybrid`] the host/CXL split becomes the transfer
+    /// manager's tier homes, so a spilled tail is promoted over the CXL
+    /// link rather than the PCIe lane; the copy lane takes the machine's
+    /// PCIe overhead, bandwidth and framing, so its hidden-latency
+    /// estimates follow the synchronous DMA path without its propagation
+    /// term.
     pub fn place(
         machine: &mut Machine,
         graph: &CsrGraph,
@@ -165,6 +184,17 @@ impl GraphLayout {
         };
         let vertex_base = machine.alloc_device(graph.vertex_list_bytes());
         let status_base = machine.alloc_device(graph.num_vertices() as u64 * 4);
+        let (transfer, prefetcher) = match transport {
+            Transport::Hybrid { transfer, prefetch } => {
+                let tm = TransferManager::with_tiers(edge_bytes, host_edge_bytes, transfer.clone());
+                let copy = CopyEngineConfig::from_pcie(&machine.cfg.pcie);
+                let pf = prefetch
+                    .clone()
+                    .map(|c| Prefetcher::new(tm.num_regions(), c, copy));
+                (Some(tm), pf)
+            }
+            Transport::ZeroCopy | Transport::Uvm => (None, None),
+        };
         GraphLayout {
             edge_base,
             weight_base: None,
@@ -174,8 +204,92 @@ impl GraphLayout {
             edge_space,
             host_edge_bytes,
             cxl_edge_base,
-            staged_edges: None,
+            transfer,
+            prefetcher,
+            batch_status: Vec::new(),
         }
+    }
+
+    /// Place the auxiliary 4-byte-per-edge data array in the edge list's
+    /// space, if not already placed. The edge-space bump allocator is
+    /// independent of the device one, so the array lands at the same
+    /// address it would have at load time.
+    pub(crate) fn ensure_edge_data(&mut self, machine: &mut Machine, graph: &CsrGraph) {
+        if self.weight_base.is_some() {
+            return;
+        }
+        let bytes = graph.num_edges() as u64 * 4;
+        self.weight_base = Some(if self.edge_space == Space::Managed {
+            assert!(
+                machine.uvm.is_none(),
+                "place edge data before the first managed kernel runs \
+                 (the UVM driver's span is fixed at initialization)"
+            );
+            machine.alloc_managed(bytes)
+        } else {
+            machine.alloc_host_pinned(bytes)
+        });
+    }
+
+    /// Ensure up to `want` device status arrays of `num_vertices` entries
+    /// for batched execution, reused across batches (the simulated
+    /// allocator never frees). The transfer manager reads the same
+    /// allocator, so staging can never outrun the real device capacity.
+    /// Best-effort: allocation stops when device memory is exhausted
+    /// (e.g. staging already filled it) or when the UVM driver has pinned
+    /// the device layout; returns the number of usable slots, possibly
+    /// less than `want`.
+    pub(crate) fn ensure_batch_status(
+        &mut self,
+        machine: &mut Machine,
+        num_vertices: usize,
+        want: usize,
+    ) -> usize {
+        let bytes = num_vertices as u64 * 4;
+        while self.batch_status.len() < want {
+            if machine.uvm.is_some() || machine.spaces.device_free() < device_charge(bytes) {
+                break;
+            }
+            self.batch_status.push(machine.alloc_device(bytes));
+        }
+        self.batch_status.len().min(want)
+    }
+
+    /// Hybrid planning before a launch that will read the edge-list byte
+    /// `ranges`: let the transfer manager stage regions (advancing the
+    /// machine clock by the bulk-copy time), then feed the asynchronous
+    /// lane with the next iteration's predicted regions so their copies
+    /// overlap the kernel launched right after.
+    pub(crate) fn plan(
+        &mut self,
+        machine: &mut Machine,
+        ranges: impl IntoIterator<Item = (u64, u64)>,
+    ) {
+        let Some(tm) = self.transfer.as_mut() else {
+            return;
+        };
+        match self.prefetcher.as_mut() {
+            Some(p) => {
+                tm.plan_iteration_pipelined(machine, ranges, p);
+                tm.prefetch_for_next(machine.now, p);
+            }
+            None => {
+                tm.plan_iteration(machine, ranges);
+            }
+        }
+    }
+
+    /// The device's cumulative counters: the machine's own, plus the
+    /// transfer manager's and prefetcher's, which live outside it.
+    pub(crate) fn counters(&self, machine: &Machine) -> RunStats {
+        let mut c = machine.counters();
+        if let Some(tm) = &self.transfer {
+            c.transfer = tm.stats;
+        }
+        if let Some(p) = &self.prefetcher {
+            c.prefetch = p.stats;
+        }
+        c
     }
 
     /// Elements per 128-byte cache line (16 for 8-byte, 32 for 4-byte).
@@ -184,16 +298,14 @@ impl GraphLayout {
         128 / self.elem_bytes
     }
 
-    /// Address of edge-list element `i`. In hybrid mode a staged region
-    /// redirects into device memory; offsets past the host-resident
-    /// prefix resolve into the CXL spill tail.
+    /// Address of edge-list element `i`. In hybrid mode a region the
+    /// transfer manager staged redirects into device memory; offsets past
+    /// the host-resident prefix resolve into the CXL spill tail.
     #[inline]
     pub fn edge_addr(&self, i: u64) -> u64 {
         let off = i * self.elem_bytes;
-        if let Some(map) = &self.staged_edges {
-            if let Some(dev) = map.translate(off) {
-                return dev;
-            }
+        if let Some(dev) = self.transfer.as_ref().and_then(|tm| tm.translate(off)) {
+            return dev;
         }
         match self.cxl_edge_base {
             Some(cxl) if off >= self.host_edge_bytes => cxl + (off - self.host_edge_bytes),

@@ -171,7 +171,9 @@ mod tests {
             edge_space: Space::HostPinned,
             host_edge_bytes: u64::MAX,
             cxl_edge_base: None,
-            staged_edges: None,
+            transfer: None,
+            prefetcher: None,
+            batch_status: Vec::new(),
         }
     }
 

@@ -45,7 +45,7 @@ impl AddressSpaces {
     /// the experiments size their explicit allocations to fit.
     pub fn alloc_device(&mut self, bytes: u64) -> u64 {
         let addr = self.device_cursor;
-        self.device_cursor += align128(bytes);
+        self.device_cursor += device_charge(bytes);
         assert!(
             self.device_used() <= self.device_capacity,
             "device allocation of {bytes} B exceeds capacity {} B",
@@ -103,7 +103,10 @@ impl AddressSpaces {
     }
 }
 
-fn align128(bytes: u64) -> u64 {
+/// Device bytes an allocation of `bytes` consumes: whole 128-byte lines.
+/// Every budget checked against [`AddressSpaces::device_free`] charges
+/// this, so it never outruns what the allocator will take.
+pub fn device_charge(bytes: u64) -> u64 {
     bytes.div_ceil(128) * 128
 }
 

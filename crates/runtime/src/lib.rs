@@ -41,4 +41,4 @@ pub use group::{DeviceGroup, DeviceGroupConfig};
 pub use machine::{Machine, MachineConfig};
 pub use prefetch::{PrefetchConfig, PrefetchStats, Prefetcher};
 pub use report::{KernelReport, RunStats};
-pub use transfer::{RegionMap, TransferConfig, TransferManager, TransferStats};
+pub use transfer::{TransferConfig, TransferManager, TransferStats};

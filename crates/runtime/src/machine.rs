@@ -295,6 +295,42 @@ impl Machine {
         }
     }
 
+    /// Panic unless the conservation laws that hold by construction do:
+    /// every zero-copy request has one of the four sizes the coalescer
+    /// emits, the size histogram counts each request once, and no link
+    /// carries fewer wire bytes than payload. A failure names the law and
+    /// both numbers.
+    pub fn check_invariants(&self) {
+        fn law(name: &str, lhs: u64, rhs: u64, holds: fn(&u64, &u64) -> bool) {
+            assert!(
+                holds(&lhs, &rhs),
+                "machine invariant `{name}` broken: {lhs} vs {rhs}"
+            );
+        }
+        let mon = &self.monitor;
+        law("monitor.sizes.other == 0", mon.sizes.other, 0, u64::eq);
+        law(
+            "monitor.sizes.total() == monitor.read_requests",
+            mon.sizes.total(),
+            mon.read_requests,
+            u64::eq,
+        );
+        law(
+            "monitor.wire_bytes >= zero_copy_bytes + dma_bytes",
+            mon.wire_bytes,
+            mon.zero_copy_bytes + mon.dma_bytes,
+            u64::ge,
+        );
+        if let Some(cxl) = &self.cxl {
+            law(
+                "cxl.wire_bytes >= cxl.total_bytes()",
+                cxl.wire_bytes,
+                cxl.total_bytes(),
+                u64::ge,
+            );
+        }
+    }
+
     /// The one bracket for a run that bypasses the engine's driver (§3.2:
     /// read the monitor before and after): whatever `run` does to the
     /// machine, with the counters it moved. Brackets nest and adjoin —
@@ -367,6 +403,16 @@ mod tests {
         assert_eq!(stats.host_bytes, 0, "CXL traffic must not count as PCIe");
         assert_eq!(m.monitor.dma_bytes, 0);
         assert!(m.now > MEMCPY_LAUNCH_OVERHEAD_NS);
+    }
+
+    #[test]
+    #[should_panic(expected = "`monitor.sizes.total() == monitor.read_requests` broken: 0 vs 1")]
+    fn check_invariants_names_the_broken_law_and_both_numbers() {
+        let mut m = Machine::new(MachineConfig::v100_gen3());
+        m.memcpy_to_device(1 << 20);
+        m.check_invariants();
+        m.monitor.read_requests += 1;
+        m.check_invariants();
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! [`TransferManager::prefetch_for_next`](crate::transfer::TransferManager::prefetch_for_next)
 //! issues the
 //! top-ranked ones onto an asynchronous [`CopyEngine`] lane, charged
-//! against a bounded slice of the device pool. When a later round decides
+//! against a bounded slice of free device memory. When a later round decides
 //! to stage a prefetched region, the planner *adopts* the speculative
 //! copy instead of issuing a demand copy: the bytes are retro-accounted
 //! so every traffic counter matches the synchronous run, and the clock
@@ -30,13 +30,14 @@
 //!
 //! A pipelined round is *decide → evict-to-fit → prefetch*. Inside
 //! `plan_iteration_pipelined` the transfer manager **decides** — the
-//! unchanged ski-rental policy against its one `pool`, adopting an
-//! in-flight copy where it stages a prefetched region — and then
-//! **evicts to fit**: `Prefetcher::evict_to_fit` walks the surviving
-//! speculative stages in issue order, keeps what the leftover pool still
-//! covers and evicts the rest (as `wasted_bytes`). After the round,
+//! unchanged ski-rental policy against the allocator's free device bytes,
+//! adopting an in-flight copy where it stages a prefetched region — and
+//! then **evicts to fit**: `Prefetcher::evict_to_fit` walks the surviving
+//! speculative stages in issue order, keeps what the free device memory
+//! still covers and evicts the rest (as `wasted_bytes`). After the round,
 //! `prefetch_for_next` **prefetches**: it ranks candidates for the *next*
-//! round and issues them while `pool − slice_used` has room. A region
+//! round and issues them while the free bytes that evict-to-fit read,
+//! minus `slice_used`, have room. A region
 //! qualifies when `cumulative_density + min(1, touch_density × growth)`
 //! reaches `MARGIN × stage_threshold` (growth: a clamped frontier-growth
 //! ratio).
@@ -44,12 +45,13 @@
 //! Determinism: prediction inputs are exactly the planner's own
 //! iteration-start state (last touch set, policy densities, staging
 //! table), the ranking is totally ordered (score then region index), and
-//! speculative charges are never debited from the manager's pool — the
-//! charge is stored once, as [`Prefetcher::slice_used`], so the decision
-//! loop reads exactly the budget a synchronous manager holds. Staging
-//! *decisions* therefore depend only on iteration-start state (only
-//! demand stagings and reservations ever move the pool; adoption
-//! allocates at exactly the point the synchronous path would). Traffic
+//! speculative charges are never allocated — the charge is stored once,
+//! as [`Prefetcher::slice_used`], so the decision loop reads exactly the
+//! free device memory a synchronous run has. Staging *decisions*
+//! therefore depend only on iteration-start state (only real allocations
+//! — demand stagings and the engine's batch status arrays — ever move
+//! it; adoption allocates at exactly the point the synchronous path
+//! would). Traffic
 //! *counters* match because adopted copies are retro-accounted with the
 //! same alignment and per-TLP header arithmetic as the demand path (one
 //! function, `emogi_sim::time::framed_wire_bytes`, frames every bulk
@@ -77,10 +79,10 @@ use crate::transfer::UNMAPPED;
 /// How to build a [`Prefetcher`].
 #[derive(Debug, Clone)]
 pub struct PrefetchConfig {
-    /// Bound on speculative device-pool usage (rounded allocation
-    /// charges), carved out of the transfer manager's pool slack. The
-    /// slice never blocks a demand staging: demand decisions see the
-    /// whole pool, and speculation keeps only what they leave over.
+    /// Bound on speculative device-memory usage (rounded allocation
+    /// charges), carved out of free device memory. The slice never
+    /// blocks a demand staging: demand decisions see all free device
+    /// memory, and speculation keeps only what they leave over.
     pub slice_bytes: u64,
 }
 
@@ -132,7 +134,7 @@ emogi_sim::ledger! {
 struct Slot {
     /// Actual bytes of the region (the last region may be partial).
     len: u64,
-    /// Rounded allocation charge held against the device pool.
+    /// Rounded allocation charge held against free device memory.
     charge: u64,
     /// When the copy lands on the async lane's timeline.
     done_at: Time,
@@ -144,7 +146,7 @@ struct Slot {
 /// goes through the manager's `plan_iteration_pipelined` /
 /// `prefetch_for_next` hooks. [`slice_used`](Self::slice_used) is the
 /// only record of the speculative charge; the manager reads it against
-/// its pool.
+/// the free device memory.
 #[derive(Debug)]
 pub struct Prefetcher {
     cfg: PrefetchConfig,
@@ -224,7 +226,7 @@ impl Prefetcher {
     /// ratio); regions already staged or already speculative are skipped,
     /// and only scores within `MARGIN` of the policy's staging threshold
     /// qualify. Ties break on region index, so the ranking — and with it
-    /// every downstream pool charge — is totally ordered.
+    /// every downstream speculative charge — is totally ordered.
     pub fn rank_candidates(
         &self,
         policy: &TransferPolicy,
@@ -265,8 +267,8 @@ impl Prefetcher {
     }
 
     /// Issue a speculative stage of `region` (`len` payload bytes,
-    /// `charge` rounded pool bytes) onto the copy lane at time `at`.
-    /// The caller has checked that `charge` fits the pool's slack.
+    /// `charge` rounded device bytes) onto the copy lane at time `at`.
+    /// The caller has checked that `charge` fits in free device memory.
     pub(crate) fn issue(&mut self, region: u32, len: u64, charge: u64, at: Time) {
         debug_assert!(self.slots[region as usize].is_none(), "region {region}");
         let ticket = self.lane.submit(at, len);
@@ -307,13 +309,13 @@ impl Prefetcher {
         false
     }
 
-    /// Fit the live speculative stages into `pool` — what the demand
-    /// decisions and permanent reservations have left: walk them in
+    /// Fit the live speculative stages into `free` device bytes — what
+    /// demand stagings and outside allocations have left: walk them in
     /// issue order, keep each one that still fits beside the ones kept
     /// before it, evict the rest as wasted. Afterwards
-    /// `slice_used() <= pool`.
-    pub(crate) fn evict_to_fit(&mut self, pool: u64) {
-        let mut left = pool;
+    /// `slice_used() <= free`.
+    pub(crate) fn evict_to_fit(&mut self, free: u64) {
+        let mut left = free;
         self.order.retain(|&region| {
             let Some(slot) = self.slots[region as usize] else {
                 return false; // adopted earlier this round

@@ -7,19 +7,21 @@
 //! precisely): the [`emogi_uvm::TransferPolicy`] picks, per touched
 //! region, between staying in place and staging the region into device
 //! memory with one bulk DMA copy through the machine's
-//! [`emogi_sim::DmaEngine`]. Staged regions are recorded in a
-//! [`RegionMap`] that the kernel-side address computation consults, so
-//! their reads are priced as cache-fronted HBM instead of PCIe.
+//! [`emogi_sim::DmaEngine`]. The manager's staging table is the one
+//! record of staged regions: the kernel-side address computation asks
+//! [`translate`](TransferManager::translate), so their reads are priced as
+//! cache-fronted HBM instead of PCIe.
 //!
-//! Device memory for staged regions comes from a bounded pool carved out
-//! of the machine's free device capacity ([`crate::alloc`]); when the
-//! pool runs dry the manager falls back to zero-copy for the remaining
-//! regions (and keeps feeding the policy, so accounting stays truthful).
-//! Nothing is ever un-staged: BFS re-touches a region with a period
-//! longer than any staleness bound that would demote anything, so a
-//! demotion only re-pays its copy (measured; ROADMAP item 4(b)), and a
-//! bounded pool plus fallback keeps the model honest without an eviction
-//! clock.
+//! The staging budget is the machine's free device memory, read from the
+//! allocator ([`crate::alloc`]) at every stage-or-fall-back test, so an
+//! allocation made outside the manager shrinks it with no bookkeeping
+//! here. When it runs dry the manager falls back to zero-copy for the
+//! remaining regions (and keeps feeding the policy, so accounting stays
+//! truthful). Nothing is ever un-staged: BFS re-touches a region with a
+//! period longer than any staleness bound that would demote anything, so
+//! a demotion only re-pays its copy (measured; ROADMAP item 4(b)), and
+//! bounded device memory plus fallback keeps the model honest without an
+//! eviction clock.
 //!
 //! The **pipelined path**
 //! ([`plan_iteration_pipelined`](TransferManager::plan_iteration_pipelined),
@@ -29,20 +31,21 @@
 //! asynchronous copy lane, and a later round that decides to stage such a
 //! region *adopts* the in-flight copy instead of paying a demand copy on
 //! the critical path. A pipelined round is *decide (adopting) →
-//! evict-to-fit → prefetch*: decisions charge the pool exactly as the
-//! synchronous path does, because speculation never lowers it — the
+//! evict-to-fit → prefetch*: decisions allocate exactly as the
+//! synchronous path does, because speculation never allocates — the
 //! speculative charge lives only in the prefetcher
-//! ([`Prefetcher::slice_used`]) and is kept within whatever the
-//! decisions leave over. Decisions, allocation order and traffic
+//! ([`Prefetcher::slice_used`]) and is kept within the free device memory
+//! the decisions leave. Decisions, allocation order and traffic
 //! counters stay bit-identical to the synchronous path; only the clock
 //! (and the new prefetch counters) differ.
 
+use crate::alloc::device_charge;
 use crate::machine::Machine;
 use crate::prefetch::Prefetcher;
 use emogi_sim::time::Time;
 use emogi_uvm::{MemoryTier, TransferPolicy, TransferPolicyConfig};
 
-/// Sentinel in a [`RegionMap`] table: region not staged.
+/// Sentinel in the staging table: region not staged.
 pub const UNMAPPED: u64 = u64::MAX;
 
 /// How to build a [`TransferManager`].
@@ -64,29 +67,6 @@ impl Default for TransferConfig {
     }
 }
 
-/// Staged-region address translation table, cheap to clone into whoever
-/// computes kernel addresses.
-#[derive(Debug, Clone)]
-pub struct RegionMap {
-    shift: u32,
-    /// Region index -> device base address, or [`UNMAPPED`].
-    table: Vec<u64>,
-}
-
-impl RegionMap {
-    /// Translate a byte offset within the watched array: `Some(device
-    /// address)` when the offset's region is staged.
-    #[inline]
-    pub fn translate(&self, offset: u64) -> Option<u64> {
-        let dev = self.table[(offset >> self.shift) as usize];
-        if dev == UNMAPPED {
-            None
-        } else {
-            Some(dev + (offset & ((1u64 << self.shift) - 1)))
-        }
-    }
-}
-
 emogi_sim::ledger! {
     /// Counters for reporting and tests.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -96,7 +76,7 @@ emogi_sim::ledger! {
         /// Bytes bulk-copied for staging.
         pub staged_bytes: u64,
         /// Stage decisions that fell back to zero-copy because the device
-        /// pool was exhausted.
+        /// memory was full.
         pub pool_fallbacks: u64,
         /// Planning rounds that staged at least one region.
         pub staging_rounds: u64,
@@ -129,10 +109,10 @@ pub struct TransferManager {
     /// The previous round's `(region, upcoming bytes)` pairs, sorted by
     /// region — the prefetcher's prediction input.
     last_touched: Vec<(u32, u64)>,
-    /// Device-pool bytes not yet consumed by demand stagings or permanent
-    /// reservations. Speculative stages are not debited here: their
-    /// charge is [`Prefetcher::slice_used`], kept `<= pool`.
-    pool: u64,
+    /// The free device bytes the last pipelined round fit its speculation
+    /// into, written once per round: the reading
+    /// [`prefetch_for_next`](Self::prefetch_for_next) speculates against.
+    round_free: u64,
     /// Bytes of the watched array homed in pinned host DRAM; offsets past
     /// this are homed in the CXL tier. Equal to `len_bytes` on a two-tier
     /// machine.
@@ -143,24 +123,19 @@ pub struct TransferManager {
 }
 
 impl TransferManager {
-    /// Watch `len_bytes` of pinned host memory on `machine`. The pool
-    /// budget is the device memory still free at this point.
-    pub fn new(machine: &Machine, len_bytes: u64, cfg: TransferConfig) -> Self {
-        Self::with_tiers(machine, len_bytes, len_bytes, cfg)
+    /// Watch `len_bytes` of pinned host memory. The machine is not read
+    /// here (each round reads its free device memory); the parameter
+    /// keeps the signature the benchmark package calls.
+    pub fn new(_machine: &Machine, len_bytes: u64, cfg: TransferConfig) -> Self {
+        Self::with_tiers(len_bytes, len_bytes, cfg)
     }
 
     /// Watch `len_bytes` of which the first `host_bytes` are homed in
     /// pinned host DRAM and the rest in the CXL external tier (the
     /// spilled layout of a bigger-than-host-DRAM graph). `host_bytes`
     /// must land on a region boundary (or cover the whole array) so every
-    /// region has exactly one home tier. The pool budget is the device
-    /// memory still free at this point.
-    pub fn with_tiers(
-        machine: &Machine,
-        len_bytes: u64,
-        host_bytes: u64,
-        cfg: TransferConfig,
-    ) -> Self {
+    /// region has exactly one home tier.
+    pub fn with_tiers(len_bytes: u64, host_bytes: u64, cfg: TransferConfig) -> Self {
         assert!(
             cfg.region_bytes.is_power_of_two() && cfg.region_bytes >= 128,
             "region_bytes must be a power of two >= 128, got {}",
@@ -183,7 +158,7 @@ impl TransferManager {
             upcoming: vec![0; regions],
             touched: Vec::new(),
             last_touched: Vec::new(),
-            pool: machine.spaces.device_free(),
+            round_free: 0,
             host_bytes,
             stats: TransferStats::default(),
         }
@@ -205,29 +180,21 @@ impl TransferManager {
         self.table.len()
     }
 
-    /// The demand budget: device-pool bytes not yet consumed by demand
-    /// stagings or permanent reservations — what a synchronous manager
-    /// would hold. Live speculative stages occupy up to this much of it
-    /// ([`Prefetcher::slice_used`]) until adopted or evicted.
-    pub fn pool_left(&self) -> u64 {
-        self.pool
-    }
-
-    /// Inform the manager that `bytes` of device memory were allocated
-    /// outside it after construction (e.g. the engine's batch-query
-    /// status arrays): the staging pool shrinks accordingly, so the
-    /// combined usage never exceeds the device capacity. Saturates at
-    /// zero — staging then simply falls back to zero-copy.
-    ///
-    /// Live speculative stages the shrunken pool no longer covers are
-    /// evicted at the next planning round, before any new speculation.
-    pub fn reserve(&mut self, bytes: u64) {
-        self.pool = self.pool.saturating_sub(bytes.div_ceil(128) * 128);
-    }
-
     /// Whether `region` has been staged into device memory.
     pub fn is_staged(&self, region: usize) -> bool {
         self.table[region] != UNMAPPED
+    }
+
+    /// Translate a byte offset within the watched array: `Some(device
+    /// address)` when the offset's region is staged.
+    #[inline]
+    pub fn translate(&self, offset: u64) -> Option<u64> {
+        let dev = self.table[(offset >> self.shift) as usize];
+        if dev == UNMAPPED {
+            None
+        } else {
+            Some(dev + (offset & (self.region_bytes - 1)))
+        }
     }
 
     /// Actual bytes of region `r` (the last region may be partial).
@@ -259,12 +226,11 @@ impl TransferManager {
 
     /// Note `ranges`, then decide and execute this iteration's stagings:
     /// consult the policy for every touched, not-yet-staged region,
-    /// allocate device memory for the winners while the pool lasts, and
+    /// allocate device memory for the winners while it lasts, and
     /// issue one batched bulk copy for all of them (the copies queue
     /// back-to-back on the DMA engine, so the launch overhead is paid
     /// once per round). Clears the upcoming-iteration scratch. Returns
-    /// whether any region was staged this round (i.e. whether the
-    /// translation table changed).
+    /// whether any region was staged this round.
     ///
     /// With a [`Prefetcher`] in the loop, staging decisions, allocation
     /// order and traffic counters are identical, but a staged region
@@ -304,22 +270,17 @@ impl TransferManager {
                 continue; // already on device; reads go to HBM
             }
             let len = self.region_len(r);
-            // The allocator rounds to 128-byte lines; budget the rounded
-            // size so the pool never outruns real capacity (a partial
-            // last region is smaller than its allocation).
-            let need = len.div_ceil(128) * 128;
             let density = bytes as f64 / len as f64;
             let home = self.home(r);
             let stage = self.policy.decide_tiered(r, density.min(1.0), home);
-            if !stage || self.pool < need {
-                // Stays in place, by decision or because the pool is dry.
+            if !stage || machine.spaces.device_free() < device_charge(len) {
+                // Stays in place, by decision or because device memory is full.
                 if stage {
                     self.stats.pool_fallbacks += 1;
                 }
                 self.policy.note_zero_copy(r, density);
                 continue;
             }
-            self.pool -= need;
             self.table[r] = machine.alloc_device(len);
             self.stats.staged_regions += 1;
             self.stats.staged_bytes += len;
@@ -370,14 +331,17 @@ impl TransferManager {
                 p.stats.hidden_ns += hidden_estimate.saturating_sub(wait);
             }
             // Speculative stages keep what the demand decisions (and any
-            // reservation since last round) left over; the rest are evicted.
-            p.evict_to_fit(self.pool);
+            // outside allocation since last round) left free; the rest are
+            // evicted.
+            let free = machine.spaces.device_free();
+            p.evict_to_fit(free);
             assert!(
-                p.slice_used() <= self.pool,
-                "speculative slice {} B outgrew the device pool {} B",
+                p.slice_used() <= free,
+                "speculative slice {} B outgrew the free device memory {} B",
                 p.slice_used(),
-                self.pool
+                free
             );
+            self.round_free = free;
         }
         staged_count > 0
     }
@@ -385,7 +349,8 @@ impl TransferManager {
     /// Feed the asynchronous copy lane for the next iteration: rank
     /// not-yet-staged regions by predicted reuse (a pure function of this
     /// round's planner state) and issue speculative stages into the
-    /// prefetcher's bounded pool slice. Call right after
+    /// prefetcher's bounded slice, within the free device memory the
+    /// round's evict-to-fit read. Call right after
     /// [`plan_iteration_pipelined`](Self::plan_iteration_pipelined), at
     /// iteration start, so the copies overlap the kernel that follows.
     pub fn prefetch_for_next(&mut self, at: Time, pf: &mut Prefetcher) {
@@ -403,7 +368,7 @@ impl TransferManager {
         wanted.retain(|&r| self.home(r as usize) == MemoryTier::Host);
         for r in wanted {
             let len = self.region_len(r as usize);
-            let charge = len.div_ceil(128) * 128;
+            let charge = device_charge(len);
             // Make room in the bounded slice: evict the oldest
             // speculative stages (stale predictions).
             while pf.slice_used() + charge > pf.slice_bytes() {
@@ -414,8 +379,8 @@ impl TransferManager {
             if pf.slice_used() + charge > pf.slice_bytes() {
                 break; // a region larger than the whole slice
             }
-            if self.pool.saturating_sub(pf.slice_used()) < charge {
-                break; // speculate only into real pool slack
+            if self.round_free.saturating_sub(pf.slice_used()) < charge {
+                break; // speculate only into free device memory
             }
             pf.issue(r, len, charge, at);
         }
@@ -424,8 +389,7 @@ impl TransferManager {
     /// The planning hook for a kernel launch: note every byte range the
     /// launch will read (frontier-driven callers pass one range per
     /// active neighbour list, full-sweep callers the whole array) and run
-    /// the staging decision. Returns whether the translation table
-    /// changed, i.e. whether callers must refresh their [`RegionMap`].
+    /// the staging decision. Returns whether any region was staged.
     pub fn plan_iteration(
         &mut self,
         machine: &mut Machine,
@@ -447,14 +411,6 @@ impl TransferManager {
     ) -> bool {
         self.plan(machine, ranges, Some(prefetcher))
     }
-
-    /// Snapshot of the translation table for the kernel address path.
-    pub fn region_map(&self) -> RegionMap {
-        RegionMap {
-            shift: self.shift,
-            table: self.table.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -467,7 +423,7 @@ mod tests {
         Machine::new(MachineConfig::v100_gen3())
     }
 
-    /// A V100 whose free device memory — the staging pool of the next
+    /// A V100 whose free device memory — the staging budget of every
     /// manager — is exactly `pool` bytes (a multiple of 128: device
     /// allocations round up to whole lines).
     fn machine_with_pool(pool: u64) -> Machine {
@@ -512,10 +468,9 @@ mod tests {
         );
         assert!(m.now > before, "bulk copy advances the clock");
         // Translation: offsets in region 0 map into device space.
-        let map = tm.region_map();
-        let dev = map.translate(4096).expect("staged");
+        let dev = tm.translate(4096).expect("staged");
         assert!(dev < crate::alloc::HOST_BASE);
-        assert_eq!(map.translate(64 << 10), None, "region 1 stays zero-copy");
+        assert_eq!(tm.translate(64 << 10), None, "region 1 stays zero-copy");
     }
 
     #[test]
@@ -544,7 +499,7 @@ mod tests {
         tm.plan_iteration(&mut m, [(0, 256 << 10)]); // all four regions fully dense
         assert_eq!(tm.stats.staged_regions, 1);
         assert_eq!(tm.stats.pool_fallbacks, 3);
-        assert_eq!(tm.pool_left(), 0);
+        assert_eq!(m.spaces.device_free(), 0);
         assert!(tm.is_staged(0) && !tm.is_staged(1));
         // The fallen-back regions keep accruing zero-copy history.
         tm.plan_iteration(&mut m, [(64 << 10, 128 << 10)]);
@@ -562,20 +517,13 @@ mod tests {
         assert!(!tm.plan_iteration(&mut m, [(0, 8_000)]));
         assert!(!tm.is_staged(0));
         assert_eq!(tm.stats.pool_fallbacks, 1);
-        assert_eq!(tm.pool_left(), 7_936);
+        assert_eq!(m.spaces.device_free(), 7_936);
         // With the rounded size available the region stages fine.
         let mut m = machine_with_pool(8_064);
         let mut tm = TransferManager::new(&m, 8_000, cfg(64 << 10));
         assert!(tm.plan_iteration(&mut m, [(0, 8_000)]));
         assert!(tm.is_staged(0));
-        assert_eq!(tm.pool_left(), 0);
-    }
-
-    #[test]
-    fn pool_is_the_free_device_memory() {
-        let m = machine_with_pool(64 << 10);
-        let tm = TransferManager::new(&m, 1 << 20, cfg(64 << 10));
-        assert_eq!(tm.pool_left(), 64 << 10);
+        assert_eq!(m.spaces.device_free(), 0);
     }
 
     #[test]
@@ -620,7 +568,7 @@ mod tests {
         let mut m = Machine::new(
             MachineConfig::v100_gen3().with_cxl(emogi_sim::cxl::CxlConfig::external_x8()),
         );
-        let mut tm = TransferManager::with_tiers(&m, 128 << 10, 64 << 10, cfg(64 << 10));
+        let mut tm = TransferManager::with_tiers(128 << 10, 64 << 10, cfg(64 << 10));
         let c0 = tm.stats;
         tm.plan_iteration(&mut m, [(0u64, 64 << 10)]);
         let c1 = tm.stats;
@@ -655,7 +603,7 @@ mod tests {
     #[test]
     fn homes_split_at_the_host_byte_boundary() {
         let m = machine();
-        let tm = TransferManager::with_tiers(&m, 256 << 10, 128 << 10, cfg(64 << 10));
+        let tm = TransferManager::with_tiers(256 << 10, 128 << 10, cfg(64 << 10));
         assert_eq!(tm.home(0), MemoryTier::Host);
         assert_eq!(tm.home(1), MemoryTier::Host);
         assert_eq!(tm.home(2), MemoryTier::Cxl);
@@ -668,8 +616,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "region boundary")]
     fn misaligned_host_split_is_rejected() {
-        let m = machine();
-        let _ = TransferManager::with_tiers(&m, 256 << 10, 100 << 10, cfg(64 << 10));
+        let _ = TransferManager::with_tiers(256 << 10, 100 << 10, cfg(64 << 10));
     }
 
     /// A CXL-homed region promotes over the CXL link — at the *lower*
@@ -677,7 +624,7 @@ mod tests {
     #[test]
     fn cxl_homed_region_promotes_over_the_cxl_link() {
         let mut m = cxl_machine();
-        let mut tm = TransferManager::with_tiers(&m, 128 << 10, 64 << 10, cfg(64 << 10));
+        let mut tm = TransferManager::with_tiers(128 << 10, 64 << 10, cfg(64 << 10));
         // 0.41-dense rounds on the CXL-homed region 1: threshold 0.75 is
         // crossed on the second round (0.41 + 0.41), where the host-homed
         // region 0 with identical traffic still rents (threshold 1.5).
@@ -698,7 +645,7 @@ mod tests {
     #[test]
     fn prefetcher_skips_cxl_homed_regions() {
         let mut m = cxl_machine();
-        let mut tm = TransferManager::with_tiers(&m, 128 << 10, 64 << 10, cfg(64 << 10));
+        let mut tm = TransferManager::with_tiers(128 << 10, 64 << 10, cfg(64 << 10));
         let mut pf = prefetcher(&m, &tm);
         // Recurring sub-threshold traffic on both homes: region 1 (CXL)
         // promotes on demand at its lower threshold and must never appear
@@ -756,9 +703,9 @@ mod tests {
         assert_eq!(mp.monitor.wire_bytes, ms.monitor.wire_bytes);
         assert_eq!(mp.host_dram.bytes_read, ms.host_dram.bytes_read);
         assert_eq!(mp.hbm.bytes_written, ms.hbm.bytes_written);
-        // The pool equals the synchronous one, and the adoption released
-        // the speculative charge.
-        assert_eq!(tmp.pool_left(), tms.pool_left());
+        // Device memory is allocated as in the synchronous run, and the
+        // adoption released the speculative charge.
+        assert_eq!(mp.spaces.device_free(), ms.spaces.device_free());
         assert_eq!(pf.slice_used(), 0);
     }
 
@@ -778,7 +725,7 @@ mod tests {
         }
         assert!(pf.is_speculative(1), "region 1 speculated");
         assert_eq!(
-            tm.pool_left(),
+            m.spaces.device_free(),
             64 << 10,
             "speculation leaves the demand budget alone"
         );
@@ -793,14 +740,15 @@ mod tests {
         assert!(tm.is_staged(0));
         assert!(!pf.is_speculative(1), "speculation evicted to fit");
         assert_eq!(pf.stats.wasted_bytes, 64 << 10);
-        assert_eq!((tm.pool_left(), pf.slice_used()), (0, 0));
+        assert_eq!((m.spaces.device_free(), pf.slice_used()), (0, 0));
     }
 
-    /// A permanent reservation consumes the headroom a speculation was
-    /// holding, and the evicted speculation's charge must not resurrect
-    /// pool budget at the next round.
+    /// An allocation outside the manager (as the engine's batch status
+    /// arrays make) consumes the headroom a speculation was holding, and
+    /// the evicted speculation's charge must not resurrect budget at the
+    /// next round.
     #[test]
-    fn reserve_consumes_speculative_headroom_without_double_counting() {
+    fn outside_allocation_consumes_speculative_headroom_without_double_counting() {
         let mut m = machine_with_pool(64 << 10);
         let mut tm = TransferManager::new(&m, 128 << 10, cfg(64 << 10));
         let mut pf = prefetcher(&m, &tm);
@@ -809,27 +757,31 @@ mod tests {
             tm.prefetch_for_next(m.now, &mut pf);
         }
         assert!(pf.is_speculative(1));
-        assert_eq!((tm.pool_left(), pf.slice_used()), (64 << 10, 64 << 10));
-        // Reserve the whole pool: the headroom the speculation holds is
-        // the only headroom left, so it is consumed.
-        tm.reserve(64 << 10);
-        assert_eq!(tm.pool_left(), 0);
+        assert_eq!(
+            (m.spaces.device_free(), pf.slice_used()),
+            (64 << 10, 64 << 10)
+        );
+        // Allocate all free device memory: the headroom the speculation
+        // holds is the only headroom left, so it is consumed.
+        m.alloc_device(64 << 10);
+        assert_eq!(m.spaces.device_free(), 0);
         // The next round evicts the speculation (its budget is gone) and
-        // — the regression this guards — no pool bytes reappear from the
+        // — the regression this guards — no budget reappears from the
         // stale charge.
         tm.plan_iteration_pipelined(&mut m, [(0, 64 << 10)], &mut pf);
-        assert!(!tm.is_staged(0), "pool is fully reserved");
+        assert!(!tm.is_staged(0), "device memory is fully allocated");
         assert!(!pf.is_speculative(1), "orphaned speculation evicted");
-        assert_eq!(tm.pool_left(), 0, "no budget resurrected");
+        assert_eq!(m.spaces.device_free(), 0, "no budget resurrected");
         assert_eq!(pf.slice_used(), 0);
         assert_eq!(pf.stats.wasted_bytes, 64 << 10);
     }
 
-    /// A `reserve` between rounds can leave `slice_used > pool`; the next
-    /// round's evict-to-fit repairs it — oldest speculation kept, newest
-    /// evicted — before `prefetch_for_next` may speculate again.
+    /// An outside allocation between rounds can leave `slice_used` above
+    /// the free device memory; the next round's evict-to-fit repairs it —
+    /// oldest speculation kept, newest evicted — before
+    /// `prefetch_for_next` may speculate again.
     #[test]
-    fn reserve_overhang_is_repaired_before_any_new_speculation() {
+    fn outside_allocation_overhang_is_repaired_before_any_new_speculation() {
         let mut m = machine_with_pool(128 << 10);
         let mut tm = TransferManager::new(&m, 256 << 10, cfg(64 << 10));
         let mut pf = prefetcher(&m, &tm);
@@ -841,9 +793,12 @@ mod tests {
             tm.prefetch_for_next(m.now, &mut pf);
         }
         assert!(pf.is_speculative(1) && pf.is_speculative(2) && !pf.is_speculative(3));
-        assert_eq!((tm.pool_left(), pf.slice_used()), (128 << 10, 128 << 10));
-        tm.reserve(64 << 10);
-        assert!(pf.slice_used() > tm.pool_left(), "the overhang");
+        assert_eq!(
+            (m.spaces.device_free(), pf.slice_used()),
+            (128 << 10, 128 << 10)
+        );
+        m.alloc_device(64 << 10);
+        assert!(pf.slice_used() > m.spaces.device_free(), "the overhang");
         // Speculation into the overhang is refused, not underflowed ...
         let issued = pf.stats.prefetched_regions;
         tm.prefetch_for_next(m.now, &mut pf);
@@ -851,7 +806,10 @@ mod tests {
         // ... and the next round evicts in issue order until it fits.
         tm.plan_iteration_pipelined(&mut m, std::iter::empty(), &mut pf);
         assert!(pf.is_speculative(1) && !pf.is_speculative(2));
-        assert_eq!((tm.pool_left(), pf.slice_used()), (64 << 10, 64 << 10));
+        assert_eq!(
+            (m.spaces.device_free(), pf.slice_used()),
+            (64 << 10, 64 << 10)
+        );
         assert_eq!(pf.stats.wasted_bytes, 64 << 10);
         tm.prefetch_for_next(m.now, &mut pf);
         assert_eq!(

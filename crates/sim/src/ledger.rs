@@ -22,7 +22,7 @@
 //! since construction, `elapsed_ns` the clock itself, `kernel_launches`
 //! bumped by `run_kernel` — and a run's stats are born in exactly two
 //! places: the driver's running per-device reading, diffed once per
-//! iteration (N devices, whose `Placement::counters` adds the transfer
+//! iteration (N devices, whose `GraphLayout::counters` adds the transfer
 //! manager's and prefetcher's lifetime counters, which live outside the
 //! machine), and `Machine::measure(|m| ..)`, the bracket every run loop
 //! outside the driver goes through (the toy kernels, `compressed.rs`,

@@ -51,6 +51,14 @@
 //! is known to catch (at the default seed and at CI's) are listed in
 //! that file's header.
 //!
+//! Every machine of every side passes `Machine::check_invariants` before
+//! its counters are read ([`Shape::run`]). Seeded mutation it is known to
+//! catch at both seeds: `TrafficMonitor::on_read_issued`
+//! (`crates/sim/src/monitor.rs`) skipping `self.sizes.record(size)` fails
+//! every test of `determinism` and `tiering_differential` and four of
+//! five in `sharded_differential`, each with "machine invariant
+//! `monitor.sizes.total() == monitor.read_requests` broken: 0 vs N".
+//!
 //! Each integration test binary compiles this module independently
 //! (`mod common;`), so not every helper is used by every binary.
 #![allow(dead_code)]
@@ -211,9 +219,9 @@ impl<'a> Side<'a> {
 }
 
 /// What one side left behind in one shape: a run per spec, the layout
-/// they ran under, each device's lifetime counters, and the group's
-/// exchange traffic (zero off the sharded shapes). A later
-/// `Machine::check_invariants` is called where `devices` is filled.
+/// they ran under, each device's lifetime counters (read only once its
+/// machine passes `Machine::check_invariants`), and the group's exchange
+/// traffic (zero off the sharded shapes).
 #[derive(Debug, Clone, Default)]
 pub struct Outcome {
     pub runs: Vec<ProgramRun>,
@@ -278,7 +286,7 @@ impl Shape {
             cfg.engine = side.cfg.clone();
             let mut engine = ShardedEngine::load(cfg, side.graph);
             out.runs = specs.iter().map(|s| spec::run(&mut engine, s)).collect();
-            out.devices = Vec::from_iter(engine.group.machines.iter().map(Machine::counters));
+            out.devices = Vec::from_iter(engine.group.machines.iter().map(checked_counters));
             out.exchange = engine.group.interconnect.totals();
             return out;
         }
@@ -292,9 +300,15 @@ impl Shape {
         } else {
             out.runs = specs.iter().map(|s| spec::run(&mut engine, s)).collect();
         }
-        out.devices = vec![engine.machine.counters()];
+        out.devices = vec![checked_counters(&engine.machine)];
         out
     }
+}
+
+/// A machine's lifetime counters, once its conservation laws hold.
+fn checked_counters(machine: &Machine) -> RunStats {
+    machine.check_invariants();
+    machine.counters()
 }
 
 /// `side`'s specs in `plan`'s id space: sources and weights mapped in.
