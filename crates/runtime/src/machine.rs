@@ -297,9 +297,12 @@ impl Machine {
 
     /// Panic unless the conservation laws that hold by construction do:
     /// every zero-copy request has one of the four sizes the coalescer
-    /// emits, the size histogram counts each request once, and no link
-    /// carries fewer wire bytes than payload. A failure names the law and
-    /// both numbers.
+    /// emits, the size histogram counts each request once, no link
+    /// carries fewer wire bytes than payload, host DRAM serves at least
+    /// every payload byte the monitor saw leave it, and every byte the
+    /// DMA engine delivers crossed the monitor and was written to HBM
+    /// (UVM migrations cross the monitor too, but not the DMA engine). A
+    /// failure names the law and both numbers.
     pub fn check_invariants(&self) {
         fn law(name: &str, lhs: u64, rhs: u64, holds: fn(&u64, &u64) -> bool) {
             assert!(
@@ -319,6 +322,24 @@ impl Machine {
             "monitor.wire_bytes >= zero_copy_bytes + dma_bytes",
             mon.wire_bytes,
             mon.zero_copy_bytes + mon.dma_bytes,
+            u64::ge,
+        );
+        law(
+            "host_dram.bytes_read >= zero_copy_bytes + dma_bytes",
+            self.host_dram.bytes_read,
+            mon.zero_copy_bytes + mon.dma_bytes,
+            u64::ge,
+        );
+        law(
+            "monitor.dma_bytes >= dma.bytes_to_device",
+            mon.dma_bytes,
+            self.dma.bytes_to_device,
+            u64::ge,
+        );
+        law(
+            "hbm.bytes_written >= dma.bytes_to_device",
+            self.hbm.bytes_written,
+            self.dma.bytes_to_device,
             u64::ge,
         );
         if let Some(cxl) = &self.cxl {

@@ -29,25 +29,22 @@ use crate::pcie::PcieConfig;
 use crate::time::{bytes_over_bandwidth_ns, framed_wire_bytes, Time};
 use std::collections::VecDeque;
 
-/// Wire-cost parameters of the asynchronous copy lane.
-///
-/// Deliberately a value type decoupled from [`PcieConfig`]: the lane can
-/// be configured independently (e.g. a slower speculative class). The
-/// default [`CopyEngineConfig::from_pcie`] takes the synchronous bulk DMA
-/// path's launch overhead, bandwidth and TLP framing, but not its
-/// downlink wait, memory bulk times or `propagation_ns` (see the
-/// [module docs](self)), so hidden-latency estimates built on it are
-/// estimates.
+/// Wire-cost parameters of the asynchronous copy lane, derived from a
+/// [`PcieConfig`] by [`CopyEngineConfig::from_pcie`] and settable no
+/// other way. They are the synchronous bulk DMA path's launch overhead,
+/// bandwidth and TLP framing, but not its downlink wait, memory bulk
+/// times or `propagation_ns` (see the [module docs](self)), so
+/// hidden-latency estimates built on them are estimates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CopyEngineConfig {
     /// Fixed per-submission launch overhead (driver + doorbell), ns.
-    pub launch_overhead_ns: Time,
+    launch_overhead_ns: Time,
     /// Usable link bandwidth for the lane, GB/s.
-    pub gbps: f64,
+    gbps: f64,
     /// Max payload per TLP; bulk copies are chunked at this size.
-    pub payload_bytes: u32,
+    payload_bytes: u32,
     /// Overhead bytes per completion TLP (header + framing + LCRC).
-    pub completion_header_bytes: u32,
+    completion_header_bytes: u32,
 }
 
 impl CopyEngineConfig {

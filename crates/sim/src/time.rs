@@ -7,13 +7,6 @@
 /// Simulation timestamp in nanoseconds.
 pub type Time = u64;
 
-/// One microsecond in simulation time.
-pub const MICROSECOND: Time = 1_000;
-/// One millisecond in simulation time.
-pub const MILLISECOND: Time = 1_000_000;
-/// One second in simulation time.
-pub const SECOND: Time = 1_000_000_000;
-
 /// Serialization delay for `bytes` over a link of `gbps` GB/s, rounded up to
 /// a whole nanosecond (and at least 1 ns for any non-empty transfer, so a
 /// transfer can never be free).

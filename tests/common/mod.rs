@@ -58,6 +58,12 @@
 //! every test of `determinism` and `tiering_differential` and four of
 //! five in `sharded_differential`, each with "machine invariant
 //! `monitor.sizes.total() == monitor.read_requests` broken: 0 vs N".
+//! Another: `DmaEngine::copy_to_device` (`crates/sim/src/dma.rs`)
+//! returning `arrived` without `device.write_bulk` passes the `repro`
+//! golden `cmp` and fails `pipeline_differential`'s
+//! `the_pipelined_side_actually_speculates` at both seeds with
+//! "`hbm.bytes_written >= dma.bytes_to_device` broken: 34720 vs 76400"
+//! (and `sim_golden`, which checks every engine cell the same way).
 //!
 //! Each integration test binary compiles this module independently
 //! (`mod common;`), so not every helper is used by every binary.

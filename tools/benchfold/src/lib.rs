@@ -14,20 +14,33 @@
 //! cargo run -p benchfold -- fold 16      # benchmark/out -> BENCH_16.json
 //! cargo run -p benchfold -- check        # benchmark/out vs the newest BENCH_*.json
 //! ```
+//!
+//! The JSON is the benchmark's own: [`json`] is `benchmark/src/json.rs`,
+//! compiled in by path, so the files are read and written by the code
+//! that writes `benchmark/out`, and numbers are `f64`s compared by bit
+//! pattern, as the benchmark's `compare` does.
+//! `committed_bench_files_round_trip_byte_for_byte` holds every committed
+//! `BENCH_*.json` to its `parse(..).pretty()`. Seeded mutation it catches
+//! (and the shared module's own tests do not): `Json::pretty` without its
+//! trailing `out.push('\n')`.
 
 #![forbid(unsafe_code)]
 
+// One JSON implementation: the benchmark's own, compiled in as a module.
+// It needs only `std`, so none of the rest of the benchmark package is
+// built, and a file the benchmark writes is read by the same parser.
+#[path = "../../../benchmark/src/json.rs"]
 pub mod json;
 
-use json::Value;
+use json::Json;
 
-fn member<'a>(value: &'a Value, key: &str, what: &str) -> Result<&'a Value, String> {
+fn member<'a>(value: &'a Json, key: &str, what: &str) -> Result<&'a Json, String> {
     value
         .get(key)
         .ok_or_else(|| format!("{what}: no \"{key}\" member"))
 }
 
-fn names(declaration: &Value, list: &str) -> Result<Vec<String>, String> {
+fn names(declaration: &Json, list: &str) -> Result<Vec<String>, String> {
     member(declaration, list, "BENCHMARK.json")?
         .as_arr()
         .ok_or_else(|| format!("BENCHMARK.json: \"{list}\" is not a list"))?
@@ -47,9 +60,9 @@ fn names(declaration: &Value, list: &str) -> Result<Vec<String>, String> {
 /// `<workload>.json`.
 pub fn fold(
     pr: u64,
-    declaration: &Value,
-    mut result_of: impl FnMut(&str) -> Result<Value, String>,
-) -> Result<Value, String> {
+    declaration: &Json,
+    mut result_of: impl FnMut(&str) -> Result<Json, String>,
+) -> Result<Json, String> {
     let metrics = names(declaration, "end_to_end")?;
     let mut run = None;
     let mut workloads = Vec::new();
@@ -57,11 +70,12 @@ pub fn fold(
         let result = result_of(&workload)?;
         let what = format!("{workload}.json");
         // One run: every file carries the same seed and preset.
-        let this_run = (
-            member(&result, "seed", &what)?.clone(),
-            member(&result, "preset", &what)?.clone(),
-        );
-        if *run.get_or_insert_with(|| this_run.clone()) != this_run {
+        let this_run = [
+            member(&result, "seed", &what)?,
+            member(&result, "preset", &what)?,
+        ];
+        let first = run.get_or_insert_with(|| this_run.map(Json::clone));
+        if !first.iter().zip(this_run).all(|(a, b)| same(a, b)) {
             return Err(format!(
                 "{what}: seed or preset differs from the other files"
             ));
@@ -71,47 +85,56 @@ pub fn fold(
             .iter()
             .map(|m| Ok((m.clone(), member(measured, m, &what)?.clone())))
             .collect::<Result<_, String>>()?;
-        let mut folded = vec![("workload".to_string(), Value::Str(workload))];
+        let mut folded = vec![("workload".to_string(), Json::Str(workload))];
         for key in ["repetitions", "ops_attempted", "ops_failed"] {
             folded.push((key.to_string(), member(&result, key, &what)?.clone()));
         }
-        folded.push(("end_to_end".to_string(), Value::Obj(end_to_end)));
+        folded.push(("end_to_end".to_string(), Json::Obj(end_to_end)));
         folded.push((
             "queries".to_string(),
             member(&result, "queries", &what)?.clone(),
         ));
-        workloads.push(Value::Obj(folded));
+        workloads.push(Json::Obj(folded));
     }
-    let (seed, preset) = run.ok_or("BENCHMARK.json names no workload")?;
-    Ok(Value::Obj(vec![
-        ("schema".to_string(), Value::Num("1".to_string())),
-        ("pr".to_string(), Value::Num(pr.to_string())),
+    let [seed, preset] = run.ok_or("BENCHMARK.json names no workload")?;
+    Ok(Json::Obj(vec![
+        ("schema".to_string(), Json::Num(1.0)),
+        ("pr".to_string(), Json::Num(pr as f64)),
         ("seed".to_string(), seed),
         ("preset".to_string(), preset),
-        ("workloads".to_string(), Value::Arr(workloads)),
+        ("workloads".to_string(), Json::Arr(workloads)),
     ]))
+}
+
+/// Two leaves are the same when their numbers have one bit pattern (the
+/// rule the benchmark's `compare` gates simulated metrics by) or, for
+/// any other value, when they are equal.
+fn same(a: &Json, b: &Json) -> bool {
+    match (a, b) {
+        (Json::Num(x), Json::Num(y)) => x.to_bits() == y.to_bits(),
+        _ => a == b,
+    }
 }
 
 /// Is this member of a folded document measured on the host clock (or a
 /// label of the fold itself)? Everything else is simulated and must
 /// repeat exactly.
-fn informational(key: &str, value: &Value) -> bool {
-    matches!(key, "pr" | "repetitions")
-        || value.get("clock").and_then(Value::as_str) == Some("host")
+fn informational(key: &str, value: &Json) -> bool {
+    matches!(key, "pr" | "repetitions") || value.get("clock").and_then(Json::as_str) == Some("host")
 }
 
 /// Where two folded documents disagree on a simulated field, as
 /// `path: committed != fresh` lines. Empty means the fresh run reproduces
 /// the committed one.
-pub fn simulated_disagreements(committed: &Value, fresh: &Value) -> Vec<String> {
+pub fn simulated_disagreements(committed: &Json, fresh: &Json) -> Vec<String> {
     let mut out = Vec::new();
     diff("", committed, fresh, &mut out);
     out
 }
 
-fn diff(path: &str, committed: &Value, fresh: &Value, out: &mut Vec<String>) {
+fn diff(path: &str, committed: &Json, fresh: &Json, out: &mut Vec<String>) {
     match (committed, fresh) {
-        (Value::Obj(a), Value::Obj(b)) => {
+        (Json::Obj(a), Json::Obj(b)) => {
             for (key, va) in a {
                 if informational(key, va) {
                     continue;
@@ -127,22 +150,18 @@ fn diff(path: &str, committed: &Value, fresh: &Value, out: &mut Vec<String>) {
                 }
             }
         }
-        (Value::Arr(a), Value::Arr(b)) if a.len() == b.len() => {
+        (Json::Arr(a), Json::Arr(b)) if a.len() == b.len() => {
             for (i, (va, vb)) in a.iter().zip(b).enumerate() {
                 // Name list entries by their label where they have one.
                 let name = ["workload", "label"]
                     .iter()
-                    .find_map(|k| va.get(k).and_then(Value::as_str))
+                    .find_map(|k| va.get(k).and_then(Json::as_str))
                     .map_or_else(|| i.to_string(), str::to_string);
                 diff(&format!("{path}/{name}"), va, vb, out);
             }
         }
-        (a, b) if a == b => {}
-        (a, b) => out.push(format!(
-            "{path}: {} != {}",
-            a.to_pretty().trim_end(),
-            b.to_pretty().trim_end()
-        )),
+        (a, b) if same(a, b) => {}
+        (a, b) => out.push(format!("{path}: {} != {}", a.compact(), b.compact())),
     }
 }
 
@@ -153,12 +172,12 @@ fn diff(path: &str, committed: &Value, fresh: &Value, out: &mut Vec<String>) {
 /// canary, the workload's fresh/committed `setup_s` ratio: set-up code
 /// that a change leaves alone should not move, so a ratio far from 1
 /// says the host, not the change, moved the wall clock.
-pub fn host_medians(committed: &Value, fresh: &Value) -> Vec<String> {
-    fn workloads(doc: &Value) -> Option<&[Value]> {
-        doc.get("workloads").and_then(Value::as_arr)
+pub fn host_medians(committed: &Json, fresh: &Json) -> Vec<String> {
+    fn workloads(doc: &Json) -> Option<&[Json]> {
+        doc.get("workloads").and_then(Json::as_arr)
     }
-    let median = |metric: &Value| metric.get("value").and_then(Value::as_f64);
-    let setup_s = |workload: &Value| {
+    let median = |metric: &Json| metric.get("value").and_then(Json::as_f64);
+    let setup_s = |workload: &Json| {
         workload
             .get("end_to_end")
             .and_then(|e| e.get("setup_s"))
@@ -169,8 +188,8 @@ pub fn host_medians(committed: &Value, fresh: &Value) -> Vec<String> {
         return out;
     };
     for (a, b) in old.iter().zip(new) {
-        let name = a.get("workload").and_then(Value::as_str).unwrap_or("?");
-        let Some(Value::Obj(metrics)) = a.get("end_to_end") else {
+        let name = a.get("workload").and_then(Json::as_str).unwrap_or("?");
+        let Some(Json::Obj(metrics)) = a.get("end_to_end") else {
             continue;
         };
         for (metric, va) in metrics.iter().filter(|(k, v)| informational(k, v)) {
@@ -199,7 +218,7 @@ mod tests {
         "end_to_end": [{"name": "sim_ms", "unit": "ms"}, {"name": "wall_s", "unit": "s"}]
     }"#;
 
-    fn result(workload: &str, sim_ms: &str, wall_s: &str, digest: &str) -> Value {
+    fn result(workload: &str, sim_ms: &str, wall_s: &str, digest: &str) -> Json {
         json::parse(&format!(
             r#"{{
               "schema": 1, "kind": "workload", "workload": "{workload}",
@@ -217,42 +236,47 @@ mod tests {
         .unwrap()
     }
 
-    fn folded(pr: u64, sim_ms: &str, wall_s: &str, digest: &str) -> Value {
+    fn folded(pr: u64, sim_ms: &str, wall_s: &str, digest: &str) -> Json {
         let declaration = json::parse(DECLARATION).unwrap();
         fold(pr, &declaration, |w| Ok(result(w, sim_ms, wall_s, digest))).unwrap()
+    }
+
+    /// A number's bit pattern, the identity `fold` and the gate compare.
+    fn bits(value: Option<&Json>) -> Option<u64> {
+        value.and_then(Json::as_f64).map(f64::to_bits)
     }
 
     #[test]
     fn fold_keeps_the_declared_metrics_in_the_declared_order() {
         let doc = folded(16, "25.401762", "0.59", "ab");
-        assert_eq!(doc.get("pr"), Some(&Value::Num("16".into())));
-        assert_eq!(doc.get("seed"), Some(&Value::Num("20260928".into())));
+        assert_eq!(bits(doc.get("pr")), Some(16f64.to_bits()));
+        assert_eq!(bits(doc.get("seed")), Some(20_260_928f64.to_bits()));
         let workloads = doc.get("workloads").unwrap().as_arr().unwrap();
         let order: Vec<_> = workloads
             .iter()
             .map(|w| w.get("workload").unwrap().as_str().unwrap())
             .collect();
         assert_eq!(order, ["w1", "w2"]);
-        let Some(Value::Obj(metrics)) = workloads[0].get("end_to_end") else {
+        let Some(Json::Obj(metrics)) = workloads[0].get("end_to_end") else {
             panic!("end_to_end is an object")
         };
         let kept: Vec<_> = metrics.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(kept, ["sim_ms", "wall_s"], "per-layer metrics stay out");
-        // Number text survives untouched, host spread included.
+        // Numbers survive bit for bit, host spread included.
         assert_eq!(
-            metrics[0].1.get("value"),
-            Some(&Value::Num("25.401762".into()))
+            bits(metrics[0].1.get("value")),
+            Some(25.401762f64.to_bits())
         );
-        assert_eq!(metrics[1].1.get("n"), Some(&Value::Num("5".into())));
+        assert_eq!(bits(metrics[1].1.get("n")), Some(5f64.to_bits()));
         // What is written is what is read back.
-        assert_eq!(json::parse(&doc.to_pretty()).unwrap(), doc);
+        assert_eq!(json::parse(&doc.pretty()).unwrap(), doc);
     }
 
     #[test]
     fn fold_refuses_files_from_different_runs_and_missing_metrics() {
         let declaration = json::parse(DECLARATION).unwrap();
         let mixed = fold(1, &declaration, |w| {
-            let text = result(w, "1", "1", "ab").to_pretty();
+            let text = result(w, "1", "1", "ab").pretty();
             let seed = if w == "w2" { "777" } else { "20260928" };
             json::parse(&text.replace("20260928", seed))
         });
@@ -298,7 +322,7 @@ mod tests {
         )
         .unwrap();
         let doc = |wall_s: &str, setup_s: &str| {
-            let text = result("w1", "1", wall_s, "ab").to_pretty().replace(
+            let text = result("w1", "1", wall_s, "ab").pretty().replace(
                 r#""gpu.cache.l2_hit_rate""#,
                 &format!(
                     r#""setup_s": {{"value": {setup_s}, "unit": "s", "clock": "host"}},
@@ -318,5 +342,36 @@ mod tests {
         // Without a setup_s on both sides the change still prints.
         let bare = host_medians(&folded(1, "1", "2.0", "ab"), &folded(2, "1", "1.0", "ab"));
         assert!(bare[0].ends_with("-50.0 %"), "{bare:?}");
+    }
+
+    /// Every committed trajectory file is exactly what the shared writer
+    /// makes of its parse, so a fold writes the files the benchmark's
+    /// own writer would.
+    #[test]
+    fn committed_bench_files_round_trip_byte_for_byte() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut files = 0;
+        for entry in std::fs::read_dir(root).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            let written = json::parse(&text).unwrap().pretty();
+            assert!(written == text, "{name} does not round-trip");
+            files += 1;
+        }
+        assert!(files > 0, "no BENCH_*.json at the repository root");
+    }
+
+    /// The shared parser's own test refuses these inputs; this one also
+    /// holds it to naming where.
+    #[test]
+    fn malformed_documents_are_refused_with_a_position() {
+        for bad in ["", "{", "[1,]", "{\"a\" 1}", "\"open", "1 2", "{\"a\":tru}"] {
+            let err = json::parse(bad).unwrap_err();
+            assert!(err.contains("at byte"), "{bad:?}: {err}");
+        }
     }
 }

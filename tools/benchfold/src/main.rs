@@ -1,7 +1,7 @@
 //! `benchfold fold <pr> [out-dir]` and `benchfold check [out-dir]`, run
 //! from the repository root; see the library docs.
 
-use benchfold::json::{self, Value};
+use benchfold::json::{self, Json};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -10,12 +10,12 @@ const USAGE: &str =
        benchfold check [out-dir]      compare out-dir with the newest BENCH_*.json
        (run from the repository root; out-dir defaults to benchmark/out)";
 
-fn read(path: &Path) -> Result<Value, String> {
+fn read(path: &Path) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-fn fold(pr: u64, out_dir: &Path) -> Result<Value, String> {
+fn fold(pr: u64, out_dir: &Path) -> Result<Json, String> {
     let declaration = read(Path::new("BENCHMARK.json"))?;
     benchfold::fold(pr, &declaration, |workload| {
         read(&out_dir.join(format!("{workload}.json")))
@@ -43,7 +43,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             let pr: u64 = pr.parse().map_err(|_| format!("not a PR number: {pr}"))?;
             let path = format!("BENCH_{pr}.json");
             let doc = fold(pr, &out_dir(rest.first()))?;
-            std::fs::write(&path, doc.to_pretty()).map_err(|e| format!("{path}: {e}"))?;
+            std::fs::write(&path, doc.pretty()).map_err(|e| format!("{path}: {e}"))?;
             println!("wrote {path}");
             Ok(ExitCode::SUCCESS)
         }
