@@ -38,6 +38,11 @@
 //!    add that into every active query's stats — the one fold a run's
 //!    stats come from, on every front.
 //!
+//! When the loop ends, every device's placement checks its ledgers
+//! against its machine's (`GraphLayout::check_ledgers`), in every build
+//! profile, so every run on every front ends with its conservation laws
+//! checked.
+//!
 //! Every stage before 6 is a pure function of iteration-start state,
 //! which is what keeps batched and sharded runs bit-identical to solo
 //! ones (`tests/sim_golden.rs` pins the numbers).
@@ -386,6 +391,9 @@ impl<'g> Driver<'g> {
                 break;
             }
         }
+        for (m, p) in devices.machines().iter().zip(&self.places) {
+            p.check_ledgers(m);
+        }
         Driven {
             outputs: programs.into_iter().map(P::finish).collect(),
             per_query,
@@ -402,7 +410,6 @@ mod tests {
     use crate::cc::CcProgram;
     use crate::layout::Transport;
     use emogi_graph::{generators, PartitionStrategy};
-    use emogi_runtime::group::DeviceGroupConfig;
     use emogi_runtime::machine::MachineConfig;
     use emogi_runtime::{PrefetchConfig, TransferConfig};
     use emogi_sim::cxl::CxlConfig;
@@ -578,11 +585,7 @@ mod tests {
         for cfg in [EngineConfig::emogi_v100(), EngineConfig::pipelined_v100()] {
             for devices in [2, 4] {
                 for strategy in PartitionStrategy::all() {
-                    let mut group = DeviceGroup::new(DeviceGroupConfig {
-                        devices,
-                        machine: cfg.machine.clone(),
-                        peer: None,
-                    });
+                    let mut group = DeviceGroup::new(devices, cfg.machine.clone());
                     let partition = strategy.partition(&g, devices);
                     let mut n = Driver::load(&cfg, &g, &mut group.machines, partition);
                     let what = format!("{:?}, {devices} devices, {strategy:?}", cfg.transport);
@@ -662,11 +665,7 @@ mod tests {
         let driven = one.drive(&mut machines[0], vec![BfsProgram::new(&g, 4)], false);
         assert_eq!(machines[0].kernel_launches, driven.iterations);
 
-        let mut group = DeviceGroup::new(DeviceGroupConfig {
-            devices: 2,
-            machine: MachineConfig::v100_gen3(),
-            peer: None,
-        });
+        let mut group = DeviceGroup::new(2, MachineConfig::v100_gen3());
         let partition = PartitionStrategy::Contiguous.partition(&g, 2);
         let cfg = EngineConfig::emogi_v100();
         let mut two = Driver::load(&cfg, &g, &mut group.machines, partition);

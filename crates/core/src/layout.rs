@@ -60,6 +60,7 @@
 use emogi_gpu::access::Space;
 use emogi_graph::CsrGraph;
 use emogi_runtime::alloc::device_charge;
+use emogi_runtime::machine::law;
 use emogi_runtime::report::RunStats;
 use emogi_runtime::{
     Machine, PrefetchConfig, Prefetcher, TransferConfig, TransferManager, CXL_BASE, HOST_BASE,
@@ -290,6 +291,50 @@ impl GraphLayout {
             c.prefetch = p.stats;
         }
         c
+    }
+
+    /// Panic unless `machine`'s ledgers agree with this placement's:
+    /// [`Machine::check_invariants`], plus every DMA byte being a
+    /// host-homed staging copy (demand or adopted), every CXL bulk byte a
+    /// CXL promotion, and — with a prefetcher — every adopted or evicted
+    /// speculative byte having been prefetched, every adopted byte
+    /// counted as DMA. [`Driver::drive`](crate::driver::Driver::drive)
+    /// runs it on every device when its loop ends.
+    pub(crate) fn check_ledgers(&self, machine: &Machine) {
+        machine.check_invariants();
+        let staged = self
+            .transfer
+            .as_ref()
+            .map(|tm| tm.stats)
+            .unwrap_or_default();
+        let dma = machine.dma.bytes_to_device;
+        law(
+            "dma.bytes_to_device == staged_bytes - cxl_staged_bytes",
+            dma,
+            staged.staged_bytes - staged.cxl_staged_bytes,
+            u64::eq,
+        );
+        law(
+            "cxl.bulk_bytes == cxl_staged_bytes",
+            machine.cxl.as_ref().map_or(0, |c| c.bulk_bytes),
+            staged.cxl_staged_bytes,
+            u64::eq,
+        );
+        if let Some(p) = &self.prefetcher {
+            let s = &p.stats;
+            law(
+                "hit_bytes + wasted_bytes <= prefetched_bytes",
+                s.hit_bytes + s.wasted_bytes,
+                s.prefetched_bytes,
+                u64::le,
+            );
+            law(
+                "hit_bytes <= dma.bytes_to_device",
+                s.hit_bytes,
+                dma,
+                u64::le,
+            );
+        }
     }
 
     /// Elements per 128-byte cache line (16 for 8-byte, 32 for 4-byte).

@@ -16,10 +16,11 @@
 //! * per iteration, device `d` launches one kernel over the frontier
 //!   vertices (or, for full sweeps, the vertex range) it owns — its
 //!   PCIe link carries only those neighbour lists;
-//! * between iterations the devices exchange their status updates
-//!   (activated `(vertex, value)` pairs for frontier-driven programs,
-//!   owned status slices for full sweeps) over the group's
-//!   interconnect, then synchronize at a barrier.
+//! * between iterations the devices synchronize at a barrier and
+//!   exchange their status updates (activated `(vertex, value)` pairs
+//!   for frontier-driven programs, owned status slices for full sweeps)
+//!   over the group's NVLink-class peer link — the one exchange route;
+//!   the host links carry only each device's own kernel traffic.
 //!
 //! # Bit-identity
 //!
@@ -51,9 +52,9 @@ use crate::driver::Driver;
 use crate::engine::EngineConfig;
 use crate::program::VertexProgram;
 use emogi_graph::{CsrGraph, PartitionStrategy, VertexId, VertexPartition};
-use emogi_runtime::group::{DeviceGroup, DeviceGroupConfig};
+use emogi_runtime::group::DeviceGroup;
 use emogi_runtime::report::RunStats;
-use emogi_sim::interconnect::{LinkStats, PeerLinkConfig};
+use emogi_sim::interconnect::LinkStats;
 
 /// Bytes per frontier-update record exchanged between devices: a 4-byte
 /// vertex id plus its 4-byte status value.
@@ -80,20 +81,15 @@ pub struct ShardedConfig {
     pub devices: usize,
     /// How vertices are split across devices.
     pub partition: PartitionStrategy,
-    /// Inter-GPU peer link for the iteration-end exchange; `None`
-    /// routes exchanges through host memory over two PCIe hops.
-    pub peer: Option<PeerLinkConfig>,
 }
 
 impl ShardedConfig {
-    /// `devices` × the EMOGI V100 platform, degree-balanced sharding,
-    /// NVLink-class peer link.
+    /// `devices` × the EMOGI V100 platform, degree-balanced sharding.
     pub fn emogi_v100(devices: usize) -> Self {
         Self {
             engine: EngineConfig::emogi_v100(),
             devices,
             partition: PartitionStrategy::DegreeBalanced,
-            peer: Some(PeerLinkConfig::default()),
         }
     }
 
@@ -123,8 +119,8 @@ pub struct ShardedRun<O> {
     pub stats: RunStats,
     /// Per-device measurements, index = device id.
     pub per_device: Vec<RunStats>,
-    /// Inter-device exchange traffic of this run (all lanes summed;
-    /// zero for a single device).
+    /// Inter-device exchange traffic of this run (every device's peer
+    /// egress port summed; zero for a single device).
     pub exchange: LinkStats,
     /// Synchronous iterations executed (kernel launches *per device
     /// with work*; equals the single-device engine's launch count).
@@ -167,11 +163,7 @@ impl<'g> ShardedEngine<'g> {
     /// [`Engine`](crate::engine::Engine) would build.
     pub fn load(cfg: ShardedConfig, graph: &'g CsrGraph) -> Self {
         let partition = cfg.partition.partition(graph, cfg.devices);
-        let mut group = DeviceGroup::new(DeviceGroupConfig {
-            devices: cfg.devices,
-            machine: cfg.engine.machine.clone(),
-            peer: cfg.peer,
-        });
+        let mut group = DeviceGroup::new(cfg.devices, cfg.engine.machine.clone());
         let core = Driver::load(&cfg.engine, graph, &mut group.machines, partition);
         Self { group, core }
     }

@@ -45,27 +45,6 @@ impl DegreeCdf {
     }
 }
 
-/// Quick summary statistics used in Table 2 output.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegreeSummary {
-    pub average: f64,
-    pub max: u64,
-    pub isolated_vertices: usize,
-}
-
-impl DegreeSummary {
-    pub fn new(g: &CsrGraph) -> Self {
-        let isolated = (0..g.num_vertices())
-            .filter(|&v| g.degree(v as u32) == 0)
-            .count();
-        Self {
-            average: g.average_degree(),
-            max: g.max_degree(),
-            isolated_vertices: isolated,
-        }
-    }
-}
-
 /// A work estimate for one query: expected kernel iterations and the
 /// host-link bytes those iterations move. Produced by [`CostModel`],
 /// consumed by the serving layer's deadline admission.
@@ -229,16 +208,6 @@ mod tests {
         let cdf = DegreeCdf::new(&g, 96);
         assert!(cdf.cdf_at(15) < 0.02, "nothing below degree 16");
         assert!(cdf.cdf_at(48) > 0.98, "everything by degree 48");
-    }
-
-    #[test]
-    fn summary_counts_isolated() {
-        let g = star_plus_path();
-        let s = DegreeSummary::new(&g);
-        assert_eq!(s.max, 4);
-        assert_eq!(s.isolated_vertices, 0);
-        let empty = CsrGraph::empty(3);
-        assert_eq!(DegreeSummary::new(&empty).isolated_vertices, 3);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! * [`barrier`](DeviceGroup::barrier) — align every device's clock to
 //!   the group maximum (the iteration-end synchronization point);
 //! * [`exchange`](DeviceGroup::exchange) — broadcast each device's
-//!   update payload to every peer over the interconnect, then advance
-//!   all clocks to the last delivery.
+//!   update payload to every peer over the NVLink-class peer link, then
+//!   advance all clocks to the last delivery.
 //!
 //! With one device both primitives are no-ops, which is what lets a
 //! one-device sharded run stay tick-for-tick identical to a
@@ -21,53 +21,30 @@ use crate::machine::{Machine, MachineConfig};
 use emogi_sim::interconnect::{Interconnect, InterconnectConfig, PeerLinkConfig};
 use emogi_sim::time::Time;
 
-/// How to build a [`DeviceGroup`].
-#[derive(Debug, Clone)]
-pub struct DeviceGroupConfig {
-    /// Simulated GPUs in the group.
-    pub devices: usize,
-    /// Per-device platform; every device is identical (the paper's DGX
-    /// nodes are homogeneous).
-    pub machine: MachineConfig,
-    /// Inter-GPU peer link for exchanges; `None` routes them through
-    /// host memory over two PCIe hops.
-    pub peer: Option<PeerLinkConfig>,
-}
-
-impl DeviceGroupConfig {
-    /// `devices` V100s, each on its own PCIe 3.0 x16 link, joined by an
-    /// NVLink-class peer link.
-    pub fn v100_gen3(devices: usize) -> Self {
-        Self {
-            devices,
-            machine: MachineConfig::v100_gen3(),
-            peer: Some(PeerLinkConfig::default()),
-        }
-    }
-}
-
 /// One machine per simulated GPU plus the exchange interconnect.
 #[derive(Debug)]
 pub struct DeviceGroup {
     /// The member machines, one per device, all built from the same
     /// configuration.
     pub machines: Vec<Machine>,
-    /// The inter-device exchange fabric.
+    /// The inter-device exchange fabric: the NVLink-class peer link.
     pub interconnect: Interconnect,
 }
 
 impl DeviceGroup {
-    /// Assemble `cfg.devices` identical machines at time 0.
-    pub fn new(cfg: DeviceGroupConfig) -> Self {
-        assert!(cfg.devices >= 1, "a device group needs at least one GPU");
-        let machines = (0..cfg.devices)
-            .map(|_| Machine::new(cfg.machine.clone()))
-            .collect();
+    /// Assemble `devices` identical machines built from `machine` (the
+    /// paper's DGX nodes are homogeneous) at time 0, joined by an
+    /// NVLink-class peer link.
+    pub fn new(devices: usize, machine: MachineConfig) -> Self {
+        assert!(devices >= 1, "a device group needs at least one GPU");
         let interconnect = Interconnect::new(InterconnectConfig {
-            links: cfg.devices,
-            host_link: cfg.machine.pcie,
-            peer: cfg.peer,
+            links: devices,
+            host_link: machine.pcie.clone(),
+            peer: Some(PeerLinkConfig::default()),
         });
+        let machines = (0..devices)
+            .map(|_| Machine::new(machine.clone()))
+            .collect();
         Self {
             machines,
             interconnect,
@@ -90,11 +67,10 @@ impl DeviceGroup {
     }
 
     /// Iteration-end exchange: barrier, then every device broadcasts
-    /// `bytes[d]` to each of its peers over the interconnect (via
-    /// [`Interconnect::broadcast`], which stages a host-routed payload
-    /// once), and all clocks advance to the last delivery. Returns the
-    /// post-exchange time. A single-device group is a no-op (no
-    /// barrier, no traffic, clocks untouched).
+    /// `bytes[d]` to each of its peers over its own peer egress port
+    /// ([`Interconnect::broadcast`]), and all clocks advance to the last
+    /// delivery. Returns the post-exchange time. A single-device group is
+    /// a no-op (no barrier, no traffic, clocks untouched).
     pub fn exchange(&mut self, bytes: &[u64]) -> Time {
         assert_eq!(bytes.len(), self.machines.len(), "one payload per device");
         if self.machines.len() <= 1 {
@@ -116,9 +92,13 @@ impl DeviceGroup {
 mod tests {
     use super::*;
 
+    fn v100s(devices: usize) -> DeviceGroup {
+        DeviceGroup::new(devices, MachineConfig::v100_gen3())
+    }
+
     #[test]
     fn group_builds_identical_machines() {
-        let g = DeviceGroup::new(DeviceGroupConfig::v100_gen3(4));
+        let g = v100s(4);
         assert_eq!(g.num_devices(), 4);
         for m in &g.machines {
             assert_eq!(m.now, 0);
@@ -127,7 +107,7 @@ mod tests {
 
     #[test]
     fn barrier_aligns_clocks_to_the_maximum() {
-        let mut g = DeviceGroup::new(DeviceGroupConfig::v100_gen3(3));
+        let mut g = v100s(3);
         g.machines[0].now = 100;
         g.machines[1].now = 700;
         g.machines[2].now = 300;
@@ -137,7 +117,7 @@ mod tests {
 
     #[test]
     fn exchange_broadcasts_and_advances_all_clocks() {
-        let mut g = DeviceGroup::new(DeviceGroupConfig::v100_gen3(2));
+        let mut g = v100s(2);
         g.machines[0].now = 1_000;
         let t = g.exchange(&[1 << 20, 0]);
         assert!(t > 1_000, "exchange takes wire time");
@@ -147,22 +127,10 @@ mod tests {
 
     #[test]
     fn single_device_exchange_is_a_no_op() {
-        let mut g = DeviceGroup::new(DeviceGroupConfig::v100_gen3(1));
+        let mut g = v100s(1);
         g.machines[0].now = 42;
         assert_eq!(g.exchange(&[999]), 42);
         assert_eq!(g.machines[0].now, 42);
         assert_eq!(g.interconnect.totals().bytes, 0);
-    }
-
-    #[test]
-    fn host_routed_exchange_works_without_a_peer_link() {
-        let mut g = DeviceGroup::new(DeviceGroupConfig {
-            peer: None,
-            ..DeviceGroupConfig::v100_gen3(2)
-        });
-        let t = g.exchange(&[4096, 4096]);
-        assert!(t > 0);
-        // Each payload hops twice (up + down), so totals double-count.
-        assert_eq!(g.interconnect.totals().bytes, 4 * 4096);
     }
 }

@@ -37,7 +37,7 @@ pub mod util;
 
 pub use alloc::{AddressSpaces, CXL_BASE, DEVICE_BASE, HOST_BASE, MANAGED_BASE};
 pub use exec::{Kernel, StepOutcome};
-pub use group::{DeviceGroup, DeviceGroupConfig};
+pub use group::DeviceGroup;
 pub use machine::{Machine, MachineConfig};
 pub use prefetch::{PrefetchConfig, PrefetchStats, Prefetcher};
 pub use report::{KernelReport, RunStats};

@@ -92,6 +92,16 @@ impl MachineConfig {
     }
 }
 
+/// Panic unless `holds(lhs, rhs)`, naming the conservation law and both
+/// numbers: the one form every ledger check ([`Machine::check_invariants`]
+/// and the placements built on it) fails in.
+pub fn law(name: &str, lhs: u64, rhs: u64, holds: fn(&u64, &u64) -> bool) {
+    assert!(
+        holds(&lhs, &rhs),
+        "machine invariant `{name}` broken: {lhs} vs {rhs}"
+    );
+}
+
 /// Resolution of the monitor's bandwidth time series (§3.2).
 const MONITOR_WINDOW_NS: Time = 50_000;
 
@@ -297,25 +307,26 @@ impl Machine {
 
     /// Panic unless the conservation laws that hold by construction do:
     /// every zero-copy request has one of the four sizes the coalescer
-    /// emits, the size histogram counts each request once, no link
-    /// carries fewer wire bytes than payload, host DRAM serves at least
-    /// every payload byte the monitor saw leave it, and every byte the
-    /// DMA engine delivers crossed the monitor and was written to HBM
-    /// (UVM migrations cross the monitor too, but not the DMA engine). A
-    /// failure names the law and both numbers.
+    /// emits, the size histogram counts each request once and weighs
+    /// exactly the zero-copy payload, no link carries fewer wire bytes
+    /// than payload, host DRAM serves at least every payload byte the
+    /// monitor saw leave it, and every byte the DMA engine delivers
+    /// crossed the monitor and was written to HBM (UVM migrations cross
+    /// the monitor too, but not the DMA engine). A failure names the law
+    /// and both numbers.
     pub fn check_invariants(&self) {
-        fn law(name: &str, lhs: u64, rhs: u64, holds: fn(&u64, &u64) -> bool) {
-            assert!(
-                holds(&lhs, &rhs),
-                "machine invariant `{name}` broken: {lhs} vs {rhs}"
-            );
-        }
         let mon = &self.monitor;
         law("monitor.sizes.other == 0", mon.sizes.other, 0, u64::eq);
         law(
             "monitor.sizes.total() == monitor.read_requests",
             mon.sizes.total(),
             mon.read_requests,
+            u64::eq,
+        );
+        law(
+            "sum of sizes.buckets[i] * 32(i + 1) == monitor.zero_copy_bytes",
+            (1..).zip(mon.sizes.buckets).map(|(i, n)| 32 * i * n).sum(),
+            mon.zero_copy_bytes,
             u64::eq,
         );
         law(

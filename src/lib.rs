@@ -71,15 +71,14 @@ pub mod prelude {
         PartitionStrategy, VertexId, VertexPartition, UNVISITED,
     };
     pub use emogi_runtime::{
-        DeviceGroup, DeviceGroupConfig, Machine, MachineConfig, PrefetchConfig, PrefetchStats,
-        Prefetcher, RunStats, TransferConfig, TransferStats,
+        DeviceGroup, Machine, MachineConfig, PrefetchConfig, PrefetchStats, Prefetcher, RunStats,
+        TransferConfig, TransferStats,
     };
     pub use emogi_serve::{
         Priority, QoS, Query, QueryId, QueryKind, QueryOutcome, QueryResult, QueryServer,
         QuerySpec, SchedPolicy, ServeBackend, Server, ServerConfig, ServerStats, ShardedServer,
         SpecError, SubmitError,
     };
-    pub use emogi_sim::interconnect::PeerLinkConfig;
     pub use emogi_sim::CxlConfig;
     pub use emogi_uvm::MemoryTier;
 }

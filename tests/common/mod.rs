@@ -51,19 +51,34 @@
 //! is known to catch (at the default seed and at CI's) are listed in
 //! that file's header.
 //!
-//! Every machine of every side passes `Machine::check_invariants` before
-//! its counters are read ([`Shape::run`]). Seeded mutation it is known to
-//! catch at both seeds: `TrafficMonitor::on_read_issued`
-//! (`crates/sim/src/monitor.rs`) skipping `self.sizes.record(size)` fails
-//! every test of `determinism` and `tiering_differential` and four of
-//! five in `sharded_differential`, each with "machine invariant
-//! `monitor.sizes.total() == monitor.read_requests` broken: 0 vs N".
-//! Another: `DmaEngine::copy_to_device` (`crates/sim/src/dma.rs`)
-//! returning `arrived` without `device.write_bulk` passes the `repro`
-//! golden `cmp` and fails `pipeline_differential`'s
-//! `the_pipelined_side_actually_speculates` at both seeds with
-//! "`hbm.bytes_written >= dma.bytes_to_device` broken: 34720 vs 76400"
-//! (and `sim_golden`, which checks every engine cell the same way).
+//! Every drive ends with `GraphLayout::check_ledgers` on every device,
+//! in every build profile (`Driver::drive`), so every side of every
+//! shape is checked before [`Shape::run`] reads its counters. Seeded
+//! mutations it is known to catch at both seeds:
+//!
+//! - `Machine::account_async_stage` (`crates/runtime/src/machine.rs`)
+//!   without `self.dma.bytes_to_device += bytes` fails 24 workspace tests
+//!   at the default seed and 26 at CI's, with "machine invariant
+//!   `dma.bytes_to_device == staged_bytes - cxl_staged_bytes` broken: 0
+//!   vs 57360". They include both `sim_golden` matrix tests, every test
+//!   of `pipeline_differential`, tests in `layout_differential`,
+//!   `sharded_differential`, `serve_proptests`, `correctness` and
+//!   `determinism`, and the smoke `overlap` claim.
+//!   Before the laws ran in the driver, only the unit test
+//!   `adopted_prefetch_skips_the_demand_copy_but_counts_identical_traffic`
+//!   failed;
+//! - `TrafficMonitor::on_read_issued` (`crates/sim/src/monitor.rs`)
+//!   skipping `self.sizes.record(size)` fails 106 workspace tests at
+//!   each seed, every test of `determinism`, `tiering_differential`,
+//!   `sharded_differential` and `pipeline_differential` among them, with
+//!   "machine invariant `monitor.sizes.total() == monitor.read_requests`
+//!   broken: 0 vs N";
+//! - `DmaEngine::copy_to_device` (`crates/sim/src/dma.rs`) returning
+//!   `arrived` without `device.write_bulk` fails 22 at each seed,
+//!   `pipeline_differential`'s `the_pipelined_side_actually_speculates`
+//!   among them with "`hbm.bytes_written >= dma.bytes_to_device` broken:
+//!   22656 vs 76400", and `sim_golden`, `sharded_differential` and the
+//!   smoke `hybrid` and `overlap` claims.
 //!
 //! Each integration test binary compiles this module independently
 //! (`mod common;`), so not every helper is used by every binary.
@@ -225,9 +240,8 @@ impl<'a> Side<'a> {
 }
 
 /// What one side left behind in one shape: a run per spec, the layout
-/// they ran under, each device's lifetime counters (read only once its
-/// machine passes `Machine::check_invariants`), and the group's exchange
-/// traffic (zero off the sharded shapes).
+/// they ran under, each device's lifetime counters, and the group's
+/// exchange traffic (zero off the sharded shapes).
 #[derive(Debug, Clone, Default)]
 pub struct Outcome {
     pub runs: Vec<ProgramRun>,
@@ -292,7 +306,7 @@ impl Shape {
             cfg.engine = side.cfg.clone();
             let mut engine = ShardedEngine::load(cfg, side.graph);
             out.runs = specs.iter().map(|s| spec::run(&mut engine, s)).collect();
-            out.devices = Vec::from_iter(engine.group.machines.iter().map(checked_counters));
+            out.devices = Vec::from_iter(engine.group.machines.iter().map(Machine::counters));
             out.exchange = engine.group.interconnect.totals();
             return out;
         }
@@ -306,15 +320,9 @@ impl Shape {
         } else {
             out.runs = specs.iter().map(|s| spec::run(&mut engine, s)).collect();
         }
-        out.devices = vec![checked_counters(&engine.machine)];
+        out.devices = vec![engine.machine.counters()];
         out
     }
-}
-
-/// A machine's lifetime counters, once its conservation laws hold.
-fn checked_counters(machine: &Machine) -> RunStats {
-    machine.check_invariants();
-    machine.counters()
 }
 
 /// `side`'s specs in `plan`'s id space: sources and weights mapped in.

@@ -1,5 +1,30 @@
-//! Accounting invariants of the simulated machine: conservation laws the
-//! traffic monitors must obey on any workload, plus bit-reproducibility.
+//! Program-level accounting properties: what a traversal must move
+//! (every reachable edge, every touched page) and how strategies and link
+//! generations order. The machine's conservation laws live elsewhere:
+//! every `Driver::drive` ends with `GraphLayout::check_ledgers` on every
+//! device, in every build profile. Bit-reproducibility is
+//! `tests/determinism.rs`.
+//!
+//! Three tests here were folded into those homes. Each has one seeded
+//! mutation that the surviving suite catches, at the default seed and at
+//! `EMOGI_PROPTEST_SEED=20260729`:
+//!
+//! - `histogram_total_equals_request_count`: `SizeHistogram::record`
+//!   (`crates/sim/src/monitor.rs`) counting 96 B reads in the 64 B
+//!   bucket fails 92 workspace tests at each seed, `sim_golden`,
+//!   `correctness` and `determinism` among them, with "machine invariant
+//!   `sum of sizes.buckets[i] * 32(i + 1) == monitor.zero_copy_bytes`
+//!   broken: 405056 vs 418880";
+//! - `host_dram_reads_at_least_wire_payload`: `Dram::read`
+//!   (`crates/sim/src/dram.rs`) skipping `self.bytes_read += span` fails
+//!   107 at each seed, with "`host_dram.bytes_read >= zero_copy_bytes +
+//!   dma_bytes` broken: 0 vs 418880";
+//! - `simulation_is_bit_reproducible`: `run_kernel`
+//!   (`crates/runtime/src/exec.rs`) adding a process-wide launch count,
+//!   an ambient clock, to each launch's start time fails 25 at each
+//!   seed, `determinism`'s `engine_runs_are_tick_identical_across_fresh_engines`
+//!   among them with "Naive/Solo: SSSP stats (Full)" (`elapsed_ns` 96967
+//!   vs 95590).
 
 use emogi_repro::prelude::*;
 use emogi_repro::sim::pcie::PcieGen;
@@ -25,53 +50,6 @@ fn pcie_bytes_cover_the_touched_edge_list() {
 }
 
 #[test]
-fn histogram_total_equals_request_count() {
-    let g = generators::kronecker(10, 8, 2);
-    for strategy in [
-        AccessStrategy::Naive,
-        AccessStrategy::Merged,
-        AccessStrategy::MergedAligned,
-    ] {
-        let mut sys = Engine::load(EngineConfig::emogi_v100().with_strategy(strategy), &g);
-        let run = sys.bfs(1);
-        assert_eq!(
-            run.stats.request_sizes.total(),
-            run.stats.pcie_read_requests,
-            "{strategy:?}"
-        );
-        assert_eq!(
-            run.stats.request_sizes.other, 0,
-            "only 32/64/96/128-byte requests exist"
-        );
-        // Payload bytes must equal the histogram's weighted sum.
-        let h = &run.stats.request_sizes;
-        let weighted: u64 = h
-            .buckets
-            .iter()
-            .zip([32u64, 64, 96, 128])
-            .map(|(&c, s)| c * s)
-            .sum();
-        assert_eq!(weighted, run.stats.host_bytes, "{strategy:?}");
-    }
-}
-
-#[test]
-fn host_dram_reads_at_least_wire_payload() {
-    // 64-byte DRAM granularity means DRAM traffic >= PCIe payload.
-    let g = generators::uniform_random(1_500, 12, 3);
-    for strategy in [AccessStrategy::Naive, AccessStrategy::MergedAligned] {
-        let mut sys = Engine::load(EngineConfig::emogi_v100().with_strategy(strategy), &g);
-        let run = sys.bfs(0);
-        assert!(
-            run.stats.host_dram_bytes >= run.stats.host_bytes,
-            "{strategy:?}: DRAM {} < PCIe {}",
-            run.stats.host_dram_bytes,
-            run.stats.host_bytes
-        );
-    }
-}
-
-#[test]
 fn uvm_migration_covers_touched_pages_once_at_minimum() {
     let g = generators::uniform_random(1_000, 16, 4);
     let mut sys = Engine::load(EngineConfig::uvm_v100(), &g);
@@ -94,22 +72,6 @@ fn uvm_migration_covers_touched_pages_once_at_minimum() {
         run.stats.pages_migrated,
         pages.len()
     );
-}
-
-#[test]
-fn simulation_is_bit_reproducible() {
-    let g = generators::kronecker(10, 8, 5);
-    let run = |_: u32| {
-        let mut sys = Engine::load(EngineConfig::emogi_v100(), &g);
-        let r = sys.bfs(3);
-        (
-            r.stats.elapsed_ns,
-            r.stats.pcie_read_requests,
-            r.stats.host_bytes,
-            r.output.levels,
-        )
-    };
-    assert_eq!(run(0), run(1), "two identical runs must match exactly");
 }
 
 #[test]
