@@ -61,7 +61,10 @@ pub const REGISTRY: &[(&str, Experiment)] = &[
         vec![overlap::table(&overlap::measure(ctx))]
     }),
     ("layout", |ctx| vec![layout::table(&layout::measure(ctx))]),
-    ("serve", |ctx| vec![serve::table(&serve::measure(ctx))]),
+    ("serve", |ctx| {
+        let burst = serve::table(&serve::measure(ctx));
+        vec![burst, serve::sweep_table(&serve::sweep(ctx))]
+    }),
     ("sla", |ctx| vec![sla::table(&sla::measure(ctx))]),
     ("scaling", |ctx| {
         vec![scaling::table(&scaling::measure(ctx))]

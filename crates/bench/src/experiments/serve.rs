@@ -18,12 +18,21 @@
 //! bit-identical between the two executions on every run. Both
 //! executions run the same [`QuerySpec`]s: sequentially through the core
 //! dispatcher ([`spec::run`]), batched through the server.
+//!
+//! A second table, `serve-k`, sweeps the batch width (`max_batch` 1, 2,
+//! 4, 8) in the two regimes of ROADMAP item 8: the GK burst on the
+//! scaled machine, whose edge list is several times the L2, and SSSP on
+//! kronecker(14, 19), whose edges and weights fill 94 % of the full
+//! V100's 6 MiB L2. That set-up is fixed rather than divided by
+//! `--scale`: the regime is the ratio, and it is where item 8 measured
+//! the pair loss.
 
 use super::scaled_machine;
 use crate::table::{f, ms};
 use crate::{cell, Context, Results, Table};
-use emogi_core::{spec, Engine, EngineConfig};
-use emogi_graph::{DatasetKey, VertexId};
+use emogi_core::{spec, Engine, EngineConfig, ProgramRun};
+use emogi_graph::datasets::generate_weights;
+use emogi_graph::{generators, CsrGraph, DatasetKey, VertexId};
 use emogi_runtime::RunStats;
 use emogi_serve::{QoS, Query, QueryServer, QuerySpec, ServerConfig, ServerStats};
 use std::sync::Arc;
@@ -78,7 +87,7 @@ pub fn measure(ctx: &Context) -> Cells {
 /// (output digest and iteration count) between the two.
 fn measure_scenario(
     cfg: &EngineConfig,
-    graph: &emogi_graph::CsrGraph,
+    graph: &CsrGraph,
     specs: &[QuerySpec],
 ) -> (ServerStats, ServerStats) {
     let mut seq = Engine::load(cfg.clone(), graph);
@@ -95,30 +104,150 @@ fn measure_scenario(
         ..ServerStats::default()
     };
 
-    let mut server = QueryServer::new(
-        ServerConfig {
-            max_batch: BURST,
-            ..ServerConfig::default()
-        },
-        Engine::load(cfg.clone(), graph),
-    );
+    let (batched, runs) = serve(cfg, graph, specs, BURST);
+    assert_identical(&runs, &seq_runs);
+    (sequential, batched)
+}
+
+/// Serve `specs` as one burst on a fresh [`QueryServer`] with
+/// `max_batch` queries per batch; its stats and the runs, in order.
+fn serve(
+    cfg: &EngineConfig,
+    graph: &CsrGraph,
+    specs: &[QuerySpec],
+    max_batch: usize,
+) -> (ServerStats, Vec<ProgramRun>) {
+    let config = ServerConfig {
+        max_batch,
+        ..ServerConfig::default()
+    };
+    let mut server = QueryServer::new(config, Engine::load(cfg.clone(), graph));
     let submit = |spec: &QuerySpec| {
         let (spec, qos) = (spec.clone(), QoS::default());
         server.submit(Query { spec, qos }).expect("admission")
     };
     let ids: Vec<_> = specs.iter().map(submit).collect();
     server.run_pending();
-    for (id, want) in ids.into_iter().zip(&seq_runs) {
+    let take = |id| {
         let got = server.take(id).expect("served").into_result();
-        let got = got.expect("no deadline, so it ran");
+        got.expect("no deadline, so it ran")
+    };
+    let runs = ids.into_iter().map(take).collect();
+    (*server.stats(), runs)
+}
+
+/// Per-query bit-identity: output digest and iteration count.
+fn assert_identical(got: &[ProgramRun], want: &[ProgramRun]) {
+    for (got, want) in got.iter().zip(want) {
         assert_eq!(
-            cell::digest(&got),
+            cell::digest(got),
             cell::digest(want),
             "batched result must be bit-identical"
         );
         assert_eq!(got.stats().kernel_launches, want.stats().kernel_launches);
     }
-    (sequential, *server.stats())
+}
+
+/// Batch widths of the `serve-k` sweep.
+pub const WIDTHS: [usize; 4] = [1, 2, 4, 8];
+/// The sweep regime whose edge list is several times the L2.
+pub const BEYOND_L2: &str = "GK, scaled L2";
+/// The sweep regime whose working set nearly fills the L2.
+pub const NEAR_L2: &str = "kron(14,19), 6 MiB L2";
+
+/// Sweep cells keyed by (regime, program, `max_batch`).
+pub type Sweep = Results<(&'static str, &'static str, usize), ServerStats>;
+
+/// Serve each regime's burst at every width of [`WIDTHS`], asserting
+/// every width's results bit-identical to the solo width's.
+pub fn sweep(ctx: &Context) -> Sweep {
+    let gk = ctx.store.get(DatasetKey::Gk);
+    let gk_cfg = EngineConfig::emogi_v100().with_machine(scaled_machine(ctx.scale));
+    let gk_weights = Arc::new(gk.weights.clone());
+    let gk_sources = gk.sources(BURST);
+    // ROADMAP item 8's set-up: the 16 highest-degree sources.
+    let kron = generators::kronecker(14, 19, 20260928);
+    let kron_weights = Arc::new(generate_weights(kron.num_edges(), 20260928));
+    let mut by_degree: Vec<VertexId> = (0..kron.num_vertices() as VertexId).collect();
+    by_degree.sort_by_key(|&v| std::cmp::Reverse(kron.degree(v)));
+    by_degree.truncate(16);
+
+    let bfs =
+        |sources: &[VertexId]| Vec::from_iter(sources.iter().map(|&src| QuerySpec::Bfs { src }));
+    let sssp = |sources: &[VertexId], weights: &Arc<Vec<u32>>| {
+        let weights = |src| QuerySpec::Sssp {
+            src,
+            weights: Arc::clone(weights),
+        };
+        Vec::from_iter(sources.iter().copied().map(weights))
+    };
+    let regimes = [
+        (BEYOND_L2, "bfs", &gk_cfg, &gk.graph, bfs(&gk_sources)),
+        (
+            BEYOND_L2,
+            "sssp",
+            &gk_cfg,
+            &gk.graph,
+            sssp(&gk_sources, &gk_weights),
+        ),
+        (
+            NEAR_L2,
+            "sssp",
+            &EngineConfig::emogi_v100(),
+            &kron,
+            sssp(&by_degree, &kron_weights),
+        ),
+    ];
+    let mut cells = Results { rows: Vec::new() };
+    for (regime, program, cfg, graph, specs) in regimes {
+        let mut solo = Vec::new();
+        for k in WIDTHS {
+            eprintln!("  [serve-k] {regime} {program} k={k} ...");
+            let (stats, runs) = serve(cfg, graph, &specs, k);
+            if k == 1 {
+                solo = runs;
+            } else {
+                assert_identical(&runs, &solo);
+            }
+            cells.rows.push(((regime, program, k), stats));
+        }
+    }
+    cells
+}
+
+/// The printable `serve-k` table.
+pub fn sweep_table(r: &Sweep) -> Table {
+    let mut t = Table::new(
+        "serve-k",
+        "Batch width sweep: one burst served at 1, 2, 4 and 8 queries per batch",
+        &[
+            "regime",
+            "program",
+            "queries/batch",
+            "queries",
+            "time (ms)",
+            "PCIe MB",
+            "time / solo",
+        ],
+    );
+    for ((regime, program, k), m) in &r.rows {
+        let solo = r.get((regime, program, 1)).busy_ns;
+        t.row(vec![
+            (*regime).into(),
+            (*program).into(),
+            k.to_string(),
+            m.served.to_string(),
+            ms(m.busy_ns),
+            format!("{:.2}", m.host_bytes as f64 / 1e6),
+            format!("{:.2}", m.busy_ns as f64 / solo as f64),
+        ]);
+    }
+    t.note(
+        "batch status is vertex-major (one destination's member entries share sectors) and \
+         BFS members share one visit-mask word per vertex; per-query results are asserted \
+         bit-identical to the solo width's on every invocation",
+    );
+    t
 }
 
 /// The printable table.

@@ -9,8 +9,12 @@
 //! over the **union** of the batch's per-query frontiers
 //! (`merge_frontiers`): each union vertex's neighbour list crosses the
 //! link once and is handed to every member query that has the vertex
-//! active, while each query keeps its own device-resident status array,
-//! its own program state and its own next frontier.
+//! active, while each query keeps its own program state and its own next
+//! frontier. Status is shared by layout, not by value: the members'
+//! entries sit in one vertex-major device block, so one destination's
+//! gathers share sectors, and BFS members gather one shared visit-mask
+//! word per vertex (MS-BFS, Then et al., VLDB 2015) — each status line a
+//! batch reads serves every member, as each edge line does.
 //!
 //! Correctness contract: per-member contexts are captured at iteration
 //! start ([`VertexProgram::source_ctx`](crate::program::VertexProgram::source_ctx)),
@@ -127,6 +131,25 @@ mod tests {
         );
     }
 
+    /// The widest batch: 64 BFS members, the last on visit-mask bit 63,
+    /// each bit-identical to its solo run — levels and launch count.
+    #[test]
+    fn a_full_width_bfs_batch_matches_its_solo_runs() {
+        let g = generators::kronecker(10, 8, 7);
+        let sources: Vec<u32> = (0..MAX_BATCH_QUERIES as u32).map(|s| s * 13).collect();
+        let mut bat = Engine::load(EngineConfig::emogi_v100(), &g);
+        let batch = bat.run_batch(Vec::from_iter(
+            sources.iter().map(|&s| BfsProgram::new(&g, s)),
+        ));
+        let mut seq = Engine::load(EngineConfig::emogi_v100(), &g);
+        for (&s, br) in sources.iter().zip(&batch.runs) {
+            let sr = seq.bfs(s);
+            assert!(br.stats.shared_fetch, "source {s} ran in the batch");
+            assert_eq!(br.levels, sr.levels, "source {s}");
+            assert_eq!(br.stats.kernel_launches, sr.stats.kernel_launches);
+        }
+    }
+
     #[test]
     fn run_batch_degrades_gracefully_when_device_memory_is_exhausted() {
         // Hybrid engine on an oversubscribed graph: solo full-sweep runs
@@ -154,7 +177,7 @@ mod tests {
             assert_eq!(br.levels, sr.levels, "source {s}");
             assert_eq!(br.stats.kernel_launches, sr.stats.kernel_launches);
         }
-        // The reverse order: the batch's status slots come first, and a
+        // The reverse order: the batch's status block comes first, and a
         // later full sweep's staging finds them allocated — it falls back
         // to zero-copy instead of outrunning the device capacity.
         let mut rev = Engine::load(cfg, &g);
@@ -172,7 +195,7 @@ mod tests {
     #[test]
     fn run_batch_on_a_uvm_engine_falls_back_to_solo_runs() {
         // After the first managed kernel the UVM driver freezes the
-        // device layout, so no batch status arrays can be allocated:
+        // device layout, so no batch status block can be allocated:
         // the batch must serve solo, not panic.
         let g = generators::uniform_random(400, 6, 2);
         let mut engine = Engine::load(EngineConfig::uvm_v100(), &g);

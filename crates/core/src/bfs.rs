@@ -77,6 +77,12 @@ impl VertexProgram for BfsProgram {
         false
     }
 
+    /// Discovery asks only "visited yet?": batched launches share one
+    /// visit-mask word per vertex.
+    fn needs_only_visited_bit(&self) -> bool {
+        true
+    }
+
     fn initial_frontier(&self) -> Vec<VertexId> {
         vec![self.src]
     }

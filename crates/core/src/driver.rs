@@ -7,7 +7,7 @@
 //! [`ShardedEngine`](crate::sharded::ShardedEngine) (N > 1) are fronts
 //! over [`Driver::drive`]; they only shape its result. Each device's
 //! placement is one [`GraphLayout`]: the arrays' addresses, the hybrid
-//! transfer manager and prefetcher, and the batch status slots. Device
+//! transfer manager and prefetcher, and the batch status block. Device
 //! bytes have one ledger, the machine's allocator; staged regions have
 //! one record, the transfer manager's table, which the kernel's address
 //! path reads. One iteration is this ordered stage list, for every entry
@@ -50,7 +50,7 @@
 use crate::batch::merge_frontiers;
 use crate::engine::EngineConfig;
 use crate::kernel::{ProgramKernel, Work, WorkList, WorkSlice};
-use crate::layout::GraphLayout;
+use crate::layout::{GraphLayout, StatusPlace};
 use crate::program::{AccessPattern, DeviceWork, VertexProgram};
 use crate::sharded::{FRONTIER_UPDATE_BYTES, HUB_SPLIT_DEGREE};
 use crate::strategy::AccessStrategy;
@@ -195,9 +195,11 @@ impl<'g> Driver<'g> {
     }
 
     /// Run `programs` (same type, same access pattern) to convergence.
-    /// `batched` selects the per-slot status arrays: the
-    /// [`GraphLayout::ensure_batch_status`] slots (the caller ensured one
-    /// per program), or — for a single program — the layout's own.
+    /// `batched` selects the status: the vertex-major block
+    /// [`GraphLayout::ensure_batch_status`] provided (the caller ensured a
+    /// slot per program, and the visit mask for a program that needs
+    /// only a visited bit), or — for a single program — the layout's own
+    /// array.
     pub fn drive<P: VertexProgram>(
         &mut self,
         devices: &mut dyn Devices,
@@ -206,13 +208,14 @@ impl<'g> Driver<'g> {
     ) -> Driven<P::Output> {
         let (ndev, nq) = (self.places.len(), programs.len());
         let frontier_driven = programs[0].pattern() == AccessPattern::FrontierDriven;
+        let visit_mask = programs[0].needs_only_visited_bit();
         assert!(
             frontier_driven || nq == 1,
             "full sweeps read everything every launch: there is no frontier to merge"
         );
         assert!(
             batched || nq == 1,
-            "concurrent queries need a status slot each"
+            "concurrent queries need a slot each in the batch status block"
         );
         if programs[0].uses_edge_data() {
             for (m, p) in devices.machines().iter_mut().zip(&mut self.places) {
@@ -323,17 +326,17 @@ impl<'g> Driver<'g> {
                     continue;
                 }
                 let p = &self.places[d];
-                let status_bases = if batched {
-                    &p.batch_status[..nq]
+                let status = if batched {
+                    p.batch_status(nq, visit_mask)
                 } else {
-                    std::slice::from_ref(&p.status_base)
+                    StatusPlace::solo(p.status_base)
                 };
                 let mut kernel = ProgramKernel::new(
                     self.graph,
                     p,
                     self.strategy,
                     &mut programs,
-                    status_bases,
+                    status,
                     work,
                     &mut next[d * nq..(d + 1) * nq],
                 );

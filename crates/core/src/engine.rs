@@ -240,12 +240,15 @@ impl<'g> Engine<'g> {
     /// [`BatchRun::stats`] is the batch-level total in which every
     /// shared fetch is counted exactly once.
     ///
-    /// Each query slot needs its own device status array. When device
-    /// memory cannot hold one per query — hybrid staging already filled
-    /// it, or the UVM driver froze the device layout — the batch
-    /// degrades gracefully: it splits into groups sized to the slots
-    /// that fit, down to plain back-to-back solo runs. Results are
-    /// bit-identical in every case; only the fetch sharing shrinks.
+    /// The batch's status is one vertex-major device block, a slot per
+    /// query with one vertex's entries adjacent, plus — for programs
+    /// that need only a visited bit, such as BFS — one shared visit-mask
+    /// word per vertex. When device memory cannot hold a block as wide
+    /// as the batch — hybrid staging already filled it, or the UVM
+    /// driver froze the device layout — the batch degrades gracefully:
+    /// it splits into groups sized to the slots that fit, down to plain
+    /// back-to-back solo runs. Results are bit-identical in every case;
+    /// only the fetch sharing shrinks.
     ///
     /// Panics if the batch is empty, exceeds
     /// [`MAX_BATCH_QUERIES`](crate::batch::MAX_BATCH_QUERIES), or
@@ -267,7 +270,13 @@ impl<'g> Engine<'g> {
             );
         }
         let n = self.core.graph.num_vertices();
-        let slots = self.core.places[0].ensure_batch_status(&mut self.machine, n, programs.len());
+        let visit_mask = programs[0].needs_only_visited_bit();
+        let slots = self.core.places[0].ensure_batch_status(
+            &mut self.machine,
+            n,
+            programs.len(),
+            visit_mask,
+        );
         let mut runs = Vec::with_capacity(programs.len());
         let mut stats = RunStats::default();
         while !programs.is_empty() {

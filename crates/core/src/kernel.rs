@@ -12,13 +12,16 @@
 //! state update is the program's.
 //!
 //! A launch serves one or more **member** queries of the same program
-//! type: each work item names the query slots that expand it, the shared
-//! loads (offsets, edge and weight streams) are emitted once per item,
-//! and the status traffic once per member against that member's own
-//! status array. A solo run is the one-member case — there is no separate
-//! batched kernel.
+//! type: each work item names the query slots that expand it, and the
+//! shared loads (offsets, edge and weight streams) are emitted once per
+//! item. Status lives in one vertex-major block ([`StatusPlace`]): the
+//! members' entries for one vertex are adjacent, so one destination's
+//! gathers share sectors, and a program that needs only a visited bit
+//! (BFS) gathers one shared visit-mask word per edge for all members, as
+//! MS-BFS does. A solo run is the one-member case — stride 4, no mask,
+//! no separate batched kernel.
 
-use crate::layout::GraphLayout;
+use crate::layout::{GraphLayout, StatusPlace};
 use crate::program::{EdgeEffect, EdgeFn, VertexProgram};
 use crate::strategy::AccessStrategy;
 use crate::walk::{LaneWalk, WarpWalk};
@@ -162,8 +165,10 @@ pub enum ProgramTask {
 /// edge-data programs) the weight stream — is emitted once per item. The
 /// *per-member* traffic — the own-status load at task start, the
 /// destination-status gather and the conditional status store per edge —
-/// is emitted once per member query against that query's own status
-/// array. A solo run is the one-member case.
+/// is emitted once per member query at that member's entry in the
+/// vertex-major [`StatusPlace`]; with a visit mask, the gather is one
+/// mask word per edge for all members. A solo run is the one-member
+/// case.
 ///
 /// The kernel holds each member's edge view ([`VertexProgram::edges`]),
 /// not the program: nothing a launch runs can call
@@ -175,8 +180,8 @@ pub struct ProgramKernel<'a, P: VertexProgram + 'a> {
     strategy: AccessStrategy,
     /// Each query slot's edge view, in slot order.
     edges: Vec<P::Edges<'a>>,
-    /// Device base address of each query slot's status array.
-    status_bases: &'a [u64],
+    /// Where every query slot's status entries (and the visit mask) live.
+    status: StatusPlace,
     work: Work<'a, P::Ctx>,
     /// Per-slot activations of this launch (frontier programs).
     next: &'a mut [Vec<VertexId>],
@@ -184,8 +189,10 @@ pub struct ProgramKernel<'a, P: VertexProgram + 'a> {
     next_ctx: usize,
     /// The naive step's `(element, iteration, lane)` loads (scratch).
     loaded_scratch: Vec<(u64, u8, u8)>,
-    /// A step's status-store addresses, emitted after its loads (scratch).
+    /// A step's status-store addresses, emitted after its loads, entries
+    /// before visit-mask words (scratch).
     stores: Vec<u64>,
+    mask_stores: Vec<u64>,
     /// Cached program capability flags (hot path).
     edge_data: bool,
     source_status: bool,
@@ -196,19 +203,25 @@ pub struct ProgramKernel<'a, P: VertexProgram + 'a> {
 
 impl<'a, P: VertexProgram> ProgramKernel<'a, P> {
     /// Build one launch of `programs` (slot `q` = `programs[q]`, status
-    /// array at `status_bases[q]`, activations into `next[q]`) over
+    /// entries in `status`, activations into `next[q]`) over
     /// pre-captured `work`.
     pub fn new(
         graph: &'a CsrGraph,
         layout: &'a GraphLayout,
         strategy: AccessStrategy,
         programs: &'a mut [P],
-        status_bases: &'a [u64],
+        status: StatusPlace,
         work: Work<'a, P::Ctx>,
         next: &'a mut [Vec<VertexId>],
     ) -> Self {
         assert!(!programs.is_empty(), "a launch needs a program");
-        assert!(status_bases.len() >= programs.len() && next.len() >= programs.len());
+        assert!(next.len() >= programs.len());
+        assert!(
+            status.stride >= programs.len() as u64 * 4,
+            "a status stride of {} B cannot hold {} members",
+            status.stride,
+            programs.len()
+        );
         let edge_data = programs[0].uses_edge_data();
         if edge_data {
             assert!(
@@ -223,13 +236,14 @@ impl<'a, P: VertexProgram> ProgramKernel<'a, P> {
             layout,
             strategy,
             edges: programs.iter_mut().map(P::edges).collect(),
-            status_bases,
+            status,
             work,
             next,
             pos: 0,
             next_ctx: 0,
             loaded_scratch: Vec::with_capacity(WARP_SIZE),
             stores: Vec::new(),
+            mask_stores: Vec::new(),
             edge_data,
             source_status,
             collect_activations,
@@ -253,7 +267,8 @@ impl<'a, P: VertexProgram> ProgramKernel<'a, P> {
 
     /// Task-start loads for the task's items: the two CSR offsets of each
     /// item once (the vertex list is shared), then, for programs that read
-    /// it, each member's own status entries, member by member.
+    /// it, each member's own status entry, item by item and member by
+    /// member within an item — one ascending run of adjacent entries.
     fn open_items(&mut self, lanes: &[Lane], batch: &mut AccessBatch) {
         for lane in lanes {
             let v = u64::from(lane.v);
@@ -261,10 +276,10 @@ impl<'a, P: VertexProgram> ProgramKernel<'a, P> {
             batch.load(self.layout.vertex_addr(v + 1), 8, Space::Device);
         }
         if self.source_status {
-            for q in slots(members(lanes)) {
-                for lane in lanes.iter().filter(|l| l.mask >> q & 1 == 1) {
-                    let v = u64::from(lane.v);
-                    batch.load(self.status_bases[q] + v * 4, 4, Space::Device);
+            for lane in lanes {
+                for q in slots(lane.mask) {
+                    let addr = self.status.entry(u64::from(lane.v), q);
+                    batch.load(addr, 4, Space::Device);
                 }
             }
         }
@@ -272,58 +287,57 @@ impl<'a, P: VertexProgram> ProgramKernel<'a, P> {
 
     /// Process a step's edge-list elements, given as `(element, lane,
     /// instruction group)` with `lane` indexing `lanes`; the elements
-    /// themselves were loaded once for all members. Member by member, in
-    /// element order: one destination-status gather against the member's
-    /// own array, then the member program's update. The status stores
-    /// the updates call for follow all the step's loads. Each program
-    /// sees its edges in the order it always did, and each member's
-    /// gathers arrive as an ascending run when the list is
-    /// destination-sorted — the order the coalescer merges in one pass.
+    /// themselves were loaded once for all members. Edge by edge in
+    /// element order, and member by member within an edge: the
+    /// destination gather (the member's entry, or one visit-mask word
+    /// for all members), then each member program's update. The status
+    /// stores the updates call for follow all the step's loads, entries
+    /// before mask words. Each program sees its edges in the order it
+    /// always did, and a step's gathers arrive as one ascending run when
+    /// the list is destination-sorted — the order the coalescer merges
+    /// in one pass.
     fn visit_edges(
         &mut self,
         lanes: &[Lane],
-        edges: impl Iterator<Item = (u64, usize, u8)> + Clone,
+        edges: impl Iterator<Item = (u64, usize, u8)>,
         batch: &mut AccessBatch,
     ) {
         self.stores.clear();
-        for q in slots(members(lanes)) {
-            let base = self.status_bases[q];
-            // `q`'s context in each lane's item (`None`: not a member); the
-            // members below `q` give its offset among the item's contexts.
-            let below = (1u64 << q) - 1;
-            let mut ctxs = [None; WARP_SIZE];
-            for (ctx, lane) in ctxs.iter_mut().zip(lanes) {
-                *ctx = (lane.mask >> q & 1 == 1).then(|| {
-                    self.work.ctxs[lane.first_ctx + (lane.mask & below).count_ones() as usize]
-                });
+        self.mask_stores.clear();
+        let status = self.status;
+        for (i, l, instr) in edges {
+            let lane = &lanes[l];
+            let (src, dst) = (lane.v, self.graph.edge_dst(i));
+            let mask_word = status.mask.map(|m| m + u64::from(dst) * 8);
+            if let Some(word) = mask_word {
+                batch.load_instr(word, 8, Space::Device, instr);
             }
-            for (i, l, instr) in edges.clone() {
-                let Some(ctx) = ctxs[l] else {
-                    continue;
-                };
-                let (src, dst) = (lanes[l].v, self.graph.edge_dst(i));
-                batch.load_instr(base + u64::from(dst) * 4, 4, Space::Device, instr);
+            let ctxs = &self.work.ctxs[lane.first_ctx..];
+            for (q, &ctx) in slots(lane.mask).zip(ctxs) {
+                let entry = status.entry(u64::from(dst), q);
+                if mask_word.is_none() {
+                    batch.load_instr(entry, 4, Space::Device, instr);
+                }
                 match self.edges[q].edge(i, src, dst, ctx) {
                     EdgeEffect::None => {}
                     EdgeEffect::UpdateDst { activate } => {
-                        self.stores.push(base + u64::from(dst) * 4);
+                        self.stores.push(entry);
+                        self.mask_stores.extend(mask_word);
                         if activate && self.collect_activations {
                             self.next[q].push(dst);
                         }
                     }
-                    EdgeEffect::UpdateSrc => self.stores.push(base + u64::from(src) * 4),
+                    EdgeEffect::UpdateSrc => self.stores.push(status.entry(u64::from(src), q)),
                 }
             }
         }
         for &addr in &self.stores {
             batch.store(addr, 4, Space::Device);
         }
+        for &addr in &self.mask_stores {
+            batch.store(addr, 8, Space::Device);
+        }
     }
-}
-
-/// Every member slot of the task's items.
-fn members(lanes: &[Lane]) -> u64 {
-    lanes.iter().fold(0, |m, l| m | l.mask)
 }
 
 impl<'a, P: VertexProgram + 'a> Kernel for ProgramKernel<'a, P> {
@@ -404,9 +418,12 @@ impl<'a, P: VertexProgram + 'a> Kernel for ProgramKernel<'a, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::MAX_BATCH_QUERIES;
     use crate::bfs::BfsProgram;
     use crate::layout::Transport;
-    use emogi_graph::{algo, generators};
+    use emogi_gpu::access::LaneAccess;
+    use emogi_gpu::coalesce::Coalescer;
+    use emogi_graph::{algo, generators, EdgeListBuilder};
     use emogi_runtime::machine::MachineConfig;
     use emogi_runtime::{exec, Machine};
 
@@ -457,7 +474,7 @@ mod tests {
                     &layout,
                     strategy,
                     &mut progs,
-                    std::slice::from_ref(&layout.status_base),
+                    StatusPlace::solo(layout.status_base),
                     work,
                     &mut next,
                 );
@@ -485,7 +502,7 @@ mod tests {
         for strategy in AccessStrategy::all() {
             let g = generators::uniform_random(300, 6, 7);
             let items = full_items(&g, &[5]);
-            let launch = |progs: &mut [BfsProgram], masks: &[u64], bases: &[u64]| {
+            let launch = |progs: &mut [BfsProgram], masks: &[u64], status: StatusPlace| {
                 let mut m = Machine::new(MachineConfig::v100_gen3());
                 let layout = GraphLayout::place(&mut m, &g, 8, &Transport::ZeroCopy);
                 for p in progs.iter_mut() {
@@ -494,23 +511,162 @@ mod tests {
                 let work = Work::capture(WorkList::Slices(&items), masks, progs, &g);
                 let mut next = vec![Vec::new(); progs.len()];
                 let mut k =
-                    ProgramKernel::new(&g, &layout, strategy, progs, bases, work, &mut next);
+                    ProgramKernel::new(&g, &layout, strategy, progs, status, work, &mut next);
                 exec::run_kernel(&mut m, &mut k);
                 (m.monitor.read_requests, next)
             };
             let mut solo = [BfsProgram::new(&g, 5)];
-            let (solo_reads, solo_next) = launch(&mut solo, &[], &[0x1000]);
+            let (solo_reads, solo_next) = launch(&mut solo, &[], StatusPlace::solo(0x1000));
+            let pair_status = StatusPlace {
+                stride: 8,
+                ..StatusPlace::solo(0x1000)
+            };
             let mut pair = [BfsProgram::new(&g, 5), BfsProgram::new(&g, 5)];
-            let (pair_reads, pair_next) = launch(&mut pair, &[0b11], &[0x1000, 0x9000]);
+            let (pair_reads, pair_next) = launch(&mut pair, &[0b11], pair_status);
             assert_eq!(pair_reads, solo_reads, "{strategy:?}: one shared fetch");
             assert_eq!(pair_next[0], solo_next[0], "{strategy:?}");
             assert_eq!(pair_next[1], solo_next[0], "{strategy:?}");
             // A member absent from the mask sees nothing.
             let mut half = [BfsProgram::new(&g, 5), BfsProgram::new(&g, 5)];
-            let (_, half_next) = launch(&mut half, &[0b10], &[0x1000, 0x9000]);
+            let (_, half_next) = launch(&mut half, &[0b10], pair_status);
             assert!(half_next[0].is_empty(), "{strategy:?}");
             assert_eq!(half_next[1], solo_next[0], "{strategy:?}");
         }
+    }
+
+    /// Vertex 0 → 8, 16, …, 320: every destination's solo status entry
+    /// and visit-mask word sits in a sector of its own.
+    fn spaced_star() -> CsrGraph {
+        let mut b = EdgeListBuilder::new(512);
+        for j in 1..=40 {
+            b.push(0, 8 * j);
+        }
+        b.build()
+    }
+
+    /// What one launch emits, its tasks stepped by hand.
+    struct Emitted {
+        status: StatusPlace,
+        /// Loads inside the status block, in emission order.
+        status_loads: Vec<u64>,
+        /// Sectors of every coalesced load transaction: what the launch
+        /// probes the L2 for.
+        sectors: u64,
+        /// Steps the coalescer sorted instead of merging.
+        sorts: u64,
+    }
+
+    /// Step one launch of `progs` over `items`, every item expanded by
+    /// every member, with status in a batch block of `progs.len()` slots
+    /// (plus the visit mask, when the program asks for it). A block of
+    /// one addresses like a solo run: stride 4, no mask.
+    fn emit<P: VertexProgram>(g: &CsrGraph, progs: &mut [P], items: &[WorkSlice]) -> Emitted {
+        let mut m = Machine::new(MachineConfig::v100_gen3());
+        let mut layout = GraphLayout::place(&mut m, g, 8, &Transport::ZeroCopy);
+        layout.ensure_edge_data(&mut m, g);
+        let (k, visit) = (progs.len(), progs[0].needs_only_visited_bit());
+        let slots = layout.ensure_batch_status(&mut m, g.num_vertices(), k, visit);
+        assert_eq!(slots, k);
+        let status = layout.batch_status(k, visit);
+        let masks = vec![u64::MAX >> (64 - k); items.len()];
+        progs.iter_mut().for_each(P::begin_iteration);
+        let work = Work::capture(WorkList::Slices(items), &masks, progs, g);
+        let mut next = vec![Vec::new(); k];
+        let strategy = AccessStrategy::MergedAligned;
+        let mut kernel = ProgramKernel::new(g, &layout, strategy, progs, status, work, &mut next);
+        let status_end = status.base + g.num_vertices() as u64 * status.stride;
+        let in_block = |a: &&LaneAccess| !a.store && (status.base..status_end).contains(&a.addr);
+        let (mut status_loads, mut coalescer, mut txns) =
+            (Vec::new(), Coalescer::new(), Vec::new());
+        while let Some(mut task) = kernel.next_task() {
+            loop {
+                let mut batch = AccessBatch::new();
+                let outcome = kernel.step(&mut task, &mut batch);
+                coalescer.coalesce(batch.items(), &mut txns);
+                status_loads.extend(batch.items().iter().filter(in_block).map(|a| a.addr));
+                if matches!(outcome, StepOutcome::Done) {
+                    break;
+                }
+            }
+        }
+        let loads = txns.iter().filter(|t| !t.store);
+        Emitted {
+            status,
+            status_loads,
+            sectors: loads.map(|t| u64::from(t.size) / 32).sum(),
+            sorts: coalescer.sorts,
+        }
+    }
+
+    /// MS-BFS's shared visit mask: a BFS launch of any width gathers one
+    /// 8-byte word per edge for all its members, so it probes exactly
+    /// the sectors the solo launch probes — up to 64 members, mask bit 63
+    /// included. Gathering each member's entry instead costs 2 sectors
+    /// per destination at 16 members and 8 at 64.
+    #[test]
+    fn batched_bfs_probes_as_many_status_sectors_as_solo() {
+        let g = spaced_star();
+        let items = full_items(&g, &[0]);
+        let solo = emit(&g, &mut [BfsProgram::new(&g, 0)], &items);
+        assert!(solo.status.mask.is_none() && solo.status.stride == 4);
+        for k in [2, 16, MAX_BATCH_QUERIES] {
+            let mut progs: Vec<BfsProgram> = (0..k).map(|_| BfsProgram::new(&g, 0)).collect();
+            let batched = emit(&g, &mut progs, &items);
+            assert!(batched.status.mask.is_some());
+            assert_eq!(batched.sectors, solo.sectors, "{k} members");
+        }
+    }
+
+    /// Vertex-major status: a 4-member SSSP launch puts one destination's
+    /// four gathers — and the source's four own-status loads — in one
+    /// 32-byte sector, where four per-member arrays needed four.
+    #[test]
+    fn four_sssp_members_gather_one_destination_from_one_sector() {
+        use crate::sssp::SsspProgram;
+        let g = spaced_star();
+        let w = vec![1u32; g.num_edges()];
+        let mut progs: Vec<SsspProgram> = (0..4).map(|_| SsspProgram::new(&g, &w, 0)).collect();
+        let Emitted {
+            status_loads: loads,
+            status,
+            ..
+        } = emit(&g, &mut progs, &full_items(&g, &[0]));
+        assert_eq!(status.stride, 16);
+        assert_eq!(
+            loads.len(),
+            4 * (1 + g.degree(0) as usize),
+            "own + every edge"
+        );
+        for group in loads.chunks(4) {
+            let v = (group[0] - status.base) / 16;
+            let want: Vec<u64> = (0..4).map(|q| status.entry(v, q)).collect();
+            assert_eq!(group, want, "vertex {v}: members in slot order");
+            assert!(group.iter().all(|&a| a / 32 == group[0] / 32), "vertex {v}");
+        }
+    }
+
+    /// Edge-outer, member-inner emission keeps a step's gathers one
+    /// ascending run, so a 16-member step stays on the coalescer's merge
+    /// path — for entry gathers (SSSP) and mask gathers (BFS) alike.
+    /// Member-outer emission (each member's gathers for the whole step,
+    /// then the next member's) sorts 15 of the hub's SSSP steps.
+    #[test]
+    fn a_sixteen_member_step_is_merged_not_sorted() {
+        use crate::sssp::SsspProgram;
+        let g = generators::kronecker(10, 16, 5);
+        let hub = (0..g.num_vertices() as u32)
+            .max_by_key(|&v| g.degree(v))
+            .unwrap();
+        let items = full_items(&g, &[hub]);
+        let w = vec![1u32; g.num_edges()];
+        let mut sssp: Vec<SsspProgram> = (0..16).map(|_| SsspProgram::new(&g, &w, hub)).collect();
+        let sssp = emit(&g, &mut sssp, &items);
+        assert_eq!(sssp.status_loads.len(), 16 * (1 + g.degree(hub) as usize));
+        assert_eq!(sssp.sorts, 0, "SSSP");
+        let mut bfs: Vec<BfsProgram> = (0..16).map(|_| BfsProgram::new(&g, hub)).collect();
+        let bfs = emit(&g, &mut bfs, &items);
+        assert!(bfs.status.mask.is_some());
+        assert_eq!(bfs.sorts, 0, "BFS");
     }
 
     #[test]
@@ -531,7 +687,7 @@ mod tests {
             &layout,
             AccessStrategy::MergedAligned,
             &mut progs,
-            std::slice::from_ref(&layout.status_base),
+            StatusPlace::solo(layout.status_base),
             work,
             &mut next,
         );

@@ -133,9 +133,47 @@ pub struct GraphLayout {
     /// Pipelined hybrid only: the speculative prefetcher feeding the
     /// manager's asynchronous copy lane.
     pub(crate) prefetcher: Option<Prefetcher>,
-    /// Device status arrays for batched multi-query execution, one per
-    /// query slot, allocated on first use and reused across batches.
-    pub(crate) batch_status: Vec<u64>,
+    /// Batched multi-query status: one vertex-major block and its
+    /// capacity in query slots, allocated on first use and reused by
+    /// every batch it holds.
+    pub(crate) batch_block: Option<(u64, usize)>,
+    /// The batched visit mask: one `u64` per vertex, bit `q` for query
+    /// slot `q`; allocated on the first multi-member batch of a program
+    /// that needs only a visited bit.
+    pub(crate) visit_mask: Option<u64>,
+}
+
+/// Where a launch's member queries keep their status. Slot `q`'s entry
+/// for vertex `v` is the 4-byte word at `base + v·stride + q·4`: a solo
+/// run has stride 4, a batch of `k` members stride `4k`, so the members'
+/// entries for one vertex are adjacent and share sectors. With `mask`,
+/// destination gathers read the one 8-byte visit-mask word of `v` at
+/// `mask + v·8` for every member instead.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StatusPlace {
+    /// Slot 0's entry for vertex 0.
+    pub base: u64,
+    /// Bytes between one vertex's entries and the next vertex's.
+    pub stride: u64,
+    /// Base of the shared visit mask, when the launch gathers it.
+    pub mask: Option<u64>,
+}
+
+impl StatusPlace {
+    /// One query's own status array at `base`.
+    pub fn solo(base: u64) -> Self {
+        Self {
+            base,
+            stride: 4,
+            mask: None,
+        }
+    }
+
+    /// Address of slot `q`'s entry for `v`.
+    #[inline]
+    pub fn entry(&self, v: u64, q: usize) -> u64 {
+        self.base + v * self.stride + q as u64 * 4
+    }
 }
 
 impl GraphLayout {
@@ -207,7 +245,8 @@ impl GraphLayout {
             cxl_edge_base,
             transfer,
             prefetcher,
-            batch_status: Vec::new(),
+            batch_block: None,
+            visit_mask: None,
         }
     }
 
@@ -232,28 +271,67 @@ impl GraphLayout {
         });
     }
 
-    /// Ensure up to `want` device status arrays of `num_vertices` entries
-    /// for batched execution, reused across batches (the simulated
+    /// Ensure batched status for up to `want` query slots of
+    /// `num_vertices` entries each — one vertex-major block, plus the
+    /// visit mask when `visit_mask` and more than one slot — reused
+    /// across batches. A block of capacity `c` serves any batch of
+    /// `k ≤ c`; a larger batch allocates a larger block (the simulated
     /// allocator never frees). The transfer manager reads the same
     /// allocator, so staging can never outrun the real device capacity.
-    /// Best-effort: allocation stops when device memory is exhausted
-    /// (e.g. staging already filled it) or when the UVM driver has pinned
-    /// the device layout; returns the number of usable slots, possibly
-    /// less than `want`.
+    /// Best-effort: when device memory is short (e.g. staging already
+    /// filled it) or the UVM driver has pinned the device layout, fewer
+    /// slots are returned, possibly none.
     pub(crate) fn ensure_batch_status(
         &mut self,
         machine: &mut Machine,
         num_vertices: usize,
         want: usize,
+        visit_mask: bool,
     ) -> usize {
-        let bytes = num_vertices as u64 * 4;
-        while self.batch_status.len() < want {
-            if machine.uvm.is_some() || machine.spaces.device_free() < device_charge(bytes) {
-                break;
-            }
-            self.batch_status.push(machine.alloc_device(bytes));
+        let n = num_vertices as u64;
+        let have = self.batch_block.map_or(0, |(_, c)| c);
+        let mask_missing = |k: usize| visit_mask && k > 1 && self.visit_mask.is_none();
+        // Slots usable without allocating.
+        let usable = if mask_missing(have.min(want)) {
+            have.min(1)
+        } else {
+            have.min(want)
+        };
+        if usable == want || machine.uvm.is_some() {
+            return usable;
         }
-        self.batch_status.len().min(want)
+        let free = machine.spaces.device_free();
+        let cost = |k: usize| {
+            let block = (k > have).then(|| device_charge(k as u64 * n * 4));
+            let mask = mask_missing(k).then(|| device_charge(n * 8));
+            block.unwrap_or(0) + mask.unwrap_or(0)
+        };
+        let Some(k) = (usable + 1..=want).rev().find(|&k| cost(k) <= free) else {
+            return usable;
+        };
+        // The mask first: it is allocated once, while a wider batch later
+        // allocates a new block after it.
+        if mask_missing(k) {
+            self.visit_mask = Some(machine.alloc_device(n * 8));
+        }
+        if k > have {
+            self.batch_block = Some((machine.alloc_device(k as u64 * n * 4), k));
+        }
+        k
+    }
+
+    /// The status of a `k`-member batch in the block
+    /// [`ensure_batch_status`](Self::ensure_batch_status) provided, with
+    /// the visit mask when `visit_mask` and `k > 1`. A one-member batch
+    /// keeps stride 4 and no mask: it addresses like a solo run.
+    pub(crate) fn batch_status(&self, k: usize, visit_mask: bool) -> StatusPlace {
+        let (block, cap) = self.batch_block.expect("batch status ensured");
+        assert!(k <= cap, "batch of {k} in a block of {cap} slots");
+        StatusPlace {
+            base: block,
+            stride: k as u64 * 4,
+            mask: (visit_mask && k > 1).then(|| self.visit_mask.expect("visit mask ensured")),
+        }
     }
 
     /// Hybrid planning before a launch that will read the edge-list byte
@@ -423,6 +501,31 @@ mod tests {
         let l = GraphLayout::place(&mut m, &g, 4, &Transport::ZeroCopy);
         assert_eq!(l.elems_per_line(), 32);
         assert_eq!(l.edge_addr(3), l.edge_base + 12);
+    }
+
+    #[test]
+    fn batch_status_is_one_vertex_major_block_plus_one_visit_mask() {
+        let mut m = Machine::new(MachineConfig::v100_gen3());
+        let g = generators::uniform_random(1000, 8, 1);
+        let mut l = GraphLayout::place(&mut m, &g, 8, &Transport::ZeroCopy);
+        let n = g.num_vertices();
+        // A pair that needs no mask: one block, members adjacent.
+        assert_eq!(l.ensure_batch_status(&mut m, n, 2, false), 2);
+        let pair = l.batch_status(2, false);
+        assert_eq!((pair.stride, pair.mask), (8, None));
+        assert_eq!(pair.entry(5, 1), pair.base + 5 * 8 + 4);
+        // A wider visited-bit batch: the mask once, then a new block.
+        assert_eq!(l.ensure_batch_status(&mut m, n, 3, true), 3);
+        let trio = l.batch_status(3, true);
+        assert!(trio.mask.is_some() && trio.base > pair.base);
+        // Narrower batches reuse both; a batch of one has no mask.
+        let free = m.spaces.device_free();
+        assert_eq!(l.ensure_batch_status(&mut m, n, 2, true), 2);
+        assert_eq!(l.ensure_batch_status(&mut m, n, 1, true), 1);
+        assert_eq!(m.spaces.device_free(), free, "nothing allocated");
+        assert_eq!(l.batch_status(2, true).mask, trio.mask);
+        let one = StatusPlace::solo(trio.base);
+        assert_eq!(l.batch_status(1, true), one);
     }
 
     #[test]

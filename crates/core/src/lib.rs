@@ -100,7 +100,7 @@ pub use bfs::{BfsOutput, BfsProgram};
 pub use cc::{CcOutput, CcProgram};
 pub use engine::{BfsRun, CcRun, Engine, EngineConfig, PageRankRun, Run, SsspRun};
 pub use kernel::{ProgramKernel, Work, WorkList};
-pub use layout::{GraphLayout, Transport};
+pub use layout::{GraphLayout, StatusPlace, Transport};
 pub use pagerank::{PageRankOutput, PageRankProgram};
 pub use program::{AccessPattern, DeviceWork, EdgeEffect, EdgeFn, VertexProgram};
 pub use sharded::{ShardedConfig, ShardedEngine, ShardedRun};

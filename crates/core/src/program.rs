@@ -17,6 +17,9 @@
 //!   itself is a program input, not an engine field;
 //! * whether a task reads its **own status entry** at start (SSSP's
 //!   distance, CC's label) or not (BFS);
+//! * whether its destination check needs only a **visited bit** (BFS):
+//!   then a batched launch gathers one shared visit-mask word per edge
+//!   for all its members, as MS-BFS does;
 //! * its **per-edge logic** — the one real computation, expressed as a
 //!   state update plus an [`EdgeEffect`] describing the memory traffic it
 //!   caused. It lives on a per-launch **edge view** ([`EdgeFn`]), which
@@ -206,6 +209,15 @@ pub trait VertexProgram {
     /// Does a task read its own vertex's status entry at start (SSSP, CC,
     /// PageRank) or only its CSR offsets (BFS)?
     fn reads_source_status(&self) -> bool;
+
+    /// Does the per-edge update read only whether the destination was
+    /// visited (BFS), not its value? A batched launch of such a program
+    /// gathers one 8-byte visit-mask word per edge, bit `q` for member
+    /// `q`, instead of one status entry per member, and an update stores
+    /// the member's own entry plus that word (MS-BFS, Then et al.).
+    fn needs_only_visited_bit(&self) -> bool {
+        false
+    }
 
     /// Seed frontier for frontier-driven programs (ignored for full
     /// sweeps). May contain duplicates; the engine sorts and dedups.

@@ -173,7 +173,8 @@ mod tests {
             cxl_edge_base: None,
             transfer: None,
             prefetcher: None,
-            batch_status: Vec::new(),
+            batch_block: None,
+            visit_mask: None,
         }
     }
 

@@ -19,9 +19,10 @@
 //! pass when they do not interleave); a stream with more runs is sorted.
 //! So a kernel that wants the linear path emits each (space, store,
 //! instr) group as a few ascending runs and the groups in few blocks: a
-//! warp's edge spans in list order, a member's status gathers in
-//! destination order, member by member, and a step's stores after its
-//! loads. Which group comes first does not matter, and a run may
+//! warp's edge spans in list order, its status gathers in destination
+//! order (a batch's members' entries for one vertex are adjacent, so
+//! edge-outer, member-inner is still one run), and a step's stores after
+//! its loads. Which group comes first does not matter, and a run may
 //! straddle two groups.
 
 use crate::access::{LaneAccess, Space};
@@ -450,9 +451,9 @@ mod tests {
             let mut runs: Vec<Vec<LaneAccess>> = Vec::new();
             let shape = case % 5;
             match shape {
-                // A warp step: edge and weight spans, then each member's
-                // gathers from its own status array and the stores, in
-                // blocks that are disjoint but come in any order.
+                // A warp step: edge and weight spans, then status gathers
+                // in runs and the stores, in blocks that are disjoint but
+                // come in any order.
                 0 => {
                     let len = rng.gen_range(1..6usize);
                     runs.push(ascending_run(

@@ -57,8 +57,10 @@
 //!   coalescer survives as its `#[cfg(test)]` oracle);
 //! * the emission contract and the run merge: a batch's order is free
 //!   (the coalescer's output depends only on the multiset of accesses),
-//!   so `ProgramKernel` emits a step's status gathers member by member
-//!   in list order and its status stores after its loads. Each (space,
+//!   so `ProgramKernel` emits a step's status gathers edge by edge in
+//!   list order, a batch's members adjacent within an edge (their
+//!   entries for one vertex are adjacent in the vertex-major block), and
+//!   its status stores after its loads. Each (space,
 //!   store, instr) group then arrives as a few ascending runs, which the
 //!   coalescer merges in one linear pass instead of sorting; only a
 //!   stream of more than eight runs (a naive step's scattered gathers)

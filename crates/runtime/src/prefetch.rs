@@ -49,7 +49,7 @@
 //! as [`Prefetcher::slice_used`], so the decision loop reads exactly the
 //! free device memory a synchronous run has. Staging *decisions*
 //! therefore depend only on iteration-start state (only real allocations
-//! — demand stagings and the engine's batch status arrays — ever move
+//! — demand stagings and the engine's batch status block — ever move
 //! it; adoption allocates at exactly the point the synchronous path
 //! would). Traffic
 //! *counters* match because adopted copies are retro-accounted with the

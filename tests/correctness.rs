@@ -19,7 +19,7 @@
 //!   visit order, with `post_iteration`'s sorted fold removed, fails
 //!   `pagerank_matches_reference_for_every_engine` (this retired the
 //!   `float-fold` lint rule and PageRank's `canonical-order` waiver);
-//! - `Engine::run` driving its lone program on the batch status slots
+//! - `Engine::run` driving its lone program on the batch status block
 //!   (`batched = true`) fails every engine test here;
 //! - Subway's round loop dropping the last active vertex before each
 //!   `expand`, its SSSP reading `weights[k]` for `weights[start + k]`,

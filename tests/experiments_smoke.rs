@@ -85,6 +85,8 @@ const ALIGN_GAIN: Option<&str> = Some("alignment adds far less bandwidth, at sca
 const UVM_TOY: Option<&str> = Some("UVM's fault path is ~10 % slow, more on a small array");
 const CACHE_FITS: Option<&str> = Some("GK's 0.90 MB edge list fits the smallest 1 MiB cache");
 const SUBWAY_ROUNDS: Option<&str> = Some("Subway's per-round build + copy dominate short rounds");
+const L2_PAIR: Option<&str> =
+    Some("an SSSP pair near a full L2 takes 1.8x solo, status layout or not (ROADMAP 1a)");
 
 /// Check one claim row: `measured / paper` (or `measured`, without a
 /// paper number) must lie inside the open interval `band` — unbounded
@@ -368,6 +370,28 @@ fn serve_experiment_batches_better_than_it_serializes() {
             claim(&format!("{id} qps, bat/seq"), qps, None, WIN, None);
         }
     }
+    // The batch-width sweep (ROADMAP item 8): where the edge list is
+    // several times the L2, every wider batch is faster; where edges and
+    // weights nearly fill it, an SSSP pair is slower than solo.
+    let s = serve::sweep(&ctx());
+    assert_shape(&serve::sweep_table(&s), "serve-k", 12);
+    let busy = |regime, program, k| s.get((regime, program, k)).busy_ns as f64;
+    for program in ["bfs", "sssp"] {
+        for w in serve::WIDTHS.windows(2) {
+            let id = format!("serve-k {program} time, k={} / k={}", w[0], w[1]);
+            let faster =
+                busy(serve::BEYOND_L2, program, w[0]) / busy(serve::BEYOND_L2, program, w[1]);
+            claim(&id, faster, None, WIN, None);
+        }
+    }
+    let pair = busy(serve::NEAR_L2, "sssp", 1) / busy(serve::NEAR_L2, "sssp", 2);
+    claim(
+        "serve-k near-L2 sssp time, k=1 / k=2",
+        pair,
+        None,
+        WIN,
+        L2_PAIR,
+    );
 }
 
 #[test]

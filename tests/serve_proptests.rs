@@ -19,7 +19,13 @@
 //!   fail `batched_bfs_is_bit_identical_to_sequential` and
 //!   `batched_sssp_is_bit_identical_to_sequential`;
 //! - `Server::run_pending` handing a batch's results to its queries in
-//!   reverse order fails `query_server_matches_solo_runs_on_random_mixes`.
+//!   reverse order fails `query_server_matches_solo_runs_on_random_mixes`;
+//! - `ProgramKernel::visit_edges` gathering each BFS member's own entry
+//!   instead of the shared visit-mask word passes every test here
+//!   (outputs do not move, and a batch of one has no mask); the unit
+//!   test `batched_bfs_probes_as_many_status_sectors_as_solo`
+//!   (`crates/core/src/kernel.rs`) fails at 16 members, at the default
+//!   seed and at CI's.
 //!
 //! A live `source_ctx` read in `ProgramKernel::visit_edges` in place of
 //! the captured context is not a mutation this file needs to catch: it

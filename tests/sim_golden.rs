@@ -83,42 +83,42 @@ type Row = (&'static str, [u64; 10]);
 const KRONECKER: &[Row] = &[
     ("Naive", [
         0x6482343512b3165e, 0xe39da78537ca464b,
-        0x548919aca557b1f1, 0xbbad6382ef572d62,
+        0xac702be18a726d0d, 0x95eba7a05fcec69d,
         0xa5473f4e26492163, 0xa5473f4e26492163,
         0x4aaa3151c21a6f00, 0x93250475d7782d2c,
         0xa92295465258ab27, 0x58a673ca34c53aa1,
     ]),
     ("Merged", [
         0xc646e463f6c1bda6, 0xc5cd262754ff4717,
-        0xf7205746d15f0275, 0xc735052961312a56,
+        0x279e16b98e619479, 0x563776e0ecbed010,
         0xfb6a1fb787feb4c3, 0xfb6a1fb787feb4c3,
         0x7bd276553cc39897, 0x56895ce9fae3b215,
         0xd00ab071f54a3d32, 0x3c52f8faf4c8ab4c,
     ]),
     ("Merged+Aligned", [
         0xc5e22dc274bf9c46, 0x08ba277965af6e2b,
-        0x8c646b5f667ac5d1, 0xcc24437e66b13eb9,
+        0xcfcfacdfc73b6ab1, 0xc91f2305578f725e,
         0x26ad24e78daf57cf, 0x26ad24e78daf57cf,
         0x9d1903af1bf966a5, 0x6a1ecda8dd328490,
         0xdb69b997c2be297f, 0x4232c4cedc57caf2,
     ]),
     ("Hybrid", [
         0x574821cb908bcc63, 0x65ab5dffaae37d7b,
-        0xbb3fc4afffd0cfc1, 0xa37474d54fe07df4,
+        0x8eff30d783cc3875, 0x741bf32496ec29f5,
         0xf58d92e6760ca703, 0xf58d92e6760ca703,
         0xe76a6ed5143f4ea1, 0x42bea676e2f9344e,
         0x763a835a9a8cc525, 0xb2c3827506350ab1,
     ]),
     ("Hybrid pipelined", [
         0x3f9b2eb2fa81e46d, 0x544897e37f56f96b,
-        0xab8d460adb0af351, 0xbd078818bc97d248,
+        0xc1fc4466ca6a06dd, 0xb971aebff5baa6a9,
         0x4ed72dfd53d69517, 0x4ed72dfd53d69517,
         0x71e5fde6c2d838a9, 0x8a016a77d77d50bd,
         0x910a39ba58def923, 0x07a60172c7497edf,
     ]),
     ("UVM", [
         0x105717d3bf063413, 0x8f90ca3846dba9d7,
-        0xae0e45711a215a1d, 0xec9306c007731b62,
+        0x3ab5aa5da4a3c130, 0xc4fd63e134813199,
         0x8c35cb4e787a12c3, 0x8c35cb4e787a12c3,
         0x2614e24bc917f056, 0x81b07c5bfa59d7e9,
         0xc9d52ded6e2e78f4, 0xd0de5d5db66d3800,
@@ -130,42 +130,42 @@ const KRONECKER: &[Row] = &[
 const UNIFORM: &[Row] = &[
     ("Naive", [
         0x00736c5128148500, 0xd05daeccd3720d06,
-        0x0c7f1e26d62b6bfb, 0xec1586bef83b3c1c,
+        0x596ae6f32c3510bf, 0x1863b90c58c11742,
         0xfd88866587aded32, 0xfd88866587aded32,
         0xf604a4628bbbeb04, 0xdd8949c54994ba9d,
         0x23ffabf890fd79e0, 0x777ad96c8f5463a8,
     ]),
     ("Merged", [
         0x00ff1192d2309e6c, 0x0acdce82b6a95802,
-        0xa95d31f961ed33ba, 0xe2776de6981f12e4,
+        0xf2194d8769d1d544, 0xfc8d3bba722401be,
         0x240530307a5a5d3e, 0x240530307a5a5d3e,
         0x156ee46064146948, 0x60dc67d44d9fd3af,
         0x7b51f9bf235ba7f1, 0x1ac8127042111116,
     ]),
     ("Merged+Aligned", [
         0x00ff1192d2309e6c, 0x0acdce82b6a95802,
-        0xa95d31f961ed33ba, 0xe2776de6981f12e4,
+        0xf2194d8769d1d544, 0xfc8d3bba722401be,
         0x240530307a5a5d3e, 0x240530307a5a5d3e,
         0x156ee46064146948, 0x60dc67d44d9fd3af,
         0x7b51f9bf235ba7f1, 0x1ac8127042111116,
     ]),
     ("Hybrid", [
         0xe133e320c7fa91f0, 0xab8f418761cf9246,
-        0xcf27a4550e29e0d3, 0x9b380c2756bccb9e,
+        0xf9a3d8d21bc58a90, 0x6f3289f808fb6b47,
         0x53e76453bdc520f2, 0x53e76453bdc520f2,
         0xbc711c8e6e7b689f, 0x612b84ca7c2b0d84,
         0x07a6059df5901c20, 0x35d695802be36ff0,
     ]),
     ("Hybrid pipelined", [
         0x915b55ad021b74d9, 0x6f1175365392c5ea,
-        0x2106b6442b5c757d, 0x26e9314441f353c7,
+        0x67d23641edc83314, 0xd901d2b08806765b,
         0xcd86e9d83e86416a, 0xcd86e9d83e86416a,
         0x675d709f029dc861, 0x9775e4c1ec69ce69,
         0x69aa504d317a8039, 0xd88a5d9bb31ad17f,
     ]),
     ("UVM", [
         0x2587ea171dd0ff8e, 0x45e4d1ff7400ead2,
-        0xc358b98346907388, 0x2523ac7899aeadee,
+        0xdb91aa7908a6c8c4, 0xb8ebc6422278b229,
         0x0874fdc2202fe452, 0x0874fdc2202fe452,
         0x4a689ae160ab2872, 0x042f96fe78a0b556,
         0xc2d66812c60f7dea, 0xede47599871cdd51,

@@ -13,6 +13,7 @@
 //! cargo run --release --manifest-path benchmark/Cargo.toml -- run --all --seed 20260928
 //! cargo run -p benchfold -- fold 16      # benchmark/out -> BENCH_16.json
 //! cargo run -p benchfold -- check        # benchmark/out vs the newest BENCH_*.json
+//! cargo run -p benchfold -- diff BENCH_34.json BENCH_35.json   # what a PR moved
 //! ```
 //!
 //! The JSON is the benchmark's own: [`json`] is `benchmark/src/json.rs`,
@@ -309,6 +310,25 @@ mod tests {
         assert!(
             digest[0].starts_with("/workloads/w1/queries/gk.bfs.4/digest"),
             "{digest:?}"
+        );
+    }
+
+    /// `diff` between two committed files names only the workload that
+    /// moved, and nothing for the host fields that moved everywhere.
+    #[test]
+    fn a_diff_of_two_bench_files_names_only_the_workload_that_moved() {
+        let declaration = json::parse(DECLARATION).unwrap();
+        let old = fold(34, &declaration, |w| Ok(result(w, "3.36", "2.4", "ab"))).unwrap();
+        let new = fold(35, &declaration, |w| {
+            let sim_ms = if w == "w2" { "3.18" } else { "3.36" };
+            Ok(result(w, sim_ms, "1.2", "ab"))
+        })
+        .unwrap();
+        let moved = simulated_disagreements(&old, &new);
+        assert_eq!(
+            moved,
+            ["/workloads/w2/end_to_end/sim_ms/value: 3.36 != 3.18"],
+            "only w2's simulated time"
         );
     }
 

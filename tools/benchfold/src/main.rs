@@ -1,5 +1,6 @@
-//! `benchfold fold <pr> [out-dir]` and `benchfold check [out-dir]`, run
-//! from the repository root; see the library docs.
+//! `benchfold fold <pr> [out-dir]`, `benchfold check [out-dir]` and
+//! `benchfold diff <old> <new>`, run from the repository root; see the
+//! library docs.
 
 use benchfold::json::{self, Json};
 use std::path::{Path, PathBuf};
@@ -8,6 +9,7 @@ use std::process::ExitCode;
 const USAGE: &str =
     "usage: benchfold fold <pr> [out-dir]   write BENCH_<pr>.json from out-dir's result files
        benchfold check [out-dir]      compare out-dir with the newest BENCH_*.json
+       benchfold diff <old> <new>     the simulated fields two BENCH_*.json files disagree on
        (run from the repository root; out-dir defaults to benchmark/out)";
 
 fn read(path: &Path) -> Result<Json, String> {
@@ -36,6 +38,21 @@ fn newest_committed() -> Result<(u64, PathBuf), String> {
         .ok_or_else(|| "no BENCH_<pr>.json in this directory".to_string())
 }
 
+/// Print where `fresh` disagrees with `base` (named `what`) on a
+/// simulated field; failure when anywhere.
+fn report(base: &Json, fresh: &Json, what: &str) -> ExitCode {
+    let moved = benchfold::simulated_disagreements(base, fresh);
+    if moved.is_empty() {
+        println!("every simulated field equals {what}");
+        return ExitCode::SUCCESS;
+    }
+    eprintln!("{} simulated fields differ from {what}:", moved.len());
+    for line in &moved {
+        eprintln!("  {line}");
+    }
+    ExitCode::FAILURE
+}
+
 fn run(args: &[String]) -> Result<ExitCode, String> {
     let out_dir = |arg: Option<&String>| PathBuf::from(arg.map_or("benchmark/out", String::as_str));
     match args {
@@ -58,20 +75,11 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             for line in benchfold::host_medians(&committed, &fresh) {
                 println!("  {line}");
             }
-            let moved = benchfold::simulated_disagreements(&committed, &fresh);
-            if moved.is_empty() {
-                println!("every simulated field equals {}", path.display());
-                return Ok(ExitCode::SUCCESS);
-            }
-            eprintln!(
-                "{} simulated fields differ from {}:",
-                moved.len(),
-                path.display()
-            );
-            for line in &moved {
-                eprintln!("  {line}");
-            }
-            Ok(ExitCode::FAILURE)
+            Ok(report(&committed, &fresh, &path.display().to_string()))
+        }
+        [cmd, old, new] if cmd == "diff" => {
+            let (a, b) = (read(Path::new(old))?, read(Path::new(new))?);
+            Ok(report(&a, &b, old))
         }
         _ => Err(USAGE.to_string()),
     }
