@@ -1,6 +1,8 @@
 //! The `hybrid` experiment: the hybrid zero-copy/DMA transfer manager
-//! against pure Merged+Aligned zero-copy, the UVM baseline and
-//! Subway-async, on the Table 2 generators.
+//! against pure zero-copy, the UVM baseline and Subway-async, on the
+//! Table 2 generators. Hybrid runs the split-hub kernel
+//! ([`AccessStrategy::MergedAlignedSplit`]), and so does its zero-copy
+//! row, so the two differ in transport only.
 //!
 //! Three scenarios span the transport trade-off space:
 //!
@@ -26,7 +28,7 @@ use crate::cell::{self, Series};
 use crate::table::{f, ms};
 use crate::{Context, Results, Table};
 use emogi_baselines::{SubwayMode, SubwaySystem};
-use emogi_core::{Engine, EngineConfig};
+use emogi_core::{AccessStrategy, Engine, EngineConfig};
 use emogi_graph::DatasetKey;
 use emogi_runtime::RunStats;
 
@@ -67,9 +69,13 @@ pub fn measure(ctx: &Context) -> Results<(&'static str, &'static str), Measureme
             None => Series::Cc,
         };
         eprintln!("  [hybrid] {scenario} {graph} ...");
+        let split = AccessStrategy::MergedAlignedSplit;
         for (engine, cfg) in [
             ("Hybrid", scaled(ctx, EngineConfig::hybrid_v100())),
-            ("Merged+Aligned", scaled(ctx, EngineConfig::emogi_v100())),
+            (
+                split.name(),
+                scaled(ctx, EngineConfig::emogi_v100().with_strategy(split)),
+            ),
             ("UVM", scaled(ctx, EngineConfig::uvm_v100())),
         ] {
             let mut e = Engine::load(cfg, &d.graph);
@@ -94,7 +100,7 @@ pub fn measure(ctx: &Context) -> Results<(&'static str, &'static str), Measureme
 pub fn table(r: &Results<(&'static str, &'static str), Measurement>) -> Table {
     let mut t = Table::new(
         "hybrid",
-        "Hybrid zero-copy/DMA vs Merged+Aligned vs UVM vs Subway (4-byte elements)",
+        "Hybrid zero-copy/DMA vs zero-copy (both split-hub) vs UVM vs Subway (4-byte elements)",
         &[
             "scenario",
             "graph",

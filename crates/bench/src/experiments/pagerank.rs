@@ -26,16 +26,19 @@ pub struct Measurement {
     pub max_abs_err: f64,
 }
 
-/// The four access modes, by the label the table prints: the three
-/// zero-copy strategies, then synchronous hybrid.
+/// The five access modes, by the label the table prints: the paper's
+/// three zero-copy strategies, zero-copy on the split-hub kernel, then
+/// synchronous hybrid (which runs the split-hub kernel: compare it with
+/// the row before it for transport alone).
 fn modes() -> Vec<(&'static str, EngineConfig)> {
     let zero_copy = |s: AccessStrategy| (s.name(), EngineConfig::emogi_v100().with_strategy(s));
     let mut modes: Vec<_> = AccessStrategy::all().into_iter().map(zero_copy).collect();
+    modes.push(zero_copy(AccessStrategy::MergedAlignedSplit));
     modes.push(("Hybrid", EngineConfig::hybrid_v100()));
     modes
 }
 
-/// Run PageRank on the skewed (GK) and dense (ML) graphs under all four
+/// Run PageRank on the skewed (GK) and dense (ML) graphs under all five
 /// access modes, verifying every cell against [`algo::pagerank`].
 pub fn measure(ctx: &Context) -> Results<(&'static str, &'static str), Measurement> {
     let mut rows = Vec::new();

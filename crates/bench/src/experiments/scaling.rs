@@ -7,10 +7,13 @@
 //! link; between iterations the devices exchange activated
 //! `(vertex, level)` pairs over the NVLink-class peer link. Zero-copy
 //! traversal keeps scaling because the per-link traffic shrinks with
-//! the shard — near-linearly when the degree-balanced partitioner
-//! equalizes per-shard edge counts and mega-hub lists are expanded
-//! cooperatively ([`emogi_core::sharded::HUB_SPLIT_DEGREE`]), visibly
-//! worse under the contiguous partitioner on this skewed graph.
+//! the shard — best when the degree-balanced partitioner equalizes
+//! per-shard edge counts, visibly worse under the contiguous partitioner
+//! on this skewed graph. Every device count runs the split-hub kernel
+//! (`ShardedConfig::emogi_v100`), so mega-hub lists are cut into
+//! warp-sized pieces on one device too
+//! ([`emogi_core::sharded::HUB_SPLIT_DEGREE`]) and the speedup measures
+//! devices, not hub splitting.
 //!
 //! Every sharded run's levels are asserted bit-identical to the CPU
 //! reference, per source, on every invocation.
@@ -124,7 +127,8 @@ pub fn table(r: &Cells) -> Table {
         "each device reads only its frontier shard's neighbour lists over its own \
          PCIe link and exchanges activated (vertex, level) pairs over the peer link \
          between iterations; degree-balanced sharding equalizes per-link traffic on \
-         the skewed graph, which is what keeps the scaling near-linear; outputs are \
+         the skewed graph; every device count, one included, cuts hub lists into \
+         warp-sized pieces, so the speedup is the devices' alone; outputs are \
          asserted bit-identical to the CPU reference on every invocation",
     );
     t

@@ -7,9 +7,9 @@
 //! tier. Repeated BFS traversals — the place-once, query-many pattern —
 //! then compare:
 //!
-//! * **host-spill** — pure Merged+Aligned zero-copy: host-homed edges
-//!   read over PCIe, spilled edges read in place over the µs-latency
-//!   CXL link on *every* traversal;
+//! * **host-spill** — pure zero-copy: host-homed edges read over PCIe,
+//!   spilled edges read in place over the µs-latency CXL link on *every*
+//!   traversal;
 //! * **three-tier** — the hybrid engine's N-tier ski-rental policy:
 //!   recurring spilled regions are bulk-promoted into the HBM pool over
 //!   the CXL link once and re-read at HBM speed, host-homed regions
@@ -17,6 +17,10 @@
 //! * **two-tier (unbounded host)** — reference: the same traversals with
 //!   host DRAM big enough to hold everything, i.e. what losing host
 //!   capacity costs in the first place.
+//!
+//! All three run the split-hub kernel the hybrid preset runs
+//! ([`AccessStrategy::MergedAlignedSplit`]), so rows differ in tier
+//! placement only.
 //!
 //! Every engine's BFS levels are folded into the cell runner's FNV-1a
 //! digest and the digests are asserted equal in-run: tier placement may
@@ -27,7 +31,7 @@ use crate::cell::{self, Folded, Series};
 use crate::table::{f, ms};
 use crate::{Context, Results, Table};
 use emogi_core::layout::SPILL_ALIGN;
-use emogi_core::{Engine, EngineConfig};
+use emogi_core::{AccessStrategy, Engine, EngineConfig};
 use emogi_graph::DatasetKey;
 use emogi_sim::CxlConfig;
 
@@ -74,14 +78,11 @@ pub fn measure(ctx: &Context) -> Tiering {
         sources.len()
     );
 
+    let zero_copy = EngineConfig::emogi_v100().with_strategy(AccessStrategy::MergedAlignedSplit);
     let rows: Vec<(&'static str, Folded)> = [
-        ("host-spill", EngineConfig::emogi_v100(), spilled.clone()),
+        ("host-spill", zero_copy.clone(), spilled.clone()),
         ("three-tier", EngineConfig::hybrid_v100(), spilled),
-        (
-            "two-tier (unbounded)",
-            EngineConfig::emogi_v100(),
-            scaled_machine(ctx.scale),
-        ),
+        ("two-tier (unbounded)", zero_copy, scaled_machine(ctx.scale)),
     ]
     .into_iter()
     .map(|(engine, preset, machine)| {

@@ -16,11 +16,15 @@
 //! 1. **merge** the active queries' frontiers into one sorted union with
 //!    a member mask per vertex (Q = 1: the frontier itself, no masks);
 //! 2. **shard** the union into per-device `(vertex, lo, hi)` work items —
-//!    each vertex on its owner, mega-hub lists split cooperatively
-//!    (N = 1 never splits). Full sweeps skip 1–2: a device's work is its
-//!    owned vertex range, never materialised. Each device's items come
-//!    out in ascending edge-list address order (the union is sorted and
-//!    CSR offsets are monotone in the vertex id), so there is no reorder
+//!    each vertex on its owner, and one rule (`Driver::cut`) for
+//!    mega-hub lists: line-aligned pieces of `min(⌈deg / N⌉, hub_slice)`
+//!    elements, round robin from the owner. The paper's kernels have no
+//!    `hub_slice`, so on one device they never cut; the split-hub kernel
+//!    cuts on every device count. Full sweeps skip 1–2: a device's items
+//!    are its owned vertex range, built once per drive by the same rule
+//!    with every piece on the owner. Each device's items come out in
+//!    ascending edge-list address order (the union is sorted and CSR
+//!    offsets are monotone in the vertex id), so there is no reorder
 //!    stage: the stream is already sequential;
 //! 3. per device with work: the active-vertex **scan**, once per active
 //!    query, and the hybrid transfer **plan** over exactly the edge-list
@@ -49,7 +53,7 @@
 
 use crate::batch::merge_frontiers;
 use crate::engine::EngineConfig;
-use crate::kernel::{ProgramKernel, Work, WorkList, WorkSlice};
+use crate::kernel::{ProgramKernel, Work, WorkSlice};
 use crate::layout::{GraphLayout, StatusPlace};
 use crate::program::{AccessPattern, DeviceWork, VertexProgram};
 use crate::sharded::{FRONTIER_UPDATE_BYTES, HUB_SPLIT_DEGREE};
@@ -153,12 +157,49 @@ impl<'g> Driver<'g> {
         }
     }
 
-    /// Stage 2: every union vertex becomes one work item on its owner,
-    /// except mega-hubs ([`HUB_SPLIT_DEGREE`]) whose lists are split into
-    /// one line-aligned slice per device (the owner keeps the first). A
-    /// warp walks its list serially, so an unsplit mega-hub would be a
-    /// latency chain no amount of sharding shortens. With a single device
-    /// nothing ever splits, so the items are exactly the union.
+    /// The one hub-split rule. `v`'s list becomes one work item, unless it
+    /// holds at least [`HUB_SPLIT_DEGREE`] elements: then it is cut into
+    /// pieces of `min(⌈deg / spread⌉, hub_slice)` elements, rounded up to
+    /// whole lines, and piece `k` goes to device `(owner + k % spread) %
+    /// ndev` — round robin over `spread` devices from the owner. A
+    /// warp walks its piece serially, so an uncut mega-hub is a latency
+    /// chain no amount of sharding shortens. A paper strategy has no
+    /// `hub_slice`, so on one device (or with `spread` 1) it never cuts.
+    /// `place(d)` runs once per item pushed onto `items[d]`.
+    fn cut(
+        &self,
+        v: VertexId,
+        owner: usize,
+        spread: usize,
+        items: &mut [Vec<WorkSlice>],
+        mut place: impl FnMut(usize),
+    ) {
+        let ndev = items.len();
+        let (start, end) = (self.graph.neighbor_start(v), self.graph.neighbor_end(v));
+        let deg = end - start;
+        let piece = if deg >= HUB_SPLIT_DEGREE {
+            let even = deg.div_ceil(spread as u64);
+            let piece = self.strategy.hub_slice().map_or(even, |c| even.min(c));
+            let line = self.places[0].elems_per_line();
+            piece.div_ceil(line) * line
+        } else {
+            deg.max(1)
+        };
+        let mut at = start;
+        for d in (0..spread).cycle().map(|k| (owner + k) % ndev) {
+            let upto = (at + piece).min(end);
+            items[d].push((v, at, upto));
+            place(d);
+            at = upto;
+            if at >= end {
+                break;
+            }
+        }
+    }
+
+    /// Stage 2 for a frontier: every union vertex becomes work items
+    /// ([`cut`](Self::cut) spread over every device, from its owner), and
+    /// its member mask follows every piece.
     fn shard(
         &self,
         union: &[VertexId],
@@ -167,29 +208,25 @@ impl<'g> Driver<'g> {
         item_masks: &mut [Vec<u64>],
     ) {
         let ndev = items.len();
-        let line = self.places[0].elems_per_line();
         items.iter_mut().for_each(Vec::clear);
         item_masks.iter_mut().for_each(Vec::clear);
         let bounds = self.partition.slice_bounds(union);
         for (owner, (lo, hi)) in bounds.into_iter().enumerate() {
             for (i, &v) in union[lo..hi].iter().enumerate() {
-                let (start, end) = (self.graph.neighbor_start(v), self.graph.neighbor_end(v));
-                let deg = end - start;
-                let chunk = if ndev > 1 && deg >= HUB_SPLIT_DEGREE {
-                    deg.div_ceil(ndev as u64).div_ceil(line) * line
-                } else {
-                    deg.max(1)
-                };
-                let mut at = start;
-                for d in (owner..owner + ndev).map(|d| d % ndev) {
-                    let upto = (at + chunk).min(end);
-                    items[d].push((v, at, upto));
-                    item_masks[d].extend(masks.get(lo + i));
-                    at = upto;
-                    if at >= end {
-                        break;
-                    }
-                }
+                let mask = masks.get(lo + i);
+                self.cut(v, owner, ndev, items, |d| item_masks[d].extend(mask));
+            }
+        }
+    }
+
+    /// A full sweep's work items, built once per drive: every owned
+    /// vertex on its owner, hubs [`cut`](Self::cut) with spread 1 — the
+    /// pieces stay on the owner, so what each device exchanges does not
+    /// change.
+    fn sweep(&self, items: &mut [Vec<WorkSlice>]) {
+        for d in 0..items.len() {
+            for v in self.partition.range(d) {
+                self.cut(v, d, 1, items, |_| {});
             }
         }
     }
@@ -253,6 +290,9 @@ impl<'g> Driver<'g> {
         let (mut union, mut masks) = (Vec::new(), Vec::new());
         let mut items: Vec<Vec<WorkSlice>> = vec![Vec::new(); ndev];
         let mut item_masks: Vec<Vec<u64>> = vec![Vec::new(); ndev];
+        if !frontier_driven {
+            self.sweep(&mut items);
+        }
         // Activations of device `d`, query `q`: `next[d * nq + q]`.
         let mut next: Vec<Vec<VertexId>> = vec![Vec::new(); ndev * nq];
         let mut active: Vec<usize> = Vec::new();
@@ -271,16 +311,6 @@ impl<'g> Driver<'g> {
                 active.push(0);
             }
             iterations += 1;
-            let works: Vec<WorkList> = (0..ndev)
-                .map(|d| {
-                    if frontier_driven {
-                        WorkList::Slices(&items[d])
-                    } else {
-                        let r = self.partition.range(d);
-                        WorkList::Range(r.start, r.end)
-                    }
-                })
-                .collect();
 
             for (d, (m, p)) in devices
                 .machines()
@@ -289,7 +319,7 @@ impl<'g> Driver<'g> {
                 .enumerate()
             {
                 // Devices whose shard is empty this iteration stay idle.
-                if works[d].is_empty() {
+                if items[d].is_empty() {
                     continue;
                 }
                 // The kernels iterate over all vertices and test their
@@ -300,29 +330,21 @@ impl<'g> Driver<'g> {
                     m.now = m.hbm.read_bulk(m.now, self.graph.num_vertices() as u64 * 4);
                 }
                 let elem = p.elem_bytes;
-                match works[d] {
-                    WorkList::Slices(s) => {
-                        p.plan(m, s.iter().map(|&(_, lo, hi)| (lo * elem, hi * elem)))
-                    }
-                    WorkList::Range(lo, hi) => {
-                        let g = self.graph;
-                        p.plan(
-                            m,
-                            [(g.neighbor_start(lo) * elem, g.neighbor_end(hi - 1) * elem)],
-                        )
-                    }
-                }
+                p.plan(
+                    m,
+                    items[d].iter().map(|&(_, lo, hi)| (lo * elem, hi * elem)),
+                );
             }
 
             for &q in &active {
                 programs[q].begin_iteration();
             }
             let captured: Vec<Work<P::Ctx>> = (0..ndev)
-                .map(|d| Work::capture(works[d], &item_masks[d], &programs, self.graph))
+                .map(|d| Work::capture(&items[d], &item_masks[d], &programs))
                 .collect();
 
             for (d, work) in captured.into_iter().enumerate() {
-                if works[d].is_empty() {
+                if items[d].is_empty() {
                     continue;
                 }
                 let p = &self.places[d];
@@ -436,6 +458,9 @@ mod tests {
         (machines, driver)
     }
 
+    /// The paper's kernels under the one rule: a hub is cut only across
+    /// devices, into one line-aligned slice per device, exactly as
+    /// before the rule covered one device.
     #[test]
     fn hubs_split_across_devices_and_members_follow_every_slice() {
         let g = generators::kronecker(10, 16, 5);
@@ -454,7 +479,8 @@ mod tests {
             .collect();
         let (start, end) = (g.neighbor_start(hub), g.neighbor_end(hub));
 
-        // One device never splits: the items are exactly the union.
+        // One device never cuts a paper kernel's hub: the items are
+        // exactly the union.
         let (_, one) = driver(&g, 1);
         let (mut items, mut item_masks) = (vec![Vec::new()], vec![Vec::new()]);
         one.shard(&union, &masks, &mut items, &mut item_masks);
@@ -501,11 +527,170 @@ mod tests {
         }
     }
 
+    /// The straggler counter: BFS from a directed star's hub is one list.
+    /// On the paper kernel one warp walks it, so most of the run is that
+    /// warp alone; the split-hub kernel walks warp-sized pieces side by
+    /// side and the lone tail all but vanishes. The counter is a reading:
+    /// the ledger law `last_warp_alone_ns <= elapsed_ns` holds either way.
+    #[test]
+    fn a_lone_hub_walk_is_the_last_warp_alone() {
+        let leaves = 8 * HUB_SPLIT_DEGREE as u32;
+        let mut star = emogi_graph::EdgeListBuilder::new(leaves as usize + 1);
+        for leaf in 1..=leaves {
+            star.push(0, leaf);
+        }
+        let g = star.build();
+        let alone = |strategy| {
+            let cfg = EngineConfig::emogi_v100().with_strategy(strategy);
+            let (mut machines, mut one) = driver_with(&cfg, &g, 1, PartitionStrategy::Contiguous);
+            let driven = one.drive(&mut machines[0], vec![BfsProgram::new(&g, 0)], false);
+            let s = &driven.per_query[0];
+            assert!(s.last_warp_alone_ns <= s.elapsed_ns);
+            s.last_warp_alone_ns as f64 / s.elapsed_ns as f64
+        };
+        let (paper, split) = (
+            alone(AccessStrategy::MergedAligned),
+            alone(AccessStrategy::MergedAlignedSplit),
+        );
+        assert!(paper > 0.5, "one warp walks the hub alone: {paper:.3}");
+        assert!(
+            split < paper / 4.0,
+            "pieces walk side by side: {split:.3} vs {paper:.3}"
+        );
+    }
+
+    /// The pieces of `v` in `items`, in edge order, with the device each
+    /// landed on. Panics unless they tile `v`'s list and every cut sits a
+    /// whole number of lines past its start.
+    fn pieces_of(driver: &Driver, v: VertexId, items: &[Vec<WorkSlice>]) -> Vec<(usize, u64)> {
+        let g = driver.graph;
+        let line = driver.places[0].elems_per_line();
+        let mut pieces: Vec<(u64, u64, usize)> = Vec::new();
+        for (d, its) in items.iter().enumerate() {
+            let mine = its.iter().filter(|it| it.0 == v);
+            pieces.extend(mine.map(|&(_, lo, hi)| (lo, hi, d)));
+        }
+        pieces.sort_unstable();
+        let (start, end) = (g.neighbor_start(v), g.neighbor_end(v));
+        assert_eq!(pieces.first().map(|p| p.0), Some(start));
+        assert_eq!(pieces.last().map(|p| p.1), Some(end));
+        for w in pieces.windows(2) {
+            assert_eq!(w[0].1, w[1].0, "pieces tile the list");
+            assert_eq!((w[0].1 - start) % line, 0, "cuts are line-aligned");
+        }
+        pieces.iter().map(|&(lo, hi, d)| (d, hi - lo)).collect()
+    }
+
+    /// The split-hub kernel's rule on every device count: a frontier hub
+    /// becomes line-aligned pieces of at most `HUB_SPLIT_DEGREE` elements
+    /// that tile its list, dealt round robin from the owner (on one
+    /// device, all of them there); its member mask follows every piece;
+    /// short lists stay whole.
+    #[test]
+    fn the_split_kernel_cuts_frontier_hubs_into_warp_sized_pieces() {
+        let g = generators::kronecker(12, 16, 5);
+        let hub = (0..g.num_vertices() as u32)
+            .max_by_key(|&v| g.degree(v))
+            .unwrap();
+        assert!(
+            g.degree(hub) > 4 * HUB_SPLIT_DEGREE,
+            "scenario needs a hub that wraps round four devices"
+        );
+        let leaf = (0..g.num_vertices() as u32)
+            .find(|&v| v != hub && (1..HUB_SPLIT_DEGREE).contains(&g.degree(v)))
+            .unwrap();
+        let mut union = vec![hub, leaf];
+        union.sort_unstable();
+        let masks: Vec<u64> = union
+            .iter()
+            .map(|&v| if v == hub { 0b101 } else { 0b010 })
+            .collect();
+        let split = EngineConfig::emogi_v100().with_strategy(AccessStrategy::MergedAlignedSplit);
+        for devices in [1, 2, 4] {
+            let contiguous = PartitionStrategy::Contiguous;
+            let (_, driver) = driver_with(&split, &g, devices, contiguous);
+            let (mut items, mut item_masks) =
+                (vec![Vec::new(); devices], vec![Vec::new(); devices]);
+            driver.shard(&union, &masks, &mut items, &mut item_masks);
+            for (its, ms) in items.iter().zip(&item_masks) {
+                assert_eq!(its.len(), ms.len(), "one mask per item");
+                for (&(v, _, _), &m) in its.iter().zip(ms) {
+                    assert_eq!(m, if v == hub { 0b101 } else { 0b010 });
+                }
+            }
+            let owner = driver.partition.owner(hub);
+            let pieces = pieces_of(&driver, hub, &items);
+            assert_eq!(
+                pieces.len() as u64,
+                g.degree(hub).div_ceil(HUB_SPLIT_DEGREE),
+                "{devices} devices: every piece but the last is a full warp's"
+            );
+            for (k, &(d, len)) in pieces.iter().enumerate() {
+                assert_eq!(d, (owner + k) % devices, "{devices} devices: round robin");
+                assert!(len <= HUB_SPLIT_DEGREE, "{devices} devices: piece {k}");
+            }
+            let leaf_pieces = pieces_of(&driver, leaf, &items);
+            assert_eq!(
+                leaf_pieces,
+                [(driver.partition.owner(leaf), g.degree(leaf))]
+            );
+        }
+    }
+
+    /// A full sweep's items, per device: every owned vertex, in order,
+    /// tiling the device's edge range. The split-hub kernel cuts each
+    /// hub into warp-sized pieces that all stay on the owner (so the
+    /// exchange does not change); the paper's kernels never cut a sweep,
+    /// on any device count.
+    #[test]
+    fn sweep_items_tile_each_owned_range_and_hub_pieces_stay_home() {
+        let g = generators::kronecker(10, 16, 5);
+        let n = g.num_vertices() as u32;
+        let hubs: Vec<VertexId> = (0..n)
+            .filter(|&v| g.degree(v) >= HUB_SPLIT_DEGREE)
+            .collect();
+        assert!(hubs.len() > 1, "scenario needs hubs");
+        let split = EngineConfig::emogi_v100().with_strategy(AccessStrategy::MergedAlignedSplit);
+        for cfg in [EngineConfig::emogi_v100(), split] {
+            let cuts = cfg.strategy.hub_slice().is_some();
+            for devices in [1, 2, 4] {
+                let balanced = PartitionStrategy::DegreeBalanced;
+                let (_, driver) = driver_with(&cfg, &g, devices, balanced);
+                let mut items = vec![Vec::new(); devices];
+                driver.sweep(&mut items);
+                for (d, its) in items.iter().enumerate() {
+                    let range = driver.partition.range(d);
+                    let mut owned: Vec<VertexId> = its.iter().map(|it| it.0).collect();
+                    owned.dedup();
+                    assert!(owned.iter().copied().eq(range.clone()), "device {d}");
+                    let mut at = g.neighbor_start(range.start);
+                    for &(_, lo, hi) in its {
+                        assert_eq!(lo, at, "device {d}: items tile its edge range");
+                        at = hi;
+                    }
+                }
+                for &hub in &hubs {
+                    let pieces = pieces_of(&driver, hub, &items);
+                    let owner = driver.partition.owner(hub);
+                    assert!(pieces.iter().all(|&(d, _)| d == owner), "pieces stay home");
+                    let want = if cuts {
+                        g.degree(hub).div_ceil(HUB_SPLIT_DEGREE)
+                    } else {
+                        1
+                    };
+                    assert_eq!(pieces.len() as u64, want, "{:?}, {devices}", cfg.strategy);
+                    assert!(!cuts || pieces.iter().all(|&(_, len)| len <= HUB_SPLIT_DEGREE));
+                }
+            }
+        }
+    }
+
     /// Why the driver has no reorder stage: every device's work items
     /// already arrive in ascending edge-list address order — the union is
     /// sorted, `shard` walks it owner by owner, and CSR offsets are
-    /// monotone in the vertex id — through hub splitting, batch unions
-    /// and a CXL-spilled tail alike. A change to `shard` or
+    /// monotone in the vertex id — through hub splitting (across devices
+    /// or into warp-sized pieces), batch unions, full sweeps and a
+    /// CXL-spilled tail alike. A change to `cut`, `shard`, `sweep` or
     /// `merge_frontiers` that breaks the order fails here.
     #[test]
     fn work_items_arrive_in_edge_address_order() {
@@ -530,8 +715,8 @@ mod tests {
                 driver.shard(&union, &masks, &mut items, &mut item_masks);
                 assert_eq!(
                     items.iter().flatten().count() > union.len(),
-                    devices > 1,
-                    "the hub splits exactly when it has peers"
+                    devices > 1 || cfg.strategy.hub_slice().is_some(),
+                    "the hub splits when it has peers, or a warp-sized slice"
                 );
                 for (p, its) in driver.places.iter().zip(&items) {
                     assert!(p.transfer.is_none(), "zero-copy never stages");
@@ -542,12 +727,23 @@ mod tests {
                     );
                 }
             }
+            let mut sweep = vec![Vec::new(); devices];
+            driver.sweep(&mut sweep);
+            for (p, its) in driver.places.iter().zip(&sweep) {
+                let sorted = its.is_sorted_by_key(|&(_, lo, _)| p.edge_addr(lo));
+                assert!(sorted, "sweep, {devices} devices, {strategy:?}");
+            }
             driver
         };
         let plain = EngineConfig::emogi_v100();
-        for devices in [1, 2, 4] {
-            for strategy in PartitionStrategy::all() {
-                check(&plain, devices, strategy);
+        let split = plain
+            .clone()
+            .with_strategy(AccessStrategy::MergedAlignedSplit);
+        for cfg in [&plain, &split] {
+            for devices in [1, 2, 4] {
+                for strategy in PartitionStrategy::all() {
+                    check(cfg, devices, strategy);
+                }
             }
         }
         // Host DRAM holds one spill unit of the 76 KB edge list; the tail
@@ -558,6 +754,11 @@ mod tests {
             .with_cxl(CxlConfig::external_x8())
             .with_host_capacity(crate::layout::SPILL_ALIGN);
         let driver = check(&spilled, 1, PartitionStrategy::Contiguous);
+        check(
+            &spilled.with_strategy(AccessStrategy::MergedAlignedSplit),
+            1,
+            PartitionStrategy::Contiguous,
+        );
         let layout = &driver.places[0];
         assert!(layout.cxl_edge_base.is_some() && layout.host_edge_bytes > 0);
     }

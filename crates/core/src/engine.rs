@@ -38,7 +38,8 @@ use emogi_runtime::{Machine, PrefetchConfig, TransferConfig};
 pub struct EngineConfig {
     /// The simulated platform (GPU, PCIe link, host DRAM, UVM template).
     pub machine: MachineConfig,
-    /// Kernel-level access strategy (Naive / Merged / Merged+Aligned).
+    /// Kernel-level access strategy (the paper's Naive / Merged /
+    /// Merged+Aligned, or the split-hub extension kernel).
     pub strategy: AccessStrategy,
     /// Where the edge list lives and how it reaches the GPU.
     pub transport: Transport,
@@ -66,21 +67,24 @@ impl EngineConfig {
             .with_transport(Transport::Uvm)
     }
 
-    /// Hybrid transport on the V100 platform: merged + aligned kernels,
-    /// with dense / recurring edge-list regions bulk-staged into device
-    /// memory and the rest read zero-copy.
+    /// Hybrid transport on the V100 platform: the split-hub merged +
+    /// aligned kernel ([`AccessStrategy::MergedAlignedSplit`]), with dense
+    /// / recurring edge-list regions bulk-staged into device memory and
+    /// the rest read zero-copy.
     pub fn hybrid_v100() -> Self {
-        Self::emogi_v100().with_transport(Transport::Hybrid {
-            transfer: TransferConfig::default(),
-            prefetch: None,
-        })
+        Self::emogi_v100()
+            .with_strategy(AccessStrategy::MergedAlignedSplit)
+            .with_transport(Transport::Hybrid {
+                transfer: TransferConfig::default(),
+                prefetch: None,
+            })
     }
 
     /// Pipelined hybrid transport on the V100 platform:
     /// [`hybrid_v100`](Self::hybrid_v100) with staging DMA overlapped
     /// behind kernel compute via the default prefetcher.
     pub fn pipelined_v100() -> Self {
-        Self::emogi_v100().with_transport(Transport::Hybrid {
+        Self::hybrid_v100().with_transport(Transport::Hybrid {
             transfer: TransferConfig::default(),
             prefetch: Some(PrefetchConfig::default()),
         })
@@ -328,7 +332,7 @@ mod tests {
     /// only a strategy.
     #[test]
     fn presets_and_modes_select_the_expected_strategy_and_transport() {
-        use AccessStrategy::{Merged, MergedAligned, Naive};
+        use AccessStrategy::{Merged, MergedAligned, MergedAlignedSplit, Naive};
         fn shape(cfg: &EngineConfig) -> (AccessStrategy, &'static str) {
             let transport = match &cfg.transport {
                 Transport::ZeroCopy => "zero-copy",
@@ -343,10 +347,10 @@ mod tests {
         let presets: [(fn() -> EngineConfig, _); 4] = [
             (EngineConfig::emogi_v100, (MergedAligned, "zero-copy")),
             (EngineConfig::uvm_v100, (Merged, "uvm")),
-            (EngineConfig::hybrid_v100, (MergedAligned, "hybrid")),
+            (EngineConfig::hybrid_v100, (MergedAlignedSplit, "hybrid")),
             (
                 EngineConfig::pipelined_v100,
-                (MergedAligned, "hybrid+prefetch"),
+                (MergedAlignedSplit, "hybrid+prefetch"),
             ),
         ];
         for (i, (preset, want)) in presets.into_iter().enumerate() {

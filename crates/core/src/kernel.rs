@@ -22,7 +22,7 @@
 //! no separate batched kernel.
 
 use crate::layout::{GraphLayout, StatusPlace};
-use crate::program::{EdgeEffect, EdgeFn, VertexProgram};
+use crate::program::{AccessPattern, EdgeEffect, EdgeFn, VertexProgram};
 use crate::strategy::AccessStrategy;
 use crate::walk::{LaneWalk, WarpWalk};
 use emogi_gpu::access::{AccessBatch, Space, WARP_SIZE};
@@ -30,46 +30,11 @@ use emogi_graph::{CsrGraph, VertexId};
 use emogi_runtime::{Kernel, StepOutcome};
 
 /// One work item: expand edge-list elements `lo..hi` of vertex `v`'s
-/// neighbour list (a sub-range when a mega-hub's list is split
-/// cooperatively across devices, the full list otherwise).
+/// neighbour list — the whole list, or one line-aligned piece of a
+/// mega-hub's list when the driver cut it (across devices, or into
+/// [`AccessStrategy::hub_slice`]-sized pieces for the split-hub kernel).
+/// Frontiers and full sweeps alike are launched as items.
 pub type WorkSlice = (VertexId, u64, u64);
-
-/// The work items one launch iterates over.
-#[derive(Debug, Clone, Copy)]
-pub enum WorkList<'a> {
-    /// Full sweep: every vertex of the contiguous range `lo..hi` with its
-    /// whole neighbour list. Never materialised as items.
-    Range(VertexId, VertexId),
-    /// Frontier: explicit `(vertex, edge lo, edge hi)` items, one per
-    /// (possibly partial) neighbour-list walk.
-    Slices(&'a [WorkSlice]),
-}
-
-impl WorkList<'_> {
-    /// Number of work items.
-    pub fn len(&self) -> usize {
-        match self {
-            WorkList::Range(lo, hi) => (hi - lo) as usize,
-            WorkList::Slices(s) => s.len(),
-        }
-    }
-
-    /// Does the launch have nothing to do?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Work item `i`.
-    pub fn item(&self, i: usize, graph: &CsrGraph) -> WorkSlice {
-        match self {
-            WorkList::Range(lo, _) => {
-                let v = lo + i as VertexId;
-                (v, graph.neighbor_start(v), graph.neighbor_end(v))
-            }
-            WorkList::Slices(s) => s[i],
-        }
-    }
-}
 
 /// The query slots named by a member mask, ascending.
 fn slots(mut mask: u64) -> impl Iterator<Item = usize> {
@@ -92,7 +57,7 @@ fn slots(mut mask: u64) -> impl Iterator<Item = usize> {
 /// is what makes batched and sharded execution bit-identical to solo
 /// runs.
 pub struct Work<'a, C> {
-    items: WorkList<'a>,
+    items: &'a [WorkSlice],
     /// Bit `q` of `masks[i]` set ⇔ query slot `q` expands item `i`.
     /// Empty for a single query: every item then has the one member
     /// slot 0, and no mask is ever materialised.
@@ -105,18 +70,16 @@ impl<'a, C: Copy> Work<'a, C> {
     /// Capture [`VertexProgram::source_ctx`] of every `(item, member)`
     /// pair. `masks` is empty or parallel to `items`.
     pub fn capture<P: VertexProgram<Ctx = C>>(
-        items: WorkList<'a>,
+        items: &'a [WorkSlice],
         masks: &'a [u64],
         programs: &[P],
-        graph: &CsrGraph,
     ) -> Self {
         assert!(
             masks.is_empty() || masks.len() == items.len(),
             "masks parallel the work items"
         );
         let mut ctxs = Vec::with_capacity(items.len());
-        for i in 0..items.len() {
-            let (v, _, _) = items.item(i, graph);
+        for (i, &(v, _, _)) in items.iter().enumerate() {
             let mask = masks.get(i).copied().unwrap_or(1);
             ctxs.extend(slots(mask).map(|q| programs[q].source_ctx(v)));
         }
@@ -197,7 +160,7 @@ pub struct ProgramKernel<'a, P: VertexProgram + 'a> {
     edge_data: bool,
     source_status: bool,
     /// Full sweeps re-enumerate every vertex anyway, so activations are
-    /// meaningless there — don't collect them.
+    /// meaningless there — only frontier programs collect them.
     collect_activations: bool,
 }
 
@@ -230,7 +193,7 @@ impl<'a, P: VertexProgram> ProgramKernel<'a, P> {
             );
         }
         let source_status = programs[0].reads_source_status();
-        let collect_activations = matches!(work.items, WorkList::Slices(_));
+        let collect_activations = programs[0].pattern() == AccessPattern::FrontierDriven;
         Self {
             graph,
             layout,
@@ -252,7 +215,7 @@ impl<'a, P: VertexProgram> ProgramKernel<'a, P> {
 
     /// Pop the next work item with its members.
     fn take_lane(&mut self) -> Lane {
-        let (v, lo, hi) = self.work.items.item(self.pos, self.graph);
+        let (v, lo, hi) = self.work.items[self.pos];
         let mask = self.work.masks.get(self.pos).copied().unwrap_or(1);
         let lane = Lane {
             v,
@@ -435,25 +398,6 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn work_lists_enumerate_their_items() {
-        let g = generators::uniform_random(20, 3, 1);
-        let range = WorkList::Range(7, 12);
-        assert_eq!(range.len(), 5);
-        assert!(!range.is_empty());
-        assert_eq!(
-            range.item(0, &g),
-            (7, g.neighbor_start(7), g.neighbor_end(7))
-        );
-        assert_eq!(range.item(4, &g).0, 11);
-        assert!(WorkList::Range(3, 3).is_empty());
-        // Explicit items come back verbatim — partial ranges included.
-        let items = [(3u32, 10u64, 12u64), (9, 40, 41)];
-        let slices = WorkList::Slices(&items);
-        assert_eq!(slices.len(), 2);
-        assert_eq!(slices.item(1, &g), (9, 40, 41));
-    }
-
     /// Drive the generic kernel directly (no driver) through a full BFS,
     /// for every strategy — the seam the driver builds on.
     #[test]
@@ -467,7 +411,7 @@ mod tests {
             while !frontier.is_empty() {
                 progs[0].begin_iteration();
                 let items = full_items(&g, &frontier);
-                let work = Work::capture(WorkList::Slices(&items), &[], &progs, &g);
+                let work = Work::capture(&items, &[], &progs);
                 let mut next = [Vec::new()];
                 let mut k = ProgramKernel::new(
                     &g,
@@ -508,7 +452,7 @@ mod tests {
                 for p in progs.iter_mut() {
                     p.begin_iteration();
                 }
-                let work = Work::capture(WorkList::Slices(&items), masks, progs, &g);
+                let work = Work::capture(&items, masks, progs);
                 let mut next = vec![Vec::new(); progs.len()];
                 let mut k =
                     ProgramKernel::new(&g, &layout, strategy, progs, status, work, &mut next);
@@ -570,7 +514,7 @@ mod tests {
         let status = layout.batch_status(k, visit);
         let masks = vec![u64::MAX >> (64 - k); items.len()];
         progs.iter_mut().for_each(P::begin_iteration);
-        let work = Work::capture(WorkList::Slices(items), &masks, progs, g);
+        let work = Work::capture(items, &masks, progs);
         let mut next = vec![Vec::new(); k];
         let strategy = AccessStrategy::MergedAligned;
         let mut kernel = ProgramKernel::new(g, &layout, strategy, progs, status, work, &mut next);
@@ -680,7 +624,7 @@ mod tests {
         let layout = GraphLayout::place(&mut m, &g, 8, &Transport::ZeroCopy);
         let mut progs = [SsspProgram::new(&g, &w, 0)];
         let items = full_items(&g, &[0]);
-        let work = Work::capture(WorkList::Slices(&items), &[], &progs, &g);
+        let work = Work::capture(&items, &[], &progs);
         let mut next = [Vec::new()];
         let _ = ProgramKernel::new(
             &g,

@@ -380,6 +380,12 @@ impl GraphLayout {
     /// runs it on every device when its loop ends.
     pub(crate) fn check_ledgers(&self, machine: &Machine) {
         machine.check_invariants();
+        law(
+            "last_warp_alone_ns <= elapsed_ns",
+            machine.last_warp_alone_ns,
+            machine.now,
+            u64::le,
+        );
         let staged = self
             .transfer
             .as_ref()

@@ -99,7 +99,7 @@ pub use batch::{BatchRun, MAX_BATCH_QUERIES};
 pub use bfs::{BfsOutput, BfsProgram};
 pub use cc::{CcOutput, CcProgram};
 pub use engine::{BfsRun, CcRun, Engine, EngineConfig, PageRankRun, Run, SsspRun};
-pub use kernel::{ProgramKernel, Work, WorkList};
+pub use kernel::{ProgramKernel, Work, WorkSlice};
 pub use layout::{GraphLayout, StatusPlace, Transport};
 pub use pagerank::{PageRankOutput, PageRankProgram};
 pub use program::{AccessPattern, DeviceWork, EdgeEffect, EdgeFn, VertexProgram};

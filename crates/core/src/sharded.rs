@@ -34,13 +34,15 @@
 //! an iteration-start snapshot, and PageRank folds its sums in
 //! canonical edge order). With **one** device this *is* the
 //! single-device engine — both are fronts of the same iteration driver
-//! (`driver.rs`), nothing splits and the exchange is a no-op — so
+//! (`driver.rs`), hubs are cut by the same rule and the exchange is a
+//! no-op — so
 //! outputs, iteration counts *and* every per-run statistic (including
 //! hybrid transfer counters) are equal tick for tick.
 //! `tests/sharded_differential.rs` checks both properties on random
 //! graphs × 4 programs × 1/2/4 devices × both partitioners × every named
 //! configuration — including graphs with planted hubs
-//! (`tests/common::hub_graph`), whose lists reach [`HUB_SPLIT_DEGREE`] and are walked cooperatively —
+//! (`tests/common::hub_graph`), whose lists reach [`HUB_SPLIT_DEGREE`]
+//! and are walked cooperatively —
 //! and the `scaling` experiment measures the payoff (near-linear BFS
 //! scaling on GK). `emogi_serve::ShardedServer` serves queries over the
 //! group: each query's iterations shard across it (latency-oriented)
@@ -51,6 +53,7 @@
 use crate::driver::Driver;
 use crate::engine::EngineConfig;
 use crate::program::VertexProgram;
+use crate::strategy::AccessStrategy;
 use emogi_graph::{CsrGraph, PartitionStrategy, VertexId, VertexPartition};
 use emogi_runtime::group::DeviceGroup;
 use emogi_runtime::report::RunStats;
@@ -62,13 +65,19 @@ pub const FRONTIER_UPDATE_BYTES: u64 = 8;
 
 /// Neighbour lists at least this many elements long are expanded
 /// **cooperatively**: the owner keeps the vertex (status, activation,
-/// scan) but the list walk is split into one line-aligned slice per
-/// device. A warp walks its list serially, so an unsplit mega-hub's
-/// walk would be a latency chain no amount of sharding shortens — on
-/// power-law graphs that chain *is* the critical path of the busiest
-/// iterations, and splitting it is what keeps multi-GPU scaling near
-/// linear (single-device runs never split, preserving tick-identity
-/// with [`Engine`](crate::engine::Engine)).
+/// scan) but the list walk is cut into line-aligned pieces of
+/// `min(⌈deg / spread⌉, hub_slice)` elements, the driver's one
+/// hub-split rule. A frontier spreads a hub over every device, round
+/// robin from its owner; a full sweep keeps the pieces on the owner.
+/// A warp walks its list serially, so an uncut mega-hub's walk would be
+/// a latency chain no amount of sharding shortens — on power-law graphs
+/// that chain *is* the critical path of the busiest iterations. The
+/// paper's strategies have no `hub_slice`, so they cut only frontier
+/// hubs, only across devices; the split-hub kernel
+/// ([`AccessStrategy::MergedAlignedSplit`], whose slice is this
+/// constant) cuts on every device count, sweeps included. Either way a
+/// one-device group cuts exactly as the [`Engine`](crate::engine::Engine)
+/// does, which keeps the two tick-identical.
 pub const HUB_SPLIT_DEGREE: u64 = 256;
 
 /// How to build a [`ShardedEngine`].
@@ -84,10 +93,11 @@ pub struct ShardedConfig {
 }
 
 impl ShardedConfig {
-    /// `devices` × the EMOGI V100 platform, degree-balanced sharding.
+    /// `devices` × the EMOGI V100 platform on the split-hub kernel
+    /// ([`AccessStrategy::MergedAlignedSplit`]), degree-balanced sharding.
     pub fn emogi_v100(devices: usize) -> Self {
         Self {
-            engine: EngineConfig::emogi_v100(),
+            engine: EngineConfig::emogi_v100().with_strategy(AccessStrategy::MergedAlignedSplit),
             devices,
             partition: PartitionStrategy::DegreeBalanced,
         }

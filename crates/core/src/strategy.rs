@@ -1,7 +1,11 @@
 //! The three zero-copy access strategies evaluated in §5 (Naive, Merged,
 //! Merged+Aligned) — the paper's Figures 5, 7, 8, 9 compare exactly
-//! these. How the bytes reach the GPU is the other axis,
+//! these — plus one extension kernel, Merged+Aligned with split hubs,
+//! which the repository's own presets (hybrid, pipelined, sharded) run.
+//! How the bytes reach the GPU is the other axis,
 //! [`Transport`](crate::layout::Transport).
+
+use crate::sharded::HUB_SPLIT_DEGREE;
 
 /// How GPU threads are assigned to neighbour lists and how their accesses
 /// are laid out.
@@ -17,10 +21,18 @@ pub enum AccessStrategy {
     /// §4.3.2: Merged plus shifting the start index down to the closest
     /// preceding 128-byte boundary, with underflowing lanes masked off.
     MergedAligned,
+    /// Not in the paper: Merged+Aligned, except that a neighbour list of
+    /// at least [`HUB_SPLIT_DEGREE`] elements is cut into line-aligned
+    /// pieces of at most that many, each walked by its own warp (list
+    /// gathering by degree, Merrill et al., PPoPP 2012). One warp on a
+    /// mega-hub's list is a serial chain of link round trips; pieces run
+    /// in parallel.
+    MergedAlignedSplit,
 }
 
 impl AccessStrategy {
-    /// Every strategy, in the paper's Naive → Merged → Aligned order.
+    /// The paper's strategies, in its Naive → Merged → Aligned order
+    /// (the extension kernel is not one of them).
     pub fn all() -> [AccessStrategy; 3] {
         [
             AccessStrategy::Naive,
@@ -29,12 +41,23 @@ impl AccessStrategy {
         ]
     }
 
-    /// The paper's display name for this strategy.
+    /// The display name for this strategy (the paper's, for its three).
     pub fn name(self) -> &'static str {
         match self {
             AccessStrategy::Naive => "Naive",
             AccessStrategy::Merged => "Merged",
             AccessStrategy::MergedAligned => "Merged+Aligned",
+            AccessStrategy::MergedAlignedSplit => "Merged+Aligned split",
+        }
+    }
+
+    /// The longest piece one warp walks of a list of at least
+    /// [`HUB_SPLIT_DEGREE`] elements: `None` for the paper's kernels,
+    /// which give every list one warp.
+    pub fn hub_slice(self) -> Option<u64> {
+        match self {
+            AccessStrategy::MergedAlignedSplit => Some(HUB_SPLIT_DEGREE),
+            _ => None,
         }
     }
 
@@ -48,7 +71,9 @@ impl AccessStrategy {
     /// strategy rounds down (Listing 2's `start & ~0xF` for 8-byte data).
     pub fn start_cursor(self, start: u64, elems_per_line: u64) -> u64 {
         match self {
-            AccessStrategy::MergedAligned => start & !(elems_per_line - 1),
+            AccessStrategy::MergedAligned | AccessStrategy::MergedAlignedSplit => {
+                start & !(elems_per_line - 1)
+            }
             _ => start,
         }
     }
@@ -80,5 +105,20 @@ mod tests {
         assert!(AccessStrategy::Merged.warp_per_vertex());
         assert!(!AccessStrategy::Naive.warp_per_vertex());
         assert_eq!(AccessStrategy::MergedAligned.name(), "Merged+Aligned");
+        assert!(AccessStrategy::MergedAlignedSplit.warp_per_vertex());
+    }
+
+    #[test]
+    fn only_the_extension_kernel_splits_hubs() {
+        for s in AccessStrategy::all() {
+            assert_eq!(s.hub_slice(), None, "{s:?}");
+        }
+        let split = AccessStrategy::MergedAlignedSplit;
+        assert_eq!(split.hub_slice(), Some(HUB_SPLIT_DEGREE));
+        assert_eq!(
+            split.start_cursor(17, 16),
+            16,
+            "aligned like Merged+Aligned"
+        );
     }
 }

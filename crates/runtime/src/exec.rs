@@ -285,11 +285,14 @@ pub fn run_kernel<K: Kernel>(machine: &mut Machine, kernel: &mut K) -> KernelRep
         released: Vec::new(),
         report: KernelReport::default(),
         now: start,
+        retired: [start; 2],
     };
     ex.seed(start);
     ex.run();
+    let [second_last, last] = ex.retired;
     let report = ex.finish();
     machine.now = report.end;
+    machine.last_warp_alone_ns += last - second_last;
     report
 }
 
@@ -311,6 +314,9 @@ struct Executor<'a, K: Kernel> {
     released: Vec<(u64, Time)>,
     report: KernelReport,
     now: Time,
+    /// The last two warp-slot retirement times, oldest first (the launch
+    /// start until slots retire).
+    retired: [Time; 2],
 }
 
 impl<K: Kernel> Executor<'_, K> {
@@ -360,6 +366,7 @@ impl<K: Kernel> Executor<'_, K> {
         if slot.task.is_none() {
             slot.task = self.kernel.next_task();
             if slot.task.is_none() {
+                self.retired = [self.retired[1], t];
                 return; // warp retires
             }
         }

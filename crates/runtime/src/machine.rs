@@ -142,6 +142,11 @@ pub struct Machine {
     /// [`run_kernel`](crate::exec::run_kernel) (and by analytic baselines
     /// that model a launch without executing one).
     pub kernel_launches: u64,
+    /// Summed over every launch: how long its last warp slot ran alone,
+    /// from the second-to-last slot's retirement (or the launch start)
+    /// to its own — the straggler tail of the launch. A reading of when
+    /// warps retired, never a cost: no clock waits on it.
+    pub last_warp_alone_ns: Time,
 }
 
 impl Machine {
@@ -161,6 +166,7 @@ impl Machine {
             lane_bytes: 0,
             txn_bytes: 0,
             kernel_launches: 0,
+            last_warp_alone_ns: 0,
             cfg,
         }
     }
@@ -289,6 +295,7 @@ impl Machine {
         RunStats {
             elapsed_ns: self.now,
             kernel_launches: self.kernel_launches,
+            last_warp_alone_ns: self.last_warp_alone_ns,
             pcie_read_requests: self.monitor.read_requests,
             request_sizes: self.monitor.sizes.clone(),
             host_bytes: self.monitor.host_to_gpu_bytes(),

@@ -51,6 +51,12 @@ emogi_sim::ledger! {
         /// Kernel launches ("the total number of kernels launched ... is
         /// equal to the distance from the source vertex", §4.2).
         pub kernel_launches: u64,
+        /// Of [`elapsed_ns`](Self::elapsed_ns), the time each launch's
+        /// last warp slot ran alone after the second-to-last retired
+        /// (from the launch start, with one slot): the straggler tail a
+        /// serial walk of one long list leaves. Never more than elapsed
+        /// on one device; a concurrent fold sums the devices' tails.
+        pub last_warp_alone_ns: Time,
         /// Zero-copy PCIe read requests (Figure 5).
         pub pcie_read_requests: u64,
         /// Their size mix (Figure 7).

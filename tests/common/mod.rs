@@ -157,13 +157,15 @@ pub fn random_permutation(n: usize, seed: u64) -> Vec<u32> {
     perm
 }
 
-/// The one named configuration list: the three zero-copy strategies,
-/// synchronous and pipelined hybrid, and the UVM baseline. Every suite
-/// draws from it (`sim_golden` shrinks the cache and the transfer
-/// regions of the same six).
+/// The one named configuration list: the paper's three zero-copy
+/// strategies, zero-copy on the split-hub kernel the extension presets
+/// run, synchronous and pipelined hybrid, and the UVM baseline (last).
+/// Every suite draws from it (`sim_golden` shrinks the cache and the
+/// transfer regions of the same seven).
 pub fn configs() -> Vec<(&'static str, EngineConfig)> {
     let zero_copy = |s: AccessStrategy| (s.name(), EngineConfig::emogi_v100().with_strategy(s));
     let mut all: Vec<_> = AccessStrategy::all().into_iter().map(zero_copy).collect();
+    all.push(zero_copy(AccessStrategy::MergedAlignedSplit));
     all.push(("Hybrid", EngineConfig::hybrid_v100()));
     all.push(("Hybrid pipelined", EngineConfig::pipelined_v100()));
     all.push(("UVM", EngineConfig::uvm_v100()));

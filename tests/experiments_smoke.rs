@@ -85,6 +85,8 @@ const ALIGN_GAIN: Option<&str> = Some("alignment adds far less bandwidth, at sca
 const UVM_TOY: Option<&str> = Some("UVM's fault path is ~10 % slow, more on a small array");
 const CACHE_FITS: Option<&str> = Some("GK's 0.90 MB edge list fits the smallest 1 MiB cache");
 const SUBWAY_ROUNDS: Option<&str> = Some("Subway's per-round build + copy dominate short rounds");
+const TIER_TIE: Option<&str> =
+    Some("split hubs hide host-spill's CXL latency: promotion ties (0.97 at 1/32, 1.01 at 1/4)");
 const L2_PAIR: Option<&str> =
     Some("an SSSP pair near a full L2 takes 1.8x solo, status layout or not (ROADMAP 1a)");
 
@@ -287,31 +289,38 @@ fn hybrid_experiment_produces_table_and_hybrid_wins_reuse() {
     let ns = |scenario, engine| stats(scenario, engine).elapsed_ns as f64;
     for s in ["reuse-cc", "reuse-multi-bfs"] {
         let id = format!("hybrid {s} zero-copy / hybrid time");
-        let win = ns(s, "Merged+Aligned") / ns(s, "Hybrid");
+        let win = ns(s, "Merged+Aligned split") / ns(s, "Hybrid");
         claim(&id, win, None, WIN, None);
     }
     assert!(stats("reuse-cc", "Hybrid").transfer.staged_regions > 0);
     assert_eq!(stats("sparse-bfs", "Hybrid").transfer.staged_regions, 0);
     let sparse = ns("sparse-bfs", "Hybrid");
-    assert!(sparse <= ns("sparse-bfs", "Merged+Aligned"));
+    assert!(sparse <= ns("sparse-bfs", "Merged+Aligned split"));
     assert!(sparse <= ns("sparse-bfs", "Subway-async"));
 }
 
 #[test]
 fn pagerank_experiment_verifies_all_modes() {
     let r = pagerank::measure(&ctx());
-    assert_shape(&pagerank::table(&r), PAGERANK, 8);
+    assert_shape(&pagerank::table(&r), PAGERANK, 10);
     for ((graph, mode), m) in &r.rows {
         assert!(m.max_abs_err < 1e-9, "{graph} / {mode}");
         // Only hybrid stages.
         let staged = m.stats.transfer.staged_regions > 0;
         assert_eq!(staged, *mode == "Hybrid", "{graph} / {mode}");
     }
-    // Repeated full sweeps are hybrid's best case.
+    // Repeated full sweeps are hybrid's best case, against zero-copy on
+    // the same split-hub kernel: the ratio is the transport's alone.
     for graph in ["GK", "ML"] {
         let ns = |mode| r.get((graph, mode)).stats.elapsed_ns as f64;
         let id = format!("pagerank {graph} zero-copy / hybrid time");
-        claim(&id, ns("Merged+Aligned") / ns("Hybrid"), None, WIN, None);
+        claim(
+            &id,
+            ns("Merged+Aligned split") / ns("Hybrid"),
+            None,
+            WIN,
+            None,
+        );
     }
 }
 
@@ -410,13 +419,17 @@ fn sla_experiment_produces_table_and_edf_beats_fifo() {
 fn scaling_experiment_produces_table_and_scales() {
     let r = scaling::measure(&ctx());
     assert_shape(&scaling::table(&r), SCALING, 6);
-    // Near-linear with degree-balanced shards, the exchange present but
+    // Speedup with degree-balanced shards, the exchange present but
     // small beside the edge traffic, and degree balance ahead of
-    // contiguous shards on the skewed graph.
+    // contiguous shards on the skewed graph. Every device count runs the
+    // split-hub kernel, so the 1-device baseline cuts its hubs too and
+    // the ratio measures devices only: 1.42x and 2.35x here. The old
+    // bands, 1.6 and 2.5, held only while sharding was also the one way
+    // to cut a hub (1.86x and 3.86x).
     let (db, ct) = ("degree-balanced", "contiguous");
     let (s2, s4) = (scaling::speedup(&r, 2, db), scaling::speedup(&r, 4, db));
-    claim("scaling 2-device speedup", s2, None, above(1.6), None);
-    claim("scaling 4-device speedup", s4, None, above(2.5), None);
+    claim("scaling 2-device speedup", s2, None, above(1.3), None);
+    claim("scaling 4-device speedup", s4, None, above(2.1), None);
     claim("scaling 4 / 2-device speedup", s4 / s2, None, WIN, None);
     let m4 = r.get((4, db));
     let exchange = m4.exchange_bytes as f64 / m4.stats.host_bytes as f64;
@@ -433,7 +446,13 @@ fn tiering_experiment_beats_the_host_spill_baseline() {
     let (spill, tiered) = (stats("host-spill"), stats("three-tier"));
     assert!(r.cxl_home_bytes > 0 && spill.cxl_bytes > 0);
     let speedup = spill.elapsed_ns as f64 / tiered.elapsed_ns as f64;
-    claim("tiering host-spill / three-tier", speedup, None, WIN, None);
+    claim(
+        "tiering host-spill / three-tier",
+        speedup,
+        None,
+        WIN,
+        TIER_TIE,
+    );
     assert!(tiered.transfer.staged_regions > 0, "never staged");
     assert_eq!(stats("two-tier (unbounded)").cxl_bytes, 0);
 }

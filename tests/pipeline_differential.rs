@@ -7,9 +7,11 @@
 //! Speculation may change *when* bytes move, never *which* bytes move.
 //! **Generator:** a prefetcher exists only inside [`Transport::Hybrid`],
 //! so every case is a hybrid pair; what the cases draw instead of a
-//! configuration is the region size, small enough that the tiny random
-//! edge lists span several regions and the ranking has something to
-//! order. **Witness:** `the_pipelined_side_actually_speculates`.
+//! configuration is the kernel (Merged+Aligned, or the split-hub kernel
+//! the hybrid presets run) and the region size, small enough that the
+//! tiny random edge lists span several regions and the ranking has
+//! something to order. **Witness:** `the_pipelined_side_actually_speculates`,
+//! on both kernels over a graph whose hubs the split kernel cuts.
 //!
 //! Seeded mutation this file is known to catch: skipping
 //! `machine.account_async_stage` on adoption in `TransferManager::plan`
@@ -29,9 +31,21 @@ use emogi_repro::graph::datasets::generate_weights;
 use emogi_repro::prelude::*;
 use proptest::prelude::*;
 
-/// The synchronous / pipelined pair: hybrid transport over
+/// The two kernels a case draws from: the paper's Merged+Aligned and
+/// the split-hub kernel.
+const KERNELS: [AccessStrategy; 2] = [
+    AccessStrategy::MergedAligned,
+    AccessStrategy::MergedAlignedSplit,
+];
+
+/// The synchronous / pipelined pair: `kernel` on hybrid transport over
 /// `region_bytes` regions, without and with the default prefetcher.
-fn pair<'a>(region_bytes: u64, g: &'a CsrGraph, specs: &'a [ProgramSpec]) -> [Side<'a>; 2] {
+fn pair<'a>(
+    kernel: AccessStrategy,
+    region_bytes: u64,
+    g: &'a CsrGraph,
+    specs: &'a [ProgramSpec],
+) -> [Side<'a>; 2] {
     let transfer = TransferConfig {
         region_bytes,
         ..TransferConfig::default()
@@ -39,14 +53,23 @@ fn pair<'a>(region_bytes: u64, g: &'a CsrGraph, specs: &'a [ProgramSpec]) -> [Si
     [None, Some(PrefetchConfig::default())].map(|prefetch| {
         let transfer = transfer.clone();
         let hybrid = Transport::Hybrid { transfer, prefetch };
-        Side::new(EngineConfig::emogi_v100().with_transport(hybrid), g, specs)
+        let cfg = EngineConfig::emogi_v100().with_strategy(kernel);
+        Side::new(cfg.with_transport(hybrid), g, specs)
     })
 }
 
-/// The theorem, in `shapes`: pipelined ≡ synchronous at `Semantic`.
-fn assert_pipeline_invariant(g: &CsrGraph, specs: &[ProgramSpec], shift: u32, shapes: &[Shape]) {
-    let [sync, pipe] = pair(1 << shift, g, specs);
-    let tag = format!("{} B regions", 1u64 << shift);
+/// The theorem, in `shapes`: pipelined ≡ synchronous at `Semantic`, on
+/// `KERNELS[kernel]`.
+fn assert_pipeline_invariant(
+    g: &CsrGraph,
+    specs: &[ProgramSpec],
+    kernel: usize,
+    shift: u32,
+    shapes: &[Shape],
+) {
+    let kernel = KERNELS[kernel];
+    let [sync, pipe] = pair(kernel, 1 << shift, g, specs);
+    let tag = format!("{}, {} B regions", kernel.name(), 1u64 << shift);
     assert_equivalent(&sync, &pipe, shapes, Strength::Semantic, &tag);
 }
 
@@ -60,9 +83,10 @@ proptest! {
         src in 0u32..72,
         region_shift in 8u32..12,
         weight_seed in 0u64..1_000,
+        kernel in 0usize..2,
     ) {
         let specs = four_programs(src, &generate_weights(g.num_edges(), weight_seed), 7);
-        assert_pipeline_invariant(&g, &specs, region_shift, &[Shape::Solo]);
+        assert_pipeline_invariant(&g, &specs, kernel, region_shift, &[Shape::Solo]);
     }
 
     /// Batched multi-query execution, SSSP and BFS bursts: per-query
@@ -73,9 +97,10 @@ proptest! {
         g in common::graph(64, 300),
         sources in common::sources(64, 5),
         region_shift in 8u32..12,
+        kernel in 0usize..2,
     ) {
         let specs = traversals(&sources, &generate_weights(g.num_edges(), 11));
-        assert_pipeline_invariant(&g, &specs, region_shift, &Shape::BATCHED);
+        assert_pipeline_invariant(&g, &specs, kernel, region_shift, &Shape::BATCHED);
     }
 
     /// Sharded execution at 1, 2 and 4 devices, all four programs (each
@@ -87,38 +112,48 @@ proptest! {
         src in 0u32..64,
         region_shift in 8u32..12,
         weight_seed in 0u64..1_000,
+        kernel in 0usize..2,
     ) {
         let specs = four_programs(src, &generate_weights(g.num_edges(), weight_seed), 5);
-        assert_pipeline_invariant(&g, &specs, region_shift, &Shape::sharded());
+        assert_pipeline_invariant(&g, &specs, kernel, region_shift, &Shape::sharded());
     }
 }
 
 /// The harness's own precondition, on a fixed scenario: the pipelined
 /// side really speculates and its copies really get adopted — two
-/// synchronous engines would satisfy every equality above.
+/// synchronous engines would satisfy every equality above — on both
+/// kernels, over a graph with hubs the split kernel cuts.
 #[test]
 fn the_pipelined_side_actually_speculates() {
     let g = generators::kronecker(9, 16, 21);
+    assert!((0..512).any(|v| g.degree(v) >= emogi_repro::core::sharded::HUB_SPLIT_DEGREE));
     let specs = [3u32, 11, 200].map(|src| ProgramSpec::Bfs { src });
-    let mut sides = pair(4 << 10, &g, &specs);
-    sides
-        .iter_mut()
-        .for_each(|side| side.cfg.machine.gpu.cache.capacity_bytes = 16 << 10);
-    let [sync, pipe] = &sides;
-    let (a, b) =
-        assert_equivalent(sync, pipe, &[Shape::Solo], Strength::Semantic, "witness").remove(0);
-    let prefetch = |o: &Outcome| {
-        let mut sum = PrefetchStats::default();
-        o.runs.iter().for_each(|run| sum += &run.stats().prefetch);
-        sum
-    };
-    assert_eq!(prefetch(&a), Default::default(), "no lane, no counters");
-    assert!(
-        prefetch(&b).prefetched_regions > 0,
-        "the prefetcher never issued a region"
-    );
-    assert!(
-        prefetch(&b).hit_regions > 0,
-        "no speculative copy was ever adopted"
-    );
+    for kernel in KERNELS {
+        let mut sides = pair(kernel, 4 << 10, &g, &specs);
+        sides
+            .iter_mut()
+            .for_each(|side| side.cfg.machine.gpu.cache.capacity_bytes = 16 << 10);
+        let [sync, pipe] = &sides;
+        let tag = format!("witness, {}", kernel.name());
+        let (a, b) =
+            assert_equivalent(sync, pipe, &[Shape::Solo], Strength::Semantic, &tag).remove(0);
+        let prefetch = |o: &Outcome| {
+            let mut sum = PrefetchStats::default();
+            o.runs.iter().for_each(|run| sum += &run.stats().prefetch);
+            sum
+        };
+        assert_eq!(
+            prefetch(&a),
+            Default::default(),
+            "{tag}: no lane, no counters"
+        );
+        assert!(
+            prefetch(&b).prefetched_regions > 0,
+            "{tag}: the prefetcher never issued a region"
+        );
+        assert!(
+            prefetch(&b).hit_regions > 0,
+            "{tag}: no speculative copy was ever adopted"
+        );
+    }
 }
