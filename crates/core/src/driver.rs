@@ -15,17 +15,23 @@
 //!
 //! 1. **merge** the active queries' frontiers into one sorted union with
 //!    a member mask per vertex (Q = 1: the frontier itself, no masks);
-//! 2. **shard** the union into per-device `(vertex, lo, hi)` work items —
-//!    each vertex on its owner, and one rule (`Driver::cut`) for
-//!    mega-hub lists: line-aligned pieces of `min(⌈deg / N⌉, hub_slice)`
-//!    elements, round robin from the owner. The paper's kernels have no
-//!    `hub_slice`, so on one device they never cut; the split-hub kernel
-//!    cuts on every device count. Full sweeps skip 1–2: a device's items
-//!    are its owned vertex range, built once per drive by the same rule
-//!    with every piece on the owner. Each device's items come out in
-//!    ascending edge-list address order (the union is sorted and CSR
-//!    offsets are monotone in the vertex id), so there is no reorder
-//!    stage: the stream is already sequential;
+//! 2. **shard** the union into per-device `(vertex, lo, hi)` work items
+//!    by one deal, on every device count: one walk over the union deals
+//!    short lists (under `HUB_SPLIT_DEGREE` elements) in vertex order,
+//!    filling device 0 up to `⌈short elements / N⌉` elements, then
+//!    device 1, and so on, so no device idles at the barrier while a
+//!    peer walks a larger share; hubs go through one rule
+//!    (`Driver::cut`): line-aligned pieces of
+//!    `min(⌈deg / N⌉, hub_slice)` elements, round robin from the owner,
+//!    so a hub's pieces meet the same devices' L2 query after query. The
+//!    paper's kernels have no `hub_slice`, so on one device they never
+//!    cut; the split-hub kernel cuts on every device count. One device
+//!    gets everything. Full sweeps skip 1–2: a device's items are its
+//!    owned vertex range, built once per drive by the same rule with
+//!    every piece on the owner. Each device's items come out in
+//!    ascending edge-list address order (the union is sorted, the deal
+//!    walks it once, and CSR offsets are monotone in the vertex id), so
+//!    there is no reorder stage: the stream is already sequential;
 //! 3. per device with work: the active-vertex **scan**, once per active
 //!    query, and the hybrid transfer **plan** over exactly the edge-list
 //!    byte ranges the launch will read;
@@ -157,19 +163,20 @@ impl<'g> Driver<'g> {
         }
     }
 
-    /// The one hub-split rule. `v`'s list becomes one work item, unless it
-    /// holds at least [`HUB_SPLIT_DEGREE`] elements: then it is cut into
-    /// pieces of `min(⌈deg / spread⌉, hub_slice)` elements, rounded up to
-    /// whole lines, and piece `k` goes to device `(owner + k % spread) %
-    /// ndev` — round robin over `spread` devices from the owner. A
-    /// warp walks its piece serially, so an uncut mega-hub is a latency
-    /// chain no amount of sharding shortens. A paper strategy has no
-    /// `hub_slice`, so on one device (or with `spread` 1) it never cuts.
-    /// `place(d)` runs once per item pushed onto `items[d]`.
+    /// The one hub-split rule. `v`'s list becomes one work item on
+    /// `anchor`, unless it holds at least [`HUB_SPLIT_DEGREE`] elements:
+    /// then it is cut into pieces of `min(⌈deg / spread⌉, hub_slice)`
+    /// elements, rounded up to whole lines, and piece `k` goes to device
+    /// `(anchor + k % spread) % ndev` — round robin over `spread` devices
+    /// from the anchor. A warp walks its piece serially, so an uncut
+    /// mega-hub is a latency chain no amount of sharding shortens. A
+    /// paper strategy has no `hub_slice`, so on one device (or with
+    /// `spread` 1) it never cuts. `place(d)` runs once per item pushed
+    /// onto `items[d]`.
     fn cut(
         &self,
         v: VertexId,
-        owner: usize,
+        anchor: usize,
         spread: usize,
         items: &mut [Vec<WorkSlice>],
         mut place: impl FnMut(usize),
@@ -186,7 +193,7 @@ impl<'g> Driver<'g> {
             deg.max(1)
         };
         let mut at = start;
-        for d in (0..spread).cycle().map(|k| (owner + k) % ndev) {
+        for d in (0..spread).cycle().map(|k| (anchor + k) % ndev) {
             let upto = (at + piece).min(end);
             items[d].push((v, at, upto));
             place(d);
@@ -197,9 +204,13 @@ impl<'g> Driver<'g> {
         }
     }
 
-    /// Stage 2 for a frontier: every union vertex becomes work items
-    /// ([`cut`](Self::cut) spread over every device, from its owner), and
-    /// its member mask follows every piece.
+    /// Stage 2 for a frontier, the one deal: one walk over the sorted
+    /// union. Short lists (under [`HUB_SPLIT_DEGREE`]) fill device 0
+    /// until it holds `⌈short elements / ndev⌉` elements, then device 1,
+    /// and so on, so every device gets an equal span of short-list work
+    /// whoever owns it. Hubs are [`cut`](Self::cut) round robin over
+    /// every device from their owner, so a hub's pieces land on the same
+    /// devices query after query. A member mask follows every item.
     fn shard(
         &self,
         union: &[VertexId],
@@ -210,11 +221,28 @@ impl<'g> Driver<'g> {
         let ndev = items.len();
         items.iter_mut().for_each(Vec::clear);
         item_masks.iter_mut().for_each(Vec::clear);
-        let bounds = self.partition.slice_bounds(union);
-        for (owner, (lo, hi)) in bounds.into_iter().enumerate() {
-            for (i, &v) in union[lo..hi].iter().enumerate() {
-                let mask = masks.get(lo + i);
-                self.cut(v, owner, ndev, items, |d| item_masks[d].extend(mask));
+        let short: u64 = union
+            .iter()
+            .map(|&v| self.graph.degree(v))
+            .filter(|&deg| deg < HUB_SPLIT_DEGREE)
+            .sum();
+        let share = short.div_ceil(ndev as u64);
+        let (mut d, mut held) = (0, 0);
+        for (i, &v) in union.iter().enumerate() {
+            let deg = self.graph.degree(v);
+            let hub = deg >= HUB_SPLIT_DEGREE;
+            let (anchor, spread) = if hub {
+                (self.partition.owner(v), ndev)
+            } else {
+                (d, 1)
+            };
+            let mask = masks.get(i);
+            self.cut(v, anchor, spread, items, |e| item_masks[e].extend(mask));
+            if !hub {
+                held += deg;
+                if held >= share && d + 1 < ndev {
+                    (d, held) = (d + 1, 0);
+                }
             }
         }
     }
@@ -318,7 +346,7 @@ impl<'g> Driver<'g> {
                 .zip(&mut self.places)
                 .enumerate()
             {
-                // Devices whose shard is empty this iteration stay idle.
+                // Devices dealt nothing this iteration stay idle.
                 if items[d].is_empty() {
                     continue;
                 }
@@ -458,18 +486,18 @@ mod tests {
         (machines, driver)
     }
 
-    /// The paper's kernels under the one rule: a hub is cut only across
-    /// devices, into one line-aligned slice per device, exactly as
-    /// before the rule covered one device.
+    /// The paper's kernels under the one deal: a hub is cut only across
+    /// devices, into one line-aligned slice per device from its owner; a
+    /// short list stays whole and goes where the deal's span puts it.
     #[test]
     fn hubs_split_across_devices_and_members_follow_every_slice() {
         let g = generators::kronecker(10, 16, 5);
-        let hub = (0..g.num_vertices() as u32)
-            .max_by_key(|&v| g.degree(v))
-            .unwrap();
+        let n = g.num_vertices() as u32;
+        let hub = (0..n).max_by_key(|&v| g.degree(v)).unwrap();
         assert!(g.degree(hub) >= HUB_SPLIT_DEGREE, "scenario needs a hub");
-        let leaf = (0..g.num_vertices() as u32)
-            .find(|&v| v != hub && g.degree(v) < HUB_SPLIT_DEGREE)
+        // A leaf in the upper half of the ids: device 0 never owns it.
+        let leaf = (n / 2..n)
+            .find(|&v| v != hub && (1..HUB_SPLIT_DEGREE).contains(&g.degree(v)))
             .unwrap();
         let mut union = vec![hub, leaf];
         union.sort_unstable();
@@ -496,8 +524,9 @@ mod tests {
         assert!(item_masks[0].is_empty());
 
         // Four devices: the hub's list becomes one line-aligned slice
-        // per device, the owner keeping the first; the leaf stays whole
-        // on its owner; masks move with every slice.
+        // per device, the owner keeping the first; the leaf, the only
+        // short list, is all of device 0's span and stays whole there,
+        // whoever owns it; masks move with every slice.
         let (_, four) = driver(&g, 4);
         let (mut items, mut item_masks) = (vec![Vec::new(); 4], vec![Vec::new(); 4]);
         four.shard(&union, &masks, &mut items, &mut item_masks);
@@ -513,7 +542,7 @@ mod tests {
                     slices.push((lo, hi));
                 } else {
                     assert_eq!((v, m), (leaf, 0b010));
-                    assert_eq!(d, four.partition.owner(leaf));
+                    assert_eq!(d, 0, "the only short list fills device 0's span");
                     assert_eq!((lo, hi), (g.neighbor_start(leaf), g.neighbor_end(leaf)));
                 }
             }
@@ -524,6 +553,103 @@ mod tests {
         for w in slices.windows(2) {
             assert_eq!(w[0].1, w[1].0, "slices tile the list");
             assert_eq!((w[0].1 - start) % line, 0, "cuts are line-aligned");
+        }
+    }
+
+    /// The one deal on a real batch union: on N devices every device's
+    /// short-list work is at most `⌈short / N⌉ + HUB_SPLIT_DEGREE − 1`
+    /// elements, device `d`'s short vertices all precede device
+    /// `d + 1`'s, hub pieces go round robin from the owner, and each
+    /// item carries its vertex's member mask. On one device the items
+    /// are the union in order, hubs cut only by the kernel's slice.
+    #[test]
+    fn the_deal_gives_every_device_an_equal_span_of_short_lists() {
+        let g = generators::kronecker(12, 16, 5);
+        let n = g.num_vertices() as u32;
+        let is_hub = |v: VertexId| g.degree(v) >= HUB_SPLIT_DEGREE;
+        let every = |k: u32| -> Vec<VertexId> { (0..n).filter(|v| v % k == 0).collect() };
+        let (mut union, mut masks) = (Vec::new(), Vec::new());
+        merge_frontiers(&[every(2), every(3), every(7)], &mut union, &mut masks);
+        let short: u64 = union
+            .iter()
+            .filter(|&&v| !is_hub(v))
+            .map(|&v| g.degree(v))
+            .sum();
+        assert!(
+            union.iter().filter(|&&v| is_hub(v)).count() > 1,
+            "scenario needs hubs"
+        );
+        let mask_of = |v: VertexId| masks[union.binary_search(&v).unwrap()];
+
+        let plain = EngineConfig::emogi_v100();
+        let split = plain
+            .clone()
+            .with_strategy(AccessStrategy::MergedAlignedSplit);
+        for cfg in [&plain, &split] {
+            // One device: the union in order, a hub cut into whole warps'
+            // worth of elements only when the kernel has a slice.
+            let (_, one) = driver_with(cfg, &g, 1, PartitionStrategy::Contiguous);
+            let (mut items, mut item_masks) = (vec![Vec::new()], vec![Vec::new()]);
+            one.shard(&union, &masks, &mut items, &mut item_masks);
+            let (mut want, mut want_masks) = (Vec::new(), Vec::new());
+            for (&v, &m) in union.iter().zip(&masks) {
+                let (mut lo, end) = (g.neighbor_start(v), g.neighbor_end(v));
+                let piece = match cfg.strategy.hub_slice() {
+                    Some(slice) if is_hub(v) => slice,
+                    _ => (end - lo).max(1),
+                };
+                loop {
+                    want.push((v, lo, (lo + piece).min(end)));
+                    want_masks.push(m);
+                    lo += piece;
+                    if lo >= end {
+                        break;
+                    }
+                }
+            }
+            assert_eq!(items[0], want, "{:?}", cfg.strategy);
+            assert_eq!(item_masks[0], want_masks, "{:?}", cfg.strategy);
+
+            for devices in [2, 4] {
+                for strategy in PartitionStrategy::all() {
+                    let what = format!("{:?}, {devices} devices, {strategy:?}", cfg.strategy);
+                    let (_, driver) = driver_with(cfg, &g, devices, strategy);
+                    let mut items = vec![Vec::new(); devices];
+                    let mut item_masks = vec![Vec::new(); devices];
+                    driver.shard(&union, &masks, &mut items, &mut item_masks);
+                    let share = short.div_ceil(devices as u64);
+                    let mut spans: Vec<(VertexId, VertexId)> = Vec::new();
+                    let mut dealt = 0;
+                    for (d, (its, ms)) in items.iter().zip(&item_masks).enumerate() {
+                        assert_eq!(its.len(), ms.len(), "{what}: one mask per item");
+                        for (&(v, _, _), &m) in its.iter().zip(ms) {
+                            assert_eq!(m, mask_of(v), "{what}: device {d}, vertex {v}");
+                        }
+                        let shorts: Vec<VertexId> =
+                            its.iter().map(|it| it.0).filter(|&v| !is_hub(v)).collect();
+                        let work: u64 = shorts.iter().map(|&v| g.degree(v)).sum();
+                        assert!(
+                            work < share + HUB_SPLIT_DEGREE,
+                            "{what}: device {d} holds {work} of a {share} share"
+                        );
+                        dealt += work;
+                        if let (Some(&first), Some(&last)) = (shorts.first(), shorts.last()) {
+                            spans.push((first, last));
+                        }
+                    }
+                    assert_eq!(dealt, short, "{what}: every short list is dealt once");
+                    assert_eq!(spans.len(), devices, "{what}: every device gets a span");
+                    for w in spans.windows(2) {
+                        assert!(w[0].1 < w[1].0, "{what}: spans follow vertex order");
+                    }
+                    for &hub in union.iter().filter(|&&v| is_hub(v)) {
+                        let owner = driver.partition.owner(hub);
+                        for (k, &(d, _)) in pieces_of(&driver, hub, &items).iter().enumerate() {
+                            assert_eq!(d, (owner + k) % devices, "{what}: hub {hub} piece {k}");
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -585,18 +711,18 @@ mod tests {
     /// becomes line-aligned pieces of at most `HUB_SPLIT_DEGREE` elements
     /// that tile its list, dealt round robin from the owner (on one
     /// device, all of them there); its member mask follows every piece;
-    /// short lists stay whole.
+    /// short lists stay whole, in the deal's spans.
     #[test]
     fn the_split_kernel_cuts_frontier_hubs_into_warp_sized_pieces() {
         let g = generators::kronecker(12, 16, 5);
-        let hub = (0..g.num_vertices() as u32)
-            .max_by_key(|&v| g.degree(v))
-            .unwrap();
+        let n = g.num_vertices() as u32;
+        let hub = (0..n).max_by_key(|&v| g.degree(v)).unwrap();
         assert!(
             g.degree(hub) > 4 * HUB_SPLIT_DEGREE,
             "scenario needs a hub that wraps round four devices"
         );
-        let leaf = (0..g.num_vertices() as u32)
+        // A leaf in the upper half of the ids: device 0 never owns it.
+        let leaf = (n / 2..n)
             .find(|&v| v != hub && (1..HUB_SPLIT_DEGREE).contains(&g.degree(v)))
             .unwrap();
         let mut union = vec![hub, leaf];
@@ -629,11 +755,9 @@ mod tests {
                 assert_eq!(d, (owner + k) % devices, "{devices} devices: round robin");
                 assert!(len <= HUB_SPLIT_DEGREE, "{devices} devices: piece {k}");
             }
+            // The only short list is all of device 0's span.
             let leaf_pieces = pieces_of(&driver, leaf, &items);
-            assert_eq!(
-                leaf_pieces,
-                [(driver.partition.owner(leaf), g.degree(leaf))]
-            );
+            assert_eq!(leaf_pieces, [(0, g.degree(leaf))]);
         }
     }
 
@@ -687,7 +811,7 @@ mod tests {
 
     /// Why the driver has no reorder stage: every device's work items
     /// already arrive in ascending edge-list address order — the union is
-    /// sorted, `shard` walks it owner by owner, and CSR offsets are
+    /// sorted, `shard` walks it once, and CSR offsets are
     /// monotone in the vertex id — through hub splitting (across devices
     /// or into warp-sized pieces), batch unions, full sweeps and a
     /// CXL-spilled tail alike. A change to `cut`, `shard`, `sweep` or
@@ -861,7 +985,8 @@ mod tests {
 
     /// The machine counts its own launches: one per `run_kernel`, per
     /// device. On one device every iteration launches; on two, a device
-    /// whose shard is empty that iteration stays idle and counts nothing.
+    /// dealt nothing that iteration stays idle, counts nothing and books
+    /// its wait at the barrier.
     #[test]
     fn per_device_launches_come_from_each_machines_own_counter() {
         let g = generators::uniform_random(600, 8, 9);
@@ -878,9 +1003,12 @@ mod tests {
             assert_eq!(driven.per_device[d].kernel_launches, m.kernel_launches);
             assert!(m.kernel_launches <= driven.iterations, "device {d}");
         }
-        // Iteration 1 expands the lone source on its owner only.
-        let owner = two.partition.owner(4);
-        assert!(group.machines[1 - owner].kernel_launches < driven.iterations);
-        assert_eq!(group.machines[owner].kernel_launches, driven.iterations);
+        // Every frontier's first span is device 0's, so it launches every
+        // iteration; iteration 1's lone source leaves device 1 idle,
+        // waiting at the barrier. One device never waits.
+        assert!(group.machines[1].kernel_launches < driven.iterations);
+        assert_eq!(group.machines[0].kernel_launches, driven.iterations);
+        assert!(group.machines[1].barrier_wait_ns > 0);
+        assert_eq!(machines[0].barrier_wait_ns, 0);
     }
 }

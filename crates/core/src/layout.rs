@@ -386,6 +386,12 @@ impl GraphLayout {
             machine.now,
             u64::le,
         );
+        law(
+            "barrier_wait_ns <= elapsed_ns",
+            machine.barrier_wait_ns,
+            machine.now,
+            u64::le,
+        );
         let staged = self
             .transfer
             .as_ref()

@@ -42,10 +42,10 @@
 //!   the generality proof: a fourth program with zero driver, kernel or
 //!   transfer-planner changes;
 //! * [`sharded`] — the multi-GPU [`ShardedEngine`]: the same programs
-//!   over a device group, vertices partitioned across devices, each
-//!   device reading only its frontier shard's edge-list ranges over its
-//!   own link — outputs and iteration counts bit-identical to the
-//!   single-device engine;
+//!   over a device group, each iteration's frontier dealt across devices
+//!   in equal-work spans, each device reading only its deal's edge-list
+//!   ranges over its own link — outputs and iteration counts
+//!   bit-identical to the single-device engine;
 //! * [`spec`] — the closed vocabulary over those four programs
 //!   ([`ProgramSpec`] / [`ProgramKind`] / [`ProgramRun`]) and the one
 //!   dispatcher that runs a description — solo ([`spec::run`]) or as a

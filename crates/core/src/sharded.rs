@@ -8,14 +8,16 @@
 //!
 //! * the vertex set is split into contiguous shards by an
 //!   [`emogi_graph::partition`] partitioner (equal vertices, or equal
-//!   edges for skew-balanced PCIe traffic);
+//!   edges); a shard anchors its hubs' pieces and its full-sweep range;
 //! * every device holds the full vertex list and status array (the
 //!   paper's small device-resident structures) while the edge list
 //!   stays in shared host memory, placed identically on each device's
 //!   address map;
-//! * per iteration, device `d` launches one kernel over the frontier
-//!   vertices (or, for full sweeps, the vertex range) it owns — its
-//!   PCIe link carries only those neighbour lists;
+//! * per iteration, device `d` launches one kernel over its deal of the
+//!   frontier: an equal-work span of the short lists, in vertex order,
+//!   plus its round-robin pieces of the hubs (for full sweeps, the
+//!   vertex range it owns) — its PCIe link carries only those
+//!   neighbour lists;
 //! * between iterations the devices synchronize at a barrier and
 //!   exchange their status updates (activated `(vertex, value)` pairs
 //!   for frontier-driven programs, owned status slices for full sweeps)
@@ -64,11 +66,13 @@ use emogi_sim::interconnect::LinkStats;
 pub const FRONTIER_UPDATE_BYTES: u64 = 8;
 
 /// Neighbour lists at least this many elements long are expanded
-/// **cooperatively**: the owner keeps the vertex (status, activation,
-/// scan) but the list walk is cut into line-aligned pieces of
+/// **cooperatively**: the list walk is cut into line-aligned pieces of
 /// `min(⌈deg / spread⌉, hub_slice)` elements, the driver's one
 /// hub-split rule. A frontier spreads a hub over every device, round
-/// robin from its owner; a full sweep keeps the pieces on the owner.
+/// robin from its owner, so its pieces meet the same devices' L2 query
+/// after query; a full sweep keeps the pieces on the owner. Shorter
+/// lists stay whole and are dealt in equal-work spans across devices,
+/// in vertex order, whoever owns them.
 /// A warp walks its list serially, so an uncut mega-hub's walk would be
 /// a latency chain no amount of sharding shortens — on power-law graphs
 /// that chain *is* the critical path of the busiest iterations. The
@@ -204,7 +208,9 @@ impl<'g> ShardedEngine<'g> {
         per_device * self.group.num_devices() as f64
     }
 
-    /// The vertex partition shards are derived from.
+    /// The vertex partition: it anchors each hub's round-robin pieces
+    /// and each device's full-sweep range. A frontier's short lists are
+    /// dealt in equal-work spans whoever owns them.
     pub fn partition(&self) -> &VertexPartition {
         &self.core.partition
     }
@@ -307,8 +313,8 @@ mod tests {
 
     #[test]
     fn empty_shards_are_skipped_not_launched() {
-        // More devices than vertices: trailing shards own nothing and
-        // must not launch kernels.
+        // More devices than vertices: every frontier leaves devices
+        // dealt nothing, and they must not launch kernels.
         let g = generators::uniform_random(3, 2, 1);
         let mut e = ShardedEngine::load(ShardedConfig::emogi_v100(8), &g);
         let run = e.bfs(0);
@@ -317,7 +323,7 @@ mod tests {
         assert!(launched > 0);
         assert!(
             run.per_device.iter().any(|s| s.kernel_launches == 0),
-            "empty shards must stay idle"
+            "devices dealt nothing must stay idle"
         );
     }
 }

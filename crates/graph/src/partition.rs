@@ -1,11 +1,14 @@
 //! Vertex partitioners for sharded multi-GPU traversal.
 //!
 //! EMOGI's multi-GPU execution assigns each GPU a slice of the vertex
-//! set; per iteration a GPU expands only the frontier vertices it owns,
-//! reading their neighbour lists over its own host link. Both shipped
-//! partitioners produce **contiguous** vertex ranges — contiguity keeps
-//! every shard's edge-list reads a dense byte range (good for the hybrid
-//! transfer planner) and makes ownership lookup a binary search:
+//! set. The sharded engine's iteration driver uses that ownership to
+//! anchor a frontier hub's round-robin pieces and a full sweep's
+//! per-device range; a frontier's short lists it deals in equal-work
+//! spans whoever owns them, so ownership does not balance frontier
+//! work. Both shipped partitioners produce **contiguous** vertex ranges
+//! — contiguity keeps every shard's edge-list reads a dense byte range
+//! (good for the hybrid transfer planner) and makes ownership lookup a
+//! binary search:
 //!
 //! * [`PartitionStrategy::Contiguous`] splits the vertex id space into
 //!   equal-count ranges — trivial, but skewed graphs concentrate edges
@@ -13,7 +16,7 @@
 //! * [`PartitionStrategy::DegreeBalanced`] places the split points so
 //!   every shard owns roughly the same number of **edges** (the CSR
 //!   offset array is the degree prefix sum, so the split is a binary
-//!   search per boundary), which is what balances per-iteration PCIe
+//!   search per boundary), which balances full sweeps' per-device PCIe
 //!   traffic on power-law graphs.
 
 use crate::csr::CsrGraph;
@@ -121,6 +124,9 @@ impl VertexPartition {
 
     /// Split a **sorted** vertex list into per-shard position bounds:
     /// shard `s`'s vertices are `sorted[bounds[s].0..bounds[s].1]`.
+    /// No engine stage calls it any more (the driver deals a frontier's
+    /// short lists in equal-work spans, whoever owns them); it stays
+    /// because the benchmark's `graph.partition_ns` layer times it.
     pub fn slice_bounds(&self, sorted: &[VertexId]) -> Vec<(usize, usize)> {
         debug_assert!(sorted.windows(2).all(|w| w[0] < w[1]), "sorted + dedup");
         let mut bounds = Vec::with_capacity(self.num_shards());

@@ -56,11 +56,13 @@ impl DeviceGroup {
         self.machines.len()
     }
 
-    /// Align every device's clock to the group maximum and return it.
-    /// A single-device group is untouched.
+    /// Align every device's clock to the group maximum and return it;
+    /// each device books the time it waited in
+    /// [`Machine::barrier_wait_ns`]. A single-device group is untouched.
     pub fn barrier(&mut self) -> Time {
         let t = self.machines.iter().map(|m| m.now).max().unwrap_or(0);
         for m in &mut self.machines {
+            m.barrier_wait_ns += t - m.now;
             m.now = t;
         }
         t
@@ -113,6 +115,8 @@ mod tests {
         g.machines[2].now = 300;
         assert_eq!(g.barrier(), 700);
         assert!(g.machines.iter().all(|m| m.now == 700));
+        let waited: Vec<u64> = g.machines.iter().map(|m| m.barrier_wait_ns).collect();
+        assert_eq!(waited, [600, 0, 400], "each device books its own wait");
     }
 
     #[test]

@@ -147,6 +147,12 @@ pub struct Machine {
     /// to its own — the straggler tail of the launch. A reading of when
     /// warps retired, never a cost: no clock waits on it.
     pub last_warp_alone_ns: Time,
+    /// Summed over every group barrier: how long this device sat idle
+    /// waiting for the slowest peer ([`DeviceGroup::barrier`]). A
+    /// reading, never a cost: the barrier itself advances the clock.
+    ///
+    /// [`DeviceGroup::barrier`]: crate::group::DeviceGroup::barrier
+    pub barrier_wait_ns: Time,
 }
 
 impl Machine {
@@ -167,6 +173,7 @@ impl Machine {
             txn_bytes: 0,
             kernel_launches: 0,
             last_warp_alone_ns: 0,
+            barrier_wait_ns: 0,
             cfg,
         }
     }
@@ -296,6 +303,7 @@ impl Machine {
             elapsed_ns: self.now,
             kernel_launches: self.kernel_launches,
             last_warp_alone_ns: self.last_warp_alone_ns,
+            barrier_wait_ns: self.barrier_wait_ns,
             pcie_read_requests: self.monitor.read_requests,
             request_sizes: self.monitor.sizes.clone(),
             host_bytes: self.monitor.host_to_gpu_bytes(),

@@ -57,6 +57,11 @@ emogi_sim::ledger! {
         /// serial walk of one long list leaves. Never more than elapsed
         /// on one device; a concurrent fold sums the devices' tails.
         pub last_warp_alone_ns: Time,
+        /// Of [`elapsed_ns`](Self::elapsed_ns), the time the device sat
+        /// idle at group barriers waiting for the slowest peer: zero on
+        /// one device. Never more than elapsed on one device; a
+        /// concurrent fold sums the devices' waits.
+        pub barrier_wait_ns: Time,
         /// Zero-copy PCIe read requests (Figure 5).
         pub pcie_read_requests: u64,
         /// Their size mix (Figure 7).

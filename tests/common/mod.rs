@@ -349,8 +349,8 @@ pub enum Strength {
     Results,
     /// `Results` plus every statistic — per run, per device, and the
     /// exchange traffic — except the fields speculation is *allowed* to
-    /// move: the clock, the bandwidth average derived from it, and the
-    /// prefetcher's own counters.
+    /// move: the clock, the bandwidth average and the barrier waits
+    /// derived from it, and the prefetcher's own counters.
     Semantic,
     /// `Results` plus every statistic, the simulated clock included.
     Full,
@@ -362,6 +362,7 @@ impl Strength {
         let mut s = stats.clone();
         if self == Strength::Semantic {
             s.elapsed_ns = 0;
+            s.barrier_wait_ns = 0;
             s.prefetch = Default::default();
         }
         s

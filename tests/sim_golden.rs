@@ -85,50 +85,50 @@ const KRONECKER: &[Row] = &[
         0x6482343512b3165e, 0xe39da78537ca464b,
         0xac702be18a726d0d, 0x95eba7a05fcec69d,
         0xa5473f4e26492163, 0xa5473f4e26492163,
-        0x4aaa3151c21a6f00, 0x93250475d7782d2c,
-        0xa92295465258ab27, 0x58a673ca34c53aa1,
+        0xbec495b656df9552, 0x2e3b4bb6aa19e4b1,
+        0x8e0cae5e8cf02367, 0x55e547a87433433c,
     ]),
     ("Merged", [
         0xc646e463f6c1bda6, 0xc5cd262754ff4717,
         0x279e16b98e619479, 0x563776e0ecbed010,
         0xfb6a1fb787feb4c3, 0xfb6a1fb787feb4c3,
-        0x7bd276553cc39897, 0x56895ce9fae3b215,
-        0xd00ab071f54a3d32, 0x3c52f8faf4c8ab4c,
+        0x81ed80afb815b175, 0xbbc9dae1f8e15946,
+        0xc2e3702b1ded3040, 0x122213de4b9f89b7,
     ]),
     ("Merged+Aligned", [
         0xc5e22dc274bf9c46, 0x08ba277965af6e2b,
         0xcfcfacdfc73b6ab1, 0xc91f2305578f725e,
         0x26ad24e78daf57cf, 0x26ad24e78daf57cf,
-        0x9d1903af1bf966a5, 0x6a1ecda8dd328490,
-        0xdb69b997c2be297f, 0x4232c4cedc57caf2,
+        0xbbb0343c657e6a28, 0xf800ce2aa8f3fdf5,
+        0x7bf78823f11807dc, 0x1a3054c05d972a80,
     ]),
     ("Merged+Aligned split", [
         0x9f7d462fe04c1eef, 0xcbb25e31fef26953,
         0x1905cff6028dc351, 0x3d762a58ab1a5cc8,
         0x7d767214e72797fb, 0x7d767214e72797fb,
-        0x76b4c1cd181b732a, 0x9149dcb8ebdf9a47,
-        0xb1a6a14e918887f9, 0xd541ec85f10f8c60,
+        0x14a1a0540649f9d7, 0x72d0aa793a6350da,
+        0x641c900f54f573c9, 0xd5af0ae67a486ef9,
     ]),
     ("Hybrid", [
         0x593fbf970c3a69d5, 0x9a12bfce00fbc8af,
         0x044f418abb64c269, 0x66f139aa491c4797,
         0x7f6db0b6832611e7, 0x7f6db0b6832611e7,
-        0x7f9e86bd3924cb75, 0xb0bfa115a5a5f53a,
-        0xae455d0b4e5bc83c, 0xb8fbe04bacc6f126,
+        0x9ffbfe09ac82e925, 0x03f7a9cbad5eb853,
+        0x94bf0edcad121150, 0xc2e958de9237abcf,
     ]),
     ("Hybrid pipelined", [
         0x3014b3cefe9c7ad1, 0xdcc060f1d1abc753,
         0xf577e67ea457db51, 0xdd07afe9c9c35e65,
         0x303db19899c3e8d3, 0x303db19899c3e8d3,
-        0xf4b8d338c6b4b786, 0x74f697b3f5716a15,
-        0x8fa44a027872938e, 0x12efe73b645ed12c,
+        0xfda2041c393b4b86, 0xa5366bc789365d88,
+        0x1d97565e67d70a83, 0x746fac2ea8176e75,
     ]),
     ("UVM", [
         0x105717d3bf063413, 0x8f90ca3846dba9d7,
         0x3ab5aa5da4a3c130, 0xc4fd63e134813199,
         0x8c35cb4e787a12c3, 0x8c35cb4e787a12c3,
-        0x2614e24bc917f056, 0x81b07c5bfa59d7e9,
-        0xc9d52ded6e2e78f4, 0xd0de5d5db66d3800,
+        0xf9d95ba507964886, 0x9e0a67bd2812fc13,
+        0xe901404f99b4f9bf, 0xb8fff3bb8cd175e9,
     ]),
 ];
 
@@ -139,50 +139,50 @@ const UNIFORM: &[Row] = &[
         0x00736c5128148500, 0xd05daeccd3720d06,
         0x596ae6f32c3510bf, 0x1863b90c58c11742,
         0xfd88866587aded32, 0xfd88866587aded32,
-        0xf604a4628bbbeb04, 0xdd8949c54994ba9d,
-        0x23ffabf890fd79e0, 0x777ad96c8f5463a8,
+        0x30421ed5efb9b00e, 0x3d40634247ff909c,
+        0x0aadaea3e8bab47b, 0x15966d0dfd352d78,
     ]),
     ("Merged", [
         0x00ff1192d2309e6c, 0x0acdce82b6a95802,
         0xf2194d8769d1d544, 0xfc8d3bba722401be,
         0x240530307a5a5d3e, 0x240530307a5a5d3e,
-        0x156ee46064146948, 0x60dc67d44d9fd3af,
-        0x7b51f9bf235ba7f1, 0x1ac8127042111116,
+        0x903125daa516ff02, 0xab0e1b6d0beed897,
+        0x9e12306bec2dabbb, 0xd7cee454a5b4c5dc,
     ]),
     ("Merged+Aligned", [
         0x00ff1192d2309e6c, 0x0acdce82b6a95802,
         0xf2194d8769d1d544, 0xfc8d3bba722401be,
         0x240530307a5a5d3e, 0x240530307a5a5d3e,
-        0x156ee46064146948, 0x60dc67d44d9fd3af,
-        0x7b51f9bf235ba7f1, 0x1ac8127042111116,
+        0x903125daa516ff02, 0xab0e1b6d0beed897,
+        0x9e12306bec2dabbb, 0xd7cee454a5b4c5dc,
     ]),
     ("Merged+Aligned split", [
         0x00ff1192d2309e6c, 0x0acdce82b6a95802,
         0xf2194d8769d1d544, 0xfc8d3bba722401be,
         0x240530307a5a5d3e, 0x240530307a5a5d3e,
-        0x156ee46064146948, 0x60dc67d44d9fd3af,
-        0x7b51f9bf235ba7f1, 0x1ac8127042111116,
+        0x903125daa516ff02, 0xab0e1b6d0beed897,
+        0x9e12306bec2dabbb, 0xd7cee454a5b4c5dc,
     ]),
     ("Hybrid", [
         0xe133e320c7fa91f0, 0xab8f418761cf9246,
         0xf9a3d8d21bc58a90, 0x6f3289f808fb6b47,
         0x53e76453bdc520f2, 0x53e76453bdc520f2,
-        0xbc711c8e6e7b689f, 0x612b84ca7c2b0d84,
-        0x07a6059df5901c20, 0x35d695802be36ff0,
+        0x8bd85caf36bf37e4, 0xcda9978fa1226f0b,
+        0xe53797e33911c657, 0xfbacad9a816dbb81,
     ]),
     ("Hybrid pipelined", [
         0x915b55ad021b74d9, 0x6f1175365392c5ea,
         0x67d23641edc83314, 0xd901d2b08806765b,
         0xcd86e9d83e86416a, 0xcd86e9d83e86416a,
-        0x675d709f029dc861, 0x9775e4c1ec69ce69,
-        0x69aa504d317a8039, 0xd88a5d9bb31ad17f,
+        0x585a4a3f79a935c2, 0xa1c2c72285480889,
+        0x268cc02b8389fd63, 0x22e64a9a6447a8ad,
     ]),
     ("UVM", [
         0x2587ea171dd0ff8e, 0x45e4d1ff7400ead2,
         0xdb91aa7908a6c8c4, 0xb8ebc6422278b229,
         0x0874fdc2202fe452, 0x0874fdc2202fe452,
-        0x4a689ae160ab2872, 0x042f96fe78a0b556,
-        0xc2d66812c60f7dea, 0xede47599871cdd51,
+        0x6118027a0fac20ea, 0xc3e6686a13bb3bd8,
+        0x547ccaed280a6f5a, 0xddd49e60015eef52,
     ]),
 ];
 
@@ -255,13 +255,15 @@ impl Fnv {
 
     /// Every field of `s`. The exhaustive destructuring makes a counter
     /// that is added to [`RunStats`] but not pinned here a compile error.
-    /// `last_warp_alone_ns` is named and not folded: it reads when warps
-    /// retired, which the pinned clocks already fix.
+    /// `last_warp_alone_ns` and `barrier_wait_ns` are named and not
+    /// folded: they read when warps retired and how long devices waited
+    /// at barriers, which the pinned clocks already fix.
     fn stats(&mut self, s: &RunStats) {
         let RunStats {
             elapsed_ns,
             kernel_launches,
             last_warp_alone_ns: _,
+            barrier_wait_ns: _,
             pcie_read_requests,
             request_sizes,
             host_bytes,
