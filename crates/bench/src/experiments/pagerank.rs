@@ -6,9 +6,11 @@
 //!
 //! Full-sweep iteration makes PageRank the hybrid transport's best case:
 //! every launch reads the whole edge list, so the ski-rental policy
-//! stages everything early and later sweeps run at HBM speed. The
-//! machine is scaled like the `hybrid` experiment so the edge list
-//! oversubscribes cache and device memory even at reduced scale.
+//! stages everything early and later sweeps run at HBM speed: on GK at
+//! 1/32 scale, ten hybrid sweeps take 0.52 ms against 0.85 ms zero-copy
+//! on the same split-hub kernel. The machine is scaled like the `hybrid`
+//! experiment so the edge list oversubscribes cache and device memory
+//! even at reduced scale.
 
 use super::scaled_machine;
 use crate::cell::{self, Series, PR_DAMPING, PR_ITERATIONS};

@@ -8,8 +8,17 @@
 //!
 //! The same model doubles as the GPU's HBM when configured with HBM numbers;
 //! granularity for HBM2 is one 32-byte sector.
+//!
+//! Callers see integer-ns [`Time`], but the device's busy clock runs in
+//! picoseconds: an access occupies it for `⌈span × 1000 / GB/s⌉` ps. A
+//! 32-byte HBM2 sector takes 36 ps, so a whole-ns charge per access would
+//! serve sector traffic at 32 GB/s, 28× below the V100's rated 900 GB/s.
+//! An access starts at `max(busy, arrive)` and completes at the busy clock
+//! rounded up to the next ns plus the latency, so one access on an idle
+//! device completes exactly as a whole-ns model would; only throughput
+//! under load changes.
 
-use crate::time::{aligned_span, bytes_over_bandwidth_ns, Time};
+use crate::time::{aligned_span, bytes_over_bandwidth_ps, Time};
 
 /// Static configuration of one DRAM device.
 #[derive(Debug, Clone)]
@@ -84,16 +93,20 @@ impl DramConfig {
 const TABLE_STEP: u64 = 32;
 const TABLE_MAX_SPAN: u64 = 512;
 
+/// Picoseconds per nanosecond: the busy clock's unit below [`Time`]'s.
+const PS_PER_NS: u64 = 1000;
+
 /// A DRAM device: a bandwidth resource with busy-until semantics plus
 /// cumulative traffic counters.
 #[derive(Debug, Clone)]
 pub struct Dram {
     cfg: DramConfig,
-    /// `bytes_over_bandwidth_ns(i * TABLE_STEP, bandwidth)`, computed once:
+    /// `bytes_over_bandwidth_ps(i * TABLE_STEP, bandwidth)`, computed once:
     /// the per-transaction path would otherwise pay a float divide and a
     /// `ceil` per access. The table *is* the formula, memoised.
-    xfer_table: [Time; (TABLE_MAX_SPAN / TABLE_STEP) as usize + 1],
-    busy_until: Time,
+    xfer_table: [u64; (TABLE_MAX_SPAN / TABLE_STEP) as usize + 1],
+    /// End of the last access's occupancy, in picoseconds.
+    busy_ps: u64,
     /// Total bytes read from the array, after granularity rounding.
     pub bytes_read: u64,
     /// Total bytes written to the array, after granularity rounding.
@@ -103,12 +116,12 @@ pub struct Dram {
 impl Dram {
     pub fn new(cfg: DramConfig) -> Self {
         let xfer_table = std::array::from_fn(|i| {
-            bytes_over_bandwidth_ns(i as u64 * TABLE_STEP, cfg.bandwidth_gbps)
+            bytes_over_bandwidth_ps(i as u64 * TABLE_STEP, cfg.bandwidth_gbps)
         });
         Self {
             cfg,
             xfer_table,
-            busy_until: 0,
+            busy_ps: 0,
             bytes_read: 0,
             bytes_written: 0,
         }
@@ -168,22 +181,21 @@ impl Dram {
         self.bytes_written += crate::time::align_up(bytes.max(1), self.cfg.access_granularity);
     }
 
-    /// Transfer time of `span` bytes at this device's bandwidth.
+    /// Transfer time of `span` bytes at this device's bandwidth, in ps.
     #[inline]
-    fn xfer_ns(&self, span: u64) -> Time {
+    fn xfer_ps(&self, span: u64) -> u64 {
         if span.is_multiple_of(TABLE_STEP) && span <= TABLE_MAX_SPAN {
             self.xfer_table[(span / TABLE_STEP) as usize]
         } else {
-            bytes_over_bandwidth_ns(span, self.cfg.bandwidth_gbps)
+            bytes_over_bandwidth_ps(span, self.cfg.bandwidth_gbps)
         }
     }
 
     #[inline]
     fn occupy(&mut self, arrive: Time, span: u64) -> Time {
-        let start = self.busy_until.max(arrive);
-        let xfer = self.xfer_ns(span);
-        self.busy_until = start + xfer;
-        start + xfer + self.cfg.latency_ns
+        let start_ps = self.busy_ps.max(arrive * PS_PER_NS);
+        self.busy_ps = start_ps + self.xfer_ps(span);
+        self.busy_ps.div_ceil(PS_PER_NS) + self.cfg.latency_ns
     }
 }
 
@@ -239,20 +251,54 @@ mod tests {
         assert_eq!(d.bytes_read, 128);
     }
 
-    #[test]
-    fn memoised_transfer_times_equal_the_formula_on_every_preset() {
-        for cfg in [
+    fn presets() -> [DramConfig; 5] {
+        [
             DramConfig::ddr4_2933_quad(),
             DramConfig::ddr4_3200_octa(),
             DramConfig::hbm2_v100(),
             DramConfig::hbm2e_a100(),
             DramConfig::gddr5x_titan_xp(),
-        ] {
+        ]
+    }
+
+    #[test]
+    fn drains_at_its_rated_bandwidth_on_every_preset() {
+        const N: u64 = 10_000;
+        // Each access's occupancy rounds up to a whole ps, so a drain may
+        // overshoot the ideal by up to 1 ps per access on top of the final
+        // rounding to a whole ns.
+        const SLACK_NS: Time = 1 + N / PS_PER_NS;
+        for cfg in presets() {
+            let (g, lat) = (cfg.access_granularity, cfg.latency_ns);
+            let drain = |gbps: f64| {
+                let mut d = Dram::new(DramConfig {
+                    bandwidth_gbps: gbps,
+                    ..cfg.clone()
+                });
+                (0..N).map(|i| d.read(0, i * g, g as u32)).max().unwrap()
+            };
+            // At twice the bandwidth the ideal, and so the drain, halves.
+            for gbps in [cfg.bandwidth_gbps, 2.0 * cfg.bandwidth_gbps] {
+                let ideal = (N as f64 * g as f64 / gbps).ceil() as Time + lat;
+                let done = drain(gbps);
+                assert!(
+                    (ideal..=ideal + SLACK_NS).contains(&done),
+                    "{} at {gbps} GB/s: drained at {done} ns, ideal {ideal} ns",
+                    cfg.name
+                );
+            }
+            assert_eq!(Dram::new(cfg.clone()).read(0, 0, g as u32), 1 + lat);
+        }
+    }
+
+    #[test]
+    fn memoised_transfer_times_equal_the_formula_on_every_preset() {
+        for cfg in presets() {
             let d = Dram::new(cfg);
             for span in 0..=2 * TABLE_MAX_SPAN {
                 assert_eq!(
-                    d.xfer_ns(span),
-                    bytes_over_bandwidth_ns(span, d.cfg.bandwidth_gbps),
+                    d.xfer_ps(span),
+                    bytes_over_bandwidth_ps(span, d.cfg.bandwidth_gbps),
                     "{}: {span} B",
                     d.cfg.name
                 );

@@ -3,6 +3,12 @@
 //! Time is measured in integer **nanoseconds** so that event ordering is
 //! exact and runs are bit-reproducible. Bandwidths are expressed in GB/s,
 //! which conveniently equals bytes-per-nanosecond (1 GB/s = 10⁹ B / 10⁹ ns).
+//!
+//! One resource keeps a finer clock inside: a [`Dram`](crate::dram::Dram)
+//! counts its busy time in integer picoseconds
+//! ([`bytes_over_bandwidth_ps`]), because a 32-byte sector at HBM speed
+//! takes 36 ps and a whole-nanosecond charge would cap 900 GB/s HBM at
+//! 32 GB/s of sector traffic. Its completions are still whole-ns `Time`.
 
 /// Simulation timestamp in nanoseconds.
 pub type Time = u64;
@@ -18,6 +24,20 @@ pub fn bytes_over_bandwidth_ns(bytes: u64, gbps: f64) -> Time {
     }
     let ns = (bytes as f64 / gbps).ceil() as Time;
     ns.max(1)
+}
+
+/// [`bytes_over_bandwidth_ns`] in **picoseconds**: `⌈bytes × 1000 / gbps⌉`,
+/// at least 1 ps for any non-empty transfer. The DRAM model keeps its busy
+/// clock at this resolution, because one 32-byte sector at HBM speed
+/// (36 ps at 900 GB/s) is far below a whole nanosecond.
+#[inline]
+pub fn bytes_over_bandwidth_ps(bytes: u64, gbps: f64) -> u64 {
+    debug_assert!(gbps > 0.0, "bandwidth must be positive");
+    if bytes == 0 {
+        return 0;
+    }
+    let ps = (bytes as f64 * 1000.0 / gbps).ceil() as u64;
+    ps.max(1)
 }
 
 /// Wire bytes of a bulk copy of `bytes` payload bytes framed into
@@ -85,6 +105,15 @@ mod tests {
         assert_eq!(bytes_over_bandwidth_ns(1, 16.0), 1);
         assert_eq!(bytes_over_bandwidth_ns(17, 16.0), 2);
         assert_eq!(bytes_over_bandwidth_ns(0, 16.0), 0);
+    }
+
+    #[test]
+    fn picosecond_transfer_time_rounds_up_and_is_never_zero() {
+        // One HBM2 sector: 32 B at 900 GB/s is 35.6 ps.
+        assert_eq!(bytes_over_bandwidth_ps(32, 900.0), 36);
+        assert_eq!(bytes_over_bandwidth_ps(1600, 16.0), 100_000);
+        assert_eq!(bytes_over_bandwidth_ps(1, 1e6), 1);
+        assert_eq!(bytes_over_bandwidth_ps(0, 16.0), 0);
     }
 
     #[test]

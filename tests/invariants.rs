@@ -104,3 +104,31 @@ fn merged_never_issues_more_requests_than_naive() {
         );
     }
 }
+
+#[test]
+fn a_staged_pagerank_sweep_runs_at_hbm_speed() {
+    // kron(13, 16) stages its whole edge list (25 regions) on the hybrid
+    // V100, so after three warm-up sweeps one more sweep moves no host
+    // byte and is bound by HBM: device-resident edge reads plus the
+    // per-edge rank atomics. Doubling only the HBM bandwidth must then
+    // cut that sweep well below its old time. This is one fixed cell, not
+    // a monotonicity property: access order depends on timing.
+    let g = generators::kronecker(13, 16, 7);
+    let warm_sweep = |hbm_gbps_scale: f64| {
+        let mut cfg = EngineConfig::hybrid_v100();
+        cfg.machine.gpu.hbm.bandwidth_gbps *= hbm_gbps_scale;
+        let mut sys = Engine::load(cfg, &g);
+        let warm = sys.pagerank(0.85, 3);
+        assert_eq!(warm.stats.transfer.staged_regions, 25);
+        let sweep = sys.pagerank(0.85, 1);
+        assert_eq!(sweep.stats.host_bytes, 0, "a warm sweep reads only HBM");
+        (sweep.stats.elapsed_ns, sweep.output.ranks)
+    };
+    let (t1, r1) = warm_sweep(1.0);
+    let (t2, r2) = warm_sweep(2.0);
+    assert_eq!(r1, r2, "HBM bandwidth must not change the ranks");
+    assert!(
+        t2 as f64 <= 0.7 * t1 as f64,
+        "2x HBM bandwidth: warm sweep {t1} -> {t2} ns"
+    );
+}

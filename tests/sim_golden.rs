@@ -82,53 +82,53 @@ type Row = (&'static str, [u64; 10]);
 #[rustfmt::skip]
 const KRONECKER: &[Row] = &[
     ("Naive", [
-        0x6482343512b3165e, 0xe39da78537ca464b,
-        0xac702be18a726d0d, 0x95eba7a05fcec69d,
-        0xa5473f4e26492163, 0xa5473f4e26492163,
-        0xbec495b656df9552, 0x2e3b4bb6aa19e4b1,
-        0x8e0cae5e8cf02367, 0x55e547a87433433c,
+        0x4e90c29db642e2c1, 0xbecfbe7eeb798caf,
+        0x53c749ecf6d79a99, 0xd36db62a7b26c353,
+        0x0028d7fedf7dc943, 0x0028d7fedf7dc943,
+        0x4a46d538378d44fd, 0x47b3ae65f316e450,
+        0x9d24059c8f654c6b, 0xc0698ac5f8f50592,
     ]),
     ("Merged", [
-        0xc646e463f6c1bda6, 0xc5cd262754ff4717,
-        0x279e16b98e619479, 0x563776e0ecbed010,
-        0xfb6a1fb787feb4c3, 0xfb6a1fb787feb4c3,
-        0x81ed80afb815b175, 0xbbc9dae1f8e15946,
-        0xc2e3702b1ded3040, 0x122213de4b9f89b7,
+        0x7950c7024aa94fa7, 0x46d85b0c9997a9fb,
+        0xe8b23a3e59b99241, 0x3721b3adf382fc71,
+        0x226cda67bd046cd7, 0x226cda67bd046cd7,
+        0x359b69eba7feecf0, 0x60f728e2dd7003eb,
+        0x9f0c4c9a3b31c06a, 0x0565a632dfe807ad,
     ]),
     ("Merged+Aligned", [
-        0xc5e22dc274bf9c46, 0x08ba277965af6e2b,
-        0xcfcfacdfc73b6ab1, 0xc91f2305578f725e,
-        0x26ad24e78daf57cf, 0x26ad24e78daf57cf,
-        0xbbb0343c657e6a28, 0xf800ce2aa8f3fdf5,
-        0x7bf78823f11807dc, 0x1a3054c05d972a80,
+        0x0328a861c9883521, 0x6818cb29f29171db,
+        0x241f04996f1912a1, 0x6ad5722e7135e460,
+        0xf0a7903c09f9839b, 0xf0a7903c09f9839b,
+        0x71b3ea6273b5a92a, 0xb7e5359d8f8bbe6b,
+        0xbe64257d62d186c0, 0x32c10f510b4f24c6,
     ]),
     ("Merged+Aligned split", [
-        0x9f7d462fe04c1eef, 0xcbb25e31fef26953,
-        0x1905cff6028dc351, 0x3d762a58ab1a5cc8,
-        0x7d767214e72797fb, 0x7d767214e72797fb,
-        0x14a1a0540649f9d7, 0x72d0aa793a6350da,
-        0x641c900f54f573c9, 0xd5af0ae67a486ef9,
+        0x6b8ffe63780fdee6, 0x40369b1355aee7af,
+        0x008ec30cfa420bc9, 0x668d2f6a58fba91c,
+        0xb876d9a9d0077e6b, 0xb876d9a9d0077e6b,
+        0xbb3641f7e7645db9, 0x113f085643637af0,
+        0xb4b458806e59f155, 0x8b9abd92841aeacf,
     ]),
     ("Hybrid", [
-        0x593fbf970c3a69d5, 0x9a12bfce00fbc8af,
-        0x044f418abb64c269, 0x66f139aa491c4797,
-        0x7f6db0b6832611e7, 0x7f6db0b6832611e7,
-        0x9ffbfe09ac82e925, 0x03f7a9cbad5eb853,
-        0x94bf0edcad121150, 0xc2e958de9237abcf,
+        0xdef5cb5c07b9eb78, 0xa07c9fb30cdcc0db,
+        0x6e9a049d19dcc249, 0x894bed96ab190651,
+        0x2d97dba32431d96b, 0x2d97dba32431d96b,
+        0xb958600bd0665a25, 0x1b3510f9289c9f97,
+        0x2a03f8173c24f220, 0x047a187cedb49edb,
     ]),
     ("Hybrid pipelined", [
-        0x3014b3cefe9c7ad1, 0xdcc060f1d1abc753,
-        0xf577e67ea457db51, 0xdd07afe9c9c35e65,
-        0x303db19899c3e8d3, 0x303db19899c3e8d3,
-        0xfda2041c393b4b86, 0xa5366bc789365d88,
-        0x1d97565e67d70a83, 0x746fac2ea8176e75,
+        0x9ec7864372e62588, 0xcf5e8f065f415467,
+        0x956d0028f00bd2c5, 0xc724c465be7f892f,
+        0x4f5f9fb818081c23, 0x4f5f9fb818081c23,
+        0x03b94a8b853182c1, 0xceca6a8d6daeac93,
+        0xf512761befb9a407, 0x97e1b170f40dc96e,
     ]),
     ("UVM", [
-        0x105717d3bf063413, 0x8f90ca3846dba9d7,
-        0x3ab5aa5da4a3c130, 0xc4fd63e134813199,
-        0x8c35cb4e787a12c3, 0x8c35cb4e787a12c3,
-        0xf9d95ba507964886, 0x9e0a67bd2812fc13,
-        0xe901404f99b4f9bf, 0xb8fff3bb8cd175e9,
+        0xa23aa10a686b19e2, 0x74a99206dd3fe60b,
+        0x8fa4c32d6720f88b, 0x67d90707befa18bd,
+        0x88ec72497169233f, 0x88ec72497169233f,
+        0x85c9eed05365977b, 0x295d49f0611676da,
+        0xd62abc80e72f3176, 0x6eccf703ffd7ad5a,
     ]),
 ];
 
@@ -136,53 +136,53 @@ const KRONECKER: &[Row] = &[
 #[rustfmt::skip]
 const UNIFORM: &[Row] = &[
     ("Naive", [
-        0x00736c5128148500, 0xd05daeccd3720d06,
-        0x596ae6f32c3510bf, 0x1863b90c58c11742,
-        0xfd88866587aded32, 0xfd88866587aded32,
-        0x30421ed5efb9b00e, 0x3d40634247ff909c,
-        0x0aadaea3e8bab47b, 0x15966d0dfd352d78,
+        0x012ba0376ba9ca1c, 0xdf72d21b803e32e6,
+        0x58fff185241a1e8c, 0x73e9935b138a26ba,
+        0x0afd0849ca99ff3a, 0x0afd0849ca99ff3a,
+        0x1ff3145c75125307, 0x95c520e5069611e5,
+        0x75062de47e287be8, 0x6301f250bd73e78b,
     ]),
     ("Merged", [
-        0x00ff1192d2309e6c, 0x0acdce82b6a95802,
-        0xf2194d8769d1d544, 0xfc8d3bba722401be,
-        0x240530307a5a5d3e, 0x240530307a5a5d3e,
-        0x903125daa516ff02, 0xab0e1b6d0beed897,
-        0x9e12306bec2dabbb, 0xd7cee454a5b4c5dc,
+        0x3aeaee34af91b261, 0xd31afe99ca92b436,
+        0xa2ecfdadd5f0ce69, 0x7e02e9f225cb7a84,
+        0x6abfde480bcf6f6a, 0x6abfde480bcf6f6a,
+        0x914c8b6caf83ba60, 0x4db67bfe5f0e75c6,
+        0x39e3efb4ce5be11a, 0xb0aca2e5306bebf5,
     ]),
     ("Merged+Aligned", [
-        0x00ff1192d2309e6c, 0x0acdce82b6a95802,
-        0xf2194d8769d1d544, 0xfc8d3bba722401be,
-        0x240530307a5a5d3e, 0x240530307a5a5d3e,
-        0x903125daa516ff02, 0xab0e1b6d0beed897,
-        0x9e12306bec2dabbb, 0xd7cee454a5b4c5dc,
+        0x3aeaee34af91b261, 0xd31afe99ca92b436,
+        0xa2ecfdadd5f0ce69, 0x7e02e9f225cb7a84,
+        0x6abfde480bcf6f6a, 0x6abfde480bcf6f6a,
+        0x914c8b6caf83ba60, 0x4db67bfe5f0e75c6,
+        0x39e3efb4ce5be11a, 0xb0aca2e5306bebf5,
     ]),
     ("Merged+Aligned split", [
-        0x00ff1192d2309e6c, 0x0acdce82b6a95802,
-        0xf2194d8769d1d544, 0xfc8d3bba722401be,
-        0x240530307a5a5d3e, 0x240530307a5a5d3e,
-        0x903125daa516ff02, 0xab0e1b6d0beed897,
-        0x9e12306bec2dabbb, 0xd7cee454a5b4c5dc,
+        0x3aeaee34af91b261, 0xd31afe99ca92b436,
+        0xa2ecfdadd5f0ce69, 0x7e02e9f225cb7a84,
+        0x6abfde480bcf6f6a, 0x6abfde480bcf6f6a,
+        0x914c8b6caf83ba60, 0x4db67bfe5f0e75c6,
+        0x39e3efb4ce5be11a, 0xb0aca2e5306bebf5,
     ]),
     ("Hybrid", [
-        0xe133e320c7fa91f0, 0xab8f418761cf9246,
-        0xf9a3d8d21bc58a90, 0x6f3289f808fb6b47,
-        0x53e76453bdc520f2, 0x53e76453bdc520f2,
-        0x8bd85caf36bf37e4, 0xcda9978fa1226f0b,
-        0xe53797e33911c657, 0xfbacad9a816dbb81,
+        0x0fae17ce479c6a54, 0xe85a880e38f4702a,
+        0xae0e56c493905c10, 0xb41c03a386b0ba71,
+        0x1636c73997f557f2, 0x1636c73997f557f2,
+        0x337c703f3c7b31a9, 0x0c232d1e4f7533be,
+        0xba86783fef079428, 0x6af49f75791f7c53,
     ]),
     ("Hybrid pipelined", [
-        0x915b55ad021b74d9, 0x6f1175365392c5ea,
-        0x67d23641edc83314, 0xd901d2b08806765b,
-        0xcd86e9d83e86416a, 0xcd86e9d83e86416a,
-        0x585a4a3f79a935c2, 0xa1c2c72285480889,
-        0x268cc02b8389fd63, 0x22e64a9a6447a8ad,
+        0x2b80db207c9a1d88, 0xc28418f42d91299e,
+        0x83b3ed849fceab8a, 0x57c2d9815cf7e42c,
+        0xa84d947e7d702e4a, 0xa84d947e7d702e4a,
+        0x66cc09953b95a6d4, 0xde04781e7ef905bf,
+        0xb8f504c13253697e, 0xdc2ae4429f612e07,
     ]),
     ("UVM", [
-        0x2587ea171dd0ff8e, 0x45e4d1ff7400ead2,
-        0xdb91aa7908a6c8c4, 0xb8ebc6422278b229,
-        0x0874fdc2202fe452, 0x0874fdc2202fe452,
-        0x6118027a0fac20ea, 0xc3e6686a13bb3bd8,
-        0x547ccaed280a6f5a, 0xddd49e60015eef52,
+        0x819158989e1a21cd, 0xfaf08817077825c6,
+        0x56017f86120aaef6, 0x314afa80286e46ee,
+        0x37a6070a83bce64a, 0x37a6070a83bce64a,
+        0x7c32f11008b1f019, 0xb0517160caab9ebb,
+        0x6bba6a98407b4d09, 0x09aaba6738ae0256,
     ]),
 ];
 
@@ -196,7 +196,7 @@ const TOY: &[SideRow] = &[
     ("Strided", 0xcf486cc2de53c48f),
     ("Merged and Aligned", 0x97560cf6f4a25665),
     ("Merged but Misaligned", 0x6173e7d1670cc2d9),
-    ("UVM", 0x8ba2ca29f96eca6f),
+    ("UVM", 0xa45bff2b63a64674),
     ("cudaMemcpy", 0x402458b2aae0ec87),
 ];
 
@@ -211,21 +211,21 @@ const KRONECKER_SIDE: &[SideRow] = &[
     ("subway-async-bfs", 0xf4fe5fe1315f92c3),
     ("subway-async-sssp", 0x4bd14acc431e29e5),
     ("subway-async-cc", 0xb6b3a64be2051849),
-    ("halo-bfs", 0x07cf49f593eaeeaa),
+    ("halo-bfs", 0xb1189345fac37204),
 ];
 
 /// The side systems on `uniform_random(400, 6, 5)`, generated at the
 /// parent commit.
 #[rustfmt::skip]
 const UNIFORM_SIDE: &[SideRow] = &[
-    ("compressed-bfs", 0x7ad8ad29dde95ae4),
+    ("compressed-bfs", 0xe8dacfccc5e2edd4),
     ("subway-sync-bfs", 0x24ca65aeb505472b),
     ("subway-sync-sssp", 0xe1e634707919f2cc),
     ("subway-sync-cc", 0xb79d3068a7cbfd21),
     ("subway-async-bfs", 0x117604076b4b5a7b),
     ("subway-async-sssp", 0xf13f91cf73856c9d),
     ("subway-async-cc", 0x1873b677b6960145),
-    ("halo-bfs", 0x3a8aecc2ab52cbda),
+    ("halo-bfs", 0x6c6928490f2d5301),
 ];
 
 /// Batch sources; the first `k` serve a `k`-query batch. All distinct,
