@@ -1,6 +1,7 @@
 //! Program-level accounting properties: what a traversal must move
-//! (every reachable edge, every touched page) and how strategies and link
-//! generations order. The machine's conservation laws live elsewhere:
+//! (every reachable edge, every touched page), how strategies and link
+//! generations order, and that a staged sweep runs at HBM bandwidth. The
+//! machine's conservation laws live elsewhere:
 //! every `Driver::drive` ends with `GraphLayout::check_ledgers` on every
 //! device, in every build profile. Bit-reproducibility is
 //! `tests/determinism.rs`.
