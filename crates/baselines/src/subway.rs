@@ -27,7 +27,7 @@ use emogi_runtime::exec::KERNEL_LAUNCH_NS;
 use emogi_runtime::machine::MachineConfig;
 use emogi_runtime::report::RunStats;
 use emogi_runtime::Machine;
-use emogi_sim::time::Time;
+use emogi_sim::time::{bytes_over_bandwidth_ps, Time, PS_PER_NS};
 
 /// Sync or async subgraph pipeline (§5.6 uses Subway-async, the faster).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,7 +114,7 @@ impl<'g> SubwaySystem<'g> {
                 let bytes = edges * per_edge + active.len() as u64 * 12;
                 let gather = (active.len() as f64 * GATHER_NS_PER_VERTEX) as Time;
                 let dram_ns = m.host_dram.read_bulk(m.now, bytes) - m.now;
-                let copy_ns = emogi_sim::time::bytes_over_bandwidth_ns(bytes, GATHER_GBPS);
+                let copy_ns = bytes_over_bandwidth_ps(bytes, GATHER_GBPS).div_ceil(PS_PER_NS);
                 let gen = dram_ns.max(copy_ns) + scan + gather;
                 m.now += match mode {
                     SubwayMode::Sync => gen,

@@ -16,7 +16,9 @@
 //! access at its own granularity, and the response serializes on the wire
 //! (per-access flit overhead included) before paying the return latency.
 //! The link keeps its own occupancy and byte accounting, reported
-//! separately from PCIe traffic.
+//! separately from PCIe traffic. The wire is a picosecond [`BusyClock`]:
+//! back-to-back 144-byte flits drain at the usable bandwidth, not at one
+//! whole-ns charge each.
 //!
 //! ```
 //! use emogi_sim::cxl::{CxlConfig, CxlLink};
@@ -31,7 +33,7 @@
 //! ```
 
 use crate::dram::{Dram, DramConfig};
-use crate::time::{bytes_over_bandwidth_ns, framed_wire_bytes, Time};
+use crate::time::{bytes_over_bandwidth_ps, framed_wire_bytes, BusyClock, Time};
 
 /// Static parameters of one CXL-class external-memory link.
 #[derive(Debug, Clone)]
@@ -91,7 +93,7 @@ impl CxlConfig {
 pub struct CxlLink {
     cfg: CxlConfig,
     /// Response-path wire occupancy (busy-until).
-    wire_free: Time,
+    wire: BusyClock,
     /// The far-memory device.
     dram: Dram,
     /// Demand (load/store-path) reads served.
@@ -110,7 +112,7 @@ impl CxlLink {
         let dram = Dram::new(cfg.dram.clone());
         Self {
             cfg,
-            wire_free: 0,
+            wire: BusyClock::default(),
             dram,
             read_requests: 0,
             bytes_read: 0,
@@ -141,9 +143,10 @@ impl CxlLink {
         let arrive = now + self.cfg.request_latency_ns;
         let data_ready = self.dram.read(arrive, addr, size);
         let flit = u64::from(size + self.cfg.flit_header_bytes);
-        let start = data_ready.max(self.wire_free);
-        let wire_end = start + bytes_over_bandwidth_ns(flit, self.cfg.usable_gbps());
-        self.wire_free = wire_end;
+        let wire_end = self.wire.occupy(
+            data_ready,
+            bytes_over_bandwidth_ps(flit, self.cfg.usable_gbps()),
+        );
         self.wire_bytes += flit;
         wire_end + self.cfg.response_latency_ns
     }
@@ -164,9 +167,9 @@ impl CxlLink {
             self.cfg.flit_payload_bytes,
             self.cfg.flit_header_bytes,
         );
-        let wire_start = start.max(self.wire_free);
-        let wire_end = wire_start + bytes_over_bandwidth_ns(wire, self.cfg.usable_gbps());
-        self.wire_free = wire_end;
+        let wire_end = self
+            .wire
+            .occupy(start, bytes_over_bandwidth_ps(wire, self.cfg.usable_gbps()));
         self.wire_bytes += wire;
         wire_end.max(dram_done) + self.cfg.response_latency_ns
     }
@@ -175,6 +178,7 @@ impl CxlLink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::PS_PER_NS;
 
     fn link() -> CxlLink {
         CxlLink::new(CxlConfig::external_x8())
@@ -199,16 +203,35 @@ mod tests {
         for i in 0..32u64 {
             times.push(l.read(0, i * 128, 128));
         }
-        // Steady-state spacing equals the wire time of one 144-byte flit,
-        // not the full round trip: latency overlaps across reads.
-        let gaps: Vec<_> = times.windows(2).map(|w| w[1] - w[0]).collect();
-        let expected = bytes_over_bandwidth_ns(144, l.config().usable_gbps());
-        for g in &gaps[4..] {
-            assert!(
-                (*g as i64 - expected as i64).unsigned_abs() <= 2,
-                "steady-state gap {g} vs expected {expected}"
-            );
-        }
+        // The mean steady-state spacing is the wire time of one 144-byte
+        // flit in ps, not the full round trip: latency overlaps across
+        // reads. Each gap is a whole ns, so k gaps sum to within 1 ns of
+        // k wire times.
+        let expected_ps = bytes_over_bandwidth_ps(144, l.config().usable_gbps());
+        let k = (times.len() - 5) as u64;
+        let sum_ns = times[times.len() - 1] - times[4];
+        assert!(
+            (sum_ns * PS_PER_NS).abs_diff(k * expected_ps) < PS_PER_NS,
+            "{k} steady-state gaps sum to {sum_ns} ns, expected {k} x {expected_ps} ps"
+        );
+    }
+
+    #[test]
+    fn flits_drain_at_the_usable_bandwidth() {
+        const N: u64 = 1_000;
+        // Up to 1 ps of rounding per flit, plus the final whole-ns rounding.
+        const SLACK_NS: Time = 1 + N / PS_PER_NS;
+        let mut l = link();
+        let flit = 128 + u64::from(l.config().flit_header_bytes);
+        let times: Vec<Time> = (0..N).map(|i| l.read(0, i * 128, 128)).collect();
+        // From the first flit's start on an idle wire to the last one's end.
+        let flit_ps = bytes_over_bandwidth_ps(flit, l.config().usable_gbps());
+        let drain = times[times.len() - 1] - (times[0] - flit_ps.div_ceil(PS_PER_NS));
+        let ideal = (N as f64 * flit as f64 / l.config().usable_gbps()).ceil() as Time;
+        assert!(
+            (ideal..=ideal + SLACK_NS).contains(&drain),
+            "{N} flits drained in {drain} ns, ideal {ideal} ns"
+        );
     }
 
     #[test]

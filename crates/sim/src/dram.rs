@@ -9,16 +9,15 @@
 //! The same model doubles as the GPU's HBM when configured with HBM numbers;
 //! granularity for HBM2 is one 32-byte sector.
 //!
-//! Callers see integer-ns [`Time`], but the device's busy clock runs in
+//! Callers see integer-ns [`Time`], but the device's [`BusyClock`] runs in
 //! picoseconds: an access occupies it for `⌈span × 1000 / GB/s⌉` ps. A
 //! 32-byte HBM2 sector takes 36 ps, so a whole-ns charge per access would
 //! serve sector traffic at 32 GB/s, 28× below the V100's rated 900 GB/s.
-//! An access starts at `max(busy, arrive)` and completes at the busy clock
-//! rounded up to the next ns plus the latency, so one access on an idle
-//! device completes exactly as a whole-ns model would; only throughput
-//! under load changes.
+//! An access completes at the busy clock's whole-ns end plus the latency,
+//! so one access on an idle device completes exactly as a whole-ns model
+//! would; only throughput under load changes.
 
-use crate::time::{aligned_span, bytes_over_bandwidth_ps, Time};
+use crate::time::{aligned_span, bytes_over_bandwidth_ps, BusyClock, Time};
 
 /// Static configuration of one DRAM device.
 #[derive(Debug, Clone)]
@@ -93,9 +92,6 @@ impl DramConfig {
 const TABLE_STEP: u64 = 32;
 const TABLE_MAX_SPAN: u64 = 512;
 
-/// Picoseconds per nanosecond: the busy clock's unit below [`Time`]'s.
-const PS_PER_NS: u64 = 1000;
-
 /// A DRAM device: a bandwidth resource with busy-until semantics plus
 /// cumulative traffic counters.
 #[derive(Debug, Clone)]
@@ -105,8 +101,8 @@ pub struct Dram {
     /// the per-transaction path would otherwise pay a float divide and a
     /// `ceil` per access. The table *is* the formula, memoised.
     xfer_table: [u64; (TABLE_MAX_SPAN / TABLE_STEP) as usize + 1],
-    /// End of the last access's occupancy, in picoseconds.
-    busy_ps: u64,
+    /// End of the last access's occupancy.
+    busy: BusyClock,
     /// Total bytes read from the array, after granularity rounding.
     pub bytes_read: u64,
     /// Total bytes written to the array, after granularity rounding.
@@ -121,7 +117,7 @@ impl Dram {
         Self {
             cfg,
             xfer_table,
-            busy_ps: 0,
+            busy: BusyClock::default(),
             bytes_read: 0,
             bytes_written: 0,
         }
@@ -193,15 +189,14 @@ impl Dram {
 
     #[inline]
     fn occupy(&mut self, arrive: Time, span: u64) -> Time {
-        let start_ps = self.busy_ps.max(arrive * PS_PER_NS);
-        self.busy_ps = start_ps + self.xfer_ps(span);
-        self.busy_ps.div_ceil(PS_PER_NS) + self.cfg.latency_ns
+        self.busy.occupy(arrive, self.xfer_ps(span)) + self.cfg.latency_ns
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::PS_PER_NS;
 
     fn dram() -> Dram {
         Dram::new(DramConfig {

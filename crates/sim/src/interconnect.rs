@@ -11,12 +11,12 @@
 //!
 //! The model is deliberately coarser than `PcieLink`: exchange phases are
 //! bulk, synchronous transfers between iterations. Each port is a
-//! busy-until wire resource — back-to-back sends serialize, concurrent
-//! sends on different ports overlap — which is the occupancy behaviour
-//! that matters at barrier granularity.
+//! picosecond [`BusyClock`] — back-to-back sends serialize at the port's
+//! rated bandwidth, concurrent sends on different ports overlap — which is
+//! the occupancy behaviour that matters at barrier granularity.
 
 use crate::pcie::PcieConfig;
-use crate::time::{bytes_over_bandwidth_ns, Time};
+use crate::time::{bytes_over_bandwidth_ps, BusyClock, Time, PS_PER_NS};
 
 /// An NVLink-class point-to-point peer link between GPUs.
 #[derive(Debug, Clone)]
@@ -65,7 +65,7 @@ crate::ledger! {
         pub bytes: u64,
         /// Individual transfers carried.
         pub transfers: u64,
-        /// Time the lane spent busy, ns.
+        /// Time the lane spent busy, ns (the lane's ps total, rounded up).
         pub busy_ns: u64,
     }
 }
@@ -73,21 +73,29 @@ crate::ledger! {
 /// One busy-until wire resource: a device's peer egress port.
 #[derive(Debug, Clone, Default)]
 struct Lane {
-    busy_until: Time,
-    stats: LinkStats,
+    busy: BusyClock,
+    bytes: u64,
+    transfers: u64,
+    busy_ps: u64,
 }
 
 impl Lane {
     /// Serialize `bytes` on the lane starting no earlier than `now`;
     /// returns the time the last byte leaves the wire.
     fn carry(&mut self, now: Time, bytes: u64, gbps: f64) -> Time {
-        let start = now.max(self.busy_until);
-        let end = start + bytes_over_bandwidth_ns(bytes, gbps);
-        self.busy_until = end;
-        self.stats.bytes += bytes;
-        self.stats.transfers += 1;
-        self.stats.busy_ns += end - start;
-        end
+        let ps = bytes_over_bandwidth_ps(bytes, gbps);
+        self.bytes += bytes;
+        self.transfers += 1;
+        self.busy_ps += ps;
+        self.busy.occupy(now, ps)
+    }
+
+    fn stats(&self) -> LinkStats {
+        LinkStats {
+            bytes: self.bytes,
+            transfers: self.transfers,
+            busy_ns: self.busy_ps.div_ceil(PS_PER_NS),
+        }
     }
 }
 
@@ -134,14 +142,14 @@ impl Interconnect {
 
     /// Lifetime counters of device `d`'s peer egress port.
     pub fn peer_stats(&self, d: usize) -> LinkStats {
-        self.peer_out[d].stats
+        self.peer_out[d].stats()
     }
 
     /// Aggregate lifetime exchange counters over every egress port.
     pub fn totals(&self) -> LinkStats {
         let mut t = LinkStats::default();
         for l in &self.peer_out {
-            t += l.stats;
+            t += l.stats();
         }
         t
     }
@@ -197,8 +205,15 @@ mod tests {
         // ...while the same source serializes its broadcasts.
         let c = ic.broadcast(0, 0, bytes);
         assert!(c > a, "same egress lane must serialize");
-        let lat = PeerLinkConfig::default().latency_ns;
-        assert_eq!(c - lat, 2 * (a - lat), "back-to-back wire times add");
+        let peer = PeerLinkConfig::default();
+        // Each broadcast is three unicasts on four links.
+        let ps = 3 * bytes_over_bandwidth_ps(bytes, peer.bandwidth_gbps);
+        assert_eq!(a - peer.latency_ns, ps.div_ceil(PS_PER_NS));
+        assert_eq!(
+            c - peer.latency_ns,
+            (2 * ps).div_ceil(PS_PER_NS),
+            "back-to-back wire times add in ps"
+        );
     }
 
     #[test]
@@ -207,9 +222,43 @@ mod tests {
         let bytes = 1 << 20;
         let t = ic.broadcast(0, 0, bytes);
         assert_eq!(ic.peer_stats(0).bytes, 3 * bytes, "three unicasts");
-        let lat = PeerLinkConfig::default().latency_ns;
+        let peer = PeerLinkConfig::default();
+        let ps = bytes_over_bandwidth_ps(bytes, peer.bandwidth_gbps);
         let t1 = rig(2).broadcast(0, 0, bytes);
-        assert_eq!(t - lat, 3 * (t1 - lat), "egress wire times add");
+        assert_eq!(t1 - peer.latency_ns, ps.div_ceil(PS_PER_NS));
+        assert_eq!(
+            t - peer.latency_ns,
+            (3 * ps).div_ceil(PS_PER_NS),
+            "egress wire times add in ps"
+        );
+        assert_eq!(ic.peer_stats(0).busy_ns, (3 * ps).div_ceil(PS_PER_NS));
+    }
+
+    #[test]
+    fn peer_lane_drains_at_its_rated_bandwidth() {
+        const N: u64 = 1_000;
+        // Up to 1 ps of rounding per transfer, plus the final whole-ns
+        // rounding.
+        const SLACK_NS: Time = 1 + N / PS_PER_NS;
+        let peer = PeerLinkConfig::default();
+        let bytes = 4096;
+        for gbps in [peer.bandwidth_gbps, 2.0 * peer.bandwidth_gbps] {
+            let mut ic = Interconnect::new(InterconnectConfig {
+                links: 2,
+                host_link: PcieConfig::gen3_x16(),
+                peer: Some(PeerLinkConfig {
+                    bandwidth_gbps: gbps,
+                    ..peer.clone()
+                }),
+            });
+            let last = (0..N).map(|_| ic.broadcast(0, 0, bytes)).max().unwrap();
+            let drain = last - peer.latency_ns;
+            let ideal = (N as f64 * bytes as f64 / gbps).ceil() as Time;
+            assert!(
+                (ideal..=ideal + SLACK_NS).contains(&drain),
+                "{N} transfers at {gbps} GB/s drained in {drain} ns, ideal {ideal} ns"
+            );
+        }
     }
 
     #[test]

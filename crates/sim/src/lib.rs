@@ -38,4 +38,4 @@ pub use interconnect::{Interconnect, InterconnectConfig, LinkStats, PeerLinkConf
 pub use monitor::{BandwidthSeries, SizeHistogram, TrafficMonitor};
 pub use pcie::{PcieConfig, PcieGen, PcieLink, ReadOutcome, ReqId};
 pub use pipeline::{CopyEngine, CopyEngineConfig, CopyTicket};
-pub use time::{bytes_over_bandwidth_ns, Time};
+pub use time::{BusyClock, Time};

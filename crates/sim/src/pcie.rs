@@ -18,10 +18,17 @@
 //! bandwidth. Bulk DMA (cudaMemcpy, UVM page migration) shares the same
 //! downlink resource, which is how UVM traffic and zero-copy traffic would
 //! contend if mixed.
+//!
+//! Each half of the link is a picosecond [`BusyClock`]: a 128-byte read's
+//! 148-byte completion occupies the PCIe 3.0 downlink for 10.44 ns, so
+//! back-to-back completions drain at the 12.2 GB/s wire limit of §3.3. A
+//! read converts to whole ns only at each hop (uplink, host DRAM,
+//! downlink), so one read on an idle link completes as a whole-ns model
+//! would.
 
 use crate::dram::Dram;
 use crate::monitor::TrafficMonitor;
-use crate::time::{bytes_over_bandwidth_ns, framed_wire_bytes, Time};
+use crate::time::{bytes_over_bandwidth_ps, framed_wire_bytes, BusyClock, Time};
 use std::collections::VecDeque;
 
 /// Identifier the *caller* attaches to a read so it can recognize it when
@@ -152,32 +159,32 @@ const MAX_SECTOR_READ: u32 = 128;
 #[derive(Debug, Clone)]
 pub struct PcieLink {
     cfg: PcieConfig,
-    /// Wire time of one read-request TLP, and of the completion TLP of a
-    /// read of `i` sectors: `bytes_over_bandwidth_ns` of exactly the bytes
-    /// `issue` would pass it, computed once instead of per read. The
+    /// Wire time in ps of one read-request TLP, and of the completion TLP
+    /// of a read of `i` sectors: `bytes_over_bandwidth_ps` of exactly the
+    /// bytes `issue` would pass it, computed once instead of per read. The
     /// tables *are* the formula, memoised.
-    request_ns: Time,
-    completion_ns: [Time; (MAX_SECTOR_READ / 32) as usize + 1],
+    request_ps: u64,
+    completion_ps: [u64; (MAX_SECTOR_READ / 32) as usize + 1],
     tags_free: u32,
     waiting: VecDeque<WaitingRead>,
-    uplink_free: Time,
-    downlink_free: Time,
+    uplink: BusyClock,
+    downlink: BusyClock,
 }
 
 impl PcieLink {
     pub fn new(cfg: PcieConfig) -> Self {
         let tags_free = cfg.max_tags;
-        let wire_ns = |bytes: u32| bytes_over_bandwidth_ns(u64::from(bytes), cfg.usable_gbps());
+        let wire_ps = |bytes: u32| bytes_over_bandwidth_ps(u64::from(bytes), cfg.usable_gbps());
         Self {
-            request_ns: wire_ns(cfg.request_header_bytes),
-            completion_ns: std::array::from_fn(|i| {
-                wire_ns(i as u32 * 32 + cfg.completion_header_bytes)
+            request_ps: wire_ps(cfg.request_header_bytes),
+            completion_ps: std::array::from_fn(|i| {
+                wire_ps(i as u32 * 32 + cfg.completion_header_bytes)
             }),
             cfg,
             tags_free,
             waiting: VecDeque::new(),
-            uplink_free: 0,
-            downlink_free: 0,
+            uplink: BusyClock::default(),
+            downlink: BusyClock::default(),
         }
     }
 
@@ -193,13 +200,13 @@ impl PcieLink {
         self.waiting.len()
     }
 
-    /// Wire time of the completion TLP of a `size`-byte read.
+    /// Wire time in ps of the completion TLP of a `size`-byte read.
     #[inline]
-    fn completion_ns(&self, size: u32) -> Time {
+    fn completion_ps(&self, size: u32) -> u64 {
         if size.is_multiple_of(32) && size <= MAX_SECTOR_READ {
-            self.completion_ns[(size / 32) as usize]
+            self.completion_ps[(size / 32) as usize]
         } else {
-            bytes_over_bandwidth_ns(
+            bytes_over_bandwidth_ps(
                 u64::from(size + self.cfg.completion_header_bytes),
                 self.cfg.usable_gbps(),
             )
@@ -263,17 +270,13 @@ impl PcieLink {
         self.tags_free -= 1;
         monitor.on_read_issued(now, size);
         // GPU -> host: request TLP (header only) serializes on the uplink.
-        let up_start = now.max(self.uplink_free);
-        let up_end = up_start + self.request_ns;
-        self.uplink_free = up_end;
+        let up_end = self.uplink.occupy(now, self.request_ps);
         monitor.wire_bytes += u64::from(self.cfg.request_header_bytes);
         // Root complex reads host DRAM.
         let arrive = up_end + self.cfg.propagation_ns;
         let data_ready = host_dram.read(arrive, addr, size);
         // host -> GPU: completion TLP serializes on the downlink.
-        let down_start = data_ready.max(self.downlink_free);
-        let down_end = down_start + self.completion_ns(size);
-        self.downlink_free = down_end;
+        let down_end = self.downlink.occupy(data_ready, self.completion_ps(size));
         down_end + self.cfg.propagation_ns
     }
 
@@ -295,12 +298,16 @@ impl PcieLink {
             self.cfg.dma_payload_bytes,
             self.cfg.completion_header_bytes,
         );
-        let start = now.max(self.downlink_free);
+        let start = now.max(self.downlink.free_at());
         let dram_done = host_dram.read_bulk(start, bytes);
-        let wire_end = start + bytes_over_bandwidth_ns(wire_bytes, self.cfg.usable_gbps());
-        // DRAM reads and wire transfer pipeline; the slower one dominates.
+        let wire_end = self.downlink.occupy(
+            now,
+            bytes_over_bandwidth_ps(wire_bytes, self.cfg.usable_gbps()),
+        );
+        // DRAM reads and wire transfer pipeline; the slower one dominates
+        // and holds the downlink.
+        self.downlink.hold_until(dram_done);
         let end = wire_end.max(dram_done);
-        self.downlink_free = end;
         monitor.on_dma(end, bytes, wire_bytes);
         end + self.cfg.propagation_ns
     }
@@ -310,6 +317,7 @@ impl PcieLink {
 mod tests {
     use super::*;
     use crate::dram::DramConfig;
+    use crate::time::PS_PER_NS;
 
     fn rig() -> (PcieLink, Dram, TrafficMonitor) {
         (
@@ -339,12 +347,12 @@ mod tests {
         for gen in [PcieGen::Gen3x16, PcieGen::Gen4x16] {
             let link = PcieLink::new(gen.config());
             let cfg = link.config();
-            let wire_ns = |bytes: u32| bytes_over_bandwidth_ns(u64::from(bytes), cfg.usable_gbps());
-            assert_eq!(link.request_ns, wire_ns(cfg.request_header_bytes));
+            let wire_ps = |bytes: u32| bytes_over_bandwidth_ps(u64::from(bytes), cfg.usable_gbps());
+            assert_eq!(link.request_ps, wire_ps(cfg.request_header_bytes));
             for size in 0..=512 {
                 assert_eq!(
-                    link.completion_ns(size),
-                    wire_ns(size + cfg.completion_header_bytes),
+                    link.completion_ps(size),
+                    wire_ps(size + cfg.completion_header_bytes),
                     "{}: {size} B",
                     gen.name()
                 );
@@ -386,14 +394,49 @@ mod tests {
                 times.push(complete_at);
             }
         }
-        // Completion spacing must equal the wire time of one 148-byte TLP.
-        let gaps: Vec<_> = times.windows(2).map(|w| w[1] - w[0]).collect();
-        let expected = bytes_over_bandwidth_ns(148, link.config().usable_gbps());
-        // Allow rounding slack from DRAM interleaving.
-        for g in &gaps[4..] {
+        // The mean steady-state completion spacing is the wire time of
+        // one 148-byte TLP, in ps: each gap is a whole ns, so the sum of
+        // k gaps lies within 1 ns of k wire times.
+        let expected_ps = bytes_over_bandwidth_ps(148, link.config().usable_gbps());
+        let k = (times.len() - 5) as u64;
+        let sum_ns = times[times.len() - 1] - times[4];
+        assert!(
+            (sum_ns * PS_PER_NS).abs_diff(k * expected_ps) < PS_PER_NS,
+            "{k} steady-state gaps sum to {sum_ns} ns, expected {k} x {expected_ps} ps"
+        );
+    }
+
+    #[test]
+    fn merged_reads_drain_at_the_wire_limit_on_every_generation() {
+        for (gen, host) in [
+            (PcieGen::Gen3x16, DramConfig::ddr4_2933_quad()),
+            (PcieGen::Gen4x16, DramConfig::ddr4_3200_octa()),
+        ] {
+            let cfg = gen.config();
+            let n = u64::from(cfg.max_tags);
+            // Each completion's occupancy rounds up to a whole ps, so the
+            // drain may overshoot the ideal by up to 1 ps per read on top
+            // of the final rounding to a whole ns.
+            let slack_ns = 1 + n / PS_PER_NS;
+            let mut link = PcieLink::new(cfg.clone());
+            let (mut dram, mut mon) = (Dram::new(host), TrafficMonitor::new(10_000));
+            let times: Vec<Time> = (0..n)
+                .map(
+                    |i| match link.read(0, i, i * 128, 128, &mut dram, &mut mon) {
+                        ReadOutcome::Issued { complete_at } => complete_at,
+                        ReadOutcome::Queued => panic!("{}: tag {i} should be free", gen.name()),
+                    },
+                )
+                .collect();
+            // From the first completion TLP's start on an idle downlink to
+            // the last one's end, the wire carries n completions back to back.
+            let first_start = times[0] - link.completion_ps(128).div_ceil(PS_PER_NS);
+            let drain = times[times.len() - 1] - first_start;
+            let ideal = (n as f64 * 128.0 / cfg.wire_limit_gbps(128)).ceil() as Time;
             assert!(
-                (*g as i64 - expected as i64).unsigned_abs() <= 2,
-                "steady-state gap {g} vs expected {expected}"
+                (ideal..=ideal + slack_ns).contains(&drain),
+                "{}: {n} reads drained in {drain} ns, ideal {ideal} ns",
+                gen.name()
             );
         }
     }

@@ -4,11 +4,12 @@
 //! separate stream proceed concurrently with kernel compute, and their
 //! completions are ordinary events on the device's timeline. This module
 //! adds that lane to the discrete-event model. A [`CopyEngine`] owns its
-//! own busy-until horizon — submissions serialize against each other but
-//! *not* against the kernel's simulated clock — and every submission gets
-//! a deterministic completion time: the fixed launch overhead plus the
-//! framed wire time (per-TLP completion headers over the usable link
-//! bandwidth). That is only part of what the synchronous DMA path
+//! own picosecond [`BusyClock`] — submissions serialize against each other
+//! but *not* against the kernel's simulated clock — and every submission
+//! gets a deterministic completion time: the fixed launch overhead plus
+//! the framed wire time (per-TLP completion headers over the usable link
+//! bandwidth), summed in ps so back-to-back copies drain at the rated
+//! bandwidth. That is only part of what the synchronous DMA path
 //! charges: `DmaEngine::copy_to_device` → `PcieLink::dma_host_to_gpu`
 //! also waits for the link's downlink, takes the max with the host-DRAM
 //! and HBM bulk times, and adds `propagation_ns` (780 ns on both
@@ -26,7 +27,7 @@
 
 use crate::dma::MEMCPY_LAUNCH_OVERHEAD_NS;
 use crate::pcie::PcieConfig;
-use crate::time::{bytes_over_bandwidth_ns, framed_wire_bytes, Time};
+use crate::time::{bytes_over_bandwidth_ps, framed_wire_bytes, BusyClock, Time, PS_PER_NS};
 use std::collections::VecDeque;
 
 /// Wire-cost parameters of the asynchronous copy lane, derived from a
@@ -79,7 +80,7 @@ pub struct CopyTicket {
 pub struct CopyEngine {
     cfg: CopyEngineConfig,
     /// The lane's own busy-until horizon.
-    lane_free: Time,
+    lane: BusyClock,
     next_id: u64,
     /// Submitted copies not yet drained, in submission (= completion)
     /// order.
@@ -91,24 +92,32 @@ impl CopyEngine {
     pub fn new(cfg: CopyEngineConfig) -> Self {
         Self {
             cfg,
-            lane_free: 0,
+            lane: BusyClock::default(),
             next_id: 0,
             inflight: VecDeque::new(),
         }
     }
 
-    /// Wire time for `bytes` on this lane: payload plus per-chunk
+    /// Wire time in ps for `bytes` on this lane: payload plus per-chunk
     /// completion headers over the usable bandwidth.
-    pub fn wire_time(&self, bytes: u64) -> Time {
-        if bytes == 0 {
-            return 0;
-        }
+    fn wire_ps(&self, bytes: u64) -> u64 {
         let wire = framed_wire_bytes(
             bytes,
             self.cfg.payload_bytes,
             self.cfg.completion_header_bytes,
         );
-        bytes_over_bandwidth_ns(wire, self.cfg.gbps)
+        bytes_over_bandwidth_ps(wire, self.cfg.gbps)
+    }
+
+    /// Lane occupancy in ps of one submission: launch overhead plus wire.
+    fn cost_ps(&self, bytes: u64) -> u64 {
+        self.cfg.launch_overhead_ns * PS_PER_NS + self.wire_ps(bytes)
+    }
+
+    /// The wire time of `bytes` alone on this lane, rounded up to a
+    /// whole ns.
+    pub fn wire_time(&self, bytes: u64) -> Time {
+        self.wire_ps(bytes).div_ceil(PS_PER_NS)
     }
 
     /// Full marginal cost of one submission on an idle lane.
@@ -120,9 +129,7 @@ impl CopyEngine {
     /// copy starts when both the caller's clock and the lane are free,
     /// so back-to-back submissions serialize on the lane only.
     pub fn submit(&mut self, at: Time, bytes: u64) -> CopyTicket {
-        let start = at.max(self.lane_free);
-        let done_at = start + self.cost(bytes);
-        self.lane_free = done_at;
+        let done_at = self.lane.occupy(at, self.cost_ps(bytes));
         let ticket = CopyTicket {
             id: self.next_id,
             bytes,
@@ -168,9 +175,10 @@ mod tests {
         let bytes = 256u64 << 10;
         let wire = bytes + bytes.div_ceil(128) * 20;
         assert_eq!(
-            e.wire_time(bytes),
-            bytes_over_bandwidth_ns(wire, pcie.usable_gbps())
+            e.wire_ps(bytes),
+            bytes_over_bandwidth_ps(wire, pcie.usable_gbps())
         );
+        assert_eq!(e.wire_time(bytes), e.wire_ps(bytes).div_ceil(PS_PER_NS));
     }
 
     #[test]
@@ -181,7 +189,9 @@ mod tests {
         // starts when the lane frees, not at 1 000.
         let b = e.submit(1_000, 64 << 10);
         assert_eq!(a.done_at, 1_000 + e.cost(64 << 10));
-        assert_eq!(b.done_at, a.done_at + e.cost(64 << 10));
+        // Back to back, the two occupancies add in ps.
+        let two_ps = 1_000 * PS_PER_NS + 2 * e.cost_ps(64 << 10);
+        assert_eq!(b.done_at, two_ps.div_ceil(PS_PER_NS));
         assert!(a.id < b.id);
         // An idle lane later starts at the caller clock again.
         let far = b.done_at + 5_000;
@@ -204,6 +214,24 @@ mod tests {
         let rest = e.drain_completed(Time::MAX);
         assert_eq!(rest, vec![c]);
         assert!(e.drain_completed(Time::MAX).is_empty(), "drained once");
+    }
+
+    #[test]
+    fn lane_drains_at_its_rated_bandwidth() {
+        const N: u64 = 1_000;
+        // Up to 1 ps of rounding per copy, plus the final whole-ns rounding.
+        const SLACK_NS: Time = 1 + N / PS_PER_NS;
+        let pcie = PcieConfig::gen3_x16();
+        let mut e = lane();
+        let bytes = 64u64 << 10;
+        let last = (0..N).map(|_| e.submit(0, bytes).done_at).max().unwrap();
+        let wire = framed_wire_bytes(bytes, pcie.dma_payload_bytes, pcie.completion_header_bytes);
+        let ideal = N * MEMCPY_LAUNCH_OVERHEAD_NS
+            + (N as f64 * wire as f64 / pcie.usable_gbps()).ceil() as Time;
+        assert!(
+            (ideal..=ideal + SLACK_NS).contains(&last),
+            "{N} copies drained at {last} ns, ideal {ideal} ns"
+        );
     }
 
     #[test]

@@ -4,40 +4,71 @@
 //! exact and runs are bit-reproducible. Bandwidths are expressed in GB/s,
 //! which conveniently equals bytes-per-nanosecond (1 GB/s = 10⁹ B / 10⁹ ns).
 //!
-//! One resource keeps a finer clock inside: a [`Dram`](crate::dram::Dram)
-//! counts its busy time in integer picoseconds
-//! ([`bytes_over_bandwidth_ps`]), because a 32-byte sector at HBM speed
-//! takes 36 ps and a whole-nanosecond charge would cap 900 GB/s HBM at
-//! 32 GB/s of sector traffic. Its completions are still whole-ns `Time`.
+//! Every serialising resource — a [`Dram`](crate::dram::Dram), both halves
+//! of a [`PcieLink`](crate::pcie::PcieLink), the
+//! [`CxlLink`](crate::cxl::CxlLink) wire, each peer-link egress port and
+//! the [`CopyEngine`](crate::pipeline::CopyEngine) lane — keeps a finer
+//! clock inside: one [`BusyClock`], counting integer picoseconds
+//! ([`bytes_over_bandwidth_ps`]). A 32-byte sector at HBM speed takes
+//! 36 ps and a 148-byte PCIe 3.0 completion 10.44 ns, so a whole-ns charge
+//! per transfer would cap 900 GB/s HBM at 32 GB/s of sector traffic and
+//! run merged 128-byte zero-copy reads 5 % below the wire. Completions
+//! are still whole-ns `Time`.
 
 /// Simulation timestamp in nanoseconds.
 pub type Time = u64;
 
-/// Serialization delay for `bytes` over a link of `gbps` GB/s, rounded up to
-/// a whole nanosecond (and at least 1 ns for any non-empty transfer, so a
-/// transfer can never be free).
-#[inline]
-pub fn bytes_over_bandwidth_ns(bytes: u64, gbps: f64) -> Time {
-    debug_assert!(gbps > 0.0, "bandwidth must be positive");
-    if bytes == 0 {
-        return 0;
-    }
-    let ns = (bytes as f64 / gbps).ceil() as Time;
-    ns.max(1)
-}
+/// Picoseconds per nanosecond: the busy clocks' unit below [`Time`]'s.
+pub const PS_PER_NS: u64 = 1000;
 
-/// [`bytes_over_bandwidth_ns`] in **picoseconds**: `⌈bytes × 1000 / gbps⌉`,
-/// at least 1 ps for any non-empty transfer. The DRAM model keeps its busy
-/// clock at this resolution, because one 32-byte sector at HBM speed
-/// (36 ps at 900 GB/s) is far below a whole nanosecond.
+/// Serialization delay for `bytes` over a link of `gbps` GB/s in
+/// **picoseconds**: `⌈bytes × 1000 / gbps⌉`, at least 1 ps for any
+/// non-empty transfer, so a transfer can never be free.
 #[inline]
 pub fn bytes_over_bandwidth_ps(bytes: u64, gbps: f64) -> u64 {
     debug_assert!(gbps > 0.0, "bandwidth must be positive");
     if bytes == 0 {
         return 0;
     }
-    let ps = (bytes as f64 * 1000.0 / gbps).ceil() as u64;
+    let ps = (bytes as f64 * PS_PER_NS as f64 / gbps).ceil() as u64;
     ps.max(1)
+}
+
+/// The busy-until horizon of one serialising resource, in picoseconds.
+///
+/// The one occupancy rule of the simulator: a transfer of `ps`
+/// picoseconds arriving at `arrive` starts at `max(busy, arrive × 1000)`,
+/// moves the horizon to `start + ps`, and completes at the horizon
+/// rounded up to the next whole ns. One transfer on an idle resource thus
+/// completes exactly as a whole-ns model would; back-to-back transfers
+/// pay their exact sum, not one rounding each.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BusyClock {
+    busy_ps: u64,
+}
+
+impl BusyClock {
+    /// Occupy the resource for `ps` picoseconds, starting no earlier than
+    /// `arrive`; returns the whole ns at which the occupancy ends.
+    #[inline]
+    pub fn occupy(&mut self, arrive: Time, ps: u64) -> Time {
+        let start = self.busy_ps.max(arrive * PS_PER_NS);
+        self.busy_ps = start + ps;
+        self.busy_ps.div_ceil(PS_PER_NS)
+    }
+
+    /// Keep the resource busy until at least `t`: a path whose end is set
+    /// by another resource (a DMA waiting on host DRAM) holds the wire.
+    #[inline]
+    pub fn hold_until(&mut self, t: Time) {
+        self.busy_ps = self.busy_ps.max(t * PS_PER_NS);
+    }
+
+    /// The first whole ns at which the resource is free.
+    #[inline]
+    pub fn free_at(&self) -> Time {
+        self.busy_ps.div_ceil(PS_PER_NS)
+    }
 }
 
 /// Wire bytes of a bulk copy of `bytes` payload bytes framed into
@@ -95,25 +126,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bandwidth_is_bytes_per_ns() {
-        // 16 GB/s moves 16 bytes per ns; 1600 bytes take 100 ns.
-        assert_eq!(bytes_over_bandwidth_ns(1600, 16.0), 100);
-    }
-
-    #[test]
-    fn transfer_time_rounds_up_and_is_never_zero() {
-        assert_eq!(bytes_over_bandwidth_ns(1, 16.0), 1);
-        assert_eq!(bytes_over_bandwidth_ns(17, 16.0), 2);
-        assert_eq!(bytes_over_bandwidth_ns(0, 16.0), 0);
-    }
-
-    #[test]
     fn picosecond_transfer_time_rounds_up_and_is_never_zero() {
         // One HBM2 sector: 32 B at 900 GB/s is 35.6 ps.
         assert_eq!(bytes_over_bandwidth_ps(32, 900.0), 36);
+        // 16 GB/s moves 16 bytes per ns; 1600 bytes take 100 ns.
         assert_eq!(bytes_over_bandwidth_ps(1600, 16.0), 100_000);
         assert_eq!(bytes_over_bandwidth_ps(1, 1e6), 1);
         assert_eq!(bytes_over_bandwidth_ps(0, 16.0), 0);
+    }
+
+    #[test]
+    fn busy_clock_sums_picoseconds_and_rounds_only_the_completion() {
+        let mut c = BusyClock::default();
+        // Idle: starts at the arrival, completes at the next whole ns.
+        assert_eq!(c.occupy(10, 10_440), 21);
+        // Back to back: the exact sum, 20.88 ns after 10, not 2 × 11.
+        assert_eq!(c.occupy(10, 10_440), 31);
+        assert_eq!(c.free_at(), 31);
+        // A later arrival on an idle clock starts at the arrival.
+        assert_eq!(c.occupy(100, 1), 101);
+        // Holding never moves the horizon backwards.
+        c.hold_until(50);
+        assert_eq!(c.free_at(), 101);
+        c.hold_until(200);
+        assert_eq!(c.occupy(0, 500), 201);
     }
 
     #[test]
@@ -130,7 +166,7 @@ mod tests {
 
     #[test]
     fn achieved_bandwidth_roundtrips() {
-        let t = bytes_over_bandwidth_ns(1 << 30, 12.3);
+        let t = bytes_over_bandwidth_ps(1 << 30, 12.3).div_ceil(PS_PER_NS);
         let bw = achieved_gbps(1 << 30, t);
         assert!((bw - 12.3).abs() < 0.01, "got {bw}");
     }

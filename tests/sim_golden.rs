@@ -82,53 +82,53 @@ type Row = (&'static str, [u64; 10]);
 #[rustfmt::skip]
 const KRONECKER: &[Row] = &[
     ("Naive", [
-        0x4e90c29db642e2c1, 0xbecfbe7eeb798caf,
-        0x53c749ecf6d79a99, 0xd36db62a7b26c353,
-        0x0028d7fedf7dc943, 0x0028d7fedf7dc943,
-        0x4a46d538378d44fd, 0x47b3ae65f316e450,
-        0x9d24059c8f654c6b, 0xc0698ac5f8f50592,
+        0x72d41cf25c8b07f7, 0x6351b1f354d0ea17,
+        0x04c89c7f61a9a31d, 0xe9889598a10229cc,
+        0x47d9ce3d02cda24b, 0x47d9ce3d02cda24b,
+        0x5cf1a73c7fa891e5, 0xcd39955c7da19602,
+        0x73f41e52888d8b1a, 0xa4fd9672311dd2b2,
     ]),
     ("Merged", [
-        0x7950c7024aa94fa7, 0x46d85b0c9997a9fb,
-        0xe8b23a3e59b99241, 0x3721b3adf382fc71,
-        0x226cda67bd046cd7, 0x226cda67bd046cd7,
-        0x359b69eba7feecf0, 0x60f728e2dd7003eb,
-        0x9f0c4c9a3b31c06a, 0x0565a632dfe807ad,
+        0x4d2549a0ead1ccc6, 0xe8d7e2237919e56b,
+        0x2b99ce0b703eb511, 0x50caa75bd5a36f7f,
+        0x1d15c7037629393b, 0x1d15c7037629393b,
+        0x4e9cadd8781edeb8, 0x7b1aa0f70a499077,
+        0x4b880c2f76aab353, 0x28289604a07e1a14,
     ]),
     ("Merged+Aligned", [
-        0x0328a861c9883521, 0x6818cb29f29171db,
-        0x241f04996f1912a1, 0x6ad5722e7135e460,
-        0xf0a7903c09f9839b, 0xf0a7903c09f9839b,
-        0x71b3ea6273b5a92a, 0xb7e5359d8f8bbe6b,
-        0xbe64257d62d186c0, 0x32c10f510b4f24c6,
+        0xfcb0598f1eacab18, 0x54d1cc2f5a3c0357,
+        0x6933fc3d11387191, 0xc8c2ba274d0d5206,
+        0x3327ec7b4674f483, 0x3327ec7b4674f483,
+        0x9ffa3919dff90463, 0x3f6b3e07a36e9a5c,
+        0xde9f2339bc52b81a, 0x008af1da9be3f2b6,
     ]),
     ("Merged+Aligned split", [
-        0x6b8ffe63780fdee6, 0x40369b1355aee7af,
-        0x008ec30cfa420bc9, 0x668d2f6a58fba91c,
-        0xb876d9a9d0077e6b, 0xb876d9a9d0077e6b,
-        0xbb3641f7e7645db9, 0x113f085643637af0,
-        0xb4b458806e59f155, 0x8b9abd92841aeacf,
+        0xaaf13085c04469f8, 0x1e07f16a230cdaef,
+        0x4cf19e7480a00e91, 0xbdbecbe9f6f4ca6f,
+        0x7f94f965cbafdd1f, 0x7f94f965cbafdd1f,
+        0x7f52ed58ba832a7d, 0x933386db83ea8ca9,
+        0xe5659dc79d846fcf, 0x71df0b141b831e09,
     ]),
     ("Hybrid", [
-        0xdef5cb5c07b9eb78, 0xa07c9fb30cdcc0db,
-        0x6e9a049d19dcc249, 0x894bed96ab190651,
-        0x2d97dba32431d96b, 0x2d97dba32431d96b,
-        0xb958600bd0665a25, 0x1b3510f9289c9f97,
-        0x2a03f8173c24f220, 0x047a187cedb49edb,
+        0x16416ce34996bce1, 0x5052260ffa744003,
+        0x9693704eae6c2cc5, 0x32818853205f7178,
+        0x537cd942a4fb26cf, 0x537cd942a4fb26cf,
+        0xddb46f4563486173, 0x6026dd8c69be835d,
+        0x798e68f8a9f6d37f, 0x0f278d7ae8c37fc4,
     ]),
     ("Hybrid pipelined", [
-        0x9ec7864372e62588, 0xcf5e8f065f415467,
-        0x956d0028f00bd2c5, 0xc724c465be7f892f,
-        0x4f5f9fb818081c23, 0x4f5f9fb818081c23,
-        0x03b94a8b853182c1, 0xceca6a8d6daeac93,
-        0xf512761befb9a407, 0x97e1b170f40dc96e,
+        0x4b49ffdf8e2a92c5, 0x8d8a988a58e86fab,
+        0x2f3bd69def440145, 0x0aaea3d42ee05fff,
+        0xd65d9ea2df0d2997, 0xd65d9ea2df0d2997,
+        0x35c4c4244517f907, 0x02d42908870514c9,
+        0xb2dfaef8017d3358, 0xed4782c2eebb0885,
     ]),
     ("UVM", [
         0xa23aa10a686b19e2, 0x74a99206dd3fe60b,
         0x8fa4c32d6720f88b, 0x67d90707befa18bd,
         0x88ec72497169233f, 0x88ec72497169233f,
-        0x85c9eed05365977b, 0x295d49f0611676da,
-        0xd62abc80e72f3176, 0x6eccf703ffd7ad5a,
+        0xecab3ffb23847b3a, 0x935b1145081b05ab,
+        0x1f1090267454ce25, 0x68142f68352256d8,
     ]),
 ];
 
@@ -136,53 +136,53 @@ const KRONECKER: &[Row] = &[
 #[rustfmt::skip]
 const UNIFORM: &[Row] = &[
     ("Naive", [
-        0x012ba0376ba9ca1c, 0xdf72d21b803e32e6,
-        0x58fff185241a1e8c, 0x73e9935b138a26ba,
-        0x0afd0849ca99ff3a, 0x0afd0849ca99ff3a,
-        0x1ff3145c75125307, 0x95c520e5069611e5,
-        0x75062de47e287be8, 0x6301f250bd73e78b,
+        0x94b41bec550fb110, 0x53bf720e0fc5be5e,
+        0x652fe0ce7436e39c, 0x1515476ecb54c4d1,
+        0x2f2437a05b05caf2, 0x2f2437a05b05caf2,
+        0x3d6d60d5ab6fa55b, 0x28c0b0a18aca3c38,
+        0x8c255945c580c3ef, 0x8f59efed5e9a3c75,
     ]),
     ("Merged", [
-        0x3aeaee34af91b261, 0xd31afe99ca92b436,
-        0xa2ecfdadd5f0ce69, 0x7e02e9f225cb7a84,
-        0x6abfde480bcf6f6a, 0x6abfde480bcf6f6a,
-        0x914c8b6caf83ba60, 0x4db67bfe5f0e75c6,
-        0x39e3efb4ce5be11a, 0xb0aca2e5306bebf5,
+        0xb33e4ada2165ba1e, 0x04c2adf05ee069ae,
+        0x23629537c498ef19, 0xd823d09ccd559df5,
+        0xea50c82706db6baa, 0xea50c82706db6baa,
+        0x12558c5f5e66596d, 0xbb971a6620c3c616,
+        0x353259e89b1e0b25, 0x8189d86a1974d9d4,
     ]),
     ("Merged+Aligned", [
-        0x3aeaee34af91b261, 0xd31afe99ca92b436,
-        0xa2ecfdadd5f0ce69, 0x7e02e9f225cb7a84,
-        0x6abfde480bcf6f6a, 0x6abfde480bcf6f6a,
-        0x914c8b6caf83ba60, 0x4db67bfe5f0e75c6,
-        0x39e3efb4ce5be11a, 0xb0aca2e5306bebf5,
+        0xb33e4ada2165ba1e, 0x04c2adf05ee069ae,
+        0x23629537c498ef19, 0xd823d09ccd559df5,
+        0xea50c82706db6baa, 0xea50c82706db6baa,
+        0x12558c5f5e66596d, 0xbb971a6620c3c616,
+        0x353259e89b1e0b25, 0x8189d86a1974d9d4,
     ]),
     ("Merged+Aligned split", [
-        0x3aeaee34af91b261, 0xd31afe99ca92b436,
-        0xa2ecfdadd5f0ce69, 0x7e02e9f225cb7a84,
-        0x6abfde480bcf6f6a, 0x6abfde480bcf6f6a,
-        0x914c8b6caf83ba60, 0x4db67bfe5f0e75c6,
-        0x39e3efb4ce5be11a, 0xb0aca2e5306bebf5,
+        0xb33e4ada2165ba1e, 0x04c2adf05ee069ae,
+        0x23629537c498ef19, 0xd823d09ccd559df5,
+        0xea50c82706db6baa, 0xea50c82706db6baa,
+        0x12558c5f5e66596d, 0xbb971a6620c3c616,
+        0x353259e89b1e0b25, 0x8189d86a1974d9d4,
     ]),
     ("Hybrid", [
-        0x0fae17ce479c6a54, 0xe85a880e38f4702a,
-        0xae0e56c493905c10, 0xb41c03a386b0ba71,
-        0x1636c73997f557f2, 0x1636c73997f557f2,
-        0x337c703f3c7b31a9, 0x0c232d1e4f7533be,
-        0xba86783fef079428, 0x6af49f75791f7c53,
+        0x029b55d5a4f5a93a, 0xd9cfe9f74595d952,
+        0x4f99adf96356019d, 0x5191a1c606c44bb2,
+        0xd76110439b5ccd56, 0xd76110439b5ccd56,
+        0xd74efab0b6f34b00, 0xe380821c6c15a986,
+        0xf60fed7d1c30be25, 0x113cc62f170a0f28,
     ]),
     ("Hybrid pipelined", [
-        0x2b80db207c9a1d88, 0xc28418f42d91299e,
-        0x83b3ed849fceab8a, 0x57c2d9815cf7e42c,
-        0xa84d947e7d702e4a, 0xa84d947e7d702e4a,
-        0x66cc09953b95a6d4, 0xde04781e7ef905bf,
-        0xb8f504c13253697e, 0xdc2ae4429f612e07,
+        0xf076888092e32ae3, 0x98f4875b76b1f63a,
+        0xca8e2f7597b92b9b, 0x2eda8fb6cd580394,
+        0x757a30ddb3e6024e, 0x757a30ddb3e6024e,
+        0x0e0c69f04093132e, 0x276558b561740d74,
+        0xb3b39d9d0ed950a0, 0x92f460f7d5407324,
     ]),
     ("UVM", [
         0x819158989e1a21cd, 0xfaf08817077825c6,
         0x56017f86120aaef6, 0x314afa80286e46ee,
         0x37a6070a83bce64a, 0x37a6070a83bce64a,
-        0x7c32f11008b1f019, 0xb0517160caab9ebb,
-        0x6bba6a98407b4d09, 0x09aaba6738ae0256,
+        0x48ad05684b5f729a, 0xede5710c650cf121,
+        0x2b4c3ebeb4b580c8, 0x45157f66b928e7fc,
     ]),
 ];
 
@@ -193,9 +193,9 @@ type SideRow = (&'static str, u64);
 /// at the parent commit.
 #[rustfmt::skip]
 const TOY: &[SideRow] = &[
-    ("Strided", 0xcf486cc2de53c48f),
-    ("Merged and Aligned", 0x97560cf6f4a25665),
-    ("Merged but Misaligned", 0x6173e7d1670cc2d9),
+    ("Strided", 0x4a87f43311cea89c),
+    ("Merged and Aligned", 0xbebe7b77285a8a23),
+    ("Merged but Misaligned", 0x1924ccf64b37289d),
     ("UVM", 0xa45bff2b63a64674),
     ("cudaMemcpy", 0x402458b2aae0ec87),
 ];
@@ -204,7 +204,7 @@ const TOY: &[SideRow] = &[
 /// commit.
 #[rustfmt::skip]
 const KRONECKER_SIDE: &[SideRow] = &[
-    ("compressed-bfs", 0x3a3e76bde2e7e40c),
+    ("compressed-bfs", 0x619f340f1cc782b1),
     ("subway-sync-bfs", 0x0000784648682c07),
     ("subway-sync-sssp", 0x0230808cf9978b89),
     ("subway-sync-cc", 0xca5f4f74e6ff7e61),
@@ -218,7 +218,7 @@ const KRONECKER_SIDE: &[SideRow] = &[
 /// parent commit.
 #[rustfmt::skip]
 const UNIFORM_SIDE: &[SideRow] = &[
-    ("compressed-bfs", 0xe8dacfccc5e2edd4),
+    ("compressed-bfs", 0x94a529b9f50d1840),
     ("subway-sync-bfs", 0x24ca65aeb505472b),
     ("subway-sync-sssp", 0xe1e634707919f2cc),
     ("subway-sync-cc", 0xb79d3068a7cbfd21),
