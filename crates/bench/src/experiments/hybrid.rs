@@ -25,9 +25,9 @@
 
 use super::scaled_machine;
 use crate::cell::{self, Series};
+use crate::subway::SubwaySystem;
 use crate::table::{f, ms};
 use crate::{Context, Results, Table};
-use emogi_baselines::{SubwayMode, SubwaySystem};
 use emogi_core::{AccessStrategy, Engine, EngineConfig};
 use emogi_graph::DatasetKey;
 use emogi_runtime::RunStats;
@@ -84,8 +84,7 @@ pub fn measure(ctx: &Context) -> Results<(&'static str, &'static str), Measureme
         }
         // Subway is its own system, not an `Engine` (ML, the CC graph,
         // is undirected — `SubwaySystem::cc` asserts that itself).
-        let mut sub =
-            SubwaySystem::new(scaled_machine(ctx.scale), &d.graph, None, SubwayMode::Async);
+        let mut sub = SubwaySystem::new(scaled_machine(ctx.scale), &d.graph, None);
         let mut stats = RunStats::default();
         match series {
             Series::Cc => stats += sub.cc().stats,

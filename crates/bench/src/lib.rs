@@ -19,6 +19,12 @@
 //! engine, folded into a `RunStats` and an output digest), [`Results`]
 //! (what every `measure(&Context)` returns and every `table(&results)`
 //! renders) and [`experiments::REGISTRY`] (the one list of ids).
+//!
+//! Table 3's baselines are configurations or live beside the table
+//! that runs them: HALO is the UVM engine over
+//! `LayoutPlan::bfs_ranked`, run through [`cell::run`]; [`subway`] is
+//! the Subway-style subgraph-transfer system, run by `table3` and the
+//! `hybrid` experiment.
 
 #![forbid(unsafe_code)]
 
@@ -27,6 +33,7 @@ pub mod experiments;
 pub mod paper;
 pub mod results;
 pub mod store;
+pub mod subway;
 pub mod table;
 
 pub use results::Results;

@@ -5,9 +5,9 @@
 //! (1) determines the active vertices, (2) *generates a subgraph* — the
 //! active vertices' neighbour lists packed into a contiguous buffer —
 //! (3) `cudaMemcpy`s the subgraph to device memory, and (4) runs the
-//! iteration's kernel entirely out of device memory. The asynchronous
-//! flavour overlaps the next iteration's subgraph generation with the
-//! current kernel.
+//! iteration's kernel entirely out of device memory. This is Subway's
+//! asynchronous pipeline, the one §5.6 runs: each iteration's subgraph
+//! generation overlaps the previous iteration's kernel.
 //!
 //! Modelling note: the device-side kernel streams the subgraph at HBM
 //! speed (~75× the interconnect), so its time is charged analytically
@@ -29,13 +29,6 @@ use emogi_runtime::report::RunStats;
 use emogi_runtime::Machine;
 use emogi_sim::time::{bytes_over_bandwidth_ps, Time, PS_PER_NS};
 
-/// Sync or async subgraph pipeline (§5.6 uses Subway-async, the faster).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubwayMode {
-    Sync,
-    Async,
-}
-
 // Costs of the subgraph generator (scaled like the rest of the machine:
 // these correspond to tens of milliseconds per iteration at the paper's
 // graph sizes).
@@ -48,24 +41,18 @@ const GATHER_NS_PER_VERTEX: f64 = 18.0;
 /// scattered, so the copy is cache-miss-bound (the paper's Subway
 /// timings imply a few GB/s at their scale).
 const GATHER_GBPS: f64 = 4.0;
+/// Edge element size: the public implementation's 4-byte format.
+const ELEM_BYTES: u64 = 4;
 
 /// The Subway-like engine bound to one graph.
 pub struct SubwaySystem<'g> {
     machine: Machine,
     graph: &'g CsrGraph,
     weights: Option<&'g [u32]>,
-    mode: SubwayMode,
-    /// 4-byte edge elements (the public implementation's format).
-    elem_bytes: u64,
 }
 
 impl<'g> SubwaySystem<'g> {
-    pub fn new(
-        machine: MachineConfig,
-        graph: &'g CsrGraph,
-        weights: Option<&'g [u32]>,
-        mode: SubwayMode,
-    ) -> Self {
+    pub fn new(machine: MachineConfig, graph: &'g CsrGraph, weights: Option<&'g [u32]>) -> Self {
         assert!(
             (graph.num_edges() as u64) < u32::MAX as u64,
             "Subway supports at most 2^32 edges (the paper hits this on ML)"
@@ -74,34 +61,27 @@ impl<'g> SubwaySystem<'g> {
             machine: Machine::new(machine),
             graph,
             weights,
-            mode,
-            elem_bytes: 4,
         }
     }
 
     /// Bytes per edge: the 4-byte element, plus its weight if present.
     fn per_edge_bytes(&self) -> u64 {
-        self.elem_bytes + if self.weights.is_some() { 4 } else { 0 }
-    }
-
-    /// Edge-list bytes in Subway's 4-byte format (+weights if present).
-    pub fn dataset_bytes(&self) -> u64 {
-        self.graph.num_edges() as u64 * self.per_edge_bytes()
+        ELEM_BYTES + if self.weights.is_some() { 4 } else { 0 }
     }
 
     /// The one traversal loop, inside the one measurement bracket. Each
     /// round generates the active vertices' subgraph, transfers it and
-    /// runs it on the device, advancing the machine clock according to
-    /// the sync/async pipeline; then `expand` applies the round's updates
-    /// and leaves the next active set in place of the current one. An
-    /// empty set ends the run — tested after the round, so every run has
-    /// one (CC's single pass over a graph where no label moves).
+    /// runs it on the device, advancing the machine clock by the async
+    /// pipeline; then `expand` applies the round's updates and leaves the
+    /// next active set in place of the current one. An empty set ends the
+    /// run — tested after the round, so every run has one (CC's single
+    /// pass over a graph where no label moves).
     fn rounds(
         &mut self,
         mut active: Vec<VertexId>,
         mut expand: impl FnMut(&mut Vec<VertexId>),
     ) -> RunStats {
-        let (graph, mode, per_edge) = (self.graph, self.mode, self.per_edge_bytes());
+        let (graph, per_edge) = (self.graph, self.per_edge_bytes());
         let scan = (graph.num_vertices() as f64 * SCAN_NS_PER_VERTEX) as Time;
         let ((), stats) = self.machine.measure(|m| {
             let mut prev_kernel_ns = 0;
@@ -116,11 +96,8 @@ impl<'g> SubwaySystem<'g> {
                 let dram_ns = m.host_dram.read_bulk(m.now, bytes) - m.now;
                 let copy_ns = bytes_over_bandwidth_ps(bytes, GATHER_GBPS).div_ceil(PS_PER_NS);
                 let gen = dram_ns.max(copy_ns) + scan + gather;
-                m.now += match mode {
-                    SubwayMode::Sync => gen,
-                    // Generation overlapped with the previous kernel.
-                    SubwayMode::Async => gen.saturating_sub(prev_kernel_ns),
-                };
+                // Generation overlapped with the previous kernel.
+                m.now += gen.saturating_sub(prev_kernel_ns);
                 m.memcpy_to_device(bytes);
                 // Device kernel: stream the subgraph + status-array
                 // traffic. The launch is modelled analytically, so it is
@@ -237,7 +214,7 @@ mod tests {
     fn cc_on_an_edgeless_graph_still_makes_one_pass_and_one_launch() {
         for n in [0, 5] {
             let g = CsrGraph::empty(n);
-            let run = SubwaySystem::new(v100(), &g, None, SubwayMode::Sync).cc();
+            let run = SubwaySystem::new(v100(), &g, None).cc();
             assert_eq!((run.hook_passes, run.stats.kernel_launches), (1, 1), "{n}");
             assert_eq!(run.comp, (0..n as u32).collect::<Vec<_>>());
         }
@@ -246,7 +223,7 @@ mod tests {
     #[test]
     fn traffic_is_memcpy_not_zero_copy_or_uvm() {
         let g = generators::uniform_random(400, 8, 7);
-        let mut s = SubwaySystem::new(v100(), &g, None, SubwayMode::Async);
+        let mut s = SubwaySystem::new(v100(), &g, None);
         let run = s.bfs(0);
         assert_eq!(run.stats.pcie_read_requests, 0);
         assert_eq!(run.stats.page_faults, 0);
@@ -254,21 +231,11 @@ mod tests {
     }
 
     #[test]
-    fn async_beats_sync() {
-        let g = generators::uniform_random(3_000, 16, 8);
-        let mut sync = SubwaySystem::new(v100(), &g, None, SubwayMode::Sync);
-        let mut asyn = SubwaySystem::new(v100(), &g, None, SubwayMode::Async);
-        let a = sync.bfs(0).stats.elapsed_ns;
-        let b = asyn.bfs(0).stats.elapsed_ns;
-        assert!(b < a, "async {b} must beat sync {a}");
-    }
-
-    #[test]
     fn transfers_scale_with_touched_edges() {
         // Subway moves every activated vertex's list exactly once per
         // activation — for BFS that is the whole reachable edge list.
         let g = generators::uniform_random(500, 8, 9);
-        let mut s = SubwaySystem::new(v100(), &g, None, SubwayMode::Sync);
+        let mut s = SubwaySystem::new(v100(), &g, None);
         let run = s.bfs(1);
         let reachable_edges: u64 = (0..500u32)
             .filter(|&v| run.levels[v as usize] != UNVISITED)
@@ -285,7 +252,7 @@ mod tests {
     #[test]
     fn analytic_iterations_still_report_one_launch_each() {
         let g = generators::uniform_random(500, 6, 4);
-        let mut s = SubwaySystem::new(v100(), &g, None, SubwayMode::Async);
+        let mut s = SubwaySystem::new(v100(), &g, None);
         for src in [3u32, 9] {
             let run = s.bfs(src);
             let depth = run.levels.iter().filter(|&&l| l != UNVISITED).max();

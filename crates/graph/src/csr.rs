@@ -203,7 +203,8 @@ impl CsrGraph {
     }
 
     /// Relabel vertices by `perm` (new id = `perm[old id]`), preserving
-    /// neighbour sets. Used by the HALO-style reordering baseline.
+    /// neighbour sets. [`LayoutPlan::apply`](crate::reorder::LayoutPlan::apply)
+    /// builds every layout with it.
     ///
     /// # Panics
     /// If `perm` is not a permutation of `0..n`.

@@ -1,11 +1,21 @@
-//! Cache-aware vertex reordering: the degree-sorted layout.
+//! Vertex reordering: the degree-sorted and the BFS-ranked layouts.
 //!
 //! EMOGI runs over whatever vertex order the dataset shipped with, but
-//! the simulated L2 cache and coalescer reward locality: destination
-//! status gathers hit fewer cache lines — and merge into fewer, larger
-//! PCIe/HBM transactions — when the hot (high-degree) vertices sit next
-//! to each other in the status array. A [`LayoutPlan`] is a bijective
-//! relabeling `perm` (new id = `perm[old id]`) with which a caller can
+//! the simulated L2 cache and coalescer reward locality. A
+//! [`LayoutPlan`] is a bijective relabeling `perm` (new id =
+//! `perm[old id]`), and this module builds two:
+//!
+//! * [`LayoutPlan::degree_sorted`], the cache-aware layout: destination
+//!   status gathers hit fewer cache lines — and merge into fewer, larger
+//!   PCIe/HBM transactions — when the hot (high-degree) vertices sit next
+//!   to each other in the status array;
+//! * [`LayoutPlan::bfs_ranked`], HALO's layout (Gera et al., VLDB 2020,
+//!   the paper's reference \[21\], compared in Table 3): vertices
+//!   activated together receive consecutive ids, so a BFS level's edge
+//!   reads walk contiguous pages. HALO is this plan followed by plain UVM
+//!   traversal; its preprocessing is not charged to the traversal (§5.6).
+//!
+//! With a plan, a caller can
 //!
 //! 1. build a relabeled graph with [`LayoutPlan::apply`] (and remap any
 //!    per-edge auxiliary data with [`LayoutPlan::apply_edge_data`]),
@@ -89,6 +99,36 @@ impl LayoutPlan {
     pub fn degree_sorted(graph: &CsrGraph) -> Self {
         let mut order: Vec<VertexId> = (0..graph.num_vertices() as VertexId).collect();
         order.sort_by_key(|&v| (std::cmp::Reverse(graph.degree(v)), v));
+        Self::from_order(order)
+    }
+
+    /// BFS-ranked layout, HALO's relabeling: new ids in BFS discovery
+    /// order from the highest-degree vertex, then from the
+    /// highest-degree vertex not yet reached, until every vertex is
+    /// placed. One BFS level's vertices, activated together, hold
+    /// adjacent neighbour lists. New id 0 is the first root.
+    pub fn bfs_ranked(graph: &CsrGraph) -> Self {
+        let n = graph.num_vertices();
+        let mut roots: Vec<VertexId> = (0..n as VertexId).collect();
+        roots.sort_unstable_by_key(|&v| std::cmp::Reverse(graph.degree(v)));
+        let mut placed = vec![false; n];
+        // The placement order is the BFS queue: `order[head..]` is
+        // still to be expanded.
+        let (mut order, mut head) = (Vec::with_capacity(n), 0);
+        for root in roots {
+            if std::mem::replace(&mut placed[root as usize], true) {
+                continue;
+            }
+            order.push(root);
+            while let Some(&v) = order.get(head) {
+                head += 1;
+                for &d in graph.neighbors(v) {
+                    if !std::mem::replace(&mut placed[d as usize], true) {
+                        order.push(d);
+                    }
+                }
+            }
+        }
         Self::from_order(order)
     }
 
@@ -235,6 +275,7 @@ mod tests {
         let g = sample();
         assert_inverse(&LayoutPlan::identity(g.num_vertices()));
         assert_inverse(&LayoutPlan::degree_sorted(&g));
+        assert_inverse(&LayoutPlan::bfs_ranked(&g));
     }
 
     #[test]
@@ -253,7 +294,11 @@ mod tests {
     #[test]
     fn apply_produces_a_well_formed_csr_with_preserved_adjacency() {
         let g = sample();
-        for plan in [LayoutPlan::degree_sorted(&g), reversed(&g)] {
+        for plan in [
+            LayoutPlan::degree_sorted(&g),
+            LayoutPlan::bfs_ranked(&g),
+            reversed(&g),
+        ] {
             let r = plan.apply(&g);
             assert_eq!(r.num_vertices(), g.num_vertices());
             assert_eq!(r.num_edges(), g.num_edges());
@@ -327,9 +372,58 @@ mod tests {
     fn empty_and_isolated_graphs_are_handled() {
         let empty = CsrGraph::empty(0);
         assert!(LayoutPlan::degree_sorted(&empty).is_empty());
+        assert!(LayoutPlan::bfs_ranked(&empty).is_empty());
         let isolated = CsrGraph::empty(5);
-        let plan = LayoutPlan::degree_sorted(&isolated);
-        assert_eq!(plan.len(), 5);
-        assert_inverse(&plan);
+        for plan in [
+            LayoutPlan::degree_sorted(&isolated),
+            LayoutPlan::bfs_ranked(&isolated),
+        ] {
+            assert_eq!(plan.len(), 5);
+            assert_inverse(&plan);
+        }
+    }
+
+    /// HALO's mechanism: vertices *activated together* (one BFS level
+    /// from the traversal root) hold adjacent neighbour lists after the
+    /// relabeling. Measure the page footprint of every BFS level from
+    /// the plan's first root (new id 0), before and after: the randomly
+    /// permuted social graph sprays each level across the edge list, the
+    /// relabeled one packs levels into consecutive pages.
+    ///
+    /// Seeded mutation this test is known to catch: `bfs_ranked`
+    /// returning `Self::identity(n)`.
+    #[test]
+    fn bfs_ranked_packs_each_level_into_fewer_pages() {
+        let g = generators::social(4_096, 6, 5);
+        let plan = LayoutPlan::bfs_ranked(&g);
+        let r = plan.apply(&g);
+        let root = (0..g.num_vertices() as VertexId)
+            .find(|&v| plan.map_vertex(v) == 0)
+            .expect("a vertex at new id 0");
+        let levels = algo::bfs_levels(&g, root);
+        /// Distinct 4 KiB pages of `members`' 8-byte neighbour lists.
+        fn pages(g: &CsrGraph, members: impl Iterator<Item = VertexId>) -> usize {
+            let mut p: Vec<u64> = members
+                .flat_map(|v| {
+                    let s = g.neighbor_start(v) * 8 / 4096;
+                    let e = (g.neighbor_end(v).max(g.neighbor_start(v) + 1) - 1) * 8 / 4096;
+                    s..=e
+                })
+                .collect();
+            p.sort_unstable();
+            p.dedup();
+            p.len()
+        }
+        let max_level = levels.iter().filter(|&&l| l != u32::MAX).max();
+        let (mut before, mut after) = (0, 0);
+        for lvl in 1..=*max_level.expect("the root is reached") {
+            let members = (0..g.num_vertices() as VertexId).filter(|&v| levels[v as usize] == lvl);
+            before += pages(&g, members.clone());
+            after += pages(&r, members.map(|v| plan.map_vertex(v)));
+        }
+        assert!(
+            after < before,
+            "relabeling should shrink the per-level page footprint: {after} vs {before}"
+        );
     }
 }

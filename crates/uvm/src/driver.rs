@@ -25,8 +25,9 @@ const PAGE_CPU_OVERHEAD_NS: Time = 105;
 const EVICT_OVERHEAD_NS: Time = 40;
 /// Prefetch block size in pages (16 pages = 64 KiB).
 const PREFETCH_BLOCK_PAGES: u64 = 16;
-/// Blocks per prefetch super-block (`PREFETCH_BLOCK_PAGES ×
-/// PROMOTE_FACTOR` pages, the 2 MiB level of the real tree prefetcher).
+/// Blocks per prefetch super-block: `PREFETCH_BLOCK_PAGES ×
+/// PROMOTE_FACTOR` pages = 1 MiB, the model's stand-in for the real tree
+/// prefetcher's upper (2 MiB) level.
 const PROMOTE_FACTOR: u64 = 16;
 /// When a faulting page's super-block already has this many blocks
 /// partially resident, the whole super-block migrates.

@@ -11,6 +11,7 @@
 //! cargo run --release --example social_network
 //! ```
 
+use emogi_bench::subway::SubwaySystem;
 use emogi_repro::prelude::*;
 
 fn main() {
@@ -95,12 +96,7 @@ fn main() {
 
     // And the partitioning state of the art for contrast (4-byte edges).
     let src = sources[0];
-    let mut subway = SubwaySystem::new(
-        MachineConfig::v100_gen3(),
-        &d.graph,
-        None,
-        SubwayMode::Async,
-    );
+    let mut subway = SubwaySystem::new(MachineConfig::v100_gen3(), &d.graph, None);
     let run = subway.bfs(src);
     assert_eq!(run.levels, algo::bfs_levels(&d.graph, src));
     println!(

@@ -21,7 +21,12 @@
 //!   cancellation, and a compatibility scheduler that batches queries
 //!   so overlapping frontiers share PCIe cache lines, plus the
 //!   device-group path ([`serve::ShardedServer`])
-//! * [`baselines`] — UVM, HALO-style and Subway-style comparison systems
+//!
+//! Table 3's baselines are configurations of the same stack: the UVM
+//! baseline is `EngineConfig::uvm_v100()`, HALO is that configuration
+//! over a [`graph::LayoutPlan::bfs_ranked`] relabeling, and the
+//! Subway-style subgraph-transfer system lives beside the table that
+//! runs it, in the experiment harness (`emogi_bench::subway`).
 //!
 //! Most users want the [`prelude`]:
 //!
@@ -36,7 +41,6 @@
 
 #![forbid(unsafe_code)]
 
-pub use emogi_baselines as baselines;
 pub use emogi_core as core;
 pub use emogi_gpu as gpu;
 pub use emogi_graph as graph;
@@ -52,11 +56,10 @@ pub use emogi_uvm as uvm;
 /// from a description (serving's `QuerySpec` / `QueryKind` /
 /// `QueryResult` are re-exports of `ProgramSpec` / `ProgramKind` /
 /// `ProgramRun`), access
-/// strategies and transports, vertex partitioners, graph types and
-/// generators, the CPU reference algorithms, machine presets and the
-/// comparison baselines.
+/// strategies and transports, vertex partitioners and layouts, graph
+/// types and generators, the CPU reference algorithms and machine
+/// presets.
 pub mod prelude {
-    pub use emogi_baselines::{HaloSystem, SubwayMode, SubwaySystem};
     pub use emogi_core::spec;
     pub use emogi_core::sssp::INF;
     pub use emogi_core::{

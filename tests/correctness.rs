@@ -1,7 +1,9 @@
 //! Cross-engine correctness: every simulated engine (the named
-//! configurations of `tests/common`, HALO, Subway) must produce results
-//! identical to the CPU reference algorithms on randomized graphs, for
-//! every vertex program.
+//! configurations of `tests/common`, and the Subway-style system) must
+//! produce results identical to the CPU reference algorithms on
+//! randomized graphs, for every vertex program. HALO is a named
+//! configuration over `LayoutPlan::bfs_ranked`, which
+//! `tests/layout_differential.rs` holds to the unrelabeled run.
 //!
 //! Seeded mutations this file is known to catch:
 //!
@@ -24,11 +26,12 @@
 //! - Subway's round loop dropping the last active vertex before each
 //!   `expand`, its SSSP reading `weights[k]` for `weights[start + k]`,
 //!   and its CC never setting `changed`, each fail
-//!   `halo_and_subway_agree_with_reference`.
+//!   `subway_agrees_with_reference`.
 
 mod common;
 
 use common::*;
+use emogi_bench::subway::SubwaySystem;
 use emogi_repro::prelude::*;
 use std::sync::Arc;
 
@@ -95,19 +98,11 @@ fn one_placement_serves_all_four_programs() {
     assert_every_engine_matches_the_oracle(&g, &four_programs(4, &w, 8), "uniform");
 }
 
-/// HALO's BFS on a directed web graph, and Subway's three programs under
-/// both pipelines — SSSP and BFS on the directed graph and an undirected
-/// one, CC on the undirected one (it needs one).
+/// Subway's three programs: SSSP and BFS on a directed web graph and an
+/// undirected one, CC on the undirected one (it needs one).
 #[test]
-fn halo_and_subway_agree_with_reference() {
+fn subway_agrees_with_reference() {
     let web = generators::web_crawl(800, 8, 80, 0.85, 5);
-    let src = (0..800u32).find(|&v| web.degree(v) > 0).unwrap();
-    let halo = HaloSystem::new(
-        EngineConfig::uvm_v100().with_machine(MachineConfig::titan_xp_gen3()),
-        &web,
-    );
-    assert_eq!(halo.bfs(src).levels, algo::bfs_levels(&web, src), "halo");
-
     for g in [web, generators::uniform_random(500, 6, 4)] {
         let src = (0..g.num_vertices() as u32).find(|&v| g.degree(v) > 0);
         let weights = datasets::generate_weights(g.num_edges(), 5);
@@ -116,23 +111,20 @@ fn halo_and_subway_agree_with_reference() {
             specs.push(ProgramSpec::Cc);
         }
         let want = reference_answers(&g, &specs);
-        for mode in [SubwayMode::Sync, SubwayMode::Async] {
-            let machine = MachineConfig::v100_gen3();
-            let mut subway = SubwaySystem::new(machine, &g, Some(&weights), mode);
-            let run = |spec: &ProgramSpec| match spec {
-                ProgramSpec::Bfs { src } => ProgramRun::Bfs(subway.bfs(*src)),
-                ProgramSpec::Sssp { src, .. } => ProgramRun::Sssp(subway.sssp(*src)),
-                ProgramSpec::Cc => ProgramRun::Cc(subway.cc()),
-                ProgramSpec::PageRank { .. } => unreachable!("Subway runs no PageRank"),
-            };
-            let runs = specs.iter().map(run).collect();
-            let got = Outcome {
-                runs,
-                ..Outcome::default()
-            };
-            let tag = format!("Subway {mode:?}, {} vertices", g.num_vertices());
-            assert_outputs_match(&got, &want, &tag);
-        }
+        let mut subway = SubwaySystem::new(MachineConfig::v100_gen3(), &g, Some(&weights));
+        let run = |spec: &ProgramSpec| match spec {
+            ProgramSpec::Bfs { src } => ProgramRun::Bfs(subway.bfs(*src)),
+            ProgramSpec::Sssp { src, .. } => ProgramRun::Sssp(subway.sssp(*src)),
+            ProgramSpec::Cc => ProgramRun::Cc(subway.cc()),
+            ProgramSpec::PageRank { .. } => unreachable!("Subway runs no PageRank"),
+        };
+        let runs = specs.iter().map(run).collect();
+        let got = Outcome {
+            runs,
+            ..Outcome::default()
+        };
+        let tag = format!("Subway, {} vertices", g.num_vertices());
+        assert_outputs_match(&got, &want, &tag);
     }
 }
 

@@ -35,6 +35,9 @@
 //!   doubled: case study; Subway gathering at 400 GB/s: table3;
 //! - the cache sweep's sizes divided by the scale: `abl-cache`'s known
 //!   gap closes and fails by name [cache sweep].
+//! - table3's HALO rows on `emogi_v100` instead of `uvm_v100`: table3,
+//!   at both seeds ("HALO BFS ML: 0.990 outside its band") [HALO's
+//!   `halo_uses_uvm_not_zero_copy`].
 
 use emogi_bench::experiments::matrix::EngineKind::{Merged, MergedAligned, Naive, Uvm};
 use emogi_bench::experiments::{self, apps, hybrid, layout, overlap, pagerank};

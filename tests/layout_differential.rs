@@ -9,13 +9,20 @@
 //! hook-pass counts, which depend on the ids it starts from, are held —
 //! in every shape — to the solo run on the *same* layout instead.
 //! **Generator:** random graphs under any named configuration, relabeled
-//! by the structured degree-sorted plan and by a random permutation.
+//! by the two structured plans — degree-sorted, and HALO's BFS-ranked
+//! one (so HALO's map-in / run / map-out is this theorem) — and by a
+//! random permutation.
 //! **Witness:** `the_relabeled_side_actually_moves_vertices_and_traffic`.
 //!
 //! Seeded mutations this file is known to catch:
 //!
 //! - `LayoutPlan::unmap_values` returning its input fails
 //!   `solo_runs_are_bit_identical_after_unmapping`.
+//! - `ProgramRun::unmapped_words` returning `self.words()` for the
+//!   per-vertex programs fails all four tests at both seeds. That is
+//!   HALO's map-back in `table3`, so this stands for the deleted
+//!   `bfs_results_map_back_to_original_ids` and the HALO line of
+//!   `tests/correctness.rs`.
 //!
 //! The proptest shim derives each test's seed from its name, so every
 //! failure reproduces locally with a plain `cargo test --test
@@ -30,15 +37,17 @@ use emogi_repro::graph::datasets::generate_weights;
 use emogi_repro::prelude::*;
 use proptest::prelude::*;
 
-/// The theorem, in `shapes`, for the degree-sorted plan and the random
-/// permutation seeded by `perm_seed`.
+/// The theorem, in `shapes`, for the degree-sorted and BFS-ranked plans
+/// and the random permutation seeded by `perm_seed`.
 fn assert_layout_invariant(identity: &Side, perm_seed: u64, shapes: &[Shape], tag: &str) {
     let random = common::random_permutation(identity.graph.num_vertices(), perm_seed);
     let plans = [
         LayoutPlan::degree_sorted(identity.graph),
+        LayoutPlan::bfs_ranked(identity.graph),
         LayoutPlan::from_perm(random),
     ];
-    for (name, plan) in ["degree-sorted", "random"].into_iter().zip(plans) {
+    let names = ["degree-sorted", "bfs-ranked", "random"];
+    for (name, plan) in names.into_iter().zip(plans) {
         let (variant, tag) = (identity.relabeled(plan), format!("{tag}/{name}"));
         assert_equivalent(identity, &variant, shapes, Strength::Results, &tag);
     }

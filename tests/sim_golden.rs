@@ -22,10 +22,10 @@
 //!
 //! **Side systems.** The run loops that bypass the engine's driver — the
 //! §3.3 toy kernels with their UVM and `cudaMemcpy` references, the §6
-//! compressed BFS, the Subway baseline — and HALO (an `Engine` over a
-//! relabeled graph) are pinned the same way in [`TOY`] and the two
-//! `*_SIDE` tables, generated at the commit before those loops were
-//! routed through one measurement bracket.
+//! compressed BFS, the Subway baseline's async pipeline — and HALO (the
+//! UVM `Engine` over `LayoutPlan::bfs_ranked`) are pinned the same way in
+//! [`TOY`] and the two `*_SIDE` tables, generated at the commit before
+//! those loops were routed through one measurement bracket.
 //!
 //! Seeded mutations this file is known to catch:
 //!
@@ -46,6 +46,12 @@
 //! - `Machine::account_async_stage` without `self.dma.bytes_to_device +=
 //!   bytes` fails both matrix tests at both seeds ("`dma.bytes_to_device
 //!   == staged_bytes - cxl_staged_bytes` broken").
+//! - Subway's async overlap removed (`gen.saturating_sub(prev_kernel_ns)`
+//!   → `gen` in `emogi_bench::subway`) fails both side-system tests at
+//!   both seeds, on the three `subway-async-*` rows. It stands for the
+//!   deleted `async_beats_sync`;
+//! - `LayoutPlan::bfs_ranked` returning `Self::identity(n)` fails both
+//!   side-system tests on `halo-bfs`.
 //!
 //! **Re-pinning.** The simulator is deterministic, so a mismatch is a
 //! modelling change, never noise. If the change is intended and declared,
@@ -54,6 +60,7 @@
 
 mod common;
 
+use emogi_bench::subway::SubwaySystem;
 use emogi_repro::core::compressed::CompressedBfs;
 use emogi_repro::core::sharded::{ShardedConfig, ShardedEngine};
 use emogi_repro::core::toy::{self, ToyPattern, ToyRun};
@@ -205,9 +212,6 @@ const TOY: &[SideRow] = &[
 #[rustfmt::skip]
 const KRONECKER_SIDE: &[SideRow] = &[
     ("compressed-bfs", 0x619f340f1cc782b1),
-    ("subway-sync-bfs", 0x0000784648682c07),
-    ("subway-sync-sssp", 0x0230808cf9978b89),
-    ("subway-sync-cc", 0xca5f4f74e6ff7e61),
     ("subway-async-bfs", 0xf4fe5fe1315f92c3),
     ("subway-async-sssp", 0x4bd14acc431e29e5),
     ("subway-async-cc", 0xb6b3a64be2051849),
@@ -219,9 +223,6 @@ const KRONECKER_SIDE: &[SideRow] = &[
 #[rustfmt::skip]
 const UNIFORM_SIDE: &[SideRow] = &[
     ("compressed-bfs", 0x94a529b9f50d1840),
-    ("subway-sync-bfs", 0x24ca65aeb505472b),
-    ("subway-sync-sssp", 0xe1e634707919f2cc),
-    ("subway-sync-cc", 0xb79d3068a7cbfd21),
     ("subway-async-bfs", 0x117604076b4b5a7b),
     ("subway-async-sssp", 0xf13f91cf73856c9d),
     ("subway-async-cc", 0x1873b677b6960145),
@@ -540,32 +541,31 @@ fn side_cells(g: &CsrGraph) -> Vec<SideRow> {
     }
     out.push(("compressed-bfs", h.0));
 
-    for (mode, labels) in [
-        (
-            SubwayMode::Sync,
-            ["subway-sync-bfs", "subway-sync-sssp", "subway-sync-cc"],
-        ),
-        (
-            SubwayMode::Async,
-            ["subway-async-bfs", "subway-async-sssp", "subway-async-cc"],
-        ),
-    ] {
-        let mut sys = SubwaySystem::new(side_machine(), g, Some(&w), mode);
-        let [mut bfs, mut sssp, mut cc] = [Fnv::new(), Fnv::new(), Fnv::new()];
-        for src in [3, 17] {
-            bfs.run(&ProgramRun::Bfs(sys.bfs(src)));
-            sssp.run(&ProgramRun::Sssp(sys.sssp(src)));
-            cc.run(&ProgramRun::Cc(sys.cc()));
-        }
-        out.extend(labels.into_iter().zip([bfs.0, sssp.0, cc.0]));
+    let mut sys = SubwaySystem::new(side_machine(), g, Some(&w));
+    let [mut bfs, mut sssp, mut cc] = [Fnv::new(), Fnv::new(), Fnv::new()];
+    for src in [3, 17] {
+        bfs.run(&ProgramRun::Bfs(sys.bfs(src)));
+        sssp.run(&ProgramRun::Sssp(sys.sssp(src)));
+        cc.run(&ProgramRun::Cc(sys.cc()));
     }
+    out.push(("subway-async-bfs", bfs.0));
+    out.push(("subway-async-sssp", sssp.0));
+    out.push(("subway-async-cc", cc.0));
 
+    // HALO: the UVM engine over the BFS-ranked relabeling, a fresh
+    // placement per source (as `table3` runs it), outputs mapped back.
     let mut cfg = EngineConfig::uvm_v100();
     cfg.machine = side_machine();
-    let halo = HaloSystem::new(cfg, g);
+    let plan = LayoutPlan::bfs_ranked(g);
+    let relabeled = plan.apply(g);
     let mut h = Fnv::new();
     for src in [3, 17] {
-        h.run(&ProgramRun::Bfs(halo.bfs(src)));
+        let bfs = ProgramSpec::Bfs {
+            src: plan.map_vertex(src),
+        };
+        let run = spec::run(&mut Engine::load(cfg.clone(), &relabeled), &bfs);
+        h.words(run.unmapped_words(&plan));
+        h.stats(run.stats());
     }
     out.push(("halo-bfs", h.0));
     out
