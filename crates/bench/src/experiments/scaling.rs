@@ -1,20 +1,18 @@
 //! The `scaling` experiment: sharded multi-GPU BFS on the skewed GK
 //! graph — the shape of the paper's multi-GPU figure (§5.7).
 //!
-//! A burst of BFS traversals runs on 1, 2 and 4 simulated GPUs under
-//! both vertex partitioners. Each iteration the driver deals the
-//! frontier across the devices: its short neighbour lists in equal-work
-//! spans, in vertex order, whoever owns them, and its hubs' pieces round
-//! robin from their owners. Each device reads its deal's lists over its
-//! own PCIe link; between iterations the devices exchange activated
-//! `(vertex, level)` pairs over the NVLink-class peer link. Zero-copy
-//! traversal keeps scaling because each link carries about an equal
-//! share of every iteration's work. The partitioner no longer balances
-//! frontier work — the deal does — so the two partitioners now differ
-//! only in where hub pieces start: their 4-device speedups lie within
-//! 5 % of each other. The deal costs L2 affinity: a short list lands on
-//! whichever device its iteration's span gives it, not on the same
-//! device query after query, so the links together carry more bytes
+//! A burst of BFS traversals runs on 1, 2 and 4 simulated GPUs. Each
+//! iteration the driver deals the frontier across the devices: its short
+//! neighbour lists in equal-work spans, in vertex order, whoever owns
+//! them, and its hubs' pieces round robin from their owners under the
+//! degree-balanced vertex partition. Each device reads its deal's lists
+//! over its own PCIe link; between iterations the devices exchange
+//! activated `(vertex, level)` pairs over the NVLink-class peer link.
+//! Zero-copy traversal keeps scaling because each link carries about an
+//! equal share of every iteration's work: the deal, not the partition,
+//! balances frontier work. The deal costs L2 affinity: a short list
+//! lands on whichever device its iteration's span gives it, not on the
+//! same device query after query, so the links together carry more bytes
 //! than under owner-only sharding. Every device count runs the
 //! split-hub kernel (`ShardedConfig::emogi_v100`), so mega-hub lists
 //! are cut into warp-sized pieces on one device too
@@ -28,16 +26,16 @@ use super::scaled_machine;
 use crate::table::{f, ms};
 use crate::{Context, Results, Table};
 use emogi_core::sharded::{ShardedConfig, ShardedEngine};
-use emogi_graph::{algo, DatasetKey, PartitionStrategy};
+use emogi_graph::{algo, DatasetKey};
 use emogi_runtime::RunStats;
 
-/// BFS traversals per (devices, partitioner) cell.
+/// BFS traversals per device count.
 const BURST: usize = 4;
 
 /// Simulated GPU counts, the paper's 1/2/4 sweep.
 pub const DEVICE_COUNTS: &[usize] = &[1, 2, 4];
 
-/// One (devices, partitioner) measurement.
+/// One device count's measurement.
 #[derive(Debug, Clone)]
 pub struct Measurement {
     /// The burst's group-level stats, folded: barrier-aligned wall clock
@@ -50,55 +48,48 @@ pub struct Measurement {
     pub exchange_bytes: u64,
 }
 
-/// Cells keyed by (simulated GPUs, partitioner display name).
-pub type Cells = Results<(usize, &'static str), Measurement>;
+/// Cells keyed by simulated GPUs.
+pub type Cells = Results<usize, Measurement>;
 
-/// Burst speedup of `devices` GPUs over the same partitioner's
-/// single-GPU baseline.
-pub fn speedup(r: &Cells, devices: usize, partition: &'static str) -> f64 {
-    let base = r.get((1, partition)).stats.elapsed_ns;
-    base as f64 / r.get((devices, partition)).stats.elapsed_ns as f64
+/// Burst speedup of `devices` GPUs over the single-GPU baseline.
+pub fn speedup(r: &Cells, devices: usize) -> f64 {
+    let base = r.get(1).stats.elapsed_ns;
+    base as f64 / r.get(devices).stats.elapsed_ns as f64
 }
 
-/// Run every (devices, partitioner) cell, asserting output bit-identity
-/// against the CPU reference as it goes.
+/// Run every device count, asserting output bit-identity against the
+/// CPU reference as it goes.
 pub fn measure(ctx: &Context) -> Cells {
     let gk = ctx.store.get(DatasetKey::Gk);
     let sources = gk.sources(BURST);
     let mut rows = Vec::new();
     for &devices in DEVICE_COUNTS {
-        for strategy in PartitionStrategy::all() {
-            eprintln!(
-                "  [scaling] {} device(s), {} partition ...",
-                devices,
-                strategy.name()
+        eprintln!("  [scaling] {devices} device(s) ...");
+        let mut cfg = ShardedConfig::emogi_v100(devices);
+        cfg.engine = cfg.engine.with_machine(scaled_machine(ctx.scale));
+        let mut engine = ShardedEngine::load(cfg, &gk.graph);
+        let mut stats = RunStats::default();
+        let mut per_link = vec![0u64; devices];
+        let mut exchange_bytes = 0u64;
+        for &s in &sources {
+            let run = engine.bfs(s);
+            assert_eq!(
+                run.levels,
+                algo::bfs_levels(&gk.graph, s),
+                "sharded BFS from {s} on {devices} devices diverged"
             );
-            let mut cfg = ShardedConfig::emogi_v100(devices).with_partition(strategy);
-            cfg.engine = cfg.engine.with_machine(scaled_machine(ctx.scale));
-            let mut engine = ShardedEngine::load(cfg, &gk.graph);
-            let mut stats = RunStats::default();
-            let mut per_link = vec![0u64; devices];
-            let mut exchange_bytes = 0u64;
-            for &s in &sources {
-                let run = engine.bfs(s);
-                assert_eq!(
-                    run.levels,
-                    algo::bfs_levels(&gk.graph, s),
-                    "sharded BFS from {s} on {devices} devices diverged"
-                );
-                stats += &run.stats;
-                for (d, stats) in run.per_device.iter().enumerate() {
-                    per_link[d] += stats.host_bytes;
-                }
-                exchange_bytes += run.exchange.bytes;
+            stats += &run.stats;
+            for (d, stats) in run.per_device.iter().enumerate() {
+                per_link[d] += stats.host_bytes;
             }
-            let m = Measurement {
-                stats,
-                max_link_bytes: per_link.iter().copied().max().unwrap_or(0),
-                exchange_bytes,
-            };
-            rows.push(((devices, strategy.name()), m));
+            exchange_bytes += run.exchange.bytes;
         }
+        let m = Measurement {
+            stats,
+            max_link_bytes: per_link.iter().copied().max().unwrap_or(0),
+            exchange_bytes,
+        };
+        rows.push((devices, m));
     }
     Results { rows }
 }
@@ -107,10 +98,9 @@ pub fn measure(ctx: &Context) -> Cells {
 pub fn table(r: &Cells) -> Table {
     let mut t = Table::new(
         "scaling",
-        "Multi-GPU sharded BFS on GK: 1/2/4 simulated V100s, both partitioners",
+        "Multi-GPU sharded BFS on GK: 1/2/4 simulated V100s",
         &[
             "devices",
-            "partition",
             "time (ms)",
             "speedup",
             "PCIe MB (all links)",
@@ -118,12 +108,11 @@ pub fn table(r: &Cells) -> Table {
             "exchange MB",
         ],
     );
-    for ((devices, partition), m) in &r.rows {
+    for (devices, m) in &r.rows {
         t.row(vec![
             devices.to_string(),
-            (*partition).into(),
             ms(m.stats.elapsed_ns),
-            f(speedup(r, *devices, partition)),
+            f(speedup(r, *devices)),
             format!("{:.2}", m.stats.host_bytes as f64 / 1e6),
             format!("{:.2}", m.max_link_bytes as f64 / 1e6),
             format!("{:.2}", m.exchange_bytes as f64 / 1e6),
@@ -133,8 +122,8 @@ pub fn table(r: &Cells) -> Table {
         "each iteration deals the frontier's short lists to devices in equal-work \
          spans and its hubs' pieces round robin from their owners; each device reads \
          its deal over its own PCIe link and exchanges activated (vertex, level) pairs \
-         over the peer link between iterations; the partitioner only anchors hub \
-         pieces, so both partitioners scale alike; every device count, one included, \
+         over the peer link between iterations; the degree-balanced partition only \
+         anchors hub pieces; every device count, one included, \
          cuts hub lists into warp-sized pieces, so the speedup is the devices' alone; \
          outputs are asserted bit-identical to the CPU reference on every invocation",
     );

@@ -139,23 +139,14 @@ pub(crate) struct Driver<'g> {
 }
 
 impl<'g> Driver<'g> {
-    /// Place `graph` on every machine; device `d` owns `partition`'s
-    /// shard `d`.
-    pub fn load(
-        cfg: &EngineConfig,
-        graph: &'g CsrGraph,
-        machines: &mut [Machine],
-        partition: VertexPartition,
-    ) -> Self {
-        assert_eq!(
-            partition.num_shards(),
-            machines.len(),
-            "one shard per device"
-        );
+    /// Place `graph` on every machine; device `d` owns shard `d` of the
+    /// degree-balanced partition over `machines.len()` shards (one
+    /// device owns `[0, n)`).
+    pub fn load(cfg: &EngineConfig, graph: &'g CsrGraph, machines: &mut [Machine]) -> Self {
         Self {
             graph,
             strategy: cfg.strategy,
-            partition,
+            partition: VertexPartition::degree_balanced(graph, machines.len()),
             places: machines
                 .iter_mut()
                 .map(|m| GraphLayout::place(m, graph, cfg.elem_bytes, &cfg.transport))
@@ -462,27 +453,24 @@ mod tests {
     use crate::bfs::BfsProgram;
     use crate::cc::CcProgram;
     use crate::layout::Transport;
-    use emogi_graph::{generators, PartitionStrategy};
+    use emogi_graph::generators;
     use emogi_runtime::machine::MachineConfig;
     use emogi_runtime::{PrefetchConfig, TransferConfig};
     use emogi_sim::cxl::CxlConfig;
 
     fn driver(graph: &CsrGraph, devices: usize) -> (Vec<Machine>, Driver<'_>) {
-        let contiguous = PartitionStrategy::Contiguous;
-        driver_with(&EngineConfig::emogi_v100(), graph, devices, contiguous)
+        driver_with(&EngineConfig::emogi_v100(), graph, devices)
     }
 
     fn driver_with<'g>(
         cfg: &EngineConfig,
         graph: &'g CsrGraph,
         devices: usize,
-        strategy: PartitionStrategy,
     ) -> (Vec<Machine>, Driver<'g>) {
         let mut machines: Vec<Machine> = (0..devices)
             .map(|_| Machine::new(cfg.machine.clone()))
             .collect();
-        let partition = strategy.partition(graph, devices);
-        let driver = Driver::load(cfg, graph, &mut machines, partition);
+        let driver = Driver::load(cfg, graph, &mut machines);
         (machines, driver)
     }
 
@@ -528,6 +516,11 @@ mod tests {
         // short list, is all of device 0's span and stays whole there,
         // whoever owns it; masks move with every slice.
         let (_, four) = driver(&g, 4);
+        assert_ne!(
+            four.partition.owner(leaf),
+            0,
+            "the leaf is another device's"
+        );
         let (mut items, mut item_masks) = (vec![Vec::new(); 4], vec![Vec::new(); 4]);
         four.shard(&union, &masks, &mut items, &mut item_masks);
         let owner = four.partition.owner(hub);
@@ -588,7 +581,7 @@ mod tests {
         for cfg in [&plain, &split] {
             // One device: the union in order, a hub cut into whole warps'
             // worth of elements only when the kernel has a slice.
-            let (_, one) = driver_with(cfg, &g, 1, PartitionStrategy::Contiguous);
+            let (_, one) = driver_with(cfg, &g, 1);
             let (mut items, mut item_masks) = (vec![Vec::new()], vec![Vec::new()]);
             one.shard(&union, &masks, &mut items, &mut item_masks);
             let (mut want, mut want_masks) = (Vec::new(), Vec::new());
@@ -611,42 +604,40 @@ mod tests {
             assert_eq!(item_masks[0], want_masks, "{:?}", cfg.strategy);
 
             for devices in [2, 4] {
-                for strategy in PartitionStrategy::all() {
-                    let what = format!("{:?}, {devices} devices, {strategy:?}", cfg.strategy);
-                    let (_, driver) = driver_with(cfg, &g, devices, strategy);
-                    let mut items = vec![Vec::new(); devices];
-                    let mut item_masks = vec![Vec::new(); devices];
-                    driver.shard(&union, &masks, &mut items, &mut item_masks);
-                    let share = short.div_ceil(devices as u64);
-                    let mut spans: Vec<(VertexId, VertexId)> = Vec::new();
-                    let mut dealt = 0;
-                    for (d, (its, ms)) in items.iter().zip(&item_masks).enumerate() {
-                        assert_eq!(its.len(), ms.len(), "{what}: one mask per item");
-                        for (&(v, _, _), &m) in its.iter().zip(ms) {
-                            assert_eq!(m, mask_of(v), "{what}: device {d}, vertex {v}");
-                        }
-                        let shorts: Vec<VertexId> =
-                            its.iter().map(|it| it.0).filter(|&v| !is_hub(v)).collect();
-                        let work: u64 = shorts.iter().map(|&v| g.degree(v)).sum();
-                        assert!(
-                            work < share + HUB_SPLIT_DEGREE,
-                            "{what}: device {d} holds {work} of a {share} share"
-                        );
-                        dealt += work;
-                        if let (Some(&first), Some(&last)) = (shorts.first(), shorts.last()) {
-                            spans.push((first, last));
-                        }
+                let what = format!("{:?}, {devices} devices", cfg.strategy);
+                let (_, driver) = driver_with(cfg, &g, devices);
+                let mut items = vec![Vec::new(); devices];
+                let mut item_masks = vec![Vec::new(); devices];
+                driver.shard(&union, &masks, &mut items, &mut item_masks);
+                let share = short.div_ceil(devices as u64);
+                let mut spans: Vec<(VertexId, VertexId)> = Vec::new();
+                let mut dealt = 0;
+                for (d, (its, ms)) in items.iter().zip(&item_masks).enumerate() {
+                    assert_eq!(its.len(), ms.len(), "{what}: one mask per item");
+                    for (&(v, _, _), &m) in its.iter().zip(ms) {
+                        assert_eq!(m, mask_of(v), "{what}: device {d}, vertex {v}");
                     }
-                    assert_eq!(dealt, short, "{what}: every short list is dealt once");
-                    assert_eq!(spans.len(), devices, "{what}: every device gets a span");
-                    for w in spans.windows(2) {
-                        assert!(w[0].1 < w[1].0, "{what}: spans follow vertex order");
+                    let shorts: Vec<VertexId> =
+                        its.iter().map(|it| it.0).filter(|&v| !is_hub(v)).collect();
+                    let work: u64 = shorts.iter().map(|&v| g.degree(v)).sum();
+                    assert!(
+                        work < share + HUB_SPLIT_DEGREE,
+                        "{what}: device {d} holds {work} of a {share} share"
+                    );
+                    dealt += work;
+                    if let (Some(&first), Some(&last)) = (shorts.first(), shorts.last()) {
+                        spans.push((first, last));
                     }
-                    for &hub in union.iter().filter(|&&v| is_hub(v)) {
-                        let owner = driver.partition.owner(hub);
-                        for (k, &(d, _)) in pieces_of(&driver, hub, &items).iter().enumerate() {
-                            assert_eq!(d, (owner + k) % devices, "{what}: hub {hub} piece {k}");
-                        }
+                }
+                assert_eq!(dealt, short, "{what}: every short list is dealt once");
+                assert_eq!(spans.len(), devices, "{what}: every device gets a span");
+                for w in spans.windows(2) {
+                    assert!(w[0].1 < w[1].0, "{what}: spans follow vertex order");
+                }
+                for &hub in union.iter().filter(|&&v| is_hub(v)) {
+                    let owner = driver.partition.owner(hub);
+                    for (k, &(d, _)) in pieces_of(&driver, hub, &items).iter().enumerate() {
+                        assert_eq!(d, (owner + k) % devices, "{what}: hub {hub} piece {k}");
                     }
                 }
             }
@@ -668,7 +659,7 @@ mod tests {
         let g = star.build();
         let alone = |strategy| {
             let cfg = EngineConfig::emogi_v100().with_strategy(strategy);
-            let (mut machines, mut one) = driver_with(&cfg, &g, 1, PartitionStrategy::Contiguous);
+            let (mut machines, mut one) = driver_with(&cfg, &g, 1);
             let driven = one.drive(&mut machines[0], vec![BfsProgram::new(&g, 0)], false);
             let s = &driven.per_query[0];
             assert!(s.last_warp_alone_ns <= s.elapsed_ns);
@@ -721,7 +712,8 @@ mod tests {
             g.degree(hub) > 4 * HUB_SPLIT_DEGREE,
             "scenario needs a hub that wraps round four devices"
         );
-        // A leaf in the upper half of the ids: device 0 never owns it.
+        // A leaf in the upper half of the ids: on 2 and 4 devices, device
+        // 0 never owns it.
         let leaf = (n / 2..n)
             .find(|&v| v != hub && (1..HUB_SPLIT_DEGREE).contains(&g.degree(v)))
             .unwrap();
@@ -733,8 +725,8 @@ mod tests {
             .collect();
         let split = EngineConfig::emogi_v100().with_strategy(AccessStrategy::MergedAlignedSplit);
         for devices in [1, 2, 4] {
-            let contiguous = PartitionStrategy::Contiguous;
-            let (_, driver) = driver_with(&split, &g, devices, contiguous);
+            let (_, driver) = driver_with(&split, &g, devices);
+            assert_eq!(driver.partition.owner(leaf) == 0, devices == 1);
             let (mut items, mut item_masks) =
                 (vec![Vec::new(); devices], vec![Vec::new(); devices]);
             driver.shard(&union, &masks, &mut items, &mut item_masks);
@@ -778,8 +770,7 @@ mod tests {
         for cfg in [EngineConfig::emogi_v100(), split] {
             let cuts = cfg.strategy.hub_slice().is_some();
             for devices in [1, 2, 4] {
-                let balanced = PartitionStrategy::DegreeBalanced;
-                let (_, driver) = driver_with(&cfg, &g, devices, balanced);
+                let (_, driver) = driver_with(&cfg, &g, devices);
                 let mut items = vec![Vec::new(); devices];
                 driver.sweep(&mut items);
                 for (d, its) in items.iter().enumerate() {
@@ -829,8 +820,8 @@ mod tests {
             |k: u32| -> Vec<VertexId> { all.iter().copied().filter(|v| v % k == 0).collect() };
         let queries = [vec![all.clone()], vec![every(2), every(3), all.clone()]];
 
-        let check = |cfg: &EngineConfig, devices: usize, strategy: PartitionStrategy| {
-            let (_, driver) = driver_with(cfg, &g, devices, strategy);
+        let check = |cfg: &EngineConfig, devices: usize| {
+            let (_, driver) = driver_with(cfg, &g, devices);
             for frontiers in &queries {
                 let (mut union, mut masks) = (Vec::new(), Vec::new());
                 merge_frontiers(frontiers, &mut union, &mut masks);
@@ -846,7 +837,7 @@ mod tests {
                     assert!(p.transfer.is_none(), "zero-copy never stages");
                     assert!(
                         its.is_sorted_by_key(|&(_, lo, _)| p.edge_addr(lo)),
-                        "{devices} devices, {strategy:?}, {} queries",
+                        "{devices} devices, {} queries",
                         frontiers.len()
                     );
                 }
@@ -855,7 +846,7 @@ mod tests {
             driver.sweep(&mut sweep);
             for (p, its) in driver.places.iter().zip(&sweep) {
                 let sorted = its.is_sorted_by_key(|&(_, lo, _)| p.edge_addr(lo));
-                assert!(sorted, "sweep, {devices} devices, {strategy:?}");
+                assert!(sorted, "sweep, {devices} devices");
             }
             driver
         };
@@ -865,9 +856,7 @@ mod tests {
             .with_strategy(AccessStrategy::MergedAlignedSplit);
         for cfg in [&plain, &split] {
             for devices in [1, 2, 4] {
-                for strategy in PartitionStrategy::all() {
-                    check(cfg, devices, strategy);
-                }
+                check(cfg, devices);
             }
         }
         // Host DRAM holds one spill unit of the 76 KB edge list; the tail
@@ -877,11 +866,10 @@ mod tests {
             .machine
             .with_cxl(CxlConfig::external_x8())
             .with_host_capacity(crate::layout::SPILL_ALIGN);
-        let driver = check(&spilled, 1, PartitionStrategy::Contiguous);
+        let driver = check(&spilled, 1);
         check(
             &spilled.with_strategy(AccessStrategy::MergedAlignedSplit),
             1,
-            PartitionStrategy::Contiguous,
         );
         let layout = &driver.places[0];
         assert!(layout.cxl_edge_base.is_some() && layout.host_edge_bytes > 0);
@@ -912,18 +900,15 @@ mod tests {
         }
         for cfg in [EngineConfig::emogi_v100(), EngineConfig::pipelined_v100()] {
             for devices in [2, 4] {
-                for strategy in PartitionStrategy::all() {
-                    let mut group = DeviceGroup::new(devices, cfg.machine.clone());
-                    let partition = strategy.partition(&g, devices);
-                    let mut n = Driver::load(&cfg, &g, &mut group.machines, partition);
-                    let what = format!("{:?}, {devices} devices, {strategy:?}", cfg.transport);
-                    for src in [4u32, 77] {
-                        let bfs = n.drive(&mut group, vec![BfsProgram::new(&g, src)], false);
-                        assert_eq!(bfs.per_query[0], whole_run_fold(&bfs), "{what}, BFS {src}");
-                    }
-                    let cc = n.drive(&mut group, vec![CcProgram::new(&g)], false);
-                    assert_eq!(cc.per_query[0], whole_run_fold(&cc), "{what}, CC");
+                let mut group = DeviceGroup::new(devices, cfg.machine.clone());
+                let mut n = Driver::load(&cfg, &g, &mut group.machines);
+                let what = format!("{:?}, {devices} devices", cfg.transport);
+                for src in [4u32, 77] {
+                    let bfs = n.drive(&mut group, vec![BfsProgram::new(&g, src)], false);
+                    assert_eq!(bfs.per_query[0], whole_run_fold(&bfs), "{what}, BFS {src}");
                 }
+                let cc = n.drive(&mut group, vec![CcProgram::new(&g)], false);
+                assert_eq!(cc.per_query[0], whole_run_fold(&cc), "{what}, CC");
             }
         }
     }
@@ -946,7 +931,7 @@ mod tests {
             .machine
             .with_cxl(CxlConfig::external_x8())
             .with_host_capacity(g.edge_list_bytes(cfg.elem_bytes) / 2);
-        let (mut machines, mut one) = driver_with(&cfg, &g, 1, PartitionStrategy::Contiguous);
+        let (mut machines, mut one) = driver_with(&cfg, &g, 1);
         let hub = (0..g.num_vertices() as u32)
             .max_by_key(|&v| g.degree(v))
             .unwrap();
@@ -995,9 +980,8 @@ mod tests {
         assert_eq!(machines[0].kernel_launches, driven.iterations);
 
         let mut group = DeviceGroup::new(2, MachineConfig::v100_gen3());
-        let partition = PartitionStrategy::Contiguous.partition(&g, 2);
         let cfg = EngineConfig::emogi_v100();
-        let mut two = Driver::load(&cfg, &g, &mut group.machines, partition);
+        let mut two = Driver::load(&cfg, &g, &mut group.machines);
         let driven = two.drive(&mut group, vec![BfsProgram::new(&g, 4)], false);
         for (d, m) in group.machines.iter().enumerate() {
             assert_eq!(driven.per_device[d].kernel_launches, m.kernel_launches);

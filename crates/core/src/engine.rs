@@ -28,7 +28,7 @@ use crate::pagerank::{PageRankOutput, PageRankProgram};
 use crate::program::{AccessPattern, VertexProgram};
 use crate::sssp::{SsspOutput, SsspProgram};
 use crate::strategy::AccessStrategy;
-use emogi_graph::{CsrGraph, VertexId, VertexPartition};
+use emogi_graph::{CsrGraph, VertexId};
 use emogi_runtime::machine::MachineConfig;
 use emogi_runtime::report::RunStats;
 use emogi_runtime::{Machine, PrefetchConfig, TransferConfig};
@@ -176,8 +176,7 @@ impl<'g> Engine<'g> {
     /// field.
     pub fn load(cfg: EngineConfig, graph: &'g CsrGraph) -> Self {
         let mut machine = Machine::new(cfg.machine.clone());
-        let whole = VertexPartition::contiguous(graph.num_vertices(), 1);
-        let core = Driver::load(&cfg, graph, std::slice::from_mut(&mut machine), whole);
+        let core = Driver::load(&cfg, graph, std::slice::from_mut(&mut machine));
         Self { machine, core }
     }
 

@@ -6,9 +6,10 @@
 //! [`ShardedEngine`] reproduces that execution model on a
 //! [`DeviceGroup`]:
 //!
-//! * the vertex set is split into contiguous shards by an
-//!   [`emogi_graph::partition`] partitioner (equal vertices, or equal
-//!   edges); a shard anchors its hubs' pieces and its full-sweep range;
+//! * the vertex set is split into contiguous shards of about equal
+//!   edge counts ([`VertexPartition::degree_balanced`], a function of the
+//!   graph and the device count); a shard anchors its hubs' pieces and
+//!   its full-sweep range;
 //! * every device holds the full vertex list and status array (the
 //!   paper's small device-resident structures) while the edge list
 //!   stays in shared host memory, placed identically on each device's
@@ -28,9 +29,9 @@
 //!
 //! Sharding is a *pure execution-plan change*: outputs and iteration
 //! counts are identical to the single-device
-//! [`Engine`](crate::engine::Engine) for any device count and either
-//! partitioner, because every shipped program's
-//! per-iteration semantics are a pure function of iteration-start state
+//! [`Engine`](crate::engine::Engine) for any device count, because
+//! every shipped program's per-iteration semantics are a pure function
+//! of iteration-start state
 //! (contexts are captured for the **whole** frontier before any shard's
 //! kernel runs, BFS/SSSP updates are commutative mins, CC hooks against
 //! an iteration-start snapshot, and PageRank folds its sums in
@@ -41,8 +42,8 @@
 //! outputs, iteration counts *and* every per-run statistic (including
 //! hybrid transfer counters) are equal tick for tick.
 //! `tests/sharded_differential.rs` checks both properties on random
-//! graphs × 4 programs × 1/2/4 devices × both partitioners × every named
-//! configuration — including graphs with planted hubs
+//! graphs × 4 programs × 1/2/4 devices × every named configuration —
+//! including graphs with planted hubs
 //! (`tests/common::hub_graph`), whose lists reach [`HUB_SPLIT_DEGREE`]
 //! and are walked cooperatively —
 //! and the `scaling` experiment measures the payoff (near-linear BFS
@@ -51,12 +52,13 @@
 //! instead of sharing fetches with a batch (throughput-oriented).
 //!
 //! [`DeviceGroup`]: emogi_runtime::DeviceGroup
+//! [`VertexPartition::degree_balanced`]: emogi_graph::VertexPartition::degree_balanced
 
 use crate::driver::Driver;
 use crate::engine::EngineConfig;
 use crate::program::VertexProgram;
 use crate::strategy::AccessStrategy;
-use emogi_graph::{CsrGraph, PartitionStrategy, VertexId, VertexPartition};
+use emogi_graph::{CsrGraph, PartitionStrategy, VertexId};
 use emogi_runtime::group::DeviceGroup;
 use emogi_runtime::report::RunStats;
 use emogi_sim::interconnect::LinkStats;
@@ -92,24 +94,21 @@ pub struct ShardedConfig {
     pub engine: EngineConfig,
     /// Simulated GPUs.
     pub devices: usize,
-    /// How vertices are split across devices.
-    pub partition: PartitionStrategy,
 }
 
 impl ShardedConfig {
     /// `devices` × the EMOGI V100 platform on the split-hub kernel
-    /// ([`AccessStrategy::MergedAlignedSplit`]), degree-balanced sharding.
+    /// ([`AccessStrategy::MergedAlignedSplit`]).
     pub fn emogi_v100(devices: usize) -> Self {
         Self {
             engine: EngineConfig::emogi_v100().with_strategy(AccessStrategy::MergedAlignedSplit),
             devices,
-            partition: PartitionStrategy::DegreeBalanced,
         }
     }
 
-    /// Replace the vertex partitioner.
-    pub fn with_partition(mut self, partition: PartitionStrategy) -> Self {
-        self.partition = partition;
+    /// The configuration unchanged: the partition is always degree
+    /// balanced. Kept only because the benchmark's pinned API calls it.
+    pub fn with_partition(self, _: PartitionStrategy) -> Self {
         self
     }
 }
@@ -176,9 +175,8 @@ impl<'g> ShardedEngine<'g> {
     /// set. Each device gets the same layout a single-device
     /// [`Engine`](crate::engine::Engine) would build.
     pub fn load(cfg: ShardedConfig, graph: &'g CsrGraph) -> Self {
-        let partition = cfg.partition.partition(graph, cfg.devices);
         let mut group = DeviceGroup::new(cfg.devices, cfg.engine.machine.clone());
-        let core = Driver::load(&cfg.engine, graph, &mut group.machines, partition);
+        let core = Driver::load(&cfg.engine, graph, &mut group.machines);
         Self { group, core }
     }
 
@@ -206,13 +204,6 @@ impl<'g> ShardedEngine<'g> {
             .map(|m| m.cfg.pcie.usable_gbps())
             .unwrap_or(0.0);
         per_device * self.group.num_devices() as f64
-    }
-
-    /// The vertex partition: it anchors each hub's round-robin pieces
-    /// and each device's full-sweep range. A frontier's short lists are
-    /// dealt in equal-work spans whoever owns them.
-    pub fn partition(&self) -> &VertexPartition {
-        &self.core.partition
     }
 
     /// Run `program` to convergence across all shards. One synchronous

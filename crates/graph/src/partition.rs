@@ -1,62 +1,31 @@
-//! Vertex partitioners for sharded multi-GPU traversal.
+//! The vertex partition for sharded multi-GPU traversal.
 //!
 //! EMOGI's multi-GPU execution assigns each GPU a slice of the vertex
 //! set. The sharded engine's iteration driver uses that ownership to
 //! anchor a frontier hub's round-robin pieces and a full sweep's
 //! per-device range; a frontier's short lists it deals in equal-work
 //! spans whoever owns them, so ownership does not balance frontier
-//! work. Both shipped partitioners produce **contiguous** vertex ranges
-//! — contiguity keeps every shard's edge-list reads a dense byte range
-//! (good for the hybrid transfer planner) and makes ownership lookup a
-//! binary search:
-//!
-//! * [`PartitionStrategy::Contiguous`] splits the vertex id space into
-//!   equal-count ranges — trivial, but skewed graphs concentrate edges
-//!   in few vertices, so shard *work* can be wildly unbalanced;
-//! * [`PartitionStrategy::DegreeBalanced`] places the split points so
-//!   every shard owns roughly the same number of **edges** (the CSR
-//!   offset array is the degree prefix sum, so the split is a binary
-//!   search per boundary), which balances full sweeps' per-device PCIe
-//!   traffic on power-law graphs.
+//! work. There is one partition, a function of the graph and the shard
+//! count: [`VertexPartition::degree_balanced`] places the split points
+//! so every shard owns a **contiguous** vertex range holding roughly the
+//! same number of **edges** (the CSR offset array is the degree prefix
+//! sum, so the split is a binary search per boundary). Contiguity keeps
+//! every shard's edge-list reads a dense byte range (good for the hybrid
+//! transfer planner) and makes ownership lookup a binary search; edge
+//! balance evens out full sweeps' per-device PCIe traffic on power-law
+//! graphs. One shard is `[0, n)`, the single-device engine's view.
 
 use crate::csr::CsrGraph;
 use crate::VertexId;
 
-/// How to split the vertex set across shards.
+/// The vertex partitioner: one, [`VertexPartition::degree_balanced`],
+/// which the sharded engine derives itself. The enum and
+/// `ShardedConfig::with_partition` remain only because the benchmark's
+/// pinned API names them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PartitionStrategy {
-    /// Equal vertex counts per shard.
-    Contiguous,
     /// Equal edge counts per shard (balanced CSR offset spans).
     DegreeBalanced,
-}
-
-impl PartitionStrategy {
-    /// Both shipped strategies.
-    pub fn all() -> [PartitionStrategy; 2] {
-        [
-            PartitionStrategy::Contiguous,
-            PartitionStrategy::DegreeBalanced,
-        ]
-    }
-
-    /// Display name of the strategy.
-    pub fn name(self) -> &'static str {
-        match self {
-            PartitionStrategy::Contiguous => "contiguous",
-            PartitionStrategy::DegreeBalanced => "degree-balanced",
-        }
-    }
-
-    /// Partition `graph` into `shards` contiguous vertex ranges.
-    pub fn partition(self, graph: &CsrGraph, shards: usize) -> VertexPartition {
-        match self {
-            PartitionStrategy::Contiguous => {
-                VertexPartition::contiguous(graph.num_vertices(), shards)
-            }
-            PartitionStrategy::DegreeBalanced => VertexPartition::degree_balanced(graph, shards),
-        }
-    }
 }
 
 /// A partition of `0..n` into contiguous shard ranges: shard `s` owns
@@ -69,16 +38,6 @@ pub struct VertexPartition {
 }
 
 impl VertexPartition {
-    /// Equal-vertex-count split of `0..n` into `shards` ranges (the
-    /// first `n % shards` ranges are one vertex larger).
-    pub fn contiguous(n: usize, shards: usize) -> Self {
-        assert!(shards >= 1, "at least one shard");
-        let n = n as u64;
-        let s = shards as u64;
-        let starts = (0..=s).map(|i| ((n * i) / s) as VertexId).collect();
-        Self { starts }
-    }
-
     /// Split placing each boundary where the CSR offset array crosses
     /// the next multiple of `|E| / shards`, so every shard owns about
     /// the same number of edge-list entries. Degenerates to single-
@@ -146,34 +105,69 @@ mod tests {
     use super::*;
     use crate::generators;
 
+    /// `n` vertices of `deg` edges each: the offsets are `deg * v`, so a
+    /// degree-balanced split lands exactly where an equal-count one does.
+    fn regular(n: usize, deg: u64) -> CsrGraph {
+        let offsets = (0..=n as u64).map(|v| v * deg).collect();
+        let edges = (0..n as u64 * deg).map(|i| (i / deg) as VertexId).collect();
+        CsrGraph::from_parts(offsets, edges, false)
+    }
+
+    /// Seeded mutations: `degree_balanced` splitting on `off <= target`
+    /// fails here and `slice_bounds_split_a_sorted_frontier`; `owner`
+    /// returning 0 fails both and
+    /// `more_shards_than_vertices_leaves_trailing_shards_empty`.
     #[test]
-    fn contiguous_splits_cover_without_overlap() {
-        let p = VertexPartition::contiguous(10, 3);
+    fn degree_balanced_splits_cover_without_overlap() {
+        // 20 edges over 3 shards: the boundaries sit at the first lists
+        // starting at or past edges 6 and 13.
+        let p = VertexPartition::degree_balanced(&regular(10, 2), 3);
         assert_eq!(p.num_shards(), 3);
         assert_eq!(p.range(0), 0..3);
-        assert_eq!(p.range(1), 3..6);
-        assert_eq!(p.range(2), 6..10);
+        assert_eq!(p.range(1), 3..7);
+        assert_eq!(p.range(2), 7..10);
         assert_eq!(p.owner(0), 0);
         assert_eq!(p.owner(3), 1);
         assert_eq!(p.owner(9), 2);
+        let g = generators::kronecker(9, 16, 21);
+        let n = g.num_vertices() as VertexId;
+        for shards in 1..=5 {
+            let p = VertexPartition::degree_balanced(&g, shards);
+            let mut at = 0;
+            for s in 0..shards {
+                assert_eq!(
+                    p.range(s).start,
+                    at,
+                    "{shards} shards: shard {s} follows on"
+                );
+                at = p.range(s).end;
+            }
+            assert_eq!(at, n, "{shards} shards cover every vertex");
+            for v in 0..n {
+                assert!(
+                    p.range(p.owner(v)).contains(&v),
+                    "{shards} shards, vertex {v}"
+                );
+            }
+        }
     }
 
     #[test]
     fn degree_balanced_equalizes_edge_counts_on_skewed_graphs() {
         let g = generators::kronecker(11, 16, 7);
         let e = g.num_edges() as u64;
+        let n = g.num_vertices() as u64;
+        let edges_in = |r: std::ops::Range<VertexId>| -> u64 {
+            if r.is_empty() {
+                0
+            } else {
+                g.neighbor_end(r.end - 1) - g.neighbor_start(r.start)
+            }
+        };
         for shards in [2usize, 4] {
             let p = VertexPartition::degree_balanced(&g, shards);
-            let edges_of = |s: usize| -> u64 {
-                let r = p.range(s);
-                if r.is_empty() {
-                    0
-                } else {
-                    g.neighbor_end(r.end - 1) - g.neighbor_start(r.start)
-                }
-            };
-            let max = (0..shards).map(edges_of).max().unwrap();
-            let sum: u64 = (0..shards).map(edges_of).sum();
+            let max = (0..shards).map(|s| edges_in(p.range(s))).max().unwrap();
+            let sum: u64 = (0..shards).map(|s| edges_in(p.range(s))).sum();
             assert_eq!(sum, e, "shards must cover every edge exactly once");
             // Perfect balance is e/shards; allow slack for hub rounding.
             assert!(
@@ -181,25 +175,21 @@ mod tests {
                 "{shards} shards: max {max} vs total {e}"
             );
 
-            // Contiguous on the same skewed graph is far worse balanced.
-            let c = VertexPartition::contiguous(g.num_vertices(), shards);
-            let cmax = (0..shards)
-                .map(|s| {
-                    let r = c.range(s);
-                    g.neighbor_end(r.end - 1) - g.neighbor_start(r.start)
-                })
-                .max()
-                .unwrap();
+            // An equal-vertex-count split of the same skewed graph is no
+            // better balanced.
+            let s = shards as u64;
+            let cut = |i: u64| (n * i / s) as VertexId;
+            let even_max = (0..s).map(|i| edges_in(cut(i)..cut(i + 1))).max().unwrap();
             assert!(
-                max <= cmax,
-                "degree-balanced max {max} must not exceed contiguous max {cmax}"
+                max <= even_max,
+                "degree-balanced max {max} must not exceed equal-count max {even_max}"
             );
         }
     }
 
     #[test]
     fn slice_bounds_split_a_sorted_frontier() {
-        let p = VertexPartition::contiguous(100, 4);
+        let p = VertexPartition::degree_balanced(&regular(100, 2), 4);
         let f = vec![0u32, 1, 24, 25, 49, 99];
         let b = p.slice_bounds(&f);
         assert_eq!(b, vec![(0, 3), (3, 5), (5, 5), (5, 6)]);
@@ -213,25 +203,24 @@ mod tests {
     #[test]
     fn more_shards_than_vertices_leaves_trailing_shards_empty() {
         let g = generators::uniform_random(3, 2, 1);
-        for strategy in PartitionStrategy::all() {
-            let p = strategy.partition(&g, 8);
-            assert_eq!(p.num_shards(), 8);
-            let total: usize = (0..8).map(|s| p.range(s).len()).sum();
-            assert_eq!(total, 3, "{strategy:?}");
-            // Every vertex owned exactly once.
-            for v in 0..3u32 {
-                let o = p.owner(v);
-                assert!(p.range(o).contains(&v), "{strategy:?} vertex {v}");
-            }
+        let p = VertexPartition::degree_balanced(&g, 8);
+        assert_eq!(p.num_shards(), 8);
+        let total: usize = (0..8).map(|s| p.range(s).len()).sum();
+        assert_eq!(total, 3);
+        assert!((3..8).all(|s| p.range(s).is_empty()), "{p:?}");
+        // Every vertex owned exactly once.
+        for v in 0..3u32 {
+            let o = p.owner(v);
+            assert!(p.range(o).contains(&v), "vertex {v}");
         }
     }
 
     #[test]
     fn one_shard_owns_everything() {
         let g = generators::uniform_random(50, 4, 2);
-        for strategy in PartitionStrategy::all() {
-            let p = strategy.partition(&g, 1);
-            assert_eq!(p.range(0), 0..50);
-        }
+        assert_eq!(VertexPartition::degree_balanced(&g, 1).range(0), 0..50);
+        let empty = VertexPartition::degree_balanced(&CsrGraph::empty(0), 1);
+        assert_eq!(empty.num_shards(), 1);
+        assert_eq!(empty.range(0), 0..0);
     }
 }

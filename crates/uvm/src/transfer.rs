@@ -19,8 +19,8 @@
 //! bytes at least as cheaply per byte as 128-byte zero-copy requests (no
 //! per-request header overhead), so:
 //!
-//! * if the upcoming iteration alone will read (almost) the whole region
-//!   (`dense_now`), staging is already no worse than zero-copying it and
+//! * if the upcoming iteration alone will read the whole region
+//!   ([`DENSE_NOW`]), staging is already no worse than zero-copying it and
 //!   every later touch is free HBM bandwidth — stage immediately;
 //! * otherwise stage once cumulative + upcoming zero-copy traffic reaches
 //!   `stage_threshold` region-sizes: at that point the region has proven
@@ -45,7 +45,7 @@
 //! evaluated against two thresholds:
 //!
 //! ```text
-//! stage  ⇔  upcoming > 0  AND ( upcoming ≥ dense_now (1.0)
+//! stage  ⇔  upcoming > 0  AND ( upcoming ≥ DENSE_NOW (1.0)
 //!                               OR cumulative + upcoming ≥ threshold(home) )
 //!
 //! home   threshold                     stage                  stay
@@ -84,13 +84,14 @@ pub enum MemoryTier {
     Cxl,
 }
 
+/// Stage outright when the upcoming iteration's density reaches this
+/// fraction of the region: the whole region is about to be read, so a
+/// bulk copy is free even without reuse.
+pub const DENSE_NOW: f64 = 1.0;
+
 /// Tunables of the staging rule.
 #[derive(Debug, Clone)]
 pub struct TransferPolicyConfig {
-    /// Stage outright when the upcoming iteration's density reaches this
-    /// fraction of the region (1.0 = the whole region is about to be
-    /// read, so a bulk copy is free even without reuse).
-    pub dense_now: f64,
     /// Stage when cumulative + upcoming zero-copy density reaches this
     /// many region-sizes (the ski-rental rent/buy point).
     pub stage_threshold: f64,
@@ -107,7 +108,6 @@ pub struct TransferPolicyConfig {
 impl Default for TransferPolicyConfig {
     fn default() -> Self {
         Self {
-            dense_now: 1.0,
             stage_threshold: 1.5,
             cxl_stage_threshold: 0.75,
         }
@@ -147,7 +147,7 @@ impl TransferPolicy {
 
     /// Should region `r`, homed in `home`, be staged into HBM for an
     /// iteration about to read `upcoming` of it (density in `[0, 1]`)?
-    /// An untouched region never buys; a (near-)fully dense one buys
+    /// An untouched region never buys; a fully dense one buys
     /// outright; otherwise recurring traffic must have reached the home
     /// tier's threshold. `false` means the region stays in place —
     /// zero-copy from host DRAM, or served from the CXL tier. Pure:
@@ -167,8 +167,7 @@ impl TransferPolicy {
             MemoryTier::Cxl => self.cfg.cxl_stage_threshold,
         };
         debug_assert!((0.0..=1.0).contains(&upcoming), "density {upcoming}");
-        upcoming > 0.0
-            && (upcoming >= self.cfg.dense_now || self.cumulative[r] + upcoming >= threshold)
+        upcoming > 0.0 && (upcoming >= DENSE_NOW || self.cumulative[r] + upcoming >= threshold)
     }
 }
 
@@ -230,19 +229,23 @@ mod tests {
 
     #[test]
     fn thresholds_are_configurable() {
-        let eager = TransferPolicy::new(
+        let mut eager = TransferPolicy::new(
             2,
             TransferPolicyConfig {
-                dense_now: 0.5,
                 stage_threshold: 0.75,
                 ..Default::default()
             },
         );
-        assert!(host(&eager, 0, 0.5));
+        let mut default = policy(2);
+        // A fresh region buys at once at the lowered rent/buy point ...
+        assert!(host(&eager, 0, 0.75));
+        assert!(!host(&default, 0, 0.75));
+        // ... and a recurring one as soon as its history reaches it.
         assert!(!host(&eager, 1, 0.4));
-        let mut eager = eager;
         eager.note_zero_copy(1, 0.4);
+        default.note_zero_copy(1, 0.4);
         assert!(host(&eager, 1, 0.4));
+        assert!(!host(&default, 1, 0.4));
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub use emogi_uvm as uvm;
 /// from a description (serving's `QuerySpec` / `QueryKind` /
 /// `QueryResult` are re-exports of `ProgramSpec` / `ProgramKind` /
 /// `ProgramRun`), access
-/// strategies and transports, vertex partitioners and layouts, graph
+/// strategies and transports, the vertex partition and layouts, graph
 /// types and generators, the CPU reference algorithms and machine
 /// presets.
 pub mod prelude {

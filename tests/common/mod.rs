@@ -23,7 +23,7 @@
 //! Every row holds for all four programs under every named configuration
 //! ([`configs`]; pipelining draws region sizes instead). The shapes are
 //! `[Shape::Solo]`, [`Shape::BATCHED`] (SSSP and BFS bursts) and
-//! [`Shape::sharded`] (1, 2, 4 devices × both partitioners). Which run a
+//! [`Shape::SHARDED`] (1, 2 and 4 devices). Which run a
 //! variant run is held to is decided once, in [`assert_equivalent`]:
 //!
 //! - Results hold across shapes (that is the sharding and the batching
@@ -87,7 +87,7 @@
 use emogi_repro::core::spec::{self, ProgramKind, ProgramRun, ProgramSpec};
 use emogi_repro::core::sssp::INF;
 use emogi_repro::core::{AccessStrategy, Engine, EngineConfig, ShardedConfig, ShardedEngine};
-use emogi_repro::graph::{algo, CsrGraph, EdgeListBuilder, LayoutPlan, PartitionStrategy};
+use emogi_repro::graph::{algo, CsrGraph, EdgeListBuilder, LayoutPlan};
 use emogi_repro::runtime::{Machine, RunStats};
 use emogi_repro::sim::interconnect::LinkStats;
 use proptest::prelude::*;
@@ -272,7 +272,7 @@ pub enum Shape {
     /// same-kind specs in groups of at most `k`, frontiers merged.
     Batch(usize),
     /// Back to back on a [`ShardedEngine`] of this many devices.
-    Sharded(usize, PartitionStrategy),
+    Sharded(usize),
 }
 
 impl Shape {
@@ -280,17 +280,13 @@ impl Shape {
     /// enough to merge every burst the generators draw.
     pub const BATCHED: [Shape; 2] = [Shape::Batch(1), Shape::Batch(8)];
 
-    /// 1, 2 and 4 devices under both partitioners — the only place
-    /// device counts are looped over.
-    pub fn sharded() -> Vec<Shape> {
-        let both = |devices| PartitionStrategy::all().map(|p| Shape::Sharded(devices, p));
-        [1, 2, 4].into_iter().flat_map(both).collect()
-    }
+    /// 1, 2 and 4 devices — the only place device counts are listed.
+    pub const SHARDED: [Shape; 3] = [Shape::Sharded(1), Shape::Sharded(2), Shape::Sharded(4)];
 
     /// The solo engine, or one of its two disguises: a one-query batch
     /// and a one-device group are the solo engine tick for tick.
     fn is_solo(self) -> bool {
-        matches!(self, Shape::Solo | Shape::Batch(1) | Shape::Sharded(1, _))
+        matches!(self, Shape::Solo | Shape::Batch(1) | Shape::Sharded(1))
     }
 
     /// Run `side`'s specs in this shape on a fresh placement.
@@ -302,9 +298,9 @@ impl Shape {
             return out;
         }
         let (mut out, specs) = (Outcome::default(), side.specs);
-        if let Shape::Sharded(devices, partition) = self {
+        if let Shape::Sharded(devices) = self {
             // The one place a `ShardedEngine` is loaded for comparison.
-            let mut cfg = ShardedConfig::emogi_v100(devices).with_partition(partition);
+            let mut cfg = ShardedConfig::emogi_v100(devices);
             cfg.engine = side.cfg.clone();
             let mut engine = ShardedEngine::load(cfg, side.graph);
             out.runs = specs.iter().map(|s| spec::run(&mut engine, s)).collect();

@@ -52,7 +52,7 @@ fn batched_runs_are_tick_identical_across_fresh_engines() {
 /// tick-identical.
 #[test]
 fn sharded_runs_are_tick_identical_at_two_devices() {
-    assert_pure(|w| four_programs(3, w, 4), &Shape::sharded());
+    assert_pure(|w| four_programs(3, w, 4), &Shape::SHARDED);
 }
 
 /// The comparator's own precondition: handed two sides that differ at

@@ -19,13 +19,13 @@
 //!
 //! Seeded mutations it is known to catch, on a scratch copy (the deleted
 //! `experiments/` unit tests each stood for, in brackets):
-//! - staging off (`TransferPolicyConfig`'s three thresholds infinite):
+//! - staging off (`TransferPolicyConfig`'s two thresholds and `DENSE_NOW`
+//!   infinite):
 //!   hybrid, pagerank, overlap, tiering [hybrid, pagerank, overlap];
 //! - `LayoutPlan::degree_sorted` the identity: layout [layout];
 //! - `PrefetchConfig::slice_bytes` 0: overlap; EDF keyed like FIFO: sla;
 //! - `Engine`'s `Front::run_merged` returning `None`: serve, sla [serve];
-//! - the two partitioners swapped, or `FRONTIER_UPDATE_BYTES` 512:
-//!   scaling [both scaling tests];
+//! - `FRONTIER_UPDATE_BYTES` 512: scaling [both scaling tests];
 //! - `emogi_v100` on the Naive strategy: case study, fig12, table3 and
 //!   four more [matrix, case study ×2, fig11, fig12, table3];
 //! - every toy pattern merged: quick, ablations [fig3, fig4]; the tag or
@@ -420,40 +420,25 @@ fn sla_experiment_produces_table_and_edf_beats_fifo() {
 #[test]
 fn scaling_experiment_produces_table_and_scales() {
     let r = scaling::measure(&ctx());
-    assert_shape(&scaling::table(&r), SCALING, 6);
-    // Speedup with degree-balanced shards and the exchange present but
-    // small beside the edge traffic. Every device count runs the
-    // split-hub kernel, so the 1-device baseline cuts its hubs too and
-    // the ratio measures devices only: 1.51x and 2.27x here. The old
-    // bands, 1.6 and 2.5, held only while sharding was also the one way
-    // to cut a hub (1.86x and 3.86x). The driver deals each frontier's
-    // short lists in equal-work spans whoever owns them, so the
-    // partitioner only anchors hub pieces: the two partitioners' 4-device
-    // speedups lie within 5 % (2.27x and 2.26x), and degree balance keeps
-    // only a hair's lead (busiest link 0.76 vs 0.77 MB). The deal costs
-    // short lists their L2 affinity across queries: the 4-device links
-    // together carry 2.83 MB where owner-only sharding carried 2.42 MB,
-    // and the 4-device speedup falls from 2.35x to 2.27x, still above its
-    // band.
-    let (db, ct) = ("degree-balanced", "contiguous");
-    let (s2, s4) = (scaling::speedup(&r, 2, db), scaling::speedup(&r, 4, db));
+    assert_shape(&scaling::table(&r), SCALING, 3);
+    // Speedup with the exchange present but small beside the edge
+    // traffic. Every device count runs the split-hub kernel, so the
+    // 1-device baseline cuts its hubs too and the ratio measures devices
+    // only: 1.49x and 2.22x here. The old bands, 1.6 and 2.5, held only
+    // while sharding was also the one way to cut a hub (1.86x and
+    // 3.86x). The driver deals each frontier's short lists in equal-work
+    // spans whoever owns them, so the partition only anchors hub pieces.
+    // The deal costs short lists their L2 affinity across queries: the
+    // 4-device links together carry 2.83 MB where owner-only sharding
+    // carried 2.42 MB, and the 4-device speedup falls from 2.35x to
+    // 2.22x, still above its band.
+    let (s2, s4) = (scaling::speedup(&r, 2), scaling::speedup(&r, 4));
     claim("scaling 2-device speedup", s2, None, above(1.3), None);
     claim("scaling 4-device speedup", s4, None, above(2.1), None);
     claim("scaling 4 / 2-device speedup", s4 / s2, None, WIN, None);
-    let s4_ct = scaling::speedup(&r, 4, ct);
-    let partitioners = s4 / s4_ct;
-    claim(
-        "scaling 4-device degree / contiguous",
-        partitioners,
-        None,
-        (0.95, 1.05),
-        None,
-    );
-    let m4 = r.get((4, db));
+    let m4 = r.get(4);
     let exchange = m4.exchange_bytes as f64 / m4.stats.host_bytes as f64;
     claim("scaling exchange share", exchange, None, (0.0, 0.5), None);
-    assert!(m4.max_link_bytes <= r.get((4, ct)).max_link_bytes);
-    assert!(s4 >= s4_ct);
 }
 
 #[test]

@@ -92,7 +92,7 @@ proptest! {
         perm_seed in any::<u64>(),
     ) {
         let specs = four_programs(src, &generate_weights(g.num_edges(), 11), 6);
-        assert_layout_invariant(&Side::new(cfg, &g, &specs), perm_seed, &Shape::sharded(), name);
+        assert_layout_invariant(&Side::new(cfg, &g, &specs), perm_seed, &Shape::SHARDED, name);
     }
 }
 

@@ -115,7 +115,7 @@ proptest! {
         kernel in 0usize..2,
     ) {
         let specs = four_programs(src, &generate_weights(g.num_edges(), weight_seed), 5);
-        assert_pipeline_invariant(&g, &specs, kernel, region_shift, &Shape::sharded());
+        assert_pipeline_invariant(&g, &specs, kernel, region_shift, &Shape::SHARDED);
     }
 }
 

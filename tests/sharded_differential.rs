@@ -1,7 +1,7 @@
 //! Sharding differential harness. **Mechanism:** the `ShardedEngine` —
-//! one traversal split across 1, 2 and 4 simulated GPUs under both
-//! partitioners — against the single-device `Engine` under the same
-//! configuration: outputs, iteration counts and pass counts are
+//! one traversal split across 1, 2 and 4 simulated GPUs, each owning a
+//! degree-balanced vertex range — against the single-device `Engine`
+//! under the same configuration: outputs, iteration counts and pass counts are
 //! bit-identical for all four programs, and at one device every
 //! statistic is equal tick for tick (see `tests/common` for the matrix).
 //! **Generators:** random graphs, and graphs with planted hubs whose
@@ -14,12 +14,14 @@
 //!   boundary) fails `planted_hubs_are_bit_identical_across_device_counts`
 //!   and none of the other random cases, whose lists are too short to
 //!   split;
-//! - `Driver::drive` counting an iteration before its empty-frontier exit
-//!   fails `one_device_stats_equal_the_engine_exactly` and
-//!   `frontier_programs_are_bit_identical_across_device_counts`;
 //! - `Driver::drive` rebuilding each frontier from device 0's activations
 //!   only fails `frontier_programs_are_bit_identical_across_device_counts`
-//!   and `planted_hubs_are_bit_identical_across_device_counts`.
+//!   and `planted_hubs_are_bit_identical_across_device_counts`;
+//! - `VertexPartition::range` dropping each shard's last vertex (a full
+//!   sweep then misses one vertex per device) fails
+//!   `full_sweep_programs_are_bit_identical_across_device_counts` and
+//!   `planted_hubs_are_bit_identical_across_device_counts` at both
+//!   seeds.
 //!
 //! The proptest shim derives each test's seed from its name, so every
 //! failure reproduces locally with a plain `cargo test --test
@@ -35,11 +37,11 @@ use emogi_repro::graph::datasets::generate_weights;
 use emogi_repro::prelude::*;
 use proptest::prelude::*;
 
-/// The theorem: at every device count × partitioner, `specs` answer as
-/// on the single-device engine.
+/// The theorem: at every device count, `specs` answer as on the
+/// single-device engine.
 fn assert_sharding_invariant(cfg: EngineConfig, g: &CsrGraph, specs: &[ProgramSpec], tag: &str) {
     let side = Side::new(cfg, g, specs);
-    assert_equivalent(&side, &side, &Shape::sharded(), Strength::Results, tag);
+    assert_equivalent(&side, &side, &Shape::SHARDED, Strength::Results, tag);
 }
 
 proptest! {
@@ -100,8 +102,7 @@ proptest! {
     ) {
         let specs = four_programs(src, &generate_weights(g.num_edges(), 5), 5);
         let side = Side::new(cfg, &g, &specs);
-        let one_device = PartitionStrategy::all().map(|p| Shape::Sharded(1, p));
-        assert_equivalent(&side, &side, &one_device, Strength::Full, name);
+        assert_equivalent(&side, &side, &[Shape::Sharded(1)], Strength::Full, name);
     }
 }
 

@@ -105,7 +105,7 @@ proptest! {
         weight_seed in 0u64..1_000,
     ) {
         let specs = four_programs(src, &generate_weights(g.num_edges(), weight_seed), 5);
-        assert_tiering_invariant(&Side::new(cfg, &g, &specs), &Shape::sharded(), name);
+        assert_tiering_invariant(&Side::new(cfg, &g, &specs), &Shape::SHARDED, name);
     }
 }
 
