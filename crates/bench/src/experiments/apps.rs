@@ -5,6 +5,7 @@ use crate::cell::{self, Series};
 use crate::table::f;
 use crate::{paper, Context, Table};
 use emogi_core::{Engine, EngineConfig, ProgramKind};
+use emogi_graph::reorder::LayoutPlan;
 use emogi_graph::{Dataset, DatasetKey};
 use emogi_runtime::MachineConfig;
 
@@ -21,9 +22,17 @@ fn graphs(app: ProgramKind) -> Vec<DatasetKey> {
 }
 
 /// Average elapsed ns of `app` on `d` under `cfg` over `n` sources. The
-/// graph is placed once; every source reuses the placement.
-pub fn run_app(cfg: EngineConfig, d: &Dataset, app: ProgramKind, n: usize) -> f64 {
-    let mut engine = Engine::load(cfg, &d.graph);
+/// graph is placed once, relabeled by `plan` if one is given; every
+/// source reuses the placement.
+pub fn run_app(
+    cfg: EngineConfig,
+    d: &Dataset,
+    app: ProgramKind,
+    n: usize,
+    plan: Option<&LayoutPlan>,
+) -> f64 {
+    let relabeled = plan.map(|p| p.apply(&d.graph));
+    let mut engine = Engine::load(cfg, relabeled.as_ref().unwrap_or(&d.graph));
     let sources = d.sources(n);
     let (series, runs) = match app {
         ProgramKind::Bfs => (Series::MultiBfs(&sources), sources.len()),
@@ -31,7 +40,7 @@ pub fn run_app(cfg: EngineConfig, d: &Dataset, app: ProgramKind, n: usize) -> f6
         ProgramKind::Cc => (Series::Cc, 1),
         ProgramKind::PageRank => (Series::PageRank, 1),
     };
-    let total = cell::run(&mut engine, series, d, None).stats.elapsed_ns;
+    let total = cell::run(&mut engine, series, d, plan).stats.elapsed_ns;
     total as f64 / runs as f64
 }
 
@@ -59,8 +68,8 @@ pub fn fig11(ctx: &Context) -> Table {
                 _ => {
                     eprintln!("  [fig11] {} / {} ...", app.name(), d.spec.symbol);
                     (
-                        run_app(EngineConfig::uvm_v100(), &d, app, ctx.sources),
-                        run_app(EngineConfig::emogi_v100(), &d, app, ctx.sources),
+                        run_app(EngineConfig::uvm_v100(), &d, app, ctx.sources, None),
+                        run_app(EngineConfig::emogi_v100(), &d, app, ctx.sources, None),
                     )
                 }
             };
@@ -116,7 +125,7 @@ pub fn fig12(ctx: &Context) -> (Table, f64, f64) {
                 } else {
                     EngineConfig::emogi_v100().with_machine(machine)
                 };
-                run_app(cfg, &d, app, ctx.sources)
+                run_app(cfg, &d, app, ctx.sources, None)
             };
             let u3 = run(MachineConfig::a100_gen3(), true);
             let e3 = run(MachineConfig::a100_gen3(), false);

@@ -1,15 +1,14 @@
 //! Table 3: comparison with HALO (Titan Xp) and Subway (V100, 4-byte
 //! elements), row-for-row with the paper.
 
-use crate::cell::{self, Series};
+use super::apps::run_app;
 use crate::subway::SubwaySystem;
 use crate::table::{f, ms};
 use crate::{paper, Context, Table};
+use emogi_core::EngineConfig;
 use emogi_core::ProgramKind::{Bfs, Cc, Sssp};
-use emogi_core::{Engine, EngineConfig};
 use emogi_graph::reorder::LayoutPlan;
 use emogi_runtime::MachineConfig;
-use std::slice;
 
 /// Table 3, regenerated: same rows, our measured times and speedups next
 /// to the paper's.
@@ -35,30 +34,14 @@ pub fn table3(ctx: &Context) -> Table {
             // HALO rows run on the Titan Xp with 8-byte elements; both
             // sides re-measured on that GPU (§5.6). HALO is UVM over the
             // BFS-ranked relabeling; the relabeling is preprocessing and
-            // is not charged.
+            // is not charged. Both sides place their graph once and reuse
+            // the placement for every source.
             let titan = MachineConfig::titan_xp_gen3();
             let uvm = EngineConfig::uvm_v100().with_machine(titan.clone());
             let plan = LayoutPlan::bfs_ranked(&d.graph);
-            let relabeled = plan.apply(&d.graph);
-            let sources = d.sources(ctx.sources);
-            // A fresh HALO placement per source, while `run_app` below
-            // reuses one EMOGI placement across sources: the two sides
-            // coincide at one source, and beyond it HALO is measured
-            // cold. Changing either side moves Table 3 at `--sources` > 1,
-            // so it stays until ROADMAP item 4 decides which side moves.
-            let ht: u64 = sources
-                .iter()
-                .map(|s| {
-                    let mut engine = Engine::load(uvm.clone(), &relabeled);
-                    let series = Series::MultiBfs(slice::from_ref(s));
-                    cell::run(&mut engine, series, &d, Some(&plan))
-                        .stats
-                        .elapsed_ns
-                })
-                .sum();
+            let ht = run_app(uvm, &d, app, ctx.sources, Some(&plan));
             let cfg = EngineConfig::emogi_v100().with_machine(titan);
-            let et = super::apps::run_app(cfg, &d, app, ctx.sources);
-            (ht as f64 / sources.len() as f64, et)
+            (ht, run_app(cfg, &d, app, ctx.sources, None))
         } else {
             // Subway rows: V100 with 4-byte elements on both sides.
             let weights = (app == Sssp).then_some(d.weights.as_slice());
@@ -78,8 +61,7 @@ pub fn table3(ctx: &Context) -> Table {
                 }
             };
             let cfg = EngineConfig::emogi_v100().with_elem_bytes(4);
-            let et = super::apps::run_app(cfg, &d, app, ctx.sources);
-            (st, et)
+            (st, run_app(cfg, &d, app, ctx.sources, None))
         };
         t.row(vec![
             work.into(),

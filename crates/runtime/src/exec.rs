@@ -18,6 +18,13 @@
 //! The warp resumes when every load of the step has arrived. Stores
 //! retire through a write buffer and never stall.
 //!
+//! The executor counts into the machine ledger only: the lane and
+//! transaction bytes, MSHR merges, the launch count and the straggler
+//! tail on [`Machine`], every other event in the cache, link and memory
+//! models it drives, all read by `Machine::counters`. `run_kernel`
+//! returns nothing else a caller could count — a [`KernelReport`] holds
+//! the drain time and the warp steps.
+//!
 //! # One cached-load path
 //!
 //! Three of the four spaces are the same synchronous routine,
@@ -283,7 +290,7 @@ pub fn run_kernel<K: Kernel>(machine: &mut Machine, kernel: &mut K) -> KernelRep
         coalescer: Coalescer::new(),
         txns: Vec::new(),
         released: Vec::new(),
-        report: KernelReport::default(),
+        steps: 0,
         now: start,
         retired: [start; 2],
     };
@@ -312,7 +319,7 @@ struct Executor<'a, K: Kernel> {
     coalescer: Coalescer,
     txns: Vec<Transaction>,
     released: Vec<(u64, Time)>,
-    report: KernelReport,
+    steps: u64,
     now: Time,
     /// The last two warp-slot retirement times, oldest first (the launch
     /// start until slots retire).
@@ -356,7 +363,7 @@ impl<K: Kernel> Executor<'_, K> {
         );
         KernelReport {
             end: self.now,
-            ..self.report
+            steps: self.steps,
         }
     }
 
@@ -374,13 +381,12 @@ impl<K: Kernel> Executor<'_, K> {
         let outcome = self
             .kernel
             .step(slot.task.as_mut().expect("task present"), &mut self.batch);
-        self.report.steps += 1;
+        self.steps += 1;
         let compute_done =
             t + Time::from(self.batch.compute_ns) + self.m.cfg.gpu.step_compute_ns.max(1);
         slot.resume_at = compute_done;
         if outcome == StepOutcome::Done {
             slot.task = None;
-            self.report.tasks += 1;
         }
 
         self.txns.clear();
@@ -447,7 +453,6 @@ impl<K: Kernel> Executor<'_, K> {
 
     /// Device-space access: cache in front of HBM, fully synchronous.
     fn access_device(&mut self, w: u32, txn: &Transaction, at: Time) {
-        self.report.device_txns += 1;
         if txn.store {
             self.m.hbm.write(at, txn.addr, txn.size);
             return;
@@ -465,7 +470,6 @@ impl<K: Kernel> Executor<'_, K> {
             !txn.store,
             "the evaluated kernels never store to the CXL tier"
         );
-        self.report.cxl_txns += 1;
         self.cached_load(w, txn, at, |m, at, addr, size| {
             m.cxl
                 .as_mut()
@@ -480,7 +484,6 @@ impl<K: Kernel> Executor<'_, K> {
             !txn.store,
             "the evaluated kernels never store to host memory"
         );
-        self.report.host_txns += 1;
         let line = txn.line();
         let mut miss = self.probe(w, txn, at);
         if miss == 0 {
@@ -495,7 +498,7 @@ impl<K: Kernel> Executor<'_, K> {
                 if overlap != 0 {
                     req.waiters.push(w);
                     self.slots[w as usize].outstanding += 1;
-                    self.report.mshr_merges += 1;
+                    self.m.mshr_merges += 1;
                     miss &= !overlap;
                     if miss == 0 {
                         break;
@@ -642,7 +645,6 @@ impl<K: Kernel> Executor<'_, K> {
             !txn.store,
             "the evaluated kernels never store to managed memory"
         );
-        self.report.managed_txns += 1;
         let uvm = self
             .m
             .uvm
@@ -812,8 +814,11 @@ mod tests {
             }
         }
         let (r, stats) = m.measure(|m| run_kernel(m, &mut Empty));
-        assert_eq!(r.tasks, 0);
-        assert_eq!(stats.elapsed_ns, KERNEL_LAUNCH_NS);
+        assert_eq!(r.steps, 0);
+        assert_eq!(
+            (stats.elapsed_ns, stats.kernel_launches),
+            (KERNEL_LAUNCH_NS, 1)
+        );
         assert_eq!(m.now, KERNEL_LAUNCH_NS);
     }
 
@@ -830,7 +835,8 @@ mod tests {
             sum_steps: 0,
         };
         let (r, stats) = m.measure(|m| run_kernel(m, &mut k));
-        assert_eq!(r.tasks, 64);
+        // 16384 B per task / 256 B per step = 64 steps per task.
+        assert_eq!(r.steps, 64 * 64);
         // 64 ranges x 16384 B / 128 B = 8192 requests, all 128-byte.
         assert_eq!(m.monitor.read_requests, 8192);
         assert_eq!(m.monitor.sizes.buckets[3], 8192);
@@ -870,7 +876,11 @@ mod tests {
             sum_steps: 0,
         };
         let r = run_kernel(&mut m, &mut k);
-        assert_eq!(r.tasks, 16, "all tasks complete despite few warp slots");
+        assert_eq!(
+            r.steps,
+            16 * 16,
+            "all tasks complete despite few warp slots"
+        );
     }
 
     #[test]
@@ -1014,7 +1024,7 @@ mod tests {
             },
         );
         assert_eq!(m.monitor.read_requests, 32, "all 32 strided reads issued");
-        assert_eq!(r.tasks, 1);
+        assert_eq!(r.steps, 1);
     }
 
     #[test]
@@ -1092,7 +1102,7 @@ mod tests {
     }
 
     #[test]
-    fn report_counts_tasks_steps_and_txns() {
+    fn steps_and_transaction_bytes_are_counted() {
         let mut m = machine();
         let base = m.alloc_host_pinned(1 << 16);
         let mut k = StreamKernel {
@@ -1103,12 +1113,18 @@ mod tests {
             elem: 8,
             sum_steps: 0,
         };
-        let r = run_kernel(&mut m, &mut k);
-        assert_eq!(r.tasks, 4);
+        let (r, stats) = m.measure(|m| run_kernel(m, &mut k));
         // 8192 B per task / 256 B per step = 32 steps per task.
         assert_eq!(r.steps, 4 * 32);
-        assert_eq!(r.host_txns, 4 * 64, "two 128B txns per step");
-        assert_eq!(r.device_txns, 0);
+        assert_eq!(
+            stats.txn_bytes,
+            4 * 64 * LINE_BYTES,
+            "two 128B txns per step"
+        );
+        assert_eq!(stats.lane_bytes, stats.txn_bytes, "every byte asked for");
+        assert_eq!(stats.pcie_read_requests, 4 * 64, "a cold line per txn");
+        assert_eq!(stats.mshr_merges, 0, "no two warps share a line");
+        assert_eq!(m.hbm.bytes_read, 0);
     }
 
     #[test]
@@ -1137,12 +1153,12 @@ mod tests {
                 StepOutcome::Done
             }
         }
-        let r = run_kernel(&mut m, &mut SameLine { base, next: 0 });
+        let (_, stats) = m.measure(|m| run_kernel(m, &mut SameLine { base, next: 0 }));
         assert_eq!(
-            m.monitor.read_requests, 1,
+            stats.pcie_read_requests, 1,
             "second warp must merge onto the in-flight line"
         );
-        assert_eq!(r.mshr_merges, 1);
+        assert_eq!(stats.mshr_merges, 1);
     }
 
     /// One task per 128-byte line of `[base, base + lines * 128)`, one
@@ -1206,20 +1222,21 @@ mod tests {
             // Sector 1 misses alone; the full line then hits it and
             // misses around it as two runs (sector 0, then sectors 2-3).
             let ((cold, warm), stats) = m.measure(|m| (sweep(m, &[1]), sweep(m, &[0, 1, 2, 3])));
-            let txns = |r: &KernelReport| (r.device_txns, r.cxl_txns, r.managed_txns);
-            assert_eq!(txns(&cold), txns(&warm));
+            assert_eq!((cold.steps, warm.steps), (LINES, LINES), "{space:?}");
             assert_eq!(stats.page_faults, 0, "{space:?}: pages are resident");
-            (stats, m.hbm.bytes_read - hbm_base, txns(&warm))
+            (stats, m.hbm.bytes_read - hbm_base)
         };
-        let (device, device_hbm, device_txns) = run(Space::Device);
-        let (cxl, cxl_hbm, cxl_txns) = run(Space::Cxl);
-        let (managed, managed_hbm, managed_txns) = run(Space::Managed);
+        let (device, device_hbm) = run(Space::Device);
+        let (cxl, cxl_hbm) = run(Space::Cxl);
+        let (managed, managed_hbm) = run(Space::Managed);
 
-        assert_eq!(device_txns, (LINES, 0, 0));
-        assert_eq!(cxl_txns, (0, LINES, 0));
-        assert_eq!(managed_txns, (0, 0, LINES));
         for (name, s) in [("device", &device), ("cxl", &cxl), ("managed", &managed)] {
             assert_eq!(s.kernel_launches, 2, "{name}: one launch per run_kernel");
+            assert_eq!(
+                s.txn_bytes,
+                LINES * (SECTOR_BYTES + LINE_BYTES),
+                "{name}: one sector, then one line, per task"
+            );
             assert_eq!(s.l2_sector_hits, LINES, "{name}");
             assert_eq!(s.l2_sector_misses, 4 * LINES, "{name}");
             assert_eq!(s.pcie_read_requests, 0, "{name}: nothing crosses PCIe");

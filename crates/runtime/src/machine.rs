@@ -138,6 +138,9 @@ pub struct Machine {
     /// transaction sizes). `lane_bytes / txn_bytes` is the coalescing
     /// efficiency the layout experiments report.
     pub txn_bytes: u64,
+    /// Zero-copy transactions merged onto an in-flight request (MSHR
+    /// merges); bumped by the executor.
+    pub mshr_merges: u64,
     /// Kernels launched since construction; bumped by
     /// [`run_kernel`](crate::exec::run_kernel) (and by analytic baselines
     /// that model a launch without executing one).
@@ -171,6 +174,7 @@ impl Machine {
             now: 0,
             lane_bytes: 0,
             txn_bytes: 0,
+            mshr_merges: 0,
             kernel_launches: 0,
             last_warp_alone_ns: 0,
             barrier_wait_ns: 0,
@@ -314,6 +318,7 @@ impl Machine {
             l2_sector_misses: self.cache.stats.sector_misses,
             lane_bytes: self.lane_bytes,
             txn_bytes: self.txn_bytes,
+            mshr_merges: self.mshr_merges,
             cxl_read_requests: self.cxl.as_ref().map_or(0, |c| c.read_requests),
             cxl_bytes: self.cxl.as_ref().map_or(0, CxlLink::total_bytes),
             ..RunStats::default()

@@ -5,31 +5,18 @@ use crate::transfer::TransferStats;
 use emogi_sim::monitor::SizeHistogram;
 use emogi_sim::time::Time;
 
-/// What one kernel launch did, measured by the executor. Its elapsed
-/// time and page faults live in the machine clock and
-/// `UvmStats::faults`; [`Machine::measure`](crate::Machine::measure)
-/// diffs them.
+/// What one kernel launch returns: its drain time and its warp steps.
+/// Everything else a launch does it counts into the machine ledger
+/// ([`Machine::counters`](crate::Machine::counters)), read through
+/// [`Machine::measure`](crate::Machine::measure) or the engine's driver.
+/// Both fields stay only because the frozen benchmark reads them.
 #[derive(Debug, Clone, Default)]
 pub struct KernelReport {
     /// Completion time (all warps drained): the clock `run_kernel` leaves
-    /// on the machine. Kept because the frozen benchmark reads it.
+    /// on the machine.
     pub end: Time,
-    /// Warp tasks executed.
-    pub tasks: u64,
     /// Warp steps executed.
     pub steps: u64,
-    /// Coalesced device-space transactions.
-    pub device_txns: u64,
-    /// Coalesced pinned-host (zero-copy) transactions.
-    pub host_txns: u64,
-    /// Coalesced managed-space transactions.
-    pub managed_txns: u64,
-    /// Coalesced CXL-space transactions (regions served in place from the
-    /// external tier).
-    pub cxl_txns: u64,
-    /// Host transactions that were satisfied by attaching to an already
-    /// in-flight request (MSHR merges).
-    pub mshr_merges: u64,
 }
 
 emogi_sim::ledger! {
@@ -84,6 +71,13 @@ emogi_sim::ledger! {
         pub lane_bytes: u64,
         /// Bytes the coalesced transactions moved for those lanes.
         pub txn_bytes: u64,
+        /// Zero-copy transactions that attached to another request of
+        /// the same sectors already in flight (MSHR merges) instead of
+        /// issuing their own PCIe read. The coalescer merges only within
+        /// one warp step; this counts the reuse across steps and warps
+        /// that the MSHRs catch before the L2 can. A reading, never a
+        /// cost: the merged waiter still waits for the data.
+        pub mshr_merges: u64,
         /// Demand read requests served by the CXL external tier; zero on
         /// two-tier machines.
         pub cxl_read_requests: u64,

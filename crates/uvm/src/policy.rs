@@ -1,16 +1,19 @@
 //! UVM driver tunables.
 //!
-//! Defaults are calibrated so that a purely sequential streaming workload —
-//! the UVM reference in the paper's Figure 4 toy experiment — achieves
-//! ≈9.1–9.3 GB/s on PCIe 3.0: each 4 KiB page costs
-//! `PAGE_CPU_OVERHEAD_NS` (105 ns, in `driver.rs`) of driver time plus its
-//! wire time (4 KiB / 12.26 GB/s ≈ 334 ns), giving 4096 B / (105 + 334) ns
-//! ≈ 9.3 GB/s.
-//! On PCIe 4.0 only the wire half shrinks, so migration peaks at
-//! ≈15 GB/s — a 1.6× improvement, near UVM's measured 1.53× scaling in
-//! Figure 12, while the link itself doubled.
-
-use emogi_sim::time::Time;
+//! A machine sets three values: the page size, the pool and the fault
+//! batch cap. The driver's costs and granularities are constants in
+//! `driver.rs`, calibrated so that a purely sequential streaming
+//! workload — the UVM reference in the paper's Figure 4 toy experiment —
+//! achieves ≈9 GB/s on PCIe 3.0. A full handler pass of 256 faults
+//! (`fault_batch_max`) pays `BATCH_OVERHEAD_NS` (8 µs) once, then per
+//! 4 KiB page `PAGE_CPU_OVERHEAD_NS` (105 ns) of driver time plus its
+//! wire time (4 KiB / 12.26 GB/s ≈ 334 ns): 256 × 4096 B / (8,000 +
+//! 256 × (105 + 334)) ns ≈ 8.7 GB/s. The driver's streaming test
+//! measures 8.64 GB/s, each batch's propagation delay included.
+//! On PCIe 4.0 only the wire half shrinks (≈ 167 ns), so migration
+//! peaks at 256 × 4096 B / (8,000 + 256 × (105 + 167)) ns ≈ 13.5 GB/s —
+//! 1.55× (1.54× measured), near UVM's 1.53× scaling in Figure 12, while
+//! the link itself doubled.
 
 /// Static configuration of the UVM driver model.
 #[derive(Debug, Clone)]
@@ -23,18 +26,6 @@ pub struct UvmConfig {
     /// Maximum faults the handler picks up per processing pass; real
     /// drivers drain the fault buffer in bounded batches.
     pub fault_batch_max: usize,
-    /// Fixed software cost per handler pass (batch dequeue, dedup, TLB
-    /// shootdowns), ns.
-    pub batch_overhead_ns: Time,
-    /// Density-based block prefetch: migrating a faulted page pulls in the
-    /// rest of its block when the access stream looks sequential
-    /// (the real driver's tree-based prefetcher).
-    pub prefetch: bool,
-    /// Eviction granularity in pages: the real driver evicts whole
-    /// virtual-address chunks (up to 2 MiB), throwing out still-hot pages
-    /// along with cold ones — a major source of thrashing under
-    /// oversubscription (§2.2).
-    pub evict_block_pages: u64,
 }
 
 impl Default for UvmConfig {
@@ -43,9 +34,6 @@ impl Default for UvmConfig {
             page_bytes: 4096,
             pool_bytes: 0, // runtime fills this in from device capacity
             fault_batch_max: 256,
-            batch_overhead_ns: 8_000,
-            prefetch: true,
-            evict_block_pages: 16,
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Pipelined-execution differential harness. **Mechanism:** the
 //! prefetcher — staging DMA overlapped behind kernel compute — against
 //! the synchronous hybrid engine: outputs, iteration counts and every
-//! statistic except the clock and the prefetcher's own counters are
-//! bit-identical for all four programs, solo, batched and sharded
+//! statistic except the clock and the prefetcher's own counters (MSHR
+//! merges included) are bit-identical for all four programs, solo, batched and sharded
 //! (`Strength::Semantic`; see `tests/common` for the matrix).
 //! Speculation may change *when* bytes move, never *which* bytes move.
 //! **Generator:** a prefetcher exists only inside [`Transport::Hybrid`],
@@ -154,6 +154,16 @@ fn the_pipelined_side_actually_speculates() {
         assert!(
             prefetch(&b).hit_regions > 0,
             "{tag}: no speculative copy was ever adopted"
+        );
+        let merges = |o: &Outcome| {
+            o.runs
+                .iter()
+                .map(|run| run.stats().mshr_merges)
+                .sum::<u64>()
+        };
+        assert!(
+            merges(&a) > 0,
+            "{tag}: no MSHR merge for the `Semantic` comparison to hold equal"
         );
     }
 }

@@ -20,6 +20,13 @@
 //! a pipelined row, and `rows_are_pairwise_distinct` keeps an axis that
 //! moves no pinned number out of the table.
 //!
+//! **Hub ownership.** Both matrix graphs number their hubs low, so the
+//! degree-balanced partition gives every hub to device 0 and an owner
+//! lookup that always answered 0 would agree with it. [`REVERSED`] pins
+//! the frontier programs (SSSP, then BFS) sharded over 2 and 4 devices
+//! on the Kronecker graph with its ids reversed, whose hubs the last
+//! device owns, for every configuration row.
+//!
 //! **Side systems.** The run loops that bypass the engine's driver — the
 //! §3.3 toy kernels with their UVM and `cudaMemcpy` references, the §6
 //! compressed BFS, the Subway baseline's async pipeline — and HALO (the
@@ -59,10 +66,15 @@
 //!   (`n * s / shards`, the deleted contiguous partitioner) fails both
 //!   matrix tests at both seeds, on exactly the 14 `shard2-degree` and
 //!   `shard4-degree` cells. It stands for the deleted `shard*-contiguous`
-//!   columns. Two smaller partition faults move no pinned digit, here or
-//!   with the contiguous columns present: splitting on `off <= target`
-//!   (no split target of either graph lands on a list start) and
-//!   `owner()` returning 0. `emogi_graph`'s partition tests catch both.
+//!   columns. Splitting on `off <= target` moves no pinned digit, here
+//!   or with the contiguous columns present (no split target of either
+//!   graph lands on a list start); `emogi_graph`'s partition tests catch
+//!   it;
+//! - `VertexPartition::owner` returning 0 fails
+//!   `reversed_kronecker_shards_match_the_table_pinned_at_the_parent_commit`
+//!   at both seeds, on all 14 [`REVERSED`] cells: every hub's pieces
+//!   then start on device 0 instead of on its owner. The matrix tests
+//!   pass under it.
 //!
 //! **Re-pinning.** The simulator is deterministic, so a mismatch is a
 //! modelling change, never noise. If the change is intended and declared,
@@ -92,6 +104,12 @@ const SHAPES: [&str; 7] = [
 ];
 
 type Row = (&'static str, [u64; 7]);
+
+/// [`REVERSED`]'s columns, in order, and their device counts.
+const REVERSED_SHAPES: [&str; 2] = ["shard2-degree", "shard4-degree"];
+const REVERSED_DEVICES: [usize; 2] = [2, 4];
+
+type ReversedRow = (&'static str, [u64; 2]);
 
 /// `kronecker(9, 16, 21)`, generated at the parent commit.
 #[rustfmt::skip]
@@ -187,6 +205,34 @@ const UNIFORM: &[Row] = &[
     ]),
 ];
 
+/// The frontier programs sharded over [`reversed_kronecker`], whose hubs
+/// the degree-balanced partition gives to the last device: every
+/// configuration row × the two [`REVERSED_SHAPES`].
+#[rustfmt::skip]
+const REVERSED: &[ReversedRow] = &[
+    ("Naive", [
+        0x6af7b6ca30cec413, 0x320c0fe8363d2568,
+    ]),
+    ("Merged", [
+        0x8c6d42ef2e2ec993, 0xb7453ced5e06e912,
+    ]),
+    ("Merged+Aligned", [
+        0x5c2f7441a99acd2c, 0x5cde10e3cdaf90e8,
+    ]),
+    ("Merged+Aligned split", [
+        0x5c2f7441a99acd2c, 0x5cde10e3cdaf90e8,
+    ]),
+    ("Hybrid", [
+        0x24542eae9f5fa42a, 0xfdcaac10424b5b89,
+    ]),
+    ("Hybrid pipelined", [
+        0xe1f986b7c5d0d4d2, 0x0e211931006e6c1f,
+    ]),
+    ("UVM", [
+        0x802fc8119fdaa64b, 0xfa35e9be896baeac,
+    ]),
+];
+
 /// One side-system cell: its label and digest.
 type SideRow = (&'static str, u64);
 
@@ -250,9 +296,10 @@ impl Fnv {
 
     /// Every field of `s`. The exhaustive destructuring makes a counter
     /// that is added to [`RunStats`] but not pinned here a compile error.
-    /// `last_warp_alone_ns` and `barrier_wait_ns` are named and not
-    /// folded: they read when warps retired and how long devices waited
-    /// at barriers, which the pinned clocks already fix.
+    /// `last_warp_alone_ns`, `barrier_wait_ns` and `mshr_merges` are
+    /// named and not folded: they read when warps retired, how long
+    /// devices waited at barriers and which requests a warp rode along
+    /// on, which the pinned clocks and request counts already fix.
     fn stats(&mut self, s: &RunStats) {
         let RunStats {
             elapsed_ns,
@@ -269,6 +316,7 @@ impl Fnv {
             l2_sector_misses,
             lane_bytes,
             txn_bytes,
+            mshr_merges: _,
             cxl_read_requests,
             cxl_bytes,
             transfer,
@@ -431,25 +479,31 @@ fn cell(shape: usize, cfg: &EngineConfig, g: &CsrGraph, w: &[u32]) -> u64 {
     h.0
 }
 
-/// Compute the whole matrix for `g` and compare it with `want`; on any
-/// mismatch print the full actual table, paste-ready.
+/// Compute the whole matrix for `g` and compare it with `want`.
 fn check(name: &str, g: &CsrGraph, want: &[Row]) {
     let w = generate_weights(g.num_edges(), 11);
-    let mut got: Vec<Row> = Vec::new();
-    for (label, cfg) in configs() {
-        let mut cells = [0u64; 7];
-        for (shape, c) in cells.iter_mut().enumerate() {
-            *c = cell(shape, &cfg, g, &w);
-        }
-        got.push((label, cells));
-    }
+    let got: Vec<Row> = configs()
+        .into_iter()
+        .map(|(label, cfg)| (label, std::array::from_fn(|shape| cell(shape, &cfg, g, &w))))
+        .collect();
+    check_table(name, &SHAPES, &got, want);
+}
+
+/// Compare a configuration × shape table with `want`; on any mismatch
+/// print the full actual table, paste-ready.
+fn check_table<const N: usize>(
+    name: &str,
+    shapes: &[&str; N],
+    got: &[(&'static str, [u64; N])],
+    want: &[(&'static str, [u64; N])],
+) {
     let mut diffs = Vec::new();
     for (i, (label, cells)) in got.iter().enumerate() {
         match want.get(i) {
             Some((wl, wc)) if wl == label => {
                 for (s, (a, b)) in cells.iter().zip(wc).enumerate() {
                     if a != b {
-                        diffs.push(format!("{label} / {}", SHAPES[s]));
+                        diffs.push(format!("{label} / {}", shapes[s]));
                     }
                 }
             }
@@ -460,7 +514,7 @@ fn check(name: &str, g: &CsrGraph, want: &[Row]) {
         return;
     }
     println!("// actual table for {name}:");
-    for (label, cells) in &got {
+    for (label, cells) in got {
         println!("    (\"{label}\", [");
         for pair in cells.chunks(2) {
             let line: Vec<String> = pair.iter().map(|c| format!("{c:#018x}")).collect();
@@ -490,6 +544,53 @@ fn kronecker_matrix_matches_the_table_pinned_at_the_parent_commit() {
 fn uniform_matrix_matches_the_table_pinned_at_the_parent_commit() {
     let g = generators::uniform_random(400, 6, 5);
     check("UNIFORM", &g, UNIFORM);
+}
+
+/// [`REVERSED`]'s graph: `kronecker(9, 16, 21)` with every id reversed
+/// (`n - 1 - v`), so the hubs its generator numbers first sit in the
+/// last device's shard.
+fn reversed_kronecker() -> (CsrGraph, LayoutPlan) {
+    let g = generators::kronecker(9, 16, 21);
+    let n = g.num_vertices() as u32;
+    (g, LayoutPlan::from_perm((0..n).rev().collect()))
+}
+
+/// One [`REVERSED`] cell: SSSP, then BFS, from old vertex 3 on a fresh
+/// `devices`-device group.
+fn reversed_cell(devices: usize, cfg: &EngineConfig, g: &CsrGraph, w: &[u32], src: u32) -> u64 {
+    let mut scfg = ShardedConfig::emogi_v100(devices);
+    scfg.engine = cfg.clone();
+    let mut e = ShardedEngine::load(scfg, g);
+    let mut h = Fnv::new();
+    h.sharded(e.sssp(w, src), ProgramRun::Sssp);
+    h.sharded(e.bfs(src), ProgramRun::Bfs);
+    h.0
+}
+
+#[test]
+fn reversed_kronecker_shards_match_the_table_pinned_at_the_parent_commit() {
+    let (g, plan) = reversed_kronecker();
+    let reversed = plan.apply(&g);
+    let n = g.num_vertices() as u32;
+    let hub = (0..n).max_by_key(|&v| g.degree(v)).expect("a vertex");
+    let new_hub = plan.map_vertex(hub);
+    for devices in REVERSED_DEVICES {
+        let last = VertexPartition::degree_balanced(&reversed, devices).range(devices - 1);
+        assert!(
+            last.contains(&new_hub),
+            "the top hub must sit in the last shard"
+        );
+    }
+    let w = plan.apply_edge_data(&g, &generate_weights(g.num_edges(), 11));
+    let src = plan.map_vertex(3);
+    let got: Vec<ReversedRow> = configs()
+        .into_iter()
+        .map(|(label, cfg)| {
+            let cells = REVERSED_DEVICES.map(|d| reversed_cell(d, &cfg, &reversed, &w, src));
+            (label, cells)
+        })
+        .collect();
+    check_table("REVERSED", &REVERSED_SHAPES, &got, REVERSED);
 }
 
 /// Array size of the pinned toy runs: 128 pages, 4,096 cache lines.
@@ -546,7 +647,7 @@ fn side_cells(g: &CsrGraph) -> Vec<SideRow> {
     out.push(("subway-async-cc", cc.0));
 
     // HALO: the UVM engine over the BFS-ranked relabeling, a fresh
-    // placement per source (as `table3` runs it), outputs mapped back.
+    // placement per source, outputs mapped back.
     let mut cfg = EngineConfig::uvm_v100();
     cfg.machine = side_machine();
     let plan = LayoutPlan::bfs_ranked(g);
