@@ -455,7 +455,7 @@ mod tests {
     use crate::layout::Transport;
     use emogi_graph::generators;
     use emogi_runtime::machine::MachineConfig;
-    use emogi_runtime::{PrefetchConfig, TransferConfig};
+    use emogi_runtime::TransferConfig;
     use emogi_sim::cxl::CxlConfig;
 
     fn driver(graph: &CsrGraph, devices: usize) -> (Vec<Machine>, Driver<'_>) {
@@ -923,9 +923,8 @@ mod tests {
         let mut cfg = EngineConfig::emogi_v100().with_transport(Transport::Hybrid {
             transfer: TransferConfig {
                 region_bytes: 4 << 10,
-                ..TransferConfig::default()
             },
-            prefetch: Some(PrefetchConfig::default()),
+            pipelined: true,
         });
         cfg.machine = cfg
             .machine

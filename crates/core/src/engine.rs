@@ -31,7 +31,7 @@ use crate::strategy::AccessStrategy;
 use emogi_graph::{CsrGraph, VertexId};
 use emogi_runtime::machine::MachineConfig;
 use emogi_runtime::report::RunStats;
-use emogi_runtime::{Machine, PrefetchConfig, TransferConfig};
+use emogi_runtime::{Machine, TransferConfig};
 
 /// How to build an [`Engine`].
 #[derive(Debug, Clone)]
@@ -76,7 +76,7 @@ impl EngineConfig {
             .with_strategy(AccessStrategy::MergedAlignedSplit)
             .with_transport(Transport::Hybrid {
                 transfer: TransferConfig::default(),
-                prefetch: None,
+                pipelined: false,
             })
     }
 
@@ -86,7 +86,7 @@ impl EngineConfig {
     pub fn pipelined_v100() -> Self {
         Self::hybrid_v100().with_transport(Transport::Hybrid {
             transfer: TransferConfig::default(),
-            prefetch: Some(PrefetchConfig::default()),
+            pipelined: true,
         })
     }
 
@@ -336,9 +336,11 @@ mod tests {
             let transport = match &cfg.transport {
                 Transport::ZeroCopy => "zero-copy",
                 Transport::Uvm => "uvm",
-                Transport::Hybrid { prefetch: None, .. } => "hybrid",
                 Transport::Hybrid {
-                    prefetch: Some(_), ..
+                    pipelined: false, ..
+                } => "hybrid",
+                Transport::Hybrid {
+                    pipelined: true, ..
                 } => "hybrid+prefetch",
             };
             (cfg.strategy, transport)

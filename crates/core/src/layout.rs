@@ -52,6 +52,7 @@
 //! | idle-CXL tick-identity: an attached-but-unused CXL tier gives full `RunStats` equality (clock included) with the two-tier engine; spilled configs keep outputs + iteration counts bit-identical across solo / batched / sharded | `tests/tiering_differential.rs` (CI reruns it seed-pinned) |
 //! | host and CXL homes run one rent/buy rule against two thresholds, for every history and density | `host_and_cxl_homes_share_one_rent_buy_rule` in `crates/uvm/src/transfer.rs` |
 //! | speculation never allocates, so it never lowers the demand budget (the allocator's free device bytes); an outside allocation that leaves `slice_used` above them is repaired before the next speculation | `speculative_charge_never_steals_the_pool_from_demand_staging`, `outside_allocation_consumes_speculative_headroom_without_double_counting`, `outside_allocation_overhang_is_repaired_before_any_new_speculation` in `crates/runtime/src/transfer.rs` |
+//! | speculation has one bound, the free device memory: with room to spare it holds every qualifying region, and `slice_used` never passes the free bytes | `speculation_grows_to_the_free_device_memory` in `crates/runtime/src/transfer.rs`; the per-round assert in `TransferManager`'s planner |
 //! | a spill splits the edge list on a [`SPILL_ALIGN`] boundary; spilling without a CXL tier is rejected | `bounded_host_spills_edge_tail_to_cxl`, `spill_without_cxl_tier_is_rejected` below |
 //! | tier decisions are pure (no `Machine`, clock or monitor reads) | `cargo test --test sim_golden`: a live clock feeding `decide_tiered` fails both matrix tests (seed in its header) |
 //!
@@ -78,6 +79,10 @@ pub const SPILL_ALIGN: u64 = 64 << 10;
 /// Where the edge list lives and how it reaches the GPU. Every value is
 /// a complete, legal configuration: staging exists only over pinned host
 /// memory, and a prefetcher only next to the transfer manager it feeds.
+/// The hybrid transport has two settings, a region size and a switch;
+/// its rent/buy points are constants of the home tier
+/// (`emogi_uvm::MemoryTier::stage_threshold`), and speculation is bounded
+/// by the free device memory alone.
 #[derive(Debug, Clone)]
 pub enum Transport {
     /// EMOGI: pinned host memory, zero-copy cache-line reads.
@@ -88,15 +93,15 @@ pub enum Transport {
     /// into device memory by the runtime's transfer manager and the rest
     /// read zero-copy.
     Hybrid {
-        /// The transfer manager's region size, pool budget and policy.
+        /// The transfer manager's region size.
         transfer: TransferConfig,
         /// Pipelined execution: overlap the staging DMA with kernel
         /// compute by speculatively prefetching predicted-reuse regions
-        /// onto an asynchronous copy lane; `None` stages synchronously.
+        /// onto an asynchronous copy lane; `false` stages synchronously.
         /// Outputs, iteration counts and traffic counters are
         /// bit-identical either way; only elapsed time (and the
         /// `RunStats::prefetch` counters) change.
-        prefetch: Option<PrefetchConfig>,
+        pipelined: bool,
     },
 }
 
@@ -224,12 +229,13 @@ impl GraphLayout {
         let vertex_base = machine.alloc_device(graph.vertex_list_bytes());
         let status_base = machine.alloc_device(graph.num_vertices() as u64 * 4);
         let (transfer, prefetcher) = match transport {
-            Transport::Hybrid { transfer, prefetch } => {
+            Transport::Hybrid {
+                transfer,
+                pipelined,
+            } => {
                 let tm = TransferManager::with_tiers(edge_bytes, host_edge_bytes, transfer.clone());
                 let copy = CopyEngineConfig::from_pcie(&machine.cfg.pcie);
-                let pf = prefetch
-                    .clone()
-                    .map(|c| Prefetcher::new(tm.num_regions(), c, copy));
+                let pf = pipelined.then(|| Prefetcher::new(tm.num_regions(), PrefetchConfig, copy));
                 (Some(tm), pf)
             }
             Transport::ZeroCopy | Transport::Uvm => (None, None),

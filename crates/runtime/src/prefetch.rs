@@ -10,13 +10,15 @@
 //! [`TransferManager::prefetch_for_next`](crate::transfer::TransferManager::prefetch_for_next)
 //! issues the
 //! top-ranked ones onto an asynchronous [`CopyEngine`] lane, charged
-//! against a bounded slice of free device memory. When a later round decides
-//! to stage a prefetched region, the planner *adopts* the speculative
+//! against the free device memory that demand staging leaves. When a
+//! later round decides to stage a prefetched region, the planner
+//! *adopts* the speculative
 //! copy instead of issuing a demand copy: the bytes are retro-accounted
 //! so every traffic counter matches the synchronous run, and the clock
 //! only waits if the copy is still in flight (usually it is not — the
-//! latency hid behind compute). Mispredicted regions are evicted from the
-//! slice and cost only wasted bytes, never correctness.
+//! latency hid behind compute). Mispredicted regions are evicted when
+//! demand staging or an outside allocation needs their room, and cost
+//! only wasted bytes, never correctness.
 //!
 //! ```text
 //! synchronous:   plan──copy━━━━━━━│ kernel i │ plan──copy━━━━│ kernel i+1 │
@@ -37,9 +39,12 @@
 //! still covers and evicts the rest (as `wasted_bytes`). After the round,
 //! `prefetch_for_next` **prefetches**: it ranks candidates for the *next*
 //! round and issues them while the free bytes that evict-to-fit read,
-//! minus `slice_used`, have room. A region
+//! minus `slice_used`, have room. That is speculation's one bound: a
+//! speculative stage lives until a demand staging adopts it or the free
+//! device memory no longer covers it. A region
 //! qualifies when `cumulative_density + min(1, touch_density × growth)`
-//! reaches `MARGIN × stage_threshold` (growth: a clamped frontier-growth
+//! reaches `MARGIN` × the host tier's rent/buy point
+//! ([`MemoryTier::stage_threshold`]; growth: a clamped frontier-growth
 //! ratio).
 //!
 //! Determinism: prediction inputs are exactly the planner's own
@@ -71,35 +76,24 @@
 
 use emogi_sim::pipeline::{CopyEngine, CopyEngineConfig};
 use emogi_sim::time::Time;
-use emogi_uvm::TransferPolicy;
-use std::collections::VecDeque;
+use emogi_uvm::{MemoryTier, TransferPolicy};
 
 use crate::transfer::UNMAPPED;
 
-/// How to build a [`Prefetcher`].
-#[derive(Debug, Clone)]
-pub struct PrefetchConfig {
-    /// Bound on speculative device-memory usage (rounded allocation
-    /// charges), carved out of free device memory. The slice never
-    /// blocks a demand staging: demand decisions see all free device
-    /// memory, and speculation keeps only what they leave over.
-    pub slice_bytes: u64,
-}
-
-impl Default for PrefetchConfig {
-    fn default() -> Self {
-        Self {
-            slice_bytes: 4 << 20,
-        }
-    }
-}
+/// The prefetcher has no settings: speculation is bounded by the free
+/// device memory alone. The type stays because the benchmark package
+/// builds its prefetcher with `Prefetcher::new(n, PrefetchConfig::default(),
+/// copy)`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PrefetchConfig;
 
 /// Most regions [`Prefetcher::rank_candidates`] returns per planning
 /// round (the lane is one copy engine; flooding it would just queue
 /// copies behind each other).
 const MAX_REGIONS_PER_ROUND: usize = 16;
-/// Fraction of the policy's `stage_threshold` a predicted score must
-/// reach to be worth speculating on. Lower values prefetch earlier but
+/// Fraction of the host tier's rent/buy point
+/// ([`MemoryTier::stage_threshold`]) a predicted score must reach to be
+/// worth speculating on. Lower values prefetch earlier but
 /// waste more bytes on mispredictions.
 const MARGIN: f64 = 0.7;
 
@@ -149,13 +143,13 @@ struct Slot {
 /// the free device memory.
 #[derive(Debug)]
 pub struct Prefetcher {
-    cfg: PrefetchConfig,
     lane: CopyEngine,
     /// Region index -> live speculative stage.
     slots: Vec<Option<Slot>>,
-    /// Live speculative regions in issue order (FIFO eviction).
-    order: VecDeque<u32>,
-    /// Sum of live slot charges (bounded by `cfg.slice_bytes`).
+    /// Live speculative regions in issue order (evict-to-fit keeps the
+    /// oldest).
+    order: Vec<u32>,
+    /// Sum of live slot charges (bounded by the free device memory).
     slice_used: u64,
     /// Touched bytes of the previous round, for the growth ratio.
     prev_touched_bytes: u64,
@@ -172,12 +166,11 @@ impl Prefetcher {
     /// `copy` — derived from the machine's PCIe configuration
     /// ([`CopyEngineConfig::from_pcie`]): the synchronous DMA path's
     /// overhead, bandwidth and framing, without its propagation term.
-    pub fn new(num_regions: usize, cfg: PrefetchConfig, copy: CopyEngineConfig) -> Self {
+    pub fn new(num_regions: usize, _cfg: PrefetchConfig, copy: CopyEngineConfig) -> Self {
         Self {
-            cfg,
             lane: CopyEngine::new(copy),
             slots: vec![None; num_regions],
-            order: VecDeque::new(),
+            order: Vec::new(),
             slice_used: 0,
             prev_touched_bytes: 0,
             growth: 1.0,
@@ -185,12 +178,7 @@ impl Prefetcher {
         }
     }
 
-    /// The slice budget.
-    pub fn slice_bytes(&self) -> u64 {
-        self.cfg.slice_bytes
-    }
-
-    /// Slice bytes currently held by live speculative stages.
+    /// Device bytes currently held by live speculative stages.
     pub fn slice_used(&self) -> u64 {
         self.slice_used
     }
@@ -224,7 +212,7 @@ impl Prefetcher {
     /// its accumulated zero-copy density plus its predicted next-round
     /// touch density (this round's density scaled by the frontier-growth
     /// ratio); regions already staged or already speculative are skipped,
-    /// and only scores within `MARGIN` of the policy's staging threshold
+    /// and only scores within `MARGIN` of the host tier's rent/buy point
     /// qualify. Ties break on region index, so the ranking — and with it
     /// every downstream speculative charge — is totally ordered.
     pub fn rank_candidates(
@@ -235,7 +223,7 @@ impl Prefetcher {
         region_bytes: u64,
         len_bytes: u64,
     ) -> Vec<u32> {
-        let threshold = policy.config().stage_threshold * MARGIN;
+        let threshold = MemoryTier::Host.stage_threshold() * MARGIN;
         let mut scored: Vec<(f64, u32)> = Vec::new();
         let mut ti = 0usize;
         for (r, &mapped) in table.iter().enumerate() {
@@ -277,14 +265,14 @@ impl Prefetcher {
             charge,
             done_at: ticket.done_at,
         });
-        self.order.push_back(region);
+        self.order.push(region);
         self.slice_used += charge;
         self.stats.prefetched_regions += 1;
         self.stats.prefetched_bytes += len;
     }
 
     /// Adopt `region`'s speculative stage into a demand staging decision:
-    /// releases its slice charge and returns the copy's completion time
+    /// releases its charge and returns the copy's completion time
     /// (the caller stalls only if it is still in the future). `None` when
     /// the region was never prefetched (or already evicted).
     pub(crate) fn adopt(&mut self, region: u32) -> Option<Time> {
@@ -293,20 +281,6 @@ impl Prefetcher {
         self.stats.hit_regions += 1;
         self.stats.hit_bytes += slot.len;
         Some(slot.done_at)
-    }
-
-    /// Evict the oldest live speculative stage (stale prediction),
-    /// counting its bytes as wasted. `false` when none is live.
-    pub(crate) fn evict_oldest(&mut self) -> bool {
-        while let Some(region) = self.order.pop_front() {
-            if let Some(slot) = self.slots[region as usize].take() {
-                self.slice_used -= slot.charge;
-                self.stats.wasted_bytes += slot.len;
-                return true;
-            }
-            // Stale queue entry: the region was adopted earlier.
-        }
-        false
     }
 
     /// Fit the live speculative stages into `free` device bytes — what
@@ -360,14 +334,14 @@ mod tests {
     fn pf(regions: usize) -> Prefetcher {
         Prefetcher::new(
             regions,
-            PrefetchConfig::default(),
+            PrefetchConfig,
             CopyEngineConfig::from_pcie(&PcieConfig::gen3_x16()),
         )
     }
 
     #[test]
     fn ranking_prefers_high_cumulative_density_and_breaks_ties_by_region() {
-        let mut policy = TransferPolicy::new(4, TransferPolicyConfig::default());
+        let mut policy = TransferPolicy::new(4, TransferPolicyConfig);
         policy.note_zero_copy(2, 0.9);
         policy.note_zero_copy(2, 0.4); // cum 1.3
         policy.note_zero_copy(1, 1.2); // cum 1.2
@@ -381,7 +355,7 @@ mod tests {
 
     #[test]
     fn ranking_skips_staged_and_speculative_regions_and_uses_touch_growth() {
-        let mut policy = TransferPolicy::new(4, TransferPolicyConfig::default());
+        let mut policy = TransferPolicy::new(4, TransferPolicyConfig);
         policy.note_zero_copy(0, 1.4);
         policy.note_zero_copy(1, 1.4);
         policy.note_zero_copy(2, 1.4);
@@ -410,9 +384,10 @@ mod tests {
         assert_eq!(p.stats.hit_regions, 1);
         assert_eq!(p.stats.hit_bytes, 10);
 
-        // Oldest-first eviction skips the adopted region's stale entry.
-        assert!(p.evict_oldest());
-        assert!(!p.evict_oldest());
+        // Evicting to fit no free memory skips the adopted region's stale
+        // entry and counts only the live one as wasted.
+        p.evict_to_fit(0);
+        assert!(!p.is_speculative(1));
         assert_eq!(p.slice_used(), 0);
         assert_eq!(p.stats.wasted_bytes, 64 << 10);
     }

@@ -35,9 +35,9 @@
 //! synchronous path does, because speculation never allocates — the
 //! speculative charge lives only in the prefetcher
 //! ([`Prefetcher::slice_used`]) and is kept within the free device memory
-//! the decisions leave. Decisions, allocation order and traffic
-//! counters stay bit-identical to the synchronous path; only the clock
-//! (and the new prefetch counters) differ.
+//! the decisions leave — speculation's one bound. Decisions, allocation
+//! order and traffic counters stay bit-identical to the synchronous path;
+//! only the clock (and the new prefetch counters) differ.
 
 use crate::alloc::device_charge;
 use crate::machine::Machine;
@@ -48,21 +48,20 @@ use emogi_uvm::{MemoryTier, TransferPolicy, TransferPolicyConfig};
 /// Sentinel in the staging table: region not staged.
 pub const UNMAPPED: u64 = u64::MAX;
 
-/// How to build a [`TransferManager`].
+/// How to build a [`TransferManager`]. The staging rule itself has no
+/// settings: its rent/buy points are constants of the home tier
+/// ([`MemoryTier::stage_threshold`]).
 #[derive(Debug, Clone)]
 pub struct TransferConfig {
     /// Region granularity in bytes; a power of two, at least one 128-byte
     /// cache line (so no line ever straddles a region boundary).
     pub region_bytes: u64,
-    /// The stage-or-stay-zero-copy decision policy.
-    pub policy: TransferPolicyConfig,
 }
 
 impl Default for TransferConfig {
     fn default() -> Self {
         Self {
             region_bytes: 64 << 10,
-            policy: TransferPolicyConfig::default(),
         }
     }
 }
@@ -153,7 +152,7 @@ impl TransferManager {
             region_bytes: cfg.region_bytes,
             shift: cfg.region_bytes.trailing_zeros(),
             len_bytes,
-            policy: TransferPolicy::new(regions, cfg.policy),
+            policy: TransferPolicy::new(regions, TransferPolicyConfig),
             table: vec![UNMAPPED; regions],
             upcoming: vec![0; regions],
             touched: Vec::new(),
@@ -348,9 +347,9 @@ impl TransferManager {
 
     /// Feed the asynchronous copy lane for the next iteration: rank
     /// not-yet-staged regions by predicted reuse (a pure function of this
-    /// round's planner state) and issue speculative stages into the
-    /// prefetcher's bounded slice, within the free device memory the
-    /// round's evict-to-fit read. Call right after
+    /// round's planner state) and issue speculative stages, best first,
+    /// while the free device memory the round's evict-to-fit read, minus
+    /// what live speculation already holds, covers them. Call right after
     /// [`plan_iteration_pipelined`](Self::plan_iteration_pipelined), at
     /// iteration start, so the copies overlap the kernel that follows.
     pub fn prefetch_for_next(&mut self, at: Time, pf: &mut Prefetcher) {
@@ -369,16 +368,6 @@ impl TransferManager {
         for r in wanted {
             let len = self.region_len(r as usize);
             let charge = device_charge(len);
-            // Make room in the bounded slice: evict the oldest
-            // speculative stages (stale predictions).
-            while pf.slice_used() + charge > pf.slice_bytes() {
-                if !pf.evict_oldest() {
-                    break;
-                }
-            }
-            if pf.slice_used() + charge > pf.slice_bytes() {
-                break; // a region larger than the whole slice
-            }
             if self.round_free.saturating_sub(pf.slice_used()) < charge {
                 break; // speculate only into free device memory
             }
@@ -417,7 +406,6 @@ impl TransferManager {
 mod tests {
     use super::*;
     use crate::machine::MachineConfig;
-    use emogi_uvm::TransferPolicyConfig;
 
     fn machine() -> Machine {
         Machine::new(MachineConfig::v100_gen3())
@@ -435,10 +423,7 @@ mod tests {
     }
 
     fn cfg(region_bytes: u64) -> TransferConfig {
-        TransferConfig {
-            region_bytes,
-            policy: TransferPolicyConfig::default(),
-        }
+        TransferConfig { region_bytes }
     }
 
     #[test]
@@ -667,7 +652,7 @@ mod tests {
     fn prefetcher(m: &Machine, tm: &TransferManager) -> Prefetcher {
         Prefetcher::new(
             tm.num_regions(),
-            PrefetchConfig::default(),
+            PrefetchConfig,
             CopyEngineConfig::from_pcie(&m.cfg.pcie),
         )
     }
@@ -818,20 +803,18 @@ mod tests {
         );
     }
 
-    /// With a prefetcher that never issues, the pipelined entry point is
-    /// the synchronous one (same decisions, same clock).
+    /// While no region qualifies for speculation, the pipelined entry
+    /// point is the synchronous one (same decisions, same clock).
     #[test]
     fn plan_pipelined_without_speculation_matches_plan_exactly() {
         let mut ms = machine();
         let mut tms = TransferManager::new(&ms, 256 << 10, cfg(64 << 10));
         let mut mp = machine();
         let mut tmp = TransferManager::new(&mp, 256 << 10, cfg(64 << 10));
-        // A prefetcher with a zero-byte slice can never issue.
-        let mut pf = Prefetcher::new(
-            tmp.num_regions(),
-            PrefetchConfig { slice_bytes: 0 },
-            CopyEngineConfig::from_pcie(&mp.cfg.pcie),
-        );
+        let mut pf = prefetcher(&mp, &tmp);
+        // Regions 0-2 are read whole and stage on demand; region 3 is read
+        // at 1/8 density, so after three rounds its score (3/8 of history
+        // plus 1/8 predicted) stays under the margin (0.7 x 1.5).
         for _ in 0..3 {
             let a = tms.plan_iteration(&mut ms, [(0u64, 200u64 << 10)]);
             let b = tmp.plan_iteration_pipelined(&mut mp, [(0u64, 200u64 << 10)], &mut pf);
@@ -840,6 +823,46 @@ mod tests {
         }
         assert_eq!(tmp.stats, tms.stats);
         assert_eq!(mp.now, ms.now, "clocks identical without speculation");
+        assert_eq!(pf.stats.prefetched_regions, 0, "nothing qualified");
         assert_eq!(pf.stats, crate::prefetch::PrefetchStats::default());
+    }
+
+    /// Speculation's one bound is the free device memory: with room to
+    /// spare, more than 4 MiB of qualifying regions all go live — none is
+    /// evicted to make room for another — and every round keeps
+    /// `slice_used` within the free device memory.
+    #[test]
+    fn speculation_grows_to_the_free_device_memory() {
+        let region = 64u64 << 10;
+        let regions = 96u64; // 6 MiB of edge list
+        let mut m = machine_with_pool(8 << 20);
+        let mut tm = TransferManager::new(&m, regions * region, cfg(region));
+        let mut pf = prefetcher(&m, &tm);
+        // Three rounds read every region at 3/8 density: the history
+        // (9/8) qualifies each region for speculation but stays under
+        // the host's rent/buy point, so nothing stages on demand. Later
+        // rounds read nothing, and the prefetcher issues 16 qualifying
+        // regions a round until all are live.
+        let sparse = |r: u64| (r * region, r * region + 3 * region / 8);
+        let mut peak = 0;
+        for round in 0..12 {
+            if round < 3 {
+                tm.plan_iteration_pipelined(&mut m, (0..regions).map(sparse), &mut pf);
+            } else {
+                tm.plan_iteration_pipelined(&mut m, std::iter::empty(), &mut pf);
+            }
+            tm.prefetch_for_next(m.now, &mut pf);
+            assert!(
+                pf.slice_used() <= m.spaces.device_free(),
+                "round {round}: {} B speculative over {} B free",
+                pf.slice_used(),
+                m.spaces.device_free()
+            );
+            peak = peak.max(pf.slice_used());
+        }
+        assert_eq!(tm.stats.staged_regions, 0, "no demand staging");
+        assert!(peak > 4 << 20, "speculation stopped at {peak} B");
+        assert_eq!(peak, regions * region, "every qualifying region is live");
+        assert_eq!(pf.stats.wasted_bytes, 0);
     }
 }

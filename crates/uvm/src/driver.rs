@@ -515,14 +515,16 @@ mod tests {
 
     #[test]
     fn default_ceiling_matches_paper_uvm_bandwidth() {
-        // Analytic migration ceiling, GB/s: each page costs its wire time
-        // at the link's effective bulk bandwidth plus the driver's
-        // per-page CPU work. `BATCH_OVERHEAD_NS` amortises over a batch
-        // and is left out: the streaming tests below run it, and
-        // `policy.rs` works the full-batch figure.
-        let page = UvmConfig::default().page_bytes as f64;
-        let ceiling =
-            |link_bulk_gbps: f64| page / (page / link_bulk_gbps + PAGE_CPU_OVERHEAD_NS as f64);
+        // Analytic migration ceiling, GB/s: a full handler pass of
+        // `fault_batch_max` faults pays `BATCH_OVERHEAD_NS` once, then per
+        // page its wire time at the link's effective bulk bandwidth plus
+        // the driver's per-page CPU work — the figure `policy.rs` works.
+        let cfg = UvmConfig::default();
+        let (page, batch) = (cfg.page_bytes as f64, cfg.fault_batch_max as f64);
+        let ceiling = |link_bulk_gbps: f64| {
+            let per_page = PAGE_CPU_OVERHEAD_NS as f64 + page / link_bulk_gbps;
+            batch * page / (BATCH_OVERHEAD_NS as f64 + batch * per_page)
+        };
         // Effective gen3 bulk bandwidth with 128 B TLPs is ~12.26 GB/s.
         let gen3 = ceiling(12.26);
         assert!((8.7..9.4).contains(&gen3), "gen3 UVM ceiling {gen3}");

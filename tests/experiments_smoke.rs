@@ -19,11 +19,12 @@
 //!
 //! Seeded mutations it is known to catch, on a scratch copy (the deleted
 //! `experiments/` unit tests each stood for, in brackets):
-//! - staging off (`TransferPolicyConfig`'s two thresholds and `DENSE_NOW`
+//! - staging off (`MemoryTier::stage_threshold` and `DENSE_NOW`
 //!   infinite):
 //!   hybrid, pagerank, overlap, tiering [hybrid, pagerank, overlap];
 //! - `LayoutPlan::degree_sorted` the identity: layout [layout];
-//! - `PrefetchConfig::slice_bytes` 0: overlap; EDF keyed like FIFO: sla;
+//! - `TransferManager::prefetch_for_next` issuing nothing: overlap; EDF
+//!   keyed like FIFO: sla;
 //! - `Engine`'s `Front::run_merged` returning `None`: serve, sla [serve];
 //! - `FRONTIER_UPDATE_BYTES` 512: scaling [both scaling tests];
 //! - `emogi_v100` on the Naive strategy: case study, fig12, table3 and

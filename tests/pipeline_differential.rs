@@ -46,13 +46,12 @@ fn pair<'a>(
     g: &'a CsrGraph,
     specs: &'a [ProgramSpec],
 ) -> [Side<'a>; 2] {
-    let transfer = TransferConfig {
-        region_bytes,
-        ..TransferConfig::default()
-    };
-    [None, Some(PrefetchConfig::default())].map(|prefetch| {
-        let transfer = transfer.clone();
-        let hybrid = Transport::Hybrid { transfer, prefetch };
+    [false, true].map(|pipelined| {
+        let transfer = TransferConfig { region_bytes };
+        let hybrid = Transport::Hybrid {
+            transfer,
+            pipelined,
+        };
         let cfg = EngineConfig::emogi_v100().with_strategy(kernel);
         Side::new(cfg.with_transport(hybrid), g, specs)
     })

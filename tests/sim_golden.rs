@@ -53,6 +53,9 @@
 //! - `Machine::account_async_stage` without `self.dma.bytes_to_device +=
 //!   bytes` fails both matrix tests at both seeds ("`dma.bytes_to_device
 //!   == staged_bytes - cxl_staged_bytes` broken").
+//! - `TransferManager::prefetch_for_next` issuing nothing fails both
+//!   matrix tests and the [`REVERSED`] test at both seeds, on the Hybrid
+//!   pipelined row's cells;
 //! - Subway's async overlap removed (`gen.saturating_sub(prev_kernel_ns)`
 //!   → `gen` in `emogi_bench::subway`) fails both side-system tests at
 //!   both seeds, on the three `subway-async-*` rows. It stands for the
