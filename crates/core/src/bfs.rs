@@ -7,7 +7,7 @@
 //! discovered by the previous one, reading the edge list from host
 //! memory and checking/updating the 4-byte level array in device memory.
 
-use crate::program::{AccessPattern, EdgeEffect, EdgeFn, VertexProgram};
+use crate::program::{join_min, AccessPattern, EdgeEffect, EdgeFn, VertexProgram};
 use emogi_graph::{CsrGraph, VertexId, UNVISITED};
 
 /// BFS result: per-vertex levels ([`UNVISITED`] when unreachable).
@@ -19,6 +19,7 @@ pub struct BfsOutput {
 
 /// The BFS vertex program. Per-vertex state: the device-resident level
 /// array (semantic copy).
+#[derive(Clone)]
 pub struct BfsProgram {
     src: VertexId,
     levels: Vec<u32>,
@@ -98,6 +99,14 @@ impl VertexProgram for BfsProgram {
             levels: &mut self.levels,
             level: self.next_level,
         }
+    }
+
+    /// A level the replica discovered this iteration is `next_level`,
+    /// and every other entry is the same on both sides or still
+    /// [`UNVISITED`] (the largest value): the minimum takes the
+    /// discoveries.
+    fn join(&mut self, replica: &Self) {
+        join_min(&mut self.levels, &replica.levels);
     }
 
     fn finish(self) -> BfsOutput {

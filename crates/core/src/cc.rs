@@ -11,7 +11,7 @@
 //! shortcut (pointer-jumping) passes touch only the device-resident
 //! label array; the program reports them as inter-launch device work.
 
-use crate::program::{AccessPattern, DeviceWork, EdgeEffect, EdgeFn, VertexProgram};
+use crate::program::{join_min, AccessPattern, DeviceWork, EdgeEffect, EdgeFn, VertexProgram};
 use emogi_graph::{CsrGraph, VertexId};
 
 /// CC result: per-vertex component labels (the smallest vertex id of the
@@ -26,6 +26,7 @@ pub struct CcOutput {
 
 /// The CC vertex program. Per-vertex state: the device-resident label
 /// array (semantic copy) plus its iteration-start snapshot.
+#[derive(Clone)]
 pub struct CcProgram {
     comp: Vec<u32>,
     /// Iteration-start snapshot of `comp`: hooks read neighbour labels
@@ -111,6 +112,13 @@ impl VertexProgram for CcProgram {
 
     /// Pointer-jumping shortcut after each hook pass. Pure device-array
     /// work: charge two 4-byte streams (read + gather) per pass.
+    /// A hook only lowers its source's label: the minimum label, and a
+    /// change if either side changed.
+    fn join(&mut self, replica: &Self) {
+        join_min(&mut self.comp, &replica.comp);
+        self.changed |= replica.changed;
+    }
+
     fn post_iteration(&mut self, work: &mut DeviceWork) {
         let jump_passes = shortcut(&mut self.comp);
         for _ in 0..jump_passes {

@@ -38,15 +38,23 @@
 //! 4. `begin_iteration` on every active program;
 //! 5. **capture** every device's member contexts — before any launch, so
 //!    iteration-start state cannot depend on device order;
-//! 6. **launch** one [`ProgramKernel`] per device with work;
-//! 7. `post_iteration` device work, charged on every machine (each holds
+//! 6. **launch** one [`ProgramKernel`] per device with work, concurrently,
+//!    on a scoped pool of min(host cores, devices with work) threads that
+//!    start the largest deal first. Device 0 launches on the master
+//!    program state, every other device on a replica cloned from it just
+//!    before the launches, so a launch sees iteration-start state plus
+//!    its own writes and never a peer's writes of the same iteration. One
+//!    device has no replica and spawns no thread;
+//! 7. **fold** the replicas into the master in device order
+//!    ([`VertexProgram::join`]);
+//! 8. `post_iteration` device work, charged on every machine (each holds
 //!    its own copy of the arrays);
-//! 8. sort/dedup the activations, **exchange** them across devices and
+//! 9. sort/dedup the activations, **exchange** them across devices and
 //!    barrier (a no-op on one machine), rebuild the per-query frontiers;
-//! 9. diff every device's running counter reading, fold the devices
-//!    (concurrent: slowest clock, summed traffic, one launch wave) and
-//!    add that into every active query's stats — the one fold a run's
-//!    stats come from, on every front.
+//! 10. diff every device's running counter reading, fold the devices
+//!     (concurrent: slowest clock, summed traffic, one launch wave) and
+//!     add that into every active query's stats — the one fold a run's
+//!     stats come from, on every front.
 //!
 //! When the loop ends, every device's placement checks its ledgers
 //! against its machine's (`GraphLayout::check_ledgers`), in every build
@@ -55,7 +63,10 @@
 //!
 //! Every stage before 6 is a pure function of iteration-start state,
 //! which is what keeps batched and sharded runs bit-identical to solo
-//! ones (`tests/sim_golden.rs` pins the numbers).
+//! ones (`tests/sim_golden.rs` pins the numbers). No launch shares
+//! mutable state with another — each owns its machine, its program state
+//! and its activation lists — so a run does not depend on how many
+//! threads the pool has.
 
 use crate::batch::merge_frontiers;
 use crate::engine::EngineConfig;
@@ -69,6 +80,7 @@ use emogi_runtime::exec::run_kernel;
 use emogi_runtime::group::DeviceGroup;
 use emogi_runtime::report::RunStats;
 use emogi_runtime::Machine;
+use std::sync::{Mutex, PoisonError};
 
 /// The machines a drive runs on: one [`Machine`], or a [`DeviceGroup`]
 /// with its exchange fabric.
@@ -108,6 +120,47 @@ fn read_counters(machines: &[Machine], places: &[GraphLayout]) -> Vec<RunStats> 
 /// Per-device stats between two readings.
 fn diff(now: &[RunStats], base: Vec<RunStats>) -> Vec<RunStats> {
     now.iter().cloned().zip(base).map(|(n, b)| n - b).collect()
+}
+
+/// One device's launch of an iteration, handed to a pool worker.
+struct Launch<'s, P: VertexProgram> {
+    /// Edge-list elements dealt to the device: the pool starts the
+    /// largest deal first.
+    deal: u64,
+    machine: &'s mut Machine,
+    layout: &'s GraphLayout,
+    status: StatusPlace,
+    /// The master state (device 0) or the device's replica.
+    programs: &'s mut [P],
+    work: Work<'s, P::Ctx>,
+    next: &'s mut [Vec<VertexId>],
+}
+
+/// Run every job, in order, on `min(workers, jobs)` scoped host threads,
+/// the calling thread among them; each pulls the next job when it is
+/// free. A job owns everything it touches, so what it computes does not
+/// depend on which worker runs it or when. One worker spawns no thread.
+fn pool<J: Send>(jobs: Vec<J>, workers: usize, run: impl Fn(J) + Sync) {
+    let spawned = workers.min(jobs.len()).saturating_sub(1);
+    if spawned == 0 {
+        jobs.into_iter().for_each(run);
+        return;
+    }
+    let queue = Mutex::new(jobs.into_iter());
+    // No job runs under the lock, so a job's panic cannot poison it; the
+    // scope re-raises that panic once every worker has ended.
+    let work = || loop {
+        let Some(job) = queue.lock().unwrap_or_else(PoisonError::into_inner).next() else {
+            break;
+        };
+        run(job);
+    };
+    std::thread::scope(|s| {
+        for _ in 0..spawned {
+            s.spawn(work);
+        }
+        work();
+    });
 }
 
 /// What one [`Driver::drive`] produced; the fronts shape it into
@@ -255,12 +308,31 @@ impl<'g> Driver<'g> {
     /// [`GraphLayout::ensure_batch_status`] provided (the caller ensured a
     /// slot per program, and the visit mask for a program that needs
     /// only a visited bit), or — for a single program — the layout's own
-    /// array.
+    /// array. A sharded iteration's launches run on one worker per host
+    /// core.
     pub fn drive<P: VertexProgram>(
+        &mut self,
+        devices: &mut dyn Devices,
+        programs: Vec<P>,
+        batched: bool,
+    ) -> Driven<P::Output> {
+        // One device never spawns a thread, so it never asks for the
+        // host's core count.
+        let workers = match self.places.len() {
+            1 => 1,
+            _ => std::thread::available_parallelism().map_or(1, usize::from),
+        };
+        self.drive_on(devices, programs, batched, workers)
+    }
+
+    /// [`drive`](Self::drive) with an iteration's launches on at most
+    /// `workers` host threads. The result does not depend on `workers`.
+    pub(crate) fn drive_on<P: VertexProgram>(
         &mut self,
         devices: &mut dyn Devices,
         mut programs: Vec<P>,
         batched: bool,
+        workers: usize,
     ) -> Driven<P::Output> {
         let (ndev, nq) = (self.places.len(), programs.len());
         let frontier_driven = programs[0].pattern() == AccessPattern::FrontierDriven;
@@ -317,6 +389,8 @@ impl<'g> Driver<'g> {
         let mut active: Vec<usize> = Vec::new();
         let mut payload = vec![0u64; ndev];
         let mut device_work = DeviceWork::default();
+        // Devices 1.. launch on these copies of the programs.
+        let mut replicas: Vec<Vec<P>> = vec![Vec::new(); ndev - 1];
         loop {
             active.clear();
             if frontier_driven {
@@ -362,26 +436,53 @@ impl<'g> Driver<'g> {
                 .map(|d| Work::capture(&items[d], &item_masks[d], &programs))
                 .collect();
 
-            for (d, work) in captured.into_iter().enumerate() {
-                if items[d].is_empty() {
-                    continue;
+            // Device 0 launches on the master state, every other device
+            // with work on a replica of it, so no launch sees a peer's
+            // writes of this iteration.
+            for (reps, its) in replicas.iter_mut().zip(&items[1..]) {
+                if !its.is_empty() {
+                    reps.clone_from(&programs);
                 }
-                let p = &self.places[d];
-                let status = if batched {
-                    p.batch_status(nq, visit_mask)
-                } else {
-                    StatusPlace::solo(p.status_base)
-                };
+            }
+            let states = std::iter::once(&mut programs).chain(&mut replicas);
+            let mut launches: Vec<Launch<P>> = devices
+                .machines()
+                .iter_mut()
+                .zip(&self.places)
+                .zip(states.zip(next.chunks_mut(nq)))
+                .zip(captured)
+                .zip(&items)
+                .filter(|(_, its)| !its.is_empty())
+                .map(
+                    |((((machine, layout), (programs, next)), work), its)| Launch {
+                        deal: its.iter().map(|&(_, lo, hi)| hi - lo).sum(),
+                        machine,
+                        layout,
+                        status: if batched {
+                            layout.batch_status(nq, visit_mask)
+                        } else {
+                            StatusPlace::solo(layout.status_base)
+                        },
+                        programs,
+                        work,
+                        next,
+                    },
+                )
+                .collect();
+            launches.sort_by_key(|l| std::cmp::Reverse(l.deal));
+            let (graph, strategy) = (self.graph, self.strategy);
+            pool(launches, workers, |l| {
                 let mut kernel = ProgramKernel::new(
-                    self.graph,
-                    p,
-                    self.strategy,
-                    &mut programs,
-                    status,
-                    work,
-                    &mut next[d * nq..(d + 1) * nq],
+                    graph, l.layout, strategy, l.programs, l.status, l.work, l.next,
                 );
-                run_kernel(&mut devices.machines()[d], &mut kernel);
+                run_kernel(l.machine, &mut kernel);
+            });
+            for (reps, its) in replicas.iter().zip(&items[1..]) {
+                if !its.is_empty() {
+                    for &q in &active {
+                        programs[q].join(&reps[q]);
+                    }
+                }
             }
 
             // The work is semantic once (program state updates a single
@@ -398,9 +499,10 @@ impl<'g> Driver<'g> {
             }
 
             // Every device broadcasts what it changed: the (vertex,
-            // value) pairs it activated, or — full sweeps update owned
-            // entries (CC) or reduce into owners (PageRank) — its owned
-            // status slice. Remote activations join their owners' next
+            // value) pairs it activated (a vertex several devices
+            // activate is sent by each of them), or — full sweeps update
+            // owned entries (CC) or reduce into owners (PageRank) — its
+            // owned status slice. Remote activations join their owners' next
             // shards, and every device's status copy stays coherent.
             for (d, bytes) in payload.iter_mut().enumerate() {
                 let activated = &mut next[d * nq..(d + 1) * nq];
@@ -909,6 +1011,82 @@ mod tests {
                 }
                 let cc = n.drive(&mut group, vec![CcProgram::new(&g)], false);
                 assert_eq!(cc.per_query[0], whole_run_fold(&cc), "{what}, CC");
+            }
+        }
+    }
+
+    /// The pool's gate: every device launches on its own copy of the
+    /// program state and owns its machine, so a sharded run is the same
+    /// whether one host thread runs the launches one after another or
+    /// four run them at once — outputs, per-query and per-device stats,
+    /// iteration counts and exchange traffic, for all four programs on 2
+    /// and 4 devices, on zero-copy and on pipelined hybrid placements.
+    #[test]
+    fn a_sharded_run_does_not_depend_on_the_pools_worker_count() {
+        use crate::pagerank::PageRankProgram;
+        use crate::sssp::SsspProgram;
+        use emogi_graph::datasets::generate_weights;
+        use emogi_sim::interconnect::LinkStats;
+
+        type Observed = (Vec<u64>, Vec<RunStats>, Vec<RunStats>, u64, LinkStats);
+        fn observe<P: VertexProgram>(
+            cfg: &EngineConfig,
+            g: &CsrGraph,
+            devices: usize,
+            workers: usize,
+            program: P,
+            output: impl Fn(P::Output) -> Vec<u64>,
+        ) -> Observed {
+            let mut group = DeviceGroup::new(devices, cfg.machine.clone());
+            let mut driver = Driver::load(cfg, g, &mut group.machines);
+            let mut driven = driver.drive_on(&mut group, vec![program], false, workers);
+            let out = output(driven.outputs.pop().unwrap());
+            let exchange = group.interconnect.totals();
+            (
+                out,
+                driven.per_query,
+                driven.per_device,
+                driven.iterations,
+                exchange,
+            )
+        }
+
+        let g = generators::kronecker(10, 16, 5);
+        let w = generate_weights(g.num_edges(), 3);
+        let hub = (0..g.num_vertices() as u32)
+            .max_by_key(|&v| g.degree(v))
+            .unwrap();
+        let widen = |xs: Vec<u32>| xs.into_iter().map(u64::from).collect::<Vec<u64>>();
+        let split = EngineConfig::emogi_v100().with_strategy(AccessStrategy::MergedAlignedSplit);
+        for cfg in [split, EngineConfig::pipelined_v100()] {
+            for devices in [2, 4] {
+                let what = format!("{:?}, {devices} devices", cfg.transport);
+                let runs = |workers| {
+                    let bfs = BfsProgram::new(&g, hub);
+                    let sssp = SsspProgram::new(&g, &w, hub);
+                    let pr = PageRankProgram::new(&g, 0.85, 4);
+                    [
+                        observe(&cfg, &g, devices, workers, bfs, |o| widen(o.levels)),
+                        observe(&cfg, &g, devices, workers, sssp, |o| widen(o.dist)),
+                        observe(&cfg, &g, devices, workers, CcProgram::new(&g), |o| {
+                            widen(o.comp)
+                        }),
+                        observe(&cfg, &g, devices, workers, pr, |o| {
+                            o.ranks.iter().map(|r| r.to_bits()).collect()
+                        }),
+                    ]
+                };
+                let (one, four) = (runs(1), runs(4));
+                for (name, (a, b)) in ["BFS", "SSSP", "CC", "PageRank"]
+                    .iter()
+                    .zip(one.iter().zip(&four))
+                {
+                    assert!(
+                        a.2.iter().filter(|d| d.kernel_launches > 0).count() > 1,
+                        "{what}, {name}: more than one device had work"
+                    );
+                    assert_eq!(a, b, "{what}, {name}");
+                }
             }
         }
     }

@@ -99,12 +99,9 @@ pub struct Lane {
     first_ctx: usize,
 }
 
-/// Task state: offset loading, then list walking.
-///
-/// The naive variant carries 32 lane cursors and is much larger than the
-/// warp variant; tasks live in pre-sized executor slots, so the size
-/// difference is intentional and harmless.
-#[allow(clippy::large_enum_variant)]
+/// Task state: offset loading, then list walking. Every executor slot
+/// holds one, so the naive variant boxes its 32 lane cursors to keep a
+/// task the size of the warp variant.
 pub enum ProgramTask {
     /// Merged/aligned: a warp on one item.
     Warp {
@@ -118,7 +115,7 @@ pub enum ProgramTask {
         /// The items, one per lane.
         lanes: Vec<Lane>,
         /// Per-lane cursor state (`None` until the offsets loaded).
-        walk: Option<LaneWalk>,
+        walk: Option<Box<LaneWalk>>,
     },
 }
 
@@ -353,7 +350,7 @@ impl<'a, P: VertexProgram + 'a> Kernel for ProgramKernel<'a, P> {
                     if lw.is_done() {
                         return StepOutcome::Done;
                     }
-                    *walk = Some(lw);
+                    *walk = Some(Box::new(lw));
                     return StepOutcome::Continue;
                 };
                 let mut loaded = std::mem::take(&mut self.loaded_scratch);
@@ -611,6 +608,14 @@ mod tests {
         let bfs = emit(&g, &mut bfs, &items);
         assert!(bfs.status.mask.is_some());
         assert_eq!(bfs.sorts, 0, "BFS");
+    }
+
+    /// Every one of the executor's resident-warp slots holds a task, so
+    /// a task's size is paid thousands of times per live launch: the
+    /// naive walk's 32 cursors live behind a box, not inline.
+    #[test]
+    fn a_task_is_no_larger_than_a_warp_walk_task() {
+        assert!(std::mem::size_of::<ProgramTask>() <= 72);
     }
 
     #[test]

@@ -34,6 +34,7 @@ pub struct PageRankOutput {
 }
 
 /// The PageRank vertex program.
+#[derive(Clone)]
 pub struct PageRankProgram<'g> {
     /// The graph, kept for the value-ordered semantic reduction in
     /// [`post_iteration`](VertexProgram::post_iteration).
@@ -153,6 +154,9 @@ impl VertexProgram for PageRankProgram<'_> {
     fn edges(&mut self) -> PageRankEdges {
         PageRankEdges
     }
+
+    /// An edge update changes no state: nothing to fold.
+    fn join(&mut self, _replica: &Self) {}
 
     /// Between sweeps: fold every vertex's contribution into its
     /// neighbours' accumulators in **ascending value order per

@@ -46,6 +46,7 @@
 //! use emogi_graph::{generators, VertexId};
 //!
 //! /// Count every vertex's in-degree with one full edge-list sweep.
+//! #[derive(Clone)]
 //! struct InDegree {
 //!     counts: Vec<u32>,
 //!     done: bool,
@@ -80,6 +81,13 @@
 //!     fn source_ctx(&self, _v: VertexId) -> Self::Ctx {}
 //!     fn edges(&mut self) -> InDegreeEdges<'_> {
 //!         InDegreeEdges { counts: &mut self.counts }
+//!     }
+//!     fn join(&mut self, replica: &Self) {
+//!         // The one sweep starts from zero counts, so a replica's counts
+//!         // are exactly its own launch's increments.
+//!         for (c, r) in self.counts.iter_mut().zip(&replica.counts) {
+//!             *c += r;
+//!         }
 //!     }
 //!     fn converged(&self) -> bool {
 //!         self.done
@@ -154,6 +162,15 @@ impl DeviceWork {
     }
 }
 
+/// Fold a replica's `u32` status array into `mine` by minimum: the join
+/// of BFS levels ([`UNVISITED`](emogi_graph::UNVISITED) is the largest
+/// value), SSSP distances and CC labels.
+pub(crate) fn join_min(mine: &mut [u32], replica: &[u32]) {
+    for (m, &r) in mine.iter_mut().zip(replica) {
+        *m = (*m).min(r);
+    }
+}
+
 /// One launch's per-edge update: a view of a [`VertexProgram`] that
 /// borrows only what an edge update touches, built by
 /// [`VertexProgram::edges`] when the launch is. The launch holds the
@@ -171,6 +188,12 @@ pub trait EdgeFn<C> {
 /// A pluggable traversal algorithm. See the [module docs](self) for the
 /// contract and a worked example of adding a new one.
 ///
+/// `Clone + Send` because a sharded iteration launches its devices
+/// concurrently, each on its own copy of the state: device 0 on the
+/// program itself, every other device on a replica cloned from it after
+/// [`begin_iteration`](Self::begin_iteration), which
+/// [`join`](Self::join) folds back when the launches are done.
+///
 /// The engine calls, per run:
 ///
 /// ```text
@@ -179,15 +202,16 @@ pub trait EdgeFn<C> {
 ///     begin_iteration()
 ///     — kernel launch: per task  source_ctx(v), then edges(), then
 ///       per edge  edge(..) on that view —
+///     join(replica)                      (N > 1 devices: once per peer)
 ///     post_iteration(work)
 /// } until the frontier empties / converged()
 /// finish()
 /// ```
-pub trait VertexProgram {
+pub trait VertexProgram: Clone + Send {
     /// Per-source context captured once at task start (e.g. SSSP's
     /// distance of the source at launch time, PageRank's out-contribution)
     /// and handed to every [`edge`](EdgeFn::edge) call of that task.
-    type Ctx: Copy;
+    type Ctx: Copy + Send;
     /// What [`finish`](Self::finish) extracts after convergence.
     type Output;
     /// The per-launch edge view [`edges`](Self::edges) returns.
@@ -241,6 +265,17 @@ pub trait VertexProgram {
     /// touches. Built once per launch, after every context of the
     /// iteration was captured.
     fn edges(&mut self) -> Self::Edges<'_>;
+
+    /// Fold a peer device's launch into this state. `replica` was cloned
+    /// from `self` after this iteration's
+    /// [`begin_iteration`](Self::begin_iteration), and then saw exactly
+    /// its own device's edge updates; `self` has seen device 0's and
+    /// every earlier replica's. The driver joins replicas in device
+    /// order; the result must be the state every update of the iteration
+    /// gives, whichever device made it (BFS takes the newly discovered
+    /// levels, SSSP and CC the minimum, PageRank — whose edge view holds
+    /// no state — nothing). Never called on one device.
+    fn join(&mut self, replica: &Self);
 
     /// Device-side work after a launch (before the convergence check).
     fn post_iteration(&mut self, work: &mut DeviceWork) {

@@ -19,11 +19,17 @@
 //!   plus its round-robin pieces of the hubs (for full sweeps, the
 //!   vertex range it owns) — its PCIe link carries only those
 //!   neighbour lists;
+//! * each device launches on its own copy of the status arrays: device 0
+//!   on the program's state, every other device on a replica of it taken
+//!   at iteration start, so no device sees a peer's updates before the
+//!   exchange; the launches run side by side on host threads;
 //! * between iterations the devices synchronize at a barrier and
 //!   exchange their status updates (activated `(vertex, value)` pairs
 //!   for frontier-driven programs, owned status slices for full sweeps)
 //!   over the group's NVLink-class peer link — the one exchange route;
-//!   the host links carry only each device's own kernel traffic.
+//!   the host links carry only each device's own kernel traffic. A
+//!   vertex that several devices activate in one iteration is sent by
+//!   each of them, as each device's copy discovered it.
 //!
 //! # Bit-identity
 //!
@@ -33,8 +39,9 @@
 //! every shipped program's per-iteration semantics are a pure function
 //! of iteration-start state
 //! (contexts are captured for the **whole** frontier before any shard's
-//! kernel runs, BFS/SSSP updates are commutative mins, CC hooks against
-//! an iteration-start snapshot, and PageRank folds its sums in
+//! kernel runs, BFS/SSSP updates are commutative mins that
+//! [`VertexProgram::join`] folds across the devices' copies, CC hooks
+//! against an iteration-start snapshot, and PageRank folds its sums in
 //! canonical edge order). With **one** device this *is* the
 //! single-device engine — both are fronts of the same iteration driver
 //! (`driver.rs`), hubs are cut by the same rule and the exchange is a

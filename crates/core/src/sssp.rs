@@ -9,7 +9,7 @@
 //! program that declares [`VertexProgram::uses_edge_data`], and the
 //! weights are its own input rather than an engine field.
 
-use crate::program::{AccessPattern, EdgeEffect, EdgeFn, VertexProgram};
+use crate::program::{join_min, AccessPattern, EdgeEffect, EdgeFn, VertexProgram};
 use emogi_graph::{CsrGraph, VertexId};
 
 /// Distance marker for unreached vertices (4-byte device entries).
@@ -25,6 +25,7 @@ pub struct SsspOutput {
 /// The SSSP vertex program. Per-vertex state: the device-resident
 /// distance array (semantic copy); auxiliary edge data: the weight
 /// stream.
+#[derive(Clone)]
 pub struct SsspProgram<'w> {
     src: VertexId,
     weights: &'w [u32],
@@ -127,6 +128,11 @@ impl VertexProgram for SsspProgram<'_> {
             dist: &mut self.dist,
             weights: self.weights,
         }
+    }
+
+    /// Every relaxation is an atomicMin: the minimum of both copies.
+    fn join(&mut self, replica: &Self) {
+        join_min(&mut self.dist, &replica.dist);
     }
 
     fn finish(self) -> SsspOutput {

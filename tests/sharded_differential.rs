@@ -10,6 +10,11 @@
 //!
 //! Seeded mutations this file is known to catch:
 //!
+//! - every device launching on the master program state instead of its
+//!   own replica fails
+//!   `a_vertex_two_devices_discover_in_one_iteration_is_exchanged_by_both`
+//!   at both seeds (device 1 exchanges nothing); the results-only
+//!   theorems pass under it;
 //! - `at = upto + 1` in `Driver::shard` (one edge skipped per slice
 //!   boundary) fails `planted_hubs_are_bit_identical_across_device_counts`
 //!   and none of the other random cases, whose lists are too short to
@@ -32,7 +37,9 @@
 mod common;
 
 use common::*;
-use emogi_repro::core::sharded::{ShardedConfig, ShardedEngine, HUB_SPLIT_DEGREE};
+use emogi_repro::core::sharded::{
+    ShardedConfig, ShardedEngine, FRONTIER_UPDATE_BYTES, HUB_SPLIT_DEGREE,
+};
 use emogi_repro::graph::datasets::generate_weights;
 use emogi_repro::prelude::*;
 use proptest::prelude::*;
@@ -133,5 +140,39 @@ fn the_sharded_side_actually_exchanges_and_splits() {
                 "{devices} devices: device {d} read none of the hub's list"
             );
         }
+    }
+}
+
+/// The causality witness: each device launches on its own copy of the
+/// program state, so a launch never sees what a peer wrote in the same
+/// iteration. BFS from 0 over `0 → 1, 0 → 2, 1 → 3, 2 → 3`: the second
+/// level deals vertex 1 to device 0 and vertex 2 to device 1, both
+/// discover 3, and both exchange it. Levels are the single-device ones.
+///
+/// Seeded mutation it catches at both seeds: every device launching on
+/// the master state (device 1 then sees device 0's discovery of 3 and
+/// exchanges nothing), which `Shape::SHARDED`'s results-only theorems
+/// above do not see.
+#[test]
+fn a_vertex_two_devices_discover_in_one_iteration_is_exchanged_by_both() {
+    let mut diamond = EdgeListBuilder::new(4);
+    for (src, dst) in [(0, 1), (0, 2), (1, 3), (2, 3)] {
+        diamond.push(src, dst);
+    }
+    let g = diamond.build();
+    let record = FRONTIER_UPDATE_BYTES;
+    for devices in [2usize, 4] {
+        let mut engine = ShardedEngine::load(ShardedConfig::emogi_v100(devices), &g);
+        let run = engine.bfs(0);
+        assert_eq!(run.levels, algo::bfs_levels(&g, 0), "{devices} devices");
+        let peers = devices as u64 - 1;
+        let sent = |d| engine.group.interconnect.peer_stats(d).bytes;
+        assert_eq!(
+            sent(0),
+            3 * record * peers,
+            "{devices} devices: 1, 2, then 3"
+        );
+        assert_eq!(sent(1), record * peers, "{devices} devices: 3 again");
+        assert_eq!(run.exchange.bytes, 4 * record * peers);
     }
 }
