@@ -20,11 +20,11 @@
 //! dispatcher ([`spec::run`]), batched through the server.
 //!
 //! A second table, `serve-k`, sweeps the batch width (`max_batch` 1, 2,
-//! 4, 8) in the two regimes of ROADMAP item 8: the GK burst on the
+//! 4, 8) in the two regimes of ROADMAP item 11: the GK burst on the
 //! scaled machine, whose edge list is several times the L2, and SSSP on
 //! kronecker(14, 19), whose edges and weights fill 94 % of the full
 //! V100's 6 MiB L2. That set-up is fixed rather than divided by
-//! `--scale`: the regime is the ratio, and it is where item 8 measured
+//! `--scale`: the regime is the ratio, and it is where item 11 measured
 //! the pair loss.
 
 use super::scaled_machine;
@@ -165,7 +165,7 @@ pub fn sweep(ctx: &Context) -> Sweep {
     let gk_cfg = EngineConfig::emogi_v100().with_machine(scaled_machine(ctx.scale));
     let gk_weights = Arc::new(gk.weights.clone());
     let gk_sources = gk.sources(BURST);
-    // ROADMAP item 8's set-up: the 16 highest-degree sources.
+    // ROADMAP item 11's set-up: the 16 highest-degree sources.
     let kron = generators::kronecker(14, 19, 20260928);
     let kron_weights = Arc::new(generate_weights(kron.num_edges(), 20260928));
     let mut by_degree: Vec<VertexId> = (0..kron.num_vertices() as VertexId).collect();

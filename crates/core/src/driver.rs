@@ -71,7 +71,7 @@
 use crate::batch::merge_frontiers;
 use crate::engine::EngineConfig;
 use crate::kernel::{ProgramKernel, Work, WorkSlice};
-use crate::layout::{GraphLayout, StatusPlace};
+use crate::layout::{GraphLayout, StatusPlace, Transport};
 use crate::program::{AccessPattern, DeviceWork, VertexProgram};
 use crate::sharded::{FRONTIER_UPDATE_BYTES, HUB_SPLIT_DEGREE};
 use crate::strategy::AccessStrategy;
@@ -194,8 +194,15 @@ pub(crate) struct Driver<'g> {
 impl<'g> Driver<'g> {
     /// Place `graph` on every machine; device `d` owns shard `d` of the
     /// degree-balanced partition over `machines.len()` shards (one
-    /// device owns `[0, n)`).
+    /// device owns `[0, n)`). Panics on compressed lists under Naive: a
+    /// lane cannot find an element of a varint stream without decoding
+    /// the list before it.
     pub fn load(cfg: &EngineConfig, graph: &'g CsrGraph, machines: &mut [Machine]) -> Self {
+        assert!(
+            cfg.strategy.warp_per_vertex() || !matches!(cfg.transport, Transport::Compressed),
+            "compressed lists are walked by whole warps: {} cannot read Transport::Compressed",
+            cfg.strategy.name()
+        );
         Self {
             graph,
             strategy: cfg.strategy,
@@ -554,7 +561,6 @@ mod tests {
     use super::*;
     use crate::bfs::BfsProgram;
     use crate::cc::CcProgram;
-    use crate::layout::Transport;
     use emogi_graph::generators;
     use emogi_runtime::machine::MachineConfig;
     use emogi_runtime::TransferConfig;

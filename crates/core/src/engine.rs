@@ -205,11 +205,15 @@ impl<'g> Engine<'g> {
         self.machine.cfg.pcie.usable_gbps()
     }
 
-    /// Edge-list bytes as placed (the Figure 10 denominator).
+    /// Edge-list bytes as placed, compressed or raw (the Figure 10
+    /// denominator).
     pub fn dataset_bytes(&self) -> u64 {
-        let graph = self.core.graph;
-        let mut b = graph.edge_list_bytes(self.layout().elem_bytes);
-        if self.layout().weight_base.is_some() {
+        let (graph, layout) = (self.core.graph, self.layout());
+        let mut b = match &layout.compressed {
+            Some(offsets) => offsets[offsets.len() - 1],
+            None => graph.edge_list_bytes(layout.elem_bytes),
+        };
+        if layout.weight_base.is_some() {
             b += graph.num_edges() as u64 * 4;
         }
         b
@@ -342,6 +346,7 @@ mod tests {
                 Transport::Hybrid {
                     pipelined: true, ..
                 } => "hybrid+prefetch",
+                Transport::Compressed => "compressed",
             };
             (cfg.strategy, transport)
         }
@@ -500,6 +505,40 @@ mod tests {
         // overfetch keep amplification a little above 1 (Figure 10 shows
         // ≤ 1.31 for EMOGI).
         assert!(amp > 0.8 && amp < 1.9, "amplification {amp}");
+    }
+
+    /// A lane cannot find an element of a varint stream without
+    /// decoding the list before it: only whole warps walk one.
+    #[test]
+    #[should_panic(expected = "compressed lists are walked by whole warps")]
+    fn naive_cannot_read_compressed_lists() {
+        let g = generators::uniform_random(50, 4, 1);
+        let cfg = EngineConfig::emogi_v100()
+            .with_strategy(AccessStrategy::Naive)
+            .with_transport(Transport::Compressed);
+        let _ = Engine::load(cfg, &g);
+    }
+
+    /// A compressed placement reports the compressed stream as its
+    /// dataset, and moves fewer bytes than the raw list for the same
+    /// levels on a graph with id locality.
+    #[test]
+    fn compressed_lists_report_and_move_the_compressed_bytes() {
+        let g = generators::web_crawl(4_000, 16, 200, 0.9, 9);
+        let src = (0..4_000u32).find(|&v| g.degree(v) > 0).unwrap();
+        let mut raw = Engine::load(EngineConfig::emogi_v100(), &g);
+        let compressed = EngineConfig::emogi_v100().with_transport(Transport::Compressed);
+        let mut comp = Engine::load(compressed, &g);
+        let want = emogi_graph::compress::CompressedCsr::encode(&g).compressed_bytes();
+        assert_eq!(comp.dataset_bytes(), want);
+        let (r, c) = (raw.bfs(src), comp.bfs(src));
+        assert_eq!(c.levels, r.levels);
+        assert!(
+            c.stats.host_bytes * 2 < r.stats.host_bytes,
+            "compressed {} vs raw {} bytes",
+            c.stats.host_bytes,
+            r.stats.host_bytes
+        );
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! loading and walk plumbing) into one. The *memory shape* of a launch is
 //! algorithm-independent — per task: two 8-byte CSR offset loads (plus
 //! the 4-byte own-status load for programs that declare it), then a
-//! [`WarpWalk`] or [`LaneWalk`] over the neighbour list with a 4-byte
-//! status gather per edge (plus the 4-byte edge-data stream for programs
-//! that declare it), with conditional status stores. Only the per-edge
-//! state update is the program's.
+//! [`WarpWalk`] or [`LaneWalk`] over the neighbour list (a warp's walk
+//! over a compressed list yields the edges each step decoded) with a
+//! 4-byte status gather per edge (plus the 4-byte edge-data stream for
+//! programs that declare it), with conditional status stores. Only the
+//! per-edge state update is the program's.
 //!
 //! A launch serves one or more **member** queries of the same program
 //! type: each work item names the query slots that expand it, and the
@@ -331,11 +332,14 @@ impl<'a, P: VertexProgram + 'a> Kernel for ProgramKernel<'a, P> {
                     *walk = Some(WarpWalk::new(start, end, self.strategy, self.layout));
                     return StepOutcome::Continue;
                 };
-                let (lo, hi) = w.emit_edges(self.layout, batch);
+                let (lo, hi) = w.emit_edges(self.layout, batch, lane.range);
                 if self.edge_data {
                     WarpWalk::emit_weights(self.layout, batch, lo, hi);
                 }
-                self.visit_edges(lanes, (lo..hi).map(|i| (i, 0, 128)), batch);
+                // One gather instruction per 32 edges: a compressed step
+                // decodes up to 256.
+                let edges = (lo..hi).map(|i| (i, 0, 128 + ((i - lo) / WARP_SIZE as u64) as u8));
+                self.visit_edges(lanes, edges, batch);
                 if w.is_done() {
                     StepOutcome::Done
                 } else {

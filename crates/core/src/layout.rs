@@ -6,7 +6,8 @@
 //! UVM baseline (§5.1.2) differs only in putting the edge list (and the
 //! weight list, for SSSP) into the managed space. That one decision —
 //! where the edge list lives and how it reaches the GPU — is a
-//! [`Transport`].
+//! [`Transport`]; §6's proposal, the edge list compressed in pinned host
+//! memory, is one more.
 //!
 //! # Memory hierarchy
 //!
@@ -19,7 +20,7 @@
 //! list's cold tail — the host-resident prefix aligned down to
 //! [`SPILL_ALIGN`] — into the external tier. Only the edge tail spills
 //! (SSSP's weights are placed on first use, in host DRAM, with no
-//! capacity check — a recorded defect, ROADMAP item 2(b)); spilling
+//! capacity check — a recorded defect, ROADMAP item 5.2); spilling
 //! without a CXL tier is a placement error, not a silent truncation. Both
 //! knobs default off: an unconfigured machine is the two-tier machine,
 //! bit for bit.
@@ -59,6 +60,7 @@
 //! The `tiering` experiment runs the bigger-than-host-DRAM regime on GK.
 
 use emogi_gpu::access::Space;
+use emogi_graph::compress::CompressedCsr;
 use emogi_graph::CsrGraph;
 use emogi_runtime::alloc::device_charge;
 use emogi_runtime::machine::law;
@@ -103,6 +105,13 @@ pub enum Transport {
         /// `RunStats::prefetch` counters) change.
         pipelined: bool,
     },
+    /// The §6 extension: the edge list delta-varint-compressed
+    /// (`emogi_graph::compress`) once, at placement, into pinned host
+    /// memory, read zero-copy in 8-byte words and decoded on the warp's
+    /// lanes, which idle on link latency anyway
+    /// ([`WarpWalk`](crate::walk::WarpWalk)). Only whole warps walk
+    /// compressed lists: the driver refuses it under Naive.
+    Compressed,
 }
 
 /// A graph placed on one device: the simulated addresses of every array
@@ -121,7 +130,8 @@ pub struct GraphLayout {
     /// memory, 4-byte entries.
     pub status_base: u64,
     /// Simulated size of one edge element (8 by default; 4 in the §5.6
-    /// Subway comparison).
+    /// Subway comparison); under [`Transport::Compressed`], of one word
+    /// of the compressed stream (8).
     pub elem_bytes: u64,
     /// Space the edge and weight arrays live in.
     pub edge_space: Space,
@@ -138,6 +148,10 @@ pub struct GraphLayout {
     /// Pipelined hybrid only: the speculative prefetcher feeding the
     /// manager's asynchronous copy lane.
     pub(crate) prefetcher: Option<Prefetcher>,
+    /// Present exactly under [`Transport::Compressed`]: the byte offset
+    /// of every element's varint in the compressed stream, then the
+    /// stream's length (`|E| + 1` entries).
+    pub(crate) compressed: Option<Vec<u64>>,
     /// Batched multi-query status: one vertex-major block and its
     /// capacity in query slots, allocated on first use and reused by
     /// every batch it holds.
@@ -183,14 +197,14 @@ impl StatusPlace {
 
 impl GraphLayout {
     /// Allocate the arrays for `graph` on `machine` per the placement
-    /// discipline above. A pinned-host edge list that exceeds a bounded
-    /// host DRAM spills its tail into the CXL tier. Under
-    /// [`Transport::Hybrid`] the host/CXL split becomes the transfer
-    /// manager's tier homes, so a spilled tail is promoted over the CXL
-    /// link rather than the PCIe lane; the copy lane takes the machine's
-    /// PCIe overhead, bandwidth and framing, so its hidden-latency
-    /// estimates follow the synchronous DMA path without its propagation
-    /// term.
+    /// discipline above. A pinned-host edge list — raw or compressed —
+    /// that exceeds a bounded host DRAM spills its tail into the CXL
+    /// tier. Under [`Transport::Hybrid`] the host/CXL split becomes the
+    /// transfer manager's tier homes, so a spilled tail is promoted over
+    /// the CXL link rather than the PCIe lane; the copy lane takes the
+    /// machine's PCIe overhead, bandwidth and framing, so its
+    /// hidden-latency estimates follow the synchronous DMA path without
+    /// its propagation term.
     pub fn place(
         machine: &mut Machine,
         graph: &CsrGraph,
@@ -201,9 +215,14 @@ impl GraphLayout {
             elem_bytes == 4 || elem_bytes == 8,
             "CSR elements are 4 or 8 bytes"
         );
-        let edge_bytes = graph.num_edges() as u64 * elem_bytes;
+        let compressed = matches!(transport, Transport::Compressed)
+            .then(|| CompressedCsr::encode(graph).element_offsets());
+        let (elem_bytes, edge_bytes) = match &compressed {
+            Some(offsets) => (8, offsets[offsets.len() - 1]),
+            None => (elem_bytes, graph.num_edges() as u64 * elem_bytes),
+        };
         let (edge_space, edge_base, host_edge_bytes, cxl_edge_base) = match transport {
-            Transport::ZeroCopy | Transport::Hybrid { .. } => {
+            Transport::ZeroCopy | Transport::Hybrid { .. } | Transport::Compressed => {
                 let avail = machine.host_free();
                 let host_part = if avail >= edge_bytes {
                     edge_bytes
@@ -238,7 +257,7 @@ impl GraphLayout {
                 let pf = pipelined.then(|| Prefetcher::new(tm.num_regions(), PrefetchConfig, copy));
                 (Some(tm), pf)
             }
-            Transport::ZeroCopy | Transport::Uvm => (None, None),
+            Transport::ZeroCopy | Transport::Uvm | Transport::Compressed => (None, None),
         };
         GraphLayout {
             edge_base,
@@ -251,6 +270,7 @@ impl GraphLayout {
             cxl_edge_base,
             transfer,
             prefetcher,
+            compressed,
             batch_block: None,
             visit_mask: None,
         }
@@ -448,6 +468,13 @@ impl GraphLayout {
         if let Some(dev) = self.transfer.as_ref().and_then(|tm| tm.translate(off)) {
             return dev;
         }
+        self.byte_addr(off)
+    }
+
+    /// Address of byte `off` of the edge list as placed: offsets past the
+    /// host-resident prefix resolve into the CXL spill tail.
+    #[inline]
+    fn byte_addr(&self, off: u64) -> u64 {
         match self.cxl_edge_base {
             Some(cxl) if off >= self.host_edge_bytes => cxl + (off - self.host_edge_bytes),
             _ => self.edge_base + off,

@@ -53,10 +53,11 @@
 //!   server, the experiment harness and the test suites all go through
 //!   it instead of re-deciding "which of the four".
 //!
-//! [`compressed`] adds the paper's §6 extension: traversal over
-//! delta-varint-compressed neighbour lists, trading idle-lane compute for
-//! interconnect bytes. [`toy`] reproduces the §3.3 microbenchmark behind
-//! Figures 3 and 4.
+//! The paper's §6 extension, traversal over delta-varint-compressed
+//! neighbour lists that trades idle-lane compute for interconnect bytes,
+//! is a transport ([`Transport::Compressed`]): the one driver runs all
+//! four programs over it, solo, batched and sharded, and [`walk`] decodes
+//! it. [`toy`] reproduces the §3.3 microbenchmark behind Figures 3 and 4.
 //!
 //! # Example
 //!
@@ -81,7 +82,6 @@
 pub mod batch;
 pub mod bfs;
 pub mod cc;
-pub mod compressed;
 mod driver;
 pub mod engine;
 pub mod kernel;

@@ -3,15 +3,24 @@
 //! [`WarpWalk`] is the merged (warp-per-vertex) iterator of Listing 2:
 //! the warp sweeps the list 32 elements at a time, optionally starting
 //! from the 128-byte-aligned index below the list head with the
-//! underflowing lanes masked off. [`LaneWalk`] is the naive
-//! (thread-per-vertex) iterator of Listing 1: each lane advances its own
-//! list one element at a time.
+//! underflowing lanes masked off. Over a compressed edge list (§6,
+//! [`Transport::Compressed`](crate::layout::Transport::Compressed)) it
+//! sweeps the list's varint bytes 32 eight-byte words at a time instead,
+//! and each step yields the elements whose varints it completed.
+//! [`LaneWalk`] is the naive (thread-per-vertex) iterator of Listing 1:
+//! each lane advances its own list one element at a time.
 
 use crate::layout::GraphLayout;
 use crate::strategy::AccessStrategy;
-use emogi_gpu::access::{AccessBatch, WARP_SIZE};
+use emogi_gpu::access::{AccessBatch, LaneAccess, WARP_SIZE};
 
-/// Merged/aligned warp sweep over one `[start, end)` element range.
+/// Decode cost per compressed edge, ns: a few shifts and adds per varint
+/// byte, far below the ~100 ns per edge the interconnect costs at 32 B
+/// per three-odd edges.
+pub const DECODE_NS_PER_EDGE: u32 = 2;
+
+/// Merged/aligned warp sweep over one `[start, end)` element range, or
+/// over the words of the compressed stream holding it.
 #[derive(Debug, Clone, Copy)]
 pub struct WarpWalk {
     cursor: u64,
@@ -20,9 +29,20 @@ pub struct WarpWalk {
 }
 
 impl WarpWalk {
-    /// A warp sweep over elements `[start, end)` under `strategy`.
+    /// A warp sweep over elements `[start, end)` under `strategy`. Over a
+    /// compressed layout it sweeps the 8-byte words from the one holding
+    /// element `start`'s first byte to the one holding element `end - 1`'s
+    /// last, so the aligned strategies start at the 128-byte boundary
+    /// below the list and Merged at its first word.
     pub fn new(start: u64, end: u64, strategy: AccessStrategy, layout: &GraphLayout) -> Self {
         debug_assert!(strategy.warp_per_vertex());
+        let (start, end) = match &layout.compressed {
+            Some(offsets) => (
+                offsets[start as usize] / 8,
+                offsets[end as usize].div_ceil(8),
+            ),
+            None => (start, end),
+        };
         Self {
             cursor: strategy.start_cursor(start, layout.elems_per_line()),
             start_org: start,
@@ -41,7 +61,18 @@ impl WarpWalk {
     /// boundary ends a span exactly where it separates two lanes.
     /// Returns the `[lo, hi)` range of *real* elements covered (the
     /// aligned prefix below `start_org` is fetched but carries no edges).
-    pub fn emit_edges(&mut self, layout: &GraphLayout, batch: &mut AccessBatch) -> (u64, u64) {
+    ///
+    /// Over a compressed layout the lanes load words, and the range
+    /// returned is the elements of `range` (the walk's element range)
+    /// whose varints end in this step's words: the edges it decoded,
+    /// each charged [`DECODE_NS_PER_EDGE`]. Successive steps' ranges
+    /// tile `range`, up to 256 elements a step.
+    pub fn emit_edges(
+        &mut self,
+        layout: &GraphLayout,
+        batch: &mut AccessBatch,
+        (start, end): (u64, u64),
+    ) -> (u64, u64) {
         debug_assert!(!self.is_done());
         let chunk_end = (self.cursor + WARP_SIZE as u64).min(self.end);
         let lo = self.cursor.max(self.start_org);
@@ -59,20 +90,30 @@ impl WarpWalk {
         }
         batch.load_span(first, elem as u8, lanes, layout.edge_addr_space(first));
         self.cursor = chunk_end;
-        (lo, chunk_end)
+        let Some(offsets) = &layout.compressed else {
+            return (lo, chunk_end);
+        };
+        let ends = &offsets[start as usize + 1..=end as usize];
+        let decoded = |word: u64| start + ends.partition_point(|&e| e <= word * 8) as u64;
+        let (lo, hi) = (decoded(lo), decoded(chunk_end));
+        batch.compute_ns += DECODE_NS_PER_EDGE * (hi - lo) as u32;
+        (lo, hi)
     }
 
     /// Emit weight loads for the same element range (SSSP reads the
-    /// 4-byte weight array in lock-step with the edge array): one span,
-    /// the weight array is never staged or spilled.
+    /// 4-byte weight array in lock-step with the edge array): one span
+    /// per 32 elements, span `k` its own instruction `k`; the weight
+    /// array is never staged, spilled or compressed.
     pub fn emit_weights(layout: &GraphLayout, batch: &mut AccessBatch, lo: u64, hi: u64) {
-        debug_assert!(lo < hi && hi - lo <= WARP_SIZE as u64);
-        batch.load_span(
-            layout.weight_addr(lo),
-            4,
-            (hi - lo) as u8,
-            layout.edge_space,
-        );
+        for (k, at) in (0..).zip((lo..hi).step_by(WARP_SIZE)) {
+            let lanes = (hi - at).min(WARP_SIZE as u64) as u8;
+            let load = LaneAccess::load(layout.weight_addr(at), 4, layout.edge_space);
+            let span = LaneAccess {
+                count: lanes,
+                ..load
+            };
+            batch.push(span.with_instr(k));
+        }
     }
 }
 
@@ -173,6 +214,7 @@ mod tests {
             cxl_edge_base: None,
             transfer: None,
             prefetcher: None,
+            compressed: None,
             batch_block: None,
             visit_mask: None,
         }
@@ -184,7 +226,7 @@ mod tests {
         // List spans elements [19, 40): aligned start is 16.
         let mut w = WarpWalk::new(19, 40, AccessStrategy::MergedAligned, &l);
         let mut b = AccessBatch::new();
-        let (lo, hi) = w.emit_edges(&l, &mut b);
+        let (lo, hi) = w.emit_edges(&l, &mut b, (19, 40));
         // The first chunk is the aligned 16..48 window clipped to the list.
         assert_eq!((lo, hi), (19, 40));
         // One span: lanes 16..19 masked, 40..48 beyond end. Its first
@@ -202,12 +244,12 @@ mod tests {
         let l = layout();
         let mut w = WarpWalk::new(19, 100, AccessStrategy::Merged, &l);
         let mut b = AccessBatch::new();
-        let (lo, hi) = w.emit_edges(&l, &mut b);
+        let (lo, hi) = w.emit_edges(&l, &mut b, (19, 100));
         assert_eq!((lo, hi), (19, 51));
         assert_eq!((b.len(), b.items()[0].count), (1, 32));
         assert!(!w.is_done());
         b.clear();
-        let (lo2, _) = w.emit_edges(&l, &mut b);
+        let (lo2, _) = w.emit_edges(&l, &mut b, (19, 100));
         assert_eq!(lo2, 51);
     }
 
@@ -224,7 +266,7 @@ mod tests {
         };
         let mut w = WarpWalk::new(19, 100, AccessStrategy::Merged, &l);
         let mut b = AccessBatch::new();
-        let (lo, hi) = w.emit_edges(&l, &mut b);
+        let (lo, hi) = w.emit_edges(&l, &mut b, (19, 100));
         assert_eq!((lo, hi), (19, 51));
         let spans: Vec<_> = b
             .items()
@@ -257,13 +299,100 @@ mod tests {
                 let mut b = AccessBatch::new();
                 while !w.is_done() {
                     b.clear();
-                    let (lo, hi) = w.emit_edges(&l, &mut b);
+                    let (lo, hi) = w.emit_edges(&l, &mut b, (s, e));
                     seen.extend(lo..hi.min(e));
                 }
                 let want: Vec<u64> = (s..e).collect();
                 assert_eq!(seen, want, "strategy {strategy:?} range {s}..{e}");
             }
         }
+    }
+
+    /// The word loads of the compressed BFS kernel this walk replaced:
+    /// the byte cursor starts at the list's 128-byte line (at its word
+    /// under plain Merged), and each step loads the 8-byte words of the
+    /// next 256 bytes from the list's first word to its last byte.
+    fn replaced_kernel_words(l: &GraphLayout, (start, end): (u64, u64), aligned: bool) -> Vec<u64> {
+        let mut cursor = if aligned { start & !127 } else { start & !7 };
+        let mut words = Vec::new();
+        while cursor < end {
+            let chunk_end = (cursor + 256).min(end);
+            let lo = cursor.max(start & !7);
+            words.extend((lo..chunk_end).step_by(8).map(|b| l.edge_base + b));
+            cursor = chunk_end;
+        }
+        words
+    }
+
+    /// On a whole list and on a hub piece, under both strategies: the
+    /// compressed walk loads exactly the replaced kernel's words, 32 a
+    /// step, and the elements its steps decode tile the range in order,
+    /// each step charged for the edges it decoded.
+    #[test]
+    fn compressed_walk_loads_the_replaced_kernels_words_and_tiles_its_range() {
+        use crate::layout::Transport;
+        use emogi_graph::generators;
+        use emogi_runtime::{Machine, MachineConfig};
+        let g = generators::kronecker(12, 16, 3);
+        let mut m = Machine::new(MachineConfig::v100_gen3());
+        let l = GraphLayout::place(&mut m, &g, 8, &Transport::Compressed);
+        let offsets = l.compressed.as_ref().expect("a compressed layout");
+        let hub = (0..g.num_vertices() as u32)
+            .max_by_key(|&v| g.degree(v))
+            .unwrap();
+        let (s, e) = (g.neighbor_start(hub), g.neighbor_end(hub));
+        assert!(
+            offsets[e as usize] - offsets[s as usize] > 3 * 256,
+            "a multi-step list"
+        );
+        let piece = (s + 48, e - 80);
+        for strategy in [AccessStrategy::Merged, AccessStrategy::MergedAligned] {
+            for (lo, hi) in [(s, e), piece] {
+                let mut w = WarpWalk::new(lo, hi, strategy, &l);
+                let (mut words, mut decoded, mut b) = (Vec::new(), Vec::new(), AccessBatch::new());
+                while !w.is_done() {
+                    b.clear();
+                    let (a, z) = w.emit_edges(&l, &mut b, (lo, hi));
+                    let lanes = b
+                        .items()
+                        .iter()
+                        .flat_map(|x| (0..x.count).map(move |k| x.addr + 8 * u64::from(k)));
+                    let step: Vec<u64> = lanes.collect();
+                    assert!(step.len() <= WARP_SIZE, "{strategy:?}: one word per lane");
+                    words.extend(step);
+                    assert_eq!(b.compute_ns, DECODE_NS_PER_EDGE * (z - a) as u32);
+                    decoded.push((a, z));
+                }
+                let bytes = (offsets[lo as usize], offsets[hi as usize]);
+                let aligned = strategy == AccessStrategy::MergedAligned;
+                assert_eq!(
+                    words,
+                    replaced_kernel_words(&l, bytes, aligned),
+                    "{strategy:?} {lo}..{hi}"
+                );
+                let flat: Vec<u64> = decoded.iter().flat_map(|&(a, z)| a..z).collect();
+                assert_eq!(flat, Vec::from_iter(lo..hi), "{strategy:?} {lo}..{hi}");
+            }
+        }
+    }
+
+    /// A decoded step's weights: spans of at most 32, one instruction
+    /// each, covering the step's elements once.
+    #[test]
+    fn weights_of_a_long_step_come_in_spans_of_32() {
+        let l = layout();
+        let mut b = AccessBatch::new();
+        WarpWalk::emit_weights(&l, &mut b, 5, 80);
+        let spans: Vec<_> = b
+            .items()
+            .iter()
+            .map(|a| (a.addr, a.count, a.instr))
+            .collect();
+        let at = |i| l.weight_addr(i);
+        assert_eq!(
+            spans,
+            vec![(at(5), 32, 0), (at(37), 32, 1), (at(69), 11, 2)]
+        );
     }
 
     #[test]

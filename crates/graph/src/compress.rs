@@ -100,6 +100,14 @@ impl CompressedCsr {
         )
     }
 
+    /// Byte offset of every element's varint in the stream, in CSR
+    /// element order, then the stream's length (`|E| + 1` entries): a
+    /// varint ends at its first byte without the continuation bit.
+    pub fn element_offsets(&self) -> Vec<u64> {
+        let ends = (1..).zip(&self.bytes).filter(|&(_, b)| b & 0x80 == 0);
+        std::iter::once(0).chain(ends.map(|(end, _)| end)).collect()
+    }
+
     /// Decode `v`'s neighbour list into `out` (cleared first).
     pub fn decode_into(&self, v: VertexId, out: &mut Vec<VertexId>) {
         out.clear();
@@ -168,6 +176,35 @@ mod tests {
             assert_eq!(back.num_edges(), g.num_edges(), "{name}");
             for v in 0..g.num_vertices() as u32 {
                 assert_eq!(back.neighbors(v), g.neighbors(v), "{name} vertex {v}");
+            }
+        }
+    }
+
+    /// Element offsets follow CSR element order: a vertex's first element
+    /// starts at its list's byte offset, and each element's varint alone
+    /// decodes to its gap.
+    #[test]
+    fn element_offsets_bound_each_varint() {
+        let g = generators::kronecker(9, 8, 5);
+        let c = CompressedCsr::encode(&g);
+        let offsets = c.element_offsets();
+        assert_eq!(offsets.len(), g.num_edges() + 1);
+        assert_eq!(offsets[g.num_edges()], c.compressed_bytes());
+        for v in 0..g.num_vertices() as u32 {
+            let (start, end) = (g.neighbor_start(v) as usize, g.neighbor_end(v) as usize);
+            assert_eq!(
+                (offsets[start], offsets[end]),
+                c.byte_range(v),
+                "vertex {v}"
+            );
+            for i in start..end {
+                let mut pos = offsets[i] as usize;
+                let gap = read_varint(&c.bytes, &mut pos);
+                let want = match i - start {
+                    0 => u64::from(g.edge_dst(i as u64)),
+                    _ => u64::from(g.edge_dst(i as u64) - g.edge_dst(i as u64 - 1)),
+                };
+                assert_eq!((gap, pos as u64), (want, offsets[i + 1]), "element {i}");
             }
         }
     }

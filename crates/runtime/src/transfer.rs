@@ -19,9 +19,9 @@
 //! remaining regions (and keeps feeding the policy, so accounting stays
 //! truthful). Nothing is ever un-staged: BFS re-touches a region with a
 //! period longer than any staleness bound that would demote anything, so
-//! a demotion only re-pays its copy (measured; ROADMAP item 4(b)), and
-//! bounded device memory plus fallback keeps the model honest without an
-//! eviction clock.
+//! a demotion only re-pays its copy (measured; ROADMAP parks cold
+//! demotion), and bounded device memory plus fallback keeps the model
+//! honest without an eviction clock.
 //!
 //! The **pipelined path**
 //! ([`plan_iteration_pipelined`](TransferManager::plan_iteration_pipelined),

@@ -25,8 +25,7 @@
 //! iteration (N devices, whose `GraphLayout::counters` adds the transfer
 //! manager's and prefetcher's lifetime counters, which live outside the
 //! machine), and `Machine::measure(|m| ..)`, the bracket every run loop
-//! outside the driver goes through (the toy kernels, `compressed.rs`,
-//! Subway).
+//! outside the driver goes through (the toy kernels and Subway).
 //!
 //! # Adding a counter
 //!

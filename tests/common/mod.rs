@@ -86,7 +86,9 @@
 
 use emogi_repro::core::spec::{self, ProgramKind, ProgramRun, ProgramSpec};
 use emogi_repro::core::sssp::INF;
-use emogi_repro::core::{AccessStrategy, Engine, EngineConfig, ShardedConfig, ShardedEngine};
+use emogi_repro::core::{
+    AccessStrategy, Engine, EngineConfig, ShardedConfig, ShardedEngine, Transport,
+};
 use emogi_repro::graph::{algo, CsrGraph, EdgeListBuilder, LayoutPlan};
 use emogi_repro::runtime::{Machine, RunStats};
 use emogi_repro::sim::interconnect::LinkStats;
@@ -159,15 +161,17 @@ pub fn random_permutation(n: usize, seed: u64) -> Vec<u32> {
 
 /// The one named configuration list: the paper's three zero-copy
 /// strategies, zero-copy on the split-hub kernel the extension presets
-/// run, synchronous and pipelined hybrid, and the UVM baseline (last).
-/// Every suite draws from it (`sim_golden` shrinks the cache and the
-/// transfer regions of the same seven).
+/// run, synchronous and pipelined hybrid, §6's compressed lists, and the
+/// UVM baseline (last). Every suite draws from it (`sim_golden` shrinks
+/// the cache and the transfer regions of the same eight).
 pub fn configs() -> Vec<(&'static str, EngineConfig)> {
     let zero_copy = |s: AccessStrategy| (s.name(), EngineConfig::emogi_v100().with_strategy(s));
     let mut all: Vec<_> = AccessStrategy::all().into_iter().map(zero_copy).collect();
     all.push(zero_copy(AccessStrategy::MergedAlignedSplit));
     all.push(("Hybrid", EngineConfig::hybrid_v100()));
     all.push(("Hybrid pipelined", EngineConfig::pipelined_v100()));
+    let compressed = EngineConfig::emogi_v100().with_transport(Transport::Compressed);
+    all.push(("Compressed", compressed));
     all.push(("UVM", EngineConfig::uvm_v100()));
     all
 }

@@ -27,6 +27,17 @@
 //!   `expand`, its SSSP reading `weights[k]` for `weights[start + k]`,
 //!   and its CC never setting `changed`, each fail
 //!   `subway_agrees_with_reference`.
+//! - The compressed walk dropping each step's last decoded element
+//!   (`WarpWalk::emit_edges` returning `hi - 1` whenever `hi > lo`) fails
+//!   `bfs_matches_reference_for_every_engine_and_graph_family`,
+//!   `sssp_matches_dijkstra_for_every_engine`,
+//!   `one_placement_serves_all_four_programs` and
+//!   `all_machines_run_all_engines` on the `Compressed` configuration, at
+//!   the default seed and at `EMOGI_PROPTEST_SEED=20260729` (as do
+//!   `proptests`' `every_program_strategy_placement_matches_the_cpu_references`
+//!   and `sharded_differential`'s
+//!   `planted_hubs_are_bit_identical_across_device_counts`). It stands for
+//!   the deleted compressed-BFS engine's own reference test.
 
 mod common;
 

@@ -91,7 +91,7 @@ const SUBWAY_ROUNDS: Option<&str> = Some("Subway's per-round build + copy domina
 const TIER_TIE: Option<&str> =
     Some("split hubs hide host-spill's CXL latency: promotion ties (0.97 at 1/32, 1.01 at 1/4)");
 const L2_PAIR: Option<&str> =
-    Some("an SSSP pair near a full L2 takes 1.9x solo, status layout or not (ROADMAP 1a)");
+    Some("an SSSP pair near a full L2 takes 1.9x solo, status layout or not (ROADMAP 11)");
 
 /// Check one claim row: `measured / paper` (or `measured`, without a
 /// paper number) must lie inside the open interval `band` — unbounded
@@ -382,7 +382,7 @@ fn serve_experiment_batches_better_than_it_serializes() {
             claim(&format!("{id} qps, bat/seq"), qps, None, WIN, None);
         }
     }
-    // The batch-width sweep (ROADMAP item 8): where the edge list is
+    // The batch-width sweep (ROADMAP item 11): where the edge list is
     // several times the L2, every wider batch is faster; where edges and
     // weights nearly fill it, an SSSP pair is slower than solo.
     let s = serve::sweep(&ctx());

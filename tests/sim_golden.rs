@@ -12,7 +12,8 @@
 //!
 //! Matrix, per graph (one small Kronecker, one uniform):
 //! {Naive, Merged, Merged+Aligned, Merged+Aligned split, Hybrid, Hybrid
-//! pipelined, UVM placement} (one table row each) × the seven [`SHAPES`]
+//! pipelined, Compressed, UVM placement} (one table row each) × the
+//! seven [`SHAPES`]
 //! (one column each): all four programs solo, BFS and SSSP through
 //! `run_batch` at 1, 3 and 8 queries, all four programs sharded at 1, 2
 //! and 4 devices. One row per configuration that differs: a
@@ -35,12 +36,20 @@
 //! Every device launching on the master state again fails all three
 //! tables on exactly those 42 cells.
 //!
+//! **Compressed lists.** §6's compressed edge lists are a transport, so
+//! they are the `Compressed` row of every table: all four programs, solo,
+//! batched and sharded, through the one driver. The row was pinned when
+//! the separate compressed-BFS loop was deleted, a declared model change:
+//! that loop sent every status gather to one address and never stored,
+//! where the driver's kernel gathers, stores and activates per edge as
+//! on raw lists and charges decoding per decoded edge.
+//!
 //! **Side systems.** The run loops that bypass the engine's driver — the
-//! §3.3 toy kernels with their UVM and `cudaMemcpy` references, the §6
-//! compressed BFS, the Subway baseline's async pipeline — and HALO (the
-//! UVM `Engine` over `LayoutPlan::bfs_ranked`) are pinned the same way in
-//! [`TOY`] and the two `*_SIDE` tables, generated at the commit before
-//! those loops were routed through one measurement bracket.
+//! §3.3 toy kernels with their UVM and `cudaMemcpy` references and the
+//! Subway baseline's async pipeline — and HALO (the UVM `Engine` over
+//! `LayoutPlan::bfs_ranked`) are pinned the same way in [`TOY`] and the
+//! two `*_SIDE` tables, generated at the commit before those loops were
+//! routed through one measurement bracket.
 //!
 //! Seeded mutations this file is known to catch:
 //!
@@ -95,10 +104,8 @@
 mod common;
 
 use emogi_bench::subway::SubwaySystem;
-use emogi_repro::core::compressed::CompressedBfs;
 use emogi_repro::core::sharded::{ShardedConfig, ShardedEngine};
 use emogi_repro::core::toy::{self, ToyPattern, ToyRun};
-use emogi_repro::graph::compress::CompressedCsr;
 use emogi_repro::graph::datasets::generate_weights;
 use emogi_repro::prelude::*;
 use emogi_repro::sim::interconnect::LinkStats;
@@ -161,6 +168,12 @@ const KRONECKER: &[Row] = &[
         0xd65d9ea2df0d2997, 0x691fb2ad4906efab,
         0x7cf3b5b30eafc9ea,
     ]),
+    ("Compressed", [
+        0x7b58585c5527dc18, 0xce0f66a68fb090cb,
+        0x45201df0f04b3ec9, 0x8501aecfe5f1a86f,
+        0xb583c40030ee722b, 0xc107d32b555fc25e,
+        0x1e651bc986937aa0,
+    ]),
     ("UVM", [
         0xa23aa10a686b19e2, 0x74a99206dd3fe60b,
         0x8fa4c32d6720f88b, 0x67d90707befa18bd,
@@ -208,6 +221,12 @@ const UNIFORM: &[Row] = &[
         0x757a30ddb3e6024e, 0x357bf0e3d41e3396,
         0x63fc7abf7a17b39d,
     ]),
+    ("Compressed", [
+        0xfd716107c86e6f6a, 0xf94ae6e4a75f669a,
+        0x4d6ace031d5e205d, 0xefd4fc7a7662961f,
+        0xf65c17e224af824a, 0xade1faad60992efc,
+        0xb1ad67858212c86b,
+    ]),
     ("UVM", [
         0x819158989e1a21cd, 0xfaf08817077825c6,
         0x56017f86120aaef6, 0x314afa80286e46ee,
@@ -239,6 +258,9 @@ const REVERSED: &[ReversedRow] = &[
     ("Hybrid pipelined", [
         0x046fbd0e6a851869, 0xf6d8ed4859b02d9f,
     ]),
+    ("Compressed", [
+        0x7bdf11fe74c69488, 0xa4d6a39ab7482c42,
+    ]),
     ("UVM", [
         0x42b3eeb7160b0012, 0x7eec061196d3a20a,
     ]),
@@ -262,7 +284,6 @@ const TOY: &[SideRow] = &[
 /// commit.
 #[rustfmt::skip]
 const KRONECKER_SIDE: &[SideRow] = &[
-    ("compressed-bfs", 0x619f340f1cc782b1),
     ("subway-async-bfs", 0xf4fe5fe1315f92c3),
     ("subway-async-sssp", 0x4bd14acc431e29e5),
     ("subway-async-cc", 0xb6b3a64be2051849),
@@ -273,7 +294,6 @@ const KRONECKER_SIDE: &[SideRow] = &[
 /// parent commit.
 #[rustfmt::skip]
 const UNIFORM_SIDE: &[SideRow] = &[
-    ("compressed-bfs", 0x94a529b9f50d1840),
     ("subway-async-bfs", 0x117604076b4b5a7b),
     ("subway-async-sssp", 0xf13f91cf73856c9d),
     ("subway-async-cc", 0x1873b677b6960145),
@@ -440,7 +460,7 @@ impl Fnv {
     }
 }
 
-/// The seven named configurations (one table row each), on a machine whose cache
+/// The eight named configurations (one table row each), on a machine whose cache
 /// (16 KiB) and transfer regions (4 KiB) are shrunk below the test
 /// graphs' edge lists so that misses, staging and prefetching all fire.
 fn configs() -> Vec<(&'static str, EngineConfig)> {
@@ -635,16 +655,6 @@ fn toy_cells() -> Vec<SideRow> {
 fn side_cells(g: &CsrGraph) -> Vec<SideRow> {
     let w = generate_weights(g.num_edges(), 11);
     let mut out: Vec<SideRow> = Vec::new();
-
-    let compressed = CompressedCsr::encode(g);
-    let mut sys = CompressedBfs::new(side_machine(), &compressed);
-    let mut h = Fnv::new();
-    for src in [3, 17] {
-        let (levels, stats) = sys.bfs(src);
-        h.words(levels.iter().map(|&l| u64::from(l)));
-        h.stats(&stats);
-    }
-    out.push(("compressed-bfs", h.0));
 
     let mut sys = SubwaySystem::new(side_machine(), g, Some(&w));
     let [mut bfs, mut sssp, mut cc] = [Fnv::new(), Fnv::new(), Fnv::new()];
