@@ -25,7 +25,6 @@
 
 use super::scaled_machine;
 use crate::cell::{self, Series};
-use crate::subway::SubwaySystem;
 use crate::table::{f, ms};
 use crate::{Context, Results, Table};
 use emogi_core::{AccessStrategy, Engine, EngineConfig};
@@ -77,20 +76,12 @@ pub fn measure(ctx: &Context) -> Results<(&'static str, &'static str), Measureme
                 scaled(ctx, EngineConfig::emogi_v100().with_strategy(split)),
             ),
             ("UVM", scaled(ctx, EngineConfig::uvm_v100())),
+            ("Subway-async", scaled(ctx, EngineConfig::subway_v100())),
         ] {
             let mut e = Engine::load(cfg, &d.graph);
             let stats = cell::run(&mut e, series, &d, None).stats;
             rows.push(((scenario, engine), Measurement { graph, stats }));
         }
-        // Subway is its own system, not an `Engine` (ML, the CC graph,
-        // is undirected — `SubwaySystem::cc` asserts that itself).
-        let mut sub = SubwaySystem::new(scaled_machine(ctx.scale), &d.graph, None);
-        let mut stats = RunStats::default();
-        match series {
-            Series::Cc => stats += sub.cc().stats,
-            _ => sources.iter().for_each(|&s| stats += sub.bfs(s).stats),
-        }
-        rows.push(((scenario, "Subway-async"), Measurement { graph, stats }));
     }
     Results { rows }
 }

@@ -2,11 +2,9 @@
 //! elements), row-for-row with the paper.
 
 use super::apps::run_app;
-use crate::subway::SubwaySystem;
 use crate::table::{f, ms};
 use crate::{paper, Context, Table};
 use emogi_core::EngineConfig;
-use emogi_core::ProgramKind::{Bfs, Cc, Sssp};
 use emogi_graph::reorder::LayoutPlan;
 use emogi_runtime::MachineConfig;
 
@@ -30,39 +28,23 @@ pub fn table3(ctx: &Context) -> Table {
         let (app_name, sym) = (app.name(), key.spec().symbol);
         let d = ctx.store.get(key);
         eprintln!("  [table3] {work} {app_name} {sym} ...");
-        let (their_ns, emogi_ns) = if work == "HALO" {
-            // HALO rows run on the Titan Xp with 8-byte elements; both
-            // sides re-measured on that GPU (§5.6). HALO is UVM over the
-            // BFS-ranked relabeling; the relabeling is preprocessing and
-            // is not charged. Both sides place their graph once and reuse
-            // the placement for every source.
+        // HALO rows run on the Titan Xp with 8-byte elements, both sides
+        // re-measured on that GPU (§5.6); HALO is UVM over the BFS-ranked
+        // relabeling, which is preprocessing and is not charged. Subway
+        // rows run on the V100 with 4-byte elements on both sides, the
+        // transport alone differing. Both sides place their graph once
+        // and reuse the placement for every source.
+        let (theirs, plan, emogi) = if work == "HALO" {
             let titan = MachineConfig::titan_xp_gen3();
-            let uvm = EngineConfig::uvm_v100().with_machine(titan.clone());
-            let plan = LayoutPlan::bfs_ranked(&d.graph);
-            let ht = run_app(uvm, &d, app, ctx.sources, Some(&plan));
-            let cfg = EngineConfig::emogi_v100().with_machine(titan);
-            (ht, run_app(cfg, &d, app, ctx.sources, None))
+            let emogi = EngineConfig::emogi_v100().with_machine(titan.clone());
+            let uvm = EngineConfig::uvm_v100().with_machine(titan);
+            (uvm, Some(LayoutPlan::bfs_ranked(&d.graph)), emogi)
         } else {
-            // Subway rows: V100 with 4-byte elements on both sides.
-            let weights = (app == Sssp).then_some(d.weights.as_slice());
-            let mut sub = SubwaySystem::new(MachineConfig::v100_gen3(), &d.graph, weights);
-            let st = match app {
-                Cc => sub.cc().stats.elapsed_ns as f64,
-                _ => {
-                    let sources = d.sources(ctx.sources);
-                    let total: u64 = sources
-                        .iter()
-                        .map(|&s| match app {
-                            Bfs => sub.bfs(s).stats.elapsed_ns,
-                            _ => sub.sssp(s).stats.elapsed_ns,
-                        })
-                        .sum();
-                    total as f64 / sources.len() as f64
-                }
-            };
-            let cfg = EngineConfig::emogi_v100().with_elem_bytes(4);
-            (st, run_app(cfg, &d, app, ctx.sources, None))
+            let emogi = EngineConfig::emogi_v100().with_elem_bytes(4);
+            (EngineConfig::subway_v100(), None, emogi)
         };
+        let their_ns = run_app(theirs, &d, app, ctx.sources, plan.as_ref());
+        let emogi_ns = run_app(emogi, &d, app, ctx.sources, None);
         t.row(vec![
             work.into(),
             app_name.into(),

@@ -20,11 +20,10 @@
 //! (what every `measure(&Context)` returns and every `table(&results)`
 //! renders) and [`experiments::REGISTRY`] (the one list of ids).
 //!
-//! Table 3's baselines are configurations or live beside the table
-//! that runs them: HALO is the UVM engine over
-//! `LayoutPlan::bfs_ranked`, run through [`cell::run`]; [`subway`] is
-//! the Subway-style subgraph-transfer system, run by `table3` and the
-//! `hybrid` experiment.
+//! Table 3's baselines are configurations, run through [`cell::run`]:
+//! HALO is the UVM engine over `LayoutPlan::bfs_ranked`, and Subway is
+//! `EngineConfig::subway_v100()`, the compacted-subgraph transport that
+//! `table3` and the `hybrid` experiment run.
 
 #![forbid(unsafe_code)]
 
@@ -33,7 +32,6 @@ pub mod experiments;
 pub mod paper;
 pub mod results;
 pub mod store;
-pub mod subway;
 pub mod table;
 
 pub use results::Results;

@@ -7,11 +7,12 @@
 //! [`ShardedEngine`](crate::sharded::ShardedEngine) (N > 1) are fronts
 //! over [`Driver::drive`]; they only shape its result. Each device's
 //! placement is one [`GraphLayout`]: the arrays' addresses, the hybrid
-//! transfer manager and prefetcher, and the batch status block. Device
-//! bytes have one ledger, the machine's allocator; staged regions have
-//! one record, the transfer manager's table, which the kernel's address
-//! path reads. One iteration is this ordered stage list, for every entry
-//! point:
+//! transfer manager and prefetcher or the packed subgraph buffer, and
+//! the batch status block. Device bytes have one ledger, the machine's
+//! allocator; staged regions have one record, the transfer manager's
+//! table, and packed lists one, the buffer's slot list; the kernel's
+//! address path reads both. One iteration is this ordered stage list,
+//! for every entry point:
 //!
 //! 1. **merge** the active queries' frontiers into one sorted union with
 //!    a member mask per vertex (Q = 1: the frontier itself, no masks);
@@ -33,15 +34,20 @@
 //!    walks it once, and CSR offsets are monotone in the vertex id), so
 //!    there is no reorder stage: the stream is already sequential;
 //! 3. per device with work: the active-vertex **scan**, once per active
-//!    query, and the hybrid transfer **plan** over exactly the edge-list
-//!    byte ranges the launch will read;
+//!    query;
 //! 4. `begin_iteration` on every active program;
-//! 5. **capture** every device's member contexts — before any launch, so
-//!    iteration-start state cannot depend on device order;
-//! 6. **launch** one [`ProgramKernel`] per device with work, concurrently,
-//!    on a scoped pool of min(host cores, devices with work) threads that
-//!    start the largest deal first. Device 0 launches on the master
-//!    program state, every other device on a replica cloned from it just
+//! 5. **capture** every device's member contexts, per launch chunk —
+//!    before any launch, so iteration-start state cannot depend on device
+//!    order. A device's items are one chunk, unless a packed subgraph
+//!    ([`Transport::Compacted`]) outgrows its buffer: then consecutive
+//!    buffer-sized ones;
+//! 6. **launch** every device with work, concurrently, on a scoped pool
+//!    of min(host cores, devices with work) threads that start the
+//!    largest deal first: per chunk, the layout's **plan** (the hybrid
+//!    transfer plan over exactly the edge-list byte ranges the launch
+//!    will read, or the packed subgraph's generation and copy), then one
+//!    [`ProgramKernel`]. Device 0 launches on the master program state,
+//!    every other device on a replica cloned from it just
 //!    before the launches, so a launch sees iteration-start state plus
 //!    its own writes and never a peer's writes of the same iteration. One
 //!    device has no replica and spawns no thread;
@@ -61,7 +67,8 @@
 //! profile, so every run on every front ends with its conservation laws
 //! checked.
 //!
-//! Every stage before 6 is a pure function of iteration-start state,
+//! Every stage before 6 is a pure function of iteration-start state (a
+//! chunk split depends only on the items and the buffer's size),
 //! which is what keeps batched and sharded runs bit-identical to solo
 //! ones (`tests/sim_golden.rs` pins the numbers). No launch shares
 //! mutable state with another — each owns its machine, its program state
@@ -80,6 +87,8 @@ use emogi_runtime::exec::run_kernel;
 use emogi_runtime::group::DeviceGroup;
 use emogi_runtime::report::RunStats;
 use emogi_runtime::Machine;
+use emogi_sim::time::Time;
+use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
 
 /// The machines a drive runs on: one [`Machine`], or a [`DeviceGroup`]
@@ -122,17 +131,21 @@ fn diff(now: &[RunStats], base: Vec<RunStats>) -> Vec<RunStats> {
     now.iter().cloned().zip(base).map(|(n, b)| n - b).collect()
 }
 
-/// One device's launch of an iteration, handed to a pool worker.
+/// One device's launches of an iteration, handed to a pool worker.
 struct Launch<'s, P: VertexProgram> {
     /// Edge-list elements dealt to the device: the pool starts the
     /// largest deal first.
     deal: u64,
     machine: &'s mut Machine,
-    layout: &'s GraphLayout,
+    layout: &'s mut GraphLayout,
     status: StatusPlace,
     /// The master state (device 0) or the device's replica.
     programs: &'s mut [P],
-    work: Work<'s, P::Ctx>,
+    /// The device's work, captured per launch chunk (one chunk unless a
+    /// packed subgraph outgrows its buffer).
+    chunks: Vec<Work<'s, P::Ctx>>,
+    /// How long the device's previous launch of this drive ran.
+    kernel_ns: &'s mut Time,
     next: &'s mut [Vec<VertexId>],
 }
 
@@ -395,6 +408,7 @@ impl<'g> Driver<'g> {
         let mut next: Vec<Vec<VertexId>> = vec![Vec::new(); ndev * nq];
         let mut active: Vec<usize> = Vec::new();
         let mut payload = vec![0u64; ndev];
+        let mut kernel_ns: Vec<Time> = vec![0; ndev];
         let mut device_work = DeviceWork::default();
         // Devices 1.. launch on these copies of the programs.
         let mut replicas: Vec<Vec<P>> = vec![Vec::new(); ndev - 1];
@@ -412,14 +426,9 @@ impl<'g> Driver<'g> {
             }
             iterations += 1;
 
-            for (d, (m, p)) in devices
-                .machines()
-                .iter_mut()
-                .zip(&mut self.places)
-                .enumerate()
-            {
+            for (m, its) in devices.machines().iter_mut().zip(&items) {
                 // Devices dealt nothing this iteration stay idle.
-                if items[d].is_empty() {
+                if its.is_empty() {
                     continue;
                 }
                 // The kernels iterate over all vertices and test their
@@ -429,18 +438,23 @@ impl<'g> Driver<'g> {
                 for _ in &active {
                     m.now = m.hbm.read_bulk(m.now, self.graph.num_vertices() as u64 * 4);
                 }
-                let elem = p.elem_bytes;
-                p.plan(
-                    m,
-                    items[d].iter().map(|&(_, lo, hi)| (lo * elem, hi * elem)),
-                );
             }
 
             for &q in &active {
                 programs[q].begin_iteration();
             }
-            let captured: Vec<Work<P::Ctx>> = (0..ndev)
-                .map(|d| Work::capture(&items[d], &item_masks[d], &programs))
+            let captured: Vec<Vec<Work<P::Ctx>>> = (0..ndev)
+                .map(|d| {
+                    let capture = |r: Range<usize>| {
+                        let masks = item_masks[d].get(r.clone()).unwrap_or_default();
+                        Work::capture(&items[d][r], masks, &programs)
+                    };
+                    self.places[d]
+                        .chunks(&items[d])
+                        .into_iter()
+                        .map(capture)
+                        .collect()
+                })
                 .collect();
 
             // Device 0 launches on the master state, every other device
@@ -455,23 +469,24 @@ impl<'g> Driver<'g> {
             let mut launches: Vec<Launch<P>> = devices
                 .machines()
                 .iter_mut()
-                .zip(&self.places)
+                .zip(&mut self.places)
                 .zip(states.zip(next.chunks_mut(nq)))
-                .zip(captured)
+                .zip(captured.into_iter().zip(&mut kernel_ns))
                 .zip(&items)
                 .filter(|(_, its)| !its.is_empty())
                 .map(
-                    |((((machine, layout), (programs, next)), work), its)| Launch {
+                    |((((machine, layout), (programs, next)), (chunks, kernel_ns)), its)| Launch {
                         deal: its.iter().map(|&(_, lo, hi)| hi - lo).sum(),
                         machine,
-                        layout,
                         status: if batched {
                             layout.batch_status(nq, visit_mask)
                         } else {
                             StatusPlace::solo(layout.status_base)
                         },
+                        layout,
                         programs,
-                        work,
+                        chunks,
+                        kernel_ns,
                         next,
                     },
                 )
@@ -479,10 +494,15 @@ impl<'g> Driver<'g> {
             launches.sort_by_key(|l| std::cmp::Reverse(l.deal));
             let (graph, strategy) = (self.graph, self.strategy);
             pool(launches, workers, |l| {
-                let mut kernel = ProgramKernel::new(
-                    graph, l.layout, strategy, l.programs, l.status, l.work, l.next,
-                );
-                run_kernel(l.machine, &mut kernel);
+                for (k, work) in l.chunks.into_iter().enumerate() {
+                    l.layout.plan(l.machine, work.items(), k == 0, *l.kernel_ns);
+                    let start = l.machine.now;
+                    let mut kernel = ProgramKernel::new(
+                        graph, l.layout, strategy, l.programs, l.status, work, l.next,
+                    );
+                    run_kernel(l.machine, &mut kernel);
+                    *l.kernel_ns = l.machine.now - start;
+                }
             });
             for (reps, its) in replicas.iter().zip(&items[1..]) {
                 if !its.is_empty() {
@@ -942,7 +962,7 @@ mod tests {
                     "the hub splits when it has peers, or a warp-sized slice"
                 );
                 for (p, its) in driver.places.iter().zip(&items) {
-                    assert!(p.transfer.is_none(), "zero-copy never stages");
+                    assert!(p.redirect.is_none(), "zero-copy never stages");
                     assert!(
                         its.is_sorted_by_key(|&(_, lo, _)| p.edge_addr(lo)),
                         "{devices} devices, {} queries",

@@ -43,8 +43,8 @@ pub struct EngineConfig {
     pub strategy: AccessStrategy,
     /// Where the edge list lives and how it reaches the GPU.
     pub transport: Transport,
-    /// Simulated edge element size: 8 by default, 4 for the Subway
-    /// comparison (§5.6).
+    /// Simulated edge element size: 8 by default, 4 for Subway and the
+    /// EMOGI side it is compared with (§5.6).
     pub elem_bytes: u64,
 }
 
@@ -88,6 +88,17 @@ impl EngineConfig {
             transfer: TransferConfig::default(),
             pipelined: true,
         })
+    }
+
+    /// Subway as §5.6 runs it, on the V100 platform: 4-byte elements,
+    /// each iteration's active subgraph packed on the host and copied into
+    /// device memory ([`Transport::Compacted`]), on
+    /// [`emogi_v100`](Self::emogi_v100)'s strategy, so Table 3's two sides
+    /// differ only in transport.
+    pub fn subway_v100() -> Self {
+        Self::emogi_v100()
+            .with_transport(Transport::Compacted)
+            .with_elem_bytes(4)
     }
 
     /// Replace only the kernel-level access strategy.
@@ -347,11 +358,13 @@ mod tests {
                     pipelined: true, ..
                 } => "hybrid+prefetch",
                 Transport::Compressed => "compressed",
+                Transport::Compacted => "compacted",
             };
             (cfg.strategy, transport)
         }
-        let presets: [(fn() -> EngineConfig, _); 4] = [
+        let presets: [(fn() -> EngineConfig, _); 5] = [
             (EngineConfig::emogi_v100, (MergedAligned, "zero-copy")),
+            (EngineConfig::subway_v100, (MergedAligned, "compacted")),
             (EngineConfig::uvm_v100, (Merged, "uvm")),
             (EngineConfig::hybrid_v100, (MergedAlignedSplit, "hybrid")),
             (

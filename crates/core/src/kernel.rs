@@ -86,6 +86,11 @@ impl<'a, C: Copy> Work<'a, C> {
         }
         Self { items, masks, ctxs }
     }
+
+    /// The work items, in launch order.
+    pub(crate) fn items(&self) -> &'a [WorkSlice] {
+        self.items
+    }
 }
 
 /// One work item as a task holds it.

@@ -7,7 +7,8 @@
 //! weight list, for SSSP) into the managed space. That one decision —
 //! where the edge list lives and how it reaches the GPU — is a
 //! [`Transport`]; §6's proposal, the edge list compressed in pinned host
-//! memory, is one more.
+//! memory, is one more, and so is §5.6's Subway, which copies each
+//! iteration's active subgraph into device memory.
 //!
 //! # Memory hierarchy
 //!
@@ -59,6 +60,8 @@
 //!
 //! The `tiering` experiment runs the bigger-than-host-DRAM regime on GK.
 
+use crate::compact::Packed;
+use crate::kernel::WorkSlice;
 use emogi_gpu::access::Space;
 use emogi_graph::compress::CompressedCsr;
 use emogi_graph::CsrGraph;
@@ -69,6 +72,8 @@ use emogi_runtime::{
     Machine, PrefetchConfig, Prefetcher, TransferConfig, TransferManager, CXL_BASE, HOST_BASE,
 };
 use emogi_sim::pipeline::CopyEngineConfig;
+use emogi_sim::time::Time;
+use std::ops::Range;
 
 /// Granularity of the host/CXL split when the edge list spills past a
 /// bounded host DRAM: the host-resident prefix is aligned down to 64 KiB
@@ -112,6 +117,25 @@ pub enum Transport {
     /// ([`WarpWalk`](crate::walk::WarpWalk)). Only whole warps walk
     /// compressed lists: the driver refuses it under Naive.
     Compressed,
+    /// Subway (§5.6): the edge list and weights in pinned host memory,
+    /// and before every launch the launch's lists gathered on the host
+    /// into a packed subgraph, copied into a device buffer with one
+    /// `cudaMemcpy` and read there (`compact.rs`). The buffer is the
+    /// smaller of the free device memory and the whole graph's subgraph;
+    /// a larger iteration runs in buffer-sized chunks.
+    Compacted,
+}
+
+/// Where a layout redirects a launch's edge-list reads into device
+/// memory: at most one of the two, so the zero-copy address path tests
+/// one discriminant.
+#[derive(Debug)]
+pub(crate) enum Redirect {
+    /// [`Transport::Hybrid`]: the per-region zero-copy / DMA transfer
+    /// manager, the one record of staged regions.
+    Staged(TransferManager),
+    /// [`Transport::Compacted`]: the packed subgraph buffer.
+    Packed(Packed),
 }
 
 /// A graph placed on one device: the simulated addresses of every array
@@ -129,9 +153,10 @@ pub struct GraphLayout {
     /// Status array (BFS level / SSSP distance / CC label) in device
     /// memory, 4-byte entries.
     pub status_base: u64,
-    /// Simulated size of one edge element (8 by default; 4 in the §5.6
-    /// Subway comparison); under [`Transport::Compressed`], of one word
-    /// of the compressed stream (8).
+    /// Simulated size of one edge element (8 by default; 4 for Subway
+    /// and the EMOGI side it is compared with, §5.6); under
+    /// [`Transport::Compressed`], of one word of the compressed stream
+    /// (8).
     pub elem_bytes: u64,
     /// Space the edge and weight arrays live in.
     pub edge_space: Space,
@@ -142,9 +167,9 @@ pub struct GraphLayout {
     /// Base of the CXL-resident tail of the edge list; present only when
     /// host capacity forced a spill into the external tier.
     pub cxl_edge_base: Option<u64>,
-    /// Present exactly under [`Transport::Hybrid`]: the per-region
-    /// zero-copy / DMA transfer manager, the one record of staged regions.
-    pub(crate) transfer: Option<TransferManager>,
+    /// Present exactly under [`Transport::Hybrid`] (the transfer
+    /// manager) and [`Transport::Compacted`] (the packed buffer).
+    pub(crate) redirect: Option<Redirect>,
     /// Pipelined hybrid only: the speculative prefetcher feeding the
     /// manager's asynchronous copy lane.
     pub(crate) prefetcher: Option<Prefetcher>,
@@ -204,7 +229,8 @@ impl GraphLayout {
     /// the CXL link rather than the PCIe lane; the copy lane takes the
     /// machine's PCIe overhead, bandwidth and framing, so its
     /// hidden-latency estimates follow the synchronous DMA path without
-    /// its propagation term.
+    /// its propagation term. Under [`Transport::Compacted`] the packed
+    /// buffer is the last device allocation.
     pub fn place(
         machine: &mut Machine,
         graph: &CsrGraph,
@@ -222,7 +248,10 @@ impl GraphLayout {
             None => (elem_bytes, graph.num_edges() as u64 * elem_bytes),
         };
         let (edge_space, edge_base, host_edge_bytes, cxl_edge_base) = match transport {
-            Transport::ZeroCopy | Transport::Hybrid { .. } | Transport::Compressed => {
+            Transport::ZeroCopy
+            | Transport::Hybrid { .. }
+            | Transport::Compressed
+            | Transport::Compacted => {
                 let avail = machine.host_free();
                 let host_part = if avail >= edge_bytes {
                     edge_bytes
@@ -247,7 +276,7 @@ impl GraphLayout {
         };
         let vertex_base = machine.alloc_device(graph.vertex_list_bytes());
         let status_base = machine.alloc_device(graph.num_vertices() as u64 * 4);
-        let (transfer, prefetcher) = match transport {
+        let (redirect, prefetcher) = match transport {
             Transport::Hybrid {
                 transfer,
                 pipelined,
@@ -255,7 +284,11 @@ impl GraphLayout {
                 let tm = TransferManager::with_tiers(edge_bytes, host_edge_bytes, transfer.clone());
                 let copy = CopyEngineConfig::from_pcie(&machine.cfg.pcie);
                 let pf = pipelined.then(|| Prefetcher::new(tm.num_regions(), PrefetchConfig, copy));
-                (Some(tm), pf)
+                (Some(Redirect::Staged(tm)), pf)
+            }
+            Transport::Compacted => {
+                let packed = Packed::new(machine, graph, elem_bytes);
+                (Some(Redirect::Packed(packed)), None)
             }
             Transport::ZeroCopy | Transport::Uvm | Transport::Compressed => (None, None),
         };
@@ -268,7 +301,7 @@ impl GraphLayout {
             edge_space,
             host_edge_bytes,
             cxl_edge_base,
-            transfer,
+            redirect,
             prefetcher,
             compressed,
             batch_block: None,
@@ -360,27 +393,45 @@ impl GraphLayout {
         }
     }
 
-    /// Hybrid planning before a launch that will read the edge-list byte
-    /// `ranges`: let the transfer manager stage regions (advancing the
-    /// machine clock by the bulk-copy time), then feed the asynchronous
-    /// lane with the next iteration's predicted regions so their copies
-    /// overlap the kernel launched right after.
+    /// The launch chunks of one device's iteration `items`: consecutive
+    /// item ranges, one launch each. Only a packed subgraph larger than
+    /// its buffer has more than one.
+    pub(crate) fn chunks(&self, items: &[WorkSlice]) -> Vec<Range<usize>> {
+        match &self.redirect {
+            Some(Redirect::Packed(p)) => p.chunks(items, self.weight_base.is_some()),
+            _ => std::iter::once(0..items.len()).collect(),
+        }
+    }
+
+    /// Prepare the launch of work `items`, the iteration's first chunk
+    /// when `first`, advancing the machine clock. Hybrid: let the
+    /// transfer manager stage regions of exactly the edge-list byte
+    /// ranges the launch will read, then feed the asynchronous lane with
+    /// the next iteration's predicted regions so their copies overlap the
+    /// kernel launched right after. Compacted: pack the items' subgraph,
+    /// its generation overlapping the device's previous kernel
+    /// (`prev_kernel_ns`).
     pub(crate) fn plan(
         &mut self,
         machine: &mut Machine,
-        ranges: impl IntoIterator<Item = (u64, u64)>,
+        items: &[WorkSlice],
+        first: bool,
+        prev_kernel_ns: Time,
     ) {
-        let Some(tm) = self.transfer.as_mut() else {
-            return;
-        };
-        match self.prefetcher.as_mut() {
-            Some(p) => {
+        let (elem, weighted) = (self.elem_bytes, self.weight_base.is_some());
+        let ranges = items.iter().map(|&(_, lo, hi)| (lo * elem, hi * elem));
+        match (&mut self.redirect, self.prefetcher.as_mut()) {
+            (Some(Redirect::Staged(tm)), Some(p)) => {
                 tm.plan_iteration_pipelined(machine, ranges, p);
                 tm.prefetch_for_next(machine.now, p);
             }
-            None => {
+            (Some(Redirect::Staged(tm)), None) => {
                 tm.plan_iteration(machine, ranges);
             }
+            (Some(Redirect::Packed(p)), _) => {
+                p.pack(machine, items, weighted, first, prev_kernel_ns)
+            }
+            (None, _) => {}
         }
     }
 
@@ -388,7 +439,7 @@ impl GraphLayout {
     /// transfer manager's and prefetcher's, which live outside it.
     pub(crate) fn counters(&self, machine: &Machine) -> RunStats {
         let mut c = machine.counters();
-        if let Some(tm) = &self.transfer {
+        if let Some(Redirect::Staged(tm)) = &self.redirect {
             c.transfer = tm.stats;
         }
         if let Some(p) = &self.prefetcher {
@@ -399,10 +450,11 @@ impl GraphLayout {
 
     /// Panic unless `machine`'s ledgers agree with this placement's:
     /// [`Machine::check_invariants`], plus every DMA byte being a
-    /// host-homed staging copy (demand or adopted), every CXL bulk byte a
-    /// CXL promotion, and — with a prefetcher — every adopted or evicted
-    /// speculative byte having been prefetched, every adopted byte
-    /// counted as DMA. [`Driver::drive`](crate::driver::Driver::drive)
+    /// host-homed staging copy (demand or adopted) or a packed subgraph,
+    /// every host-to-GPU byte of a compacted placement a packed one,
+    /// every CXL bulk byte a CXL promotion, and — with a prefetcher —
+    /// every adopted or evicted speculative byte having been prefetched,
+    /// every adopted byte counted as DMA. [`Driver::drive`](crate::driver::Driver::drive)
     /// runs it on every device when its loop ends.
     pub(crate) fn check_ledgers(&self, machine: &Machine) {
         machine.check_invariants();
@@ -418,16 +470,24 @@ impl GraphLayout {
             machine.now,
             u64::le,
         );
-        let staged = self
-            .transfer
-            .as_ref()
-            .map(|tm| tm.stats)
-            .unwrap_or_default();
+        let (staged, packed) = match &self.redirect {
+            Some(Redirect::Staged(tm)) => (tm.stats, 0),
+            Some(Redirect::Packed(p)) => {
+                law(
+                    "host_bytes == compacted_bytes",
+                    machine.monitor.host_to_gpu_bytes(),
+                    p.bytes,
+                    u64::eq,
+                );
+                (Default::default(), p.bytes)
+            }
+            None => Default::default(),
+        };
         let dma = machine.dma.bytes_to_device;
         law(
-            "dma.bytes_to_device == staged_bytes - cxl_staged_bytes",
+            "dma.bytes_to_device == staged_bytes - cxl_staged_bytes + compacted_bytes",
             dma,
-            staged.staged_bytes - staged.cxl_staged_bytes,
+            staged.staged_bytes - staged.cxl_staged_bytes + packed,
             u64::eq,
         );
         law(
@@ -460,15 +520,17 @@ impl GraphLayout {
     }
 
     /// Address of edge-list element `i`. In hybrid mode a region the
-    /// transfer manager staged redirects into device memory; offsets past
+    /// transfer manager staged redirects into device memory, and under
+    /// compaction every element of the packed launch does; offsets past
     /// the host-resident prefix resolve into the CXL spill tail.
     #[inline]
     pub fn edge_addr(&self, i: u64) -> u64 {
         let off = i * self.elem_bytes;
-        if let Some(dev) = self.transfer.as_ref().and_then(|tm| tm.translate(off)) {
-            return dev;
+        match &self.redirect {
+            None => self.byte_addr(off),
+            Some(Redirect::Staged(tm)) => tm.translate(off).unwrap_or_else(|| self.byte_addr(off)),
+            Some(Redirect::Packed(p)) => p.edge_addr(i),
         }
-        self.byte_addr(off)
     }
 
     /// Address of byte `off` of the edge list as placed: offsets past the
@@ -497,9 +559,13 @@ impl GraphLayout {
         }
     }
 
-    /// Address of weight element `i`.
+    /// Address of weight element `i`: in the packed buffer under
+    /// compaction, else in the edge list's space, never staged or spilled.
     #[inline]
     pub fn weight_addr(&self, i: u64) -> u64 {
+        if let Some(Redirect::Packed(p)) = &self.redirect {
+            return p.weight_addr(i);
+        }
         self.weight_base.expect("layout has no weights") + i * 4
     }
 

@@ -57,7 +57,10 @@
 //! neighbour lists that trades idle-lane compute for interconnect bytes,
 //! is a transport ([`Transport::Compressed`]): the one driver runs all
 //! four programs over it, solo, batched and sharded, and [`walk`] decodes
-//! it. [`toy`] reproduces the §3.3 microbenchmark behind Figures 3 and 4.
+//! it. So is §5.6's Subway baseline ([`Transport::Compacted`]): each
+//! launch's lists are packed on the host and copied into device memory
+//! (`compact.rs`), and the same kernel reads them there. [`toy`]
+//! reproduces the §3.3 microbenchmark behind Figures 3 and 4.
 //!
 //! # Example
 //!
@@ -82,6 +85,7 @@
 pub mod batch;
 pub mod bfs;
 pub mod cc;
+pub(crate) mod compact;
 mod driver;
 pub mod engine;
 pub mod kernel;

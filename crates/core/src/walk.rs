@@ -102,12 +102,14 @@ impl WarpWalk {
 
     /// Emit weight loads for the same element range (SSSP reads the
     /// 4-byte weight array in lock-step with the edge array): one span
-    /// per 32 elements, span `k` its own instruction `k`; the weight
-    /// array is never staged, spilled or compressed.
+    /// per 32 elements, span `k` its own instruction `k`, in the space of
+    /// its translated address; the weight array is never staged, spilled
+    /// or compressed, but a packed subgraph carries it.
     pub fn emit_weights(layout: &GraphLayout, batch: &mut AccessBatch, lo: u64, hi: u64) {
         for (k, at) in (0..).zip((lo..hi).step_by(WARP_SIZE)) {
             let lanes = (hi - at).min(WARP_SIZE as u64) as u8;
-            let load = LaneAccess::load(layout.weight_addr(at), 4, layout.edge_space);
+            let addr = layout.weight_addr(at);
+            let load = LaneAccess::load(addr, 4, layout.edge_addr_space(addr));
             let span = LaneAccess {
                 count: lanes,
                 ..load
@@ -192,7 +194,8 @@ impl LaneWalk {
     /// loaded (their own instruction groups, offset from the edge loads').
     pub fn emit_weights(layout: &GraphLayout, batch: &mut AccessBatch, loaded: &[(u64, u8, u8)]) {
         for &(i, k, _) in loaded {
-            batch.load_instr(layout.weight_addr(i), 4, layout.edge_space, 64 + k);
+            let addr = layout.weight_addr(i);
+            batch.load_instr(addr, 4, layout.edge_addr_space(addr), 64 + k);
         }
     }
 }
@@ -212,7 +215,7 @@ mod tests {
             edge_space: Space::HostPinned,
             host_edge_bytes: u64::MAX,
             cxl_edge_base: None,
-            transfer: None,
+            redirect: None,
             prefetcher: None,
             compressed: None,
             batch_block: None,

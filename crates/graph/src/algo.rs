@@ -1,8 +1,9 @@
 //! CPU reference implementations of the paper's three traversal
 //! applications (§5.1.2): BFS, SSSP and CC.
 //!
-//! Every simulated engine — EMOGI's three access strategies, the UVM
-//! baseline, HALO and Subway — must produce results identical to these.
+//! Every simulated engine configuration — EMOGI's access strategies, the
+//! UVM baseline, HALO's relabeling, Subway's compacted subgraphs — must
+//! produce results identical to these.
 //! They are deliberately simple and obviously correct rather than fast.
 
 use crate::csr::CsrGraph;

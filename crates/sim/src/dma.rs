@@ -1,7 +1,8 @@
 //! `cudaMemcpy`-style bulk transfer engine.
 //!
-//! Explicit copies are the transport of the Subway baseline (§5.6) and the
-//! "cudaMemcpy peak" reference line of Figure 8. A copy pays a fixed
+//! Explicit copies carry the Subway baseline's packed subgraphs (§5.6),
+//! the hybrid transport's staged regions and the "cudaMemcpy peak"
+//! reference line of Figure 8. A copy pays a fixed
 //! driver/launch overhead and then streams through the PCIe link's bulk
 //! path, touching host DRAM on one side and device memory on the other.
 

@@ -24,8 +24,8 @@
 //! places: the driver's running per-device reading, diffed once per
 //! iteration (N devices, whose `GraphLayout::counters` adds the transfer
 //! manager's and prefetcher's lifetime counters, which live outside the
-//! machine), and `Machine::measure(|m| ..)`, the bracket every run loop
-//! outside the driver goes through (the toy kernels and Subway).
+//! machine), and `Machine::measure(|m| ..)`, the bracket the one kind of
+//! run loop outside the driver goes through, the §3.3 toy kernels.
 //!
 //! # Adding a counter
 //!

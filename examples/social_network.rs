@@ -11,7 +11,6 @@
 //! cargo run --release --example social_network
 //! ```
 
-use emogi_bench::subway::SubwaySystem;
 use emogi_repro::prelude::*;
 
 fn main() {
@@ -96,12 +95,12 @@ fn main() {
 
     // And the partitioning state of the art for contrast (4-byte edges).
     let src = sources[0];
-    let mut subway = SubwaySystem::new(MachineConfig::v100_gen3(), &d.graph, None);
+    let mut subway = Engine::load(EngineConfig::subway_v100(), &d.graph);
     let run = subway.bfs(src);
     assert_eq!(run.levels, algo::bfs_levels(&d.graph, src));
     println!(
         "\nSubway-style BFS (4-byte edges, async subgraphs): {:.2} ms, {} subgraph transfers",
         run.stats.elapsed_ns as f64 / 1e6,
-        run.stats.kernel_launches
+        subway.machine.kernel_launches
     );
 }

@@ -24,9 +24,10 @@
 //!
 //! Table 3's baselines are configurations of the same stack: the UVM
 //! baseline is `EngineConfig::uvm_v100()`, HALO is that configuration
-//! over a [`graph::LayoutPlan::bfs_ranked`] relabeling, and the
-//! Subway-style subgraph-transfer system lives beside the table that
-//! runs it, in the experiment harness (`emogi_bench::subway`).
+//! over a [`graph::LayoutPlan::bfs_ranked`] relabeling, and Subway is
+//! `EngineConfig::subway_v100()`, whose transport
+//! ([`core::Transport::Compacted`]) copies each iteration's active
+//! subgraph into device memory.
 //!
 //! Most users want the [`prelude`]:
 //!

@@ -57,28 +57,31 @@
 //! mutations it is known to catch at both seeds:
 //!
 //! - `Machine::account_async_stage` (`crates/runtime/src/machine.rs`)
-//!   without `self.dma.bytes_to_device += bytes` fails 24 workspace tests
-//!   at the default seed and 26 at CI's, with "machine invariant
-//!   `dma.bytes_to_device == staged_bytes - cxl_staged_bytes` broken: 0
-//!   vs 57360". They include both `sim_golden` matrix tests, every test
-//!   of `pipeline_differential`, tests in `layout_differential`,
-//!   `sharded_differential`, `serve_proptests`, `correctness` and
-//!   `determinism`, and the smoke `overlap` claim.
+//!   without `self.dma.bytes_to_device += bytes` fails 27 workspace tests
+//!   at the default seed and 23 at CI's, with "machine invariant
+//!   `dma.bytes_to_device == staged_bytes - cxl_staged_bytes +
+//!   compacted_bytes` broken: 0 vs 57360". They include the three
+//!   `sim_golden` table tests, every test of `pipeline_differential`,
+//!   tests in `sharded_differential`, `tiering_differential`,
+//!   `serve_proptests`, `correctness` and `determinism`, and the smoke
+//!   `overlap` claim.
 //!   Before the laws ran in the driver, only the unit test
 //!   `adopted_prefetch_skips_the_demand_copy_but_counts_identical_traffic`
 //!   failed;
 //! - `TrafficMonitor::on_read_issued` (`crates/sim/src/monitor.rs`)
-//!   skipping `self.sizes.record(size)` fails 106 workspace tests at
+//!   skipping `self.sizes.record(size)` fails 118 workspace tests at
 //!   each seed, every test of `determinism`, `tiering_differential`,
 //!   `sharded_differential` and `pipeline_differential` among them, with
 //!   "machine invariant `monitor.sizes.total() == monitor.read_requests`
 //!   broken: 0 vs N";
 //! - `DmaEngine::copy_to_device` (`crates/sim/src/dma.rs`) returning
-//!   `arrived` without `device.write_bulk` fails 22 at each seed,
-//!   `pipeline_differential`'s `the_pipelined_side_actually_speculates`
-//!   among them with "`hbm.bytes_written >= dma.bytes_to_device` broken:
-//!   22656 vs 76400", and `sim_golden`, `sharded_differential` and the
-//!   smoke `hybrid` and `overlap` claims.
+//!   `arrived` without `device.write_bulk` fails 41 at the default seed
+//!   and 45 at CI's, `pipeline_differential`'s
+//!   `the_pipelined_side_actually_speculates` among them with
+//!   "`hbm.bytes_written >= dma.bytes_to_device` broken: 22656 vs
+//!   76400", and `sim_golden`, `sharded_differential`, every Subway test
+//!   (`compact.rs`'s, `subway_agrees_with_reference`) and the smoke
+//!   `hybrid` and `overlap` claims.
 //!
 //! Each integration test binary compiles this module independently
 //! (`mod common;`), so not every helper is used by every binary.
@@ -161,9 +164,10 @@ pub fn random_permutation(n: usize, seed: u64) -> Vec<u32> {
 
 /// The one named configuration list: the paper's three zero-copy
 /// strategies, zero-copy on the split-hub kernel the extension presets
-/// run, synchronous and pipelined hybrid, §6's compressed lists, and the
-/// UVM baseline (last). Every suite draws from it (`sim_golden` shrinks
-/// the cache and the transfer regions of the same eight).
+/// run, synchronous and pipelined hybrid, §6's compressed lists, §5.6's
+/// Subway (compacted subgraphs, 4-byte elements), and the UVM baseline
+/// (last). Every suite draws from it (`sim_golden` shrinks the cache and
+/// the transfer regions of the same nine).
 pub fn configs() -> Vec<(&'static str, EngineConfig)> {
     let zero_copy = |s: AccessStrategy| (s.name(), EngineConfig::emogi_v100().with_strategy(s));
     let mut all: Vec<_> = AccessStrategy::all().into_iter().map(zero_copy).collect();
@@ -172,6 +176,7 @@ pub fn configs() -> Vec<(&'static str, EngineConfig)> {
     all.push(("Hybrid pipelined", EngineConfig::pipelined_v100()));
     let compressed = EngineConfig::emogi_v100().with_transport(Transport::Compressed);
     all.push(("Compressed", compressed));
+    all.push(("Subway", EngineConfig::subway_v100()));
     all.push(("UVM", EngineConfig::uvm_v100()));
     all
 }

@@ -1,7 +1,7 @@
 //! Cross-engine correctness: every simulated engine (the named
-//! configurations of `tests/common`, and the Subway-style system) must
-//! produce results identical to the CPU reference algorithms on
-//! randomized graphs, for every vertex program. HALO is a named
+//! configurations of `tests/common`, Subway's compacted subgraphs among
+//! them) must produce results identical to the CPU reference algorithms
+//! on randomized graphs, for every vertex program. HALO is a named
 //! configuration over `LayoutPlan::bfs_ranked`, which
 //! `tests/layout_differential.rs` holds to the unrelabeled run.
 //!
@@ -23,10 +23,14 @@
 //!   `float-fold` lint rule and PageRank's `canonical-order` waiver);
 //! - `Engine::run` driving its lone program on the batch status block
 //!   (`batched = true`) fails every engine test here;
-//! - Subway's round loop dropping the last active vertex before each
-//!   `expand`, its SSSP reading `weights[k]` for `weights[start + k]`,
-//!   and its CC never setting `changed`, each fail
-//!   `subway_agrees_with_reference`.
+//! - `Packed::chunks` (`crates/core/src/compact.rs`) opening each new
+//!   chunk one item late (`(start, held) = (i + 1, 0)`, the list that
+//!   overflowed the buffer never launched) fails
+//!   `subway_agrees_with_reference` on its chunked side, at the default
+//!   seed and at `EMOGI_PROPTEST_SEED=20260729`. It stands for the
+//!   deleted Subway round loop's own mutations (the last active vertex
+//!   dropped, a misread weight, CC never setting `changed`), which the
+//!   one driver's programs now carry.
 //! - The compressed walk dropping each step's last decoded element
 //!   (`WarpWalk::emit_edges` returning `hi - 1` whenever `hi > lo`) fails
 //!   `bfs_matches_reference_for_every_engine_and_graph_family`,
@@ -42,7 +46,6 @@
 mod common;
 
 use common::*;
-use emogi_bench::subway::SubwaySystem;
 use emogi_repro::prelude::*;
 use std::sync::Arc;
 
@@ -109,10 +112,16 @@ fn one_placement_serves_all_four_programs() {
     assert_every_engine_matches_the_oracle(&g, &four_programs(4, &w, 8), "uniform");
 }
 
-/// Subway's three programs: SSSP and BFS on a directed web graph and an
-/// undirected one, CC on the undirected one (it needs one).
+/// Subway's programs on a directed web graph and an undirected one (CC
+/// only there: it needs one), solo and on 1, 2 and 4 devices: the
+/// compacted transport packs each launch's lists, hub pieces included,
+/// and the kernel reads them out of the packed buffer. On a GPU with
+/// 24 KiB of memory the buffer holds a fraction of a full sweep, so the
+/// iterations run in chunks, one launch each.
 #[test]
 fn subway_agrees_with_reference() {
+    let mut small = EngineConfig::subway_v100();
+    small.machine.gpu.mem_bytes = 24 << 10;
     let web = generators::web_crawl(800, 8, 80, 0.85, 5);
     for g in [web, generators::uniform_random(500, 6, 4)] {
         let src = (0..g.num_vertices() as u32).find(|&v| g.degree(v) > 0);
@@ -122,20 +131,26 @@ fn subway_agrees_with_reference() {
             specs.push(ProgramSpec::Cc);
         }
         let want = reference_answers(&g, &specs);
-        let mut subway = SubwaySystem::new(MachineConfig::v100_gen3(), &g, Some(&weights));
-        let run = |spec: &ProgramSpec| match spec {
-            ProgramSpec::Bfs { src } => ProgramRun::Bfs(subway.bfs(*src)),
-            ProgramSpec::Sssp { src, .. } => ProgramRun::Sssp(subway.sssp(*src)),
-            ProgramSpec::Cc => ProgramRun::Cc(subway.cc()),
-            ProgramSpec::PageRank { .. } => unreachable!("Subway runs no PageRank"),
-        };
-        let runs = specs.iter().map(run).collect();
-        let got = Outcome {
-            runs,
-            ..Outcome::default()
-        };
-        let tag = format!("Subway, {} vertices", g.num_vertices());
-        assert_outputs_match(&got, &want, &tag);
+        for (name, cfg) in [
+            ("whole", EngineConfig::subway_v100()),
+            ("chunked", small.clone()),
+        ] {
+            let side = Side::new(cfg, &g, &specs);
+            for shape in [Shape::Solo].iter().chain(&Shape::SHARDED) {
+                let got = shape.run(&side);
+                let tag = format!("Subway {name}, {} vertices, {shape:?}", g.num_vertices());
+                assert_outputs_match(&got, &want, &tag);
+                if *shape == Shape::Solo {
+                    let levels: u64 = got.runs.iter().map(|r| r.stats().kernel_launches).sum();
+                    let launches = got.devices[0].kernel_launches;
+                    assert_eq!(
+                        launches > levels,
+                        name == "chunked",
+                        "{tag}: chunked launches"
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -16,7 +16,7 @@
 mod common;
 
 use common::*;
-use emogi_repro::core::{AccessStrategy, Engine, EngineConfig, ProgramSpec};
+use emogi_repro::core::{AccessStrategy, Engine, EngineConfig, ProgramSpec, Transport};
 use emogi_repro::gpu::access::{LaneAccess, Space};
 use emogi_repro::gpu::cache::{CacheConfig, SectoredCache};
 use emogi_repro::gpu::coalesce::{Coalescer, Transaction};
@@ -176,11 +176,11 @@ proptest! {
 
     /// Every program × every access strategy × every placement (the
     /// named configurations' transports, each under a strategy drawn
-    /// independently of the one its name implies — UVM × Naive
-    /// included) agrees with the CPU references on arbitrary undirected
-    /// weighted graphs — the full engine matrix behind the
-    /// vertex-program redesign, BFS, SSSP, CC and PageRank alike, on one
-    /// placement.
+    /// independently of the one its name implies — UVM × Naive and
+    /// Subway × Naive included, compressed × Naive discarded) agrees
+    /// with the CPU references on arbitrary undirected weighted graphs —
+    /// the full engine matrix behind the vertex-program redesign, BFS,
+    /// SSSP, CC and PageRank alike, on one placement.
     #[test]
     fn every_program_strategy_placement_matches_the_cpu_references(
         edges in common::edges(80, 300),
@@ -192,6 +192,11 @@ proptest! {
         prop_assume!(g.degree(src) > 0);
         let specs = four_programs(src, &generate_weights(g.num_edges(), 7), 8);
         let strategy = AccessStrategy::all()[strategy];
+        // The one illegal pair: the driver refuses compressed lists under
+        // Naive, whose lanes cannot find an element of a varint stream
+        // without decoding the list before it.
+        let compressed = matches!(cfg.transport, Transport::Compressed);
+        prop_assume!(strategy.warp_per_vertex() || !compressed);
         let got = Shape::Solo.run(&Side::new(cfg.with_strategy(strategy), &g, &specs));
         let tag = format!("{name} as {}", strategy.name());
         assert_outputs_match(&got, &reference_answers(&g, &specs), &tag);

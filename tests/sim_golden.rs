@@ -12,7 +12,7 @@
 //!
 //! Matrix, per graph (one small Kronecker, one uniform):
 //! {Naive, Merged, Merged+Aligned, Merged+Aligned split, Hybrid, Hybrid
-//! pipelined, Compressed, UVM placement} (one table row each) × the
+//! pipelined, Compressed, Subway, UVM placement} (one table row each) × the
 //! seven [`SHAPES`]
 //! (one column each): all four programs solo, BFS and SSSP through
 //! `run_batch` at 1, 3 and 8 queries, all four programs sharded at 1, 2
@@ -44,9 +44,17 @@
 //! where the driver's kernel gathers, stores and activates per edge as
 //! on raw lists and charges decoding per decoded edge.
 //!
-//! **Side systems.** The run loops that bypass the engine's driver — the
-//! §3.3 toy kernels with their UVM and `cudaMemcpy` references and the
-//! Subway baseline's async pipeline — and HALO (the UVM `Engine` over
+//! **Subway.** §5.6's Subway baseline is a transport too
+//! (`Transport::Compacted`, 4-byte elements), so it is the `Subway` row
+//! of every table. The row was pinned when the separate Subway system
+//! was deleted, a declared model change: that system priced each
+//! iteration's device kernel as one analytic HBM stream and ran no
+//! PageRank, batch or shard; the driver's kernel reads the packed
+//! subgraph warp by warp through the L2 and HBM.
+//!
+//! **Side systems.** The one kind of run loop that bypasses the engine's
+//! driver — the §3.3 toy kernels with their UVM and `cudaMemcpy`
+//! references — and HALO (the UVM `Engine` over
 //! `LayoutPlan::bfs_ranked`) are pinned the same way in [`TOY`] and the
 //! two `*_SIDE` tables, generated at the commit before those loops were
 //! routed through one measurement bracket.
@@ -63,20 +71,21 @@
 //!   the compiler's launch gates (edge views, `run_kernel`'s borrow of
 //!   the machine) do not reach them; this file does;
 //! - `DmaEngine::copy_to_device` returning `arrived` without
-//!   `device.write_bulk` moves no pinned digit, but fails the Kronecker
-//!   matrix test at both seeds, at the ledger check that ends every
-//!   drive ("`hbm.bytes_written >= dma.bytes_to_device` broken: 39360 vs
-//!   72304");
+//!   `device.write_bulk` moves no pinned digit, but fails both matrix
+//!   tests and the [`REVERSED`] test at both seeds, at the ledger check
+//!   that ends every drive ("`hbm.bytes_written >= dma.bytes_to_device`
+//!   broken: 39392 vs 72304" on the Kronecker graph);
 //! - `Machine::account_async_stage` without `self.dma.bytes_to_device +=
-//!   bytes` fails both matrix tests at both seeds ("`dma.bytes_to_device
-//!   == staged_bytes - cxl_staged_bytes` broken").
+//!   bytes` fails both matrix tests and the [`REVERSED`] test at both
+//!   seeds ("`dma.bytes_to_device == staged_bytes - cxl_staged_bytes +
+//!   compacted_bytes` broken").
 //! - `TransferManager::prefetch_for_next` issuing nothing fails both
 //!   matrix tests and the [`REVERSED`] test at both seeds, on the Hybrid
 //!   pipelined row's cells;
 //! - Subway's async overlap removed (`gen.saturating_sub(prev_kernel_ns)`
-//!   → `gen` in `emogi_bench::subway`) fails both side-system tests at
-//!   both seeds, on the three `subway-async-*` rows. It stands for the
-//!   deleted `async_beats_sync`;
+//!   → `gen` in `Packed::pack`, `crates/core/src/compact.rs`) fails both
+//!   matrix tests and the [`REVERSED`] test at both seeds, on the
+//!   `Subway` row's cells. It stands for the deleted `async_beats_sync`;
 //! - `LayoutPlan::bfs_ranked` returning `Self::identity(n)` fails both
 //!   side-system tests on `halo-bfs`;
 //! - `Driver::drive` counting an iteration before its empty-frontier exit
@@ -103,7 +112,6 @@
 
 mod common;
 
-use emogi_bench::subway::SubwaySystem;
 use emogi_repro::core::sharded::{ShardedConfig, ShardedEngine};
 use emogi_repro::core::toy::{self, ToyPattern, ToyRun};
 use emogi_repro::graph::datasets::generate_weights;
@@ -174,6 +182,12 @@ const KRONECKER: &[Row] = &[
         0xb583c40030ee722b, 0xc107d32b555fc25e,
         0x1e651bc986937aa0,
     ]),
+    ("Subway", [
+        0x16dbe24e5f144b12, 0x2dc48239b9f6a623,
+        0x6aafd1cfdcf243c1, 0x88f4f1baacd49018,
+        0xda8cb887eaa00c1b, 0xd854d6c63ea13a1e,
+        0x085bbeddfd9a81da,
+    ]),
     ("UVM", [
         0xa23aa10a686b19e2, 0x74a99206dd3fe60b,
         0x8fa4c32d6720f88b, 0x67d90707befa18bd,
@@ -227,6 +241,12 @@ const UNIFORM: &[Row] = &[
         0xf65c17e224af824a, 0xade1faad60992efc,
         0xb1ad67858212c86b,
     ]),
+    ("Subway", [
+        0x8b4f6016e3d42f2d, 0xd705250015aefb66,
+        0x58f4a4b8b770fbe3, 0x1b70eef46896092d,
+        0xd9bc23bcb5a6c85a, 0x5750e37ef77aca44,
+        0x78647e279685e39d,
+    ]),
     ("UVM", [
         0x819158989e1a21cd, 0xfaf08817077825c6,
         0x56017f86120aaef6, 0x314afa80286e46ee,
@@ -261,6 +281,9 @@ const REVERSED: &[ReversedRow] = &[
     ("Compressed", [
         0x7bdf11fe74c69488, 0xa4d6a39ab7482c42,
     ]),
+    ("Subway", [
+        0x9eaa9252429d2aa5, 0x971c9dfd5529f34b,
+    ]),
     ("UVM", [
         0x42b3eeb7160b0012, 0x7eec061196d3a20a,
     ]),
@@ -284,9 +307,6 @@ const TOY: &[SideRow] = &[
 /// commit.
 #[rustfmt::skip]
 const KRONECKER_SIDE: &[SideRow] = &[
-    ("subway-async-bfs", 0xf4fe5fe1315f92c3),
-    ("subway-async-sssp", 0x4bd14acc431e29e5),
-    ("subway-async-cc", 0xb6b3a64be2051849),
     ("halo-bfs", 0xb1189345fac37204),
 ];
 
@@ -294,9 +314,6 @@ const KRONECKER_SIDE: &[SideRow] = &[
 /// parent commit.
 #[rustfmt::skip]
 const UNIFORM_SIDE: &[SideRow] = &[
-    ("subway-async-bfs", 0x117604076b4b5a7b),
-    ("subway-async-sssp", 0xf13f91cf73856c9d),
-    ("subway-async-cc", 0x1873b677b6960145),
     ("halo-bfs", 0x6c6928490f2d5301),
 ];
 
@@ -460,7 +477,7 @@ impl Fnv {
     }
 }
 
-/// The eight named configurations (one table row each), on a machine whose cache
+/// The nine named configurations (one table row each), on a machine whose cache
 /// (16 KiB) and transfer regions (4 KiB) are shrunk below the test
 /// graphs' edge lists so that misses, staging and prefetching all fire.
 fn configs() -> Vec<(&'static str, EngineConfig)> {
@@ -649,26 +666,11 @@ fn toy_cells() -> Vec<SideRow> {
     out
 }
 
-/// Every graph-bound side system on `g`. Each system runs twice on one
-/// machine (sources 3 and 17, or two CC runs), so a per-run bracket that
-/// reported lifetime counters would move the second digest.
+/// Every graph-bound side system on `g`: HALO, the UVM engine over the
+/// BFS-ranked relabeling, a fresh placement per source, outputs mapped
+/// back.
 fn side_cells(g: &CsrGraph) -> Vec<SideRow> {
-    let w = generate_weights(g.num_edges(), 11);
     let mut out: Vec<SideRow> = Vec::new();
-
-    let mut sys = SubwaySystem::new(side_machine(), g, Some(&w));
-    let [mut bfs, mut sssp, mut cc] = [Fnv::new(), Fnv::new(), Fnv::new()];
-    for src in [3, 17] {
-        bfs.run(&ProgramRun::Bfs(sys.bfs(src)));
-        sssp.run(&ProgramRun::Sssp(sys.sssp(src)));
-        cc.run(&ProgramRun::Cc(sys.cc()));
-    }
-    out.push(("subway-async-bfs", bfs.0));
-    out.push(("subway-async-sssp", sssp.0));
-    out.push(("subway-async-cc", cc.0));
-
-    // HALO: the UVM engine over the BFS-ranked relabeling, a fresh
-    // placement per source, outputs mapped back.
     let mut cfg = EngineConfig::uvm_v100();
     cfg.machine = side_machine();
     let plan = LayoutPlan::bfs_ranked(g);
